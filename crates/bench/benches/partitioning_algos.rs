@@ -4,8 +4,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use talus_bench::synthetic_curve;
-use talus_core::MissCurve;
-use talus_partition::{hill_climb, imbalanced, lookahead, optimal_dp};
+use talus_core::{ConvexHull, MissCurve};
+use talus_partition::{hill_climb, hill_climb_hulls, imbalanced, lookahead, optimal_dp, Planner};
 
 fn curves(n: usize) -> Vec<MissCurve> {
     (0..n)
@@ -17,7 +17,8 @@ fn bench_algorithms(c: &mut Criterion) {
     let capacity = 64 * 64u64; // 64 grains of 64 lines
     for apps in [4usize, 8, 16] {
         let cs = curves(apps);
-        let hulls: Vec<MissCurve> = cs.iter().map(|c| c.convex_hull().to_curve()).collect();
+        let native: Vec<ConvexHull> = cs.iter().map(MissCurve::convex_hull).collect();
+        let hulls: Vec<MissCurve> = native.iter().map(ConvexHull::to_curve).collect();
         let mut g = c.benchmark_group(format!("alloc_{apps}_apps"));
         g.bench_with_input(BenchmarkId::new("hill_climb", apps), &cs, |b, cs| {
             b.iter(|| black_box(hill_climb(cs, capacity, 64)))
@@ -26,6 +27,12 @@ fn bench_algorithms(c: &mut Criterion) {
             BenchmarkId::new("hill_climb_on_hulls", apps),
             &hulls,
             |b, hs| b.iter(|| black_box(hill_climb(hs, capacity, 64))),
+        );
+        // The planner's kernel against the reference on the same hulls.
+        g.bench_with_input(
+            BenchmarkId::new("hill_climb_hulls", apps),
+            &native,
+            |b, hs| b.iter(|| black_box(hill_climb_hulls(hs, capacity, 64))),
         );
         g.bench_with_input(BenchmarkId::new("lookahead", apps), &cs, |b, cs| {
             b.iter(|| black_box(lookahead(cs, capacity, 64)))
@@ -51,8 +58,20 @@ fn bench_preprocessing(c: &mut Criterion) {
     });
 }
 
+fn bench_planner(c: &mut Criterion) {
+    // One cache of the repo benchmark's `plane_local` workload: 4 tenants
+    // × 65 points, 64 grains — hulls, allocation and shadow configs.
+    let cs: Vec<MissCurve> = (0..4).map(|i| synthetic_curve(65, 2000 + i)).collect();
+    let planner = Planner::new(64);
+    let mut g = c.benchmark_group("plan");
+    g.bench_function("planner_4x65pt_hill", |b| {
+        b.iter(|| black_box(planner.plan(&cs, 64 * 64, 0)))
+    });
+    g.finish();
+}
+
 criterion_group!(name = benches; config = fast_criterion();
-    targets = bench_algorithms, bench_preprocessing);
+    targets = bench_algorithms, bench_preprocessing, bench_planner);
 
 fn fast_criterion() -> Criterion {
     Criterion::default()

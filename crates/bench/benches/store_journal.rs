@@ -8,9 +8,12 @@
 //!
 //! Groups:
 //! - `store_journal/append_*`: one iteration journals a full curve round
-//!   for 32 caches (encode + checksum + file append per record), with
-//!   and without the serving plane in front — the delta prices the plane
-//!   itself, the `curve` variant prices the dominant record type alone.
+//!   for 32 caches (encode + checksum + file append per record).
+//!   `append_curve_round` prices the dominant record type alone, straight
+//!   into the store; `append_plane_round` sends a round of *changed*
+//!   curves through a journaling plane and runs the epoch that plans
+//!   them, and asserts afterwards that the journal grew by a curve and a
+//!   plan per cache and a cut per shard each iteration.
 //! - `store_journal/replay_*`: one iteration scans a journal of N
 //!   records back into `Record`s (the decode half of a warm restart);
 //!   `restore_plane` also rebuilds the full service state, which is what
@@ -118,7 +121,9 @@ fn bench_append(c: &mut Criterion) {
 
     // The same round through a journaling plane — what `submit` actually
     // costs a producer once persistence is on (registry lock + store
-    // append under it).
+    // append under it) — followed by the epoch that plans and journals
+    // it. Rounds alternate between two curve sets: a bit-identical
+    // resubmission is deduplicated to a no-op and would journal nothing.
     let dir = bench_dir("append-plane");
     let store = Arc::new(Store::open(&dir, SHARDS).expect("open store"));
     let plane =
@@ -126,18 +131,30 @@ fn bench_append(c: &mut Criterion) {
     let ids: Vec<_> = (0..CACHES)
         .map(|_| plane.register(CacheSpec::new(4096, 1).with_planner(Planner::new(64))))
         .collect();
+    let rounds = [curves, (CACHES..2 * CACHES).map(curve).collect()];
+    let mut iterations = 0u64;
     group.bench_function("append_plane_round", |b| {
         b.iter(|| {
-            for (id, curve) in ids.iter().zip(&curves) {
+            let curves = &rounds[(iterations % 2) as usize];
+            iterations += 1;
+            for (id, curve) in ids.iter().zip(curves) {
                 plane
                     .submit(*id, 0, black_box(curve).clone())
                     .expect("registered");
             }
-            // Keep the dirty queue bounded without planning work: the
-            // cut record is part of the journaled cycle anyway.
             black_box(plane.run_epoch());
         })
     });
+    // Guard against measuring a no-op: every iteration must have appended
+    // a curve and a plan per cache and an epoch cut per shard.
+    let records: u64 = (0..SHARDS)
+        .map(|s| store.replay_shard(s).expect("scan").records.len() as u64)
+        .sum();
+    assert_eq!(
+        records,
+        CACHES + iterations * (2 * CACHES + SHARDS as u64),
+        "journal did not grow by one full round per iteration"
+    );
     assert_eq!(store.last_error(), None);
     drop(plane);
     drop(store);

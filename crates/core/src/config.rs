@@ -279,6 +279,10 @@ pub fn plan_with_hull(
 /// Exposed so hardware layers that recompute ρ after coarsening can
 /// re-apply the same adjustment.
 ///
+/// The result is capped at the highest configurable rate (0.9999) but is
+/// never below `rho`: a size within 0.01 % of a bridge's lower vertex
+/// already has an ideal rate above the cap, and keeps it.
+///
 /// # Panics
 ///
 /// Panics if `rho` is outside `[0, 1]` or `margin` is negative.
@@ -291,7 +295,8 @@ pub fn apply_margin(rho: f64, margin: f64) -> f64 {
         margin >= 0.0 && margin.is_finite(),
         "margin must be non-negative"
     );
-    (1.0 - (1.0 - rho) / (1.0 + margin)).clamp(rho, MAX_RHO)
+    // Not `clamp(rho, MAX_RHO)`, which panics when `rho > MAX_RHO`.
+    (1.0 - (1.0 - rho) / (1.0 + margin)).min(MAX_RHO).max(rho)
 }
 
 /// Evaluates the general shadow-partition miss formula (paper Eq. 2):
@@ -400,6 +405,23 @@ mod tests {
         // Never exceeds MAX_RHO or drops below the input.
         assert!(apply_margin(0.9999, 0.5) <= 0.9999 + 1e-12);
         assert!(apply_margin(0.2, 0.1) >= 0.2);
+    }
+
+    #[test]
+    fn size_just_above_a_vertex_plans_without_panicking() {
+        // An allocation a hair above the bridge's lower vertex — outside
+        // the default `vertex_tolerance`, inside the last 0.01 % of the
+        // bridge — has an ideal rho above MAX_RHO. It used to panic in
+        // `clamp` (min > max); it must keep its ideal rate.
+        let c = MissCurve::from_samples(&[0.0, 1024.0, 65_536.0], &[10.0, 5.0, 1.0]).unwrap();
+        let cfg = *plan(&c, 1024.0 + 1e-3, TalusOptions::new())
+            .unwrap()
+            .shadow()
+            .expect("outside the vertex tolerance: a shadow plan");
+        assert!(cfg.ideal_rho > MAX_RHO && cfg.ideal_rho < 1.0);
+        assert_eq!(cfg.rho, cfg.ideal_rho);
+        assert!(cfg.emulated_beta().is_finite());
+        assert_eq!(apply_margin(1.0, 0.05), 1.0);
     }
 
     #[test]

@@ -394,6 +394,32 @@ pub(crate) fn interpolate(points: &[CurvePoint], size: f64) -> f64 {
     chord_value(points[idx - 1], points[idx], size)
 }
 
+/// [`interpolate`] with the segment found by walking from `*cursor` (the
+/// index of the segment's right end on the previous call) instead of by
+/// binary search. Any cursor gives the same bits as [`interpolate`]; one
+/// carried across calls with non-decreasing `size` makes a whole sweep
+/// cost `O(points + calls)`.
+pub(crate) fn interpolate_from(points: &[CurvePoint], cursor: &mut usize, size: f64) -> f64 {
+    debug_assert!(!points.is_empty());
+    if size <= points[0].size {
+        return points[0].misses;
+    }
+    let last = points[points.len() - 1];
+    if size >= last.size {
+        return last.misses;
+    }
+    // points[0].size < size < last.size, so both walks stop in bounds.
+    let mut idx = (*cursor).clamp(1, points.len() - 1);
+    while points[idx].size <= size {
+        idx += 1;
+    }
+    while points[idx - 1].size > size {
+        idx -= 1;
+    }
+    *cursor = idx;
+    chord_value(points[idx - 1], points[idx], size)
+}
+
 /// Value at `x` of the line through points `a` and `b`.
 pub(crate) fn chord_value(a: CurvePoint, b: CurvePoint, x: f64) -> f64 {
     debug_assert!(b.size > a.size);

@@ -10,7 +10,7 @@
 //! standard single-pass monotone-chain scan used here is the same
 //! stack-based linear-time procedure.
 
-use crate::curve::{interpolate, CurvePoint, MissCurve};
+use crate::curve::{interpolate, interpolate_from, CurvePoint, MissCurve};
 
 /// The lower convex hull of a [`MissCurve`].
 ///
@@ -107,6 +107,29 @@ impl ConvexHull {
     /// domain).
     pub fn value_at(&self, size: f64) -> f64 {
         interpolate(&self.vertices, size)
+    }
+
+    /// [`value_at`](Self::value_at) for callers that evaluate a run of
+    /// nearby sizes: `cursor` carries the segment found by the previous
+    /// call (start it at `0`), and the next segment is found by walking
+    /// from there instead of by binary search. The result is bit-identical
+    /// to `value_at(size)` whatever the cursor holds; with non-decreasing
+    /// sizes a whole sweep costs `O(vertices + calls)`. This is what lets
+    /// an allocator climb the hull itself rather than a copy of it.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use talus_core::MissCurve;
+    /// let hull = MissCurve::from_samples(&[0.0, 2.0, 5.0], &[24.0, 12.0, 3.0])?.convex_hull();
+    /// let mut cursor = 0;
+    /// for size in [0.0, 1.0, 2.0, 3.5, 9.0] {
+    ///     assert_eq!(hull.value_at_from(&mut cursor, size), hull.value_at(size));
+    /// }
+    /// # Ok::<(), talus_core::CurveError>(())
+    /// ```
+    pub fn value_at_from(&self, cursor: &mut usize, size: f64) -> f64 {
+        interpolate_from(&self.vertices, cursor, size)
     }
 
     /// The neighbouring hull vertices around `size` (Theorem 6's α and β):
@@ -257,6 +280,28 @@ mod tests {
         // Halfway along, Talus gets roughly half the misses.
         let mid = hull.value_at(16.0);
         assert!((mid - 33.0 / 2.0).abs() < 0.2, "got {mid}");
+    }
+
+    #[test]
+    fn value_at_from_matches_value_at_for_any_cursor_and_order() {
+        let hull = fig3_curve().convex_hull();
+        let sizes = [-1.0, 0.0, 0.5, 2.0, 4.9, 5.0, 7.0, 10.0, 11.0];
+        // Forward, backward, and from every (even out-of-range) cursor.
+        let mut cursor = 0;
+        for &s in sizes.iter().chain(sizes.iter().rev()) {
+            let got = hull.value_at_from(&mut cursor, s);
+            assert_eq!(got.to_bits(), hull.value_at(s).to_bits(), "size {s}");
+        }
+        for start in 0..hull.len() + 3 {
+            for &s in &sizes {
+                let got = hull.value_at_from(&mut { start }, s);
+                assert_eq!(got.to_bits(), hull.value_at(s).to_bits());
+            }
+        }
+        let point = MissCurve::from_samples(&[4.0], &[7.0])
+            .unwrap()
+            .convex_hull();
+        assert_eq!(point.value_at_from(&mut 0, 9.0), 7.0);
     }
 
     #[test]

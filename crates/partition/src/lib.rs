@@ -6,6 +6,8 @@
 //! - [`hill_climb`]: the trivial linear-time greedy — give the next grain
 //!   of capacity to whoever benefits most. **Optimal on convex curves**,
 //!   and therefore optimal under Talus; stuck in local optima on cliffs.
+//!   [`hill_climb_hulls`] is the same greedy run on the hulls themselves,
+//!   one interpolation per grain — what [`Planner`] runs each interval.
 //! - [`lookahead`]: Qureshi & Patt's UCP Lookahead — quadratic, considers
 //!   multi-grain extensions so it can leap across plateaus, but is forced
 //!   into all-or-nothing allocations at cliffs.
@@ -44,7 +46,8 @@ pub mod planner;
 
 pub use planner::{AllocPolicy, CachePlan, Planner, TenantPlan};
 
-use talus_core::MissCurve;
+use std::borrow::Borrow;
+use talus_core::{ConvexHull, MissCurve};
 
 /// Total misses of an allocation: `Σᵢ curves[i](alloc[i])`.
 ///
@@ -60,7 +63,7 @@ pub fn total_misses(curves: &[MissCurve], alloc: &[u64]) -> f64 {
         .sum()
 }
 
-fn check_inputs(curves: &[MissCurve], capacity: u64, grain: u64) -> u64 {
+fn check_inputs<T>(curves: &[T], capacity: u64, grain: u64) -> u64 {
     assert!(!curves.is_empty(), "need at least one partition");
     assert!(grain > 0, "allocation grain must be positive");
     capacity / grain
@@ -77,10 +80,14 @@ fn check_inputs(curves: &[MissCurve], capacity: u64, grain: u64) -> u64 {
 /// is still handed out round-robin, mirroring hardware where ways cannot
 /// be left unpowered.
 ///
+/// This is the reference form — every partition re-interpolated twice per
+/// grain — used on raw curves and as the oracle [`hill_climb_hulls`] is
+/// tested against.
+///
 /// # Panics
 ///
 /// Panics if `curves` is empty or `grain` is zero.
-pub fn hill_climb(curves: &[MissCurve], capacity: u64, grain: u64) -> Vec<u64> {
+pub fn hill_climb<C: Borrow<MissCurve>>(curves: &[C], capacity: u64, grain: u64) -> Vec<u64> {
     let grains = check_inputs(curves, capacity, grain);
     let n = curves.len();
     let mut alloc = vec![0u64; n];
@@ -88,6 +95,7 @@ pub fn hill_climb(curves: &[MissCurve], capacity: u64, grain: u64) -> Vec<u64> {
         let mut best = 0usize;
         let mut best_gain = f64::NEG_INFINITY;
         for (i, c) in curves.iter().enumerate() {
+            let c = c.borrow();
             let here = c.value_at(alloc[i] as f64);
             let there = c.value_at((alloc[i] + grain) as f64);
             let gain = here - there;
@@ -107,6 +115,78 @@ pub fn hill_climb(curves: &[MissCurve], capacity: u64, grain: u64) -> Vec<u64> {
     alloc
 }
 
+/// [`hill_climb`] on convex hulls, without turning them back into curves:
+/// bit-identical to `hill_climb(&hulls.map(ConvexHull::to_curve), …)`,
+/// ties and zero-gain round-robin included.
+///
+/// A grant changes only the winner's marginal gain, so each partition
+/// keeps its gain and a cursor into its hull, and a grain costs one
+/// comparison per partition plus one interpolation found by advancing
+/// the winner's cursor: `O(grains · n)` comparisons and
+/// `O(grains + vertices)` interpolation work in total, against the
+/// reference's `2 · grains · n` binary searches.
+///
+/// ```
+/// use talus_core::MissCurve;
+/// use talus_partition::{hill_climb, hill_climb_hulls};
+/// let cliff = MissCurve::from_samples(&[0.0, 64.0, 128.0], &[9.0, 9.0, 1.0])?.convex_hull();
+/// let decay = MissCurve::from_samples(&[0.0, 64.0, 128.0], &[4.0, 2.0, 1.5])?.convex_hull();
+/// let alloc = hill_climb_hulls(&[cliff.clone(), decay.clone()], 128, 32);
+/// assert_eq!(alloc, hill_climb(&[cliff.to_curve(), decay.to_curve()], 128, 32));
+/// # Ok::<(), talus_core::CurveError>(())
+/// ```
+///
+/// # Panics
+///
+/// Panics if `hulls` is empty or `grain` is zero.
+pub fn hill_climb_hulls(hulls: &[ConvexHull], capacity: u64, grain: u64) -> Vec<u64> {
+    /// One partition's standing offer: the hull value one grain past its
+    /// allocation, what that grain would save, and where on the hull it is.
+    struct Offer {
+        cursor: usize,
+        there: f64,
+        gain: f64,
+    }
+    let grains = check_inputs(hulls, capacity, grain);
+    let mut alloc = vec![0u64; hulls.len()];
+    let mut offers: Vec<Offer> = hulls
+        .iter()
+        .map(|hull| {
+            let mut cursor = 0;
+            let here = hull.value_at_from(&mut cursor, 0.0);
+            let there = hull.value_at_from(&mut cursor, grain as f64);
+            Offer {
+                cursor,
+                there,
+                gain: here - there,
+            }
+        })
+        .collect();
+    for _ in 0..grains {
+        let mut best = 0usize;
+        let mut best_gain = f64::NEG_INFINITY;
+        for (i, offer) in offers.iter().enumerate() {
+            if offer.gain > best_gain {
+                best_gain = offer.gain;
+                best = i;
+            }
+        }
+        if best_gain <= 0.0 {
+            let min = *alloc.iter().min().expect("non-empty");
+            best = alloc.iter().position(|&a| a == min).expect("non-empty");
+        }
+        alloc[best] += grain;
+        // The winner now stands where its offer pointed. The sum can only
+        // overflow past the final grant, whose offer nobody reads.
+        let offer = &mut offers[best];
+        let here = offer.there;
+        let next = alloc[best].saturating_add(grain) as f64;
+        offer.there = hulls[best].value_at_from(&mut offer.cursor, next);
+        offer.gain = here - offer.there;
+    }
+    alloc
+}
+
 /// UCP Lookahead (Qureshi & Patt, MICRO 2006): at each step, for every
 /// partition find the extension (any number of grains) with the highest
 /// *utility per grain*, grant the winner its whole extension, repeat.
@@ -118,13 +198,14 @@ pub fn hill_climb(curves: &[MissCurve], capacity: u64, grain: u64) -> Vec<u64> {
 /// # Panics
 ///
 /// Panics if `curves` is empty or `grain` is zero.
-pub fn lookahead(curves: &[MissCurve], capacity: u64, grain: u64) -> Vec<u64> {
+pub fn lookahead<C: Borrow<MissCurve>>(curves: &[C], capacity: u64, grain: u64) -> Vec<u64> {
     let mut grains_left = check_inputs(curves, capacity, grain);
     let n = curves.len();
     let mut alloc = vec![0u64; n];
     while grains_left > 0 {
         let mut best: Option<(usize, u64, f64)> = None; // (who, grains, utility/grain)
         for (i, c) in curves.iter().enumerate() {
+            let c = c.borrow();
             let here = c.value_at(alloc[i] as f64);
             for k in 1..=grains_left {
                 let there = c.value_at((alloc[i] + k * grain) as f64);
@@ -209,7 +290,12 @@ pub fn fair(n: usize, capacity: u64, grain: u64) -> Vec<u64> {
 ///
 /// Panics if `curves` is empty, `grain` is zero, or `favored` is out of
 /// range.
-pub fn imbalanced(curves: &[MissCurve], capacity: u64, grain: u64, favored: usize) -> Vec<u64> {
+pub fn imbalanced<C: Borrow<MissCurve>>(
+    curves: &[C],
+    capacity: u64,
+    grain: u64,
+    favored: usize,
+) -> Vec<u64> {
     let grains = check_inputs(curves, capacity, grain);
     let n = curves.len();
     assert!(
@@ -222,7 +308,7 @@ pub fn imbalanced(curves: &[MissCurve], capacity: u64, grain: u64, favored: usiz
     }
     // The favored partition takes its best extension (lookahead's first
     // step from zero): the size with the highest utility per grain.
-    let c = &curves[favored];
+    let c = curves[favored].borrow();
     let here = c.value_at(0.0);
     let mut best_k = 1u64;
     let mut best_per_grain = f64::NEG_INFINITY;

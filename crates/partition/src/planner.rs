@@ -40,8 +40,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::{fair, hill_climb, imbalanced, lookahead};
-use talus_core::{plan_with_hull, MissCurve, PlanError, TalusOptions, TalusPlan};
+use crate::{fair, hill_climb, hill_climb_hulls, imbalanced, lookahead};
+use std::borrow::Borrow;
+use talus_core::{plan_with_hull, ConvexHull, MissCurve, PlanError, TalusOptions, TalusPlan};
 
 /// Which algorithm divides capacity across tenants.
 ///
@@ -70,7 +71,13 @@ impl AllocPolicy {
     ///
     /// Panics if `curves` is empty or `grain` is zero (as the underlying
     /// algorithms do).
-    pub fn allocate(self, curves: &[MissCurve], capacity: u64, grain: u64, round: u64) -> Vec<u64> {
+    pub fn allocate<C: Borrow<MissCurve>>(
+        self,
+        curves: &[C],
+        capacity: u64,
+        grain: u64,
+        round: u64,
+    ) -> Vec<u64> {
         match self {
             AllocPolicy::Hill => hill_climb(curves, capacity, grain),
             AllocPolicy::Lookahead => lookahead(curves, capacity, grain),
@@ -186,17 +193,39 @@ impl Planner {
     /// # Panics
     ///
     /// Panics if `curves` is empty or the grain is zero.
-    pub fn allocate(&self, curves: &[MissCurve], capacity: u64, round: u64) -> Vec<u64> {
+    pub fn allocate<C: Borrow<MissCurve>>(
+        &self,
+        curves: &[C],
+        capacity: u64,
+        round: u64,
+    ) -> Vec<u64> {
         if self.convexify {
-            let hulls: Vec<MissCurve> = curves.iter().map(|c| c.convex_hull().to_curve()).collect();
-            self.policy.allocate(&hulls, capacity, self.grain, round)
+            self.allocate_on_hulls(&hulls_of(curves), capacity, round)
         } else {
             self.policy.allocate(curves, capacity, self.grain, round)
         }
     }
 
+    /// Step 2 on precomputed hulls. Hill climbing — the default, and the
+    /// paper's point — walks the hull vertices directly; the other
+    /// policies are defined on curves and get each hull as one.
+    fn allocate_on_hulls(&self, hulls: &[ConvexHull], capacity: u64, round: u64) -> Vec<u64> {
+        match self.policy {
+            AllocPolicy::Hill => hill_climb_hulls(hulls, capacity, self.grain),
+            policy => {
+                let curves: Vec<MissCurve> = hulls.iter().map(ConvexHull::to_curve).collect();
+                policy.allocate(&curves, capacity, self.grain, round)
+            }
+        }
+    }
+
     /// The full pipeline: allocate `capacity` across `curves`, then plan a
     /// Talus shadow configuration for every tenant at its allocated size.
+    ///
+    /// Takes the curves owned, by reference or behind any pointer
+    /// (`&[MissCurve]`, `&[&MissCurve]`, `&[Arc<MissCurve>]`): nothing is
+    /// copied, and with the default policy the cost is one hull pass per
+    /// curve plus [`hill_climb_hulls`].
     ///
     /// # Errors
     ///
@@ -206,17 +235,15 @@ impl Planner {
     /// # Panics
     ///
     /// Panics if `curves` is empty or the grain is zero.
-    pub fn plan(
+    pub fn plan<C: Borrow<MissCurve>>(
         &self,
-        curves: &[MissCurve],
+        curves: &[C],
         capacity: u64,
         round: u64,
     ) -> Result<CachePlan, PlanError> {
-        let hulls: Vec<talus_core::ConvexHull> = curves.iter().map(|c| c.convex_hull()).collect();
+        let hulls = hulls_of(curves);
         let sizes = if self.convexify {
-            let hull_curves: Vec<MissCurve> = hulls.iter().map(|h| h.to_curve()).collect();
-            self.policy
-                .allocate(&hull_curves, capacity, self.grain, round)
+            self.allocate_on_hulls(&hulls, capacity, round)
         } else {
             self.policy.allocate(curves, capacity, self.grain, round)
         };
@@ -232,6 +259,11 @@ impl Planner {
             .collect::<Result<Vec<_>, PlanError>>()?;
         Ok(CachePlan { round, tenants })
     }
+}
+
+/// Step 1: each tenant's lower convex hull.
+fn hulls_of<C: Borrow<MissCurve>>(curves: &[C]) -> Vec<ConvexHull> {
+    curves.iter().map(|c| c.borrow().convex_hull()).collect()
 }
 
 #[cfg(test)]

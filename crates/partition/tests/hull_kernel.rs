@@ -1,0 +1,222 @@
+//! The planning kernel against its references.
+//!
+//! `hill_climb_hulls` must hand out exactly what `hill_climb` hands out on
+//! the same hulls turned back into curves, and `Planner::plan` must be
+//! exactly hulls → allocate → `plan_with_hull`. The serving plane's
+//! equivalence chain and the repo benchmark both compare a published plan
+//! with an offline `Planner::plan`, i.e. the planner with itself, so an
+//! allocator that is wrong on both sides is caught only here.
+
+use proptest::prelude::*;
+use std::sync::Arc;
+use talus_core::{plan_with_hull, ConvexHull, MissCurve};
+use talus_partition::{
+    fair, hill_climb, hill_climb_hulls, imbalanced, lookahead, AllocPolicy, Planner,
+};
+
+/// xorshift64, so one `u64` from the strategy fixes a whole case.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// A size grid of 1–70 points: on the grain's multiples or off them, from
+/// zero or from a positive origin, evenly or unevenly spaced.
+fn grid(rng: &mut Rng) -> Vec<f64> {
+    let points = 1 + rng.below(70) as usize;
+    let origin = match rng.below(4) {
+        0 => 37.25,
+        1 => 300.0,
+        _ => 0.0,
+    };
+    let even = rng.below(2) == 0;
+    let step = [1.0, 16.0, 64.0, 7.3][rng.below(4) as usize];
+    let mut size = origin;
+    (0..points)
+        .map(|_| {
+            let here = size;
+            size += if even {
+                step
+            } else {
+                step * (0.05 + 2.0 * rng.unit())
+            };
+            here
+        })
+        .collect()
+}
+
+/// Miss values over `sizes` in one of the shapes that decide ties and
+/// bridges: decays, cliffs, staircases, all-flat, and noise that rises.
+/// Integer-valued shapes make exactly equal gains (ties) common.
+fn misses(rng: &mut Rng, sizes: &[f64]) -> Vec<f64> {
+    let n = sizes.len();
+    let top = (1 + rng.below(40)) as f64;
+    match rng.below(6) {
+        0 => vec![top; n],
+        1 => {
+            let at = rng.below(n as u64) as usize;
+            (0..n).map(|i| if i < at { top } else { 1.0 }).collect()
+        }
+        2 => {
+            let knee = 1.0 + rng.unit() * n as f64;
+            (0..n)
+                .map(|i| 0.5 + top * (-(i as f64) / knee).exp())
+                .collect()
+        }
+        3 => {
+            let every = 1 + rng.below(9) as usize;
+            (0..n)
+                .map(|i| (top - (i / every) as f64).max(0.0))
+                .collect()
+        }
+        4 => (0..n).map(|_| rng.below(12) as f64).collect(),
+        _ => {
+            let mut m = top;
+            (0..n)
+                .map(|_| {
+                    let here = m;
+                    m = (m - rng.below(4) as f64).max(0.0);
+                    here
+                })
+                .collect()
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Case {
+    curves: Vec<MissCurve>,
+    capacity: u64,
+    grain: u64,
+}
+
+/// 1–8 tenants (some sharing one curve, so whole offers tie), with a
+/// capacity that may be below one grain, off the grain's multiples, or far
+/// past every curve's last point — but at most `max_grains` grains, which
+/// bounds the reference allocators' (for lookahead, quadratic) cost.
+fn arb_case(max_grains: u64) -> impl Strategy<Value = Case> {
+    any::<u64>().prop_map(move |seed| {
+        let mut rng = Rng(seed | 1);
+        let tenants = 1 + rng.below(8) as usize;
+        let mut curves: Vec<MissCurve> = Vec::with_capacity(tenants);
+        for _ in 0..tenants {
+            if !curves.is_empty() && rng.below(4) == 0 {
+                let twin = curves[rng.below(curves.len() as u64) as usize].clone();
+                curves.push(twin);
+                continue;
+            }
+            let sizes = grid(&mut rng);
+            let misses = misses(&mut rng, &sizes);
+            curves.push(MissCurve::from_samples(&sizes, &misses).expect("valid curve"));
+        }
+        let grain = [1, 3, 16, 64, 100][rng.below(5) as usize];
+        let capacity = match rng.below(4) {
+            0 => rng.below(grain),
+            1 => grain * rng.below(80),
+            2 => grain * rng.below(80) + rng.below(grain),
+            _ => {
+                let reach: f64 = curves.iter().map(MissCurve::max_size).sum();
+                reach as u64 + grain * (1 + rng.below(40))
+            }
+        };
+        let capacity = capacity.min(grain * max_grains + grain / 2);
+        Case {
+            curves,
+            capacity,
+            grain,
+        }
+    })
+}
+
+fn hulls_of(curves: &[MissCurve]) -> Vec<ConvexHull> {
+    curves.iter().map(MissCurve::convex_hull).collect()
+}
+
+const POLICIES: [AllocPolicy; 4] = [
+    AllocPolicy::Hill,
+    AllocPolicy::Lookahead,
+    AllocPolicy::Fair,
+    AllocPolicy::Imbalanced,
+];
+
+/// The policy's free function, as the planner documents its dispatch.
+fn reference_alloc(policy: AllocPolicy, curves: &[MissCurve], case: &Case, round: u64) -> Vec<u64> {
+    let (capacity, grain) = (case.capacity, case.grain);
+    match policy {
+        AllocPolicy::Hill => hill_climb(curves, capacity, grain),
+        AllocPolicy::Lookahead => lookahead(curves, capacity, grain),
+        AllocPolicy::Fair => fair(curves.len(), capacity, grain),
+        AllocPolicy::Imbalanced => {
+            imbalanced(curves, capacity, grain, round as usize % curves.len())
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn hull_native_hill_climb_equals_the_reference(case in arb_case(600)) {
+        let hulls = hulls_of(&case.curves);
+        let as_curves: Vec<MissCurve> = hulls.iter().map(ConvexHull::to_curve).collect();
+        let got = hill_climb_hulls(&hulls, case.capacity, case.grain);
+        let want = hill_climb(&as_curves, case.capacity, case.grain);
+        prop_assert_eq!(&got, &want, "{:?}", case);
+        prop_assert_eq!(got.iter().sum::<u64>(), case.capacity / case.grain * case.grain);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    #[test]
+    fn planner_equals_the_manual_pipeline(case in arb_case(96), round in 0u64..9, raw in any::<bool>()) {
+        let hulls = hulls_of(&case.curves);
+        let as_curves: Vec<MissCurve> = hulls.iter().map(ConvexHull::to_curve).collect();
+        let shared: Vec<Arc<MissCurve>> = case.curves.iter().cloned().map(Arc::new).collect();
+        for policy in POLICIES {
+            let mut planner = Planner::new(case.grain).with_policy(policy);
+            if raw {
+                planner = planner.raw_curves();
+            }
+            let seen = if raw { &case.curves } else { &as_curves };
+            let sizes = reference_alloc(policy, seen, &case, round);
+            prop_assert_eq!(&planner.allocate(&case.curves, case.capacity, round), &sizes);
+
+            // A grid that starts above zero can leave a tenant below its
+            // curve's domain: the manual pipeline and the planner must
+            // then report the same error.
+            let manual: Result<Vec<_>, _> = hulls
+                .iter()
+                .zip(&sizes)
+                .map(|(hull, &size)| plan_with_hull(hull, size as f64, planner.options))
+                .collect();
+            let got = planner.plan(&case.curves, case.capacity, round);
+            prop_assert_eq!(&got, &planner.plan(&shared, case.capacity, round));
+            match (got, manual) {
+                (Ok(plan), Ok(manual)) => {
+                    prop_assert_eq!(plan.round, round);
+                    prop_assert_eq!(&plan.allocations(), &sizes);
+                    let plans: Vec<_> = plan.tenants.iter().map(|t| t.plan).collect();
+                    prop_assert_eq!(plans, manual);
+                }
+                (Err(got), Err(manual)) => prop_assert_eq!(got, manual),
+                (got, manual) => prop_assert!(false, "{:?} vs manual {:?}", got, manual),
+            }
+        }
+    }
+}

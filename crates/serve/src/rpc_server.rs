@@ -160,8 +160,10 @@ impl RpcServer {
                 }
                 let Ok(stream) = stream else { continue };
                 if accept_stats.live.load(Ordering::Acquire) >= max_connections {
-                    shed_connection(stream);
+                    // Count, then shed: a client that has read its `Busy`
+                    // frame must find the rejection already counted.
                     accept_stats.rejected.fetch_add(1, Ordering::AcqRel);
+                    shed_connection(stream);
                     continue;
                 }
                 accept_stats.live.fetch_add(1, Ordering::AcqRel);

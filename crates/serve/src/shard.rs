@@ -9,6 +9,7 @@
 //! with the caller (service or router), so a shard never needs to know its
 //! siblings exist — caches never share state, and neither do shards.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, RwLock};
@@ -24,7 +25,10 @@ use talus_store::StoreSink;
 struct CacheEntry {
     spec: CacheSpec,
     /// Latest curve per tenant (`None` until the tenant's first update).
-    curves: Vec<Option<MissCurve>>,
+    /// Shared with the epoch planning them: the drain takes this one
+    /// pointer instead of copying every tenant's points, and a submit
+    /// that lands while a plan still reads the set copies it first.
+    curves: Arc<[Option<MissCurve>]>,
     /// Total curve updates accepted since registration.
     updates: u64,
     /// Successful plans published (the snapshot version counter).
@@ -129,7 +133,7 @@ impl Shard {
         reg.caches.insert(
             id,
             CacheEntry {
-                curves: vec![None; spec.tenants],
+                curves: vec![None; spec.tenants].into(),
                 spec,
                 updates: 0,
                 version: 0,
@@ -158,7 +162,7 @@ impl Shard {
         reg.caches.insert(
             id,
             CacheEntry {
-                curves: vec![None; spec.tenants],
+                curves: vec![None; spec.tenants].into(),
                 spec,
                 updates: 0,
                 version: 0,
@@ -244,7 +248,7 @@ impl Shard {
         if let Some(sink) = &self.sink {
             sink.submit(id.0, tenant as u32, &curve);
         }
-        entry.curves[tenant] = Some(curve);
+        Arc::make_mut(&mut entry.curves)[tenant] = Some(curve);
         entry.updates += 1;
         if !entry.dirty {
             entry.dirty = true;
@@ -290,13 +294,14 @@ impl Shard {
     /// drain (queue) order — so reports are deterministic regardless of
     /// how submissions interleaved or how caches landed on shards.
     pub(crate) fn run_epoch(&self, epoch: u64) -> EpochReport {
-        // Phase 1 — drain (brief registry lock): copy out the curves of up
-        // to `max_batch` ready caches.
+        // Phase 1 — drain (brief registry lock): take a handle on the
+        // curves of up to `max_batch` ready caches.
         struct Job {
             id: CacheId,
             planner: Planner,
             capacity: u64,
-            curves: Vec<MissCurve>,
+            /// Every tenant's curve is `Some` (checked at the drain).
+            curves: Arc<[Option<MissCurve>]>,
             round: u64,
             updates: u64,
         }
@@ -334,7 +339,7 @@ impl Shard {
                     id: CacheId(id),
                     planner: entry.spec.planner,
                     capacity: entry.spec.capacity,
-                    curves: entry.curves.iter().flatten().cloned().collect(),
+                    curves: Arc::clone(&entry.curves),
                     round: entry.version,
                     updates: entry.updates,
                 });
@@ -363,7 +368,8 @@ impl Shard {
                 if let Some(fault) = &self.fault {
                     let _ = fault.check("shard.plan", job.id.0);
                 }
-                job.planner.plan(&job.curves, job.capacity, job.round)
+                let curves: Vec<&MissCurve> = job.curves.iter().flatten().collect();
+                job.planner.plan(&curves, job.capacity, job.round)
             }));
             match outcome {
                 Ok(Ok(plan)) => ready.push((job.id, job.updates, plan)),
@@ -403,12 +409,11 @@ impl Shard {
                 let Some(entry) = reg.caches.get_mut(&id.0) else {
                     continue; // deregistered mid-plan: drop the result
                 };
-                if published
-                    .get(&id.0)
-                    .is_some_and(|snap| snap.updates > updates)
-                {
-                    continue; // a fresher plan already landed: keep it
-                }
+                let slot = match published.entry(id.0) {
+                    // A fresher plan already landed: keep it.
+                    Entry::Occupied(current) if current.get().updates > updates => continue,
+                    slot => slot,
+                };
                 entry.version += 1;
                 let snap = Arc::new(PlanSnapshot {
                     cache: id,
@@ -423,7 +428,7 @@ impl Shard {
                 if let Some(sink) = &self.sink {
                     sink.plan(id.0, epoch, entry.version, updates, &snap.plan);
                 }
-                published.insert(id.0, snap);
+                slot.insert_entry(snap);
                 planned.push(id);
             }
         }
@@ -485,7 +490,7 @@ impl Shard {
         reg.caches.insert(
             id,
             CacheEntry {
-                curves: vec![None; spec.tenants],
+                curves: vec![None; spec.tenants].into(),
                 spec,
                 updates: 0,
                 version: 0,
@@ -520,7 +525,7 @@ impl Shard {
         if tenant >= entry.spec.tenants {
             return false;
         }
-        entry.curves[tenant] = Some(curve);
+        Arc::make_mut(&mut entry.curves)[tenant] = Some(curve);
         entry.updates += 1;
         if !entry.dirty {
             entry.dirty = true;
