@@ -13,7 +13,10 @@
 //!   into the store; `append_plane_round` sends a round of *changed*
 //!   curves through a journaling plane and runs the epoch that plans
 //!   them, and asserts afterwards that the journal grew by a curve and a
-//!   plan per cache and a cut per shard each iteration.
+//!   plan per cache and a cut per shard each iteration;
+//!   `append_batch_round` is that round handed over as one
+//!   `submit_many` batch — one lock hold and one journal write per
+//!   shard instead of one per curve — under the same assertion.
 //! - `store_journal/replay_*`: one iteration scans a journal of N
 //!   records back into `Record`s (the decode half of a warm restart);
 //!   `restore_plane` also rebuilds the full service state, which is what
@@ -122,43 +125,54 @@ fn bench_append(c: &mut Criterion) {
     // The same round through a journaling plane — what `submit` actually
     // costs a producer once persistence is on (registry lock + store
     // append under it) — followed by the epoch that plans and journals
-    // it. Rounds alternate between two curve sets: a bit-identical
-    // resubmission is deduplicated to a no-op and would journal nothing.
-    let dir = bench_dir("append-plane");
-    let store = Arc::new(Store::open(&dir, SHARDS).expect("open store"));
-    let plane =
-        ShardedReconfigService::new(SHARDS).with_sink(Arc::clone(&store) as Arc<dyn StoreSink>);
-    let ids: Vec<_> = (0..CACHES)
-        .map(|_| plane.register(CacheSpec::new(4096, 1).with_planner(Planner::new(64))))
-        .collect();
+    // it: curve by curve (`append_plane_round`), then as one
+    // `submit_many` batch (`append_batch_round`). Rounds alternate
+    // between two curve sets: a bit-identical resubmission is
+    // deduplicated to a no-op and would journal nothing.
     let rounds = [curves, (CACHES..2 * CACHES).map(curve).collect()];
-    let mut iterations = 0u64;
-    group.bench_function("append_plane_round", |b| {
-        b.iter(|| {
-            let curves = &rounds[(iterations % 2) as usize];
-            iterations += 1;
-            for (id, curve) in ids.iter().zip(curves) {
-                plane
-                    .submit(*id, 0, black_box(curve).clone())
-                    .expect("registered");
-            }
-            black_box(plane.run_epoch());
-        })
-    });
-    // Guard against measuring a no-op: every iteration must have appended
-    // a curve and a plan per cache and an epoch cut per shard.
-    let records: u64 = (0..SHARDS)
-        .map(|s| store.replay_shard(s).expect("scan").records.len() as u64)
-        .sum();
-    assert_eq!(
-        records,
-        CACHES + iterations * (2 * CACHES + SHARDS as u64),
-        "journal did not grow by one full round per iteration"
-    );
-    assert_eq!(store.last_error(), None);
-    drop(plane);
-    drop(store);
-    std::fs::remove_dir_all(&dir).ok();
+    for (name, batched) in [("append_plane_round", false), ("append_batch_round", true)] {
+        let dir = bench_dir(name);
+        let store = Arc::new(Store::open(&dir, SHARDS).expect("open store"));
+        let plane =
+            ShardedReconfigService::new(SHARDS).with_sink(Arc::clone(&store) as Arc<dyn StoreSink>);
+        let ids: Vec<_> = (0..CACHES)
+            .map(|_| plane.register(CacheSpec::new(4096, 1).with_planner(Planner::new(64))))
+            .collect();
+        let mut iterations = 0u64;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let curves = &rounds[(iterations % 2) as usize];
+                iterations += 1;
+                let round = ids
+                    .iter()
+                    .zip(curves)
+                    .map(|(id, curve)| (*id, 0, black_box(curve).clone()));
+                if batched {
+                    let results = plane.submit_many(round);
+                    assert!(results.iter().all(Result::is_ok), "registered");
+                } else {
+                    for (id, tenant, curve) in round {
+                        plane.submit(id, tenant, curve).expect("registered");
+                    }
+                }
+                black_box(plane.run_epoch());
+            })
+        });
+        // Guard against measuring a no-op: every iteration must have
+        // appended a curve and a plan per cache and an epoch cut per shard.
+        let records: u64 = (0..SHARDS)
+            .map(|s| store.replay_shard(s).expect("scan").records.len() as u64)
+            .sum();
+        assert_eq!(
+            records,
+            CACHES + iterations * (2 * CACHES + SHARDS as u64),
+            "journal did not grow by one full round per iteration"
+        );
+        assert_eq!(store.last_error(), None);
+        drop(plane);
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
+    }
     group.finish();
 }
 

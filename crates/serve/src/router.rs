@@ -474,16 +474,22 @@ impl ShardedReconfigService {
         self.topology.global_shard(id.value())
     }
 
-    /// The local shard owning `id`, or [`ServeError::Misrouted`] naming
-    /// the owning global shard when it lives on another cluster member.
-    fn try_shard_of(&self, id: CacheId) -> Result<&Shard, ServeError> {
-        match self.topology.local_shard(id.value()) {
-            Some(local) => Ok(&self.shards[local]),
-            None => Err(ServeError::Misrouted {
+    /// The index of the local shard owning `id`, or
+    /// [`ServeError::Misrouted`] naming the owning global shard when it
+    /// lives on another cluster member.
+    fn try_local_shard(&self, id: CacheId) -> Result<usize, ServeError> {
+        self.topology
+            .local_shard(id.value())
+            .ok_or_else(|| ServeError::Misrouted {
                 cache: id,
                 shard: self.topology.global_shard(id.value()),
-            }),
-        }
+            })
+    }
+
+    /// The local shard owning `id`; see
+    /// [`try_local_shard`](ShardedReconfigService::try_local_shard).
+    fn try_shard_of(&self, id: CacheId) -> Result<&Shard, ServeError> {
+        Ok(&self.shards[self.try_local_shard(id)?])
     }
 
     /// Registers a logical cache; returns its handle. Ids are allocated
@@ -554,6 +560,39 @@ impl ShardedReconfigService {
     /// [`ServeError::Misrouted`].
     pub fn submit(&self, id: CacheId, tenant: usize, curve: MissCurve) -> Result<(), ServeError> {
         self.try_shard_of(id)?.submit(id, tenant, curve)
+    }
+
+    /// Submits a batch of `(cache, tenant, curve)` entries; result `i` is
+    /// entry `i`'s. The batch is grouped by shard and each group is
+    /// applied in entry order under **one** hold of that shard's lock —
+    /// with a journal attached, one write per shard touched instead of
+    /// one per curve. Outcomes, plane state, and each shard's journal are
+    /// exactly those of calling [`submit`] on the entries one by one
+    /// (caches never share state, so only the interleaving *across*
+    /// shards differs, and nothing depends on it).
+    ///
+    /// Per-entry errors are the same as [`submit`]'s; a failed entry does
+    /// not stop the ones after it.
+    ///
+    /// [`submit`]: ShardedReconfigService::submit
+    pub fn submit_many(
+        &self,
+        entries: impl IntoIterator<Item = (CacheId, usize, MissCurve)>,
+    ) -> Vec<Result<(), ServeError>> {
+        let mut groups: Vec<Vec<_>> = self.shards.iter().map(|_| Vec::new()).collect();
+        let mut results = Vec::new();
+        for (position, (id, tenant, curve)) in entries.into_iter().enumerate() {
+            results.push(
+                self.try_local_shard(id)
+                    .map(|local| groups[local].push((position, id, tenant, curve))),
+            );
+        }
+        for (shard, group) in self.shards.iter().zip(groups) {
+            if !group.is_empty() {
+                shard.submit_many(group, &mut results);
+            }
+        }
+        results
     }
 
     /// Pulls one update from a [`CurveSource`] and submits it. Returns
@@ -772,11 +811,11 @@ impl ShardedReconfigService {
         let mut summary = RestoreSummary::default();
         let mut max_id: Option<u64> = None;
         for (i, shard) in self.shards.iter().enumerate() {
-            let scanned = store.replay_shard(i).map_err(RestoreError::Store)?;
-            if scanned.tail.is_some() {
-                summary.torn_shards += 1;
-            }
-            for rec in scanned.records {
+            // Records are applied as they decode: the shard's history is
+            // never held in memory as a whole.
+            let bytes = store.read_shard(i).map_err(RestoreError::Store)?;
+            let mut records = talus_store::records(&bytes);
+            for rec in records.by_ref() {
                 let seq = rec.seq();
                 let corrupt = |what: &'static str| RestoreError::Corrupt {
                     shard: i,
@@ -848,6 +887,9 @@ impl ShardedReconfigService {
                     }
                 }
                 summary.records += 1;
+            }
+            if records.tail().is_some() {
+                summary.torn_shards += 1;
             }
         }
         self.next_id

@@ -366,11 +366,14 @@ fn handle_request(request: Request, service: &ShardedReconfigService) -> Respons
             Ok(()) => Response::Deregistered,
             Err(e) => Response::Error(e),
         },
+        // One lock hold — and one journal write — per shard the frame
+        // touches, not per entry.
         Request::Submit { entries } => Response::SubmitReply {
-            results: entries
-                .into_iter()
-                .map(|e| service.submit(CacheId(e.id), e.tenant as usize, e.curve))
-                .collect(),
+            results: service.submit_many(
+                entries
+                    .into_iter()
+                    .map(|e| (CacheId(e.id), e.tenant as usize, e.curve)),
+            ),
         },
         Request::RunEpoch => Response::Epoch(service.run_epoch()),
         Request::Report { id } => Response::Snapshot(

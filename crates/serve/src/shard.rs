@@ -42,12 +42,62 @@ struct CacheEntry {
     quarantined: bool,
 }
 
+impl CacheEntry {
+    /// A freshly registered cache: no curves, no plans.
+    fn new(spec: CacheSpec) -> Self {
+        CacheEntry {
+            curves: vec![None; spec.tenants].into(),
+            spec,
+            updates: 0,
+            version: 0,
+            dirty: false,
+            quarantined: false,
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct Registry {
     caches: HashMap<u64, CacheEntry>,
     /// FIFO of dirty cache ids; an id appears at most once (the `dirty`
     /// flag dedups).
     dirty_queue: VecDeque<u64>,
+}
+
+/// One hold of a shard's registry lock, and the journal's lock scope with
+/// it: taking the lock opens the scope ([`StoreSink::begin`]), dropping
+/// the guard commits it ([`StoreSink::commit`]) and *then* unlocks. Every
+/// record a hold produces is therefore written — as one write — before
+/// any other thread can take the lock and see what the hold did.
+struct RegistryGuard<'a> {
+    registry: std::sync::MutexGuard<'a, Registry>,
+    /// The sink and this shard's index in it; `None` on an ephemeral
+    /// shard.
+    scope: Option<(&'a dyn StoreSink, usize)>,
+}
+
+impl std::ops::Deref for RegistryGuard<'_> {
+    type Target = Registry;
+
+    fn deref(&self) -> &Registry {
+        &self.registry
+    }
+}
+
+impl std::ops::DerefMut for RegistryGuard<'_> {
+    fn deref_mut(&mut self) -> &mut Registry {
+        &mut self.registry
+    }
+}
+
+impl Drop for RegistryGuard<'_> {
+    // Runs before the fields drop, i.e. while the lock is still held.
+    // Sinks never panic (the `StoreSink` contract), so neither does this.
+    fn drop(&mut self) {
+        if let Some((sink, shard)) = self.scope {
+            sink.commit(shard);
+        }
+    }
 }
 
 /// One independent slice of the reconfiguration plane. See the module
@@ -59,7 +109,8 @@ pub(crate) struct Shard {
     /// This shard's index in its plane (stamped onto epoch-cut records).
     index: usize,
     /// Journal seam: every registry mutation is mirrored here, under the
-    /// registry lock, in the exact order it takes effect. `None` = no
+    /// registry lock, in the exact order it takes effect, and each lock
+    /// hold is one journal scope (see [`RegistryGuard`]). `None` = no
     /// persistence (the default).
     sink: Option<Arc<dyn StoreSink>>,
     /// Deterministic fault-injection seam, consulted at `"shard.plan"`
@@ -110,8 +161,13 @@ impl Shard {
     // written in self-consistent steps (no partial multi-field updates
     // survive an early return), so recovery takes the data as-is rather
     // than poisoning the whole plane.
-    fn lock_registry(&self) -> std::sync::MutexGuard<'_, Registry> {
-        self.registry.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock_registry(&self) -> RegistryGuard<'_> {
+        let registry = self.registry.lock().unwrap_or_else(|e| e.into_inner());
+        let scope = self.sink.as_deref().map(|sink| (sink, self.index));
+        if let Some((sink, shard)) = scope {
+            sink.begin(shard);
+        }
+        RegistryGuard { registry, scope }
     }
 
     fn read_published(&self) -> std::sync::RwLockReadGuard<'_, HashMap<u64, Arc<PlanSnapshot>>> {
@@ -130,17 +186,7 @@ impl Shard {
         if let Some(sink) = &self.sink {
             sink.register(id, spec.capacity, spec.tenants as u32, &spec.planner);
         }
-        reg.caches.insert(
-            id,
-            CacheEntry {
-                curves: vec![None; spec.tenants].into(),
-                spec,
-                updates: 0,
-                version: 0,
-                dirty: false,
-                quarantined: false,
-            },
-        );
+        reg.caches.insert(id, CacheEntry::new(spec));
     }
 
     /// Inserts a cache under a caller-minted id, refusing to clobber an
@@ -159,17 +205,7 @@ impl Shard {
         if let Some(sink) = &self.sink {
             sink.register(id, spec.capacity, spec.tenants as u32, &spec.planner);
         }
-        reg.caches.insert(
-            id,
-            CacheEntry {
-                curves: vec![None; spec.tenants].into(),
-                spec,
-                updates: 0,
-                version: 0,
-                dirty: false,
-                quarantined: false,
-            },
-        );
+        reg.caches.insert(id, CacheEntry::new(spec));
         Ok(())
     }
 
@@ -199,7 +235,33 @@ impl Shard {
         tenant: usize,
         curve: MissCurve,
     ) -> Result<(), ServeError> {
+        self.submit_locked(&mut self.lock_registry(), id, tenant, curve)
+    }
+
+    /// [`submit`](Shard::submit) for a batch, under **one** hold of the
+    /// registry lock — so one journal write — applied in batch order.
+    /// Each element is `(position, id, tenant, curve)`; its outcome is
+    /// stored at `results[position]`. Equivalent, entry for entry, to
+    /// submitting them one by one.
+    pub(crate) fn submit_many(
+        &self,
+        batch: Vec<(usize, CacheId, usize, MissCurve)>,
+        results: &mut [Result<(), ServeError>],
+    ) {
         let mut reg = self.lock_registry();
+        for (position, id, tenant, curve) in batch {
+            results[position] = self.submit_locked(&mut reg, id, tenant, curve);
+        }
+    }
+
+    /// The body of every submission, run under the registry lock.
+    fn submit_locked(
+        &self,
+        reg: &mut Registry,
+        id: CacheId,
+        tenant: usize,
+        curve: MissCurve,
+    ) -> Result<(), ServeError> {
         let entry = reg
             .caches
             .get_mut(&id.0)
@@ -402,6 +464,10 @@ impl Shard {
         // that already landed fresher curves is never overwritten by this
         // (older) result. Lock order registry → published is never
         // inverted elsewhere (remove takes them sequentially).
+        //
+        // The epoch's plan records are one journal scope: they are written
+        // when `reg` drops, which is made to happen before `published`
+        // unlocks, so no reader sees a snapshot whose record is unwritten.
         if !ready.is_empty() {
             let mut reg = self.lock_registry();
             let mut published = self.write_published();
@@ -431,6 +497,7 @@ impl Shard {
                 slot.insert_entry(snap);
                 planned.push(id);
             }
+            drop(reg);
         }
 
         // Deterministic CacheId order, independent of queue layout.
@@ -487,17 +554,7 @@ impl Shard {
         if reg.caches.contains_key(&id) {
             return false;
         }
-        reg.caches.insert(
-            id,
-            CacheEntry {
-                curves: vec![None; spec.tenants].into(),
-                spec,
-                updates: 0,
-                version: 0,
-                dirty: false,
-                quarantined: false,
-            },
-        );
+        reg.caches.insert(id, CacheEntry::new(spec));
         true
     }
 

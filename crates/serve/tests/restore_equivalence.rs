@@ -3,17 +3,23 @@
 //! history cut at any point, the restored plane and an uninterrupted
 //! witness produce bit-identical epoch reports, snapshots, id
 //! allocations, and epoch counters for the rest of the history — and
-//! restoring is idempotent and total under truncation.
+//! restoring is idempotent and total under truncation. Batched
+//! submission (`submit_many`: one lock hold and one journal write per
+//! shard) is held to the same standard: same results, same plane, same
+//! journal as the entries submitted one by one.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use talus_core::MissCurve;
+use talus_core::{FaultAction, FaultScript, MissCurve, ShardTopology, StoreHealth};
 use talus_partition::Planner;
-use talus_serve::{CacheId, CacheSpec, EpochReport, RestoreError, ShardedReconfigService};
-use talus_store::{Store, StoreSink};
+use talus_serve::{
+    CacheId, CacheSpec, EpochReport, RestoreError, ServeError, ShardedReconfigService,
+};
+use talus_store::{Record, Store, StoreSink};
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -247,6 +253,177 @@ proptest! {
         prop_assert_eq!(first.restore(&store), Err(RestoreError::NotFresh));
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A journaling cluster-member plane (so some ids are misrouted) whose
+/// planner panics the first time it plans `victim` (so that cache is
+/// quarantined from then on).
+fn batch_plane(dir: &PathBuf, topology: ShardTopology, victim: u64) -> ShardedReconfigService {
+    let store = Store::open(dir, topology.count())
+        .expect("open store")
+        .with_topology(topology);
+    let script = Arc::new(FaultScript::new());
+    script.inject("shard.plan", Some(victim), 0, 1, FaultAction::Panic);
+    ShardedReconfigService::new(topology.count())
+        .with_topology(topology)
+        .with_sink(Arc::new(store))
+        .with_fault_script(script)
+}
+
+/// `rec` with its sequence number blanked: what two journals that
+/// differ only in cross-shard interleaving must agree on.
+fn without_seq(mut rec: Record) -> Record {
+    match &mut rec {
+        Record::Register { seq, .. }
+        | Record::Deregister { seq, .. }
+        | Record::Curve { seq, .. }
+        | Record::EpochCut { seq, .. }
+        | Record::Plan { seq, .. } => *seq = 0,
+    }
+    rec
+}
+
+/// One batch entry: (raw id in 0..16, tenant, curve seed).
+type Entry = (u64, usize, u64);
+
+/// Plays `rounds` — each a batch followed by an epoch — on two journaling
+/// planes, one fed through `submit` entry by entry, the other through
+/// `submit_many`, and asserts they cannot be told apart: per-entry
+/// results, epoch reports, plane state, and per shard file the record
+/// sequence up to `seq` values (which stay strictly increasing within
+/// each file). Ids 0..12 are registered where `topology` owns them, 12..16
+/// never; `victim`'s planner panics the first time it runs. Returns the
+/// kinds of per-entry outcome the rounds produced.
+fn assert_batches_equivalent(
+    rounds: &[Vec<Entry>],
+    topology: ShardTopology,
+    victim: u64,
+) -> BTreeSet<&'static str> {
+    let dirs = [temp_dir("batch-single"), temp_dir("batch-many")];
+    let singly = batch_plane(&dirs[0], topology, victim);
+    let batched = batch_plane(&dirs[1], topology, victim);
+
+    // Handles come from a throwaway solo plane (only a plane can make a
+    // `CacheId`). 1–3 tenants, so tenant 3 is always out of range and
+    // lower ones sometimes are.
+    let mint = ShardedReconfigService::new(1);
+    let ids: Vec<CacheId> = (0..16)
+        .map(|_| mint.register(CacheSpec::new(64, 1)))
+        .collect();
+    for &id in &ids[..12] {
+        let tenants = 1 + (id.value() % 3) as usize;
+        let spec = CacheSpec::new(1024, tenants).with_planner(Planner::new(64));
+        let registered = singly.register_with_id(id, spec);
+        assert_eq!(registered, batched.register_with_id(id, spec));
+        assert_eq!(registered.is_ok(), topology.owns(id.value()));
+    }
+
+    let mut outcomes = BTreeSet::new();
+    for round in rounds {
+        let entries = || {
+            round
+                .iter()
+                .map(|&(id, tenant, seed)| (ids[id as usize], tenant, curve_from_seed(seed)))
+        };
+        let one_by_one: Vec<_> = entries()
+            .map(|(id, tenant, curve)| singly.submit(id, tenant, curve))
+            .collect();
+        let many = batched.submit_many(entries());
+        assert_eq!(one_by_one, many);
+        outcomes.extend(many.iter().map(|result| match result {
+            Ok(()) => "ok",
+            Err(ServeError::UnknownCache(_)) => "unknown cache",
+            Err(ServeError::TenantOutOfRange { .. }) => "tenant out of range",
+            Err(ServeError::Quarantined(_)) => "quarantined",
+            Err(ServeError::Misrouted { .. }) => "misrouted",
+            Err(other) => panic!("unexpected submit error {other:?}"),
+        }));
+        assert_eq!(singly.run_epoch(), batched.run_epoch());
+    }
+
+    assert_eq!(singly.registered(), batched.registered());
+    assert_eq!(singly.pending(), batched.pending());
+    assert_eq!(singly.epochs(), batched.epochs());
+    assert_eq!(singly.quarantined(), batched.quarantined());
+    for &id in &ids {
+        assert_eq!(singly.snapshot(id), batched.snapshot(id), "{id}");
+    }
+    assert_eq!(singly.health().store, StoreHealth::Ok);
+    assert_eq!(batched.health().store, StoreHealth::Ok);
+    drop(singly);
+    drop(batched);
+
+    let stores = dirs.each_ref().map(|dir| {
+        Store::open(dir, topology.count())
+            .expect("reopen store")
+            .with_topology(topology)
+    });
+    for shard in 0..topology.count() {
+        let [single, many] = stores.each_ref().map(|store| {
+            let scanned = store.replay_shard(shard).expect("journal reads");
+            assert_eq!(scanned.tail, None);
+            let seqs: Vec<u64> = scanned.records.iter().map(Record::seq).collect();
+            assert!(
+                seqs.windows(2).all(|w| w[0] < w[1]),
+                "seq not increasing: {seqs:?}"
+            );
+            let records = scanned.records.into_iter().map(without_seq);
+            records.collect::<Vec<_>>()
+        });
+        assert_eq!(single, many, "shard {shard} journals diverge");
+    }
+    for dir in &dirs {
+        std::fs::remove_dir_all(dir).ok();
+    }
+    outcomes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `submit_many(batch)` ≡ the same entries through `submit` one by
+    /// one, over random batches that mix shards, bit-identical
+    /// duplicates, unknown ids, out-of-range tenants, a quarantined
+    /// cache and — the plane being any contiguous slice of a cluster
+    /// layout, the whole included — misrouted ids.
+    #[test]
+    fn submit_many_is_equivalent_to_submitting_one_by_one(
+        rounds in proptest::collection::vec(
+            proptest::collection::vec((0u64..16, 0usize..4, 0u64..6), 0..24),
+            1..5,
+        ),
+        total in 1usize..5,
+        slice in any::<usize>(),
+        victim in 0u64..12,
+    ) {
+        let first = slice % total;
+        let count = 1 + (slice / total) % (total - first);
+        assert_batches_equivalent(&rounds, ShardTopology::range(total, first, count), victim);
+    }
+}
+
+/// The same property on a batch built to hit every kind of outcome at
+/// once — so the coverage the random batches claim is checked, not hoped
+/// for: every (id, tenant) pair twice over (the second a bit-identical
+/// duplicate), then again with fresh curves once the victim's planner
+/// has panicked.
+#[test]
+fn submit_many_equivalence_covers_every_outcome() {
+    let topology = ShardTopology::range(4, 1, 2);
+    let victim = (0..12).find(|&id| topology.owns(id)).expect("an owned id");
+    let all_pairs = |seed| -> Vec<Entry> {
+        let pairs = (0..16).flat_map(|id| (0..4).map(move |tenant| (id, tenant, seed)));
+        pairs.clone().chain(pairs).collect()
+    };
+    let outcomes = assert_batches_equivalent(&[all_pairs(1), all_pairs(2)], topology, victim);
+    let want = [
+        "misrouted",
+        "ok",
+        "quarantined",
+        "tenant out of range",
+        "unknown cache",
+    ];
+    assert_eq!(outcomes.into_iter().collect::<Vec<_>>(), want);
 }
 
 /// Truncating the journal at EVERY byte — every possible crash point the

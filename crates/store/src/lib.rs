@@ -10,27 +10,35 @@
 //!
 //! ## Shape
 //!
-//! - [`Record`] / [`encode_record`] / [`decode_record`] / [`scan`]: the
-//!   v1 on-disk format — length-prefixed, checksummed, little-endian
-//!   records with a *total* (never-panicking) decoder. See the
-//!   [`record`] module docs for the byte layout and recovery rules.
+//! - [`Record`] / [`encode_record`] / [`decode_record`] / [`records`] /
+//!   [`scan`]: the v2 on-disk format — length-prefixed, checksummed
+//!   ([`checksum64`]), little-endian records with a *total*
+//!   (never-panicking) decoder. See the [`record`] module docs for the
+//!   byte layout and recovery rules.
 //! - [`Store`]: N journal files (`shard-NNN.talus`) in one directory,
 //!   cache `id` in file [`talus_core::shard_of`]`(id, N)` — the same
 //!   placement the serve router uses, so restore never moves records
 //!   across shards. Opening recovers each file (torn tails truncated,
-//!   reported via [`Store::recovery`]).
+//!   reported via [`Store::recovery`]; a file of another format version
+//!   is refused with [`StoreError::BadVersion`] and left untouched).
 //! - [`StoreSink`]: the seam `talus-serve` journals through, called
-//!   under the owning shard's lock in exact event order. [`Store`]
-//!   implements it; tests wrap it to inject crashes.
+//!   under the owning shard's lock in exact event order, each lock hold
+//!   bracketed by `begin`/`commit` so its records cost one write.
+//!   [`Store`] implements it; tests wrap it to inject crashes.
 //! - [`Store::history`]: the timed miss-curve history of one cache
 //!   (every submission ever journaled, in order) — the persistent
 //!   analogue of periodically re-monitored miss curves.
 //!
 //! ## Crash consistency
 //!
-//! Appends are single `write_all`s, so process death leaves at most a
-//! partial record at the end of one file; the next open detects it (via
-//! the length prefix and per-record FNV-1a checksum) and truncates it.
+//! Records reach a file whole and in order — one `write_all` per
+//! record, or per registry-lock hold when the plane journals through a
+//! lock scope — so process death leaves whole records and then at most
+//! one partial record at the end of a file; the next open detects it
+//! (via the length prefix and per-record [`checksum64`]) and truncates
+//! it. A crash therefore loses at most the records of the lock hold in
+//! flight on each shard — a submit batch's curves, an epoch's cut, or an
+//! epoch's plans — and never anything a reply or a reader has seen.
 //! A restored plane replays the valid prefix: `talus-serve`'s
 //! `ShardedReconfigService::restore` re-registers caches, re-submits
 //! latest curves, re-queues dirty ones, and republishes the last plan
@@ -78,7 +86,7 @@ mod store;
 
 pub use journal::ShardRecovery;
 pub use record::{
-    decode_record, encode_record, fnv1a64, scan, Record, Scan, StoreError, RECORD_HEADER_LEN,
-    STORE_VERSION,
+    checksum64, decode_record, encode_record, fnv1a64, records, scan, Record, Records, Scan,
+    StoreError, RECORD_HEADER_LEN, STORE_VERSION,
 };
 pub use store::{CurveUpdate, RecoveryReport, Store, StoreSink};

@@ -12,8 +12,8 @@ use talus_partition::{CachePlan, Planner};
 
 use crate::journal::{ShardJournal, ShardRecovery};
 use crate::record::{
-    encode_curve, encode_deregister, encode_epoch_cut, encode_plan, encode_register, scan, Record,
-    StoreError,
+    encode_curve, encode_deregister, encode_epoch_cut, encode_plan, encode_register, records, scan,
+    Record, StoreError,
 };
 
 /// The event-journaling seam between the serving plane and persistence.
@@ -24,6 +24,19 @@ use crate::record::{
 /// not call back into the service (they run under its locks) and must
 /// not panic; [`Store`] satisfies both, and tests wrap it to inject
 /// crashes at chosen points.
+///
+/// ## Lock scopes
+///
+/// The plane brackets every hold of a shard's registry lock with
+/// [`begin`](StoreSink::begin) (lock taken) and
+/// [`commit`](StoreSink::commit) (about to be released). The rule a sink
+/// may rely on, and must keep: **a shard's records are buffered only
+/// while that shard's registry lock is held, and are written before the
+/// lock is released.** So nothing another thread — or the reply to an
+/// RPC — can observe of the plane is ever ahead of the journal, while
+/// the records of one hold (a submit batch's curves, an epoch's cut,
+/// an epoch's plans) cost one write instead of one each. Events reported
+/// outside any scope are written before the call returns.
 pub trait StoreSink: Send + Sync + fmt::Debug {
     /// Number of shards the sink journals into. A plane only attaches a
     /// sink whose layout matches its own, so each service shard maps 1:1
@@ -45,6 +58,17 @@ pub trait StoreSink: Send + Sync + fmt::Debug {
 
     /// A plan was published for cache `id`.
     fn plan(&self, id: u64, epoch: u64, version: u64, updates: u64, plan: &CachePlan);
+
+    /// Shard `shard`'s registry lock was just taken: events for it may be
+    /// buffered until the matching [`commit`](StoreSink::commit). Scopes
+    /// are per shard and never nest. Defaults to nothing, for sinks that
+    /// do not buffer.
+    fn begin(&self, _shard: usize) {}
+
+    /// Shard `shard`'s registry lock is about to be released: everything
+    /// buffered since [`begin`](StoreSink::begin) must be written before
+    /// this returns. Defaults to nothing.
+    fn commit(&self, _shard: usize) {}
 
     /// Whether the sink has hit a write fault and is dropping appends.
     /// The plane polls this into its health report, so a silently
@@ -103,11 +127,14 @@ pub struct CurveUpdate {
 /// same placement the serving plane's router uses, so a store written by
 /// an N-shard plane restores file-by-file into an N-shard plane.
 ///
-/// Appends go through the [`StoreSink`] impl. After the first write
-/// error the store trips a fault flag and silently drops every later
-/// append (on every shard), so each file always ends at a record
-/// boundary of a consistent prefix; check [`last_error`](Store::last_error)
-/// to surface the fault.
+/// Appends go through the [`StoreSink`] impl: each is written before the
+/// call returns, unless the plane has a lock scope open on that shard
+/// ([`StoreSink::begin`]), in which case the scope's records go out as
+/// one write at its commit. After the first write error — of one record
+/// or of a whole scope — the store trips a fault flag and silently drops
+/// every later append (on every shard), so each file always reopens to a
+/// consistent prefix; check [`last_error`](Store::last_error) to surface
+/// the fault.
 ///
 /// ```no_run
 /// use talus_store::Store;
@@ -143,10 +170,14 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] on filesystem failure, or
+    /// [`StoreError::Io`] on filesystem failure;
     /// [`StoreError::ShardLayout`] if the directory already holds shard
     /// files laid out for a different shard count (records do not move
-    /// between files; re-sharding requires an explicit migration).
+    /// between files; re-sharding requires an explicit migration);
+    /// [`StoreError::BadVersion`] if a file holds a record of another
+    /// format version — that file is left byte-for-byte untouched (only
+    /// short or checksum-failing *tails* are ever truncated), so a
+    /// journal survives being opened by the wrong binary.
     pub fn open(dir: impl AsRef<Path>, shards: usize) -> Result<Store, StoreError> {
         assert!(shards > 0, "need at least one shard");
         let dir = dir.as_ref().to_path_buf();
@@ -162,7 +193,7 @@ impl Store {
         let mut report = RecoveryReport::default();
         let mut max_seq = None;
         for i in 0..shards {
-            let (journal, _records, recovery) = ShardJournal::open(&shard_path(&dir, i))?;
+            let (journal, recovery) = ShardJournal::open(&shard_path(&dir, i))?;
             max_seq = max_seq.max(recovery.max_seq);
             report.shards.push(recovery);
             journals.push(Mutex::new(journal));
@@ -227,7 +258,7 @@ impl Store {
     /// (on every shard) is dropped, so the on-disk journals stay valid
     /// prefixes of the plane's history up to the fault.
     pub fn last_error(&self) -> Option<StoreError> {
-        self.lock_fault().clone()
+        lock(&self.fault).clone()
     }
 
     /// Whether the store has tripped its fault flag and is dropping
@@ -237,9 +268,10 @@ impl Store {
         self.faulted.load(Ordering::Acquire)
     }
 
-    /// Flushes every shard file to stable storage (`fsync`). Appends
-    /// survive process death without this; call it when the journal must
-    /// also survive OS or power failure.
+    /// Flushes every shard file to stable storage (`fsync`), first
+    /// writing whatever an open lock scope has buffered. Appends survive
+    /// process death without this; call it when the journal must also
+    /// survive OS or power failure.
     ///
     /// # Errors
     ///
@@ -248,7 +280,7 @@ impl Store {
     pub fn sync(&self) -> Result<(), StoreError> {
         let mut first = None;
         for journal in &self.journals {
-            if let Err(e) = journal.lock().unwrap_or_else(|e| e.into_inner()).sync() {
+            if let Err(e) = lock(journal).sync() {
                 first.get_or_insert(e);
             }
         }
@@ -256,6 +288,22 @@ impl Store {
             None => Ok(()),
             Some(e) => Err(e),
         }
+    }
+
+    /// Re-reads shard `shard`'s file from disk: the bytes written so
+    /// far (records an open lock scope still buffers are not among
+    /// them). Decode with [`records`](crate::records) to stream, or
+    /// [`scan`] to collect.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
+    pub fn read_shard(&self, shard: usize) -> Result<Vec<u8>, StoreError> {
+        assert!(shard < self.shards(), "shard index out of range");
+        // Lock the journal so the read doesn't race an in-flight append
+        // (a half-written record would misread as a torn tail).
+        let _guard = lock(&self.journals[shard]);
+        Ok(std::fs::read(shard_path(&self.dir, shard))?)
     }
 
     /// Re-reads shard `shard`'s file from disk and decodes it. The valid
@@ -267,12 +315,7 @@ impl Store {
     ///
     /// Panics if `shard` is out of range.
     pub fn replay_shard(&self, shard: usize) -> Result<crate::record::Scan, StoreError> {
-        assert!(shard < self.shards(), "shard index out of range");
-        // Lock the journal so the read doesn't race an in-flight append
-        // (a half-written record would misread as a torn tail).
-        let _guard = self.lock_journal(shard);
-        let buf = std::fs::read(shard_path(&self.dir, shard))?;
-        Ok(scan(&buf))
+        Ok(scan(&self.read_shard(shard)?))
     }
 
     /// Every curve ever journaled for cache `id`, in submission order
@@ -287,10 +330,8 @@ impl Store {
         let Some(local) = self.topology.local_shard(id) else {
             return Ok(Vec::new());
         };
-        let scanned = self.replay_shard(local)?;
-        Ok(scanned
-            .records
-            .into_iter()
+        let bytes = self.read_shard(local)?;
+        Ok(records(&bytes)
             .filter_map(|rec| match rec {
                 Record::Curve {
                     seq,
@@ -304,27 +345,25 @@ impl Store {
     }
 
     /// Allocates the next sequence number and appends the record
-    /// `make(seq)` builds to `shard`. Serialized per shard by the
-    /// journal lock (so `seq` is monotone within each file); dropped
-    /// silently once the store is faulted.
-    fn append_with(&self, shard: usize, make: impl FnOnce(u64) -> Vec<u8>) {
+    /// `encode(buffer, seq)` frames to `shard` — written before this
+    /// returns unless a lock scope is open on the shard. Serialized per
+    /// shard by the journal lock (so `seq` is monotone within each
+    /// file); dropped silently once the store is faulted.
+    fn append_with(&self, shard: usize, encode: impl FnOnce(&mut Vec<u8>, u64)) {
         if self.faulted.load(Ordering::Acquire) {
             return;
         }
         if let Some(script) = &self.script {
             if script.check("store.append", shard as u64) == talus_core::FaultDirective::Fail {
                 // Trip the fault exactly as a real write error would.
-                self.faulted.store(true, Ordering::Release);
-                self.lock_fault()
-                    .get_or_insert(StoreError::Malformed("injected append fault"));
+                self.trip(StoreError::Malformed("injected append fault"));
                 return;
             }
         }
-        let mut journal = self.lock_journal(shard);
+        let mut journal = lock(&self.journals[shard]);
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = journal.append(&make(seq)) {
-            self.faulted.store(true, Ordering::Release);
-            self.lock_fault().get_or_insert(e);
+        if let Err(e) = journal.append(|buf| encode(buf, seq)) {
+            self.trip(e);
         }
     }
 
@@ -332,31 +371,28 @@ impl Store {
     /// if `id` is not owned by this store's topology slice (a plane
     /// checks ownership before journaling, so reaching this means the
     /// plane and store disagree on topology — data loss, made visible).
-    fn append_for_id(&self, id: u64, make: impl FnOnce(u64) -> Vec<u8>) {
+    fn append_for_id(&self, id: u64, encode: impl FnOnce(&mut Vec<u8>, u64)) {
         match self.topology.local_shard(id) {
-            Some(shard) => self.append_with(shard, make),
-            None => {
-                self.faulted.store(true, Ordering::Release);
-                self.lock_fault()
-                    .get_or_insert(StoreError::Malformed("record for an unowned shard"));
-            }
+            Some(shard) => self.append_with(shard, encode),
+            None => self.trip(StoreError::Malformed("record for an unowned shard")),
         }
     }
 
-    // Lock poisoning: journal and fault locks guard single-step writes
-    // (one append, one error slot) — no partial multi-field state can
-    // survive a panic mid-critical-section — so recovery takes the data
-    // as-is rather than poisoning the whole store (matching the serving
-    // plane's shard locks).
-    fn lock_journal(&self, shard: usize) -> std::sync::MutexGuard<'_, ShardJournal> {
-        self.journals[shard]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+    /// Trips the store-global fault flag; the first error is the one
+    /// kept for [`last_error`](Store::last_error).
+    fn trip(&self, error: StoreError) {
+        self.faulted.store(true, Ordering::Release);
+        lock(&self.fault).get_or_insert(error);
     }
+}
 
-    fn lock_fault(&self) -> std::sync::MutexGuard<'_, Option<StoreError>> {
-        self.fault.lock().unwrap_or_else(|e| e.into_inner())
-    }
+// Lock poisoning: journal and fault locks guard single-step writes
+// (one append, one error slot) — no partial multi-field state can
+// survive a panic mid-critical-section — so recovery takes the data
+// as-is rather than poisoning the whole store (matching the serving
+// plane's shard locks).
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl StoreSink for Store {
@@ -365,35 +401,50 @@ impl StoreSink for Store {
     }
 
     fn register(&self, id: u64, capacity: u64, tenants: u32, planner: &Planner) {
-        self.append_for_id(id, |seq| {
-            encode_register(seq, id, capacity, tenants, planner)
+        self.append_for_id(id, |buf, seq| {
+            encode_register(buf, seq, id, capacity, tenants, planner)
         });
     }
 
     fn deregister(&self, id: u64) {
-        self.append_for_id(id, |seq| encode_deregister(seq, id));
+        self.append_for_id(id, |buf, seq| encode_deregister(buf, seq, id));
     }
 
     fn submit(&self, id: u64, tenant: u32, curve: &MissCurve) {
-        self.append_for_id(id, |seq| encode_curve(seq, id, tenant, curve));
+        self.append_for_id(id, |buf, seq| encode_curve(buf, seq, id, tenant, curve));
     }
 
     fn epoch_cut(&self, shard: usize, epoch: u64, drained: &[u64]) {
         if shard >= self.shards() {
-            self.faulted.store(true, Ordering::Release);
-            self.lock_fault()
-                .get_or_insert(StoreError::Malformed("epoch cut for unknown shard"));
+            self.trip(StoreError::Malformed("epoch cut for unknown shard"));
             return;
         }
-        self.append_with(shard, |seq| {
-            encode_epoch_cut(seq, shard as u32, epoch, drained)
+        self.append_with(shard, |buf, seq| {
+            encode_epoch_cut(buf, seq, shard as u32, epoch, drained)
         });
     }
 
     fn plan(&self, id: u64, epoch: u64, version: u64, updates: u64, plan: &CachePlan) {
-        self.append_for_id(id, |seq| {
-            encode_plan(seq, id, epoch, version, updates, plan)
+        self.append_for_id(id, |buf, seq| {
+            encode_plan(buf, seq, id, epoch, version, updates, plan)
         });
+    }
+
+    fn begin(&self, shard: usize) {
+        if let Some(journal) = self.journals.get(shard) {
+            lock(journal).begin();
+        }
+    }
+
+    fn commit(&self, shard: usize) {
+        let Some(journal) = self.journals.get(shard) else {
+            return;
+        };
+        // Written even if the store has faulted meanwhile: these records
+        // took effect before the fault, so they belong to the prefix.
+        if let Err(e) = lock(journal).commit() {
+            self.trip(e);
+        }
     }
 
     fn is_faulted(&self) -> bool {

@@ -1,9 +1,12 @@
 //! The journal-format battery: round-trip properties for every record
-//! variant, golden-bytes fixtures pinning the v1 on-disk format, an
-//! adversarial suite proving the decoder is total (byte soup, hostile
+//! variant, golden-bytes fixtures pinning the v2 on-disk format (and the
+//! v1 fixtures it replaced, kept to prove they are refused untouched),
+//! an adversarial suite proving the decoder is total (byte soup, hostile
 //! counts, oversized lengths rejected before allocation, wrong versions,
-//! corrupted checksums — typed errors, never panics), and recovery tests
-//! for torn tails and reopened stores.
+//! corrupted checksums — typed errors, never panics), recovery tests for
+//! torn tails and reopened stores, and the write-scope contract (outside
+//! a scope every append is on disk when the call returns; inside one the
+//! records go out together at commit).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -12,11 +15,11 @@ use proptest::prelude::*;
 use talus_core::limits::{
     STORE_MAX_CUT_IDS, STORE_MAX_RECORD_LEN, WIRE_MAX_CURVE_POINTS, WIRE_MAX_TENANTS,
 };
-use talus_core::{MissCurve, ShadowConfig, TalusOptions, TalusPlan};
+use talus_core::{FaultAction, FaultScript, MissCurve, ShadowConfig, TalusOptions, TalusPlan};
 use talus_partition::{AllocPolicy, CachePlan, Planner, TenantPlan};
 use talus_store::{
-    decode_record, encode_record, fnv1a64, scan, Record, Store, StoreError, StoreSink,
-    RECORD_HEADER_LEN, STORE_VERSION,
+    checksum64, decode_record, encode_record, fnv1a64, records, scan, Record, Store, StoreError,
+    StoreSink, RECORD_HEADER_LEN, STORE_VERSION,
 };
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
@@ -31,6 +34,19 @@ fn temp_dir(tag: &str) -> PathBuf {
     ));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
+}
+
+/// `[len LE][checksum LE][payload]`, under the given checksum.
+fn framed_by(checksum: fn(&[u8]) -> u64, payload: &[u8]) -> Vec<u8> {
+    let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&checksum(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Frames a payload the way the store does.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    framed_by(checksum64, payload)
 }
 
 /// Random monotone miss curve derived deterministically from a seed
@@ -273,19 +289,13 @@ fn hostile_counts_fail_before_allocation() {
     // decoder trusted the count; passing at all is the no-allocation
     // proof. Payload framing (len + checksum) is valid so the count
     // check itself is what fires.
-    let frame = |payload: &[u8]| {
-        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
-        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        out.extend_from_slice(payload);
-        out
-    };
     // Curve record: version, tag=0x03, seq, id, tenant, point count.
     let mut payload = vec![STORE_VERSION, 0x03];
     payload.extend_from_slice(&[0u8; 16]); // seq + id
     payload.extend_from_slice(&0u32.to_le_bytes()); // tenant
     payload.extend_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(
-        decode_record(&frame(&payload)),
+        decode_record(&framed(&payload)),
         Err(StoreError::BadCount {
             count: u32::MAX,
             max: WIRE_MAX_CURVE_POINTS
@@ -296,7 +306,7 @@ fn hostile_counts_fail_before_allocation() {
     payload.extend_from_slice(&[0u8; 16]);
     payload.extend_from_slice(&0u32.to_le_bytes());
     payload.extend_from_slice(&WIRE_MAX_CURVE_POINTS.to_le_bytes());
-    assert_eq!(decode_record(&frame(&payload)), Err(StoreError::Truncated));
+    assert_eq!(decode_record(&framed(&payload)), Err(StoreError::Truncated));
     // Epoch-cut id lists have their own cap.
     let mut payload = vec![STORE_VERSION, 0x04];
     payload.extend_from_slice(&[0u8; 8]); // seq
@@ -304,7 +314,7 @@ fn hostile_counts_fail_before_allocation() {
     payload.extend_from_slice(&[0u8; 8]); // epoch
     payload.extend_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(
-        decode_record(&frame(&payload)),
+        decode_record(&framed(&payload)),
         Err(StoreError::BadCount {
             count: u32::MAX,
             max: STORE_MAX_CUT_IDS
@@ -316,7 +326,7 @@ fn hostile_counts_fail_before_allocation() {
     payload.extend_from_slice(&[0u8; 8]); // round
     payload.extend_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(
-        decode_record(&frame(&payload)),
+        decode_record(&framed(&payload)),
         Err(StoreError::BadCount {
             count: u32::MAX,
             max: WIRE_MAX_TENANTS
@@ -326,19 +336,22 @@ fn hostile_counts_fail_before_allocation() {
 
 #[test]
 fn wrong_version_is_rejected_on_every_tag() {
-    let frame = |payload: &[u8]| {
-        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
-        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        out.extend_from_slice(payload);
-        out
-    };
-    for version in [0u8, 2, 9, 0xFF] {
+    for version in [0u8, 1, 3, 9, 0xFF] {
         for tag in 0..=0x10u8 {
-            let bytes = frame(&[version, tag]);
+            let mut bytes = framed(&[version, tag]);
             assert_eq!(
                 decode_record(&bytes),
                 Err(StoreError::BadVersion { got: version }),
                 "version {version} tag {tag:#04x}"
+            );
+            // The version is read before the checksum is verified: a
+            // foreign record, whose checksum field means nothing to this
+            // decoder, is still a version error, not a checksum failure.
+            bytes[4] ^= 0xFF;
+            assert_eq!(
+                decode_record(&bytes),
+                Err(StoreError::BadVersion { got: version }),
+                "version {version} tag {tag:#04x}, foreign checksum"
             );
         }
     }
@@ -346,15 +359,9 @@ fn wrong_version_is_rejected_on_every_tag() {
 
 #[test]
 fn garbage_tags_are_typed_errors() {
-    let frame = |payload: &[u8]| {
-        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
-        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        out.extend_from_slice(payload);
-        out
-    };
     let known = [0x01, 0x02, 0x03, 0x04, 0x05];
     for tag in 0..=0xFFu8 {
-        let bytes = frame(&[STORE_VERSION, tag]);
+        let bytes = framed(&[STORE_VERSION, tag]);
         match decode_record(&bytes) {
             // Known tag with an empty body: truncation is right.
             Err(StoreError::Truncated) => assert!(known.contains(&tag), "tag {tag:#04x}"),
@@ -386,7 +393,7 @@ fn register_bounds_are_enforced_at_decode_time() {
         bytes[p + 8..p + 12].copy_from_slice(&tenants.to_le_bytes());
         bytes[p + 12..p + 20].copy_from_slice(&grain.to_le_bytes());
         // Re-checksum the patched payload.
-        let sum = fnv1a64(&bytes[RECORD_HEADER_LEN..]);
+        let sum = checksum64(&bytes[RECORD_HEADER_LEN..]);
         bytes[4..12].copy_from_slice(&sum.to_le_bytes());
         bytes
     };
@@ -421,7 +428,7 @@ fn trailing_bytes_are_malformed() {
     bytes.push(0x00);
     let len = (bytes.len() - RECORD_HEADER_LEN) as u32;
     bytes[0..4].copy_from_slice(&len.to_le_bytes());
-    let sum = fnv1a64(&bytes[RECORD_HEADER_LEN..]);
+    let sum = checksum64(&bytes[RECORD_HEADER_LEN..]);
     bytes[4..12].copy_from_slice(&sum.to_le_bytes());
     assert!(matches!(
         decode_record(&bytes),
@@ -430,125 +437,218 @@ fn trailing_bytes_are_malformed() {
 }
 
 // ---------------------------------------------------------------------
-// Golden bytes: the v1 on-disk format, pinned byte for byte. If any of
+// Golden bytes: the v2 on-disk format, pinned byte for byte. If any of
 // these fail, the format changed — bump STORE_VERSION and make the
 // change deliberate.
+//
+// The payload literals are the v1 fixtures, kept exactly as v1 wrote
+// them (version byte 1). v2 changed the checksum function and nothing
+// else, so a v2 record is its v1 fixture with the version byte set to 2
+// and the pinned `checksum64` in the header; the `golden_v2_*` tests pin
+// that, the `golden_v1_*` tests that a v1 record is refused as a foreign
+// version and never mistaken for a torn tail.
 // ---------------------------------------------------------------------
 
 #[test]
 fn golden_v1_constants() {
-    assert_eq!(STORE_VERSION, 1);
-    assert_eq!(RECORD_HEADER_LEN, 12);
-    // The limits are part of the format contract (decoders reject by
-    // them), so drifting them silently is a format change too.
-    assert_eq!(STORE_MAX_RECORD_LEN, 1 << 18);
-    assert_eq!(STORE_MAX_CUT_IDS, 1 << 14);
-    // The checksum function itself is pinned by its standard vectors.
+    // FNV-1a stays exported for callers outside the journal (the repo
+    // benchmark digests simulator statistics with it): pinned by its
+    // standard vectors.
     assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
     assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
 }
 
-/// Frames a pinned payload literal: `[len LE][fnv1a64 LE][payload]`.
-/// The payload bytes are the fixture; the checksum function is pinned
-/// separately by its standard test vectors above.
-fn framed(payload: &[u8]) -> Vec<u8> {
-    let mut out = (payload.len() as u32).to_le_bytes().to_vec();
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+#[test]
+fn golden_v2_constants() {
+    assert_eq!(STORE_VERSION, 2);
+    assert_eq!(RECORD_HEADER_LEN, 12);
+    // The limits are part of the format contract (decoders reject by
+    // them), so drifting them silently is a format change too.
+    assert_eq!(STORE_MAX_RECORD_LEN, 1 << 18);
+    assert_eq!(STORE_MAX_CUT_IDS, 1 << 14);
 }
+
+/// The record checksum, pinned on both sides of the 32-byte block
+/// boundary and on a production-sized curve payload. The values come
+/// from an independent implementation of the function's definition
+/// (4 lanes of xor / multiply / rotate over little-endian words, a
+/// zero-padded final block, lanes and length folded), not from this one.
+#[test]
+fn golden_v2_checksum_vectors() {
+    let ramp = |n: usize| -> Vec<u8> { (0..n).map(|i| (i * 7 + 1) as u8).collect() };
+    for (len, want) in [
+        (0, 0x5B39_F95B_E884_C81A_u64),
+        (1, 0x9898_0886_435C_9490),
+        (31, 0x0554_BC62_F883_0E85),
+        (32, 0x39BD_96EF_410E_D820),
+        (33, 0x04FB_A846_4663_1559),
+    ] {
+        assert_eq!(checksum64(&ramp(len)), want, "{len} bytes");
+    }
+    // The length is folded in: zero padding is not a collision.
+    assert_ne!(checksum64(b"ab"), checksum64(b"ab\0"));
+
+    // A 65-point curve record — the payload the plane journals most.
+    let sizes: Vec<f64> = (0..65).map(|i| 64.0 * i as f64).collect();
+    let misses: Vec<f64> = (0..65).map(|i| 130.0 - 2.0 * i as f64).collect();
+    let bytes = encode_record(&Record::Curve {
+        seq: 1,
+        id: 2,
+        tenant: 3,
+        curve: MissCurve::from_samples(&sizes, &misses).unwrap(),
+    });
+    let payload = &bytes[RECORD_HEADER_LEN..];
+    assert_eq!(payload.len(), 1066);
+    assert_eq!(checksum64(payload), 0x2A26_C575_EB71_7D84);
+    assert_eq!(bytes[4..12], 0x2A26_C575_EB71_7D84_u64.to_le_bytes());
+}
+
+/// A v1 record as v1 wrote it: framed under FNV-1a.
+fn framed_v1(payload: &[u8]) -> Vec<u8> {
+    assert_eq!(payload[0], 1, "v1 fixtures carry version 1");
+    framed_by(fnv1a64, payload)
+}
+
+/// Pins `rec`'s v2 encoding: the v1 fixture with version byte 2 and
+/// `checksum` in the header — so v2 differs from v1 in exactly those
+/// nine bytes — and checks it decodes back.
+fn assert_golden_v2(rec: &Record, v1_payload: &[u8], checksum: u64) {
+    let mut want = (v1_payload.len() as u32).to_le_bytes().to_vec();
+    want.extend_from_slice(&checksum.to_le_bytes());
+    want.push(2);
+    want.extend_from_slice(&v1_payload[1..]);
+    let bytes = encode_record(rec);
+    assert_eq!(bytes, want);
+    assert_eq!(decode_record(&bytes), Ok((rec.clone(), bytes.len())));
+}
+
+/// A v1 record is refused as a foreign version — by the decoder and by
+/// the scanner, which consumes none of it.
+fn assert_v1_refused(v1_payload: &[u8]) {
+    let bytes = framed_v1(v1_payload);
+    let refused = StoreError::BadVersion { got: 1 };
+    assert_eq!(decode_record(&bytes), Err(refused.clone()));
+    let scanned = scan(&bytes);
+    assert_eq!((scanned.consumed, scanned.tail), (0, Some(refused)));
+}
+
+fn deregister_fixture() -> Record {
+    Record::Deregister { seq: 7, id: 3 }
+}
+
+const V1_DEREGISTER: &[u8] = &[
+    1, 0x02, // version, tag
+    7, 0, 0, 0, 0, 0, 0, 0, // seq
+    3, 0, 0, 0, 0, 0, 0, 0, // id
+];
 
 #[test]
 fn golden_v1_deregister_record() {
-    let bytes = encode_record(&Record::Deregister { seq: 7, id: 3 });
-    assert_eq!(
-        bytes,
-        framed(&[
-            1, 0x02, // version, tag
-            7, 0, 0, 0, 0, 0, 0, 0, // seq
-            3, 0, 0, 0, 0, 0, 0, 0, // id
-        ])
-    );
-    assert_eq!(bytes.len(), RECORD_HEADER_LEN + 18);
+    assert_eq!(V1_DEREGISTER.len(), 18);
+    assert_v1_refused(V1_DEREGISTER);
 }
 
 #[test]
-fn golden_v1_register_record() {
-    let bytes = encode_record(&Record::Register {
+fn golden_v2_deregister_record() {
+    assert_golden_v2(&deregister_fixture(), V1_DEREGISTER, 0xD531_AB24_DA08_6A82);
+}
+
+fn register_fixture() -> Record {
+    Record::Register {
         seq: 1,
         id: 5,
         capacity: 4096,
         tenants: 2,
         planner: Planner::new(64), // Hill, convexify, 5% margin, 1e-9 tol
-    });
-    assert_eq!(
-        bytes,
-        framed(&[
-            1, 0x01, // version, tag
-            1, 0, 0, 0, 0, 0, 0, 0, // seq
-            5, 0, 0, 0, 0, 0, 0, 0, // id
-            0x00, 0x10, 0, 0, 0, 0, 0, 0, // capacity = 4096
-            2, 0, 0, 0, // tenants
-            64, 0, 0, 0, 0, 0, 0, 0, // grain
-            0x9A, 0x99, 0x99, 0x99, 0x99, 0x99, 0xA9, 0x3F, // margin 0.05
-            0x95, 0xD6, 0x26, 0xE8, 0x0B, 0x2E, 0x11, 0x3E, // tol 1e-9
-            0,    // policy: Hill
-            1,    // convexify: true
-        ])
-    );
+    }
+}
+
+const V1_REGISTER: &[u8] = &[
+    1, 0x01, // version, tag
+    1, 0, 0, 0, 0, 0, 0, 0, // seq
+    5, 0, 0, 0, 0, 0, 0, 0, // id
+    0x00, 0x10, 0, 0, 0, 0, 0, 0, // capacity = 4096
+    2, 0, 0, 0, // tenants
+    64, 0, 0, 0, 0, 0, 0, 0, // grain
+    0x9A, 0x99, 0x99, 0x99, 0x99, 0x99, 0xA9, 0x3F, // margin 0.05
+    0x95, 0xD6, 0x26, 0xE8, 0x0B, 0x2E, 0x11, 0x3E, // tol 1e-9
+    0,    // policy: Hill
+    1,    // convexify: true
+];
+
+#[test]
+fn golden_v1_register_record() {
+    assert_v1_refused(V1_REGISTER);
 }
 
 #[test]
-fn golden_v1_curve_record() {
-    let curve = MissCurve::from_samples(&[0.0, 64.0], &[8.0, 2.0]).unwrap();
-    let bytes = encode_record(&Record::Curve {
+fn golden_v2_register_record() {
+    assert_golden_v2(&register_fixture(), V1_REGISTER, 0xF588_7369_914B_7C42);
+}
+
+fn curve_fixture() -> Record {
+    Record::Curve {
         seq: 9,
         id: 7,
         tenant: 1,
-        curve,
-    });
-    assert_eq!(
-        bytes,
-        framed(&[
-            1, 0x03, // version, tag
-            9, 0, 0, 0, 0, 0, 0, 0, // seq
-            7, 0, 0, 0, 0, 0, 0, 0, // id
-            1, 0, 0, 0, // tenant
-            2, 0, 0, 0, // point count
-            0, 0, 0, 0, 0, 0, 0, 0, // size 0.0
-            0, 0, 0, 0, 0, 0, 0x20, 0x40, // misses 8.0
-            0, 0, 0, 0, 0, 0, 0x50, 0x40, // size 64.0
-            0, 0, 0, 0, 0, 0, 0x00, 0x40, // misses 2.0
-        ])
-    );
+        curve: MissCurve::from_samples(&[0.0, 64.0], &[8.0, 2.0]).unwrap(),
+    }
+}
+
+const V1_CURVE: &[u8] = &[
+    1, 0x03, // version, tag
+    9, 0, 0, 0, 0, 0, 0, 0, // seq
+    7, 0, 0, 0, 0, 0, 0, 0, // id
+    1, 0, 0, 0, // tenant
+    2, 0, 0, 0, // point count
+    0, 0, 0, 0, 0, 0, 0, 0, // size 0.0
+    0, 0, 0, 0, 0, 0, 0x20, 0x40, // misses 8.0
+    0, 0, 0, 0, 0, 0, 0x50, 0x40, // size 64.0
+    0, 0, 0, 0, 0, 0, 0x00, 0x40, // misses 2.0
+];
+
+#[test]
+fn golden_v1_curve_record() {
+    assert_v1_refused(V1_CURVE);
 }
 
 #[test]
-fn golden_v1_epoch_cut_record() {
-    let bytes = encode_record(&Record::EpochCut {
+fn golden_v2_curve_record() {
+    assert_golden_v2(&curve_fixture(), V1_CURVE, 0x08F6_03C1_35E1_D100);
+}
+
+fn epoch_cut_fixture() -> Record {
+    Record::EpochCut {
         seq: 11,
         shard: 2,
         epoch: 4,
         drained: vec![7, 3],
-    });
-    assert_eq!(
-        bytes,
-        framed(&[
-            1, 0x04, // version, tag
-            11, 0, 0, 0, 0, 0, 0, 0, // seq
-            2, 0, 0, 0, // shard
-            4, 0, 0, 0, 0, 0, 0, 0, // epoch
-            2, 0, 0, 0, // drained count
-            7, 0, 0, 0, 0, 0, 0, 0, // drained[0]
-            3, 0, 0, 0, 0, 0, 0, 0, // drained[1]
-        ])
-    );
+    }
+}
+
+const V1_EPOCH_CUT: &[u8] = &[
+    1, 0x04, // version, tag
+    11, 0, 0, 0, 0, 0, 0, 0, // seq
+    2, 0, 0, 0, // shard
+    4, 0, 0, 0, 0, 0, 0, 0, // epoch
+    2, 0, 0, 0, // drained count
+    7, 0, 0, 0, 0, 0, 0, 0, // drained[0]
+    3, 0, 0, 0, 0, 0, 0, 0, // drained[1]
+];
+
+#[test]
+fn golden_v1_epoch_cut_record() {
+    assert_v1_refused(V1_EPOCH_CUT);
 }
 
 #[test]
-fn golden_v1_plan_record() {
-    let bytes = encode_record(&Record::Plan {
+fn golden_v2_epoch_cut_record() {
+    assert_golden_v2(&epoch_cut_fixture(), V1_EPOCH_CUT, 0xBB3C_B6AD_BC31_9BD7);
+}
+
+fn plan_fixture() -> Record {
+    Record::Plan {
         seq: 13,
         id: 5,
         epoch: 4,
@@ -579,34 +679,74 @@ fn golden_v1_plan_record() {
                 },
             ],
         },
-    });
-    assert_eq!(
-        bytes,
-        framed(&[
-            1, 0x05, // version, tag
-            13, 0, 0, 0, 0, 0, 0, 0, // seq
-            5, 0, 0, 0, 0, 0, 0, 0, // id
-            4, 0, 0, 0, 0, 0, 0, 0, // epoch
-            2, 0, 0, 0, 0, 0, 0, 0, // version
-            6, 0, 0, 0, 0, 0, 0, 0, // updates
-            1, 0, 0, 0, 0, 0, 0, 0, // round
-            2, 0, 0, 0, // tenant count
-            0x00, 0x02, 0, 0, 0, 0, 0, 0, // tenant 0 capacity = 512
-            0, // plan tag: unpartitioned
-            0, 0, 0, 0, 0, 0, 0x80, 0x40, // size 512.0
-            0, 0, 0, 0, 0, 0, 0x00, 0x40, // expected_misses 2.0
-            0x00, 0x02, 0, 0, 0, 0, 0, 0, // tenant 1 capacity = 512
-            1, // plan tag: shadow
-            0, 0, 0, 0, 0, 0, 0x80, 0x40, // total 512.0
-            0, 0, 0, 0, 0, 0, 0x60, 0x40, // alpha 128.0
-            0, 0, 0, 0, 0, 0, 0x90, 0x40, // beta 1024.0
-            0, 0, 0, 0, 0, 0, 0xE0, 0x3F, // rho 0.5
-            0, 0, 0, 0, 0, 0, 0xE0, 0x3F, // ideal_rho 0.5
-            0, 0, 0, 0, 0, 0, 0x50, 0x40, // s1 64.0
-            0, 0, 0, 0, 0, 0, 0x7C, 0x40, // s2 448.0
-            0, 0, 0, 0, 0, 0, 0x08, 0x40, // expected_misses 3.0
-        ])
-    );
+    }
+}
+
+const V1_PLAN: &[u8] = &[
+    1, 0x05, // version, tag
+    13, 0, 0, 0, 0, 0, 0, 0, // seq
+    5, 0, 0, 0, 0, 0, 0, 0, // id
+    4, 0, 0, 0, 0, 0, 0, 0, // epoch
+    2, 0, 0, 0, 0, 0, 0, 0, // version
+    6, 0, 0, 0, 0, 0, 0, 0, // updates
+    1, 0, 0, 0, 0, 0, 0, 0, // round
+    2, 0, 0, 0, // tenant count
+    0x00, 0x02, 0, 0, 0, 0, 0, 0, // tenant 0 capacity = 512
+    0, // plan tag: unpartitioned
+    0, 0, 0, 0, 0, 0, 0x80, 0x40, // size 512.0
+    0, 0, 0, 0, 0, 0, 0x00, 0x40, // expected_misses 2.0
+    0x00, 0x02, 0, 0, 0, 0, 0, 0, // tenant 1 capacity = 512
+    1, // plan tag: shadow
+    0, 0, 0, 0, 0, 0, 0x80, 0x40, // total 512.0
+    0, 0, 0, 0, 0, 0, 0x60, 0x40, // alpha 128.0
+    0, 0, 0, 0, 0, 0, 0x90, 0x40, // beta 1024.0
+    0, 0, 0, 0, 0, 0, 0xE0, 0x3F, // rho 0.5
+    0, 0, 0, 0, 0, 0, 0xE0, 0x3F, // ideal_rho 0.5
+    0, 0, 0, 0, 0, 0, 0x50, 0x40, // s1 64.0
+    0, 0, 0, 0, 0, 0, 0x7C, 0x40, // s2 448.0
+    0, 0, 0, 0, 0, 0, 0x08, 0x40, // expected_misses 3.0
+];
+
+#[test]
+fn golden_v1_plan_record() {
+    assert_v1_refused(V1_PLAN);
+}
+
+#[test]
+fn golden_v2_plan_record() {
+    assert_golden_v2(&plan_fixture(), V1_PLAN, 0x3B2F_2C30_9550_4896);
+}
+
+/// A version bump must never eat a journal: a shard file written by v1
+/// (the five fixtures above, framed as v1 framed them) makes `open`
+/// fail with the typed version error and is left byte-for-byte as it
+/// was. The same holds for a file whose *later* records are foreign
+/// (here: newer), however many intact v2 records precede them.
+#[test]
+fn foreign_version_files_are_refused_and_left_untouched() {
+    let v1_file: Vec<u8> = [V1_REGISTER, V1_CURVE, V1_EPOCH_CUT, V1_PLAN, V1_DEREGISTER]
+        .iter()
+        .flat_map(|payload| framed_v1(payload))
+        .collect();
+    let mut newer_tail = encode_record(&register_fixture());
+    newer_tail.extend_from_slice(&framed(&[STORE_VERSION + 1, 0x02]));
+    newer_tail.extend_from_slice(&[0xAB; 5]); // and a torn tail after it
+
+    for (tag, file, got) in [
+        ("v1-file", v1_file, 1),
+        ("newer-tail", newer_tail, STORE_VERSION + 1),
+    ] {
+        let dir = temp_dir(tag);
+        let path = dir.join("shard-000.talus");
+        std::fs::write(&path, &file).unwrap();
+        assert_eq!(
+            Store::open(&dir, 1).err(),
+            Some(StoreError::BadVersion { got }),
+            "{tag}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), file, "{tag}: file touched");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -736,4 +876,207 @@ fn records_route_to_the_canonical_shard_file() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------
+// Write scopes: outside one, every append is on disk when the call
+// returns; inside one (`begin` … `commit`, which the plane issues around
+// each hold of a shard's registry lock) the records go out as one write
+// at commit.
+// ---------------------------------------------------------------------
+
+fn shard_len(dir: &std::path::Path, shard: usize) -> u64 {
+    std::fs::metadata(dir.join(format!("shard-{shard:03}.talus")))
+        .expect("shard file exists")
+        .len()
+}
+
+/// The property the repo benchmark's decomposed replay (and any caller
+/// that uses a `Store` directly) relies on: with no scope open, each
+/// sink call has grown its shard file by exactly its record before it
+/// returns.
+#[test]
+fn appends_outside_a_scope_are_on_disk_when_the_call_returns() {
+    let dir = temp_dir("write-through");
+    let store = Store::open(&dir, 1).unwrap();
+    let planner = Planner::new(64);
+    let curve = curve_from_seed(5);
+    let plan = plan_from_seed(6);
+    let calls: [(&dyn Fn(), Record); 5] = [
+        (
+            &|| store.register(1, 512, 1, &planner),
+            Record::Register {
+                seq: 0,
+                id: 1,
+                capacity: 512,
+                tenants: 1,
+                planner,
+            },
+        ),
+        (
+            &|| store.submit(1, 0, &curve),
+            Record::Curve {
+                seq: 1,
+                id: 1,
+                tenant: 0,
+                curve: curve.clone(),
+            },
+        ),
+        (
+            &|| store.epoch_cut(0, 1, &[1]),
+            Record::EpochCut {
+                seq: 2,
+                shard: 0,
+                epoch: 1,
+                drained: vec![1],
+            },
+        ),
+        (
+            &|| store.plan(1, 1, 1, 1, &plan),
+            Record::Plan {
+                seq: 3,
+                id: 1,
+                epoch: 1,
+                version: 1,
+                updates: 1,
+                plan: plan.clone(),
+            },
+        ),
+        (
+            &|| store.deregister(1),
+            Record::Deregister { seq: 4, id: 1 },
+        ),
+    ];
+    let mut want = Vec::new();
+    for (call, record) in &calls {
+        call();
+        want.extend_from_slice(&encode_record(record));
+        assert_eq!(
+            std::fs::read(dir.join("shard-000.talus")).unwrap(),
+            want,
+            "{} not on disk when the call returned",
+            record.label()
+        );
+    }
+    assert_eq!(store.last_error(), None);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_scope_buffers_its_records_and_commit_writes_them_in_order() {
+    let dir = temp_dir("scope");
+    let store = Store::open(&dir, 2).unwrap();
+    let planner = Planner::new(64);
+    // Ids placed on each shard by the canonical routing.
+    let on = |shard| {
+        (0u64..)
+            .find(|id| talus_core::shard_of(*id, 2) == shard)
+            .unwrap()
+    };
+    let (a, b) = (on(0), on(1));
+    store.register(a, 512, 1, &planner);
+    store.register(b, 512, 1, &planner);
+    let before = [shard_len(&dir, 0), shard_len(&dir, 1)];
+
+    store.begin(0);
+    for seed in 0..3 {
+        store.submit(a, 0, &curve_from_seed(seed));
+    }
+    store.epoch_cut(0, 1, &[a]);
+    store.plan(a, 1, 1, 3, &plan_from_seed(1));
+    assert_eq!(
+        shard_len(&dir, 0),
+        before[0],
+        "a scope's records wait for commit"
+    );
+    // Scopes are per shard: shard 1 has none open and writes through.
+    store.submit(b, 0, &curve_from_seed(9));
+    assert!(shard_len(&dir, 1) > before[1]);
+    store.commit(0);
+    assert!(shard_len(&dir, 0) > before[0], "commit wrote the scope");
+
+    // The scope is closed: appends write through again.
+    let committed = shard_len(&dir, 0);
+    store.deregister(a);
+    assert!(shard_len(&dir, 0) > committed);
+    assert_eq!(store.last_error(), None);
+
+    let scanned = store.replay_shard(0).unwrap();
+    assert_eq!(scanned.tail, None);
+    let labels: Vec<_> = scanned.records.iter().map(Record::label).collect();
+    assert_eq!(
+        labels,
+        [
+            "register",
+            "curve",
+            "curve",
+            "curve",
+            "epoch-cut",
+            "plan",
+            "deregister"
+        ]
+    );
+    let seqs: Vec<u64> = scanned.records.iter().map(Record::seq).collect();
+    assert!(
+        seqs.windows(2).all(|w| w[0] < w[1]),
+        "seq not increasing: {seqs:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sync_inside_a_scope_writes_the_pending_records_first() {
+    let dir = temp_dir("scope-sync");
+    let store = Store::open(&dir, 1).unwrap();
+    store.begin(0);
+    store.register(1, 512, 1, &Planner::new(64));
+    store.submit(1, 0, &curve_from_seed(1));
+    assert_eq!(shard_len(&dir, 0), 0);
+    store.sync().expect("sync");
+    let bytes = std::fs::read(dir.join("shard-000.talus")).unwrap();
+    assert_eq!(records(&bytes).count(), 2, "sync wrote what the scope held");
+    // The scope is still open, and still commits what comes after.
+    store.deregister(1);
+    assert_eq!(shard_len(&dir, 0), bytes.len() as u64);
+    store.commit(0);
+    assert_eq!(store.replay_shard(0).unwrap().records.len(), 3);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `store.append` fault site is consulted once per record — never
+/// once per write — so a script fires at the same record whether or not
+/// the records around it share a scope, and the journal keeps the same
+/// prefix: everything before the failed record, nothing after.
+#[test]
+fn the_append_fault_site_fires_per_record_at_the_same_ordinal_in_a_scope() {
+    let mut journals = Vec::new();
+    for scoped in [false, true] {
+        let dir = temp_dir("scope-fault");
+        let script = std::sync::Arc::new(FaultScript::new());
+        script.inject("store.append", Some(0), 3, 1, FaultAction::Fail);
+        let store = Store::open(&dir, 1)
+            .unwrap()
+            .with_fault_script(std::sync::Arc::clone(&script));
+        store.register(1, 512, 1, &Planner::new(64));
+        if scoped {
+            store.begin(0);
+        }
+        for seed in 0..5 {
+            store.submit(1, 0, &curve_from_seed(seed));
+        }
+        if scoped {
+            store.commit(0);
+        }
+        // Three records passed the site, the fourth tripped the fault,
+        // and a faulted store drops appends before they reach the site.
+        assert_eq!(script.seen("store.append"), 4, "scoped: {scoped}");
+        assert_eq!(script.fired("store.append"), 1, "scoped: {scoped}");
+        assert!(store.faulted());
+        let scanned = store.replay_shard(0).unwrap();
+        assert_eq!(scanned.tail, None);
+        assert_eq!(scanned.records.len(), 3, "scoped: {scoped}");
+        journals.push(scanned.records);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    assert_eq!(journals[0], journals[1]);
 }

@@ -380,14 +380,21 @@ mod store {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    use talus_core::MissCurve;
+    use talus_core::{MissCurve, StoreHealth};
     use talus_partition::{CachePlan, Planner};
     use talus_serve::{CacheSpec, ShardedReconfigService};
-    use talus_store::{Store, StoreSink};
+    use talus_store::{Store, StoreError, StoreSink};
 
     /// Env vars that turn the `crash_victim` test into the doomed child.
     const CRASH_DIR: &str = "TALUS_STORE_CRASH_DIR";
     const KILL_AFTER: &str = "TALUS_STORE_KILL_AFTER";
+    /// Set (to anything) to have the victim's sink pass the plane's lock
+    /// scopes on to the store, as the store itself does when attached
+    /// directly; unset, every record is written the moment it is made.
+    const SCOPED: &str = "TALUS_STORE_SCOPED";
+    /// Turns `write_fault_victim` into the child whose journal file may
+    /// not grow past a few kilobytes.
+    const FSIZE_DIR: &str = "TALUS_STORE_FSIZE_DIR";
 
     const CACHES: u64 = 5;
     const SHARDS: usize = 2;
@@ -401,12 +408,17 @@ mod store {
     /// no unwinding, no destructors, no flush beyond what the store
     /// already wrote — on the Nth published plan. Because it runs under
     /// the shard's registry lock, the abort lands exactly between an
-    /// epoch's cut record and the rest of its plan records.
+    /// epoch's cut record and the rest of its plan records. With
+    /// `scoped` it forwards the plane's lock scopes, so the store holds
+    /// an epoch's plans back for one write and the abort finds them
+    /// still buffered; without, it swallows them and every record is
+    /// written through.
     #[derive(Debug)]
     struct AbortNthPlan {
         inner: Arc<Store>,
         kill_after: u64,
         plans: AtomicU64,
+        scoped: bool,
     }
 
     impl StoreSink for AbortNthPlan {
@@ -433,6 +445,16 @@ mod store {
             }
             self.inner.plan(id, epoch, version, updates, plan);
         }
+        fn begin(&self, shard: usize) {
+            if self.scoped {
+                self.inner.begin(shard);
+            }
+        }
+        fn commit(&self, shard: usize) {
+            if self.scoped {
+                self.inner.commit(shard);
+            }
+        }
     }
 
     /// The doomed child: a no-op under normal test runs; when the parent
@@ -452,6 +474,7 @@ mod store {
             inner: store,
             kill_after,
             plans: AtomicU64::new(0),
+            scoped: std::env::var_os(SCOPED).is_some(),
         });
         let plane = ShardedReconfigService::new(SHARDS).with_sink(sink);
         let ids: Vec<_> = (0..CACHES)
@@ -467,9 +490,13 @@ mod store {
 
     /// Re-runs this test binary as the `crash_victim` child with the
     /// given kill point; returns once it has died by abort.
-    fn spawn_victim(dir: &std::path::Path, kill_after: u64) {
+    fn spawn_victim(dir: &std::path::Path, kill_after: u64, scoped: bool) {
         let exe = std::env::current_exe().expect("own test binary");
-        let status = Command::new(exe)
+        let mut victim = Command::new(exe);
+        if scoped {
+            victim.env(SCOPED, "1");
+        }
+        let status = victim
             .args(["store::crash_victim", "--exact", "--nocapture"])
             .env(CRASH_DIR, dir)
             .env(KILL_AFTER, kill_after.to_string())
@@ -490,48 +517,171 @@ mod store {
         dir
     }
 
+    /// Kills a victim at its `kill_after`-th plan, then warm-restarts from
+    /// the journal it left: every cache is back (registrations and curves
+    /// landed before the epoch began; the abort could only eat plan
+    /// records), the cut record recovered the epoch, exactly `snapshots`
+    /// plans replay, and the plane is live — the caches the abort robbed
+    /// of their plan get one on the next epoch, exactly like an epoch
+    /// that failed mid-publish.
+    fn assert_recovers_from_abort(kill_after: u64, scoped: bool, snapshots: u64) {
+        let dir = temp_dir(&format!("mid-epoch-{scoped}-{kill_after}"));
+        spawn_victim(&dir, kill_after, scoped);
+
+        let store = Store::open(&dir, SHARDS).expect("journal opens after abort");
+        let plane = ShardedReconfigService::new(SHARDS);
+        let summary = plane.restore(&store).expect("journal restores after abort");
+        assert_eq!(summary.caches, CACHES as usize, "kill at {kill_after}");
+        assert_eq!(plane.epochs(), 1, "the cut record recovered the epoch");
+        assert_eq!(
+            summary.snapshots, snapshots as usize,
+            "kill at {kill_after}"
+        );
+
+        let ids = plane.cache_ids();
+        assert_eq!(ids.len(), CACHES as usize);
+        for (i, id) in ids.iter().enumerate() {
+            plane
+                .submit(*id, 0, curve(i as u64))
+                .expect("still serving");
+        }
+        plane.run_until_clean();
+        for id in &ids {
+            let snap = plane.snapshot(*id).expect("planned after recovery");
+            assert!(snap.version >= 1);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// The headline injection: a real process killed by `abort()` between
-    /// an epoch-cut record and its plan records. The journal left on disk
-    /// must warm-restart a fresh plane that (a) has every cache, (b) has
-    /// exactly the plans whose records landed before the abort, and
-    /// (c) is fully live — the missing plans come back on the next epoch,
-    /// exactly like an epoch that failed mid-publish.
+    /// an epoch-cut record and its plan records, every record written the
+    /// moment it is made. Exactly the plans whose records landed before
+    /// the abort replay.
     #[test]
     fn process_death_mid_epoch_leaves_a_recoverable_journal() {
-        for kill_after in 1..=3u64 {
-            let dir = temp_dir(&format!("mid-epoch-{kill_after}"));
-            spawn_victim(&dir, kill_after);
-
-            let store = Store::open(&dir, SHARDS).expect("journal opens after abort");
-            let plane = ShardedReconfigService::new(SHARDS);
-            let summary = plane.restore(&store).expect("journal restores after abort");
-
-            // Every registration and curve landed before the epoch began;
-            // the abort could only eat plan records.
-            assert_eq!(summary.caches, CACHES as usize, "kill at {kill_after}");
-            assert_eq!(plane.epochs(), 1, "the cut record recovered the epoch");
-            assert_eq!(
-                summary.snapshots,
-                kill_after as usize - 1,
-                "exactly the pre-abort plan records replay"
-            );
-
-            // Liveness: handles are recoverable, curves flow, and the
-            // caches the abort robbed of their plan get one now.
-            let ids = plane.cache_ids();
-            assert_eq!(ids.len(), CACHES as usize);
-            for (i, id) in ids.iter().enumerate() {
-                plane
-                    .submit(*id, 0, curve(i as u64))
-                    .expect("still serving");
-            }
-            plane.run_until_clean();
-            for id in &ids {
-                let snap = plane.snapshot(*id).expect("planned after recovery");
-                assert!(snap.version >= 1);
-            }
-            std::fs::remove_dir_all(&dir).ok();
+        for kill_after in 1..=3 {
+            assert_recovers_from_abort(kill_after, false, kill_after - 1);
         }
+    }
+
+    /// The same death with the store attached the way production attaches
+    /// it — lock scopes honoured, an epoch's plans buffered for one write
+    /// when the publish phase lets go of the lock. The abort lands inside
+    /// that phase, so the shard that was publishing restores to "cut
+    /// journaled, no plans" whichever of its plans was the fatal one; a
+    /// shard whose epoch had already finished keeps everything.
+    #[test]
+    fn process_death_with_plans_still_buffered_restores_to_the_cut() {
+        // Shards run their epochs in index order, each publishing its
+        // caches (ids 0..CACHES, one tenant each) in one lock hold.
+        let on_shard_0 = (0..CACHES)
+            .filter(|&id| talus_core::shard_of(id, SHARDS) == 0)
+            .count() as u64;
+        assert!(0 < on_shard_0 && on_shard_0 < CACHES, "both shards publish");
+        for kill_after in 1..=CACHES {
+            let survived = if kill_after <= on_shard_0 {
+                0 // died publishing shard 0: its plans were all unwritten
+            } else {
+                on_shard_0 // shard 0 had finished; shard 1's were unwritten
+            };
+            assert_recovers_from_abort(kill_after, true, survived);
+        }
+    }
+
+    /// A production-sized (65-point) curve, distinct per seed.
+    fn wide_curve(seed: u64) -> MissCurve {
+        let sizes: Vec<f64> = (0..65).map(|i| 16.0 * i as f64).collect();
+        let misses: Vec<f64> = (0..65).map(|i| (200 + seed - i) as f64).collect();
+        MissCurve::from_samples(&sizes, &misses).expect("valid")
+    }
+
+    const WIDE_CACHES: usize = 8;
+    const WIDE_ROUNDS: u64 = 4;
+
+    /// The child of the test below: a no-op under normal test runs. As
+    /// the child, its journal file cannot grow past 8 KiB, and it sends
+    /// one batch whose curves — one lock hold, one write — come to four
+    /// times that.
+    #[test]
+    fn write_fault_victim() {
+        let Ok(dir) = std::env::var(FSIZE_DIR) else {
+            return; // normal test run: the parent below drives this
+        };
+        let store = Arc::new(Store::open(&dir, 1).expect("open store"));
+        let plane =
+            ShardedReconfigService::new(1).with_sink(Arc::clone(&store) as Arc<dyn StoreSink>);
+        let ids: Vec<_> = (0..WIDE_CACHES)
+            .map(|_| plane.register(CacheSpec::new(1024, 1).with_planner(Planner::new(64))))
+            .collect();
+        assert_eq!(store.last_error(), None, "registrations fit the limit");
+
+        let batch = (0..WIDE_ROUNDS)
+            .flat_map(|round| ids.iter().map(move |id| (*id, 0, wide_curve(round))));
+        let results = plane.submit_many(batch);
+        // Journaling is best-effort: the plane took every curve...
+        assert!(results.iter().all(Result::is_ok), "{results:?}");
+        // ...and the failed write is loud, exactly like a failed append.
+        assert!(store.faulted());
+        assert!(
+            matches!(store.last_error(), Some(StoreError::Io(_))),
+            "{:?}",
+            store.last_error()
+        );
+        assert_eq!(plane.health().store, StoreHealth::Faulted);
+        // The pen has stopped: nothing later reaches the file.
+        let path = std::path::Path::new(&dir).join("shard-000.talus");
+        let len = std::fs::metadata(&path).expect("journal exists").len();
+        plane.run_until_clean();
+        assert_eq!(std::fs::metadata(&path).expect("journal exists").len(), len);
+    }
+
+    /// A coalesced write that fails partway — here a real `EFBIG`: the
+    /// child runs under `ulimit -f`, with `SIGXFSZ` ignored so the write
+    /// returns the error instead of killing it — trips the store's fault
+    /// flag like any failed append, and leaves a file that reopens to a
+    /// valid prefix: the records that fit, then a torn one, dropped.
+    #[cfg(unix)]
+    #[test]
+    fn a_failed_multi_record_write_trips_the_fault_and_leaves_a_valid_prefix() {
+        let dir = temp_dir("efbig");
+        let exe = std::env::current_exe().expect("own test binary");
+        // 16 blocks of 512 bytes. Output comes back through pipes, which
+        // the limit does not touch.
+        let child = Command::new("sh")
+            .args(["-c", r#"trap "" XFSZ; ulimit -f 16; exec "$0" "$@""#])
+            .arg(exe)
+            .args(["store::write_fault_victim", "--exact", "--nocapture"])
+            .env(FSIZE_DIR, &dir)
+            .output()
+            .expect("spawn the limited child");
+        assert!(
+            child.status.success(),
+            "the victim's own assertions failed:\n{}{}",
+            String::from_utf8_lossy(&child.stdout),
+            String::from_utf8_lossy(&child.stderr)
+        );
+
+        let path = dir.join("shard-000.talus");
+        assert_eq!(
+            std::fs::metadata(&path).expect("journal exists").len(),
+            16 * 512,
+            "the batch's write ran into the limit partway"
+        );
+        let store = Store::open(&dir, 1).expect("journal opens after the failed write");
+        let records = store.recovery().records();
+        assert!(
+            (WIDE_CACHES..WIDE_CACHES * (1 + WIDE_ROUNDS as usize)).contains(&records),
+            "the registrations and part of the batch survive, got {records}"
+        );
+        assert!(
+            store.recovery().torn_bytes() > 0,
+            "the torn record was dropped"
+        );
+        let plane = ShardedReconfigService::new(1);
+        let summary = plane.restore(&store).expect("the valid prefix restores");
+        assert_eq!(summary.caches, WIDE_CACHES);
+        assert_eq!(summary.records, records);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Torn-write injection: garbage appended to a shard file (a crash

@@ -1,4 +1,11 @@
 //! Monitors against ground truth, and the Belady-MIN convexity corollary.
+//!
+//! The tier-1 tests run streams as long as their assertions need and no
+//! longer (this file used to be most of `cargo test`'s wall time); the
+//! `full_length_*` tests keep the original streams, with the same
+//! assertions and tolerances, behind `#[ignore]` for CI's release-mode
+//! step: `cargo test --release -p talus-integration --test
+//! monitors_and_oracle -- --ignored`.
 
 use talus_integration::{scaled_profile, scan_trace};
 use talus_sim::monitor::{MattsonMonitor, Monitor, UmonPair};
@@ -7,16 +14,28 @@ use talus_sim::{AccessCtx, CacheModel, SetAssocCache};
 use talus_workloads::AccessGenerator;
 
 /// UMON pairs must agree with exact Mattson profiling across the roster's
-/// curve shapes (the Assumption-3 statistical claim).
+/// curve shapes (the Assumption-3 statistical claim). The mean error has
+/// settled to three decimals by 150 000 accesses (0.043 on `omnetpp`, the
+/// worst profile, at 150 000, 300 000 and 600 000 alike).
 #[test]
 fn umon_tracks_mattson_across_profiles() {
+    assert_umon_tracks_mattson(150_000);
+}
+
+#[test]
+#[ignore = "long stream; CI runs it in release"]
+fn full_length_umon_tracks_mattson_across_profiles() {
+    assert_umon_tracks_mattson(600_000);
+}
+
+fn assert_umon_tracks_mattson(accesses: usize) {
     for name in ["libquantum", "omnetpp", "mcf", "gobmk"] {
         let app = scaled_profile(name);
         let llc = talus_sim::mb_to_lines(2.0 * talus_integration::TEST_SCALE).max(256);
         let mut umon = UmonPair::with_sets(llc, 64, 5);
         let mut mattson = MattsonMonitor::new(llc * 4);
         let mut gen = app.generator(3, 0);
-        for _ in 0..600_000 {
+        for _ in 0..accesses {
             let l = gen.next_line();
             umon.record(l);
             mattson.record(l);
@@ -38,12 +57,28 @@ fn umon_tracks_mattson_across_profiles() {
 
 /// Corollary 7: optimal replacement is convex. Verified empirically: MIN's
 /// measured miss curve on a mixed trace has no cliffs (hull ≈ curve).
+///
+/// A cyclic scan is scale-free — miss rates depend on the cache size as
+/// a fraction of the scanned lines and on the number of laps — so the
+/// tier-1 run scans an eighth of the lines for the same ≈130 laps, and
+/// the caches (fully associative, a linear search per access) are an
+/// eighth the width: the same twelve points of the same curve.
 #[test]
 fn belady_min_curve_is_convex() {
+    assert_belady_min_is_convex_on_a_scan(192, 25_000);
+}
+
+#[test]
+#[ignore = "long stream; CI runs it in release"]
+fn full_length_belady_min_curve_is_convex() {
+    assert_belady_min_is_convex_on_a_scan(1536, 200_000);
+}
+
+fn assert_belady_min_is_convex_on_a_scan(lines: u64, accesses: usize) {
     // A scan-heavy trace that gives LRU a sharp cliff.
-    let trace: Vec<_> = scan_trace(1536, 200_000);
+    let trace: Vec<_> = scan_trace(lines, accesses);
     let next = annotate_next_uses(&trace);
-    let sizes: Vec<u64> = (1..=12).map(|i| i * 128).collect();
+    let sizes: Vec<u64> = (1..=12).map(|i| i * lines / 12).collect();
     let mut points = vec![(0.0, 1.0)];
     for &size in &sizes {
         let mut cache = SetAssocCache::with_geometry(1, size as usize, Belady::new(), 1);
