@@ -9,8 +9,8 @@ use talus_sim::part::{
 };
 use talus_sim::policy::{Lru, PolicyKind};
 use talus_sim::{
-    AccessCtx, CacheModel, FullyAssocLru, LineAddr, PartitionId, SetAssocCache, TalusCache,
-    TalusCacheConfig,
+    AccessCtx, CacheModel, FastMod32, FullyAssocLru, H3Bank, H3Hasher, LineAddr, PartitionId,
+    SetAssocCache, TalusCache, TalusCacheConfig,
 };
 
 const CACHE_LINES: u64 = 16384;
@@ -182,8 +182,80 @@ fn bench_organisations(c: &mut Criterion) {
     g.finish();
 }
 
+/// The two primitives under every hashed structure's access path: 16 H3
+/// functions of one address (a 16-way skewed array's candidate rows) as
+/// 16 independent hashers against one 16-lane bank, and `hash % rows`
+/// as a hardware divide against the precomputed-reciprocal form.
+fn bench_hash_primitives(c: &mut Criterion) {
+    // Multicore-style addresses: an app base in the high bytes.
+    let stream: Vec<u64> = synthetic_stream(STREAM, 8192, 32768, 7)
+        .into_iter()
+        .map(|l| (3 << 44) | l)
+        .collect();
+    let seeds: Vec<u64> = (1..=16u64).map(|w| 3 + 0x1234_5678 * w).collect();
+
+    let mut g = c.benchmark_group("h3");
+    g.throughput(Throughput::Elements(STREAM as u64));
+    g.bench_function("16_hashers", |b| {
+        let hashers: Vec<H3Hasher> = seeds.iter().map(|&s| H3Hasher::new(32, s)).collect();
+        b.iter(|| {
+            let mut acc = 0u64;
+            for &l in &stream {
+                for h in &hashers {
+                    acc ^= h.hash(l);
+                }
+            }
+            black_box(acc)
+        })
+    });
+    g.bench_function("bank_16", |b| {
+        let bank = H3Bank::new(&seeds);
+        b.iter(|| {
+            let mut acc = 0u32;
+            let mut lanes = [0u32; 16];
+            for &l in &stream {
+                bank.hash_into(l, &mut lanes);
+                for h in lanes {
+                    acc ^= h;
+                }
+            }
+            black_box(acc)
+        })
+    });
+    g.finish();
+
+    // 1023 rows: what a 16-way, 16368-line skewed array divides by.
+    let hashes: Vec<u32> = {
+        let h = H3Hasher::new(32, 5);
+        stream.iter().map(|&l| h.hash(l) as u32).collect()
+    };
+    let mut g = c.benchmark_group("fastmod");
+    g.throughput(Throughput::Elements(STREAM as u64));
+    g.bench_function("hardware_rem", |b| {
+        let rows = black_box(1023u64);
+        b.iter(|| {
+            let mut acc = 0u64;
+            for &h in &hashes {
+                acc += u64::from(h) % rows;
+            }
+            black_box(acc)
+        })
+    });
+    g.bench_function("fastmod32_rem", |b| {
+        let rows = FastMod32::new(black_box(1023));
+        b.iter(|| {
+            let mut acc = 0u64;
+            for &h in &hashes {
+                acc += u64::from(rows.rem(h));
+            }
+            black_box(acc)
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(name = benches; config = fast_criterion();
-    targets = bench_policies, bench_organisations);
+    targets = bench_policies, bench_organisations, bench_hash_primitives);
 
 fn fast_criterion() -> Criterion {
     Criterion::default()

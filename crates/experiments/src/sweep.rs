@@ -79,7 +79,7 @@ pub fn policy_curve(
     const BLOCK: usize = 1024;
     let scaled = profile.scaled(scale.footprint);
     let ctx = AccessCtx::new();
-    let mut buf = Vec::with_capacity(BLOCK);
+    let mut buf = vec![LineAddr(0); BLOCK];
     grid_paper_mb
         .iter()
         .map(|&mb| {
@@ -90,9 +90,8 @@ pub fn policy_curve(
                 let mut left = accesses;
                 while left > 0 {
                     let n = left.min(BLOCK as u64) as usize;
-                    buf.clear();
-                    buf.extend((0..n).map(|_| gen.next_line()));
-                    cache.access_block(&buf, &ctx);
+                    gen.fill(&mut buf[..n]);
+                    cache.access_block(&buf[..n], &ctx);
                     left -= n as u64;
                 }
             };
@@ -270,14 +269,13 @@ where
     let ctx = AccessCtx::new();
     let mut talus = TalusSingleCache::new(cache, monitor, interval, config);
     let mut gen = scaled_profile.generator(seed, 0);
-    let mut buf = Vec::with_capacity(BLOCK);
+    let mut buf = vec![LineAddr(0); BLOCK];
     let mut drive = |talus: &mut TalusSingleCache<C, M>, accesses: u64| {
         let mut left = accesses;
         while left > 0 {
             let n = left.min(BLOCK as u64) as usize;
-            buf.clear();
-            buf.extend((0..n).map(|_| gen.next_line()));
-            talus.access_block(&buf, &ctx);
+            gen.fill(&mut buf[..n]);
+            talus.access_block(&buf[..n], &ctx);
             left -= n as u64;
         }
     };

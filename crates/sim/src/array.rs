@@ -2,7 +2,7 @@
 //! fully-associative LRU used for idealised partitions.
 
 use crate::addr::LineAddr;
-use crate::hasher::{H3Hasher, LineHashBuilder};
+use crate::hasher::{FastMod32, H3Hasher, LineHashBuilder};
 use crate::policy::{AccessCtx, ReplacementPolicy};
 use crate::stats::{AccessResult, CacheStats};
 use std::collections::HashMap;
@@ -105,6 +105,8 @@ pub struct SetAssocCache<P> {
     tags: Vec<u64>,
     policy: P,
     hasher: H3Hasher,
+    /// `hash % sets`, divide-free.
+    set_index: FastMod32,
     stats: CacheStats,
     /// `[0, 1, …, ways-1]`, precomputed so a full-set eviction does not
     /// allocate a candidate vector on every miss.
@@ -134,10 +136,12 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero.
+    /// Panics if `sets` or `ways` is zero, or `sets` exceeds `u32::MAX`
+    /// (sets are indexed by a 32-bit hash).
     pub fn with_geometry(sets: usize, ways: usize, mut policy: P, seed: u64) -> Self {
         assert!(sets > 0, "set count must be positive");
         assert!(ways > 0, "associativity must be positive");
+        let set_index = FastMod32::new(u32::try_from(sets).expect("set count must fit in 32 bits"));
         policy.attach(sets, ways);
         SetAssocCache {
             sets,
@@ -145,6 +149,7 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
             tags: vec![INVALID_TAG; sets * ways],
             policy,
             hasher: H3Hasher::new(32, seed),
+            set_index,
             stats: CacheStats::new(),
             all_ways: (0..ways).collect(),
         }
@@ -168,11 +173,14 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
     /// Set index for a line (H3-hashed).
     #[inline]
     pub fn set_of(&self, line: LineAddr) -> usize {
-        if self.sets == 1 {
-            0
-        } else {
-            (self.hasher.hash_line(line) % self.sets as u64) as usize
-        }
+        // The hasher has 32 output bits, so the cast keeps all of them.
+        self.set_of_hash(self.hasher.hash_line(line) as u32)
+    }
+
+    /// Set index for a line whose set hash is `hash`.
+    #[inline]
+    fn set_of_hash(&self, hash: u32) -> usize {
+        self.set_index.rem(hash) as usize
     }
 
     /// The access path without the stats update, shared by
@@ -181,7 +189,11 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
     /// split walked the ways twice on every miss).
     #[inline]
     fn access_inner(&mut self, line: LineAddr, ctx: &AccessCtx) -> AccessResult {
-        let set = self.set_of(line);
+        self.access_in_set(self.set_of(line), line, ctx)
+    }
+
+    #[inline]
+    fn access_in_set(&mut self, set: usize, line: LineAddr, ctx: &AccessCtx) -> AccessResult {
         let ctx = &ctx.with_line(line); // signature-based policies need the address
         probe_set(
             &mut self.tags,
@@ -192,6 +204,46 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
             &self.all_ways,
             ctx,
         )
+    }
+}
+
+/// Entry points for an owner that hashes each line for many caches at
+/// once (one [`H3Bank`](crate::hasher::H3Bank) lane per cache, seeded like
+/// the cache): the caller supplies the set hash and the cache skips its
+/// own. Bit-for-bit the plain paths.
+impl<P: ReplacementPolicy> SetAssocCache<P> {
+    /// [`access`](CacheModel::access) with `hash` = this cache's set hash
+    /// of `line`.
+    #[inline]
+    pub(crate) fn access_hashed(
+        &mut self,
+        line: LineAddr,
+        hash: u32,
+        ctx: &AccessCtx,
+    ) -> AccessResult {
+        debug_assert_eq!(u64::from(hash), self.hasher.hash_line(line));
+        let result = self.access_in_set(self.set_of_hash(hash), line, ctx);
+        self.stats.record(result);
+        result
+    }
+
+    /// [`access_block`](CacheModel::access_block) with `hash_of(k)` =
+    /// this cache's set hash of `lines[k]`.
+    pub(crate) fn access_block_hashed(
+        &mut self,
+        lines: &[LineAddr],
+        hash_of: impl Fn(usize) -> u32,
+        ctx: &AccessCtx,
+    ) {
+        let mut hits = 0u64;
+        for (k, &line) in lines.iter().enumerate() {
+            let hash = hash_of(k);
+            debug_assert_eq!(u64::from(hash), self.hasher.hash_line(line));
+            if self.access_in_set(self.set_of_hash(hash), line, ctx) == AccessResult::Hit {
+                hits += 1;
+            }
+        }
+        self.stats.record_block(hits, lines.len() as u64 - hits);
     }
 }
 

@@ -138,6 +138,223 @@ impl H3Hasher {
     }
 }
 
+/// `N` 32-bit H3 functions of one input, evaluated in a single pass.
+///
+/// A structure that hashes the same address with several H3 functions —
+/// the `W` skewed ways of [`VantageLike`](crate::part::VantageLike), a
+/// UMON's filter and set hashes, the set indices of a
+/// [`CurveSampler`](crate::monitor::CurveSampler)'s monitors — would
+/// otherwise walk the input's bytes through `N` independent 16 KB tables.
+/// The bank packs the functions lane-wise instead, in blocks of 16 lanes
+/// (then 4, for the remainder): `block[j][b]` is one row of `u32`s, the
+/// contribution of input byte `j = b` to every lane of the block, so a
+/// hash is a lane-wise XOR of one row per input byte — vector loads and
+/// XORs, with the block's lanes held in registers throughout. Zero bytes
+/// contribute nothing (`block[j][0] = 0`, H3 is linear), and a line
+/// number's high bytes are mostly zero.
+///
+/// Lane `i` is [`H3Hasher::new(32, seeds[i])`](H3Hasher::new)`.hash`, bit
+/// for bit — the bank is a layout, not a new hash family, and
+/// [`H3Hasher::hash_reference`] stays the oracle it is tested against.
+///
+/// # Examples
+///
+/// ```
+/// use talus_sim::{H3Bank, H3Hasher};
+/// let seeds = [7, 8, 9, 10];
+/// let bank = H3Bank::new(&seeds);
+/// let mut lanes = [0u32; 4];
+/// let line = (3 << 44) | 0x1234;
+/// bank.hash_into(line, &mut lanes);
+/// for (lane, &seed) in lanes.iter().zip(&seeds) {
+///     let single = H3Hasher::new(32, seed);
+///     assert_eq!(u64::from(*lane), single.hash(line));
+///     assert_eq!(u64::from(*lane), single.hash_reference(line));
+/// }
+/// ```
+#[derive(Clone)]
+pub struct H3Bank {
+    lanes: usize,
+    /// Lanes `16k .. 16k + 16`, for every whole sixteen.
+    wide: Box<[Block<16>]>,
+    /// The remaining lanes in fours; spare lanes of the last are zero.
+    narrow: Box<[Block<4>]>,
+}
+
+/// `block[j][b][i]`: the XOR-contribution of input byte `j` having value
+/// `b` to the block's lane `i`. Fixed-size all the way down, so a lookup
+/// by byte index and byte value needs no bounds check.
+type Block<const W: usize> = [[[u32; W]; 256]; 8];
+
+impl std::fmt::Debug for H3Bank {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The tables are derived state (8 KB per lane); don't dump them.
+        f.debug_struct("H3Bank")
+            .field("lanes", &self.lanes)
+            .finish_non_exhaustive()
+    }
+}
+
+impl H3Bank {
+    /// Builds a bank whose lane `i` is the 32-bit H3 function seeded with
+    /// `seeds[i]` (8 KB of tables per lane; lanes past the last whole
+    /// sixteen are padded to a multiple of four).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seeds` is empty.
+    pub fn new(seeds: &[u64]) -> Self {
+        let lanes = seeds.len();
+        assert!(lanes > 0, "an H3 bank needs at least one lane");
+        let mut wide = vec![[[[0u32; 16]; 256]; 8]; lanes / 16].into_boxed_slice();
+        let mut narrow = vec![[[[0u32; 4]; 256]; 8]; (lanes % 16).div_ceil(4)].into_boxed_slice();
+        for (i, &seed) in seeds.iter().enumerate() {
+            let single = H3Hasher::new(32, seed);
+            for (j, table) in single.tables.iter().enumerate() {
+                for (b, &entry) in table.iter().enumerate() {
+                    if i / 16 < wide.len() {
+                        wide[i / 16][j][b][i % 16] = entry as u32;
+                    } else {
+                        narrow[i % 16 / 4][j][b][i % 4] = entry as u32;
+                    }
+                }
+            }
+        }
+        H3Bank {
+            lanes,
+            wide,
+            narrow,
+        }
+    }
+
+    /// Number of lanes.
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Hashes `value` with every lane: `out[i]` receives lane `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.lanes()`.
+    #[inline(always)]
+    pub fn hash_into(&self, value: u64, out: &mut [u32]) {
+        assert_eq!(out.len(), self.lanes, "one output slot per lane");
+        // Block counts are spelled in terms of `out.len()` so that a
+        // caller with a fixed-size `out` (a UMON's `[u32; 4]`) gets
+        // straight-line code.
+        let (wide_out, narrow_out) = out.split_at_mut(out.len() / 16 * 16);
+        let wide = &self.wide[..wide_out.len() / 16];
+        let narrow = &self.narrow[..narrow_out.len().div_ceil(4)];
+        for (block, lanes) in wide.iter().zip(wide_out.chunks_exact_mut(16)) {
+            lanes.copy_from_slice(&Self::walk(block, value));
+        }
+        for (block, lanes) in narrow.iter().zip(narrow_out.chunks_mut(4)) {
+            lanes.copy_from_slice(&Self::walk(block, value)[..lanes.len()]);
+        }
+    }
+
+    /// All `W` lanes of one block: the XOR of one row per input byte.
+    #[inline(always)]
+    fn walk<const W: usize>(block: &Block<W>, value: u64) -> [u32; W] {
+        let row = |j: usize| &block[j][(value >> (8 * j)) as u8 as usize];
+        let xor_into = |acc: &mut [u32; W], row: &[u32; W]| {
+            for i in 0..W {
+                acc[i] ^= row[i];
+            }
+        };
+        // The three low bytes — every line of a 1 GB region — go through
+        // unconditionally: whether byte 1 or 2 happens to be zero flips
+        // from access to access, and a mispredicted skip costs more than
+        // XOR-ing a row of zeros.
+        let mut acc = *row(0);
+        xor_into(&mut acc, row(1));
+        xor_into(&mut acc, row(2));
+        // The upper bytes are a region tag (an app's base): steady from
+        // access to access and mostly zero, and a zero byte's row is all
+        // zeros (H3 is linear).
+        if W > 4 {
+            // Wide rows are several vector loads: jump from one non-zero
+            // byte to the next and never load a zero row.
+            let mut rest = value & !0xFF_FFFF;
+            while rest != 0 {
+                let j = rest.trailing_zeros() as usize / 8;
+                xor_into(&mut acc, row(j & 7));
+                rest &= !(0xFF << (8 * j));
+            }
+        } else {
+            // A narrow row is one vector load: five of them cost less
+            // than one mispredicted jump.
+            for j in 3..8 {
+                xor_into(&mut acc, row(j));
+            }
+        }
+        acc
+    }
+}
+
+/// Exact `a % d` and `a % d == 0` for 32-bit operands without a divide.
+///
+/// Set and row indices are `hash % sets` with `sets` fixed at
+/// construction — a hardware divide (tens of cycles) on every access for
+/// a divisor that never changes. With `m = ⌈2⁶⁴ / d⌉` precomputed, the
+/// low 64 bits of `m · a` hold the fractional part of `a / d`, so
+/// `a % d = ⌊(m · a mod 2⁶⁴) · d / 2⁶⁴⌋` and `d | a ⇔ m · a mod 2⁶⁴ < m`
+/// (Lemire, Kaser & Kurz, *Faster remainder by direct computation*, 2019)
+/// — two multiplies, exact for **every** `u32` dividend and every
+/// non-zero `u32` divisor, powers of two included.
+///
+/// # Examples
+///
+/// ```
+/// use talus_sim::FastMod32;
+/// let sets = FastMod32::new(75);
+/// assert_eq!(sets.rem(1234), 1234 % 75);
+/// assert_eq!(sets.rem(u32::MAX), u32::MAX % 75);
+/// assert!(sets.divides(150) && !sets.divides(151));
+/// assert_eq!(sets.divisor(), 75);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FastMod32 {
+    divisor: u32,
+    /// `⌈2⁶⁴ / divisor⌉` modulo 2⁶⁴ (0 for a divisor of 1, for which
+    /// every remainder is 0 and the formulas below still hold).
+    reciprocal: u64,
+}
+
+impl FastMod32 {
+    /// Precomputes the reciprocal of `divisor`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `divisor` is zero.
+    pub fn new(divisor: u32) -> Self {
+        assert!(divisor > 0, "modulus must be positive");
+        FastMod32 {
+            divisor,
+            reciprocal: (u64::MAX / u64::from(divisor)).wrapping_add(1),
+        }
+    }
+
+    /// `a % divisor`.
+    #[inline]
+    pub fn rem(&self, a: u32) -> u32 {
+        let fraction = self.reciprocal.wrapping_mul(u64::from(a));
+        ((u128::from(fraction) * u128::from(self.divisor)) >> 64) as u32
+    }
+
+    /// `a % divisor == 0`.
+    #[inline]
+    pub fn divides(&self, a: u32) -> bool {
+        self.reciprocal.wrapping_mul(u64::from(a)) <= self.reciprocal.wrapping_sub(1)
+    }
+
+    /// The divisor this was built for.
+    pub fn divisor(&self) -> u32 {
+        self.divisor
+    }
+}
+
 // H3 is the *hardware-faithful* hash — a mask-and-parity network cheap in
 // gates but, in software, a loop of table lookups. Monitors on the
 // software hot path (the Mattson `last_seen` map, the SHARDS-style
@@ -269,12 +486,43 @@ impl ShadowSampler {
     }
 }
 
+/// The 1-in-`ratio` acceptance test on a 32-bit hash: `hash % ratio == 0`,
+/// divide-free. Shared by [`SampleFilter`] and the UMON arrays (whose
+/// filter hash is a lane of their [`H3Bank`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SampleRatio {
+    ratio: u64,
+    /// `None` for a ratio past 32 bits, which only hash 0 is a multiple of.
+    modulus: Option<FastMod32>,
+}
+
+impl SampleRatio {
+    /// # Panics
+    ///
+    /// Panics if `ratio` is zero.
+    pub(crate) fn new(ratio: u64) -> Self {
+        assert!(ratio > 0, "sampling ratio must be positive");
+        SampleRatio {
+            ratio,
+            modulus: u32::try_from(ratio).ok().map(FastMod32::new),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn accepts(&self, hash: u32) -> bool {
+        match &self.modulus {
+            Some(modulus) => modulus.divides(hash),
+            None => hash == 0,
+        }
+    }
+}
+
 /// A hash-based set-sampling filter, as used by UMONs: accepts a
 /// deterministic pseudo-random `1/ratio` fraction of lines.
 #[derive(Debug, Clone)]
 pub struct SampleFilter {
     hasher: H3Hasher,
-    ratio: u64,
+    ratio: SampleRatio,
 }
 
 impl SampleFilter {
@@ -284,21 +532,21 @@ impl SampleFilter {
     ///
     /// Panics if `ratio` is zero.
     pub fn new(ratio: u64, seed: u64) -> Self {
-        assert!(ratio > 0, "sampling ratio must be positive");
         SampleFilter {
             hasher: H3Hasher::new(32, seed),
-            ratio,
+            ratio: SampleRatio::new(ratio),
         }
     }
 
     /// Whether this line is in the sample.
     pub fn accepts(&self, line: LineAddr) -> bool {
-        self.ratio == 1 || self.hasher.hash_line(line).is_multiple_of(self.ratio)
+        // The hasher has 32 output bits, so the cast keeps all of them.
+        self.ratio.accepts(self.hasher.hash_line(line) as u32)
     }
 
     /// The configured ratio (the filter accepts ~1/ratio of lines).
     pub fn ratio(&self) -> u64 {
-        self.ratio
+        self.ratio.ratio
     }
 }
 
@@ -346,6 +594,68 @@ mod tests {
                 assert_eq!(h.hash(edge), h.hash_reference(edge));
             }
         }
+    }
+
+    #[test]
+    fn h3_bank_matches_single_hashers_at_block_edges() {
+        // 21 lanes: one 16-lane block, one full 4-lane block, one block
+        // with three spare lanes. (Widths and inputs at large are
+        // property-tested in tests/properties.rs.)
+        let seeds: Vec<u64> = (0..21).map(|i| 0xFEED + 977 * i).collect();
+        let bank = H3Bank::new(&seeds);
+        assert_eq!(bank.lanes(), 21);
+        let mut out = [0u32; 21];
+        for v in [
+            0,
+            0x12_3456,
+            (3 << 44) | 0x1234,
+            0xFF00_0000_0000_00FF,
+            u64::MAX,
+        ] {
+            bank.hash_into(v, &mut out);
+            for (lane, &seed) in out.iter().zip(&seeds) {
+                assert_eq!(u64::from(*lane), H3Hasher::new(32, seed).hash_reference(v));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one lane")]
+    fn h3_bank_rejects_no_lanes() {
+        H3Bank::new(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one output slot per lane")]
+    fn h3_bank_rejects_wrong_output_width() {
+        H3Bank::new(&[1, 2, 3]).hash_into(7, &mut [0u32; 4]);
+    }
+
+    #[test]
+    fn fastmod32_is_exact_around_every_small_divisor() {
+        for d in 1..=300u32 {
+            let fast = FastMod32::new(d);
+            for a in (0..2000).chain(u32::MAX - 2000..=u32::MAX) {
+                assert_eq!(fast.rem(a), a % d, "{a} % {d}");
+                assert_eq!(fast.divides(a), a % d == 0, "{d} | {a}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "modulus must be positive")]
+    fn fastmod32_rejects_zero() {
+        FastMod32::new(0);
+    }
+
+    #[test]
+    fn sample_ratio_past_32_bits_admits_only_hash_zero() {
+        // A 32-bit hash is a multiple of a wider ratio only when it is 0.
+        let wide = SampleRatio::new(1 << 33);
+        assert!(wide.accepts(0));
+        assert!(!wide.accepts(1) && !wide.accepts(u32::MAX));
+        let exact = SampleRatio::new(u64::from(u32::MAX));
+        assert!(exact.accepts(0) && exact.accepts(u32::MAX) && !exact.accepts(u32::MAX - 1));
     }
 
     #[test]

@@ -57,7 +57,9 @@ pub use addr::{
     LINE_BYTES,
 };
 pub use array::{CacheModel, FullyAssocLru, SetAssocCache};
-pub use hasher::{mix64, H3Hasher, LineHashBuilder, LineHasher, SampleFilter, ShadowSampler};
+pub use hasher::{
+    mix64, FastMod32, H3Bank, H3Hasher, LineHashBuilder, LineHasher, SampleFilter, ShadowSampler,
+};
 pub use policy::AccessCtx;
 pub use stats::{AccessResult, CacheStats};
 pub use talus_cache::{TalusCache, TalusCacheConfig, TalusSingleCache};

@@ -11,7 +11,7 @@
 use super::Monitor;
 use crate::addr::LineAddr;
 use crate::array::{CacheModel, SetAssocCache};
-use crate::hasher::mix64;
+use crate::hasher::{mix64, H3Bank};
 use crate::policy::{AccessCtx, AnyPolicy, PolicyKind, ReplacementPolicy};
 use talus_core::MissCurve;
 
@@ -30,7 +30,7 @@ struct Point {
 /// A bank of sampled monitors producing an N-point miss curve for an
 /// arbitrary replacement policy.
 ///
-/// All monitors share **one** hash: each address is mixed once
+/// All monitors share **one** sampling hash: each address is mixed once
 /// ([`mix64`]) and compared against per-point thresholds. Because the
 /// thresholds are nested — a line sampled at rate ρᵢ is sampled at every
 /// coarser rate ρⱼ > ρᵢ — the points form a telescoping family, points
@@ -38,7 +38,10 @@ struct Point {
 /// scan: a rejected monitor costs one compare and no stores. (The
 /// original formulation evaluated an independent `SampleFilter` H3 hash
 /// per point per access — 16 hashes per line for the paper's §VI-C SRRIP
-/// bank.) Built-in policies run statically dispatched ([`AnyPolicy`]);
+/// bank.) The monitors' *set-index* hashes are the lanes of one
+/// [`H3Bank`]: a sampled line is hashed for every monitor in one walk and
+/// each monitor is handed its set hash. Built-in policies run statically
+/// dispatched ([`AnyPolicy`]);
 /// [`with_policy`](CurveSampler::with_policy) keeps the dynamic escape
 /// hatch for custom policies.
 ///
@@ -61,11 +64,17 @@ pub struct CurveSampler {
     points: Vec<Point>,
     /// Seed of the bank's single sampling hash.
     hash_seed: u64,
+    /// Lane `i` is the set-index hash of `points[i].cache`.
+    set_hashes: H3Bank,
     accesses: u64,
     /// Reusable survivor buffers for [`record_block`](Monitor::record_block):
-    /// the lines still sampled at the current point, and their hashes.
+    /// the lines still sampled at the current point, their sampling
+    /// hashes, and the row of `scratch_sets` holding their set hashes.
     scratch_lines: Vec<LineAddr>,
     scratch_hashes: Vec<u64>,
+    scratch_rows: Vec<u32>,
+    /// `scratch_sets[row * points + i]`: lane `i` of a sampled line.
+    scratch_sets: Vec<u32>,
 }
 
 impl CurveSampler {
@@ -147,6 +156,7 @@ impl CurveSampler {
             modeled_sizes.windows(2).all(|w| w[0] < w[1]),
             "modelled sizes must be strictly increasing"
         );
+        let set_seed = |i: usize| seed.wrapping_add(1000 + i as u64);
         let points: Vec<Point> = modeled_sizes
             .iter()
             .enumerate()
@@ -168,7 +178,7 @@ impl CurveSampler {
                         cap,
                         ways,
                         factory(seed.wrapping_add(i as u64)),
-                        seed.wrapping_add(1000 + i as u64),
+                        set_seed(i),
                     ),
                 }
             })
@@ -176,12 +186,16 @@ impl CurveSampler {
         // Sizes ascend, so ratios ascend and thresholds descend — the
         // invariant the record loop's early exit depends on.
         debug_assert!(points.windows(2).all(|w| w[0].threshold >= w[1].threshold));
+        let set_seeds: Vec<u64> = (0..points.len()).map(set_seed).collect();
         CurveSampler {
+            scratch_sets: vec![0; points.len()],
             points,
             hash_seed: seed ^ 0x5A3D_1E6B_9C2F_84A7,
+            set_hashes: H3Bank::new(&set_seeds),
             accesses: 0,
             scratch_lines: Vec::new(),
             scratch_hashes: Vec::new(),
+            scratch_rows: Vec::new(),
         }
     }
 
@@ -218,13 +232,17 @@ impl Monitor for CurveSampler {
     fn record(&mut self, line: LineAddr) {
         self.accesses += 1;
         let h = mix64(self.hash_seed, line.value());
+        if h > self.points[0].threshold {
+            return; // nested filters: every finer-rate point also rejects
+        }
         let ctx = AccessCtx::new();
-        for p in &mut self.points {
+        let sets = &mut self.scratch_sets[..self.points.len()];
+        self.set_hashes.hash_into(line.value(), sets);
+        for (p, &set_hash) in self.points.iter_mut().zip(sets.iter()) {
             if h > p.threshold {
-                // Nested filters: every finer-rate point also rejects.
                 break;
             }
-            p.cache.access(line, &ctx);
+            p.cache.access_hashed(line, set_hash, &ctx);
         }
     }
 
@@ -238,20 +256,41 @@ impl Monitor for CurveSampler {
         // subset of the previous point's (nested filters), so the filter
         // work telescopes instead of rescanning the whole block per point,
         // and every point ingests its survivors as one contiguous block.
+        // The coarsest point's survivors are the only lines any monitor
+        // sees: those are hashed for every monitor's set index, once.
+        let coarsest = self.points[0].threshold;
         self.scratch_lines.clear();
-        self.scratch_lines.extend_from_slice(lines);
         self.scratch_hashes.clear();
-        self.scratch_hashes
-            .extend(lines.iter().map(|&l| mix64(seed, l.value())));
-        let mut live = lines.len();
-        let mut prev_threshold = u64::MAX;
-        for p in &mut self.points {
+        for &line in lines {
+            let h = mix64(seed, line.value());
+            if h <= coarsest {
+                self.scratch_lines.push(line);
+                self.scratch_hashes.push(h);
+            }
+        }
+        let mut live = self.scratch_lines.len();
+        let n = self.points.len();
+        self.scratch_rows.clear();
+        self.scratch_rows.extend(0..live as u32);
+        if self.scratch_sets.len() < live * n {
+            self.scratch_sets.resize(live * n, 0);
+        }
+        for (line, sets) in self
+            .scratch_lines
+            .iter()
+            .zip(self.scratch_sets.chunks_exact_mut(n))
+        {
+            self.set_hashes.hash_into(line.value(), sets);
+        }
+        let mut prev_threshold = coarsest;
+        for (i, p) in self.points.iter_mut().enumerate() {
             if p.threshold < prev_threshold {
                 let mut kept = 0;
-                for i in 0..live {
-                    if self.scratch_hashes[i] <= p.threshold {
-                        self.scratch_lines[kept] = self.scratch_lines[i];
-                        self.scratch_hashes[kept] = self.scratch_hashes[i];
+                for k in 0..live {
+                    if self.scratch_hashes[k] <= p.threshold {
+                        self.scratch_lines[kept] = self.scratch_lines[k];
+                        self.scratch_hashes[kept] = self.scratch_hashes[k];
+                        self.scratch_rows[kept] = self.scratch_rows[k];
                         kept += 1;
                     }
                 }
@@ -261,7 +300,12 @@ impl Monitor for CurveSampler {
             if live == 0 {
                 break; // finer points sample subsets: nothing left to see
             }
-            p.cache.access_block(&self.scratch_lines[..live], &ctx);
+            let (rows, sets) = (&self.scratch_rows, &self.scratch_sets);
+            p.cache.access_block_hashed(
+                &self.scratch_lines[..live],
+                |k| sets[rows[k] as usize * n + i],
+                &ctx,
+            );
         }
     }
 

@@ -14,8 +14,117 @@
 
 use super::Monitor;
 use crate::addr::LineAddr;
-use crate::hasher::{H3Hasher, SampleFilter};
+use crate::hasher::{FastMod32, H3Bank, SampleRatio};
 use talus_core::MissCurve;
+
+/// The tag array and counters of one utility monitor, fed lines that are
+/// already hashed: the owner ([`Umon`], [`UmonPair`]) evaluates every H3
+/// function of its arrays in one [`H3Bank`] walk.
+#[derive(Debug, Clone)]
+struct UmonArray {
+    /// LRU stacks, MRU first: `stacks[set]` holds up to `ways` tags.
+    stacks: Vec<Vec<u64>>,
+    ways: usize,
+    /// Hit counter per stack depth (0 = MRU).
+    way_hits: Vec<u64>,
+    misses: u64,
+    sampled: u64,
+    /// Each monitored line stands for `lines_per_entry` lines of the
+    /// modelled cache; one in that many lines is sampled.
+    lines_per_entry: u64,
+    filter: SampleRatio,
+    /// `hash % sets`, divide-free.
+    set_index: FastMod32,
+}
+
+impl UmonArray {
+    /// The H3 seeds of a monitor seeded with `seed`: its sampling-filter
+    /// hash, then its set-index hash.
+    fn lane_seeds(seed: u64) -> [u64; 2] {
+        [seed ^ 0xA5A5, seed ^ 0x5A5A]
+    }
+
+    fn new(modeled_lines: u64, monitor_sets: usize, ways: usize) -> Self {
+        assert!(modeled_lines > 0, "modelled capacity must be positive");
+        assert!(
+            monitor_sets > 0 && ways > 0,
+            "monitor geometry must be positive"
+        );
+        let entries = (monitor_sets * ways) as u64;
+        let ratio = modeled_lines.div_ceil(entries);
+        UmonArray {
+            stacks: vec![Vec::with_capacity(ways); monitor_sets],
+            ways,
+            way_hits: vec![0; ways],
+            misses: 0,
+            sampled: 0,
+            lines_per_entry: ratio,
+            filter: SampleRatio::new(ratio),
+            set_index: FastMod32::new(
+                u32::try_from(monitor_sets).expect("monitor set count must fit in 32 bits"),
+            ),
+        }
+    }
+
+    fn lines_per_way(&self) -> u64 {
+        self.lines_per_entry * self.stacks.len() as u64
+    }
+
+    fn modeled_lines(&self) -> u64 {
+        self.lines_per_way() * self.ways as u64
+    }
+
+    fn curve_points(&self) -> Vec<(u64, f64)> {
+        let total = self.sampled.max(1) as f64;
+        let mut points = Vec::with_capacity(self.ways + 1);
+        points.push((0, 1.0));
+        let mut hits = 0u64;
+        for k in 0..self.ways {
+            hits += self.way_hits[k];
+            points.push((
+                (k as u64 + 1) * self.lines_per_way(),
+                (self.sampled - hits) as f64 / total,
+            ));
+        }
+        points
+    }
+
+    /// Observes `line`, whose sampling-filter and set-index hashes (the
+    /// [`lane_seeds`](Self::lane_seeds) functions) are given.
+    #[inline(always)]
+    fn record_hashed(&mut self, line: LineAddr, filter_hash: u32, set_hash: u32) {
+        // Most lines stop here: keep the test in the caller's loop.
+        if self.filter.accepts(filter_hash) {
+            self.record_sampled(line, set_hash);
+        }
+    }
+
+    /// Observes a line the sampling filter let through.
+    fn record_sampled(&mut self, line: LineAddr, set_hash: u32) {
+        self.sampled += 1;
+        let stack = &mut self.stacks[self.set_index.rem(set_hash) as usize];
+        let tag = line.value();
+        match stack.iter().position(|&t| t == tag) {
+            Some(depth) => {
+                self.way_hits[depth] += 1;
+                stack.remove(depth);
+                stack.insert(0, tag);
+            }
+            None => {
+                self.misses += 1;
+                stack.insert(0, tag);
+                stack.truncate(self.ways);
+            }
+        }
+    }
+
+    fn reset(&mut self) {
+        self.way_hits.fill(0);
+        self.misses = 0;
+        self.sampled = 0;
+        // Tag stacks stay warm across intervals, like the hardware.
+    }
+}
 
 /// A single utility monitor.
 ///
@@ -35,18 +144,9 @@ use talus_core::MissCurve;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Umon {
-    /// LRU stacks, MRU first: `stacks[set]` holds up to `ways` tags.
-    stacks: Vec<Vec<u64>>,
-    ways: usize,
-    /// Hit counter per stack depth (0 = MRU).
-    way_hits: Vec<u64>,
-    misses: u64,
-    sampled: u64,
-    /// Each monitored line stands for `lines_per_entry` lines of the
-    /// modelled cache.
-    lines_per_entry: u64,
-    filter: SampleFilter,
-    set_hasher: H3Hasher,
+    array: UmonArray,
+    /// Lanes: sampling filter, set index.
+    hashes: H3Bank,
 }
 
 impl Umon {
@@ -58,74 +158,34 @@ impl Umon {
     ///
     /// Panics if any argument is zero.
     pub fn new(modeled_lines: u64, monitor_sets: usize, ways: usize, seed: u64) -> Self {
-        assert!(modeled_lines > 0, "modelled capacity must be positive");
-        assert!(
-            monitor_sets > 0 && ways > 0,
-            "monitor geometry must be positive"
-        );
-        let entries = (monitor_sets * ways) as u64;
-        let ratio = modeled_lines.div_ceil(entries);
         Umon {
-            stacks: vec![Vec::with_capacity(ways); monitor_sets],
-            ways,
-            way_hits: vec![0; ways],
-            misses: 0,
-            sampled: 0,
-            lines_per_entry: ratio,
-            filter: SampleFilter::new(ratio.max(1), seed ^ 0xA5A5),
-            set_hasher: H3Hasher::new(32, seed ^ 0x5A5A),
+            array: UmonArray::new(modeled_lines, monitor_sets, ways),
+            hashes: H3Bank::new(&UmonArray::lane_seeds(seed)),
         }
     }
 
     /// The capacity (in lines) one full way of this monitor stands for.
     pub fn lines_per_way(&self) -> u64 {
-        self.lines_per_entry * self.stacks.len() as u64
+        self.array.lines_per_way()
     }
 
     /// The total modelled capacity in lines.
     pub fn modeled_lines(&self) -> u64 {
-        self.lines_per_way() * self.ways as u64
+        self.array.modeled_lines()
     }
 
     /// Raw curve points `(lines, misses-per-sampled-access)` at way
     /// granularity, starting at `(0, 1.0)`.
     pub fn curve_points(&self) -> Vec<(u64, f64)> {
-        let total = self.sampled.max(1) as f64;
-        let mut points = Vec::with_capacity(self.ways + 1);
-        points.push((0, 1.0));
-        let mut hits = 0u64;
-        for k in 0..self.ways {
-            hits += self.way_hits[k];
-            points.push((
-                (k as u64 + 1) * self.lines_per_way(),
-                (self.sampled - hits) as f64 / total,
-            ));
-        }
-        points
+        self.array.curve_points()
     }
 }
 
 impl Monitor for Umon {
     fn record(&mut self, line: LineAddr) {
-        if !self.filter.accepts(line) {
-            return;
-        }
-        self.sampled += 1;
-        let set = (self.set_hasher.hash_line(line) % self.stacks.len() as u64) as usize;
-        let stack = &mut self.stacks[set];
-        let tag = line.value();
-        match stack.iter().position(|&t| t == tag) {
-            Some(depth) => {
-                self.way_hits[depth] += 1;
-                stack.remove(depth);
-                stack.insert(0, tag);
-            }
-            None => {
-                self.misses += 1;
-                stack.insert(0, tag);
-                stack.truncate(self.ways);
-            }
-        }
+        let mut h = [0u32; 2];
+        self.hashes.hash_into(line.value(), &mut h);
+        self.array.record_hashed(line, h[0], h[1]);
     }
 
     fn curve(&self) -> MissCurve {
@@ -134,23 +194,24 @@ impl Monitor for Umon {
     }
 
     fn sampled_accesses(&self) -> u64 {
-        self.sampled
+        self.array.sampled
     }
 
     fn reset(&mut self) {
-        self.way_hits.fill(0);
-        self.misses = 0;
-        self.sampled = 0;
-        // Tag stacks stay warm across intervals, like the hardware.
+        self.array.reset();
     }
 }
 
 /// The paper's two-monitor arrangement: a conventional UMON covering the
 /// LLC size plus a 16×-sparser, 16-way monitor covering 4× the LLC size.
+/// Both arrays' filter and set hashes come from one 4-lane [`H3Bank`]
+/// walk per line.
 #[derive(Debug, Clone)]
 pub struct UmonPair {
-    near: Umon,
-    far: Umon,
+    near: UmonArray,
+    far: UmonArray,
+    /// Lanes: near filter, near set index, far filter, far set index.
+    hashes: H3Bank,
 }
 
 impl UmonPair {
@@ -170,9 +231,12 @@ impl UmonPair {
     ///
     /// Panics if `sets` is zero.
     pub fn with_sets(llc_lines: u64, sets: usize, seed: u64) -> Self {
+        let [near_filter, near_set] = UmonArray::lane_seeds(seed);
+        let [far_filter, far_set] = UmonArray::lane_seeds(seed.wrapping_add(1));
         UmonPair {
-            near: Umon::new(llc_lines, sets, 64, seed),
-            far: Umon::new(llc_lines * 4, sets, 16, seed.wrapping_add(1)),
+            near: UmonArray::new(llc_lines, sets, 64),
+            far: UmonArray::new(llc_lines * 4, sets, 16),
+            hashes: H3Bank::new(&[near_filter, near_set, far_filter, far_set]),
         }
     }
 
@@ -184,8 +248,10 @@ impl UmonPair {
 
 impl Monitor for UmonPair {
     fn record(&mut self, line: LineAddr) {
-        self.near.record(line);
-        self.far.record(line);
+        let mut h = [0u32; 4];
+        self.hashes.hash_into(line.value(), &mut h);
+        self.near.record_hashed(line, h[0], h[1]);
+        self.far.record_hashed(line, h[2], h[3]);
     }
 
     fn curve(&self) -> MissCurve {
@@ -205,7 +271,7 @@ impl Monitor for UmonPair {
     }
 
     fn sampled_accesses(&self) -> u64 {
-        self.near.sampled_accesses()
+        self.near.sampled
     }
 
     fn reset(&mut self) {

@@ -22,9 +22,8 @@
 //! skew-associative (each way indexes through its own H3 hash), giving
 //! the high effective associativity both schemes need for Assumption 2.
 
-use super::PartitionedCacheModel;
+use super::{PartitionedCacheModel, SkewedIndex, MAX_SKEWED_WAYS};
 use crate::addr::{LineAddr, PartitionId};
-use crate::hasher::H3Hasher;
 use crate::policy::AccessCtx;
 use crate::stats::{AccessResult, CacheStats};
 
@@ -55,8 +54,7 @@ const LAMBDA_MAX: f64 = 1e4;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FutilityScaled {
-    rows: usize,
-    ways: usize,
+    index: SkewedIndex,
     tags: Vec<u64>,
     owner: Vec<u32>,
     stamp: Vec<u64>,
@@ -64,7 +62,6 @@ pub struct FutilityScaled {
     targets: Vec<u64>,
     occupancy: Vec<u64>,
     lambda: Vec<f64>,
-    hashers: Vec<H3Hasher>,
     stats: Vec<CacheStats>,
 }
 
@@ -76,21 +73,15 @@ impl FutilityScaled {
     ///
     /// # Panics
     ///
-    /// Panics if the capacity is not a positive multiple of `ways` or
-    /// `partitions` is zero.
+    /// Panics if the capacity is not a positive multiple of `ways`,
+    /// `ways` is above 64 (the candidate buffer holds that many), there
+    /// are more than `u32::MAX` rows, or `partitions` is zero.
     pub fn new(capacity_lines: u64, ways: usize, partitions: usize, seed: u64) -> Self {
-        assert!(capacity_lines > 0, "capacity must be positive");
-        assert!(ways > 0, "associativity must be positive");
         assert!(partitions > 0, "partition count must be positive");
-        assert!(
-            capacity_lines.is_multiple_of(ways as u64),
-            "capacity must be a multiple of ways"
-        );
-        let rows = (capacity_lines / ways as u64) as usize;
-        let slots = rows * ways;
+        let index = SkewedIndex::new(capacity_lines, ways, seed, 0x5CA1_AB1E);
+        let slots = index.slots();
         FutilityScaled {
-            rows,
-            ways,
+            index,
             tags: vec![INVALID_TAG; slots],
             owner: vec![NO_OWNER; slots],
             stamp: vec![0; slots],
@@ -98,9 +89,6 @@ impl FutilityScaled {
             targets: vec![0; partitions],
             occupancy: vec![0; partitions],
             lambda: vec![1.0; partitions],
-            hashers: (0..ways)
-                .map(|w| H3Hasher::new(32, seed.wrapping_add(0x5CA1_AB1E * (w as u64 + 1))))
-                .collect(),
             stats: vec![CacheStats::new(); partitions],
         }
     }
@@ -113,15 +101,6 @@ impl FutilityScaled {
     /// The partition's current futility scaling factor λ.
     pub fn scaling_factor(&self, part: PartitionId) -> f64 {
         self.lambda[part.index()]
-    }
-
-    fn slot(&self, line: LineAddr, w: usize) -> usize {
-        let row = if self.rows == 1 {
-            0
-        } else {
-            (self.hashers[w].hash_line(line) % self.rows as u64) as usize
-        };
-        row * self.ways + w
     }
 
     /// Victim selection: the candidate with the highest scaled futility
@@ -171,10 +150,11 @@ impl FutilityScaled {
         }
         let mut hit_slot = None;
         let mut empty_slot = None;
-        let mut cands = [0usize; 64];
-        debug_assert!(self.ways <= 64, "candidate buffer is sized for <= 64 ways");
-        for w in 0..self.ways {
-            let s = self.slot(line, w);
+        let mut hashes = [0u32; MAX_SKEWED_WAYS];
+        let hashes = self.index.hash(line, &mut hashes);
+        let mut cands = [0usize; MAX_SKEWED_WAYS];
+        for (w, &hash) in hashes.iter().enumerate() {
+            let s = self.index.slot(w, hash);
             cands[w] = s;
             if self.tags[s] == tag {
                 hit_slot = Some(s);
@@ -193,7 +173,7 @@ impl FutilityScaled {
             let s = match empty_slot {
                 Some(s) => s,
                 None => {
-                    let v = self.pick_victim(&cands[..self.ways]);
+                    let v = self.pick_victim(&cands[..hashes.len()]);
                     let old = self.owner[v];
                     debug_assert_ne!(old, NO_OWNER);
                     self.occupancy[old as usize] -= 1;
@@ -271,7 +251,7 @@ impl PartitionedCacheModel for FutilityScaled {
     }
 
     fn capacity_lines(&self) -> u64 {
-        (self.rows * self.ways) as u64
+        self.index.slots() as u64
     }
 
     fn scheme_name(&self) -> &'static str {
@@ -314,6 +294,20 @@ mod tests {
             c.access(PartitionId(0), LineAddr(l % 4000), &ctx());
         }
         assert_eq!(c.occupancy(PartitionId(0)), 1000);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 ways")]
+    fn rejects_more_ways_than_the_candidate_buffer_holds() {
+        // See the `VantageLike` twin: the bound used to be a debug
+        // assertion on the first access.
+        FutilityScaled::new(65 * 4, 65, 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "row count must fit in 32 bits")]
+    fn rejects_row_counts_past_32_bits() {
+        FutilityScaled::new((u64::from(u32::MAX) + 1) * 2, 2, 1, 1);
     }
 
     #[test]

@@ -30,8 +30,81 @@ pub use vantage::VantageLike;
 pub use way::WayPartitioned;
 
 use crate::addr::{LineAddr, PartitionId};
+use crate::hasher::{FastMod32, H3Bank};
 use crate::policy::AccessCtx;
 use crate::stats::{AccessResult, CacheStats};
+
+/// The most ways (replacement candidates per access) the skew-associative
+/// schemes support: their per-access candidate buffers are this long.
+pub(crate) const MAX_SKEWED_WAYS: usize = 64;
+
+/// The index function of a skew-associative array of `rows × ways` slots
+/// ([`VantageLike`], [`FutilityScaled`]): way `w` indexes its column with
+/// its own H3 hash — lane `w` of one [`H3Bank`], so a line's `W`
+/// candidate rows come from a single walk over its address — reduced to a
+/// row without a divide.
+#[derive(Debug, Clone)]
+pub(crate) struct SkewedIndex {
+    ways: usize,
+    way_hashes: H3Bank,
+    row_of: FastMod32,
+}
+
+impl SkewedIndex {
+    /// Way `w`'s hash is seeded `seed + seed_stride · (w + 1)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `capacity_lines` is a positive multiple of `ways`,
+    /// `ways` is in `1..=64`, and the row count fits in 32 bits (rows are
+    /// indexed by a 32-bit hash).
+    pub(crate) fn new(capacity_lines: u64, ways: usize, seed: u64, seed_stride: u64) -> Self {
+        assert!(capacity_lines > 0, "capacity must be positive");
+        assert!(ways > 0, "associativity must be positive");
+        assert!(
+            ways <= MAX_SKEWED_WAYS,
+            "at most {MAX_SKEWED_WAYS} ways (candidates per access), got {ways}"
+        );
+        assert!(
+            capacity_lines.is_multiple_of(ways as u64),
+            "capacity must be a multiple of ways"
+        );
+        let rows =
+            u32::try_from(capacity_lines / ways as u64).expect("row count must fit in 32 bits");
+        let seeds: Vec<u64> = (0..ways as u64)
+            .map(|w| seed.wrapping_add(seed_stride * (w + 1)))
+            .collect();
+        SkewedIndex {
+            ways,
+            way_hashes: H3Bank::new(&seeds),
+            row_of: FastMod32::new(rows),
+        }
+    }
+
+    /// Total slots (`rows × ways`).
+    pub(crate) fn slots(&self) -> usize {
+        self.row_of.divisor() as usize * self.ways
+    }
+
+    /// Hashes `line` for every way into `buf`; entry `w` of the result
+    /// goes to [`slot`](Self::slot) to get way `w`'s candidate.
+    #[inline(always)]
+    pub(crate) fn hash<'a>(
+        &self,
+        line: LineAddr,
+        buf: &'a mut [u32; MAX_SKEWED_WAYS],
+    ) -> &'a [u32] {
+        let hashes = &mut buf[..self.ways];
+        self.way_hashes.hash_into(line.value(), hashes);
+        hashes
+    }
+
+    /// The slot `way` offers a line whose hash for that way is `hash`.
+    #[inline(always)]
+    pub(crate) fn slot(&self, way: usize, hash: u32) -> usize {
+        self.row_of.rem(hash) as usize * self.ways + way
+    }
+}
 
 /// A cache divided into partitions with software-controlled sizes.
 ///

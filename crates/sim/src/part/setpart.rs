@@ -7,7 +7,7 @@
 
 use super::{apportion, PartitionedCacheModel};
 use crate::addr::{LineAddr, PartitionId};
-use crate::hasher::H3Hasher;
+use crate::hasher::{FastMod32, H3Hasher};
 use crate::policy::{AccessCtx, ReplacementPolicy};
 use crate::stats::{AccessResult, CacheStats};
 
@@ -23,8 +23,9 @@ pub struct SetPartitioned<P> {
     sets: usize,
     ways: usize,
     tags: Vec<u64>,
-    /// Per-partition [base, count) set ranges.
-    ranges: Vec<(usize, usize)>,
+    /// Per-partition set ranges: the base set, and `hash % count` in
+    /// divide-free form (`None` for an empty range, a bypass partition).
+    ranges: Vec<(usize, Option<FastMod32>)>,
     policy: P,
     hasher: H3Hasher,
     stats: Vec<CacheStats>,
@@ -40,8 +41,8 @@ impl<P: ReplacementPolicy> SetPartitioned<P> {
     ///
     /// # Panics
     ///
-    /// Panics if the capacity is not a positive multiple of `ways` or
-    /// `partitions` is zero.
+    /// Panics if the capacity is not a positive multiple of `ways`, there
+    /// are more than `u32::MAX` sets, or `partitions` is zero.
     pub fn new(
         capacity_lines: u64,
         ways: usize,
@@ -56,13 +57,14 @@ impl<P: ReplacementPolicy> SetPartitioned<P> {
             capacity_lines.is_multiple_of(ways as u64),
             "capacity must be a multiple of ways"
         );
-        let sets = (capacity_lines / ways as u64) as usize;
+        let sets = u32::try_from(capacity_lines / ways as u64)
+            .expect("set count must fit in 32 bits") as usize;
         policy.attach(sets, ways);
         SetPartitioned {
             sets,
             ways,
             tags: vec![INVALID_TAG; sets * ways],
-            ranges: vec![(0, 0); partitions],
+            ranges: vec![(0, None); partitions],
             policy,
             hasher: H3Hasher::new(32, seed),
             stats: vec![CacheStats::new(); partitions],
@@ -78,15 +80,16 @@ impl<P: ReplacementPolicy> SetPartitioned<P> {
     fn access_inner(
         &mut self,
         base_set: usize,
-        count: usize,
+        index: Option<FastMod32>,
         line: LineAddr,
         ctx: &AccessCtx,
     ) -> AccessResult {
         let ctx = &ctx.with_line(line); // signature-based policies need the address
-        if count == 0 {
+        let Some(index) = index else {
             return AccessResult::Miss; // bypass partition
-        }
-        let set = base_set + (self.hasher.hash_line(line) % count as u64) as usize;
+        };
+        // The hasher has 32 output bits, so the cast keeps all of them.
+        let set = base_set + index.rem(self.hasher.hash_line(line) as u32) as usize;
         crate::array::probe_set(
             &mut self.tags,
             &mut self.policy,
@@ -100,7 +103,8 @@ impl<P: ReplacementPolicy> SetPartitioned<P> {
 
     /// The set range `[base, base+count)` currently owned by a partition.
     pub fn set_range(&self, part: PartitionId) -> (usize, usize) {
-        self.ranges[part.index()]
+        let (base, index) = self.ranges[part.index()];
+        (base, index.map_or(0, |i| i.divisor() as usize))
     }
 }
 
@@ -118,7 +122,9 @@ impl<P: ReplacementPolicy> PartitionedCacheModel for SetPartitioned<P> {
         let sets_per = apportion(lines, self.ways as u64, self.sets as u64);
         let mut base = 0usize;
         for (p, &quota) in sets_per.iter().enumerate() {
-            self.ranges[p] = (base, quota as usize);
+            // Quotas sum to at most `sets`, which fits in 32 bits.
+            let index = (quota > 0).then(|| FastMod32::new(quota as u32));
+            self.ranges[p] = (base, index);
             base += quota as usize;
         }
         sets_per.iter().map(|&s| s * self.ways as u64).collect()
@@ -127,8 +133,8 @@ impl<P: ReplacementPolicy> PartitionedCacheModel for SetPartitioned<P> {
     fn access(&mut self, part: PartitionId, line: LineAddr, ctx: &AccessCtx) -> AccessResult {
         let p = part.index();
         assert!(p < self.num_partitions(), "unknown {part}");
-        let (base_set, count) = self.ranges[p];
-        let result = self.access_inner(base_set, count, line, ctx);
+        let (base_set, index) = self.ranges[p];
+        let result = self.access_inner(base_set, index, line, ctx);
         self.stats[p].record(result);
         result
     }
@@ -137,10 +143,10 @@ impl<P: ReplacementPolicy> PartitionedCacheModel for SetPartitioned<P> {
         let p = part.index();
         assert!(p < self.num_partitions(), "unknown {part}");
         // The set range is fixed for the whole block: resolve it once.
-        let (base_set, count) = self.ranges[p];
+        let (base_set, index) = self.ranges[p];
         let mut hits = 0u64;
         for &line in lines {
-            if self.access_inner(base_set, count, line, ctx) == AccessResult::Hit {
+            if self.access_inner(base_set, index, line, ctx) == AccessResult::Hit {
                 hits += 1;
             }
         }

@@ -26,9 +26,8 @@
 //! configuration); SRRIP-style policies pair with way partitioning
 //! ([`WayPartitioned`](super::WayPartitioned)) as in the paper's Fig. 9.
 
-use super::PartitionedCacheModel;
+use super::{PartitionedCacheModel, SkewedIndex, MAX_SKEWED_WAYS};
 use crate::addr::{LineAddr, PartitionId};
-use crate::hasher::H3Hasher;
 use crate::policy::AccessCtx;
 use crate::stats::{AccessResult, CacheStats};
 
@@ -53,8 +52,7 @@ pub const DEFAULT_UNMANAGED_FRACTION: f64 = 0.10;
 /// ```
 #[derive(Debug, Clone)]
 pub struct VantageLike {
-    rows: usize,
-    ways: usize,
+    index: SkewedIndex,
     tags: Vec<u64>,
     owner: Vec<u32>,
     stamp: Vec<u64>,
@@ -64,8 +62,11 @@ pub struct VantageLike {
     /// Requested sizes as granted to the caller.
     granted: Vec<u64>,
     occupancy: Vec<u64>,
+    /// `occupancy / target` per partition (∞ for a zero target): the
+    /// victim-selection key, refreshed wherever either side changes so a
+    /// miss divides twice, not once per candidate.
+    pressure: Vec<f64>,
     unmanaged_fraction: f64,
-    hashers: Vec<H3Hasher>,
     stats: Vec<CacheStats>,
 }
 
@@ -94,8 +95,9 @@ impl VantageLike {
     ///
     /// # Panics
     ///
-    /// Panics on invalid geometry or if `unmanaged_fraction` is outside
-    /// `[0, 0.9]`.
+    /// Panics on invalid geometry — `ways` above 64 (the candidate buffer
+    /// holds that many) or more than `u32::MAX` rows included — or if
+    /// `unmanaged_fraction` is outside `[0, 0.9]`.
     pub fn with_unmanaged_fraction(
         capacity_lines: u64,
         ways: usize,
@@ -103,22 +105,15 @@ impl VantageLike {
         seed: u64,
         unmanaged_fraction: f64,
     ) -> Self {
-        assert!(capacity_lines > 0, "capacity must be positive");
-        assert!(ways > 0, "associativity must be positive");
         assert!(partitions > 0, "partition count must be positive");
-        assert!(
-            capacity_lines.is_multiple_of(ways as u64),
-            "capacity must be a multiple of ways"
-        );
         assert!(
             (0.0..=0.9).contains(&unmanaged_fraction),
             "unmanaged fraction must be in [0, 0.9]"
         );
-        let rows = (capacity_lines / ways as u64) as usize;
-        let slots = rows * ways;
+        let index = SkewedIndex::new(capacity_lines, ways, seed, 0x1234_5678);
+        let slots = index.slots();
         VantageLike {
-            rows,
-            ways,
+            index,
             tags: vec![INVALID_TAG; slots],
             owner: vec![NO_OWNER; slots],
             stamp: vec![0; slots],
@@ -126,10 +121,8 @@ impl VantageLike {
             targets: vec![0; partitions],
             granted: vec![0; partitions],
             occupancy: vec![0; partitions],
+            pressure: vec![f64::INFINITY; partitions],
             unmanaged_fraction,
-            hashers: (0..ways)
-                .map(|w| H3Hasher::new(32, seed.wrapping_add(0x1234_5678 * (w as u64 + 1))))
-                .collect(),
             stats: vec![CacheStats::new(); partitions],
         }
     }
@@ -144,15 +137,15 @@ impl VantageLike {
         self.targets[part.index()]
     }
 
-    /// The candidate slot index for `line` in way `w` (skewed: each way
-    /// has its own hash).
-    fn slot(&self, line: LineAddr, w: usize) -> usize {
-        let row = if self.rows == 1 {
-            0
+    /// Recomputes partition `p`'s occupancy-to-target ratio; called
+    /// wherever `occupancy[p]` or `targets[p]` changes.
+    #[inline]
+    fn refresh_pressure(&mut self, p: usize) {
+        self.pressure[p] = if self.targets[p] == 0 {
+            f64::INFINITY
         } else {
-            (self.hashers[w].hash_line(line) % self.rows as u64) as usize
+            self.occupancy[p] as f64 / self.targets[p] as f64
         };
-        row * self.ways + w
     }
 
     /// Victim selection among the candidate slots: source capacity from
@@ -162,12 +155,7 @@ impl VantageLike {
         let mut best_slot = cands[0];
         let mut best_key = (f64::NEG_INFINITY, 0u64);
         for &s in cands {
-            let oi = self.owner[s] as usize;
-            let ratio = if self.targets[oi] == 0 {
-                f64::INFINITY
-            } else {
-                self.occupancy[oi] as f64 / self.targets[oi] as f64
-            };
+            let ratio = self.pressure[self.owner[s] as usize];
             // Older (smaller stamp) is a better victim: compare age.
             let age = self.clock - self.stamp[s];
             if ratio > best_key.0 + 1e-9 || ((ratio - best_key.0).abs() <= 1e-9 && age > best_key.1)
@@ -189,10 +177,11 @@ impl VantageLike {
         let mut hit_slot = None;
         let mut empty_slot = None;
         // Gather the W skewed candidates in one pass.
-        let mut cands = [0usize; 64];
-        debug_assert!(self.ways <= 64, "candidate buffer is sized for <= 64 ways");
-        for w in 0..self.ways {
-            let s = self.slot(line, w);
+        let mut hashes = [0u32; MAX_SKEWED_WAYS];
+        let hashes = self.index.hash(line, &mut hashes);
+        let mut cands = [0usize; MAX_SKEWED_WAYS];
+        for (w, &hash) in hashes.iter().enumerate() {
+            let s = self.index.slot(w, hash);
             cands[w] = s;
             if self.tags[s] == tag {
                 hit_slot = Some(s);
@@ -211,10 +200,11 @@ impl VantageLike {
             let s = match empty_slot {
                 Some(s) => s,
                 None => {
-                    let v = self.pick_victim(&cands[..self.ways]);
+                    let v = self.pick_victim(&cands[..hashes.len()]);
                     let old = self.owner[v];
                     debug_assert_ne!(old, NO_OWNER);
                     self.occupancy[old as usize] -= 1;
+                    self.refresh_pressure(old as usize);
                     v
                 }
             };
@@ -222,6 +212,7 @@ impl VantageLike {
             self.owner[s] = p as u32;
             self.stamp[s] = self.clock;
             self.occupancy[p] += 1;
+            self.refresh_pressure(p);
             AccessResult::Miss
         }
     }
@@ -257,6 +248,9 @@ impl PartitionedCacheModel for VantageLike {
             .iter()
             .map(|&g| (g as f64 * scale) as u64)
             .collect();
+        for p in 0..self.targets.len() {
+            self.refresh_pressure(p);
+        }
         self.granted.clone()
     }
 
@@ -291,7 +285,7 @@ impl PartitionedCacheModel for VantageLike {
     }
 
     fn capacity_lines(&self) -> u64 {
-        (self.rows * self.ways) as u64
+        self.index.slots() as u64
     }
 
     fn scheme_name(&self) -> &'static str {
@@ -395,6 +389,30 @@ mod tests {
         let mut c = VantageLike::new(1000, 10, 2, 1);
         let granted = c.set_partition_sizes(&[2000, 2000]);
         assert!(granted.iter().sum::<u64>() <= 1000);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 ways")]
+    fn rejects_more_ways_than_the_candidate_buffer_holds() {
+        // 65 ways used to pass construction and index past the 64-slot
+        // candidate buffer on the first access (a release-build panic
+        // mid-simulation; the bound was only a debug assertion).
+        VantageLike::new(65 * 4, 65, 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "row count must fit in 32 bits")]
+    fn rejects_row_counts_past_32_bits() {
+        // Fails before any array is allocated.
+        VantageLike::new((u64::from(u32::MAX) + 1) * 2, 2, 1, 1);
+    }
+
+    #[test]
+    fn sixty_four_ways_are_accepted() {
+        let mut c = VantageLike::new(64 * 8, 64, 1, 1);
+        c.set_partition_sizes(&[64 * 8]);
+        assert!(c.access(PartitionId(0), LineAddr(7), &ctx()).is_miss());
+        assert!(c.access(PartitionId(0), LineAddr(7), &ctx()).is_hit());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use super::{apportion, PartitionedCacheModel};
 use crate::addr::{LineAddr, PartitionId};
-use crate::hasher::H3Hasher;
+use crate::hasher::{FastMod32, H3Hasher};
 use crate::policy::{AccessCtx, ReplacementPolicy};
 use crate::stats::{AccessResult, CacheStats};
 
@@ -47,6 +47,8 @@ pub struct WayPartitioned<P> {
     own_ways: Vec<Vec<usize>>,
     policy: P,
     hasher: H3Hasher,
+    /// `hash % sets`, divide-free.
+    set_index: FastMod32,
     stats: Vec<CacheStats>,
 }
 
@@ -59,8 +61,8 @@ impl<P: ReplacementPolicy> WayPartitioned<P> {
     ///
     /// # Panics
     ///
-    /// Panics if the capacity is not a positive multiple of `ways`, or if
-    /// `partitions` is zero.
+    /// Panics if the capacity is not a positive multiple of `ways`, if
+    /// there are more than `u32::MAX` sets, or if `partitions` is zero.
     pub fn new(
         capacity_lines: u64,
         ways: usize,
@@ -75,7 +77,10 @@ impl<P: ReplacementPolicy> WayPartitioned<P> {
             capacity_lines.is_multiple_of(ways as u64),
             "capacity must be a multiple of ways"
         );
-        let sets = (capacity_lines / ways as u64) as usize;
+        let set_index = FastMod32::new(
+            u32::try_from(capacity_lines / ways as u64).expect("set count must fit in 32 bits"),
+        );
+        let sets = set_index.divisor() as usize;
         policy.attach(sets, ways);
         WayPartitioned {
             sets,
@@ -85,6 +90,7 @@ impl<P: ReplacementPolicy> WayPartitioned<P> {
             own_ways: vec![Vec::new(); partitions],
             policy,
             hasher: H3Hasher::new(32, seed),
+            set_index,
             stats: vec![CacheStats::new(); partitions],
         }
     }
@@ -95,11 +101,8 @@ impl<P: ReplacementPolicy> WayPartitioned<P> {
     }
 
     fn set_of(&self, line: LineAddr) -> usize {
-        if self.sets == 1 {
-            0
-        } else {
-            (self.hasher.hash_line(line) % self.sets as u64) as usize
-        }
+        // The hasher has 32 output bits, so the cast keeps all of them.
+        self.set_index.rem(self.hasher.hash_line(line) as u32) as usize
     }
 
     /// One access with the partition index already validated; shared by

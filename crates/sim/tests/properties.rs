@@ -12,7 +12,8 @@ use talus_sim::part::{
 };
 use talus_sim::policy::{Lru, PolicyKind};
 use talus_sim::{
-    AccessCtx, CacheModel, FullyAssocLru, LineAddr, PartitionId, SetAssocCache, ShadowSampler,
+    AccessCtx, CacheModel, FastMod32, FullyAssocLru, H3Bank, H3Hasher, LineAddr, PartitionId,
+    SetAssocCache, ShadowSampler,
 };
 
 /// Strategy: a short access stream over a bounded address space.
@@ -66,6 +67,60 @@ fn online_policies() -> Vec<PolicyKind> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every lane of an `H3Bank` is the single `H3Hasher` with the lane's
+    /// seed — tabulated form and mask-and-parity oracle alike — at every
+    /// bank width the simulator builds (1 and 4: monitors; 16: the skewed
+    /// arrays; 52: a 4/52 zcache's candidates; 64: the full §VI-C bank)
+    /// and on inputs with the high bytes set (multicore lines are based at
+    /// `app << 44`).
+    #[test]
+    fn h3_bank_lanes_equal_single_hashers(
+        seed in any::<u64>(),
+        values in proptest::collection::vec(any::<u64>(), 1..40),
+    ) {
+        for lanes in [1usize, 4, 16, 52, 64] {
+            let seeds: Vec<u64> = (0..lanes as u64)
+                .map(|i| seed.wrapping_add(0x1234_5678 * (i + 1)))
+                .collect();
+            let bank = H3Bank::new(&seeds);
+            prop_assert_eq!(bank.lanes(), lanes);
+            let hashers: Vec<H3Hasher> = seeds.iter().map(|&s| H3Hasher::new(32, s)).collect();
+            let mut out = vec![0u32; lanes];
+            let shaped = values.iter().flat_map(|&v| {
+                // The raw draw, a plain line number, the same line in
+                // apps 3 and 0xFFFFF, a value with only high bytes, and one
+                // with a zero byte between populated ones.
+                [v, v & 0xF_FFFF, (3 << 44) | (v & 0xF_FFFF), (v << 44) | (v & 0xFFFF), v << 24, v & !0xFF00]
+            });
+            for v in shaped.chain([0, 1, 0xFF, 1 << 24, 1 << 63, u64::MAX]) {
+                bank.hash_into(v, &mut out);
+                for (i, (lane, single)) in out.iter().zip(&hashers).enumerate() {
+                    prop_assert_eq!(u64::from(*lane), single.hash(v), "lane {} of {} at {:#x}", i, lanes, v);
+                    prop_assert_eq!(u64::from(*lane), single.hash_reference(v), "lane {} of {} at {:#x}", i, lanes, v);
+                }
+            }
+        }
+    }
+
+    /// `FastMod32` is the hardware remainder, and its divisibility test
+    /// the hardware one, for every divisor/dividend shape: tiny, huge,
+    /// powers of two, and the operands either side of a multiple.
+    #[test]
+    fn fastmod32_equals_hardware_remainder(
+        divisors in proptest::collection::vec(1u32..=u32::MAX, 1..8),
+        dividends in proptest::collection::vec(any::<u32>(), 1..50),
+    ) {
+        for d in divisors.into_iter().chain([1, 2, 3, 75, 1 << 31, u32::MAX - 1, u32::MAX]) {
+            let fast = FastMod32::new(d);
+            prop_assert_eq!(fast.divisor(), d);
+            let edges = [0, 1, d - 1, d, d.wrapping_add(1), d.wrapping_mul(2), u32::MAX / d * d, u32::MAX];
+            for a in dividends.iter().copied().chain(edges) {
+                prop_assert_eq!(fast.rem(a), a % d, "{} % {}", a, d);
+                prop_assert_eq!(fast.divides(a), a % d == 0, "{} | {}", d, a);
+            }
+        }
+    }
 
     /// LRU's stack property (Mattson): a bigger LRU cache never misses
     /// more than a smaller one on the same stream.

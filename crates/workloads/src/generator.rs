@@ -23,6 +23,22 @@ pub trait AccessGenerator: std::fmt::Debug {
     /// Produces the next accessed line.
     fn next_line(&mut self) -> LineAddr;
 
+    /// Produces the next `out.len()` accessed lines: exactly the lines
+    /// that many [`next_line`](Self::next_line) calls would return, in
+    /// order, leaving the generator in the same state — so `fill` and
+    /// `next_line` can be interleaved freely on one generator.
+    ///
+    /// The default is that loop, monomorphic per generator; block
+    /// consumers (the experiment sweeps) call this so a boxed generator
+    /// costs one virtual call per block instead of one per line, and
+    /// composite generators ([`Mixture`], [`Phased`]) hand whole runs to
+    /// their components.
+    fn fill(&mut self, out: &mut [LineAddr]) {
+        for slot in out {
+            *slot = self.next_line();
+        }
+    }
+
     /// Total distinct lines this generator can touch (its footprint).
     fn footprint_lines(&self) -> u64;
 }
@@ -30,6 +46,10 @@ pub trait AccessGenerator: std::fmt::Debug {
 impl AccessGenerator for Box<dyn AccessGenerator> {
     fn next_line(&mut self) -> LineAddr {
         (**self).next_line()
+    }
+
+    fn fill(&mut self, out: &mut [LineAddr]) {
+        (**self).fill(out)
     }
 
     fn footprint_lines(&self) -> u64 {
@@ -64,11 +84,34 @@ impl Scan {
     }
 }
 
+impl Scan {
+    /// `(pos + 1) % lines` by compare: `pos < lines`, so the successor
+    /// either is in range or is exactly `lines`.
+    #[inline]
+    fn step(pos: u64, lines: u64) -> u64 {
+        if pos + 1 == lines {
+            0
+        } else {
+            pos + 1
+        }
+    }
+}
+
 impl AccessGenerator for Scan {
     fn next_line(&mut self) -> LineAddr {
         let l = LineAddr(self.base + self.pos);
-        self.pos = (self.pos + 1) % self.lines;
+        self.pos = Self::step(self.pos, self.lines);
         l
+    }
+
+    fn fill(&mut self, out: &mut [LineAddr]) {
+        let (base, lines) = (self.base, self.lines);
+        let mut pos = self.pos;
+        for slot in out {
+            *slot = LineAddr(base + pos);
+            pos = Self::step(pos, lines);
+        }
+        self.pos = pos;
     }
 
     fn footprint_lines(&self) -> u64 {
@@ -266,11 +309,35 @@ fn gcd(a: u64, b: u64) -> u64 {
     }
 }
 
+impl StridedScan {
+    /// `(pos + stride) % lines` by compare: `pos < lines` and the
+    /// constructor leaves `stride <= lines`, so one subtraction wraps.
+    #[inline]
+    fn step(pos: u64, stride: u64, lines: u64) -> u64 {
+        let next = pos + stride;
+        if next >= lines {
+            next - lines
+        } else {
+            next
+        }
+    }
+}
+
 impl AccessGenerator for StridedScan {
     fn next_line(&mut self) -> LineAddr {
         let l = LineAddr(self.base + self.pos);
-        self.pos = (self.pos + self.stride) % self.lines;
+        self.pos = Self::step(self.pos, self.stride, self.lines);
         l
+    }
+
+    fn fill(&mut self, out: &mut [LineAddr]) {
+        let (base, lines, stride) = (self.base, self.lines, self.stride);
+        let mut pos = self.pos;
+        for slot in out {
+            *slot = LineAddr(base + pos);
+            pos = Self::step(pos, stride, lines);
+        }
+        self.pos = pos;
     }
 
     fn footprint_lines(&self) -> u64 {
@@ -343,11 +410,30 @@ fn radical(mut n: u64) -> u64 {
     rad
 }
 
+impl PointerChase {
+    /// `a·x + 1` can exceed `lines` many times over, so (unlike the
+    /// scans) the modulo stays.
+    #[inline]
+    fn step(pos: u64, multiplier: u64, lines: u64) -> u64 {
+        (multiplier.wrapping_mul(pos) + 1) % lines
+    }
+}
+
 impl AccessGenerator for PointerChase {
     fn next_line(&mut self) -> LineAddr {
         let l = LineAddr(self.base + self.pos);
-        self.pos = (self.multiplier.wrapping_mul(self.pos) + 1) % self.lines;
+        self.pos = Self::step(self.pos, self.multiplier, self.lines);
         l
+    }
+
+    fn fill(&mut self, out: &mut [LineAddr]) {
+        let (base, lines, multiplier) = (self.base, self.lines, self.multiplier);
+        let mut pos = self.pos;
+        for slot in out {
+            *slot = LineAddr(base + pos);
+            pos = Self::step(pos, multiplier, lines);
+        }
+        self.pos = pos;
     }
 
     fn footprint_lines(&self) -> u64 {
@@ -362,6 +448,13 @@ pub struct Mixture {
     components: Vec<(f64, Box<dyn AccessGenerator>)>,
     cumulative: Vec<f64>,
     rng: SmallRng,
+    /// Scratch of [`fill`](AccessGenerator::fill), empty until its first
+    /// call (a mixture driven through `next_line` alone never allocates
+    /// it): the block's component choices, each component's share of the
+    /// block laid end to end, and a read cursor into each share.
+    choices: Vec<u32>,
+    staged: Vec<LineAddr>,
+    cursors: Vec<usize>,
 }
 
 impl Mixture {
@@ -392,18 +485,60 @@ impl Mixture {
             components,
             cumulative,
             rng: SmallRng::seed_from_u64(seed),
+            choices: Vec::new(),
+            staged: Vec::new(),
+            cursors: Vec::new(),
         }
+    }
+
+    /// Draws the component the next access comes from.
+    #[inline]
+    fn choose(&mut self) -> usize {
+        let u = self.rng.gen::<f64>();
+        self.cumulative
+            .partition_point(|&c| c < u)
+            .min(self.components.len() - 1)
     }
 }
 
 impl AccessGenerator for Mixture {
     fn next_line(&mut self) -> LineAddr {
-        let u = self.rng.gen::<f64>();
-        let idx = self
-            .cumulative
-            .partition_point(|&c| c < u)
-            .min(self.components.len() - 1);
+        let idx = self.choose();
         self.components[idx].1.next_line()
+    }
+
+    /// Draws the block's choices from the mixture's own generator, lets
+    /// each component `fill` its whole share in one call, then interleaves
+    /// the shares by the choice sequence. Every component owns its random
+    /// state, so the order components are *asked* in does not matter:
+    /// component `c` still produces its k-th line for the k-th access
+    /// that chose it.
+    fn fill(&mut self, out: &mut [LineAddr]) {
+        let mut choices = std::mem::take(&mut self.choices);
+        let mut cursors = std::mem::take(&mut self.cursors);
+        choices.clear();
+        cursors.clear();
+        cursors.resize(self.components.len(), 0);
+        for _ in 0..out.len() {
+            let idx = self.choose();
+            cursors[idx] += 1; // share sizes, for now
+            choices.push(idx as u32);
+        }
+        self.staged.resize(out.len(), LineAddr(0));
+        let mut start = 0;
+        for ((_, component), cursor) in self.components.iter_mut().zip(&mut cursors) {
+            let share = *cursor;
+            component.fill(&mut self.staged[start..start + share]);
+            *cursor = start;
+            start += share;
+        }
+        for (slot, &idx) in out.iter_mut().zip(&choices) {
+            let cursor = &mut cursors[idx as usize];
+            *slot = self.staged[*cursor];
+            *cursor += 1;
+        }
+        self.choices = choices;
+        self.cursors = cursors;
     }
 
     fn footprint_lines(&self) -> u64 {
@@ -454,6 +589,22 @@ impl AccessGenerator for Phased {
         self.phases[self.current].1.next_line()
     }
 
+    /// Splits the block at phase boundaries; each phase fills its run.
+    fn fill(&mut self, out: &mut [LineAddr]) {
+        let mut rest = out;
+        while !rest.is_empty() {
+            if self.remaining == 0 {
+                self.current = (self.current + 1) % self.phases.len();
+                self.remaining = self.phases[self.current].0;
+            }
+            let take = self.remaining.min(rest.len() as u64) as usize;
+            let (run, tail) = rest.split_at_mut(take);
+            self.phases[self.current].1.fill(run);
+            self.remaining -= take as u64;
+            rest = tail;
+        }
+    }
+
     fn footprint_lines(&self) -> u64 {
         self.phases.iter().map(|(_, g)| g.footprint_lines()).sum()
     }
@@ -461,7 +612,9 @@ impl AccessGenerator for Phased {
 
 /// Collects `n` accesses from a generator into a trace.
 pub fn collect_trace<G: AccessGenerator>(gen: &mut G, n: usize) -> Vec<LineAddr> {
-    (0..n).map(|_| gen.next_line()).collect()
+    let mut trace = vec![LineAddr(0); n];
+    gen.fill(&mut trace);
+    trace
 }
 
 #[cfg(test)]
@@ -619,6 +772,110 @@ mod tests {
         let mut s = Scan::new(0, 3);
         let t = collect_trace(&mut s, 7);
         assert_eq!(t.len(), 7);
+    }
+
+    /// A nested composite exercising every generator: a phased stream
+    /// whose phases are mixtures (one nested inside another) of all the
+    /// primitives. Phase lengths are coprime with any block size used
+    /// below, so block edges straddle phase boundaries.
+    fn zoo(seed: u64) -> Phased {
+        let inner = Mixture::new(
+            vec![
+                (
+                    1.0,
+                    Box::new(Zipfian::new(1 << 30, 777, 0.9, seed ^ 1)) as Box<dyn AccessGenerator>,
+                ),
+                (2.0, Box::new(PointerChase::new(1 << 31, 100, seed))),
+            ],
+            seed ^ 2,
+        );
+        let outer = Mixture::new(
+            vec![
+                (
+                    3.0,
+                    Box::new(Scan::new(3 << 44, 37)) as Box<dyn AccessGenerator>,
+                ),
+                (2.0, Box::new(UniformRandom::new(1 << 20, 500, seed ^ 3))),
+                (1.0, Box::new(StridedScan::new(1 << 21, 12, 5))),
+                (2.0, Box::new(inner)),
+            ],
+            seed ^ 4,
+        );
+        Phased::new(vec![
+            (53, Box::new(outer) as Box<dyn AccessGenerator>),
+            (7, Box::new(Scan::new(9 << 40, 5))),
+            (101, Box::new(Zipfian::new(0, 64, 1.0, seed ^ 5))),
+        ])
+    }
+
+    /// Every generator, boxed, built twice from the same seeds.
+    fn one_of_each(seed: u64) -> Vec<Box<dyn AccessGenerator>> {
+        vec![
+            Box::new(Scan::new(10, 7)),
+            Box::new(Scan::new(0, 1)),
+            Box::new(UniformRandom::new(100, 33, seed)),
+            Box::new(Zipfian::new(0, 1000, 0.8, seed)),
+            Box::new(StridedScan::new(5, 12, 4)),
+            Box::new(StridedScan::new(5, 1, 3)),
+            Box::new(PointerChase::new(0, 100, seed)),
+            Box::new(PointerChase::new(0, 1, seed)),
+            Box::new(zoo(seed)),
+        ]
+    }
+
+    #[test]
+    fn fill_equals_repeated_next_line_for_every_generator() {
+        for block in [1usize, 2, 13, 64, 257] {
+            for (mut by_line, mut by_block) in one_of_each(11).into_iter().zip(one_of_each(11)) {
+                let want: Vec<LineAddr> = (0..3 * block + 5).map(|_| by_line.next_line()).collect();
+                let mut got = vec![LineAddr(0); want.len()];
+                for chunk in got.chunks_mut(block) {
+                    by_block.fill(chunk);
+                }
+                assert_eq!(got, want, "block {block}: {by_block:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn fill_and_next_line_interleave_on_one_generator() {
+        // `next_line` must not buffer and `fill` must not run ahead: any
+        // mix of the two on one generator yields the one stream.
+        let mut reference = zoo(5);
+        let want: Vec<LineAddr> = (0..2000).map(|_| reference.next_line()).collect();
+        let mut gen = zoo(5);
+        let mut got = Vec::new();
+        let mut size = 0;
+        while got.len() < want.len() {
+            size = (size * 5 + 3) % 97; // 3, 18, 93, 80, … including 0
+            got.push(gen.next_line());
+            let mut block = vec![LineAddr(0); size];
+            gen.fill(&mut block);
+            got.extend(block);
+        }
+        assert_eq!(got[..want.len()], want[..]);
+    }
+
+    #[test]
+    fn fill_scratch_is_allocated_on_first_use_only() {
+        let mut m = Mixture::new(
+            vec![(1.0, Box::new(Scan::new(0, 10)) as Box<dyn AccessGenerator>)],
+            1,
+        );
+        for _ in 0..100 {
+            m.next_line();
+        }
+        assert_eq!(
+            (
+                m.choices.capacity(),
+                m.staged.capacity(),
+                m.cursors.capacity()
+            ),
+            (0, 0, 0),
+            "next_line alone must not allocate block scratch"
+        );
+        m.fill(&mut [LineAddr(0); 16]);
+        assert!(m.staged.capacity() >= 16);
     }
 
     #[test]
