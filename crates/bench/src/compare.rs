@@ -20,7 +20,8 @@ use std::fmt;
 /// append/replay paths riding that cycle (`store_journal/`), the monitor
 /// record/curve paths, the analytic curve-synthesis backend
 /// (`analytic_curve/` — its price point is what makes monitor-free
-/// serving viable), and the per-access cache loops. A regression
+/// serving viable), the access-stream generators that feed the monitors
+/// (`workload_gen/`), and the per-access cache loops. A regression
 /// beyond threshold on these fails the comparison (unless warn-only).
 pub const HOT_PREFIXES: &[&str] = &[
     "convex_hull/",
@@ -34,6 +35,7 @@ pub const HOT_PREFIXES: &[&str] = &[
     "monitor_record/",
     "monitor_curve/",
     "analytic_curve/",
+    "workload_gen/",
     "set_assoc_access/",
     "set_assoc_access_block/",
     "organisation_access/",

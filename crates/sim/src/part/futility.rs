@@ -32,8 +32,6 @@ const NO_OWNER: u32 = u32::MAX;
 
 /// Accesses between λ-controller updates.
 const ADJUST_PERIOD: u64 = 64;
-/// Exponent of the multiplicative occupancy-error feedback.
-const GAIN: f64 = 0.5;
 /// λ clamp range: wide enough to starve or protect a partition entirely,
 /// tight enough that recovery from saturation is quick.
 const LAMBDA_MIN: f64 = 1e-4;
@@ -132,7 +130,11 @@ impl FutilityScaled {
                 continue;
             }
             let err = self.occupancy[p] as f64 / self.targets[p] as f64;
-            self.lambda[p] = (self.lambda[p] * err.powf(GAIN)).clamp(LAMBDA_MIN, LAMBDA_MAX);
+            // Gain ½ on the multiplicative occupancy-error feedback, spelt
+            // as the correctly rounded square root: `powf(0.5)` is only
+            // that when the optimiser rewrites it, so λ — and everything
+            // simulated downstream of it — would depend on `opt-level`.
+            self.lambda[p] = (self.lambda[p] * err.sqrt()).clamp(LAMBDA_MIN, LAMBDA_MAX);
         }
     }
 

@@ -14,8 +14,10 @@
 //!   knees (the §III example);
 //! - [`Phased`]: time-varying behaviour for stressing Assumption 1.
 
+use crate::zipf::ZipfTable;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
+use std::sync::Arc;
 use talus_sim::LineAddr;
 
 /// An infinite access stream at cache-line granularity.
@@ -25,8 +27,9 @@ pub trait AccessGenerator: std::fmt::Debug {
 
     /// Produces the next `out.len()` accessed lines: exactly the lines
     /// that many [`next_line`](Self::next_line) calls would return, in
-    /// order, leaving the generator in the same state — so `fill` and
-    /// `next_line` can be interleaved freely on one generator.
+    /// order, and with the same subsequent stream — so `fill` and
+    /// `next_line` can be interleaved freely on one generator. (The
+    /// *state* may differ: composites hold lines generated ahead.)
     ///
     /// The default is that loop, monomorphic per generator; block
     /// consumers (the experiment sweeps) call this so a boxed generator
@@ -154,18 +157,15 @@ impl AccessGenerator for UniformRandom {
 }
 
 /// Zipf-distributed accesses over `lines` lines (rank 1 hottest), using
-/// rejection-inversion sampling (Hörmann & Derflinger), O(1) per sample
-/// with no precomputed tables.
+/// rejection-inversion sampling (Hörmann & Derflinger), O(1) per sample.
+/// The distribution's constants and rank table live in a [`ZipfTable`];
+/// ranks are scrambled over the footprint so hot lines spread across
+/// cache sets.
 #[derive(Debug, Clone)]
 pub struct Zipfian {
     base: u64,
-    lines: u64,
-    exponent: f64,
     rng: SmallRng,
-    // Precomputed constants for rejection-inversion.
-    h_x1: f64,
-    h_n: f64,
-    s: f64,
+    table: Arc<ZipfTable>,
 }
 
 impl Zipfian {
@@ -175,82 +175,34 @@ impl Zipfian {
     ///
     /// Panics if `lines` is zero or `exponent` is not positive and finite.
     pub fn new(base: u64, lines: u64, exponent: f64, seed: u64) -> Self {
-        assert!(lines > 0, "working set must be positive");
-        assert!(
-            exponent > 0.0 && exponent.is_finite(),
-            "zipf exponent must be positive and finite"
-        );
-        let n = lines as f64;
-        let h_x1 = Self::h(1.5, exponent) - 1.0;
-        let h_n = Self::h(n + 0.5, exponent);
-        let s = 2.0 - Self::h_inv(Self::h(2.5, exponent) - 2.0f64.powf(-exponent), exponent);
+        Self::with_table(base, Arc::new(ZipfTable::new(lines, exponent)), seed)
+    }
+
+    /// Creates a generator over `table`'s distribution, sharing the table:
+    /// the same stream as [`new`](Self::new) with `table`'s lines and
+    /// exponent, without building (or holding) another copy of it.
+    pub fn with_table(base: u64, table: Arc<ZipfTable>, seed: u64) -> Self {
         Zipfian {
             base,
-            lines,
-            exponent,
             rng: SmallRng::seed_from_u64(seed),
-            h_x1,
-            h_n,
-            s,
-        }
-    }
-
-    /// Integral of the Zipf density envelope: H(x) = (x^(1-q) - 1)/(1-q),
-    /// or ln(x) for q = 1.
-    fn h(x: f64, q: f64) -> f64 {
-        if (q - 1.0).abs() < 1e-9 {
-            x.ln()
-        } else {
-            (x.powf(1.0 - q) - 1.0) / (1.0 - q)
-        }
-    }
-
-    fn h_inv(x: f64, q: f64) -> f64 {
-        if (q - 1.0).abs() < 1e-9 {
-            x.exp()
-        } else {
-            (1.0 + x * (1.0 - q)).powf(1.0 / (1.0 - q))
-        }
-    }
-
-    fn sample_rank(&mut self) -> u64 {
-        loop {
-            let u = self.h_x1 + self.rng.gen::<f64>() * (self.h_n - self.h_x1);
-            let x = Self::h_inv(u, self.exponent);
-            let k = (x + 0.5).floor().max(1.0).min(self.lines as f64);
-            if k - x <= self.s || u >= Self::h(k + 0.5, self.exponent) - k.powf(-self.exponent) {
-                return k as u64;
-            }
+            table,
         }
     }
 }
 
 impl AccessGenerator for Zipfian {
     fn next_line(&mut self) -> LineAddr {
-        // Scramble ranks so hot lines are spread across the address space
-        // (and therefore across cache sets). Multiplying by an odd
-        // constant permutes any power-of-two domain, so cycle-walk inside
-        // the next power of two until the image lands back in range: a
-        // true rank → line bijection for *every* footprint. (A plain
-        // `mul % lines` is only bijective for power-of-two `lines`; for
-        // other sizes it merges ~1/e of the ranks, silently deforming the
-        // delivered popularity distribution — cold ranks inherit hot
-        // lines' reuse. Power-of-two footprints take the loop's first
-        // iteration and are bit-identical to the unwalked scramble.)
-        let rank = self.sample_rank() - 1;
-        let mask = self.lines.next_power_of_two() - 1;
-        let mut scrambled = rank;
         loop {
-            scrambled = scrambled.wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask;
-            if scrambled < self.lines {
-                break;
+            // The 53 bits `Rng::gen::<f64>()` builds its uniform from.
+            let draw = self.rng.next_u64() >> 11;
+            if let Some(offset) = self.table.offset_of(draw) {
+                return LineAddr(self.base + offset);
             }
         }
-        LineAddr(self.base + scrambled)
     }
 
     fn footprint_lines(&self) -> u64 {
-        self.lines
+        self.table.lines()
     }
 }
 
@@ -441,18 +393,28 @@ impl AccessGenerator for PointerChase {
     }
 }
 
+/// Lines a [`Mixture`] generates ahead for `next_line` to pop.
+const MIXTURE_BLOCK: usize = 64;
+
 /// A weighted blend of generators: each access picks a component with
 /// probability proportional to its weight.
+///
+/// Lines are generated a block at a time by one kernel (`generate`):
+/// `fill` runs it on the caller's buffer, `next_line` pops from a 64-line
+/// block it refills, and `fill` drains that block first, so the two
+/// interleave as one stream.
 #[derive(Debug)]
 pub struct Mixture {
     components: Vec<(f64, Box<dyn AccessGenerator>)>,
     cumulative: Vec<f64>,
     rng: SmallRng,
-    /// Scratch of [`fill`](AccessGenerator::fill), empty until its first
-    /// call (a mixture driven through `next_line` alone never allocates
-    /// it): the block's component choices, each component's share of the
-    /// block laid end to end, and a read cursor into each share.
-    choices: Vec<u32>,
+    /// Generated-ahead lines, `block[next..]` still to be delivered.
+    /// Empty until the first `next_line`, like the kernel's scratch below:
+    /// a mixture never asked for a line allocates nothing.
+    block: Vec<LineAddr>,
+    next: usize,
+    /// Scratch of `generate`: each component's share of the run laid end
+    /// to end, and a read cursor into each share.
     staged: Vec<LineAddr>,
     cursors: Vec<usize>,
 }
@@ -485,7 +447,8 @@ impl Mixture {
             components,
             cumulative,
             rng: SmallRng::seed_from_u64(seed),
-            choices: Vec::new(),
+            block: Vec::new(),
+            next: 0,
             staged: Vec::new(),
             cursors: Vec::new(),
         }
@@ -499,30 +462,25 @@ impl Mixture {
             .partition_point(|&c| c < u)
             .min(self.components.len() - 1)
     }
-}
 
-impl AccessGenerator for Mixture {
-    fn next_line(&mut self) -> LineAddr {
-        let idx = self.choose();
-        self.components[idx].1.next_line()
-    }
-
-    /// Draws the block's choices from the mixture's own generator, lets
-    /// each component `fill` its whole share in one call, then interleaves
-    /// the shares by the choice sequence. Every component owns its random
-    /// state, so the order components are *asked* in does not matter:
-    /// component `c` still produces its k-th line for the k-th access
-    /// that chose it.
-    fn fill(&mut self, out: &mut [LineAddr]) {
-        let mut choices = std::mem::take(&mut self.choices);
+    /// Generates the stream's next `out.len()` lines: draws the run's
+    /// choices from the mixture's own generator, lets each component
+    /// `fill` its whole share in one call, then interleaves the shares by
+    /// the choice sequence. Every component owns its random state, so the
+    /// order components are *asked* in does not matter: component `c`
+    /// still produces its k-th line for the k-th access that chose it.
+    fn generate(&mut self, out: &mut [LineAddr]) {
+        if out.is_empty() {
+            return;
+        }
         let mut cursors = std::mem::take(&mut self.cursors);
-        choices.clear();
         cursors.clear();
         cursors.resize(self.components.len(), 0);
-        for _ in 0..out.len() {
+        // Each slot holds its access's choice until the line replaces it.
+        for slot in out.iter_mut() {
             let idx = self.choose();
             cursors[idx] += 1; // share sizes, for now
-            choices.push(idx as u32);
+            *slot = LineAddr(idx as u64);
         }
         self.staged.resize(out.len(), LineAddr(0));
         let mut start = 0;
@@ -532,13 +490,35 @@ impl AccessGenerator for Mixture {
             *cursor = start;
             start += share;
         }
-        for (slot, &idx) in out.iter_mut().zip(&choices) {
-            let cursor = &mut cursors[idx as usize];
+        for slot in out {
+            let cursor = &mut cursors[slot.value() as usize];
             *slot = self.staged[*cursor];
             *cursor += 1;
         }
-        self.choices = choices;
         self.cursors = cursors;
+    }
+}
+
+impl AccessGenerator for Mixture {
+    fn next_line(&mut self) -> LineAddr {
+        if self.next == self.block.len() {
+            let mut block = std::mem::take(&mut self.block);
+            block.resize(MIXTURE_BLOCK, LineAddr(0));
+            self.generate(&mut block);
+            self.block = block;
+            self.next = 0;
+        }
+        let line = self.block[self.next];
+        self.next += 1;
+        line
+    }
+
+    fn fill(&mut self, out: &mut [LineAddr]) {
+        let ahead = &self.block[self.next..];
+        let (drained, fresh) = out.split_at_mut(ahead.len().min(out.len()));
+        drained.copy_from_slice(&ahead[..drained.len()]);
+        self.next += drained.len();
+        self.generate(fresh);
     }
 
     fn footprint_lines(&self) -> u64 {
@@ -839,8 +819,9 @@ mod tests {
 
     #[test]
     fn fill_and_next_line_interleave_on_one_generator() {
-        // `next_line` must not buffer and `fill` must not run ahead: any
-        // mix of the two on one generator yields the one stream.
+        // Lines a composite generated ahead for `next_line` are what
+        // `fill` delivers first: any mix of the two on one generator
+        // yields the one stream.
         let mut reference = zoo(5);
         let want: Vec<LineAddr> = (0..2000).map(|_| reference.next_line()).collect();
         let mut gen = zoo(5);
@@ -856,26 +837,28 @@ mod tests {
         assert_eq!(got[..want.len()], want[..]);
     }
 
+    /// Heap bytes of a mixture's generated-ahead block and kernel scratch.
+    fn scratch_bytes(m: &Mixture) -> usize {
+        (m.block.capacity() + m.staged.capacity()) * std::mem::size_of::<LineAddr>()
+            + m.cursors.capacity() * std::mem::size_of::<usize>()
+    }
+
     #[test]
-    fn fill_scratch_is_allocated_on_first_use_only() {
-        let mut m = Mixture::new(
-            vec![(1.0, Box::new(Scan::new(0, 10)) as Box<dyn AccessGenerator>)],
-            1,
-        );
-        for _ in 0..100 {
-            m.next_line();
+    fn mixture_scratch_is_lazy_and_small() {
+        let scan = || Box::new(Scan::new(0, 10)) as Box<dyn AccessGenerator>;
+        let mut visited = Mixture::new(vec![(1.0, scan()), (2.0, scan())], 1);
+        let unvisited = Mixture::new(vec![(1.0, scan())], 2);
+        assert_eq!(scratch_bytes(&visited), 0, "nothing before the first line");
+        for _ in 0..1000 {
+            visited.next_line();
         }
-        assert_eq!(
-            (
-                m.choices.capacity(),
-                m.staged.capacity(),
-                m.cursors.capacity()
-            ),
-            (0, 0, 0),
-            "next_line alone must not allocate block scratch"
+        let bytes = scratch_bytes(&visited);
+        assert!(
+            (1..=2048).contains(&bytes),
+            "{bytes} B of scratch behind next_line"
         );
-        m.fill(&mut [LineAddr(0); 16]);
-        assert!(m.staged.capacity() >= 16);
+        // A phase that is never reached (here: never driven) stays free.
+        assert_eq!(scratch_bytes(&unvisited), 0);
     }
 
     #[test]

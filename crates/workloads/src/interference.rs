@@ -13,6 +13,8 @@
 //! ingest benches and driver.
 
 use crate::generator::{AccessGenerator, Mixture, Phased, Scan, Zipfian};
+use crate::zipf::ZipfTable;
+use std::sync::Arc;
 use talus_sim::mb_to_lines;
 
 /// A multi-tenant interference workload: `tenants` access streams over one
@@ -114,10 +116,18 @@ impl MultiTenantProfile {
     ///
     /// Panics if `tenant` is out of range.
     pub fn tenant_generator(&self, tenant: usize, seed: u64) -> Phased {
+        let private = ZipfTable::new(mb_to_lines(self.private_mb).max(1), 0.9);
+        self.tenant_generator_over(tenant, seed, &Arc::new(private))
+    }
+
+    /// [`tenant_generator`](Self::tenant_generator) with the private hot
+    /// set's distribution passed in: every phase draws from the same set
+    /// with its own seed, so the phases share the one table.
+    fn tenant_generator_over(&self, tenant: usize, seed: u64, private: &Arc<ZipfTable>) -> Phased {
         assert!(tenant < self.tenants, "tenant {tenant} out of range");
         let shared_lines = self.shared_lines();
         let window_lines = (shared_lines / self.windows as u64).max(1);
-        let private_lines = mb_to_lines(self.private_mb).max(1);
+        let private_lines = private.lines();
         // Private sets start past the shared region, one slot per tenant.
         let private_base = shared_lines + tenant as u64 * private_lines;
         let phases = (0..self.windows)
@@ -132,10 +142,9 @@ impl MultiTenantProfile {
                         ),
                         (
                             1.0 - self.shared_weight,
-                            Box::new(Zipfian::new(
+                            Box::new(Zipfian::with_table(
                                 private_base,
-                                private_lines,
-                                0.9,
+                                Arc::clone(private),
                                 seed ^ ((tenant as u64) << 8) ^ phase as u64,
                             )),
                         ),
@@ -187,6 +196,20 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(a.next_line(), b.next_line());
         }
+    }
+
+    #[test]
+    fn a_tenants_phases_share_one_zipf_table() {
+        let p = multi_tenant(4).scaled(1.0 / 32.0);
+        let private = Arc::new(ZipfTable::new(mb_to_lines(p.private_mb), 0.9));
+        let gen = p.tenant_generator_over(2, 7, &private);
+        assert_eq!(
+            Arc::strong_count(&private),
+            1 + p.windows,
+            "one reference per phase, no copies"
+        );
+        drop(gen);
+        assert_eq!(Arc::strong_count(&private), 1);
     }
 
     #[test]

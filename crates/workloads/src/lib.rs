@@ -24,6 +24,7 @@ pub mod generator;
 pub mod interference;
 pub mod prefetch;
 pub mod spec;
+pub mod zipf;
 
 pub use analytic::{AnalyticCurveSource, AnalyticModel};
 pub use generator::{
@@ -33,3 +34,4 @@ pub use generator::{
 pub use interference::{multi_tenant, MultiTenantProfile};
 pub use prefetch::{AccessKind, StreamPrefetcher};
 pub use spec::{all_profiles, memory_intensive, profile, AppProfile, Component, ComponentKind};
+pub use zipf::ZipfTable;
