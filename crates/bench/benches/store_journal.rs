@@ -17,6 +17,9 @@
 //!   `append_batch_round` is that round handed over as one
 //!   `submit_many` batch — one lock hold and one journal write per
 //!   shard instead of one per curve — under the same assertion.
+//! - `store_journal/encode_curve_65pt`: the encode half of one curve
+//!   append alone — frame, body, checksum — into a reused buffer, no
+//!   file behind it.
 //! - `store_journal/replay_*`: one iteration scans a journal of N
 //!   records back into `Record`s (the decode half of a warm restart);
 //!   `restore_plane` also rebuilds the full service state, which is what
@@ -29,7 +32,7 @@ use std::sync::Arc;
 use talus_core::MissCurve;
 use talus_partition::Planner;
 use talus_serve::{CacheSpec, ShardedReconfigService};
-use talus_store::{Store, StoreSink};
+use talus_store::{encode_record_into, Record, Store, StoreSink};
 
 /// Logical caches journaling per iteration.
 const CACHES: u64 = 32;
@@ -98,6 +101,23 @@ fn populate(dir: &PathBuf, rounds: u64) -> Arc<Store> {
 
 fn bench_append(c: &mut Criterion) {
     let mut group = c.benchmark_group("store_journal");
+
+    // One record's bytes, no file: what the journal adds to a submission
+    // before the write.
+    let record = Record::Curve {
+        seq: 1,
+        id: 7,
+        tenant: 0,
+        curve: curve(1),
+    };
+    let mut buf = Vec::new();
+    group.bench_function("encode_curve_65pt", |b| {
+        b.iter(|| {
+            buf.clear();
+            encode_record_into(black_box(&record), &mut buf).expect("within the caps");
+            black_box(buf.len())
+        })
+    });
 
     // The raw sink path: one iteration appends a full curve round (one
     // 65-point curve per cache) straight into the store — encode,

@@ -92,21 +92,12 @@ impl MissCurve {
         if points.is_empty() {
             return Err(CurveError::Empty);
         }
-        for (i, p) in points.iter().enumerate() {
-            if !p.size.is_finite() || p.size < 0.0 {
-                return Err(CurveError::InvalidSize {
-                    index: i,
-                    value: p.size,
-                });
-            }
-            if !p.misses.is_finite() || p.misses < 0.0 {
-                return Err(CurveError::InvalidMissValue {
-                    index: i,
-                    value: p.misses,
-                });
-            }
-            if i > 0 && points[i - 1].size >= p.size {
-                return Err(CurveError::NonIncreasingSizes { index: i });
+        // Nearly every curve passes the branch-free check; only one that
+        // does not pays for the loop that says what, if anything, is
+        // wrong with it.
+        if !plainly_valid(&points) {
+            if let Some(violation) = first_violation(&points) {
+                return Err(violation);
             }
         }
         Ok(MissCurve { points })
@@ -150,6 +141,66 @@ impl MissCurve {
                 .enumerate()
                 .map(|(i, &m)| CurvePoint::new(i as f64 * step, m)),
         )
+    }
+
+    /// Bytes one point occupies in the encoded form.
+    pub const POINT_BYTES: usize = 16;
+
+    /// Appends the curve's points to `out` in their one byte form: per
+    /// point `size` then `misses`, each the little-endian IEEE-754 bit
+    /// pattern, [`POINT_BYTES`](Self::POINT_BYTES) a point, no count and no
+    /// padding. The wire protocol and the journal both carry exactly these
+    /// bytes behind a count prefix of their own.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use talus_core::MissCurve;
+    /// let curve = MissCurve::from_samples(&[0.0, 4.0], &[8.0, 0.5])?;
+    /// let mut bytes = vec![0xAA]; // appended to, never cleared
+    /// curve.encode_points(&mut bytes);
+    /// assert_eq!(bytes.len(), 1 + 2 * MissCurve::POINT_BYTES);
+    /// assert_eq!(MissCurve::decode_points(&bytes[1..])?, curve);
+    /// # Ok::<(), talus_core::CurveError>(())
+    /// ```
+    pub fn encode_points(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + Self::POINT_BYTES * self.points.len(), 0);
+        let chunks = out[start..].chunks_exact_mut(Self::POINT_BYTES);
+        for (chunk, p) in chunks.zip(&self.points) {
+            let (size, misses) = chunk.split_at_mut(8);
+            size.copy_from_slice(&p.size.to_bits().to_le_bytes());
+            misses.copy_from_slice(&p.misses.to_bits().to_le_bytes());
+        }
+    }
+
+    /// Decodes what [`encode_points`](Self::encode_points) wrote: one
+    /// allocation, and the same validation as [`MissCurve::new`], so a
+    /// decoded curve upholds every invariant a locally built one does and
+    /// round-trips bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Every error of [`MissCurve::new`], for the same inputs;
+    /// [`CurveError::LengthMismatch`] if `bytes` ends inside a point
+    /// (readers slice exactly `count × POINT_BYTES`, so they never see it).
+    pub fn decode_points(bytes: &[u8]) -> Result<Self, CurveError> {
+        let chunks = bytes.chunks_exact(Self::POINT_BYTES);
+        if !chunks.remainder().is_empty() {
+            return Err(CurveError::LengthMismatch {
+                sizes: chunks.len() + 1,
+                misses: chunks.len(),
+            });
+        }
+        let field = |raw: &[u8]| {
+            let mut word = [0; 8];
+            word.copy_from_slice(raw);
+            f64::from_bits(u64::from_le_bytes(word))
+        };
+        Self::new(chunks.map(|chunk| {
+            let (size, misses) = chunk.split_at(8);
+            CurvePoint::new(field(size), field(misses))
+        }))
     }
 
     /// The curve's sample points, in increasing size order.
@@ -376,6 +427,51 @@ impl<'a> IntoIterator for &'a MissCurve {
     fn into_iter(self) -> Self::IntoIter {
         self.points.iter()
     }
+}
+
+/// A sufficient condition for validity that needs no branch per point,
+/// on the coordinates' bit patterns: a finite non-negative `f64` is one
+/// whose bits, read as an integer, lie below infinity's, and among such
+/// values integer order is numeric order. So three integer comparisons a
+/// point — the size's bits above the previous size's (starting from −1,
+/// which also rules the sign bit out) and below infinity's, the miss
+/// value's below infinity's — accept every valid curve except one holding
+/// a `-0.0`, which [`first_violation`] then clears.
+fn plainly_valid(points: &[CurvePoint]) -> bool {
+    const INFINITY: u64 = f64::INFINITY.to_bits();
+    let mut ok = true;
+    let mut prev = -1i64;
+    for p in points {
+        let size = p.size.to_bits() as i64;
+        ok &= (prev < size) & (size < INFINITY as i64) & (p.misses.to_bits() < INFINITY);
+        prev = size;
+    }
+    ok
+}
+
+/// What makes `points` an invalid curve, if anything does: the first
+/// offending point, checked size, then miss value, then ordering. This
+/// loop is the definition of validity; [`plainly_valid`] only spares most
+/// curves the walk.
+fn first_violation(points: &[CurvePoint]) -> Option<CurveError> {
+    for (i, p) in points.iter().enumerate() {
+        if !p.size.is_finite() || p.size < 0.0 {
+            return Some(CurveError::InvalidSize {
+                index: i,
+                value: p.size,
+            });
+        }
+        if !p.misses.is_finite() || p.misses < 0.0 {
+            return Some(CurveError::InvalidMissValue {
+                index: i,
+                value: p.misses,
+            });
+        }
+        if i > 0 && points[i - 1].size >= p.size {
+            return Some(CurveError::NonIncreasingSizes { index: i });
+        }
+    }
+    None
 }
 
 /// Piecewise-linear interpolation over sorted points, clamped at the ends.

@@ -24,14 +24,16 @@
 //! `deregister` are never retried: creating or destroying a cache twice
 //! is not the same as doing it once, so those stay explicit.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::service::{EpochReport, ServeError};
 use crate::snapshot::CacheId;
-use crate::wire::{self, read_frame, Request, Response, SnapshotSummary, SubmitEntry, WireError};
-use talus_core::limits::{WIRE_MAX_BATCH, WIRE_MAX_FRAME_LEN};
+use crate::wire::{
+    self, read_frame_into, Request, Response, SnapshotSummary, SubmitEntry, WireError,
+};
+use talus_core::limits::{WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_FRAME_LEN};
 use talus_core::{CurveSource, MissCurve, PlaneHealth};
 
 /// Errors surfaced by the RPC client.
@@ -179,12 +181,22 @@ impl From<WireError> for RpcError {
 /// Bytes one submit entry occupies on the wire: id + tenant + point
 /// count + 16 bytes per point.
 fn entry_wire_bytes(curve: &MissCurve) -> usize {
-    8 + 4 + 4 + 16 * curve.len()
+    8 + 4 + 4 + MissCurve::POINT_BYTES * curve.len()
 }
 
 /// Byte budget for a staged batch: a maximum frame minus generous
 /// headroom for the frame header and batch count.
 const BATCH_BYTE_BUDGET: usize = (WIRE_MAX_FRAME_LEN as usize) - 64;
+
+/// Refuses a count the server's decoder would refuse, with the decoder's
+/// own error, so the frame holding it is never sent.
+fn check_count(count: usize, max: u32) -> Result<(), WireError> {
+    let count = u32::try_from(count).unwrap_or(u32::MAX);
+    if count > max {
+        return Err(WireError::BadCount { count, max });
+    }
+    Ok(())
+}
 
 /// A blocking client for a remote reconfiguration plane.
 ///
@@ -193,10 +205,21 @@ const BATCH_BYTE_BUDGET: usize = (WIRE_MAX_FRAME_LEN as usize) - 64;
 /// pushes back through TCP flow control and the pending reply.
 /// Submission batching happens above that, via
 /// [`stage`](RpcClient::stage)/[`flush`](RpcClient::flush).
+///
+/// A client owns one encode buffer and one read buffer for its whole
+/// life: each request is encoded into the first and each reply read into
+/// the second, cleared per call and never freed, so a steady stream of
+/// calls allocates nothing for framing. Each is bounded by the wire frame
+/// cap (1 MiB), so a client holds at most 2 MiB of them.
 #[derive(Debug)]
 pub struct RpcClient {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
+    /// The request being sent: a whole frame, checked before any byte of
+    /// it is written.
+    encoded: Vec<u8>,
+    /// The reply being decoded.
+    frame: Vec<u8>,
     staged: Vec<SubmitEntry>,
     staged_bytes: usize,
     /// Resolved peer address, kept for reconnects.
@@ -220,10 +243,11 @@ impl RpcClient {
         stream.set_nodelay(true).map_err(WireError::from)?;
         let peer = stream.peer_addr().map_err(WireError::from)?;
         let reader = BufReader::new(stream.try_clone().map_err(WireError::from)?);
-        let writer = BufWriter::new(stream);
         Ok(RpcClient {
             reader,
-            writer,
+            writer: stream,
+            encoded: Vec::new(),
+            frame: Vec::new(),
             staged: Vec::new(),
             staged_bytes: 0,
             peer,
@@ -262,7 +286,7 @@ impl RpcClient {
     }
 
     fn apply_deadline(&self) -> Result<(), RpcError> {
-        let stream = self.writer.get_ref();
+        let stream = &self.writer;
         stream
             .set_read_timeout(self.deadline)
             .map_err(WireError::from)?;
@@ -278,7 +302,7 @@ impl RpcClient {
         let stream = TcpStream::connect(self.peer).map_err(WireError::from)?;
         stream.set_nodelay(true).map_err(WireError::from)?;
         self.reader = BufReader::new(stream.try_clone().map_err(WireError::from)?);
-        self.writer = BufWriter::new(stream);
+        self.writer = stream;
         self.apply_deadline()
     }
 
@@ -315,15 +339,29 @@ impl RpcClient {
 
     /// One request/response round trip. A typed `Busy` reply surfaces as
     /// [`RpcError::Busy`]; a timed-out read or write as
-    /// [`RpcError::Deadline`].
+    /// [`RpcError::Deadline`]. A request that encodes to more than the
+    /// wire frame cap is refused here, [`WireError::Oversized`], before
+    /// any byte of it is written: the server could only drop the
+    /// connection on it, so the connection stays usable instead.
     fn call(&mut self, req: &Request) -> Result<Response, RpcError> {
+        self.encoded.clear();
+        wire::encode_request_into(req, &mut self.encoded);
+        let len = self.encoded.len() - 4;
+        if len > WIRE_MAX_FRAME_LEN as usize {
+            // Free what outgrew the bound a retained buffer keeps.
+            self.encoded = Vec::new();
+            return Err(RpcError::Wire(WireError::Oversized {
+                len: u32::try_from(len).unwrap_or(u32::MAX),
+            }));
+        }
         let round_trip = |this: &mut Self| -> Result<Response, RpcError> {
             this.writer
-                .write_all(&wire::encode_request(req))
+                .write_all(&this.encoded)
                 .map_err(WireError::from)?;
-            this.writer.flush().map_err(WireError::from)?;
-            let payload = read_frame(&mut this.reader)?.ok_or(WireError::Truncated)?;
-            Ok(wire::decode_response(&payload)?)
+            if !read_frame_into(&mut this.reader, &mut this.frame)? {
+                return Err(WireError::Truncated.into());
+            }
+            Ok(wire::decode_response(&this.frame)?)
         };
         match round_trip(self).map_err(Self::map_deadline)? {
             Response::Busy => Err(RpcError::Busy),
@@ -470,21 +508,27 @@ impl RpcClient {
     /// # Errors
     ///
     /// [`RpcError::Wire`] on transport failure. Per-entry rejections are
-    /// data, not errors: they come back in the result vector.
+    /// data, not errors: they come back in the result vector. A batch
+    /// the server's decoder would refuse — more than the wire batch cap
+    /// of entries, a curve over the point cap
+    /// ([`WireError::BadCount`]), or a frame over the byte cap
+    /// ([`WireError::Oversized`]) — is refused here with that error:
+    /// nothing is written, nothing is retried, and the connection stays
+    /// usable. [`stage`](RpcClient::stage) keeps a batch within all three
+    /// bounds automatically.
     ///
     /// # Panics
     ///
-    /// Panics if the batch is empty or exceeds the wire batch cap;
-    /// [`stage`](RpcClient::stage) manages both bounds automatically.
+    /// Panics if the batch is empty.
     pub fn submit_batch(
         &mut self,
         entries: Vec<SubmitEntry>,
     ) -> Result<Vec<Result<(), ServeError>>, RpcError> {
         assert!(!entries.is_empty(), "empty batch");
-        assert!(
-            entries.len() <= WIRE_MAX_BATCH as usize,
-            "batch exceeds wire cap"
-        );
+        check_count(entries.len(), WIRE_MAX_BATCH)?;
+        for entry in &entries {
+            check_count(entry.curve.len(), WIRE_MAX_CURVE_POINTS)?;
+        }
         match self.call_retrying(&Request::Submit { entries })? {
             Response::SubmitReply { results } => Ok(results),
             other => Err(Self::reject(other, "submit")),
@@ -499,7 +543,8 @@ impl RpcClient {
     ///
     /// # Errors
     ///
-    /// Transport errors from an auto-flush.
+    /// Transport errors from an auto-flush; [`WireError::BadCount`] for a
+    /// curve over the wire point cap, which is not staged.
     #[allow(clippy::type_complexity)]
     pub fn stage(
         &mut self,
@@ -507,6 +552,8 @@ impl RpcClient {
         tenant: usize,
         curve: MissCurve,
     ) -> Result<Option<Vec<Result<(), ServeError>>>, RpcError> {
+        // Within the point cap, any one curve fits the byte budget.
+        check_count(curve.len(), WIRE_MAX_CURVE_POINTS)?;
         let bytes = entry_wire_bytes(&curve);
         let mut flushed = None;
         if !self.staged.is_empty() && self.staged_bytes + bytes > BATCH_BYTE_BUDGET {
@@ -661,7 +708,7 @@ impl RpcClient {
     pub fn abort(self) {
         // Dropping the halves closes the socket; an explicit shutdown
         // makes the intent visible to the peer immediately.
-        let _ = self.writer.get_ref().shutdown(std::net::Shutdown::Both);
+        let _ = self.writer.shutdown(std::net::Shutdown::Both);
     }
 
     /// Writes raw bytes to the connection, bypassing the codec — test
@@ -670,7 +717,6 @@ impl RpcClient {
     #[doc(hidden)]
     pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), RpcError> {
         self.writer.write_all(bytes).map_err(WireError::from)?;
-        self.writer.flush().map_err(WireError::from)?;
         Ok(())
     }
 
@@ -678,10 +724,10 @@ impl RpcClient {
     /// [`send_raw`](RpcClient::send_raw).
     #[doc(hidden)]
     pub fn recv_raw(&mut self) -> Result<Option<Response>, RpcError> {
-        match read_frame(&mut self.reader)? {
-            None => Ok(None),
-            Some(payload) => Ok(Some(wire::decode_response(&payload)?)),
+        if !read_frame_into(&mut self.reader, &mut self.frame)? {
+            return Ok(None);
         }
+        Ok(Some(wire::decode_response(&self.frame)?))
     }
 }
 

@@ -5,7 +5,12 @@
 //! the shared service, write the reply. That synchronous loop *is* the
 //! per-connection backpressure — at most one frame (≤ the wire frame
 //! cap) is buffered per connection, and a client that outruns the plane
-//! stalls on TCP flow control waiting for its previous reply. Floods
+//! stalls on TCP flow control waiting for its previous reply. The
+//! connection owns the two buffers that loop needs — the frame being
+//! read and the reply being encoded — for its whole life: cleared per
+//! frame, never freed, each holding one frame of at most the wire frame
+//! cap (1 MiB), so a server holds at most 2 MiB of them per live
+//! connection. Floods
 //! that do get through are absorbed by the service's dirty-queue dedup:
 //! resubmitting a cache between epochs coalesces to one replan.
 //!
@@ -23,7 +28,7 @@
 //! retry" from a network fault. Every such shed is counted and surfaced
 //! through [`ServerHandle::rejected`] and the plane's health report.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -34,12 +39,12 @@ use talus_core::{FaultDirective, FaultScript};
 use crate::router::ShardedReconfigService;
 use crate::service::{CacheSpec, ServeError};
 use crate::snapshot::CacheId;
-use crate::wire::{self, read_frame, Request, Response, SnapshotSummary};
+use crate::wire::{self, read_frame_into, Request, Response, SnapshotSummary};
 
 /// Default cap on concurrently served connections; beyond it, new
 /// connections get a typed [`Response::Busy`] frame and are closed,
-/// bounding server memory at `connections × max frame` regardless of
-/// client count.
+/// bounding the server's frame buffers at `connections × 2 × max frame`
+/// regardless of client count.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 64;
 
 /// Shared connection accounting between the accept loop and the
@@ -271,10 +276,11 @@ fn serve_connection(
 ) -> Result<(), wire::WireError> {
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone().map_err(wire::WireError::from)?);
-    let mut writer = BufWriter::new(stream);
+    let mut writer = stream;
+    let (mut frame, mut reply) = (Vec::new(), Vec::new());
     // One frame in flight per connection: read, apply, reply, repeat.
-    while let Some(payload) = read_frame(&mut reader)? {
-        let request = wire::decode_request(&payload)?;
+    while read_frame_into(&mut reader, &mut frame)? {
+        let request = wire::decode_request(&frame)?;
         // The fault seam fires after decode (so hostile-input handling
         // is never masked) and before execution (so a killed connection
         // models a server that died without applying the request).
@@ -282,6 +288,7 @@ fn serve_connection(
             Some(script) => script.check("server.handle", u64::from(opcode_of(&request))),
             None => FaultDirective::None,
         };
+        reply.clear();
         match directive {
             FaultDirective::KillConnection => {
                 // Die before applying: the client sees an abrupt close
@@ -290,31 +297,24 @@ fn serve_connection(
             }
             FaultDirective::Fail => {
                 // Shed mid-stream: typed Busy, then close.
-                writer
-                    .write_all(&wire::encode_response(&Response::Busy))
-                    .map_err(wire::WireError::from)?;
-                writer.flush().map_err(wire::WireError::from)?;
+                wire::encode_response_into(&Response::Busy, &mut reply);
+                writer.write_all(&reply).map_err(wire::WireError::from)?;
                 return Ok(());
             }
             FaultDirective::TruncateFrame => {
                 // Apply, then die mid-reply: the client gets half a
                 // frame and must treat the request outcome as unknown —
                 // exactly the ambiguity idempotent retries resolve.
-                let response = handle_request(request, service);
-                let encoded = wire::encode_response(&response);
+                wire::encode_response_into(&handle_request(request, service), &mut reply);
                 writer
-                    .write_all(&encoded[..encoded.len() / 2])
+                    .write_all(&reply[..reply.len() / 2])
                     .map_err(wire::WireError::from)?;
-                writer.flush().map_err(wire::WireError::from)?;
                 return Ok(());
             }
             FaultDirective::None => {}
         }
-        let response = handle_request(request, service);
-        writer
-            .write_all(&wire::encode_response(&response))
-            .map_err(wire::WireError::from)?;
-        writer.flush().map_err(wire::WireError::from)?;
+        wire::encode_response_into(&handle_request(request, service), &mut reply);
+        writer.write_all(&reply).map_err(wire::WireError::from)?;
     }
     Ok(())
 }

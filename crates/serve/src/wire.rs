@@ -14,13 +14,15 @@
 //! The length prefix counts everything after itself (version + opcode +
 //! body). Integers are little-endian; `f64`s are IEEE-754 bit patterns
 //! (LE), so curves and plan errors round-trip bit-exactly. A
-//! [`MissCurve`] encodes as a point count followed by `(size, misses)`
-//! pairs; vectors encode as a `u32` count followed by elements.
+//! [`MissCurve`] encodes as a point count followed by the curve's one
+//! byte form ([`MissCurve::encode_points`], shared with the journal);
+//! vectors encode as a `u32` count followed by elements.
 //!
 //! ## Decoding is total
 //!
-//! `decode_request` / `decode_response` and [`read_frame`] never panic
-//! and never allocate proportionally to attacker-controlled fields:
+//! `decode_request` / `decode_response` and [`read_frame`] /
+//! [`read_frame_into`] never panic and never allocate proportionally to
+//! attacker-controlled fields:
 //!
 //! - the length prefix is bounded by
 //!   [`talus_core::limits::WIRE_MAX_FRAME_LEN`] *before* the payload
@@ -28,8 +30,8 @@
 //! - every element count is checked against both its protocol cap
 //!   (`WIRE_MAX_*`) and the bytes actually remaining in the frame
 //!   *before* any `Vec` is reserved;
-//! - curve payloads are validated through [`MissCurve::from_samples`],
-//!   so a decoded curve upholds every invariant a locally built one does;
+//! - curve payloads are validated by [`MissCurve::decode_points`], so a
+//!   decoded curve upholds every invariant a locally built one does;
 //! - trailing bytes after a well-formed body are an error, so every byte
 //!   of an accepted frame is accounted for.
 //!
@@ -370,18 +372,21 @@ pub enum Response {
 // Encoding
 // ---------------------------------------------------------------------
 
-/// Builds one frame: 4-byte length placeholder patched on `finish`.
-struct FrameWriter {
-    buf: Vec<u8>,
+/// Appends one frame to a caller's buffer: [`FrameWriter::new`] reserves
+/// the 4-byte length prefix, the field methods append the body, and
+/// [`FrameWriter::finish`] fills the prefix in. The buffer may already
+/// hold earlier bytes; they are left alone.
+struct FrameWriter<'a> {
+    buf: &'a mut Vec<u8>,
+    /// Where this frame's length prefix starts in `buf`.
+    start: usize,
 }
 
-impl FrameWriter {
-    fn new(version: u8, opcode: u8) -> Self {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&[0, 0, 0, 0]);
-        buf.push(version);
-        buf.push(opcode);
-        FrameWriter { buf }
+impl<'a> FrameWriter<'a> {
+    fn new(buf: &'a mut Vec<u8>, opcode: u8) -> Self {
+        let start = buf.len();
+        buf.extend_from_slice(&[0, 0, 0, 0, WIRE_VERSION, opcode]);
+        FrameWriter { buf, start }
     }
 
     fn u8(&mut self, v: u8) {
@@ -402,10 +407,7 @@ impl FrameWriter {
 
     fn curve(&mut self, curve: &MissCurve) {
         self.u32(curve.len() as u32);
-        for p in curve.iter() {
-            self.f64(p.size);
-            self.f64(p.misses);
-        }
+        curve.encode_points(self.buf);
     }
 
     fn ids(&mut self, ids: &[CacheId]) {
@@ -497,29 +499,56 @@ impl FrameWriter {
         }
     }
 
-    fn finish(mut self) -> Vec<u8> {
-        let len = (self.buf.len() - 4) as u32;
-        debug_assert!(len <= WIRE_MAX_FRAME_LEN, "encoded frame exceeds cap");
-        self.buf[..4].copy_from_slice(&len.to_le_bytes());
-        self.buf
+    /// Fills in the length prefix. The length is not checked here: the
+    /// encoders are total, so tests can build frames a decoder must
+    /// refuse, and a sender checks the finished frame against
+    /// [`WIRE_MAX_FRAME_LEN`] before writing it (`RpcClient` does).
+    fn finish(self) {
+        let len = (self.buf.len() - self.start - 4) as u32;
+        self.buf[self.start..self.start + 4].copy_from_slice(&len.to_le_bytes());
     }
 }
 
+/// What a fresh frame buffer starts with: room for any of the small
+/// fixed-size messages without growing.
+const SMALL_FRAME: usize = 64;
+
 /// Encodes a request as one complete frame (length prefix included).
 pub fn encode_request(req: &Request) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(SMALL_FRAME);
+    encode_request_into(req, &mut frame);
+    frame
+}
+
+/// Encodes a response as one complete frame (length prefix included).
+pub fn encode_response(resp: &Response) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(SMALL_FRAME);
+    encode_response_into(resp, &mut frame);
+    frame
+}
+
+/// Appends a request to `out` as one complete frame (length prefix
+/// included). A connection keeps one `out` for its lifetime and clears it
+/// per message, so steady-state encoding allocates nothing.
+pub fn encode_request_into(req: &Request, out: &mut Vec<u8>) {
     let mut w;
     match req {
         Request::Register { capacity, tenants } => {
-            w = FrameWriter::new(WIRE_VERSION, OP_REGISTER);
+            w = FrameWriter::new(out, OP_REGISTER);
             w.u64(*capacity);
             w.u32(*tenants);
         }
         Request::Deregister { id } => {
-            w = FrameWriter::new(WIRE_VERSION, OP_DEREGISTER);
+            w = FrameWriter::new(out, OP_DEREGISTER);
             w.u64(*id);
         }
         Request::Submit { entries } => {
-            w = FrameWriter::new(WIRE_VERSION, OP_SUBMIT);
+            // The one message that can be large: size it exactly, so even
+            // a cold buffer grows once. Prefix, header and batch count are
+            // 10 bytes; an entry is id + tenant + point count + points.
+            let points: usize = entries.iter().map(|e| e.curve.len()).sum();
+            out.reserve(10 + 16 * entries.len() + MissCurve::POINT_BYTES * points);
+            w = FrameWriter::new(out, OP_SUBMIT);
             w.u32(entries.len() as u32);
             for e in entries {
                 w.u64(e.id);
@@ -527,20 +556,20 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
                 w.curve(&e.curve);
             }
         }
-        Request::RunEpoch => w = FrameWriter::new(WIRE_VERSION, OP_RUN_EPOCH),
+        Request::RunEpoch => w = FrameWriter::new(out, OP_RUN_EPOCH),
         Request::Report { id } => {
-            w = FrameWriter::new(WIRE_VERSION, OP_REPORT);
+            w = FrameWriter::new(out, OP_REPORT);
             w.u64(*id);
         }
-        Request::Ping => w = FrameWriter::new(WIRE_VERSION, OP_PING),
-        Request::Health => w = FrameWriter::new(WIRE_VERSION, OP_HEALTH),
-        Request::Hello => w = FrameWriter::new(WIRE_VERSION, OP_HELLO),
+        Request::Ping => w = FrameWriter::new(out, OP_PING),
+        Request::Health => w = FrameWriter::new(out, OP_HEALTH),
+        Request::Hello => w = FrameWriter::new(out, OP_HELLO),
         Request::RegisterAt {
             id,
             capacity,
             tenants,
         } => {
-            w = FrameWriter::new(WIRE_VERSION, OP_REGISTER_AT);
+            w = FrameWriter::new(out, OP_REGISTER_AT);
             w.u64(*id);
             w.u64(*capacity);
             w.u32(*tenants);
@@ -549,17 +578,18 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
     w.finish()
 }
 
-/// Encodes a response as one complete frame (length prefix included).
-pub fn encode_response(resp: &Response) -> Vec<u8> {
+/// Appends a response to `out` as one complete frame; see
+/// [`encode_request_into`].
+pub fn encode_response_into(resp: &Response, out: &mut Vec<u8>) {
     let mut w;
     match resp {
         Response::Registered { id } => {
-            w = FrameWriter::new(WIRE_VERSION, OP_REGISTERED);
+            w = FrameWriter::new(out, OP_REGISTERED);
             w.u64(*id);
         }
-        Response::Deregistered => w = FrameWriter::new(WIRE_VERSION, OP_DEREGISTERED),
+        Response::Deregistered => w = FrameWriter::new(out, OP_DEREGISTERED),
         Response::SubmitReply { results } => {
-            w = FrameWriter::new(WIRE_VERSION, OP_SUBMIT_REPLY);
+            w = FrameWriter::new(out, OP_SUBMIT_REPLY);
             w.u32(results.len() as u32);
             for r in results {
                 match r {
@@ -572,7 +602,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             }
         }
         Response::Epoch(report) => {
-            w = FrameWriter::new(WIRE_VERSION, OP_EPOCH);
+            w = FrameWriter::new(out, OP_EPOCH);
             w.u64(report.epoch);
             w.ids(&report.planned);
             w.ids(&report.deferred);
@@ -585,7 +615,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             w.u64(report.remaining_dirty as u64);
         }
         Response::Snapshot(summary) => {
-            w = FrameWriter::new(WIRE_VERSION, OP_SNAPSHOT);
+            w = FrameWriter::new(out, OP_SNAPSHOT);
             match summary {
                 None => w.u8(0),
                 Some(s) => {
@@ -612,13 +642,13 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                 }
             }
         }
-        Response::Pong => w = FrameWriter::new(WIRE_VERSION, OP_PONG),
+        Response::Pong => w = FrameWriter::new(out, OP_PONG),
         Response::Health(h) => {
-            w = FrameWriter::new(WIRE_VERSION, OP_HEALTH_REPLY);
+            w = FrameWriter::new(out, OP_HEALTH_REPLY);
             w.plane_health(h);
         }
         Response::Hello(info) => {
-            w = FrameWriter::new(WIRE_VERSION, OP_HELLO_REPLY);
+            w = FrameWriter::new(out, OP_HELLO_REPLY);
             w.u32(info.total_shards);
             w.u32(info.first_shard);
             w.u32(info.shard_count);
@@ -626,9 +656,9 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             w.u64(info.next_id);
             w.plane_health(&info.health);
         }
-        Response::Busy => w = FrameWriter::new(WIRE_VERSION, OP_BUSY),
+        Response::Busy => w = FrameWriter::new(out, OP_BUSY),
         Response::Error(e) => {
-            w = FrameWriter::new(WIRE_VERSION, OP_ERROR);
+            w = FrameWriter::new(out, OP_ERROR);
             w.serve_error(e);
         }
     }
@@ -698,17 +728,10 @@ impl<'a> Reader<'a> {
     }
 
     fn curve(&mut self) -> Result<MissCurve, WireError> {
-        let points = self.count(WIRE_MAX_CURVE_POINTS, 16)?;
-        if points == 0 {
-            return Err(WireError::Curve(CurveError::Empty));
-        }
-        let mut sizes = Vec::with_capacity(points);
-        let mut misses = Vec::with_capacity(points);
-        for _ in 0..points {
-            sizes.push(self.f64()?);
-            misses.push(self.f64()?);
-        }
-        MissCurve::from_samples(&sizes, &misses).map_err(WireError::Curve)
+        let points = self.count(WIRE_MAX_CURVE_POINTS, MissCurve::POINT_BYTES)?;
+        // `count` checked the frame holds that many points.
+        let body = self.take(points * MissCurve::POINT_BYTES)?;
+        MissCurve::decode_points(body).map_err(WireError::Curve)
     }
 
     fn ids(&mut self) -> Result<Vec<CacheId>, WireError> {
@@ -1024,19 +1047,31 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
 
 /// Reads one frame payload (version byte onward) from a stream.
 ///
-/// Returns `Ok(None)` on a clean end-of-stream at a frame boundary. The
-/// length prefix is validated against [`WIRE_MAX_FRAME_LEN`] *before*
-/// the payload buffer is allocated, so a hostile length field costs
-/// nothing; end-of-stream mid-frame surfaces as
-/// [`WireError::Truncated`].
+/// Returns `Ok(None)` on a clean end-of-stream at a frame boundary;
+/// otherwise [`read_frame_into`] with a buffer of its own.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, &mut payload)?.then_some(payload))
+}
+
+/// Reads one frame payload (version byte onward) from a stream into
+/// `payload`, replacing whatever it held: on `Ok(true)` the buffer is
+/// exactly the frame. A connection keeps one buffer for its lifetime, so
+/// steady-state reads allocate nothing; the buffer never holds more than
+/// [`WIRE_MAX_FRAME_LEN`] bytes.
+///
+/// Returns `Ok(false)` on a clean end-of-stream at a frame boundary. The
+/// length prefix is validated against [`WIRE_MAX_FRAME_LEN`] *before*
+/// the buffer is sized for it, so a hostile length field costs nothing;
+/// end-of-stream mid-frame surfaces as [`WireError::Truncated`].
+pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<bool, WireError> {
     let mut len_bytes = [0u8; 4];
     // A clean EOF before any length byte means the peer closed between
     // frames; EOF after at least one byte is a truncated frame.
     let mut filled = 0;
     while filled < 4 {
         match r.read(&mut len_bytes[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) if filled == 0 => return Ok(false),
             Ok(0) => return Err(WireError::Truncated),
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -1050,9 +1085,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
     if len < 2 {
         return Err(WireError::Malformed("frame shorter than its header"));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+    // Only bytes the buffer has not held before are zeroed; every byte
+    // kept is overwritten by the read.
+    payload.resize(len as usize, 0);
+    r.read_exact(payload)?;
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -1118,9 +1155,10 @@ mod tests {
     fn hostile_counts_never_reserve_memory() {
         // A submit frame declaring u32::MAX entries in a 10-byte body must
         // fail the count check (remaining-bytes bound), not allocate.
-        let mut w = FrameWriter::new(WIRE_VERSION, OP_SUBMIT);
+        let mut frame = Vec::new();
+        let mut w = FrameWriter::new(&mut frame, OP_SUBMIT);
         w.u32(u32::MAX);
-        let frame = w.finish();
+        w.finish();
         assert_eq!(
             decode_request(&frame[4..]),
             Err(WireError::BadCount {
@@ -1129,9 +1167,10 @@ mod tests {
             })
         );
         // Within the cap but beyond the body: truncation, pre-allocation.
-        let mut w = FrameWriter::new(WIRE_VERSION, OP_SUBMIT);
+        let mut frame = Vec::new();
+        let mut w = FrameWriter::new(&mut frame, OP_SUBMIT);
         w.u32(WIRE_MAX_BATCH);
-        let frame = w.finish();
+        w.finish();
         assert_eq!(decode_request(&frame[4..]), Err(WireError::Truncated));
     }
 

@@ -527,6 +527,56 @@ fn store_fault_surfaces_in_health() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A local `submit` may carry a curve the journal format cannot hold
+/// (the wire's point cap does not bind in-process callers). The plane
+/// takes it, plans it and publishes it — and the store faults instead
+/// of writing a record its own reader would refuse: the next open finds
+/// nothing to truncate, and everything journaled before the oversized
+/// curve restores. (Written, that record read as a torn tail, and the
+/// open cut it off *with every record after it*.)
+#[test]
+fn a_curve_the_journal_cannot_hold_faults_the_store_and_costs_no_history() {
+    let dir = temp_dir("unjournalable");
+    let store = Arc::new(Store::open(&dir, 1).expect("open"));
+    let service =
+        ShardedReconfigService::new(1).with_sink(Arc::clone(&store) as Arc<dyn StoreSink>);
+    let small = service.register(CacheSpec::new(512, 1));
+    let big = service.register(CacheSpec::new(1 << 20, 1));
+    service
+        .submit(small, 0, curve_from_seed(5))
+        .expect("registered");
+    service.run_until_clean();
+    let published = service.snapshot(small).expect("planned");
+    assert_eq!(service.health().store, StoreHealth::Ok);
+
+    let oversized = MissCurve::new((0..5000).map(|i| (f64::from(i), 1.0))).expect("valid");
+    service
+        .submit(big, 0, oversized)
+        .expect("the plane accepts");
+    assert_eq!(service.health().store, StoreHealth::Faulted);
+    service.run_until_clean();
+    assert!(service.snapshot(big).is_some(), "faults stop the pen only");
+    drop(service);
+    drop(store);
+
+    let store = Store::open(&dir, 1).expect("reopen");
+    assert_eq!(store.recovery().torn_bytes(), 0, "no history was cut off");
+    assert_eq!(store.recovery().shards[0].tail, None);
+    let restored = ShardedReconfigService::new(1);
+    restored.restore(&store).expect("restore");
+    assert_same_plan(
+        &restored.snapshot(small).expect("restored"),
+        &published,
+        "the cache journaled before the fault",
+    );
+    assert!(
+        restored.snapshot(big).is_none(),
+        "its curve never reached disk"
+    );
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// An over-cap connection receives a typed `Busy` frame — not a silent
 /// drop — and the shed is counted on the server handle.
 #[test]

@@ -9,9 +9,11 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use talus_core::limits::{WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS};
 use talus_core::{MissCurve, ReplaySource};
+use talus_serve::wire::{SubmitEntry, WireError};
 use talus_serve::{
-    CacheId, CacheSpec, EpochReport, RpcClient, RpcError, RpcServer, ServeError,
+    CacheId, CacheSpec, EpochReport, RetryPolicy, RpcClient, RpcError, RpcServer, ServeError,
     ShardedReconfigService,
 };
 
@@ -363,5 +365,83 @@ fn submit_latest_coalesces_identically_across_the_wire() {
     );
     assert_eq!(local.pending(), 0);
     assert_eq!(remote.pending(), 0);
+    handle.shutdown();
+}
+
+/// A curve of exactly `points` points.
+fn curve_of(points: usize) -> MissCurve {
+    MissCurve::new((0..points).map(|i| (i as f64, 1.0))).expect("valid")
+}
+
+/// A batch within the entry cap but over the frame byte cap is refused
+/// by the client, typed, before a byte of it reaches the socket: it is
+/// not retried, and the same connection goes on serving. (Sent, the
+/// server could only drop the connection — `ConnectionReset` here,
+/// `BrokenPipe` on the next call, once per attempt under a retry policy.)
+#[test]
+fn a_batch_over_the_frame_cap_is_refused_before_the_socket_is_touched() {
+    let (remote, client, handle) = loopback_plane(2);
+    let mut client = client.with_retry(RetryPolicy {
+        attempts: 3,
+        ..RetryPolicy::default()
+    });
+    let id = client.register(4096, 1).expect("register");
+
+    let entries: Vec<SubmitEntry> = (0..100)
+        .map(|_| SubmitEntry {
+            id: id.value(),
+            tenant: 0,
+            curve: curve_of(1024),
+        })
+        .collect();
+    let frame_len = 2 + 4 + 100 * (8 + 4 + 4 + 16 * 1024);
+    assert_eq!(
+        client.submit_batch(entries),
+        Err(RpcError::Wire(WireError::Oversized { len: frame_len }))
+    );
+
+    // Same client, same connection: nothing was written, nothing broke.
+    assert_eq!(client.report(id), Ok(None));
+    client.submit(id, 0, curve_of(1024)).expect("a legal frame");
+    assert_eq!(client.run_epoch().expect("epoch").planned, vec![id]);
+    assert_eq!(remote.snapshot(id).expect("published").updates, 1);
+    assert_eq!(handle.connections(), 1, "never reconnected");
+    handle.shutdown();
+}
+
+/// Counts the server's decoder caps are refused the same way: a curve
+/// over the point cap is neither staged nor sent, a batch over the entry
+/// cap is an error, not a frame — and the caps themselves go through.
+#[test]
+fn counts_over_the_wire_caps_are_refused_at_the_client() {
+    let (_remote, mut client, handle) = loopback_plane(1);
+    let id = client.register(1 << 20, 1).expect("register");
+    let over = WIRE_MAX_CURVE_POINTS as usize + 1;
+    let refused = Err(RpcError::Wire(WireError::BadCount {
+        count: over as u32,
+        max: WIRE_MAX_CURVE_POINTS,
+    }));
+    assert_eq!(client.submit(id, 0, curve_of(over)), refused);
+    assert_eq!(client.stage(id, 0, curve_of(over)).map(|_| ()), refused);
+    assert_eq!(client.staged_len(), 0, "a refused curve is not staged");
+    assert_eq!(client.submit(id, 0, curve_of(over - 1)), Ok(()));
+
+    let entry = SubmitEntry {
+        id: id.value(),
+        tenant: 0,
+        curve: curve_of(2),
+    };
+    assert_eq!(
+        client.submit_batch(vec![entry.clone(); WIRE_MAX_BATCH as usize + 1]),
+        Err(RpcError::Wire(WireError::BadCount {
+            count: WIRE_MAX_BATCH + 1,
+            max: WIRE_MAX_BATCH,
+        }))
+    );
+    let results = client
+        .submit_batch(vec![entry; WIRE_MAX_BATCH as usize])
+        .expect("a batch at the cap is legal");
+    assert_eq!(results.len(), WIRE_MAX_BATCH as usize);
+    assert_eq!(client.ping(), Ok(()));
     handle.shutdown();
 }

@@ -18,7 +18,7 @@
 //! state instead of the exact monitor's per-access Fenwick prefix sums:
 //!
 //! - an open-addressing `last_seen` table (linear probing, power-of-two
-//!   sizing) from sampled line → timestamp;
+//!   sizing, grown with the live set) from sampled line → timestamp;
 //! - a timestamp *occupancy bitmap* with per-block popcount summaries —
 //!   distance queries count the live bits between two timestamps,
 //!   skipping whole 512-timestamp blocks at a time;
@@ -40,28 +40,41 @@ use talus_core::MissCurve;
 /// Empty-slot sentinel in the open-addressing table.
 const EMPTY: u32 = u32::MAX;
 
+/// Slots a new table starts with.
+const MIN_SLOTS: usize = 16;
+
+/// One slot of [`LastSeen`]: a sampled line and its latest timestamp
+/// (`EMPTY` marks a free slot), side by side so a probe touches one
+/// cache line.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    key: u64,
+    ts: u32,
+}
+
 /// Flat open-addressing map from sampled line → most recent timestamp.
 ///
 /// Linear probing over power-of-two slots; entries are only removed in
 /// bulk (compaction rebuilds the table), so no tombstones are needed. The
-/// table is sized to twice the compaction window, bounding the load
-/// factor at ~50%.
+/// table starts small and doubles whenever it is half full, so it is
+/// sized by the lines a tenant actually keeps live — a few hundred,
+/// typically — rather than by the compaction window that bounds them,
+/// and never exceeds twice that window. Slot order depends on the
+/// table's size, but nothing reads it: [`entries`](Self::entries) is
+/// only ever sorted by (unique) timestamp.
 #[derive(Debug, Clone)]
 struct LastSeen {
-    keys: Vec<u64>,
-    /// Timestamp per slot; `EMPTY` marks a free slot.
-    vals: Vec<u32>,
-    mask: usize,
+    slots: Vec<Slot>,
+    /// Occupied slots.
+    len: usize,
     seed: u64,
 }
 
 impl LastSeen {
-    fn new(slots: usize, seed: u64) -> Self {
-        let slots = slots.next_power_of_two();
+    fn new(seed: u64) -> Self {
         LastSeen {
-            keys: vec![0; slots],
-            vals: vec![EMPTY; slots],
-            mask: slots - 1,
+            slots: vec![Slot { key: 0, ts: EMPTY }; MIN_SLOTS],
+            len: 0,
             seed,
         }
     }
@@ -69,9 +82,10 @@ impl LastSeen {
     /// The slot holding `key`, or the free slot where it belongs.
     #[inline]
     fn probe(&self, key: u64) -> usize {
-        let mut i = (mix64(self.seed, key) as usize) & self.mask;
-        while self.vals[i] != EMPTY && self.keys[i] != key {
-            i = (i + 1) & self.mask;
+        let mask = self.slots.len() - 1;
+        let mut i = (mix64(self.seed, key) as usize) & mask;
+        while self.slots[i].ts != EMPTY && self.slots[i].key != key {
+            i = (i + 1) & mask;
         }
         i
     }
@@ -80,24 +94,48 @@ impl LastSeen {
     #[inline]
     fn replace(&mut self, key: u64, ts: u32) -> Option<u32> {
         let i = self.probe(key);
-        let prev = self.vals[i];
-        self.keys[i] = key;
-        self.vals[i] = ts;
-        (prev != EMPTY).then_some(prev)
+        let prev = self.slots[i].ts;
+        self.slots[i] = Slot { key, ts };
+        if prev != EMPTY {
+            return Some(prev);
+        }
+        self.len += 1;
+        if 2 * self.len > self.slots.len() {
+            self.grow();
+        }
+        None
+    }
+
+    /// Doubles the table and re-places every entry.
+    #[cold]
+    fn grow(&mut self) {
+        let doubled = vec![Slot { key: 0, ts: EMPTY }; 2 * self.slots.len()];
+        for slot in std::mem::replace(&mut self.slots, doubled) {
+            if slot.ts != EMPTY {
+                let i = self.probe(slot.key);
+                self.slots[i] = slot;
+            }
+        }
     }
 
     fn clear(&mut self) {
-        self.vals.fill(EMPTY);
+        self.slots.fill(Slot { key: 0, ts: EMPTY });
+        self.len = 0;
     }
 
     /// All live `(line, timestamp)` entries, in table order.
     fn entries(&self) -> Vec<(u64, u32)> {
-        self.keys
+        self.slots
             .iter()
-            .zip(&self.vals)
-            .filter(|&(_, &v)| v != EMPTY)
-            .map(|(&k, &v)| (k, v))
+            .filter(|slot| slot.ts != EMPTY)
+            .map(|slot| (slot.key, slot.ts))
             .collect()
+    }
+
+    /// Bytes the table occupies.
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(&self.slots[..])
     }
 }
 
@@ -341,7 +379,7 @@ impl SampledMattson {
             cold: 0,
             sampled: 0,
             observed: 0,
-            table: LastSeen::new(2 * window, seed ^ 0x5A4D),
+            table: LastSeen::new(seed ^ 0x5A4D),
             marks: Marks::new(window),
             live: 0,
             now: 0,
@@ -584,6 +622,33 @@ mod tests {
             let expect = naive[lo..=hi].iter().filter(|&&b| b).count() as u64;
             assert_eq!(m.count_range(lo, hi), expect, "range [{lo}, {hi}]");
         }
+    }
+
+    #[test]
+    fn last_seen_is_sized_by_the_live_set_not_the_window() {
+        // The repo benchmark's monitor shape: 8192 lines at 1-in-8, whose
+        // window-sized table was 8192 slots in two arrays (96 KiB) for
+        // the ~40 sampled lines of a 300-line working set.
+        let mut m = SampledMattson::new(8192, 8, 5);
+        for &l in &uniform_stream(300, 60_000, 9) {
+            m.record(l);
+        }
+        assert!(m.sampled > m.window as u64, "the window compacted");
+        assert!(m.live > 0 && m.live <= 300);
+        assert!(
+            m.table.bytes() < 16 << 10,
+            "{} live lines hold {} B of table",
+            m.live,
+            m.table.bytes()
+        );
+        // Growth keeps the load at or under one half, whatever arrives.
+        let mut scan = SampledMattson::new(8192, 1, 5);
+        for &l in &scan_stream(5000, 12_000) {
+            scan.record(l);
+            assert!(2 * scan.table.len <= scan.table.slots.len());
+            assert_eq!(scan.table.len as u64, scan.live);
+        }
+        assert!(scan.table.slots.len() <= 2 * scan.window);
     }
 
     #[test]

@@ -97,9 +97,13 @@ impl ShardJournal {
     /// Appends the one framed record `encode` adds to the write buffer:
     /// buffered if a scope is open, otherwise written before returning
     /// (a single `write_all`, so a crash mid-append leaves at most a
-    /// torn tail).
-    pub(crate) fn append(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), StoreError> {
-        encode(&mut self.pending);
+    /// torn tail). An `encode` that refuses its record has added nothing;
+    /// its error is returned and the buffer stays as it was.
+    pub(crate) fn append(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        encode(&mut self.pending)?;
         if self.scoped {
             return Ok(());
         }

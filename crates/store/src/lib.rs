@@ -86,7 +86,7 @@ mod store;
 
 pub use journal::ShardRecovery;
 pub use record::{
-    checksum64, decode_record, encode_record, fnv1a64, records, scan, Record, Records, Scan,
-    StoreError, RECORD_HEADER_LEN, STORE_VERSION,
+    checksum64, decode_record, encode_record, encode_record_into, fnv1a64, records, scan, Record,
+    Records, Scan, StoreError, RECORD_HEADER_LEN, STORE_VERSION,
 };
 pub use store::{CurveUpdate, RecoveryReport, Store, StoreSink};

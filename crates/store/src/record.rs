@@ -13,10 +13,10 @@
 //! The length prefix counts the payload only (version + tag + body).
 //! Integers are little-endian; `f64`s are IEEE-754 bit patterns (LE), so
 //! curves and plans round-trip bit-exactly. A miss curve encodes as a
-//! point count followed by `(size, misses)` pairs; id lists encode as a
-//! `u32` count followed by elements — the same conventions as
-//! `talus-serve`'s wire protocol, and the same caps from
-//! [`talus_core::limits`].
+//! point count followed by the curve's one byte form
+//! ([`MissCurve::encode_points`]); id lists encode as a `u32` count
+//! followed by elements — the same conventions as `talus-serve`'s wire
+//! protocol, and the same caps from [`talus_core::limits`].
 //!
 //! ## Decoding is total
 //!
@@ -28,11 +28,21 @@
 //! - every element count is checked against its cap (`WIRE_MAX_*`,
 //!   `STORE_MAX_*`) **and** the bytes actually remaining in the payload
 //!   *before* any `Vec` is reserved;
-//! - curve payloads are re-validated through
-//!   [`MissCurve::from_samples`], so a decoded curve upholds every
-//!   invariant a locally built one does;
+//! - curve payloads are re-validated by [`MissCurve::decode_points`],
+//!   so a decoded curve upholds every invariant a locally built one
+//!   does;
 //! - trailing bytes after a well-formed body are an error, so every byte
 //!   of an accepted record is accounted for.
+//!
+//! ## The writer refuses what the reader refuses
+//!
+//! A record the decoder would refuse must never reach a file: recovery
+//! would take it for a torn tail and truncate it *and everything after
+//! it*. So the encoders check the same bounds — the point, tenant and
+//! cut-id caps, the zero fields, [`STORE_MAX_RECORD_LEN`] — and return
+//! the error the decoder would have, leaving the buffer as it was.
+//! [`crate::Store`] treats a refusal like a failed write: nothing is
+//! appended and the store faults.
 //!
 //! ## Torn tails
 //!
@@ -372,25 +382,59 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 // Encoding
 // ---------------------------------------------------------------------
 
-/// Appends one framed record to a byte buffer: [`PayloadWriter::new`]
-/// reserves the header, the field methods append the payload (version +
-/// tag + body), and [`PayloadWriter::finish`] fills the header in —
-/// nothing is copied, and the buffer may already hold earlier records.
+/// Appends one framed record to a byte buffer: [`framed`] reserves the
+/// header and writes version and tag, the field methods append the body,
+/// and [`PayloadWriter::finish`] fills the header in — nothing is copied,
+/// and the buffer may already hold earlier records. A field method or
+/// `finish` may refuse the record; `framed` then takes it back out.
 struct PayloadWriter<'a> {
     buf: &'a mut Vec<u8>,
     /// Where this record's header starts in `buf`.
     start: usize,
 }
 
-impl<'a> PayloadWriter<'a> {
-    fn new(buf: &'a mut Vec<u8>, tag: u8) -> Self {
-        let start = buf.len();
-        buf.extend_from_slice(&[0; RECORD_HEADER_LEN]);
-        buf.push(STORE_VERSION);
-        buf.push(tag);
-        PayloadWriter { buf, start }
+/// Appends the record `body` writes to `out`, or — when a field method or
+/// [`PayloadWriter::finish`] refuses it — leaves `out` as it was.
+fn framed(
+    out: &mut Vec<u8>,
+    tag: u8,
+    body: impl FnOnce(&mut PayloadWriter) -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
+    let start = out.len();
+    out.extend_from_slice(&[0; RECORD_HEADER_LEN]);
+    out.extend_from_slice(&[STORE_VERSION, tag]);
+    let mut w = PayloadWriter { buf: out, start };
+    let written = body(&mut w).and_then(|()| w.finish());
+    if written.is_err() {
+        out.truncate(start);
     }
+    written
+}
 
+/// The bounds on a cache's shape, as both directions enforce them.
+fn check_shape(capacity: u64, tenants: u32) -> Result<(), StoreError> {
+    if capacity == 0 {
+        return Err(StoreError::Malformed("zero capacity"));
+    }
+    if tenants == 0 {
+        return Err(StoreError::Malformed("zero tenants"));
+    }
+    check_count(tenants, WIRE_MAX_TENANTS)
+}
+
+/// A curve record's tenant index must be one a registered cache can have.
+fn check_tenant(tenant: u32) -> Result<(), StoreError> {
+    check_count(tenant, WIRE_MAX_TENANTS - 1)
+}
+
+fn check_count(count: u32, max: u32) -> Result<(), StoreError> {
+    if count > max {
+        return Err(StoreError::BadCount { count, max });
+    }
+    Ok(())
+}
+
+impl PayloadWriter<'_> {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -407,13 +451,19 @@ impl<'a> PayloadWriter<'a> {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
-    fn curve(&mut self, curve: &MissCurve) {
-        self.buf.reserve(4 + 16 * curve.len());
-        self.u32(curve.len() as u32);
-        for p in curve.iter() {
-            self.f64(p.size);
-            self.f64(p.misses);
-        }
+    /// Writes an element count, refusing one over `max` as the reader's
+    /// `count` would.
+    fn count(&mut self, count: usize, max: u32) -> Result<(), StoreError> {
+        let count = u32::try_from(count).unwrap_or(u32::MAX);
+        check_count(count, max)?;
+        self.u32(count);
+        Ok(())
+    }
+
+    fn curve(&mut self, curve: &MissCurve) -> Result<(), StoreError> {
+        self.count(curve.len(), WIRE_MAX_CURVE_POINTS)?;
+        curve.encode_points(self.buf);
+        Ok(())
     }
 
     fn policy(&mut self, policy: AllocPolicy) {
@@ -425,9 +475,12 @@ impl<'a> PayloadWriter<'a> {
         });
     }
 
-    fn plan(&mut self, plan: &CachePlan) {
+    fn plan(&mut self, plan: &CachePlan) -> Result<(), StoreError> {
         self.u64(plan.round);
-        self.u32(plan.tenants.len() as u32);
+        if plan.tenants.is_empty() {
+            return Err(StoreError::Malformed("plan with zero tenants"));
+        }
+        self.count(plan.tenants.len(), WIRE_MAX_TENANTS)?;
         for t in &plan.tenants {
             self.u64(t.capacity);
             match &t.plan {
@@ -452,23 +505,46 @@ impl<'a> PayloadWriter<'a> {
                 }
             }
         }
+        Ok(())
     }
 
     /// Frames the payload in place: fills `[len][checksum64]` into the
-    /// header reserved in front of it.
-    fn finish(self) {
+    /// header reserved in front of it. Refuses a payload over
+    /// [`STORE_MAX_RECORD_LEN`], as the reader would.
+    fn finish(self) -> Result<(), StoreError> {
         let (header, payload) = self.buf[self.start..].split_at_mut(RECORD_HEADER_LEN);
-        let len = payload.len() as u32;
-        debug_assert!(len <= STORE_MAX_RECORD_LEN, "encoded record exceeds cap");
+        let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+        if len > STORE_MAX_RECORD_LEN {
+            return Err(StoreError::Oversized { len });
+        }
         header[..4].copy_from_slice(&len.to_le_bytes());
         header[4..].copy_from_slice(&checksum64(payload).to_le_bytes());
+        Ok(())
     }
 }
 
 /// Encodes one record as a complete framed byte string (length prefix
 /// and checksum included).
+///
+/// # Panics
+///
+/// Panics if [`decode_record`] would refuse the record; use
+/// [`encode_record_into`] where that can happen.
 pub fn encode_record(rec: &Record) -> Vec<u8> {
     let mut out = Vec::new();
+    encode_record_into(rec, &mut out).expect("record within the format's bounds"); // audited: documented panic of the convenience form; the journal path is fallible
+    out
+}
+
+/// Appends one record to `out` as a complete framed byte string.
+///
+/// # Errors
+///
+/// The error [`decode_record`] would give for the encoded record — a
+/// count over its cap, a zero field, a payload over
+/// [`STORE_MAX_RECORD_LEN`] — with `out` left exactly as it was: the
+/// writer refuses what the reader refuses.
+pub fn encode_record_into(rec: &Record, out: &mut Vec<u8>) -> Result<(), StoreError> {
     match rec {
         Record::Register {
             seq,
@@ -476,20 +552,20 @@ pub fn encode_record(rec: &Record) -> Vec<u8> {
             capacity,
             tenants,
             planner,
-        } => encode_register(&mut out, *seq, *id, *capacity, *tenants, planner),
-        Record::Deregister { seq, id } => encode_deregister(&mut out, *seq, *id),
+        } => encode_register(out, *seq, *id, *capacity, *tenants, planner),
+        Record::Deregister { seq, id } => encode_deregister(out, *seq, *id),
         Record::Curve {
             seq,
             id,
             tenant,
             curve,
-        } => encode_curve(&mut out, *seq, *id, *tenant, curve),
+        } => encode_curve(out, *seq, *id, *tenant, curve),
         Record::EpochCut {
             seq,
             shard,
             epoch,
             drained,
-        } => encode_epoch_cut(&mut out, *seq, *shard, *epoch, drained),
+        } => encode_epoch_cut(out, *seq, *shard, *epoch, drained),
         Record::Plan {
             seq,
             id,
@@ -497,15 +573,15 @@ pub fn encode_record(rec: &Record) -> Vec<u8> {
             version,
             updates,
             plan,
-        } => encode_plan(&mut out, *seq, *id, *epoch, *version, *updates, plan),
+        } => encode_plan(out, *seq, *id, *epoch, *version, *updates, plan),
     }
-    out
 }
 
 // The by-parts encoders below let the live sink journal straight from
 // borrowed service state into a shard's write buffer: each appends one
 // framed record to `out`, without cloning curves or plans into a Record
-// and without a buffer of its own.
+// and without a buffer of its own — or refuses it, as `encode_record_into`
+// documents.
 
 pub(crate) fn encode_register(
     out: &mut Vec<u8>,
@@ -514,34 +590,47 @@ pub(crate) fn encode_register(
     capacity: u64,
     tenants: u32,
     planner: &Planner,
-) {
-    let mut w = PayloadWriter::new(out, TAG_REGISTER);
-    w.u64(seq);
-    w.u64(id);
-    w.u64(capacity);
-    w.u32(tenants);
-    w.u64(planner.grain);
-    w.f64(planner.options.safety_margin);
-    w.f64(planner.options.vertex_tolerance);
-    w.policy(planner.policy);
-    w.u8(planner.convexify as u8);
-    w.finish();
+) -> Result<(), StoreError> {
+    framed(out, TAG_REGISTER, |w| {
+        check_shape(capacity, tenants)?;
+        if planner.grain == 0 {
+            return Err(StoreError::Malformed("zero planner grain"));
+        }
+        w.u64(seq);
+        w.u64(id);
+        w.u64(capacity);
+        w.u32(tenants);
+        w.u64(planner.grain);
+        w.f64(planner.options.safety_margin);
+        w.f64(planner.options.vertex_tolerance);
+        w.policy(planner.policy);
+        w.u8(planner.convexify as u8);
+        Ok(())
+    })
 }
 
-pub(crate) fn encode_deregister(out: &mut Vec<u8>, seq: u64, id: u64) {
-    let mut w = PayloadWriter::new(out, TAG_DEREGISTER);
-    w.u64(seq);
-    w.u64(id);
-    w.finish();
+pub(crate) fn encode_deregister(out: &mut Vec<u8>, seq: u64, id: u64) -> Result<(), StoreError> {
+    framed(out, TAG_DEREGISTER, |w| {
+        w.u64(seq);
+        w.u64(id);
+        Ok(())
+    })
 }
 
-pub(crate) fn encode_curve(out: &mut Vec<u8>, seq: u64, id: u64, tenant: u32, curve: &MissCurve) {
-    let mut w = PayloadWriter::new(out, TAG_CURVE);
-    w.u64(seq);
-    w.u64(id);
-    w.u32(tenant);
-    w.curve(curve);
-    w.finish();
+pub(crate) fn encode_curve(
+    out: &mut Vec<u8>,
+    seq: u64,
+    id: u64,
+    tenant: u32,
+    curve: &MissCurve,
+) -> Result<(), StoreError> {
+    framed(out, TAG_CURVE, |w| {
+        check_tenant(tenant)?;
+        w.u64(seq);
+        w.u64(id);
+        w.u32(tenant);
+        w.curve(curve)
+    })
 }
 
 pub(crate) fn encode_epoch_cut(
@@ -550,16 +639,17 @@ pub(crate) fn encode_epoch_cut(
     shard: u32,
     epoch: u64,
     drained: &[u64],
-) {
-    let mut w = PayloadWriter::new(out, TAG_EPOCH_CUT);
-    w.u64(seq);
-    w.u32(shard);
-    w.u64(epoch);
-    w.u32(drained.len() as u32);
-    for id in drained {
-        w.u64(*id);
-    }
-    w.finish();
+) -> Result<(), StoreError> {
+    framed(out, TAG_EPOCH_CUT, |w| {
+        w.u64(seq);
+        w.u32(shard);
+        w.u64(epoch);
+        w.count(drained.len(), STORE_MAX_CUT_IDS)?;
+        for id in drained {
+            w.u64(*id);
+        }
+        Ok(())
+    })
 }
 
 pub(crate) fn encode_plan(
@@ -570,15 +660,15 @@ pub(crate) fn encode_plan(
     version: u64,
     updates: u64,
     plan: &CachePlan,
-) {
-    let mut w = PayloadWriter::new(out, TAG_PLAN);
-    w.u64(seq);
-    w.u64(id);
-    w.u64(epoch);
-    w.u64(version);
-    w.u64(updates);
-    w.plan(plan);
-    w.finish();
+) -> Result<(), StoreError> {
+    framed(out, TAG_PLAN, |w| {
+        w.u64(seq);
+        w.u64(id);
+        w.u64(epoch);
+        w.u64(version);
+        w.u64(updates);
+        w.plan(plan)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -634,9 +724,7 @@ impl<'a> Reader<'a> {
     /// hostile count never reserves memory.
     fn count(&mut self, cap: u32, min_elem_bytes: usize) -> Result<usize, StoreError> {
         let count = self.u32()?;
-        if count > cap {
-            return Err(StoreError::BadCount { count, max: cap });
-        }
+        check_count(count, cap)?;
         if (count as usize).saturating_mul(min_elem_bytes) > self.remaining() {
             return Err(StoreError::Truncated);
         }
@@ -644,17 +732,10 @@ impl<'a> Reader<'a> {
     }
 
     fn curve(&mut self) -> Result<MissCurve, StoreError> {
-        let points = self.count(WIRE_MAX_CURVE_POINTS, 16)?;
-        if points == 0 {
-            return Err(StoreError::Curve(CurveError::Empty));
-        }
-        let mut sizes = Vec::with_capacity(points);
-        let mut misses = Vec::with_capacity(points);
-        for _ in 0..points {
-            sizes.push(self.f64()?);
-            misses.push(self.f64()?);
-        }
-        MissCurve::from_samples(&sizes, &misses).map_err(StoreError::Curve)
+        let points = self.count(WIRE_MAX_CURVE_POINTS, MissCurve::POINT_BYTES)?;
+        // `count` checked the payload holds that many points.
+        let body = self.take(points * MissCurve::POINT_BYTES)?;
+        MissCurve::decode_points(body).map_err(StoreError::Curve)
     }
 
     fn policy(&mut self) -> Result<AllocPolicy, StoreError> {
@@ -757,18 +838,7 @@ fn decode_payload(payload: &[u8]) -> Result<Record, StoreError> {
             let id = r.u64()?;
             let capacity = r.u64()?;
             let tenants = r.u32()?;
-            if capacity == 0 {
-                return Err(StoreError::Malformed("zero capacity"));
-            }
-            if tenants == 0 {
-                return Err(StoreError::Malformed("zero tenants"));
-            }
-            if tenants > WIRE_MAX_TENANTS {
-                return Err(StoreError::BadCount {
-                    count: tenants,
-                    max: WIRE_MAX_TENANTS,
-                });
-            }
+            check_shape(capacity, tenants)?;
             let grain = r.u64()?;
             if grain == 0 {
                 return Err(StoreError::Malformed("zero planner grain"));
@@ -805,12 +875,7 @@ fn decode_payload(payload: &[u8]) -> Result<Record, StoreError> {
             let seq = r.u64()?;
             let id = r.u64()?;
             let tenant = r.u32()?;
-            if tenant >= WIRE_MAX_TENANTS {
-                return Err(StoreError::BadCount {
-                    count: tenant,
-                    max: WIRE_MAX_TENANTS - 1,
-                });
-            }
+            check_tenant(tenant)?;
             Record::Curve {
                 seq,
                 id,

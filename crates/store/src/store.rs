@@ -134,7 +134,11 @@ pub struct CurveUpdate {
 /// or of a whole scope — the store trips a fault flag and silently drops
 /// every later append (on every shard), so each file always reopens to a
 /// consistent prefix; check [`last_error`](Store::last_error) to surface
-/// the fault.
+/// the fault. An event the record format cannot hold (a curve over the
+/// point cap, a cache over the tenant cap, …; see
+/// [`encode_record_into`](crate::encode_record_into)) faults the store the
+/// same way and is not written: a record the next open would refuse would
+/// cost the journal everything after it.
 ///
 /// ```no_run
 /// use talus_store::Store;
@@ -348,8 +352,14 @@ impl Store {
     /// `encode(buffer, seq)` frames to `shard` — written before this
     /// returns unless a lock scope is open on the shard. Serialized per
     /// shard by the journal lock (so `seq` is monotone within each
-    /// file); dropped silently once the store is faulted.
-    fn append_with(&self, shard: usize, encode: impl FnOnce(&mut Vec<u8>, u64)) {
+    /// file); dropped silently once the store is faulted. An `encode` that
+    /// refuses its record appends nothing and faults the store, like a
+    /// failed write.
+    fn append_with(
+        &self,
+        shard: usize,
+        encode: impl FnOnce(&mut Vec<u8>, u64) -> Result<(), StoreError>,
+    ) {
         if self.faulted.load(Ordering::Acquire) {
             return;
         }
@@ -371,7 +381,11 @@ impl Store {
     /// if `id` is not owned by this store's topology slice (a plane
     /// checks ownership before journaling, so reaching this means the
     /// plane and store disagree on topology — data loss, made visible).
-    fn append_for_id(&self, id: u64, encode: impl FnOnce(&mut Vec<u8>, u64)) {
+    fn append_for_id(
+        &self,
+        id: u64,
+        encode: impl FnOnce(&mut Vec<u8>, u64) -> Result<(), StoreError>,
+    ) {
         match self.topology.local_shard(id) {
             Some(shard) => self.append_with(shard, encode),
             None => self.trip(StoreError::Malformed("record for an unowned shard")),

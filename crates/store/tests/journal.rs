@@ -6,7 +6,9 @@
 //! corrupted checksums — typed errors, never panics), recovery tests for
 //! torn tails and reopened stores, and the write-scope contract (outside
 //! a scope every append is on disk when the call returns; inside one the
-//! records go out together at commit).
+//! records go out together at commit), and the writer's half of the
+//! format's bounds (what the decoder would refuse is never written: the
+//! store faults instead, and the journal keeps everything before it).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -18,8 +20,8 @@ use talus_core::limits::{
 use talus_core::{FaultAction, FaultScript, MissCurve, ShadowConfig, TalusOptions, TalusPlan};
 use talus_partition::{AllocPolicy, CachePlan, Planner, TenantPlan};
 use talus_store::{
-    checksum64, decode_record, encode_record, fnv1a64, records, scan, Record, Store, StoreError,
-    StoreSink, RECORD_HEADER_LEN, STORE_VERSION,
+    checksum64, decode_record, encode_record, encode_record_into, fnv1a64, records, scan, Record,
+    Store, StoreError, StoreSink, RECORD_HEADER_LEN, STORE_VERSION,
 };
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
@@ -1079,4 +1081,267 @@ fn the_append_fault_site_fires_per_record_at_the_same_ordinal_in_a_scope() {
         std::fs::remove_dir_all(&dir).ok();
     }
     assert_eq!(journals[0], journals[1]);
+}
+
+// ---------------------------------------------------------------------
+// The writer refuses what the reader refuses
+// ---------------------------------------------------------------------
+
+/// A curve of exactly `points` points.
+fn curve_of(points: usize) -> MissCurve {
+    MissCurve::new((0..points).map(|i| (i as f64, 1.0))).expect("valid")
+}
+
+/// A plan of `tenants` unpartitioned tenants.
+fn plan_of(tenants: usize) -> CachePlan {
+    CachePlan {
+        round: 1,
+        tenants: (0..tenants)
+            .map(|_| TenantPlan {
+                capacity: 64,
+                plan: TalusPlan::Unpartitioned {
+                    size: 64.0,
+                    expected_misses: 0.5,
+                },
+            })
+            .collect(),
+    }
+}
+
+/// A curve at the point cap journals and reads back; one point over it
+/// faults the store and leaves the file byte for byte as it was — where
+/// it used to be written, refused by the next open as a torn tail, and
+/// truncated away together with every record after it.
+#[test]
+fn a_curve_over_the_point_cap_faults_the_store_and_is_not_written() {
+    let dir = temp_dir("point-cap");
+    let path = dir.join("shard-000.talus");
+    let cap = WIRE_MAX_CURVE_POINTS as usize;
+    let store = Store::open(&dir, 1).unwrap();
+    store.register(1, 1 << 20, 1, &Planner::new(64));
+    store.submit(1, 0, &curve_of(cap));
+    assert_eq!(store.last_error(), None, "the cap itself is legal");
+    let before = std::fs::read(&path).unwrap();
+
+    store.submit(1, 0, &curve_of(cap + 1));
+    assert!(store.is_faulted(), "a refused record is a failed write");
+    assert_eq!(
+        store.last_error(),
+        Some(StoreError::BadCount {
+            count: WIRE_MAX_CURVE_POINTS + 1,
+            max: WIRE_MAX_CURVE_POINTS
+        })
+    );
+    // Faulted: later events are dropped, as after any failed write.
+    store.submit(1, 0, &curve_of(3));
+    store.epoch_cut(0, 1, &[1]);
+    assert_eq!(std::fs::read(&path).unwrap(), before);
+    drop(store);
+
+    let store = Store::open(&dir, 1).unwrap();
+    assert_eq!(store.recovery().torn_bytes(), 0, "nothing to truncate");
+    assert_eq!(store.recovery().shards[0].tail, None);
+    assert_eq!(store.recovery().records(), 2);
+    assert_eq!(store.history(1).unwrap()[0].curve, curve_of(cap));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The same rule inside a lock scope, for each bound a live plane can
+/// cross: the records buffered before the refusal are still committed,
+/// the refused one and everything after it are not, and the next open
+/// finds a clean journal with all of the former.
+#[test]
+fn reopen_after_a_refused_record_loses_nothing_written_before_it() {
+    type Offender = fn(&Store);
+    let offenders: [(&str, Offender, StoreError); 4] = [
+        (
+            "tenants",
+            |s| s.register(9, 1 << 20, WIRE_MAX_TENANTS + 1, &Planner::new(64)),
+            StoreError::BadCount {
+                count: WIRE_MAX_TENANTS + 1,
+                max: WIRE_MAX_TENANTS,
+            },
+        ),
+        (
+            "plan-tenants",
+            |s| s.plan(1, 1, 1, 1, &plan_of(WIRE_MAX_TENANTS as usize + 1)),
+            StoreError::BadCount {
+                count: WIRE_MAX_TENANTS + 1,
+                max: WIRE_MAX_TENANTS,
+            },
+        ),
+        (
+            "cut-ids",
+            |s| s.epoch_cut(0, 1, &vec![1; STORE_MAX_CUT_IDS as usize + 1]),
+            StoreError::BadCount {
+                count: STORE_MAX_CUT_IDS + 1,
+                max: STORE_MAX_CUT_IDS,
+            },
+        ),
+        (
+            "curve-tenant",
+            |s| s.submit(1, WIRE_MAX_TENANTS, &curve_of(2)),
+            StoreError::BadCount {
+                count: WIRE_MAX_TENANTS,
+                max: WIRE_MAX_TENANTS - 1,
+            },
+        ),
+    ];
+    for (tag, offend, error) in offenders {
+        let dir = temp_dir(tag);
+        let store = Store::open(&dir, 1).unwrap();
+        store.register(1, 1 << 20, 2, &Planner::new(64));
+        store.begin(0);
+        store.submit(1, 0, &curve_of(5));
+        store.submit(1, 1, &curve_of(6));
+        offend(&store);
+        assert_eq!(store.last_error(), Some(error), "{tag}");
+        store.submit(1, 0, &curve_of(7)); // dropped: the store is faulted
+        store.commit(0);
+        drop(store);
+
+        let store = Store::open(&dir, 1).unwrap();
+        assert_eq!(store.recovery().torn_bytes(), 0, "{tag}");
+        assert_eq!(store.recovery().records(), 3, "{tag}");
+        let history = store.history(1).unwrap();
+        assert_eq!(history.len(), 2, "{tag}");
+        assert_eq!(history[1].curve, curve_of(6), "{tag}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A record with one count at, just over, or far over its cap — the
+/// caps at which the decoder starts refusing.
+fn arb_record_near_a_cap() -> impl Strategy<Value = (Record, Option<(u32, u32)>)> {
+    (0u64..5, 0u32..4, any::<u64>()).prop_map(|(kind, over, seed)| {
+        // `over` 0: at the cap; 1..: beyond it, by one or by a lot.
+        let beyond = [0, 1, 2, 1 + (seed % 900) as u32][over as usize];
+        let at = |cap: u32| (cap + beyond, (beyond > 0).then_some((cap + beyond, cap)));
+        match kind {
+            0 => {
+                let (tenants, refused) = at(WIRE_MAX_TENANTS);
+                let planner = planner_from_seed(seed);
+                let rec = Record::Register {
+                    seq: seed,
+                    id: 3,
+                    capacity: 64,
+                    tenants,
+                    planner,
+                };
+                (rec, refused)
+            }
+            1 => {
+                let (points, refused) = at(WIRE_MAX_CURVE_POINTS);
+                let curve = curve_of(points as usize);
+                (
+                    Record::Curve {
+                        seq: seed,
+                        id: 3,
+                        tenant: 0,
+                        curve,
+                    },
+                    refused,
+                )
+            }
+            2 => {
+                let (tenant, refused) = at(WIRE_MAX_TENANTS - 1);
+                let curve = curve_from_seed(seed);
+                (
+                    Record::Curve {
+                        seq: seed,
+                        id: 3,
+                        tenant,
+                        curve,
+                    },
+                    refused,
+                )
+            }
+            3 => {
+                let (ids, refused) = at(STORE_MAX_CUT_IDS);
+                let drained = vec![seed; ids as usize];
+                (
+                    Record::EpochCut {
+                        seq: seed,
+                        shard: 0,
+                        epoch: 9,
+                        drained,
+                    },
+                    refused,
+                )
+            }
+            _ => {
+                let (tenants, refused) = at(WIRE_MAX_TENANTS);
+                let plan = plan_of(tenants as usize);
+                let rec = Record::Plan {
+                    seq: seed,
+                    id: 3,
+                    epoch: 1,
+                    version: 1,
+                    updates: 1,
+                    plan,
+                };
+                (rec, refused)
+            }
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Everything the encoder accepts, the decoder accepts — and gets
+    /// the record back — across the point, tenant and cut-id caps, with
+    /// every accepted record inside the record-length cap; everything it
+    /// refuses is a count over its cap, refused with the decoder's own
+    /// error, and leaves the buffer exactly as it was.
+    #[test]
+    fn whatever_the_encoder_accepts_the_decoder_accepts(
+        (rec, refused) in arb_record_near_a_cap(),
+        earlier in arb_record(),
+    ) {
+        let mut journal = encode_record(&earlier);
+        let before = journal.clone();
+        match encode_record_into(&rec, &mut journal) {
+            Ok(()) => {
+                prop_assert_eq!(refused, None);
+                let appended = &journal[before.len()..];
+                prop_assert!(appended.len() - RECORD_HEADER_LEN <= STORE_MAX_RECORD_LEN as usize);
+                prop_assert_eq!(decode_record(appended), Ok((rec, appended.len())));
+                prop_assert_eq!(&journal[..before.len()], &before[..]);
+            }
+            Err(e) => {
+                let (count, max) = refused.expect("refused within the caps");
+                prop_assert_eq!(e, StoreError::BadCount { count, max });
+                prop_assert_eq!(&journal, &before);
+            }
+        }
+    }
+}
+
+/// The zero fields the decoder refuses are refused by the encoder too.
+#[test]
+fn zero_fields_are_refused_by_the_encoder() {
+    let register = |capacity, tenants| Record::Register {
+        seq: 1,
+        id: 2,
+        capacity,
+        tenants,
+        planner: Planner::new(8),
+    };
+    let plan = Record::Plan {
+        seq: 1,
+        id: 2,
+        epoch: 1,
+        version: 1,
+        updates: 1,
+        plan: plan_of(0),
+    };
+    for rec in [register(0, 1), register(64, 0), plan] {
+        let mut out = vec![7];
+        assert!(matches!(
+            encode_record_into(&rec, &mut out),
+            Err(StoreError::Malformed(_))
+        ));
+        assert_eq!(out, [7]);
+    }
 }
