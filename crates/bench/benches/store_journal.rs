@@ -24,6 +24,9 @@
 //!   records back into `Record`s (the decode half of a warm restart);
 //!   `restore_plane` also rebuilds the full service state, which is what
 //!   an operator actually waits for after a crash.
+//! - `store_journal/open_4x8mib`, `restore_4x8mib`: the two halves of a
+//!   warm restart — `Store::open`, then `restore` — on a ≈ 32 MiB
+//!   journal, many read windows long.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::path::PathBuf;
@@ -32,7 +35,7 @@ use std::sync::Arc;
 use talus_core::MissCurve;
 use talus_partition::Planner;
 use talus_serve::{CacheSpec, ShardedReconfigService};
-use talus_store::{encode_record_into, Record, Store, StoreSink};
+use talus_store::{encode_record, encode_record_into, Record, Store, StoreSink};
 
 /// Logical caches journaling per iteration.
 const CACHES: u64 = 32;
@@ -232,5 +235,63 @@ fn bench_replay(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_append, bench_replay);
+/// Open and restore at a size where how the file is buffered matters:
+/// a 4-shard journal of ≈ 8 MiB a shard, nearly all of it 65-point curve
+/// records (what a plane's journal mostly holds), many windows long.
+/// `open_4x8mib` is `Store::open` — stream, verify and decode every
+/// record of every shard; `restore_4x8mib` is the replay into a fresh
+/// plane that follows it. Divide by the record count the bench prints
+/// for the cost per record.
+fn bench_large_journal(c: &mut Criterion) {
+    let mut group = c.benchmark_group("store_journal");
+    let dir = bench_dir("large");
+    let store = Store::open(&dir, SHARDS).expect("open store");
+    let planner = Planner::new(64);
+    for id in 0..CACHES {
+        store.register(id, 4096, 1, &planner);
+    }
+    let curves: Vec<MissCurve> = (0..CACHES).map(curve).collect();
+    let record_len = encode_record(&Record::Curve {
+        seq: 0,
+        id: 0,
+        tenant: 0,
+        curve: curves[0].clone(),
+    })
+    .len() as u64;
+    let rounds = (SHARDS as u64 * (8 << 20)) / (record_len * CACHES);
+    for _ in 0..rounds {
+        // One write per shard per round, as a plane's lock scopes do.
+        (0..SHARDS).for_each(|shard| store.begin(shard));
+        for (id, curve) in curves.iter().enumerate() {
+            store.submit(id as u64, 0, curve);
+        }
+        (0..SHARDS).for_each(|shard| store.commit(shard));
+    }
+    assert_eq!(store.last_error(), None, "journaling must not fault");
+    drop(store);
+    let records = (CACHES + rounds * CACHES) as usize;
+    println!("store_journal/*_4x8mib: {records} records");
+
+    group.bench_function("open_4x8mib", |b| {
+        b.iter(|| {
+            let store = Store::open(black_box(&dir), SHARDS).expect("reopen");
+            assert_eq!(store.recovery().records(), records);
+            black_box(store)
+        })
+    });
+    let store = Store::open(&dir, SHARDS).expect("reopen");
+    group.bench_function("restore_4x8mib", |b| {
+        b.iter(|| {
+            let plane = ShardedReconfigService::new(SHARDS);
+            let summary = plane.restore(&store).expect("restore");
+            assert_eq!(summary.records, records);
+            black_box((plane, summary))
+        })
+    });
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+    group.finish();
+}
+
+criterion_group!(benches, bench_append, bench_replay, bench_large_journal);
 criterion_main!(benches);

@@ -38,6 +38,21 @@ pub const WIRE_MAX_TENANTS: u32 = 1024;
 /// 8-byte ids this is at most half a maximum frame.
 pub const WIRE_MAX_IDS: u32 = WIRE_MAX_FRAME_LEN / 16;
 
+/// Most dirty-queue entries a plane takes off its shards' queues in one
+/// epoch, summed over the shards. Each entry becomes at most one line of
+/// the epoch's report — planned, deferred, failed or quarantined — so a
+/// plane that keeps to it never builds an `Epoch` reply its client must
+/// refuse: every id list is within [`WIRE_MAX_IDS`] and the frame within
+/// [`WIRE_MAX_FRAME_LEN`] even if every line is a failure with its
+/// error, the largest kind. The rest of the queue waits for the next
+/// epoch. It also keeps each shard's epoch-cut record within
+/// [`STORE_MAX_CUT_IDS`]. A bound the *producer* keeps, inside what
+/// decoders accept: changing it changes no format.
+pub const WIRE_MAX_EPOCH_IDS: u32 = 1 << 14;
+
+const _: () =
+    assert!(WIRE_MAX_EPOCH_IDS <= WIRE_MAX_IDS && WIRE_MAX_EPOCH_IDS <= STORE_MAX_CUT_IDS);
+
 /// Most per-shard entries in one encoded health report. Shard counts are
 /// a deployment knob (roughly core counts), so this is generous; with
 /// ~25 bytes per shard a maximum health report stays ~100 KiB.
@@ -53,8 +68,9 @@ pub const STORE_MAX_RECORD_LEN: u32 = 1 << 18;
 
 /// Most drained cache ids in one journal epoch-cut record. A store shard
 /// mirrors one serve shard, whose epoch batch is bounded by the service
-/// (default 64); this leaves room for deliberately large batches while
-/// keeping a cut record well under [`STORE_MAX_RECORD_LEN`].
+/// (default 64, at most [`WIRE_MAX_EPOCH_IDS`]); this leaves room for
+/// deliberately large batches while keeping a cut record well under
+/// [`STORE_MAX_RECORD_LEN`].
 pub const STORE_MAX_CUT_IDS: u32 = 1 << 14;
 
 #[cfg(test)]
@@ -72,6 +88,16 @@ mod tests {
     #[test]
     fn id_lists_fit_a_frame() {
         assert!(WIRE_MAX_IDS * 8 <= WIRE_MAX_FRAME_LEN / 2);
+    }
+
+    #[test]
+    fn worst_case_epoch_report_fits_a_frame() {
+        // The largest report line is a failed plan: the id, then the
+        // error's tag, cache id, plan-error tag and three f64s. Around the
+        // lines: epoch, four list counts, the remaining-dirty count and
+        // the frame's own header.
+        let worst_line = 8 + (1 + 8 + 1 + 3 * 8);
+        assert!(64 + WIRE_MAX_EPOCH_IDS * worst_line < WIRE_MAX_FRAME_LEN);
     }
 
     #[test]

@@ -85,7 +85,9 @@
 //! produces bit-identical `EpochReport`s and snapshots to one that never
 //! restarted (`tests/restore_equivalence.rs`), torn journal tails are
 //! truncated on open, and mid-epoch process death is injected in the
-//! workspace failure suite.
+//! workspace failure suite. Open and restore stream each shard file
+//! through one fixed 1 MiB window, so a restart needs memory for the
+//! state it rebuilds, not for the history it replays.
 //!
 //! ## Partial failure: deadlines, retries, quarantine, health
 //!

@@ -849,14 +849,16 @@ fn run_store_dump(dir: &Path, json: bool) {
         store.recovery().records(),
         store.recovery().torn_bytes()
     );
+    // Records print as they stream off the file: a dump holds one window
+    // of the journal, however long the journal is.
     if json {
         eprintln!("{summary}");
         for shard in 0..shards {
-            let scanned = store.replay_shard(shard).expect("replay shard");
-            for rec in &scanned.records {
-                println!("{}", record_json(shard, rec));
+            let mut records = store.stream_shard(shard).expect("open shard");
+            for rec in records.by_ref() {
+                println!("{}", record_json(shard, &rec.expect("read shard")));
             }
-            if let Some(tail) = &scanned.tail {
+            if let Some(tail) = records.tail() {
                 eprintln!("shard {shard}: torn tail: {tail}");
             }
         }
@@ -864,10 +866,13 @@ fn run_store_dump(dir: &Path, json: bool) {
     }
     println!("{summary}");
     for shard in 0..shards {
-        let scanned = store.replay_shard(shard).expect("replay shard");
-        println!("shard {shard}: {} records", scanned.records.len());
-        for rec in &scanned.records {
-            let detail = match rec {
+        println!("shard {shard}:");
+        let mut records = store.stream_shard(shard).expect("open shard");
+        let mut printed = 0usize;
+        for rec in records.by_ref() {
+            let rec = rec.expect("read shard");
+            printed += 1;
+            let detail = match &rec {
                 Record::Register {
                     id,
                     capacity,
@@ -894,9 +899,12 @@ fn run_store_dump(dir: &Path, json: bool) {
             };
             println!("  seq {:>5}  {:<10} {detail}", rec.seq(), rec.label());
         }
-        if let Some(tail) = &scanned.tail {
+        if let Some(tail) = records.tail() {
             println!("  (torn tail: {tail})");
         }
+        // Counted as printed, not taken from the open's recovery: the
+        // stream covers the file as it was when the stream opened.
+        println!("  {printed} records");
     }
 }
 

@@ -27,11 +27,24 @@ use std::time::{Duration, Instant};
 use crate::service::{CacheSpec, EpochReport, ServeError};
 use crate::shard::Shard;
 use crate::snapshot::{CacheId, PlanSnapshot};
+use talus_core::limits::WIRE_MAX_EPOCH_IDS;
 use talus_core::{
     CurveSource, FaultScript, MissCurve, PlaneHealth, ShardHealth, ShardState, ShardTopology,
     StoreHealth,
 };
 use talus_store::{Record, Store, StoreError, StoreSink};
+
+/// A shard's epoch batch when none is configured.
+const DEFAULT_MAX_BATCH: usize = 64;
+
+/// Most queue entries each shard of a `shards`-shard plane may drain per
+/// epoch: an even share of [`WIRE_MAX_EPOCH_IDS`], so the merged report
+/// of any epoch fits one `Epoch` reply (and every shard's cut fits its
+/// journal record) however large a batch the caller asked for. At least
+/// 1: [`ShardedReconfigService::new`] refuses more shards than that.
+fn epoch_batch_cap(shards: usize) -> usize {
+    WIRE_MAX_EPOCH_IDS as usize / shards
+}
 
 /// How long one epoch waits for its worker handoffs before declaring the
 /// stragglers degraded and moving on.
@@ -263,8 +276,11 @@ pub struct ShardedReconfigService {
 }
 
 impl ShardedReconfigService {
-    /// A plane of `shards` shards, each replanning at most 64 caches per
-    /// epoch, with epochs run sequentially on the calling thread.
+    /// A plane of `shards` shards, each draining at most 64 dirty caches
+    /// per epoch (see [`with_max_batch`](Self::with_max_batch) — fewer
+    /// above 256 shards, where 64 is more than a shard's share of
+    /// [`WIRE_MAX_EPOCH_IDS`]), with epochs run sequentially on the
+    /// calling thread.
     ///
     /// Shard count is a capacity knob, not a semantic one: plans are
     /// identical for every value. Pick roughly the number of cores you
@@ -274,11 +290,18 @@ impl ShardedReconfigService {
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero.
+    /// Panics if `shards` is zero, or more than [`WIRE_MAX_EPOCH_IDS`]:
+    /// an epoch drains at least one entry a shard, and its report must
+    /// fit one `Epoch` reply.
     pub fn new(shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
+        assert!(
+            shards <= WIRE_MAX_EPOCH_IDS as usize,
+            "at most {WIRE_MAX_EPOCH_IDS} shards"
+        );
+        let batch = DEFAULT_MAX_BATCH.min(epoch_batch_cap(shards));
         ShardedReconfigService {
-            shards: (0..shards).map(|_| Arc::new(Shard::new(64))).collect(),
+            shards: (0..shards).map(|_| Arc::new(Shard::new(batch))).collect(),
             topology: ShardTopology::solo(shards),
             next_id: AtomicU64::new(0),
             epochs: AtomicU64::new(0),
@@ -321,8 +344,18 @@ impl ShardedReconfigService {
         self
     }
 
-    /// Caps how many caches each **shard** replans per epoch (so a plane
-    /// of N shards replans at most `N × max_batch` caches per epoch).
+    /// Caps how many dirty-queue entries each **shard** drains per epoch
+    /// (so a plane of N shards replans at most `N × max_batch` caches per
+    /// epoch, and its report lists at most that many). Every entry taken
+    /// off the queue counts — a cache deferred for a missing tenant as
+    /// much as one that plans; what is left waits for the next epoch and
+    /// is counted in [`EpochReport::remaining_dirty`].
+    ///
+    /// The cap is itself capped at an even share of
+    /// [`WIRE_MAX_EPOCH_IDS`]: one epoch's report always fits the one
+    /// `Epoch` reply an [`RpcServer`](crate::RpcServer) sends for it, so a
+    /// client loops on `remaining_dirty` instead of ever receiving a
+    /// frame it must refuse.
     ///
     /// # Panics
     ///
@@ -332,6 +365,7 @@ impl ShardedReconfigService {
     /// [`with_threads`]: ShardedReconfigService::with_threads
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         assert!(self.pool.is_none(), "set max_batch before enabling threads");
+        let max_batch = max_batch.min(epoch_batch_cap(self.shards.len()));
         for shard in &mut self.shards {
             Arc::get_mut(shard)
                 .expect("shards unshared before threads start") // audited: builder-time invariant
@@ -780,6 +814,9 @@ impl ShardedReconfigService {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     ///
+    /// Each shard file is streamed through one fixed window
+    /// ([`Store::stream_shard`]), so a restore costs memory for the state
+    /// it rebuilds, not for the history it replays.
     /// Torn tails were already truncated when the store was opened;
     /// a crash between a shard's epoch cut and its plan records loses at
     /// most those plans — the affected caches re-plan on their next curve
@@ -789,7 +826,10 @@ impl ShardedReconfigService {
     ///
     /// - [`RestoreError::ShardMismatch`] — store and plane layouts differ.
     /// - [`RestoreError::NotFresh`] — this plane already has state.
-    /// - [`RestoreError::Store`] — a shard file could not be read.
+    /// - [`RestoreError::Store`] — a shard file could not be read (the
+    ///   replay stops at the failed read; it is never taken for the end
+    ///   of the journal). The plane is left partially restored and
+    ///   should be discarded.
     /// - [`RestoreError::Corrupt`] — a record encodes a transition the
     ///   live service could never have journaled (wrong shard, unknown
     ///   cache, queue mismatch). The plane is left partially restored
@@ -811,11 +851,12 @@ impl ShardedReconfigService {
         let mut summary = RestoreSummary::default();
         let mut max_id: Option<u64> = None;
         for (i, shard) in self.shards.iter().enumerate() {
-            // Records are applied as they decode: the shard's history is
-            // never held in memory as a whole.
-            let bytes = store.read_shard(i).map_err(RestoreError::Store)?;
-            let mut records = talus_store::records(&bytes);
+            // Records are applied as they decode, off the stream's one
+            // window: neither the shard's file nor its history is ever
+            // held in memory as a whole.
+            let mut records = store.stream_shard(i).map_err(RestoreError::Store)?;
             for rec in records.by_ref() {
+                let rec = rec.map_err(RestoreError::Store)?;
                 let seq = rec.seq();
                 let corrupt = |what: &'static str| RestoreError::Corrupt {
                     shard: i,
@@ -1145,6 +1186,12 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         ShardedReconfigService::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16384 shards")]
+    fn more_shards_than_an_epoch_reply_lists_rejected() {
+        ShardedReconfigService::new(WIRE_MAX_EPOCH_IDS as usize + 1);
     }
 
     #[test]

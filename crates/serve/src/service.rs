@@ -201,7 +201,7 @@ impl Default for ReconfigService {
 }
 
 impl ReconfigService {
-    /// A service replanning at most 64 caches per epoch.
+    /// A service draining at most 64 dirty caches per epoch.
     pub fn new() -> Self {
         ReconfigService {
             shard: Shard::new(64),
@@ -210,8 +210,9 @@ impl ReconfigService {
         }
     }
 
-    /// Caps how many caches one epoch replans (the batching knob: bounds
-    /// planner latency per epoch under a thundering herd of updates).
+    /// Caps how many dirty caches one epoch takes off the queue — planned
+    /// or deferred, each counts (the batching knob: bounds planner latency
+    /// and report size per epoch under a thundering herd of updates).
     ///
     /// # Panics
     ///

@@ -104,7 +104,8 @@ impl Drop for RegistryGuard<'_> {
 /// docs; all methods take `&self` and the type is `Send + Sync`.
 #[derive(Debug)]
 pub(crate) struct Shard {
-    /// Most caches replanned per epoch; overflow stays queued.
+    /// Most dirty-queue entries drained — so most caches replanned, and
+    /// most lines in the report — per epoch; overflow stays queued.
     max_batch: usize,
     /// This shard's index in its plane (stamped onto epoch-cut records).
     index: usize,
@@ -123,7 +124,7 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// A shard replanning at most `max_batch` caches per epoch.
+    /// A shard draining at most `max_batch` queue entries per epoch.
     pub(crate) fn new(max_batch: usize) -> Self {
         assert!(max_batch > 0, "epoch batch must be positive");
         Shard {
@@ -356,8 +357,11 @@ impl Shard {
     /// drain (queue) order — so reports are deterministic regardless of
     /// how submissions interleaved or how caches landed on shards.
     pub(crate) fn run_epoch(&self, epoch: u64) -> EpochReport {
-        // Phase 1 — drain (brief registry lock): take a handle on the
-        // curves of up to `max_batch` ready caches.
+        // Phase 1 — drain (brief registry lock): pop up to `max_batch`
+        // queue entries and take a handle on the curves of the ready
+        // caches among them. Every pop counts, not only the ones that
+        // plan: each is an id in the cut record and at most one line of
+        // the report, and both have to fit what carries them.
         struct Job {
             id: CacheId,
             planner: Planner,
@@ -373,7 +377,7 @@ impl Shard {
         let remaining_dirty;
         {
             let mut reg = self.lock_registry();
-            while jobs.len() < self.max_batch {
+            while drained.len() < self.max_batch {
                 let Some(id) = reg.dirty_queue.pop_front() else {
                     break;
                 };

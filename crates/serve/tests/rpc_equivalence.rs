@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use talus_core::limits::{WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS};
+use talus_core::limits::{WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_EPOCH_IDS};
 use talus_core::{MissCurve, ReplaySource};
 use talus_serve::wire::{SubmitEntry, WireError};
 use talus_serve::{
@@ -234,7 +234,18 @@ fn loopback_plane(
     RpcClient,
     talus_serve::ServerHandle,
 ) {
-    let service = Arc::new(ShardedReconfigService::new(shards));
+    loopback_over(ShardedReconfigService::new(shards))
+}
+
+/// [`loopback_plane`] in front of a plane the caller configured.
+fn loopback_over(
+    service: ShardedReconfigService,
+) -> (
+    Arc<ShardedReconfigService>,
+    RpcClient,
+    talus_serve::ServerHandle,
+) {
+    let service = Arc::new(service);
     let handle = RpcServer::bind("127.0.0.1:0", Arc::clone(&service))
         .expect("bind loopback")
         .spawn()
@@ -444,4 +455,106 @@ fn counts_over_the_wire_caps_are_refused_at_the_client() {
     assert_eq!(results.len(), WIRE_MAX_BATCH as usize);
     assert_eq!(client.ping(), Ok(()));
     handle.shutdown();
+}
+
+/// Every id an epoch report lists, whatever happened to it.
+fn report_lines(report: &EpochReport) -> usize {
+    report.planned.len() + report.deferred.len() + report.failed.len() + report.quarantined.len()
+}
+
+/// The server never sends an `Epoch` reply larger than its plane's batch
+/// allows, and a client that calls again while `remaining_dirty > 0`
+/// ends where an uncapped plane ends in one epoch. The cap here is tiny
+/// (2 entries a shard) and the queue mixes every kind of entry — caches
+/// that plan, caches deferred for a missing tenant, ids deregistered
+/// while queued — because each of them is a line of the report or an id
+/// of the journal cut, and it is the *lines* that must fit the frame.
+#[test]
+fn a_capped_plane_sends_only_replies_that_fit_and_converges_to_the_uncapped_one() {
+    const SHARDS: usize = 3;
+    const CAP: usize = 2;
+    let local = ShardedReconfigService::new(SHARDS);
+    let (remote, mut client, handle) =
+        loopback_over(ShardedReconfigService::new(SHARDS).with_max_batch(CAP));
+
+    let mut ids = Vec::new();
+    for i in 0..40u64 {
+        // Every third cache has a second tenant that never reports.
+        let tenants = if i % 3 == 0 { 2 } else { 1 };
+        let id = local.register(CacheSpec::new(1024, tenants));
+        assert_eq!(client.register(1024, tenants as u32), Ok(id));
+        local.submit(id, 0, curve_from_seed(i)).unwrap();
+        client.submit(id, 0, curve_from_seed(i)).unwrap();
+        // Every seventh is deregistered while still queued.
+        let live = i % 7 != 0;
+        if !live {
+            local.deregister(id).unwrap();
+            client.deregister(id).unwrap();
+        }
+        ids.push((id, live));
+    }
+
+    let uncapped = local.run_epoch();
+    assert_eq!(
+        uncapped.remaining_dirty, 0,
+        "the default batch took them all"
+    );
+    let (mut planned, mut deferred) = (Vec::new(), Vec::new());
+    let mut remaining = remote.pending();
+    assert_eq!(remaining, 40);
+    while remaining > 0 {
+        let report = client.run_epoch().expect("every epoch reply decodes");
+        assert!(
+            report_lines(&report) <= SHARDS * CAP,
+            "a capped epoch listed {} caches: {report:?}",
+            report_lines(&report)
+        );
+        assert!(
+            report.remaining_dirty < remaining,
+            "the loop makes progress"
+        );
+        remaining = report.remaining_dirty;
+        planned.extend(report.planned);
+        deferred.extend(report.deferred);
+    }
+    planned.sort_unstable();
+    deferred.sort_unstable();
+    assert_eq!(planned, uncapped.planned);
+    assert_eq!(deferred, uncapped.deferred);
+    assert!(!planned.is_empty() && !deferred.is_empty());
+    assert_same_final_state(&local, &remote, &mut client, &ids);
+    handle.shutdown();
+}
+
+/// The cap nobody asked for: however large a batch is configured, one
+/// epoch drains at most `WIRE_MAX_EPOCH_IDS` entries plane-wide, so its
+/// report — here the longest id list a plane can produce — crosses the
+/// wire in one reply the client accepts, and the rest waits its turn.
+#[test]
+fn the_largest_epoch_a_plane_runs_fits_one_reply() {
+    let limit = WIRE_MAX_EPOCH_IDS as usize;
+    for shards in [1, 3] {
+        let (remote, mut client, handle) =
+            loopback_over(ShardedReconfigService::new(shards).with_max_batch(usize::MAX));
+        // Two-tenant caches with one curve each: deferred, so the epoch
+        // lists every one of them without planning any. Enough of them
+        // that every shard's queue is longer than its share.
+        let mut queued = vec![0usize; shards];
+        for _ in 0..limit + 400 * shards {
+            let id = remote.register(CacheSpec::new(1024, 2));
+            remote.submit(id, 0, curve_from_seed(1)).unwrap();
+            queued[talus_core::shard_of(id.value(), shards)] += 1;
+        }
+        let share = limit / shards;
+        assert!(queued.iter().all(|&n| n > share && n <= 2 * share));
+
+        let report = client.run_epoch().expect("the largest reply decodes");
+        assert_eq!(report.deferred.len(), shards * share, "an even share each");
+        assert_eq!(report_lines(&report), report.deferred.len());
+        assert_eq!(report.remaining_dirty, 400 * shards + limit % shards);
+        let rest = client.run_epoch().expect("and so does the rest");
+        assert_eq!(report_lines(&rest), report.remaining_dirty);
+        assert_eq!(rest.remaining_dirty, 0);
+        handle.shutdown();
+    }
 }

@@ -15,6 +15,10 @@
 //!   ([`checksum64`]), little-endian records with a *total*
 //!   (never-panicking) decoder. See the [`record`] module docs for the
 //!   byte layout and recovery rules.
+//! - [`RecordStream`] / [`records_from`]: the same decoder over any
+//!   reader, through one fixed window ([`STREAM_WINDOW_LEN`]) — the only
+//!   way a shard file is read ([`Store::stream_shard`]). [`records`] and
+//!   [`scan`] stay for callers that already hold the bytes.
 //! - [`Store`]: N journal files (`shard-NNN.talus`) in one directory,
 //!   cache `id` in file [`talus_core::shard_of`]`(id, N)` — the same
 //!   placement the serve router uses, so restore never moves records
@@ -28,6 +32,17 @@
 //! - [`Store::history`]: the timed miss-curve history of one cache
 //!   (every submission ever journaled, in order) — the persistent
 //!   analogue of periodically re-monitored miss curves.
+//!
+//! ## Memory
+//!
+//! Opening a store, restoring a plane from it, querying a history or
+//! dumping a journal holds **one 1 MiB window per file being read**,
+//! whatever the journal's size: a plane with hours of history restarts
+//! in the memory its state needs. A read error aborts the open and
+//! truncates nothing — it is an error, never a torn tail. A reader of a
+//! live store takes the shard's journal lock only to note the file's
+//! length, so reads never stall appends, and it sees whole lock scopes
+//! only.
 //!
 //! ## Crash consistency
 //!
@@ -83,6 +98,7 @@
 mod journal;
 pub mod record;
 mod store;
+mod stream;
 
 pub use journal::ShardRecovery;
 pub use record::{
@@ -90,3 +106,4 @@ pub use record::{
     Records, Scan, StoreError, RECORD_HEADER_LEN, STORE_VERSION,
 };
 pub use store::{CurveUpdate, RecoveryReport, Store, StoreSink};
+pub use stream::{records_from, RecordStream, STREAM_WINDOW_LEN};

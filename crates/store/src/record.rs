@@ -52,9 +52,11 @@
 //! then at most one *prefix* of a record at the end of a journal file.
 //! [`records`] (and [`scan`], which collects it) stops at the first
 //! record that fails to decode (truncated header, short payload,
-//! checksum mismatch, …) and reports the valid prefix length;
-//! [`crate::Store::open`] truncates the file there. Torn tails are
-//! therefore detected and cleanly ignored, never replayed.
+//! checksum mismatch, …) and reports the valid prefix length; so does
+//! [`crate::RecordStream`], which runs the same decoder over a file
+//! without holding it in memory, and [`crate::Store::open`] truncates
+//! the file there. Torn tails are therefore detected and cleanly
+//! ignored, never replayed.
 //!
 //! ## Versioning rules
 //!
@@ -790,16 +792,15 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decodes the record framed at the head of `buf`; returns it and the
-/// total bytes it occupied (header + payload). Total: returns a typed
-/// error on any input, [`StoreError::Truncated`] when `buf` ends before
-/// the record does.
-pub fn decode_record(buf: &[u8]) -> Result<(Record, usize), StoreError> {
+/// Bytes (header + payload) the record framed at the head of `buf`
+/// declares, once its header is there and its length prefix is one the
+/// format allows — so at most `RECORD_HEADER_LEN + STORE_MAX_RECORD_LEN`.
+/// [`StoreError::Truncated`] means only that the header is not all there
+/// yet; the other errors are final whatever follows.
+pub(crate) fn framed_len(buf: &[u8]) -> Result<usize, StoreError> {
     if buf.len() < RECORD_HEADER_LEN {
         return Err(StoreError::Truncated);
     }
-    // The length check above guarantees RECORD_HEADER_LEN bytes, so
-    // both fixed-width header slices convert infallibly.
     let len = u32::from_le_bytes(buf[0..4].try_into().expect("4")); // audited: header present
     if len > STORE_MAX_RECORD_LEN {
         return Err(StoreError::Oversized { len });
@@ -807,8 +808,16 @@ pub fn decode_record(buf: &[u8]) -> Result<(Record, usize), StoreError> {
     if len < 2 {
         return Err(StoreError::Malformed("record shorter than its header"));
     }
-    let expected = u64::from_le_bytes(buf[4..12].try_into().expect("8")); // audited: header present
-    let total = RECORD_HEADER_LEN + len as usize;
+    Ok(RECORD_HEADER_LEN + len as usize)
+}
+
+/// Decodes the record framed at the head of `buf`; returns it and the
+/// total bytes it occupied (header + payload). Total: returns a typed
+/// error on any input, [`StoreError::Truncated`] when `buf` ends before
+/// the record does.
+pub fn decode_record(buf: &[u8]) -> Result<(Record, usize), StoreError> {
+    let total = framed_len(buf)?;
+    let expected = u64::from_le_bytes(buf[4..12].try_into().expect("8")); // audited: framed_len saw the header
     if buf.len() < total {
         return Err(StoreError::Truncated);
     }
@@ -930,9 +939,9 @@ pub struct Scan {
 /// undecodable byte. Once it has returned `None`,
 /// [`consumed`](Records::consumed) is the length of the valid prefix and
 /// [`tail`](Records::tail) says why the stream ended there. Never
-/// panics; nothing is held but the record being decoded, so recovery
-/// and restore stream a shard file through it instead of materialising
-/// every record first.
+/// panics; nothing is held but the record being decoded. For bytes that
+/// are still in a file, [`crate::RecordStream`] does the same without
+/// reading the file whole.
 #[derive(Debug)]
 pub struct Records<'a> {
     buf: &'a [u8],

@@ -1,8 +1,17 @@
 //! The sharded store: N journal files behind the canonical shard
 //! placement, a store-global sequence clock, and the [`StoreSink`] seam
 //! the serving plane journals through.
+//!
+//! Reading goes one way: [`Store::stream_shard`] hands out a
+//! [`RecordStream`] over the bytes a shard's file held when it was
+//! called, and `open`, `restore` (in `talus-serve`), [`Store::history`],
+//! [`Store::replay_shard`] and the `store-dump` driver all pull from
+//! one. No reader ever holds a shard file in memory, or a journal lock
+//! while it reads.
 
 use std::fmt;
+use std::fs::File;
+use std::io::{Read, Take};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -12,9 +21,10 @@ use talus_partition::{CachePlan, Planner};
 
 use crate::journal::{ShardJournal, ShardRecovery};
 use crate::record::{
-    encode_curve, encode_deregister, encode_epoch_cut, encode_plan, encode_register, records, scan,
-    Record, StoreError,
+    encode_curve, encode_deregister, encode_epoch_cut, encode_plan, encode_register, Record, Scan,
+    StoreError,
 };
+use crate::stream::{records_from, RecordStream};
 
 /// The event-journaling seam between the serving plane and persistence.
 ///
@@ -170,11 +180,15 @@ pub struct Store {
 impl Store {
     /// Opens (creating if needed) the journal directory with `shards`
     /// shard files, recovering each: torn tails are truncated and the
-    /// sequence clock resumes after the largest recovered `seq`.
+    /// sequence clock resumes after the largest recovered `seq`. Each
+    /// file is streamed through one fixed window, so opening costs the
+    /// same memory whatever the journal's size.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] on filesystem failure;
+    /// [`StoreError::Io`] on filesystem failure — including a read that
+    /// fails part-way through a file, which is never mistaken for a torn
+    /// tail: nothing is truncated;
     /// [`StoreError::ShardLayout`] if the directory already holds shard
     /// files laid out for a different shard count (records do not move
     /// between files; re-sharding requires an explicit migration);
@@ -294,58 +308,81 @@ impl Store {
         }
     }
 
-    /// Re-reads shard `shard`'s file from disk: the bytes written so
-    /// far (records an open lock scope still buffers are not among
-    /// them). Decode with [`records`](crate::records) to stream, or
-    /// [`scan`] to collect.
+    /// Streams shard `shard`'s file from disk, from its first record to
+    /// the last one written when this was called: records appended later
+    /// (and records an open lock scope still buffers) are not among
+    /// them. Memory is the stream's one window
+    /// ([`STREAM_WINDOW_LEN`](crate::STREAM_WINDOW_LEN)), whatever the
+    /// file's size.
+    ///
+    /// The shard's journal lock is held only to note the file's length,
+    /// not while the stream is read, so reading a live store's history
+    /// does not stall the plane. That length always falls between two
+    /// lock scopes' writes, and the stream stops there — so a racing
+    /// append can never read as a torn tail.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] if the file cannot be opened or sized; a read
+    /// that fails later is the stream's one `Err` item.
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
-    pub fn read_shard(&self, shard: usize) -> Result<Vec<u8>, StoreError> {
+    pub fn stream_shard(&self, shard: usize) -> Result<RecordStream<Take<File>>, StoreError> {
         assert!(shard < self.shards(), "shard index out of range");
-        // Lock the journal so the read doesn't race an in-flight append
-        // (a half-written record would misread as a torn tail).
-        let _guard = lock(&self.journals[shard]);
-        Ok(std::fs::read(shard_path(&self.dir, shard))?)
+        let len = lock(&self.journals[shard]).committed_len()?;
+        let file = File::open(shard_path(&self.dir, shard))?;
+        Ok(records_from(file.take(len)))
     }
 
-    /// Re-reads shard `shard`'s file from disk and decodes it. The valid
-    /// prefix comes back as records; a torn tail (possible only if the
-    /// file was modified outside this store) is diagnosed in the scan,
-    /// not an error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn replay_shard(&self, shard: usize) -> Result<crate::record::Scan, StoreError> {
-        Ok(scan(&self.read_shard(shard)?))
-    }
-
-    /// Every curve ever journaled for cache `id`, in submission order
-    /// (the timed miss-curve history of the cache — `seq` is the time
-    /// axis). Reads the shard file from disk. For a cluster-slice store,
-    /// an id owned by another member has no records here: empty history.
+    /// Streams shard `shard`'s file from disk and collects it. The valid
+    /// prefix comes back as records; a torn tail (possible only after a
+    /// failed write, or if the file was modified outside this store) is
+    /// diagnosed in the scan, not an error. Holds every record at once: prefer
+    /// [`stream_shard`](Store::stream_shard) for a journal of any size.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] if the shard file cannot be read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
+    pub fn replay_shard(&self, shard: usize) -> Result<Scan, StoreError> {
+        self.stream_shard(shard)?.into_scan()
+    }
+
+    /// Every curve ever journaled for cache `id`, in submission order
+    /// (the timed miss-curve history of the cache — `seq` is the time
+    /// axis). Streams the shard file from disk
+    /// ([`stream_shard`](Store::stream_shard)), keeping only `id`'s
+    /// curves. For a cluster-slice store, an id owned by another member
+    /// has no records here: empty history.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] if the shard file cannot be read — never a
+    /// history cut short.
     pub fn history(&self, id: u64) -> Result<Vec<CurveUpdate>, StoreError> {
         let Some(local) = self.topology.local_shard(id) else {
             return Ok(Vec::new());
         };
-        let bytes = self.read_shard(local)?;
-        Ok(records(&bytes)
-            .filter_map(|rec| match rec {
-                Record::Curve {
-                    seq,
-                    id: rid,
-                    tenant,
-                    curve,
-                } if rid == id => Some(CurveUpdate { seq, tenant, curve }),
-                _ => None,
-            })
-            .collect())
+        let mut history = Vec::new();
+        for rec in self.stream_shard(local)? {
+            if let Record::Curve {
+                seq,
+                id: rid,
+                tenant,
+                curve,
+            } = rec?
+            {
+                if rid == id {
+                    history.push(CurveUpdate { seq, tenant, curve });
+                }
+            }
+        }
+        Ok(history)
     }
 
     /// Allocates the next sequence number and appends the record

@@ -8,8 +8,12 @@
 //! a scope every append is on disk when the call returns; inside one the
 //! records go out together at commit), and the writer's half of the
 //! format's bounds (what the decoder would refuse is never written: the
-//! store faults instead, and the journal keeps everything before it).
+//! store faults instead, and the journal keeps everything before it),
+//! and the streaming reader every shard file is read through (the slice
+//! scanner's verdict from one fixed window; a read error is an error,
+//! never a torn tail; a live stream blocks no append).
 
+use std::io::Read;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -20,8 +24,9 @@ use talus_core::limits::{
 use talus_core::{FaultAction, FaultScript, MissCurve, ShadowConfig, TalusOptions, TalusPlan};
 use talus_partition::{AllocPolicy, CachePlan, Planner, TenantPlan};
 use talus_store::{
-    checksum64, decode_record, encode_record, encode_record_into, fnv1a64, records, scan, Record,
-    Store, StoreError, StoreSink, RECORD_HEADER_LEN, STORE_VERSION,
+    checksum64, decode_record, encode_record, encode_record_into, fnv1a64, records, records_from,
+    scan, Record, Store, StoreError, StoreSink, RECORD_HEADER_LEN, STORE_VERSION,
+    STREAM_WINDOW_LEN,
 };
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
@@ -1344,4 +1349,381 @@ fn zero_fields_are_refused_by_the_encoder() {
         ));
         assert_eq!(out, [7]);
     }
+}
+
+// ---------------------------------------------------------------------
+// The streaming reader: one fixed window, same verdict as the slice
+// scanner, and a read error is an error — never a torn tail.
+// ---------------------------------------------------------------------
+
+/// A reader over `bytes` that hands out 1..=`most` bytes a call (sizes
+/// from a xorshift on `state`), so record and window boundaries fall at
+/// every possible place inside a read.
+struct Dribble<'a> {
+    bytes: &'a [u8],
+    most: usize,
+    state: u64,
+}
+
+impl Read for Dribble<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.state ^= self.state << 13;
+        self.state ^= self.state >> 7;
+        self.state ^= self.state << 17;
+        let n = (1 + (self.state % self.most as u64) as usize)
+            .min(buf.len())
+            .min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// A reader that yields `bytes` and then fails instead of reporting the
+/// end of input.
+struct FailsAfter<'a> {
+    bytes: &'a [u8],
+    kind: std::io::ErrorKind,
+}
+
+impl Read for FailsAfter<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.bytes.is_empty() {
+            return Err(self.kind.into());
+        }
+        self.bytes.read(buf)
+    }
+}
+
+/// The stream's verdict on `bytes` read `most` bytes at a time is the
+/// slice scanner's: same records, same valid prefix, same tail.
+fn assert_stream_matches_scan(bytes: &[u8], most: usize, seed: u64) {
+    let streamed = records_from(Dribble {
+        bytes,
+        most,
+        state: seed | 1,
+    })
+    .into_scan()
+    .expect("a slice never fails to read");
+    assert_eq!(
+        streamed,
+        scan(bytes),
+        "{} bytes, ≤ {most} a read",
+        bytes.len()
+    );
+}
+
+/// `count` 65-point curve records for cache 1 — what a plane's journal
+/// mostly holds — with `seq` counting from `first_seq`.
+fn curve_journal(first_seq: u64, count: u64) -> Vec<u8> {
+    let curve = curve_of(65);
+    let mut bytes = Vec::new();
+    for seq in first_seq..first_seq + count {
+        let rec = Record::Curve {
+            seq,
+            id: 1,
+            tenant: 0,
+            curve: curve.clone(),
+        };
+        encode_record_into(&rec, &mut bytes).expect("within bounds");
+    }
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `records_from(reader)` ≡ `records(&bytes)` on random journals —
+    /// clean, torn at a random byte, or followed by soup — whatever the
+    /// sizes of the reads that deliver them.
+    #[test]
+    fn the_stream_matches_the_slice_scanner(
+        recs in proptest::collection::vec(arb_record(), 0..12),
+        soup in proptest::collection::vec(any::<u8>(), 0..40),
+        cut in any::<usize>(),
+        most in 1usize..600,
+        seed in any::<u64>(),
+    ) {
+        let mut bytes = Vec::new();
+        for rec in &recs {
+            bytes.extend_from_slice(&encode_record(rec));
+        }
+        assert_stream_matches_scan(&bytes, most, seed);
+        assert_stream_matches_scan(&bytes[..cut % (bytes.len() + 1)], most, seed);
+        bytes.extend_from_slice(&soup);
+        assert_stream_matches_scan(&bytes, most, seed);
+    }
+
+    /// Truncation at EVERY byte of a multi-record journal, streamed: the
+    /// torn-tail table of `truncation_at_every_byte_recovers_the_record_prefix`
+    /// holds unchanged for the stream.
+    #[test]
+    fn the_stream_recovers_the_record_prefix_at_every_truncation(
+        recs in proptest::collection::vec(arb_record(), 2..5),
+        most in 1usize..64,
+        seed in any::<u64>(),
+    ) {
+        let mut bytes = Vec::new();
+        for rec in &recs {
+            bytes.extend_from_slice(&encode_record(rec));
+        }
+        for cut in 0..=bytes.len() {
+            assert_stream_matches_scan(&bytes[..cut], most, seed ^ cut as u64);
+        }
+    }
+}
+
+/// A journal several windows long: every refill starts at a record and
+/// ends inside one (the record length does not divide the window), so a
+/// record straddles each window's edge and must be carried to the front
+/// to be decoded. Read whole windows at a time (as a file is), in
+/// dribbles, and torn inside a record a window's length in.
+#[test]
+fn a_record_straddling_the_window_edge_is_carried_over() {
+    let bytes = curve_journal(0, 3300);
+    let record_len = bytes.len() / 3300;
+    assert!(bytes.len() > 3 * STREAM_WINDOW_LEN);
+    assert_ne!(
+        STREAM_WINDOW_LEN % record_len,
+        0,
+        "no record straddles the edge"
+    );
+    let whole_reads = records_from(&bytes[..]).into_scan().unwrap();
+    assert_eq!(whole_reads, scan(&bytes));
+    assert_eq!(whole_reads.records.len(), 3300);
+    assert_stream_matches_scan(&bytes, 70_000, 7);
+    // Torn a few bytes into a record, a window's length into the file.
+    let torn = &bytes[..STREAM_WINDOW_LEN + 5];
+    let scanned = records_from(torn).into_scan().unwrap();
+    assert_eq!(scanned, scan(torn));
+    assert_eq!(scanned.records.len(), STREAM_WINDOW_LEN / record_len);
+    assert_eq!(scanned.tail, Some(StoreError::Truncated));
+}
+
+/// The largest records the format allows fit the window wherever they
+/// start in it: a cut at the id cap (the largest a plane writes) decodes,
+/// and a frame of exactly `STORE_MAX_RECORD_LEN` payload bytes — legal
+/// framing, valid checksum, a body no encoder produces — is verified
+/// whole and refused with the scanner's error, from different places
+/// in the window and across its edge.
+#[test]
+fn maximum_length_records_fit_the_window() {
+    let cut = Record::EpochCut {
+        seq: 1,
+        shard: 0,
+        epoch: 1,
+        drained: (0..u64::from(STORE_MAX_CUT_IDS)).collect(),
+    };
+    let mut longest = vec![0xA5; STORE_MAX_RECORD_LEN as usize];
+    longest[0] = STORE_VERSION;
+    longest[1] = 0x7F; // no such tag
+    let longest = framed(&longest);
+    assert_eq!(
+        decode_record(&longest),
+        Err(StoreError::BadTag { got: 0x7F }),
+        "checksum verified over the whole payload, then the tag refused"
+    );
+    // Filler moves the cut and the long frame about the window (about a
+    // window's worth puts them near its edge); the dribbled reads below
+    // move the refills, and so the edge, again.
+    for filler in [920, 700, 0] {
+        let mut bytes = curve_journal(2, filler);
+        encode_record_into(&cut, &mut bytes).unwrap();
+        let valid = bytes.len();
+        bytes.extend_from_slice(&longest);
+        bytes.extend_from_slice(&curve_journal(5000, 3));
+        let scanned = records_from(&bytes[..]).into_scan().unwrap();
+        assert_eq!(scanned, scan(&bytes), "{filler} filler records");
+        assert_eq!(scanned.consumed, valid);
+        assert_eq!(scanned.records.last(), Some(&cut));
+        assert_eq!(scanned.tail, Some(StoreError::BadTag { got: 0x7F }));
+        assert_stream_matches_scan(&bytes, 300_000, filler);
+    }
+}
+
+/// A failed read is the stream's one `Err` item: the records before it
+/// are delivered, nothing follows it, and it is never a tail — whatever
+/// the error kind, `UnexpectedEof` included.
+#[test]
+fn a_read_error_is_yielded_as_an_error_and_never_as_a_tail() {
+    let bytes = curve_journal(0, 3);
+    for kind in [
+        std::io::ErrorKind::Other,
+        std::io::ErrorKind::UnexpectedEof,
+        std::io::ErrorKind::PermissionDenied,
+    ] {
+        // Fails at a record boundary, and inside a record.
+        for fail_at in [bytes.len() / 3, bytes.len() / 2] {
+            let mut stream = records_from(FailsAfter {
+                bytes: &bytes[..fail_at],
+                kind,
+            });
+            assert!(matches!(
+                stream.next(),
+                Some(Ok(Record::Curve { seq: 0, .. }))
+            ));
+            assert_eq!(stream.next(), Some(Err(StoreError::Io(kind))));
+            assert_eq!(stream.next(), None);
+            assert_eq!(stream.tail(), None, "{kind:?} read as a torn tail");
+            assert_eq!(stream.consumed(), (bytes.len() / 3) as u64);
+            assert_eq!(
+                records_from(FailsAfter {
+                    bytes: &bytes[..fail_at],
+                    kind,
+                })
+                .into_scan(),
+                Err(StoreError::Io(kind))
+            );
+        }
+    }
+    // An interrupted read is retried, not reported.
+    struct InterruptedOnce<'a>(&'a [u8], bool);
+    impl Read for InterruptedOnce<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if !std::mem::replace(&mut self.1, true) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            self.0.read(buf)
+        }
+    }
+    assert_eq!(
+        records_from(InterruptedOnce(&bytes, false)).into_scan(),
+        Ok(scan(&bytes))
+    );
+}
+
+/// Opening a shard far larger than the window: every record is
+/// recovered, and the buffer a stream of that file reads through is the
+/// one constant-size window before the first record and after the last —
+/// the memory bound, asserted on the structure that enforces it.
+#[test]
+fn a_large_shard_opens_and_streams_through_one_window() {
+    let dir = temp_dir("large");
+    let path = dir.join("shard-000.talus");
+    let records = 8200;
+    let bytes = curve_journal(0, records);
+    assert!(bytes.len() >= 8 << 20, "{} bytes", bytes.len());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let store = Store::open(&dir, 1).unwrap();
+    assert_eq!(store.recovery().records(), records as usize);
+    assert_eq!(store.recovery().torn_bytes(), 0);
+    assert_eq!(store.recovery().shards[0].max_seq, Some(records - 1));
+
+    let mut stream = store.stream_shard(0).unwrap();
+    assert_eq!(stream.capacity(), STREAM_WINDOW_LEN);
+    let mut seen = 0;
+    for rec in stream.by_ref() {
+        assert_eq!(rec.unwrap().seq(), seen);
+        seen += 1;
+    }
+    assert_eq!(seen, records);
+    assert_eq!(stream.capacity(), STREAM_WINDOW_LEN);
+    assert_eq!(
+        (stream.consumed(), stream.tail()),
+        (bytes.len() as u64, None)
+    );
+    assert_eq!(store.history(1).unwrap().len(), records as usize);
+    assert_eq!(std::fs::read(&path).unwrap(), bytes, "open rewrote nothing");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A foreign-version record beyond the first window — more than a
+/// window of intact records before it, more after — still refuses the
+/// open and leaves the file untouched; so does a torn tail beyond it
+/// get truncated at exactly the valid prefix.
+#[test]
+fn recovery_verdicts_hold_beyond_the_first_window() {
+    let intact = curve_journal(0, 1100);
+    assert!(intact.len() > STREAM_WINDOW_LEN);
+
+    let dir = temp_dir("foreign-late");
+    let path = dir.join("shard-000.talus");
+    let mut file = intact.clone();
+    file.extend_from_slice(&framed(&[STORE_VERSION + 1, 0x02]));
+    file.extend_from_slice(&curve_journal(1100, 4));
+    std::fs::write(&path, &file).unwrap();
+    assert_eq!(
+        Store::open(&dir, 1).err(),
+        Some(StoreError::BadVersion {
+            got: STORE_VERSION + 1
+        })
+    );
+    assert_eq!(std::fs::read(&path).unwrap(), file, "file touched");
+    std::fs::remove_dir_all(&dir).ok();
+
+    let dir = temp_dir("torn-late");
+    let path = dir.join("shard-000.talus");
+    let mut file = intact.clone();
+    file.extend_from_slice(&curve_journal(1100, 1)[..700]);
+    std::fs::write(&path, &file).unwrap();
+    let store = Store::open(&dir, 1).unwrap();
+    assert_eq!(store.recovery().records(), 1100);
+    assert_eq!(store.recovery().torn_bytes(), 700);
+    assert_eq!(store.recovery().shards[0].tail, Some(StoreError::Truncated));
+    drop(store);
+    assert_eq!(std::fs::read(&path).unwrap(), intact);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A stream of a live shard covers the records written when it was
+/// opened and no others, ends cleanly, and holds no lock while it is
+/// read: an append issued with the stream half-consumed completes (it
+/// would deadlock here, on this one thread, if the stream held the
+/// journal's lock).
+#[test]
+fn a_stream_sees_what_was_written_when_it_opened_and_blocks_no_append() {
+    let dir = temp_dir("live-stream");
+    let store = Store::open(&dir, 1).unwrap();
+    store.register(1, 1 << 20, 1, &Planner::new(64));
+    for seed in 0..9 {
+        store.submit(1, 0, &curve_from_seed(seed));
+    }
+    // A scope open on the shard buffers: its records are not on disk.
+    store.begin(0);
+    store.submit(1, 0, &curve_from_seed(100));
+    let at_open = shard_len(&dir, 0);
+    let mut stream = store.stream_shard(0).unwrap();
+    store.commit(0);
+    assert!(shard_len(&dir, 0) > at_open, "the scope's record landed");
+
+    let first: Vec<_> = stream.by_ref().take(5).collect();
+    assert!(first.iter().all(Result::is_ok));
+    store.submit(1, 0, &curve_from_seed(101));
+    store.deregister(1);
+    assert_eq!(store.last_error(), None);
+
+    assert_eq!(
+        stream.by_ref().count(),
+        5,
+        "ten records were on disk at open"
+    );
+    assert_eq!((stream.consumed(), stream.tail()), (at_open, None));
+    // A stream opened now sees them all.
+    assert_eq!(store.replay_shard(0).unwrap().records.len(), 13);
+    assert_eq!(store.history(1).unwrap().len(), 11);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A shard file that cannot be read is an error from every reader —
+/// `history`, `replay_shard`, a stream — never an empty or short
+/// history. (Swapping the file for a directory makes `read` fail on a
+/// path that still opens.)
+#[cfg(unix)]
+#[test]
+fn an_unreadable_shard_file_is_an_error_not_a_short_history() {
+    let dir = temp_dir("unreadable");
+    let path = dir.join("shard-000.talus");
+    let store = Store::open(&dir, 1).unwrap();
+    store.register(1, 512, 1, &Planner::new(64));
+    store.submit(1, 0, &curve_from_seed(1));
+    std::fs::remove_file(&path).unwrap();
+    std::fs::create_dir(&path).unwrap();
+
+    assert!(matches!(store.history(1), Err(StoreError::Io(_))));
+    assert!(matches!(store.replay_shard(0), Err(StoreError::Io(_))));
+    let mut stream = store.stream_shard(0).unwrap();
+    assert!(matches!(stream.next(), Some(Err(StoreError::Io(_)))));
+    assert_eq!((stream.next(), stream.tail()), (None, None));
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -732,4 +732,34 @@ mod store {
         assert_eq!(summary.epochs, 2, "the post-recovery epoch journaled");
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// Read-failure injection: a shard file that stops being readable
+    /// after the store opened it (here: swapped for a directory, which
+    /// opens but fails every `read`) fails the restore with the store's
+    /// error. It is never taken for the end of the journal — that would
+    /// hand back a plane silently missing its history.
+    #[cfg(unix)]
+    #[test]
+    fn an_unreadable_shard_fails_the_restore_instead_of_shortening_it() {
+        use talus_serve::RestoreError;
+
+        let dir = temp_dir("unreadable");
+        let store = Arc::new(Store::open(&dir, 1).expect("open store"));
+        let plane =
+            ShardedReconfigService::new(1).with_sink(Arc::clone(&store) as Arc<dyn StoreSink>);
+        let id = plane.register(CacheSpec::new(1024, 1).with_planner(Planner::new(64)));
+        plane.submit(id, 0, curve(0)).expect("registered");
+        plane.run_epoch();
+        drop(plane);
+
+        let path = dir.join("shard-000.talus");
+        std::fs::remove_file(&path).expect("unlink the journal");
+        std::fs::create_dir(&path).expect("a directory in its place");
+        let fresh = ShardedReconfigService::new(1);
+        assert!(matches!(
+            fresh.restore(&store),
+            Err(RestoreError::Store(StoreError::Io(_)))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
