@@ -3,7 +3,7 @@
 //! arithmetic operations" claim), and the bypass solver.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use talus_bench::synthetic_curve;
+use talus_bench::{pool_curve, synthetic_curve, PoolShape};
 use talus_core::bypass::optimal_bypass;
 use talus_core::{plan, plan_with_hull, talus_curve, TalusOptions};
 
@@ -14,6 +14,15 @@ fn bench_convex_hull(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(points), &curve, |b, curve| {
             b.iter(|| black_box(curve.convex_hull()))
         });
+    }
+    // The plane workloads' extremes: every point a vertex, and long
+    // near-collinear plateaus that are pushed and popped again.
+    for (name, shape) in [
+        ("65_convex", PoolShape::Convex),
+        ("65_plateau_cliff", PoolShape::PlateauCliff),
+    ] {
+        let curve = pool_curve(shape, 42);
+        g.bench_function(name, |b| b.iter(|| black_box(curve.convex_hull())));
     }
     g.finish();
 }

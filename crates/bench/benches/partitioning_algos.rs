@@ -3,7 +3,7 @@
 //! convexity guarantee is what lets a system run the cheapest one.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use talus_bench::synthetic_curve;
+use talus_bench::{pool_curves, synthetic_curve};
 use talus_core::{ConvexHull, MissCurve};
 use talus_partition::{hill_climb, hill_climb_hulls, imbalanced, lookahead, optimal_dp, Planner};
 
@@ -34,6 +34,16 @@ fn bench_algorithms(c: &mut Criterion) {
             &native,
             |b, hs| b.iter(|| black_box(hill_climb_hulls(hs, capacity, 64))),
         );
+        if apps == 4 {
+            // The same kernel on the shapes the plane workloads submit.
+            let pool: Vec<ConvexHull> =
+                pool_curves(42).iter().map(MissCurve::convex_hull).collect();
+            g.bench_with_input(
+                BenchmarkId::new("hill_climb_hulls", "pool"),
+                &pool,
+                |b, hs| b.iter(|| black_box(hill_climb_hulls(hs, 65_536, 1024))),
+            );
+        }
         g.bench_with_input(BenchmarkId::new("lookahead", apps), &cs, |b, cs| {
             b.iter(|| black_box(lookahead(cs, capacity, 64)))
         });
@@ -66,6 +76,12 @@ fn bench_planner(c: &mut Criterion) {
     let mut g = c.benchmark_group("plan");
     g.bench_function("planner_4x65pt_hill", |b| {
         b.iter(|| black_box(planner.plan(&cs, 64 * 64, 0)))
+    });
+    // The same cache with the workload's curve shapes and sizes.
+    let pool = pool_curves(42);
+    let planner = Planner::new(1024);
+    g.bench_function("planner_4x65pt_hill_pool", |b| {
+        b.iter(|| black_box(planner.plan(&pool, 65_536, 0)))
     });
     g.finish();
 }

@@ -33,6 +33,93 @@ pub fn synthetic_curve(points: usize, seed: u64) -> MissCurve {
     MissCurve::new(pts).expect("synthetic curve is valid")
 }
 
+/// The curve shapes the repo benchmark's plane workloads submit
+/// (`benchmark/src/pool.rs`), which [`synthetic_curve`]'s staircase does
+/// not cover: its hull keeps a handful of vertices, these keep up to all
+/// 65 points or bridge long near-collinear plateaus.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PoolShape {
+    /// Smooth convex decay: every point is a hull vertex.
+    Convex,
+    /// One plateau ending in a cliff, then a floor plateau.
+    PlateauCliff,
+    /// Two plateaus, each ending in a cliff.
+    TwoCliffs,
+    /// A convex region followed by a cliff (perlbench/cactusADM).
+    ConvexThenCliff,
+}
+
+/// A deterministic curve of the given [`PoolShape`] on the 65-point grid a
+/// monitor emits over a 65 536-line cache (`0, 1024, …, 65 536`), with the
+/// pool's parameter ranges and its 0.1 %-a-point plateau slope.
+pub fn pool_curve(shape: PoolShape, seed: u64) -> MissCurve {
+    const POINTS: usize = 65;
+    // Spread the seed first: neighbouring seeds must not share a stream.
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut unit = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut range = |lo: f64, hi: f64| lo + (hi - lo) * unit();
+    let top = range(8.0, 40.0);
+    let floor = top * range(0.02, 0.2);
+    let sloped = |level: f64, i: usize| level * (1.0 - 0.001 * i as f64);
+    let misses: Vec<f64> = match shape {
+        PoolShape::Convex => {
+            let knee = range(4.0, 24.0);
+            (0..POINTS)
+                .map(|i| floor + (top - floor) * (-(i as f64) / knee).exp())
+                .collect()
+        }
+        PoolShape::PlateauCliff | PoolShape::TwoCliffs => {
+            let count = if shape == PoolShape::TwoCliffs { 2 } else { 1 };
+            let mut edges: Vec<usize> = (0..count)
+                .map(|_| 4 + range(0.0, (POINTS - 8) as f64) as usize)
+                .collect();
+            edges.sort_unstable();
+            (0..POINTS)
+                .map(|i| {
+                    let passed = edges.iter().filter(|&&e| i >= e).count();
+                    sloped(top - (top - floor) * passed as f64 / count as f64, i)
+                })
+                .collect()
+        }
+        PoolShape::ConvexThenCliff => {
+            let edge = 16 + range(0.0, (POINTS - 24) as f64) as usize;
+            let shelf = floor + (top - floor) * range(0.3, 0.6);
+            let knee = range(3.0, 10.0);
+            (0..POINTS)
+                .map(|i| {
+                    if i < edge {
+                        shelf + (top - shelf) * (-(i as f64) / knee).exp()
+                    } else {
+                        sloped(floor, i)
+                    }
+                })
+                .collect()
+        }
+    };
+    let sizes: Vec<f64> = (0..POINTS).map(|i| i as f64 * 1024.0).collect();
+    MissCurve::from_samples(&sizes, &misses).expect("pool curve is valid")
+}
+
+/// One cache's worth of plane-workload curves: four tenants, one of each
+/// [`PoolShape`].
+pub fn pool_curves(seed: u64) -> Vec<MissCurve> {
+    [
+        PoolShape::Convex,
+        PoolShape::PlateauCliff,
+        PoolShape::TwoCliffs,
+        PoolShape::ConvexThenCliff,
+    ]
+    .into_iter()
+    .zip(seed..)
+    .map(|(shape, seed)| pool_curve(shape, seed))
+    .collect()
+}
+
 /// A deterministic mixed access stream (hot set + scan) of `len` lines.
 pub fn synthetic_stream(len: usize, hot_lines: u64, scan_lines: u64, seed: u64) -> Vec<u64> {
     let mut state = seed | 1;
@@ -61,6 +148,23 @@ mod tests {
         let c = synthetic_curve(64, 9);
         assert_eq!(c.len(), 64);
         assert!(c.is_monotone(1e-9));
+    }
+
+    #[test]
+    fn pool_curves_have_the_hulls_their_shapes_promise() {
+        for seed in 0..32 {
+            let curves = pool_curves(seed);
+            assert_eq!(curves.len(), 4);
+            for c in &curves {
+                assert_eq!((c.len(), c.max_size()), (65, 65_536.0));
+                assert!(c.is_monotone(0.0), "seed {seed} rises");
+            }
+            let vertices: Vec<usize> = curves.iter().map(|c| c.convex_hull().len()).collect();
+            assert_eq!(vertices[0], 65, "a convex decay keeps every point");
+            // Plateaus are collinear up to rounding: a few points survive.
+            assert!(vertices[1] < 24 && vertices[2] < 24, "{vertices:?}");
+            assert!((4..65).contains(&vertices[3]), "{vertices:?}");
+        }
     }
 
     #[test]

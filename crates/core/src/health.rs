@@ -59,7 +59,10 @@ pub struct PlaneHealth {
     pub caches: u64,
     /// Dirty caches queued, summed across shards.
     pub pending: u64,
-    /// Raw ids of every quarantined cache, ascending.
+    /// Raw ids of every quarantined cache, ascending. A snapshot that
+    /// crossed the wire lists the lowest
+    /// [`WIRE_MAX_IDS`](crate::limits::WIRE_MAX_IDS) of them at most; the
+    /// per-shard [`ShardHealth::quarantined`] counts are never cut short.
     pub quarantined: Vec<u64>,
     /// Per-shard health, in shard order.
     pub shards: Vec<ShardHealth>,

@@ -54,7 +54,9 @@ impl ConvexHull {
     /// construction guarantees both.
     pub(crate) fn of_points(points: &[CurvePoint]) -> ConvexHull {
         debug_assert!(!points.is_empty());
-        let mut hull: Vec<CurvePoint> = Vec::with_capacity(points.len().min(16));
+        // Vertices are a subset of the points: sized for all of them, the
+        // stack never regrows.
+        let mut hull: Vec<CurvePoint> = Vec::with_capacity(points.len());
         for &p in points {
             // Pop the last hull vertex while it lies on or above the chord
             // from its predecessor to `p` (non-left turn in the lower hull).

@@ -6,7 +6,9 @@
 
 use proptest::prelude::*;
 use talus_core::bypass::{optimal_bypass, optimal_bypass_curve};
-use talus_core::{plan, shadow_miss_rate, talus_curve, MissCurve, TalusOptions, TalusPlan};
+use talus_core::{
+    plan, shadow_miss_rate, talus_curve, ConvexHull, CurvePoint, MissCurve, TalusOptions, TalusPlan,
+};
 
 /// Strategy: an arbitrary valid miss curve with 2..=40 points, sizes on an
 /// integer-ish grid, non-negative miss values. Optionally forced monotone
@@ -46,6 +48,114 @@ fn arb_curve(monotone: bool) -> impl Strategy<Value = MissCurve> {
         }
         MissCurve::from_samples(&sizes, &misses).expect("generated curve is valid")
     })
+}
+
+/// The monotone-chain scan in its plainest form — every pop test
+/// re-indexes the `Vec` — kept apart from `ConvexHull::of_points` as its
+/// oracle: however that scan is tuned, it must keep these vertices.
+fn indexed_scan(points: &[CurvePoint]) -> Vec<CurvePoint> {
+    let mut hull: Vec<CurvePoint> = Vec::new();
+    for &p in points {
+        while hull.len() >= 2 {
+            let a = hull[hull.len() - 2];
+            let b = hull[hull.len() - 1];
+            let cross = (b.size - a.size) * (p.misses - a.misses)
+                - (b.misses - a.misses) * (p.size - a.size);
+            if cross <= 0.0 {
+                hull.pop();
+            } else {
+                break;
+            }
+        }
+        hull.push(p);
+    }
+    hull
+}
+
+/// A curve of `points` points in the `shape`th of the six shapes that decide
+/// what the scan pops: all-flat and exactly collinear runs (cross product
+/// exactly zero), the repo benchmark's plateaus (0.1 % a point: collinear
+/// up to rounding) between cliffs, integer staircases, smooth decays, and
+/// noise that rises — on grids from zero or from a positive origin, on
+/// round steps or off them, evenly spaced or not.
+fn scan_curve(points: usize, shape: u64, seed: u64) -> MissCurve {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let origin = [0.0, 0.0, 37.25, 300.0][(next() % 4) as usize];
+    let step = [1.0, 64.0, 1024.0, 7.3][(next() % 4) as usize];
+    let even = next() % 3 != 0;
+    let mut size = origin;
+    let sizes: Vec<f64> = (0..points)
+        .map(|_| {
+            let here = size;
+            size += if even {
+                step
+            } else {
+                step * (1 + next() % 5) as f64 / 2.0
+            };
+            here
+        })
+        .collect();
+    let top = (8 + next() % 33) as f64;
+    let run = 1 + (next() % 40) as usize;
+    let knee = 1.0 + (next() % 24) as f64;
+    let misses: Vec<f64> = (0..points)
+        .map(|i| match shape {
+            0 => top,
+            // Straight runs with a kink every `run` points.
+            1 => 100.0 + top - (i + i / run) as f64 / 8.0,
+            2 => {
+                let level = top * (1.0 - 0.3 * ((i / run) as f64).min(3.0));
+                level * (1.0 - 0.001 * i as f64)
+            }
+            3 => (top - (i / run) as f64).max(0.0),
+            4 => 0.5 + top * (-(i as f64) / knee).exp(),
+            _ => (next() % 12) as f64,
+        })
+        .collect();
+    MissCurve::from_samples(&sizes, &misses).expect("generated curve is valid")
+}
+
+fn assert_scan_matches(curve: &MissCurve) {
+    let got = ConvexHull::of_curve(curve);
+    let want = indexed_scan(curve.points());
+    let bits = |v: &[CurvePoint]| -> Vec<(u64, u64)> {
+        v.iter()
+            .map(|p| (p.size.to_bits(), p.misses.to_bits()))
+            .collect()
+    };
+    assert_eq!(bits(got.vertices()), bits(&want), "{curve:?}");
+}
+
+#[test]
+fn hull_scan_equals_the_indexed_scan_on_the_smallest_curves() {
+    // One point, two, and the first sizes at which a pop can happen,
+    // cascade, and empty the stack down to its first vertex.
+    for points in 1..=6 {
+        for shape in 0..6 {
+            for seed in 0..16 {
+                assert_scan_matches(&scan_curve(points, shape, seed));
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1500))]
+
+    #[test]
+    fn hull_scan_equals_the_indexed_scan(
+        points in 1usize..=300,
+        shape in 0u64..6,
+        seed in any::<u64>(),
+    ) {
+        assert_scan_matches(&scan_curve(points, shape, seed));
+    }
 }
 
 proptest! {

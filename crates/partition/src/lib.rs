@@ -124,7 +124,10 @@ pub fn hill_climb<C: Borrow<MissCurve>>(curves: &[C], capacity: u64, grain: u64)
 /// comparison per partition plus one interpolation found by advancing
 /// the winner's cursor: `O(grains · n)` comparisons and
 /// `O(grains + vertices)` interpolation work in total, against the
-/// reference's `2 · grains · n` binary searches.
+/// reference's `2 · grains · n` binary searches. That interpolation is
+/// for the size *two* grains past the winner's new allocation — one grant
+/// before any choice depends on it — so its cursor walk and division
+/// overlap the next grant's comparisons instead of preceding them.
 ///
 /// ```
 /// use talus_core::MissCurve;
@@ -140,11 +143,13 @@ pub fn hill_climb<C: Borrow<MissCurve>>(curves: &[C], capacity: u64, grain: u64)
 ///
 /// Panics if `hulls` is empty or `grain` is zero.
 pub fn hill_climb_hulls(hulls: &[ConvexHull], capacity: u64, grain: u64) -> Vec<u64> {
-    /// One partition's standing offer: the hull value one grain past its
-    /// allocation, what that grain would save, and where on the hull it is.
+    /// One partition's standing offer: the hull values one and two grains
+    /// past its allocation, what the first of those grains would save, and
+    /// where on the hull the second is.
     struct Offer {
         cursor: usize,
         there: f64,
+        beyond: f64,
         gain: f64,
     }
     let grains = check_inputs(hulls, capacity, grain);
@@ -155,9 +160,11 @@ pub fn hill_climb_hulls(hulls: &[ConvexHull], capacity: u64, grain: u64) -> Vec<
             let mut cursor = 0;
             let here = hull.value_at_from(&mut cursor, 0.0);
             let there = hull.value_at_from(&mut cursor, grain as f64);
+            let beyond = hull.value_at_from(&mut cursor, grain.saturating_add(grain) as f64);
             Offer {
                 cursor,
                 there,
+                beyond,
                 gain: here - there,
             }
         })
@@ -176,13 +183,16 @@ pub fn hill_climb_hulls(hulls: &[ConvexHull], capacity: u64, grain: u64) -> Vec<
             best = alloc.iter().position(|&a| a == min).expect("non-empty");
         }
         alloc[best] += grain;
-        // The winner now stands where its offer pointed. The sum can only
-        // overflow past the final grant, whose offer nobody reads.
+        // The winner now stands where its offer pointed, and both ends of
+        // its next gain are already known: the next grant's choice waits
+        // on a subtraction, and the interpolation issued here is first
+        // read by the grant after it. A size is read by a grant only if it
+        // fits in the capacity, so a sum that saturates is never read.
         let offer = &mut offers[best];
-        let here = offer.there;
-        let next = alloc[best].saturating_add(grain) as f64;
-        offer.there = hulls[best].value_at_from(&mut offer.cursor, next);
-        offer.gain = here - offer.there;
+        offer.gain = offer.there - offer.beyond;
+        offer.there = offer.beyond;
+        let ahead = alloc[best].saturating_add(grain).saturating_add(grain) as f64;
+        offer.beyond = hulls[best].value_at_from(&mut offer.cursor, ahead);
     }
     alloc
 }

@@ -220,3 +220,101 @@ proptest! {
         }
     }
 }
+
+/// `hill_climb_hulls` against `hill_climb` on one hand-built case.
+fn assert_kernel_matches(curves: &[MissCurve], capacity: u64, grain: u64) -> Vec<u64> {
+    let hulls = hulls_of(curves);
+    let as_curves: Vec<MissCurve> = hulls.iter().map(ConvexHull::to_curve).collect();
+    let got = hill_climb_hulls(&hulls, capacity, grain);
+    assert_eq!(
+        got,
+        hill_climb(&as_curves, capacity, grain),
+        "capacity {capacity}, grain {grain}, {curves:?}"
+    );
+    got
+}
+
+fn curve(sizes: &[f64], misses: &[f64]) -> MissCurve {
+    MissCurve::from_samples(sizes, misses).expect("valid curve")
+}
+
+/// A cliff, a decay and a flat tenant on one 5-point grid.
+fn trio() -> Vec<MissCurve> {
+    let sizes = [0.0, 64.0, 128.0, 192.0, 256.0];
+    vec![
+        curve(&sizes, &[9.0, 9.0, 9.0, 1.0, 1.0]),
+        curve(&sizes, &[8.0, 4.0, 2.0, 1.0, 0.5]),
+        curve(&sizes, &[3.0; 5]),
+    ]
+}
+
+// The kernel keeps each tenant's hull value two grains past its
+// allocation. The cases below are the ones that look-ahead adds: grants
+// that end before the second grain is ever used, sizes two grains out
+// that leave the hull or the integers, and climbs decided entirely by the
+// zero-gain branch.
+
+#[test]
+fn look_ahead_is_harmless_when_fewer_than_two_grains_fit() {
+    for (capacity, grain) in [(0, 64), (63, 64), (64, 64), (127, 64), (1, u64::MAX)] {
+        let got = assert_kernel_matches(&trio(), capacity, grain);
+        assert_eq!(got.iter().sum::<u64>(), capacity / grain * grain);
+    }
+}
+
+#[test]
+fn look_ahead_saturates_where_two_grains_overflow() {
+    // `alloc + 2·grain` passes `u64::MAX` before the first grant (grain
+    // above half the range), after it, and after the second of three.
+    let half = u64::MAX / 2;
+    for grain in [half + 1, half, u64::MAX / 3] {
+        let got = assert_kernel_matches(&trio(), u64::MAX, grain);
+        assert_eq!(got.iter().sum::<u64>(), u64::MAX / grain * grain);
+        assert_kernel_matches(&trio()[..1], u64::MAX, grain);
+    }
+}
+
+#[test]
+fn one_tenant_takes_every_grain() {
+    for tenant in trio() {
+        assert_eq!(assert_kernel_matches(&[tenant], 1000, 64), vec![960]);
+    }
+}
+
+#[test]
+fn a_single_vertex_hull_offers_nothing_at_any_distance() {
+    let point = curve(&[128.0], &[5.0]);
+    assert_eq!(point.convex_hull().len(), 1);
+    assert_eq!(
+        assert_kernel_matches(std::slice::from_ref(&point), 640, 64),
+        vec![640]
+    );
+    // Beside tenants that do gain, it is served by round-robin only.
+    let mut mixed = trio();
+    mixed.insert(1, point);
+    assert_kernel_matches(&mixed, 640, 64);
+    assert_kernel_matches(&mixed, 6400, 64);
+}
+
+#[test]
+fn twin_flat_tenants_alternate_on_the_zero_gain_branch() {
+    let flat = curve(&[0.0, 512.0, 1024.0], &[7.0; 3]);
+    assert_eq!(
+        assert_kernel_matches(&[flat.clone(), flat.clone()], 64 * 9, 64),
+        vec![64 * 5, 64 * 4]
+    );
+    assert_eq!(
+        assert_kernel_matches(&[flat.clone(), flat.clone(), flat], 64 * 9, 64),
+        vec![64 * 3; 3]
+    );
+}
+
+#[test]
+fn capacity_far_past_every_last_vertex_is_still_handed_out() {
+    // 256 lines of curve, a million of capacity: past the last vertex
+    // both look-ahead values clamp and every grant is round-robin.
+    for grain in [1, 64, 100] {
+        let got = assert_kernel_matches(&trio(), 1_000_000, grain);
+        assert_eq!(got.iter().sum::<u64>(), 1_000_000 / grain * grain);
+    }
+}

@@ -357,6 +357,8 @@ pub enum Response {
     /// Reply to [`Request::Ping`].
     Pong,
     /// Reply to [`Request::Health`]: the plane's failure-state snapshot.
+    /// Its `quarantined` list is encoded up to [`WIRE_MAX_IDS`] ids (the
+    /// lowest); the per-shard counts always carry the true total.
     Health(PlaneHealth),
     /// Reply to [`Request::Hello`]: the server's topology advertisement.
     Hello(ClusterInfo),
@@ -483,8 +485,12 @@ impl<'a> FrameWriter<'a> {
             StoreHealth::Ok => 1,
             StoreHealth::Faulted => 2,
         });
-        self.u32(h.quarantined.len() as u32);
-        for id in &h.quarantined {
+        // The list is cumulative, so a long-lived plane can outgrow what a
+        // decoder accepts: send the lowest ids of the ascending list. The
+        // per-shard counts below still carry the true total.
+        let listed = &h.quarantined[..h.quarantined.len().min(WIRE_MAX_IDS as usize)];
+        self.u32(listed.len() as u32);
+        for id in listed {
             self.u64(*id);
         }
         self.u32(h.shards.len() as u32);
@@ -1258,6 +1264,51 @@ mod tests {
             decode_response(&bad_bytes[4..]),
             Err(WireError::Malformed("shard range exceeds total"))
         );
+    }
+
+    #[test]
+    fn an_overlong_quarantined_list_is_cut_where_it_is_written() {
+        // One id more than a decoder accepts, spread over two shards.
+        let ids: Vec<u64> = (0..=u64::from(WIRE_MAX_IDS)).map(|i| 3 * i + 1).collect();
+        let shard = |quarantined| ShardHealth {
+            caches: ids.len() as u64,
+            pending: 0,
+            quarantined,
+            state: ShardState::Ok,
+        };
+        let health = PlaneHealth {
+            epochs: 9,
+            caches: 2 * ids.len() as u64,
+            pending: 0,
+            quarantined: ids.clone(),
+            shards: vec![shard(ids.len() as u64 - 5), shard(5)],
+            store: StoreHealth::None,
+            connections: 1,
+            rejected: 0,
+        };
+        let listed = PlaneHealth {
+            quarantined: ids[..WIRE_MAX_IDS as usize].to_vec(),
+            ..health.clone()
+        };
+        let info = |health| ClusterInfo {
+            total_shards: 2,
+            first_shard: 0,
+            shard_count: 2,
+            epoch: 9,
+            next_id: 1,
+            health,
+        };
+        for (sent, received) in [
+            (
+                Response::Health(health.clone()),
+                Response::Health(listed.clone()),
+            ),
+            (Response::Hello(info(health)), Response::Hello(info(listed))),
+        ] {
+            let bytes = encode_response(&sent);
+            assert!(bytes.len() - 4 <= WIRE_MAX_FRAME_LEN as usize);
+            assert_eq!(decode_response(&bytes[4..]), Ok(received));
+        }
     }
 
     #[test]
