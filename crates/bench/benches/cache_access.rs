@@ -7,7 +7,7 @@ use talus_core::MissCurve;
 use talus_sim::part::{
     FutilityScaled, IdealPartitioned, PartitionedCacheModel, VantageLike, WayPartitioned,
 };
-use talus_sim::policy::{Lru, PolicyKind};
+use talus_sim::policy::{Lru, PolicyKind, ReplacementPolicy, Srrip};
 use talus_sim::{
     AccessCtx, CacheModel, FastMod32, FullyAssocLru, H3Bank, H3Hasher, LineAddr, PartitionId,
     SetAssocCache, TalusCache, TalusCacheConfig,
@@ -254,8 +254,43 @@ fn bench_hash_primitives(c: &mut Criterion) {
     g.finish();
 }
 
+/// SRRIP's victim search by itself, over the way runs the simulator
+/// hands it: a whole 16- or 32-way set (`SetAssocCache`, the §VI-C
+/// monitor bank) and one partition's run of a 32-way set
+/// (`WayPartitioned`; 5 and 27 ways, neither starting nor ending on a
+/// 16-way boundary). Each step promotes one line of the run, evicts and
+/// refills, so searches that find a distant line and searches that must
+/// age the run first both occur.
+fn bench_policy_victim(c: &mut Criterion) {
+    const SETS: usize = 1024;
+    let stream = synthetic_stream(STREAM, 8192, 32768, 7);
+    let ctx = AccessCtx::new();
+    let mut g = c.benchmark_group("policy_victim");
+    g.throughput(Throughput::Elements(STREAM as u64));
+    for (name, ways, run) in [
+        ("srrip_16way_full_set", 16, 0..16),
+        ("srrip_32way_full_set", 32, 0..32),
+        ("srrip_way_run_5of32", 32, 3..8),
+        ("srrip_way_run_27of32", 32, 5..32),
+    ] {
+        g.bench_function(name, |b| {
+            let mut policy = Srrip::new();
+            policy.attach(SETS, ways);
+            b.iter(|| {
+                for &l in &stream {
+                    let set = l as usize % SETS;
+                    policy.on_hit(set, run.start + (l >> 10) as usize % run.len(), &ctx);
+                    let way = policy.choose_victim(set, black_box(run.clone()));
+                    policy.on_insert(set, black_box(way), &ctx);
+                }
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(name = benches; config = fast_criterion();
-    targets = bench_policies, bench_organisations, bench_hash_primitives);
+    targets = bench_policies, bench_organisations, bench_hash_primitives, bench_policy_victim);
 
 fn fast_criterion() -> Criterion {
     Criterion::default()

@@ -68,6 +68,17 @@ fn bench_record(c: &mut Criterion) {
         })
     });
 
+    // The 8-app mix's monitors: 128 sets at this size, so the near array
+    // samples every line and each record searches a 64-tag stack.
+    g.bench_function("umon_pair_dense", |b| {
+        let mut m = UmonPair::with_sets(8192, 128, 5);
+        b.iter(|| {
+            for &l in &stream {
+                m.record(black_box(LineAddr(l)));
+            }
+        })
+    });
+
     g.bench_function("three_point_cruise", |b| {
         let mut m = ThreePointMonitor::new(16384, 9);
         b.iter(|| {

@@ -1,24 +1,18 @@
-//! Reconfiguration-plane ingest throughput: submissions + epochs.
+//! Reconfiguration-plane ingest cost: submissions + epochs.
 //!
-//! The serving claim behind `ShardedReconfigService`: per-cache state
-//! behind one registry lock bounds miss-curve ingest, so hash-sharding by
-//! cache id (and planning each shard's epochs on its own worker) should
-//! scale submissions and replanning across cores with zero plan change.
-//! These benches measure exactly that claim on the `multi_tenant`
-//! interference workload: four producer threads stream monitor-measured
-//! curve updates for 32 logical caches (striped across producers), then
-//! the plane drains its dirty queues — one iteration is the full
-//! submissions + epochs cycle.
+//! What one full ingest cycle costs on each front-end of the plane, on
+//! the `multi_tenant` interference workload: monitor-measured curve
+//! updates for 32 logical caches are submitted in four producers'
+//! stripes, then the plane drains its dirty queues — one iteration is
+//! the full submissions + epochs cycle.
 //!
 //! Variants:
 //! - `single`: the unsharded [`ReconfigService`] (one registry lock);
-//! - `sharded_1`: [`ShardedReconfigService`] with one shard — measures
-//!   pure router overhead, expected within noise of `single`;
-//! - `sharded_4`: four shards, epochs on the calling thread — measures
-//!   ingest-contention relief alone;
+//! - `sharded_1`: [`ShardedReconfigService`] with one shard — the router
+//!   by itself;
+//! - `sharded_4`: four shards, epochs on the calling thread;
 //! - `sharded_4_threaded`: four shards, each planning on its own worker —
-//!   the full scale-out configuration. Speedup vs `single` is bounded by
-//!   available cores; on a single-core machine expect parity, not gain.
+//!   against `sharded_4`, the price of the hand-off to the workers;
 //! - `rpc`: the same cycle through the network layer — each producer is
 //!   a persistent `RpcClient` staging its round into one framed batch
 //!   over a loopback socket, and epochs are driven by a remote
@@ -29,10 +23,31 @@
 //!   submission time instead of cloning a monitor-measured fixture. The
 //!   delta vs `sharded_4` prices in-loop curve synthesis, the mode the
 //!   `AnalyticCurveSource` backend enables (no monitors anywhere).
+//!
+//! How the rows are taken, and what they can rank. The producers'
+//! stripes are submitted one after another *from the timing thread*: no
+//! thread is started, woken or waited for inside an iteration (the rows
+//! used to spawn four scoped threads per iteration and measured thread
+//! start-up and the scheduler; parked on channels they still read
+//! 265–645 µs for one row on a two-core box). The rows run in
+//! [`ROTATIONS`] interleaved rounds (`single`, `sharded_1`, …,
+//! `analytic`, then again), each round printing its own line per row;
+//! `scripts/bench_baseline.sh` keeps each name's minimum, so every row's
+//! number comes from the quietest of windows spread over the whole run
+//! instead of one window at a fixed place in it. A difference between
+//! two rows is therefore a difference between the planes on an
+//! *uncontended* stream: `sharded_1` against `single` is the router,
+//! `sharded_4` against `sharded_1` the extra shards, `sharded_4_threaded`
+//! against `sharded_4` the worker hand-off (the one row with other
+//! threads in it, so the one that still moves with the scheduler), `rpc`
+//! and `analytic` against `sharded_4` the wire and the synthesis. What
+//! they cannot rank: the scale-out claim behind sharding — relief of
+//! registry-lock contention between concurrent producers — which needs
+//! as many cores as producers and a contended load; nothing here
+//! contends.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::Arc;
 use talus_core::MissCurve;
 use talus_serve::{
     CacheId, CacheSpec, ReconfigService, RpcClient, RpcServer, ShardedReconfigService,
@@ -46,8 +61,10 @@ const CACHES: usize = 32;
 /// Tenants per cache (each cache hosts one multi-tenant interference
 /// workload).
 const TENANTS: usize = 4;
-/// Producer threads, striped over caches.
+/// Producers, striped over caches (over the wire, one connection each).
 const PRODUCERS: usize = 4;
+/// Interleaved rounds over the rows (see the module docs).
+const ROTATIONS: usize = 3;
 /// Curve-update rounds per iteration: each (cache, tenant) submits this
 /// many successive monitor-measured updates. Epochs coalesce them (only
 /// the latest curve is planned), so rounds weight the mix toward ingest —
@@ -126,25 +143,30 @@ impl Plane {
     }
 }
 
-/// One full ingest cycle: `PRODUCERS` threads submit every round's curves
-/// for their cache stripes, then the plane drains its dirty queues.
+/// The caches producer `p` submits for.
+fn stripe(ids: &[CacheId], p: usize) -> impl Iterator<Item = (usize, CacheId)> + '_ {
+    ids.iter().copied().enumerate().skip(p).step_by(PRODUCERS)
+}
+
+/// Registers the bench's caches on `plane`.
+fn register_all(plane: &Plane) -> Vec<CacheId> {
+    (0..CACHES)
+        .map(|_| plane.register(CacheSpec::new(CAPACITY, TENANTS)))
+        .collect()
+}
+
+/// One full ingest cycle: every producer's stripe of every round's
+/// curves is submitted, then the plane drains its dirty queues.
 fn ingest_cycle(plane: &Plane, ids: &[CacheId], fixture: &Fixture) -> usize {
-    thread::scope(|scope| {
-        for p in 0..PRODUCERS {
-            scope.spawn(move || {
-                for round in 0..ROUNDS {
-                    for (c, id) in ids.iter().enumerate() {
-                        if c % PRODUCERS != p {
-                            continue;
-                        }
-                        for (t, rounds) in fixture.curves[c].iter().enumerate() {
-                            plane.submit(*id, t, rounds[round].clone());
-                        }
-                    }
+    for p in 0..PRODUCERS {
+        for round in 0..ROUNDS {
+            for (c, id) in stripe(ids, p) {
+                for (t, rounds) in fixture.curves[c].iter().enumerate() {
+                    plane.submit(id, t, rounds[round].clone());
                 }
-            });
+            }
         }
-    });
+    }
     plane.drain()
 }
 
@@ -154,84 +176,47 @@ fn ingest_cycle(plane: &Plane, ids: &[CacheId], fixture: &Fixture) -> usize {
 /// submission is a genuine plan-changing update rather than a
 /// bit-identical no-op (which the plane dedupes).
 fn analytic_cycle(plane: &Plane, ids: &[CacheId]) -> usize {
-    thread::scope(|scope| {
-        for p in 0..PRODUCERS {
-            scope.spawn(move || {
-                for round in 0..ROUNDS {
-                    for (c, id) in ids.iter().enumerate() {
-                        if c % PRODUCERS != p {
-                            continue;
-                        }
-                        for t in 0..TENANTS {
-                            let q = 0.85 + 0.01 * ((round + t) % ROUNDS) as f64;
-                            let model = AnalyticModel::from_components(&[(
-                                ComponentKind::Zipf(q),
-                                4 * CAPACITY,
-                                1.0,
-                            )]);
-                            plane.submit(*id, t, model.curve(2 * CAPACITY));
-                        }
-                    }
+    for p in 0..PRODUCERS {
+        for round in 0..ROUNDS {
+            for (_, id) in stripe(ids, p) {
+                for t in 0..TENANTS {
+                    let q = 0.85 + 0.01 * ((round + t) % ROUNDS) as f64;
+                    let model = AnalyticModel::from_components(&[(
+                        ComponentKind::Zipf(q),
+                        4 * CAPACITY,
+                        1.0,
+                    )]);
+                    plane.submit(id, t, model.curve(2 * CAPACITY));
                 }
-            });
+            }
         }
-    });
+    }
     plane.drain()
 }
 
-fn bench_analytic(c: &mut Criterion) {
-    let plane = Plane::Sharded(ShardedReconfigService::new(4));
-    let ids: Vec<CacheId> = (0..CACHES)
-        .map(|_| plane.register(CacheSpec::new(CAPACITY, TENANTS)))
-        .collect();
-    assert_eq!(analytic_cycle(&plane, &ids), CACHES);
-    c.bench_function("serve_ingest/analytic", |b| {
-        b.iter(|| black_box(analytic_cycle(&plane, &ids)))
-    });
-}
-
-fn bench_plane(c: &mut Criterion, name: &str, plane: Plane, fixture: &Fixture) {
-    let ids: Vec<CacheId> = (0..CACHES)
-        .map(|_| plane.register(CacheSpec::new(CAPACITY, TENANTS)))
-        .collect();
-    // Warm the plane into steady state (every cache has a published plan).
-    assert_eq!(ingest_cycle(&plane, &ids, fixture), CACHES);
-    c.bench_function(name, |b| {
-        b.iter(|| black_box(ingest_cycle(&plane, &ids, fixture)))
-    });
-}
-
-/// One full ingest cycle over the wire: each producer thread holds a
-/// persistent connection, stages its stripe's curves round by round
-/// (one framed batch per round), and a control client drains the dirty
-/// queues with remote epochs.
+/// One full ingest cycle over the wire: each producer holds a persistent
+/// connection and stages its stripe's curves round by round (one framed
+/// batch per round), and a control client drains the dirty queues with
+/// remote epochs.
 fn rpc_cycle(
     service: &ShardedReconfigService,
     control: &mut RpcClient,
-    clients: &[Mutex<RpcClient>],
+    clients: &mut [RpcClient],
     ids: &[CacheId],
     fixture: &Fixture,
 ) -> usize {
-    thread::scope(|scope| {
-        for (p, client) in clients.iter().enumerate() {
-            scope.spawn(move || {
-                let mut client = client.lock().expect("client not poisoned");
-                for round in 0..ROUNDS {
-                    for (c, id) in ids.iter().enumerate() {
-                        if c % PRODUCERS != p {
-                            continue;
-                        }
-                        for (t, rounds) in fixture.curves[c].iter().enumerate() {
-                            client
-                                .stage(*id, t, rounds[round].clone())
-                                .expect("staged within frame budget");
-                        }
-                    }
-                    client.flush().expect("flush over rpc");
+    for (p, client) in clients.iter_mut().enumerate() {
+        for round in 0..ROUNDS {
+            for (c, id) in stripe(ids, p) {
+                for (t, rounds) in fixture.curves[c].iter().enumerate() {
+                    client
+                        .stage(id, t, rounds[round].clone())
+                        .expect("staged within frame budget");
                 }
-            });
+            }
+            client.flush().expect("flush over rpc");
         }
-    });
+    }
     let mut planned = 0;
     while service.pending() > 0 {
         planned += control.run_epoch().expect("epoch over rpc").planned.len();
@@ -239,7 +224,32 @@ fn rpc_cycle(
     planned
 }
 
-fn bench_rpc(c: &mut Criterion, fixture: &Fixture) {
+/// One row's full cycle, returning the caches it planned.
+type Cycle<'a> = Box<dyn FnMut() -> usize + 'a>;
+
+fn bench_serve_ingest(c: &mut Criterion) {
+    let fixture = &Fixture::build();
+    let planes = [
+        ("serve_ingest/single", Plane::Single(ReconfigService::new())),
+        (
+            "serve_ingest/sharded_1",
+            Plane::Sharded(ShardedReconfigService::new(1)),
+        ),
+        (
+            "serve_ingest/sharded_4",
+            Plane::Sharded(ShardedReconfigService::new(4)),
+        ),
+        (
+            "serve_ingest/sharded_4_threaded",
+            Plane::Sharded(ShardedReconfigService::new(4).with_threads()),
+        ),
+    ];
+    let mut rows: Vec<(&str, Cycle<'_>)> = Vec::new();
+    for (name, plane) in &planes {
+        let ids = register_all(plane);
+        rows.push((name, Box::new(move || ingest_cycle(plane, &ids, fixture))));
+    }
+
     let service = Arc::new(ShardedReconfigService::new(4));
     let handle = RpcServer::bind("127.0.0.1:0", Arc::clone(&service))
         .expect("bind loopback")
@@ -254,57 +264,42 @@ fn bench_rpc(c: &mut Criterion, fixture: &Fixture) {
                 .expect("register over rpc")
         })
         .collect();
-    let clients: Vec<Mutex<RpcClient>> = (0..PRODUCERS)
-        .map(|_| Mutex::new(RpcClient::connect(addr).expect("connect producer")))
+    let mut clients: Vec<RpcClient> = (0..PRODUCERS)
+        .map(|_| RpcClient::connect(addr).expect("connect producer"))
         .collect();
-    assert_eq!(
-        rpc_cycle(&service, &mut control, &clients, &ids, fixture),
-        CACHES
-    );
-    c.bench_function("serve_ingest/rpc", |b| {
-        b.iter(|| black_box(rpc_cycle(&service, &mut control, &clients, &ids, fixture)))
-    });
-    handle.shutdown();
-}
+    rows.push((
+        "serve_ingest/rpc",
+        Box::new(move || rpc_cycle(&service, &mut control, &mut clients, &ids, fixture)),
+    ));
 
-fn bench_serve_ingest(c: &mut Criterion) {
-    let fixture = Fixture::build();
-    bench_plane(
-        c,
-        "serve_ingest/single",
-        Plane::Single(ReconfigService::new()),
-        &fixture,
-    );
-    bench_plane(
-        c,
-        "serve_ingest/sharded_1",
-        Plane::Sharded(ShardedReconfigService::new(1)),
-        &fixture,
-    );
-    bench_plane(
-        c,
-        "serve_ingest/sharded_4",
-        Plane::Sharded(ShardedReconfigService::new(4)),
-        &fixture,
-    );
-    bench_plane(
-        c,
-        "serve_ingest/sharded_4_threaded",
-        Plane::Sharded(ShardedReconfigService::new(4).with_threads()),
-        &fixture,
-    );
-    bench_rpc(c, &fixture);
-    bench_analytic(c);
+    let analytic_plane = Plane::Sharded(ShardedReconfigService::new(4));
+    let ids = register_all(&analytic_plane);
+    rows.push((
+        "serve_ingest/analytic",
+        Box::new(move || analytic_cycle(&analytic_plane, &ids)),
+    ));
+
+    // Warm every plane into steady state (every cache has a published plan).
+    for (name, cycle) in &mut rows {
+        assert_eq!(cycle(), CACHES, "{name}");
+    }
+    for _ in 0..ROTATIONS {
+        for (name, cycle) in &mut rows {
+            c.bench_function(*name, |b| b.iter(|| black_box(cycle())));
+        }
+    }
+    handle.shutdown();
 }
 
 criterion_group!(name = benches; config = fast_criterion();
     targets = bench_serve_ingest);
 
+/// Per row and rotation; a row's total is [`ROTATIONS`] times this.
 fn fast_criterion() -> Criterion {
     Criterion::default()
         .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(400))
-        .measurement_time(std::time::Duration::from_millis(1200))
+        .warm_up_time(std::time::Duration::from_millis(150))
+        .measurement_time(std::time::Duration::from_millis(400))
 }
 
 criterion_main!(benches);

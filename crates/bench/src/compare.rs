@@ -22,7 +22,8 @@ use std::fmt;
 /// record/curve paths, the analytic curve-synthesis backend
 /// (`analytic_curve/` — its price point is what makes monitor-free
 /// serving viable), the access-stream generators that feed the monitors
-/// (`workload_gen/`), and the per-access cache loops. A regression
+/// (`workload_gen/`), the per-access cache loops, and the RRIP victim
+/// search under them (`policy_victim/`). A regression
 /// beyond threshold on these fails the comparison (unless warn-only).
 pub const HOT_PREFIXES: &[&str] = &[
     "convex_hull/",
@@ -41,6 +42,7 @@ pub const HOT_PREFIXES: &[&str] = &[
     "set_assoc_access/",
     "set_assoc_access_block/",
     "organisation_access/",
+    "policy_victim/",
 ];
 
 /// Relative change flagged as a regression by default (10%).

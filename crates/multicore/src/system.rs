@@ -230,7 +230,6 @@ pub struct TalusLlc {
     talus: TalusCache<VantageLike>,
     monitors: Vec<UmonPair>,
     planner: Planner,
-    apps: usize,
     rounds: u64,
 }
 
@@ -255,7 +254,6 @@ impl TalusLlc {
                 .collect(),
             // Talus's §VI-A pre-processing: the allocator sees hulls.
             planner: Planner::new((llc_lines / ALLOC_GRAINS).max(1)).with_policy(algo),
-            apps,
             rounds: 0,
         }
     }
@@ -293,57 +291,6 @@ impl LlcSystem for TalusLlc {
 
     fn name(&self) -> String {
         format!("Talus+V/LRU ({})", self.planner.policy.label())
-    }
-
-    // Keep `apps` used even in release builds.
-}
-
-impl TalusLlc {
-    /// Number of applications sharing the cache.
-    pub fn apps(&self) -> usize {
-        self.apps
-    }
-}
-
-impl TalusLlc {
-    /// Prints internal planning state (debug helper for examples).
-    #[doc(hidden)]
-    pub fn debug_dump(&self) {
-        for p in 0..self.apps {
-            let pid = PartitionId(p as u32);
-            let plan = self.talus.plan(pid);
-            println!(
-                "  app {p}: rate {:.3} plan {:?}",
-                self.talus.sampling_rate(pid),
-                plan.map(|pl| match pl {
-                    talus_core::TalusPlan::Unpartitioned {
-                        size,
-                        expected_misses,
-                    } => format!("unpart size {size} exp {expected_misses:.3}"),
-                    talus_core::TalusPlan::Shadow(c) => format!(
-                        "shadow a {:.0} b {:.0} rho {:.3} s1 {:.0} s2 {:.0} exp {:.3}",
-                        c.alpha, c.beta, c.rho, c.s1, c.s2, c.expected_misses
-                    ),
-                })
-            );
-            let a = self
-                .talus
-                .inner()
-                .partition_stats(PartitionId(2 * p as u32));
-            let b = self
-                .talus
-                .inner()
-                .partition_stats(PartitionId(2 * p as u32 + 1));
-            println!(
-                "    shadow alpha: acc {} hr {:.3} occ {} | shadow beta: acc {} hr {:.3} occ {}",
-                a.accesses(),
-                a.hit_rate(),
-                self.talus.inner().occupancy(PartitionId(2 * p as u32)),
-                b.accesses(),
-                b.hit_rate(),
-                self.talus.inner().occupancy(PartitionId(2 * p as u32 + 1)),
-            );
-        }
     }
 }
 
@@ -466,7 +413,6 @@ mod tests {
     #[test]
     fn talus_system_reconfigures_samplers() {
         let mut sys = TalusLlc::new(4096, 2, AllocAlgo::Fair, 3);
-        assert_eq!(sys.apps(), 2);
         // Both apps scan over 3072 lines — a cliff no 2048-line fair share
         // can contain. Talus should set non-trivial sampling rates.
         let mut interval = [0u64; 2];

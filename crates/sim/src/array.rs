@@ -12,7 +12,7 @@ const INVALID_TAG: u64 = u64::MAX;
 
 /// Single-pass probe of one set: on a tag match the policy sees a hit;
 /// otherwise the first invalid way (or, with the set full, a
-/// policy-chosen victim among `all_ways`) receives the tag. One loop
+/// policy-chosen victim among all `ways`) receives the tag. One loop
 /// finds both the tag and the first invalid way — the hot-loop body
 /// shared by [`SetAssocCache`] and
 /// [`SetPartitioned`](crate::part::SetPartitioned) so it exists exactly
@@ -24,7 +24,6 @@ pub(crate) fn probe_set<P: ReplacementPolicy>(
     set: usize,
     ways: usize,
     tag: u64,
-    all_ways: &[usize],
     ctx: &AccessCtx,
 ) -> AccessResult {
     debug_assert_ne!(
@@ -44,7 +43,7 @@ pub(crate) fn probe_set<P: ReplacementPolicy>(
     }
     let way = match invalid {
         Some(w) => w,
-        None => policy.choose_victim(set, all_ways),
+        None => policy.choose_victim(set, 0..ways),
     };
     tags[base + way] = tag;
     policy.on_insert(set, way, ctx);
@@ -108,9 +107,6 @@ pub struct SetAssocCache<P> {
     /// `hash % sets`, divide-free.
     set_index: FastMod32,
     stats: CacheStats,
-    /// `[0, 1, …, ways-1]`, precomputed so a full-set eviction does not
-    /// allocate a candidate vector on every miss.
-    all_ways: Vec<usize>,
 }
 
 impl<P: ReplacementPolicy> SetAssocCache<P> {
@@ -151,7 +147,6 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
             hasher: H3Hasher::new(32, seed),
             set_index,
             stats: CacheStats::new(),
-            all_ways: (0..ways).collect(),
         }
     }
 
@@ -201,7 +196,6 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
             set,
             self.ways,
             line.value(),
-            &self.all_ways,
             ctx,
         )
     }

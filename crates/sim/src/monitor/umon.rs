@@ -22,8 +22,10 @@ use talus_core::MissCurve;
 /// function of its arrays in one [`H3Bank`] walk.
 #[derive(Debug, Clone)]
 struct UmonArray {
-    /// LRU stacks, MRU first: `stacks[set]` holds up to `ways` tags.
-    stacks: Vec<Vec<u64>>,
+    /// LRU stacks, MRU first: set `s` holds `lens[s]` tags from
+    /// `tags[s * ways]` on.
+    tags: Vec<u64>,
+    lens: Vec<u32>,
     ways: usize,
     /// Hit counter per stack depth (0 = MRU).
     way_hits: Vec<u64>,
@@ -53,7 +55,8 @@ impl UmonArray {
         let entries = (monitor_sets * ways) as u64;
         let ratio = modeled_lines.div_ceil(entries);
         UmonArray {
-            stacks: vec![Vec::with_capacity(ways); monitor_sets],
+            tags: vec![0; monitor_sets * ways],
+            lens: vec![0; monitor_sets],
             ways,
             way_hits: vec![0; ways],
             misses: 0,
@@ -67,7 +70,7 @@ impl UmonArray {
     }
 
     fn lines_per_way(&self) -> u64 {
-        self.lines_per_entry * self.stacks.len() as u64
+        self.lines_per_entry * self.lens.len() as u64
     }
 
     fn modeled_lines(&self) -> u64 {
@@ -102,20 +105,25 @@ impl UmonArray {
     /// Observes a line the sampling filter let through.
     fn record_sampled(&mut self, line: LineAddr, set_hash: u32) {
         self.sampled += 1;
-        let stack = &mut self.stacks[self.set_index.rem(set_hash) as usize];
+        let set = self.set_index.rem(set_hash) as usize;
+        let len = &mut self.lens[set];
+        let row = &mut self.tags[set * self.ways..][..self.ways];
         let tag = line.value();
-        match stack.iter().position(|&t| t == tag) {
+        // Move-to-front: the tags above the hit (or, on a miss, every tag
+        // but a full stack's last) slide down one and `tag` lands on top.
+        let moved = match row[..*len as usize].iter().position(|&t| t == tag) {
             Some(depth) => {
                 self.way_hits[depth] += 1;
-                stack.remove(depth);
-                stack.insert(0, tag);
+                depth + 1
             }
             None => {
                 self.misses += 1;
-                stack.insert(0, tag);
-                stack.truncate(self.ways);
+                *len = (*len + 1).min(self.ways as u32);
+                *len as usize
             }
-        }
+        };
+        row[moved - 1] = tag;
+        row[..moved].rotate_right(1);
     }
 
     fn reset(&mut self) {
@@ -284,6 +292,98 @@ impl Monitor for UmonPair {
 mod tests {
     use super::*;
     use crate::monitor::test_support::{scan_stream, uniform_stream};
+
+    /// The `Vec`-per-set LRU stacks the flat tag array replaced, kept as
+    /// its oracle: `remove` + `insert(0, …)` for move-to-front.
+    struct StackOracle {
+        stacks: Vec<Vec<u64>>,
+        ways: usize,
+        way_hits: Vec<u64>,
+        misses: u64,
+        sampled: u64,
+    }
+
+    impl StackOracle {
+        fn record_sampled(&mut self, set: usize, tag: u64) {
+            self.sampled += 1;
+            let stack = &mut self.stacks[set];
+            match stack.iter().position(|&t| t == tag) {
+                Some(depth) => {
+                    self.way_hits[depth] += 1;
+                    stack.remove(depth);
+                    stack.insert(0, tag);
+                }
+                None => {
+                    self.misses += 1;
+                    stack.insert(0, tag);
+                    stack.truncate(self.ways);
+                }
+            }
+        }
+    }
+
+    /// Feeds `stream` to a `sets × ways` array sampling one line in
+    /// `ratio` and to the oracle, comparing counters and every stack.
+    fn assert_matches_oracle(sets: usize, ways: usize, ratio: u64, stream: &[LineAddr]) {
+        let mut array = UmonArray::new((sets * ways) as u64 * ratio, sets, ways);
+        let mut oracle = StackOracle {
+            stacks: vec![Vec::new(); sets],
+            ways,
+            way_hits: vec![0; ways],
+            misses: 0,
+            sampled: 0,
+        };
+        let hashes = H3Bank::new(&UmonArray::lane_seeds(sets as u64 + ratio));
+        for &line in stream {
+            let mut h = [0u32; 2];
+            hashes.hash_into(line.value(), &mut h);
+            array.record_hashed(line, h[0], h[1]);
+            if array.filter.accepts(h[0]) {
+                oracle.record_sampled(array.set_index.rem(h[1]) as usize, line.value());
+            }
+        }
+        assert_eq!(array.sampled, oracle.sampled);
+        assert_eq!(array.misses, oracle.misses);
+        assert_eq!(array.way_hits, oracle.way_hits);
+        for (set, stack) in oracle.stacks.iter().enumerate() {
+            let len = array.lens[set] as usize;
+            assert_eq!(&array.tags[set * ways..][..len], &stack[..], "set {set}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        /// Uniform, scan and mixed streams through the pair's two shapes
+        /// (64-way near, 16-way far) at 16, 64 and 128 sets, dense (every
+        /// line sampled, the 8-app mix's monitors) and 1-in-4: the flat
+        /// stacks count and order exactly as the `Vec` stacks did.
+        #[test]
+        fn flat_stacks_equal_vec_stacks(
+            seed in proptest::prelude::any::<u64>(),
+            // Working set as a share of the array, in eighths: stacks that
+            // never fill, that just fill, and that overflow.
+            eighths in 1u64..=24,
+        ) {
+            for sets in [16usize, 64, 128] {
+                for (ways, ratio) in [(64usize, 1u64), (16, 1), (64, 4)] {
+                    let lines = ((sets * ways) as u64 * ratio * eighths / 8).max(1);
+                    let len = 6 * sets * ways;
+                    let uniform = uniform_stream(lines, len, seed);
+                    let scan = scan_stream(lines, len);
+                    let mixed: Vec<LineAddr> = uniform
+                        .iter()
+                        .zip(&scan)
+                        .enumerate()
+                        .map(|(i, (&u, &s))| if i % 3 == 0 { LineAddr(s.value() | 1 << 40) } else { u })
+                        .collect();
+                    for stream in [&uniform, &scan, &mixed] {
+                        assert_matches_oracle(sets, ways, ratio, stream);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn umon_ratio_covers_modeled_size() {

@@ -29,9 +29,6 @@ pub struct SetPartitioned<P> {
     policy: P,
     hasher: H3Hasher,
     stats: Vec<CacheStats>,
-    /// `[0, 1, …, ways-1]`, precomputed so a full-set eviction does not
-    /// allocate a candidate vector on every miss.
-    all_ways: Vec<usize>,
 }
 
 impl<P: ReplacementPolicy> SetPartitioned<P> {
@@ -68,7 +65,6 @@ impl<P: ReplacementPolicy> SetPartitioned<P> {
             policy,
             hasher: H3Hasher::new(32, seed),
             stats: vec![CacheStats::new(); partitions],
-            all_ways: (0..ways).collect(),
         }
     }
 
@@ -96,7 +92,6 @@ impl<P: ReplacementPolicy> SetPartitioned<P> {
             set,
             self.ways,
             line.value(),
-            &self.all_ways,
             ctx,
         )
     }

@@ -10,6 +10,7 @@ use crate::addr::{LineAddr, PartitionId};
 use crate::hasher::{FastMod32, H3Hasher};
 use crate::policy::{AccessCtx, ReplacementPolicy};
 use crate::stats::{AccessResult, CacheStats};
+use std::ops::Range;
 
 const INVALID_TAG: u64 = u64::MAX;
 
@@ -40,11 +41,9 @@ pub struct WayPartitioned<P> {
     sets: usize,
     ways: usize,
     tags: Vec<u64>,
-    /// `way_owner[w]` = partition owning way `w` (same in every set), or
-    /// `u32::MAX` for unassigned ways.
-    way_owner: Vec<u32>,
-    /// Cached candidate lists per partition.
-    own_ways: Vec<Vec<usize>>,
+    /// The run of ways each partition owns (same in every set); ways past
+    /// the last run are unassigned.
+    own_ways: Vec<Range<usize>>,
     policy: P,
     hasher: H3Hasher,
     /// `hash % sets`, divide-free.
@@ -86,8 +85,7 @@ impl<P: ReplacementPolicy> WayPartitioned<P> {
             sets,
             ways,
             tags: vec![INVALID_TAG; sets * ways],
-            way_owner: vec![u32::MAX; ways],
-            own_ways: vec![Vec::new(); partitions],
+            own_ways: vec![0..0; partitions],
             policy,
             hasher: H3Hasher::new(32, seed),
             set_index,
@@ -111,24 +109,21 @@ impl<P: ReplacementPolicy> WayPartitioned<P> {
     fn access_inner(&mut self, p: usize, line: LineAddr, ctx: &AccessCtx) -> AccessResult {
         let set = self.set_of(line);
         let tag = line.value();
-        let base = set * self.ways;
+        let row = &mut self.tags[set * self.ways..][..self.ways];
+        let own = self.own_ways[p].clone();
         let ctx = &ctx.with_line(line); // signature-based policies need the address
-        if let Some(way) = (0..self.ways).find(|&w| self.tags[base + w] == tag) {
+        if let Some(way) = row.iter().position(|&t| t == tag) {
             self.policy.on_hit(set, way, ctx);
             AccessResult::Hit
-        } else if self.own_ways[p].is_empty() {
+        } else if own.is_empty() {
             // Zero ways: bypass partition.
             AccessResult::Miss
         } else {
-            let way = match self.own_ways[p]
-                .iter()
-                .copied()
-                .find(|&w| self.tags[base + w] == INVALID_TAG)
-            {
-                Some(w) => w,
-                None => self.policy.choose_victim(set, &self.own_ways[p]),
+            let way = match row[own.clone()].iter().position(|&t| t == INVALID_TAG) {
+                Some(k) => own.start + k,
+                None => self.policy.choose_victim(set, own),
             };
-            self.tags[base + way] = tag;
+            row[way] = tag;
             self.policy.on_insert(set, way, ctx);
             AccessResult::Miss
         }
@@ -149,17 +144,10 @@ impl<P: ReplacementPolicy> PartitionedCacheModel for WayPartitioned<P> {
         let ways_per = apportion(lines, self.sets as u64, self.ways as u64);
         // Reassign way ownership: walk ways in order, handing each
         // partition its quota. Stable so small reallocations move few ways.
-        self.way_owner.fill(u32::MAX);
-        for v in &mut self.own_ways {
-            v.clear();
-        }
         let mut next_way = 0usize;
-        for (p, &quota) in ways_per.iter().enumerate() {
-            for _ in 0..quota {
-                self.way_owner[next_way] = p as u32;
-                self.own_ways[p].push(next_way);
-                next_way += 1;
-            }
+        for (own, &quota) in self.own_ways.iter_mut().zip(&ways_per) {
+            *own = next_way..next_way + quota as usize;
+            next_way = own.end;
         }
         ways_per.iter().map(|&w| w * self.sets as u64).collect()
     }

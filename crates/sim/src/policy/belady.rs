@@ -9,6 +9,7 @@
 use super::{AccessCtx, ReplacementPolicy};
 use crate::addr::LineAddr;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Sentinel next-use index for lines never referenced again.
 pub const NEVER_USED: u64 = u64::MAX;
@@ -39,11 +40,10 @@ impl ReplacementPolicy for Belady {
         self.next_use[set * self.ways + way] = ctx.next_use;
     }
 
-    fn choose_victim(&mut self, set: usize, candidates: &[usize]) -> usize {
+    fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize {
         assert!(!candidates.is_empty(), "no victim candidates");
-        *candidates
-            .iter()
-            .max_by_key(|&&w| self.next_use[set * self.ways + w])
+        candidates
+            .max_by_key(|&w| self.next_use[set * self.ways + w])
             .expect("candidates is non-empty")
     }
 
@@ -112,7 +112,7 @@ mod tests {
         p.on_insert(0, 0, &AccessCtx::new().with_next_use(10));
         p.on_insert(0, 1, &AccessCtx::new().with_next_use(50));
         p.on_insert(0, 2, &AccessCtx::new().with_next_use(20));
-        assert_eq!(p.choose_victim(0, &[0, 1, 2]), 1);
+        assert_eq!(p.choose_victim(0, 0..3), 1);
     }
 
     #[test]
@@ -121,7 +121,7 @@ mod tests {
         p.attach(1, 2);
         p.on_insert(0, 0, &AccessCtx::new().with_next_use(NEVER_USED));
         p.on_insert(0, 1, &AccessCtx::new().with_next_use(3));
-        assert_eq!(p.choose_victim(0, &[0, 1]), 0);
+        assert_eq!(p.choose_victim(0, 0..2), 0);
     }
 
     #[test]
@@ -132,6 +132,6 @@ mod tests {
         p.on_insert(0, 1, &AccessCtx::new().with_next_use(9));
         // Line 0 gets hit; its next use is now far away.
         p.on_hit(0, 0, &AccessCtx::new().with_next_use(100));
-        assert_eq!(p.choose_victim(0, &[0, 1]), 0);
+        assert_eq!(p.choose_victim(0, 0..2), 0);
     }
 }

@@ -6,6 +6,7 @@
 //! workloads.
 
 use super::{AccessCtx, ReplacementPolicy};
+use std::ops::Range;
 
 /// BIP inserts at MRU once every `1/ε` misses (paper: ε = 1/32).
 const BIP_EPSILON: u64 = 32;
@@ -45,11 +46,10 @@ impl StampTable {
         self.stamps[base + way] = min.saturating_sub(1);
     }
 
-    fn victim(&self, set: usize, candidates: &[usize]) -> usize {
+    fn victim(&self, set: usize, candidates: Range<usize>) -> usize {
         assert!(!candidates.is_empty(), "no victim candidates");
-        *candidates
-            .iter()
-            .min_by_key(|&&w| self.stamps[set * self.ways + w])
+        candidates
+            .min_by_key(|&w| self.stamps[set * self.ways + w])
             .expect("candidates is non-empty")
     }
 }
@@ -81,7 +81,7 @@ impl ReplacementPolicy for Bip {
         self.table.touch_mru(set, way);
     }
 
-    fn choose_victim(&mut self, set: usize, candidates: &[usize]) -> usize {
+    fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize {
         self.table.victim(set, candidates)
     }
 
@@ -142,7 +142,7 @@ impl ReplacementPolicy for Dip {
         self.table.touch_mru(set, way);
     }
 
-    fn choose_victim(&mut self, set: usize, candidates: &[usize]) -> usize {
+    fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize {
         self.table.victim(set, candidates)
     }
 
@@ -192,7 +192,7 @@ mod tests {
         p.on_hit(0, 1, &ctx());
         p.on_hit(0, 2, &ctx());
         // Way 3 was inserted at LRU and never promoted.
-        assert_eq!(p.choose_victim(0, &[0, 1, 2, 3]), 3);
+        assert_eq!(p.choose_victim(0, 0..4), 3);
     }
 
     #[test]
@@ -204,7 +204,7 @@ mod tests {
             p.on_insert(0, i % 2, &ctx());
         }
         // The 32nd insert (way 1) was MRU, so way 0 is the victim.
-        assert_eq!(p.choose_victim(0, &[0, 1]), 0);
+        assert_eq!(p.choose_victim(0, 0..2), 0);
     }
 
     #[test]
@@ -214,7 +214,7 @@ mod tests {
         p.on_insert(0, 0, &ctx());
         p.on_insert(0, 1, &ctx());
         p.on_hit(0, 0, &ctx()); // way 0 now MRU
-        assert_eq!(p.choose_victim(0, &[0, 1]), 1);
+        assert_eq!(p.choose_victim(0, 0..2), 1);
     }
 
     #[test]
@@ -240,7 +240,7 @@ mod tests {
         p.on_insert(2, 0, &ctx());
         p.on_insert(2, 1, &ctx());
         // Way 0 inserted first → LRU → victim.
-        assert_eq!(p.choose_victim(2, &[0, 1]), 0);
+        assert_eq!(p.choose_victim(2, 0..2), 0);
     }
 
     #[test]

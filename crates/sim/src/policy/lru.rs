@@ -1,6 +1,7 @@
 //! LRU and random replacement.
 
 use super::{AccessCtx, ReplacementPolicy};
+use std::ops::Range;
 
 /// Least-recently-used replacement.
 ///
@@ -41,11 +42,10 @@ impl ReplacementPolicy for Lru {
         self.stamp(set, way);
     }
 
-    fn choose_victim(&mut self, set: usize, candidates: &[usize]) -> usize {
+    fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize {
         assert!(!candidates.is_empty(), "no victim candidates");
-        *candidates
-            .iter()
-            .min_by_key(|&&w| self.stamps[set * self.ways + w])
+        candidates
+            .min_by_key(|&w| self.stamps[set * self.ways + w])
             .expect("candidates is non-empty")
     }
 
@@ -85,9 +85,9 @@ impl ReplacementPolicy for RandomRepl {
 
     fn on_hit(&mut self, _set: usize, _way: usize, _ctx: &AccessCtx) {}
 
-    fn choose_victim(&mut self, _set: usize, candidates: &[usize]) -> usize {
+    fn choose_victim(&mut self, _set: usize, candidates: Range<usize>) -> usize {
         assert!(!candidates.is_empty(), "no victim candidates");
-        candidates[(self.next() % candidates.len() as u64) as usize]
+        candidates.start + (self.next() % candidates.len() as u64) as usize
     }
 
     fn on_insert(&mut self, _set: usize, _way: usize, _ctx: &AccessCtx) {}
@@ -112,7 +112,7 @@ mod tests {
         // Touch 0 and 2; oldest is now way 1.
         lru.on_hit(0, 0, &ctx);
         lru.on_hit(0, 2, &ctx);
-        assert_eq!(lru.choose_victim(0, &[0, 1, 2, 3]), 1);
+        assert_eq!(lru.choose_victim(0, 0..4), 1);
     }
 
     #[test]
@@ -124,7 +124,7 @@ mod tests {
             lru.on_insert(0, w, &ctx);
         }
         // Way 0 is globally oldest, but only 2 and 3 are candidates.
-        assert_eq!(lru.choose_victim(0, &[2, 3]), 2);
+        assert_eq!(lru.choose_victim(0, 2..4), 2);
     }
 
     #[test]
@@ -138,8 +138,8 @@ mod tests {
         lru.on_insert(1, 1, &ctx);
         lru.on_hit(0, 0, &ctx);
         // Set 0: way 1 older. Set 1: way 0 older.
-        assert_eq!(lru.choose_victim(0, &[0, 1]), 1);
-        assert_eq!(lru.choose_victim(1, &[0, 1]), 0);
+        assert_eq!(lru.choose_victim(0, 0..2), 1);
+        assert_eq!(lru.choose_victim(1, 0..2), 0);
     }
 
     #[test]
@@ -147,7 +147,7 @@ mod tests {
     fn lru_panics_on_empty_candidates() {
         let mut lru = Lru::new();
         lru.attach(1, 1);
-        lru.choose_victim(0, &[]);
+        lru.choose_victim(0, 0..0);
     }
 
     #[test]
@@ -155,8 +155,8 @@ mod tests {
         let mut r = RandomRepl::new(7);
         r.attach(1, 8);
         for _ in 0..100 {
-            let v = r.choose_victim(0, &[3, 5, 6]);
-            assert!([3, 5, 6].contains(&v));
+            let v = r.choose_victim(0, 3..6);
+            assert!((3..6).contains(&v));
         }
     }
 
@@ -164,19 +164,17 @@ mod tests {
     fn random_is_deterministic_per_seed() {
         let mut a = RandomRepl::new(9);
         let mut b = RandomRepl::new(9);
-        let cands: Vec<usize> = (0..16).collect();
         for _ in 0..50 {
-            assert_eq!(a.choose_victim(0, &cands), b.choose_victim(0, &cands));
+            assert_eq!(a.choose_victim(0, 0..16), b.choose_victim(0, 0..16));
         }
     }
 
     #[test]
     fn random_eventually_picks_every_candidate() {
         let mut r = RandomRepl::new(3);
-        let cands = [0usize, 1, 2, 3];
         let mut seen = [false; 4];
         for _ in 0..200 {
-            seen[r.choose_victim(0, &cands)] = true;
+            seen[r.choose_victim(0, 0..4)] = true;
         }
         assert!(seen.iter().all(|&s| s));
     }

@@ -30,6 +30,7 @@ pub use rrip::{Brrip, Drrip, Srrip, TaDrrip};
 pub use ship::Ship;
 
 use crate::addr::{LineAddr, ThreadId};
+use std::ops::Range;
 
 /// Per-access context handed to policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,13 +90,13 @@ impl Default for AccessCtx {
 ///
 /// - [`on_hit`](Self::on_hit) when a lookup hits,
 /// - [`choose_victim`](Self::choose_victim) when an insertion needs to
-///   evict (candidates are the ways the caller permits — the whole set, or
-///   one partition's ways),
+///   evict (candidates are the contiguous run of ways the caller permits
+///   — the whole set, or one partition's ways),
 /// - [`on_insert`](Self::on_insert) after a new line lands in a way.
 ///
 /// Policies must tolerate `choose_victim` being called with any non-empty
-/// candidate subset: partitioned caches restrict candidates to one
-/// partition's ways.
+/// way range inside the set: partitioned caches restrict candidates to
+/// one partition's run of ways.
 pub trait ReplacementPolicy: std::fmt::Debug {
     /// Binds the policy to an array of `sets × ways` lines, (re)allocating
     /// per-line metadata.
@@ -104,13 +105,13 @@ pub trait ReplacementPolicy: std::fmt::Debug {
     /// Records a hit on the line at `(set, way)`.
     fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessCtx);
 
-    /// Picks a victim among `candidates` (way indices in `set`, all
-    /// holding valid lines).
+    /// Picks a victim among `candidates` (a run of way indices in `set`,
+    /// all holding valid lines).
     ///
     /// # Panics
     ///
     /// Implementations may panic if `candidates` is empty.
-    fn choose_victim(&mut self, set: usize, candidates: &[usize]) -> usize;
+    fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize;
 
     /// Records that a new line was inserted at `(set, way)`.
     fn on_insert(&mut self, set: usize, way: usize, ctx: &AccessCtx);
@@ -128,7 +129,7 @@ impl ReplacementPolicy for Box<dyn ReplacementPolicy> {
         (**self).on_hit(set, way, ctx)
     }
 
-    fn choose_victim(&mut self, set: usize, candidates: &[usize]) -> usize {
+    fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize {
         (**self).choose_victim(set, candidates)
     }
 
@@ -225,7 +226,7 @@ impl ReplacementPolicy for AnyPolicy {
     }
 
     #[inline]
-    fn choose_victim(&mut self, set: usize, candidates: &[usize]) -> usize {
+    fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize {
         any_delegate!(self, p => p.choose_victim(set, candidates))
     }
 
@@ -355,7 +356,7 @@ mod tests {
             p.on_insert(0, 0, &ctx);
             p.on_insert(0, 1, &ctx);
             p.on_hit(0, 1, &ctx);
-            let v = p.choose_victim(0, &[0, 1]);
+            let v = p.choose_victim(0, 0..2);
             assert!(v < 2);
         }
     }

@@ -12,6 +12,7 @@
 //! occupying a line for up to `d` set-accesses.
 
 use super::{AccessCtx, ReplacementPolicy};
+use std::ops::Range;
 
 /// Maximum reuse distance tracked (in set-local accesses). Distances are
 /// measured per set, so this covers working sets far larger than the
@@ -140,12 +141,12 @@ impl ReplacementPolicy for Pdp {
         self.maybe_recompute();
     }
 
-    fn choose_victim(&mut self, set: usize, candidates: &[usize]) -> usize {
+    fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize {
         assert!(!candidates.is_empty(), "no victim candidates");
         // Prefer the unprotected line that has been idle longest.
         let mut best_unprot: Option<(u64, usize)> = None;
         let mut mru: Option<(u64, usize)> = None;
-        for &w in candidates {
+        for w in candidates {
             let age = self.age(set, w);
             if age >= self.pd && best_unprot.is_none_or(|(a, _)| age > a) {
                 best_unprot = Some((age, w));
@@ -192,7 +193,7 @@ mod tests {
         }
         // Ages now: way0=3, way1=2, way2=1, way3=0. pd=2 → unprotected:
         // way0 (3), way1 (2). Oldest unprotected = way0.
-        assert_eq!(p.choose_victim(0, &[0, 1, 2, 3]), 0);
+        assert_eq!(p.choose_victim(0, 0..4), 0);
     }
 
     #[test]
@@ -204,7 +205,7 @@ mod tests {
             p.on_insert(0, w, &ctx());
         }
         // All protected; MRU is the newest insert, way 3.
-        assert_eq!(p.choose_victim(0, &[0, 1, 2, 3]), 3);
+        assert_eq!(p.choose_victim(0, 0..4), 3);
     }
 
     #[test]
@@ -218,7 +219,7 @@ mod tests {
         p.tick(0); // ticks 4
         p.tick(0); // 5
                    // Ages: way0 = 2 (protected, pd=3), way1 = 3 (unprotected).
-        assert_eq!(p.choose_victim(0, &[0, 1]), 1);
+        assert_eq!(p.choose_victim(0, 0..2), 1);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! (M = 2 bits, ε = 1/32).
 
 use super::{AccessCtx, ReplacementPolicy};
+use std::ops::Range;
 
 /// Number of RRPV bits (paper §VII-A: M = 2).
 const RRPV_BITS: u8 = 2;
@@ -19,16 +20,34 @@ const DUEL_CONSTITUENCY: usize = 64;
 const PSEL_MAX: i32 = 1023;
 const PSEL_INIT: i32 = PSEL_MAX / 2;
 
+/// RRPVs examined per step of the victim search: one `u128`, way `k` of
+/// the chunk in byte `k`.
+const CHUNK: usize = 16;
+/// Bit 0 of every byte of a chunk.
+const LANES: u128 = u128::from_le_bytes([1; CHUNK]);
+// The chunked search tells RRPVs apart by their two low bits.
+const _: () = assert!(RRPV_MAX == 3);
+
+/// The lowest byte of `x` holding [`RRPV_MAX`], given every byte ≤ 3:
+/// such a byte is the only kind with both low bits set.
+#[inline(always)]
+fn first_distant(x: u128) -> Option<usize> {
+    let distant = x & (x >> 1) & LANES;
+    (distant != 0).then(|| (distant.trailing_zeros() / 8) as usize)
+}
+
 /// Shared RRPV array logic.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RrpvTable {
+    /// One RRPV per line, then `CHUNK - 1` spare bytes so a whole chunk
+    /// can be read starting at any line.
     pub(crate) rrpv: Vec<u8>,
     ways: usize,
 }
 
 impl RrpvTable {
     pub(crate) fn attach(&mut self, sets: usize, ways: usize) {
-        self.rrpv = vec![RRPV_MAX; sets * ways];
+        self.rrpv = vec![RRPV_MAX; sets * ways + CHUNK - 1];
         self.ways = ways;
     }
 
@@ -40,32 +59,57 @@ impl RrpvTable {
         self.rrpv[set * self.ways + way] = value;
     }
 
+    /// The chunk of RRPVs starting at line `at`.
+    #[inline(always)]
+    fn chunk(&mut self, at: usize) -> &mut [u8; CHUNK] {
+        (&mut self.rrpv[at..at + CHUNK])
+            .try_into()
+            .expect("CHUNK bytes")
+    }
+
     /// SRRIP victim search: find a distant (RRPV max) candidate, aging all
     /// candidates until one appears. Ties break toward the lowest way.
-    pub(crate) fn choose_victim(&mut self, set: usize, candidates: &[usize]) -> usize {
+    /// The run's RRPVs are read, compared and aged [`CHUNK`] at a time,
+    /// the bytes of a chunk past the run's end masked out.
+    pub(crate) fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize {
         assert!(!candidates.is_empty(), "no victim candidates");
-        loop {
-            let mut oldest = candidates[0];
-            let mut oldest_v = 0;
-            for &w in candidates {
-                let v = self.rrpv[set * self.ways + w];
-                if v == RRPV_MAX {
-                    return w;
-                }
-                if v > oldest_v {
-                    oldest_v = v;
-                    oldest = w;
-                }
+        let base = set * self.ways;
+        // The bytes of the chunk at `start` that belong to the run.
+        let run_bytes = |start| u128::MAX >> (8 * CHUNK.saturating_sub(candidates.end - start));
+        let mut seen = 0u128;
+        for start in candidates.clone().step_by(CHUNK) {
+            let x = u128::from_le_bytes(*self.chunk(base + start)) & run_bytes(start);
+            if let Some(k) = first_distant(x) {
+                return start + k;
             }
-            // Nobody distant: age everyone by the gap to RRPV_MAX. A single
-            // loop iteration then finds the (previously) oldest line.
-            let bump = RRPV_MAX - oldest_v;
-            debug_assert!(bump > 0);
-            for &w in candidates {
-                self.rrpv[set * self.ways + w] += bump;
-            }
-            let _ = oldest;
+            seen |= x;
         }
+        // Nobody distant, so every RRPV is ≤ 2 and the oldest is 2 if any
+        // has bit 1 set, else 1 if any has bit 0 set. Age everyone by the
+        // gap to RRPV_MAX: the first line to arrive there is the victim.
+        let oldest = if seen & (LANES << 1) != 0 {
+            2
+        } else {
+            u8::from(seen & LANES != 0)
+        };
+        let bump = u128::from(RRPV_MAX - oldest) * LANES;
+        let mut victim = None;
+        for start in candidates.clone().step_by(CHUNK) {
+            let in_run = run_bytes(start);
+            let chunk = self.chunk(base + start);
+            // oldest + bump = RRPV_MAX: no byte carries into the next.
+            let aged = u128::from_le_bytes(*chunk) + (bump & in_run);
+            debug_assert_eq!(
+                aged & in_run & !(3 * LANES),
+                0,
+                "an RRPV aged past {RRPV_MAX}"
+            );
+            *chunk = aged.to_le_bytes();
+            if victim.is_none() {
+                victim = first_distant(aged & in_run).map(|k| start + k);
+            }
+        }
+        victim.expect("aging makes the oldest line distant")
     }
 }
 
@@ -96,7 +140,7 @@ impl ReplacementPolicy for Srrip {
         self.table.promote(set, way);
     }
 
-    fn choose_victim(&mut self, set: usize, candidates: &[usize]) -> usize {
+    fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize {
         self.table.choose_victim(set, candidates)
     }
 
@@ -146,7 +190,7 @@ impl ReplacementPolicy for Brrip {
         self.table.promote(set, way);
     }
 
-    fn choose_victim(&mut self, set: usize, candidates: &[usize]) -> usize {
+    fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize {
         self.table.choose_victim(set, candidates)
     }
 
@@ -214,7 +258,7 @@ impl ReplacementPolicy for Drrip {
         self.table.promote(set, way);
     }
 
-    fn choose_victim(&mut self, set: usize, candidates: &[usize]) -> usize {
+    fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize {
         self.table.choose_victim(set, candidates)
     }
 
@@ -301,7 +345,7 @@ impl ReplacementPolicy for TaDrrip {
         self.table.promote(set, way);
     }
 
-    fn choose_victim(&mut self, set: usize, candidates: &[usize]) -> usize {
+    fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize {
         self.table.choose_victim(set, candidates)
     }
 
@@ -341,6 +385,110 @@ mod tests {
         AccessCtx::new()
     }
 
+    /// The per-way victim search the chunked one replaced, kept as its
+    /// oracle: same victim, same aging, one RRPV at a time.
+    fn choose_victim_reference(
+        rrpv: &mut [u8],
+        ways: usize,
+        set: usize,
+        candidates: Range<usize>,
+    ) -> usize {
+        assert!(!candidates.is_empty(), "no victim candidates");
+        loop {
+            let mut oldest_v = 0;
+            for w in candidates.clone() {
+                let v = rrpv[set * ways + w];
+                if v == RRPV_MAX {
+                    return w;
+                }
+                if v > oldest_v {
+                    oldest_v = v;
+                }
+            }
+            let bump = RRPV_MAX - oldest_v;
+            for w in candidates.clone() {
+                rrpv[set * ways + w] += bump;
+            }
+        }
+    }
+
+    /// Runs both searches over `candidates` of the middle set of three
+    /// whose RRPVs are `rrpv`, and compares the victim and every byte of
+    /// the table (the run's aging, and everything outside it untouched).
+    fn assert_matches_reference(rrpv: &[u8], ways: usize, candidates: Range<usize>) {
+        assert_eq!(rrpv.len(), 3 * ways);
+        let mut expected = rrpv.to_vec();
+        let victim = choose_victim_reference(&mut expected, ways, 1, candidates.clone());
+        let mut table = RrpvTable::default();
+        table.attach(3, ways);
+        table.rrpv[..3 * ways].copy_from_slice(rrpv);
+        expected.extend_from_slice(&table.rrpv[3 * ways..]);
+        assert_eq!(
+            table.choose_victim(1, candidates.clone()),
+            victim,
+            "victim among {candidates:?} of {:?}",
+            &rrpv[ways..2 * ways]
+        );
+        assert_eq!(
+            table.rrpv,
+            expected,
+            "aging {candidates:?} of {:?}",
+            &rrpv[ways..2 * ways]
+        );
+    }
+
+    /// Every run of 1–64 ways at every start offset of a `ways`-wide set.
+    fn every_run(ways: usize) -> impl Iterator<Item = Range<usize>> {
+        (0..ways)
+            .flat_map(move |start| (start + 1..=ways.min(start + 64)).map(move |end| start..end))
+    }
+
+    #[test]
+    fn chunked_victim_search_equals_the_loop_on_uniform_rows() {
+        // All-equal rows (all-distant included), inside neighbours of
+        // every other value: a mask one way too wide or narrow, or a
+        // search that reads past the run, meets a different RRPV there.
+        for ways in [1, 5, 15, 16, 17, 32, 33, 64, 70] {
+            for inside in 0..=RRPV_MAX {
+                for outside in 0..=RRPV_MAX {
+                    for run in every_run(ways) {
+                        let mut rrpv = vec![outside; 3 * ways];
+                        rrpv[ways + run.start..ways + run.end].fill(inside);
+                        assert_matches_reference(&rrpv, ways, run);
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random rows of RRPVs 0..=`cap` (a low cap makes rows with
+        /// nobody distant, which age, as common as rows that do not):
+        /// every run of every row agrees with the loop on the victim and
+        /// on the aged table byte for byte.
+        #[test]
+        fn chunked_victim_search_equals_the_loop_on_random_rows(
+            ways in 1usize..=80,
+            cap in 0u8..=RRPV_MAX,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut state = seed | 1;
+            let rrpv: Vec<u8> = (0..3 * ways)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    ((state >> 33) % (u64::from(cap) + 1)) as u8
+                })
+                .collect();
+            for run in every_run(ways) {
+                assert_matches_reference(&rrpv, ways, run);
+            }
+        }
+    }
+
     #[test]
     fn srrip_promotes_on_hit_and_evicts_distant() {
         let mut p = Srrip::new();
@@ -351,7 +499,7 @@ mod tests {
         p.on_hit(0, 1, &ctx()); // way 1 -> 0
                                 // No distant lines: aging bumps everyone until some hit RRPV_MAX.
                                 // Ways 0, 2, 3 (at 2) reach 3 first; lowest index wins.
-        assert_eq!(p.choose_victim(0, &[0, 1, 2, 3]), 0);
+        assert_eq!(p.choose_victim(0, 0..4), 0);
     }
 
     #[test]
@@ -359,7 +507,7 @@ mod tests {
         let mut p = Srrip::new();
         p.attach(1, 2);
         // Untouched table starts at RRPV_MAX, so way 0 is already distant.
-        assert_eq!(p.choose_victim(0, &[0, 1]), 0);
+        assert_eq!(p.choose_victim(0, 0..2), 0);
     }
 
     #[test]
@@ -373,7 +521,7 @@ mod tests {
         p.on_hit(0, 1, &ctx());
         p.on_hit(0, 1, &ctx()); // still 0
                                 // way 2 at RRPV_LONG ages to max first.
-        assert_eq!(p.choose_victim(0, &[0, 1, 2]), 2);
+        assert_eq!(p.choose_victim(0, 0..3), 2);
     }
 
     #[test]
@@ -463,7 +611,7 @@ mod tests {
             p.on_hit(0, w, &ctx());
         }
         for _ in 0..10 {
-            let v = p.choose_victim(0, &[6, 7]);
+            let v = p.choose_victim(0, 6..8);
             assert!(v == 6 || v == 7);
         }
     }

@@ -24,6 +24,7 @@
 use super::rrip::{RrpvTable, RRPV_LONG, RRPV_MAX};
 use super::{AccessCtx, ReplacementPolicy};
 use crate::hasher::H3Hasher;
+use std::ops::Range;
 
 /// SHCT entries (the SHiP paper uses 16K).
 const SHCT_SIZE: usize = 1 << 14;
@@ -114,7 +115,7 @@ impl ReplacementPolicy for Ship {
         }
     }
 
-    fn choose_victim(&mut self, set: usize, candidates: &[usize]) -> usize {
+    fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize {
         let victim = self.table.choose_victim(set, candidates);
         // The victim is about to be evicted: a dead (never-reused) line
         // votes against its signature.
@@ -172,7 +173,7 @@ mod tests {
         // Insert two same-region lines, then evict both without reuse.
         p.on_insert(0, 0, &ctx_for(0));
         p.on_insert(0, 1, &ctx_for(1));
-        let v = p.choose_victim(0, &[0, 1]);
+        let v = p.choose_victim(0, 0..2);
         let _ = v;
         let after = p.predicted_reuse(scan_line);
         assert!(
@@ -201,7 +202,7 @@ mod tests {
         // Drive region 0's counter to zero with dead evictions.
         for i in 0..16u64 {
             p.on_insert(0, 0, &ctx_for(i));
-            p.choose_victim(0, &[0]);
+            p.choose_victim(0, 0..1);
         }
         assert_eq!(p.predicted_reuse(LineAddr(0)), 0);
         // The next insert from that region lands at distant RRPV.
@@ -262,7 +263,7 @@ mod tests {
             p.on_insert(0, w, &ctx_for(w as u64));
         }
         for _ in 0..10 {
-            let v = p.choose_victim(0, &[5, 6]);
+            let v = p.choose_victim(0, 5..7);
             assert!(v == 5 || v == 6);
         }
     }

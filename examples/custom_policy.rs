@@ -14,6 +14,7 @@
 //! the stack property, so a single UMON will not do), and let Talus trace
 //! its convex hull.
 
+use std::ops::Range;
 use talus_examples::{banner, row};
 use talus_sim::monitor::{CurveSampler, Monitor};
 use talus_sim::part::WayPartitioned;
@@ -39,10 +40,9 @@ impl ReplacementPolicy for Fifo {
         // FIFO: hits do not refresh age.
     }
 
-    fn choose_victim(&mut self, set: usize, candidates: &[usize]) -> usize {
-        *candidates
-            .iter()
-            .min_by_key(|&&w| self.inserted_at[set * self.ways + w])
+    fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize {
+        candidates
+            .min_by_key(|&w| self.inserted_at[set * self.ways + w])
             .expect("candidates are non-empty")
     }
 
