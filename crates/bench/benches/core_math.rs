@@ -1,11 +1,26 @@
 //! Benchmarks for the pure Talus math: hull construction (the §VI-D
 //! "linear time via three-coins" claim), shadow planning (the "few
 //! arithmetic operations" claim), and the bypass solver.
+//!
+//! A criterion row repeats one input, so the branch predictor learns the
+//! hull scan's pop/no-pop pattern outright: `convex_hull/64` and its
+//! fixed-curve neighbours price the scan with every branch predicted.
+//! `convex_hull/65_rotating` hulls one of 256 distinct pool-shaped curves
+//! per iteration, in a long aperiodic order (`rotation_order`). All 266 KB
+//! of them stay in the core's L2, so against the fixed rows it prices
+//! branch history and nothing else (≈ 260 ns against ≈ 215 on the box
+//! that took `BENCH_22.json`). A plane's curves are *not* cache-resident
+//! — `plane_local` keeps 34 MB of them — and the same row over 8192
+//! curves (8 MB, past L2) reads 460–510 ns, which is what the repo
+//! benchmark's traced run reports in situ (`core.hull.us_per_curve`
+//! 0.43–0.48): most of the in-situ premium is the curve's kilobyte coming
+//! from L3, not the scan. A claim about what a hull costs in situ quotes
+//! the rotating row for the scan and the traced run for the whole.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use talus_bench::{pool_curve, synthetic_curve, PoolShape};
+use talus_bench::{pool_curve, pool_curves, rotation_order, synthetic_curve, PoolShape};
 use talus_core::bypass::optimal_bypass;
-use talus_core::{plan, plan_with_hull, talus_curve, TalusOptions};
+use talus_core::{plan, plan_with_hull, talus_curve, MissCurve, TalusOptions};
 
 fn bench_convex_hull(c: &mut Criterion) {
     let mut g = c.benchmark_group("convex_hull");
@@ -24,6 +39,18 @@ fn bench_convex_hull(c: &mut Criterion) {
         let curve = pool_curve(shape, 42);
         g.bench_function(name, |b| b.iter(|| black_box(curve.convex_hull())));
     }
+    // A different curve every iteration (see the module docs): the four
+    // pool shapes over 64 seeds in a long aperiodic order, nothing in the
+    // loop but the call.
+    let rotation: Vec<MissCurve> = (0..64).flat_map(|seed| pool_curves(seed * 4)).collect();
+    let order = rotation_order(rotation.len(), 1 << 15, 1);
+    let mut step = 0;
+    g.bench_function("65_rotating", |b| {
+        b.iter(|| {
+            step = (step + 1) % order.len();
+            black_box(rotation[order[step]].convex_hull())
+        })
+    });
     g.finish();
 }
 

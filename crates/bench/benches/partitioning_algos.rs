@@ -1,11 +1,23 @@
 //! Allocation-algorithm cost (the Fig. 12 simplicity argument): hill
 //! climbing is linear, Lookahead quadratic, the DP oracle worse — Talus's
 //! convexity guarantee is what lets a system run the cheapest one.
+//!
+//! `plan/planner_4x65pt_hill` and `…_hill_pool` plan the *same* four
+//! curves every iteration, so the hull scan's and the climb's branches are
+//! memorised; they price a plan with every branch predicted, through the
+//! allocate-per-call `Planner::plan`. `plan/planner_4x65pt_hill_rotating`
+//! plans a different pool-shaped cache each iteration (256 of them, warm
+//! in cache, in a long aperiodic order) the way a shard's epoch does — `Planner::plan_in` on one kept
+//! `PlanScratch`, so the returned `CachePlan` is the only allocation. A
+//! claim about what a plan costs *in situ* quotes the rotating row (for
+//! the curves' cache misses on top of it, see `core_math.rs`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use talus_bench::{pool_curves, synthetic_curve};
+use talus_bench::{pool_curves, rotation_order, synthetic_curve};
 use talus_core::{ConvexHull, MissCurve};
-use talus_partition::{hill_climb, hill_climb_hulls, imbalanced, lookahead, optimal_dp, Planner};
+use talus_partition::{
+    hill_climb, hill_climb_hulls, imbalanced, lookahead, optimal_dp, PlanScratch, Planner,
+};
 
 fn curves(n: usize) -> Vec<MissCurve> {
     (0..n)
@@ -82,6 +94,17 @@ fn bench_planner(c: &mut Criterion) {
     let planner = Planner::new(1024);
     g.bench_function("planner_4x65pt_hill_pool", |b| {
         b.iter(|| black_box(planner.plan(&pool, 65_536, 0)))
+    });
+    // A different cache every iteration, planned as an epoch plans it.
+    let caches: Vec<Vec<MissCurve>> = (0..256).map(|seed| pool_curves(seed * 4)).collect();
+    let order = rotation_order(caches.len(), 1 << 15, 2);
+    let mut scratch = PlanScratch::default();
+    let mut step = 0;
+    g.bench_function("planner_4x65pt_hill_rotating", |b| {
+        b.iter(|| {
+            step = (step + 1) % order.len();
+            black_box(planner.plan_in(&mut scratch, &caches[order[step]], 65_536, 0))
+        })
     });
     g.finish();
 }

@@ -45,6 +45,14 @@
 //! registry-lock contention between concurrent producers — which needs
 //! as many cores as producers and a contended load; nothing here
 //! contends.
+//!
+//! `serve_snapshot/random_8192` is the reader's side of the same plane:
+//! one `snapshot` of a random id among 8192 registered and planned caches
+//! on four shards — router hash, the shard's `RwLock` read, one probe of
+//! its id-keyed snapshot map, an `Arc` clone and its drop. The ids come
+//! from a precomputed random walk, a different one each iteration, so the
+//! probe misses in cache the way a reader's does; the repo benchmark's
+//! `plane_local` does 1088 of these a cycle.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
@@ -291,8 +299,43 @@ fn bench_serve_ingest(c: &mut Criterion) {
     handle.shutdown();
 }
 
+/// Caches behind the snapshot-read row (the repo benchmark's plane size).
+const SNAPSHOT_CACHES: usize = 8192;
+
+fn bench_serve_snapshot(c: &mut Criterion) {
+    let service = ShardedReconfigService::new(4);
+    let sizes = [0.0, 128.0, 256.0, 512.0];
+    let ids: Vec<CacheId> = (0..SNAPSHOT_CACHES)
+        .map(|i| {
+            let id = service.register(CacheSpec::new(CAPACITY, TENANTS));
+            for t in 0..TENANTS {
+                let top = 4.0 + ((i + t) % 7) as f64;
+                let curve = MissCurve::from_samples(&sizes, &[top, top, 1.0, 0.5]);
+                service
+                    .submit(id, t, curve.expect("valid curve"))
+                    .expect("cache registered and tenant in range");
+            }
+            id
+        })
+        .collect();
+    let planned: usize = service
+        .run_until_clean()
+        .iter()
+        .map(|report| report.planned.len())
+        .sum();
+    assert_eq!(planned, SNAPSHOT_CACHES);
+    let order = talus_bench::rotation_order(SNAPSHOT_CACHES, 1 << 16, 3);
+    let mut step = 0;
+    c.bench_function("serve_snapshot/random_8192", |b| {
+        b.iter(|| {
+            step = (step + 1) % order.len();
+            black_box(service.snapshot(ids[order[step]]))
+        })
+    });
+}
+
 criterion_group!(name = benches; config = fast_criterion();
-    targets = bench_serve_ingest);
+    targets = bench_serve_ingest, bench_serve_snapshot);
 
 /// Per row and rotation; a row's total is [`ROTATIONS`] times this.
 fn fast_criterion() -> Criterion {

@@ -16,7 +16,8 @@ use std::fmt;
 /// online service leans on (hulls, plan, allocation), the serving plane's
 /// ingest cycle (`serve_ingest/` covers the local variants, the
 /// `serve_ingest/rpc` loopback wire-protocol cycle, and the
-/// `serve_ingest/analytic` synthesis-in-the-loop cycle alike), the wire
+/// `serve_ingest/analytic` synthesis-in-the-loop cycle alike) and its
+/// reader's snapshot lookup (`serve_snapshot/`), the wire
 /// codec that cycle's frames go through (`wire_codec/`), the journal
 /// append/replay paths riding that cycle (`store_journal/`), the monitor
 /// record/curve paths, the analytic curve-synthesis backend
@@ -33,6 +34,7 @@ pub const HOT_PREFIXES: &[&str] = &[
     "talus_reconfigure",
     "interval_software",
     "serve_ingest/",
+    "serve_snapshot/",
     "wire_codec/",
     "store_journal/",
     "monitor_record/",

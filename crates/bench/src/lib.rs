@@ -120,6 +120,23 @@ pub fn pool_curves(seed: u64) -> Vec<MissCurve> {
     .collect()
 }
 
+/// A fixed pseudo-random walk over `0..n`, `len` steps long: the order a
+/// *rotating* bench row visits its `n` inputs in. A row that cycles its
+/// inputs in a fixed short order lets the branch predictor learn the
+/// cycle; a walk tens of thousands of steps long with no period does not.
+pub fn rotation_order(n: usize, len: usize, seed: u64) -> Vec<usize> {
+    assert!(n > 0, "need something to rotate over");
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ((state >> 16) % n as u64) as usize
+        })
+        .collect()
+}
+
 /// A deterministic mixed access stream (hot set + scan) of `len` lines.
 pub fn synthetic_stream(len: usize, hot_lines: u64, scan_lines: u64, seed: u64) -> Vec<u64> {
     let mut state = seed | 1;

@@ -1,11 +1,14 @@
-//! A cheap, deterministic 64-bit mixing hash.
+//! Cheap, deterministic 64-bit hashes of one integer.
 //!
-//! Pure integer arithmetic — no randomness, no state — so it sits in L1
-//! alongside the rest of the math. Upper layers use it wherever a fast,
-//! seedable, uniform hash of a small integer key is needed: `talus-sim`'s
-//! monitors (the Mattson `last_seen` map, the SHARDS-style sampling
-//! filter) re-export it, and `talus-serve`'s shard router hashes cache
-//! ids through it without pulling in the simulator.
+//! Pure integer arithmetic — no randomness, no state — so they sit in L1
+//! alongside the rest of the math. Upper layers use [`mix64`] wherever a
+//! fast, seedable, uniform hash of a small integer key is needed:
+//! `talus-sim`'s monitors (the Mattson `last_seen` map, the SHARDS-style
+//! sampling filter) re-export it, and `talus-serve`'s shard router hashes
+//! cache ids through it without pulling in the simulator. [`keyed_mix64`]
+//! is the cheaper, *keyed* one for in-memory tables whose keys a client
+//! picks: `talus-serve`'s shards index their registry and snapshot maps
+//! with it under a key drawn at random per map.
 
 /// A cheap, high-quality 64-bit mixing hash (the SplitMix64 finalizer with
 /// a seed fold).
@@ -29,6 +32,47 @@ pub fn mix64(seed: u64, value: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The full 128-bit product of two words, folded back to 64 bits by xoring
+/// its halves — so the high input bits, which a wrapping multiply pushes
+/// out of the word, come back in through the low output bits.
+#[inline]
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let wide = u128::from(a) * u128::from(b);
+    (wide as u64) ^ ((wide >> 64) as u64)
+}
+
+/// A *keyed* hash of one 64-bit id for in-memory hash tables: two dependent
+/// folded multiplies over three key words — the construction of
+/// `hashbrown`'s default hashers (aHash's fallback path, foldhash) for one
+/// integer. Costs two `mul`s and three xors, against SipHash-1-3's four
+/// rounds on the same `u64`.
+///
+/// What it is for: ids a *client* chooses (a plane's cache ids). With an
+/// unkeyed hash such as [`mix64`] anyone can compute ids that share a
+/// bucket; here the bucket of an id depends on 192 key bits the caller
+/// draws at random per table and never reveals, so colliding ids cannot be
+/// computed without them. What it is not: a PRF or a MAC. Its outputs must
+/// never leave the process (an observer of hashes could solve for the
+/// key), nothing durable or on the wire may depend on it — placement that
+/// must be stable uses [`shard_of`]. `key[1]` and `key[2]` are
+/// multipliers: a zero there hashes every id alike, so a caller drawing a
+/// key at random sets their low bits.
+///
+/// # Examples
+///
+/// ```
+/// use talus_core::keyed_mix64;
+/// let key = [0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344, 0xA409_3822_299F_31D0];
+/// assert_eq!(keyed_mix64(key, 42), keyed_mix64(key, 42)); // pure
+/// assert_ne!(keyed_mix64(key, 42), keyed_mix64(key, 43));
+/// let other = [key[0] ^ 1, key[1], key[2]];
+/// assert_ne!(keyed_mix64(key, 42), keyed_mix64(other, 42)); // the key matters
+/// ```
+#[inline]
+pub fn keyed_mix64(key: [u64; 3], id: u64) -> u64 {
+    folded_multiply(folded_multiply(id ^ key[0], key[1]), key[2])
 }
 
 /// Seed folded into [`shard_of`], so shard placement is a fixed, documented
@@ -183,6 +227,96 @@ mod tests {
                 min as f64 > 0.6 * (1000.0 / buckets as f64),
                 "{buckets} buckets: min {min}, max {max}"
             );
+        }
+    }
+
+    /// Thirty-two fixed keys, multipliers odd as a caller draws them.
+    fn fixed_keys() -> impl Iterator<Item = [u64; 3]> {
+        (0..32u64).map(|k| [mix64(k, 1), mix64(k, 2) | 1, mix64(k, 3) | 1])
+    }
+
+    /// Id families a client could mint to crowd a table, 8192 ids each.
+    fn adversarial_families() -> Vec<(String, Vec<u64>)> {
+        const N: u64 = 8192;
+        let mut families = vec![("counter".to_string(), (0..N).collect::<Vec<u64>>())];
+        for shift in [8, 16, 32, 48] {
+            families.push((
+                format!("stride 2^{shift}"),
+                (0..N).map(|i| i << shift).collect(),
+            ));
+        }
+        families.push((
+            "equal mod 2^20".to_string(),
+            (0..N).map(|i| (i << 20) | 0xB_EEF5).collect(),
+        ));
+        families.push((
+            "bit-reversed counter".to_string(),
+            (0..N).map(u64::reverse_bits).collect(),
+        ));
+        // What one shard of a four-shard plane actually holds.
+        for shard in 0..4 {
+            families.push((
+                format!("shard {shard} of 4"),
+                (0..)
+                    .filter(|&id| shard_of(id, 4) == shard)
+                    .take(N as usize)
+                    .collect(),
+            ));
+        }
+        families
+    }
+
+    #[test]
+    fn keyed_mix64_spreads_adversarial_id_families_like_a_random_function() {
+        // `HashMap` takes a bucket from the hash's low bits and a 7-bit tag
+        // from its top bits, so those are the bits that must be spread.
+        // 8192 ids thrown at random into 8192 buckets fill each like
+        // Poisson(1): the fullest holds 11 or more with probability
+        // 8192 · P(Poisson(1) ≥ 11) ≈ 8e-5 a trial; into 128 groups like
+        // Poisson(64), the fullest holding more than 110 (mean + 5.8 σ)
+        // with probability below 2e-4 a trial. 352 trials here.
+        const MAX_BUCKET: u32 = 10;
+        const MAX_GROUP: u32 = 110;
+        let families = adversarial_families();
+        for key in fixed_keys() {
+            for (name, ids) in &families {
+                let mut buckets = vec![0u32; 8192];
+                let mut groups = [0u32; 128];
+                for &id in ids {
+                    let hash = keyed_mix64(key, id);
+                    buckets[(hash & 8191) as usize] += 1;
+                    groups[(hash >> 57) as usize] += 1;
+                }
+                let fullest = buckets.iter().max().unwrap();
+                assert!(
+                    *fullest <= MAX_BUCKET,
+                    "{name}, key {key:x?}: {fullest} in one bucket"
+                );
+                let fullest = groups.iter().max().unwrap();
+                assert!(
+                    *fullest <= MAX_GROUP,
+                    "{name}, key {key:x?}: {fullest} in one tag group"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_mix64_depends_on_every_key_word_and_every_id_bit() {
+        for key in fixed_keys() {
+            let id = mix64(9, key[0]);
+            let hash = keyed_mix64(key, id);
+            for word in 0..3 {
+                let mut other = key;
+                other[word] ^= 1 << 17;
+                assert_ne!(keyed_mix64(other, id), hash, "key word {word}");
+            }
+            // One flipped id bit moves about half the output bits, summed
+            // over the 64 positions (a single position may move few).
+            let flipped: u32 = (0..64)
+                .map(|bit| (keyed_mix64(key, id ^ (1 << bit)) ^ hash).count_ones())
+                .sum();
+            assert!((64 * 24..=64 * 40).contains(&flipped), "{flipped} flips");
         }
     }
 

@@ -53,29 +53,36 @@ impl ConvexHull {
     /// Panics (debug builds) if `points` is empty or unsorted; `MissCurve`
     /// construction guarantees both.
     pub(crate) fn of_points(points: &[CurvePoint]) -> ConvexHull {
-        debug_assert!(!points.is_empty());
         // Vertices are a subset of the points: sized for all of them, the
         // stack never regrows.
-        let mut hull: Vec<CurvePoint> = Vec::with_capacity(points.len());
-        for &p in points {
-            // Pop the last hull vertex while it lies on or above the chord
-            // from its predecessor to `p` (non-left turn in the lower hull).
-            while hull.len() >= 2 {
-                let a = hull[hull.len() - 2];
-                let b = hull[hull.len() - 1];
-                // Cross product of (b - a) x (p - a); b is kept only if it
-                // lies strictly below the chord a->p.
-                let cross = (b.size - a.size) * (p.misses - a.misses)
-                    - (b.misses - a.misses) * (p.size - a.size);
-                if cross <= 0.0 {
-                    hull.pop();
-                } else {
-                    break;
-                }
-            }
-            hull.push(p);
+        ConvexHull {
+            vertices: scan(Vec::with_capacity(points.len()), points),
         }
-        ConvexHull { vertices: hull }
+    }
+
+    /// Makes `self` the hull of `curve`, reusing the vertex buffer: equal
+    /// to `*self = ConvexHull::of_curve(curve)`, but once the buffer has
+    /// held a curve this long nothing is allocated. This is what lets a
+    /// caller that plans interval after interval (a shard's epoch, a
+    /// simulated LLC) keep its hulls in scratch it owns.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use talus_core::MissCurve;
+    /// let cliff = MissCurve::from_samples(&[0.0, 1.0, 2.0, 3.0], &[9.0, 9.0, 1.0, 1.0])?;
+    /// let line = MissCurve::from_samples(&[0.0, 4.0], &[8.0, 0.0])?;
+    /// let mut hull = cliff.convex_hull();
+    /// hull.assign(&line);
+    /// assert_eq!(hull, line.convex_hull());
+    /// # Ok::<(), talus_core::CurveError>(())
+    /// ```
+    pub fn assign(&mut self, curve: &MissCurve) {
+        let points = curve.points();
+        let mut stack = std::mem::take(&mut self.vertices);
+        stack.clear();
+        stack.reserve(points.len());
+        self.vertices = scan(stack, points);
     }
 
     /// The hull's vertices: the points where the hull touches the original
@@ -189,6 +196,34 @@ impl ConvexHull {
     pub fn to_curve_on_grid(&self, grid: &[f64]) -> Result<MissCurve, crate::CurveError> {
         MissCurve::new(grid.iter().map(|&s| CurvePoint::new(s, self.value_at(s))))
     }
+}
+
+/// The monotone-chain scan — the one place a hull is computed — on an
+/// empty stack with room for every point, which it returns holding the
+/// vertices. The stack is passed by value so both callers (a fresh hull,
+/// a refilled one) run the loop on a local they own.
+#[inline(always)]
+fn scan(mut hull: Vec<CurvePoint>, points: &[CurvePoint]) -> Vec<CurvePoint> {
+    debug_assert!(!points.is_empty() && hull.is_empty());
+    for &p in points {
+        // Pop the last hull vertex while it lies on or above the chord
+        // from its predecessor to `p` (non-left turn in the lower hull).
+        while hull.len() >= 2 {
+            let a = hull[hull.len() - 2];
+            let b = hull[hull.len() - 1];
+            // Cross product of (b - a) x (p - a); b is kept only if it
+            // lies strictly below the chord a->p.
+            let cross = (b.size - a.size) * (p.misses - a.misses)
+                - (b.misses - a.misses) * (p.size - a.size);
+            if cross <= 0.0 {
+                hull.pop();
+            } else {
+                break;
+            }
+        }
+        hull.push(p);
+    }
+    hull
 }
 
 #[cfg(test)]

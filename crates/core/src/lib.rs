@@ -79,7 +79,7 @@ pub use config::{
 pub use curve::{CurvePoint, MissCurve};
 pub use error::{CurveError, PlanError};
 pub use fault::{FaultAction, FaultDirective, FaultScript};
-pub use hash::{mix64, shard_of, ShardTopology, SHARD_SEED};
+pub use hash::{keyed_mix64, mix64, shard_of, ShardTopology, SHARD_SEED};
 pub use health::{PlaneHealth, ShardHealth, ShardState, StoreHealth};
 pub use hull::ConvexHull;
 pub use source::{CurveSource, ReplaySource};

@@ -51,8 +51,9 @@ fn arb_curve(monotone: bool) -> impl Strategy<Value = MissCurve> {
 }
 
 /// The monotone-chain scan in its plainest form — every pop test
-/// re-indexes the `Vec` — kept apart from `ConvexHull::of_points` as its
-/// oracle: however that scan is tuned, it must keep these vertices.
+/// re-indexes the `Vec` — kept apart from `ConvexHull`'s scan (`of_curve`,
+/// and `assign` into a used buffer) as its oracle: however that scan is
+/// tuned, it must keep these vertices.
 fn indexed_scan(points: &[CurvePoint]) -> Vec<CurvePoint> {
     let mut hull: Vec<CurvePoint> = Vec::new();
     for &p in points {
@@ -130,6 +131,12 @@ fn assert_scan_matches(curve: &MissCurve) {
             .collect()
     };
     assert_eq!(bits(got.vertices()), bits(&want), "{curve:?}");
+    // The in-place form, over buffers that held longer and shorter hulls.
+    for points in [1, 40, 400] {
+        let mut reused = ConvexHull::of_curve(&scan_curve(points, 4, 7));
+        reused.assign(curve);
+        assert_eq!(bits(reused.vertices()), bits(&want), "{curve:?}");
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! [`reconfigure`](LlcSystem::reconfigure) per interval.
 
 use talus_core::MissCurve;
-use talus_partition::{fair, Planner};
+use talus_partition::{fair, PlanScratch, Planner};
 use talus_sim::monitor::{Monitor, UmonPair};
 use talus_sim::part::{PartitionedCacheModel, VantageLike};
 use talus_sim::policy::{Lru, PolicyKind, ReplacementPolicy, TaDrrip};
@@ -230,6 +230,8 @@ pub struct TalusLlc {
     talus: TalusCache<VantageLike>,
     monitors: Vec<UmonPair>,
     planner: Planner,
+    /// The planner's working memory, kept across intervals.
+    scratch: PlanScratch,
     rounds: u64,
 }
 
@@ -254,6 +256,7 @@ impl TalusLlc {
                 .collect(),
             // Talus's §VI-A pre-processing: the allocator sees hulls.
             planner: Planner::new((llc_lines / ALLOC_GRAINS).max(1)).with_policy(algo),
+            scratch: PlanScratch::default(),
             rounds: 0,
         }
     }
@@ -270,12 +273,15 @@ impl LlcSystem for TalusLlc {
         let raw = weighted_curves(&self.monitors, interval_accesses);
         // Pre-processing (§VI-A) + allocation via the shared planner (the
         // allocator sees convex hulls only).
-        let sizes = self
-            .planner
-            .allocate(&raw, self.talus.capacity_lines(), self.rounds);
+        let sizes = self.planner.allocate_in(
+            &mut self.scratch,
+            &raw,
+            self.talus.capacity_lines(),
+            self.rounds,
+        );
         self.rounds += 1;
         // Post-processing: shadow partition sizes and sampling rates.
-        let _ = self.talus.reconfigure(&sizes, &raw);
+        let _ = self.talus.reconfigure(sizes, &raw);
         for m in &mut self.monitors {
             m.reset();
         }

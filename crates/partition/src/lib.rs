@@ -7,7 +7,8 @@
 //!   of capacity to whoever benefits most. **Optimal on convex curves**,
 //!   and therefore optimal under Talus; stuck in local optima on cliffs.
 //!   [`hill_climb_hulls`] is the same greedy run on the hulls themselves,
-//!   one interpolation per grain — what [`Planner`] runs each interval.
+//!   one interpolation per grain — what [`Planner`] runs each interval
+//!   ([`hill_climb_hulls_into`] when the caller keeps a [`PlanScratch`]).
 //! - [`lookahead`]: Qureshi & Patt's UCP Lookahead — quadratic, considers
 //!   multi-grain extensions so it can leap across plateaus, but is forced
 //!   into all-or-nothing allocations at cliffs.
@@ -44,7 +45,7 @@
 
 pub mod planner;
 
-pub use planner::{AllocPolicy, CachePlan, Planner, TenantPlan};
+pub use planner::{AllocPolicy, CachePlan, PlanScratch, Planner, TenantPlan};
 
 use std::borrow::Borrow;
 use talus_core::{ConvexHull, MissCurve};
@@ -129,6 +130,10 @@ pub fn hill_climb<C: Borrow<MissCurve>>(curves: &[C], capacity: u64, grain: u64)
 /// before any choice depends on it — so its cursor walk and division
 /// overlap the next grant's comparisons instead of preceding them.
 ///
+/// This form allocates its working state and returns the sizes owned; a
+/// caller that climbs interval after interval keeps a [`PlanScratch`] and
+/// calls [`hill_climb_hulls_into`], which is this function's body.
+///
 /// ```
 /// use talus_core::MissCurve;
 /// use talus_partition::{hill_climb, hill_climb_hulls};
@@ -143,32 +148,88 @@ pub fn hill_climb<C: Borrow<MissCurve>>(curves: &[C], capacity: u64, grain: u64)
 ///
 /// Panics if `hulls` is empty or `grain` is zero.
 pub fn hill_climb_hulls(hulls: &[ConvexHull], capacity: u64, grain: u64) -> Vec<u64> {
-    /// One partition's standing offer: the hull values one and two grains
-    /// past its allocation, what the first of those grains would save, and
-    /// where on the hull the second is.
-    struct Offer {
-        cursor: usize,
-        there: f64,
-        beyond: f64,
-        gain: f64,
-    }
+    let mut scratch = PlanScratch::default();
+    hill_climb_hulls_into(&mut scratch, hulls, capacity, grain);
+    scratch.alloc
+}
+
+/// [`hill_climb_hulls`] with its working state — the allocation and each
+/// partition's standing offer — kept in `scratch`: the same grants in the
+/// same order, and nothing allocated once the scratch has served a call
+/// with as many partitions. Returns the sizes, which stay readable in the
+/// scratch until its next use. What the scratch held before is irrelevant:
+/// every call rebuilds all of it.
+///
+/// ```
+/// use talus_core::MissCurve;
+/// use talus_partition::{hill_climb_hulls, hill_climb_hulls_into, PlanScratch};
+/// let cliff = MissCurve::from_samples(&[0.0, 64.0, 128.0], &[9.0, 9.0, 1.0])?.convex_hull();
+/// let decay = MissCurve::from_samples(&[0.0, 64.0, 128.0], &[4.0, 2.0, 1.5])?.convex_hull();
+/// let hulls = [cliff, decay];
+/// let mut scratch = PlanScratch::default();
+/// for capacity in [128, 64, 96] {
+///     let alloc = hill_climb_hulls_into(&mut scratch, &hulls, capacity, 32);
+///     assert_eq!(alloc, hill_climb_hulls(&hulls, capacity, 32));
+/// }
+/// # Ok::<(), talus_core::CurveError>(())
+/// ```
+///
+/// # Panics
+///
+/// Panics if `hulls` is empty or `grain` is zero.
+pub fn hill_climb_hulls_into<'s>(
+    scratch: &'s mut PlanScratch,
+    hulls: &[ConvexHull],
+    capacity: u64,
+    grain: u64,
+) -> &'s [u64] {
+    climb(
+        hulls,
+        capacity,
+        grain,
+        &mut scratch.alloc,
+        &mut scratch.offers,
+    );
+    &scratch.alloc
+}
+
+/// One partition's standing offer in the hull climb: the hull values one
+/// and two grains past its allocation, what the first of those grains would
+/// save, and where on the hull the second is.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Offer {
+    cursor: usize,
+    there: f64,
+    beyond: f64,
+    gain: f64,
+}
+
+/// The hull climb itself, on buffers it clears and refills: `alloc` ends
+/// as the sizes, `offers` is working state only.
+pub(crate) fn climb(
+    hulls: &[ConvexHull],
+    capacity: u64,
+    grain: u64,
+    alloc: &mut Vec<u64>,
+    offers: &mut Vec<Offer>,
+) {
     let grains = check_inputs(hulls, capacity, grain);
-    let mut alloc = vec![0u64; hulls.len()];
-    let mut offers: Vec<Offer> = hulls
-        .iter()
-        .map(|hull| {
-            let mut cursor = 0;
-            let here = hull.value_at_from(&mut cursor, 0.0);
-            let there = hull.value_at_from(&mut cursor, grain as f64);
-            let beyond = hull.value_at_from(&mut cursor, grain.saturating_add(grain) as f64);
-            Offer {
-                cursor,
-                there,
-                beyond,
-                gain: here - there,
-            }
-        })
-        .collect();
+    alloc.clear();
+    alloc.resize(hulls.len(), 0);
+    offers.clear();
+    offers.extend(hulls.iter().map(|hull| {
+        let mut cursor = 0;
+        let here = hull.value_at_from(&mut cursor, 0.0);
+        let there = hull.value_at_from(&mut cursor, grain as f64);
+        let beyond = hull.value_at_from(&mut cursor, grain.saturating_add(grain) as f64);
+        Offer {
+            cursor,
+            there,
+            beyond,
+            gain: here - there,
+        }
+    }));
+    let (alloc, offers) = (alloc.as_mut_slice(), offers.as_mut_slice());
     for _ in 0..grains {
         let mut best = 0usize;
         let mut best_gain = f64::NEG_INFINITY;
@@ -194,7 +255,6 @@ pub fn hill_climb_hulls(hulls: &[ConvexHull], capacity: u64, grain: u64) -> Vec<
         let ahead = alloc[best].saturating_add(grain).saturating_add(grain) as f64;
         offer.beyond = hulls[best].value_at_from(&mut offer.cursor, ahead);
     }
-    alloc
 }
 
 /// UCP Lookahead (Qureshi & Patt, MICRO 2006): at each step, for every

@@ -40,7 +40,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::{fair, hill_climb, hill_climb_hulls, imbalanced, lookahead};
+use crate::{climb, fair, hill_climb, imbalanced, lookahead, Offer};
 use std::borrow::Borrow;
 use talus_core::{plan_with_hull, ConvexHull, MissCurve, PlanError, TalusOptions, TalusPlan};
 
@@ -188,7 +188,10 @@ impl Planner {
     /// per-tenant sizes in lines (multiples of the grain).
     ///
     /// Used by systems whose hardware layer re-derives shadow
-    /// configurations itself (e.g. `TalusCache` in `talus-sim`).
+    /// configurations itself (e.g. `TalusCache` in `talus-sim`). A caller
+    /// that reconfigures every interval keeps a [`PlanScratch`] and calls
+    /// [`allocate_in`](Planner::allocate_in); this is that call on a
+    /// scratch of its own.
     ///
     /// # Panics
     ///
@@ -199,24 +202,81 @@ impl Planner {
         capacity: u64,
         round: u64,
     ) -> Vec<u64> {
+        let mut scratch = PlanScratch::default();
+        self.allocate_in(
+            &mut scratch,
+            curves.iter().map(Borrow::borrow),
+            capacity,
+            round,
+        );
+        scratch.alloc
+    }
+
+    /// [`allocate`](Planner::allocate) working in `scratch`: the same
+    /// sizes, readable in the scratch until its next use, and — with the
+    /// default policy on hulls — nothing allocated once the scratch has
+    /// served a call this wide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `curves` is empty or the grain is zero.
+    pub fn allocate_in<'s, 'c, I>(
+        &self,
+        scratch: &'s mut PlanScratch,
+        curves: I,
+        capacity: u64,
+        round: u64,
+    ) -> &'s [u64]
+    where
+        I: IntoIterator<Item = &'c MissCurve>,
+    {
+        let curves = curves.into_iter();
         if self.convexify {
-            self.allocate_on_hulls(&hulls_of(curves), capacity, round)
+            let tenants = scratch.assign_hulls(curves);
+            self.allocate_on_hulls(scratch, tenants, capacity, round);
         } else {
-            self.policy.allocate(curves, capacity, self.grain, round)
+            self.allocate_on_raw(scratch, curves, capacity, round);
+        }
+        &scratch.alloc
+    }
+
+    /// Step 2 on the scratch's first `tenants` hulls, into its `alloc`.
+    /// Hill climbing — the default, and the paper's point — walks the hull
+    /// vertices directly; the other policies are defined on curves and get
+    /// each hull as one.
+    fn allocate_on_hulls(
+        &self,
+        scratch: &mut PlanScratch,
+        tenants: usize,
+        capacity: u64,
+        round: u64,
+    ) {
+        let PlanScratch {
+            hulls,
+            alloc,
+            offers,
+        } = scratch;
+        let hulls = &hulls[..tenants];
+        match self.policy {
+            AllocPolicy::Hill => climb(hulls, capacity, self.grain, alloc, offers),
+            policy => {
+                let curves: Vec<MissCurve> = hulls.iter().map(ConvexHull::to_curve).collect();
+                *alloc = policy.allocate(&curves, capacity, self.grain, round);
+            }
         }
     }
 
-    /// Step 2 on precomputed hulls. Hill climbing — the default, and the
-    /// paper's point — walks the hull vertices directly; the other
-    /// policies are defined on curves and get each hull as one.
-    fn allocate_on_hulls(&self, hulls: &[ConvexHull], capacity: u64, round: u64) -> Vec<u64> {
-        match self.policy {
-            AllocPolicy::Hill => hill_climb_hulls(hulls, capacity, self.grain),
-            policy => {
-                let curves: Vec<MissCurve> = hulls.iter().map(ConvexHull::to_curve).collect();
-                policy.allocate(&curves, capacity, self.grain, round)
-            }
-        }
+    /// Step 2 on the curves as measured (the non-Talus baselines), into
+    /// the scratch's `alloc`.
+    fn allocate_on_raw<'c>(
+        &self,
+        scratch: &mut PlanScratch,
+        curves: impl Iterator<Item = &'c MissCurve>,
+        capacity: u64,
+        round: u64,
+    ) {
+        let curves: Vec<&MissCurve> = curves.collect();
+        scratch.alloc = self.policy.allocate(&curves, capacity, self.grain, round);
     }
 
     /// The full pipeline: allocate `capacity` across `curves`, then plan a
@@ -225,7 +285,9 @@ impl Planner {
     /// Takes the curves owned, by reference or behind any pointer
     /// (`&[MissCurve]`, `&[&MissCurve]`, `&[Arc<MissCurve>]`): nothing is
     /// copied, and with the default policy the cost is one hull pass per
-    /// curve plus [`hill_climb_hulls`].
+    /// curve plus [`hill_climb_hulls`](crate::hill_climb_hulls). This is
+    /// [`plan_in`](Planner::plan_in) on a scratch of its own — the form
+    /// for a caller that plans once.
     ///
     /// # Errors
     ///
@@ -241,15 +303,67 @@ impl Planner {
         capacity: u64,
         round: u64,
     ) -> Result<CachePlan, PlanError> {
-        let hulls = hulls_of(curves);
-        let sizes = if self.convexify {
-            self.allocate_on_hulls(&hulls, capacity, round)
+        self.plan_in(
+            &mut PlanScratch::default(),
+            curves.iter().map(Borrow::borrow),
+            capacity,
+            round,
+        )
+    }
+
+    /// [`plan`](Planner::plan) working in `scratch`: the same
+    /// [`CachePlan`], bit for bit, whatever the scratch was used for
+    /// before — an earlier plan of any shape, one that failed, one that
+    /// panicked half-way. With the default policy, once the scratch has
+    /// served a call this wide and this long, the returned plan's tenant
+    /// list is the only allocation.
+    ///
+    /// `curves` is any iterator of curve references that can be walked
+    /// twice, so a caller holding `Option<MissCurve>` slots or `Arc`s
+    /// needs no slice of references built for the call.
+    ///
+    /// ```
+    /// use talus_core::MissCurve;
+    /// use talus_partition::{PlanScratch, Planner};
+    /// let cliff = MissCurve::from_samples(&[0.0, 128.0, 256.0, 512.0], &[10.0, 10.0, 1.0, 1.0])?;
+    /// let decay = MissCurve::from_samples(&[0.0, 128.0, 256.0, 512.0], &[6.0, 3.0, 2.0, 1.5])?;
+    /// let planner = Planner::new(32);
+    /// let mut scratch = PlanScratch::default();
+    /// for curves in [vec![cliff.clone(), decay.clone()], vec![decay], vec![cliff]] {
+    ///     let plan = planner.plan_in(&mut scratch, &curves, 384, 0)?;
+    ///     assert_eq!(plan, planner.plan(&curves, 384, 0)?);
+    /// }
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// As [`plan`](Planner::plan).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `curves` is empty or the grain is zero.
+    pub fn plan_in<'c, I>(
+        &self,
+        scratch: &mut PlanScratch,
+        curves: I,
+        capacity: u64,
+        round: u64,
+    ) -> Result<CachePlan, PlanError>
+    where
+        I: IntoIterator<Item = &'c MissCurve>,
+        I::IntoIter: Clone,
+    {
+        let curves = curves.into_iter();
+        let tenants = scratch.assign_hulls(curves.clone());
+        if self.convexify {
+            self.allocate_on_hulls(scratch, tenants, capacity, round);
         } else {
-            self.policy.allocate(curves, capacity, self.grain, round)
-        };
-        let tenants = hulls
+            self.allocate_on_raw(scratch, curves, capacity, round);
+        }
+        let tenants = scratch.hulls[..tenants]
             .iter()
-            .zip(&sizes)
+            .zip(&scratch.alloc)
             .map(|(hull, &size)| {
                 Ok(TenantPlan {
                     capacity: size,
@@ -261,9 +375,41 @@ impl Planner {
     }
 }
 
-/// Step 1: each tenant's lower convex hull.
-fn hulls_of<C: Borrow<MissCurve>>(curves: &[C]) -> Vec<ConvexHull> {
-    curves.iter().map(|c| c.borrow().convex_hull()).collect()
+/// The working memory of a planning call, owned by whoever plans
+/// repeatedly — a shard for the length of an epoch, a simulated LLC for
+/// its lifetime — so that [`Planner::plan_in`], [`Planner::allocate_in`]
+/// and [`hill_climb_hulls_into`](crate::hill_climb_hulls_into) allocate
+/// nothing after their first calls. Holds one hull per tenant (vertex
+/// buffers re-assigned in place), the allocation, and the hill climb's
+/// offers: at most a few kilobytes.
+///
+/// A scratch carries no state from one call to the next — every call
+/// overwrites whatever it reads — so one scratch may serve planners,
+/// tenant counts and curve lengths in any order, and is safe to reuse
+/// after a call that returned an error or unwound.
+#[derive(Debug, Clone, Default)]
+pub struct PlanScratch {
+    /// The last call's hulls lead; any beyond them are kept for their
+    /// buffers, so a narrower call between two wide ones costs nothing.
+    pub(crate) hulls: Vec<ConvexHull>,
+    pub(crate) alloc: Vec<u64>,
+    pub(crate) offers: Vec<Offer>,
+}
+
+impl PlanScratch {
+    /// Step 1: each tenant's lower convex hull, into the leading hulls.
+    /// Returns how many curves there were.
+    fn assign_hulls<'c>(&mut self, curves: impl Iterator<Item = &'c MissCurve>) -> usize {
+        let mut tenants = 0;
+        for curve in curves {
+            match self.hulls.get_mut(tenants) {
+                Some(hull) => hull.assign(curve),
+                None => self.hulls.push(curve.convex_hull()),
+            }
+            tenants += 1;
+        }
+        tenants
+    }
 }
 
 #[cfg(test)]

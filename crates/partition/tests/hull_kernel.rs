@@ -7,6 +7,9 @@
 //! with an offline `Planner::plan`, i.e. the planner with itself, so an
 //! allocator that is wrong on both sides is caught only here.
 
+mod common;
+
+use common::{Case, Rng};
 use proptest::prelude::*;
 use std::sync::Arc;
 use talus_core::{plan_with_hull, ConvexHull, MissCurve};
@@ -14,132 +17,9 @@ use talus_partition::{
     fair, hill_climb, hill_climb_hulls, imbalanced, lookahead, AllocPolicy, Planner,
 };
 
-/// xorshift64, so one `u64` from the strategy fixes a whole case.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// A size grid of 1–70 points: on the grain's multiples or off them, from
-/// zero or from a positive origin, evenly or unevenly spaced.
-fn grid(rng: &mut Rng) -> Vec<f64> {
-    let points = 1 + rng.below(70) as usize;
-    let origin = match rng.below(4) {
-        0 => 37.25,
-        1 => 300.0,
-        _ => 0.0,
-    };
-    let even = rng.below(2) == 0;
-    let step = [1.0, 16.0, 64.0, 7.3][rng.below(4) as usize];
-    let mut size = origin;
-    (0..points)
-        .map(|_| {
-            let here = size;
-            size += if even {
-                step
-            } else {
-                step * (0.05 + 2.0 * rng.unit())
-            };
-            here
-        })
-        .collect()
-}
-
-/// Miss values over `sizes` in one of the shapes that decide ties and
-/// bridges: decays, cliffs, staircases, all-flat, and noise that rises.
-/// Integer-valued shapes make exactly equal gains (ties) common.
-fn misses(rng: &mut Rng, sizes: &[f64]) -> Vec<f64> {
-    let n = sizes.len();
-    let top = (1 + rng.below(40)) as f64;
-    match rng.below(6) {
-        0 => vec![top; n],
-        1 => {
-            let at = rng.below(n as u64) as usize;
-            (0..n).map(|i| if i < at { top } else { 1.0 }).collect()
-        }
-        2 => {
-            let knee = 1.0 + rng.unit() * n as f64;
-            (0..n)
-                .map(|i| 0.5 + top * (-(i as f64) / knee).exp())
-                .collect()
-        }
-        3 => {
-            let every = 1 + rng.below(9) as usize;
-            (0..n)
-                .map(|i| (top - (i / every) as f64).max(0.0))
-                .collect()
-        }
-        4 => (0..n).map(|_| rng.below(12) as f64).collect(),
-        _ => {
-            let mut m = top;
-            (0..n)
-                .map(|_| {
-                    let here = m;
-                    m = (m - rng.below(4) as f64).max(0.0);
-                    here
-                })
-                .collect()
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Case {
-    curves: Vec<MissCurve>,
-    capacity: u64,
-    grain: u64,
-}
-
-/// 1–8 tenants (some sharing one curve, so whole offers tie), with a
-/// capacity that may be below one grain, off the grain's multiples, or far
-/// past every curve's last point — but at most `max_grains` grains, which
-/// bounds the reference allocators' (for lookahead, quadratic) cost.
+/// [`common::case`] with the 1–70-point grids this file was written on.
 fn arb_case(max_grains: u64) -> impl Strategy<Value = Case> {
-    any::<u64>().prop_map(move |seed| {
-        let mut rng = Rng(seed | 1);
-        let tenants = 1 + rng.below(8) as usize;
-        let mut curves: Vec<MissCurve> = Vec::with_capacity(tenants);
-        for _ in 0..tenants {
-            if !curves.is_empty() && rng.below(4) == 0 {
-                let twin = curves[rng.below(curves.len() as u64) as usize].clone();
-                curves.push(twin);
-                continue;
-            }
-            let sizes = grid(&mut rng);
-            let misses = misses(&mut rng, &sizes);
-            curves.push(MissCurve::from_samples(&sizes, &misses).expect("valid curve"));
-        }
-        let grain = [1, 3, 16, 64, 100][rng.below(5) as usize];
-        let capacity = match rng.below(4) {
-            0 => rng.below(grain),
-            1 => grain * rng.below(80),
-            2 => grain * rng.below(80) + rng.below(grain),
-            _ => {
-                let reach: f64 = curves.iter().map(MissCurve::max_size).sum();
-                reach as u64 + grain * (1 + rng.below(40))
-            }
-        };
-        let capacity = capacity.min(grain * max_grains + grain / 2);
-        Case {
-            curves,
-            capacity,
-            grain,
-        }
-    })
+    any::<u64>().prop_map(move |seed| common::case(&mut Rng(seed | 1), 70, max_grains))
 }
 
 fn hulls_of(curves: &[MissCurve]) -> Vec<ConvexHull> {

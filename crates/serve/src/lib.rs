@@ -175,6 +175,7 @@
 
 mod client;
 mod cluster;
+mod idmap;
 mod router;
 mod rpc_server;
 mod service;

@@ -10,14 +10,15 @@
 //! siblings exist — caches never share state, and neither do shards.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, RwLock};
 
+use crate::idmap::IdMap;
 use crate::service::{CacheSpec, EpochReport, ServeError};
 use crate::snapshot::{CacheId, PlanSnapshot};
 use talus_core::{FaultScript, MissCurve, StoreHealth};
-use talus_partition::Planner;
+use talus_partition::{PlanScratch, Planner};
 use talus_store::StoreSink;
 
 /// Per-cache mutable state, guarded by the shard's registry lock.
@@ -58,7 +59,7 @@ impl CacheEntry {
 
 #[derive(Debug, Default)]
 struct Registry {
-    caches: HashMap<u64, CacheEntry>,
+    caches: IdMap<CacheEntry>,
     /// FIFO of dirty cache ids; an id appears at most once (the `dirty`
     /// flag dedups).
     dirty_queue: VecDeque<u64>,
@@ -120,7 +121,7 @@ pub(crate) struct Shard {
     fault: Option<Arc<FaultScript>>,
     registry: Mutex<Registry>,
     /// Reader-facing snapshot map: the only state readers touch.
-    published: RwLock<HashMap<u64, Arc<PlanSnapshot>>>,
+    published: RwLock<IdMap<Arc<PlanSnapshot>>>,
 }
 
 impl Shard {
@@ -133,7 +134,7 @@ impl Shard {
             sink: None,
             fault: None,
             registry: Mutex::new(Registry::default()),
-            published: RwLock::new(HashMap::new()),
+            published: RwLock::new(IdMap::default()),
         }
     }
 
@@ -171,11 +172,11 @@ impl Shard {
         RegistryGuard { registry, scope }
     }
 
-    fn read_published(&self) -> std::sync::RwLockReadGuard<'_, HashMap<u64, Arc<PlanSnapshot>>> {
+    fn read_published(&self) -> std::sync::RwLockReadGuard<'_, IdMap<Arc<PlanSnapshot>>> {
         self.published.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn write_published(&self) -> std::sync::RwLockWriteGuard<'_, HashMap<u64, Arc<PlanSnapshot>>> {
+    fn write_published(&self) -> std::sync::RwLockWriteGuard<'_, IdMap<Arc<PlanSnapshot>>> {
         self.published.write().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -425,17 +426,24 @@ impl Shard {
         // bug, or a scripted fault at the `"shard.plan"` seam — is
         // contained to its cache: the cache is quarantined (last-good
         // snapshot keeps serving) and every sibling plans normally.
+        //
+        // One scratch serves the whole batch (hulls, allocation, climb
+        // state: a plan allocates only what it returns). A plan that
+        // unwinds leaves it half-written, which is harmless: every call
+        // overwrites all it reads.
         let mut planned = Vec::new();
         let mut failed = Vec::new();
         let mut quarantined = Vec::new();
         let mut ready = Vec::new();
+        let mut scratch = PlanScratch::default();
         for job in jobs {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 if let Some(fault) = &self.fault {
                     let _ = fault.check("shard.plan", job.id.0);
                 }
-                let curves: Vec<&MissCurve> = job.curves.iter().flatten().collect();
-                job.planner.plan(&curves, job.capacity, job.round)
+                let curves = job.curves.iter().flatten();
+                job.planner
+                    .plan_in(&mut scratch, curves, job.capacity, job.round)
             }));
             match outcome {
                 Ok(Ok(plan)) => ready.push((job.id, job.updates, plan)),

@@ -265,6 +265,12 @@ mod rpc {
         // reply fails into the closed socket and only that connection dies.
         eventually(|| service.epochs() >= 1, "the orphaned epoch to run");
         eventually(|| service.pending() == 0, "the epoch to drain the queue");
+        // The drain empties the queue before the plan is published, so an
+        // empty queue alone does not mean the snapshot is readable yet.
+        eventually(
+            || service.snapshot(id).is_some(),
+            "the orphaned epoch to publish",
+        );
         let snap = service.snapshot(id).expect("the orphaned epoch published");
         assert_eq!(snap.version, 1);
 
