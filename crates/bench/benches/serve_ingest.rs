@@ -7,9 +7,8 @@
 //! the full submissions + epochs cycle.
 //!
 //! Variants:
-//! - `single`: the unsharded [`ReconfigService`] (one registry lock);
-//! - `sharded_1`: [`ShardedReconfigService`] with one shard — the router
-//!   by itself;
+//! - `sharded_1`: [`ShardedReconfigService`] with one shard — one
+//!   registry lock behind the router;
 //! - `sharded_4`: four shards, epochs on the calling thread;
 //! - `sharded_4_threaded`: four shards, each planning on its own worker —
 //!   against `sharded_4`, the price of the hand-off to the workers;
@@ -30,21 +29,35 @@
 //! used to spawn four scoped threads per iteration and measured thread
 //! start-up and the scheduler; parked on channels they still read
 //! 265–645 µs for one row on a two-core box). The rows run in
-//! [`ROTATIONS`] interleaved rounds (`single`, `sharded_1`, …,
+//! [`ROTATIONS`] interleaved rounds (`sharded_1`, `sharded_4`, …,
 //! `analytic`, then again), each round printing its own line per row;
 //! `scripts/bench_baseline.sh` keeps each name's minimum, so every row's
 //! number comes from the quietest of windows spread over the whole run
 //! instead of one window at a fixed place in it. A difference between
 //! two rows is therefore a difference between the planes on an
-//! *uncontended* stream: `sharded_1` against `single` is the router,
-//! `sharded_4` against `sharded_1` the extra shards, `sharded_4_threaded`
-//! against `sharded_4` the worker hand-off (the one row with other
-//! threads in it, so the one that still moves with the scheduler), `rpc`
-//! and `analytic` against `sharded_4` the wire and the synthesis. What
+//! *uncontended* stream: `sharded_4` against `sharded_1` is the extra
+//! shards, `sharded_4_threaded` against `sharded_4` the worker hand-off
+//! at 32 dirty caches (the one row with other threads in it, so the one
+//! that still moves with the scheduler), `rpc` and `analytic` against
+//! `sharded_4` the wire and the synthesis. What
 //! they cannot rank: the scale-out claim behind sharding — relief of
 //! registry-lock contention between concurrent producers — which needs
 //! as many cores as producers and a contended load; nothing here
 //! contends.
+//!
+//! `serve_epoch/dirty_{64,1024}_{seq,threaded}` is what defends the
+//! worker threads: on the repo benchmark's plane (8192 caches × 4 tenants
+//! × 65-point pool curves, four shards) K caches get fresh curves and one
+//! epoch replans them, sequentially or on the per-shard workers, the two
+//! modes interleaved in [`ROTATIONS`] rounds like the rows above. A plan
+//! is ≈ 3 µs and the hand-off to three workers costs about as much as
+//! sixty of them: at K = 64 — the benchmark's epoch — the two modes are a
+//! wash (208 against 221 µs in `BENCH_23.json`), at K = 1024 the
+//! threaded cycle wins (4.25 against 2.91 ms; 1.2–1.5× run to run on a
+//! two-core box, the resubmissions in it being sequential either way),
+//! which is why `with_threads()` stays. The rows are outside
+//! `HOT_PREFIXES`: the threaded ones move with the scheduler, so they
+//! rank the modes against each other within one run, not across PRs.
 //!
 //! `serve_snapshot/random_8192` is the reader's side of the same plane:
 //! one `snapshot` of a random id among 8192 registered and planned caches
@@ -57,9 +70,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use talus_core::MissCurve;
-use talus_serve::{
-    CacheId, CacheSpec, ReconfigService, RpcClient, RpcServer, ShardedReconfigService,
-};
+use talus_serve::{CacheId, CacheSpec, RpcClient, RpcServer, ShardedReconfigService};
 use talus_sim::monitor::{MonitorSource, SampledMattson};
 use talus_sim::LineAddr;
 use talus_workloads::{multi_tenant, AccessGenerator, AnalyticModel, ComponentKind};
@@ -119,36 +130,17 @@ impl Fixture {
     }
 }
 
-/// The two plane configurations under one face, so the measured loop is
-/// shared verbatim.
-enum Plane {
-    Single(ReconfigService),
-    Sharded(ShardedReconfigService),
+/// Submits one curve to a registered cache.
+fn submit(plane: &ShardedReconfigService, id: CacheId, tenant: usize, curve: MissCurve) {
+    plane
+        .submit(id, tenant, curve)
+        .expect("cache registered and tenant in range")
 }
 
-impl Plane {
-    fn register(&self, spec: CacheSpec) -> CacheId {
-        match self {
-            Plane::Single(s) => s.register(spec),
-            Plane::Sharded(s) => s.register(spec),
-        }
-    }
-
-    fn submit(&self, id: CacheId, tenant: usize, curve: MissCurve) {
-        match self {
-            Plane::Single(s) => s.submit(id, tenant, curve),
-            Plane::Sharded(s) => s.submit(id, tenant, curve),
-        }
-        .expect("cache registered and tenant in range")
-    }
-
-    fn drain(&self) -> usize {
-        let reports = match self {
-            Plane::Single(s) => s.run_until_clean(),
-            Plane::Sharded(s) => s.run_until_clean(),
-        };
-        reports.iter().map(|r| r.planned.len()).sum()
-    }
+/// Runs epochs until the plane is clean; returns the caches planned.
+fn drain(plane: &ShardedReconfigService) -> usize {
+    let reports = plane.run_until_clean();
+    reports.iter().map(|r| r.planned.len()).sum()
 }
 
 /// The caches producer `p` submits for.
@@ -157,7 +149,7 @@ fn stripe(ids: &[CacheId], p: usize) -> impl Iterator<Item = (usize, CacheId)> +
 }
 
 /// Registers the bench's caches on `plane`.
-fn register_all(plane: &Plane) -> Vec<CacheId> {
+fn register_all(plane: &ShardedReconfigService) -> Vec<CacheId> {
     (0..CACHES)
         .map(|_| plane.register(CacheSpec::new(CAPACITY, TENANTS)))
         .collect()
@@ -165,17 +157,17 @@ fn register_all(plane: &Plane) -> Vec<CacheId> {
 
 /// One full ingest cycle: every producer's stripe of every round's
 /// curves is submitted, then the plane drains its dirty queues.
-fn ingest_cycle(plane: &Plane, ids: &[CacheId], fixture: &Fixture) -> usize {
+fn ingest_cycle(plane: &ShardedReconfigService, ids: &[CacheId], fixture: &Fixture) -> usize {
     for p in 0..PRODUCERS {
         for round in 0..ROUNDS {
             for (c, id) in stripe(ids, p) {
                 for (t, rounds) in fixture.curves[c].iter().enumerate() {
-                    plane.submit(id, t, rounds[round].clone());
+                    submit(plane, id, t, rounds[round].clone());
                 }
             }
         }
     }
-    plane.drain()
+    drain(plane)
 }
 
 /// One full ingest cycle with curve *synthesis* in the loop: producers
@@ -183,7 +175,7 @@ fn ingest_cycle(plane: &Plane, ids: &[CacheId], fixture: &Fixture) -> usize {
 /// no fixture, no monitors. The Zipf exponent drifts per round so every
 /// submission is a genuine plan-changing update rather than a
 /// bit-identical no-op (which the plane dedupes).
-fn analytic_cycle(plane: &Plane, ids: &[CacheId]) -> usize {
+fn analytic_cycle(plane: &ShardedReconfigService, ids: &[CacheId]) -> usize {
     for p in 0..PRODUCERS {
         for round in 0..ROUNDS {
             for (_, id) in stripe(ids, p) {
@@ -194,12 +186,12 @@ fn analytic_cycle(plane: &Plane, ids: &[CacheId]) -> usize {
                         4 * CAPACITY,
                         1.0,
                     )]);
-                    plane.submit(id, t, model.curve(2 * CAPACITY));
+                    submit(plane, id, t, model.curve(2 * CAPACITY));
                 }
             }
         }
     }
-    plane.drain()
+    drain(plane)
 }
 
 /// One full ingest cycle over the wire: each producer holds a persistent
@@ -238,18 +230,11 @@ type Cycle<'a> = Box<dyn FnMut() -> usize + 'a>;
 fn bench_serve_ingest(c: &mut Criterion) {
     let fixture = &Fixture::build();
     let planes = [
-        ("serve_ingest/single", Plane::Single(ReconfigService::new())),
-        (
-            "serve_ingest/sharded_1",
-            Plane::Sharded(ShardedReconfigService::new(1)),
-        ),
-        (
-            "serve_ingest/sharded_4",
-            Plane::Sharded(ShardedReconfigService::new(4)),
-        ),
+        ("serve_ingest/sharded_1", ShardedReconfigService::new(1)),
+        ("serve_ingest/sharded_4", ShardedReconfigService::new(4)),
         (
             "serve_ingest/sharded_4_threaded",
-            Plane::Sharded(ShardedReconfigService::new(4).with_threads()),
+            ShardedReconfigService::new(4).with_threads(),
         ),
     ];
     let mut rows: Vec<(&str, Cycle<'_>)> = Vec::new();
@@ -280,7 +265,7 @@ fn bench_serve_ingest(c: &mut Criterion) {
         Box::new(move || rpc_cycle(&service, &mut control, &mut clients, &ids, fixture)),
     ));
 
-    let analytic_plane = Plane::Sharded(ShardedReconfigService::new(4));
+    let analytic_plane = ShardedReconfigService::new(4);
     let ids = register_all(&analytic_plane);
     rows.push((
         "serve_ingest/analytic",
@@ -299,8 +284,78 @@ fn bench_serve_ingest(c: &mut Criterion) {
     handle.shutdown();
 }
 
-/// Caches behind the snapshot-read row (the repo benchmark's plane size).
+/// Caches behind the epoch and snapshot-read rows (the repo benchmark's
+/// plane size).
 const SNAPSHOT_CACHES: usize = 8192;
+/// Dirty caches an epoch row replans per iteration.
+const DIRTY: [usize; 2] = [64, 1024];
+
+/// One plane of the epoch rows: the repo benchmark's shape, every cache
+/// planned once, and for the caches the rows dirty the two curve sets
+/// their resubmissions alternate between (a bit-identical resubmission
+/// is a no-op, so each must differ from the last).
+struct EpochPlane {
+    plane: ShardedReconfigService,
+    /// `(id, curve sets, which set the cache holds)`, a fixed stride of
+    /// the plane's caches.
+    dirty: Vec<(CacheId, [Vec<MissCurve>; 2], bool)>,
+}
+
+impl EpochPlane {
+    fn build(threaded: bool) -> Self {
+        let most = DIRTY[1];
+        // One epoch drains whatever a row dirtied, whichever shard it is on.
+        let plane = ShardedReconfigService::new(4).with_max_batch(most);
+        let plane = if threaded {
+            plane.with_threads()
+        } else {
+            plane
+        };
+        let mut dirty = Vec::with_capacity(most);
+        for i in 0..SNAPSHOT_CACHES {
+            let id = plane.register(CacheSpec::new(65_536, TENANTS));
+            let held = talus_bench::pool_curves(4 * i as u64);
+            for (t, curve) in held.iter().enumerate() {
+                submit(&plane, id, t, curve.clone());
+            }
+            if i % (SNAPSHOT_CACHES / most) == 0 {
+                let other = talus_bench::pool_curves(4 * (SNAPSHOT_CACHES + i) as u64);
+                dirty.push((id, [held, other], false));
+            }
+        }
+        assert_eq!(drain(&plane), SNAPSHOT_CACHES);
+        EpochPlane { plane, dirty }
+    }
+
+    /// Hands the first `k` dirty caches the curve set they do not hold,
+    /// then runs the one epoch that replans them.
+    fn cycle(&mut self, k: usize) -> usize {
+        for (id, sets, second) in &mut self.dirty[..k] {
+            *second = !*second;
+            for (t, curve) in sets[*second as usize].iter().enumerate() {
+                submit(&self.plane, *id, t, curve.clone());
+            }
+        }
+        self.plane.run_epoch().planned.len()
+    }
+}
+
+fn bench_serve_epoch(c: &mut Criterion) {
+    let mut planes = [
+        ("seq", EpochPlane::build(false)),
+        ("threaded", EpochPlane::build(true)),
+    ];
+    for _ in 0..ROTATIONS {
+        for k in DIRTY {
+            for (mode, plane) in &mut planes {
+                assert_eq!(plane.cycle(k), k, "one epoch replans all {k}");
+                c.bench_function(format!("serve_epoch/dirty_{k}_{mode}"), |b| {
+                    b.iter(|| black_box(plane.cycle(k)))
+                });
+            }
+        }
+    }
+}
 
 fn bench_serve_snapshot(c: &mut Criterion) {
     let service = ShardedReconfigService::new(4);
@@ -335,7 +390,7 @@ fn bench_serve_snapshot(c: &mut Criterion) {
 }
 
 criterion_group!(name = benches; config = fast_criterion();
-    targets = bench_serve_ingest, bench_serve_snapshot);
+    targets = bench_serve_ingest, bench_serve_epoch, bench_serve_snapshot);
 
 /// Per row and rotation; a row's total is [`ROTATIONS`] times this.
 fn fast_criterion() -> Criterion {

@@ -1,17 +1,17 @@
 //! Replay a multi-tenant workload through the reconfiguration plane —
-//! both configurations of it.
+//! one shard, several, and across a socket.
 //!
 //! Two logical caches — one shared by three SPEC-shaped tenants, one by
-//! two — stream monitor-measured miss curves into a single-shard
-//! `ReconfigService`, a 2-shard, threaded `ShardedReconfigService`,
+//! two — stream monitor-measured miss curves into a one-shard
+//! `ShardedReconfigService`, a 2-shard, threaded one,
 //! **and** a third sharded plane reached only through `RpcClient` →
 //! `RpcServer` over a real loopback TCP socket, over several monitoring
 //! intervals. After each interval all three run one epoch, and we check
 //! every published snapshot against a from-scratch offline computation
 //! (talus-core hulls + talus-partition hill climbing + shadow planning)
 //! on the very same curves — and the sharded and RPC-fed planes against
-//! the single service, bit for bit: neither the router nor the wire adds
-//! policy.
+//! the one-shard plane, bit for bit: neither the router nor the wire
+//! adds policy.
 //!
 //! A fourth twin journals everything into a `talus-store` directory and
 //! is killed (dropped) after the first interval; a fresh plane
@@ -45,9 +45,7 @@ use std::collections::HashMap;
 
 use talus_core::{plan_with_hull, MissCurve, TalusOptions};
 use talus_partition::hill_climb;
-use talus_serve::{
-    CacheId, CacheSpec, ReconfigService, RpcClient, RpcServer, ShardedReconfigService,
-};
+use talus_serve::{CacheId, CacheSpec, RpcClient, RpcServer, ShardedReconfigService};
 use talus_sim::monitor::{MattsonMonitor, MonitorSource};
 use talus_sim::LineAddr;
 use talus_store::{Store, StoreSink};
@@ -85,7 +83,7 @@ fn tenant_source(name: &str, cap_lines: u64, seed: u64) -> Source {
 /// Recomputes a cache's plan offline — raw talus-core + talus-partition,
 /// no service involved — and checks it equals the published snapshot.
 fn assert_matches_offline(
-    service: &ReconfigService,
+    service: &ShardedReconfigService,
     cache: CacheId,
     capacity: u64,
     curves: &[MissCurve],
@@ -110,12 +108,12 @@ fn assert_matches_offline(
 }
 
 fn main() {
-    let service = ReconfigService::new();
+    let service = ShardedReconfigService::new(1);
     let sharded = ShardedReconfigService::new(SHARDS).with_threads();
 
     // The fifth plane never sees a measurement: its curves are
     // synthesised from the profile specs alone.
-    let analytic_plane = ReconfigService::new();
+    let analytic_plane = ShardedReconfigService::new(1);
 
     // The third twin sits behind a real loopback socket; everything it
     // ingests crosses the v1 wire protocol.
@@ -286,14 +284,14 @@ fn main() {
         published_epochs += 1;
 
         // Readers: snapshots must equal the offline planner's output, and
-        // the sharded plane's snapshots must equal the single service's.
+        // the sharded plane's snapshots must equal the one-shard plane's.
         for (id, capacity, _) in &caches {
             assert_matches_offline(&service, *id, *capacity, &latest[&id.value()]);
             let snap = service.snapshot(*id).expect("published");
             let sharded_snap = sharded.snapshot(*id).expect("published");
             assert_eq!(
                 snap.plan, sharded_snap.plan,
-                "{id}: sharded plan diverges from single-service plan"
+                "{id}: sharded plan diverges from the one-shard plan"
             );
             assert_eq!(snap.version, sharded_snap.version);
             assert_eq!(snap.updates, sharded_snap.updates);
@@ -302,7 +300,7 @@ fn main() {
             let rpc_snap = remote.snapshot(*id).expect("published");
             assert_eq!(
                 snap.plan, rpc_snap.plan,
-                "{id}: rpc-fed plan diverges from single-service plan"
+                "{id}: rpc-fed plan diverges from the one-shard plan"
             );
             assert_eq!(snap.version, rpc_snap.version);
             let summary = client
@@ -336,7 +334,7 @@ fn main() {
                 .expect("published");
             assert_eq!(
                 snap.plan, journaled_snap.plan,
-                "{id}: journaled plan diverges from single-service plan"
+                "{id}: journaled plan diverges from the one-shard plan"
             );
             assert_eq!(snap.version, journaled_snap.version);
 
@@ -434,8 +432,8 @@ fn main() {
     println!(
         "OK: {published_epochs} plan epochs published for {} caches; every snapshot matches the \
          offline planner, and the {SHARDS}-shard threaded plane, the rpc-fed loopback plane, and \
-         the journaled plane killed and warm-restarted after interval 0 all match the single \
-         service bit for bit.",
+         the journaled plane killed and warm-restarted after interval 0 all match the \
+         one-shard plane bit for bit.",
         caches.len()
     );
     rpc.shutdown();

@@ -2,8 +2,9 @@
 //!
 //! The client speaks the [`wire`](crate::wire) protocol over one
 //! `std::net::TcpStream`, one request/response pair at a time, and
-//! mirrors the local [`ReconfigService`](crate::ReconfigService) API so
-//! a curve producer can point at a remote plane unchanged. The batching
+//! mirrors the local
+//! [`ShardedReconfigService`](crate::ShardedReconfigService) API so a
+//! curve producer can point at a remote plane unchanged. The batching
 //! seam is the same one the local service uses:
 //! [`submit_latest`](RpcClient::submit_latest) drains
 //! `CurveSource::next_curves` and sends only the newest curve, and
@@ -601,7 +602,7 @@ impl RpcClient {
     }
 
     /// Pulls one update from a [`CurveSource`] and submits it, mirroring
-    /// the local [`submit_from`](crate::ReconfigService::submit_from):
+    /// the local [`submit_from`](crate::ShardedReconfigService::submit_from):
     /// returns `Ok(false)` once the source is exhausted. This is the
     /// live-monitor path — one interval of measurement, one submission.
     ///
@@ -622,7 +623,7 @@ impl RpcClient {
 
     /// Drains up to `max` pending updates from a [`CurveSource`] and
     /// submits only the newest — the same backlog-coalescing contract as
-    /// the local [`submit_latest`](crate::ReconfigService::submit_latest),
+    /// the local [`submit_latest`](crate::ShardedReconfigService::submit_latest),
     /// with the coalescing happening client-side so the stale backlog
     /// never crosses the wire. Returns how many updates were drained.
     ///

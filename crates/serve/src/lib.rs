@@ -12,19 +12,21 @@
 //!
 //! ## Concurrency contract
 //!
-//! Three groups of callers touch the service, and none of them waits on
-//! planning work:
+//! Three groups of callers touch the service
+//! ([`ShardedReconfigService`], shared behind an `Arc`), and none of them
+//! waits on planning work:
 //!
-//! - **Producers** ([`submit`](ReconfigService::submit)) take the registry
-//!   lock only long enough to store a curve and flag the cache dirty.
-//! - **Readers** ([`snapshot`](ReconfigService::snapshot)) take a read
-//!   lock only long enough to clone an `Arc`; they then read the plan
-//!   entirely lock-free. Snapshots are immutable — a reader can hold one
-//!   across epochs and never observes a partially written plan.
-//! - **The planner** ([`run_epoch`](ReconfigService::run_epoch)) drains a
-//!   bounded batch of dirty caches under the registry lock, *releases all
-//!   locks*, plans, and finally swaps the new `Arc` snapshots in under a
-//!   brief write lock (the "epoch swap").
+//! - **Producers** ([`submit`](ShardedReconfigService::submit)) take the
+//!   owning shard's registry lock only long enough to store a curve and
+//!   flag the cache dirty.
+//! - **Readers** ([`snapshot`](ShardedReconfigService::snapshot)) take a
+//!   read lock only long enough to clone an `Arc`; they then read the
+//!   plan entirely lock-free. Snapshots are immutable — a reader can hold
+//!   one across epochs and never observes a partially written plan.
+//! - **The planner** ([`run_epoch`](ShardedReconfigService::run_epoch))
+//!   drains a bounded batch of dirty caches under each shard's registry
+//!   lock, *releases all locks*, plans, and finally swaps the new `Arc`
+//!   snapshots in under a brief write lock (the "epoch swap").
 //!
 //! Because planning happens between the two brief critical sections, a
 //! slow plan never blocks producers or readers — they at worst see the
@@ -40,17 +42,16 @@
 //!
 //! ## Scaling out: sharding by cache id
 //!
-//! [`ReconfigService`] guards all per-cache state with one registry lock,
-//! so ingest throughput is ultimately bounded by that lock and epochs plan
-//! on one thread. [`ShardedReconfigService`] removes both bounds with the
-//! same public API: per-cache state lives on one of N independent shards
-//! selected by `mix64(cache_id) % N`, submissions for caches on different
-//! shards never contend, each shard batches its own epochs, and an
-//! optional thread-pool mode re-plans shards concurrently (workers for
-//! shards 1..N, the epoch caller planning shard 0). Because
-//! caches never share state, the published plans are identical for every
-//! shard count and threading mode (property-tested in
-//! `tests/sharding.rs`), so callers migrate with zero semantic change.
+//! One registry lock over all per-cache state — `new(1)` — bounds ingest
+//! throughput by that lock and plans epochs on one thread. Shard count is
+//! the capacity knob that lifts both bounds: per-cache state lives on one
+//! of N independent shards selected by `mix64(cache_id) % N`, submissions
+//! for caches on different shards never contend, each shard batches its
+//! own epochs, and an optional thread-pool mode re-plans shards
+//! concurrently (workers for shards 1..N, the epoch caller planning
+//! shard 0). Because caches never share state, the published plans are
+//! identical for every shard count and threading mode (property-tested
+//! in `tests/sharding.rs`): the count changes capacity, never semantics.
 //!
 //! ## Going remote: the RPC front-end
 //!
@@ -149,9 +150,9 @@
 //!
 //! ```
 //! use talus_core::MissCurve;
-//! use talus_serve::{CacheSpec, ReconfigService};
+//! use talus_serve::{CacheSpec, ShardedReconfigService};
 //!
-//! let service = ReconfigService::new();
+//! let service = ShardedReconfigService::new(1);
 //! let cache = service.register(CacheSpec::new(1024, 2));
 //!
 //! // Two tenants report their measured miss curves.
@@ -190,5 +191,5 @@ pub use cluster::{
 };
 pub use router::{RestoreError, RestoreSummary, ShardedReconfigService};
 pub use rpc_server::{RpcServer, ServerHandle, DEFAULT_MAX_CONNECTIONS};
-pub use service::{CacheSpec, EpochReport, ReconfigService, ServeError};
+pub use service::{CacheSpec, EpochReport, ServeError};
 pub use snapshot::{CacheId, PlanSnapshot};

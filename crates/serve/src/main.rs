@@ -8,7 +8,6 @@
 //! cargo run -p talus-serve --release [-- <caches> <tenants> <intervals> <shards> <threaded 0|1> [rpc]]
 //! cargo run -p talus-serve --release -- store [dir]                # crash/restore smoke
 //! cargo run -p talus-serve --release -- store-dump <dir> [--json]  # print a journal
-//! cargo run -p talus-serve --release -- chaos                      # partial-failure smoke
 //! cargo run -p talus-serve --release -- cluster [dir]              # multi-process smoke
 //! cargo run -p talus-serve --release -- analytic [caches tenants shards]  # analytic-backend smoke
 //! ```
@@ -30,15 +29,6 @@
 //! the journal, and verify the restored snapshots are bit-identical —
 //! then keep serving. `store-dump` pretty-prints an existing journal
 //! directory, record by record.
-//!
-//! `chaos` runs the partial-failure smoke test: a loopback RPC plane
-//! under a scripted fault schedule — a planner panic, a severed
-//! connection, a truncated reply — driven by a deadline-and-retry
-//! client, verified to quarantine exactly the panicking cache while
-//! every survivor converges bit-identically to a fault-free twin, with
-//! the damage visible in the plane's health report. The process exits
-//! nonzero if the final health shows any degradation beyond the one
-//! scripted quarantine, so CI can gate on the exit status alone.
 //!
 //! `analytic` runs the analytic-backend smoke test: the same loopback
 //! RPC plane, but every tenant's curve comes from
@@ -109,10 +99,6 @@ fn main() {
                 .expect("store-dump needs a journal directory");
             let json = std::env::args().nth(3).as_deref() == Some("--json");
             run_store_dump(Path::new(&dir), json);
-            return;
-        }
-        Some("chaos") => {
-            run_chaos_smoke();
             return;
         }
         Some("cluster") => {
@@ -507,161 +493,6 @@ fn run_analytic_smoke() {
         service.epochs(),
         ids.len()
     );
-}
-
-/// The partial-failure smoke test: scripted chaos against a loopback
-/// RPC plane, a fault-free twin as the oracle. Exercises the whole
-/// hardening stack in one run — client deadlines and retries, the
-/// server's connection-fault handling, planner panic quarantine, and
-/// the health protocol — and panics (failing CI) if any containment
-/// contract breaks.
-fn run_chaos_smoke() {
-    use talus_core::{FaultAction, FaultScript};
-    use talus_serve::{RetryPolicy, RpcError, ServeError};
-
-    let shards = 2;
-    let caches = 4usize;
-    println!("chaos smoke: {caches} caches on {shards} shards, scripted faults over loopback rpc");
-
-    let curve = |tag: u64| {
-        let sizes: Vec<f64> = (0..=8).map(|i| i as f64 * 512.0).collect();
-        let misses: Vec<f64> = (0..=8)
-            .map(|i| 40.0 - i as f64 * (3.0 + (tag % 5) as f64 * 0.5))
-            .map(|m| m.max(0.0))
-            .collect();
-        talus_core::MissCurve::from_samples(&sizes, &misses).expect("valid curve")
-    };
-
-    // The faulted plane behind RPC, and its fault-free local oracle.
-    let plane_faults = Arc::new(FaultScript::new());
-    let server_faults = Arc::new(FaultScript::new());
-    // One severed connection and one truncated reply, mid-schedule.
-    server_faults.inject(
-        "server.handle",
-        Some(0x03),
-        2,
-        1,
-        FaultAction::KillConnection,
-    );
-    server_faults.inject(
-        "server.handle",
-        Some(0x04),
-        0,
-        1,
-        FaultAction::TruncateFrame,
-    );
-    let service =
-        Arc::new(ShardedReconfigService::new(shards).with_fault_script(Arc::clone(&plane_faults)));
-    let twin = ShardedReconfigService::new(shards);
-    let handle = RpcServer::bind("127.0.0.1:0", Arc::clone(&service))
-        .expect("bind loopback")
-        .with_fault_script(Arc::clone(&server_faults))
-        .spawn()
-        .expect("spawn accept loop");
-    let mut client = RpcClient::connect(handle.local_addr())
-        .expect("connect")
-        .with_deadline(Duration::from_secs(2))
-        .expect("deadline applies")
-        .with_retry(RetryPolicy::default());
-
-    let ids: Vec<CacheId> = (0..caches)
-        .map(|_| {
-            let id = client.register(CAPACITY, 1).expect("register over rpc");
-            assert_eq!(id, twin.register(CacheSpec::new(CAPACITY, 1)));
-            id
-        })
-        .collect();
-    let victim = ids[1];
-
-    // Round 1 (fault-free planning, faulty transport): every cache gets
-    // a last-good plan even while connections are killed under the
-    // client — the retry policy reconnects and converges.
-    for (i, id) in ids.iter().enumerate() {
-        let c = curve(1 + i as u64);
-        client
-            .submit(*id, 0, c.clone())
-            .expect("submit retries through chaos");
-        twin.submit(*id, 0, c).expect("registered");
-    }
-    while service.pending() > 0 {
-        client.run_epoch().expect("epoch retries through chaos");
-    }
-    twin.run_until_clean();
-    let last_good = service.snapshot(victim).expect("round-1 plan");
-    println!(
-        "round 1: {} snapshots published through {} scripted connection fault(s)",
-        ids.len(),
-        server_faults.fired("server.handle")
-    );
-
-    // Round 2: the victim's planner is scripted to panic. The plane
-    // catches it; silence the default hook so the smoke's output is the
-    // containment verdict, not a backtrace of the panic we injected.
-    plane_faults.inject("shard.plan", Some(victim.value()), 0, 1, FaultAction::Panic);
-    let mut quarantined = Vec::new();
-    for (i, id) in ids.iter().enumerate() {
-        let c = curve(100 + i as u64);
-        client.submit(*id, 0, c.clone()).expect("submit");
-        twin.submit(*id, 0, c).expect("registered");
-    }
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    while service.pending() > 0 {
-        quarantined.extend(client.run_epoch().expect("epoch").quarantined);
-    }
-    std::panic::set_hook(default_hook);
-    twin.run_until_clean();
-
-    assert_eq!(quarantined, vec![victim], "exactly the victim quarantined");
-    let snap = service.snapshot(victim).expect("last-good survives");
-    assert_eq!(
-        snap.plan, last_good.plan,
-        "victim serves its last-good plan"
-    );
-    for id in ids.iter().filter(|id| **id != victim) {
-        let a = service.snapshot(*id).expect("survivor planned");
-        let b = twin.snapshot(*id).expect("twin planned");
-        assert_eq!(a.plan, b.plan, "{id}: survivor diverged from the twin");
-        assert_eq!(a.version, b.version, "{id}: version diverged");
-    }
-    match client.submit(victim, 0, curve(7)) {
-        Err(RpcError::Serve(ServeError::Quarantined(id))) => assert_eq!(id, victim),
-        other => panic!("expected the typed quarantine rejection, got {other:?}"),
-    }
-
-    let health = client.health().expect("health over rpc");
-    assert!(!health.is_healthy(), "the quarantine shows in health");
-    print_health(&health);
-
-    // The exit-status gate CI keys on: the scripted quarantine of the
-    // victim is the *only* damage this run is allowed to show. Anything
-    // else in the final health report — a degraded shard, a faulted
-    // store, an extra (or missing) quarantined cache — means a
-    // containment contract broke, and the process exits nonzero.
-    let mut unexpected = Vec::new();
-    if health.degraded() > 0 {
-        unexpected.push(format!("{} degraded shard(s)", health.degraded()));
-    }
-    if health.store == talus_core::StoreHealth::Faulted {
-        unexpected.push("faulted store".to_string());
-    }
-    if health.quarantined != vec![victim.value()] {
-        unexpected.push(format!(
-            "quarantined {:?}, expected exactly [{}]",
-            health.quarantined,
-            victim.value()
-        ));
-    }
-    if !unexpected.is_empty() {
-        eprintln!("chaos smoke FAILED: unexpected degradation: {unexpected:?}");
-        std::process::exit(1);
-    }
-    println!(
-        "round 2: quarantine contained to {victim}; {} survivor(s) bit-identical to the \
-         fault-free twin; chaos smoke ok",
-        ids.len() - 1
-    );
-    handle.shutdown();
 }
 
 /// The persistence smoke test: journal a real monitored run, drop the

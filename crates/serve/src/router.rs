@@ -1,10 +1,10 @@
-//! The sharded reconfiguration plane: N [`Shard`]s behind a hash router.
+//! The reconfiguration plane: N [`Shard`]s behind a hash router.
 //!
-//! [`ShardedReconfigService`] exposes the exact public API of
-//! [`ReconfigService`](crate::ReconfigService) — `register`, `deregister`,
-//! `submit`, `submit_from`, `submit_latest`, `snapshot`, `run_epoch`,
-//! `run_until_clean` — but spreads per-cache state across N independent
-//! shards selected by `mix64(cache_id) % N`. Caches never share state, so
+//! [`ShardedReconfigService`] is the one in-process plane — `register`,
+//! `deregister`, `submit`, `submit_from`, `submit_latest`, `snapshot`,
+//! `run_epoch`, `run_until_clean` — with per-cache state spread across N
+//! independent shards selected by `mix64(cache_id) % N` (`new(1)` is the
+//! single-lock configuration). Caches never share state, so
 //! sharding needs no cross-shard coordination: a submission touches one
 //! shard's lock, producers for caches on different shards never contend,
 //! and each shard plans its own epoch batch. With
@@ -13,11 +13,11 @@
 //! thread plans shard 0 itself (leader participates), so independent
 //! caches re-plan in parallel.
 //!
-//! Plan equivalence is the migration contract: for any submission
-//! sequence, the plan published for a cache is identical to what a
-//! single-shard [`ReconfigService`](crate::ReconfigService) publishes
-//! (property-tested in `tests/sharding.rs`) — the router adds
-//! *placement*, never *policy*.
+//! Plan equivalence is the contract: for any submission sequence, the
+//! plan published for a cache is the offline planner's
+//! (`tests/plan_equivalence.rs`) and identical for every shard count and
+//! threading mode (`tests/sharding.rs`) — the router adds *placement*,
+//! never *policy*.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use crate::service::{CacheSpec, EpochReport, ServeError};
 use crate::shard::Shard;
-use crate::snapshot::{CacheId, PlanSnapshot};
+use crate::snapshot::{CacheId, PlanSnapshot, RESERVED_ID};
 use talus_core::limits::WIRE_MAX_EPOCH_IDS;
 use talus_core::{
     CurveSource, FaultScript, MissCurve, PlaneHealth, ShardHealth, ShardState, ShardTopology,
@@ -226,9 +226,10 @@ impl Drop for WorkerPool {
     }
 }
 
-/// N independent [`ReconfigService`]-shaped shards behind a
-/// `mix64(cache_id)`-hash router. Same public API, same published plans
-/// (property-tested), but ingest and epoch planning scale across shards.
+/// The online reconfiguration service: N independent single-lock shards
+/// behind a `mix64(cache_id)`-hash router. The published plans are the
+/// same for every N (property-tested); ingest and epoch planning scale
+/// across shards. See the crate docs for the concurrency contract.
 ///
 /// All methods take `&self`; the service is `Send + Sync` and is shared
 /// across producer, planner, and reader threads behind an `Arc`.
@@ -251,8 +252,6 @@ impl Drop for WorkerPool {
 /// assert_eq!(snap.plan.allocations().iter().sum::<u64>(), 1024);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-///
-/// [`ReconfigService`]: crate::ReconfigService
 #[derive(Debug)]
 pub struct ShardedReconfigService {
     shards: Vec<Arc<Shard>>,
@@ -285,8 +284,7 @@ impl ShardedReconfigService {
     /// Shard count is a capacity knob, not a semantic one: plans are
     /// identical for every value. Pick roughly the number of cores you
     /// want planning to spread over (see ARCHITECTURE.md §L5); `new(1)`
-    /// is behaviourally — and, within noise, performance- — equivalent to
-    /// [`ReconfigService`](crate::ReconfigService).
+    /// keeps all per-cache state behind one registry lock.
     ///
     /// # Panics
     ///
@@ -528,8 +526,11 @@ impl ShardedReconfigService {
 
     /// Registers a logical cache; returns its handle. Ids are allocated
     /// from one plane-wide counter (never reused), then routed to a shard
-    /// by hash. The cache publishes no plan until every tenant has
-    /// submitted at least one curve and an epoch has run.
+    /// by hash. An id a [`register_with_id`] caller already holds is
+    /// skipped, never replaced, and so is the reserved top id — the
+    /// counter wraps past it instead of overflowing. The cache publishes
+    /// no plan until every tenant has submitted at least one curve and
+    /// an epoch has run.
     ///
     /// # Panics
     ///
@@ -545,10 +546,14 @@ impl ShardedReconfigService {
             self.topology.is_solo(),
             "cluster members cannot mint ids; use register_with_id"
         );
-        let id = CacheId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        // Solo topology: local == global, every id owned.
-        self.shards[self.topology.global_shard(id.value())].insert(id.value(), spec);
-        id
+        loop {
+            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+            // Solo topology: local == global, every id owned.
+            let shard = &self.shards[self.topology.global_shard(id)];
+            if id != RESERVED_ID && shard.insert(id, spec).is_ok() {
+                return CacheId(id);
+            }
+        }
     }
 
     /// Registers a logical cache under a caller-minted id — the cluster
@@ -563,9 +568,22 @@ impl ShardedReconfigService {
     /// - [`ServeError::Misrouted`] — `id`'s canonical shard is owned by
     ///   another member (names the owning global shard).
     /// - [`ServeError::DuplicateCache`] — `id` exists with a different
-    ///   spec.
+    ///   spec, or is the reserved top id (`u64::MAX`), which no cache
+    ///   may hold: the mint hint below is "largest id accepted, plus
+    ///   one".
     pub fn register_with_id(&self, id: CacheId, spec: CacheSpec) -> Result<CacheId, ServeError> {
-        self.try_shard_of(id)?.try_insert(id.value(), spec)?;
+        if id.value() == RESERVED_ID {
+            return Err(ServeError::DuplicateCache(id));
+        }
+        // Taken under the same spec is a retry of a registration that
+        // already landed; under another, a conflict.
+        let shard = self.try_shard_of(id)?;
+        if shard
+            .insert(id.value(), spec)
+            .is_err_and(|live| live != spec)
+        {
+            return Err(ServeError::DuplicateCache(id));
+        }
         // Keep the mint hint monotone past every id ever accepted, so a
         // restored or restarted member advertises a safe floor.
         self.next_id.fetch_max(id.value() + 1, Ordering::Relaxed);
@@ -649,9 +667,21 @@ impl ShardedReconfigService {
     }
 
     /// Drains up to `max` pending updates from a [`CurveSource`] and
-    /// submits only the newest — the backlog-coalescing ingest path. See
-    /// [`ReconfigService::submit_latest`](crate::ReconfigService::submit_latest)
-    /// for when (not) to use it.
+    /// submits only the newest — the backlog-coalescing ingest path
+    /// (`CurveSource::next_curves` is the batching seam). A tenant that
+    /// fell behind — a stalled producer, a replay catching up — hands its
+    /// whole backlog over in one call; since an epoch plans only the
+    /// latest curve per tenant anyway, the stale updates are dropped here
+    /// instead of being submitted one by one. Returns how many updates
+    /// were drained (0 means the source was exhausted and nothing was
+    /// submitted).
+    ///
+    /// This is for *finite* backlogs (replays, queues). An infinite
+    /// source such as a live `MonitorSource` always produces exactly
+    /// `max` curves — each a full monitoring interval of work — so
+    /// draining it here would burn `max − 1` intervals to discard them;
+    /// use [`submit_from`](ShardedReconfigService::submit_from) for live
+    /// monitors.
     ///
     /// # Errors
     ///
@@ -873,6 +903,9 @@ impl ShardedReconfigService {
                     } => {
                         if self.topology.local_shard(id) != Some(i) {
                             return Err(corrupt("register routed to the wrong shard"));
+                        }
+                        if id == RESERVED_ID {
+                            return Err(corrupt("register of the reserved id"));
                         }
                         max_id = max_id.max(Some(id));
                         let spec = CacheSpec::new(capacity, tenants as usize).with_planner(planner);
@@ -1179,7 +1212,36 @@ mod tests {
         s.deregister(id).unwrap();
         assert!(s.snapshot(id).is_none());
         assert_eq!(s.deregister(id), Err(ServeError::UnknownCache(id)));
+        assert_eq!(
+            s.submit(id, 0, curve(512.0, 1024.0)),
+            Err(ServeError::UnknownCache(id))
+        );
         assert_eq!(s.registered(), 0);
+    }
+
+    #[test]
+    fn minting_skips_the_reserved_top_id_and_live_ids() {
+        let s = ShardedReconfigService::new(2);
+        let spec = CacheSpec::new(1024, 1);
+        let held = CacheSpec::new(2048, 1);
+        let top = CacheId(RESERVED_ID);
+        assert_eq!(
+            s.register_with_id(top, spec),
+            Err(ServeError::DuplicateCache(top))
+        );
+        assert_eq!(s.next_id_hint(), 0, "a refused id moves nothing");
+
+        // A client holds id 1 and the last id a cache may have: the
+        // counter now stands at the reserved one.
+        s.register_with_id(CacheId(1), held).unwrap();
+        s.register_with_id(CacheId(RESERVED_ID - 1), spec).unwrap();
+        assert_eq!(s.next_id_hint(), RESERVED_ID);
+        // Minting steps over the reserved id, wraps, and steps over the
+        // live id 1 instead of replacing it.
+        assert_eq!(s.register(spec), CacheId(0));
+        assert_eq!(s.register(spec), CacheId(2));
+        assert_eq!(s.registered(), 4);
+        assert_eq!(s.register_with_id(CacheId(1), held), Ok(CacheId(1)));
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //! entry, dirty-queue slot, published snapshot — plus the epoch machinery
 //! that drains, plans, and publishes it.
 //!
-//! A [`Shard`] is the single-lock unit [`ReconfigService`] used to be:
-//! [`ReconfigService`](crate::ReconfigService) wraps exactly one, and
+//! A [`Shard`] is the plane's single-lock unit:
 //! [`ShardedReconfigService`](crate::ShardedReconfigService) fronts N of
-//! them with a hash router. Cache-id allocation and epoch numbering live
-//! with the caller (service or router), so a shard never needs to know its
-//! siblings exist — caches never share state, and neither do shards.
+//! them with a hash router (`new(1)` is exactly one). Cache-id allocation
+//! and epoch numbering live with the router, so a shard never needs to
+//! know its siblings exist — caches never share state, and neither do
+//! shards.
 
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use crate::idmap::IdMap;
 use crate::service::{CacheSpec, EpochReport, ServeError};
 use crate::snapshot::{CacheId, PlanSnapshot};
-use talus_core::{FaultScript, MissCurve, StoreHealth};
+use talus_core::{FaultScript, MissCurve};
 use talus_partition::{PlanScratch, Planner};
 use talus_store::StoreSink;
 
@@ -180,35 +180,24 @@ impl Shard {
         self.published.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Inserts a cache under an id the caller allocated. The cache
-    /// publishes no plan until every tenant has submitted at least one
-    /// curve and an epoch has run.
-    pub(crate) fn insert(&self, id: u64, spec: CacheSpec) {
+    /// Inserts a cache under an id the caller chose, never over a live
+    /// one: if `id` is taken, nothing changes, nothing is journaled, and
+    /// `Err` carries the spec it is registered with — the caller decides
+    /// whether that is a retry that already landed, a conflict, or an id
+    /// to skip. The cache publishes no plan until every tenant has
+    /// submitted at least one curve and an epoch has run.
+    pub(crate) fn insert(&self, id: u64, spec: CacheSpec) -> Result<(), CacheSpec> {
         let mut reg = self.lock_registry();
-        if let Some(sink) = &self.sink {
-            sink.register(id, spec.capacity, spec.tenants as u32, &spec.planner);
-        }
-        reg.caches.insert(id, CacheEntry::new(spec));
-    }
-
-    /// Inserts a cache under a caller-minted id, refusing to clobber an
-    /// existing registration. Re-inserting an id with an *identical* spec
-    /// is an idempotent no-op (nothing journaled — the journal already
-    /// holds the registration), so retried cluster registrations are
-    /// safe; an id held by a different spec is a typed conflict.
-    pub(crate) fn try_insert(&self, id: u64, spec: CacheSpec) -> Result<(), ServeError> {
-        let mut reg = self.lock_registry();
-        if let Some(entry) = reg.caches.get(&id) {
-            if entry.spec == spec {
-                return Ok(());
+        match reg.caches.entry(id) {
+            Entry::Occupied(live) => Err(live.get().spec),
+            Entry::Vacant(slot) => {
+                if let Some(sink) = &self.sink {
+                    sink.register(id, spec.capacity, spec.tenants as u32, &spec.planner);
+                }
+                slot.insert(CacheEntry::new(spec));
+                Ok(())
             }
-            return Err(ServeError::DuplicateCache(CacheId(id)));
         }
-        if let Some(sink) = &self.sink {
-            sink.register(id, spec.capacity, spec.tenants as u32, &spec.planner);
-        }
-        reg.caches.insert(id, CacheEntry::new(spec));
-        Ok(())
     }
 
     /// Removes a cache and its published snapshot. In-flight planning for
@@ -539,16 +528,6 @@ impl Shard {
             .collect();
         ids.sort_unstable();
         ids
-    }
-
-    /// The health of this shard's journal sink ([`StoreHealth::None`]
-    /// when the shard is ephemeral).
-    pub(crate) fn store_health(&self) -> StoreHealth {
-        match &self.sink {
-            None => StoreHealth::None,
-            Some(sink) if sink.is_faulted() => StoreHealth::Faulted,
-            Some(_) => StoreHealth::Ok,
-        }
     }
 
     // --- journal replay ------------------------------------------------

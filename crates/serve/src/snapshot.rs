@@ -7,6 +7,12 @@ use talus_partition::CachePlan;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheId(pub(crate) u64);
 
+/// The one raw id no cache may hold. Ids reach the plane from outside it
+/// (`RegisterAt` frames, journal records) and the id allocator resumes at
+/// "largest id seen, plus one", so the top of the range is refused
+/// wherever an id enters: that sum then always fits.
+pub(crate) const RESERVED_ID: u64 = u64::MAX;
+
 impl CacheId {
     /// The raw id (stable for the lifetime of the service; ids are never
     /// reused after deregistration).

@@ -63,7 +63,7 @@
 use std::io::Read;
 
 use crate::service::{EpochReport, ServeError};
-use crate::snapshot::{CacheId, PlanSnapshot};
+use crate::snapshot::{CacheId, PlanSnapshot, RESERVED_ID};
 use talus_core::limits::{
     WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_FRAME_LEN, WIRE_MAX_IDS, WIRE_MAX_SHARDS,
     WIRE_MAX_TENANTS,
@@ -903,6 +903,9 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
             let id = r.u64()?;
             let capacity = r.u64()?;
             let tenants = r.u32()?;
+            if id == RESERVED_ID {
+                return Err(WireError::Malformed("reserved cache id"));
+            }
             if capacity == 0 {
                 return Err(WireError::Malformed("zero capacity"));
             }

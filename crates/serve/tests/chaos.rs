@@ -10,10 +10,12 @@
 //! batch changes exactly nothing (submission is idempotent), and every
 //! degradation shows up in the health report.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::temp_dir;
 use proptest::prelude::*;
 use talus_core::{FaultAction, FaultScript, MissCurve, ShardState, StoreHealth};
 use talus_serve::{
@@ -28,28 +30,10 @@ const OP_SUBMIT: u64 = 0x03;
 const OP_RUN_EPOCH: u64 = 0x04;
 const OP_PING: u64 = 0x06;
 
-/// Random monotone miss curve derived deterministically from a seed —
-/// the same family as the equivalence suites, so faulted and fault-free
-/// planes receive identical inputs.
+/// The equivalence suites' curve family on a 9-point grid, so faulted and
+/// fault-free planes receive identical inputs.
 fn curve_from_seed(seed: u64) -> MissCurve {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut m = 10.0 + (next() % 40) as f64;
-    let sizes: Vec<f64> = (0..=8).map(|i| i as f64 * 64.0).collect();
-    let misses: Vec<f64> = sizes
-        .iter()
-        .map(|_| {
-            let v = m;
-            m = (m - (next() % 12) as f64).max(0.0);
-            v
-        })
-        .collect();
-    MissCurve::from_samples(&sizes, &misses).expect("valid curve")
+    common::curve_on_grid(seed, 8)
 }
 
 /// Bit-level snapshot equality: the plan, its version, and its update
@@ -207,6 +191,9 @@ fn quarantine_is_visible_over_rpc() {
     assert_eq!(health.quarantined, vec![victim.value()]);
     assert!(!health.is_healthy());
     assert_eq!(health.caches, 2);
+    // The one quarantine is all the damage: nothing else degraded.
+    assert_eq!(health.degraded(), 0);
+    assert_eq!(health.store, StoreHealth::None);
     handle.shutdown();
 }
 
@@ -347,10 +334,8 @@ proptest! {
         caches in 1usize..5,
         rounds in 1u64..4,
     ) {
-        static CASE: AtomicU64 = AtomicU64::new(0);
-        let case = CASE.fetch_add(1, Ordering::Relaxed);
-        let dir_once = temp_dir(&format!("idem-once-{case}"));
-        let dir_twice = temp_dir(&format!("idem-twice-{case}"));
+        let dir_once = temp_dir("idem-once");
+        let dir_twice = temp_dir("idem-twice");
         let store_once = Arc::new(Store::open(&dir_once, 2).expect("open"));
         let store_twice = Arc::new(Store::open(&dir_twice, 2).expect("open"));
         let once = ShardedReconfigService::new(2)
@@ -404,13 +389,6 @@ proptest! {
         std::fs::remove_dir_all(&dir_once).ok();
         std::fs::remove_dir_all(&dir_twice).ok();
     }
-}
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("talus-chaos-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
 }
 
 // ---------------------------------------------------------------------

@@ -19,51 +19,22 @@
 //!    rejected with a typed [`HandshakeError`] and its breaker stays
 //!    open — the cluster never routes to forked state.
 
+mod common;
+
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{arb_op, curve_from_seed, temp_dir, Op};
 use proptest::prelude::*;
-use talus_core::{FaultAction, FaultScript, MissCurve, ShardTopology};
+use talus_core::{FaultAction, FaultScript, ShardTopology};
 use talus_serve::wire::SnapshotSummary;
 use talus_serve::{
     CacheId, CacheSpec, ClusterClient, ClusterConfig, ClusterError, EpochReport, HandshakeError,
     RetryPolicy, RpcClient, RpcError, RpcServer, ServeError, ServerHandle, ShardedReconfigService,
 };
 use talus_store::{Store, StoreSink};
-
-/// Random monotone miss curve on a 0..=16 × 64-line grid, derived
-/// deterministically from a seed so every plane receives identical
-/// curves (the same family as `tests/rpc_equivalence.rs`).
-fn curve_from_seed(seed: u64) -> MissCurve {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut m = 10.0 + (next() % 40) as f64;
-    let sizes: Vec<f64> = (0..=16).map(|i| i as f64 * 64.0).collect();
-    let misses: Vec<f64> = sizes
-        .iter()
-        .map(|_| {
-            let v = m;
-            m = (m - (next() % 12) as f64).max(0.0);
-            v
-        })
-        .collect();
-    MissCurve::from_samples(&sizes, &misses).expect("valid curve")
-}
-
-/// A scratch directory unique to this process and tag, recreated empty.
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("talus-cluster-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
 
 /// One in-process cluster member: an `RpcServer` fronting a plane that
 /// owns shards `first..first + count` of `total`, optionally journaling
@@ -185,43 +156,6 @@ fn assert_snapshot_matches(
             b.is_some()
         ),
     }
-}
-
-/// One step of a random cluster history (same shape as the RPC
-/// equivalence suite: slots index the ids registered so far).
-#[derive(Debug, Clone)]
-enum Op {
-    Register {
-        capacity_grains: u64,
-        tenants: usize,
-    },
-    Submit {
-        slot: usize,
-        tenant: usize,
-        curve_seed: u64,
-    },
-    Deregister {
-        slot: usize,
-    },
-    RunEpoch,
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    (any::<u64>(), any::<u64>(), any::<usize>(), any::<u64>()).prop_map(
-        |(kind, shape, slot, curve_seed)| match kind % 11 {
-            0 | 1 => Op::Register {
-                capacity_grains: 4 + shape % 12,
-                tenants: 1 + (shape % 3) as usize,
-            },
-            2..=7 => Op::Submit {
-                slot,
-                tenant: (shape >> 8) as usize,
-                curve_seed,
-            },
-            8 => Op::Deregister { slot },
-            _ => Op::RunEpoch,
-        },
-    )
 }
 
 proptest! {
@@ -420,7 +354,7 @@ fn dead_member_trips_only_its_own_breaker() {
 /// twin fed the same stream.
 #[test]
 fn member_resurrects_from_its_journal_bit_identical() {
-    let dir = scratch_dir("resurrect");
+    let dir = temp_dir("resurrect");
     let member_dirs: Vec<PathBuf> = (0..3).map(|m| dir.join(format!("member-{m}"))).collect();
     let mut members: Vec<TestMember> = member_dirs
         .iter()

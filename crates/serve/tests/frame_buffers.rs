@@ -12,11 +12,11 @@ use talus_serve::wire::{
     encode_response_into, read_frame, read_frame_into, ClusterInfo, Request, Response,
     ShadowSummary, SnapshotSummary, SubmitEntry, TenantSummary, WireError,
 };
-use talus_serve::{CacheId, CacheSpec, EpochReport, ReconfigService, ServeError};
+use talus_serve::{CacheId, CacheSpec, EpochReport, ServeError, ShardedReconfigService};
 
 /// Real `CacheId`s from a throwaway service (only a plane mints ids).
 fn cache_ids(n: usize) -> Vec<CacheId> {
-    let service = ReconfigService::new();
+    let service = ShardedReconfigService::new(1);
     (0..n)
         .map(|_| service.register(CacheSpec::new(64, 1)))
         .collect()

@@ -1,12 +1,16 @@
-//! The service's defining invariant: epoch replanning publishes exactly
-//! the plan a direct offline `talus-core` + `talus-partition` computation
-//! produces from the same curves — batching, versioning, and publication
-//! add scheduling, never policy.
+//! The service's defining invariant, and the first link of the
+//! equivalence chain (offline ≡ sharded ≡ rpc ≡ cluster ≡ restored):
+//! epoch replanning publishes exactly the plan a direct offline
+//! `talus-core` + `talus-partition` computation produces from the same
+//! curves, on any number of shards — batching, versioning, placement and
+//! publication add scheduling, never policy.
+
+mod common;
 
 use proptest::prelude::*;
 use talus_core::{plan_with_hull, CurveSource, MissCurve, TalusOptions};
 use talus_partition::{fair, hill_climb, lookahead, AllocPolicy, Planner};
-use talus_serve::{CacheSpec, ReconfigService};
+use talus_serve::{CacheSpec, ShardedReconfigService};
 use talus_sim::monitor::{MattsonMonitor, MonitorSource};
 use talus_sim::LineAddr;
 use talus_workloads::{profile, AccessGenerator};
@@ -41,26 +45,7 @@ fn offline_plans(
 /// Random monotone miss curve on a 0..=16 × 64-line grid (the same family
 /// the partition property tests use).
 fn arb_curve() -> impl Strategy<Value = MissCurve> {
-    any::<u64>().prop_map(|seed| {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut m = 10.0 + (next() % 40) as f64;
-        let sizes: Vec<f64> = (0..=16).map(|i| i as f64 * 64.0).collect();
-        let misses: Vec<f64> = sizes
-            .iter()
-            .map(|_| {
-                let v = m;
-                m = (m - (next() % 12) as f64).max(0.0);
-                v
-            })
-            .collect();
-        MissCurve::from_samples(&sizes, &misses).expect("valid curve")
-    })
+    any::<u64>().prop_map(common::curve_from_seed)
 }
 
 proptest! {
@@ -72,10 +57,11 @@ proptest! {
     fn epoch_replanning_matches_offline_planner(
         curves in proptest::collection::vec(arb_curve(), 1..6),
         grains in 4u64..16,
+        shards in 1usize..=4,
     ) {
         let capacity = grains * 64;
         let grain = 64u64;
-        let service = ReconfigService::new();
+        let service = ShardedReconfigService::new(shards);
         let spec = CacheSpec::new(capacity, curves.len())
             .with_planner(Planner::new(grain));
         let id = service.register(spec);
@@ -98,11 +84,12 @@ proptest! {
     fn equivalence_holds_across_policies(
         curves in proptest::collection::vec(arb_curve(), 2..5),
         policy_idx in 0usize..3,
+        shards in 1usize..=4,
     ) {
         let policy = [AllocPolicy::Hill, AllocPolicy::Lookahead, AllocPolicy::Fair][policy_idx];
         let capacity = 1024u64;
         let grain = 64u64;
-        let service = ReconfigService::new();
+        let service = ShardedReconfigService::new(shards);
         let id = service.register(
             CacheSpec::new(capacity, curves.len())
                 .with_planner(Planner::new(grain).with_policy(policy)),
@@ -129,7 +116,7 @@ fn multi_tenant_replay_matches_offline_every_epoch() {
     const INTERVAL: u64 = 30_000;
     let names = ["libquantum", "omnetpp", "xalancbmk"];
 
-    let service = ReconfigService::new();
+    let service = ShardedReconfigService::new(1);
     let id = service.register(CacheSpec::new(CAPACITY, names.len()));
     let mut sources: Vec<_> = names
         .iter()
@@ -177,7 +164,7 @@ fn multi_tenant_replay_matches_offline_every_epoch() {
 fn threaded_producers_converge_to_offline_plan() {
     use std::sync::Arc;
 
-    let service = Arc::new(ReconfigService::new());
+    let service = Arc::new(ShardedReconfigService::new(1));
     let capacity = 1024u64;
     let tenants = 4usize;
     let id = service.register(CacheSpec::new(capacity, tenants));

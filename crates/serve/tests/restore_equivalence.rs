@@ -8,135 +8,18 @@
 //! shard) is held to the same standard: same results, same plane, same
 //! journal as the entries submitted one by one.
 
+mod common;
+
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
+use common::{apply, arb_op, curve_from_seed, temp_dir, Slots};
 use proptest::prelude::*;
-use talus_core::{FaultAction, FaultScript, MissCurve, ShardTopology, StoreHealth};
+use talus_core::{FaultAction, FaultScript, ShardTopology, StoreHealth};
 use talus_partition::Planner;
-use talus_serve::{
-    CacheId, CacheSpec, EpochReport, RestoreError, ServeError, ShardedReconfigService,
-};
+use talus_serve::{CacheId, CacheSpec, RestoreError, ServeError, ShardedReconfigService};
 use talus_store::{Record, Store, StoreSink};
-
-static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "talus-restore-test-{tag}-{}-{}",
-        std::process::id(),
-        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-/// One step of a random service history — same shape as the sharding
-/// equivalence tests, slot-based so any sequence is meaningful.
-#[derive(Debug, Clone)]
-enum Op {
-    Register {
-        capacity_grains: u64,
-        tenants: usize,
-    },
-    Submit {
-        slot: usize,
-        tenant: usize,
-        curve_seed: u64,
-    },
-    Deregister {
-        slot: usize,
-    },
-    RunEpoch,
-}
-
-/// Deterministic monotone miss curve (the serve test family).
-fn curve_from_seed(seed: u64) -> MissCurve {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut m = 10.0 + (next() % 40) as f64;
-    let sizes: Vec<f64> = (0..=16).map(|i| i as f64 * 64.0).collect();
-    let misses: Vec<f64> = sizes
-        .iter()
-        .map(|_| {
-            let v = m;
-            m = (m - (next() % 12) as f64).max(0.0);
-            v
-        })
-        .collect();
-    MissCurve::from_samples(&sizes, &misses).expect("valid curve")
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    (any::<u64>(), any::<u64>(), any::<usize>(), any::<u64>()).prop_map(
-        |(kind, shape, slot, curve_seed)| match kind % 11 {
-            0 | 1 => Op::Register {
-                capacity_grains: 4 + shape % 12,
-                tenants: 1 + (shape % 3) as usize,
-            },
-            2..=7 => Op::Submit {
-                slot,
-                tenant: (shape >> 8) as usize,
-                curve_seed,
-            },
-            8 => Op::Deregister { slot },
-            _ => Op::RunEpoch,
-        },
-    )
-}
-
-/// Slot table threaded through multi-phase replays: every id ever
-/// registered, whether it is still live, and its tenant count.
-type Slots = Vec<(CacheId, bool, usize)>;
-
-/// Replays `ops` against a plane, continuing from `slots` (so a history
-/// can be split across a crash). Returns the epoch reports.
-fn apply(plane: &ShardedReconfigService, slots: &mut Slots, ops: &[Op]) -> Vec<EpochReport> {
-    let mut reports = Vec::new();
-    for op in ops {
-        match op {
-            Op::Register {
-                capacity_grains,
-                tenants,
-            } => {
-                let spec =
-                    CacheSpec::new(capacity_grains * 64, *tenants).with_planner(Planner::new(64));
-                slots.push((plane.register(spec), true, *tenants));
-            }
-            Op::Submit {
-                slot,
-                tenant,
-                curve_seed,
-            } => {
-                if slots.is_empty() {
-                    continue;
-                }
-                let (id, live, tenants) = slots[slot % slots.len()];
-                let result = plane.submit(id, tenant % tenants, curve_from_seed(*curve_seed));
-                assert_eq!(result.is_err(), !live);
-            }
-            Op::Deregister { slot } => {
-                if slots.is_empty() {
-                    continue;
-                }
-                let index = slot % slots.len();
-                let entry = &mut slots[index];
-                let expect = entry.1;
-                entry.1 = false;
-                assert_eq!(plane.deregister(entry.0).is_ok(), expect);
-            }
-            Op::RunEpoch => reports.push(plane.run_epoch()),
-        }
-    }
-    reports
-}
 
 /// Asserts two planes are observably identical: same counters, same
 /// snapshot (bit for bit) for every id in the history, and the same
@@ -503,19 +386,15 @@ fn restore_refuses_planes_with_state() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A journal whose records could not have come from a live plane (here:
-/// a register filed under the wrong shard) is diagnosed as corrupt, not
-/// silently applied.
-#[test]
-fn restore_rejects_misrouted_records() {
+/// Plants one register record for `id` in shard 0's file of a fresh
+/// `shards`-shard store and asserts `restore` reports it corrupt, with a
+/// reason containing `expect`.
+fn assert_planted_register_is_corrupt(shards: usize, id: u64, expect: &str) {
     use talus_store::{encode_record, Record};
-    let dir = temp_dir("misroute");
+    let dir = temp_dir("corrupt");
     {
-        let _store = Store::open(&dir, 2).expect("open store");
+        let _store = Store::open(&dir, shards).expect("open store");
     }
-    // Find an id that does NOT route to shard 0, then plant its register
-    // record in shard 0's file.
-    let id = (0..).find(|&id| talus_core::shard_of(id, 2) != 0).unwrap();
     let record = encode_record(&Record::Register {
         seq: 1,
         id,
@@ -525,17 +404,101 @@ fn restore_rejects_misrouted_records() {
     });
     std::fs::write(dir.join("shard-000.talus"), &record).unwrap();
 
-    let store = Store::open(&dir, 2).expect("reopen store");
-    let plane = ShardedReconfigService::new(2);
+    let store = Store::open(&dir, shards).expect("reopen store");
+    let plane = ShardedReconfigService::new(shards);
     match plane.restore(&store) {
         Err(RestoreError::Corrupt {
             shard: 0,
             seq: 1,
             what,
         }) => {
-            assert!(what.contains("wrong shard"), "got: {what}");
+            assert!(what.contains(expect), "got: {what}");
         }
-        other => panic!("expected Corrupt, got {other:?}"),
+        other => panic!("expected Corrupt ({expect}), got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A journal whose records could not have come from a live plane (here:
+/// a register filed under the wrong shard) is diagnosed as corrupt, not
+/// silently applied.
+#[test]
+fn restore_rejects_misrouted_records() {
+    // An id that does NOT route to shard 0, planted in shard 0's file.
+    let id = (0..).find(|&id| talus_core::shard_of(id, 2) != 0).unwrap();
+    assert_planted_register_is_corrupt(2, id, "wrong shard");
+}
+
+/// The top id is reserved wherever an id enters the plane, so a client
+/// cannot wedge the id allocator: one raw `RegisterAt { id: u64::MAX }`
+/// frame to a journaling solo plane used to be accepted and journaled
+/// before `id + 1` overflowed — a panic in a debug build, and in an
+/// optimised one a wrap to 0, after which the next restart minted
+/// `cache#0` over the live cache 0 and the restart after that refused
+/// the journal. Now the frame is refused at decode, nothing is journaled,
+/// and the plane restarts, mints a fresh id, and restarts again; a
+/// journal that already holds such a register is reported corrupt
+/// instead of being added to.
+#[test]
+fn the_top_id_from_the_wire_cannot_break_the_id_allocator() {
+    use std::io::{Read, Write};
+    use talus_serve::wire::{encode_request, Request};
+    use talus_serve::{RpcClient, RpcServer};
+
+    let dir = temp_dir("top-id");
+    let spec = CacheSpec::new(1024, 1);
+    let open = || Arc::new(Store::open(&dir, 1).expect("open store"));
+    let restart = || {
+        let store = open();
+        let plane = ShardedReconfigService::new(1);
+        let summary = plane.restore(&store).expect("restore");
+        (plane.with_sink(store as Arc<dyn StoreSink>), summary)
+    };
+
+    let plane = Arc::new(ShardedReconfigService::new(1).with_sink(open() as Arc<dyn StoreSink>));
+    let handle = RpcServer::bind("127.0.0.1:0", Arc::clone(&plane))
+        .expect("bind loopback")
+        .spawn()
+        .expect("spawn accept loop");
+    let mut client = RpcClient::connect(handle.local_addr()).expect("connect");
+    let live = client.register(1024, 1).expect("register over rpc");
+    assert_eq!(live.value(), 0);
+
+    // `RpcClient::register_at` takes a `CacheId`, which only a plane
+    // hands out: the hostile frame goes over a raw socket.
+    let mut raw = std::net::TcpStream::connect(handle.local_addr()).expect("connect raw");
+    raw.write_all(&encode_request(&Request::RegisterAt {
+        id: u64::MAX,
+        capacity: 1024,
+        tenants: 1,
+    }))
+    .expect("send frame");
+    // Half-close, so the read below ends whether or not the server
+    // answers; a reset is a refusal too.
+    raw.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut reply = Vec::new();
+    let _ = raw.read_to_end(&mut reply);
+    assert!(
+        reply.is_empty(),
+        "refused at decode: closed without a reply"
+    );
+    client.ping().expect("the plane serves on");
+    assert_eq!(plane.registered(), 1, "nothing was registered");
+    assert_eq!(plane.next_id_hint(), 1);
+    handle.shutdown();
+    drop((client, plane));
+
+    let (plane, summary) = restart();
+    assert_eq!(summary.caches, 1, "nothing was journaled");
+    assert_eq!(plane.next_id_hint(), 1);
+    let minted = plane.register(spec);
+    assert_eq!(minted.value(), 1, "a fresh id, not the live cache's");
+    drop(plane);
+
+    let (plane, summary) = restart();
+    assert_eq!(summary.caches, 2);
+    assert_eq!(plane.cache_ids(), vec![live, minted]);
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert_planted_register_is_corrupt(1, u64::MAX, "reserved id");
 }

@@ -6,8 +6,11 @@
 //! snapshots — to a local [`ShardedReconfigService`] fed the same
 //! interleaving. The wire adds *transport*, never *policy*.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{arb_op, curve_from_seed, Op};
 use proptest::prelude::*;
 use talus_core::limits::{WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_EPOCH_IDS};
 use talus_core::{MissCurve, ReplaySource};
@@ -16,73 +19,6 @@ use talus_serve::{
     CacheId, CacheSpec, EpochReport, RetryPolicy, RpcClient, RpcError, RpcServer, ServeError,
     ShardedReconfigService,
 };
-
-/// One step of a random plane history. Cache references are slot
-/// indices into the ids registered so far (mod the slot count), so any
-/// generated sequence is meaningful on any plane.
-#[derive(Debug, Clone)]
-enum Op {
-    Register {
-        capacity_grains: u64,
-        tenants: usize,
-    },
-    Submit {
-        slot: usize,
-        tenant: usize,
-        curve_seed: u64,
-    },
-    Deregister {
-        slot: usize,
-    },
-    RunEpoch,
-}
-
-/// Random monotone miss curve on a 0..=16 × 64-line grid, derived
-/// deterministically from a seed so both planes receive identical
-/// curves (the same family as `tests/sharding.rs`).
-fn curve_from_seed(seed: u64) -> MissCurve {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut m = 10.0 + (next() % 40) as f64;
-    let sizes: Vec<f64> = (0..=16).map(|i| i as f64 * 64.0).collect();
-    let misses: Vec<f64> = sizes
-        .iter()
-        .map(|_| {
-            let v = m;
-            m = (m - (next() % 12) as f64).max(0.0);
-            v
-        })
-        .collect();
-    MissCurve::from_samples(&sizes, &misses).expect("valid curve")
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    // Weighted mix by discriminant: 2/11 register, 6/11 submit,
-    // 1/11 deregister, 2/11 run-epoch.
-    (any::<u64>(), any::<u64>(), any::<usize>(), any::<u64>()).prop_map(
-        |(kind, shape, slot, curve_seed)| match kind % 11 {
-            0 | 1 => Op::Register {
-                // RPC registration always uses the default planner
-                // (capacity/64 grain), so capacities stay small to keep
-                // the grain coarse and planning fast.
-                capacity_grains: 4 + shape % 12,
-                tenants: 1 + (shape % 3) as usize,
-            },
-            2..=7 => Op::Submit {
-                slot,
-                tenant: (shape >> 8) as usize,
-                curve_seed,
-            },
-            8 => Op::Deregister { slot },
-            _ => Op::RunEpoch,
-        },
-    )
-}
 
 /// Flattens a client result into the local `submit`/`deregister` shape
 /// so per-op outcomes compare directly; transport errors are bugs.

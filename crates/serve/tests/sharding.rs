@@ -1,187 +1,28 @@
 //! The sharded plane's defining invariant: for any submission sequence,
-//! a [`ShardedReconfigService`] publishes exactly the plans a single
-//! [`ReconfigService`] publishes — per cache, bit for bit — for every
-//! shard count and in thread-pool mode. The router adds *placement*,
-//! never *policy*, so callers migrate with zero semantic change.
+//! a [`ShardedReconfigService`] publishes exactly the same plans — per
+//! cache, bit for bit — for every shard count and in thread-pool mode.
+//! The reference is `new(1)`, the single-lock configuration (itself held
+//! to the offline planner in `tests/plan_equivalence.rs`). The router
+//! adds *placement*, never *policy*: shard count is capacity.
+
+mod common;
 
 use std::sync::Arc;
 
+use common::{apply, arb_op, curve_from_seed, Op, Slots};
 use proptest::prelude::*;
-use talus_core::MissCurve;
 use talus_partition::Planner;
-use talus_serve::{
-    CacheId, CacheSpec, EpochReport, PlanSnapshot, ReconfigService, ServeError,
-    ShardedReconfigService,
-};
+use talus_serve::{CacheId, CacheSpec, ShardedReconfigService};
 
-/// The public surface both service configurations share, so one op
-/// interpreter drives either. (Deliberately test-local: the library
-/// promises identical inherent APIs, and this trait would hide a drift
-/// in one of them — the impls below only compile while both match.)
-trait Plane {
-    fn register(&self, spec: CacheSpec) -> CacheId;
-    fn deregister(&self, id: CacheId) -> Result<(), ServeError>;
-    fn submit(&self, id: CacheId, tenant: usize, curve: MissCurve) -> Result<(), ServeError>;
-    fn snapshot(&self, id: CacheId) -> Option<Arc<PlanSnapshot>>;
-    fn run_epoch(&self) -> EpochReport;
-    fn run_until_clean(&self) -> Vec<EpochReport>;
-    fn registered(&self) -> usize;
-}
-
-macro_rules! impl_plane {
-    ($ty:ty) => {
-        impl Plane for $ty {
-            fn register(&self, spec: CacheSpec) -> CacheId {
-                <$ty>::register(self, spec)
-            }
-            fn deregister(&self, id: CacheId) -> Result<(), ServeError> {
-                <$ty>::deregister(self, id)
-            }
-            fn submit(
-                &self,
-                id: CacheId,
-                tenant: usize,
-                curve: MissCurve,
-            ) -> Result<(), ServeError> {
-                <$ty>::submit(self, id, tenant, curve)
-            }
-            fn snapshot(&self, id: CacheId) -> Option<Arc<PlanSnapshot>> {
-                <$ty>::snapshot(self, id)
-            }
-            fn run_epoch(&self) -> EpochReport {
-                <$ty>::run_epoch(self)
-            }
-            fn run_until_clean(&self) -> Vec<EpochReport> {
-                <$ty>::run_until_clean(self)
-            }
-            fn registered(&self) -> usize {
-                <$ty>::registered(self)
-            }
-        }
-    };
-}
-
-impl_plane!(ReconfigService);
-impl_plane!(ShardedReconfigService);
-
-/// One step of a random service history. Cache references are *slot*
-/// indices into the list of ids registered so far (wrapped mod the live
-/// count), so every generated sequence is meaningful on any service.
-#[derive(Debug, Clone)]
-enum Op {
-    Register {
-        capacity_grains: u64,
-        tenants: usize,
-    },
-    Submit {
-        slot: usize,
-        tenant: usize,
-        curve_seed: u64,
-    },
-    Deregister {
-        slot: usize,
-    },
-    RunEpoch,
-}
-
-/// Random monotone miss curve on a 0..=16 × 64-line grid (the same family
-/// the other serve property tests use), derived deterministically from a
-/// seed so both services receive identical curves.
-fn curve_from_seed(seed: u64) -> MissCurve {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut m = 10.0 + (next() % 40) as f64;
-    let sizes: Vec<f64> = (0..=16).map(|i| i as f64 * 64.0).collect();
-    let misses: Vec<f64> = sizes
-        .iter()
-        .map(|_| {
-            let v = m;
-            m = (m - (next() % 12) as f64).max(0.0);
-            v
-        })
-        .collect();
-    MissCurve::from_samples(&sizes, &misses).expect("valid curve")
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    // Weighted mix by discriminant: 2/11 register, 6/11 submit,
-    // 1/11 deregister, 2/11 run-epoch.
-    (any::<u64>(), any::<u64>(), any::<usize>(), any::<u64>()).prop_map(
-        |(kind, shape, slot, curve_seed)| match kind % 11 {
-            0 | 1 => Op::Register {
-                capacity_grains: 4 + shape % 12,
-                tenants: 1 + (shape % 3) as usize,
-            },
-            2..=7 => Op::Submit {
-                slot,
-                tenant: (shape >> 8) as usize,
-                curve_seed,
-            },
-            8 => Op::Deregister { slot },
-            _ => Op::RunEpoch,
-        },
-    )
-}
-
-/// Replays `ops` against a service; returns every id ever registered and
-/// whether it is still live, plus the report of every explicit epoch.
-fn apply(plane: &dyn Plane, ops: &[Op]) -> (Vec<(CacheId, bool)>, Vec<EpochReport>) {
-    let mut slots: Vec<(CacheId, bool, usize)> = Vec::new(); // (id, live, tenants)
-    let mut reports = Vec::new();
-    for op in ops {
-        match op {
-            Op::Register {
-                capacity_grains,
-                tenants,
-            } => {
-                let spec =
-                    CacheSpec::new(capacity_grains * 64, *tenants).with_planner(Planner::new(64));
-                slots.push((plane.register(spec), true, *tenants));
-            }
-            Op::Submit {
-                slot,
-                tenant,
-                curve_seed,
-            } => {
-                if slots.is_empty() {
-                    continue;
-                }
-                let (id, live, tenants) = slots[slot % slots.len()];
-                let result = plane.submit(id, tenant % tenants, curve_from_seed(*curve_seed));
-                // Dead caches error identically on both services.
-                assert_eq!(result.is_err(), !live);
-            }
-            Op::Deregister { slot } => {
-                if slots.is_empty() {
-                    continue;
-                }
-                let index = slot % slots.len();
-                let entry = &mut slots[index];
-                let expect = entry.1;
-                entry.1 = false;
-                assert_eq!(plane.deregister(entry.0).is_ok(), expect);
-            }
-            Op::RunEpoch => reports.push(plane.run_epoch()),
-        }
-    }
-    (
-        slots.into_iter().map(|(id, live, _)| (id, live)).collect(),
-        reports,
-    )
-}
-
-/// Asserts the sharded service's final published state matches the
-/// single service's, id by id. (Takes `dyn Plane` so the reader-side
-/// trait methods are exercised through the same surface the op
-/// interpreter uses.)
-fn assert_same_final_state(single: &dyn Plane, sharded: &dyn Plane, ids: &[(CacheId, bool)]) {
+/// Asserts the sharded plane's final published state matches the
+/// one-shard plane's, id by id.
+fn assert_same_final_state(
+    single: &ShardedReconfigService,
+    sharded: &ShardedReconfigService,
+    slots: &Slots,
+) {
     assert_eq!(single.registered(), sharded.registered());
-    for &(id, live) in ids {
+    for &(id, live, _) in slots {
         let a = single.snapshot(id);
         let b = sharded.snapshot(id);
         if !live {
@@ -197,7 +38,7 @@ fn assert_same_final_state(single: &dyn Plane, sharded: &dyn Plane, ids: &[(Cach
                 assert_eq!(a.updates, b.updates, "{id}: update counts diverge");
             }
             (a, b) => panic!(
-                "{id}: published on one service only (single: {}, sharded: {})",
+                "{id}: published on one plane only (single: {}, sharded: {})",
                 a.is_some(),
                 b.is_some()
             ),
@@ -205,29 +46,43 @@ fn assert_same_final_state(single: &dyn Plane, sharded: &dyn Plane, ids: &[(Cach
     }
 }
 
+/// Replays `ops` on `sharded` and on a one-shard plane and asserts they
+/// cannot be told apart: ids, every epoch report along the way, the
+/// reports of the final drain, and the published state.
+fn assert_matches_one_shard(sharded: &ShardedReconfigService, ops: &[Op]) {
+    let single = ShardedReconfigService::new(1);
+    let (mut slots_single, mut slots_sharded) = (Slots::new(), Slots::new());
+    let reports_single = apply(&single, &mut slots_single, ops);
+    let reports_sharded = apply(sharded, &mut slots_sharded, ops);
+    assert_eq!(slots_single, slots_sharded, "id allocation must coincide");
+    assert_eq!(
+        reports_single, reports_sharded,
+        "epoch reports must coincide"
+    );
+
+    // Drain whatever is still dirty, then compare final state.
+    let drained_single = single.run_until_clean();
+    let drained_sharded = sharded.run_until_clean();
+    assert_eq!(
+        drained_single, drained_sharded,
+        "drain reports must coincide"
+    );
+    assert_same_final_state(&single, sharded, &slots_single);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The tentpole invariant: random register/submit/deregister/epoch
-    /// interleavings publish identical plans on the single service and on
-    /// sharded planes of 1, 2, and 4 shards — including intermediate
-    /// epoch reports, which are deterministic (CacheId order) on both.
+    /// interleavings publish identical plans on one shard and on planes
+    /// of 1 to 4 shards — including intermediate epoch reports, which
+    /// are deterministic (CacheId order) on both.
     #[test]
     fn sharded_plans_equal_single_service_plans(
         ops in proptest::collection::vec(arb_op(), 1..60),
         shards in 1usize..5,
     ) {
-        let single = ReconfigService::new();
-        let sharded = ShardedReconfigService::new(shards);
-        let (ids_single, reports_single) = apply(&single, &ops);
-        let (ids_sharded, reports_sharded) = apply(&sharded, &ops);
-        prop_assert_eq!(&ids_single, &ids_sharded, "id allocation must coincide");
-        prop_assert_eq!(reports_single, reports_sharded, "epoch reports must coincide");
-
-        // Drain whatever is still dirty, then compare final state.
-        Plane::run_until_clean(&single);
-        Plane::run_until_clean(&sharded);
-        assert_same_final_state(&single, &sharded, &ids_single);
+        assert_matches_one_shard(&ShardedReconfigService::new(shards), &ops);
     }
 
     /// The same invariant with every shard planning on its own worker
@@ -238,23 +93,13 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..40),
         shards in 2usize..5,
     ) {
-        let single = ReconfigService::new();
-        let sharded = ShardedReconfigService::new(shards).with_threads();
-        let (ids_single, reports_single) = apply(&single, &ops);
-        let (ids_sharded, reports_sharded) = apply(&sharded, &ops);
-        prop_assert_eq!(&ids_single, &ids_sharded, "id allocation must coincide");
-        prop_assert_eq!(reports_single, reports_sharded, "epoch reports must coincide");
-
-        let drained_single = single.run_until_clean();
-        let drained_sharded = sharded.run_until_clean();
-        prop_assert_eq!(drained_single, drained_sharded, "drain reports must coincide");
-        assert_same_final_state(&single, &sharded, &ids_single);
+        assert_matches_one_shard(&ShardedReconfigService::new(shards).with_threads(), &ops);
     }
 }
 
 /// Concurrent producers hammering a threaded 4-shard plane while it runs
-/// epochs: after the dust settles, the final plans equal the single
-/// service's plans for the same final curves.
+/// epochs: after the dust settles, the final plans equal a one-shard
+/// plane's plans for the same final curves.
 #[test]
 fn concurrent_producers_on_threaded_shards_converge_to_single_service_plans() {
     let shards = 4;
@@ -306,12 +151,12 @@ fn concurrent_producers_on_threaded_shards_converge_to_single_service_plans() {
     }
     sharded.run_until_clean();
 
-    // The single-service reference sees only the final curves, and its
+    // The one-shard reference sees only the final curves, and its
     // version counter must be aligned for the comparison: replay the
     // same number of successful replans. Plans depend only on the latest
     // curves (and round only via AllocPolicy::Imbalanced, unused here),
     // so comparing the published plan and allocations suffices.
-    let single = ReconfigService::new();
+    let single = ShardedReconfigService::new(1);
     for (c, _) in ids.iter().enumerate() {
         let id = single.register(CacheSpec::new(1024, tenants).with_planner(Planner::new(64)));
         for t in 0..tenants {

@@ -13,13 +13,13 @@ use talus_serve::wire::{
     Request, Response, ShadowSummary, SnapshotSummary, SubmitEntry, TenantSummary, WireError,
     WIRE_VERSION,
 };
-use talus_serve::{CacheId, CacheSpec, EpochReport, ReconfigService, ServeError};
+use talus_serve::{CacheId, CacheSpec, EpochReport, ServeError, ShardedReconfigService};
 
 /// Real `CacheId`s from a throwaway service: the handle type is opaque
 /// by design (only the plane mints ids), so tests that need ids in
 /// decoded positions register real caches.
 fn cache_ids(n: usize) -> Vec<CacheId> {
-    let service = ReconfigService::new();
+    let service = ShardedReconfigService::new(1);
     (0..n)
         .map(|_| service.register(CacheSpec::new(64, 1)))
         .collect()
@@ -113,7 +113,8 @@ fn arb_request() -> impl Strategy<Value = Request> {
             5 => Request::Ping,
             6 => Request::Hello,
             7 => Request::RegisterAt {
-                id: a,
+                // Any id but the reserved top one, which decode refuses.
+                id: a.min(u64::MAX - 1),
                 capacity: 1 + b % (1 << 32),
                 tenants: 1 + (seed % WIRE_MAX_TENANTS as u64) as u32,
             },
@@ -457,6 +458,22 @@ fn register_bounds_are_enforced_at_decode_time() {
         })
     );
     assert!(decode_request(&encode(64, WIRE_MAX_TENANTS)).is_ok());
+
+    // The top id is reserved (the plane's id allocator resumes at
+    // "largest id seen, plus one"): refused where it enters.
+    let register_at = |id: u64| {
+        let frame = encode_request(&Request::RegisterAt {
+            id,
+            capacity: 64,
+            tenants: 1,
+        });
+        decode_request(&frame[4..])
+    };
+    assert_eq!(
+        register_at(u64::MAX),
+        Err(WireError::Malformed("reserved cache id"))
+    );
+    assert!(register_at(u64::MAX - 1).is_ok());
 }
 
 #[test]
