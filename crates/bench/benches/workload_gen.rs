@@ -1,10 +1,13 @@
 //! What it costs to *generate* an access: the stream side of the
 //! monitor-fed curve path (`producer_fed` spends more of its cycle here
-//! than in the monitors the streams feed).
+//! than in the monitors the streams feed). The repo benchmark's path is
+//! `tenant_phased/closure_next_line` — `MonitorSource` pulls a tenant's
+//! `Phased` one line at a time through a boxed closure; the `fill_256`
+//! rows are the same streams taken by the block, as the sweeps take them.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use talus_sim::LineAddr;
-use talus_workloads::{multi_tenant, AccessGenerator, Mixture, Scan, ZipfTable, Zipfian};
+use talus_workloads::{multi_tenant, AccessGenerator, Mixture, Phased, Scan, ZipfTable, Zipfian};
 
 const LINES: usize = 16_384;
 
@@ -23,6 +26,17 @@ fn by_line(gen: &mut impl AccessGenerator) -> u64 {
     (0..LINES).fold(0, |acc, _| acc ^ gen.next_line().value())
 }
 
+fn by_block(gen: &mut impl AccessGenerator) {
+    let mut block = [LineAddr(0); 256];
+    for _ in 0..LINES / 256 {
+        gen.fill(black_box(&mut block));
+    }
+}
+
+fn tenant() -> Phased {
+    multi_tenant(4).scaled(1.0 / 32.0).tenant_generator(1, 9)
+}
+
 fn bench_generators(c: &mut Criterion) {
     let mut g = c.benchmark_group("workload_gen");
     g.throughput(Throughput::Elements(LINES as u64));
@@ -32,6 +46,11 @@ fn bench_generators(c: &mut Criterion) {
         b.iter(|| black_box(by_line(&mut gen)))
     });
 
+    g.bench_function("zipfian_512_q0.9/fill_256", |b| {
+        let mut gen = Zipfian::new(0, 512, 0.9, 7);
+        b.iter(|| by_block(&mut gen))
+    });
+
     g.bench_function("mixture_scan_zipf/next_line", |b| {
         let mut gen = scan_zipf();
         b.iter(|| black_box(by_line(&mut gen)))
@@ -39,12 +58,7 @@ fn bench_generators(c: &mut Criterion) {
 
     g.bench_function("mixture_scan_zipf/fill_256", |b| {
         let mut gen = scan_zipf();
-        let mut block = [LineAddr(0); 256];
-        b.iter(|| {
-            for _ in 0..LINES / 256 {
-                gen.fill(black_box(&mut block));
-            }
-        })
+        b.iter(|| by_block(&mut gen))
     });
 
     // No Zipf component: what the mixture itself costs per line.
@@ -55,9 +69,14 @@ fn bench_generators(c: &mut Criterion) {
 
     // How `MonitorSource` is fed: a phased tenant behind a boxed closure.
     g.bench_function("tenant_phased/closure_next_line", |b| {
-        let mut gen = multi_tenant(4).scaled(1.0 / 32.0).tenant_generator(1, 9);
+        let mut gen = tenant();
         let mut stream: Box<dyn FnMut() -> LineAddr> = Box::new(move || gen.next_line());
         b.iter(|| black_box((0..LINES).fold(0, |acc, _| acc ^ stream().value())))
+    });
+
+    g.bench_function("tenant_phased/fill_256", |b| {
+        let mut gen = tenant();
+        b.iter(|| by_block(&mut gen))
     });
     g.finish();
 

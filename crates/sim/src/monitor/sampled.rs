@@ -523,6 +523,13 @@ impl SampledMattson {
     }
 }
 
+/// Lines [`record_block`](Monitor::record_block) filters ahead of
+/// recording their survivors (a stack buffer). In situ on `producer_fed`
+/// (rotations of 3 s runs, medians): 32 lines 2270 plans/s, 64 lines 2328,
+/// 256 lines 2358 — against 2011–2056 with the filter inside the record
+/// loop.
+const FILTER_CHUNK: usize = 64;
+
 impl Monitor for SampledMattson {
     fn record(&mut self, line: LineAddr) {
         // Even a filtered-out access moves `observed`, and with it the
@@ -535,15 +542,22 @@ impl Monitor for SampledMattson {
     }
 
     fn record_block(&mut self, lines: &[LineAddr]) {
-        // Same filter-then-record loop as the scalar path (the big win —
-        // rejecting ~(R-1)/R of lines with one mix64 and a compare — is
-        // the filter itself, not the batching); the block path only lifts
-        // the observed-counter update out of the loop, which keeps the
-        // reject case free of stores entirely.
+        // The scalar path's filter-then-record, a chunk at a time in two
+        // passes: the filter keeps a line by arithmetic (whether one line
+        // in `R` passes is a branch no predictor learns, and inside the
+        // record loop it stalls the table and bitmap work behind it), then
+        // the survivors are recorded in stream order — the same records
+        // in the same order as the scalar path.
         self.generation += 1;
         self.observed += lines.len() as u64;
-        for &line in lines {
-            if self.is_sampled(line) {
+        let mut survivors = [LineAddr(0); FILTER_CHUNK];
+        for chunk in lines.chunks(FILTER_CHUNK) {
+            let mut kept = 0;
+            for &line in chunk {
+                survivors[kept] = line;
+                kept += usize::from(self.is_sampled(line));
+            }
+            for &line in &survivors[..kept] {
                 self.record_sampled(line);
             }
         }
@@ -744,24 +758,31 @@ mod tests {
     fn record_block_is_equivalent_to_per_access() {
         let stream = uniform_stream(2000, 30_000, 13);
         let mut one = SampledMattson::new(1024, 8, 3);
-        let mut block = SampledMattson::new(1024, 8, 3);
         for &l in &stream {
             one.record(l);
         }
-        for chunk in stream.chunks(333) {
-            block.record_block(chunk);
-        }
-        assert_eq!(one.sampled_accesses(), block.sampled_accesses());
-        assert_eq!(one.observed_accesses(), block.observed_accesses());
         let grid: Vec<u64> = (0..=1024).step_by(32).collect();
-        assert!(
-            linf(
-                &one.curve_on_grid(&grid),
-                &block.curve_on_grid(&grid),
-                &grid
-            ) < 1e-12,
-            "block and scalar paths must agree exactly"
-        );
+        // Blocks inside, on and across the filter's chunk.
+        for size in [1, FILTER_CHUNK - 1, FILTER_CHUNK, FILTER_CHUNK + 1, 333] {
+            let mut block = SampledMattson::new(1024, 8, 3);
+            for chunk in stream.chunks(size) {
+                block.record_block(chunk);
+            }
+            assert_eq!(one.sampled_accesses(), block.sampled_accesses());
+            assert_eq!(one.observed_accesses(), block.observed_accesses());
+            assert_eq!(
+                (one.cold, one.far, one.now),
+                (block.cold, block.far, block.now)
+            );
+            assert!(
+                linf(
+                    &one.curve_on_grid(&grid),
+                    &block.curve_on_grid(&grid),
+                    &grid
+                ) < 1e-12,
+                "blocks of {size}: block and scalar paths must agree exactly"
+            );
+        }
     }
 
     #[test]

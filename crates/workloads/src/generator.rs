@@ -44,6 +44,13 @@ pub trait AccessGenerator: std::fmt::Debug {
 
     /// Total distinct lines this generator can touch (its footprint).
     fn footprint_lines(&self) -> u64;
+
+    /// Heap bytes of generated-ahead blocks and kernel scratch held by
+    /// this generator and every generator under it.
+    #[cfg(test)]
+    fn scratch_bytes(&self) -> usize {
+        0
+    }
 }
 
 impl AccessGenerator for Box<dyn AccessGenerator> {
@@ -57,6 +64,11 @@ impl AccessGenerator for Box<dyn AccessGenerator> {
 
     fn footprint_lines(&self) -> u64 {
         (**self).footprint_lines()
+    }
+
+    #[cfg(test)]
+    fn scratch_bytes(&self) -> usize {
+        (**self).scratch_bytes()
     }
 }
 
@@ -393,8 +405,61 @@ impl AccessGenerator for PointerChase {
     }
 }
 
-/// Lines a [`Mixture`] generates ahead for `next_line` to pop.
-const MIXTURE_BLOCK: usize = 64;
+/// Lines a composite ([`Mixture`], [`Phased`]) generates ahead for its
+/// `next_line` to pop. Sized in situ on `producer_fed` (64 caches × 3
+/// tenants, each a `Phased` of four `Mixture`s, popped through a boxed
+/// closure; six rotations of 3 s runs, medians): 64 lines 2136 plans/s at
+/// 15.4 MB peak RSS, 128 lines 2156 at 15.7 MB, 256 lines 2114 at
+/// 16.3 MB — no resolvable gain past 64, and every visited phase keeps a
+/// staging buffer of this many lines.
+const AHEAD_BLOCK: usize = 64;
+
+/// The block a composite generated ahead of its consumer: `block[next..]`
+/// is still to be delivered. Empty until the first `next_line`, so a
+/// composite that is only ever `fill`ed — or never reached — allocates
+/// nothing.
+#[derive(Debug, Default)]
+struct Ahead {
+    block: Vec<LineAddr>,
+    next: usize,
+}
+
+impl Ahead {
+    /// The next generated-ahead line, if one is left.
+    #[inline]
+    fn pop(&mut self) -> Option<LineAddr> {
+        let line = *self.block.get(self.next)?;
+        self.next += 1;
+        Some(line)
+    }
+
+    /// Delivers generated-ahead lines to the front of `out`; returns the
+    /// rest of `out`, which is the kernel's to generate.
+    fn drain_into<'a>(&mut self, out: &'a mut [LineAddr]) -> &'a mut [LineAddr] {
+        let ahead = &self.block[self.next..];
+        let (drained, fresh) = out.split_at_mut(ahead.len().min(out.len()));
+        drained.copy_from_slice(&ahead[..drained.len()]);
+        self.next += drained.len();
+        fresh
+    }
+
+    /// Hands out the spent block, at full length, for the kernel to
+    /// refill ([`restart`](Self::restart) takes it back): the kernel
+    /// borrows the whole composite, this block included.
+    fn spent(&mut self) -> Vec<LineAddr> {
+        debug_assert_eq!(self.next, self.block.len(), "lines still ahead");
+        let mut block = std::mem::take(&mut self.block);
+        block.resize(AHEAD_BLOCK, LineAddr(0));
+        block
+    }
+
+    /// Takes back the refilled block and delivers its first line.
+    fn restart(&mut self, block: Vec<LineAddr>) -> LineAddr {
+        let first = block[0];
+        *self = Ahead { block, next: 1 };
+        first
+    }
+}
 
 /// A weighted blend of generators: each access picks a component with
 /// probability proportional to its weight.
@@ -406,17 +471,29 @@ const MIXTURE_BLOCK: usize = 64;
 #[derive(Debug)]
 pub struct Mixture {
     components: Vec<(f64, Box<dyn AccessGenerator>)>,
-    cumulative: Vec<f64>,
+    /// `⌊cᵢ·2⁵³⌋` for every component but the last, `cᵢ` the cumulative
+    /// normalised weight through component `i`. A choice compares `cᵢ`
+    /// with the uniform `u = m·2⁻⁵³` of a 53-bit draw `m` (what
+    /// `Rng::gen::<f64>()` builds); both scalings are by a power of two,
+    /// hence exact: `cᵢ < u ⟺ cᵢ·2⁵³ < m ⟺ ⌊cᵢ·2⁵³⌋ < m`. The last
+    /// component has no threshold — it takes every draw the others leave,
+    /// also when the weights sum a hair under 1.0.
+    thresholds: Vec<u64>,
     rng: SmallRng,
-    /// Generated-ahead lines, `block[next..]` still to be delivered.
-    /// Empty until the first `next_line`, like the kernel's scratch below:
-    /// a mixture never asked for a line allocates nothing.
-    block: Vec<LineAddr>,
-    next: usize,
-    /// Scratch of `generate`: each component's share of the run laid end
-    /// to end, and a read cursor into each share.
+    ahead: Ahead,
+    /// Scratch of `generate`, empty until its first run: each component's
+    /// share of the run laid end to end, and a read cursor into each
+    /// share.
     staged: Vec<LineAddr>,
     cursors: Vec<usize>,
+}
+
+/// The component a 53-bit draw `m` picks: how many thresholds it exceeds.
+/// A sum of compares, not a search — which component an access takes is
+/// the least predictable branch on the generation path.
+#[inline]
+fn choice(thresholds: &[u64], m: u64) -> usize {
+    thresholds.iter().map(|&t| usize::from(m > t)).sum()
 }
 
 impl Mixture {
@@ -436,31 +513,21 @@ impl Mixture {
             "weights must be positive and finite"
         );
         let mut acc = 0.0;
-        let cumulative = components
+        let thresholds = components[..components.len() - 1]
             .iter()
             .map(|(w, _)| {
                 acc += w / total;
-                acc
+                (acc * (1u64 << 53) as f64) as u64
             })
             .collect();
         Mixture {
             components,
-            cumulative,
+            thresholds,
             rng: SmallRng::seed_from_u64(seed),
-            block: Vec::new(),
-            next: 0,
+            ahead: Ahead::default(),
             staged: Vec::new(),
             cursors: Vec::new(),
         }
-    }
-
-    /// Draws the component the next access comes from.
-    #[inline]
-    fn choose(&mut self) -> usize {
-        let u = self.rng.gen::<f64>();
-        self.cumulative
-            .partition_point(|&c| c < u)
-            .min(self.components.len() - 1)
     }
 
     /// Generates the stream's next `out.len()` lines: draws the run's
@@ -478,7 +545,7 @@ impl Mixture {
         cursors.resize(self.components.len(), 0);
         // Each slot holds its access's choice until the line replaces it.
         for slot in out.iter_mut() {
-            let idx = self.choose();
+            let idx = choice(&self.thresholds, self.rng.next_u64() >> 11);
             cursors[idx] += 1; // share sizes, for now
             *slot = LineAddr(idx as u64);
         }
@@ -497,27 +564,26 @@ impl Mixture {
         }
         self.cursors = cursors;
     }
+
+    #[inline(never)]
+    fn refill(&mut self) -> LineAddr {
+        let mut block = self.ahead.spent();
+        self.generate(&mut block);
+        self.ahead.restart(block)
+    }
 }
 
 impl AccessGenerator for Mixture {
+    #[inline]
     fn next_line(&mut self) -> LineAddr {
-        if self.next == self.block.len() {
-            let mut block = std::mem::take(&mut self.block);
-            block.resize(MIXTURE_BLOCK, LineAddr(0));
-            self.generate(&mut block);
-            self.block = block;
-            self.next = 0;
+        match self.ahead.pop() {
+            Some(line) => line,
+            None => self.refill(),
         }
-        let line = self.block[self.next];
-        self.next += 1;
-        line
     }
 
     fn fill(&mut self, out: &mut [LineAddr]) {
-        let ahead = &self.block[self.next..];
-        let (drained, fresh) = out.split_at_mut(ahead.len().min(out.len()));
-        drained.copy_from_slice(&ahead[..drained.len()]);
-        self.next += drained.len();
+        let fresh = self.ahead.drain_into(out);
         self.generate(fresh);
     }
 
@@ -527,15 +593,34 @@ impl AccessGenerator for Mixture {
             .map(|(_, g)| g.footprint_lines())
             .sum()
     }
+
+    #[cfg(test)]
+    fn scratch_bytes(&self) -> usize {
+        (self.ahead.block.capacity() + self.staged.capacity()) * std::mem::size_of::<LineAddr>()
+            + self.cursors.capacity() * std::mem::size_of::<usize>()
+            + self
+                .components
+                .iter()
+                .map(|(_, g)| g.scratch_bytes())
+                .sum::<usize>()
+    }
 }
 
 /// Switches between generators on a fixed access schedule, looping forever.
 /// Used to stress Assumption 1 (miss-curve stability across intervals).
+///
+/// Block-backed like [`Mixture`]: one kernel (`generate`) splits a run at
+/// phase boundaries and has each phase `fill` its part; `fill` runs it on
+/// the caller's buffer, `next_line` pops from a block it refills, and
+/// `fill` drains that block first. A phase is therefore only ever
+/// `fill`ed — a composite under it never allocates a block of its own —
+/// and a line costs its consumer one pop.
 #[derive(Debug)]
 pub struct Phased {
     phases: Vec<(u64, Box<dyn AccessGenerator>)>,
     current: usize,
     remaining: u64,
+    ahead: Ahead,
 }
 
 impl Phased {
@@ -555,22 +640,13 @@ impl Phased {
             phases,
             current: 0,
             remaining,
+            ahead: Ahead::default(),
         }
     }
-}
 
-impl AccessGenerator for Phased {
-    fn next_line(&mut self) -> LineAddr {
-        if self.remaining == 0 {
-            self.current = (self.current + 1) % self.phases.len();
-            self.remaining = self.phases[self.current].0;
-        }
-        self.remaining -= 1;
-        self.phases[self.current].1.next_line()
-    }
-
-    /// Splits the block at phase boundaries; each phase fills its run.
-    fn fill(&mut self, out: &mut [LineAddr]) {
+    /// Generates the stream's next `out.len()` lines: splits the run at
+    /// phase boundaries; each phase fills its part.
+    fn generate(&mut self, out: &mut [LineAddr]) {
         let mut rest = out;
         while !rest.is_empty() {
             if self.remaining == 0 {
@@ -585,8 +661,44 @@ impl AccessGenerator for Phased {
         }
     }
 
+    #[inline(never)]
+    fn refill(&mut self) -> LineAddr {
+        let mut block = self.ahead.spent();
+        self.generate(&mut block);
+        self.ahead.restart(block)
+    }
+}
+
+impl AccessGenerator for Phased {
+    // `#[inline]`, with `refill` kept out of line: a monitor feed calls
+    // this on the concrete type from another crate, inside its own
+    // closure, and the pop belongs in there (`producer_fed` reads 2315
+    // plans/s with the attributes, 2101 without, 6/6 rotations).
+    #[inline]
+    fn next_line(&mut self) -> LineAddr {
+        match self.ahead.pop() {
+            Some(line) => line,
+            None => self.refill(),
+        }
+    }
+
+    fn fill(&mut self, out: &mut [LineAddr]) {
+        let fresh = self.ahead.drain_into(out);
+        self.generate(fresh);
+    }
+
     fn footprint_lines(&self) -> u64 {
         self.phases.iter().map(|(_, g)| g.footprint_lines()).sum()
+    }
+
+    #[cfg(test)]
+    fn scratch_bytes(&self) -> usize {
+        self.ahead.block.capacity() * std::mem::size_of::<LineAddr>()
+            + self
+                .phases
+                .iter()
+                .map(|(_, g)| g.scratch_bytes())
+                .sum::<usize>()
     }
 }
 
@@ -755,10 +867,18 @@ mod tests {
     }
 
     /// A nested composite exercising every generator: a phased stream
-    /// whose phases are mixtures (one nested inside another) of all the
-    /// primitives. Phase lengths are coprime with any block size used
-    /// below, so block edges straddle phase boundaries.
+    /// whose phases are mixtures (one nested inside another, with a phased
+    /// stream inside that) of all the primitives. Phase lengths are
+    /// coprime with any block size used below, so block edges straddle
+    /// phase boundaries.
     fn zoo(seed: u64) -> Phased {
+        let innermost = Phased::new(vec![
+            (
+                29,
+                Box::new(Scan::new(7 << 40, 11)) as Box<dyn AccessGenerator>,
+            ),
+            (3, Box::new(UniformRandom::new(1 << 22, 9, seed ^ 6))),
+        ]);
         let inner = Mixture::new(
             vec![
                 (
@@ -766,6 +886,7 @@ mod tests {
                     Box::new(Zipfian::new(1 << 30, 777, 0.9, seed ^ 1)) as Box<dyn AccessGenerator>,
                 ),
                 (2.0, Box::new(PointerChase::new(1 << 31, 100, seed))),
+                (1.0, Box::new(innermost)),
             ],
             seed ^ 2,
         );
@@ -837,10 +958,141 @@ mod tests {
         assert_eq!(got[..want.len()], want[..]);
     }
 
-    /// Heap bytes of a mixture's generated-ahead block and kernel scratch.
-    fn scratch_bytes(m: &Mixture) -> usize {
-        (m.block.capacity() + m.staged.capacity()) * std::mem::size_of::<LineAddr>()
-            + m.cursors.capacity() * std::mem::size_of::<usize>()
+    #[test]
+    fn threshold_choices_equal_the_float_search() {
+        // The expression the thresholds replaced, kept as the reference:
+        // the uniform `Rng::gen::<f64>()` builds from a 53-bit draw,
+        // searched for in the cumulative normalised weights.
+        let reference = |cumulative: &[f64], m: u64| {
+            let u = m as f64 * (1.0 / (1u64 << 53) as f64);
+            cumulative
+                .partition_point(|&c| c < u)
+                .min(cumulative.len() - 1)
+        };
+        const TOP: u64 = (1 << 53) - 1;
+        let mut rng = SmallRng::seed_from_u64(0xC401CE);
+        let (mut under, mut over) = (0, 0);
+        for round in 0..4000 {
+            let n = 1 + round % 8;
+            // Weights of mixed magnitudes, so a few components get slivers.
+            let weights: Vec<f64> = (0..n)
+                .map(|_| rng.gen::<f64>() * [1e-9, 0.01, 1.0, 7.0][rng.gen_range(0..4usize)])
+                .map(|w: f64| w.max(f64::MIN_POSITIVE))
+                .collect();
+            let total: f64 = weights.iter().sum();
+            let mut acc = 0.0;
+            let cumulative: Vec<f64> = weights
+                .iter()
+                .map(|w| {
+                    acc += w / total;
+                    acc
+                })
+                .collect();
+            under += usize::from(acc < 1.0);
+            over += usize::from(acc > 1.0);
+            let components = weights
+                .iter()
+                .map(|&w| (w, Box::new(Scan::new(0, 1)) as Box<dyn AccessGenerator>))
+                .collect();
+            let mixture = Mixture::new(components, 1);
+            assert_eq!(mixture.thresholds.len(), n - 1);
+            let draws = mixture
+                .thresholds
+                .iter()
+                .flat_map(|&t| [t.saturating_sub(1), t, t + 1])
+                .chain([0, 1, TOP - 1, TOP])
+                .chain((0..16).map(|_| rng.next_u64() >> 11));
+            for m in draws.map(|m| m.min(TOP)) {
+                assert_eq!(
+                    choice(&mixture.thresholds, m),
+                    reference(&cumulative, m),
+                    "weights {weights:?} draw {m:#x}"
+                );
+            }
+        }
+        // Both roundings of the last cumulative weight were exercised: a
+        // hair under 1.0 (where the search alone would run off the end)
+        // and a hair over.
+        assert!(under > 100 && over > 100, "{under} under, {over} over");
+    }
+
+    #[test]
+    fn phased_blocks_equal_the_per_line_schedule() {
+        // The delegation the block replaced, kept as the reference: one
+        // line at a time from whichever phase the schedule is in.
+        fn by_line(lengths: &[u64], n: usize) -> Vec<LineAddr> {
+            let mut gens = phases_of(lengths);
+            let (mut current, mut remaining) = (0, lengths[0]);
+            (0..n)
+                .map(|_| {
+                    if remaining == 0 {
+                        current = (current + 1) % gens.len();
+                        remaining = lengths[current];
+                    }
+                    remaining -= 1;
+                    gens[current].1.next_line()
+                })
+                .collect()
+        }
+        /// Phase `i` mixes a scan and a random set of its own, so a line
+        /// drawn from the wrong phase, or out of turn, shows.
+        fn phases_of(lengths: &[u64]) -> Vec<(u64, Box<dyn AccessGenerator>)> {
+            lengths
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| {
+                    let base = (i as u64) << 32;
+                    let mix = Mixture::new(
+                        vec![
+                            (
+                                2.0,
+                                Box::new(Scan::new(base, 17)) as Box<dyn AccessGenerator>,
+                            ),
+                            (1.0, Box::new(UniformRandom::new(base + 100, 50, i as u64))),
+                        ],
+                        7 + i as u64,
+                    );
+                    (len, Box::new(mix) as Box<dyn AccessGenerator>)
+                })
+                .collect()
+        }
+        let b = AHEAD_BLOCK as u64;
+        let schedules: [&[u64]; 8] = [
+            &[1],
+            &[3, 5],         // several phases inside one block
+            &[b],            // a phase ends where the block does
+            &[b - 1, b + 1], // one short of it, one past
+            &[b, b, b],
+            &[2 * b, b / 2],
+            &[3 * b + 7, 1, b], // not a multiple, then a one-line phase
+            &[10 * b],
+        ];
+        for lengths in schedules {
+            let n = 7 * AHEAD_BLOCK + 13;
+            let want = by_line(lengths, n);
+            // Popped a line at a time.
+            let mut gen = Phased::new(phases_of(lengths));
+            let got: Vec<LineAddr> = (0..n).map(|_| gen.next_line()).collect();
+            assert_eq!(got, want, "next_line, phases {lengths:?}");
+            // Filled, in blocks shorter and longer than the one behind.
+            for size in [1, 5, AHEAD_BLOCK - 1, AHEAD_BLOCK, AHEAD_BLOCK + 1, 200] {
+                let mut gen = Phased::new(phases_of(lengths));
+                let mut got = vec![LineAddr(0); n];
+                got.chunks_mut(size).for_each(|chunk| gen.fill(chunk));
+                assert_eq!(got, want, "fill {size}, phases {lengths:?}");
+            }
+            // A `fill` arriving on a block `next_line` left partly drained,
+            // at every depth.
+            for popped in [1, 2, AHEAD_BLOCK / 2, AHEAD_BLOCK - 1, AHEAD_BLOCK] {
+                let mut gen = Phased::new(phases_of(lengths));
+                let mut got: Vec<LineAddr> = (0..popped).map(|_| gen.next_line()).collect();
+                got.resize(n, LineAddr(0));
+                let (shorter, rest) = got[popped..].split_at_mut(10);
+                gen.fill(shorter); // inside what is left of the block, or not
+                gen.fill(rest);
+                assert_eq!(got, want, "{popped} popped, phases {lengths:?}");
+            }
+        }
     }
 
     #[test]
@@ -848,17 +1100,57 @@ mod tests {
         let scan = || Box::new(Scan::new(0, 10)) as Box<dyn AccessGenerator>;
         let mut visited = Mixture::new(vec![(1.0, scan()), (2.0, scan())], 1);
         let unvisited = Mixture::new(vec![(1.0, scan())], 2);
-        assert_eq!(scratch_bytes(&visited), 0, "nothing before the first line");
+        assert_eq!(visited.scratch_bytes(), 0, "nothing before the first line");
         for _ in 0..1000 {
             visited.next_line();
         }
-        let bytes = scratch_bytes(&visited);
+        let bytes = visited.scratch_bytes();
         assert!(
             (1..=2048).contains(&bytes),
             "{bytes} B of scratch behind next_line"
         );
-        // A phase that is never reached (here: never driven) stays free.
-        assert_eq!(scratch_bytes(&unvisited), 0);
+        assert_eq!(unvisited.scratch_bytes(), 0, "never driven");
+
+        // Under a `Phased` a mixture is only ever `fill`ed: it stages its
+        // shares but holds no block of its own, and a phase that is never
+        // reached holds nothing at all.
+        let mix = |seed| Box::new(Mixture::new(vec![(1.0, scan()), (2.0, scan())], seed));
+        let mut phased = Phased::new(vec![(500, mix(3)), (500, mix(4)), (500, mix(5))]);
+        assert_eq!(phased.scratch_bytes(), 0, "nothing before the first line");
+        for _ in 0..700 {
+            phased.next_line();
+        }
+        let line = std::mem::size_of::<LineAddr>();
+        assert_eq!(phased.ahead.block.capacity(), AHEAD_BLOCK);
+        let per_phase: Vec<usize> = phased
+            .phases
+            .iter()
+            .map(|(_, g)| g.scratch_bytes())
+            .collect();
+        for reached in &per_phase[..2] {
+            assert!(
+                (1..AHEAD_BLOCK * line + 64).contains(reached),
+                "{reached} B: a staging buffer and cursors, no block"
+            );
+        }
+        assert_eq!(per_phase[2], 0, "phase never reached");
+
+        // What one serving tenant holds once every phase has run: the
+        // figure `producer_fed`'s resident set is made of, 192 times over
+        // (its parent held a block *and* a staging buffer a phase, 4224 B).
+        let profile = crate::multi_tenant(4).scaled(1.0 / 32.0);
+        let mut tenant = profile.tenant_generator(1, 9);
+        assert_eq!(tenant.scratch_bytes(), 0);
+        // Pulled a line at a time, as `MonitorSource` does (a `fill`
+        // consumer's block sizes the staging instead).
+        for _ in 0..profile.windows as u64 * profile.phase_len {
+            tenant.next_line();
+        }
+        let bytes = tenant.scratch_bytes();
+        assert!(
+            (1..=3072).contains(&bytes),
+            "{bytes} B of blocks and staging behind a tenant"
+        );
     }
 
     #[test]

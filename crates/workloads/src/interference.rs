@@ -116,8 +116,12 @@ impl MultiTenantProfile {
     ///
     /// Panics if `tenant` is out of range.
     pub fn tenant_generator(&self, tenant: usize, seed: u64) -> Phased {
-        let private = ZipfTable::new(mb_to_lines(self.private_mb).max(1), 0.9);
-        self.tenant_generator_over(tenant, seed, &Arc::new(private))
+        self.tenant_generator_over(tenant, seed, &self.private_set())
+    }
+
+    /// The distribution of a private hot set — the same for every tenant.
+    fn private_set(&self) -> Arc<ZipfTable> {
+        Arc::new(ZipfTable::new(mb_to_lines(self.private_mb).max(1), 0.9))
     }
 
     /// [`tenant_generator`](Self::tenant_generator) with the private hot
@@ -161,8 +165,14 @@ impl MultiTenantProfile {
     /// folded into each stream's seeds, so streams are decorrelated but
     /// reproducible).
     pub fn generators(&self, seed: u64) -> Vec<Phased> {
+        self.generators_over(seed, &self.private_set())
+    }
+
+    /// [`generators`](Self::generators) with the one table every tenant's
+    /// private set draws from passed in.
+    fn generators_over(&self, seed: u64, private: &Arc<ZipfTable>) -> Vec<Phased> {
         (0..self.tenants)
-            .map(|t| self.tenant_generator(t, seed))
+            .map(|t| self.tenant_generator_over(t, seed, private))
             .collect()
     }
 }
@@ -210,6 +220,27 @@ mod tests {
         );
         drop(gen);
         assert_eq!(Arc::strong_count(&private), 1);
+    }
+
+    #[test]
+    fn all_tenants_share_one_zipf_table_and_keep_their_streams() {
+        let p = multi_tenant(3).scaled(1.0 / 32.0);
+        let private = p.private_set();
+        let gens = p.generators_over(7, &private);
+        assert_eq!(
+            Arc::strong_count(&private),
+            1 + p.tenants * p.windows,
+            "one reference per tenant per phase, no copies"
+        );
+        drop(gens);
+        for (t, mut shared) in p.generators(7).into_iter().enumerate() {
+            let mut alone = p.tenant_generator(t, 7);
+            assert_eq!(
+                collect_trace(&mut shared, 5000),
+                collect_trace(&mut alone, 5000),
+                "tenant {t}"
+            );
+        }
     }
 
     #[test]
