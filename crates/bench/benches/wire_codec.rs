@@ -11,8 +11,9 @@
 //!   cleared buffer the way a connection does — the same bytes, pages
 //!   already resident. The gap between the two is what buffer ownership
 //!   buys per frame;
-//! - `decode_submit_272x65`: [`decode_request`] of that frame — one
-//!   allocation and one validation pass per curve;
+//! - `decode_submit_272x65`: [`decode_request`] of that frame — its 272
+//!   curves on one size grid, which the first decodes and the rest share:
+//!   one grid, then one miss-value allocation and validation per curve;
 //! - `report_reply_roundtrip`: a `Report` request and its four-tenant
 //!   `Snapshot` reply, each encoded into a reused buffer and decoded —
 //!   the codec share of the cycle's 64 small round trips;

@@ -86,7 +86,7 @@ pub fn optimal_bypass(curve: &MissCurve, size: f64) -> Result<BypassPlan, PlanEr
         // Zero-size cache: everything misses regardless of rho.
         return Ok(best);
     }
-    for p in curve.points() {
+    for p in curve.iter() {
         if p.size <= size {
             continue;
         }
@@ -107,7 +107,7 @@ pub fn optimal_bypass(curve: &MissCurve, size: f64) -> Result<BypassPlan, PlanEr
 /// The miss curve achieved by optimal bypassing at every size on the
 /// curve's grid (the dashed "Bypassing" line in the paper's Fig. 6).
 pub fn optimal_bypass_curve(curve: &MissCurve) -> MissCurve {
-    MissCurve::new(curve.points().iter().map(|p| {
+    MissCurve::new(curve.iter().map(|p| {
         let plan = optimal_bypass(curve, p.size).expect("grid sizes are valid");
         (p.size, plan.expected_misses)
     }))
@@ -150,7 +150,7 @@ mod tests {
         let c = fig3_curve();
         let talus = talus_curve(&c);
         let bypass = optimal_bypass_curve(&c);
-        for p in bypass.points() {
+        for p in bypass.iter() {
             assert!(
                 p.misses >= talus.value_at(p.size) - 1e-9,
                 "bypass below hull at {}",
@@ -164,7 +164,7 @@ mod tests {
         // rho = 1 is always an option.
         let c = fig3_curve();
         let bypass = optimal_bypass_curve(&c);
-        for p in c.points() {
+        for p in c.iter() {
             assert!(bypass.value_at(p.size) <= p.misses + 1e-12);
         }
     }
@@ -198,7 +198,7 @@ mod tests {
         let c = MissCurve::from_samples(&[0.0, 1.0, 2.0, 3.0], &[10.0, 10.0, 10.0, 1.0]).unwrap();
         let talus = talus_curve(&c);
         let bypass = optimal_bypass_curve(&c);
-        for p in c.points() {
+        for p in c.iter() {
             assert!((talus.value_at(p.size) - bypass.value_at(p.size)).abs() < 1e-9);
         }
     }

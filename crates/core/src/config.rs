@@ -13,7 +13,7 @@
 //! of size β, and the total miss rate interpolates linearly between `m(α)`
 //! and `m(β)` — i.e. it lies on the convex hull.
 
-use crate::curve::MissCurve;
+use crate::curve::{CurvePoint, MissCurve};
 use crate::error::PlanError;
 use crate::hull::ConvexHull;
 
@@ -231,17 +231,23 @@ pub fn plan_with_hull(
             max: hull.max_size(),
         });
     }
-    // At or beyond the last vertex, or exactly on any vertex: the policy is
-    // already on its hull; run unpartitioned.
-    if size >= hull.max_size() || hull.is_vertex(size, options.vertex_tolerance) {
+    // At or beyond the last vertex, or on any vertex: the policy is
+    // already on its hull; run unpartitioned. A size's nearest vertices
+    // are its bracket's two ends — float subtraction rounds monotonically,
+    // so no farther vertex is within the tolerance when neither end is —
+    // and a size below the first vertex, yet inside the tolerance band the
+    // range check let through, is on that vertex.
+    let on_vertex = |v: CurvePoint| (v.size - size).abs() <= options.vertex_tolerance;
+    let bracket = match hull.bracket(size) {
+        Some((a, b)) if !on_vertex(a) && !on_vertex(b) => Some((a, b)),
+        _ => None,
+    };
+    let Some((a, b)) = bracket else {
         return Ok(TalusPlan::Unpartitioned {
             size,
             expected_misses: hull.value_at(size),
         });
-    }
-    let (a, b) = hull
-        .bracket(size)
-        .expect("size is inside the hull domain and not past the last vertex");
+    };
     let (alpha, beta) = (a.size, b.size);
     debug_assert!(alpha < size && size < beta);
 
@@ -338,10 +344,9 @@ pub fn shadow_miss_rate(curve: &MissCurve, s1: f64, s2: f64, rho: f64) -> f64 {
 /// curve Talus's pre-processing step hands to partitioning algorithms
 /// (§VI-A).
 pub fn talus_curve(curve: &MissCurve) -> MissCurve {
-    let grid: Vec<f64> = curve.points().iter().map(|p| p.size).collect();
     curve
         .convex_hull()
-        .to_curve_on_grid(&grid)
+        .to_curve_on_grid(curve.sizes())
         .expect("curve grid is valid")
 }
 
@@ -422,6 +427,94 @@ mod tests {
         assert_eq!(cfg.rho, cfg.ideal_rho);
         assert!(cfg.emulated_beta().is_finite());
         assert_eq!(apply_margin(1.0, 0.05), 1.0);
+    }
+
+    #[test]
+    fn a_size_in_the_tolerance_band_below_the_first_vertex_is_on_it() {
+        // 1000.1 − 0.1 rounds to at most 1000.0, so 1000.0 passes the range
+        // check, but 1000.1 − 1000.0 rounds to just above 0.1: the vertex
+        // scan said "not a vertex" and `bracket` (below the first vertex)
+        // had nothing to return — a panic, a quarantined cache in the
+        // plane.
+        let c = MissCurve::from_samples(&[1000.1, 2000.0, 4000.0], &[9.0, 9.0, 1.0]).unwrap();
+        let options = TalusOptions {
+            vertex_tolerance: 0.1,
+            ..TalusOptions::new()
+        };
+        assert!(1000.0 >= 1000.1 - options.vertex_tolerance);
+        assert!((1000.1f64 - 1000.0).abs() > options.vertex_tolerance);
+        let hull = c.convex_hull();
+        for size in [1000.0, 1000.1 - 0.1, 1000.05] {
+            assert_eq!(
+                plan_with_hull(&hull, size, options),
+                Ok(TalusPlan::Unpartitioned {
+                    size,
+                    expected_misses: 9.0
+                }),
+                "size {size}"
+            );
+        }
+        // Below the band is still out of range.
+        assert!(matches!(
+            plan_with_hull(&hull, 999.0, options),
+            Err(PlanError::SizeOutOfRange { .. })
+        ));
+    }
+
+    #[test]
+    fn bracket_first_answers_what_the_vertex_scan_answered() {
+        // Wherever the old order (scan every vertex, then bracket) did not
+        // panic, bracketing first gives the same plan: random hulls,
+        // tolerances from none to wider than a segment, sizes on, beside
+        // and between vertices.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..20_000 {
+            let n = 1 + (next() % 6) as usize;
+            let mut size = (next() % 3) as f64 * 1000.1;
+            let sizes: Vec<f64> = (0..n)
+                .map(|_| {
+                    let here = size;
+                    size += 0.05 + (next() % 400) as f64 / 8.0;
+                    here
+                })
+                .collect();
+            let misses: Vec<f64> = (0..n).map(|_| (next() % 16) as f64).collect();
+            let hull = MissCurve::from_samples(&sizes, &misses)
+                .unwrap()
+                .convex_hull();
+            let tol = [0.0, 1e-9, 0.1, 0.5, 3.0][(next() % 5) as usize];
+            let options = TalusOptions {
+                vertex_tolerance: tol,
+                ..TalusOptions::new()
+            };
+            let v = hull.vertices()[(next() % hull.len() as u64) as usize].size;
+            let nudge = [0.0, tol, -tol, tol * 0.999, -tol * 1.001, 0.3, -0.3];
+            let at = (v + nudge[(next() % nudge.len() as u64) as usize]).max(0.0);
+            let got = plan_with_hull(&hull, at, options);
+            let (refused, on_vertex) = (
+                matches!(got, Err(PlanError::SizeOutOfRange { .. })),
+                matches!(got, Ok(TalusPlan::Unpartitioned { .. })),
+            );
+            if at < hull.min_size() - tol {
+                assert!(refused, "size {at}, tol {tol}, {hull:?}");
+            } else if at >= hull.max_size() || hull.is_vertex(at, tol) {
+                assert!(on_vertex, "size {at}, tol {tol}, {hull:?}");
+            } else if at < hull.min_size() {
+                // The old order panicked here; now it is on the first vertex.
+                assert!(on_vertex, "size {at}, tol {tol}, {hull:?}");
+            } else {
+                assert!(
+                    matches!(got, Ok(TalusPlan::Shadow(_))),
+                    "size {at}, tol {tol}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -543,7 +636,7 @@ mod tests {
         let c = fig3_curve();
         let t = talus_curve(&c);
         assert!(t.is_convex(1e-9));
-        for p in c.points() {
+        for p in &c {
             assert!(t.value_at(p.size) <= p.misses + 1e-9);
         }
         // And it actually improves the plateau.

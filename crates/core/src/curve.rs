@@ -6,6 +6,8 @@
 //! these curves: the Theorem-4 sampling transform, convex hulls, and shadow
 //! partition planning all take and return [`MissCurve`]s.
 
+use std::sync::Arc;
+
 use crate::error::CurveError;
 use crate::hull::ConvexHull;
 
@@ -54,6 +56,13 @@ impl From<(f64, f64)> for CurvePoint {
 /// curves are noisy, and all the Talus math tolerates (and the convex hull
 /// smooths over) local increases.
 ///
+/// A curve is its miss values beside a size grid it shares: immutable, so
+/// a clone, [`scaled`](Self::scaled) and
+/// [`monotone_envelope`](Self::monotone_envelope) keep the grid they were
+/// made from, and [`decode_points`](Self::decode_points) hands every curve
+/// on the sizes it decoded last that same grid. A 65-point curve is then
+/// 520 bytes of its own plus its share of one 520-byte grid.
+///
 /// # Examples
 ///
 /// The paper's §III example: an application that accesses 2 MB randomly and
@@ -71,9 +80,42 @@ impl From<(f64, f64)> for CurvePoint {
 /// assert!((talus - 6.0).abs() < 1e-9);
 /// # Ok::<(), talus_core::CurveError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct MissCurve {
-    points: Vec<CurvePoint>,
+    /// The size grid, shared with every curve made from or decoded on it.
+    sizes: Arc<[f64]>,
+    /// One miss value per size: the curve's own bytes.
+    misses: Box<[f64]>,
+}
+
+/// What a decoder remembers between curves: the size grid of the last
+/// curve it decoded, so that a next curve whose size bytes equal it bit
+/// for bit shares it instead of allocating and validating its own. Keep
+/// one per frame or per stream — it holds one grid alive, no more.
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+/// use talus_core::{GridCache, MissCurve};
+/// let mut bytes = Vec::new();
+/// MissCurve::from_samples(&[0.0, 4.0], &[8.0, 0.5])?.encode_points(&mut bytes);
+/// let mut grids = GridCache::default();
+/// let a = MissCurve::decode_points(&bytes, &mut grids)?;
+/// let b = MissCurve::decode_points(&bytes, &mut grids)?;
+/// assert!(Arc::ptr_eq(a.grid(), b.grid()));
+/// # Ok::<(), talus_core::CurveError>(())
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct GridCache {
+    last: Option<Arc<[f64]>>,
+}
+
+/// The little-endian `u64` in the first eight bytes of `raw`.
+fn word(raw: &[u8]) -> u64 {
+    let mut bytes = [0; 8];
+    bytes.copy_from_slice(&raw[..8]);
+    u64::from_le_bytes(bytes)
 }
 
 impl MissCurve {
@@ -88,19 +130,14 @@ impl MissCurve {
         I: IntoIterator,
         I::Item: Into<CurvePoint>,
     {
-        let points: Vec<CurvePoint> = points.into_iter().map(Into::into).collect();
-        if points.is_empty() {
-            return Err(CurveError::Empty);
-        }
-        // Nearly every curve passes the branch-free check; only one that
-        // does not pays for the loop that says what, if anything, is
-        // wrong with it.
-        if !plainly_valid(&points) {
-            if let Some(violation) = first_violation(&points) {
-                return Err(violation);
-            }
-        }
-        Ok(MissCurve { points })
+        let (sizes, misses): (Vec<f64>, Vec<f64>) = points
+            .into_iter()
+            .map(|p| {
+                let p: CurvePoint = p.into();
+                (p.size, p.misses)
+            })
+            .unzip();
+        Self::validated(sizes.into(), misses.into())
     }
 
     /// Creates a miss curve from parallel slices of sizes and miss values.
@@ -116,7 +153,7 @@ impl MissCurve {
                 misses: misses.len(),
             });
         }
-        Self::new(sizes.iter().copied().zip(misses.iter().copied()))
+        Self::validated(sizes.into(), misses.into())
     }
 
     /// Creates a curve on a uniform grid `0, step, 2*step, …` from miss values.
@@ -135,12 +172,25 @@ impl MissCurve {
                 value: step,
             });
         }
-        Self::new(
-            misses
-                .iter()
-                .enumerate()
-                .map(|(i, &m)| CurvePoint::new(i as f64 * step, m)),
-        )
+        let sizes = (0..misses.len()).map(|i| i as f64 * step).collect();
+        Self::validated(sizes, misses.into())
+    }
+
+    /// The curve over `sizes` and `misses` (of equal length), if it upholds
+    /// the invariants. Nearly every curve passes the branch-free check;
+    /// only one that does not pays for the loop that says what, if
+    /// anything, is wrong with it.
+    fn validated(sizes: Arc<[f64]>, misses: Box<[f64]>) -> Result<Self, CurveError> {
+        debug_assert_eq!(sizes.len(), misses.len());
+        if sizes.is_empty() {
+            return Err(CurveError::Empty);
+        }
+        if !plainly_valid(&sizes, &misses) {
+            if let Some(violation) = first_violation(&sizes, &misses) {
+                return Err(violation);
+            }
+        }
+        Ok(MissCurve { sizes, misses })
     }
 
     /// Bytes one point occupies in the encoded form.
@@ -155,36 +205,43 @@ impl MissCurve {
     /// # Examples
     ///
     /// ```
-    /// use talus_core::MissCurve;
+    /// use talus_core::{GridCache, MissCurve};
     /// let curve = MissCurve::from_samples(&[0.0, 4.0], &[8.0, 0.5])?;
     /// let mut bytes = vec![0xAA]; // appended to, never cleared
     /// curve.encode_points(&mut bytes);
     /// assert_eq!(bytes.len(), 1 + 2 * MissCurve::POINT_BYTES);
-    /// assert_eq!(MissCurve::decode_points(&bytes[1..])?, curve);
+    /// assert_eq!(MissCurve::decode_points(&bytes[1..], &mut GridCache::default())?, curve);
     /// # Ok::<(), talus_core::CurveError>(())
     /// ```
     pub fn encode_points(&self, out: &mut Vec<u8>) {
         let start = out.len();
-        out.resize(start + Self::POINT_BYTES * self.points.len(), 0);
+        out.resize(start + Self::POINT_BYTES * self.len(), 0);
         let chunks = out[start..].chunks_exact_mut(Self::POINT_BYTES);
-        for (chunk, p) in chunks.zip(&self.points) {
+        for (chunk, p) in chunks.zip(self.iter()) {
             let (size, misses) = chunk.split_at_mut(8);
             size.copy_from_slice(&p.size.to_bits().to_le_bytes());
             misses.copy_from_slice(&p.misses.to_bits().to_le_bytes());
         }
     }
 
-    /// Decodes what [`encode_points`](Self::encode_points) wrote: one
-    /// allocation, and the same validation as [`MissCurve::new`], so a
+    /// Decodes what [`encode_points`](Self::encode_points) wrote — the one
+    /// curve decoder, under the wire protocol and the journal alike. A
     /// decoded curve upholds every invariant a locally built one does and
     /// round-trips bit for bit.
     ///
+    /// If the size bytes equal, bit for bit, those of the grid `grids`
+    /// remembers, the curve shares that grid: its sizes are neither
+    /// allocated nor validated again (they were, when the grid was first
+    /// decoded), and only its miss values are. Otherwise the curve gets a
+    /// grid of its own, fully validated, which `grids` then remembers.
+    ///
     /// # Errors
     ///
-    /// Every error of [`MissCurve::new`], for the same inputs;
-    /// [`CurveError::LengthMismatch`] if `bytes` ends inside a point
-    /// (readers slice exactly `count × POINT_BYTES`, so they never see it).
-    pub fn decode_points(bytes: &[u8]) -> Result<Self, CurveError> {
+    /// Every error of [`MissCurve::new`], for the same inputs, whatever
+    /// `grids` holds; [`CurveError::LengthMismatch`] if `bytes` ends inside
+    /// a point (readers slice exactly `count × POINT_BYTES`, so they never
+    /// see it).
+    pub fn decode_points(bytes: &[u8], grids: &mut GridCache) -> Result<Self, CurveError> {
         let chunks = bytes.chunks_exact(Self::POINT_BYTES);
         if !chunks.remainder().is_empty() {
             return Err(CurveError::LengthMismatch {
@@ -192,46 +249,92 @@ impl MissCurve {
                 misses: chunks.len(),
             });
         }
-        let field = |raw: &[u8]| {
-            let mut word = [0; 8];
-            word.copy_from_slice(raw);
-            f64::from_bits(u64::from_le_bytes(word))
-        };
-        Self::new(chunks.map(|chunk| {
-            let (size, misses) = chunk.split_at(8);
-            CurvePoint::new(field(size), field(misses))
-        }))
+        if let Some(grid) = grids
+            .last
+            .as_ref()
+            .filter(|grid| grid.len() == chunks.len())
+        {
+            // One pass over the points: their miss values, whether every
+            // size's bytes are the grid's, and whether every miss value is
+            // plainly valid — the grid is a valid curve's, so only a miss
+            // value can be wrong (`plainly_valid`'s test, on its own).
+            const INFINITY: u64 = f64::INFINITY.to_bits();
+            let (mut same, mut plain) = (true, true);
+            let mut misses = Vec::with_capacity(grid.len());
+            for (size, point) in grid.iter().zip(chunks.clone()) {
+                let value = word(&point[8..]);
+                same &= size.to_bits() == word(point);
+                plain &= value < INFINITY;
+                misses.push(f64::from_bits(value));
+            }
+            if same {
+                let (sizes, misses) = (Arc::clone(grid), misses.into_boxed_slice());
+                if !plain {
+                    if let Some(violation) = first_violation(&sizes, &misses) {
+                        return Err(violation);
+                    }
+                }
+                return Ok(MissCurve { sizes, misses });
+            }
+        }
+        let field = |raw: &[u8]| f64::from_bits(word(raw));
+        let sizes: Arc<[f64]> = chunks.clone().map(field).collect();
+        let misses: Box<[f64]> = chunks.map(|point| field(&point[8..])).collect();
+        let curve = Self::validated(sizes, misses)?;
+        grids.last = Some(Arc::clone(&curve.sizes));
+        Ok(curve)
     }
 
-    /// The curve's sample points, in increasing size order.
-    pub fn points(&self) -> &[CurvePoint] {
-        &self.points
+    /// The sizes the curve is sampled at, strictly increasing.
+    pub fn sizes(&self) -> &[f64] {
+        &self.sizes
+    }
+
+    /// The miss value at each of [`sizes`](Self::sizes).
+    pub fn misses(&self) -> &[f64] {
+        &self.misses
+    }
+
+    /// The size grid as the curve holds it: one allocation shared by its
+    /// clones and by the curves decoded on the same sizes after it, so
+    /// `Arc::ptr_eq` tells whether two curves share it.
+    pub fn grid(&self) -> &Arc<[f64]> {
+        &self.sizes
     }
 
     /// Number of sample points.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.misses.len()
     }
 
     /// Whether the curve has no points. Always `false` for a constructed
     /// curve; provided for API completeness.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.misses.is_empty()
     }
 
     /// Smallest size covered by the curve.
     pub fn min_size(&self) -> f64 {
-        self.points[0].size
+        self.sizes[0]
     }
 
     /// Largest size covered by the curve.
     pub fn max_size(&self) -> f64 {
-        self.points[self.points.len() - 1].size
+        self.sizes[self.sizes.len() - 1]
     }
 
-    /// Iterates over the curve's points.
-    pub fn iter(&self) -> std::slice::Iter<'_, CurvePoint> {
-        self.points.iter()
+    /// Iterates over the curve's points, by value, in increasing size
+    /// order.
+    pub fn iter(&self) -> Points<'_> {
+        Points(self.sizes.iter().zip(self.misses.iter()))
+    }
+
+    /// The curve's points, by value, in increasing size order: the same
+    /// iterator as [`iter`](Self::iter). A curve stores no points — they
+    /// are paired from [`sizes`](Self::sizes) and [`misses`](Self::misses)
+    /// as they are read.
+    pub fn points(&self) -> Points<'_> {
+        self.iter()
     }
 
     /// Evaluates the curve at `size` by piecewise-linear interpolation.
@@ -249,7 +352,7 @@ impl MissCurve {
     /// # Ok::<(), talus_core::CurveError>(())
     /// ```
     pub fn value_at(&self, size: f64) -> f64 {
-        interpolate(&self.points, size)
+        interpolate(self, size)
     }
 
     /// Applies the Theorem-4 sampling transform: pseudo-randomly sampling a
@@ -281,11 +384,8 @@ impl MissCurve {
             "sampling rate must be in (0, 1], got {rho}"
         );
         MissCurve {
-            points: self
-                .points
-                .iter()
-                .map(|p| CurvePoint::new(p.size * rho, p.misses * rho))
-                .collect(),
+            sizes: self.sizes.iter().map(|s| s * rho).collect(),
+            misses: self.misses.iter().map(|m| m * rho).collect(),
         }
     }
 
@@ -311,7 +411,8 @@ impl MissCurve {
         ConvexHull::of_curve(self)
     }
 
-    /// Returns a copy of the curve with each miss value scaled by `factor`.
+    /// Returns a copy of the curve with each miss value scaled by `factor`,
+    /// on the same grid.
     ///
     /// Used to convert between units (misses per access ↔ MPKI given an
     /// access intensity) — both are linear, so scaling commutes with all the
@@ -326,11 +427,8 @@ impl MissCurve {
             "scale factor must be non-negative and finite, got {factor}"
         );
         MissCurve {
-            points: self
-                .points
-                .iter()
-                .map(|p| CurvePoint::new(p.size, p.misses * factor))
-                .collect(),
+            sizes: Arc::clone(&self.sizes),
+            misses: self.misses.iter().map(|m| m * factor).collect(),
         }
     }
 
@@ -339,18 +437,20 @@ impl MissCurve {
     /// Models the combined misses of two partitions observed side by side.
     pub fn sum(&self, other: &MissCurve) -> MissCurve {
         let mut sizes: Vec<f64> = self
-            .points
+            .sizes
             .iter()
-            .map(|p| p.size)
-            .chain(other.points.iter().map(|p| p.size))
+            .chain(other.sizes.iter())
+            .copied()
             .collect();
         sizes.sort_by(|a, b| a.partial_cmp(b).expect("sizes are finite"));
         sizes.dedup();
+        let misses = sizes
+            .iter()
+            .map(|&s| self.value_at(s) + other.value_at(s))
+            .collect();
         MissCurve {
-            points: sizes
-                .into_iter()
-                .map(|s| CurvePoint::new(s, self.value_at(s) + other.value_at(s)))
-                .collect(),
+            sizes: sizes.into(),
+            misses,
         }
     }
 
@@ -360,34 +460,38 @@ impl MissCurve {
     /// curves can violate this slightly (sampling noise, Belady anomalies in
     /// non-stack policies).
     pub fn is_monotone(&self, tol: f64) -> bool {
-        self.points
-            .windows(2)
-            .all(|w| w[1].misses <= w[0].misses + tol)
+        self.misses.windows(2).all(|w| w[1] <= w[0] + tol)
     }
 
     /// Whether the curve is convex within tolerance `tol`: every point lies
     /// on or below the chord of its neighbours (a convex function's chords
     /// lie above it), allowing violations up to `tol`.
     pub fn is_convex(&self, tol: f64) -> bool {
-        self.points.windows(3).all(|w| {
-            let chord = chord_value(w[0], w[2], w[1].size);
-            w[1].misses <= chord + tol
+        (1..self.len().saturating_sub(1)).all(|i| {
+            let chord = chord_value(self.point(i - 1), self.point(i + 1), self.sizes[i]);
+            self.misses[i] <= chord + tol
         })
     }
 
-    /// Returns the non-increasing envelope of the curve: each point's miss
-    /// value replaced by the minimum over all sizes up to and including it.
+    /// Returns the non-increasing envelope of the curve, on the same grid:
+    /// each point's miss value replaced by the minimum over all sizes up to
+    /// and including it.
     ///
     /// Useful to clean measured noise before computing hulls, since a miss
     /// curve that goes *up* with size is a measurement artifact.
     pub fn monotone_envelope(&self) -> MissCurve {
-        let mut out = Vec::with_capacity(self.points.len());
         let mut best = f64::INFINITY;
-        for p in &self.points {
-            best = best.min(p.misses);
-            out.push(CurvePoint::new(p.size, best));
+        MissCurve {
+            sizes: Arc::clone(&self.sizes),
+            misses: self
+                .misses
+                .iter()
+                .map(|&m| {
+                    best = best.min(m);
+                    best
+                })
+                .collect(),
         }
-        MissCurve { points: out }
     }
 
     /// Resamples the curve onto an arbitrary increasing grid by linear
@@ -407,27 +511,69 @@ impl MissCurve {
         assert!(lo <= hi, "area bounds must be ordered");
         // Integrate the piecewise-linear function by visiting each knot.
         let mut knots: Vec<f64> = vec![lo, hi];
-        for p in &self.points {
-            if p.size > lo && p.size < hi {
-                knots.push(p.size);
-            }
-        }
+        knots.extend(self.sizes.iter().filter(|&&s| s > lo && s < hi));
         knots.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         knots
             .windows(2)
             .map(|w| (self.value_at(w[0]) + self.value_at(w[1])) * 0.5 * (w[1] - w[0]))
             .sum()
     }
+
+    /// The `i`th point.
+    fn point(&self, i: usize) -> CurvePoint {
+        CurvePoint::new(self.sizes[i], self.misses[i])
+    }
+}
+
+/// Point-wise `f64` equality, as two lists of points would compare: miss
+/// values first (where two distinct curves differ), then the grids — by
+/// pointer, and by content only if they are two allocations.
+impl PartialEq for MissCurve {
+    fn eq(&self, other: &Self) -> bool {
+        self.misses == other.misses
+            && (Arc::ptr_eq(&self.sizes, &other.sizes) || *self.sizes == *other.sizes)
+    }
 }
 
 impl<'a> IntoIterator for &'a MissCurve {
-    type Item = &'a CurvePoint;
-    type IntoIter = std::slice::Iter<'a, CurvePoint>;
+    type Item = CurvePoint;
+    type IntoIter = Points<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.points.iter()
+        self.iter()
     }
 }
+
+/// The points of a [`MissCurve`], by value, in increasing size order
+/// ([`MissCurve::iter`]).
+#[derive(Debug, Clone)]
+pub struct Points<'a>(std::iter::Zip<std::slice::Iter<'a, f64>, std::slice::Iter<'a, f64>>);
+
+impl Iterator for Points<'_> {
+    type Item = CurvePoint;
+
+    fn next(&mut self) -> Option<CurvePoint> {
+        self.0
+            .next()
+            .map(|(&size, &misses)| CurvePoint { size, misses })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl DoubleEndedIterator for Points<'_> {
+    fn next_back(&mut self) -> Option<CurvePoint> {
+        self.0
+            .next_back()
+            .map(|(&size, &misses)| CurvePoint { size, misses })
+    }
+}
+
+impl ExactSizeIterator for Points<'_> {}
+
+impl std::iter::FusedIterator for Points<'_> {}
 
 /// A sufficient condition for validity that needs no branch per point,
 /// on the coordinates' bit patterns: a finite non-negative `f64` is one
@@ -437,86 +583,146 @@ impl<'a> IntoIterator for &'a MissCurve {
 /// which also rules the sign bit out) and below infinity's, the miss
 /// value's below infinity's — accept every valid curve except one holding
 /// a `-0.0`, which [`first_violation`] then clears.
-fn plainly_valid(points: &[CurvePoint]) -> bool {
+fn plainly_valid(sizes: &[f64], misses: &[f64]) -> bool {
     const INFINITY: u64 = f64::INFINITY.to_bits();
     let mut ok = true;
     let mut prev = -1i64;
-    for p in points {
-        let size = p.size.to_bits() as i64;
-        ok &= (prev < size) & (size < INFINITY as i64) & (p.misses.to_bits() < INFINITY);
+    for (size, misses) in sizes.iter().zip(misses) {
+        let size = size.to_bits() as i64;
+        ok &= (prev < size) & (size < INFINITY as i64) & (misses.to_bits() < INFINITY);
         prev = size;
     }
     ok
 }
 
-/// What makes `points` an invalid curve, if anything does: the first
-/// offending point, checked size, then miss value, then ordering. This
-/// loop is the definition of validity; [`plainly_valid`] only spares most
-/// curves the walk.
-fn first_violation(points: &[CurvePoint]) -> Option<CurveError> {
-    for (i, p) in points.iter().enumerate() {
-        if !p.size.is_finite() || p.size < 0.0 {
+/// What makes the points `(sizes[i], misses[i])` an invalid curve, if
+/// anything does: the first offending point, checked size, then miss
+/// value, then ordering. This loop is the definition of validity;
+/// [`plainly_valid`] only spares most curves the walk.
+fn first_violation(sizes: &[f64], misses: &[f64]) -> Option<CurveError> {
+    for (i, (&size, &value)) in sizes.iter().zip(misses).enumerate() {
+        if !size.is_finite() || size < 0.0 {
             return Some(CurveError::InvalidSize {
                 index: i,
-                value: p.size,
+                value: size,
             });
         }
-        if !p.misses.is_finite() || p.misses < 0.0 {
-            return Some(CurveError::InvalidMissValue {
-                index: i,
-                value: p.misses,
-            });
+        if !value.is_finite() || value < 0.0 {
+            return Some(CurveError::InvalidMissValue { index: i, value });
         }
-        if i > 0 && points[i - 1].size >= p.size {
+        if i > 0 && sizes[i - 1] >= size {
             return Some(CurveError::NonIncreasingSizes { index: i });
         }
     }
     None
 }
 
-/// Piecewise-linear interpolation over sorted points, clamped at the ends.
-pub(crate) fn interpolate(points: &[CurvePoint], size: f64) -> f64 {
-    debug_assert!(!points.is_empty());
-    if size <= points[0].size {
-        return points[0].misses;
+/// The knots a piecewise-linear function runs through, however they are
+/// stored — a curve's two arrays, a hull's points — so both evaluate
+/// through one [`interpolate`] and one [`interpolate_from`].
+pub(crate) trait Knots {
+    /// Number of knots (at least one).
+    fn count(&self) -> usize;
+    /// The `i`th knot's size.
+    fn size(&self, i: usize) -> f64;
+    /// The `i`th knot.
+    fn knot(&self, i: usize) -> CurvePoint;
+    /// Index of the first knot whose size is above `size`.
+    fn first_above(&self, size: f64) -> usize;
+}
+
+impl Knots for MissCurve {
+    #[inline]
+    fn count(&self) -> usize {
+        self.len()
     }
-    let last = points[points.len() - 1];
+
+    #[inline]
+    fn size(&self, i: usize) -> f64 {
+        self.sizes[i]
+    }
+
+    #[inline]
+    fn knot(&self, i: usize) -> CurvePoint {
+        self.point(i)
+    }
+
+    #[inline]
+    fn first_above(&self, size: f64) -> usize {
+        self.sizes.partition_point(|&s| s <= size)
+    }
+}
+
+impl Knots for [CurvePoint] {
+    #[inline]
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn size(&self, i: usize) -> f64 {
+        self[i].size
+    }
+
+    #[inline]
+    fn knot(&self, i: usize) -> CurvePoint {
+        self[i]
+    }
+
+    #[inline]
+    fn first_above(&self, size: f64) -> usize {
+        self.partition_point(|p| p.size <= size)
+    }
+}
+
+/// Piecewise-linear interpolation over sorted knots, clamped at the ends.
+#[inline]
+pub(crate) fn interpolate<K: Knots + ?Sized>(knots: &K, size: f64) -> f64 {
+    debug_assert!(knots.count() > 0);
+    let first = knots.knot(0);
+    if size <= first.size {
+        return first.misses;
+    }
+    let last = knots.knot(knots.count() - 1);
     if size >= last.size {
         return last.misses;
     }
-    // Binary search for the segment containing `size`.
-    let idx = points.partition_point(|p| p.size <= size);
-    // points[idx-1].size <= size < points[idx].size
-    chord_value(points[idx - 1], points[idx], size)
+    // Binary search for the segment containing `size`:
+    // knots[idx-1].size <= size < knots[idx].size.
+    let idx = knots.first_above(size);
+    chord_value(knots.knot(idx - 1), knots.knot(idx), size)
 }
 
 /// [`interpolate`] with the segment found by walking from `*cursor` (the
 /// index of the segment's right end on the previous call) instead of by
 /// binary search. Any cursor gives the same bits as [`interpolate`]; one
 /// carried across calls with non-decreasing `size` makes a whole sweep
-/// cost `O(points + calls)`.
-pub(crate) fn interpolate_from(points: &[CurvePoint], cursor: &mut usize, size: f64) -> f64 {
-    debug_assert!(!points.is_empty());
-    if size <= points[0].size {
-        return points[0].misses;
+/// cost `O(knots + calls)`.
+#[inline]
+pub(crate) fn interpolate_from<K: Knots + ?Sized>(knots: &K, cursor: &mut usize, size: f64) -> f64 {
+    debug_assert!(knots.count() > 0);
+    let first = knots.knot(0);
+    if size <= first.size {
+        return first.misses;
     }
-    let last = points[points.len() - 1];
+    let last = knots.knot(knots.count() - 1);
     if size >= last.size {
         return last.misses;
     }
-    // points[0].size < size < last.size, so both walks stop in bounds.
-    let mut idx = (*cursor).clamp(1, points.len() - 1);
-    while points[idx].size <= size {
+    // first.size < size < last.size, so both walks stop in bounds.
+    let mut idx = (*cursor).clamp(1, knots.count() - 1);
+    while knots.size(idx) <= size {
         idx += 1;
     }
-    while points[idx - 1].size > size {
+    while knots.size(idx - 1) > size {
         idx -= 1;
     }
     *cursor = idx;
-    chord_value(points[idx - 1], points[idx], size)
+    chord_value(knots.knot(idx - 1), knots.knot(idx), size)
 }
 
 /// Value at `x` of the line through points `a` and `b`.
+#[inline]
 pub(crate) fn chord_value(a: CurvePoint, b: CurvePoint, x: f64) -> f64 {
     debug_assert!(b.size > a.size);
     let t = (x - a.size) / (b.size - a.size);
@@ -584,7 +790,7 @@ mod tests {
     #[test]
     fn from_uniform_builds_grid() {
         let c = MissCurve::from_uniform(2.0, &[10.0, 5.0, 1.0]).unwrap();
-        assert_eq!(c.points()[2].size, 4.0);
+        assert_eq!(c.sizes()[2], 4.0);
         assert_eq!(c.value_at(1.0), 7.5);
     }
 
@@ -698,6 +904,33 @@ mod tests {
         let c = MissCurve::from_samples(&[0.0, 2.0], &[4.0, 0.0]).unwrap();
         assert!((c.area(0.0, 2.0) - 4.0).abs() < 1e-12);
         assert!((c.area(0.0, 1.0) - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn clones_scaled_copies_and_envelopes_share_the_grid() {
+        let c = fig3_curve();
+        for same in [c.clone(), c.scaled(2.0), c.monotone_envelope()] {
+            assert!(Arc::ptr_eq(c.grid(), same.grid()));
+        }
+        assert_eq!(Arc::strong_count(c.grid()), 1, "the copies above are gone");
+        // Curves built from the same sizes are equal but hold their own.
+        let rebuilt = MissCurve::from_samples(c.sizes(), c.misses()).unwrap();
+        assert_eq!(rebuilt, c);
+        assert!(!Arc::ptr_eq(c.grid(), rebuilt.grid()));
+        assert!(!Arc::ptr_eq(c.grid(), c.sampled(0.5).grid()));
+    }
+
+    #[test]
+    fn points_come_by_value_in_order_from_both_ends() {
+        let c = fig3_curve();
+        let points: Vec<CurvePoint> = c.iter().collect();
+        assert_eq!(points.len(), c.len());
+        assert_eq!(c.iter().len(), c.len());
+        for (i, p) in points.iter().enumerate() {
+            assert_eq!((p.size, p.misses), (c.sizes()[i], c.misses()[i]));
+        }
+        let back: Vec<CurvePoint> = c.iter().rev().collect();
+        assert!(back.iter().rev().eq(points.iter()));
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! standard single-pass monotone-chain scan used here is the same
 //! stack-based linear-time procedure.
 
+use std::fmt;
+
 use crate::curve::{interpolate, interpolate_from, CurvePoint, MissCurve};
 
 /// The lower convex hull of a [`MissCurve`].
@@ -35,33 +37,30 @@ use crate::curve::{interpolate, interpolate_from, CurvePoint, MissCurve};
 /// assert_eq!(sizes, vec![0.0, 2.0, 5.0, 10.0]);
 /// # Ok::<(), talus_core::CurveError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct ConvexHull {
     vertices: Vec<CurvePoint>,
+    /// The curve's points, staged for the scan: scratch, not state.
+    staged: Vec<CurvePoint>,
 }
 
 impl ConvexHull {
     /// Computes the lower convex hull of `curve` in a single linear pass.
+    ///
+    /// A fresh hull allocates two buffers, its vertices and the points it
+    /// stages for the scan; a caller that hulls curve after curve keeps one
+    /// hull and [`assign`](Self::assign)s it.
     pub fn of_curve(curve: &MissCurve) -> ConvexHull {
-        Self::of_points(curve.points())
+        let mut hull = ConvexHull {
+            vertices: Vec::new(),
+            staged: Vec::new(),
+        };
+        hull.assign(curve);
+        hull
     }
 
-    /// Computes the lower convex hull of sorted points.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `points` is empty or unsorted; `MissCurve`
-    /// construction guarantees both.
-    pub(crate) fn of_points(points: &[CurvePoint]) -> ConvexHull {
-        // Vertices are a subset of the points: sized for all of them, the
-        // stack never regrows.
-        ConvexHull {
-            vertices: scan(Vec::with_capacity(points.len()), points),
-        }
-    }
-
-    /// Makes `self` the hull of `curve`, reusing the vertex buffer: equal
-    /// to `*self = ConvexHull::of_curve(curve)`, but once the buffer has
+    /// Makes `self` the hull of `curve`, reusing its buffers: equal to
+    /// `*self = ConvexHull::of_curve(curve)`, but once the buffers have
     /// held a curve this long nothing is allocated. This is what lets a
     /// caller that plans interval after interval (a shard's epoch, a
     /// simulated LLC) keep its hulls in scratch it owns.
@@ -78,11 +77,28 @@ impl ConvexHull {
     /// # Ok::<(), talus_core::CurveError>(())
     /// ```
     pub fn assign(&mut self, curve: &MissCurve) {
-        let points = curve.points();
+        // The curve keeps its sizes and miss values apart; the scan reads
+        // points. They are interleaved into the hull's own buffer first —
+        // one vectorised pass — so the scan pushes each point as the one
+        // 16-byte copy its next pop test loads back. A scan that built its
+        // points from the two arrays ran 2.5× slower (the stack top
+        // written as two halves misses store forwarding), and one that
+        // worked in place over the staged points up to 35 % slower than
+        // this on convex curves (ISSUE 25).
+        self.staged.clear();
+        self.staged.extend(
+            curve
+                .sizes()
+                .iter()
+                .zip(curve.misses())
+                .map(|(&size, &misses)| CurvePoint { size, misses }),
+        );
+        // Vertices are a subset of the points: sized for all of them, the
+        // stack never regrows.
         let mut stack = std::mem::take(&mut self.vertices);
         stack.clear();
-        stack.reserve(points.len());
-        self.vertices = scan(stack, points);
+        stack.reserve(self.staged.len());
+        self.vertices = scan(stack, &self.staged);
     }
 
     /// The hull's vertices: the points where the hull touches the original
@@ -115,7 +131,7 @@ impl ConvexHull {
     /// Evaluates the hull at `size` (piecewise-linear, clamped outside the
     /// domain).
     pub fn value_at(&self, size: f64) -> f64 {
-        interpolate(&self.vertices, size)
+        interpolate(self.vertices.as_slice(), size)
     }
 
     /// [`value_at`](Self::value_at) for callers that evaluate a run of
@@ -137,8 +153,9 @@ impl ConvexHull {
     /// }
     /// # Ok::<(), talus_core::CurveError>(())
     /// ```
+    #[inline]
     pub fn value_at_from(&self, cursor: &mut usize, size: f64) -> f64 {
-        interpolate_from(&self.vertices, cursor, size)
+        interpolate_from(self.vertices.as_slice(), cursor, size)
     }
 
     /// The neighbouring hull vertices around `size` (Theorem 6's α and β):
@@ -200,8 +217,8 @@ impl ConvexHull {
 
 /// The monotone-chain scan — the one place a hull is computed — on an
 /// empty stack with room for every point, which it returns holding the
-/// vertices. The stack is passed by value so both callers (a fresh hull,
-/// a refilled one) run the loop on a local they own.
+/// vertices. The stack is passed by value so the loop runs on a local it
+/// owns.
 #[inline(always)]
 fn scan(mut hull: Vec<CurvePoint>, points: &[CurvePoint]) -> Vec<CurvePoint> {
     debug_assert!(!points.is_empty() && hull.is_empty());
@@ -224,6 +241,22 @@ fn scan(mut hull: Vec<CurvePoint>, points: &[CurvePoint]) -> Vec<CurvePoint> {
         hull.push(p);
     }
     hull
+}
+
+/// Hulls are equal when their vertices are: the staged points are
+/// scratch.
+impl PartialEq for ConvexHull {
+    fn eq(&self, other: &Self) -> bool {
+        self.vertices == other.vertices
+    }
+}
+
+impl fmt::Debug for ConvexHull {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ConvexHull")
+            .field("vertices", &self.vertices)
+            .finish_non_exhaustive()
+    }
 }
 
 #[cfg(test)]
@@ -251,7 +284,7 @@ mod tests {
     fn hull_of_convex_curve_is_identity() {
         let c = MissCurve::from_samples(&[0.0, 2.0, 5.0, 10.0], &[24.0, 12.0, 3.0, 3.0]).unwrap();
         let hull = c.convex_hull();
-        assert_eq!(hull.vertices(), c.points());
+        assert!(hull.vertices().iter().copied().eq(c.iter()));
     }
 
     #[test]
@@ -391,7 +424,7 @@ mod tests {
             .unwrap();
         let hull = c.convex_hull();
         assert!(hull.to_curve().is_convex(1e-12));
-        for p in c.points() {
+        for p in &c {
             assert!(hull.value_at(p.size) <= p.misses + 1e-12);
         }
     }

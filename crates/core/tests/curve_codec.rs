@@ -8,9 +8,26 @@
 //! its branch-free fast check reports what the loop reported, the decoder
 //! returns what `from_samples` over separately parsed `f64`s returns, and
 //! the encoder writes the bytes the per-`f64` writer wrote.
+//!
+//! A curve keeps its miss values beside a size grid it shares, and a
+//! decoder hands the next curve on the same sizes the grid it decoded
+//! last ([`GridCache`]). The second half of this file pins that sharing
+//! down: a decode that reuses a grid is a fresh decode bit for bit, a grid
+//! is reused exactly when the size bytes are the same, and `==` is still
+//! the point-wise comparison of two `Vec<CurvePoint>`s.
 
 use proptest::prelude::*;
-use talus_core::{CurveError, CurvePoint, MissCurve};
+use std::sync::Arc;
+use talus_core::{CurveError, CurvePoint, GridCache, MissCurve};
+
+/// A decode through a cache of its own: what a curve decodes to alone.
+fn fresh(bytes: &[u8]) -> Result<MissCurve, CurveError> {
+    MissCurve::decode_points(bytes, &mut GridCache::default())
+}
+
+fn points_of(curve: &MissCurve) -> Vec<CurvePoint> {
+    curve.iter().collect()
+}
 
 /// `MissCurve::new`'s validation as it was before the fast check.
 fn reference_violation(points: &[CurvePoint]) -> Option<CurveError> {
@@ -65,7 +82,7 @@ fn reference_decode(bytes: &[u8]) -> Result<MissCurve, CurveError> {
 /// unequal to itself, and `==` on curves calls `-0.0` equal to `0.0`.
 fn same(a: &Result<MissCurve, CurveError>, b: &Result<MissCurve, CurveError>) -> bool {
     match (a, b) {
-        (Ok(a), Ok(b)) => bits(a.points()) == bits(b.points()),
+        (Ok(a), Ok(b)) => bits(&points_of(a)) == bits(&points_of(b)),
         (Err(a), Err(b)) => same_error(a, b),
         _ => false,
     }
@@ -184,7 +201,7 @@ proptest! {
         let got = MissCurve::new(points.iter().copied());
         match reference_violation(&points) {
             Some(want) => prop_assert!(same(&got, &Err(want))),
-            None => prop_assert_eq!(bits(got.expect("valid").points()), bits(&points)),
+            None => prop_assert_eq!(bits(&points_of(&got.expect("valid"))), bits(&points)),
         }
     }
 
@@ -197,7 +214,7 @@ proptest! {
     ) {
         let mut bytes = Vec::new();
         reference_encode(&arbitrary_points(n, kind, seed), &mut bytes);
-        prop_assert!(same(&MissCurve::decode_points(&bytes), &reference_decode(&bytes)));
+        prop_assert!(same(&fresh(&bytes), &reference_decode(&bytes)));
     }
 
     /// A body cut between points decodes as the shorter body does; one
@@ -207,7 +224,7 @@ proptest! {
         let mut bytes = Vec::new();
         reference_encode(&arbitrary_points(n, kind, seed), &mut bytes);
         for cut in 0..bytes.len() {
-            let got = MissCurve::decode_points(&bytes[..cut]);
+            let got = fresh(&bytes[..cut]);
             if cut % 16 == 0 {
                 prop_assert!(same(&got, &reference_decode(&bytes[..cut])));
             } else {
@@ -231,11 +248,11 @@ proptest! {
         let curve = MissCurve::new(valid_points(n, &mut XorShift(seed | 1))).expect("valid");
         let mut want = vec![0xA5; 7];
         let mut got = want.clone();
-        reference_encode(curve.points(), &mut want);
+        reference_encode(&points_of(&curve), &mut want);
         curve.encode_points(&mut got);
         prop_assert_eq!(got.len(), 7 + n * MissCurve::POINT_BYTES);
         prop_assert!(got == want);
-        prop_assert_eq!(MissCurve::decode_points(&got[7..]), Ok(curve));
+        prop_assert_eq!(fresh(&got[7..]), Ok(curve));
     }
 }
 
@@ -244,12 +261,240 @@ fn negative_zero_and_subnormals_survive_the_round_trip_bit_for_bit() {
     let curve = MissCurve::from_samples(&[-0.0, 5e-324, 1.0], &[5e-324, -0.0, 0.0]).unwrap();
     let mut bytes = Vec::new();
     curve.encode_points(&mut bytes);
-    let back = MissCurve::decode_points(&bytes).unwrap();
-    assert_eq!(bits(back.points()), bits(curve.points()));
-    assert_eq!(back.points()[0].size.to_bits(), (-0.0f64).to_bits());
+    let back = fresh(&bytes).unwrap();
+    assert_eq!(bits(&points_of(&back)), bits(&points_of(&curve)));
+    assert_eq!(back.sizes()[0].to_bits(), (-0.0f64).to_bits());
 }
 
 #[test]
 fn an_empty_body_is_an_empty_curve() {
-    assert_eq!(MissCurve::decode_points(&[]), Err(CurveError::Empty));
+    assert_eq!(fresh(&[]), Err(CurveError::Empty));
+}
+
+// ---------------------------------------------------------------------
+// Shared grids
+// ---------------------------------------------------------------------
+
+fn encoded(sizes: &[f64], misses: &[f64]) -> Vec<u8> {
+    let points: Vec<CurvePoint> = sizes
+        .iter()
+        .zip(misses)
+        .map(|(&s, &m)| CurvePoint::new(s, m))
+        .collect();
+    let mut bytes = Vec::new();
+    reference_encode(&points, &mut bytes);
+    bytes
+}
+
+/// The size bytes of an encoded body, as the cache compares them.
+fn size_bits(bytes: &[u8]) -> Vec<u64> {
+    bytes
+        .chunks_exact(16)
+        .map(|c| u64::from_le_bytes(c[..8].try_into().unwrap()))
+        .collect()
+}
+
+/// A next body for a stream whose last body was `prev`: on the same sizes
+/// with new miss values (valid or not), on sizes one ulp, a `-0.0` or one
+/// point away from them, or anything at all.
+fn next_body(prev: &[CurvePoint], rng: &mut XorShift) -> Vec<CurvePoint> {
+    let mut next: Vec<CurvePoint> = prev
+        .iter()
+        .map(|p| CurvePoint::new(p.size, (rng.next() % 64) as f64 / 4.0))
+        .collect();
+    if next.is_empty() {
+        return arbitrary_points(1 + rng.below(20), rng.below(5), rng.next());
+    }
+    let at = rng.below(next.len());
+    match rng.below(9) {
+        0..=2 => {} // the same sizes
+        3 => next[at].misses = SPECIALS[rng.below(SPECIALS.len())],
+        4 => next[at].size = f64::from_bits(next[at].size.to_bits() + 1),
+        5 => next[at].size = f64::from_bits(next[at].size.to_bits().saturating_sub(1)),
+        6 => {
+            next[at].size = if next[at].size == 0.0 {
+                -0.0
+            } else {
+                SPECIALS[rng.below(10)]
+            }
+        }
+        7 => {
+            if rng.next() & 1 == 0 {
+                next.pop();
+            } else {
+                let last = next[next.len() - 1].size;
+                next.push(CurvePoint::new(last + 1.0, 1.0));
+            }
+        }
+        _ => return arbitrary_points(1 + rng.below(20), rng.below(5), rng.next()),
+    }
+    next
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A stream of bodies through one cache, as a frame's or a journal's
+    /// curves go: every decode is the fresh decode bit for bit (curve or
+    /// error), a curve shares the last decoded grid exactly when its size
+    /// bytes are that grid's, and every decoded curve re-encodes to its
+    /// body.
+    #[test]
+    fn decoding_with_a_reused_grid_is_a_fresh_decode(seed in any::<u64>(), len in 1usize..12) {
+        let mut rng = XorShift(seed | 1);
+        let mut grids = GridCache::default();
+        let mut last: Option<MissCurve> = None;
+        let mut body = arbitrary_points(1 + rng.below(40), rng.below(2), rng.next());
+        for step in 0..len {
+            let mut bytes = Vec::new();
+            reference_encode(&body, &mut bytes);
+            let got = MissCurve::decode_points(&bytes, &mut grids);
+            prop_assert!(same(&got, &fresh(&bytes)), "step {}", step);
+            if let Ok(curve) = got {
+                let on_last = last.as_ref().is_some_and(|last| {
+                    last.sizes().iter().map(|s| s.to_bits()).eq(size_bits(&bytes))
+                });
+                let shared = last.as_ref().is_some_and(|l| Arc::ptr_eq(l.grid(), curve.grid()));
+                prop_assert_eq!(shared, on_last, "step {}", step);
+                let mut again = Vec::new();
+                curve.encode_points(&mut again);
+                prop_assert!(again == bytes, "step {}", step);
+                last = Some(curve);
+            }
+            body = next_body(&body, &mut rng);
+        }
+    }
+
+    /// `==` on curves is `==` on their points as `Vec<CurvePoint>`s were
+    /// compared — `-0.0` equal to `0.0` — whether the two grids are one
+    /// allocation, two equal ones, or different.
+    #[test]
+    fn equality_is_point_wise(seed in any::<u64>()) {
+        let mut rng = XorShift(seed | 1);
+        let grids: [&[f64]; 4] = [&[0.0, 1.0, 2.0], &[-0.0, 1.0, 2.0], &[0.0, 1.0, 3.0], &[0.0, 1.0]];
+        let values = [0.0, -0.0, 1.0, 2.5];
+        let mut shared = GridCache::default();
+        let mut curve = |rng: &mut XorShift| {
+            let sizes = grids[rng.below(grids.len())];
+            let misses: Vec<f64> = sizes.iter().map(|_| values[rng.below(values.len())]).collect();
+            if rng.next() & 1 == 0 {
+                MissCurve::from_samples(sizes, &misses).unwrap()
+            } else {
+                MissCurve::decode_points(&encoded(sizes, &misses), &mut shared).unwrap()
+            }
+        };
+        let (a, b) = (curve(&mut rng), curve(&mut rng));
+        prop_assert_eq!(a == b, points_of(&a) == points_of(&b));
+        prop_assert_eq!(b == a, a == b);
+        prop_assert!(a == a.clone());
+    }
+}
+
+#[test]
+fn a_grid_is_shared_only_by_sizes_with_the_same_bytes() {
+    let base = [0.0, 64.0, 128.0];
+    let mut grids = GridCache::default();
+    let first = MissCurve::decode_points(&encoded(&base, &[9.0, 5.0, 1.0]), &mut grids).unwrap();
+    let same = MissCurve::decode_points(&encoded(&base, &[8.0, 4.0, 2.0]), &mut grids).unwrap();
+    assert!(Arc::ptr_eq(first.grid(), same.grid()));
+    assert_eq!(
+        Arc::strong_count(first.grid()),
+        3,
+        "two curves and the cache"
+    );
+
+    // One ulp, a -0.0, a point more or less: a grid of its own, equal
+    // curves or not as `==` says, and the new grid is the one remembered.
+    let ulp = [0.0, 64.0, f64::from_bits(128f64.to_bits() + 1)];
+    for sizes in [
+        &ulp[..],
+        &[-0.0, 64.0, 128.0],
+        &[0.0, 64.0],
+        &[0.0, 64.0, 128.0, 192.0],
+    ] {
+        let misses = vec![1.0; sizes.len()];
+        let mut grids = GridCache::default();
+        let first = MissCurve::decode_points(&encoded(&base, &[1.0; 3]), &mut grids).unwrap();
+        let next = MissCurve::decode_points(&encoded(sizes, &misses), &mut grids).unwrap();
+        assert!(!Arc::ptr_eq(first.grid(), next.grid()), "{sizes:?}");
+        assert_eq!(next.sizes().len(), sizes.len());
+        assert!(next
+            .sizes()
+            .iter()
+            .zip(sizes)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        let third = MissCurve::decode_points(&encoded(sizes, &misses), &mut grids).unwrap();
+        assert!(Arc::ptr_eq(next.grid(), third.grid()), "{sizes:?}");
+    }
+    // A -0.0 grid and a 0.0 grid hold equal curves all the same.
+    let neg = MissCurve::from_samples(&[-0.0, 64.0, 128.0], &[9.0, 5.0, 1.0]).unwrap();
+    assert_eq!(neg, first);
+}
+
+#[test]
+fn a_curve_on_a_remembered_grid_is_still_validated() {
+    let base = [0.0, 64.0, 128.0];
+    let prime = |grids: &mut GridCache| {
+        MissCurve::decode_points(&encoded(&base, &[3.0, 2.0, 1.0]), grids).unwrap()
+    };
+    // Sizes that break the grid are decoded and refused in full.
+    for (sizes, want) in [
+        (
+            [0.0, 64.0, f64::NAN],
+            CurveError::InvalidSize {
+                index: 2,
+                value: f64::NAN,
+            },
+        ),
+        (
+            [0.0, 128.0, 64.0],
+            CurveError::NonIncreasingSizes { index: 2 },
+        ),
+        (
+            [-1.0, 64.0, 128.0],
+            CurveError::InvalidSize {
+                index: 0,
+                value: -1.0,
+            },
+        ),
+    ] {
+        let mut grids = GridCache::default();
+        let kept = prime(&mut grids);
+        let bytes = encoded(&sizes, &[3.0, 2.0, 1.0]);
+        let got = MissCurve::decode_points(&bytes, &mut grids);
+        assert!(same(&got, &Err(want)), "{got:?}");
+        assert!(same(&got, &fresh(&bytes)));
+        // The refused curve did not replace the remembered grid.
+        let again = prime(&mut grids);
+        assert!(Arc::ptr_eq(kept.grid(), again.grid()));
+    }
+    // On the remembered grid only a miss value can be wrong — and is
+    // reported as a fresh decode reports it; -0.0 stays valid.
+    for (misses, want) in [
+        (
+            [3.0, -1.0, f64::NAN],
+            Some(CurveError::InvalidMissValue {
+                index: 1,
+                value: -1.0,
+            }),
+        ),
+        (
+            [3.0, 2.0, f64::INFINITY],
+            Some(CurveError::InvalidMissValue {
+                index: 2,
+                value: f64::INFINITY,
+            }),
+        ),
+        ([-0.0, 2.0, 5e-324], None),
+    ] {
+        let mut grids = GridCache::default();
+        let kept = prime(&mut grids);
+        let bytes = encoded(&base, &misses);
+        let got = MissCurve::decode_points(&bytes, &mut grids);
+        assert!(same(&got, &fresh(&bytes)), "{got:?}");
+        match want {
+            Some(want) => assert!(same(&got, &Err(want)), "{got:?}"),
+            None => assert!(Arc::ptr_eq(kept.grid(), got.unwrap().grid())),
+        }
+    }
 }

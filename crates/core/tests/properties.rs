@@ -124,7 +124,7 @@ fn scan_curve(points: usize, shape: u64, seed: u64) -> MissCurve {
 
 fn assert_scan_matches(curve: &MissCurve) {
     let got = ConvexHull::of_curve(curve);
-    let want = indexed_scan(curve.points());
+    let want = indexed_scan(&curve.iter().collect::<Vec<_>>());
     let bits = |v: &[CurvePoint]| -> Vec<(u64, u64)> {
         v.iter()
             .map(|p| (p.size.to_bits(), p.misses.to_bits()))
@@ -172,7 +172,7 @@ proptest! {
         // Convex.
         prop_assert!(hull.to_curve().is_convex(1e-7));
         // Minorant: never above the curve at any sampled size.
-        for p in curve.points() {
+        for p in curve.iter() {
             prop_assert!(hull.value_at(p.size) <= p.misses + 1e-7);
         }
         // Touches the curve at its own vertices.
@@ -189,7 +189,7 @@ proptest! {
         let once = curve.convex_hull().to_curve();
         let twice = once.convex_hull().to_curve();
         prop_assert_eq!(once.len(), twice.len());
-        for (a, b) in once.points().iter().zip(twice.points()) {
+        for (a, b) in once.iter().zip(twice.iter()) {
             prop_assert!((a.size - b.size).abs() < 1e-12);
             prop_assert!((a.misses - b.misses).abs() < 1e-12);
         }
@@ -203,7 +203,7 @@ proptest! {
         let rho = rho_pct as f64 / 100.0;
         let sampled = curve.sampled(rho);
         // m'(rho * s) == rho * m(s) at every original knot.
-        for p in curve.points() {
+        for p in curve.iter() {
             let got = sampled.value_at(rho * p.size);
             prop_assert!((got - rho * p.misses).abs() < 1e-7,
                 "at size {}: {} vs {}", p.size, got, rho * p.misses);
@@ -257,7 +257,7 @@ proptest! {
     fn bypass_sandwiched_between_hull_and_curve(curve in arb_curve(true)) {
         let talus = talus_curve(&curve);
         let bypass = optimal_bypass_curve(&curve);
-        for p in curve.points() {
+        for p in curve.iter() {
             let b = bypass.value_at(p.size);
             prop_assert!(b >= talus.value_at(p.size) - 1e-7,
                 "bypass beats hull at {}", p.size);
@@ -279,7 +279,7 @@ proptest! {
     fn monotone_envelope_is_monotone_minorant(curve in arb_curve(false)) {
         let env = curve.monotone_envelope();
         prop_assert!(env.is_monotone(1e-12));
-        for (e, p) in env.points().iter().zip(curve.points()) {
+        for (e, p) in env.iter().zip(curve.iter()) {
             prop_assert!(e.misses <= p.misses);
         }
     }
@@ -288,7 +288,7 @@ proptest! {
     fn sum_is_commutative(a in arb_curve(true), b in arb_curve(true)) {
         let ab = a.sum(&b);
         let ba = b.sum(&a);
-        for p in ab.points() {
+        for p in ab.iter() {
             prop_assert!((p.misses - ba.value_at(p.size)).abs() < 1e-7);
         }
     }

@@ -121,14 +121,17 @@ pub fn hill_climb<C: Borrow<MissCurve>>(curves: &[C], capacity: u64, grain: u64)
 /// ties and zero-gain round-robin included.
 ///
 /// A grant changes only the winner's marginal gain, so each partition
-/// keeps its gain and a cursor into its hull, and a grain costs one
-/// comparison per partition plus one interpolation found by advancing
+/// keeps its gain and a cursor into its hull, and a grain costs at most
+/// one comparison per partition plus one interpolation found by advancing
 /// the winner's cursor: `O(grains · n)` comparisons and
 /// `O(grains + vertices)` interpolation work in total, against the
 /// reference's `2 · grains · n` binary searches. That interpolation is
 /// for the size *two* grains past the winner's new allocation — one grant
 /// before any choice depends on it — so its cursor walk and division
-/// overlap the next grant's comparisons instead of preceding them.
+/// overlap the next grant's comparisons instead of preceding them. And
+/// since no other offer moves while one partition keeps winning, the
+/// partitions are compared only when the winner changes: a run of grants
+/// to one partition costs one comparison each.
 ///
 /// This form allocates its working state and returns the sizes owned; a
 /// caller that climbs interval after interval keeps a [`PlanScratch`] and
@@ -230,30 +233,53 @@ pub(crate) fn climb(
         }
     }));
     let (alloc, offers) = (alloc.as_mut_slice(), offers.as_mut_slice());
-    for _ in 0..grains {
+    let mut left = grains;
+    while left > 0 {
+        // The argmax, first index on ties, with the best gains before and
+        // after the winner beside it.
         let mut best = 0usize;
         let mut best_gain = f64::NEG_INFINITY;
+        let (mut before, mut after) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
         for (i, offer) in offers.iter().enumerate() {
             if offer.gain > best_gain {
+                before = best_gain;
                 best_gain = offer.gain;
                 best = i;
+                after = f64::NEG_INFINITY;
+            } else if offer.gain > after {
+                after = offer.gain;
             }
         }
         if best_gain <= 0.0 {
+            // The round-robin grants one grain at a time.
             let min = *alloc.iter().min().expect("non-empty");
             best = alloc.iter().position(|&a| a == min).expect("non-empty");
+            before = f64::INFINITY;
         }
-        alloc[best] += grain;
-        // The winner now stands where its offer pointed, and both ends of
-        // its next gain are already known: the next grant's choice waits
-        // on a subtraction, and the interpolation issued here is first
-        // read by the grant after it. A size is read by a grant only if it
-        // fits in the capacity, so a sum that saturates is never read.
-        let offer = &mut offers[best];
-        offer.gain = offer.there - offer.beyond;
-        offer.there = offer.beyond;
-        let ahead = alloc[best].saturating_add(grain).saturating_add(grain) as f64;
-        offer.beyond = hulls[best].value_at_from(&mut offer.cursor, ahead);
+        // A run of grants to `best`. No other offer moves while it wins,
+        // so the next argmax would pick it again exactly while its next
+        // gain beats every gain before it (an earlier tie wins), at least
+        // ties every gain after it, and is positive (not the round-robin)
+        // — granted without comparing the others again.
+        loop {
+            alloc[best] += grain;
+            left -= 1;
+            // The winner now stands where its offer pointed, and both ends
+            // of its next gain are already known: the next grant's choice
+            // waits on a subtraction, and the interpolation issued here is
+            // first read by the grant after it. A size is read by a grant
+            // only if it fits in the capacity, so a sum that saturates is
+            // never read.
+            let offer = &mut offers[best];
+            offer.gain = offer.there - offer.beyond;
+            offer.there = offer.beyond;
+            let ahead = alloc[best].saturating_add(grain).saturating_add(grain) as f64;
+            offer.beyond = hulls[best].value_at_from(&mut offer.cursor, ahead);
+            let gain = offer.gain;
+            if left == 0 || !(gain > before && gain >= after && gain > 0.0) {
+                break;
+            }
+        }
     }
 }
 

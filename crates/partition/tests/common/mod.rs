@@ -130,3 +130,50 @@ pub fn case(rng: &mut Rng, max_points: u64, max_grains: u64) -> Case {
         grain,
     }
 }
+
+/// A case for the hull climb's runs of grants: every tenant a convex
+/// staircase of slopes, each slope held for a run of grains and chosen
+/// from one small set of integers shared by all tenants, ending in a flat
+/// tail — so one tenant keeps winning for runs at a time, its gains tie
+/// exactly with tenants before and after it, and the climb ends in
+/// zero-gain rounds. Grids sit on the grain's multiples, so every gain is
+/// an exact integer.
+pub fn run_case(rng: &mut Rng) -> Case {
+    let tenants = 1 + rng.below(8) as usize;
+    let grain = [1, 16, 64][rng.below(3) as usize];
+    let mut curves: Vec<MissCurve> = Vec::with_capacity(tenants);
+    for _ in 0..tenants {
+        if !curves.is_empty() && rng.below(3) == 0 {
+            let twin = curves[rng.below(curves.len() as u64) as usize].clone();
+            curves.push(twin);
+            continue;
+        }
+        // Slopes per grain, steepest first: a convex curve.
+        let mut slopes: Vec<u64> = (0..1 + rng.below(4)).map(|_| rng.below(5)).collect();
+        slopes.sort_unstable_by(|a, b| b.cmp(a));
+        let mut size = 0u64;
+        let mut misses: u64 = slopes.iter().map(|s| s * 30).sum::<u64>() + rng.below(3);
+        let (mut sizes, mut values) = (vec![0.0], vec![misses as f64]);
+        for slope in slopes {
+            let run = 1 + rng.below(12);
+            size += run * grain;
+            misses -= slope * run;
+            sizes.push(size as f64);
+            values.push(misses as f64);
+        }
+        // The flat tail.
+        sizes.push((size + grain * (1 + rng.below(8))) as f64);
+        values.push(misses as f64);
+        curves.push(MissCurve::from_samples(&sizes, &values).expect("valid curve"));
+    }
+    let reach: f64 = curves.iter().map(MissCurve::max_size).sum();
+    let capacity = match rng.below(3) {
+        0 => grain * rng.below(40),
+        _ => reach as u64 + grain * rng.below(20),
+    };
+    Case {
+        curves,
+        capacity,
+        grain,
+    }
+}

@@ -61,6 +61,23 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// Runs of grants to one tenant, exact ties before and after it, and
+    /// zero-gain tails: where a climb that skips the comparison while one
+    /// tenant keeps winning could hand out a grain the reference would
+    /// not.
+    #[test]
+    fn runs_ties_and_zero_gain_tails_equal_the_reference(seed in any::<u64>()) {
+        let case = common::run_case(&mut Rng(seed | 1));
+        let hulls = hulls_of(&case.curves);
+        let as_curves: Vec<MissCurve> = hulls.iter().map(ConvexHull::to_curve).collect();
+        let got = hill_climb_hulls(&hulls, case.capacity, case.grain);
+        prop_assert_eq!(&got, &hill_climb(&as_curves, case.capacity, case.grain), "{:?}", case);
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     #[test]
@@ -197,4 +214,53 @@ fn capacity_far_past_every_last_vertex_is_still_handed_out() {
         let got = assert_kernel_matches(&trio(), 1_000_000, grain);
         assert_eq!(got.iter().sum::<u64>(), 1_000_000 / grain * grain);
     }
+}
+
+/// The run cases reach what they are for: a tenant winning many grains in
+/// a row, ties between tenants' standing gains, and zero-gain grants.
+#[test]
+fn run_cases_reach_runs_ties_and_zero_gain_tails() {
+    let (mut runs, mut ties, mut tails) = (0, 0, 0);
+    for seed in 1..=500u64 {
+        let case = common::run_case(&mut Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1));
+        let grain = case.grain as f64;
+        let gain = |c: &MissCurve, at: u64| {
+            c.value_at(at as f64 * grain) - c.value_at((at + 1) as f64 * grain)
+        };
+        let first: Vec<f64> = case.curves.iter().map(|c| gain(c, 0)).collect();
+        ties +=
+            usize::from((1..first.len()).any(|i| first[..i].contains(&first[i]) && first[i] > 0.0));
+        runs += usize::from(
+            case.curves
+                .iter()
+                .any(|c| gain(c, 0) > 0.0 && gain(c, 0) == gain(c, 3)),
+        );
+        let reach: f64 = case.curves.iter().map(MissCurve::max_size).sum();
+        tails += usize::from(case.capacity as f64 > reach);
+    }
+    assert!(runs > 200, "{runs} cases open with a run");
+    assert!(ties > 50, "{ties} cases tie at the start");
+    assert!(tails > 200, "{tails} cases end in zero-gain grants");
+}
+
+#[test]
+fn a_run_stops_at_a_tie_before_it_and_not_at_one_after_it() {
+    // Tenant 1 gains 3 a grain for four grains, then 2; tenants 0 and 2
+    // gain 2 throughout, then nothing. Once tenant 1 drops to 2 it ties
+    // both: tenant 0, before it, must take the next grain, and the
+    // round-robin hands out what is left once every gain is zero.
+    let grid = [0.0, 256.0, 512.0, 768.0];
+    let even = curve(&grid, &[60.0, 52.0, 44.0, 44.0]);
+    let steep = curve(&grid, &[60.0, 48.0, 40.0, 40.0]);
+    let tenants = [even.clone(), steep, even];
+    for capacity in [64 * 4, 64 * 5, 64 * 9, 64 * 40, 64 * 41] {
+        assert_kernel_matches(&tenants, capacity, 64);
+    }
+    assert_eq!(
+        assert_kernel_matches(&tenants, 64 * 5, 64),
+        vec![64, 256, 0]
+    );
+    // The last winner ties one after it: the run goes on through it.
+    let tenants = [tenants[1].clone(), tenants[0].clone()];
+    assert_eq!(assert_kernel_matches(&tenants, 64 * 6, 64)[0], 64 * 6);
 }

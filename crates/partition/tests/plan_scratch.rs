@@ -25,10 +25,11 @@ const POLICIES: [AllocPolicy; 4] = [
     AllocPolicy::Imbalanced,
 ];
 
-/// One call of a sequence: 1–8 tenants of 1–200 points, any policy, hulls
-/// or raw curves. A grid that starts above zero with a capacity that
-/// leaves a tenant below it makes `plan_with_hull` fail — about one call
-/// in eight.
+/// One call of a sequence: 1–8 tenants of 1–200 points (or a
+/// [`common::run_case`]), any policy, hulls or raw curves. A grid that
+/// starts above zero with a capacity that leaves a tenant below it makes
+/// `plan_with_hull` fail — about one `common::case` call in eight (a run
+/// case's grids start at zero, so it never fails).
 struct Call {
     case: Case,
     planner: Planner,
@@ -36,7 +37,13 @@ struct Call {
 }
 
 fn call(rng: &mut Rng) -> Call {
-    let case = common::case(rng, 200, 96);
+    // One call in four is a run case: long runs, exact ties, zero-gain
+    // tails.
+    let case = if rng.below(4) == 0 {
+        common::run_case(rng)
+    } else {
+        common::case(rng, 200, 96)
+    };
     let mut planner = Planner::new(case.grain).with_policy(POLICIES[rng.below(4) as usize]);
     if rng.below(3) == 0 {
         planner = planner.raw_curves();

@@ -31,7 +31,9 @@
 //!   (`WIRE_MAX_*`) and the bytes actually remaining in the frame
 //!   *before* any `Vec` is reserved;
 //! - curve payloads are validated by [`MissCurve::decode_points`], so a
-//!   decoded curve upholds every invariant a locally built one does;
+//!   decoded curve upholds every invariant a locally built one does (a
+//!   frame's curves on the same size bytes share one grid, whose sizes
+//!   were validated once, when its first curve was decoded);
 //! - trailing bytes after a well-formed body are an error, so every byte
 //!   of an accepted frame is accounted for.
 //!
@@ -69,7 +71,7 @@ use talus_core::limits::{
     WIRE_MAX_TENANTS,
 };
 use talus_core::{
-    CurveError, MissCurve, PlanError, PlaneHealth, ShardHealth, ShardState, StoreHealth,
+    CurveError, GridCache, MissCurve, PlanError, PlaneHealth, ShardHealth, ShardState, StoreHealth,
 };
 
 /// Protocol version carried in every frame header.
@@ -680,11 +682,18 @@ pub fn encode_response_into(resp: &Response, out: &mut Vec<u8>) {
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The frame's curves share a grid while their sizes do: a Submit of
+    /// 272 curves on one grid decodes one.
+    grids: GridCache,
 }
 
 impl<'a> Reader<'a> {
     fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader {
+            buf,
+            pos: 0,
+            grids: GridCache::default(),
+        }
     }
 
     fn remaining(&self) -> usize {
@@ -737,7 +746,7 @@ impl<'a> Reader<'a> {
         let points = self.count(WIRE_MAX_CURVE_POINTS, MissCurve::POINT_BYTES)?;
         // `count` checked the frame holds that many points.
         let body = self.take(points * MissCurve::POINT_BYTES)?;
-        MissCurve::decode_points(body).map_err(WireError::Curve)
+        MissCurve::decode_points(body, &mut self.grids).map_err(WireError::Curve)
     }
 
     fn ids(&mut self) -> Result<Vec<CacheId>, WireError> {
@@ -1107,6 +1116,59 @@ mod tests {
 
     fn curve() -> MissCurve {
         MissCurve::from_samples(&[0.0, 256.0, 512.0], &[8.0, 4.0, 1.0]).unwrap()
+    }
+
+    /// A Submit frame's curves on one size grid decode onto one shared
+    /// grid — per frame: the next frame's curves get their own.
+    #[test]
+    fn a_submit_frames_curves_share_one_grid() {
+        use std::sync::Arc;
+        let sizes: Vec<f64> = (0..65).map(|i| i as f64 * 1024.0).collect();
+        let on = |sizes: &[f64], top: f64| {
+            let misses: Vec<f64> = (0..sizes.len()).map(|i| top / (1 + i) as f64).collect();
+            MissCurve::from_samples(sizes, &misses).unwrap()
+        };
+        let entries: Vec<SubmitEntry> = (0..272)
+            .map(|i| SubmitEntry {
+                id: i / 4,
+                tenant: (i % 4) as u32,
+                curve: on(&sizes, 8.0 + i as f64),
+            })
+            .collect();
+        let bytes = encode_request(&Request::Submit {
+            entries: entries.clone(),
+        });
+        let decode = || match decode_request(&bytes[4..]).unwrap() {
+            Request::Submit { entries } => entries,
+            other => panic!("{other:?}"),
+        };
+        let got = decode();
+        assert_eq!(got, entries);
+        let grid = got[0].curve.grid();
+        assert!(got.iter().all(|e| Arc::ptr_eq(e.curve.grid(), grid)));
+        assert_eq!(
+            Arc::strong_count(grid),
+            272,
+            "the frame's curves, nothing else"
+        );
+        assert!(!Arc::ptr_eq(decode()[0].curve.grid(), grid));
+
+        // A curve on other sizes in mid-frame gets its own grid, and the
+        // curves after it share one again.
+        let mut mixed = entries;
+        mixed[100].curve = on(&sizes[..64], 3.0);
+        let bytes = encode_request(&Request::Submit {
+            entries: mixed.clone(),
+        });
+        let Request::Submit { entries: got } = decode_request(&bytes[4..]).unwrap() else {
+            panic!("not a submit");
+        };
+        assert_eq!(got, mixed);
+        let grids: Vec<&Arc<[f64]>> = got.iter().map(|e| e.curve.grid()).collect();
+        assert_eq!(Arc::strong_count(grids[0]), 100);
+        assert_eq!(Arc::strong_count(grids[100]), 1);
+        assert_eq!(Arc::strong_count(grids[101]), 171);
+        assert!(!Arc::ptr_eq(grids[0], grids[101]));
     }
 
     #[test]

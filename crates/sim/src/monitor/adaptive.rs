@@ -206,9 +206,9 @@ impl AdaptiveCurveSampler {
         let mut refine = Vec::new();
         for &v in wanted.iter().rev() {
             let prev = curve
-                .points()
+                .sizes()
                 .iter()
-                .map(|p| p.size as u64)
+                .map(|&s| s as u64)
                 .filter(|&s| s < v)
                 .max()
                 .unwrap_or(0);

@@ -42,7 +42,7 @@ const MAX_MONITOR_LINES: u64 = 1024;
 /// }
 /// let curve = mon.curve();
 /// // Exactly three points: 0, half, full.
-/// assert_eq!(curve.points().len(), 3);
+/// assert_eq!(curve.len(), 3);
 /// ```
 #[derive(Debug)]
 pub struct ThreePointMonitor {
@@ -149,9 +149,9 @@ mod tests {
             m.record(l);
         }
         let c = m.curve();
-        assert_eq!(c.points().len(), 3);
-        assert_eq!(c.points()[0].size, 0.0);
-        assert_eq!(c.points()[2].size, 2048.0);
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.sizes()[0], 0.0);
+        assert_eq!(c.sizes()[2], 2048.0);
     }
 
     #[test]
@@ -183,7 +183,7 @@ mod tests {
         let m = ThreePointMonitor::with_coverage(4096, 2.0, 1);
         assert_eq!(m.modeled_full_lines(), 8192);
         let c = m.curve();
-        assert_eq!(c.points()[2].size, 8192.0);
+        assert_eq!(c.sizes()[2], 8192.0);
     }
 
     #[test]

@@ -512,11 +512,7 @@ mod fast_path_equivalence {
             }
             assert_eq!(single.sampled_accesses(), block.sampled_accesses());
             let (cs, cb) = (single.curve(), block.curve());
-            assert_eq!(
-                cs.points(),
-                cb.points(),
-                "sampler curves diverged on {label}"
-            );
+            assert_eq!(cs, cb, "sampler curves diverged on {label}");
         }
     }
 
@@ -534,8 +530,8 @@ mod fast_path_equivalence {
                 block.record_block(chunk);
             }
             assert_eq!(
-                single.curve().points(),
-                block.curve().points(),
+                single.curve(),
+                block.curve(),
                 "adaptive curves diverged in round {round}"
             );
             // Interval boundary: both banks re-aim identically.

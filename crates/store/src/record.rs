@@ -30,7 +30,9 @@
 //!   *before* any `Vec` is reserved;
 //! - curve payloads are re-validated by [`MissCurve::decode_points`],
 //!   so a decoded curve upholds every invariant a locally built one
-//!   does;
+//!   does (a stream's curves on the same size bytes — [`records`],
+//!   [`scan`], [`RecordStream`](crate::RecordStream) — share one grid,
+//!   validated when its first curve was decoded);
 //! - trailing bytes after a well-formed body are an error, so every byte
 //!   of an accepted record is accounted for.
 //!
@@ -78,7 +80,7 @@
 use talus_core::limits::{
     STORE_MAX_CUT_IDS, STORE_MAX_RECORD_LEN, WIRE_MAX_CURVE_POINTS, WIRE_MAX_TENANTS,
 };
-use talus_core::{CurveError, MissCurve, ShadowConfig, TalusOptions, TalusPlan};
+use talus_core::{CurveError, GridCache, MissCurve, ShadowConfig, TalusOptions, TalusPlan};
 use talus_partition::{AllocPolicy, CachePlan, Planner, TenantPlan};
 
 /// On-disk format version carried in every record payload.
@@ -733,11 +735,11 @@ impl<'a> Reader<'a> {
         Ok(count as usize)
     }
 
-    fn curve(&mut self) -> Result<MissCurve, StoreError> {
+    fn curve(&mut self, grids: &mut GridCache) -> Result<MissCurve, StoreError> {
         let points = self.count(WIRE_MAX_CURVE_POINTS, MissCurve::POINT_BYTES)?;
         // `count` checked the payload holds that many points.
         let body = self.take(points * MissCurve::POINT_BYTES)?;
-        MissCurve::decode_points(body).map_err(StoreError::Curve)
+        MissCurve::decode_points(body, grids).map_err(StoreError::Curve)
     }
 
     fn policy(&mut self) -> Result<AllocPolicy, StoreError> {
@@ -816,6 +818,17 @@ pub(crate) fn framed_len(buf: &[u8]) -> Result<usize, StoreError> {
 /// error on any input, [`StoreError::Truncated`] when `buf` ends before
 /// the record does.
 pub fn decode_record(buf: &[u8]) -> Result<(Record, usize), StoreError> {
+    decode_record_in(buf, &mut GridCache::default())
+}
+
+/// [`decode_record`] for a reader that decodes a stream of records: a
+/// curve record's curve shares the grid of the last curve decoded through
+/// `grids` when its sizes are that grid's, bit for bit — so the curves a
+/// restore replays hold one grid between them, not one each.
+pub(crate) fn decode_record_in(
+    buf: &[u8],
+    grids: &mut GridCache,
+) -> Result<(Record, usize), StoreError> {
     let total = framed_len(buf)?;
     let expected = u64::from_le_bytes(buf[4..12].try_into().expect("8")); // audited: framed_len saw the header
     if buf.len() < total {
@@ -833,11 +846,11 @@ pub fn decode_record(buf: &[u8]) -> Result<(Record, usize), StoreError> {
     if got != expected {
         return Err(StoreError::Checksum { expected, got });
     }
-    Ok((decode_payload(payload)?, total))
+    Ok((decode_payload(payload, grids)?, total))
 }
 
 /// Decodes one payload (version and checksum already verified).
-fn decode_payload(payload: &[u8]) -> Result<Record, StoreError> {
+fn decode_payload(payload: &[u8], grids: &mut GridCache) -> Result<Record, StoreError> {
     // `decode_record` guarantees at least the version byte and tag.
     let tag = payload[1];
     let mut r = Reader::new(&payload[2..]);
@@ -889,7 +902,7 @@ fn decode_payload(payload: &[u8]) -> Result<Record, StoreError> {
                 seq,
                 id,
                 tenant,
-                curve: r.curve()?,
+                curve: r.curve(grids)?,
             }
         }
         TAG_EPOCH_CUT => {
@@ -947,6 +960,8 @@ pub struct Records<'a> {
     buf: &'a [u8],
     consumed: usize,
     tail: Option<StoreError>,
+    /// The stream's curves share a grid while their sizes do.
+    grids: GridCache,
 }
 
 /// Iterates the records of a journal byte stream; see [`Records`].
@@ -955,6 +970,7 @@ pub fn records(buf: &[u8]) -> Records<'_> {
         buf,
         consumed: 0,
         tail: None,
+        grids: GridCache::default(),
     }
 }
 
@@ -980,7 +996,7 @@ impl Iterator for Records<'_> {
         if self.tail.is_some() || self.consumed == self.buf.len() {
             return None;
         }
-        match decode_record(&self.buf[self.consumed..]) {
+        match decode_record_in(&self.buf[self.consumed..], &mut self.grids) {
             Ok((rec, used)) => {
                 self.consumed += used;
                 Some(rec)

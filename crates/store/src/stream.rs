@@ -5,7 +5,9 @@ use std::io::{ErrorKind, Read};
 
 use talus_core::limits::STORE_MAX_RECORD_LEN;
 
-use crate::record::{decode_record, framed_len, Record, Scan, StoreError, RECORD_HEADER_LEN};
+use talus_core::GridCache;
+
+use crate::record::{decode_record_in, framed_len, Record, Scan, StoreError, RECORD_HEADER_LEN};
 
 /// Bytes of the one buffer a [`RecordStream`] reads through: what
 /// opening, restoring, dumping or querying a journal holds of each file
@@ -73,6 +75,8 @@ pub struct RecordStream<R> {
     tail: Option<StoreError>,
     /// A read failed (and was yielded): the stream is over.
     failed: bool,
+    /// The stream's curves share a grid while their sizes do.
+    grids: GridCache,
 }
 
 /// Streams the records `reader` yields; see [`RecordStream`].
@@ -86,6 +90,7 @@ pub fn records_from<R: Read>(reader: R) -> RecordStream<R> {
         consumed: 0,
         tail: None,
         failed: false,
+        grids: GridCache::default(),
     }
 }
 
@@ -175,7 +180,7 @@ impl<R: Read> Iterator for RecordStream<R> {
         if self.start == self.end {
             return None; // the input ended at a record boundary
         }
-        match decode_record(&self.window[self.start..self.end]) {
+        match decode_record_in(&self.window[self.start..self.end], &mut self.grids) {
             Ok((rec, used)) => {
                 self.start += used;
                 self.consumed += used as u64;
@@ -186,5 +191,101 @@ impl<R: Read> Iterator for RecordStream<R> {
                 None
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use talus_core::MissCurve;
+    use talus_partition::Planner;
+
+    use super::*;
+    use crate::record::{encode_record, records, scan};
+    use crate::{Store, StoreSink};
+
+    fn curve(sizes: &[f64], top: f64) -> MissCurve {
+        let misses: Vec<f64> = (0..sizes.len()).map(|i| top / (1 + i) as f64).collect();
+        MissCurve::from_samples(sizes, &misses).unwrap()
+    }
+
+    fn grids(records: &[Record]) -> Vec<&Arc<[f64]>> {
+        records
+            .iter()
+            .filter_map(|r| match r {
+                Record::Curve { curve, .. } => Some(curve.grid()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A stream's curves on one size grid decode onto one grid, whatever
+    /// records lie between them; a curve on other sizes gets its own, and
+    /// the curves after it share one again. A record decoded alone shares
+    /// nothing.
+    #[test]
+    fn a_streams_curves_share_one_grid() {
+        let sizes: Vec<f64> = (0..65).map(|i| i as f64 * 1024.0).collect();
+        let mut journal = Vec::new();
+        let mut written = Vec::new();
+        for seq in 0..40u64 {
+            let on = if seq == 20 { &sizes[..33] } else { &sizes[..] };
+            let rec = Record::Curve {
+                seq,
+                id: seq % 3,
+                tenant: 0,
+                curve: curve(on, 9.0 + seq as f64),
+            };
+            journal.extend_from_slice(&encode_record(&rec));
+            journal.extend_from_slice(&encode_record(&Record::Deregister { seq, id: 99 }));
+            written.push(rec);
+        }
+        let streamed: Vec<Record> = records_from(&journal[..]).map(Result::unwrap).collect();
+        for got in [
+            streamed,
+            records(&journal).collect(),
+            scan(&journal).records,
+        ] {
+            let got_curves: Vec<&Record> = got
+                .iter()
+                .filter(|r| matches!(r, Record::Curve { .. }))
+                .collect();
+            assert!(got_curves.iter().copied().eq(written.iter()));
+            let grids = grids(&got);
+            assert!(grids[..20].iter().all(|g| Arc::ptr_eq(g, grids[0])));
+            assert!(grids[21..].iter().all(|g| Arc::ptr_eq(g, grids[21])));
+            assert_eq!(Arc::strong_count(grids[0]), 20);
+            assert_eq!(Arc::strong_count(grids[20]), 1);
+            assert_eq!(Arc::strong_count(grids[21]), 19);
+        }
+        let (alone, _) = crate::decode_record(&journal).unwrap();
+        assert_eq!(Arc::strong_count(grids(&[alone])[0]), 1);
+    }
+
+    /// What a restore reads — a shard file through `stream_shard` — holds
+    /// one grid for the curves the live plane journaled on one, however
+    /// many grids they arrived on.
+    #[test]
+    fn a_restores_curves_share_one_grid() {
+        let dir =
+            std::env::temp_dir().join(format!("talus-store-stream-grids-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let sizes: Vec<f64> = (0..65).map(|i| i as f64 * 1024.0).collect();
+        {
+            let store = Store::open(&dir, 1).unwrap();
+            store.register(7, 65_536, 4, &Planner::new(1024));
+            for k in 0..64 {
+                // Each curve built with a grid of its own.
+                store.submit(7, k % 4, &curve(&sizes, 10.0 + f64::from(k)));
+            }
+        }
+        let store = Store::open(&dir, 1).unwrap();
+        let replayed: Vec<Record> = store.stream_shard(0).unwrap().map(Result::unwrap).collect();
+        let grids = grids(&replayed);
+        assert_eq!(grids.len(), 64);
+        assert!(grids.iter().all(|g| Arc::ptr_eq(g, grids[0])));
+        assert_eq!(Arc::strong_count(grids[0]), 64);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -726,7 +726,7 @@ mod tests {
             .map(|c| (c.kind, mb_to_lines(c.mb).max(1), c.weight))
             .collect();
         let via_comps = AnalyticModel::from_components(&comps).curve(8192);
-        assert_eq!(via_profile.points(), via_comps.points());
+        assert_eq!(via_profile, via_comps);
     }
 
     #[test]
@@ -749,9 +749,9 @@ mod tests {
         let mut src = AnalyticCurveSource::from_multi_tenant(&p, 4096);
         let a = src.next_curve().unwrap();
         let b = src.next_curve().unwrap();
-        assert_eq!(a.points(), b.points());
+        assert_eq!(a, b);
         assert_eq!(src.next_curves(5).len(), 5);
-        assert_eq!(src.curve().points(), a.points());
+        assert_eq!(*src.curve(), a);
     }
 
     #[test]

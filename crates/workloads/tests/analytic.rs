@@ -228,7 +228,7 @@ proptest! {
         );
         // Grid validity (strictly increasing, finite) is enforced by the
         // MissCurve constructor; re-building from the points proves it.
-        let rebuilt = MissCurve::new(curve.iter().copied());
+        let rebuilt = MissCurve::new(curve.iter());
         prop_assert!(rebuilt.is_ok(), "points form a valid curve");
     }
 }
