@@ -2,22 +2,28 @@
 //! carry, apart from the sockets that carry it.
 //!
 //! `plane_rpc_journal` sends one `Submit` of 272 entries × 65 points
-//! (≈ 287 KB) and 64 single-id `Report` round trips per cycle. These
-//! benches price each codec step of that cycle on its own:
+//! (≈ 146 KB: the one grid once, then 272 values-only curves) and 64
+//! single-id `Report` round trips per cycle. These benches price each
+//! codec step of that cycle on its own:
 //!
 //! - `encode_submit_272x65`: [`encode_request`] — a fresh `Vec` per
 //!   frame, so every iteration maps and first-touches the frame's pages;
 //! - `encode_submit_272x65_into_reused`: [`encode_request_into`] a
 //!   cleared buffer the way a connection does — the same bytes, pages
 //!   already resident. The gap between the two is what buffer ownership
-//!   buys per frame;
-//! - `decode_submit_272x65`: [`decode_request`] of that frame — its 272
-//!   curves on one size grid, which the first decodes and the rest share:
-//!   one grid, then one miss-value allocation and validation per curve;
+//!   buys per frame. Every curve holds its own allocation of the grid, as
+//!   the benchmark's pool curves do, so the encoder finds each entry's
+//!   table entry by comparing sizes, not pointers;
+//! - `decode_submit_272x65`: [`decode_request`] of that frame — one grid
+//!   decoded from its table entry and shared by all 272 curves, then one
+//!   miss-value allocation and validation per curve;
+//! - `{encode,decode}_submit_272x65_4_grids`: the same batch with each
+//!   tenant's curves on a grid of their own, interleaved — a four-entry
+//!   table, searched per entry;
 //! - `report_reply_roundtrip`: a `Report` request and its four-tenant
 //!   `Snapshot` reply, each encoded into a reused buffer and decoded —
 //!   the codec share of the cycle's 64 small round trips;
-//! - `read_frame_into_287k`: [`read_frame_into`] a reused buffer from an
+//! - `read_frame_into_146k`: [`read_frame_into`] a reused buffer from an
 //!   in-memory stream — the copy a socket read costs, without the socket.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -32,11 +38,13 @@ const ENTRIES: u64 = 272;
 /// Points per curve.
 const POINTS: u64 = 65;
 
-fn submit() -> Request {
+/// The batch on `grids` size grids: entry `i` is on grid `i % grids`.
+fn submit(grids: u64) -> Request {
     let curve = |seed: u64| {
+        let step = 1024.0 * (1 + seed % grids) as f64;
         MissCurve::new((0..POINTS).map(|i| {
             let misses = 100.0 / (1 + i + seed % 7) as f64;
-            (i as f64 * 1024.0, misses)
+            (i as f64 * step, misses)
         }))
         .expect("valid curve")
     };
@@ -74,9 +82,9 @@ fn snapshot() -> Response {
 
 fn bench_wire_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire_codec");
-    let request = submit();
+    let request = submit(1);
     let frame = encode_request(&request);
-    assert!(frame.len() > 287_000, "the benchmark-shaped frame");
+    assert!(frame.len() > 146_000, "the benchmark-shaped frame");
 
     group.bench_function("encode_submit_272x65", |b| {
         b.iter(|| black_box(encode_request(black_box(&request))))
@@ -96,6 +104,23 @@ fn bench_wire_codec(c: &mut Criterion) {
         b.iter(|| black_box(decode_request(black_box(&frame[4..])).expect("well-formed")))
     });
 
+    let four = submit(4);
+    let four_frame = encode_request(&four);
+    assert_eq!(
+        four_frame.len(),
+        frame.len() + 3 * (4 + 8 * POINTS as usize)
+    );
+    group.bench_function("encode_submit_272x65_4_grids", |b| {
+        b.iter(|| {
+            buf.clear();
+            encode_request_into(black_box(&four), &mut buf);
+            black_box(buf.len())
+        })
+    });
+    group.bench_function("decode_submit_272x65_4_grids", |b| {
+        b.iter(|| black_box(decode_request(black_box(&four_frame[4..])).expect("well-formed")))
+    });
+
     let (report, reply) = (Request::Report { id: 17 }, snapshot());
     group.bench_function("report_reply_roundtrip", |b| {
         b.iter(|| {
@@ -109,7 +134,7 @@ fn bench_wire_codec(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("read_frame_into_287k", |b| {
+    group.bench_function("read_frame_into_146k", |b| {
         b.iter(|| {
             let mut stream = black_box(&frame[..]);
             assert!(read_frame_into(&mut stream, &mut buf).expect("whole frame"));

@@ -59,9 +59,11 @@ impl From<(f64, f64)> for CurvePoint {
 /// A curve is its miss values beside a size grid it shares: immutable, so
 /// a clone, [`scaled`](Self::scaled) and
 /// [`monotone_envelope`](Self::monotone_envelope) keep the grid they were
-/// made from, and [`decode_points`](Self::decode_points) hands every curve
-/// on the sizes it decoded last that same grid. A 65-point curve is then
-/// 520 bytes of its own plus its share of one 520-byte grid.
+/// made from, [`decode_points`](Self::decode_points) hands every curve
+/// on the sizes it decoded last that same grid, and
+/// [`decode_values`](Self::decode_values) the grid it is given. A
+/// 65-point curve is then 520 bytes of its own plus its share of one
+/// 520-byte grid.
 ///
 /// # Examples
 ///
@@ -88,10 +90,11 @@ pub struct MissCurve {
     misses: Box<[f64]>,
 }
 
-/// What a decoder remembers between curves: the size grid of the last
-/// curve it decoded, so that a next curve whose size bytes equal it bit
-/// for bit shares it instead of allocating and validating its own. Keep
-/// one per frame or per stream — it holds one grid alive, no more.
+/// What [`MissCurve::decode_points`] remembers between curves: the size
+/// grid of the last curve it decoded, so that a next curve whose size
+/// bytes equal it bit for bit shares it instead of allocating and
+/// validating its own. Keep one per stream — it holds one grid alive, no
+/// more.
 ///
 /// # Examples
 ///
@@ -199,8 +202,9 @@ impl MissCurve {
     /// Appends the curve's points to `out` in their one byte form: per
     /// point `size` then `misses`, each the little-endian IEEE-754 bit
     /// pattern, [`POINT_BYTES`](Self::POINT_BYTES) a point, no count and no
-    /// padding. The wire protocol and the journal both carry exactly these
-    /// bytes behind a count prefix of their own.
+    /// padding. The journal carries exactly these bytes behind a count
+    /// prefix of its own; the wire sends a curve's values alone
+    /// ([`encode_values`](Self::encode_values)).
     ///
     /// # Examples
     ///
@@ -224,10 +228,9 @@ impl MissCurve {
         }
     }
 
-    /// Decodes what [`encode_points`](Self::encode_points) wrote — the one
-    /// curve decoder, under the wire protocol and the journal alike. A
-    /// decoded curve upholds every invariant a locally built one does and
-    /// round-trips bit for bit.
+    /// Decodes what [`encode_points`](Self::encode_points) wrote — the
+    /// journal's curve decoder. A decoded curve upholds every invariant a
+    /// locally built one does and round-trips bit for bit.
     ///
     /// If the size bytes equal, bit for bit, those of the grid `grids`
     /// remembers, the curve shares that grid: its sizes are neither
@@ -283,6 +286,104 @@ impl MissCurve {
         let curve = Self::validated(sizes, misses)?;
         grids.last = Some(Arc::clone(&curve.sizes));
         Ok(curve)
+    }
+
+    /// Bytes one value — a size or a miss value — occupies in the
+    /// values-only form.
+    pub const VALUE_BYTES: usize = 8;
+
+    /// Appends `values` to `out` in the values-only form: each the
+    /// little-endian IEEE-754 bit pattern, [`VALUE_BYTES`](Self::VALUE_BYTES)
+    /// a value, no count and no padding. A size grid
+    /// ([`sizes`](Self::sizes)) written this way is read back by
+    /// [`decode_grid`](Self::decode_grid), a curve's
+    /// [`misses`](Self::misses) by [`decode_values`](Self::decode_values):
+    /// the wire protocol sends each grid of a frame once and every curve
+    /// on it as its values alone.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use talus_core::MissCurve;
+    /// let curve = MissCurve::from_samples(&[0.0, 4.0], &[8.0, 0.5])?;
+    /// let (mut grid, mut values) = (Vec::new(), Vec::new());
+    /// MissCurve::encode_values(curve.sizes(), &mut grid);
+    /// MissCurve::encode_values(curve.misses(), &mut values);
+    /// assert_eq!(values.len(), 2 * MissCurve::VALUE_BYTES);
+    /// let grid = MissCurve::decode_grid(&grid)?;
+    /// let decoded = MissCurve::decode_values(&grid, &values)?;
+    /// assert_eq!(decoded, curve);
+    /// assert!(Arc::ptr_eq(decoded.grid(), &grid));
+    /// # Ok::<(), talus_core::CurveError>(())
+    /// ```
+    pub fn encode_values(values: &[f64], out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + Self::VALUE_BYTES * values.len(), 0);
+        let chunks = out[start..].chunks_exact_mut(Self::VALUE_BYTES);
+        for (chunk, value) in chunks.zip(values) {
+            chunk.copy_from_slice(&value.to_bits().to_le_bytes());
+        }
+    }
+
+    /// Decodes a size grid [`encode_values`](Self::encode_values) wrote,
+    /// validated as a curve's sizes are: the grid is valid exactly when
+    /// [`decode_points`](Self::decode_points) would accept these sizes
+    /// under valid miss values, and fails with the error it would give.
+    ///
+    /// # Errors
+    ///
+    /// [`CurveError::Empty`], [`CurveError::InvalidSize`] and
+    /// [`CurveError::NonIncreasingSizes`] as [`MissCurve::new`] reports
+    /// them; [`CurveError::LengthMismatch`] if `bytes` ends inside a value
+    /// (readers slice exactly `count × VALUE_BYTES`, so they never see it).
+    pub fn decode_grid(bytes: &[u8]) -> Result<Arc<[f64]>, CurveError> {
+        let chunks = bytes.chunks_exact(Self::VALUE_BYTES);
+        if !chunks.remainder().is_empty() {
+            return Err(CurveError::LengthMismatch {
+                sizes: chunks.len() + 1,
+                misses: chunks.len(),
+            });
+        }
+        let sizes: Arc<[f64]> = chunks.map(|raw| f64::from_bits(word(raw))).collect();
+        if sizes.is_empty() {
+            return Err(CurveError::Empty);
+        }
+        // Sizes taken as their own miss values: a valid size is a valid
+        // miss value, so only a size can fail, at the index and with the
+        // error it fails with under any valid miss values.
+        if !plainly_valid(&sizes, &sizes) {
+            if let Some(violation) = first_violation(&sizes, &sizes) {
+                return Err(violation);
+            }
+        }
+        Ok(sizes)
+    }
+
+    /// Decodes a curve's miss values [`encode_values`](Self::encode_values)
+    /// wrote, on `grid` — which the curve then shares, so every curve
+    /// decoded on one grid holds one allocation. The curve upholds every
+    /// invariant a locally built one does, whatever `grid` holds, and
+    /// fails as [`MissCurve::from_samples`] over `grid` and the values
+    /// would.
+    ///
+    /// # Errors
+    ///
+    /// Every error of [`MissCurve::from_samples`] for `grid` and the
+    /// decoded values; [`CurveError::LengthMismatch`] unless `bytes` holds
+    /// exactly one value a size (a partial value counts as one).
+    pub fn decode_values(grid: &Arc<[f64]>, bytes: &[u8]) -> Result<Self, CurveError> {
+        if bytes.len() != grid.len() * Self::VALUE_BYTES {
+            return Err(CurveError::LengthMismatch {
+                sizes: grid.len(),
+                misses: bytes.len().div_ceil(Self::VALUE_BYTES),
+            });
+        }
+        let misses: Box<[f64]> = bytes
+            .chunks_exact(Self::VALUE_BYTES)
+            .map(|raw| f64::from_bits(word(raw)))
+            .collect();
+        Self::validated(Arc::clone(grid), misses)
     }
 
     /// The sizes the curve is sampled at, strictly increasing.

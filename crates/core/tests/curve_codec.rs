@@ -15,6 +15,12 @@
 //! down: a decode that reuses a grid is a fresh decode bit for bit, a grid
 //! is reused exactly when the size bytes are the same, and `==` is still
 //! the point-wise comparison of two `Vec<CurvePoint>`s.
+//!
+//! The wire sends a grid once and each curve on it as its miss values
+//! alone (`encode_values`, `decode_grid`, `decode_values`). The last part
+//! holds that codec to `decode_points` over the same points: a grid fails
+//! as its sizes fail there, and a curve on a grid is the point decode bit
+//! for bit, error for error.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -497,4 +503,133 @@ fn a_curve_on_a_remembered_grid_is_still_validated() {
             None => assert!(Arc::ptr_eq(kept.grid(), got.unwrap().grid())),
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Values-only curves on a decoded grid
+// ---------------------------------------------------------------------
+
+/// `values` as the per-`f64` writer wrote each one.
+fn reference_values(values: &[f64]) -> Vec<u8> {
+    values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A grid decodes, or fails, as `decode_points` decodes its sizes
+    /// under valid miss values; a curve's values on a decoded grid decode,
+    /// or fail, as `decode_points` decodes the points — bit for bit — and
+    /// the curve holds the very grid it was decoded on.
+    #[test]
+    fn values_on_a_grid_decode_as_their_points_do(
+        n in 0usize..80, kind in 0usize..5, seed in any::<u64>(),
+    ) {
+        let points = arbitrary_points(n, kind, seed);
+        let sizes: Vec<f64> = points.iter().map(|p| p.size).collect();
+        let misses: Vec<f64> = points.iter().map(|p| p.misses).collect();
+        let (mut grid_bytes, mut value_bytes) = (vec![0x5A; 3], Vec::new());
+        MissCurve::encode_values(&sizes, &mut grid_bytes);
+        MissCurve::encode_values(&misses, &mut value_bytes);
+        prop_assert!(grid_bytes[3..] == reference_values(&sizes)[..]);
+        prop_assert!(value_bytes == reference_values(&misses));
+
+        let mut whole = Vec::new();
+        reference_encode(&points, &mut whole);
+        match MissCurve::decode_grid(&grid_bytes[3..]) {
+            Err(e) => {
+                let ones = vec![1.0; n];
+                let want = fresh(&encoded(&sizes, &ones)).expect_err("the sizes fail");
+                prop_assert!(same_error(&e, &want), "{:?} against {:?}", e, want);
+            }
+            Ok(grid) => {
+                prop_assert_eq!(bits_of(&grid), bits_of(&sizes));
+                let got = MissCurve::decode_values(&grid, &value_bytes);
+                prop_assert!(same(&got, &fresh(&whole)));
+                if let Ok(curve) = got {
+                    prop_assert!(Arc::ptr_eq(curve.grid(), &grid));
+                    let mut again = Vec::new();
+                    MissCurve::encode_values(curve.misses(), &mut again);
+                    prop_assert!(again == value_bytes);
+                }
+            }
+        }
+    }
+
+    /// A grid or a curve's values cut inside a value, or short of the
+    /// grid, is a length error, never a shorter grid or curve.
+    #[test]
+    fn values_cut_at_every_byte(n in 1usize..12, seed in any::<u64>()) {
+        let points = valid_points(n, &mut XorShift(seed | 1));
+        let sizes: Vec<f64> = points.iter().map(|p| p.size).collect();
+        let misses: Vec<f64> = points.iter().map(|p| p.misses).collect();
+        let grid = MissCurve::decode_grid(&reference_values(&sizes)).expect("valid");
+        let values = reference_values(&misses);
+        for cut in 0..values.len() {
+            let at = cut / MissCurve::VALUE_BYTES;
+            if cut % MissCurve::VALUE_BYTES != 0 {
+                prop_assert_eq!(
+                    MissCurve::decode_grid(&values[..cut]),
+                    Err(CurveError::LengthMismatch { sizes: at + 1, misses: at })
+                );
+            }
+            prop_assert_eq!(
+                MissCurve::decode_values(&grid, &values[..cut]),
+                Err(CurveError::LengthMismatch {
+                    sizes: n,
+                    misses: cut.div_ceil(MissCurve::VALUE_BYTES),
+                })
+            );
+        }
+    }
+}
+
+fn bits_of(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn an_empty_grid_is_an_empty_curve() {
+    assert_eq!(MissCurve::decode_grid(&[]), Err(CurveError::Empty));
+}
+
+/// A grid handed in by hand, not decoded, is validated with the values:
+/// no curve breaks its invariants whatever grid it is decoded on.
+#[test]
+fn values_on_an_invalid_grid_are_refused() {
+    let values = reference_values(&[3.0, 2.0]);
+    for (sizes, want) in [
+        ([64.0, 0.0], CurveError::NonIncreasingSizes { index: 1 }),
+        (
+            [-1.0, 64.0],
+            CurveError::InvalidSize {
+                index: 0,
+                value: -1.0,
+            },
+        ),
+    ] {
+        let grid: Arc<[f64]> = sizes.into();
+        assert_eq!(MissCurve::decode_values(&grid, &values), Err(want));
+    }
+}
+
+/// Curves on one decoded grid share it; a grid decoded again from the
+/// same bytes is another allocation.
+#[test]
+fn curves_decoded_on_one_grid_share_it() {
+    let bytes = reference_values(&[0.0, 64.0, 128.0]);
+    let grid = MissCurve::decode_grid(&bytes).unwrap();
+    let a = MissCurve::decode_values(&grid, &reference_values(&[9.0, 5.0, 1.0])).unwrap();
+    let b = MissCurve::decode_values(&grid, &reference_values(&[8.0, 4.0, 2.0])).unwrap();
+    assert!(Arc::ptr_eq(a.grid(), b.grid()));
+    assert_eq!(Arc::strong_count(&grid), 3, "two curves and the table");
+    let again = MissCurve::decode_grid(&bytes).unwrap();
+    assert!(!Arc::ptr_eq(&grid, &again));
+    assert_eq!(
+        a,
+        MissCurve::decode_values(&again, &reference_values(&[9.0, 5.0, 1.0])).unwrap()
+    );
 }

@@ -27,12 +27,14 @@
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::service::{EpochReport, ServeError};
 use crate::snapshot::CacheId;
 use crate::wire::{
-    self, read_frame_into, Request, Response, SnapshotSummary, SubmitEntry, WireError,
+    self, read_frame_into, GridTable, Request, Response, SnapshotSummary, SubmitEntry, WireError,
+    SUBMIT_ENTRY_BYTES,
 };
 use talus_core::limits::{WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_FRAME_LEN};
 use talus_core::{CurveSource, MissCurve, PlaneHealth};
@@ -179,14 +181,16 @@ impl From<WireError> for RpcError {
     }
 }
 
-/// Bytes one submit entry occupies on the wire: id + tenant + point
-/// count + 16 bytes per point.
-fn entry_wire_bytes(curve: &MissCurve) -> usize {
-    8 + 4 + 4 + MissCurve::POINT_BYTES * curve.len()
+/// Bytes one submit entry occupies on the wire: id, tenant, grid index
+/// and miss values, and its grid's point count and sizes if the batch
+/// does not hold that grid yet.
+fn entry_wire_bytes(curve: &MissCurve, new_grid: bool) -> usize {
+    let values = MissCurve::VALUE_BYTES * curve.len();
+    SUBMIT_ENTRY_BYTES + values + if new_grid { 4 + values } else { 0 }
 }
 
 /// Byte budget for a staged batch: a maximum frame minus generous
-/// headroom for the frame header and batch count.
+/// headroom for the frame header, batch count and grid count.
 const BATCH_BYTE_BUDGET: usize = (WIRE_MAX_FRAME_LEN as usize) - 64;
 
 /// Refuses a count the server's decoder would refuse, with the decoder's
@@ -222,6 +226,8 @@ pub struct RpcClient {
     /// The reply being decoded.
     frame: Vec<u8>,
     staged: Vec<SubmitEntry>,
+    /// The staged entries' grids, each counted once in `staged_bytes`.
+    staged_grids: GridTable,
     staged_bytes: usize,
     /// Resolved peer address, kept for reconnects.
     peer: SocketAddr,
@@ -250,6 +256,7 @@ impl RpcClient {
             encoded: Vec::new(),
             frame: Vec::new(),
             staged: Vec::new(),
+            staged_grids: GridTable::default(),
             staged_bytes: 0,
             peer,
             deadline: None,
@@ -555,10 +562,16 @@ impl RpcClient {
     ) -> Result<Option<Vec<Result<(), ServeError>>>, RpcError> {
         // Within the point cap, any one curve fits the byte budget.
         check_count(curve.len(), WIRE_MAX_CURVE_POINTS)?;
-        let bytes = entry_wire_bytes(&curve);
+        let mut new_grid = self.staged_grids.position(curve.grid()).is_none();
+        let mut bytes = entry_wire_bytes(&curve, new_grid);
         let mut flushed = None;
         if !self.staged.is_empty() && self.staged_bytes + bytes > BATCH_BYTE_BUDGET {
             flushed = Some(self.flush_staged()?);
+            new_grid = true;
+            bytes = entry_wire_bytes(&curve, new_grid);
+        }
+        if new_grid {
+            self.staged_grids.grids.push(Arc::clone(curve.grid()));
         }
         self.staged.push(SubmitEntry {
             id: id.value(),
@@ -592,6 +605,7 @@ impl RpcClient {
 
     fn flush_staged(&mut self) -> Result<Vec<Result<(), ServeError>>, RpcError> {
         let entries = std::mem::take(&mut self.staged);
+        self.staged_grids.clear();
         self.staged_bytes = 0;
         self.submit_batch(entries)
     }

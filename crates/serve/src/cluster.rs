@@ -4,7 +4,7 @@
 //! fronting a [`ShardedReconfigService`](crate::ShardedReconfigService)
 //! that owns one contiguous slice of a fixed **global** shard layout
 //! (see [`talus_core::ShardTopology`]). The client connects to every
-//! member, performs the v3 `Hello` handshake — each server advertises
+//! member, performs the `Hello` handshake (since wire v3) — each server advertises
 //! `(total_shards, owned range, epoch, next_id, health)` — and verifies
 //! the advertisements assemble into exactly one plane: every member
 //! agrees on the total, the ranges are disjoint, and together they
@@ -264,7 +264,7 @@ fn is_transport(e: &RpcError) -> bool {
 #[derive(Debug)]
 enum MemberState {
     /// Breaker closed: operations go to the wire.
-    Up(RpcClient),
+    Up(Box<RpcClient>),
     /// Breaker open: operations fail fast with `last` until a probe
     /// succeeds.
     Down {
@@ -405,7 +405,7 @@ impl ClusterClient {
                 count: info.shard_count as usize,
                 last_epoch: info.epoch,
                 outages: 0,
-                state: MemberState::Up(client),
+                state: MemberState::Up(Box::new(client)),
             });
         }
         let owner = assemble(&infos)?;
@@ -592,7 +592,7 @@ impl ClusterClient {
                 self.verify_rejoin(idx, &info)?;
                 let member = &mut self.members[idx];
                 member.last_epoch = info.epoch;
-                member.state = MemberState::Up(client);
+                member.state = MemberState::Up(Box::new(client));
                 Ok(())
             }
             Err(e) if is_transport(&e) => {

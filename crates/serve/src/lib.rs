@@ -132,7 +132,7 @@
 //! journals its slice into its own `talus-store` directory, and
 //! refuses operations for ids it does not own
 //! ([`ServeError::Misrouted`]). [`ClusterClient`] assembles them back
-//! into one logical plane: a v3 `Hello` handshake verifies the
+//! into one logical plane: a `Hello` handshake (since wire v3) verifies the
 //! advertised slices are disjoint and complete, cache-id minting moves
 //! client-side (servers in cluster topologies reject server-side
 //! minting with [`ServeError::ClusterMint`]), and every operation

@@ -1,4 +1,4 @@
-//! The v3 wire protocol: length-prefixed, little-endian binary frames
+//! The v4 wire protocol: length-prefixed, little-endian binary frames
 //! for curve ingest, epoch control, plane health, and cluster topology.
 //!
 //! Every frame is
@@ -6,17 +6,37 @@
 //! ```text
 //! offset  size  field
 //! 0       4     payload length N (LE u32), 2 ≤ N ≤ WIRE_MAX_FRAME_LEN
-//! 4       1     protocol version (WIRE_VERSION = 3)
+//! 4       1     protocol version (WIRE_VERSION = 4)
 //! 5       1     opcode
 //! 6       N−2   body (message-specific, see Request/Response)
 //! ```
 //!
 //! The length prefix counts everything after itself (version + opcode +
 //! body). Integers are little-endian; `f64`s are IEEE-754 bit patterns
-//! (LE), so curves and plan errors round-trip bit-exactly. A
-//! [`MissCurve`] encodes as a point count followed by the curve's one
-//! byte form ([`MissCurve::encode_points`], shared with the journal);
-//! vectors encode as a `u32` count followed by elements.
+//! (LE), so curves and plan errors round-trip bit-exactly. Vectors encode
+//! as a `u32` count followed by elements.
+//!
+//! ## The Submit body
+//!
+//! A batch's curves are sampled on a few size grids (one a monitor), so a
+//! Submit declares each distinct grid once and sends every curve as its
+//! miss values alone ([`MissCurve::encode_values`]):
+//!
+//! ```text
+//! u32  entry count E (1..=WIRE_MAX_BATCH)
+//! u32  grid count G (≤ E)
+//! G ×  u32 point count n (≥ 1), then n sizes as f64
+//! E ×  u64 cache id, u32 tenant, u32 grid index g (< G), then
+//!      grid g's point count of miss values as f64
+//! ```
+//!
+//! Grids are listed in order of first use and each is used, and two
+//! entries are on one grid exactly when their sizes are equal bit for bit
+//! (a `-0.0` and a `0.0`, or sizes one ulp apart, are two grids), so a
+//! batch has one encoding. A 65-point entry is 536 bytes: a 272 × 65
+//! frame on one grid is 146 330 bytes, where repeating each curve's
+//! sizes took 287 242. The frame is self-contained — no grid outlives
+//! it, on either side.
 //!
 //! ## Decoding is total
 //!
@@ -30,10 +50,10 @@
 //! - every element count is checked against both its protocol cap
 //!   (`WIRE_MAX_*`) and the bytes actually remaining in the frame
 //!   *before* any `Vec` is reserved;
-//! - curve payloads are validated by [`MissCurve::decode_points`], so a
-//!   decoded curve upholds every invariant a locally built one does (a
-//!   frame's curves on the same size bytes share one grid, whose sizes
-//!   were validated once, when its first curve was decoded);
+//! - a Submit's grids are validated by [`MissCurve::decode_grid`] and
+//!   its curves by [`MissCurve::decode_values`], so a decoded curve
+//!   upholds every invariant a locally built one does; the curves on one
+//!   table entry share its grid, validated once;
 //! - trailing bytes after a well-formed body are an error, so every byte
 //!   of an accepted frame is accounted for.
 //!
@@ -54,15 +74,21 @@
 //! shedding, a `quarantined` id list in the epoch-report body, and a
 //! `Quarantined` serve-error tag.
 //!
-//! v3 (this version) over v2: the cluster handshake — a `Hello`
-//! request and a `Hello` reply carrying [`ClusterInfo`] (total shards,
-//! the server's owned shard range, epoch progress, the next unminted
-//! id, and a full plane-health snapshot); a `RegisterAt` request for
-//! client-minted ids (registration across a multi-process cluster);
-//! and three serve-error tags for cluster routing faults —
-//! `Misrouted`, `DuplicateCache`, and `ClusterMint`.
+//! v3 over v2: the cluster handshake — a `Hello` request and a `Hello`
+//! reply carrying [`ClusterInfo`] (total shards, the server's owned
+//! shard range, epoch progress, the next unminted id, and a full
+//! plane-health snapshot); a `RegisterAt` request for client-minted ids
+//! (registration across a multi-process cluster); and three serve-error
+//! tags for cluster routing faults — `Misrouted`, `DuplicateCache`, and
+//! `ClusterMint`.
+//!
+//! v4 (this version) over v3: the Submit body above — a grid table and
+//! values-only curves, where v3 sent every curve as a point count and
+//! `(size, misses)` pairs. Every other frame is v3's but for its version
+//! byte.
 
 use std::io::Read;
+use std::sync::Arc;
 
 use crate::service::{EpochReport, ServeError};
 use crate::snapshot::{CacheId, PlanSnapshot, RESERVED_ID};
@@ -71,11 +97,15 @@ use talus_core::limits::{
     WIRE_MAX_TENANTS,
 };
 use talus_core::{
-    CurveError, GridCache, MissCurve, PlanError, PlaneHealth, ShardHealth, ShardState, StoreHealth,
+    CurveError, MissCurve, PlanError, PlaneHealth, ShardHealth, ShardState, StoreHealth,
 };
 
 /// Protocol version carried in every frame header.
-pub const WIRE_VERSION: u8 = 3;
+pub const WIRE_VERSION: u8 = 4;
+
+/// Bytes a Submit entry occupies besides its miss values: id, tenant and
+/// grid index.
+pub(crate) const SUBMIT_ENTRY_BYTES: usize = 8 + 4 + 4;
 
 // Request opcodes (client → server). Crate-visible so the server can
 // key `server.handle` fault-injection rules by opcode.
@@ -372,6 +402,46 @@ pub enum Response {
     Error(ServeError),
 }
 
+/// The distinct size grids of a Submit batch, in order of first use: the
+/// frame's grid table. Two curves are on one grid when they share its
+/// allocation or their sizes are equal bit for bit — a `-0.0` against a
+/// `0.0`, or sizes one ulp apart, are two grids.
+#[derive(Debug, Default)]
+pub(crate) struct GridTable {
+    pub(crate) grids: Vec<Arc<[f64]>>,
+}
+
+impl GridTable {
+    /// Where `grid` is in the table, if it is.
+    pub(crate) fn position(&self, grid: &Arc<[f64]>) -> Option<usize> {
+        // Latest first: a batch's next curve is likeliest on the grid
+        // its last one was. The differing bits of all sizes are or-ed
+        // together, not compared a size at a time: no branch and no
+        // 64-bit compare a size, so the scan of equal grids (the common
+        // case) vectorises on any x86-64.
+        self.grids.iter().rposition(|g| {
+            Arc::ptr_eq(g, grid)
+                || (g.len() == grid.len()
+                    && g.iter()
+                        .zip(grid.iter())
+                        .fold(0, |diff, (a, b)| diff | (a.to_bits() ^ b.to_bits()))
+                        == 0)
+        })
+    }
+
+    /// Where `grid` is in the table, appended if it was not.
+    pub(crate) fn insert(&mut self, grid: &Arc<[f64]>) -> usize {
+        self.position(grid).unwrap_or_else(|| {
+            self.grids.push(Arc::clone(grid));
+            self.grids.len() - 1
+        })
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.grids.clear();
+    }
+}
+
 // ---------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------
@@ -407,11 +477,6 @@ impl<'a> FrameWriter<'a> {
 
     fn f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    fn curve(&mut self, curve: &MissCurve) {
-        self.u32(curve.len() as u32);
-        curve.encode_points(self.buf);
     }
 
     fn ids(&mut self, ids: &[CacheId]) {
@@ -551,17 +616,35 @@ pub fn encode_request_into(req: &Request, out: &mut Vec<u8>) {
             w.u64(*id);
         }
         Request::Submit { entries } => {
-            // The one message that can be large: size it exactly, so even
-            // a cold buffer grows once. Prefix, header and batch count are
-            // 10 bytes; an entry is id + tenant + point count + points.
-            let points: usize = entries.iter().map(|e| e.curve.len()).sum();
-            out.reserve(10 + 16 * entries.len() + MissCurve::POINT_BYTES * points);
+            // The one message that can be large: its grid table is built
+            // first, so the frame is sized exactly and even a cold buffer
+            // grows once. Prefix, header, batch and grid counts are 14
+            // bytes; a grid is its point count and sizes, an entry is id +
+            // tenant + grid index + miss values.
+            let mut grids = GridTable::default();
+            let indices: Vec<u32> = entries
+                .iter()
+                .map(|e| grids.insert(e.curve.grid()) as u32)
+                .collect();
+            let values: usize = grids.grids.iter().map(|g| g.len()).sum::<usize>()
+                + entries.iter().map(|e| e.curve.len()).sum::<usize>();
+            out.reserve(
+                14 + 4 * grids.grids.len()
+                    + SUBMIT_ENTRY_BYTES * entries.len()
+                    + MissCurve::VALUE_BYTES * values,
+            );
             w = FrameWriter::new(out, OP_SUBMIT);
             w.u32(entries.len() as u32);
-            for e in entries {
+            w.u32(grids.grids.len() as u32);
+            for grid in &grids.grids {
+                w.u32(grid.len() as u32);
+                MissCurve::encode_values(grid, w.buf);
+            }
+            for (e, index) in entries.iter().zip(indices) {
                 w.u64(e.id);
                 w.u32(e.tenant);
-                w.curve(&e.curve);
+                w.u32(index);
+                MissCurve::encode_values(e.curve.misses(), w.buf);
             }
         }
         Request::RunEpoch => w = FrameWriter::new(out, OP_RUN_EPOCH),
@@ -682,18 +765,11 @@ pub fn encode_response_into(resp: &Response, out: &mut Vec<u8>) {
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
-    /// The frame's curves share a grid while their sizes do: a Submit of
-    /// 272 curves on one grid decodes one.
-    grids: GridCache,
 }
 
 impl<'a> Reader<'a> {
     fn new(buf: &'a [u8]) -> Self {
-        Reader {
-            buf,
-            pos: 0,
-            grids: GridCache::default(),
-        }
+        Reader { buf, pos: 0 }
     }
 
     fn remaining(&self) -> usize {
@@ -740,13 +816,6 @@ impl<'a> Reader<'a> {
             return Err(WireError::Truncated);
         }
         Ok(count as usize)
-    }
-
-    fn curve(&mut self) -> Result<MissCurve, WireError> {
-        let points = self.count(WIRE_MAX_CURVE_POINTS, MissCurve::POINT_BYTES)?;
-        // `count` checked the frame holds that many points.
-        let body = self.take(points * MissCurve::POINT_BYTES)?;
-        MissCurve::decode_points(body, &mut self.grids).map_err(WireError::Curve)
     }
 
     fn ids(&mut self) -> Result<Vec<CacheId>, WireError> {
@@ -888,18 +957,57 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
         }
         OP_DEREGISTER => Request::Deregister { id: r.u64()? },
         OP_SUBMIT => {
-            // Each entry is at least id + tenant + point count + 1 point.
-            let count = r.count(WIRE_MAX_BATCH, 8 + 4 + 4 + 16)?;
+            // Each entry is at least id + tenant + grid index + one value.
+            let count = r.count(WIRE_MAX_BATCH, SUBMIT_ENTRY_BYTES + MissCurve::VALUE_BYTES)?;
             if count == 0 {
                 return Err(WireError::Malformed("empty submit batch"));
             }
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                entries.push(SubmitEntry {
-                    id: r.u64()?,
-                    tenant: r.u32()?,
-                    curve: r.curve()?,
+            // Every grid is some entry's, and at least a point count and
+            // one size, all ahead of the entries.
+            let grid_count = r.u32()?;
+            if grid_count as usize > count {
+                return Err(WireError::BadCount {
+                    count: grid_count,
+                    max: count as u32,
                 });
+            }
+            let grid_count = grid_count as usize;
+            let least = grid_count * (4 + MissCurve::VALUE_BYTES)
+                + count * (SUBMIT_ENTRY_BYTES + MissCurve::VALUE_BYTES);
+            if least > r.remaining() {
+                return Err(WireError::Truncated);
+            }
+            let mut grids = Vec::with_capacity(grid_count);
+            for _ in 0..grid_count {
+                let points = r.count(WIRE_MAX_CURVE_POINTS, MissCurve::VALUE_BYTES)?;
+                // `count` checked the frame holds that many sizes.
+                let sizes = r.take(points * MissCurve::VALUE_BYTES)?;
+                grids.push(MissCurve::decode_grid(sizes).map_err(WireError::Curve)?);
+            }
+            let mut entries = Vec::with_capacity(count);
+            // Grids are listed in order of first use, so the encoding is
+            // canonical: an entry names a grid already used or the next.
+            let mut used = 0;
+            for _ in 0..count {
+                let id = r.u64()?;
+                let tenant = r.u32()?;
+                let index = r.u32()? as usize;
+                let grid = grids
+                    .get(index)
+                    .ok_or(WireError::Malformed("grid index out of range"))?;
+                if index > used {
+                    return Err(WireError::Malformed("grid used before an earlier one"));
+                }
+                used += usize::from(index == used);
+                let values = r.take(grid.len() * MissCurve::VALUE_BYTES)?;
+                entries.push(SubmitEntry {
+                    id,
+                    tenant,
+                    curve: MissCurve::decode_values(grid, values).map_err(WireError::Curve)?,
+                });
+            }
+            if used < grids.len() {
+                return Err(WireError::Malformed("unreferenced grid"));
             }
             Request::Submit { entries }
         }
@@ -1138,6 +1246,8 @@ mod tests {
         let bytes = encode_request(&Request::Submit {
             entries: entries.clone(),
         });
+        // One grid table entry, then 272 values-only curves.
+        assert_eq!(bytes.len(), 14 + 4 + 8 * 65 + 272 * (16 + 8 * 65));
         let decode = || match decode_request(&bytes[4..]).unwrap() {
             Request::Submit { entries } => entries,
             other => panic!("{other:?}"),
@@ -1153,8 +1263,8 @@ mod tests {
         );
         assert!(!Arc::ptr_eq(decode()[0].curve.grid(), grid));
 
-        // A curve on other sizes in mid-frame gets its own grid, and the
-        // curves after it share one again.
+        // A curve on other sizes in mid-frame gets a table entry of its
+        // own; the curves on either side of it share the first.
         let mut mixed = entries;
         mixed[100].curve = on(&sizes[..64], 3.0);
         let bytes = encode_request(&Request::Submit {
@@ -1165,10 +1275,10 @@ mod tests {
         };
         assert_eq!(got, mixed);
         let grids: Vec<&Arc<[f64]>> = got.iter().map(|e| e.curve.grid()).collect();
-        assert_eq!(Arc::strong_count(grids[0]), 100);
+        assert_eq!(Arc::strong_count(grids[0]), 271);
         assert_eq!(Arc::strong_count(grids[100]), 1);
-        assert_eq!(Arc::strong_count(grids[101]), 171);
-        assert!(!Arc::ptr_eq(grids[0], grids[101]));
+        assert!(Arc::ptr_eq(grids[0], grids[101]));
+        assert!(!Arc::ptr_eq(grids[0], grids[100]));
     }
 
     #[test]

@@ -12,9 +12,11 @@ use std::sync::Arc;
 
 use common::{arb_op, curve_from_seed, Op};
 use proptest::prelude::*;
-use talus_core::limits::{WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_EPOCH_IDS};
+use talus_core::limits::{
+    WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_EPOCH_IDS, WIRE_MAX_FRAME_LEN,
+};
 use talus_core::{MissCurve, ReplaySource};
-use talus_serve::wire::{SubmitEntry, WireError};
+use talus_serve::wire::{encode_request, Request, SubmitEntry, WireError};
 use talus_serve::{
     CacheId, CacheSpec, EpochReport, RetryPolicy, RpcClient, RpcError, RpcServer, ServeError,
     ShardedReconfigService,
@@ -334,14 +336,16 @@ fn a_batch_over_the_frame_cap_is_refused_before_the_socket_is_touched() {
     });
     let id = client.register(4096, 1).expect("register");
 
-    let entries: Vec<SubmitEntry> = (0..100)
+    let entries: Vec<SubmitEntry> = (0..130)
         .map(|_| SubmitEntry {
             id: id.value(),
             tenant: 0,
             curve: curve_of(1024),
         })
         .collect();
-    let frame_len = 2 + 4 + 100 * (8 + 4 + 4 + 16 * 1024);
+    // Header, entry and grid counts, the one grid, then values-only
+    // entries.
+    let frame_len = 2 + 4 + 4 + (4 + 8 * 1024) + 130 * (8 + 4 + 4 + 8 * 1024);
     assert_eq!(
         client.submit_batch(entries),
         Err(RpcError::Wire(WireError::Oversized { len: frame_len }))
@@ -390,6 +394,69 @@ fn counts_over_the_wire_caps_are_refused_at_the_client() {
         .expect("a batch at the cap is legal");
     assert_eq!(results.len(), WIRE_MAX_BATCH as usize);
     assert_eq!(client.ping(), Ok(()));
+    handle.shutdown();
+}
+
+/// A batch staged to the client's byte budget — a maximum frame less 64
+/// bytes — encodes within the frame cap, to the byte the budget counted,
+/// and the next `stage` that would overrun it flushes it. The budget
+/// counts an entry as id + tenant + grid index + 8 bytes a value
+/// (16 + 8n), plus its grid's point count and sizes (4 + 8n) the first
+/// time the batch holds that grid; a budget that overcounts would flush
+/// early here, one that undercounts would overshoot the frame.
+#[test]
+fn a_batch_staged_to_the_byte_budget_fits_one_frame() {
+    const BUDGET: usize = WIRE_MAX_FRAME_LEN as usize - 64;
+    // One grid: 283 curves of 459 points, the grid counted once. A
+    // one-grid batch is 4 bytes past a multiple of 8, so it stops short
+    // of the budget by less than one more entry.
+    let one_grid: Vec<MissCurve> = (0..283).map(|_| curve_of(459)).collect();
+    let one_grid_bytes = 4 + 8 * 459 + 283 * (16 + 8 * 459);
+    assert!(one_grid_bytes <= BUDGET && one_grid_bytes + 16 + 8 * 459 > BUDGET);
+    // All-distinct grids: 63 curves of 1022 points and one of 1066, each
+    // on sizes of its own, exactly the budget.
+    let distinct: Vec<MissCurve> = (0..64)
+        .map(|i| {
+            let points = if i < 63 { 1022 } else { 1066 };
+            MissCurve::new((0..points).map(|j| ((i + j) as f64, 1.0))).expect("valid")
+        })
+        .collect();
+    assert_eq!(63 * (20 + 16 * 1022) + (20 + 16 * 1066), BUDGET);
+
+    let (_remote, mut client, handle) = loopback_plane(1);
+    let id = client.register(1 << 20, 1).expect("register");
+    for (curves, counted, next) in [
+        (one_grid, one_grid_bytes, curve_of(459)),
+        (distinct, BUDGET, curve_of(1)),
+    ] {
+        let entries: Vec<SubmitEntry> = curves
+            .iter()
+            .map(|curve| SubmitEntry {
+                id: id.value(),
+                tenant: 0,
+                curve: curve.clone(),
+            })
+            .collect();
+        let frame = encode_request(&Request::Submit { entries });
+        // Prefix, version, opcode, entry and grid counts, then what the
+        // budget counted.
+        assert_eq!(frame.len(), 4 + 2 + 4 + 4 + counted);
+        assert!(frame.len() - 4 <= WIRE_MAX_FRAME_LEN as usize);
+
+        let staged = curves.len();
+        for curve in curves {
+            assert_eq!(client.stage(id, 0, curve), Ok(None), "flushed early");
+        }
+        assert_eq!(client.staged_len(), staged);
+        let flushed = client
+            .stage(id, 0, next)
+            .expect("auto-flush")
+            .expect("the budget is full");
+        assert_eq!(flushed.len(), staged);
+        assert!(flushed.iter().all(Result::is_ok));
+        assert_eq!(client.staged_len(), 1);
+        assert_eq!(client.flush().map(|r| r.len()), Ok(1));
+    }
     handle.shutdown();
 }
 

@@ -1,13 +1,20 @@
 //! The wire-protocol battery: round-trip properties for every message
-//! type, a golden-bytes fixture pinning the v3 format, and an
-//! adversarial suite proving the decoder is total — truncations,
-//! hostile length fields, wrong versions, garbage opcodes, and random
-//! byte soup all come back as typed errors, never panics, and never
-//! cost allocation proportional to an attacker-controlled length.
+//! type, golden-bytes fixtures pinning the v4 format (and the v3 frames
+//! it replaced, which a v4 decoder refuses), the Submit grid table's
+//! canonical encoding and grid sharing, and an adversarial suite proving
+//! the decoder is total — truncations, hostile length fields and counts,
+//! dangling or unreferenced grids, wrong versions, garbage opcodes, and
+//! random byte soup all come back as typed errors, never panics, and
+//! never cost allocation proportional to an attacker-controlled length.
 
 use proptest::prelude::*;
-use talus_core::limits::{WIRE_MAX_BATCH, WIRE_MAX_FRAME_LEN, WIRE_MAX_SHARDS, WIRE_MAX_TENANTS};
-use talus_core::{MissCurve, PlanError, PlaneHealth, ShardHealth, ShardState, StoreHealth};
+use std::sync::Arc;
+use talus_core::limits::{
+    WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_FRAME_LEN, WIRE_MAX_SHARDS, WIRE_MAX_TENANTS,
+};
+use talus_core::{
+    CurveError, GridCache, MissCurve, PlanError, PlaneHealth, ShardHealth, ShardState, StoreHealth,
+};
 use talus_serve::wire::{
     decode_request, decode_response, encode_request, encode_response, read_frame, ClusterInfo,
     Request, Response, ShadowSummary, SnapshotSummary, SubmitEntry, TenantSummary, WireError,
@@ -312,6 +319,111 @@ proptest! {
     }
 }
 
+/// The bits of a curve's sizes: two curves are on one wire grid exactly
+/// when these are equal.
+fn grid_bits(curve: &MissCurve) -> Vec<u64> {
+    bits(curve.sizes())
+}
+
+/// A batch of 1–12 entries on 1–5 grids drawn from near-twins: a base
+/// grid, the same with `-0.0` for its `0.0`, the same with its top size
+/// one ulp up, its prefix, and an unrelated grid. An entry's curve is
+/// built on a fresh allocation of its grid's sizes, or scaled from an
+/// earlier curve on that grid and so sharing that curve's allocation.
+fn grid_batch(seed: u64) -> Vec<SubmitEntry> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let len = 2 + (next() % 8) as usize;
+    let base: Vec<f64> = (0..len).map(|i| i as f64 * 64.0).collect();
+    let mut negative_zero = base.clone();
+    negative_zero[0] = -0.0;
+    let mut ulp_up = base.clone();
+    ulp_up[len - 1] = f64::from_bits(base[len - 1].to_bits() + 1);
+    let mut other = vec![1.0 + (next() % 100) as f64];
+    for _ in 1..1 + next() % 6 {
+        let last = other[other.len() - 1];
+        other.push(last + 1.0 + (next() % 50) as f64);
+    }
+    let mut pool = vec![
+        base.clone(),
+        negative_zero,
+        ulp_up,
+        base[..len - 1].to_vec(),
+        other,
+    ];
+    // 1–5 grids of the pool, in a random order.
+    for i in (1..pool.len()).rev() {
+        pool.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    pool.truncate(1 + (next() % 5) as usize);
+    let mut entries: Vec<SubmitEntry> = Vec::new();
+    for i in 0..1 + next() % 12 {
+        let sizes = &pool[(next() % pool.len() as u64) as usize];
+        let earlier = entries.iter().find(|e| grid_bits(&e.curve) == bits(sizes));
+        let curve = match earlier {
+            Some(e) if next() % 2 == 0 => e.curve.scaled(0.5),
+            _ => {
+                let misses: Vec<f64> = sizes.iter().map(|_| (next() % 1000) as f64 / 8.0).collect();
+                MissCurve::from_samples(sizes, &misses).expect("valid curve")
+            }
+        };
+        entries.push(SubmitEntry {
+            id: next() % 64,
+            tenant: i as u32 % 4,
+            curve,
+        });
+    }
+    entries
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A Submit on any few grids round-trips bit for bit both ways — the
+    /// decoded batch is the batch, and re-encoding it gives the frame —
+    /// and its decoded curves share one allocation exactly when their
+    /// sizes are equal bit for bit, one per grid the frame declares.
+    #[test]
+    fn submits_on_a_few_grids_roundtrip_bit_for_bit(seed in any::<u64>()) {
+        let entries = grid_batch(seed);
+        let bytes = encode_request(&Request::Submit { entries: entries.clone() });
+        let Ok(Request::Submit { entries: got }) = decode_request(&bytes[4..]) else {
+            panic!("not a submit");
+        };
+        prop_assert_eq!(got.len(), entries.len());
+        for (a, b) in got.iter().zip(&entries) {
+            prop_assert_eq!((a.id, a.tenant), (b.id, b.tenant));
+            prop_assert_eq!(grid_bits(&a.curve), grid_bits(&b.curve));
+            prop_assert_eq!(bits(a.curve.misses()), bits(b.curve.misses()));
+        }
+        prop_assert_eq!(
+            encode_request(&Request::Submit { entries: got.clone() }),
+            bytes.clone()
+        );
+        let mut distinct: Vec<Vec<u64>> = entries.iter().map(|e| grid_bits(&e.curve)).collect();
+        distinct.sort();
+        distinct.dedup();
+        prop_assert_eq!(&bytes[10..14], &(distinct.len() as u32).to_le_bytes()[..]);
+        for a in &got {
+            for b in &got {
+                prop_assert_eq!(
+                    Arc::ptr_eq(a.curve.grid(), b.curve.grid()),
+                    grid_bits(&a.curve) == grid_bits(&b.curve)
+                );
+            }
+        }
+    }
+}
+
 /// A reader that panics if the transport reads past the length prefix —
 /// proof that a hostile length field is rejected *before* any payload
 /// read or allocation happens.
@@ -476,36 +588,185 @@ fn register_bounds_are_enforced_at_decode_time() {
     assert!(register_at(u64::MAX - 1).is_ok());
 }
 
+/// A Submit payload (version byte onward) from raw parts, consistent
+/// or not: `entries` as the declared entry count, each grid as its sizes,
+/// each row as a grid index and its miss values.
+fn submit_payload(entries: u32, grids: &[&[f64]], rows: &[(u32, &[f64])]) -> Vec<u8> {
+    let mut payload = vec![WIRE_VERSION, 0x03];
+    payload.extend_from_slice(&entries.to_le_bytes());
+    payload.extend_from_slice(&(grids.len() as u32).to_le_bytes());
+    for grid in grids {
+        payload.extend_from_slice(&(grid.len() as u32).to_le_bytes());
+        MissCurve::encode_values(grid, &mut payload);
+    }
+    for (i, (grid, values)) in rows.iter().enumerate() {
+        payload.extend_from_slice(&(5 + i as u64).to_le_bytes());
+        payload.extend_from_slice(&0u32.to_le_bytes());
+        payload.extend_from_slice(&grid.to_le_bytes());
+        MissCurve::encode_values(values, &mut payload);
+    }
+    payload
+}
+
+/// `submit_payload` with its entry count from its rows.
+fn submit(grids: &[&[f64]], rows: &[(u32, &[f64])]) -> Vec<u8> {
+    submit_payload(rows.len() as u32, grids, rows)
+}
+
 #[test]
 fn invalid_curves_are_rejected_with_curve_errors() {
-    let encode = |points: &[(f64, f64)]| {
-        let mut payload = vec![WIRE_VERSION, 0x03];
-        payload.extend_from_slice(&1u32.to_le_bytes());
-        payload.extend_from_slice(&5u64.to_le_bytes());
-        payload.extend_from_slice(&0u32.to_le_bytes());
-        payload.extend_from_slice(&(points.len() as u32).to_le_bytes());
-        for (size, misses) in points {
-            payload.extend_from_slice(&size.to_bits().to_le_bytes());
-            payload.extend_from_slice(&misses.to_bits().to_le_bytes());
+    // A grid fails as `decode_points` fails on its sizes under valid miss
+    // values; a curve's values fail as they fail on a valid grid — the
+    // decoder builds every curve through the same validation as a
+    // locally built one.
+    let points = |sizes: &[f64], misses: &[f64]| {
+        let mut bytes = Vec::new();
+        for (size, misses) in sizes.iter().zip(misses) {
+            MissCurve::encode_values(&[*size, *misses], &mut bytes);
         }
-        payload
+        MissCurve::decode_points(&bytes, &mut GridCache::default())
     };
-    // Non-increasing sizes, NaN, negative misses: the decoder funnels
-    // every curve through MissCurve::from_samples, so a decoded curve
-    // upholds the same invariants as a locally built one.
-    assert!(matches!(
-        decode_request(&encode(&[(64.0, 4.0), (64.0, 2.0)])),
-        Err(WireError::Curve(_))
-    ));
-    assert!(matches!(
-        decode_request(&encode(&[(f64::NAN, 4.0)])),
-        Err(WireError::Curve(_))
-    ));
-    assert!(matches!(
-        decode_request(&encode(&[(0.0, -1.0)])),
-        Err(WireError::Curve(_))
-    ));
-    assert!(decode_request(&encode(&[(0.0, 4.0), (64.0, 2.0)])).is_ok());
+    let bad_grids: [&[f64]; 6] = [
+        &[64.0, 64.0],
+        &[0.0, 64.0, 32.0],
+        &[f64::NAN],
+        &[0.0, f64::INFINITY],
+        &[-1.0, 4.0],
+        &[0.0, -0.0],
+    ];
+    for grid in bad_grids {
+        let ones = vec![1.0; grid.len()];
+        let want = points(grid, &ones).expect_err("an invalid grid");
+        // Debug-formatted: a NaN in an error is not `==` itself.
+        assert_eq!(
+            format!("{:?}", decode_request(&submit(&[grid], &[(0, &ones)]))),
+            format!("{:?}", Err::<Request, _>(WireError::Curve(want))),
+        );
+    }
+    // An empty grid is too short for the frame's lower bound; padded
+    // past it, the grid itself is refused.
+    let mut empty = submit(&[&[]], &[(0, &[])]);
+    assert_eq!(decode_request(&empty), Err(WireError::Truncated));
+    empty.extend_from_slice(&[0; 16]);
+    assert_eq!(
+        decode_request(&empty),
+        Err(WireError::Curve(CurveError::Empty))
+    );
+    let grid = [0.0, 64.0];
+    for values in [[4.0, -1.0], [f64::NAN, 2.0], [4.0, f64::INFINITY]] {
+        let want = points(&grid, &values).expect_err("invalid values");
+        assert_eq!(
+            format!("{:?}", decode_request(&submit(&[&grid], &[(0, &values)]))),
+            format!("{:?}", Err::<Request, _>(WireError::Curve(want))),
+        );
+    }
+    // -0.0 is a valid size and a valid miss value, as it is locally.
+    assert!(decode_request(&submit(&[&[-0.0, 64.0]], &[(0, &[-0.0, 2.0])])).is_ok());
+    assert!(decode_request(&submit(&[&grid], &[(0, &[4.0, 2.0])])).is_ok());
+}
+
+#[test]
+fn a_grid_index_out_of_range_is_malformed() {
+    let grid: &[f64] = &[0.0, 64.0];
+    let out = Err(WireError::Malformed("grid index out of range"));
+    for index in [1, 2, u32::MAX] {
+        assert_eq!(
+            decode_request(&submit(&[grid], &[(index, &[4.0, 2.0])])),
+            out
+        );
+    }
+    // Later entries are held to the table too.
+    let rows: [(u32, &[f64]); 2] = [(0, &[4.0, 2.0]), (1, &[4.0, 2.0])];
+    assert_eq!(decode_request(&submit(&[grid], &rows)), out);
+    // No grid at all: every entry's index dangles.
+    assert_eq!(decode_request(&submit(&[], &[(0, &[4.0])])), out);
+}
+
+#[test]
+fn grids_are_unreferenced_or_out_of_order_only_in_a_malformed_frame() {
+    let (a, b): (&[f64], &[f64]) = (&[0.0, 64.0], &[0.0, 32.0]);
+    let two = [4.0, 2.0];
+    assert_eq!(
+        decode_request(&submit(&[a, b], &[(0, &two), (0, &two)])),
+        Err(WireError::Malformed("unreferenced grid"))
+    );
+    // The table lists grids in order of first use: one encoding a batch.
+    assert_eq!(
+        decode_request(&submit(&[a, b], &[(1, &two), (0, &two)])),
+        Err(WireError::Malformed("grid used before an earlier one"))
+    );
+    assert!(decode_request(&submit(&[a, b], &[(0, &two), (1, &two), (0, &two)])).is_ok());
+}
+
+#[test]
+fn hostile_grid_counts_fail_before_allocation() {
+    let grid: &[f64] = &[0.0, 64.0];
+    // More grids than entries: some grid would go unused.
+    let mut payload = submit(&[grid, grid], &[(0, &[4.0, 2.0])]);
+    assert_eq!(
+        decode_request(&payload),
+        Err(WireError::BadCount { count: 2, max: 1 })
+    );
+    // [version, opcode, entry count, grid count, first point count, …]
+    payload[2..6].copy_from_slice(&u32::MAX.to_le_bytes());
+    payload[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(
+        decode_request(&payload),
+        Err(WireError::BadCount {
+            count: u32::MAX,
+            max: WIRE_MAX_BATCH
+        })
+    );
+    // A grid count the entry count allows but the bytes left cannot
+    // hold, with the entries after it: refused before the table is read.
+    let mut payload = vec![WIRE_VERSION, 0x03];
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.extend_from_slice(&[0; 24]);
+    assert_eq!(decode_request(&payload), Err(WireError::Truncated));
+    let mut payload = vec![WIRE_VERSION, 0x03];
+    payload.extend_from_slice(&WIRE_MAX_BATCH.to_le_bytes());
+    payload.extend_from_slice(&WIRE_MAX_BATCH.to_le_bytes());
+    payload.extend_from_slice(&vec![0; 24 * WIRE_MAX_BATCH as usize]);
+    assert_eq!(decode_request(&payload), Err(WireError::Truncated));
+    // A grid's point count over the cap, then over the bytes left.
+    let mut payload = submit(&[grid], &[(0, &[4.0, 2.0])]);
+    payload[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(
+        decode_request(&payload),
+        Err(WireError::BadCount {
+            count: u32::MAX,
+            max: WIRE_MAX_CURVE_POINTS
+        })
+    );
+    payload[10..14].copy_from_slice(&WIRE_MAX_CURVE_POINTS.to_le_bytes());
+    assert_eq!(decode_request(&payload), Err(WireError::Truncated));
+}
+
+/// The two-grid golden batch below: three entries, the middle one on a
+/// grid of its own.
+fn two_grid_batch() -> Request {
+    let x = MissCurve::from_samples(&[0.0, 64.0], &[8.0, 2.0]).unwrap();
+    let y = MissCurve::from_samples(&[0.0, 32.0, 64.0], &[4.0, 2.0, 1.0]).unwrap();
+    let x2 = MissCurve::from_samples(&[0.0, 64.0], &[6.0, 3.0]).unwrap();
+    let entry = |id, tenant, curve| SubmitEntry { id, tenant, curve };
+    Request::Submit {
+        entries: vec![entry(1, 0, x), entry(2, 1, y), entry(1, 1, x2)],
+    }
+}
+
+#[test]
+fn every_truncation_of_a_two_grid_frame_is_truncated() {
+    let bytes = encode_request(&two_grid_batch());
+    let payload = &bytes[4..];
+    assert!(decode_request(payload).is_ok());
+    for cut in 0..payload.len() {
+        assert_eq!(
+            decode_request(&payload[..cut]),
+            Err(WireError::Truncated),
+            "cut at {cut}"
+        );
+    }
 }
 
 #[test]
@@ -525,18 +786,40 @@ fn trailing_bytes_are_malformed() {
 }
 
 // ---------------------------------------------------------------------
-// Golden bytes: the v3 format, pinned byte for byte. If any of these
+// Golden bytes: the v4 format, pinned byte for byte. If any of these
 // fail, the wire format changed — bump WIRE_VERSION and make the change
-// deliberate. (v3 over v2: Hello handshake opcodes 0x08/0x88 carrying
-// ClusterInfo, RegisterAt opcode 0x09 for client-minted ids, and
-// serve-error tags 5/6/7 for cluster routing faults.)
+// deliberate. v4 replaced the Submit body (a grid table and values-only
+// curves, pinned by the `golden_v4_submit_*` frames); every other frame
+// is pinned by its v3 fixture, which v4 sends unchanged but for the
+// version byte and refuses to decode. (v3 over v2: Hello handshake
+// opcodes 0x08/0x88 carrying ClusterInfo, RegisterAt opcode 0x09 for
+// client-minted ids, and serve-error tags 5/6/7 for cluster routing
+// faults.)
 // ---------------------------------------------------------------------
+
+/// `encoded` is the v3 fixture `v3` but for its version byte, and a v4
+/// decoder refuses the fixture itself as a foreign version.
+fn v3_frame_is(encoded: &[u8], v3: &[u8]) {
+    assert_eq!(v3[4], 3, "a v3 fixture");
+    assert_eq!(encoded[4], WIRE_VERSION);
+    assert_eq!((&encoded[..4], &encoded[5..]), (&v3[..4], &v3[5..]));
+    let refused = Err(WireError::BadVersion { got: 3 });
+    assert_eq!(decode_request(&v3[4..]).map(|_| ()), refused);
+    assert_eq!(decode_response(&v3[4..]).map(|_| ()), refused);
+}
 
 #[test]
 fn golden_v3_constants() {
-    assert_eq!(WIRE_VERSION, 3);
+    // A v3 frame is refused on its version byte, whatever its opcode.
+    for opcode in [0x03, 0x06, 0x86] {
+        assert_eq!(
+            decode_request(&[3, opcode]),
+            Err(WireError::BadVersion { got: 3 })
+        );
+    }
     // The limits are part of the format contract (decoders reject by
-    // them), so drifting them silently is a wire change too.
+    // them), so drifting them silently is a wire change too. v4 kept
+    // v3's.
     assert_eq!(WIRE_MAX_FRAME_LEN, 1 << 20);
     assert_eq!(WIRE_MAX_BATCH, 1024);
     assert_eq!(WIRE_MAX_TENANTS, 1024);
@@ -546,14 +829,14 @@ fn golden_v3_constants() {
 #[test]
 fn golden_v3_fixed_frames() {
     // [len=2 LE] [version=3] [opcode]
-    assert_eq!(encode_request(&Request::Ping), [2, 0, 0, 0, 3, 0x06]);
-    assert_eq!(encode_request(&Request::RunEpoch), [2, 0, 0, 0, 3, 0x04]);
-    assert_eq!(encode_request(&Request::Health), [2, 0, 0, 0, 3, 0x07]);
-    assert_eq!(encode_response(&Response::Pong), [2, 0, 0, 0, 3, 0x86]);
-    assert_eq!(encode_response(&Response::Busy), [2, 0, 0, 0, 3, 0x8E]);
-    assert_eq!(
-        encode_response(&Response::Deregistered),
-        [2, 0, 0, 0, 3, 0x82]
+    v3_frame_is(&encode_request(&Request::Ping), &[2, 0, 0, 0, 3, 0x06]);
+    v3_frame_is(&encode_request(&Request::RunEpoch), &[2, 0, 0, 0, 3, 0x04]);
+    v3_frame_is(&encode_request(&Request::Health), &[2, 0, 0, 0, 3, 0x07]);
+    v3_frame_is(&encode_response(&Response::Pong), &[2, 0, 0, 0, 3, 0x86]);
+    v3_frame_is(&encode_response(&Response::Busy), &[2, 0, 0, 0, 3, 0x8E]);
+    v3_frame_is(
+        &encode_response(&Response::Deregistered),
+        &[2, 0, 0, 0, 3, 0x82],
     );
 }
 
@@ -564,43 +847,133 @@ fn golden_v3_register_frame() {
         capacity: 4096,
         tenants: 3,
     });
-    assert_eq!(
-        bytes,
-        [
+    v3_frame_is(
+        &bytes,
+        &[
             14, 0, 0, 0, // length
             3, 0x01, // version, opcode
             0x00, 0x10, 0, 0, 0, 0, 0, 0, // capacity = 4096
             3, 0, 0, 0, // tenants
-        ]
+        ],
     );
 }
 
 #[test]
 fn golden_v3_submit_frame() {
-    // One entry, two-point curve; f64s are IEEE-754 bit patterns LE.
+    // v3 sent each curve as a point count and (size, misses) pairs.
+    let v3 = [
+        54, 0, 0, 0, // length = 2 + 4 + 8 + 4 + 4 + 2*16
+        3, 0x03, // version, opcode
+        1, 0, 0, 0, // entry count
+        7, 0, 0, 0, 0, 0, 0, 0, // cache id
+        1, 0, 0, 0, // tenant
+        2, 0, 0, 0, // point count
+        0, 0, 0, 0, 0, 0, 0, 0, // size 0.0
+        0, 0, 0, 0, 0, 0, 0x20, 0x40, // misses 8.0
+        0, 0, 0, 0, 0, 0, 0x50, 0x40, // size 64.0
+        0, 0, 0, 0, 0, 0, 0x00, 0x40, // misses 2.0
+    ];
+    let refused = Err(WireError::BadVersion { got: 3 });
+    assert_eq!(decode_request(&v3[4..]), refused);
+    // Relabelled v4, its body is no v4 Submit: the id's low word reads
+    // as a grid count over the entry count.
+    let mut relabelled = v3;
+    relabelled[4] = WIRE_VERSION;
+    assert_eq!(
+        decode_request(&relabelled[4..]),
+        Err(WireError::BadCount { count: 7, max: 1 })
+    );
+}
+
+#[test]
+fn golden_v4_submit_one_grid_frame() {
+    assert_eq!(WIRE_VERSION, 4);
+    // The batch `golden_v3_submit_frame` pinned: its one grid is declared
+    // once, and the curve is its miss values on it.
     let curve = MissCurve::from_samples(&[0.0, 64.0], &[8.0, 2.0]).unwrap();
-    let bytes = encode_request(&Request::Submit {
+    let request = Request::Submit {
         entries: vec![SubmitEntry {
             id: 7,
             tenant: 1,
             curve,
         }],
-    });
+    };
+    let bytes = encode_request(&request);
     assert_eq!(
         bytes,
         [
-            54, 0, 0, 0, // length = 2 + 4 + 8 + 4 + 4 + 2*16
-            3, 0x03, // version, opcode
+            62, 0, 0, 0, // length = 2 + 4 + 4 + (4 + 2*8) + (8 + 4 + 4 + 2*8)
+            4, 0x03, // version, opcode
             1, 0, 0, 0, // entry count
+            1, 0, 0, 0, // grid count
+            2, 0, 0, 0, // grid 0: point count
+            0, 0, 0, 0, 0, 0, 0, 0, // size 0.0
+            0, 0, 0, 0, 0, 0, 0x50, 0x40, // size 64.0
             7, 0, 0, 0, 0, 0, 0, 0, // cache id
             1, 0, 0, 0, // tenant
-            2, 0, 0, 0, // point count
-            0, 0, 0, 0, 0, 0, 0, 0, // size 0.0
+            0, 0, 0, 0, // grid index
             0, 0, 0, 0, 0, 0, 0x20, 0x40, // misses 8.0
-            0, 0, 0, 0, 0, 0, 0x50, 0x40, // size 64.0
             0, 0, 0, 0, 0, 0, 0x00, 0x40, // misses 2.0
         ]
     );
+    assert_eq!(decode_request(&bytes[4..]), Ok(request));
+}
+
+#[test]
+fn golden_v4_submit_two_grid_frame() {
+    // Grids in order of first use; the third entry names the first grid
+    // again instead of repeating it.
+    let request = two_grid_batch();
+    let bytes = encode_request(&request);
+    assert_eq!(
+        bytes,
+        [
+            162, 0, 0, 0, // length
+            4, 0x03, // version, opcode
+            3, 0, 0, 0, // entry count
+            2, 0, 0, 0, // grid count
+            2, 0, 0, 0, // grid 0: point count
+            0, 0, 0, 0, 0, 0, 0, 0, // size 0.0
+            0, 0, 0, 0, 0, 0, 0x50, 0x40, // size 64.0
+            3, 0, 0, 0, // grid 1: point count
+            0, 0, 0, 0, 0, 0, 0, 0, // size 0.0
+            0, 0, 0, 0, 0, 0, 0x40, 0x40, // size 32.0
+            0, 0, 0, 0, 0, 0, 0x50, 0x40, // size 64.0
+            1, 0, 0, 0, 0, 0, 0, 0, // entry 0: cache id
+            0, 0, 0, 0, // tenant
+            0, 0, 0, 0, // grid index
+            0, 0, 0, 0, 0, 0, 0x20, 0x40, // misses 8.0
+            0, 0, 0, 0, 0, 0, 0x00, 0x40, // misses 2.0
+            2, 0, 0, 0, 0, 0, 0, 0, // entry 1: cache id
+            1, 0, 0, 0, // tenant
+            1, 0, 0, 0, // grid index
+            0, 0, 0, 0, 0, 0, 0x10, 0x40, // misses 4.0
+            0, 0, 0, 0, 0, 0, 0x00, 0x40, // misses 2.0
+            0, 0, 0, 0, 0, 0, 0xF0, 0x3F, // misses 1.0
+            1, 0, 0, 0, 0, 0, 0, 0, // entry 2: cache id
+            1, 0, 0, 0, // tenant
+            0, 0, 0, 0, // grid index
+            0, 0, 0, 0, 0, 0, 0x18, 0x40, // misses 6.0
+            0, 0, 0, 0, 0, 0, 0x08, 0x40, // misses 3.0
+        ]
+    );
+    let Ok(Request::Submit { entries }) = decode_request(&bytes[4..]) else {
+        panic!("not a submit");
+    };
+    assert_eq!(
+        Request::Submit {
+            entries: entries.clone()
+        },
+        request
+    );
+    assert!(Arc::ptr_eq(
+        entries[0].curve.grid(),
+        entries[2].curve.grid()
+    ));
+    assert!(!Arc::ptr_eq(
+        entries[0].curve.grid(),
+        entries[1].curve.grid()
+    ));
 }
 
 #[test]
@@ -614,9 +987,9 @@ fn golden_v3_epoch_report_frame() {
         quarantined: vec![],
         remaining_dirty: 2,
     }));
-    assert_eq!(
-        bytes,
-        [
+    v3_frame_is(
+        &bytes,
+        &[
             59, 0, 0, 0, // length
             3, 0x84, // version, opcode
             3, 0, 0, 0, 0, 0, 0, 0, // epoch
@@ -629,7 +1002,7 @@ fn golden_v3_epoch_report_frame() {
             1, 0, 0, 0, 0, 0, 0, 0, // the unknown id
             0, 0, 0, 0, // quarantined count (v2)
             2, 0, 0, 0, 0, 0, 0, 0, // remaining_dirty
-        ]
+        ],
     );
 }
 
@@ -638,14 +1011,14 @@ fn golden_v3_quarantined_error_frame() {
     // Serve-error tag 4 (v2): a submission rejected by quarantine.
     let ids = cache_ids(1);
     let bytes = encode_response(&Response::Error(ServeError::Quarantined(ids[0])));
-    assert_eq!(
-        bytes,
-        [
+    v3_frame_is(
+        &bytes,
+        &[
             11, 0, 0, 0, // length
             3, 0x8F, // version, opcode
             4,    // serve-error tag: Quarantined
             0, 0, 0, 0, 0, 0, 0, 0, // the quarantined id
-        ]
+        ],
     );
 }
 
@@ -674,9 +1047,9 @@ fn golden_v3_health_frame() {
         connections: 4,
         rejected: 7,
     }));
-    assert_eq!(
-        bytes,
-        [
+    v3_frame_is(
+        &bytes,
+        &[
             109, 0, 0, 0, // length
             3, 0x87, // version, opcode
             5, 0, 0, 0, 0, 0, 0, 0, // epochs
@@ -696,7 +1069,7 @@ fn golden_v3_health_frame() {
             0, 0, 0, 0, 0, 0, 0, 0, // shard 1 pending
             1, 0, 0, 0, 0, 0, 0, 0, // shard 1 quarantined
             1, // shard 1 state: Degraded
-        ]
+        ],
     );
 }
 
@@ -735,9 +1108,9 @@ fn golden_v3_snapshot_frame() {
             }),
         }],
     })));
-    assert_eq!(
-        bytes,
-        [
+    v3_frame_is(
+        &bytes,
+        &[
             88, 0, 0, 0, // length
             3, 0x85, // version, opcode
             1,    // present tag
@@ -753,19 +1126,19 @@ fn golden_v3_snapshot_frame() {
             0, 0, 0, 0, 0, 0, 0x50, 0x40, // alpha 64.0
             0, 0, 0, 0, 0, 0, 0x60, 0x40, // beta 128.0
             0, 0, 0, 0, 0, 0, 0xE0, 0x3F, // rho 0.5
-        ]
+        ],
     );
     // Absent snapshot: just the tag.
-    assert_eq!(
-        encode_response(&Response::Snapshot(None)),
-        [3, 0, 0, 0, 3, 0x85, 0]
+    v3_frame_is(
+        &encode_response(&Response::Snapshot(None)),
+        &[3, 0, 0, 0, 3, 0x85, 0],
     );
 }
 
 #[test]
 fn golden_v3_hello_frames() {
     // The handshake request carries no body.
-    assert_eq!(encode_request(&Request::Hello), [2, 0, 0, 0, 3, 0x08]);
+    v3_frame_is(&encode_request(&Request::Hello), &[2, 0, 0, 0, 3, 0x08]);
 
     // The reply: topology slice, epoch, next-id hint, then the full
     // plane-health block in its usual layout.
@@ -791,9 +1164,9 @@ fn golden_v3_hello_frames() {
             rejected: 0,
         },
     }));
-    assert_eq!(
-        bytes,
-        [
+    v3_frame_is(
+        &bytes,
+        &[
             104, 0, 0, 0, // length
             3, 0x88, // version, opcode
             6, 0, 0, 0, // total_shards
@@ -813,7 +1186,7 @@ fn golden_v3_hello_frames() {
             0, 0, 0, 0, 0, 0, 0, 0, // shard 0 pending
             0, 0, 0, 0, 0, 0, 0, 0, // shard 0 quarantined
             0, // shard 0 state: Ok
-        ]
+        ],
     );
 }
 
@@ -825,15 +1198,15 @@ fn golden_v3_register_at_frame() {
         capacity: 4096,
         tenants: 3,
     });
-    assert_eq!(
-        bytes,
-        [
+    v3_frame_is(
+        &bytes,
+        &[
             22, 0, 0, 0, // length
             3, 0x09, // version, opcode
             5, 0, 0, 0, 0, 0, 0, 0, // cache id
             0x00, 0x10, 0, 0, 0, 0, 0, 0, // capacity = 4096
             3, 0, 0, 0, // tenants
-        ]
+        ],
     );
 }
 
@@ -846,32 +1219,32 @@ fn golden_v3_cluster_error_frames() {
         cache: ids[0],
         shard: 3,
     }));
-    assert_eq!(
-        bytes,
-        [
+    v3_frame_is(
+        &bytes,
+        &[
             15, 0, 0, 0, // length
             3, 0x8F, // version, opcode
             5,    // serve-error tag: Misrouted
             0, 0, 0, 0, 0, 0, 0, 0, // the misrouted cache id
             3, 0, 0, 0, // the receiving member's owning shard hint
-        ]
+        ],
     );
 
     // Tag 6: RegisterAt collided with a different live spec.
     let bytes = encode_response(&Response::Error(ServeError::DuplicateCache(ids[0])));
-    assert_eq!(
-        bytes,
-        [
+    v3_frame_is(
+        &bytes,
+        &[
             11, 0, 0, 0, // length
             3, 0x8F, // version, opcode
             6,    // serve-error tag: DuplicateCache
             0, 0, 0, 0, 0, 0, 0, 0, // the colliding id
-        ]
+        ],
     );
 
     // Tag 7: server-side minting rejected on a cluster topology.
-    assert_eq!(
-        encode_response(&Response::Error(ServeError::ClusterMint)),
-        [3, 0, 0, 0, 3, 0x8F, 7]
+    v3_frame_is(
+        &encode_response(&Response::Error(ServeError::ClusterMint)),
+        &[3, 0, 0, 0, 3, 0x8F, 7],
     );
 }
