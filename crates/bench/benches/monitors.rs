@@ -171,7 +171,7 @@ fn bench_analytic_curve(c: &mut Criterion) {
         })
     });
 
-    // One tenant of the interference workload the serve driver runs:
+    // One tenant of the interference workload the serve benches run:
     // rotating shared-window scan superposed on a private Zipf hot set.
     let mt = multi_tenant(4).scaled(1.0 / 64.0);
     g.bench_function("multi_tenant", |b| {

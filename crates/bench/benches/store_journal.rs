@@ -42,7 +42,8 @@ const CACHES: u64 = 32;
 /// Shards (journal files) the records spread over.
 const SHARDS: usize = 4;
 /// Points per synthetic miss curve (the production-shaped size: the
-/// serve ingest benches and driver run 65-point monitor curves).
+/// serve ingest benches and the repo benchmark run 65-point monitor
+/// curves).
 const POINTS: usize = 65;
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);

@@ -85,11 +85,6 @@ impl PlaneHealth {
             .count() as u64
     }
 
-    /// Shards planning normally.
-    pub fn ok(&self) -> u64 {
-        self.shards.len() as u64 - self.degraded()
-    }
-
     /// Whether nothing has failed: no degraded shard, no quarantined
     /// cache, and the journal (if any) is not faulted.
     pub fn is_healthy(&self) -> bool {
@@ -123,7 +118,7 @@ mod tests {
             rejected: 0,
         };
         assert!(h.is_healthy());
-        assert_eq!((h.ok(), h.degraded()), (2, 0));
+        assert_eq!(h.degraded(), 0);
     }
 
     #[test]

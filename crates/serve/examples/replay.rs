@@ -33,9 +33,9 @@
 //! Curves come from exact Mattson monitors (the checks are bit-exact, so
 //! determinism matters more than speed here); ingest still rides the
 //! batched path — `MonitorSource` feeds every monitor through
-//! `Monitor::record_block`. The `talus-serve` driver binary shows the
-//! production-shaped configuration: the same source over the SHARDS-style
-//! `SampledMattson`, sharded and threaded.
+//! `Monitor::record_block`. A production producer would run the same
+//! source over the SHARDS-style `SampledMattson`, as the repo
+//! benchmark's `producer_fed` workload does.
 //!
 //! ```text
 //! cargo run -p talus-serve --example replay

@@ -615,26 +615,6 @@ impl RpcClient {
         self.staged.len()
     }
 
-    /// Pulls one update from a [`CurveSource`] and submits it, mirroring
-    /// the local [`submit_from`](crate::ShardedReconfigService::submit_from):
-    /// returns `Ok(false)` once the source is exhausted. This is the
-    /// live-monitor path — one interval of measurement, one submission.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`submit`](RpcClient::submit).
-    pub fn submit_from(
-        &mut self,
-        id: CacheId,
-        tenant: usize,
-        source: &mut dyn CurveSource,
-    ) -> Result<bool, RpcError> {
-        match source.next_curve() {
-            Some(curve) => self.submit(id, tenant, curve).map(|_| true),
-            None => Ok(false),
-        }
-    }
-
     /// Drains up to `max` pending updates from a [`CurveSource`] and
     /// submits only the newest — the same backlog-coalescing contract as
     /// the local [`submit_latest`](crate::ShardedReconfigService::submit_latest),

@@ -18,11 +18,17 @@
 //!    shard slice or a rolled-back epoch (fresh/stale journal) is
 //!    rejected with a typed [`HandshakeError`] and its breaker stays
 //!    open — the cluster never routes to forked state.
+//!
+//! Failover and resurrection also run once across real process
+//! boundaries: `talus-serve cluster-server` children, one killed with
+//! `Child::kill` and restarted over its journal.
 
 mod common;
 
+use std::io::{BufRead, BufReader, Read};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -498,4 +504,140 @@ fn cluster_members_refuse_server_side_minting() {
         direct.register(1024, 1),
         Err(RpcError::Serve(ServeError::ClusterMint))
     ));
+}
+
+/// `talus-serve cluster-server` processes, killed and reaped on drop so
+/// a failing test leaks none.
+struct ServerProcesses(Vec<Child>);
+
+impl ServerProcesses {
+    /// Starts a member process serving shards `first..first + count` of
+    /// `total` from the journal in `dir`, and reads the address it
+    /// prints as its first line.
+    fn spawn(total: usize, first: usize, count: usize, dir: &Path) -> (Child, SocketAddr) {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_talus-serve"))
+            .arg("cluster-server")
+            .args([total, first, count].map(|n| n.to_string()))
+            .arg(dir)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn cluster-server");
+        let mut line = String::new();
+        // A failed read leaves no address, and the child is reaped below.
+        let stdout = child.stdout.take().expect("piped stdout");
+        let _ = BufReader::new(stdout).read_line(&mut line);
+        match line.trim().parse() {
+            Ok(addr) => (child, addr),
+            Err(_) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                let mut stderr = String::new();
+                let _ = child
+                    .stderr
+                    .take()
+                    .map(|mut e| e.read_to_string(&mut stderr));
+                panic!("cluster-server printed {line:?}, not an address; stderr: {stderr}")
+            }
+        }
+    }
+
+    fn kill(&mut self, member: usize) {
+        self.0[member].kill().expect("kill member");
+        self.0[member].wait().expect("reap member");
+    }
+}
+
+impl Drop for ServerProcesses {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// Failover and resurrection across real processes: three
+/// `cluster-server` members, each journaling two of six shards. One is
+/// killed between operations: its ids fail fast with a typed
+/// `ShardDown` while the survivors serve. A new process over the same
+/// journal rejoins, and from then on every wire summary equals a
+/// single-process twin's fed the same stream.
+#[test]
+fn killed_server_process_restarts_from_its_journal_bit_identical() {
+    let dir = temp_dir("processes");
+    let member_dirs: Vec<PathBuf> = (0..3).map(|m| dir.join(format!("member-{m}"))).collect();
+    let mut servers = ServerProcesses(Vec::new());
+    let mut addrs = Vec::new();
+    for (m, member_dir) in member_dirs.iter().enumerate() {
+        let (child, addr) = ServerProcesses::spawn(6, m * 2, 2, member_dir);
+        servers.0.push(child);
+        addrs.push(addr);
+    }
+    let mut cluster = ClusterClient::connect_with(&addrs, test_config()).expect("connect");
+    let twin = ShardedReconfigService::new(6);
+
+    let ids = register_both(&mut cluster, &twin, 8, 2);
+    for (i, id) in ids.iter().enumerate() {
+        for t in 0..2 {
+            let curve = curve_from_seed(1 + (i * 2 + t) as u64);
+            twin.submit(*id, t, curve.clone()).expect("twin");
+            cluster.submit(*id, t, curve).expect("cluster");
+        }
+    }
+    drain_lockstep(&mut cluster, &twin);
+
+    // Kill member 1's process: its shards fail fast and typed, the
+    // survivors' shards keep accepting work.
+    servers.kill(1);
+    let (victim_ids, survivor_ids): (Vec<CacheId>, Vec<CacheId>) =
+        ids.iter().partition(|id| cluster.member_for(**id) == 1);
+    assert!(
+        !victim_ids.is_empty() && !survivor_ids.is_empty(),
+        "the workload must straddle the victim and the survivors"
+    );
+    for (i, id) in survivor_ids.iter().enumerate() {
+        let curve = curve_from_seed(100 + i as u64);
+        twin.submit(*id, 0, curve.clone()).expect("twin");
+        cluster
+            .submit(*id, 0, curve)
+            .expect("survivors keep accepting");
+    }
+    for id in &victim_ids {
+        match cluster.submit(*id, 0, curve_from_seed(200)) {
+            Err(ClusterError::ShardDown {
+                member,
+                first_shard,
+                shard_count,
+                ..
+            }) => assert_eq!((member, first_shard, shard_count), (1, 2, 2)),
+            other => panic!("{id}: expected ShardDown, got {other:?}"),
+        }
+    }
+    let health = cluster.health();
+    assert!(!health.is_healthy());
+    assert_eq!(health.unreachable_shards(), vec![2, 3]);
+
+    // A new process over the same journal rejoins at a fresh port.
+    let (child, addr) = ServerProcesses::spawn(6, 2, 2, &member_dirs[1]);
+    servers.0[1] = child;
+    cluster
+        .reconnect_member(1, Some(addr))
+        .expect("journal-restored member rejoins");
+    for (i, id) in ids.iter().enumerate() {
+        let curve = curve_from_seed(300 + i as u64);
+        twin.submit(*id, 0, curve.clone()).expect("twin");
+        cluster.submit(*id, 0, curve).expect("submit after rejoin");
+    }
+    drain_lockstep(&mut cluster, &twin);
+    for id in &ids {
+        let want = twin.snapshot(*id).as_deref().map(SnapshotSummary::from);
+        assert_eq!(cluster.report(*id).expect("report"), want, "{id}");
+    }
+    let health = cluster.health();
+    assert!(health.is_healthy(), "the outage is over");
+    assert_eq!(health.members[1].outages, 1, "and it was counted");
+
+    drop(servers);
+    let _ = std::fs::remove_dir_all(&dir);
 }

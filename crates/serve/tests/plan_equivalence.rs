@@ -13,7 +13,7 @@ use talus_partition::{fair, hill_climb, lookahead, AllocPolicy, Planner};
 use talus_serve::{CacheSpec, ShardedReconfigService};
 use talus_sim::monitor::{MattsonMonitor, MonitorSource};
 use talus_sim::LineAddr;
-use talus_workloads::{profile, AccessGenerator};
+use talus_workloads::{multi_tenant, profile, AccessGenerator, AnalyticCurveSource};
 
 /// Offline reference: hulls, allocation, per-tenant shadow planning —
 /// spelled out with the low-level primitives, *not* the shared `Planner`,
@@ -108,17 +108,16 @@ proptest! {
 }
 
 /// End-to-end replay: monitor-measured curves from SPEC-shaped workloads
-/// stream through the service over multiple intervals; every published
-/// epoch must match the offline planner on the same curves.
+/// stream through the service over multiple intervals, beside one tenant
+/// whose curve is synthesised from a spec; every published epoch must
+/// match the offline planner on the same curves.
 #[test]
 fn multi_tenant_replay_matches_offline_every_epoch() {
     const CAPACITY: u64 = 2048;
     const INTERVAL: u64 = 30_000;
     let names = ["libquantum", "omnetpp", "xalancbmk"];
 
-    let service = ShardedReconfigService::new(1);
-    let id = service.register(CacheSpec::new(CAPACITY, names.len()));
-    let mut sources: Vec<_> = names
+    let mut sources: Vec<Box<dyn CurveSource>> = names
         .iter()
         .enumerate()
         .map(|(t, name)| {
@@ -127,9 +126,21 @@ fn multi_tenant_replay_matches_offline_every_epoch() {
             let next: Box<dyn FnMut() -> LineAddr> = Box::new(move || gen.next_line());
             let mut s = MonitorSource::new(MattsonMonitor::new(2 * CAPACITY), INTERVAL, next);
             s.warm_up(INTERVAL / 2);
-            s
+            Box::new(s) as Box<dyn CurveSource>
         })
         .collect();
+    // The analytic backend: the multi-tenant phase model's curve, derived
+    // from its spec with no address stream. It is the same curve every
+    // interval; the monitored tenants' curves are not, so the cache still
+    // replans every epoch.
+    let phases = multi_tenant(names.len()).scaled(1.0 / 256.0);
+    sources.push(Box::new(AnalyticCurveSource::from_multi_tenant(
+        &phases,
+        2 * CAPACITY,
+    )));
+
+    let service = ShardedReconfigService::new(1);
+    let id = service.register(CacheSpec::new(CAPACITY, sources.len()));
 
     for interval in 1..=3u64 {
         let mut latest = Vec::new();

@@ -25,7 +25,7 @@ use talus_core::{CurveSource, MissCurve};
 /// monitors ([`SampledMattson`](crate::monitor::SampledMattson),
 /// [`MattsonMonitor`](crate::monitor::MattsonMonitor)) get their
 /// amortized path on every layer built on this source — the experiment
-/// sweeps and `talus-serve`'s replay/driver included.
+/// sweeps and `talus-serve`'s replay example and suites included.
 #[derive(Debug)]
 pub struct MonitorSource<M, F> {
     monitor: M,

@@ -19,8 +19,8 @@
 //!   reader, through one fixed window ([`STREAM_WINDOW_LEN`]) — the only
 //!   way a shard file is read ([`Store::stream_shard`]). [`records`] and
 //!   [`scan`] stay for callers that already hold the bytes.
-//! - [`Store`]: N journal files (`shard-NNN.talus`) in one directory,
-//!   cache `id` in file [`talus_core::shard_of`]`(id, N)` — the same
+//! - [`Store`]: N journal files (`shard-NNN.talus`, listed by
+//!   [`shard_files`]) in one directory, cache `id` in file [`talus_core::shard_of`]`(id, N)` — the same
 //!   placement the serve router uses, so restore never moves records
 //!   across shards. Opening recovers each file (torn tails truncated,
 //!   reported via [`Store::recovery`]; a file of another format version
@@ -105,5 +105,5 @@ pub use record::{
     checksum64, decode_record, encode_record, encode_record_into, fnv1a64, records, scan, Record,
     Records, Scan, StoreError, RECORD_HEADER_LEN, STORE_VERSION,
 };
-pub use store::{CurveUpdate, RecoveryReport, Store, StoreSink};
+pub use store::{shard_files, CurveUpdate, RecoveryReport, Store, StoreSink};
 pub use stream::{records_from, RecordStream, STREAM_WINDOW_LEN};

@@ -4,10 +4,11 @@
 //!
 //! Reading goes one way: [`Store::stream_shard`] hands out a
 //! [`RecordStream`] over the bytes a shard's file held when it was
-//! called, and `open`, `restore` (in `talus-serve`), [`Store::history`],
-//! [`Store::replay_shard`] and the `store-dump` driver all pull from
-//! one. No reader ever holds a shard file in memory, or a journal lock
-//! while it reads.
+//! called, and `open`, `restore` (in `talus-serve`), [`Store::history`]
+//! and [`Store::replay_shard`] all pull from one; `talus-serve
+//! store-dump` streams each file of [`shard_files`] through its own,
+//! read-only. No reader ever holds a shard file in memory, or a journal
+//! lock while it reads.
 
 use std::fmt;
 use std::fs::File;
@@ -200,7 +201,7 @@ impl Store {
         assert!(shards > 0, "need at least one shard");
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let found = existing_shard_files(&dir)?;
+        let found = shard_files(&dir)?.len();
         if found > 0 && found != shards {
             return Err(StoreError::ShardLayout {
                 found,
@@ -512,9 +513,17 @@ fn shard_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard:03}.talus"))
 }
 
-/// Counts contiguous shard files already present in `dir` (highest index
-/// found, plus one; gaps count up to the highest).
-fn existing_shard_files(dir: &Path) -> Result<usize, StoreError> {
+/// The shard files of the journal in `dir`, file `i` at index `i`: one
+/// path for every index up to the highest `shard-NNN.talus` present. A
+/// gap is listed too — its path names no file — so the list is the
+/// layout [`Store::open`] finds (and would fill). Reads only the
+/// directory.
+///
+/// # Errors
+///
+/// [`StoreError::Io`] if `dir` cannot be listed.
+pub fn shard_files(dir: impl AsRef<Path>) -> Result<Vec<PathBuf>, StoreError> {
+    let dir = dir.as_ref();
     let mut found = 0;
     for entry in std::fs::read_dir(dir)? {
         let name = entry?.file_name();
@@ -527,5 +536,5 @@ fn existing_shard_files(dir: &Path) -> Result<usize, StoreError> {
             found = found.max(n + 1);
         }
     }
-    Ok(found)
+    Ok((0..found).map(|shard| shard_path(dir, shard)).collect())
 }

@@ -10,7 +10,7 @@
 //! and the curves of co-tenants keep changing relative to each other —
 //! exactly the churn that keeps an online reconfiguration plane's dirty
 //! queues full. This is the load generator for `talus-serve`'s sharded
-//! ingest benches and driver.
+//! ingest benches and the repo benchmark's `producer_fed` workload.
 
 use crate::generator::{AccessGenerator, Mixture, Phased, Scan, Zipfian};
 use crate::zipf::ZipfTable;

@@ -9,8 +9,9 @@
 # audit marker.
 #
 # Exclusions:
-#   - main.rs            the demo driver; a panic there aborts a smoke
-#                        run, not the plane
+#   - main.rs            the operator binary (`cluster-server`,
+#                        `store-dump`); it is a caller of the plane, and
+#                        a panic there ends that one process
 #   - #[cfg(test)] mods  unwrap in tests is the assertion idiom
 #   - comment lines      doc examples (`//!`, `///`) aren't compiled in
 #   - `// audited:` hits a deliberate, reviewed panic site; the marker
