@@ -25,8 +25,9 @@
 //! - [`source`]: the [`CurveSource`] seam separating curve producers
 //!   (monitors, models, replays) from curve consumers (planners, services);
 //! - [`limits`]: interchange bounds (frame/curve/batch sizes) every
-//!   serialization of these types — e.g. `talus-serve`'s wire protocol —
-//!   must agree on.
+//!   serialization of these types — `talus-serve`'s wire protocol and
+//!   `talus-store`'s journal — must agree on, and [`codec`]: the one
+//!   bounds-checked cursor and field writers both formats use.
 //!
 //! ## Quickstart
 //!
@@ -62,6 +63,7 @@
 #![forbid(unsafe_code)]
 
 pub mod bypass;
+pub mod codec;
 mod config;
 mod curve;
 mod error;

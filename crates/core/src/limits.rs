@@ -1,9 +1,10 @@
 //! Interchange limits: shared bounds for serialized core types.
 //!
 //! Any component that moves [`MissCurve`](crate::MissCurve)s or cache
-//! ids across a process boundary — today `talus-serve`'s length-prefixed
-//! wire protocol, tomorrow a persistence layer — needs agreed-on bounds
-//! so a decoder can reject hostile input *before* allocating for it.
+//! ids across a process boundary — `talus-serve`'s length-prefixed wire
+//! protocol and `talus-store`'s journal — needs agreed-on bounds so a
+//! decoder can reject hostile input *before* allocating for it; both read
+//! counts against these caps through [`codec::Reader`](crate::codec::Reader).
 //! The constants live here, next to the types they bound, because every
 //! producer and consumer of an encoded curve must agree on them; the
 //! frame layout itself (headers, opcodes, versioning) belongs to the
@@ -79,9 +80,12 @@ mod tests {
 
     #[test]
     fn worst_case_curve_fits_a_frame() {
-        // One curve of maximum points (16 bytes per point plus the count)
-        // must encode well within a frame, with room for batch framing.
-        let worst_curve = 4 + 16 * WIRE_MAX_CURVE_POINTS;
+        // One curve of maximum points must encode well within a frame,
+        // with room for batch framing. A Submit entry is its id, tenant
+        // and grid index and 8 bytes a miss value; on a grid new to the
+        // frame, the grid's point count and 8 bytes a size come with it.
+        let values = 8 * WIRE_MAX_CURVE_POINTS;
+        let worst_curve = (8 + 4 + 4) + values + (4 + values);
         assert!(worst_curve * 4 < WIRE_MAX_FRAME_LEN);
     }
 

@@ -33,9 +33,10 @@ use std::time::Duration;
 use crate::service::{EpochReport, ServeError};
 use crate::snapshot::CacheId;
 use crate::wire::{
-    self, read_frame_into, GridTable, Request, Response, SnapshotSummary, SubmitEntry, WireError,
-    SUBMIT_ENTRY_BYTES,
+    self, check_register_at, read_frame_into, submit_entry_bytes, GridTable, Request, Response,
+    SnapshotSummary, SubmitEntry, WireError,
 };
+use talus_core::codec::{check_count, check_shape};
 use talus_core::limits::{WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_FRAME_LEN};
 use talus_core::{CurveSource, MissCurve, PlaneHealth};
 
@@ -181,27 +182,9 @@ impl From<WireError> for RpcError {
     }
 }
 
-/// Bytes one submit entry occupies on the wire: id, tenant, grid index
-/// and miss values, and its grid's point count and sizes if the batch
-/// does not hold that grid yet.
-fn entry_wire_bytes(curve: &MissCurve, new_grid: bool) -> usize {
-    let values = MissCurve::VALUE_BYTES * curve.len();
-    SUBMIT_ENTRY_BYTES + values + if new_grid { 4 + values } else { 0 }
-}
-
 /// Byte budget for a staged batch: a maximum frame minus generous
 /// headroom for the frame header, batch count and grid count.
 const BATCH_BYTE_BUDGET: usize = (WIRE_MAX_FRAME_LEN as usize) - 64;
-
-/// Refuses a count the server's decoder would refuse, with the decoder's
-/// own error, so the frame holding it is never sent.
-fn check_count(count: usize, max: u32) -> Result<(), WireError> {
-    let count = u32::try_from(count).unwrap_or(u32::MAX);
-    if count > max {
-        return Err(WireError::BadCount { count, max });
-    }
-    Ok(())
-}
 
 /// A blocking client for a remote reconfiguration plane.
 ///
@@ -422,10 +405,13 @@ impl RpcClient {
     ///
     /// # Errors
     ///
-    /// [`RpcError::Wire`] on transport failure; the server validates
-    /// `capacity > 0` and `0 < tenants <=` the wire tenant cap at decode
-    /// time, so out-of-range arguments surface as a closed connection.
+    /// [`RpcError::Wire`] on transport failure. Arguments the server's
+    /// decoder would refuse — a zero `capacity`, or `tenants` outside
+    /// `1..=` the wire tenant cap — are refused here with its error
+    /// ([`WireError::Malformed`] or [`WireError::BadCount`]): nothing is
+    /// sent and the connection stays usable.
     pub fn register(&mut self, capacity: u64, tenants: u32) -> Result<CacheId, RpcError> {
+        check_shape(capacity, tenants).map_err(WireError::from)?;
         match self.call(&Request::Register { capacity, tenants })? {
             Response::Registered { id } => Ok(CacheId(id)),
             other => Err(Self::reject(other, "register")),
@@ -443,13 +429,16 @@ impl RpcClient {
     /// [`RpcError::Serve`] with [`ServeError::Misrouted`] if this
     /// server does not own the id's shard, or
     /// [`ServeError::DuplicateCache`] if the id exists with a different
-    /// spec.
+    /// spec. Arguments the server's decoder would refuse (those
+    /// [`register`](RpcClient::register) refuses, and the reserved top
+    /// id) are refused here with its error, unsent.
     pub fn register_at(
         &mut self,
         id: CacheId,
         capacity: u64,
         tenants: u32,
     ) -> Result<CacheId, RpcError> {
+        check_register_at(id.value(), capacity, tenants)?;
         let req = Request::RegisterAt {
             id: id.value(),
             capacity,
@@ -533,9 +522,9 @@ impl RpcClient {
         entries: Vec<SubmitEntry>,
     ) -> Result<Vec<Result<(), ServeError>>, RpcError> {
         assert!(!entries.is_empty(), "empty batch");
-        check_count(entries.len(), WIRE_MAX_BATCH)?;
+        check_count(entries.len(), WIRE_MAX_BATCH).map_err(WireError::from)?;
         for entry in &entries {
-            check_count(entry.curve.len(), WIRE_MAX_CURVE_POINTS)?;
+            check_count(entry.curve.len(), WIRE_MAX_CURVE_POINTS).map_err(WireError::from)?;
         }
         match self.call_retrying(&Request::Submit { entries })? {
             Response::SubmitReply { results } => Ok(results),
@@ -561,14 +550,14 @@ impl RpcClient {
         curve: MissCurve,
     ) -> Result<Option<Vec<Result<(), ServeError>>>, RpcError> {
         // Within the point cap, any one curve fits the byte budget.
-        check_count(curve.len(), WIRE_MAX_CURVE_POINTS)?;
+        check_count(curve.len(), WIRE_MAX_CURVE_POINTS).map_err(WireError::from)?;
         let mut new_grid = self.staged_grids.position(curve.grid()).is_none();
-        let mut bytes = entry_wire_bytes(&curve, new_grid);
+        let mut bytes = submit_entry_bytes(curve.len(), new_grid);
         let mut flushed = None;
         if !self.staged.is_empty() && self.staged_bytes + bytes > BATCH_BYTE_BUDGET {
             flushed = Some(self.flush_staged()?);
             new_grid = true;
-            bytes = entry_wire_bytes(&curve, new_grid);
+            bytes = submit_entry_bytes(curve.len(), new_grid);
         }
         if new_grid {
             self.staged_grids.grids.push(Arc::clone(curve.grid()));

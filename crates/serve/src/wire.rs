@@ -47,15 +47,21 @@
 //! - the length prefix is bounded by
 //!   [`talus_core::limits::WIRE_MAX_FRAME_LEN`] *before* the payload
 //!   buffer is allocated;
-//! - every element count is checked against both its protocol cap
-//!   (`WIRE_MAX_*`) and the bytes actually remaining in the frame
-//!   *before* any `Vec` is reserved;
+//! - every field is read through [`talus_core::codec::Reader`], the
+//!   bounds-checked cursor the journal reads with too: every element
+//!   count is checked against both its protocol cap (`WIRE_MAX_*`) and
+//!   the bytes actually remaining in the frame *before* any `Vec` is
+//!   reserved;
 //! - a Submit's grids are validated by [`MissCurve::decode_grid`] and
 //!   its curves by [`MissCurve::decode_values`], so a decoded curve
 //!   upholds every invariant a locally built one does; the curves on one
 //!   table entry share its grid, validated once;
-//! - trailing bytes after a well-formed body are an error, so every byte
-//!   of an accepted frame is accounted for.
+//! - trailing bytes after a well-formed body are an error (the
+//!   `Reader`'s `end`), so every byte of an accepted frame is accounted
+//!   for;
+//! - a register's shape is checked by [`talus_core::codec::check_shape`],
+//!   the check `RpcClient` makes before sending one and the journal
+//!   makes on its own `Register` records.
 //!
 //! All failures surface as the typed [`WireError`]; the adversarial
 //! suite in `tests/wire.rs` drives truncations, oversized prefixes,
@@ -92,6 +98,9 @@ use std::sync::Arc;
 
 use crate::service::{EpochReport, ServeError};
 use crate::snapshot::{CacheId, PlanSnapshot, RESERVED_ID};
+use talus_core::codec::{
+    check_count, check_shape, put_f64, put_u32, put_u64, put_u8, DecodeError, Reader,
+};
 use talus_core::limits::{
     WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_FRAME_LEN, WIRE_MAX_IDS, WIRE_MAX_SHARDS,
     WIRE_MAX_TENANTS,
@@ -103,9 +112,26 @@ use talus_core::{
 /// Protocol version carried in every frame header.
 pub const WIRE_VERSION: u8 = 4;
 
-/// Bytes a Submit entry occupies besides its miss values: id, tenant and
-/// grid index.
-pub(crate) const SUBMIT_ENTRY_BYTES: usize = 8 + 4 + 4;
+/// Bytes of a Submit frame ahead of its grid table: length prefix,
+/// version, opcode, entry count and grid count.
+const SUBMIT_HEAD_BYTES: usize = 4 + 1 + 1 + 4 + 4;
+
+/// Bytes a Submit entry of `points` miss values adds to its frame: id,
+/// tenant, grid index and values, and — when its grid is new to the
+/// frame — the grid's point count and sizes.
+pub(crate) fn submit_entry_bytes(points: usize, new_grid: bool) -> usize {
+    let values = MissCurve::VALUE_BYTES * points;
+    8 + 4 + 4 + values + if new_grid { 4 + values } else { 0 }
+}
+
+/// The checks a `RegisterAt` decode makes, so a client can make them
+/// before sending one.
+pub(crate) fn check_register_at(id: u64, capacity: u64, tenants: u32) -> Result<(), WireError> {
+    if id == RESERVED_ID {
+        return Err(WireError::Malformed("reserved cache id"));
+    }
+    Ok(check_shape(capacity, tenants)?)
+}
 
 // Request opcodes (client → server). Crate-visible so the server can
 // key `server.handle` fault-injection rules by opcode.
@@ -210,6 +236,17 @@ impl From<std::io::Error> for WireError {
             WireError::Truncated
         } else {
             WireError::Io(e.kind())
+        }
+    }
+}
+
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => WireError::Truncated,
+            DecodeError::BadCount { count, max } => WireError::BadCount { count, max },
+            DecodeError::Curve(e) => WireError::Curve(e),
+            DecodeError::Malformed(what) => WireError::Malformed(what),
         }
     }
 }
@@ -446,139 +483,112 @@ impl GridTable {
 // Encoding
 // ---------------------------------------------------------------------
 
-/// Appends one frame to a caller's buffer: [`FrameWriter::new`] reserves
-/// the 4-byte length prefix, the field methods append the body, and
-/// [`FrameWriter::finish`] fills the prefix in. The buffer may already
-/// hold earlier bytes; they are left alone.
-struct FrameWriter<'a> {
-    buf: &'a mut Vec<u8>,
-    /// Where this frame's length prefix starts in `buf`.
-    start: usize,
+/// Appends one frame to `out`: the header with a zero length prefix, the
+/// body `body` appends, then the prefix filled in. `out` may already hold
+/// earlier bytes; they are left alone. The length is not checked here: the
+/// encoders are total, so tests can build frames a decoder must refuse,
+/// and a sender checks the finished frame against [`WIRE_MAX_FRAME_LEN`]
+/// before writing it (`RpcClient` does).
+fn frame(out: &mut Vec<u8>, opcode: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0, 0, 0, 0, WIRE_VERSION, opcode]);
+    body(out);
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-impl<'a> FrameWriter<'a> {
-    fn new(buf: &'a mut Vec<u8>, opcode: u8) -> Self {
-        let start = buf.len();
-        buf.extend_from_slice(&[0, 0, 0, 0, WIRE_VERSION, opcode]);
-        FrameWriter { buf, start }
+fn put_ids(out: &mut Vec<u8>, ids: &[CacheId]) {
+    put_u32(out, ids.len() as u32);
+    for id in ids {
+        put_u64(out, id.value());
     }
+}
 
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    fn ids(&mut self, ids: &[CacheId]) {
-        self.u32(ids.len() as u32);
-        for id in ids {
-            self.u64(id.value());
+fn put_serve_error(out: &mut Vec<u8>, e: &ServeError) {
+    match e {
+        ServeError::UnknownCache(id) => {
+            put_u8(out, 1);
+            put_u64(out, id.value());
         }
-    }
-
-    fn serve_error(&mut self, e: &ServeError) {
-        match e {
-            ServeError::UnknownCache(id) => {
-                self.u8(1);
-                self.u64(id.value());
-            }
-            ServeError::TenantOutOfRange {
-                cache,
-                tenant,
-                tenants,
-            } => {
-                self.u8(2);
-                self.u64(cache.value());
-                self.u32(*tenant as u32);
-                self.u32(*tenants as u32);
-            }
-            ServeError::Quarantined(id) => {
-                self.u8(4);
-                self.u64(id.value());
-            }
-            ServeError::Misrouted { cache, shard } => {
-                self.u8(5);
-                self.u64(cache.value());
-                self.u32(*shard as u32);
-            }
-            ServeError::DuplicateCache(id) => {
-                self.u8(6);
-                self.u64(id.value());
-            }
-            ServeError::ClusterMint => self.u8(7),
-            ServeError::Plan { cache, source } => {
-                self.u8(3);
-                self.u64(cache.value());
-                match source {
-                    PlanError::SizeOutOfRange { size, min, max } => {
-                        self.u8(1);
-                        self.f64(*size);
-                        self.f64(*min);
-                        self.f64(*max);
-                    }
-                    PlanError::InvalidSize { size } => {
-                        self.u8(2);
-                        self.f64(*size);
-                    }
-                    PlanError::InvalidMargin { margin } => {
-                        self.u8(3);
-                        self.f64(*margin);
-                    }
+        ServeError::TenantOutOfRange {
+            cache,
+            tenant,
+            tenants,
+        } => {
+            put_u8(out, 2);
+            put_u64(out, cache.value());
+            put_u32(out, *tenant as u32);
+            put_u32(out, *tenants as u32);
+        }
+        ServeError::Quarantined(id) => {
+            put_u8(out, 4);
+            put_u64(out, id.value());
+        }
+        ServeError::Misrouted { cache, shard } => {
+            put_u8(out, 5);
+            put_u64(out, cache.value());
+            put_u32(out, *shard as u32);
+        }
+        ServeError::DuplicateCache(id) => {
+            put_u8(out, 6);
+            put_u64(out, id.value());
+        }
+        ServeError::ClusterMint => put_u8(out, 7),
+        ServeError::Plan { cache, source } => {
+            put_u8(out, 3);
+            put_u64(out, cache.value());
+            match source {
+                PlanError::SizeOutOfRange { size, min, max } => {
+                    put_u8(out, 1);
+                    put_f64(out, *size);
+                    put_f64(out, *min);
+                    put_f64(out, *max);
+                }
+                PlanError::InvalidSize { size } => {
+                    put_u8(out, 2);
+                    put_f64(out, *size);
+                }
+                PlanError::InvalidMargin { margin } => {
+                    put_u8(out, 3);
+                    put_f64(out, *margin);
                 }
             }
         }
     }
+}
 
-    /// Encodes a full [`PlaneHealth`] body (shared by the `Health` reply
-    /// and the `Hello` reply's embedded health snapshot).
-    fn plane_health(&mut self, h: &PlaneHealth) {
-        self.u64(h.epochs);
-        self.u64(h.caches);
-        self.u64(h.pending);
-        self.u64(h.connections);
-        self.u64(h.rejected);
-        self.u8(match h.store {
-            StoreHealth::None => 0,
-            StoreHealth::Ok => 1,
-            StoreHealth::Faulted => 2,
-        });
-        // The list is cumulative, so a long-lived plane can outgrow what a
-        // decoder accepts: send the lowest ids of the ascending list. The
-        // per-shard counts below still carry the true total.
-        let listed = &h.quarantined[..h.quarantined.len().min(WIRE_MAX_IDS as usize)];
-        self.u32(listed.len() as u32);
-        for id in listed {
-            self.u64(*id);
-        }
-        self.u32(h.shards.len() as u32);
-        for s in &h.shards {
-            self.u64(s.caches);
-            self.u64(s.pending);
-            self.u64(s.quarantined);
-            self.u8(match s.state {
-                ShardState::Ok => 0,
-                ShardState::Degraded => 1,
-            });
-        }
+/// Encodes a full [`PlaneHealth`] body (shared by the `Health` reply and
+/// the `Hello` reply's embedded health snapshot).
+fn put_plane_health(out: &mut Vec<u8>, h: &PlaneHealth) {
+    put_u64(out, h.epochs);
+    put_u64(out, h.caches);
+    put_u64(out, h.pending);
+    put_u64(out, h.connections);
+    put_u64(out, h.rejected);
+    let store = match h.store {
+        StoreHealth::None => 0,
+        StoreHealth::Ok => 1,
+        StoreHealth::Faulted => 2,
+    };
+    put_u8(out, store);
+    // The list is cumulative, so a long-lived plane can outgrow what a
+    // decoder accepts: send the lowest ids of the ascending list. The
+    // per-shard counts below still carry the true total.
+    let listed = &h.quarantined[..h.quarantined.len().min(WIRE_MAX_IDS as usize)];
+    put_u32(out, listed.len() as u32);
+    for id in listed {
+        put_u64(out, *id);
     }
-
-    /// Fills in the length prefix. The length is not checked here: the
-    /// encoders are total, so tests can build frames a decoder must
-    /// refuse, and a sender checks the finished frame against
-    /// [`WIRE_MAX_FRAME_LEN`] before writing it (`RpcClient` does).
-    fn finish(self) {
-        let len = (self.buf.len() - self.start - 4) as u32;
-        self.buf[self.start..self.start + 4].copy_from_slice(&len.to_le_bytes());
+    put_u32(out, h.shards.len() as u32);
+    for s in &h.shards {
+        put_u64(out, s.caches);
+        put_u64(out, s.pending);
+        put_u64(out, s.quarantined);
+        let state = match s.state {
+            ShardState::Ok => 0,
+            ShardState::Degraded => 1,
+        };
+        put_u8(out, state);
     }
 }
 
@@ -604,321 +614,215 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// included). A connection keeps one `out` for its lifetime and clears it
 /// per message, so steady-state encoding allocates nothing.
 pub fn encode_request_into(req: &Request, out: &mut Vec<u8>) {
-    let mut w;
     match req {
-        Request::Register { capacity, tenants } => {
-            w = FrameWriter::new(out, OP_REGISTER);
-            w.u64(*capacity);
-            w.u32(*tenants);
-        }
-        Request::Deregister { id } => {
-            w = FrameWriter::new(out, OP_DEREGISTER);
-            w.u64(*id);
-        }
+        Request::Register { capacity, tenants } => frame(out, OP_REGISTER, |b| {
+            put_u64(b, *capacity);
+            put_u32(b, *tenants);
+        }),
+        Request::Deregister { id } => frame(out, OP_DEREGISTER, |b| put_u64(b, *id)),
         Request::Submit { entries } => {
             // The one message that can be large: its grid table is built
             // first, so the frame is sized exactly and even a cold buffer
-            // grows once. Prefix, header, batch and grid counts are 14
-            // bytes; a grid is its point count and sizes, an entry is id +
-            // tenant + grid index + miss values.
+            // grows once.
             let mut grids = GridTable::default();
+            let mut bytes = SUBMIT_HEAD_BYTES;
             let indices: Vec<u32> = entries
                 .iter()
-                .map(|e| grids.insert(e.curve.grid()) as u32)
+                .map(|e| {
+                    let known = grids.grids.len();
+                    let index = grids.insert(e.curve.grid());
+                    bytes += submit_entry_bytes(e.curve.len(), index == known);
+                    index as u32
+                })
                 .collect();
-            let values: usize = grids.grids.iter().map(|g| g.len()).sum::<usize>()
-                + entries.iter().map(|e| e.curve.len()).sum::<usize>();
-            out.reserve(
-                14 + 4 * grids.grids.len()
-                    + SUBMIT_ENTRY_BYTES * entries.len()
-                    + MissCurve::VALUE_BYTES * values,
-            );
-            w = FrameWriter::new(out, OP_SUBMIT);
-            w.u32(entries.len() as u32);
-            w.u32(grids.grids.len() as u32);
-            for grid in &grids.grids {
-                w.u32(grid.len() as u32);
-                MissCurve::encode_values(grid, w.buf);
-            }
-            for (e, index) in entries.iter().zip(indices) {
-                w.u64(e.id);
-                w.u32(e.tenant);
-                w.u32(index);
-                MissCurve::encode_values(e.curve.misses(), w.buf);
-            }
+            out.reserve(bytes);
+            frame(out, OP_SUBMIT, |b| {
+                put_u32(b, entries.len() as u32);
+                put_u32(b, grids.grids.len() as u32);
+                for grid in &grids.grids {
+                    put_u32(b, grid.len() as u32);
+                    MissCurve::encode_values(grid, b);
+                }
+                for (e, index) in entries.iter().zip(indices) {
+                    put_u64(b, e.id);
+                    put_u32(b, e.tenant);
+                    put_u32(b, index);
+                    MissCurve::encode_values(e.curve.misses(), b);
+                }
+            });
         }
-        Request::RunEpoch => w = FrameWriter::new(out, OP_RUN_EPOCH),
-        Request::Report { id } => {
-            w = FrameWriter::new(out, OP_REPORT);
-            w.u64(*id);
-        }
-        Request::Ping => w = FrameWriter::new(out, OP_PING),
-        Request::Health => w = FrameWriter::new(out, OP_HEALTH),
-        Request::Hello => w = FrameWriter::new(out, OP_HELLO),
+        Request::RunEpoch => frame(out, OP_RUN_EPOCH, |_| {}),
+        Request::Report { id } => frame(out, OP_REPORT, |b| put_u64(b, *id)),
+        Request::Ping => frame(out, OP_PING, |_| {}),
+        Request::Health => frame(out, OP_HEALTH, |_| {}),
+        Request::Hello => frame(out, OP_HELLO, |_| {}),
         Request::RegisterAt {
             id,
             capacity,
             tenants,
-        } => {
-            w = FrameWriter::new(out, OP_REGISTER_AT);
-            w.u64(*id);
-            w.u64(*capacity);
-            w.u32(*tenants);
-        }
+        } => frame(out, OP_REGISTER_AT, |b| {
+            put_u64(b, *id);
+            put_u64(b, *capacity);
+            put_u32(b, *tenants);
+        }),
     }
-    w.finish()
 }
 
 /// Appends a response to `out` as one complete frame; see
 /// [`encode_request_into`].
 pub fn encode_response_into(resp: &Response, out: &mut Vec<u8>) {
-    let mut w;
     match resp {
-        Response::Registered { id } => {
-            w = FrameWriter::new(out, OP_REGISTERED);
-            w.u64(*id);
-        }
-        Response::Deregistered => w = FrameWriter::new(out, OP_DEREGISTERED),
-        Response::SubmitReply { results } => {
-            w = FrameWriter::new(out, OP_SUBMIT_REPLY);
-            w.u32(results.len() as u32);
+        Response::Registered { id } => frame(out, OP_REGISTERED, |b| put_u64(b, *id)),
+        Response::Deregistered => frame(out, OP_DEREGISTERED, |_| {}),
+        Response::SubmitReply { results } => frame(out, OP_SUBMIT_REPLY, |b| {
+            put_u32(b, results.len() as u32);
             for r in results {
                 match r {
-                    Ok(()) => w.u8(0),
+                    Ok(()) => put_u8(b, 0),
                     Err(e) => {
-                        w.u8(1);
-                        w.serve_error(e);
+                        put_u8(b, 1);
+                        put_serve_error(b, e);
                     }
                 }
             }
-        }
-        Response::Epoch(report) => {
-            w = FrameWriter::new(out, OP_EPOCH);
-            w.u64(report.epoch);
-            w.ids(&report.planned);
-            w.ids(&report.deferred);
-            w.u32(report.failed.len() as u32);
+        }),
+        Response::Epoch(report) => frame(out, OP_EPOCH, |b| {
+            put_u64(b, report.epoch);
+            put_ids(b, &report.planned);
+            put_ids(b, &report.deferred);
+            put_u32(b, report.failed.len() as u32);
             for (id, err) in &report.failed {
-                w.u64(id.value());
-                w.serve_error(err);
+                put_u64(b, id.value());
+                put_serve_error(b, err);
             }
-            w.ids(&report.quarantined);
-            w.u64(report.remaining_dirty as u64);
-        }
-        Response::Snapshot(summary) => {
-            w = FrameWriter::new(out, OP_SNAPSHOT);
-            match summary {
-                None => w.u8(0),
-                Some(s) => {
-                    w.u8(1);
-                    w.u64(s.cache);
-                    w.u64(s.epoch);
-                    w.u64(s.version);
-                    w.u64(s.updates);
-                    w.u64(s.round);
-                    w.u32(s.tenants.len() as u32);
-                    for t in &s.tenants {
-                        w.u64(t.capacity);
-                        w.f64(t.expected_misses);
-                        match &t.shadow {
-                            None => w.u8(0),
-                            Some(sh) => {
-                                w.u8(1);
-                                w.f64(sh.alpha);
-                                w.f64(sh.beta);
-                                w.f64(sh.rho);
-                            }
+            put_ids(b, &report.quarantined);
+            put_u64(b, report.remaining_dirty as u64);
+        }),
+        Response::Snapshot(summary) => frame(out, OP_SNAPSHOT, |b| match summary {
+            None => put_u8(b, 0),
+            Some(s) => {
+                put_u8(b, 1);
+                put_u64(b, s.cache);
+                put_u64(b, s.epoch);
+                put_u64(b, s.version);
+                put_u64(b, s.updates);
+                put_u64(b, s.round);
+                put_u32(b, s.tenants.len() as u32);
+                for t in &s.tenants {
+                    put_u64(b, t.capacity);
+                    put_f64(b, t.expected_misses);
+                    match &t.shadow {
+                        None => put_u8(b, 0),
+                        Some(sh) => {
+                            put_u8(b, 1);
+                            put_f64(b, sh.alpha);
+                            put_f64(b, sh.beta);
+                            put_f64(b, sh.rho);
                         }
                     }
                 }
             }
-        }
-        Response::Pong => w = FrameWriter::new(out, OP_PONG),
-        Response::Health(h) => {
-            w = FrameWriter::new(out, OP_HEALTH_REPLY);
-            w.plane_health(h);
-        }
-        Response::Hello(info) => {
-            w = FrameWriter::new(out, OP_HELLO_REPLY);
-            w.u32(info.total_shards);
-            w.u32(info.first_shard);
-            w.u32(info.shard_count);
-            w.u64(info.epoch);
-            w.u64(info.next_id);
-            w.plane_health(&info.health);
-        }
-        Response::Busy => w = FrameWriter::new(out, OP_BUSY),
-        Response::Error(e) => {
-            w = FrameWriter::new(out, OP_ERROR);
-            w.serve_error(e);
-        }
+        }),
+        Response::Pong => frame(out, OP_PONG, |_| {}),
+        Response::Health(h) => frame(out, OP_HEALTH_REPLY, |b| put_plane_health(b, h)),
+        Response::Hello(info) => frame(out, OP_HELLO_REPLY, |b| {
+            put_u32(b, info.total_shards);
+            put_u32(b, info.first_shard);
+            put_u32(b, info.shard_count);
+            put_u64(b, info.epoch);
+            put_u64(b, info.next_id);
+            put_plane_health(b, &info.health);
+        }),
+        Response::Busy => frame(out, OP_BUSY, |_| {}),
+        Response::Error(e) => frame(out, OP_ERROR, |b| put_serve_error(b, e)),
     }
-    w.finish()
 }
 
 // ---------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------
 
-/// A bounds-checked cursor over one frame payload. Every read method
-/// fails with [`WireError::Truncated`] instead of slicing out of range.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Decodes an id list.
+fn read_ids(r: &mut Reader) -> Result<Vec<CacheId>, DecodeError> {
+    Ok(r.u64s(WIRE_MAX_IDS)?.into_iter().map(CacheId).collect())
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let bytes = self.take(4)?.try_into().map_err(|_| WireError::Truncated)?;
-        Ok(u32::from_le_bytes(bytes))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let bytes = self.take(8)?.try_into().map_err(|_| WireError::Truncated)?;
-        Ok(u64::from_le_bytes(bytes))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads an element count, rejecting it if it exceeds `cap` or if
-    /// the frame cannot possibly hold `count` elements of at least
-    /// `min_elem_bytes` each — checked *before* any allocation, so a
-    /// hostile count never reserves memory.
-    fn count(&mut self, cap: u32, min_elem_bytes: usize) -> Result<usize, WireError> {
-        let count = self.u32()?;
-        if count > cap {
-            return Err(WireError::BadCount { count, max: cap });
-        }
-        if (count as usize).saturating_mul(min_elem_bytes) > self.remaining() {
-            return Err(WireError::Truncated);
-        }
-        Ok(count as usize)
-    }
-
-    fn ids(&mut self) -> Result<Vec<CacheId>, WireError> {
-        let count = self.count(WIRE_MAX_IDS, 8)?;
-        let mut ids = Vec::with_capacity(count);
-        for _ in 0..count {
-            ids.push(CacheId(self.u64()?));
-        }
-        Ok(ids)
-    }
-
-    fn serve_error(&mut self) -> Result<ServeError, WireError> {
-        match self.u8()? {
-            1 => Ok(ServeError::UnknownCache(CacheId(self.u64()?))),
-            4 => Ok(ServeError::Quarantined(CacheId(self.u64()?))),
-            5 => Ok(ServeError::Misrouted {
-                cache: CacheId(self.u64()?),
-                shard: self.u32()? as usize,
-            }),
-            6 => Ok(ServeError::DuplicateCache(CacheId(self.u64()?))),
-            7 => Ok(ServeError::ClusterMint),
-            2 => Ok(ServeError::TenantOutOfRange {
-                cache: CacheId(self.u64()?),
-                tenant: self.u32()? as usize,
-                tenants: self.u32()? as usize,
-            }),
-            3 => {
-                let cache = CacheId(self.u64()?);
-                let source = match self.u8()? {
-                    1 => PlanError::SizeOutOfRange {
-                        size: self.f64()?,
-                        min: self.f64()?,
-                        max: self.f64()?,
-                    },
-                    2 => PlanError::InvalidSize { size: self.f64()? },
-                    3 => PlanError::InvalidMargin {
-                        margin: self.f64()?,
-                    },
-                    _ => return Err(WireError::Malformed("unknown plan-error tag")),
-                };
-                Ok(ServeError::Plan { cache, source })
-            }
-            _ => Err(WireError::Malformed("unknown serve-error tag")),
-        }
-    }
-
-    /// Decodes a full [`PlaneHealth`] body (shared by the `Health` reply
-    /// and the `Hello` reply's embedded health snapshot).
-    fn plane_health(&mut self) -> Result<PlaneHealth, WireError> {
-        let epochs = self.u64()?;
-        let caches = self.u64()?;
-        let pending = self.u64()?;
-        let connections = self.u64()?;
-        let rejected = self.u64()?;
-        let store = match self.u8()? {
-            0 => StoreHealth::None,
-            1 => StoreHealth::Ok,
-            2 => StoreHealth::Faulted,
-            _ => return Err(WireError::Malformed("unknown store-health tag")),
-        };
-        let quarantined_count = self.count(WIRE_MAX_IDS, 8)?;
-        let mut quarantined = Vec::with_capacity(quarantined_count);
-        for _ in 0..quarantined_count {
-            quarantined.push(self.u64()?);
-        }
-        let shard_count = self.count(WIRE_MAX_SHARDS, 8 + 8 + 8 + 1)?;
-        let mut shards = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            let caches = self.u64()?;
-            let pending = self.u64()?;
-            let quarantined = self.u64()?;
-            let state = match self.u8()? {
-                0 => ShardState::Ok,
-                1 => ShardState::Degraded,
-                _ => return Err(WireError::Malformed("unknown shard-state tag")),
+fn read_serve_error(r: &mut Reader) -> Result<ServeError, DecodeError> {
+    match r.u8()? {
+        1 => Ok(ServeError::UnknownCache(CacheId(r.u64()?))),
+        4 => Ok(ServeError::Quarantined(CacheId(r.u64()?))),
+        5 => Ok(ServeError::Misrouted {
+            cache: CacheId(r.u64()?),
+            shard: r.u32()? as usize,
+        }),
+        6 => Ok(ServeError::DuplicateCache(CacheId(r.u64()?))),
+        7 => Ok(ServeError::ClusterMint),
+        2 => Ok(ServeError::TenantOutOfRange {
+            cache: CacheId(r.u64()?),
+            tenant: r.u32()? as usize,
+            tenants: r.u32()? as usize,
+        }),
+        3 => {
+            let cache = CacheId(r.u64()?);
+            let source = match r.u8()? {
+                1 => PlanError::SizeOutOfRange {
+                    size: r.f64()?,
+                    min: r.f64()?,
+                    max: r.f64()?,
+                },
+                2 => PlanError::InvalidSize { size: r.f64()? },
+                3 => PlanError::InvalidMargin { margin: r.f64()? },
+                _ => return Err(DecodeError::Malformed("unknown plan-error tag")),
             };
-            shards.push(ShardHealth {
-                caches,
-                pending,
-                quarantined,
-                state,
-            });
+            Ok(ServeError::Plan { cache, source })
         }
-        Ok(PlaneHealth {
-            epochs,
+        _ => Err(DecodeError::Malformed("unknown serve-error tag")),
+    }
+}
+
+/// Decodes a full [`PlaneHealth`] body (shared by the `Health` reply and
+/// the `Hello` reply's embedded health snapshot).
+fn read_plane_health(r: &mut Reader) -> Result<PlaneHealth, DecodeError> {
+    let epochs = r.u64()?;
+    let caches = r.u64()?;
+    let pending = r.u64()?;
+    let connections = r.u64()?;
+    let rejected = r.u64()?;
+    let store = match r.u8()? {
+        0 => StoreHealth::None,
+        1 => StoreHealth::Ok,
+        2 => StoreHealth::Faulted,
+        _ => return Err(DecodeError::Malformed("unknown store-health tag")),
+    };
+    let quarantined = r.u64s(WIRE_MAX_IDS)?;
+    let shard_count = r.count(WIRE_MAX_SHARDS, 8 + 8 + 8 + 1)?;
+    let mut shards = Vec::with_capacity(shard_count);
+    for _ in 0..shard_count {
+        let caches = r.u64()?;
+        let pending = r.u64()?;
+        let quarantined = r.u64()?;
+        let state = match r.u8()? {
+            0 => ShardState::Ok,
+            1 => ShardState::Degraded,
+            _ => return Err(DecodeError::Malformed("unknown shard-state tag")),
+        };
+        shards.push(ShardHealth {
             caches,
             pending,
             quarantined,
-            shards,
-            store,
-            connections,
-            rejected,
-        })
+            state,
+        });
     }
-
-    /// Asserts the body was fully consumed: accepted frames account for
-    /// every byte.
-    fn end(self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::Malformed("trailing bytes after message"));
-        }
-        Ok(())
-    }
+    Ok(PlaneHealth {
+        epochs,
+        caches,
+        pending,
+        quarantined,
+        shards,
+        store,
+        connections,
+        rejected,
+    })
 }
 
 /// Splits a frame payload into `(opcode, body)`, validating the version.
@@ -941,39 +845,23 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
         OP_REGISTER => {
             let capacity = r.u64()?;
             let tenants = r.u32()?;
-            if capacity == 0 {
-                return Err(WireError::Malformed("zero capacity"));
-            }
-            if tenants == 0 {
-                return Err(WireError::Malformed("zero tenants"));
-            }
-            if tenants > WIRE_MAX_TENANTS {
-                return Err(WireError::BadCount {
-                    count: tenants,
-                    max: WIRE_MAX_TENANTS,
-                });
-            }
+            check_shape(capacity, tenants)?;
             Request::Register { capacity, tenants }
         }
         OP_DEREGISTER => Request::Deregister { id: r.u64()? },
         OP_SUBMIT => {
             // Each entry is at least id + tenant + grid index + one value.
-            let count = r.count(WIRE_MAX_BATCH, SUBMIT_ENTRY_BYTES + MissCurve::VALUE_BYTES)?;
+            let count = r.count(WIRE_MAX_BATCH, submit_entry_bytes(1, false))?;
             if count == 0 {
                 return Err(WireError::Malformed("empty submit batch"));
             }
-            // Every grid is some entry's, and at least a point count and
-            // one size, all ahead of the entries.
-            let grid_count = r.u32()?;
-            if grid_count as usize > count {
-                return Err(WireError::BadCount {
-                    count: grid_count,
-                    max: count as u32,
-                });
-            }
-            let grid_count = grid_count as usize;
-            let least = grid_count * (4 + MissCurve::VALUE_BYTES)
-                + count * (SUBMIT_ENTRY_BYTES + MissCurve::VALUE_BYTES);
+            // Every grid is some entry's, a new grid's entry is at least
+            // its grid's point count and one size more, and the grids come
+            // ahead of the entries.
+            let grid_count = r.u32()? as usize;
+            check_count(grid_count, count as u32)?;
+            let least = grid_count * submit_entry_bytes(1, true)
+                + (count - grid_count) * submit_entry_bytes(1, false);
             if least > r.remaining() {
                 return Err(WireError::Truncated);
             }
@@ -1020,21 +908,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
             let id = r.u64()?;
             let capacity = r.u64()?;
             let tenants = r.u32()?;
-            if id == RESERVED_ID {
-                return Err(WireError::Malformed("reserved cache id"));
-            }
-            if capacity == 0 {
-                return Err(WireError::Malformed("zero capacity"));
-            }
-            if tenants == 0 {
-                return Err(WireError::Malformed("zero tenants"));
-            }
-            if tenants > WIRE_MAX_TENANTS {
-                return Err(WireError::BadCount {
-                    count: tenants,
-                    max: WIRE_MAX_TENANTS,
-                });
-            }
+            check_register_at(id, capacity, tenants)?;
             Request::RegisterAt {
                 id,
                 capacity,
@@ -1061,7 +935,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             for _ in 0..count {
                 results.push(match r.u8()? {
                     0 => Ok(()),
-                    1 => Err(r.serve_error()?),
+                    1 => Err(read_serve_error(&mut r)?),
                     _ => return Err(WireError::Malformed("unknown submit-result tag")),
                 });
             }
@@ -1069,14 +943,14 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
         }
         OP_EPOCH => {
             let epoch = r.u64()?;
-            let planned = r.ids()?;
-            let deferred = r.ids()?;
+            let planned = read_ids(&mut r)?;
+            let deferred = read_ids(&mut r)?;
             let failures = r.count(WIRE_MAX_IDS, 9)?;
             let mut failed = Vec::with_capacity(failures);
             for _ in 0..failures {
-                failed.push((CacheId(r.u64()?), r.serve_error()?));
+                failed.push((CacheId(r.u64()?), read_serve_error(&mut r)?));
             }
-            let quarantined = r.ids()?;
+            let quarantined = read_ids(&mut r)?;
             let remaining_dirty = r.u64()? as usize;
             Response::Epoch(EpochReport {
                 epoch,
@@ -1127,7 +1001,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             _ => return Err(WireError::Malformed("unknown snapshot tag")),
         },
         OP_PONG => Response::Pong,
-        OP_HEALTH_REPLY => Response::Health(r.plane_health()?),
+        OP_HEALTH_REPLY => Response::Health(read_plane_health(&mut r)?),
         OP_HELLO_REPLY => {
             let total_shards = r.u32()?;
             let first_shard = r.u32()?;
@@ -1149,7 +1023,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             }
             let epoch = r.u64()?;
             let next_id = r.u64()?;
-            let health = r.plane_health()?;
+            let health = read_plane_health(&mut r)?;
             Response::Hello(ClusterInfo {
                 total_shards,
                 first_shard,
@@ -1160,7 +1034,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             })
         }
         OP_BUSY => Response::Busy,
-        OP_ERROR => Response::Error(r.serve_error()?),
+        OP_ERROR => Response::Error(read_serve_error(&mut r)?),
         got => return Err(WireError::BadOpcode { got }),
     };
     r.end()?;
@@ -1336,23 +1210,19 @@ mod tests {
     fn hostile_counts_never_reserve_memory() {
         // A submit frame declaring u32::MAX entries in a 10-byte body must
         // fail the count check (remaining-bytes bound), not allocate.
-        let mut frame = Vec::new();
-        let mut w = FrameWriter::new(&mut frame, OP_SUBMIT);
-        w.u32(u32::MAX);
-        w.finish();
+        let mut bytes = Vec::new();
+        frame(&mut bytes, OP_SUBMIT, |b| put_u32(b, u32::MAX));
         assert_eq!(
-            decode_request(&frame[4..]),
+            decode_request(&bytes[4..]),
             Err(WireError::BadCount {
                 count: u32::MAX,
                 max: WIRE_MAX_BATCH
             })
         );
         // Within the cap but beyond the body: truncation, pre-allocation.
-        let mut frame = Vec::new();
-        let mut w = FrameWriter::new(&mut frame, OP_SUBMIT);
-        w.u32(WIRE_MAX_BATCH);
-        w.finish();
-        assert_eq!(decode_request(&frame[4..]), Err(WireError::Truncated));
+        let mut bytes = Vec::new();
+        frame(&mut bytes, OP_SUBMIT, |b| put_u32(b, WIRE_MAX_BATCH));
+        assert_eq!(decode_request(&bytes[4..]), Err(WireError::Truncated));
     }
 
     #[test]

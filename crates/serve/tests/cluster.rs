@@ -34,8 +34,9 @@ use std::time::Duration;
 
 use common::{arb_op, curve_from_seed, temp_dir, Op};
 use proptest::prelude::*;
+use talus_core::limits::WIRE_MAX_TENANTS;
 use talus_core::{FaultAction, FaultScript, ShardTopology};
-use talus_serve::wire::SnapshotSummary;
+use talus_serve::wire::{SnapshotSummary, WireError};
 use talus_serve::{
     CacheId, CacheSpec, ClusterClient, ClusterConfig, ClusterError, EpochReport, HandshakeError,
     RetryPolicy, RpcClient, RpcError, RpcServer, ServeError, ServerHandle, ShardedReconfigService,
@@ -504,6 +505,46 @@ fn cluster_members_refuse_server_side_minting() {
         direct.register(1024, 1),
         Err(RpcError::Serve(ServeError::ClusterMint))
     ));
+}
+
+/// A register the server's decoder must refuse is refused by the client,
+/// with the decoder's own typed error, before a byte is sent. Sent, the
+/// server could only drop the connection: the next call on that client
+/// failed, and a cluster member's breaker opened over a bad argument,
+/// failing the valid register after it too.
+#[test]
+fn a_register_the_decoder_refuses_is_refused_unsent() {
+    let zero = RpcError::Wire(WireError::Malformed("zero tenants"));
+    let over = RpcError::Wire(WireError::BadCount {
+        count: WIRE_MAX_TENANTS + 1,
+        max: WIRE_MAX_TENANTS,
+    });
+    let twin = ShardedReconfigService::new(4);
+    let first = twin.register(CacheSpec::new(64, 1));
+
+    let plane = RpcServer::bind("127.0.0.1:0", Arc::new(ShardedReconfigService::new(4)))
+        .expect("bind loopback")
+        .spawn()
+        .expect("spawn accept loop");
+    let mut direct = RpcClient::connect(plane.local_addr()).expect("connect");
+    let malformed = RpcError::Wire(WireError::Malformed("zero capacity"));
+    assert_eq!(direct.register(0, 1), Err(malformed));
+    assert_eq!(direct.register(64, 0), Err(zero.clone()));
+    assert_eq!(direct.register(64, WIRE_MAX_TENANTS + 1), Err(over.clone()));
+    assert_eq!(direct.ping(), Ok(()), "the connection still serves");
+    assert_eq!(direct.register(64, 1), Ok(first));
+    assert_eq!(plane.connections(), 1, "never reconnected");
+
+    let (_members, mut cluster) = spawn_cluster(4, &[(0, 2), (2, 2)]);
+    assert_eq!(cluster.register(64, 0), Err(ClusterError::Rpc(zero)));
+    assert_eq!(
+        cluster.register(64, WIRE_MAX_TENANTS + 1),
+        Err(ClusterError::Rpc(over))
+    );
+    let health = cluster.health();
+    assert!(health.unreachable_shards().is_empty(), "{health:?}");
+    assert!(health.members.iter().all(|m| m.outages == 0));
+    assert_eq!(cluster.register(64, 1), Ok(first), "the same id is minted");
 }
 
 /// `talus-serve cluster-server` processes, killed and reaped on drop so

@@ -13,13 +13,17 @@ use std::sync::Arc;
 use common::{arb_op, curve_from_seed, Op};
 use proptest::prelude::*;
 use talus_core::limits::{
-    WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_EPOCH_IDS, WIRE_MAX_FRAME_LEN,
+    WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_EPOCH_IDS, WIRE_MAX_FRAME_LEN, WIRE_MAX_TENANTS,
 };
 use talus_core::{MissCurve, ReplaySource};
-use talus_serve::wire::{encode_request, Request, SubmitEntry, WireError};
+use talus_partition::Planner;
+use talus_serve::wire::{decode_request, encode_request, Request, SubmitEntry, WireError};
 use talus_serve::{
     CacheId, CacheSpec, EpochReport, RetryPolicy, RpcClient, RpcError, RpcServer, ServeError,
     ShardedReconfigService,
+};
+use talus_store::{
+    checksum64, decode_record, encode_record, Record, StoreError, RECORD_HEADER_LEN,
 };
 
 /// Flattens a client result into the local `submit`/`deregister` shape
@@ -457,6 +461,85 @@ fn a_batch_staged_to_the_byte_budget_fits_one_frame() {
         assert_eq!(client.staged_len(), 1);
         assert_eq!(client.flush().map(|r| r.len()), Ok(1));
     }
+    handle.shutdown();
+}
+
+/// What a decoder or the client said of a cache's shape: accepted, or
+/// the one refusal every format shares.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    Accepted,
+    BadCount { count: u32, max: u32 },
+    Malformed(&'static str),
+}
+
+fn wire_verdict<T>(result: Result<T, WireError>) -> Verdict {
+    match result {
+        Ok(_) => Verdict::Accepted,
+        Err(WireError::BadCount { count, max }) => Verdict::BadCount { count, max },
+        Err(WireError::Malformed(what)) => Verdict::Malformed(what),
+        Err(e) => panic!("not a shape refusal: {e:?}"),
+    }
+}
+
+/// The wire's `Register` and `RegisterAt` decoders, the journal's
+/// `Register` record decoder and the client's check before it sends
+/// accept a cache's shape together, or refuse it with the same error.
+#[test]
+fn the_wire_the_journal_and_the_client_agree_on_a_caches_shape() {
+    let (_remote, mut client, handle) = loopback_plane(2);
+    let anchor = client.register(64, 1).expect("register");
+    let mut accepted = 0;
+    for capacity in [0, 1, u64::MAX] {
+        for tenants in [0, 1, WIRE_MAX_TENANTS, WIRE_MAX_TENANTS + 1] {
+            let decode = |req| decode_request(&encode_request(&req)[4..]);
+            let verdict = wire_verdict(decode(Request::Register { capacity, tenants }));
+            let at = Request::RegisterAt {
+                id: 7,
+                capacity,
+                tenants,
+            };
+            assert_eq!(wire_verdict(decode(at)), verdict, "RegisterAt");
+
+            // A journal Register record, its shape patched in by hand
+            // (payload: version, tag, seq, id, then capacity and tenants).
+            let mut record = encode_record(&Record::Register {
+                seq: 1,
+                id: 2,
+                capacity: 64,
+                tenants: 1,
+                planner: Planner::new(8),
+            });
+            let at = RECORD_HEADER_LEN + 2 + 16;
+            record[at..at + 8].copy_from_slice(&capacity.to_le_bytes());
+            record[at + 8..at + 12].copy_from_slice(&tenants.to_le_bytes());
+            let sum = checksum64(&record[RECORD_HEADER_LEN..]);
+            record[4..12].copy_from_slice(&sum.to_le_bytes());
+            let journal = match decode_record(&record) {
+                Ok(_) => Verdict::Accepted,
+                Err(StoreError::BadCount { count, max }) => Verdict::BadCount { count, max },
+                Err(StoreError::Malformed(what)) => Verdict::Malformed(what),
+                Err(e) => panic!("not a shape refusal: {e:?}"),
+            };
+            assert_eq!(journal, verdict, "journal Register");
+
+            // The client sends what it accepts; the server's decoder
+            // takes it (a `RegisterAt` of the anchor's id is then a
+            // typed duplicate, which only a decoded frame can be).
+            let client_verdict = |result| match result {
+                Ok(_) | Err(RpcError::Serve(ServeError::DuplicateCache(_))) => Verdict::Accepted,
+                Err(RpcError::Wire(e)) => wire_verdict::<()>(Err(e)),
+                Err(e) => panic!("{e:?}"),
+            };
+            let sent = client.register(capacity, tenants);
+            assert_eq!(client_verdict(sent), verdict, "RpcClient::register");
+            let sent = client.register_at(anchor, capacity, tenants);
+            assert_eq!(client_verdict(sent), verdict, "RpcClient::register_at");
+            accepted += usize::from(verdict == Verdict::Accepted);
+        }
+    }
+    assert_eq!(accepted, 4, "a positive capacity and 1..=cap tenants");
+    assert_eq!(handle.connections(), 1, "nothing refused was sent");
     handle.shutdown();
 }
 

@@ -11,12 +11,13 @@
 //! ```
 //!
 //! The length prefix counts the payload only (version + tag + body).
-//! Integers are little-endian; `f64`s are IEEE-754 bit patterns (LE), so
-//! curves and plans round-trip bit-exactly. A miss curve encodes as a
-//! point count followed by the curve's one byte form
+//! Fields are written and read through [`talus_core::codec`] — the
+//! bounds-checked `Reader` and `put_*` appends `talus-serve`'s wire
+//! protocol uses too — so integers are little-endian and `f64`s IEEE-754
+//! bit patterns (LE), and curves and plans round-trip bit-exactly. A miss
+//! curve encodes as a point count followed by the curve's one byte form
 //! ([`MissCurve::encode_points`]); id lists encode as a `u32` count
-//! followed by elements — the same conventions as `talus-serve`'s wire
-//! protocol, and the same caps from [`talus_core::limits`].
+//! followed by elements, with the same caps from [`talus_core::limits`].
 //!
 //! ## Decoding is total
 //!
@@ -25,22 +26,24 @@
 //!
 //! - the length prefix is bounded by [`STORE_MAX_RECORD_LEN`]
 //!   *before* anything is read past the header;
-//! - every element count is checked against its cap (`WIRE_MAX_*`,
-//!   `STORE_MAX_*`) **and** the bytes actually remaining in the payload
-//!   *before* any `Vec` is reserved;
+//! - every element count is checked by the shared `Reader` against its
+//!   cap (`WIRE_MAX_*`, `STORE_MAX_*`) **and** the bytes actually
+//!   remaining in the payload *before* any `Vec` is reserved;
 //! - curve payloads are re-validated by [`MissCurve::decode_points`],
 //!   so a decoded curve upholds every invariant a locally built one
 //!   does (a stream's curves on the same size bytes — [`records`],
 //!   [`scan`], [`RecordStream`](crate::RecordStream) — share one grid,
 //!   validated when its first curve was decoded);
-//! - trailing bytes after a well-formed body are an error, so every byte
-//!   of an accepted record is accounted for.
+//! - trailing bytes after a well-formed body are an error (the shared
+//!   `Reader`'s `end`), so every byte of an accepted record is accounted
+//!   for.
 //!
 //! ## The writer refuses what the reader refuses
 //!
 //! A record the decoder would refuse must never reach a file: recovery
 //! would take it for a torn tail and truncate it *and everything after
-//! it*. So the encoders check the same bounds — the point, tenant and
+//! it*. So the encoders check the same bounds, with the same functions
+//! (`codec::check_count`, `codec::check_shape`) — the point, tenant and
 //! cut-id caps, the zero fields, [`STORE_MAX_RECORD_LEN`] — and return
 //! the error the decoder would have, leaving the buffer as it was.
 //! [`crate::Store`] treats a refusal like a failed write: nothing is
@@ -77,6 +80,9 @@
 //! byte-for-byte untouched, so upgrading the binary can never truncate a
 //! journal written by another version.
 
+use talus_core::codec::{
+    check_count, check_shape, put_f64, put_u32, put_u64, put_u8, DecodeError, Reader,
+};
 use talus_core::limits::{
     STORE_MAX_CUT_IDS, STORE_MAX_RECORD_LEN, WIRE_MAX_CURVE_POINTS, WIRE_MAX_TENANTS,
 };
@@ -211,6 +217,17 @@ impl From<std::io::Error> for StoreError {
             StoreError::Truncated
         } else {
             StoreError::Io(e.kind())
+        }
+    }
+}
+
+impl From<DecodeError> for StoreError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => StoreError::Truncated,
+            DecodeError::BadCount { count, max } => StoreError::BadCount { count, max },
+            DecodeError::Curve(e) => StoreError::Curve(e),
+            DecodeError::Malformed(what) => StoreError::Malformed(what),
         }
     }
 }
@@ -386,145 +403,99 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 // Encoding
 // ---------------------------------------------------------------------
 
-/// Appends one framed record to a byte buffer: [`framed`] reserves the
-/// header and writes version and tag, the field methods append the body,
-/// and [`PayloadWriter::finish`] fills the header in — nothing is copied,
-/// and the buffer may already hold earlier records. A field method or
-/// `finish` may refuse the record; `framed` then takes it back out.
-struct PayloadWriter<'a> {
-    buf: &'a mut Vec<u8>,
-    /// Where this record's header starts in `buf`.
-    start: usize,
-}
-
-/// Appends the record `body` writes to `out`, or — when a field method or
-/// [`PayloadWriter::finish`] refuses it — leaves `out` as it was.
+/// Appends the record `body` writes to `out`: reserves the header, writes
+/// version and tag, lets `body` append the fields, then fills the header
+/// in — nothing is copied, and `out` may already hold earlier records. A
+/// record `body` or the length cap refuses is taken back out, leaving
+/// `out` as it was.
 fn framed(
     out: &mut Vec<u8>,
     tag: u8,
-    body: impl FnOnce(&mut PayloadWriter) -> Result<(), StoreError>,
+    body: impl FnOnce(&mut Vec<u8>) -> Result<(), StoreError>,
 ) -> Result<(), StoreError> {
     let start = out.len();
     out.extend_from_slice(&[0; RECORD_HEADER_LEN]);
     out.extend_from_slice(&[STORE_VERSION, tag]);
-    let mut w = PayloadWriter { buf: out, start };
-    let written = body(&mut w).and_then(|()| w.finish());
+    let written = body(out).and_then(|()| fill_header(&mut out[start..]));
     if written.is_err() {
         out.truncate(start);
     }
     written
 }
 
-/// The bounds on a cache's shape, as both directions enforce them.
-fn check_shape(capacity: u64, tenants: u32) -> Result<(), StoreError> {
-    if capacity == 0 {
-        return Err(StoreError::Malformed("zero capacity"));
+/// Frames the payload in place: fills `[len][checksum64]` into the header
+/// reserved in front of it. Refuses a payload over
+/// [`STORE_MAX_RECORD_LEN`], as the reader would.
+fn fill_header(record: &mut [u8]) -> Result<(), StoreError> {
+    let (header, payload) = record.split_at_mut(RECORD_HEADER_LEN);
+    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+    if len > STORE_MAX_RECORD_LEN {
+        return Err(StoreError::Oversized { len });
     }
-    if tenants == 0 {
-        return Err(StoreError::Malformed("zero tenants"));
-    }
-    check_count(tenants, WIRE_MAX_TENANTS)
-}
-
-/// A curve record's tenant index must be one a registered cache can have.
-fn check_tenant(tenant: u32) -> Result<(), StoreError> {
-    check_count(tenant, WIRE_MAX_TENANTS - 1)
-}
-
-fn check_count(count: u32, max: u32) -> Result<(), StoreError> {
-    if count > max {
-        return Err(StoreError::BadCount { count, max });
-    }
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&checksum64(payload).to_le_bytes());
     Ok(())
 }
 
-impl PayloadWriter<'_> {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
+/// A curve record's tenant index must be one a registered cache can have.
+fn check_tenant(tenant: u32) -> Result<(), DecodeError> {
+    check_count(tenant as usize, WIRE_MAX_TENANTS - 1).map(drop)
+}
 
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
+/// Writes an element count, refusing one over `max` as the reader's
+/// `count` would.
+fn put_count(out: &mut Vec<u8>, count: usize, max: u32) -> Result<(), DecodeError> {
+    put_u32(out, check_count(count, max)?);
+    Ok(())
+}
 
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
+fn put_curve(out: &mut Vec<u8>, curve: &MissCurve) -> Result<(), StoreError> {
+    put_count(out, curve.len(), WIRE_MAX_CURVE_POINTS)?;
+    curve.encode_points(out);
+    Ok(())
+}
 
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
+fn put_policy(out: &mut Vec<u8>, policy: AllocPolicy) {
+    let tag = match policy {
+        AllocPolicy::Hill => POLICY_HILL,
+        AllocPolicy::Lookahead => POLICY_LOOKAHEAD,
+        AllocPolicy::Fair => POLICY_FAIR,
+        AllocPolicy::Imbalanced => POLICY_IMBALANCED,
+    };
+    put_u8(out, tag);
+}
 
-    /// Writes an element count, refusing one over `max` as the reader's
-    /// `count` would.
-    fn count(&mut self, count: usize, max: u32) -> Result<(), StoreError> {
-        let count = u32::try_from(count).unwrap_or(u32::MAX);
-        check_count(count, max)?;
-        self.u32(count);
-        Ok(())
+fn put_plan(out: &mut Vec<u8>, plan: &CachePlan) -> Result<(), StoreError> {
+    put_u64(out, plan.round);
+    if plan.tenants.is_empty() {
+        return Err(StoreError::Malformed("plan with zero tenants"));
     }
-
-    fn curve(&mut self, curve: &MissCurve) -> Result<(), StoreError> {
-        self.count(curve.len(), WIRE_MAX_CURVE_POINTS)?;
-        curve.encode_points(self.buf);
-        Ok(())
-    }
-
-    fn policy(&mut self, policy: AllocPolicy) {
-        self.u8(match policy {
-            AllocPolicy::Hill => POLICY_HILL,
-            AllocPolicy::Lookahead => POLICY_LOOKAHEAD,
-            AllocPolicy::Fair => POLICY_FAIR,
-            AllocPolicy::Imbalanced => POLICY_IMBALANCED,
-        });
-    }
-
-    fn plan(&mut self, plan: &CachePlan) -> Result<(), StoreError> {
-        self.u64(plan.round);
-        if plan.tenants.is_empty() {
-            return Err(StoreError::Malformed("plan with zero tenants"));
-        }
-        self.count(plan.tenants.len(), WIRE_MAX_TENANTS)?;
-        for t in &plan.tenants {
-            self.u64(t.capacity);
-            match &t.plan {
-                TalusPlan::Unpartitioned {
-                    size,
-                    expected_misses,
-                } => {
-                    self.u8(PLAN_UNPARTITIONED);
-                    self.f64(*size);
-                    self.f64(*expected_misses);
-                }
-                TalusPlan::Shadow(cfg) => {
-                    self.u8(PLAN_SHADOW);
-                    self.f64(cfg.total);
-                    self.f64(cfg.alpha);
-                    self.f64(cfg.beta);
-                    self.f64(cfg.rho);
-                    self.f64(cfg.ideal_rho);
-                    self.f64(cfg.s1);
-                    self.f64(cfg.s2);
-                    self.f64(cfg.expected_misses);
-                }
+    put_count(out, plan.tenants.len(), WIRE_MAX_TENANTS)?;
+    for t in &plan.tenants {
+        put_u64(out, t.capacity);
+        match &t.plan {
+            TalusPlan::Unpartitioned {
+                size,
+                expected_misses,
+            } => {
+                put_u8(out, PLAN_UNPARTITIONED);
+                put_f64(out, *size);
+                put_f64(out, *expected_misses);
+            }
+            TalusPlan::Shadow(cfg) => {
+                put_u8(out, PLAN_SHADOW);
+                put_f64(out, cfg.total);
+                put_f64(out, cfg.alpha);
+                put_f64(out, cfg.beta);
+                put_f64(out, cfg.rho);
+                put_f64(out, cfg.ideal_rho);
+                put_f64(out, cfg.s1);
+                put_f64(out, cfg.s2);
+                put_f64(out, cfg.expected_misses);
             }
         }
-        Ok(())
     }
-
-    /// Frames the payload in place: fills `[len][checksum64]` into the
-    /// header reserved in front of it. Refuses a payload over
-    /// [`STORE_MAX_RECORD_LEN`], as the reader would.
-    fn finish(self) -> Result<(), StoreError> {
-        let (header, payload) = self.buf[self.start..].split_at_mut(RECORD_HEADER_LEN);
-        let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-        if len > STORE_MAX_RECORD_LEN {
-            return Err(StoreError::Oversized { len });
-        }
-        header[..4].copy_from_slice(&len.to_le_bytes());
-        header[4..].copy_from_slice(&checksum64(payload).to_le_bytes());
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Encodes one record as a complete framed byte string (length prefix
@@ -595,28 +566,28 @@ pub(crate) fn encode_register(
     tenants: u32,
     planner: &Planner,
 ) -> Result<(), StoreError> {
-    framed(out, TAG_REGISTER, |w| {
+    framed(out, TAG_REGISTER, |buf| {
         check_shape(capacity, tenants)?;
         if planner.grain == 0 {
             return Err(StoreError::Malformed("zero planner grain"));
         }
-        w.u64(seq);
-        w.u64(id);
-        w.u64(capacity);
-        w.u32(tenants);
-        w.u64(planner.grain);
-        w.f64(planner.options.safety_margin);
-        w.f64(planner.options.vertex_tolerance);
-        w.policy(planner.policy);
-        w.u8(planner.convexify as u8);
+        put_u64(buf, seq);
+        put_u64(buf, id);
+        put_u64(buf, capacity);
+        put_u32(buf, tenants);
+        put_u64(buf, planner.grain);
+        put_f64(buf, planner.options.safety_margin);
+        put_f64(buf, planner.options.vertex_tolerance);
+        put_policy(buf, planner.policy);
+        put_u8(buf, planner.convexify as u8);
         Ok(())
     })
 }
 
 pub(crate) fn encode_deregister(out: &mut Vec<u8>, seq: u64, id: u64) -> Result<(), StoreError> {
-    framed(out, TAG_DEREGISTER, |w| {
-        w.u64(seq);
-        w.u64(id);
+    framed(out, TAG_DEREGISTER, |buf| {
+        put_u64(buf, seq);
+        put_u64(buf, id);
         Ok(())
     })
 }
@@ -628,12 +599,12 @@ pub(crate) fn encode_curve(
     tenant: u32,
     curve: &MissCurve,
 ) -> Result<(), StoreError> {
-    framed(out, TAG_CURVE, |w| {
+    framed(out, TAG_CURVE, |buf| {
         check_tenant(tenant)?;
-        w.u64(seq);
-        w.u64(id);
-        w.u32(tenant);
-        w.curve(curve)
+        put_u64(buf, seq);
+        put_u64(buf, id);
+        put_u32(buf, tenant);
+        put_curve(buf, curve)
     })
 }
 
@@ -644,13 +615,13 @@ pub(crate) fn encode_epoch_cut(
     epoch: u64,
     drained: &[u64],
 ) -> Result<(), StoreError> {
-    framed(out, TAG_EPOCH_CUT, |w| {
-        w.u64(seq);
-        w.u32(shard);
-        w.u64(epoch);
-        w.count(drained.len(), STORE_MAX_CUT_IDS)?;
+    framed(out, TAG_EPOCH_CUT, |buf| {
+        put_u64(buf, seq);
+        put_u32(buf, shard);
+        put_u64(buf, epoch);
+        put_count(buf, drained.len(), STORE_MAX_CUT_IDS)?;
         for id in drained {
-            w.u64(*id);
+            put_u64(buf, *id);
         }
         Ok(())
     })
@@ -665,13 +636,13 @@ pub(crate) fn encode_plan(
     updates: u64,
     plan: &CachePlan,
 ) -> Result<(), StoreError> {
-    framed(out, TAG_PLAN, |w| {
-        w.u64(seq);
-        w.u64(id);
-        w.u64(epoch);
-        w.u64(version);
-        w.u64(updates);
-        w.plan(plan)
+    framed(out, TAG_PLAN, |buf| {
+        put_u64(buf, seq);
+        put_u64(buf, id);
+        put_u64(buf, epoch);
+        put_u64(buf, version);
+        put_u64(buf, updates);
+        put_plan(buf, plan)
     })
 }
 
@@ -679,119 +650,53 @@ pub(crate) fn encode_plan(
 // Decoding
 // ---------------------------------------------------------------------
 
-/// A bounds-checked cursor over one record payload. Every read method
-/// fails with [`StoreError::Truncated`] instead of slicing out of range.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn read_curve(r: &mut Reader, grids: &mut GridCache) -> Result<MissCurve, DecodeError> {
+    let points = r.count(WIRE_MAX_CURVE_POINTS, MissCurve::POINT_BYTES)?;
+    // `count` checked the payload holds that many points.
+    let body = r.take(points * MissCurve::POINT_BYTES)?;
+    MissCurve::decode_points(body, grids).map_err(DecodeError::Curve)
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+fn read_policy(r: &mut Reader) -> Result<AllocPolicy, DecodeError> {
+    match r.u8()? {
+        POLICY_HILL => Ok(AllocPolicy::Hill),
+        POLICY_LOOKAHEAD => Ok(AllocPolicy::Lookahead),
+        POLICY_FAIR => Ok(AllocPolicy::Fair),
+        POLICY_IMBALANCED => Ok(AllocPolicy::Imbalanced),
+        _ => Err(DecodeError::Malformed("unknown policy tag")),
     }
+}
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+fn read_plan(r: &mut Reader) -> Result<CachePlan, DecodeError> {
+    let round = r.u64()?;
+    // Each tenant is at least capacity + tag + two f64 fields.
+    let count = r.count(WIRE_MAX_TENANTS, 8 + 1 + 16)?;
+    if count == 0 {
+        return Err(DecodeError::Malformed("plan with zero tenants"));
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        if self.remaining() < n {
-            return Err(StoreError::Truncated);
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
+    let mut tenants = Vec::with_capacity(count);
+    for _ in 0..count {
+        let capacity = r.u64()?;
+        let plan = match r.u8()? {
+            PLAN_UNPARTITIONED => TalusPlan::Unpartitioned {
+                size: r.f64()?,
+                expected_misses: r.f64()?,
+            },
+            PLAN_SHADOW => TalusPlan::Shadow(ShadowConfig {
+                total: r.f64()?,
+                alpha: r.f64()?,
+                beta: r.f64()?,
+                rho: r.f64()?,
+                ideal_rho: r.f64()?,
+                s1: r.f64()?,
+                s2: r.f64()?,
+                expected_misses: r.f64()?,
+            }),
+            _ => return Err(DecodeError::Malformed("unknown plan tag")),
+        };
+        tenants.push(TenantPlan { capacity, plan });
     }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        // take(4) returned exactly 4 bytes, so the array conversion
-        // below is infallible.
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4"))) // audited: slice is 4 bytes
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8"))) // audited: slice is 8 bytes
-    }
-
-    fn f64(&mut self) -> Result<f64, StoreError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads an element count, rejecting it if it exceeds `cap` or if
-    /// the payload cannot possibly hold `count` elements of at least
-    /// `min_elem_bytes` each — checked *before* any allocation, so a
-    /// hostile count never reserves memory.
-    fn count(&mut self, cap: u32, min_elem_bytes: usize) -> Result<usize, StoreError> {
-        let count = self.u32()?;
-        check_count(count, cap)?;
-        if (count as usize).saturating_mul(min_elem_bytes) > self.remaining() {
-            return Err(StoreError::Truncated);
-        }
-        Ok(count as usize)
-    }
-
-    fn curve(&mut self, grids: &mut GridCache) -> Result<MissCurve, StoreError> {
-        let points = self.count(WIRE_MAX_CURVE_POINTS, MissCurve::POINT_BYTES)?;
-        // `count` checked the payload holds that many points.
-        let body = self.take(points * MissCurve::POINT_BYTES)?;
-        MissCurve::decode_points(body, grids).map_err(StoreError::Curve)
-    }
-
-    fn policy(&mut self) -> Result<AllocPolicy, StoreError> {
-        match self.u8()? {
-            POLICY_HILL => Ok(AllocPolicy::Hill),
-            POLICY_LOOKAHEAD => Ok(AllocPolicy::Lookahead),
-            POLICY_FAIR => Ok(AllocPolicy::Fair),
-            POLICY_IMBALANCED => Ok(AllocPolicy::Imbalanced),
-            _ => Err(StoreError::Malformed("unknown policy tag")),
-        }
-    }
-
-    fn plan(&mut self) -> Result<CachePlan, StoreError> {
-        let round = self.u64()?;
-        // Each tenant is at least capacity + tag + two f64 fields.
-        let count = self.count(WIRE_MAX_TENANTS, 8 + 1 + 16)?;
-        if count == 0 {
-            return Err(StoreError::Malformed("plan with zero tenants"));
-        }
-        let mut tenants = Vec::with_capacity(count);
-        for _ in 0..count {
-            let capacity = self.u64()?;
-            let plan = match self.u8()? {
-                PLAN_UNPARTITIONED => TalusPlan::Unpartitioned {
-                    size: self.f64()?,
-                    expected_misses: self.f64()?,
-                },
-                PLAN_SHADOW => TalusPlan::Shadow(ShadowConfig {
-                    total: self.f64()?,
-                    alpha: self.f64()?,
-                    beta: self.f64()?,
-                    rho: self.f64()?,
-                    ideal_rho: self.f64()?,
-                    s1: self.f64()?,
-                    s2: self.f64()?,
-                    expected_misses: self.f64()?,
-                }),
-                _ => return Err(StoreError::Malformed("unknown plan tag")),
-            };
-            tenants.push(TenantPlan { capacity, plan });
-        }
-        Ok(CachePlan { round, tenants })
-    }
-
-    /// Asserts the payload was fully consumed: accepted records account
-    /// for every byte.
-    fn end(self) -> Result<(), StoreError> {
-        if self.remaining() != 0 {
-            return Err(StoreError::Malformed("trailing bytes after record"));
-        }
-        Ok(())
-    }
+    Ok(CachePlan { round, tenants })
 }
 
 /// Bytes (header + payload) the record framed at the head of `buf`
@@ -869,7 +774,7 @@ fn decode_payload(payload: &[u8], grids: &mut GridCache) -> Result<Record, Store
                 safety_margin: r.f64()?,
                 vertex_tolerance: r.f64()?,
             };
-            let policy = r.policy()?;
+            let policy = read_policy(&mut r)?;
             let convexify = match r.u8()? {
                 0 => false,
                 1 => true,
@@ -902,18 +807,14 @@ fn decode_payload(payload: &[u8], grids: &mut GridCache) -> Result<Record, Store
                 seq,
                 id,
                 tenant,
-                curve: r.curve(grids)?,
+                curve: read_curve(&mut r, grids)?,
             }
         }
         TAG_EPOCH_CUT => {
             let seq = r.u64()?;
             let shard = r.u32()?;
             let epoch = r.u64()?;
-            let count = r.count(STORE_MAX_CUT_IDS, 8)?;
-            let mut drained = Vec::with_capacity(count);
-            for _ in 0..count {
-                drained.push(r.u64()?);
-            }
+            let drained = r.u64s(STORE_MAX_CUT_IDS)?;
             Record::EpochCut {
                 seq,
                 shard,
@@ -927,7 +828,7 @@ fn decode_payload(payload: &[u8], grids: &mut GridCache) -> Result<Record, Store
             epoch: r.u64()?,
             version: r.u64()?,
             updates: r.u64()?,
-            plan: r.plan()?,
+            plan: read_plan(&mut r)?,
         },
         got => return Err(StoreError::BadTag { got }),
     };
