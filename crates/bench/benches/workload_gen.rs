@@ -78,9 +78,23 @@ fn bench_generators(c: &mut Criterion) {
         let mut gen = tenant();
         b.iter(|| by_block(&mut gen))
     });
+
+    // Set-up cost of `producer_fed`'s 192 monitored tenants (64 caches ×
+    // 3 at seed 1), built and dropped: their private sets share one table.
+    g.throughput(Throughput::Elements(192));
+    g.bench_function("tenant_generators_192", |b| {
+        let profile = multi_tenant(4).scaled(1.0 / 32.0);
+        b.iter(|| {
+            (0..64u64)
+                .flat_map(|cache| (0..3).map(move |tenant| (cache, tenant)))
+                .map(|(cache, tenant)| profile.tenant_generator(tenant, 1009 + cache))
+                .collect::<Vec<Phased>>()
+        })
+    });
     g.finish();
 
-    // Set-up cost of one shared table (a tenant builds one for its phases).
+    // Set-up cost of a table when no generator holds one for its
+    // distribution (`ZipfTable::shared` then builds it).
     c.bench_function("zipf_table/build_512", |b| {
         b.iter(|| black_box(ZipfTable::new(black_box(512), 0.9)))
     });

@@ -170,9 +170,9 @@ impl AccessGenerator for UniformRandom {
 
 /// Zipf-distributed accesses over `lines` lines (rank 1 hottest), using
 /// rejection-inversion sampling (Hörmann & Derflinger), O(1) per sample.
-/// The distribution's constants and rank table live in a [`ZipfTable`];
-/// ranks are scrambled over the footprint so hot lines spread across
-/// cache sets.
+/// The distribution's constants and rank table live in a [`ZipfTable`],
+/// one per distribution; ranks are scrambled over the footprint so hot
+/// lines spread across cache sets.
 #[derive(Debug, Clone)]
 pub struct Zipfian {
     base: u64,
@@ -181,23 +181,17 @@ pub struct Zipfian {
 }
 
 impl Zipfian {
-    /// Creates a Zipf(`exponent`) generator over `lines` lines.
+    /// Creates a Zipf(`exponent`) generator over `lines` lines, on the
+    /// distribution's one live table ([`ZipfTable::shared`]).
     ///
     /// # Panics
     ///
     /// Panics if `lines` is zero or `exponent` is not positive and finite.
     pub fn new(base: u64, lines: u64, exponent: f64, seed: u64) -> Self {
-        Self::with_table(base, Arc::new(ZipfTable::new(lines, exponent)), seed)
-    }
-
-    /// Creates a generator over `table`'s distribution, sharing the table:
-    /// the same stream as [`new`](Self::new) with `table`'s lines and
-    /// exponent, without building (or holding) another copy of it.
-    pub fn with_table(base: u64, table: Arc<ZipfTable>, seed: u64) -> Self {
         Zipfian {
             base,
             rng: SmallRng::seed_from_u64(seed),
-            table,
+            table: ZipfTable::shared(lines, exponent),
         }
     }
 }

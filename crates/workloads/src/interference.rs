@@ -10,11 +10,11 @@
 //! and the curves of co-tenants keep changing relative to each other —
 //! exactly the churn that keeps an online reconfiguration plane's dirty
 //! queues full. This is the load generator for `talus-serve`'s sharded
-//! ingest benches and the repo benchmark's `producer_fed` workload.
+//! ingest benches and the repo benchmark's `producer_fed` workload. All
+//! tenants' private sets are one distribution, so they hold one rank
+//! table ([`ZipfTable::shared`](crate::ZipfTable::shared)).
 
 use crate::generator::{AccessGenerator, Mixture, Phased, Scan, Zipfian};
-use crate::zipf::ZipfTable;
-use std::sync::Arc;
 use talus_sim::mb_to_lines;
 
 /// A multi-tenant interference workload: `tenants` access streams over one
@@ -110,28 +110,17 @@ impl MultiTenantProfile {
 
     /// Builds tenant `tenant`'s access generator. `seed` controls all
     /// randomness; the same `(tenant, seed)` pair always reproduces the
-    /// same stream.
+    /// same stream. Its phases' private sets share one table with every
+    /// live tenant's ([`ZipfTable::shared`](crate::ZipfTable::shared)).
     ///
     /// # Panics
     ///
     /// Panics if `tenant` is out of range.
     pub fn tenant_generator(&self, tenant: usize, seed: u64) -> Phased {
-        self.tenant_generator_over(tenant, seed, &self.private_set())
-    }
-
-    /// The distribution of a private hot set — the same for every tenant.
-    fn private_set(&self) -> Arc<ZipfTable> {
-        Arc::new(ZipfTable::new(mb_to_lines(self.private_mb).max(1), 0.9))
-    }
-
-    /// [`tenant_generator`](Self::tenant_generator) with the private hot
-    /// set's distribution passed in: every phase draws from the same set
-    /// with its own seed, so the phases share the one table.
-    fn tenant_generator_over(&self, tenant: usize, seed: u64, private: &Arc<ZipfTable>) -> Phased {
         assert!(tenant < self.tenants, "tenant {tenant} out of range");
         let shared_lines = self.shared_lines();
         let window_lines = (shared_lines / self.windows as u64).max(1);
-        let private_lines = private.lines();
+        let private_lines = mb_to_lines(self.private_mb).max(1);
         // Private sets start past the shared region, one slot per tenant.
         let private_base = shared_lines + tenant as u64 * private_lines;
         let phases = (0..self.windows)
@@ -146,9 +135,10 @@ impl MultiTenantProfile {
                         ),
                         (
                             1.0 - self.shared_weight,
-                            Box::new(Zipfian::with_table(
+                            Box::new(Zipfian::new(
                                 private_base,
-                                Arc::clone(private),
+                                private_lines,
+                                0.9,
                                 seed ^ ((tenant as u64) << 8) ^ phase as u64,
                             )),
                         ),
@@ -163,16 +153,10 @@ impl MultiTenantProfile {
 
     /// Builds every tenant's generator at once (the tenant index is
     /// folded into each stream's seeds, so streams are decorrelated but
-    /// reproducible).
+    /// reproducible), all holding one private-set table.
     pub fn generators(&self, seed: u64) -> Vec<Phased> {
-        self.generators_over(seed, &self.private_set())
-    }
-
-    /// [`generators`](Self::generators) with the one table every tenant's
-    /// private set draws from passed in.
-    fn generators_over(&self, seed: u64, private: &Arc<ZipfTable>) -> Vec<Phased> {
         (0..self.tenants)
-            .map(|t| self.tenant_generator_over(t, seed, private))
+            .map(|t| self.tenant_generator(t, seed))
             .collect()
     }
 }
@@ -181,7 +165,9 @@ impl MultiTenantProfile {
 mod tests {
     use super::*;
     use crate::generator::collect_trace;
+    use crate::zipf::ZipfTable;
     use std::collections::HashSet;
+    use std::sync::Arc;
 
     #[test]
     fn defaults_are_sane() {
@@ -208,11 +194,19 @@ mod tests {
         }
     }
 
+    /// The table every live tenant of `p` draws its private set from.
+    /// Tests that count its references use a private set no other test in
+    /// this binary builds: the registry is process-wide.
+    fn private_table(p: &MultiTenantProfile) -> Arc<ZipfTable> {
+        ZipfTable::shared(mb_to_lines(p.private_mb).max(1), 0.9)
+    }
+
     #[test]
     fn a_tenants_phases_share_one_zipf_table() {
-        let p = multi_tenant(4).scaled(1.0 / 32.0);
-        let private = Arc::new(ZipfTable::new(mb_to_lines(p.private_mb), 0.9));
-        let gen = p.tenant_generator_over(2, 7, &private);
+        // 341 private lines.
+        let p = multi_tenant(4).scaled(1.0 / 48.0);
+        let private = private_table(&p);
+        let gen = p.tenant_generator(2, 7);
         assert_eq!(
             Arc::strong_count(&private),
             1 + p.windows,
@@ -224,9 +218,10 @@ mod tests {
 
     #[test]
     fn all_tenants_share_one_zipf_table_and_keep_their_streams() {
-        let p = multi_tenant(3).scaled(1.0 / 32.0);
-        let private = p.private_set();
-        let gens = p.generators_over(7, &private);
+        // 410 private lines.
+        let p = multi_tenant(3).scaled(1.0 / 40.0);
+        let private = private_table(&p);
+        let gens = p.generators(7);
         assert_eq!(
             Arc::strong_count(&private),
             1 + p.tenants * p.windows,

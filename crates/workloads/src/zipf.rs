@@ -34,6 +34,8 @@
 //! Without a table every draw takes the exact path; the stream is the
 //! same one either way (`tests/golden_streams.rs` pins it).
 
+use std::sync::{Arc, Mutex, PoisonError, Weak};
+
 /// Largest footprint, in lines, that gets a rank table (192 KB of ranks
 /// plus a 64 KB guide); beyond it [`ZipfTable`] keeps to the exact path.
 pub const MAX_TABLE_RANKS: u64 = 1 << 14;
@@ -48,13 +50,13 @@ const GUARD: u64 = 2;
 /// boundary between the bucket's start and the draw, and whether it steps
 /// at all is a branch no predictor learns: at one bucket a rank a uniform
 /// draw scans a whole step on average, at 2ᵇ buckets 2⁻ᵇ of one. Sized
-/// in situ on `producer_fed` (192 tenants, each owning a 512-rank table;
-/// rotations of 3 s runs, medians), with the scan's first step taken
-/// branch-free as `lookup` does: b = 0 reads 1936 plans/s at 15.5 MB peak
-/// RSS, **b = 1 2056–2099 at 15.7 MB**, b = 2 2029 at 16.0 MB; b = 3
-/// (without the branch-free step) 2058 at 16.8 MB. Each bit doubles 2 B ×
-/// `next_power_of_two(lines)` a table; past one bit it buys nothing the
-/// run-to-run spread resolves.
+/// in situ on `producer_fed` when its 192 tenants each owned a 512-rank
+/// table (3 s rotations, medians; first scan step branch-free): b = 0
+/// read 1936 plans/s at 15.5 MB peak RSS, **b = 1 2056–2099 at 15.7 MB**,
+/// b = 2 2029 at 16.0 MB; b = 3 (without the branch-free step) 2058 at
+/// 16.8 MB: past one bit, nothing the run-to-run spread resolves. Each bit
+/// doubles 2 B × `next_power_of_two(lines)` a table, now paid once per
+/// distribution ([`ZipfTable::shared`]), not per tenant; b stays 1.
 const GUIDE_DENSITY_BITS: u32 = 1;
 /// Exponents closer to 1 than this (and not the logarithmic case) keep
 /// to the exact path.
@@ -76,9 +78,9 @@ struct RankRow {
 /// the rejection-inversion constants and, for all but very large
 /// footprints, the rank table that stands in for the `powf` calls.
 ///
-/// Immutable once built, so generators over the same `(lines, exponent)`
-/// can share one behind an `Arc`
-/// ([`Zipfian::with_table`](crate::Zipfian::with_table)).
+/// Immutable once built and a pure function of `(lines, exponent)`, so
+/// all live generators of one distribution hold one: `Zipfian::new`
+/// takes it from [`shared`](Self::shared).
 #[derive(Debug, Clone)]
 pub struct ZipfTable {
     lines: u64,
@@ -111,6 +113,26 @@ impl ZipfTable {
         let near_one = (exponent - 1.0).abs();
         let tabulate = lines <= MAX_TABLE_RANKS && !(1e-9..NEAR_ONE).contains(&near_one);
         Self::build(lines, exponent, tabulate)
+    }
+
+    /// The table a live holder has for Zipf(`exponent`) over `lines`
+    /// ranks, or a [`new`](Self::new) one (which panics as `new` does).
+    /// Held weakly, a table lives exactly as long as some holder does;
+    /// racing callers get one table, as it is built under the lock.
+    pub fn shared(lines: u64, exponent: f64) -> Arc<ZipfTable> {
+        static LIVE: Mutex<Vec<(u64, u64, Weak<ZipfTable>)>> = Mutex::new(Vec::new());
+        let bits = exponent.to_bits();
+        // A panicking `new` leaves the list as it was.
+        let mut live = LIVE.lock().unwrap_or_else(PoisonError::into_inner);
+        // Pruned, one entry a key, which may still die before `upgrade`.
+        live.retain(|(.., table)| table.strong_count() > 0);
+        let found = live.iter().find(|e| (e.0, e.1) == (lines, bits));
+        if let Some(table) = found.and_then(|(.., table)| table.upgrade()) {
+            return table;
+        }
+        let table = Arc::new(ZipfTable::new(lines, exponent));
+        live.push((lines, bits, Arc::downgrade(&table)));
+        table
     }
 
     fn build(lines: u64, exponent: f64, tabulate: bool) -> Self {
@@ -548,5 +570,51 @@ mod tests {
             );
             assert!(t.rows.capacity() == t.rows.len() && t.guide.capacity() == t.guide.len());
         }
+    }
+
+    // The registry is process-wide and tests run in parallel: each test
+    // below has a `(lines, exponent)` no other test in this binary builds,
+    // and none asserts the registry's size.
+
+    #[test]
+    fn one_key_gives_one_table_and_one_ulp_gives_another() {
+        let q = 0.71;
+        let a = ZipfTable::shared(4097, q);
+        let b = ZipfTable::shared(4097, q);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(Arc::strong_count(&a), 2);
+        let next = ZipfTable::shared(4097, f64::from_bits(q.to_bits() + 1));
+        assert!(!Arc::ptr_eq(&a, &next));
+        assert_eq!(Arc::strong_count(&next), 1);
+    }
+
+    #[test]
+    fn the_registry_keeps_no_table_alive() {
+        let only = ZipfTable::shared(4099, 0.72);
+        assert_eq!(Arc::strong_count(&only), 1);
+        let weak = Arc::downgrade(&only);
+        drop(only);
+        assert!(weak.upgrade().is_none());
+        // The next caller builds it afresh.
+        assert_eq!(Arc::strong_count(&ZipfTable::shared(4099, 0.72)), 1);
+    }
+
+    #[test]
+    fn racing_callers_get_one_table() {
+        const THREADS: usize = 8;
+        let start = std::sync::Barrier::new(THREADS);
+        let tables: Vec<Arc<ZipfTable>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        ZipfTable::shared(4101, 0.73)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(tables.iter().all(|t| Arc::ptr_eq(t, &tables[0])));
+        assert_eq!(Arc::strong_count(&tables[0]), THREADS);
     }
 }
