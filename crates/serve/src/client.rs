@@ -87,6 +87,19 @@ impl std::fmt::Display for RpcError {
     }
 }
 
+/// Whether `e` is a transport-class failure — the peer may be dead, hung
+/// or shedding load, so retrying (or reconnecting) can help — as opposed
+/// to a typed rejection or a protocol violation. Sees through
+/// [`RpcError::Exhausted`] to the last attempt's error.
+pub(crate) fn is_transport(e: &RpcError) -> bool {
+    match e {
+        RpcError::Deadline | RpcError::Busy => true,
+        RpcError::Wire(WireError::Io(_) | WireError::Truncated) => true,
+        RpcError::Exhausted { last, .. } => is_transport(last),
+        _ => false,
+    }
+}
+
 impl std::error::Error for RpcError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
@@ -297,18 +310,6 @@ impl RpcClient {
         self.apply_deadline()
     }
 
-    /// Whether retrying `e` can help: transport failures and overload,
-    /// never typed rejections.
-    fn retryable(e: &RpcError) -> bool {
-        matches!(
-            e,
-            RpcError::Deadline
-                | RpcError::Busy
-                | RpcError::Wire(WireError::Io(_))
-                | RpcError::Wire(WireError::Truncated)
-        )
-    }
-
     /// Rewrites socket-timeout I/O errors as [`RpcError::Deadline`].
     fn map_deadline(e: RpcError) -> RpcError {
         match e {
@@ -368,7 +369,7 @@ impl RpcClient {
         let attempts = self.retry.attempts.max(1);
         let mut last = match self.call(req) {
             Ok(resp) => return Ok(resp),
-            Err(e) if attempts == 1 || !Self::retryable(&e) => return Err(e),
+            Err(e) if attempts == 1 || !is_transport(&e) => return Err(e),
             Err(e) => e,
         };
         for retry in 0..attempts - 1 {
@@ -382,7 +383,7 @@ impl RpcClient {
             }
             match self.call(req) {
                 Ok(resp) => return Ok(resp),
-                Err(e) if Self::retryable(&e) => last = e,
+                Err(e) if is_transport(&e) => last = e,
                 Err(e) => return Err(e),
             }
         }

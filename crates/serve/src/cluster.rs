@@ -60,7 +60,7 @@
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::client::{RetryPolicy, RpcClient, RpcError};
+use crate::client::{is_transport, RetryPolicy, RpcClient, RpcError};
 use crate::router::merge_reports;
 use crate::service::{EpochReport, ServeError};
 use crate::snapshot::CacheId;
@@ -246,17 +246,6 @@ impl std::error::Error for ClusterError {
 impl From<HandshakeError> for ClusterError {
     fn from(e: HandshakeError) -> Self {
         ClusterError::Handshake(e)
-    }
-}
-
-/// Whether `e` is a transport-class failure (the member may be dead)
-/// as opposed to a typed rejection or protocol violation.
-fn is_transport(e: &RpcError) -> bool {
-    match e {
-        RpcError::Deadline | RpcError::Busy => true,
-        RpcError::Wire(WireError::Io(_)) | RpcError::Wire(WireError::Truncated) => true,
-        RpcError::Exhausted { last, .. } => is_transport(last),
-        _ => false,
     }
 }
 

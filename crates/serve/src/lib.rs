@@ -79,9 +79,12 @@
 //! effect — to one append-only file per shard (same
 //! [`talus_core::shard_of`] placement as the router). After a crash,
 //! [`restore`](ShardedReconfigService::restore) replays the journal into
-//! a fresh plane: caches re-register, latest curves and dirty-queue
-//! order come back, the last published [`PlanSnapshot`]s reappear, and
-//! the id allocator and epoch counter resume where they left off. The
+//! a fresh plane (restore first, then attach the sink): caches
+//! re-register, latest curves and dirty-queue order come back, the last
+//! published [`PlanSnapshot`]s reappear, and the id allocator and epoch
+//! counter resume where they left off. Registers, deregisters and curves
+//! replay through the live transitions themselves, so a journal the
+//! plane wrote always restores. The
 //! equivalence discipline extends across the crash: a restored plane
 //! produces bit-identical `EpochReport`s and snapshots to one that never
 //! restarted (`tests/restore_equivalence.rs`), torn journal tails are
@@ -117,7 +120,8 @@
 //! - **Health is a first-class RPC.** [`RpcClient::health`] returns a
 //!   [`talus_core::PlaneHealth`]: per-shard cache/pending/quarantine
 //!   counts and degraded flags, epoch counter, journal fault state, and
-//!   the server's connection accounting.
+//!   the server's connection accounting (the same report
+//!   [`ServerHandle::health`] gives in-process).
 //!
 //! All of it is exercised deterministically through the
 //! [`talus_core::FaultScript`] seam (`tests/chaos.rs`): scripted

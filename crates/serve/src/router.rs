@@ -48,7 +48,7 @@ fn epoch_batch_cap(shards: usize) -> usize {
 
 /// How long one epoch waits for its worker handoffs before declaring the
 /// stragglers degraded and moving on.
-const DEFAULT_EPOCH_DEADLINE: Duration = Duration::from_secs(5);
+const EPOCH_DEADLINE: Duration = Duration::from_secs(5);
 
 /// One "run an epoch" request handed to a shard's worker thread. The
 /// reply carries the worker's shard index so the epoch driver knows who
@@ -78,8 +78,6 @@ struct WorkerPool {
     /// a deadline expired on it. Never cleared — degradation is sticky
     /// (the worker, even if merely slow, no longer has a job channel).
     degraded: Vec<AtomicBool>,
-    /// Longest one epoch waits on worker handoffs, total.
-    deadline: Duration,
     handles: Vec<thread::JoinHandle<()>>,
 }
 
@@ -89,7 +87,7 @@ impl WorkerPool {
     /// participates), so an epoch costs N−1 thread handoffs, not N. A
     /// shard whose worker fails to spawn starts degraded (leader-planned)
     /// instead of failing the build.
-    fn spawn(shards: &[Arc<Shard>], deadline: Duration, fault: Option<Arc<FaultScript>>) -> Self {
+    fn spawn(shards: &[Arc<Shard>], fault: Option<Arc<FaultScript>>) -> Self {
         let mut senders = Vec::with_capacity(shards.len() - 1);
         let mut degraded = Vec::with_capacity(shards.len() - 1);
         let mut handles = Vec::with_capacity(shards.len() - 1);
@@ -129,7 +127,6 @@ impl WorkerPool {
         WorkerPool {
             senders: Mutex::new(senders),
             degraded,
-            deadline,
             handles,
         }
     }
@@ -154,9 +151,9 @@ impl WorkerPool {
     /// Leader participates: the calling thread plans shard 0 itself while
     /// the workers handle shards 1..N. Degraded shards (dead worker, or
     /// handoff refused) are leader-planned in the same call; workers that
-    /// miss [`deadline`](WorkerPool::deadline) are degraded for the next
-    /// epoch and this epoch returns without their report (their queued
-    /// work drains on the leader path next epoch).
+    /// miss [`EPOCH_DEADLINE`] are degraded for the next epoch and this
+    /// epoch returns without their report (their queued work drains on
+    /// the leader path next epoch).
     fn run_epoch(&self, shards: &[Arc<Shard>], epoch: u64) -> Vec<EpochReport> {
         let (reply, results) = mpsc::channel();
         let mut outstanding: Vec<usize> = Vec::new();
@@ -191,7 +188,7 @@ impl WorkerPool {
         }
         // Bounded handoff: wait out the deadline, not forever. A report
         // arriving after its deadline is dropped with its channel.
-        let deadline = Instant::now() + self.deadline;
+        let deadline = Instant::now() + EPOCH_DEADLINE;
         while !outstanding.is_empty() {
             let wait = deadline.saturating_duration_since(Instant::now());
             match results.recv_timeout(wait) {
@@ -268,10 +265,6 @@ pub struct ShardedReconfigService {
     sink: Option<Arc<dyn StoreSink>>,
     /// The fault-injection script shared with shards and workers.
     fault: Option<Arc<FaultScript>>,
-    /// Worker-handoff budget for [`run_epoch`] in thread-pool mode.
-    ///
-    /// [`run_epoch`]: ShardedReconfigService::run_epoch
-    epoch_deadline: Duration,
 }
 
 impl ShardedReconfigService {
@@ -306,7 +299,6 @@ impl ShardedReconfigService {
             pool: None,
             sink: None,
             fault: None,
-            epoch_deadline: DEFAULT_EPOCH_DEADLINE,
         }
     }
 
@@ -436,24 +428,6 @@ impl ShardedReconfigService {
         self
     }
 
-    /// Sets how long one epoch waits on worker handoffs in thread-pool
-    /// mode before declaring stragglers degraded (default 5s). Configure
-    /// before [`with_threads`](ShardedReconfigService::with_threads).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deadline` is zero or thread-pool mode is already
-    /// enabled.
-    pub fn with_epoch_deadline(mut self, deadline: Duration) -> Self {
-        assert!(!deadline.is_zero(), "epoch deadline must be positive");
-        assert!(
-            self.pool.is_none(),
-            "set the epoch deadline before enabling threads"
-        );
-        self.epoch_deadline = deadline;
-        self
-    }
-
     /// Enables thread-pool mode: shards 1..N each get a dedicated worker
     /// thread (`talus-serve-shard-<i>`), and
     /// [`run_epoch`](ShardedReconfigService::run_epoch) dispatches to all
@@ -466,11 +440,7 @@ impl ShardedReconfigService {
     /// Workers are joined when the service drops.
     pub fn with_threads(mut self) -> Self {
         if self.pool.is_none() {
-            self.pool = Some(WorkerPool::spawn(
-                &self.shards,
-                self.epoch_deadline,
-                self.fault.clone(),
-            ));
+            self.pool = Some(WorkerPool::spawn(&self.shards, self.fault.clone()));
         }
         self
     }
@@ -490,11 +460,6 @@ impl ShardedReconfigService {
     /// cluster member advertises so a client can seed its own mint.
     pub fn next_id_hint(&self) -> u64 {
         self.next_id.load(Ordering::Relaxed)
-    }
-
-    /// Whether epochs run on per-shard worker threads.
-    pub fn is_threaded(&self) -> bool {
-        self.pool.is_some()
     }
 
     /// The **global** shard index `id` routes to:
@@ -819,7 +784,8 @@ impl ShardedReconfigService {
     }
 
     /// Warm-restarts this plane from a journal: replays every shard file
-    /// through the same state transitions the live paths take, so the
+    /// — register, deregister and curve records through the live
+    /// `register`/`deregister`/`submit` transitions themselves — so the
     /// restored plane has the registered caches, latest curves, dirty
     /// queues (in order), published snapshots, id allocator, and epoch
     /// counter the journaling plane had when its last record landed —
@@ -850,12 +816,15 @@ impl ShardedReconfigService {
     /// Torn tails were already truncated when the store was opened;
     /// a crash between a shard's epoch cut and its plan records loses at
     /// most those plans — the affected caches re-plan on their next curve
-    /// update, exactly like an epoch that failed mid-publish.
+    /// (even a resend of the same one), exactly like an epoch that failed
+    /// mid-publish.
     ///
     /// # Errors
     ///
     /// - [`RestoreError::ShardMismatch`] — store and plane layouts differ.
-    /// - [`RestoreError::NotFresh`] — this plane already has state.
+    /// - [`RestoreError::NotFresh`] — this plane already has state, or
+    ///   already has a sink (the live transitions replay goes through
+    ///   would journal the journal's own records into it again).
     /// - [`RestoreError::Store`] — a shard file could not be read (the
     ///   replay stops at the failed read; it is never taken for the end
     ///   of the journal). The plane is left partially restored and
@@ -872,7 +841,8 @@ impl ShardedReconfigService {
                 plane: n,
             });
         }
-        if self.next_id.load(Ordering::Relaxed) != 0
+        if self.sink.is_some()
+            || self.next_id.load(Ordering::Relaxed) != 0
             || self.epochs.load(Ordering::Relaxed) != 0
             || self.registered() > 0
         {
@@ -909,19 +879,19 @@ impl ShardedReconfigService {
                         }
                         max_id = max_id.max(Some(id));
                         let spec = CacheSpec::new(capacity, tenants as usize).with_planner(planner);
-                        if !shard.restore_register(id, spec) {
+                        if shard.insert(id, spec).is_err() {
                             return Err(corrupt("register of an already-registered id"));
                         }
                     }
                     Record::Deregister { id, .. } => {
-                        if !shard.restore_deregister(id) {
+                        if shard.remove(CacheId(id)).is_err() {
                             return Err(corrupt("deregister of an unknown cache"));
                         }
                     }
                     Record::Curve {
                         id, tenant, curve, ..
                     } => {
-                        if !shard.restore_submit(id, tenant as usize, curve) {
+                        if shard.submit(CacheId(id), tenant as usize, curve).is_err() {
                             return Err(corrupt("curve for an unknown cache or tenant"));
                         }
                     }
@@ -1001,7 +971,8 @@ pub enum RestoreError {
         /// Shards in the plane.
         plane: usize,
     },
-    /// The plane already holds state; restore only into a fresh plane.
+    /// The plane already holds state or a sink; restore only into a
+    /// fresh plane, and attach the sink afterwards.
     NotFresh,
     /// A shard file could not be read back.
     Store(StoreError),
@@ -1132,7 +1103,6 @@ mod tests {
     fn threaded_mode_publishes_identical_reports() {
         let seq = ShardedReconfigService::new(4);
         let par = ShardedReconfigService::new(4).with_threads();
-        assert!(par.is_threaded() && !seq.is_threaded());
         for _ in 0..10 {
             let a = seq.register(CacheSpec::new(2048, 2));
             let b = par.register(CacheSpec::new(2048, 2));

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use talus_core::{FaultDirective, FaultScript};
+use talus_core::{FaultDirective, FaultScript, PlaneHealth};
 
 use crate::router::ShardedReconfigService;
 use crate::service::{CacheSpec, ServeError};
@@ -56,6 +56,20 @@ struct ConnStats {
     /// Connections shed with [`Response::Busy`] since the server
     /// started. Monotonic; never reset.
     rejected: AtomicU64,
+}
+
+impl ConnStats {
+    /// The plane's health report with these connection counters filled
+    /// in (the plane itself cannot see the TCP layer): what
+    /// [`ServerHandle::health`] returns, and what a `Health` or `Hello`
+    /// reply carries.
+    fn health(&self, service: &ShardedReconfigService) -> PlaneHealth {
+        PlaneHealth {
+            connections: self.live.load(Ordering::Acquire) as u64,
+            rejected: self.rejected.load(Ordering::Acquire),
+            ..service.health()
+        }
+    }
 }
 
 /// A TCP front-end for a sharded reconfiguration plane.
@@ -176,7 +190,7 @@ impl RpcServer {
                 let stats = Arc::clone(&accept_stats);
                 let fault = fault.clone();
                 std::thread::spawn(move || {
-                    let _ = serve_connection(stream, &service, fault.as_deref());
+                    let _ = serve_connection(stream, &service, &stats, fault.as_deref());
                     stats.live.fetch_sub(1, Ordering::AcqRel);
                 });
             }
@@ -236,12 +250,9 @@ impl ServerHandle {
 
     /// The plane's health report with this server's connection
     /// accounting filled in (the plane itself cannot see the TCP
-    /// layer).
-    pub fn health(&self) -> talus_core::PlaneHealth {
-        let mut health = self.service.health();
-        health.connections = self.connections() as u64;
-        health.rejected = self.rejected();
-        health
+    /// layer) — the same report a remote `Health` request reads.
+    pub fn health(&self) -> PlaneHealth {
+        self.stats.health(&self.service)
     }
 
     /// Stops accepting connections and joins the accept thread.
@@ -272,6 +283,7 @@ impl Drop for ServerHandle {
 fn serve_connection(
     stream: TcpStream,
     service: &ShardedReconfigService,
+    stats: &ConnStats,
     fault: Option<&FaultScript>,
 ) -> Result<(), wire::WireError> {
     stream.set_nodelay(true).ok();
@@ -305,7 +317,7 @@ fn serve_connection(
                 // Apply, then die mid-reply: the client gets half a
                 // frame and must treat the request outcome as unknown —
                 // exactly the ambiguity idempotent retries resolve.
-                wire::encode_response_into(&handle_request(request, service), &mut reply);
+                wire::encode_response_into(&handle_request(request, service, stats), &mut reply);
                 writer
                     .write_all(&reply[..reply.len() / 2])
                     .map_err(wire::WireError::from)?;
@@ -313,7 +325,7 @@ fn serve_connection(
             }
             FaultDirective::None => {}
         }
-        wire::encode_response_into(&handle_request(request, service), &mut reply);
+        wire::encode_response_into(&handle_request(request, service, stats), &mut reply);
         writer.write_all(&reply).map_err(wire::WireError::from)?;
     }
     Ok(())
@@ -338,7 +350,11 @@ fn opcode_of(request: &Request) -> u8 {
 /// Executes one decoded request against the plane. Decode has already
 /// bounds-checked every field, so nothing here can panic on remote
 /// input; request-level rejections become [`Response::Error`].
-fn handle_request(request: Request, service: &ShardedReconfigService) -> Response {
+fn handle_request(
+    request: Request,
+    service: &ShardedReconfigService,
+    stats: &ConnStats,
+) -> Response {
     match request {
         Request::Register { capacity, tenants } => {
             if !service.topology().is_solo() {
@@ -382,7 +398,7 @@ fn handle_request(request: Request, service: &ShardedReconfigService) -> Respons
                 .map(|snap| SnapshotSummary::from(&*snap)),
         ),
         Request::Ping => Response::Pong,
-        Request::Health => Response::Health(service.health()),
+        Request::Health => Response::Health(stats.health(service)),
         Request::Hello => {
             let topology = service.topology();
             Response::Hello(wire::ClusterInfo {
@@ -391,7 +407,7 @@ fn handle_request(request: Request, service: &ShardedReconfigService) -> Respons
                 shard_count: topology.count() as u32,
                 epoch: service.epochs(),
                 next_id: service.next_id_hint(),
-                health: service.health(),
+                health: stats.health(service),
             })
         }
     }

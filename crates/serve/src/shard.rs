@@ -268,41 +268,38 @@ impl Shard {
                 tenants,
             });
         }
-        // A bit-identical resubmission is a full no-op — no journal
-        // append, no update count, no dirty mark. This is what makes
-        // retried/duplicated submissions idempotent: the retried plane
-        // (and its journal) is bit-identical to the once-delivered one.
+        // A bit-identical resubmission of a curve already *accounted
+        // for* — queued for planning (dirty) or reflected in the
+        // published snapshot — is a full no-op: no journal append, no
+        // update count, no dirty mark. This is what makes retried and
+        // duplicated submissions idempotent: the retried plane (and its
+        // journal) is bit-identical to the once-delivered one.
         //
-        // "No-op" requires the curve to already be *accounted for*:
-        // queued for planning (dirty) or reflected in a published
-        // snapshot. A cache whose plan was lost — a crash between the
-        // epoch cut and publication, or a planner failure — has current
-        // curves but no current plan; there a resubmission re-marks
-        // dirty (still without journaling a duplicate or bumping the
-        // update count — the journal already holds this curve, and
-        // replaying it re-derives the same dirty mark) so the next
-        // epoch plans it. Lock order registry → published matches the
-        // publish phase, so this read can't deadlock.
-        if entry.curves[tenant].as_ref() == Some(&curve) {
-            if entry.dirty {
-                return Ok(());
-            }
-            let updates = entry.updates;
-            let planned = self
-                .read_published()
-                .get(&id.0)
-                .is_some_and(|snap| snap.updates == updates);
-            if !planned {
-                entry.dirty = true;
-                reg.dirty_queue.push_back(id.0);
-            }
+        // A cache with current curves but no current plan — deferred on
+        // a tenant that has not reported, its last plan failed, or lost
+        // to a crash between the epoch cut and publication — is
+        // re-queued instead, without bumping the update count, and the
+        // curve is journaled once more: replaying that record through
+        // this same branch re-queues the restored cache where the live
+        // one was. Lock order registry → published matches the publish
+        // phase, so this read can't deadlock.
+        let same = entry.curves[tenant].as_ref() == Some(&curve);
+        if same
+            && (entry.dirty
+                || self
+                    .read_published()
+                    .get(&id.0)
+                    .is_some_and(|snap| snap.updates == entry.updates))
+        {
             return Ok(());
         }
         if let Some(sink) = &self.sink {
             sink.submit(id.0, tenant as u32, &curve);
         }
-        Arc::make_mut(&mut entry.curves)[tenant] = Some(curve);
-        entry.updates += 1;
+        if !same {
+            Arc::make_mut(&mut entry.curves)[tenant] = Some(curve);
+            entry.updates += 1;
+        }
         if !entry.dirty {
             entry.dirty = true;
             reg.dirty_queue.push_back(id.0);
@@ -532,55 +529,13 @@ impl Shard {
 
     // --- journal replay ------------------------------------------------
     //
-    // The `restore_*` methods below apply journal records through the
-    // same state transitions as the live paths, but never journal (a
-    // restore must not re-append its own input) and report invalid
-    // transitions with `false` instead of erroring — an invalid
-    // transition can only come from a corrupt or foreign journal, and
-    // the router turns it into a typed `RestoreError`.
-
-    /// Replays a register record. `false` if the id already exists.
-    pub(crate) fn restore_register(&self, id: u64, spec: CacheSpec) -> bool {
-        let mut reg = self.lock_registry();
-        if reg.caches.contains_key(&id) {
-            return false;
-        }
-        reg.caches.insert(id, CacheEntry::new(spec));
-        true
-    }
-
-    /// Replays a deregister record. `false` if the cache is unknown.
-    pub(crate) fn restore_deregister(&self, id: u64) -> bool {
-        let known = {
-            let mut reg = self.lock_registry();
-            reg.caches.remove(&id).is_some()
-            // As in the live path, the id may linger in dirty_queue; a
-            // later cut record pops it just like the live drain did.
-        };
-        if known {
-            self.write_published().remove(&id);
-        }
-        known
-    }
-
-    /// Replays a curve record. `false` if the cache is unknown or the
-    /// tenant is out of range for its registered shape.
-    pub(crate) fn restore_submit(&self, id: u64, tenant: usize, curve: MissCurve) -> bool {
-        let mut reg = self.lock_registry();
-        let Some(entry) = reg.caches.get_mut(&id) else {
-            return false;
-        };
-        if tenant >= entry.spec.tenants {
-            return false;
-        }
-        Arc::make_mut(&mut entry.curves)[tenant] = Some(curve);
-        entry.updates += 1;
-        if !entry.dirty {
-            entry.dirty = true;
-            reg.dirty_queue.push_back(id);
-        }
-        true
-    }
+    // A restore applies register, deregister and curve records through
+    // the live `insert`, `remove` and `submit`, on a plane with no sink
+    // (a restore must not re-append its own input). Cut and plan records
+    // get the two transitions below instead: the live drain plans and
+    // the live publish numbers versions, and a replay must do neither.
+    // Both report a transition a faithful journal never holds with
+    // `false`, which the router turns into a typed `RestoreError`.
 
     /// Replays an epoch-cut record: pops `drained.len()` ids off the
     /// dirty queue, verifying they match the journaled pop order (a

@@ -406,7 +406,6 @@ fn dead_worker_degrades_its_shard_not_the_epoch() {
     script.inject("worker.epoch", Some(1), 0, 1, FaultAction::Panic);
     let threaded = ShardedReconfigService::new(3)
         .with_fault_script(Arc::clone(&script))
-        .with_epoch_deadline(Duration::from_millis(250))
         .with_threads();
     let plain = ShardedReconfigService::new(3);
 
@@ -586,5 +585,29 @@ fn overload_shed_is_typed_and_counted() {
         handle.health().is_healthy(),
         "shedding load is admission control, not ill health"
     );
+    handle.shutdown();
+}
+
+/// A remote `Health` request reads the server's connection counters —
+/// the same report the in-process handle gives — and `Hello` carries
+/// them too.
+#[test]
+fn remote_health_carries_the_connection_counters() {
+    let service = Arc::new(ShardedReconfigService::new(1));
+    let handle = RpcServer::bind("127.0.0.1:0", Arc::clone(&service))
+        .expect("bind")
+        .with_max_connections(1)
+        .spawn()
+        .expect("spawn");
+    let mut occupant = RpcClient::connect(handle.local_addr()).expect("connect");
+    occupant.ping().expect("ping");
+    let mut shed = RpcClient::connect(handle.local_addr()).expect("tcp connects");
+    assert_eq!(shed.ping(), Err(RpcError::Busy));
+
+    let remote = occupant.health().expect("health over rpc");
+    assert_eq!(remote, handle.health());
+    assert_eq!((remote.connections, remote.rejected), (1, 1));
+    let hello = occupant.hello().expect("hello over rpc");
+    assert_eq!(hello.health, remote);
     handle.shutdown();
 }

@@ -600,10 +600,11 @@ impl Drop for ServerProcesses {
 
 /// Failover and resurrection across real processes: three
 /// `cluster-server` members, each journaling two of six shards. One is
-/// killed between operations: its ids fail fast with a typed
-/// `ShardDown` while the survivors serve. A new process over the same
-/// journal rejoins, and from then on every wire summary equals a
-/// single-process twin's fed the same stream.
+/// killed between operations, holding a cache deferred on a tenant that
+/// has not reported while the other re-sent its curve: its ids fail fast
+/// with a typed `ShardDown` while the survivors serve. A new process
+/// over the same journal rejoins, and from then on every wire summary
+/// equals a single-process twin's fed the same stream.
 #[test]
 fn killed_server_process_restarts_from_its_journal_bit_identical() {
     let dir = temp_dir("processes");
@@ -627,6 +628,24 @@ fn killed_server_process_restarts_from_its_journal_bit_identical() {
         }
     }
     drain_lockstep(&mut cluster, &twin);
+
+    // One cache on member 1 waits on a tenant that has not reported,
+    // while the other re-sends the same curve across an epoch: the
+    // re-send re-queues the cache, and the member's journal must say so.
+    let deferred = loop {
+        let id = register_both(&mut cluster, &twin, 1, 2)[0];
+        if cluster.member_for(id) == 1 {
+            break id;
+        }
+    };
+    for _ in 0..2 {
+        twin.submit(deferred, 0, curve_from_seed(50)).expect("twin");
+        cluster
+            .submit(deferred, 0, curve_from_seed(50))
+            .expect("cluster");
+        let reports = drain_lockstep(&mut cluster, &twin);
+        assert_eq!(reports[0].deferred, vec![deferred]);
+    }
 
     // Kill member 1's process: its shards fail fast and typed, the
     // survivors' shards keep accepting work.
@@ -670,8 +689,13 @@ fn killed_server_process_restarts_from_its_journal_bit_identical() {
         twin.submit(*id, 0, curve.clone()).expect("twin");
         cluster.submit(*id, 0, curve).expect("submit after rejoin");
     }
+    twin.submit(deferred, 1, curve_from_seed(51)).expect("twin");
+    cluster
+        .submit(deferred, 1, curve_from_seed(51))
+        .expect("the restored cache takes its last tenant");
     drain_lockstep(&mut cluster, &twin);
-    for id in &ids {
+    assert!(twin.snapshot(deferred).is_some(), "and plans");
+    for id in ids.iter().chain([&deferred]) {
         let want = twin.snapshot(*id).as_deref().map(SnapshotSummary::from);
         assert_eq!(cluster.report(*id).expect("report"), want, "{id}");
     }

@@ -14,9 +14,9 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use common::{apply, arb_op, curve_from_seed, temp_dir, Slots};
+use common::{apply, arb_op, curve_from_seed, temp_dir, Op, Slots};
 use proptest::prelude::*;
-use talus_core::{FaultAction, FaultScript, ShardTopology, StoreHealth};
+use talus_core::{FaultAction, FaultScript, MissCurve, PlanError, ShardTopology, StoreHealth};
 use talus_partition::Planner;
 use talus_serve::{CacheId, CacheSpec, RestoreError, ServeError, ShardedReconfigService};
 use talus_store::{Record, Store, StoreSink};
@@ -501,4 +501,125 @@ fn the_top_id_from_the_wire_cannot_break_the_id_allocator() {
     std::fs::remove_dir_all(&dir).ok();
 
     assert_planted_register_is_corrupt(1, u64::MAX, "reserved id");
+}
+
+/// Restores a fresh plane from `live`'s own journal while `live` still
+/// runs, and holds the two identical.
+fn assert_own_journal_restores(live: &ShardedReconfigService, store: &Store, slots: &Slots) {
+    let restored = ShardedReconfigService::new(live.shards());
+    restored
+        .restore(store)
+        .expect("a journal the plane wrote restores");
+    assert_planes_identical(live, &restored, slots);
+}
+
+/// A journaling plane of `shards` shards over a fresh directory.
+fn journaling_plane(tag: &str, shards: usize) -> (PathBuf, Arc<Store>, ShardedReconfigService) {
+    let dir = temp_dir(tag);
+    let store = Arc::new(Store::open(&dir, shards).expect("open store"));
+    let plane =
+        ShardedReconfigService::new(shards).with_sink(Arc::clone(&store) as Arc<dyn StoreSink>);
+    (dir, store, plane)
+}
+
+/// A cache deferred on a tenant that has not reported is re-queued when
+/// the tenant that has re-sends the same curve (a monitor re-measures
+/// every interval). The journal records that re-send, so the next cut
+/// finds the cache in the replayed queue too.
+#[test]
+fn an_identical_curve_to_a_deferred_cache_restores() {
+    let (dir, store, plane) = journaling_plane("deferred", 1);
+    let id = plane.register(CacheSpec::new(1024, 2).with_planner(Planner::new(64)));
+    for _ in 0..2 {
+        plane.submit(id, 0, curve_from_seed(1)).unwrap();
+        assert_eq!(plane.run_epoch().deferred, vec![id]);
+    }
+    assert_own_journal_restores(&plane, &store, &vec![(id, true, 2)]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A cache whose plan failed has current curves but no current plan,
+/// so a resend of the same curve re-queues it (and fails again) — and
+/// the journal still restores.
+#[test]
+fn an_identical_curve_to_a_failed_cache_restores() {
+    let (dir, store, plane) = journaling_plane("failed", 1);
+    let id = plane.register(CacheSpec::new(1024, 1));
+    let beyond = MissCurve::from_samples(&[2048.0, 4096.0], &[5.0, 1.0]).unwrap();
+    for _ in 0..2 {
+        plane.submit(id, 0, beyond.clone()).unwrap();
+        let report = plane.run_epoch();
+        assert!(
+            matches!(
+                report.failed[..],
+                [(
+                    failed,
+                    ServeError::Plan {
+                        source: PlanError::SizeOutOfRange { .. },
+                        ..
+                    }
+                )] if failed == id
+            ),
+            "{report:?}"
+        );
+    }
+    assert_own_journal_restores(&plane, &store, &vec![(id, true, 1)]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A plane with a sink is not fresh: the live transitions a restore
+/// replays through would journal the journal into it again.
+#[test]
+fn restore_refuses_a_plane_with_a_sink() {
+    let (dir, store, plane) = journaling_plane("sink", 1);
+    assert_eq!(plane.restore(&store), Err(RestoreError::NotFresh));
+    assert_eq!(store.recovery().records(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Registrations of 1–3 tenants, epochs, and submissions drawn from a
+/// pool of at most two curves: most submissions resend a curve the
+/// tenant already holds, to caches that are queued, planned, or
+/// deferred on a tenant yet to report.
+fn arb_resending_op(pool: u64) -> impl Strategy<Value = Op> {
+    (
+        0u64..8,
+        1usize..4,
+        any::<usize>(),
+        any::<usize>(),
+        any::<u64>(),
+    )
+        .prop_map(move |(kind, tenants, slot, tenant, pick)| match kind {
+            0 | 1 => Op::Register {
+                capacity_grains: 4 + pick % 12,
+                tenants,
+            },
+            2..=5 => Op::Submit {
+                slot,
+                tenant,
+                curve_seed: pick % pool,
+            },
+            _ => Op::RunEpoch,
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// However often tenants resend what they already sent, a plane's
+    /// journal restores into a plane bit-identical to it.
+    #[test]
+    fn resent_curves_restore_bit_identical(
+        ops in (1u64..3).prop_flat_map(|pool| {
+            proptest::collection::vec(arb_resending_op(pool), 1..40)
+        }),
+        shards in 1usize..4,
+    ) {
+        let (dir, store, plane) = journaling_plane("resend", shards);
+        let mut slots = Slots::new();
+        apply(&plane, &mut slots, &ops);
+        prop_assert_eq!(store.last_error(), None);
+        assert_own_journal_restores(&plane, &store, &slots);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
