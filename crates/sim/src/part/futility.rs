@@ -18,17 +18,15 @@
 //! unmanaged region, so Talus can plan over the full allocation
 //! (`planning_scale = 1.0`).
 //!
-//! Like [`VantageLike`](super::VantageLike), the array is
-//! skew-associative (each way indexes through its own H3 hash), giving
-//! the high effective associativity both schemes need for Assumption 2.
+//! It runs on the skew-associative engine it shares with
+//! [`VantageLike`](super::VantageLike) (each way indexes through its own
+//! H3 hash), giving the high effective associativity both schemes need for
+//! Assumption 2; what is Futility Scaling's own is the rule: targets are
+//! the grants, and the victim is the candidate with the highest scaled
+//! futility.
 
-use super::{PartitionedCacheModel, SkewedIndex, MAX_SKEWED_WAYS};
-use crate::addr::{LineAddr, PartitionId};
-use crate::policy::AccessCtx;
-use crate::stats::{AccessResult, CacheStats};
-
-const INVALID_TAG: u64 = u64::MAX;
-const NO_OWNER: u32 = u32::MAX;
+use super::skewed::{Enforcement, Skewed};
+use crate::addr::PartitionId;
 
 /// Accesses between λ-controller updates.
 const ADJUST_PERIOD: u64 = 64;
@@ -50,17 +48,17 @@ const LAMBDA_MAX: f64 = 1e4;
 /// assert_eq!(granted, vec![1000, 3096]);
 /// cache.access(PartitionId(0), LineAddr(5), &AccessCtx::new());
 /// ```
+///
+/// It implements [`PartitionedCacheModel`](super::PartitionedCacheModel),
+/// and `occupancy(part)` reads a partition's resident lines.
+pub type FutilityScaled = Skewed<Futility>;
+
+/// Futility Scaling's rule: the targets are the grants, a λ controller
+/// scales each partition's futility, and the victim is the candidate with
+/// the highest scaled futility.
 #[derive(Debug, Clone)]
-pub struct FutilityScaled {
-    index: SkewedIndex,
-    tags: Vec<u64>,
-    owner: Vec<u32>,
-    stamp: Vec<u64>,
-    clock: u64,
-    targets: Vec<u64>,
-    occupancy: Vec<u64>,
+pub struct Futility {
     lambda: Vec<f64>,
-    stats: Vec<CacheStats>,
 }
 
 impl FutilityScaled {
@@ -75,42 +73,64 @@ impl FutilityScaled {
     /// `ways` is above 64 (the candidate buffer holds that many), there
     /// are more than `u32::MAX` rows, or `partitions` is zero.
     pub fn new(capacity_lines: u64, ways: usize, partitions: usize, seed: u64) -> Self {
-        assert!(partitions > 0, "partition count must be positive");
-        let index = SkewedIndex::new(capacity_lines, ways, seed, 0x5CA1_AB1E);
-        let slots = index.slots();
-        FutilityScaled {
-            index,
-            tags: vec![INVALID_TAG; slots],
-            owner: vec![NO_OWNER; slots],
-            stamp: vec![0; slots],
-            clock: 0,
-            targets: vec![0; partitions],
-            occupancy: vec![0; partitions],
+        let rule = Futility {
             lambda: vec![1.0; partitions],
-            stats: vec![CacheStats::new(); partitions],
-        }
-    }
-
-    /// Current resident lines of a partition.
-    pub fn occupancy(&self, part: PartitionId) -> u64 {
-        self.occupancy[part.index()]
+        };
+        Skewed::build(capacity_lines, ways, partitions, seed, rule)
     }
 
     /// The partition's current futility scaling factor λ.
     pub fn scaling_factor(&self, part: PartitionId) -> f64 {
-        self.lambda[part.index()]
+        self.rule.lambda[part.index()]
+    }
+}
+
+impl Enforcement for Futility {
+    const NAME: &'static str = "futility";
+    const SEED_STRIDE: u64 = 0x5CA1_AB1E;
+
+    fn retarget(&mut self, _granted: &[u64], _occupancy: &[u64]) {
+        // No unmanaged region: the enforced target IS the grant. Resizes
+        // invalidate the controller's operating point; restart the
+        // feedback from neutral so convergence is symmetric.
+        for l in &mut self.lambda {
+            *l = 1.0;
+        }
     }
 
-    /// Victim selection: the candidate with the highest scaled futility
-    /// `λ_owner × age`.
-    fn pick_victim(&self, cands: &[usize]) -> usize {
+    /// Multiplicative feedback on λ every `ADJUST_PERIOD` accesses: push
+    /// each partition's factor towards the value that holds occupancy at
+    /// target.
+    #[inline]
+    fn tick(&mut self, clock: u64, granted: &[u64], occupancy: &[u64]) {
+        if !clock.is_multiple_of(ADJUST_PERIOD) {
+            return;
+        }
+        for (p, lambda) in self.lambda.iter_mut().enumerate() {
+            if granted[p] == 0 {
+                // Zero-target partitions never insert; λ is irrelevant but
+                // pin it high so stale lines drain first after a resize.
+                *lambda = LAMBDA_MAX;
+                continue;
+            }
+            let err = occupancy[p] as f64 / granted[p] as f64;
+            // Gain ½ on the multiplicative occupancy-error feedback, spelt
+            // as the correctly rounded square root: `powf(0.5)` is only
+            // that when the optimiser rewrites it, so λ — and everything
+            // simulated downstream of it — would depend on `opt-level`.
+            *lambda = (*lambda * err.sqrt()).clamp(LAMBDA_MIN, LAMBDA_MAX);
+        }
+    }
+
+    /// The candidate with the highest scaled futility `λ_owner × age`.
+    #[inline]
+    fn victim(&self, cands: &[usize], owner: &[u32], stamp: &[u64], clock: u64) -> usize {
         let mut best_slot = cands[0];
         let mut best_futility = f64::NEG_INFINITY;
         for &s in cands {
-            let oi = self.owner[s] as usize;
             // Age 0 lines still need non-zero futility so λ can order them.
-            let age = (self.clock - self.stamp[s]) as f64 + 1.0;
-            let futility = self.lambda[oi] * age;
+            let age = (clock - stamp[s]) as f64 + 1.0;
+            let futility = self.lambda[owner[s] as usize] * age;
             if futility > best_futility {
                 best_futility = futility;
                 best_slot = s;
@@ -118,152 +138,14 @@ impl FutilityScaled {
         }
         best_slot
     }
-
-    /// Multiplicative feedback on λ: push each partition's factor towards
-    /// the value that holds occupancy at target.
-    fn adjust_lambdas(&mut self) {
-        for p in 0..self.lambda.len() {
-            if self.targets[p] == 0 {
-                // Zero-target partitions never insert; λ is irrelevant but
-                // pin it high so stale lines drain first after a resize.
-                self.lambda[p] = LAMBDA_MAX;
-                continue;
-            }
-            let err = self.occupancy[p] as f64 / self.targets[p] as f64;
-            // Gain ½ on the multiplicative occupancy-error feedback, spelt
-            // as the correctly rounded square root: `powf(0.5)` is only
-            // that when the optimiser rewrites it, so λ — and everything
-            // simulated downstream of it — would depend on `opt-level`.
-            self.lambda[p] = (self.lambda[p] * err.sqrt()).clamp(LAMBDA_MIN, LAMBDA_MAX);
-        }
-    }
-
-    /// One access with the partition index already validated; shared by
-    /// the per-access and block paths (stats are recorded by the caller).
-    /// The λ-controller cadence is clock-driven, so it ticks identically
-    /// whether accesses arrive singly or in blocks.
-    #[inline]
-    fn access_inner(&mut self, p: usize, line: LineAddr, ctx: &AccessCtx) -> AccessResult {
-        let _ = ctx;
-        let tag = line.value();
-        self.clock += 1;
-        if self.clock.is_multiple_of(ADJUST_PERIOD) {
-            self.adjust_lambdas();
-        }
-        let mut hit_slot = None;
-        let mut empty_slot = None;
-        let mut hashes = [0u32; MAX_SKEWED_WAYS];
-        let hashes = self.index.hash(line, &mut hashes);
-        let mut cands = [0usize; MAX_SKEWED_WAYS];
-        for (w, &hash) in hashes.iter().enumerate() {
-            let s = self.index.slot(w, hash);
-            cands[w] = s;
-            if self.tags[s] == tag {
-                hit_slot = Some(s);
-                break;
-            }
-            if self.tags[s] == INVALID_TAG && empty_slot.is_none() {
-                empty_slot = Some(s);
-            }
-        }
-        if let Some(s) = hit_slot {
-            self.stamp[s] = self.clock;
-            AccessResult::Hit
-        } else if self.targets[p] == 0 {
-            AccessResult::Miss // zero-size partitions bypass
-        } else {
-            let s = match empty_slot {
-                Some(s) => s,
-                None => {
-                    let v = self.pick_victim(&cands[..hashes.len()]);
-                    let old = self.owner[v];
-                    debug_assert_ne!(old, NO_OWNER);
-                    self.occupancy[old as usize] -= 1;
-                    v
-                }
-            };
-            self.tags[s] = tag;
-            self.owner[s] = p as u32;
-            self.stamp[s] = self.clock;
-            self.occupancy[p] += 1;
-            AccessResult::Miss
-        }
-    }
-}
-
-impl PartitionedCacheModel for FutilityScaled {
-    fn num_partitions(&self) -> usize {
-        self.stats.len()
-    }
-
-    fn set_partition_sizes(&mut self, lines: &[u64]) -> Vec<u64> {
-        assert_eq!(
-            lines.len(),
-            self.num_partitions(),
-            "one request per partition"
-        );
-        let capacity = self.capacity_lines();
-        let requested: u64 = lines.iter().sum();
-        let granted: Vec<u64> = if requested <= capacity {
-            lines.to_vec()
-        } else {
-            lines
-                .iter()
-                .map(|&l| (l as u128 * capacity as u128 / requested as u128) as u64)
-                .collect()
-        };
-        // No unmanaged region: the enforced target IS the grant.
-        self.targets = granted.clone();
-        // Resizes invalidate the controller's operating point; restart the
-        // feedback from neutral so convergence is symmetric.
-        for l in &mut self.lambda {
-            *l = 1.0;
-        }
-        granted
-    }
-
-    fn access(&mut self, part: PartitionId, line: LineAddr, ctx: &AccessCtx) -> AccessResult {
-        let p = part.index();
-        assert!(p < self.num_partitions(), "unknown {part}");
-        let result = self.access_inner(p, line, ctx);
-        self.stats[p].record(result);
-        result
-    }
-
-    fn access_block(&mut self, part: PartitionId, lines: &[LineAddr], ctx: &AccessCtx) {
-        let p = part.index();
-        assert!(p < self.num_partitions(), "unknown {part}");
-        let mut hits = 0u64;
-        for &line in lines {
-            if self.access_inner(p, line, ctx) == AccessResult::Hit {
-                hits += 1;
-            }
-        }
-        self.stats[p].record_block(hits, lines.len() as u64 - hits);
-    }
-
-    fn partition_stats(&self, part: PartitionId) -> &CacheStats {
-        &self.stats[part.index()]
-    }
-
-    fn reset_stats(&mut self) {
-        for s in &mut self.stats {
-            s.reset();
-        }
-    }
-
-    fn capacity_lines(&self) -> u64 {
-        self.index.slots() as u64
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        "futility"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::LineAddr;
+    use crate::part::PartitionedCacheModel;
+    use crate::policy::AccessCtx;
 
     fn ctx() -> AccessCtx {
         AccessCtx::new()
@@ -279,13 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn grants_are_line_granular_and_unscaled() {
-        let mut c = FutilityScaled::new(1024, 16, 2, 1);
-        let granted = c.set_partition_sizes(&[123, 901]);
-        assert_eq!(granted, vec![123, 901]);
-    }
-
-    #[test]
     fn no_unmanaged_region() {
         // Unlike VantageLike, the enforced targets equal the grants: a
         // full-capacity single partition is enforced at full capacity.
@@ -296,44 +171,6 @@ mod tests {
             c.access(PartitionId(0), LineAddr(l % 4000), &ctx());
         }
         assert_eq!(c.occupancy(PartitionId(0)), 1000);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 64 ways")]
-    fn rejects_more_ways_than_the_candidate_buffer_holds() {
-        // See the `VantageLike` twin: the bound used to be a debug
-        // assertion on the first access.
-        FutilityScaled::new(65 * 4, 65, 1, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "row count must fit in 32 bits")]
-    fn rejects_row_counts_past_32_bits() {
-        FutilityScaled::new((u64::from(u32::MAX) + 1) * 2, 2, 1, 1);
-    }
-
-    #[test]
-    fn hits_after_insert() {
-        let mut c = FutilityScaled::new(256, 16, 1, 1);
-        c.set_partition_sizes(&[256]);
-        assert!(c.access(PartitionId(0), LineAddr(7), &ctx()).is_miss());
-        assert!(c.access(PartitionId(0), LineAddr(7), &ctx()).is_hit());
-    }
-
-    #[test]
-    fn near_capacity_scan_fits() {
-        // Assumption 2's knife edge: a cyclic scan slightly below the
-        // partition size must mostly hit.
-        let mut c = FutilityScaled::new(4096, 16, 1, 1);
-        c.set_partition_sizes(&[4096]);
-        let lines = 3686; // 90% of capacity
-        for _ in 0..5 {
-            for i in 0..lines {
-                c.access(PartitionId(0), LineAddr(i), &ctx());
-            }
-        }
-        let hr = c.partition_stats(PartitionId(0)).hit_rate();
-        assert!(hr > 0.75, "hit rate {hr}");
     }
 
     #[test]
@@ -371,40 +208,6 @@ mod tests {
             "split {}",
             o0 / (o0 + o1)
         );
-    }
-
-    #[test]
-    fn zero_size_partition_bypasses() {
-        let mut c = FutilityScaled::new(256, 16, 2, 1);
-        c.set_partition_sizes(&[0, 256]);
-        assert!(c.access(PartitionId(0), LineAddr(1), &ctx()).is_miss());
-        assert!(c.access(PartitionId(0), LineAddr(1), &ctx()).is_miss());
-        assert_eq!(c.occupancy(PartitionId(0)), 0);
-    }
-
-    #[test]
-    fn oversubscription_scales_down() {
-        let mut c = FutilityScaled::new(1000, 10, 2, 1);
-        let granted = c.set_partition_sizes(&[2000, 2000]);
-        assert!(granted.iter().sum::<u64>() <= 1000);
-    }
-
-    #[test]
-    fn protected_partition_survives_thrashing_neighbour() {
-        let mut c = FutilityScaled::new(2048, 16, 2, 1);
-        c.set_partition_sizes(&[1024, 1024]);
-        for i in 0..512u64 {
-            c.access(PartitionId(0), LineAddr(i), &ctx());
-        }
-        for i in 0..50_000u64 {
-            c.access(PartitionId(1), LineAddr(1_000_000 + i), &ctx());
-        }
-        c.reset_stats();
-        for i in 0..512u64 {
-            c.access(PartitionId(0), LineAddr(i), &ctx());
-        }
-        let hr = c.partition_stats(PartitionId(0)).hit_rate();
-        assert!(hr > 0.8, "partition 0 re-touch hit rate {hr}");
     }
 
     #[test]

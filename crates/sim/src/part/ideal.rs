@@ -5,7 +5,7 @@
 //! function of size alone) perfectly, so Talus on ideal partitioning
 //! should trace the hull as closely as the workload's statistics allow.
 
-use super::PartitionedCacheModel;
+use super::{exact_grants, PartitionedCacheModel};
 use crate::addr::{LineAddr, PartitionId};
 use crate::array::{CacheModel, FullyAssocLru};
 use crate::policy::AccessCtx;
@@ -62,16 +62,7 @@ impl PartitionedCacheModel for IdealPartitioned {
             self.num_partitions(),
             "one request per partition"
         );
-        // Exact grants, scaled down proportionally only if oversubscribed.
-        let requested: u64 = lines.iter().sum();
-        let granted: Vec<u64> = if requested <= self.capacity {
-            lines.to_vec()
-        } else {
-            lines
-                .iter()
-                .map(|&l| (l as u128 * self.capacity as u128 / requested as u128) as u64)
-                .collect()
-        };
+        let granted = exact_grants(lines, self.capacity);
         for (p, &g) in granted.iter().enumerate() {
             self.parts[p].set_capacity(g);
         }

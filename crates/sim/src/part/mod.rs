@@ -16,10 +16,19 @@
 //!   of capacity (no unmanaged region);
 //! - [`IdealPartitioned`]: exact fully-associative partitions — the
 //!   "Talus+I" idealised configuration of Fig. 8.
+//!
+//! `VantageLike` and `FutilityScaled` are one skew-associative engine
+//! (array, candidate gather, insertion and eviction, occupancy, stats)
+//! with two enforcement rules: how a partition is held to its grant is
+//! all that tells them apart. They and `IdealPartitioned` grant requests
+//! exactly when they fit and scale them down in proportion when they do
+//! not; way and set partitioning apportion whole ways or sets. Every
+//! scheme's grant fits its capacity for any request vector.
 
 mod futility;
 mod ideal;
 mod setpart;
+mod skewed;
 mod vantage;
 mod way;
 
@@ -30,81 +39,8 @@ pub use vantage::VantageLike;
 pub use way::WayPartitioned;
 
 use crate::addr::{LineAddr, PartitionId};
-use crate::hasher::{FastMod32, H3Bank};
 use crate::policy::AccessCtx;
 use crate::stats::{AccessResult, CacheStats};
-
-/// The most ways (replacement candidates per access) the skew-associative
-/// schemes support: their per-access candidate buffers are this long.
-pub(crate) const MAX_SKEWED_WAYS: usize = 64;
-
-/// The index function of a skew-associative array of `rows × ways` slots
-/// ([`VantageLike`], [`FutilityScaled`]): way `w` indexes its column with
-/// its own H3 hash — lane `w` of one [`H3Bank`], so a line's `W`
-/// candidate rows come from a single walk over its address — reduced to a
-/// row without a divide.
-#[derive(Debug, Clone)]
-pub(crate) struct SkewedIndex {
-    ways: usize,
-    way_hashes: H3Bank,
-    row_of: FastMod32,
-}
-
-impl SkewedIndex {
-    /// Way `w`'s hash is seeded `seed + seed_stride · (w + 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `capacity_lines` is a positive multiple of `ways`,
-    /// `ways` is in `1..=64`, and the row count fits in 32 bits (rows are
-    /// indexed by a 32-bit hash).
-    pub(crate) fn new(capacity_lines: u64, ways: usize, seed: u64, seed_stride: u64) -> Self {
-        assert!(capacity_lines > 0, "capacity must be positive");
-        assert!(ways > 0, "associativity must be positive");
-        assert!(
-            ways <= MAX_SKEWED_WAYS,
-            "at most {MAX_SKEWED_WAYS} ways (candidates per access), got {ways}"
-        );
-        assert!(
-            capacity_lines.is_multiple_of(ways as u64),
-            "capacity must be a multiple of ways"
-        );
-        let rows =
-            u32::try_from(capacity_lines / ways as u64).expect("row count must fit in 32 bits");
-        let seeds: Vec<u64> = (0..ways as u64)
-            .map(|w| seed.wrapping_add(seed_stride * (w + 1)))
-            .collect();
-        SkewedIndex {
-            ways,
-            way_hashes: H3Bank::new(&seeds),
-            row_of: FastMod32::new(rows),
-        }
-    }
-
-    /// Total slots (`rows × ways`).
-    pub(crate) fn slots(&self) -> usize {
-        self.row_of.divisor() as usize * self.ways
-    }
-
-    /// Hashes `line` for every way into `buf`; entry `w` of the result
-    /// goes to [`slot`](Self::slot) to get way `w`'s candidate.
-    #[inline(always)]
-    pub(crate) fn hash<'a>(
-        &self,
-        line: LineAddr,
-        buf: &'a mut [u32; MAX_SKEWED_WAYS],
-    ) -> &'a [u32] {
-        let hashes = &mut buf[..self.ways];
-        self.way_hashes.hash_into(line.value(), hashes);
-        hashes
-    }
-
-    /// The slot `way` offers a line whose hash for that way is `hash`.
-    #[inline(always)]
-    pub(crate) fn slot(&self, way: usize, hash: u32) -> usize {
-        self.row_of.rem(hash) as usize * self.ways + way
-    }
-}
 
 /// A cache divided into partitions with software-controlled sizes.
 ///
@@ -117,7 +53,9 @@ pub trait PartitionedCacheModel {
 
     /// Requests per-partition target sizes in lines and returns the sizes
     /// actually granted after the scheme's coarsening (whole ways, whole
-    /// sets, or exact lines). The granted total never exceeds capacity.
+    /// sets, or exact lines). For any request vector — `u64::MAX` entries
+    /// included — the granted total never exceeds capacity and a request
+    /// of zero is granted zero.
     ///
     /// # Panics
     ///
@@ -169,6 +107,21 @@ pub trait PartitionedCacheModel {
     fn scheme_name(&self) -> &'static str;
 }
 
+/// Exact line-granularity grants: the requests themselves when they fit
+/// in `capacity`, otherwise each scaled down in proportion (floored), so
+/// the total never exceeds `capacity`. Sums in `u128`, so no request
+/// vector overflows.
+pub(crate) fn exact_grants(requests: &[u64], capacity: u64) -> Vec<u64> {
+    let requested: u128 = requests.iter().map(|&l| u128::from(l)).sum();
+    if requested <= u128::from(capacity) {
+        return requests.to_vec();
+    }
+    requests
+        .iter()
+        .map(|&l| (u128::from(l) * u128::from(capacity) / requested) as u64)
+        .collect()
+}
+
 /// Largest-remainder apportionment of line requests into coarse units
 /// (ways or sets): partitions get `floor(request/unit)` units each, and
 /// leftover units go to the largest fractional remainders. Requests of
@@ -182,13 +135,30 @@ pub(crate) fn apportion(requests: &[u64], unit_lines: u64, total_units: u64) -> 
         .collect();
     let mut units: Vec<u64> = raw.iter().map(|&x| x.floor() as u64).collect();
     // Cap at the available total (proportional scale-down if oversubscribed).
-    let mut used: u64 = units.iter().sum();
-    if used > total_units {
-        // Oversubscribed even at floors: shave from the largest.
+    let used: u128 = units.iter().map(|&u| u128::from(u)).sum();
+    if used > u128::from(total_units) {
+        // Oversubscribed even at floors: shave from the largest, one unit
+        // off each nonzero partition per pass. Whole passes are taken at
+        // once (a request near `u64::MAX` is ~2^58 of them), then the last,
+        // partial pass runs in order.
         let mut order: Vec<usize> = (0..units.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(units[i]));
-        let mut excess = used - total_units;
-        for &i in order.iter().cycle() {
+        let mut excess = used - u128::from(total_units);
+        while excess > 0 {
+            let (nonzero, smallest) = units
+                .iter()
+                .filter(|&&u| u > 0)
+                .fold((0u128, u64::MAX), |(n, m), &u| (n + 1, m.min(u)));
+            let passes = (excess / nonzero).min(u128::from(smallest)) as u64;
+            if passes == 0 {
+                break;
+            }
+            for u in units.iter_mut().filter(|u| **u > 0) {
+                *u -= passes;
+            }
+            excess -= u128::from(passes) * nonzero;
+        }
+        for &i in &order {
             if excess == 0 {
                 break;
             }
@@ -199,6 +169,7 @@ pub(crate) fn apportion(requests: &[u64], unit_lines: u64, total_units: u64) -> 
         }
         return units;
     }
+    let mut used = used as u64;
     // Hand out leftover units by fractional remainder, but never exceed
     // the rounded total request.
     let desired: u64 = raw.iter().sum::<f64>().round() as u64;
@@ -258,6 +229,98 @@ mod tests {
         // Requests sum to 3 units; should not be inflated to fill 8.
         let got = apportion(&[100, 200], 100, 8);
         assert_eq!(got, vec![1, 2]);
+    }
+
+    /// `apportion` as it was before whole passes: the oversubscribed shave
+    /// takes one unit a turn (summing in `u64`).
+    fn apportion_one_unit_a_turn(requests: &[u64], unit_lines: u64, total_units: u64) -> Vec<u64> {
+        let raw: Vec<f64> = requests
+            .iter()
+            .map(|&r| r as f64 / unit_lines as f64)
+            .collect();
+        let mut units: Vec<u64> = raw.iter().map(|&x| x.floor() as u64).collect();
+        let mut used: u64 = units.iter().sum();
+        if used > total_units {
+            let mut order: Vec<usize> = (0..units.len()).collect();
+            order.sort_by_key(|&i| std::cmp::Reverse(units[i]));
+            let mut excess = used - total_units;
+            for &i in order.iter().cycle() {
+                if excess == 0 {
+                    break;
+                }
+                if units[i] > 0 {
+                    units[i] -= 1;
+                    excess -= 1;
+                }
+            }
+            return units;
+        }
+        let desired: u64 = raw.iter().sum::<f64>().round() as u64;
+        let target = desired.min(total_units);
+        let mut order: Vec<usize> = (0..units.len()).collect();
+        order.sort_by(|&a, &b| {
+            let ra = raw[a] - raw[a].floor();
+            let rb = raw[b] - raw[b].floor();
+            rb.partial_cmp(&ra).expect("remainders are finite")
+        });
+        for &i in &order {
+            if used >= target {
+                break;
+            }
+            if raw[i] > units[i] as f64 {
+                units[i] += 1;
+                used += 1;
+            }
+        }
+        units
+    }
+
+    #[test]
+    fn whole_pass_shave_equals_one_unit_a_turn() {
+        // Up to 8 partitions, excess up to ~3000 units, with zero requests
+        // and equal requests (ties in the shave order) mixed in.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut below = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        for _ in 0..4000 {
+            let n = 1 + below(8) as usize;
+            let unit = [1, 3, 16, 100][below(4) as usize];
+            let total = below(65);
+            let most = (total + below(3000)) / n as u64 + 1;
+            let mut requests: Vec<u64> = Vec::with_capacity(n);
+            for _ in 0..n {
+                let r = match (below(4), requests.last()) {
+                    (0, _) => 0,
+                    (1, Some(&prev)) => prev,
+                    _ => below(most * unit + 1),
+                };
+                requests.push(r);
+            }
+            assert_eq!(
+                apportion(&requests, unit, total),
+                apportion_one_unit_a_turn(&requests, unit, total),
+                "{requests:?} in units of {unit}, {total} units"
+            );
+        }
+    }
+
+    #[test]
+    fn huge_requests_apportion_at_once() {
+        // The one-unit-a-turn shave took ~2.9e17 turns here, and summed
+        // past `u64::MAX` for the second.
+        assert_eq!(apportion(&[u64::MAX, 2], 64, 16), vec![16, 0]);
+        assert_eq!(apportion(&[u64::MAX, u64::MAX, 0], 1, 16), vec![8, 8, 0]);
+    }
+
+    #[test]
+    fn exact_grants_fit_for_any_request() {
+        assert_eq!(exact_grants(&[300, 700], 1000), vec![300, 700]);
+        assert_eq!(exact_grants(&[u64::MAX, 2], 100), vec![99, 0]);
+        assert_eq!(exact_grants(&[u64::MAX, u64::MAX], 100), vec![50, 50]);
     }
 
     #[test]

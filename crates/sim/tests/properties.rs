@@ -21,6 +21,18 @@ fn arb_stream() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(0u64..4096, 64..2048)
 }
 
+/// Strategy: one to six partition requests, each `0`, `u64::MAX`, a size
+/// around a 1024-line cache, or any `u64`.
+fn arb_requests() -> impl Strategy<Value = Vec<u64>> {
+    let request = (0u64..5, any::<u64>()).prop_map(|(kind, x)| match kind {
+        0 => 0,
+        1 => u64::MAX,
+        2 | 3 => x % 600,
+        _ => x,
+    });
+    proptest::collection::vec(request, 1..7)
+}
+
 /// The three stream shapes the fast-path equivalence suite runs on: a
 /// uniform random mix, a cyclic scan (the canonical cliff), and a phase
 /// change (uniform working set, then a scan over fresh addresses).
@@ -224,6 +236,37 @@ proptest! {
         let f_occ = futility.occupancy(PartitionId(0)) + futility.occupancy(PartitionId(1));
         prop_assert!(v_occ <= capacity, "vantage occupancy {v_occ}");
         prop_assert!(f_occ <= capacity, "futility occupancy {f_occ}");
+    }
+
+    /// Every scheme's grant rule holds for any request vector, `0` and
+    /// `u64::MAX` entries included: the call returns, the granted total
+    /// fits the capacity, a zero request is granted zero, and the exact
+    /// schemes (ideal, Vantage, Futility) grant the requests themselves
+    /// whenever they fit.
+    #[test]
+    fn grants_fit_for_any_request(requests in arb_requests(), seed in any::<u64>()) {
+        let (n, capacity) = (requests.len(), 1024u64);
+        let fits = requests.iter().map(|&r| u128::from(r)).sum::<u128>() <= u128::from(capacity);
+        let schemes: Vec<(Box<dyn PartitionedCacheModel>, bool)> = vec![
+            (Box::new(IdealPartitioned::new(capacity, n)), true),
+            (Box::new(VantageLike::new(capacity, 16, n, seed)), true),
+            (Box::new(FutilityScaled::new(capacity, 16, n, seed)), true),
+            (Box::new(WayPartitioned::new(capacity, 16, n, Lru::new(), seed)), false),
+            (Box::new(SetPartitioned::new(capacity, 16, n, Lru::new(), seed)), false),
+        ];
+        for (mut cache, exact) in schemes {
+            let name = cache.scheme_name();
+            let granted = cache.set_partition_sizes(&requests);
+            prop_assert_eq!(granted.len(), n, "{}", name);
+            let total: u128 = granted.iter().map(|&g| u128::from(g)).sum();
+            prop_assert!(total <= u128::from(capacity), "{name}: {granted:?} for {requests:?}");
+            for (&r, &g) in requests.iter().zip(&granted) {
+                prop_assert!(r != 0 || g == 0, "{name}: {granted:?} for {requests:?}");
+            }
+            if exact && fits {
+                prop_assert_eq!(&granted, &requests, "{}", name);
+            }
+        }
     }
 
     /// Re-running any policy on the same stream with the same seed gives
