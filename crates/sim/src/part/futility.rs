@@ -144,6 +144,7 @@ impl Enforcement for Futility {
 mod tests {
     use super::*;
     use crate::addr::LineAddr;
+    use crate::part::skewed::checks;
     use crate::part::PartitionedCacheModel;
     use crate::policy::AccessCtx;
 
@@ -159,6 +160,59 @@ mod tests {
             state >> 33
         })
     }
+
+    // The engine's checks, on Futility Scaling.
+
+    #[test]
+    fn grants_are_line_granular_and_unscaled() {
+        // No unmanaged region scales the grants down.
+        checks::grants_are_line_granular(FutilityScaled::new(1024, 16, 2, 1));
+    }
+
+    #[test]
+    fn hits_after_insert() {
+        checks::hits_after_insert(FutilityScaled::new(256, 16, 1, 1));
+    }
+
+    #[test]
+    fn near_capacity_scan_fits() {
+        checks::near_capacity_scan_fits(FutilityScaled::new(4096, 16, 1, 1));
+    }
+
+    #[test]
+    fn zero_size_partition_bypasses() {
+        checks::zero_size_partition_bypasses(FutilityScaled::new(256, 16, 2, 1));
+    }
+
+    #[test]
+    fn oversubscription_scales_down() {
+        checks::oversubscription_scales_down(FutilityScaled::new(1000, 10, 2, 1));
+    }
+
+    #[test]
+    fn protected_partition_survives_thrashing_neighbour() {
+        checks::protected_partition_survives_thrashing_neighbour(FutilityScaled::new(
+            2048, 16, 2, 1,
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 ways")]
+    fn rejects_more_ways_than_the_candidate_buffer_holds() {
+        checks::rejects_more_ways_than_the_candidate_buffer_holds(|lines, ways| {
+            FutilityScaled::new(lines, ways, 1, 1)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "row count must fit in 32 bits")]
+    fn rejects_row_counts_past_32_bits() {
+        checks::rejects_row_counts_past_32_bits(|lines, ways| {
+            FutilityScaled::new(lines, ways, 1, 1)
+        });
+    }
+
+    // Futility Scaling's rule.
 
     #[test]
     fn no_unmanaged_region() {

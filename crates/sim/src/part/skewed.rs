@@ -232,3 +232,91 @@ impl<E: Enforcement> PartitionedCacheModel for Skewed<E> {
         E::NAME
     }
 }
+
+/// What the engine owes every rule, each check written once: the schemes'
+/// test modules run them on their own caches, under their own test names.
+#[cfg(test)]
+pub(super) mod checks {
+    use super::*;
+
+    fn ctx() -> AccessCtx {
+        AccessCtx::new()
+    }
+
+    /// Takes a 2-partition cache of 1 024 lines.
+    pub fn grants_are_line_granular<E: Enforcement>(mut c: Skewed<E>) {
+        let granted = c.set_partition_sizes(&[123, 901]);
+        assert_eq!(granted, vec![123, 901], "{}", E::NAME);
+    }
+
+    /// Takes a 1-partition cache of 256 lines.
+    pub fn hits_after_insert<E: Enforcement>(mut c: Skewed<E>) {
+        c.set_partition_sizes(&[256]);
+        assert!(c.access(PartitionId(0), LineAddr(7), &ctx()).is_miss());
+        assert!(c.access(PartitionId(0), LineAddr(7), &ctx()).is_hit());
+    }
+
+    /// The knife-edge case Talus relies on (Assumption 2): a cyclic scan
+    /// over 90% of the partition's size must mostly hit. The skewed array
+    /// keeps conflict evictions rare. Takes a 1-partition cache of 4 096
+    /// lines whose whole grant is enforced.
+    pub fn near_capacity_scan_fits<E: Enforcement>(mut c: Skewed<E>) {
+        c.set_partition_sizes(&[4096]);
+        let lines = 3686; // 90% of capacity
+        for _ in 0..5 {
+            for i in 0..lines {
+                c.access(PartitionId(0), LineAddr(i), &ctx());
+            }
+        }
+        let hr = c.partition_stats(PartitionId(0)).hit_rate();
+        assert!(hr > 0.75, "{} hit rate {hr}", E::NAME);
+    }
+
+    /// Takes a 2-partition cache of 256 lines.
+    pub fn zero_size_partition_bypasses<E: Enforcement>(mut c: Skewed<E>) {
+        c.set_partition_sizes(&[0, 256]);
+        assert!(c.access(PartitionId(0), LineAddr(1), &ctx()).is_miss());
+        assert!(c.access(PartitionId(0), LineAddr(1), &ctx()).is_miss());
+        assert_eq!(c.occupancy(PartitionId(0)), 0, "{}", E::NAME);
+    }
+
+    /// Takes a 2-partition cache of 1 000 lines.
+    pub fn oversubscription_scales_down<E: Enforcement>(mut c: Skewed<E>) {
+        let granted = c.set_partition_sizes(&[2000, 2000]);
+        assert!(granted.iter().sum::<u64>() <= 1000, "{}", E::NAME);
+    }
+
+    /// Takes a 2-partition cache of 2 048 lines.
+    pub fn protected_partition_survives_thrashing_neighbour<E: Enforcement>(mut c: Skewed<E>) {
+        c.set_partition_sizes(&[1024, 1024]);
+        for i in 0..512u64 {
+            c.access(PartitionId(0), LineAddr(i), &ctx());
+        }
+        for i in 0..50_000u64 {
+            c.access(PartitionId(1), LineAddr(1_000_000 + i), &ctx());
+        }
+        c.reset_stats();
+        for i in 0..512u64 {
+            c.access(PartitionId(0), LineAddr(i), &ctx());
+        }
+        let hr = c.partition_stats(PartitionId(0)).hit_rate();
+        assert!(hr > 0.8, "{} partition 0 re-touch hit rate {hr}", E::NAME);
+    }
+
+    /// 65 ways used to pass construction and index past the 64-slot
+    /// candidate buffer on the first access (a release-build panic
+    /// mid-simulation; the bound was only a debug assertion). `build`
+    /// makes a 1-partition cache of `capacity` lines and `ways` ways.
+    pub fn rejects_more_ways_than_the_candidate_buffer_holds<E: Enforcement>(
+        build: impl FnOnce(u64, usize) -> Skewed<E>,
+    ) {
+        build(65 * 4, 65);
+    }
+
+    /// Fails before any array is allocated. `build` as above.
+    pub fn rejects_row_counts_past_32_bits<E: Enforcement>(
+        build: impl FnOnce(u64, usize) -> Skewed<E>,
+    ) {
+        build((u64::from(u32::MAX) + 1) * 2, 2);
+    }
+}

@@ -162,132 +162,58 @@ impl Enforcement for Vantage {
 mod tests {
     use super::*;
     use crate::addr::LineAddr;
-    use crate::part::skewed::Skewed;
-    use crate::part::{FutilityScaled, PartitionedCacheModel};
+    use crate::part::skewed::checks;
+    use crate::part::PartitionedCacheModel;
     use crate::policy::AccessCtx;
-    use std::panic::{catch_unwind, UnwindSafe};
 
     fn ctx() -> AccessCtx {
         AccessCtx::new()
     }
 
-    /// The message `build` panics with.
-    fn panic_message(build: impl FnOnce() + UnwindSafe) -> String {
-        let payload = catch_unwind(build).expect_err("construction must panic");
-        match payload.downcast::<String>() {
-            Ok(message) => *message,
-            Err(payload) => payload.downcast_ref::<&str>().unwrap_or(&"").to_string(),
-        }
-    }
-
-    // The skewed engine's own tests: each runs both schemes on it.
+    // The engine's checks, on Vantage.
 
     #[test]
     fn grants_are_line_granular() {
-        fn check<E: Enforcement>(mut c: Skewed<E>) {
-            let granted = c.set_partition_sizes(&[123, 901]);
-            assert_eq!(granted, vec![123, 901], "{}", E::NAME);
-        }
-        check(VantageLike::new(1024, 16, 2, 1));
-        check(FutilityScaled::new(1024, 16, 2, 1));
+        checks::grants_are_line_granular(VantageLike::new(1024, 16, 2, 1));
     }
 
     #[test]
     fn hits_after_insert() {
-        fn check<E: Enforcement>(mut c: Skewed<E>) {
-            c.set_partition_sizes(&[256]);
-            assert!(c.access(PartitionId(0), LineAddr(7), &ctx()).is_miss());
-            assert!(c.access(PartitionId(0), LineAddr(7), &ctx()).is_hit());
-        }
-        check(VantageLike::new(256, 16, 1, 1));
-        check(FutilityScaled::new(256, 16, 1, 1));
+        checks::hits_after_insert(VantageLike::new(256, 16, 1, 1));
     }
 
     #[test]
     fn near_capacity_scan_fits() {
-        // The knife-edge case Talus relies on (Assumption 2): a cyclic
-        // scan over 90% of the partition's size must mostly hit. The
-        // skewed array keeps conflict evictions rare.
-        fn check<E: Enforcement>(mut c: Skewed<E>) {
-            c.set_partition_sizes(&[4096]);
-            let lines = 3686; // 90% of capacity
-            for _ in 0..5 {
-                for i in 0..lines {
-                    c.access(PartitionId(0), LineAddr(i), &ctx());
-                }
-            }
-            let hr = c.partition_stats(PartitionId(0)).hit_rate();
-            assert!(hr > 0.75, "{} hit rate {hr}", E::NAME);
-        }
-        check(VantageLike::with_unmanaged_fraction(4096, 16, 1, 1, 0.0));
-        check(FutilityScaled::new(4096, 16, 1, 1));
+        checks::near_capacity_scan_fits(VantageLike::with_unmanaged_fraction(4096, 16, 1, 1, 0.0));
     }
 
     #[test]
     fn zero_size_partition_bypasses() {
-        fn check<E: Enforcement>(mut c: Skewed<E>) {
-            c.set_partition_sizes(&[0, 256]);
-            assert!(c.access(PartitionId(0), LineAddr(1), &ctx()).is_miss());
-            assert!(c.access(PartitionId(0), LineAddr(1), &ctx()).is_miss());
-            assert_eq!(c.occupancy(PartitionId(0)), 0, "{}", E::NAME);
-        }
-        check(VantageLike::new(256, 16, 2, 1));
-        check(FutilityScaled::new(256, 16, 2, 1));
+        checks::zero_size_partition_bypasses(VantageLike::new(256, 16, 2, 1));
     }
 
     #[test]
     fn oversubscription_scales_down() {
-        fn check<E: Enforcement>(mut c: Skewed<E>) {
-            let granted = c.set_partition_sizes(&[2000, 2000]);
-            assert!(granted.iter().sum::<u64>() <= 1000, "{}", E::NAME);
-        }
-        check(VantageLike::new(1000, 10, 2, 1));
-        check(FutilityScaled::new(1000, 10, 2, 1));
+        checks::oversubscription_scales_down(VantageLike::new(1000, 10, 2, 1));
     }
 
     #[test]
     fn protected_partition_survives_thrashing_neighbour() {
-        fn check<E: Enforcement>(mut c: Skewed<E>) {
-            c.set_partition_sizes(&[1024, 1024]);
-            for i in 0..512u64 {
-                c.access(PartitionId(0), LineAddr(i), &ctx());
-            }
-            for i in 0..50_000u64 {
-                c.access(PartitionId(1), LineAddr(1_000_000 + i), &ctx());
-            }
-            c.reset_stats();
-            for i in 0..512u64 {
-                c.access(PartitionId(0), LineAddr(i), &ctx());
-            }
-            let hr = c.partition_stats(PartitionId(0)).hit_rate();
-            assert!(hr > 0.8, "{} partition 0 re-touch hit rate {hr}", E::NAME);
-        }
-        check(VantageLike::new(2048, 16, 2, 1));
-        check(FutilityScaled::new(2048, 16, 2, 1));
+        checks::protected_partition_survives_thrashing_neighbour(VantageLike::new(2048, 16, 2, 1));
     }
 
     #[test]
     #[should_panic(expected = "at most 64 ways")]
     fn rejects_more_ways_than_the_candidate_buffer_holds() {
-        // 65 ways used to pass construction and index past the 64-slot
-        // candidate buffer on the first access (a release-build panic
-        // mid-simulation; the bound was only a debug assertion).
-        let futility = panic_message(|| drop(FutilityScaled::new(65 * 4, 65, 1, 1)));
-        assert!(futility.contains("at most 64 ways"), "{futility}");
-        VantageLike::new(65 * 4, 65, 1, 1);
+        checks::rejects_more_ways_than_the_candidate_buffer_holds(|lines, ways| {
+            VantageLike::new(lines, ways, 1, 1)
+        });
     }
 
     #[test]
     #[should_panic(expected = "row count must fit in 32 bits")]
     fn rejects_row_counts_past_32_bits() {
-        // Fails before any array is allocated.
-        let capacity = (u64::from(u32::MAX) + 1) * 2;
-        let futility = panic_message(|| drop(FutilityScaled::new(capacity, 2, 1, 1)));
-        assert!(
-            futility.contains("row count must fit in 32 bits"),
-            "{futility}"
-        );
-        VantageLike::new(capacity, 2, 1, 1);
+        checks::rejects_row_counts_past_32_bits(|lines, ways| VantageLike::new(lines, ways, 1, 1));
     }
 
     // Vantage's rule.
