@@ -5,7 +5,8 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use talus_bench::synthetic_stream;
 use talus_core::MissCurve;
 use talus_sim::part::{
-    FutilityScaled, IdealPartitioned, PartitionedCacheModel, VantageLike, WayPartitioned,
+    FutilityScaled, IdealPartitioned, PartitionedCacheModel, SetPartitioned, VantageLike,
+    WayPartitioned,
 };
 use talus_sim::policy::{Lru, PolicyKind, ReplacementPolicy, Srrip};
 use talus_sim::{
@@ -109,6 +110,28 @@ fn bench_organisations(c: &mut Criterion) {
 
     g.bench_function("way_partitioned_lru", |b| {
         let mut cache = WayPartitioned::new(CACHE_LINES, 16, 2, Lru::new(), 3);
+        cache.set_partition_sizes(&[CACHE_LINES / 2, CACHE_LINES / 2]);
+        b.iter(|| {
+            for &l in &stream {
+                black_box(cache.access(PartitionId((l & 1) as u32), LineAddr(l), &ctx));
+            }
+        })
+    });
+
+    // The W/SRRIP sweep's LLC shape: 32 ways in 2 partitions (8 and 24
+    // ways, so the second run starts mid-set).
+    g.bench_function("way_partitioned_srrip_32", |b| {
+        let mut cache = WayPartitioned::new(CACHE_LINES, 32, 2, Srrip::new(), 3);
+        cache.set_partition_sizes(&[CACHE_LINES / 4, 3 * CACHE_LINES / 4]);
+        b.iter(|| {
+            for &l in &stream {
+                black_box(cache.access(PartitionId((l & 1) as u32), LineAddr(l), &ctx));
+            }
+        })
+    });
+
+    g.bench_function("set_partitioned_lru", |b| {
+        let mut cache = SetPartitioned::new(CACHE_LINES, 16, 2, Lru::new(), 3);
         cache.set_partition_sizes(&[CACHE_LINES / 2, CACHE_LINES / 2]);
         b.iter(|| {
             for &l in &stream {

@@ -54,11 +54,6 @@ impl CoreModel {
         1.0 / (base_cpi + stall_cpi)
     }
 
-    /// IPC from a raw LLC miss *rate* (misses per access).
-    pub fn ipc_from_miss_rate(&self, app: &AppProfile, miss_rate: f64) -> f64 {
-        self.ipc(app, app.mpki(miss_rate))
-    }
-
     /// Cycles for `app` to execute `instructions` at the given MPKI.
     pub fn cycles(&self, app: &AppProfile, mpki: f64, instructions: f64) -> f64 {
         instructions / self.ipc(app, mpki)

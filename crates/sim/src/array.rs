@@ -1,53 +1,80 @@
-//! Cache arrays: the set-associative array used by all policies and a
-//! fully-associative LRU used for idealised partitions.
+//! Cache arrays: the set-associative array under [`SetAssocCache`] and the
+//! way- and set-partitioned caches, and a fully-associative LRU.
 
 use crate::addr::LineAddr;
 use crate::hasher::{FastMod32, H3Hasher, LineHashBuilder};
 use crate::policy::{AccessCtx, ReplacementPolicy};
 use crate::stats::{AccessResult, CacheStats};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Tag value marking an empty way.
 const INVALID_TAG: u64 = u64::MAX;
 
-/// Single-pass probe of one set: on a tag match the policy sees a hit;
-/// otherwise the first invalid way (or, with the set full, a
-/// policy-chosen victim among all `ways`) receives the tag. One loop
-/// finds both the tag and the first invalid way — the hot-loop body
-/// shared by [`SetAssocCache`] and
-/// [`SetPartitioned`](crate::part::SetPartitioned) so it exists exactly
-/// once.
-#[inline]
-pub(crate) fn probe_set<P: ReplacementPolicy>(
-    tags: &mut [u64],
-    policy: &mut P,
-    set: usize,
-    ways: usize,
-    tag: u64,
-    ctx: &AccessCtx,
-) -> AccessResult {
-    debug_assert_ne!(
-        tag, INVALID_TAG,
-        "line address collides with the invalid tag"
-    );
-    let base = set * ways;
-    let mut invalid = None;
-    for (w, &t) in tags[base..base + ways].iter().enumerate() {
-        if t == tag {
-            policy.on_hit(set, w, ctx);
+/// A hashed `sets × ways` tag array and its replacement policy: what
+/// [`SetAssocCache`] and the way- and set-partitioned caches each hold,
+/// and the one probe all three run.
+#[derive(Debug, Clone)]
+pub(crate) struct SetArray<P> {
+    pub(crate) ways: usize,
+    tags: Vec<u64>,
+    policy: P,
+    hasher: H3Hasher,
+    /// `hash % sets`, divide-free.
+    pub(crate) set_index: FastMod32,
+}
+
+impl<P: ReplacementPolicy> SetArray<P> {
+    pub(crate) fn sets(&self) -> usize {
+        self.set_index.divisor() as usize
+    }
+
+    pub(crate) fn capacity_lines(&self) -> u64 {
+        self.tags.len() as u64
+    }
+
+    /// The line's set hash. The hasher has 32 output bits, so the cast
+    /// keeps all of them.
+    #[inline]
+    pub(crate) fn hash(&self, line: LineAddr) -> u32 {
+        self.hasher.hash_line(line) as u32
+    }
+
+    /// The probe: a tag match anywhere in `set`'s row is a hit; else the
+    /// first invalid way in `fill`, or a policy-chosen victim among `fill`,
+    /// receives the line (an empty `fill` bypasses). Two scans: one pass
+    /// that also tests `fill` ran the criterion access rows 1.1–1.4×
+    /// slower (medians, 2-vCPU x86-64).
+    #[inline]
+    pub(crate) fn probe(
+        &mut self,
+        set: usize,
+        fill: Range<usize>,
+        line: LineAddr,
+        ctx: &AccessCtx,
+    ) -> AccessResult {
+        let tag = line.value();
+        debug_assert_ne!(
+            tag, INVALID_TAG,
+            "line address collides with the invalid tag"
+        );
+        let ctx = &ctx.with_line(line); // signature-based policies need the address
+        let row = &mut self.tags[set * self.ways..][..self.ways];
+        if let Some(way) = row.iter().position(|&t| t == tag) {
+            self.policy.on_hit(set, way, ctx);
             return AccessResult::Hit;
         }
-        if t == INVALID_TAG && invalid.is_none() {
-            invalid = Some(w);
+        if fill.is_empty() {
+            return AccessResult::Miss;
         }
+        let way = match row[fill.clone()].iter().position(|&t| t == INVALID_TAG) {
+            Some(k) => fill.start + k,
+            None => self.policy.choose_victim(set, fill),
+        };
+        row[way] = tag;
+        self.policy.on_insert(set, way, ctx);
+        AccessResult::Miss
     }
-    let way = match invalid {
-        Some(w) => w,
-        None => policy.choose_victim(set, 0..ways),
-    };
-    tags[base + way] = tag;
-    policy.on_insert(set, way, ctx);
-    AccessResult::Miss
 }
 
 /// Anything that behaves like a single cache: look up a line, insert on
@@ -99,13 +126,9 @@ pub trait CacheModel {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<P> {
-    sets: usize,
-    ways: usize,
-    tags: Vec<u64>,
-    policy: P,
-    hasher: H3Hasher,
-    /// `hash % sets`, divide-free.
-    set_index: FastMod32,
+    /// The array alone, which the partitioned caches build through
+    /// [`new`](Self::new) and keep.
+    pub(crate) array: SetArray<P>,
     stats: CacheStats,
 }
 
@@ -140,74 +163,50 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         let set_index = FastMod32::new(u32::try_from(sets).expect("set count must fit in 32 bits"));
         policy.attach(sets, ways);
         SetAssocCache {
-            sets,
-            ways,
-            tags: vec![INVALID_TAG; sets * ways],
-            policy,
-            hasher: H3Hasher::new(32, seed),
-            set_index,
+            array: SetArray {
+                ways,
+                tags: vec![INVALID_TAG; sets * ways],
+                policy,
+                hasher: H3Hasher::new(32, seed),
+                set_index,
+            },
             stats: CacheStats::new(),
         }
     }
 
     /// Number of sets.
     pub fn sets(&self) -> usize {
-        self.sets
+        self.array.sets()
     }
 
     /// Associativity.
     pub fn ways(&self) -> usize {
-        self.ways
+        self.array.ways
     }
 
     /// The replacement policy (e.g. to inspect adaptive state).
     pub fn policy(&self) -> &P {
-        &self.policy
+        &self.array.policy
     }
 
     /// Set index for a line (H3-hashed).
     #[inline]
     pub fn set_of(&self, line: LineAddr) -> usize {
-        // The hasher has 32 output bits, so the cast keeps all of them.
-        self.set_of_hash(self.hasher.hash_line(line) as u32)
+        self.array.set_index.rem(self.array.hash(line)) as usize
     }
 
-    /// Set index for a line whose set hash is `hash`.
+    /// The access path without the stats update, for a line whose set
+    /// hash is `hash`: a probe of its set that may fill any way.
     #[inline]
-    fn set_of_hash(&self, hash: u32) -> usize {
-        self.set_index.rem(hash) as usize
+    fn access_inner(&mut self, line: LineAddr, hash: u32, ctx: &AccessCtx) -> AccessResult {
+        let set = self.array.set_index.rem(hash) as usize;
+        self.array.probe(set, 0..self.array.ways, line, ctx)
     }
 
-    /// The access path without the stats update, shared by
-    /// [`access`](CacheModel::access) and the block loop (the probe is
-    /// one pass over the set — the old two-pass `find`/`find_invalid`
-    /// split walked the ways twice on every miss).
-    #[inline]
-    fn access_inner(&mut self, line: LineAddr, ctx: &AccessCtx) -> AccessResult {
-        self.access_in_set(self.set_of(line), line, ctx)
-    }
-
-    #[inline]
-    fn access_in_set(&mut self, set: usize, line: LineAddr, ctx: &AccessCtx) -> AccessResult {
-        let ctx = &ctx.with_line(line); // signature-based policies need the address
-        probe_set(
-            &mut self.tags,
-            &mut self.policy,
-            set,
-            self.ways,
-            line.value(),
-            ctx,
-        )
-    }
-}
-
-/// Entry points for an owner that hashes each line for many caches at
-/// once (one [`H3Bank`](crate::hasher::H3Bank) lane per cache, seeded like
-/// the cache): the caller supplies the set hash and the cache skips its
-/// own. Bit-for-bit the plain paths.
-impl<P: ReplacementPolicy> SetAssocCache<P> {
     /// [`access`](CacheModel::access) with `hash` = this cache's set hash
-    /// of `line`.
+    /// of `line`, for an owner that hashes each line for many caches at
+    /// once (one [`H3Bank`](crate::hasher::H3Bank) lane per cache, seeded
+    /// like the cache). Bit-for-bit the plain path.
     #[inline]
     pub(crate) fn access_hashed(
         &mut self,
@@ -215,14 +214,14 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         hash: u32,
         ctx: &AccessCtx,
     ) -> AccessResult {
-        debug_assert_eq!(u64::from(hash), self.hasher.hash_line(line));
-        let result = self.access_in_set(self.set_of_hash(hash), line, ctx);
+        debug_assert_eq!(hash, self.array.hash(line));
+        let result = self.access_inner(line, hash, ctx);
         self.stats.record(result);
         result
     }
 
     /// [`access_block`](CacheModel::access_block) with `hash_of(k)` =
-    /// this cache's set hash of `lines[k]`.
+    /// this cache's set hash of `lines[k]`, as above.
     pub(crate) fn access_block_hashed(
         &mut self,
         lines: &[LineAddr],
@@ -232,8 +231,8 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         let mut hits = 0u64;
         for (k, &line) in lines.iter().enumerate() {
             let hash = hash_of(k);
-            debug_assert_eq!(u64::from(hash), self.hasher.hash_line(line));
-            if self.access_in_set(self.set_of_hash(hash), line, ctx) == AccessResult::Hit {
+            debug_assert_eq!(hash, self.array.hash(line));
+            if self.access_inner(line, hash, ctx) == AccessResult::Hit {
                 hits += 1;
             }
         }
@@ -243,16 +242,14 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
 
 impl<P: ReplacementPolicy> CacheModel for SetAssocCache<P> {
     fn access(&mut self, line: LineAddr, ctx: &AccessCtx) -> AccessResult {
-        let result = self.access_inner(line, ctx);
-        self.stats.record(result);
-        result
+        self.access_hashed(line, self.array.hash(line), ctx)
     }
 
     fn access_block(&mut self, lines: &[LineAddr], ctx: &AccessCtx) {
         // Count hits locally and fold into the stats once per block.
         let mut hits = 0u64;
         for &line in lines {
-            if self.access_inner(line, ctx) == AccessResult::Hit {
+            if self.access_inner(line, self.array.hash(line), ctx) == AccessResult::Hit {
                 hits += 1;
             }
         }
@@ -268,7 +265,7 @@ impl<P: ReplacementPolicy> CacheModel for SetAssocCache<P> {
     }
 
     fn capacity_lines(&self) -> u64 {
-        (self.sets * self.ways) as u64
+        self.array.capacity_lines()
     }
 }
 

@@ -144,7 +144,7 @@ impl Enforcement for Futility {
 mod tests {
     use super::*;
     use crate::addr::LineAddr;
-    use crate::part::skewed::checks;
+    use crate::part::checks;
     use crate::part::PartitionedCacheModel;
     use crate::policy::AccessCtx;
 
@@ -166,34 +166,41 @@ mod tests {
     #[test]
     fn grants_are_line_granular_and_unscaled() {
         // No unmanaged region scales the grants down.
-        checks::grants_are_line_granular(FutilityScaled::new(1024, 16, 2, 1));
+        checks::grants_are_line_granular(&mut FutilityScaled::new(1024, 16, 2, 1));
     }
 
     #[test]
     fn hits_after_insert() {
-        checks::hits_after_insert(FutilityScaled::new(256, 16, 1, 1));
+        checks::hits_after_insert(&mut FutilityScaled::new(256, 16, 1, 1));
     }
 
     #[test]
     fn near_capacity_scan_fits() {
-        checks::near_capacity_scan_fits(FutilityScaled::new(4096, 16, 1, 1));
+        checks::near_capacity_scan_fits(&mut FutilityScaled::new(4096, 16, 1, 1));
     }
 
     #[test]
     fn zero_size_partition_bypasses() {
-        checks::zero_size_partition_bypasses(FutilityScaled::new(256, 16, 2, 1));
+        let mut c = FutilityScaled::new(256, 16, 2, 1);
+        checks::zero_size_partition_bypasses(&mut c);
+        assert_eq!(c.occupancy(PartitionId(0)), 0);
     }
 
     #[test]
     fn oversubscription_scales_down() {
-        checks::oversubscription_scales_down(FutilityScaled::new(1000, 10, 2, 1));
+        checks::oversubscription_scales_down(&mut FutilityScaled::new(1000, 10, 2, 1));
     }
 
     #[test]
     fn protected_partition_survives_thrashing_neighbour() {
-        checks::protected_partition_survives_thrashing_neighbour(FutilityScaled::new(
+        checks::protected_partition_survives_thrashing_neighbour(&mut FutilityScaled::new(
             2048, 16, 2, 1,
         ));
+    }
+
+    #[test]
+    fn per_partition_stats_are_separate() {
+        checks::per_partition_stats_are_separate(&mut FutilityScaled::new(256, 16, 2, 1));
     }
 
     #[test]

@@ -100,6 +100,7 @@ impl PartitionedCacheModel for IdealPartitioned {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::part::checks;
 
     fn ctx() -> AccessCtx {
         AccessCtx::new()
@@ -115,8 +116,8 @@ mod tests {
     #[test]
     fn oversubscription_scales_down() {
         let mut c = IdealPartitioned::new(100, 2);
+        checks::oversubscription_scales_down(&mut c);
         let granted = c.set_partition_sizes(&[150, 150]);
-        assert!(granted.iter().sum::<u64>() <= 100);
         assert_eq!(granted[0], granted[1]);
     }
 
@@ -132,11 +133,26 @@ mod tests {
 
     #[test]
     fn zero_size_partition_bypasses() {
-        let mut c = IdealPartitioned::new(20, 2);
-        c.set_partition_sizes(&[0, 20]);
-        assert!(c.access(PartitionId(0), LineAddr(1), &ctx()).is_miss());
-        assert!(c.access(PartitionId(0), LineAddr(1), &ctx()).is_miss());
+        let mut c = IdealPartitioned::new(256, 2);
+        checks::zero_size_partition_bypasses(&mut c);
         assert_eq!(c.occupancy(PartitionId(0)), 0);
+    }
+
+    #[test]
+    fn hits_after_insert() {
+        checks::hits_after_insert(&mut IdealPartitioned::new(256, 1));
+    }
+
+    #[test]
+    fn protected_partition_survives_thrashing_neighbour() {
+        checks::protected_partition_survives_thrashing_neighbour(&mut IdealPartitioned::new(
+            2048, 2,
+        ));
+    }
+
+    #[test]
+    fn per_partition_stats_are_separate() {
+        checks::per_partition_stats_are_separate(&mut IdealPartitioned::new(64, 2));
     }
 
     #[test]

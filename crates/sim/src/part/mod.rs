@@ -20,13 +20,20 @@
 //! `VantageLike` and `FutilityScaled` are one skew-associative engine
 //! (array, candidate gather, insertion and eviction, occupancy, stats)
 //! with two enforcement rules: how a partition is held to its grant is
-//! all that tells them apart. They and `IdealPartitioned` grant requests
-//! exactly when they fit and scale them down in proportion when they do
-//! not; way and set partitioning apportion whole ways or sets. Every
-//! scheme's grant fits its capacity for any request vector.
+//! all that tells them apart. `WayPartitioned` and `SetPartitioned` are
+//! one set-associative engine over
+//! [`SetAssocCache`](crate::SetAssocCache)'s array and probe, with two
+//! layouts: a partition owns a run of ways or a run of sets. The skewed
+//! schemes and `IdealPartitioned` grant requests exactly when they fit
+//! and scale them down in proportion when they do not; way and set
+//! partitioning apportion whole ways or sets. Every scheme's grant fits
+//! its capacity for any request vector.
 
+#[cfg(test)]
+mod checks;
 mod futility;
 mod ideal;
+mod setassoc;
 mod setpart;
 mod skewed;
 mod vantage;

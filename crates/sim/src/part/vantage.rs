@@ -162,7 +162,7 @@ impl Enforcement for Vantage {
 mod tests {
     use super::*;
     use crate::addr::LineAddr;
-    use crate::part::skewed::checks;
+    use crate::part::checks;
     use crate::part::PartitionedCacheModel;
     use crate::policy::AccessCtx;
 
@@ -174,32 +174,43 @@ mod tests {
 
     #[test]
     fn grants_are_line_granular() {
-        checks::grants_are_line_granular(VantageLike::new(1024, 16, 2, 1));
+        checks::grants_are_line_granular(&mut VantageLike::new(1024, 16, 2, 1));
     }
 
     #[test]
     fn hits_after_insert() {
-        checks::hits_after_insert(VantageLike::new(256, 16, 1, 1));
+        checks::hits_after_insert(&mut VantageLike::new(256, 16, 1, 1));
     }
 
     #[test]
     fn near_capacity_scan_fits() {
-        checks::near_capacity_scan_fits(VantageLike::with_unmanaged_fraction(4096, 16, 1, 1, 0.0));
+        checks::near_capacity_scan_fits(&mut VantageLike::with_unmanaged_fraction(
+            4096, 16, 1, 1, 0.0,
+        ));
     }
 
     #[test]
     fn zero_size_partition_bypasses() {
-        checks::zero_size_partition_bypasses(VantageLike::new(256, 16, 2, 1));
+        let mut c = VantageLike::new(256, 16, 2, 1);
+        checks::zero_size_partition_bypasses(&mut c);
+        assert_eq!(c.occupancy(PartitionId(0)), 0);
     }
 
     #[test]
     fn oversubscription_scales_down() {
-        checks::oversubscription_scales_down(VantageLike::new(1000, 10, 2, 1));
+        checks::oversubscription_scales_down(&mut VantageLike::new(1000, 10, 2, 1));
     }
 
     #[test]
     fn protected_partition_survives_thrashing_neighbour() {
-        checks::protected_partition_survives_thrashing_neighbour(VantageLike::new(2048, 16, 2, 1));
+        checks::protected_partition_survives_thrashing_neighbour(&mut VantageLike::new(
+            2048, 16, 2, 1,
+        ));
+    }
+
+    #[test]
+    fn per_partition_stats_are_separate() {
+        checks::per_partition_stats_are_separate(&mut VantageLike::new(256, 16, 2, 1));
     }
 
     #[test]

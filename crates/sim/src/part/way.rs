@@ -5,21 +5,20 @@
 //! — precisely the Assumption-2 violation the paper calls out in §VI-B and
 //! corrects by recomputing ρ from the coarsened sizes.
 
-use super::{apportion, PartitionedCacheModel};
-use crate::addr::{LineAddr, PartitionId};
-use crate::hasher::{FastMod32, H3Hasher};
-use crate::policy::{AccessCtx, ReplacementPolicy};
-use crate::stats::{AccessResult, CacheStats};
-use std::ops::Range;
-
-const INVALID_TAG: u64 = u64::MAX;
+use super::setassoc::{Layout, Run, SetAssoc, Slot};
+use crate::addr::PartitionId;
+use crate::hasher::FastMod32;
 
 /// A way-partitioned set-associative cache.
 ///
 /// Lookups search every way (partitioning constrains *insertion*, not
 /// residency), so a line cached while owned by one partition still hits
 /// when the ways are later reassigned; the new owner's insertions evict it
-/// naturally.
+/// naturally. A partition with no ways looks up, then bypasses.
+///
+/// It implements [`PartitionedCacheModel`](super::PartitionedCacheModel);
+/// `new(capacity_lines, ways, partitions, policy, seed)` builds it with
+/// every way unassigned, and `ways_of(part)` reads a partition's ways.
 ///
 /// # Examples
 ///
@@ -36,165 +35,36 @@ const INVALID_TAG: u64 = u64::MAX;
 /// cache.access(PartitionId(0), LineAddr(3), &ctx);
 /// assert_eq!(cache.partition_stats(PartitionId(0)).misses(), 1);
 /// ```
+pub type WayPartitioned<P> = SetAssoc<Ways, P>;
+
+/// Way partitioning's layout: each partition owns a run of ways, the same
+/// in every set; ways past the last run are unassigned.
 #[derive(Debug, Clone)]
-pub struct WayPartitioned<P> {
-    sets: usize,
-    ways: usize,
-    tags: Vec<u64>,
-    /// The run of ways each partition owns (same in every set); ways past
-    /// the last run are unassigned.
-    own_ways: Vec<Range<usize>>,
-    policy: P,
-    hasher: H3Hasher,
-    /// `hash % sets`, divide-free.
-    set_index: FastMod32,
-    stats: Vec<CacheStats>,
-}
+pub struct Ways;
 
-impl<P: ReplacementPolicy> WayPartitioned<P> {
-    /// Builds a way-partitioned cache of `capacity_lines` with the given
-    /// associativity and number of partitions. Initially all ways are
-    /// unassigned; call
-    /// [`set_partition_sizes`](PartitionedCacheModel::set_partition_sizes)
-    /// before use (unsized partitions bypass).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacity is not a positive multiple of `ways`, if
-    /// there are more than `u32::MAX` sets, or if `partitions` is zero.
-    pub fn new(
-        capacity_lines: u64,
-        ways: usize,
-        partitions: usize,
-        mut policy: P,
-        seed: u64,
-    ) -> Self {
-        assert!(capacity_lines > 0, "capacity must be positive");
-        assert!(ways > 0, "associativity must be positive");
-        assert!(partitions > 0, "partition count must be positive");
-        assert!(
-            capacity_lines.is_multiple_of(ways as u64),
-            "capacity must be a multiple of ways"
-        );
-        let set_index = FastMod32::new(
-            u32::try_from(capacity_lines / ways as u64).expect("set count must fit in 32 bits"),
-        );
-        let sets = set_index.divisor() as usize;
-        policy.attach(sets, ways);
-        WayPartitioned {
-            sets,
-            ways,
-            tags: vec![INVALID_TAG; sets * ways],
-            own_ways: vec![0..0; partitions],
-            policy,
-            hasher: H3Hasher::new(32, seed),
-            set_index,
-            stats: vec![CacheStats::new(); partitions],
-        }
-    }
-
+impl<P> WayPartitioned<P> {
     /// Number of ways currently owned by a partition.
     pub fn ways_of(&self, part: PartitionId) -> usize {
-        self.own_ways[part.index()].len()
-    }
-
-    fn set_of(&self, line: LineAddr) -> usize {
-        // The hasher has 32 output bits, so the cast keeps all of them.
-        self.set_index.rem(self.hasher.hash_line(line) as u32) as usize
-    }
-
-    /// One access with the partition index already validated; shared by
-    /// the per-access and block paths (stats are recorded by the caller).
-    #[inline]
-    fn access_inner(&mut self, p: usize, line: LineAddr, ctx: &AccessCtx) -> AccessResult {
-        let set = self.set_of(line);
-        let tag = line.value();
-        let row = &mut self.tags[set * self.ways..][..self.ways];
-        let own = self.own_ways[p].clone();
-        let ctx = &ctx.with_line(line); // signature-based policies need the address
-        if let Some(way) = row.iter().position(|&t| t == tag) {
-            self.policy.on_hit(set, way, ctx);
-            AccessResult::Hit
-        } else if own.is_empty() {
-            // Zero ways: bypass partition.
-            AccessResult::Miss
-        } else {
-            let way = match row[own.clone()].iter().position(|&t| t == INVALID_TAG) {
-                Some(k) => own.start + k,
-                None => self.policy.choose_victim(set, own),
-            };
-            row[way] = tag;
-            self.policy.on_insert(set, way, ctx);
-            AccessResult::Miss
-        }
+        self.runs[part.index()].units.len()
     }
 }
 
-impl<P: ReplacementPolicy> PartitionedCacheModel for WayPartitioned<P> {
-    fn num_partitions(&self) -> usize {
-        self.stats.len()
-    }
+impl Layout for Ways {
+    const NAME: &'static str = "way";
+    const OWNS_SETS: bool = false;
 
-    fn set_partition_sizes(&mut self, lines: &[u64]) -> Vec<u64> {
-        assert_eq!(
-            lines.len(),
-            self.num_partitions(),
-            "one request per partition"
-        );
-        let ways_per = apportion(lines, self.sets as u64, self.ways as u64);
-        // Reassign way ownership: walk ways in order, handing each
-        // partition its quota. Stable so small reallocations move few ways.
-        let mut next_way = 0usize;
-        for (own, &quota) in self.own_ways.iter_mut().zip(&ways_per) {
-            *own = next_way..next_way + quota as usize;
-            next_way = own.end;
-        }
-        ways_per.iter().map(|&w| w * self.sets as u64).collect()
-    }
-
-    fn access(&mut self, part: PartitionId, line: LineAddr, ctx: &AccessCtx) -> AccessResult {
-        let p = part.index();
-        assert!(p < self.num_partitions(), "unknown {part}");
-        let result = self.access_inner(p, line, ctx);
-        self.stats[p].record(result);
-        result
-    }
-
-    fn access_block(&mut self, part: PartitionId, lines: &[LineAddr], ctx: &AccessCtx) {
-        let p = part.index();
-        assert!(p < self.num_partitions(), "unknown {part}");
-        let mut hits = 0u64;
-        for &line in lines {
-            if self.access_inner(p, line, ctx) == AccessResult::Hit {
-                hits += 1;
-            }
-        }
-        self.stats[p].record_block(hits, lines.len() as u64 - hits);
-    }
-
-    fn partition_stats(&self, part: PartitionId) -> &CacheStats {
-        &self.stats[part.index()]
-    }
-
-    fn reset_stats(&mut self) {
-        for s in &mut self.stats {
-            s.reset();
-        }
-    }
-
-    fn capacity_lines(&self) -> u64 {
-        (self.sets * self.ways) as u64
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        "way"
+    #[inline]
+    fn place(run: &Run, hash: u32, sets: FastMod32, _ways: usize) -> Option<Slot> {
+        Some((sets.rem(hash) as usize, run.units.clone()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::Lru;
+    use crate::addr::LineAddr;
+    use crate::part::{checks, PartitionedCacheModel};
+    use crate::policy::{AccessCtx, Lru};
 
     fn ctx() -> AccessCtx {
         AccessCtx::new()
@@ -226,12 +96,8 @@ mod tests {
 
     #[test]
     fn zero_way_partition_bypasses() {
-        let mut c = WayPartitioned::new(64, 8, 2, Lru::new(), 1);
-        c.set_partition_sizes(&[0, 512]);
-        for _ in 0..3 {
-            assert!(c.access(PartitionId(0), LineAddr(5), &ctx()).is_miss());
-        }
-        assert_eq!(c.partition_stats(PartitionId(0)).misses(), 3);
+        // A zero-way partition still looks up the whole row, then bypasses.
+        checks::zero_size_partition_bypasses(&mut WayPartitioned::new(256, 16, 2, Lru::new(), 1));
     }
 
     #[test]
@@ -246,16 +112,28 @@ mod tests {
 
     #[test]
     fn per_partition_stats_are_separate() {
-        let mut c = WayPartitioned::new(64, 8, 2, Lru::new(), 1);
-        c.set_partition_sizes(&[256, 256]);
-        c.access(PartitionId(0), LineAddr(1), &ctx());
-        c.access(PartitionId(1), LineAddr(2), &ctx());
-        c.access(PartitionId(1), LineAddr(2), &ctx());
-        assert_eq!(c.partition_stats(PartitionId(0)).accesses(), 1);
-        assert_eq!(c.partition_stats(PartitionId(1)).accesses(), 2);
-        assert_eq!(c.total_stats().accesses(), 3);
-        c.reset_stats();
-        assert_eq!(c.total_stats().accesses(), 0);
+        checks::per_partition_stats_are_separate(&mut WayPartitioned::new(64, 8, 2, Lru::new(), 1));
+    }
+
+    #[test]
+    fn hits_after_insert() {
+        checks::hits_after_insert(&mut WayPartitioned::new(256, 16, 1, Lru::new(), 1));
+    }
+
+    #[test]
+    fn oversubscription_scales_down() {
+        checks::oversubscription_scales_down(&mut WayPartitioned::new(1000, 10, 2, Lru::new(), 1));
+    }
+
+    #[test]
+    fn protected_partition_survives_thrashing_neighbour() {
+        checks::protected_partition_survives_thrashing_neighbour(&mut WayPartitioned::new(
+            2048,
+            16,
+            2,
+            Lru::new(),
+            1,
+        ));
     }
 
     #[test]

@@ -105,17 +105,6 @@ impl<G: AccessGenerator> StreamPrefetcher<G> {
         }
     }
 
-    /// Sets how many lines are issued per triggering access.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `degree` is zero.
-    pub fn with_degree(mut self, degree: u64) -> Self {
-        assert!(degree > 0, "prefetch degree must be positive");
-        self.degree = degree;
-        self
-    }
-
     /// Sets how far ahead of the demand stream the prefetcher may run.
     ///
     /// # Panics
