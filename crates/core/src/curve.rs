@@ -168,6 +168,8 @@ impl MissCurve {
     ///
     /// Returns [`CurveError`] if `misses` is empty, `step` is not positive,
     /// or any value is invalid.
+    // `!(step > 0.0)` refuses a NaN step, which `step <= 0.0` would pass.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn from_uniform(step: f64, misses: &[f64]) -> Result<Self, CurveError> {
         if !(step > 0.0) || !step.is_finite() {
             return Err(CurveError::InvalidSize {

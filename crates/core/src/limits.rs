@@ -84,14 +84,14 @@ mod tests {
         // with room for batch framing. A Submit entry is its id, tenant
         // and grid index and 8 bytes a miss value; on a grid new to the
         // frame, the grid's point count and 8 bytes a size come with it.
-        let values = 8 * WIRE_MAX_CURVE_POINTS;
-        let worst_curve = (8 + 4 + 4) + values + (4 + values);
-        assert!(worst_curve * 4 < WIRE_MAX_FRAME_LEN);
+        const VALUES: u32 = 8 * WIRE_MAX_CURVE_POINTS;
+        const WORST_CURVE: u32 = (8 + 4 + 4) + VALUES + (4 + VALUES);
+        const { assert!(WORST_CURVE * 4 < WIRE_MAX_FRAME_LEN) };
     }
 
     #[test]
     fn id_lists_fit_a_frame() {
-        assert!(WIRE_MAX_IDS * 8 <= WIRE_MAX_FRAME_LEN / 2);
+        const { assert!(WIRE_MAX_IDS * 8 <= WIRE_MAX_FRAME_LEN / 2) };
     }
 
     #[test]
@@ -100,8 +100,8 @@ mod tests {
         // error's tag, cache id, plan-error tag and three f64s. Around the
         // lines: epoch, four list counts, the remaining-dirty count and
         // the frame's own header.
-        let worst_line = 8 + (1 + 8 + 1 + 3 * 8);
-        assert!(64 + WIRE_MAX_EPOCH_IDS * worst_line < WIRE_MAX_FRAME_LEN);
+        const WORST_LINE: u32 = 8 + (1 + 8 + 1 + 3 * 8);
+        const { assert!(64 + WIRE_MAX_EPOCH_IDS * WORST_LINE < WIRE_MAX_FRAME_LEN) };
     }
 
     #[test]
@@ -109,18 +109,18 @@ mod tests {
         // Per-shard body: caches + pending + quarantined (u64s) + state
         // byte; plus the fixed header fields and a full quarantined id
         // list sharing the frame with it.
-        let per_shard = 8 + 8 + 8 + 1;
-        assert!(64 + WIRE_MAX_SHARDS * per_shard < WIRE_MAX_FRAME_LEN / 2);
+        const PER_SHARD: u32 = 8 + 8 + 8 + 1;
+        const { assert!(64 + WIRE_MAX_SHARDS * PER_SHARD < WIRE_MAX_FRAME_LEN / 2) };
     }
 
     #[test]
     fn worst_case_journal_records_fit_the_record_cap() {
         // A maximum-point curve record (16 bytes per point plus framing).
-        assert!(64 + 4 + 16 * WIRE_MAX_CURVE_POINTS < STORE_MAX_RECORD_LEN);
+        const { assert!(64 + 4 + 16 * WIRE_MAX_CURVE_POINTS < STORE_MAX_RECORD_LEN) };
         // A plan record for a maximum-tenant cache: each tenant costs at
         // most a capacity, a tag, and the 8-field shadow configuration.
-        assert!(64 + WIRE_MAX_TENANTS * (8 + 1 + 8 * 8) < STORE_MAX_RECORD_LEN);
+        const { assert!(64 + WIRE_MAX_TENANTS * (8 + 1 + 8 * 8) < STORE_MAX_RECORD_LEN) };
         // An epoch-cut record full of 8-byte ids.
-        assert!(64 + 8 * STORE_MAX_CUT_IDS < STORE_MAX_RECORD_LEN);
+        const { assert!(64 + 8 * STORE_MAX_CUT_IDS < STORE_MAX_RECORD_LEN) };
     }
 }

@@ -723,11 +723,11 @@ fn assemble(infos: &[ClusterInfo]) -> Result<Vec<usize>, ClusterError> {
     for (member, info) in infos.iter().enumerate() {
         let first = info.first_shard as usize;
         // Wire decode already guarantees first + count <= total.
-        for shard in first..first + info.shard_count as usize {
-            if owner[shard].is_some() {
+        for (shard, slot) in (first..).zip(&mut owner[first..first + info.shard_count as usize]) {
+            if slot.is_some() {
                 return Err(HandshakeError::Overlap { shard }.into());
             }
-            owner[shard] = Some(member);
+            *slot = Some(member);
         }
     }
     owner

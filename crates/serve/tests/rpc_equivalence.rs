@@ -36,15 +36,14 @@ fn as_serve_result(result: Result<(), RpcError>) -> Result<(), ServeError> {
     }
 }
 
+/// What [`apply_both`] returns.
+type Replayed = (Vec<(CacheId, bool)>, Vec<(EpochReport, EpochReport)>);
+
 /// Replays `ops` against the local plane and, via `client`, the remote
 /// one — asserting every per-op outcome matches along the way. Returns
 /// the ids ever registered (with liveness) and every explicit epoch's
 /// paired reports.
-fn apply_both(
-    local: &ShardedReconfigService,
-    client: &mut RpcClient,
-    ops: &[Op],
-) -> (Vec<(CacheId, bool)>, Vec<(EpochReport, EpochReport)>) {
+fn apply_both(local: &ShardedReconfigService, client: &mut RpcClient, ops: &[Op]) -> Replayed {
     let mut slots: Vec<(CacheId, bool, usize)> = Vec::new();
     let mut reports = Vec::new();
     for op in ops {

@@ -237,7 +237,7 @@ impl LogHist {
             d - 1
         } else {
             let octave = (usize::BITS - 1 - d.leading_zeros()) as usize;
-            let sub = (d - (1 << octave)) * SUB >> octave;
+            let sub = ((d - (1 << octave)) * SUB) >> octave;
             LINEAR + (octave - LINEAR_OCTAVE) * SUB + sub
         }
     }

@@ -1,5 +1,7 @@
-//! LRU and random replacement.
+//! The stamp engine under LRU, [`Bip`](super::Bip) and
+//! [`Dip`](super::Dip), and random replacement.
 
+use super::insertion::{Always, Insertion, Seeded};
 use super::{AccessCtx, ReplacementPolicy};
 use std::ops::Range;
 
@@ -8,14 +10,17 @@ use std::ops::Range;
 /// The baseline policy throughout the paper: predictable (it obeys the
 /// stack property, so UMONs can sample its whole miss curve) but prone to
 /// cliffs on scanning/thrashing patterns.
-///
-/// Implemented with per-line logical timestamps; the victim is the
-/// candidate with the oldest timestamp.
+pub type Lru = Stamps<Always>;
+
+/// Recency by per-line logical timestamps: the victim is the candidate
+/// with the oldest stamp, a hit moves its line to MRU, and the rule `I`
+/// inserts a line at MRU or at the LRU position.
 #[derive(Debug, Clone, Default)]
-pub struct Lru {
+pub struct Stamps<I> {
     stamps: Vec<u64>,
     ways: usize,
     clock: u64,
+    pub(super) rule: I,
 }
 
 impl Lru {
@@ -24,14 +29,40 @@ impl Lru {
     pub fn new() -> Self {
         Lru::default()
     }
+}
 
-    fn stamp(&mut self, set: usize, way: usize) {
-        self.clock += 1;
-        self.stamps[set * self.ways + way] = self.clock;
+impl<I: Seeded> Stamps<I> {
+    /// Creates a BIP or DIP policy; `seed` offsets the bimodal phase.
+    pub fn new(seed: u64) -> Self {
+        Stamps {
+            stamps: Vec::new(),
+            ways: 0,
+            clock: 0,
+            rule: I::seeded(seed),
+        }
     }
 }
 
-impl ReplacementPolicy for Lru {
+impl<I> Stamps<I> {
+    fn touch_mru(&mut self, set: usize, way: usize) {
+        self.clock += 1;
+        self.stamps[set * self.ways + way] = self.clock;
+    }
+
+    /// Place the line at the LRU position: older than everything currently
+    /// in the set, so it is the next victim unless promoted by a hit.
+    fn place_lru(&mut self, set: usize, way: usize) {
+        let base = set * self.ways;
+        let min = (0..self.ways)
+            .filter(|&w| w != way)
+            .map(|w| self.stamps[base + w])
+            .min()
+            .unwrap_or(0);
+        self.stamps[base + way] = min.saturating_sub(1);
+    }
+}
+
+impl<I: Insertion> ReplacementPolicy for Stamps<I> {
     fn attach(&mut self, sets: usize, ways: usize) {
         self.stamps = vec![0; sets * ways];
         self.ways = ways;
@@ -39,7 +70,7 @@ impl ReplacementPolicy for Lru {
     }
 
     fn on_hit(&mut self, set: usize, way: usize, _ctx: &AccessCtx) {
-        self.stamp(set, way);
+        self.touch_mru(set, way);
     }
 
     fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize {
@@ -49,12 +80,16 @@ impl ReplacementPolicy for Lru {
             .expect("candidates is non-empty")
     }
 
-    fn on_insert(&mut self, set: usize, way: usize, _ctx: &AccessCtx) {
-        self.stamp(set, way);
+    fn on_insert(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
+        if self.rule.protect(set, ctx) {
+            self.touch_mru(set, way);
+        } else {
+            self.place_lru(set, way);
+        }
     }
 
     fn name(&self) -> &'static str {
-        "LRU"
+        I::LRU_NAME
     }
 }
 

@@ -2,7 +2,14 @@
 //!
 //! Every policy the paper evaluates is implemented here as a
 //! [`ReplacementPolicy`]: LRU, SRRIP/BRRIP/DRRIP (+ thread-aware DRRIP),
-//! DIP, PDP, random, and the offline Belady MIN oracle.
+//! DIP, PDP, SHiP, random, and the offline Belady MIN oracle.
+//!
+//! The two recency families are one engine each: LRU, BIP and DIP share
+//! per-line stamps, SRRIP, BRRIP, DRRIP and TA-DRRIP one RRPV table. A
+//! family's policies differ only in their insertion rule — always the
+//! normal insertion, bimodal (one in 32), or set dueling between the two
+//! — so each of the seven is a type alias of its engine over one of three
+//! rules (paper §VII-A: M = 2, ε = 1/32).
 //!
 //! Policies own their per-line metadata (allocated in [`attach`]) and are
 //! driven by the cache array through three callbacks: [`on_hit`],
@@ -17,6 +24,7 @@
 
 mod belady;
 mod dip;
+mod insertion;
 mod lru;
 mod pdp;
 mod rrip;

@@ -38,12 +38,12 @@ pub struct Pdp {
     /// Accesses that found no protected reuse within `MAX_RD`.
     rd_overflow: u64,
     events: u64,
-    _seed: u64,
 }
 
 impl Pdp {
-    /// Creates a PDP policy with a deterministic seed.
-    pub fn new(seed: u64) -> Self {
+    /// Creates a PDP policy. PDP draws no random numbers, so the seed is
+    /// unused; it keeps the constructor in line with the seeded policies.
+    pub fn new(_seed: u64) -> Self {
         Pdp {
             protect_start: Vec::new(),
             set_clock: Vec::new(),
@@ -52,7 +52,6 @@ impl Pdp {
             rd_hist: vec![0; MAX_RD + 1],
             rd_overflow: 0,
             events: 0,
-            _seed: seed,
         }
     }
 
@@ -75,7 +74,7 @@ impl Pdp {
         if !self.events.is_multiple_of(RECOMPUTE_EVERY) {
             return;
         }
-        self.pd = solve_pd(&self.rd_hist, self.rd_overflow, self.ways).max(1);
+        self.pd = solve_pd(&self.rd_hist, self.rd_overflow).max(1);
         // Exponential decay so the histogram adapts to phase changes.
         for h in &mut self.rd_hist {
             *h /= 2;
@@ -90,7 +89,7 @@ impl Pdp {
 /// The numerator counts reuses captured by protecting for `d`; the
 /// denominator is the total set-accesses during which lines sit protected
 /// (reused lines occupy `i` ticks, non-reused ones the full `d`).
-fn solve_pd(hist: &[u64], overflow: u64, _ways: usize) -> u64 {
+fn solve_pd(hist: &[u64], overflow: u64) -> u64 {
     let total: u64 = hist.iter().sum::<u64>() + overflow;
     if total == 0 {
         return INITIAL_PD;
@@ -99,9 +98,9 @@ fn solve_pd(hist: &[u64], overflow: u64, _ways: usize) -> u64 {
     let mut best_e = 0.0f64;
     let mut hits = 0u64;
     let mut occupied = 0u64;
-    for d in 1..hist.len() {
-        hits += hist[d];
-        occupied += d as u64 * hist[d];
+    for (d, &n) in hist.iter().enumerate().skip(1) {
+        hits += n;
+        occupied += d as u64 * n;
         let unreused = total - hits;
         let denom = (occupied + d as u64 * unreused) as f64;
         if denom <= 0.0 {
@@ -227,7 +226,7 @@ mod tests {
         // 1000 hits at distance 4, nothing else: protecting to 4 is ideal.
         let mut hist = vec![0u64; MAX_RD + 1];
         hist[4] = 1000;
-        assert_eq!(solve_pd(&hist, 0, 16), 4);
+        assert_eq!(solve_pd(&hist, 0), 4);
     }
 
     #[test]
@@ -235,13 +234,13 @@ mod tests {
         // Short reuses at 2 plus a heavy overflow tail: protect only to 2.
         let mut hist = vec![0u64; MAX_RD + 1];
         hist[2] = 500;
-        assert_eq!(solve_pd(&hist, 10_000, 16), 2);
+        assert_eq!(solve_pd(&hist, 10_000), 2);
     }
 
     #[test]
     fn solver_handles_empty_histogram() {
         let hist = vec![0u64; MAX_RD + 1];
-        assert_eq!(solve_pd(&hist, 0, 16), INITIAL_PD);
+        assert_eq!(solve_pd(&hist, 0), INITIAL_PD);
     }
 
     #[test]
@@ -251,13 +250,13 @@ mod tests {
         let mut hist = vec![0u64; MAX_RD + 1];
         hist[3] = 1000;
         hist[200] = 10;
-        let pd = solve_pd(&hist, 0, 16);
+        let pd = solve_pd(&hist, 0);
         assert_eq!(pd, 3, "distant stragglers should not inflate pd");
         // If the far population dominates, protect far instead.
         let mut hist = vec![0u64; MAX_RD + 1];
         hist[3] = 10;
         hist[200] = 100_000;
-        let pd = solve_pd(&hist, 0, 16);
+        let pd = solve_pd(&hist, 0);
         assert_eq!(pd, 200);
     }
 

@@ -1,7 +1,9 @@
 //! RRIP-family policies: SRRIP, BRRIP, DRRIP, and thread-aware DRRIP
 //! (Jaleel et al., ISCA 2010), as configured in the paper's evaluation
-//! (M = 2 bits, ε = 1/32).
+//! (M = 2 bits, ε = 1/32): one engine, [`Rrip`], over the insertion rules
+//! of [`insertion`](super::insertion).
 
+use super::insertion::{Always, Bimodal, Duel, Insertion, Seeded};
 use super::{AccessCtx, ReplacementPolicy};
 use std::ops::Range;
 
@@ -11,14 +13,6 @@ const RRPV_BITS: u8 = 2;
 pub(crate) const RRPV_MAX: u8 = (1 << RRPV_BITS) - 1;
 /// Long re-reference interval used by SRRIP insertion: 2^M − 2.
 pub(crate) const RRPV_LONG: u8 = RRPV_MAX - 1;
-/// BRRIP inserts at long (instead of distant) once every 1/ε misses.
-const BRRIP_EPSILON: u64 = 32;
-/// Set-dueling constituency: one SRRIP and one BRRIP leader per this many
-/// sets (per thread for the thread-aware variant).
-const DUEL_CONSTITUENCY: usize = 64;
-/// 10-bit saturating policy selector.
-const PSEL_MAX: i32 = 1023;
-const PSEL_INIT: i32 = PSEL_MAX / 2;
 
 /// RRPVs examined per step of the victim search: one `u128`, way `k` of
 /// the chunk in byte `k`.
@@ -119,9 +113,31 @@ impl RrpvTable {
 /// Scan-resistant relative to LRU, but still thrashes on working sets
 /// slightly larger than the cache — which is why the paper shows Talus
 /// convexifying SRRIP too (Fig. 9).
+pub type Srrip = Rrip<Always>;
+
+/// Bimodal RRIP: inserts at distant RRPV except for a 1/32 fraction of
+/// misses inserted at long, protecting the cache from thrash. Built by
+/// `Brrip::new(seed)`, the seed offsetting the bimodal phase.
+pub type Brrip = Rrip<Bimodal>;
+
+/// Dynamic RRIP: set dueling between SRRIP and BRRIP insertion with a
+/// 10-bit PSEL counter (single-threaded variant). Built by
+/// `Drrip::new(seed)`.
+pub type Drrip = Rrip<Duel<1>>;
+
+/// Thread-aware DRRIP (TA-DRRIP): one PSEL and one pair of leader-set
+/// groups per thread (up to 16; Table I's CMP has 8 cores), so each
+/// thread chooses SRRIP or BRRIP insertion independently in a shared
+/// cache. Built by `TaDrrip::new(seed)`.
+pub type TaDrrip = Rrip<Duel<16>>;
+
+/// RRIP replacement: a hit promotes its line to RRPV 0, the victim is the
+/// first distant line (aging the candidates until one is), and the rule
+/// `I` inserts a line at long RRPV or at distant.
 #[derive(Debug, Clone, Default)]
-pub struct Srrip {
+pub struct Rrip<I> {
     table: RrpvTable,
+    pub(super) rule: I,
 }
 
 impl Srrip {
@@ -131,212 +147,18 @@ impl Srrip {
     }
 }
 
-impl ReplacementPolicy for Srrip {
-    fn attach(&mut self, sets: usize, ways: usize) {
-        self.table.attach(sets, ways);
-    }
-
-    fn on_hit(&mut self, set: usize, way: usize, _ctx: &AccessCtx) {
-        self.table.promote(set, way);
-    }
-
-    fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize {
-        self.table.choose_victim(set, candidates)
-    }
-
-    fn on_insert(&mut self, set: usize, way: usize, _ctx: &AccessCtx) {
-        self.table.insert(set, way, RRPV_LONG);
-    }
-
-    fn name(&self) -> &'static str {
-        "SRRIP"
-    }
-}
-
-/// Bimodal RRIP: inserts at distant RRPV except for a 1/32 fraction of
-/// misses inserted at long, protecting the cache from thrash.
-#[derive(Debug, Clone)]
-pub struct Brrip {
-    table: RrpvTable,
-    miss_count: u64,
-}
-
-impl Brrip {
-    /// Creates a BRRIP policy; `seed` offsets the bimodal phase so
-    /// replicated caches do not insert in lockstep.
+impl<I: Seeded> Rrip<I> {
+    /// Creates a BRRIP, DRRIP or TA-DRRIP policy; `seed` offsets the
+    /// bimodal phase so replicated caches do not insert in lockstep.
     pub fn new(seed: u64) -> Self {
-        Brrip {
+        Rrip {
             table: RrpvTable::default(),
-            miss_count: seed % BRRIP_EPSILON,
-        }
-    }
-
-    fn insertion_value(&mut self) -> u8 {
-        self.miss_count += 1;
-        if self.miss_count.is_multiple_of(BRRIP_EPSILON) {
-            RRPV_LONG
-        } else {
-            RRPV_MAX
+            rule: I::seeded(seed),
         }
     }
 }
 
-impl ReplacementPolicy for Brrip {
-    fn attach(&mut self, sets: usize, ways: usize) {
-        self.table.attach(sets, ways);
-    }
-
-    fn on_hit(&mut self, set: usize, way: usize, _ctx: &AccessCtx) {
-        self.table.promote(set, way);
-    }
-
-    fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize {
-        self.table.choose_victim(set, candidates)
-    }
-
-    fn on_insert(&mut self, set: usize, way: usize, _ctx: &AccessCtx) {
-        let v = self.insertion_value();
-        self.table.insert(set, way, v);
-    }
-
-    fn name(&self) -> &'static str {
-        "BRRIP"
-    }
-}
-
-/// Which of the duelling insertion policies a set belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DuelRole {
-    SrripLeader,
-    BrripLeader,
-    Follower,
-}
-
-/// Dynamic RRIP: set dueling between SRRIP and BRRIP insertion with a
-/// 10-bit PSEL counter (single-threaded variant).
-#[derive(Debug, Clone)]
-pub struct Drrip {
-    table: RrpvTable,
-    brrip_phase: u64,
-    psel: i32,
-}
-
-impl Drrip {
-    /// Creates a DRRIP policy with a deterministic seed.
-    pub fn new(seed: u64) -> Self {
-        Drrip {
-            table: RrpvTable::default(),
-            brrip_phase: seed % BRRIP_EPSILON,
-            psel: PSEL_INIT,
-        }
-    }
-
-    fn role(set: usize) -> DuelRole {
-        match set % DUEL_CONSTITUENCY {
-            0 => DuelRole::SrripLeader,
-            1 => DuelRole::BrripLeader,
-            _ => DuelRole::Follower,
-        }
-    }
-
-    fn brrip_value(&mut self) -> u8 {
-        self.brrip_phase += 1;
-        if self.brrip_phase.is_multiple_of(BRRIP_EPSILON) {
-            RRPV_LONG
-        } else {
-            RRPV_MAX
-        }
-    }
-}
-
-impl ReplacementPolicy for Drrip {
-    fn attach(&mut self, sets: usize, ways: usize) {
-        self.table.attach(sets, ways);
-    }
-
-    fn on_hit(&mut self, set: usize, way: usize, _ctx: &AccessCtx) {
-        self.table.promote(set, way);
-    }
-
-    fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize {
-        self.table.choose_victim(set, candidates)
-    }
-
-    fn on_insert(&mut self, set: usize, way: usize, _ctx: &AccessCtx) {
-        // A miss in a leader set votes against that leader's policy.
-        let value = match Self::role(set) {
-            DuelRole::SrripLeader => {
-                self.psel = (self.psel + 1).min(PSEL_MAX);
-                RRPV_LONG
-            }
-            DuelRole::BrripLeader => {
-                self.psel = (self.psel - 1).max(0);
-                self.brrip_value()
-            }
-            DuelRole::Follower => {
-                // High PSEL: SRRIP leaders miss more, so follow BRRIP.
-                if self.psel > PSEL_INIT {
-                    self.brrip_value()
-                } else {
-                    RRPV_LONG
-                }
-            }
-        };
-        self.table.insert(set, way, value);
-    }
-
-    fn name(&self) -> &'static str {
-        "DRRIP"
-    }
-}
-
-/// Thread-aware DRRIP (TA-DRRIP): one PSEL and one pair of leader-set
-/// groups per thread, so each thread chooses SRRIP or BRRIP insertion
-/// independently in a shared cache.
-#[derive(Debug, Clone)]
-pub struct TaDrrip {
-    table: RrpvTable,
-    brrip_phase: u64,
-    psel: Vec<i32>,
-}
-
-/// Maximum threads TA-DRRIP tracks (Table I: 8-core CMP).
-const MAX_THREADS: usize = 16;
-
-impl TaDrrip {
-    /// Creates a TA-DRRIP policy with a deterministic seed.
-    pub fn new(seed: u64) -> Self {
-        TaDrrip {
-            table: RrpvTable::default(),
-            brrip_phase: seed % BRRIP_EPSILON,
-            psel: vec![PSEL_INIT; MAX_THREADS],
-        }
-    }
-
-    fn role(set: usize, thread: usize) -> DuelRole {
-        // Each thread owns two slots in the constituency: 2t (SRRIP leader)
-        // and 2t+1 (BRRIP leader).
-        let slot = set % DUEL_CONSTITUENCY;
-        if slot == 2 * thread {
-            DuelRole::SrripLeader
-        } else if slot == 2 * thread + 1 {
-            DuelRole::BrripLeader
-        } else {
-            DuelRole::Follower
-        }
-    }
-
-    fn brrip_value(&mut self) -> u8 {
-        self.brrip_phase += 1;
-        if self.brrip_phase.is_multiple_of(BRRIP_EPSILON) {
-            RRPV_LONG
-        } else {
-            RRPV_MAX
-        }
-    }
-}
-
-impl ReplacementPolicy for TaDrrip {
+impl<I: Insertion> ReplacementPolicy for Rrip<I> {
     fn attach(&mut self, sets: usize, ways: usize) {
         self.table.attach(sets, ways);
     }
@@ -350,34 +172,22 @@ impl ReplacementPolicy for TaDrrip {
     }
 
     fn on_insert(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
-        let t = ctx.thread.index() % MAX_THREADS;
-        let value = match Self::role(set, t) {
-            DuelRole::SrripLeader => {
-                self.psel[t] = (self.psel[t] + 1).min(PSEL_MAX);
-                RRPV_LONG
-            }
-            DuelRole::BrripLeader => {
-                self.psel[t] = (self.psel[t] - 1).max(0);
-                self.brrip_value()
-            }
-            DuelRole::Follower => {
-                if self.psel[t] > PSEL_INIT {
-                    self.brrip_value()
-                } else {
-                    RRPV_LONG
-                }
-            }
+        let value = if self.rule.protect(set, ctx) {
+            RRPV_LONG
+        } else {
+            RRPV_MAX
         };
         self.table.insert(set, way, value);
     }
 
     fn name(&self) -> &'static str {
-        "TA-DRRIP"
+        I::RRIP_NAME
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::insertion::{DUEL_CONSTITUENCY, PSEL_INIT, PSEL_MAX};
     use super::*;
     use crate::addr::ThreadId;
 
@@ -546,7 +356,7 @@ mod tests {
         for _ in 0..600 {
             p.on_insert(0, 0, &ctx());
         }
-        assert!(p.psel > PSEL_INIT);
+        assert!(p.rule.psel[0] > PSEL_INIT);
         // Follower sets now use BRRIP insertion (mostly distant).
         p.on_insert(5, 0, &ctx());
         let v = p.table.rrpv[5];
@@ -555,7 +365,7 @@ mod tests {
         for _ in 0..1200 {
             p.on_insert(1, 0, &ctx());
         }
-        assert!(p.psel < PSEL_INIT);
+        assert!(p.rule.psel[0] < PSEL_INIT);
     }
 
     #[test]
@@ -565,11 +375,11 @@ mod tests {
         for _ in 0..5000 {
             p.on_insert(0, 0, &ctx());
         }
-        assert_eq!(p.psel, PSEL_MAX);
+        assert_eq!(p.rule.psel[0], PSEL_MAX);
         for _ in 0..5000 {
             p.on_insert(1, 0, &ctx());
         }
-        assert_eq!(p.psel, 0);
+        assert_eq!(p.rule.psel[0], 0);
     }
 
     #[test]
@@ -586,8 +396,8 @@ mod tests {
         for _ in 0..100 {
             p.on_insert(3, 0, &t1);
         }
-        assert!(p.psel[0] > PSEL_INIT);
-        assert!(p.psel[1] < PSEL_INIT);
+        assert!(p.rule.psel[0] > PSEL_INIT);
+        assert!(p.rule.psel[1] < PSEL_INIT);
     }
 
     #[test]
@@ -599,7 +409,7 @@ mod tests {
         for _ in 0..100 {
             p.on_insert(0, 0, &t5);
         }
-        assert_eq!(p.psel[5], PSEL_INIT);
+        assert_eq!(p.rule.psel[5], PSEL_INIT);
     }
 
     #[test]

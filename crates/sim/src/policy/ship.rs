@@ -21,6 +21,7 @@
 //! stack property, so its miss curve cannot be sampled by a single UMON —
 //! it has the predictability problem that motivates Talus on LRU (§II-C).
 
+use super::insertion::{Bimodal, Insertion, Seeded};
 use super::rrip::{RrpvTable, RRPV_LONG, RRPV_MAX};
 use super::{AccessCtx, ReplacementPolicy};
 use crate::hasher::H3Hasher;
@@ -35,12 +36,6 @@ const SHCT_MAX: u8 = 7;
 const SHCT_INIT: u8 = 1;
 /// Lines per signature region: 64 lines = one 4 KB page.
 const REGION_SHIFT: u32 = 6;
-/// One in this many predicted-dead insertions goes in at long RRPV
-/// anyway (BRRIP-style exploration). Without it a signature trained to
-/// zero during cold-start churn could never prove itself again: distant
-/// insertion means eviction before reuse, which keeps the counter at
-/// zero — a permanent death spiral.
-const EXPLORE_EPSILON: u64 = 32;
 
 /// SHiP-Mem: SRRIP plus a signature history counter table that predicts,
 /// per memory region, whether inserted lines will be reused.
@@ -65,8 +60,12 @@ pub struct Ship {
     reused: Vec<bool>,
     ways: usize,
     hasher: H3Hasher,
-    /// Counts predicted-dead insertions for ε-exploration.
-    explore_phase: u64,
+    /// One in 32 predicted-dead insertions goes in at long RRPV anyway
+    /// (BRRIP-style exploration). Without it a signature trained to zero
+    /// during cold-start churn could never prove itself again: distant
+    /// insertion means eviction before reuse, which keeps the counter at
+    /// zero — a permanent death spiral.
+    explore: Bimodal,
 }
 
 impl Ship {
@@ -79,7 +78,7 @@ impl Ship {
             reused: Vec::new(),
             ways: 0,
             hasher: H3Hasher::new(32, seed ^ 0x5417_9001),
-            explore_phase: seed % EXPLORE_EPSILON,
+            explore: Bimodal::seeded(seed),
         }
     }
 
@@ -135,15 +134,10 @@ impl ReplacementPolicy for Ship {
         // Zero counter: no observed reuse for this signature — insert
         // distant (bypass-like), except for the exploration fraction.
         // Otherwise insert at long, like SRRIP.
-        let value = if self.shct[sig as usize] == 0 {
-            self.explore_phase += 1;
-            if self.explore_phase.is_multiple_of(EXPLORE_EPSILON) {
-                RRPV_LONG
-            } else {
-                RRPV_MAX
-            }
-        } else {
+        let value = if self.shct[sig as usize] > 0 || self.explore.protect(set, ctx) {
             RRPV_LONG
+        } else {
+            RRPV_MAX
         };
         self.table.insert(set, way, value);
     }

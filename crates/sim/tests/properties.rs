@@ -505,7 +505,8 @@ mod fast_path_equivalence {
         };
         // Interleaving partitions access-by-access equals blocking runs
         // only when runs preserve the global order — which they do here.
-        let schemes: Vec<(&str, Box<dyn Fn() -> Box<dyn PartitionedCacheModel>>)> = vec![
+        type Build = Box<dyn Fn() -> Box<dyn PartitionedCacheModel>>;
+        let schemes: Vec<(&str, Build)> = vec![
             (
                 "way",
                 Box::new(|| Box::new(WayPartitioned::new(2048, 16, 2, Lru::new(), 9))),

@@ -136,11 +136,8 @@ fn zipf_buckets(lines: u64, q: f64) -> Vec<Bucket> {
             None => (r as f64).powf(-q),
         };
     }
-    for r in 1..=head {
-        buckets.push(Bucket {
-            count: 1.0,
-            p: head_p[r],
-        });
+    for &p in &head_p[1..] {
+        buckets.push(Bucket { count: 1.0, p });
     }
     let head = head as u64;
     // ∫ x^-q over [a, b] = (b^(1-q) - a^(1-q)) / (1-q) — the tail mass of

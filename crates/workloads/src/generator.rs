@@ -334,7 +334,7 @@ impl PointerChase {
         // a ≡ 1 mod 4 if 4 | lines. Take a = 1 + k·rad(lines) (times 2
         // if needed), with k from the seed.
         let mut rad = radical(lines);
-        if lines % 4 == 0 && rad % 4 != 0 {
+        if lines.is_multiple_of(4) && !rad.is_multiple_of(4) {
             rad *= 2;
         }
         let k = 1 + (seed % 61);
@@ -354,9 +354,9 @@ fn radical(mut n: u64) -> u64 {
     let mut rad = 1;
     let mut p = 2;
     while p * p <= n {
-        if n % p == 0 {
+        if n.is_multiple_of(p) {
             rad *= p;
-            while n % p == 0 {
+            while n.is_multiple_of(p) {
                 n /= p;
             }
         }

@@ -59,7 +59,7 @@ impl ReplacementPolicy for Fifo {
 /// The workload: a cyclic scan (cliff at 6144 lines) plus a small random
 /// working set.
 fn workload(i: u64, state: &mut u64) -> LineAddr {
-    if i % 3 == 0 {
+    if i.is_multiple_of(3) {
         *state = state.wrapping_mul(6364136223846793005).wrapping_add(99);
         LineAddr((1 << 30) + (*state >> 33) % 1024)
     } else {
