@@ -12,6 +12,8 @@ use talus_sim::LineAddr;
 use talus_workloads::{multi_tenant, profile, AnalyticCurveSource, AnalyticModel, ComponentKind};
 
 const STREAM: usize = 20_000;
+/// Accesses per iteration of the compacting exact-monitor row.
+const COMPACTING: usize = 200_000;
 
 fn bench_record(c: &mut Criterion) {
     let stream = synthetic_stream(STREAM, 8192, 32768, 11);
@@ -122,6 +124,23 @@ fn bench_record(c: &mut Criterion) {
         b.iter(|| {
             for &l in &stream {
                 m.record(black_box(LineAddr(l)));
+            }
+        })
+    });
+
+    // `lru_curve`'s shape, which the rows above never reach: a 40 960-line
+    // cap (a 163 840-timestamp window) over 73 k distinct lines, fed in
+    // `MonitorSource`'s 256-line blocks, so every iteration compacts.
+    let compacting: Vec<LineAddr> = synthetic_stream(COMPACTING, 8192, 65536, 13)
+        .into_iter()
+        .map(LineAddr)
+        .collect();
+    g.throughput(Throughput::Elements(COMPACTING as u64));
+    g.bench_function("mattson_exact_compacting", |b| {
+        let mut m = MattsonMonitor::new(40_960);
+        b.iter(|| {
+            for chunk in compacting.chunks(256) {
+                m.record_block(black_box(chunk));
             }
         })
     });

@@ -1,0 +1,185 @@
+//! The timestamp occupancy bitmap both stack-distance monitors count
+//! distances on.
+//!
+//! A Mattson pass stamps every access with a timestamp and keeps one mark
+//! per live line, on the timestamp of its latest access: the stack
+//! distance of a reuse is then one plus the marks after the line's
+//! previous timestamp. [`Marks`] holds those marks one bit per timestamp,
+//! with a popcount per 512-timestamp block so a count skips whole blocks.
+//! [`SampledMattson`](super::SampledMattson) counts on it directly;
+//! [`MattsonMonitor`](super::MattsonMonitor), whose windows span hundreds
+//! of blocks, keeps a Fenwick tree over the block counts beside it.
+
+/// Words per popcount block: 8 × 64 = 512 timestamps summarised per entry.
+pub(super) const BLOCK_WORDS: usize = 8;
+
+/// Timestamps per popcount block.
+pub(super) const BLOCK_BITS: usize = 64 * BLOCK_WORDS;
+
+/// Occupancy bitmap over timestamps ("this timestamp is the latest access
+/// to some live line") with per-block popcounts. Updates are O(1);
+/// counting the live marks between two timestamps scans at most
+/// `BLOCK_WORDS` words on each edge and skips full blocks via the
+/// summaries.
+#[derive(Debug, Clone)]
+pub(super) struct Marks {
+    words: Vec<u64>,
+    blocks: Vec<u32>,
+}
+
+impl Marks {
+    pub(super) fn new(timestamps: usize) -> Self {
+        let words = timestamps.div_ceil(64);
+        let blocks = words.div_ceil(BLOCK_WORDS);
+        Marks {
+            words: vec![0; words],
+            blocks: vec![0; blocks],
+        }
+    }
+
+    #[inline]
+    pub(super) fn set(&mut self, t: usize) {
+        self.words[t >> 6] |= 1 << (t & 63);
+        self.blocks[t >> 6 >> 3] += 1;
+    }
+
+    #[inline]
+    pub(super) fn unset(&mut self, t: usize) {
+        self.words[t >> 6] &= !(1 << (t & 63));
+        self.blocks[t >> 6 >> 3] -= 1;
+    }
+
+    pub(super) fn clear(&mut self) {
+        self.words.fill(0);
+        self.blocks.fill(0);
+    }
+
+    /// Live marks with timestamp in `[lo, hi]` (inclusive; `lo <= hi`).
+    #[inline]
+    pub(super) fn count_range(&self, lo: usize, hi: usize) -> u64 {
+        let from = |b: usize| !0u64 << b; // bits >= b
+        let upto = |b: usize| !0u64 >> (63 - b); // bits <= b
+        let (wlo, whi) = (lo >> 6, hi >> 6);
+        if wlo == whi {
+            return (self.words[wlo] & from(lo & 63) & upto(hi & 63)).count_ones() as u64;
+        }
+        let mut total = (self.words[wlo] & from(lo & 63)).count_ones() as u64
+            + (self.words[whi] & upto(hi & 63)).count_ones() as u64;
+        let mut w = wlo + 1;
+        while w < whi {
+            if w % BLOCK_WORDS == 0 && w + BLOCK_WORDS <= whi {
+                total += self.blocks[w / BLOCK_WORDS] as u64;
+                w += BLOCK_WORDS;
+            } else {
+                total += self.words[w].count_ones() as u64;
+                w += 1;
+            }
+        }
+        total
+    }
+
+    /// Live marks per 512-timestamp block.
+    pub(super) fn blocks(&self) -> &[u32] {
+        &self.blocks
+    }
+
+    /// The timestamp of the mark with exactly `k` marks below it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are `k` marks or fewer.
+    pub(super) fn nth(&self, mut k: usize) -> usize {
+        let mut w = 0;
+        for &count in &self.blocks {
+            if k < count as usize {
+                break;
+            }
+            k -= count as usize;
+            w += BLOCK_WORDS;
+        }
+        loop {
+            let mut word = self.words[w];
+            let ones = word.count_ones() as usize;
+            if k < ones {
+                for _ in 0..k {
+                    word &= word - 1; // drop the lowest mark
+                }
+                return 64 * w + word.trailing_zeros() as usize;
+            }
+            k -= ones;
+            w += 1;
+        }
+    }
+
+    /// Leaves exactly the marks `0..n`.
+    pub(super) fn reset_to(&mut self, n: usize) {
+        self.clear();
+        let (full, rest) = (n / 64, n % 64);
+        self.words[..full].fill(!0);
+        if rest > 0 {
+            self.words[full] = !0 >> (64 - rest);
+        }
+        for (b, count) in self.blocks.iter_mut().enumerate() {
+            *count = n.saturating_sub(b * BLOCK_BITS).min(BLOCK_BITS) as u32;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn marks_count_matches_naive_bitset() {
+        let mut m = Marks::new(4096);
+        let mut naive = vec![false; 4096];
+        let mut state = 9u64;
+        for _ in 0..2000 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(11);
+            let t = (state >> 33) as usize % 4096;
+            if naive[t] {
+                m.unset(t);
+                naive[t] = false;
+            } else {
+                m.set(t);
+                naive[t] = true;
+            }
+        }
+        for &(lo, hi) in &[
+            (0usize, 4095usize),
+            (5, 5),
+            (63, 64),
+            (100, 700),
+            (512, 1024),
+        ] {
+            let expect = naive[lo..=hi].iter().filter(|&&b| b).count() as u64;
+            assert_eq!(m.count_range(lo, hi), expect, "range [{lo}, {hi}]");
+        }
+        // `nth` walks the same marks in order.
+        let set: Vec<usize> = (0..4096).filter(|&t| naive[t]).collect();
+        for (k, &t) in set.iter().enumerate() {
+            assert_eq!(m.nth(k), t, "mark {k}");
+        }
+    }
+
+    #[test]
+    fn reset_to_leaves_exactly_the_first_n_marks() {
+        // Word and block edges and a partial last block (4100 timestamps:
+        // 65 words, 9 blocks).
+        for n in [0, 1, 63, 64, 65, 511, 512, 513, 1000, 4100] {
+            let mut m = Marks::new(4100);
+            m.set(4099);
+            m.set(7);
+            m.reset_to(n);
+            let expect: Vec<u32> = (0..9)
+                .map(|b| (0..n).filter(|&t| t / BLOCK_BITS == b).count() as u32)
+                .collect();
+            assert_eq!(m.blocks(), &expect[..], "n {n}");
+            assert_eq!(m.count_range(0, 4099), n as u64, "n {n}");
+            if n > 0 {
+                assert_eq!(m.nth(n - 1), n - 1, "n {n}");
+                assert_eq!(m.count_range(n - 1, 4099), 1, "n {n}");
+            }
+        }
+    }
+}

@@ -7,46 +7,62 @@
 //! every size simultaneously: an access hits in caches of at least its
 //! stack distance.
 //!
-//! Distances are counted with a Fenwick tree over access timestamps
-//! (O(log n) per access); the timestamp window is compacted periodically so
-//! memory stays proportional to the tracked capacity, with distances beyond
-//! the cap folded into a "far" bucket (they miss at every tracked size).
+//! Every access gets a timestamp, and each live line keeps one mark, on
+//! its latest access, in a bitmap over the timestamp window (the [`Marks`]
+//! the sampled monitor counts on too): a reuse's distance is one plus the
+//! marks after the line's previous access. A Fenwick tree over the
+//! bitmap's 512-timestamp block counts keeps that count O(log) in the
+//! window — it sums whole blocks and scans only inside the last one.
+//! When the window fills, it is compacted in place: the newest `cap` live
+//! lines keep their order on timestamps `0..k` and the rest are dropped,
+//! so memory stays proportional to the tracked capacity. A dropped line's
+//! next access counts as cold; any distance beyond `cap` (it misses at
+//! every tracked size) is folded into a "far" bucket.
 //!
 //! The distance histogram is kept two-level (flat bins plus per-block
 //! sums) — an *incremental cumulative-hit cache* — so
 //! [`curve`](Monitor::curve) answers each grid point with a block-skipping
 //! prefix query instead of re-scanning all `cap` histogram bins per call.
 
+use super::marks::{Marks, BLOCK_BITS};
 use super::{default_grid, Monitor};
 use crate::addr::LineAddr;
 use crate::hasher::LineHashBuilder;
 use std::collections::HashMap;
 use talus_core::MissCurve;
 
-/// Fenwick tree (binary indexed tree) over timestamps.
+/// Fenwick tree (binary indexed tree) over the marks' block counts.
 #[derive(Debug, Clone)]
 struct Fenwick {
     tree: Vec<u32>,
 }
 
 impl Fenwick {
-    fn new(n: usize) -> Self {
-        Fenwick {
-            tree: vec![0; n + 1],
+    /// Rebuilds the tree over `counts` in linear time.
+    fn assign(&mut self, counts: &[u32]) {
+        self.tree.clear();
+        self.tree.push(0);
+        self.tree.extend_from_slice(counts);
+        for i in 1..self.tree.len() {
+            let parent = i + (i & i.wrapping_neg());
+            if parent < self.tree.len() {
+                self.tree[parent] += self.tree[i];
+            }
         }
     }
 
+    #[inline]
     fn add(&mut self, mut i: usize, delta: i32) {
         i += 1;
         while i < self.tree.len() {
-            self.tree[i] = (self.tree[i] as i64 + delta as i64) as u32;
+            self.tree[i] = self.tree[i].wrapping_add_signed(delta);
             i += i & i.wrapping_neg();
         }
     }
 
-    /// Sum of entries in [0, i].
-    fn prefix(&self, mut i: usize) -> u64 {
-        i += 1;
+    /// Sum of entries in `[0, i)`.
+    #[inline]
+    fn before(&self, mut i: usize) -> u64 {
         let mut s = 0u64;
         while i > 0 {
             s += self.tree[i] as u64;
@@ -54,9 +70,53 @@ impl Fenwick {
         }
         s
     }
+}
 
-    fn clear(&mut self) {
-        self.tree.fill(0);
+/// The window's marks ("this timestamp is the latest access to some live
+/// line") and a Fenwick tree over their block counts, updated together.
+#[derive(Debug, Clone)]
+struct LiveMarks {
+    marks: Marks,
+    blocks: Fenwick,
+}
+
+impl LiveMarks {
+    fn new(timestamps: usize) -> Self {
+        let marks = Marks::new(timestamps);
+        let blocks = Fenwick {
+            tree: vec![0; marks.blocks().len() + 1],
+        };
+        LiveMarks { marks, blocks }
+    }
+
+    #[inline]
+    fn set(&mut self, t: usize) {
+        self.marks.set(t);
+        self.blocks.add(t / BLOCK_BITS, 1);
+    }
+
+    #[inline]
+    fn unset(&mut self, t: usize) {
+        self.marks.unset(t);
+        self.blocks.add(t / BLOCK_BITS, -1);
+    }
+
+    /// Marks with timestamp in `[0, t]`.
+    #[inline]
+    fn upto(&self, t: usize) -> u64 {
+        let block = t / BLOCK_BITS;
+        self.blocks.before(block) + self.marks.count_range(block * BLOCK_BITS, t)
+    }
+
+    /// The timestamp of the mark with exactly `k` marks below it.
+    fn nth(&self, k: usize) -> usize {
+        self.marks.nth(k)
+    }
+
+    /// Leaves exactly the marks `0..n`.
+    fn reset_to(&mut self, n: usize) {
+        self.marks.reset_to(n);
+        self.blocks.assign(self.marks.blocks());
     }
 }
 
@@ -129,15 +189,16 @@ pub struct MattsonMonitor {
     cap: usize,
     /// Cumulative counts of accesses by stack distance (1-based).
     hist: CumHist,
-    /// Accesses whose distance exceeded `cap`, plus compaction casualties.
+    /// Reuses of a tracked line whose distance exceeded `cap`.
     far: u64,
-    /// First-ever touches.
+    /// Accesses to a line `last_seen` does not hold: its first touch, or
+    /// its first since a compaction dropped it.
     cold: u64,
     accesses: u64,
     /// Line → timestamp of most recent access.
     last_seen: HashMap<LineAddr, usize, LineHashBuilder>,
-    /// Marks timestamps that are the latest access to some line.
-    fenwick: Fenwick,
+    /// One mark per entry of `last_seen`, on its timestamp.
+    marks: LiveMarks,
     now: usize,
     window: usize,
 }
@@ -160,8 +221,12 @@ impl MattsonMonitor {
             far: 0,
             cold: 0,
             accesses: 0,
-            last_seen: HashMap::default(),
-            fenwick: Fenwick::new(window),
+            // Sized for `cap` lines, what every compaction keeps once the
+            // stream's footprint reaches the tracked capacity: the map
+            // never rehashes on its way there, so no old table lives
+            // beside the new one and no chain of outgrown ones is freed.
+            last_seen: HashMap::with_capacity_and_hasher(cap, LineHashBuilder),
+            marks: LiveMarks::new(window),
             now: 0,
             window,
         }
@@ -202,13 +267,13 @@ impl MattsonMonitor {
     #[inline]
     fn record_one(&mut self, line: LineAddr) {
         self.accesses += 1;
-        match self.last_seen.get(&line).copied() {
+        match self.last_seen.insert(line, self.now) {
             Some(prev) => {
                 // Distinct lines touched in (prev, now): each has its latest
-                // access marked in the Fenwick tree after prev. The total
-                // mark count is just the live-line count (every mark sits
-                // below `now`), so only one prefix query is needed.
-                let upto_prev = self.fenwick.prefix(prev);
+                // access marked after prev. The total mark count is just the
+                // live-line count (every mark sits below `now`), so only one
+                // prefix query is needed.
+                let upto_prev = self.marks.upto(prev);
                 let upto_now = self.last_seen.len() as u64;
                 let distance = (upto_now - upto_prev) as usize + 1; // include the line itself
                 if distance <= self.cap {
@@ -216,33 +281,39 @@ impl MattsonMonitor {
                 } else {
                     self.far += 1;
                 }
-                self.fenwick.add(prev, -1);
+                self.marks.unset(prev);
             }
             None => {
                 self.cold += 1;
             }
         }
-        self.fenwick.add(self.now, 1);
-        self.last_seen.insert(line, self.now);
+        self.marks.set(self.now);
         self.now += 1;
     }
 
-    /// Compacts the timestamp window: re-indexes the most recent `cap`
-    /// distinct lines to timestamps `0..k` and drops the rest (their next
-    /// access would be beyond `cap` anyway).
+    /// Compacts the timestamp window in place: the most recent `cap`
+    /// distinct lines move to timestamps `0..k`, in order, and the rest are
+    /// dropped (their next access would be beyond `cap` anyway).
     fn compact(&mut self) {
-        let mut entries: Vec<(LineAddr, usize)> =
-            self.last_seen.iter().map(|(&l, &t)| (l, t)).collect();
-        entries.sort_by_key(|&(_, t)| std::cmp::Reverse(t));
-        entries.truncate(self.cap);
-        entries.reverse(); // oldest kept entry first
-        self.last_seen.clear();
-        self.fenwick.clear();
-        for (i, &(line, _)) in entries.iter().enumerate() {
-            self.last_seen.insert(line, i);
-            self.fenwick.add(i, 1);
-        }
-        self.now = entries.len();
+        let live = self.last_seen.len();
+        let dropped = live.saturating_sub(self.cap);
+        // The oldest kept timestamp: the mark with `dropped` marks below.
+        let oldest = if dropped == 0 {
+            0
+        } else {
+            self.marks.nth(dropped)
+        };
+        let marks = &self.marks;
+        self.last_seen.retain(|_, t| {
+            let kept = *t >= oldest;
+            if kept {
+                // Its rank among the kept marks.
+                *t = marks.upto(*t) as usize - 1 - dropped;
+            }
+            kept
+        });
+        self.now = live - dropped;
+        self.marks.reset_to(self.now);
     }
 }
 
@@ -286,7 +357,175 @@ impl Monitor for MattsonMonitor {
         self.far = 0;
         self.cold = 0;
         self.accesses = 0;
-        // Keep last_seen/fenwick: the monitor stays warm across intervals.
+        // Keep last_seen/marks: the monitor stays warm across intervals.
+    }
+}
+
+/// The monitor this file held before its marks moved to a bitmap: a
+/// Fenwick node per timestamp and a collect-and-sort compaction, copied
+/// verbatim (but for names, visibility and comments) as the reference the
+/// bitmap monitor is held to.
+#[cfg(test)]
+mod old_mattson {
+    use super::CumHist;
+    use crate::addr::LineAddr;
+    use crate::hasher::LineHashBuilder;
+    use std::collections::HashMap;
+    use talus_core::MissCurve;
+
+    /// Fenwick tree (binary indexed tree) over timestamps.
+    #[derive(Debug, Clone)]
+    struct Fenwick {
+        tree: Vec<u32>,
+    }
+
+    impl Fenwick {
+        fn new(n: usize) -> Self {
+            Fenwick {
+                tree: vec![0; n + 1],
+            }
+        }
+
+        fn add(&mut self, mut i: usize, delta: i32) {
+            i += 1;
+            while i < self.tree.len() {
+                self.tree[i] = (self.tree[i] as i64 + delta as i64) as u32;
+                i += i & i.wrapping_neg();
+            }
+        }
+
+        /// Sum of entries in [0, i].
+        fn prefix(&self, mut i: usize) -> u64 {
+            i += 1;
+            let mut s = 0u64;
+            while i > 0 {
+                s += self.tree[i] as u64;
+                i -= i & i.wrapping_neg();
+            }
+            s
+        }
+
+        fn clear(&mut self) {
+            self.tree.fill(0);
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    pub(super) struct OldMattson {
+        cap: usize,
+        pub(super) hist: CumHist,
+        pub(super) far: u64,
+        pub(super) cold: u64,
+        pub(super) accesses: u64,
+        pub(super) last_seen: HashMap<LineAddr, usize, LineHashBuilder>,
+        fenwick: Fenwick,
+        pub(super) now: usize,
+        window: usize,
+    }
+
+    impl OldMattson {
+        pub(super) fn new(max_lines: u64) -> Self {
+            assert!(max_lines > 0, "tracked capacity must be positive");
+            let cap = max_lines as usize;
+            let window = (4 * cap).max(1 << 12);
+            OldMattson {
+                cap,
+                hist: CumHist::new(cap),
+                far: 0,
+                cold: 0,
+                accesses: 0,
+                last_seen: HashMap::default(),
+                fenwick: Fenwick::new(window),
+                now: 0,
+                window,
+            }
+        }
+
+        fn hits_within(&self, lines: u64) -> u64 {
+            self.hist.prefix((lines as usize).min(self.cap))
+        }
+
+        pub(super) fn curve_on_grid(&self, grid: &[u64]) -> MissCurve {
+            let total = self.accesses.max(1) as f64;
+            let mut sizes = Vec::with_capacity(grid.len() + 1);
+            let mut misses = Vec::with_capacity(grid.len() + 1);
+            if grid.first().copied() != Some(0) {
+                sizes.push(0.0);
+                misses.push(1.0);
+            }
+            for &g in grid {
+                let hits = self.hits_within(g);
+                sizes.push(g as f64);
+                misses.push((self.accesses - hits) as f64 / total);
+            }
+            MissCurve::from_samples(&sizes, &misses).expect("grid is sorted and rates are finite")
+        }
+
+        fn record_one(&mut self, line: LineAddr) {
+            self.accesses += 1;
+            match self.last_seen.get(&line).copied() {
+                Some(prev) => {
+                    let upto_prev = self.fenwick.prefix(prev);
+                    let upto_now = self.last_seen.len() as u64;
+                    let distance = (upto_now - upto_prev) as usize + 1; // include the line itself
+                    if distance <= self.cap {
+                        self.hist.add(distance);
+                    } else {
+                        self.far += 1;
+                    }
+                    self.fenwick.add(prev, -1);
+                }
+                None => {
+                    self.cold += 1;
+                }
+            }
+            self.fenwick.add(self.now, 1);
+            self.last_seen.insert(line, self.now);
+            self.now += 1;
+        }
+
+        fn compact(&mut self) {
+            let mut entries: Vec<(LineAddr, usize)> =
+                self.last_seen.iter().map(|(&l, &t)| (l, t)).collect();
+            entries.sort_by_key(|&(_, t)| std::cmp::Reverse(t));
+            entries.truncate(self.cap);
+            entries.reverse(); // oldest kept entry first
+            self.last_seen.clear();
+            self.fenwick.clear();
+            for (i, &(line, _)) in entries.iter().enumerate() {
+                self.last_seen.insert(line, i);
+                self.fenwick.add(i, 1);
+            }
+            self.now = entries.len();
+        }
+
+        pub(super) fn record(&mut self, line: LineAddr) {
+            if self.now >= self.window {
+                self.compact();
+            }
+            self.record_one(line);
+        }
+
+        pub(super) fn record_block(&mut self, lines: &[LineAddr]) {
+            let mut rest = lines;
+            while !rest.is_empty() {
+                if self.now >= self.window {
+                    self.compact();
+                }
+                let take = (self.window - self.now).min(rest.len());
+                for &line in &rest[..take] {
+                    self.record_one(line);
+                }
+                rest = &rest[take..];
+            }
+        }
+
+        pub(super) fn reset(&mut self) {
+            self.hist.clear();
+            self.far = 0;
+            self.cold = 0;
+            self.accesses = 0;
+        }
     }
 }
 
@@ -444,6 +683,117 @@ mod tests {
         let grid: Vec<u64> = (0..=64).collect();
         for &g in &grid {
             assert_eq!(one.hits_within(g), block.hits_within(g), "at {g}");
+        }
+    }
+
+    #[test]
+    fn a_line_compaction_dropped_is_cold_when_touched_again() {
+        // Cap 16, window 4096: the scan over 100 other lines compacts the
+        // window, keeping its newest 16, before the first line returns.
+        let lost = LineAddr(1 << 40);
+        let mut m = MattsonMonitor::new(16);
+        m.record(lost);
+        for &l in &scan_stream(100, 5000) {
+            m.record(l);
+        }
+        assert!(!m.last_seen.contains_key(&lost), "compaction dropped it");
+        let (cold, far) = (m.cold, m.far);
+        m.record(lost);
+        assert_eq!((m.cold, m.far), (cold + 1, far));
+        // A line still tracked at a distance beyond the cap is far.
+        m.record(LineAddr(0));
+        assert_eq!((m.cold, m.far), (cold + 1, far + 1));
+    }
+
+    /// A deterministic generator for the reference streams.
+    struct Rng(u64);
+
+    impl Rng {
+        /// Uniform in `[0, n)`.
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.0 >> 33) * n) >> 31
+        }
+    }
+
+    /// One interval of a reference stream: a uniform mix, a cyclic scan
+    /// or a skewed hot/cold mix over a working set below, at or above
+    /// `cap`, on lines that overlap the earlier intervals'.
+    fn interval(rng: &mut Rng, cap: u64) -> Vec<LineAddr> {
+        let set = [cap / 2 + 1, cap, 2 * cap + 7][rng.below(3) as usize];
+        let base = rng.below(3) * cap;
+        let len = 1000 + rng.below(8000) as usize;
+        let shape = rng.below(3);
+        (0..len as u64)
+            .map(|i| {
+                let offset = match shape {
+                    0 => rng.below(set),
+                    1 => i % set,
+                    _ if rng.below(8) > 0 => rng.below((cap / 8).max(1)),
+                    _ => rng.below(4 * cap + 64),
+                };
+                LineAddr(base + offset)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bitmap_monitor_equals_the_old_fenwick_monitor() {
+        use super::old_mattson::OldMattson;
+        for (seed, cap) in [1u64, 48, 256, 1024, 1500, 3000].into_iter().enumerate() {
+            let mut rng = Rng(seed as u64 + 1);
+            let mut new = MattsonMonitor::new(cap);
+            let mut old = OldMattson::new(cap);
+            let grid: Vec<u64> = (0..=cap).step_by((cap as usize / 64).max(1)).collect();
+            let (mut compactions, mut straddles) = (0, 0);
+            while compactions < 24 {
+                let stream = interval(&mut rng, cap);
+                let before = new.now;
+                if rng.below(2) == 0 {
+                    for &l in &stream {
+                        let now = new.now;
+                        new.record(l);
+                        old.record(l);
+                        compactions += usize::from(new.now <= now);
+                    }
+                } else {
+                    let mut rest = &stream[..];
+                    while !rest.is_empty() {
+                        let take = (1 + rng.below(1500) as usize).min(rest.len());
+                        let now = new.now;
+                        straddles += usize::from(now < new.window && now + take > new.window);
+                        new.record_block(&rest[..take]);
+                        old.record_block(&rest[..take]);
+                        compactions += usize::from(new.now < now + take);
+                        rest = &rest[take..];
+                    }
+                }
+                let at = format!("seed {seed}, cap {cap}, interval from {before}");
+                assert_eq!(new.hist.bins, old.hist.bins, "{at}");
+                assert_eq!(new.hist.blocks, old.hist.blocks, "{at}");
+                assert_eq!(
+                    (new.far, new.cold, new.accesses, new.now),
+                    (old.far, old.cold, old.accesses, old.now),
+                    "{at}"
+                );
+                assert_eq!(new.last_seen, old.last_seen, "{at}");
+                let (a, b) = (new.curve_on_grid(&grid), old.curve_on_grid(&grid));
+                for (p, q) in a.iter().zip(b.iter()) {
+                    assert_eq!(p.size.to_bits(), q.size.to_bits(), "{at}");
+                    assert_eq!(p.misses.to_bits(), q.misses.to_bits(), "{at}");
+                }
+                if rng.below(3) == 0 {
+                    new.reset();
+                    old.reset();
+                }
+            }
+            assert!(
+                straddles >= 3,
+                "seed {seed}: {straddles} blocks straddled the window edge"
+            );
         }
     }
 

@@ -31,6 +31,7 @@
 //! ingest simulated curves.
 
 mod adaptive;
+mod marks;
 mod mattson;
 mod sampled;
 mod sampler;

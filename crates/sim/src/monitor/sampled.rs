@@ -1,8 +1,8 @@
 //! SHARDS-style spatially-hashed sampled stack-distance profiling.
 //!
 //! [`MattsonMonitor`](super::MattsonMonitor) is exact but pays a hash-map
-//! lookup plus two Fenwick prefix sums for *every* access — the slowest
-//! component in the workspace (`monitor_record/mattson_exact` in
+//! probe and a distance query for *every* access, over a timestamp window
+//! four times the tracked capacity (`monitor_record/mattson_exact` in
 //! `results/bench_baseline.json`). The paper's §VI-C hardware monitors
 //! avoid exactly this cost by sampling the address stream; SHARDS
 //! (Waldspurger et al., FAST 2015) showed the same trade works in
@@ -15,13 +15,15 @@
 //! estimate of the true stack distance.
 //!
 //! [`SampledMattson`] implements that design with flat, cache-friendly
-//! state instead of the exact monitor's per-access Fenwick prefix sums:
+//! state sized by the sampled stream:
 //!
 //! - an open-addressing `last_seen` table (linear probing, power-of-two
 //!   sizing, grown with the live set) from sampled line → timestamp;
-//! - a timestamp *occupancy bitmap* with per-block popcount summaries —
-//!   distance queries count the live bits between two timestamps,
-//!   skipping whole 512-timestamp blocks at a time;
+//! - the timestamp occupancy bitmap the exact monitor also counts on
+//!   ([`Marks`], in `marks.rs`) — distance queries count the live bits
+//!   between two timestamps, skipping whole 512-timestamp blocks at a
+//!   time; a sampled window is short enough that no tree over the blocks
+//!   is needed;
 //! - a log-bucketed distance histogram: exact bins up to 256, then 32
 //!   bins per octave, so curve extraction touches a few hundred buckets
 //!   regardless of capacity.
@@ -31,6 +33,7 @@
 //! small fraction of the record cost — the software analogue of the
 //! paper's "address-based sampling reduces monitoring overheads" [11, 42].
 
+use super::marks::Marks;
 use super::{default_grid, Monitor};
 use crate::addr::LineAddr;
 use crate::hasher::mix64;
@@ -136,72 +139,6 @@ impl LastSeen {
     #[cfg(test)]
     fn bytes(&self) -> usize {
         std::mem::size_of_val(&self.slots[..])
-    }
-}
-
-/// Words per popcount block: 8 × 64 = 512 timestamps summarised per entry.
-const BLOCK_WORDS: usize = 8;
-
-/// Occupancy bitmap over timestamps ("this timestamp is the latest access
-/// to some live line") with per-block popcounts — the flat replacement for
-/// the exact monitor's Fenwick tree. Updates are O(1); counting the live
-/// marks between two timestamps scans at most `BLOCK_WORDS` words on each
-/// edge and skips full blocks via the summaries.
-#[derive(Debug, Clone)]
-struct Marks {
-    words: Vec<u64>,
-    blocks: Vec<u32>,
-}
-
-impl Marks {
-    fn new(timestamps: usize) -> Self {
-        let words = timestamps.div_ceil(64);
-        let blocks = words.div_ceil(BLOCK_WORDS);
-        Marks {
-            words: vec![0; words],
-            blocks: vec![0; blocks],
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, t: usize) {
-        self.words[t >> 6] |= 1 << (t & 63);
-        self.blocks[t >> 6 >> 3] += 1;
-    }
-
-    #[inline]
-    fn unset(&mut self, t: usize) {
-        self.words[t >> 6] &= !(1 << (t & 63));
-        self.blocks[t >> 6 >> 3] -= 1;
-    }
-
-    fn clear(&mut self) {
-        self.words.fill(0);
-        self.blocks.fill(0);
-    }
-
-    /// Live marks with timestamp in `[lo, hi]` (inclusive; `lo <= hi`).
-    #[inline]
-    fn count_range(&self, lo: usize, hi: usize) -> u64 {
-        let from = |b: usize| !0u64 << b; // bits >= b
-        let upto = |b: usize| !0u64 >> (63 - b); // bits <= b
-        let (wlo, whi) = (lo >> 6, hi >> 6);
-        if wlo == whi {
-            return (self.words[wlo] & from(lo & 63) & upto(hi & 63)).count_ones() as u64;
-        }
-        let mut total = (self.words[wlo] & from(lo & 63)).count_ones() as u64
-            + (self.words[whi] & upto(hi & 63)).count_ones() as u64;
-        let mut w = wlo + 1;
-        while w < whi {
-            if w % BLOCK_WORDS == 0 && w + BLOCK_WORDS <= whi {
-                total += self.blocks[w / BLOCK_WORDS] as u64;
-                w += BLOCK_WORDS;
-            } else {
-                total += self.words[w].count_ones() as u64;
-                w += 1;
-            }
-        }
-        total
     }
 }
 
@@ -334,7 +271,8 @@ pub struct SampledMattson {
     hist: LogHist,
     /// Sampled accesses whose distance exceeded `scap`.
     far: u64,
-    /// Sampled first-ever touches.
+    /// Sampled accesses to a line the table does not hold: its first
+    /// touch, or its first since a compaction dropped it.
     cold: u64,
     /// Post-filter access count.
     sampled: u64,
@@ -611,34 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn marks_count_matches_naive_bitset() {
-        let mut m = Marks::new(4096);
-        let mut naive = vec![false; 4096];
-        let mut state = 9u64;
-        for _ in 0..2000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(11);
-            let t = (state >> 33) as usize % 4096;
-            if naive[t] {
-                m.unset(t);
-                naive[t] = false;
-            } else {
-                m.set(t);
-                naive[t] = true;
-            }
-        }
-        for &(lo, hi) in &[
-            (0usize, 4095usize),
-            (5, 5),
-            (63, 64),
-            (100, 700),
-            (512, 1024),
-        ] {
-            let expect = naive[lo..=hi].iter().filter(|&&b| b).count() as u64;
-            assert_eq!(m.count_range(lo, hi), expect, "range [{lo}, {hi}]");
-        }
-    }
-
-    #[test]
     fn last_seen_is_sized_by_the_live_set_not_the_window() {
         // The repo benchmark's monitor shape: 8192 lines at 1-in-8, whose
         // window-sized table was 8192 slots in two arrays (96 KiB) for
@@ -829,6 +739,29 @@ mod tests {
         assert_eq!(m.cold, 0, "tags stayed warm across reset");
         let c = m.curve_on_grid(&[0, 32, 64, 128]);
         assert!(c.value_at(128.0) < 0.01);
+    }
+
+    #[test]
+    fn a_line_compaction_dropped_is_cold_when_touched_again() {
+        // Every line sampled, cap 16, window 4096: the scan over 100 other
+        // lines compacts the window, keeping its newest 16, before the
+        // first line returns.
+        let lost = LineAddr(1 << 40);
+        let mut m = SampledMattson::new(16, 1, 3);
+        m.record(lost);
+        for &l in &scan_stream(100, 5000) {
+            m.record(l);
+        }
+        assert!(
+            m.table.entries().iter().all(|&(key, _)| key != lost.0),
+            "compaction dropped it"
+        );
+        let (cold, far) = (m.cold, m.far);
+        m.record(lost);
+        assert_eq!((m.cold, m.far), (cold + 1, far));
+        // A line still tracked at a distance beyond the cap is far.
+        m.record(LineAddr(0));
+        assert_eq!((m.cold, m.far), (cold + 1, far + 1));
     }
 
     #[test]
