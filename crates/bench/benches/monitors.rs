@@ -9,11 +9,17 @@ use talus_sim::monitor::{
 };
 use talus_sim::policy::PolicyKind;
 use talus_sim::LineAddr;
-use talus_workloads::{multi_tenant, profile, AnalyticCurveSource, AnalyticModel, ComponentKind};
+use talus_workloads::{
+    multi_tenant, profile, AccessGenerator, AnalyticCurveSource, AnalyticModel, ComponentKind,
+};
 
 const STREAM: usize = 20_000;
 /// Accesses per iteration of the compacting exact-monitor row.
 const COMPACTING: usize = 200_000;
+/// Monitors in the many-tenant row, and the lines each records an
+/// iteration.
+const TENANTS: usize = 48;
+const TENANT_INTERVAL: usize = 10_000;
 
 fn bench_record(c: &mut Criterion) {
     let stream = synthetic_stream(STREAM, 8192, 32768, 11);
@@ -141,6 +147,32 @@ fn bench_record(c: &mut Criterion) {
         b.iter(|| {
             for chunk in compacting.chunks(256) {
                 m.record_block(black_box(chunk));
+            }
+        })
+    });
+
+    // `producer_fed`'s monitors: 48 tenants' `SampledMattson`s (8192
+    // lines at 1-in-8), each fed an interval of its own `multi_tenant(4)`
+    // stream in `MonitorSource`'s 256-line blocks. Their tables together
+    // outgrow the private caches, so each one's footprint shows up as
+    // misses, which the single-monitor rows above never pay.
+    let profile = multi_tenant(4).scaled(1.0 / 32.0);
+    let tenants: Vec<(SampledMattson, Vec<LineAddr>)> = (0..TENANTS)
+        .map(|i| {
+            let mut gen = profile.tenant_generator(i % 3, 1009 + (i / 3) as u64);
+            let mut lines = vec![LineAddr(0); TENANT_INTERVAL];
+            gen.fill(&mut lines);
+            (SampledMattson::new(8192, 8, 0xCAFE + i as u64), lines)
+        })
+        .collect();
+    g.throughput(Throughput::Elements((TENANTS * TENANT_INTERVAL) as u64));
+    g.bench_function("sampled_mattson_tenants", |b| {
+        let mut tenants = tenants.clone();
+        b.iter(|| {
+            for (m, lines) in &mut tenants {
+                for chunk in lines.chunks(256) {
+                    m.record_block(black_box(chunk));
+                }
             }
         })
     });

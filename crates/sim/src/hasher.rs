@@ -393,6 +393,19 @@ impl std::hash::BuildHasher for LineHashBuilder {
     }
 }
 
+/// [`LineHashBuilder`] under a seed: `mix64(seed, ·)` instead of
+/// `mix64(0, ·)`, for a map whose keys a `mix64` filter already chose.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SeededLineHash(pub(crate) u64);
+
+impl std::hash::BuildHasher for SeededLineHash {
+    type Hasher = LineHasher;
+
+    fn build_hasher(&self) -> LineHasher {
+        LineHasher(self.0)
+    }
+}
+
 /// The streaming hasher behind [`LineHashBuilder`]: folds written words
 /// through [`mix64`].
 #[derive(Debug, Clone, Copy)]

@@ -1,5 +1,5 @@
 //! The timestamp occupancy bitmap both stack-distance monitors count
-//! distances on.
+//! distances on, and the compaction both run.
 //!
 //! A Mattson pass stamps every access with a timestamp and keeps one mark
 //! per live line, on the timestamp of its latest access: the stack
@@ -9,6 +9,18 @@
 //! [`SampledMattson`](super::SampledMattson) counts on it directly;
 //! [`MattsonMonitor`](super::MattsonMonitor), whose windows span hundreds
 //! of blocks, keeps a Fenwick tree over the block counts beside it.
+//!
+//! Both monitors keep their lines' latest timestamps in a `HashMap`, and
+//! when the window fills both compact it in place through
+//! [`Marks::compact`]: the newest `keep` lines move to timestamps `0..k`,
+//! in order, and the rest are dropped. The oldest kept timestamp is the
+//! `live − keep`-th mark, `retain` drops the lines below it and renumbers
+//! each kept one to its rank among the kept marks (counted from block
+//! prefix sums taken once per compaction), and the marks reset to `0..k`.
+//! No entry is copied or sorted.
+
+use crate::addr::LineAddr;
+use std::collections::HashMap;
 
 /// Words per popcount block: 8 × 64 = 512 timestamps summarised per entry.
 pub(super) const BLOCK_WORDS: usize = 8;
@@ -111,6 +123,61 @@ impl Marks {
         }
     }
 
+    /// Marks below each block: `prefixes[b]` counts the marks with
+    /// timestamp below `b × BLOCK_BITS`. What [`rank`](Self::rank) reads,
+    /// taken once for a pass of ranks over an unchanging bitmap.
+    pub(super) fn block_prefixes(&self) -> Vec<usize> {
+        self.blocks
+            .iter()
+            .scan(0, |below, &count| {
+                let at = *below;
+                *below += count as usize;
+                Some(at)
+            })
+            .collect()
+    }
+
+    /// Marks with timestamp below `t`, given this bitmap's
+    /// [`block_prefixes`](Self::block_prefixes).
+    #[inline]
+    pub(super) fn rank(&self, prefixes: &[usize], t: usize) -> usize {
+        let w = t >> 6;
+        let first = w / BLOCK_WORDS * BLOCK_WORDS;
+        let words: usize = self.words[first..w]
+            .iter()
+            .map(|word| word.count_ones() as usize)
+            .sum();
+        let bits = (self.words[w] & !(!0u64 << (t & 63))).count_ones() as usize;
+        prefixes[w / BLOCK_WORDS] + words + bits
+    }
+
+    /// Compacts a window in place: of the lines in `last_seen` (one mark
+    /// each, on its timestamp), the newest `keep` move to timestamps
+    /// `0..k` in their order and the rest are dropped; the marks become
+    /// exactly `0..k`. Returns `k`, the window's next timestamp.
+    pub(super) fn compact<S>(
+        &mut self,
+        last_seen: &mut HashMap<LineAddr, usize, S>,
+        keep: usize,
+    ) -> usize {
+        let live = last_seen.len();
+        let dropped = live.saturating_sub(keep);
+        // The oldest kept timestamp: the mark with `dropped` marks below.
+        let oldest = if dropped == 0 { 0 } else { self.nth(dropped) };
+        let prefixes = self.block_prefixes();
+        last_seen.retain(|_, t| {
+            let kept = *t >= oldest;
+            if kept {
+                // Its rank among the kept marks.
+                *t = self.rank(&prefixes, *t) - dropped;
+            }
+            kept
+        });
+        let kept = live - dropped;
+        self.reset_to(kept);
+        kept
+    }
+
     /// Leaves exactly the marks `0..n`.
     pub(super) fn reset_to(&mut self, n: usize) {
         self.clear();
@@ -155,10 +222,16 @@ mod tests {
             let expect = naive[lo..=hi].iter().filter(|&&b| b).count() as u64;
             assert_eq!(m.count_range(lo, hi), expect, "range [{lo}, {hi}]");
         }
-        // `nth` walks the same marks in order.
+        // `nth` walks the same marks in order, and `rank` counts the marks
+        // below any timestamp, marked or not.
         let set: Vec<usize> = (0..4096).filter(|&t| naive[t]).collect();
         for (k, &t) in set.iter().enumerate() {
             assert_eq!(m.nth(k), t, "mark {k}");
+        }
+        let prefixes = m.block_prefixes();
+        for t in 0..4096 {
+            let below = naive[..t].iter().filter(|&&b| b).count();
+            assert_eq!(m.rank(&prefixes, t), below, "rank of {t}");
         }
     }
 

@@ -13,7 +13,8 @@
 //! marks after the line's previous access. A Fenwick tree over the
 //! bitmap's 512-timestamp block counts keeps that count O(log) in the
 //! window — it sums whole blocks and scans only inside the last one.
-//! When the window fills, it is compacted in place: the newest `cap` live
+//! When the window fills, it is compacted in place, by the routine the
+//! sampled monitor runs too ([`Marks::compact`]): the newest `cap` live
 //! lines keep their order on timestamps `0..k` and the rest are dropped,
 //! so memory stays proportional to the tracked capacity. A dropped line's
 //! next access counts as cold; any distance beyond `cap` (it misses at
@@ -108,15 +109,16 @@ impl LiveMarks {
         self.blocks.before(block) + self.marks.count_range(block * BLOCK_BITS, t)
     }
 
-    /// The timestamp of the mark with exactly `k` marks below it.
-    fn nth(&self, k: usize) -> usize {
-        self.marks.nth(k)
-    }
-
-    /// Leaves exactly the marks `0..n`.
-    fn reset_to(&mut self, n: usize) {
-        self.marks.reset_to(n);
+    /// [`Marks::compact`], then the tree refilled from the new block
+    /// counts.
+    fn compact(
+        &mut self,
+        last_seen: &mut HashMap<LineAddr, usize, LineHashBuilder>,
+        keep: usize,
+    ) -> usize {
+        let kept = self.marks.compact(last_seen, keep);
         self.blocks.assign(self.marks.blocks());
+        kept
     }
 }
 
@@ -295,25 +297,7 @@ impl MattsonMonitor {
     /// distinct lines move to timestamps `0..k`, in order, and the rest are
     /// dropped (their next access would be beyond `cap` anyway).
     fn compact(&mut self) {
-        let live = self.last_seen.len();
-        let dropped = live.saturating_sub(self.cap);
-        // The oldest kept timestamp: the mark with `dropped` marks below.
-        let oldest = if dropped == 0 {
-            0
-        } else {
-            self.marks.nth(dropped)
-        };
-        let marks = &self.marks;
-        self.last_seen.retain(|_, t| {
-            let kept = *t >= oldest;
-            if kept {
-                // Its rank among the kept marks.
-                *t = marks.upto(*t) as usize - 1 - dropped;
-            }
-            kept
-        });
-        self.now = live - dropped;
-        self.marks.reset_to(self.now);
+        self.now = self.marks.compact(&mut self.last_seen, self.cap);
     }
 }
 
@@ -532,7 +516,7 @@ mod old_mattson {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::test_support::{scan_stream, uniform_stream};
+    use crate::monitor::test_support::{interval, scan_stream, uniform_stream, Rng};
 
     #[test]
     fn scan_produces_step_curve() {
@@ -703,41 +687,6 @@ mod tests {
         // A line still tracked at a distance beyond the cap is far.
         m.record(LineAddr(0));
         assert_eq!((m.cold, m.far), (cold + 1, far + 1));
-    }
-
-    /// A deterministic generator for the reference streams.
-    struct Rng(u64);
-
-    impl Rng {
-        /// Uniform in `[0, n)`.
-        fn below(&mut self, n: u64) -> u64 {
-            self.0 = self
-                .0
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((self.0 >> 33) * n) >> 31
-        }
-    }
-
-    /// One interval of a reference stream: a uniform mix, a cyclic scan
-    /// or a skewed hot/cold mix over a working set below, at or above
-    /// `cap`, on lines that overlap the earlier intervals'.
-    fn interval(rng: &mut Rng, cap: u64) -> Vec<LineAddr> {
-        let set = [cap / 2 + 1, cap, 2 * cap + 7][rng.below(3) as usize];
-        let base = rng.below(3) * cap;
-        let len = 1000 + rng.below(8000) as usize;
-        let shape = rng.below(3);
-        (0..len as u64)
-            .map(|i| {
-                let offset = match shape {
-                    0 => rng.below(set),
-                    1 => i % set,
-                    _ if rng.below(8) > 0 => rng.below((cap / 8).max(1)),
-                    _ => rng.below(4 * cap + 64),
-                };
-                LineAddr(base + offset)
-            })
-            .collect()
     }
 
     #[test]

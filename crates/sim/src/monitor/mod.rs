@@ -142,4 +142,39 @@ pub(crate) mod test_support {
     pub fn scan_stream(lines: u64, len: usize) -> Vec<LineAddr> {
         (0..len as u64).map(|i| LineAddr(i % lines)).collect()
     }
+
+    /// A deterministic generator for the reference streams.
+    pub struct Rng(pub u64);
+
+    impl Rng {
+        /// Uniform in `[0, n)`.
+        pub fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.0 >> 33) * n) >> 31
+        }
+    }
+
+    /// One interval of a reference stream: a uniform mix, a cyclic scan
+    /// or a skewed hot/cold mix over a working set below, at or above
+    /// `cap`, on lines that overlap the earlier intervals'.
+    pub fn interval(rng: &mut Rng, cap: u64) -> Vec<LineAddr> {
+        let set = [cap / 2 + 1, cap, 2 * cap + 7][rng.below(3) as usize];
+        let base = rng.below(3) * cap;
+        let len = 1000 + rng.below(8000) as usize;
+        let shape = rng.below(3);
+        (0..len as u64)
+            .map(|i| {
+                let offset = match shape {
+                    0 => rng.below(set),
+                    1 => i % set,
+                    _ if rng.below(8) > 0 => rng.below((cap / 8).max(1)),
+                    _ => rng.below(4 * cap + 64),
+                };
+                LineAddr(base + offset)
+            })
+            .collect()
+    }
 }

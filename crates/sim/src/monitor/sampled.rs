@@ -17,8 +17,9 @@
 //! [`SampledMattson`] implements that design with flat, cache-friendly
 //! state sized by the sampled stream:
 //!
-//! - an open-addressing `last_seen` table (linear probing, power-of-two
-//!   sizing, grown with the live set) from sampled line → timestamp;
+//! - a `last_seen` map from sampled line → timestamp, the exact
+//!   monitor's map type but grown with the live set (a few hundred lines,
+//!   typically) rather than sized by the window that bounds it;
 //! - the timestamp occupancy bitmap the exact monitor also counts on
 //!   ([`Marks`], in `marks.rs`) — distance queries count the live bits
 //!   between two timestamps, skipping whole 512-timestamp blocks at a
@@ -28,6 +29,9 @@
 //!   bins per octave, so curve extraction touches a few hundred buckets
 //!   regardless of capacity.
 //!
+//! When the window fills, it compacts in place through the routine the
+//! exact monitor runs too ([`Marks::compact`]).
+//!
 //! The resulting curves converge statistically on the exact monitor's
 //! (see the L∞ accuracy tests here and in `tests/properties.rs`) at a
 //! small fraction of the record cost — the software analogue of the
@@ -36,111 +40,10 @@
 use super::marks::Marks;
 use super::{default_grid, Monitor};
 use crate::addr::LineAddr;
-use crate::hasher::mix64;
+use crate::hasher::{mix64, SeededLineHash};
 use std::cell::RefCell;
+use std::collections::HashMap;
 use talus_core::MissCurve;
-
-/// Empty-slot sentinel in the open-addressing table.
-const EMPTY: u32 = u32::MAX;
-
-/// Slots a new table starts with.
-const MIN_SLOTS: usize = 16;
-
-/// One slot of [`LastSeen`]: a sampled line and its latest timestamp
-/// (`EMPTY` marks a free slot), side by side so a probe touches one
-/// cache line.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    key: u64,
-    ts: u32,
-}
-
-/// Flat open-addressing map from sampled line → most recent timestamp.
-///
-/// Linear probing over power-of-two slots; entries are only removed in
-/// bulk (compaction rebuilds the table), so no tombstones are needed. The
-/// table starts small and doubles whenever it is half full, so it is
-/// sized by the lines a tenant actually keeps live — a few hundred,
-/// typically — rather than by the compaction window that bounds them,
-/// and never exceeds twice that window. Slot order depends on the
-/// table's size, but nothing reads it: [`entries`](Self::entries) is
-/// only ever sorted by (unique) timestamp.
-#[derive(Debug, Clone)]
-struct LastSeen {
-    slots: Vec<Slot>,
-    /// Occupied slots.
-    len: usize,
-    seed: u64,
-}
-
-impl LastSeen {
-    fn new(seed: u64) -> Self {
-        LastSeen {
-            slots: vec![Slot { key: 0, ts: EMPTY }; MIN_SLOTS],
-            len: 0,
-            seed,
-        }
-    }
-
-    /// The slot holding `key`, or the free slot where it belongs.
-    #[inline]
-    fn probe(&self, key: u64) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut i = (mix64(self.seed, key) as usize) & mask;
-        while self.slots[i].ts != EMPTY && self.slots[i].key != key {
-            i = (i + 1) & mask;
-        }
-        i
-    }
-
-    /// Sets `key`'s timestamp, returning the previous one if present.
-    #[inline]
-    fn replace(&mut self, key: u64, ts: u32) -> Option<u32> {
-        let i = self.probe(key);
-        let prev = self.slots[i].ts;
-        self.slots[i] = Slot { key, ts };
-        if prev != EMPTY {
-            return Some(prev);
-        }
-        self.len += 1;
-        if 2 * self.len > self.slots.len() {
-            self.grow();
-        }
-        None
-    }
-
-    /// Doubles the table and re-places every entry.
-    #[cold]
-    fn grow(&mut self) {
-        let doubled = vec![Slot { key: 0, ts: EMPTY }; 2 * self.slots.len()];
-        for slot in std::mem::replace(&mut self.slots, doubled) {
-            if slot.ts != EMPTY {
-                let i = self.probe(slot.key);
-                self.slots[i] = slot;
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        self.slots.fill(Slot { key: 0, ts: EMPTY });
-        self.len = 0;
-    }
-
-    /// All live `(line, timestamp)` entries, in table order.
-    fn entries(&self) -> Vec<(u64, u32)> {
-        self.slots
-            .iter()
-            .filter(|slot| slot.ts != EMPTY)
-            .map(|slot| (slot.key, slot.ts))
-            .collect()
-    }
-
-    /// Bytes the table occupies.
-    #[cfg(test)]
-    fn bytes(&self) -> usize {
-        std::mem::size_of_val(&self.slots[..])
-    }
-}
 
 /// Distances up to this value get an exact histogram bin each.
 const LINEAR: usize = 256;
@@ -271,17 +174,21 @@ pub struct SampledMattson {
     hist: LogHist,
     /// Sampled accesses whose distance exceeded `scap`.
     far: u64,
-    /// Sampled accesses to a line the table does not hold: its first
+    /// Sampled accesses to a line `last_seen` does not hold: its first
     /// touch, or its first since a compaction dropped it.
     cold: u64,
     /// Post-filter access count.
     sampled: u64,
     /// Pre-filter access count (what the full stream saw).
     observed: u64,
-    table: LastSeen,
+    /// Sampled line → timestamp of its most recent access, hashed under a
+    /// seed apart from the filter's. Every key passed the filter, so its
+    /// filter hash (`LineHashBuilder`'s, for seed 0) is at most
+    /// `threshold`: the top bits the map tags buckets with would not tell
+    /// keys apart.
+    last_seen: HashMap<LineAddr, usize, SeededLineHash>,
+    /// One mark per entry of `last_seen`, on its timestamp.
     marks: Marks,
-    /// Live sampled lines (= marks set = live table entries).
-    live: u64,
     now: usize,
     window: usize,
     /// Bumped on every mutation that can change the curve (records and
@@ -317,9 +224,9 @@ impl SampledMattson {
             cold: 0,
             sampled: 0,
             observed: 0,
-            table: LastSeen::new(seed ^ 0x5A4D),
+            // Not sized for `scap`: the live set is what the map holds.
+            last_seen: HashMap::with_hasher(SeededLineHash(seed ^ 0x5A4D)),
             marks: Marks::new(window),
-            live: 0,
             now: 0,
             window,
             generation: 0,
@@ -407,9 +314,8 @@ impl SampledMattson {
         }
         self.sampled += 1;
         let now = self.now;
-        match self.table.replace(line.0, now as u32) {
+        match self.last_seen.insert(line, now) {
             Some(prev) => {
-                let prev = prev as usize;
                 // Distinct sampled lines in (prev, now), plus the line
                 // itself — the sampled-space stack distance. Every live
                 // mark sits below `now`, so the count on either side of
@@ -423,7 +329,7 @@ impl SampledMattson {
                         0
                     }
                 } else {
-                    self.live - self.marks.count_range(0, prev)
+                    self.last_seen.len() as u64 - self.marks.count_range(0, prev)
                 };
                 let distance = between as usize + 1;
                 if distance <= self.scap {
@@ -435,29 +341,18 @@ impl SampledMattson {
             }
             None => {
                 self.cold += 1;
-                self.live += 1;
             }
         }
         self.marks.set(now);
         self.now += 1;
     }
 
-    /// Compacts the timestamp window: re-indexes the most recent `scap`
-    /// sampled lines to timestamps `0..k` and drops the rest (their next
-    /// access would be beyond the tracked range anyway).
+    /// Compacts the timestamp window in place: the most recent `scap`
+    /// sampled lines move to timestamps `0..k`, in order, and the rest are
+    /// dropped (their next access would be beyond the tracked range
+    /// anyway).
     fn compact(&mut self) {
-        let mut entries = self.table.entries();
-        entries.sort_by_key(|&(_, t)| std::cmp::Reverse(t));
-        entries.truncate(self.scap);
-        entries.reverse(); // oldest kept entry first
-        self.table.clear();
-        self.marks.clear();
-        for (i, &(line, _)) in entries.iter().enumerate() {
-            self.table.replace(line, i as u32);
-            self.marks.set(i);
-        }
-        self.live = entries.len() as u64;
-        self.now = entries.len();
+        self.now = self.marks.compact(&mut self.last_seen, self.scap);
     }
 }
 
@@ -483,7 +378,7 @@ impl Monitor for SampledMattson {
         // The scalar path's filter-then-record, a chunk at a time in two
         // passes: the filter keeps a line by arithmetic (whether one line
         // in `R` passes is a branch no predictor learns, and inside the
-        // record loop it stalls the table and bitmap work behind it), then
+        // record loop it stalls the map and bitmap work behind it), then
         // the survivors are recorded in stream order — the same records
         // in the same order as the scalar path.
         self.generation += 1;
@@ -516,14 +411,294 @@ impl Monitor for SampledMattson {
         self.cold = 0;
         self.sampled = 0;
         self.observed = 0;
-        // Keep table/marks: the monitor stays warm across intervals.
+        // Keep last_seen/marks: the monitor stays warm across intervals.
+    }
+}
+
+/// The monitor this file held before its last-seen timestamps moved to a
+/// `HashMap`: an open-addressing table and a collect-and-sort compaction,
+/// copied verbatim (but for names, visibility and comments) as the
+/// reference the map monitor is held to.
+#[cfg(test)]
+mod old_sampled {
+    use super::{CurveCache, LogHist, FILTER_CHUNK};
+    use crate::addr::LineAddr;
+    use crate::hasher::mix64;
+    use crate::monitor::{default_grid, Monitor};
+    use std::cell::RefCell;
+    use talus_core::MissCurve;
+
+    /// Empty-slot sentinel in the open-addressing table.
+    const EMPTY: u32 = u32::MAX;
+
+    /// Slots a new table starts with.
+    const MIN_SLOTS: usize = 16;
+
+    #[derive(Debug, Clone, Copy)]
+    struct Slot {
+        key: u64,
+        ts: u32,
+    }
+
+    /// Flat open-addressing map from sampled line → most recent timestamp.
+    #[derive(Debug, Clone)]
+    pub(super) struct LastSeen {
+        slots: Vec<Slot>,
+        len: usize,
+        seed: u64,
+    }
+
+    impl LastSeen {
+        fn new(seed: u64) -> Self {
+            LastSeen {
+                slots: vec![Slot { key: 0, ts: EMPTY }; MIN_SLOTS],
+                len: 0,
+                seed,
+            }
+        }
+
+        #[inline]
+        fn probe(&self, key: u64) -> usize {
+            let mask = self.slots.len() - 1;
+            let mut i = (mix64(self.seed, key) as usize) & mask;
+            while self.slots[i].ts != EMPTY && self.slots[i].key != key {
+                i = (i + 1) & mask;
+            }
+            i
+        }
+
+        #[inline]
+        fn replace(&mut self, key: u64, ts: u32) -> Option<u32> {
+            let i = self.probe(key);
+            let prev = self.slots[i].ts;
+            self.slots[i] = Slot { key, ts };
+            if prev != EMPTY {
+                return Some(prev);
+            }
+            self.len += 1;
+            if 2 * self.len > self.slots.len() {
+                self.grow();
+            }
+            None
+        }
+
+        #[cold]
+        fn grow(&mut self) {
+            let doubled = vec![Slot { key: 0, ts: EMPTY }; 2 * self.slots.len()];
+            for slot in std::mem::replace(&mut self.slots, doubled) {
+                if slot.ts != EMPTY {
+                    let i = self.probe(slot.key);
+                    self.slots[i] = slot;
+                }
+            }
+        }
+
+        fn clear(&mut self) {
+            self.slots.fill(Slot { key: 0, ts: EMPTY });
+            self.len = 0;
+        }
+
+        /// All live `(line, timestamp)` entries, in table order.
+        pub(super) fn entries(&self) -> Vec<(u64, u32)> {
+            self.slots
+                .iter()
+                .filter(|slot| slot.ts != EMPTY)
+                .map(|slot| (slot.key, slot.ts))
+                .collect()
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    pub(super) struct OldSampled {
+        cap: u64,
+        ratio: u64,
+        threshold: u64,
+        seed: u64,
+        scap: usize,
+        pub(super) hist: LogHist,
+        pub(super) far: u64,
+        pub(super) cold: u64,
+        pub(super) sampled: u64,
+        pub(super) observed: u64,
+        pub(super) table: LastSeen,
+        marks: super::Marks,
+        pub(super) live: u64,
+        pub(super) now: usize,
+        window: usize,
+        generation: u64,
+        cumulative: RefCell<Option<CurveCache>>,
+    }
+
+    impl OldSampled {
+        pub(super) fn new(max_lines: u64, ratio: u64, seed: u64) -> Self {
+            assert!(max_lines > 0, "tracked capacity must be positive");
+            assert!(ratio > 0, "sampling ratio must be positive");
+            let scap = (max_lines.div_ceil(ratio) as usize).max(1);
+            let window = (4 * scap).max(1 << 12);
+            OldSampled {
+                cap: max_lines,
+                ratio,
+                threshold: u64::MAX / ratio,
+                seed,
+                scap,
+                hist: LogHist::new(scap),
+                far: 0,
+                cold: 0,
+                sampled: 0,
+                observed: 0,
+                table: LastSeen::new(seed ^ 0x5A4D),
+                marks: super::Marks::new(window),
+                live: 0,
+                now: 0,
+                window,
+                generation: 0,
+                cumulative: RefCell::new(None),
+            }
+        }
+
+        #[inline]
+        fn is_sampled(&self, line: LineAddr) -> bool {
+            mix64(self.seed, line.0) <= self.threshold
+        }
+
+        fn scale(&self) -> f64 {
+            if self.sampled == 0 {
+                self.ratio as f64
+            } else {
+                self.observed as f64 / self.sampled as f64
+            }
+        }
+
+        fn curve_on_grid(&self, grid: &[u64]) -> MissCurve {
+            let total = self.sampled.max(1) as f64;
+            let mut slot = self.cumulative.borrow_mut();
+            if slot
+                .as_ref()
+                .is_none_or(|c| c.generation != self.generation)
+            {
+                let (reps, cums) = self.hist.cumulative(self.scale());
+                *slot = Some(CurveCache {
+                    generation: self.generation,
+                    reps,
+                    cums,
+                });
+            }
+            let cache = slot.as_ref().expect("cache populated above");
+            let mut sizes = Vec::with_capacity(grid.len() + 1);
+            let mut misses = Vec::with_capacity(grid.len() + 1);
+            if grid.first().copied() != Some(0) {
+                sizes.push(0.0);
+                misses.push(1.0);
+            }
+            for &g in grid {
+                let idx = cache.reps.partition_point(|&r| r <= g as f64);
+                let hits = if idx == 0 { 0 } else { cache.cums[idx - 1] };
+                sizes.push(g as f64);
+                misses.push((self.sampled - hits) as f64 / total);
+            }
+            MissCurve::from_samples(&sizes, &misses).expect("grid is sorted and rates are finite")
+        }
+
+        #[inline]
+        fn record_sampled(&mut self, line: LineAddr) {
+            if self.now >= self.window {
+                self.compact();
+            }
+            self.sampled += 1;
+            let now = self.now;
+            match self.table.replace(line.0, now as u32) {
+                Some(prev) => {
+                    let prev = prev as usize;
+                    let between = if 2 * prev >= now {
+                        if prev + 1 < now {
+                            self.marks.count_range(prev + 1, now - 1)
+                        } else {
+                            0
+                        }
+                    } else {
+                        self.live - self.marks.count_range(0, prev)
+                    };
+                    let distance = between as usize + 1;
+                    if distance <= self.scap {
+                        self.hist.add(distance);
+                    } else {
+                        self.far += 1;
+                    }
+                    self.marks.unset(prev);
+                }
+                None => {
+                    self.cold += 1;
+                    self.live += 1;
+                }
+            }
+            self.marks.set(now);
+            self.now += 1;
+        }
+
+        fn compact(&mut self) {
+            let mut entries = self.table.entries();
+            entries.sort_by_key(|&(_, t)| std::cmp::Reverse(t));
+            entries.truncate(self.scap);
+            entries.reverse(); // oldest kept entry first
+            self.table.clear();
+            self.marks.clear();
+            for (i, &(line, _)) in entries.iter().enumerate() {
+                self.table.replace(line, i as u32);
+                self.marks.set(i);
+            }
+            self.live = entries.len() as u64;
+            self.now = entries.len();
+        }
+    }
+
+    impl Monitor for OldSampled {
+        fn record(&mut self, line: LineAddr) {
+            self.generation += 1;
+            self.observed += 1;
+            if self.is_sampled(line) {
+                self.record_sampled(line);
+            }
+        }
+
+        fn record_block(&mut self, lines: &[LineAddr]) {
+            self.generation += 1;
+            self.observed += lines.len() as u64;
+            let mut survivors = [LineAddr(0); FILTER_CHUNK];
+            for chunk in lines.chunks(FILTER_CHUNK) {
+                let mut kept = 0;
+                for &line in chunk {
+                    survivors[kept] = line;
+                    kept += usize::from(self.is_sampled(line));
+                }
+                for &line in &survivors[..kept] {
+                    self.record_sampled(line);
+                }
+            }
+        }
+
+        fn curve(&self) -> MissCurve {
+            self.curve_on_grid(&default_grid(self.cap))
+        }
+
+        fn sampled_accesses(&self) -> u64 {
+            self.sampled
+        }
+
+        fn reset(&mut self) {
+            self.generation += 1;
+            self.hist.clear();
+            self.far = 0;
+            self.cold = 0;
+            self.sampled = 0;
+            self.observed = 0;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::test_support::{scan_stream, uniform_stream};
+    use crate::monitor::test_support::{interval, scan_stream, uniform_stream, Rng};
     use crate::monitor::MattsonMonitor;
 
     /// L∞ distance between two curves on a grid.
@@ -548,6 +723,13 @@ mod tests {
         }
     }
 
+    /// Bytes `last_seen` holds: its buckets (a power of two, at most 8/7
+    /// of its capacity past 8) of one entry and one control byte each.
+    fn map_bytes(m: &SampledMattson) -> usize {
+        let buckets = (m.last_seen.capacity() * 8 / 7).next_power_of_two();
+        buckets * (std::mem::size_of::<(LineAddr, usize)>() + 1)
+    }
+
     #[test]
     fn last_seen_is_sized_by_the_live_set_not_the_window() {
         // The repo benchmark's monitor shape: 8192 lines at 1-in-8, whose
@@ -558,21 +740,25 @@ mod tests {
             m.record(l);
         }
         assert!(m.sampled > m.window as u64, "the window compacted");
-        assert!(m.live > 0 && m.live <= 300);
+        let live = m.last_seen.len();
+        assert!(live > 0 && live <= 300);
         assert!(
-            m.table.bytes() < 16 << 10,
-            "{} live lines hold {} B of table",
-            m.live,
-            m.table.bytes()
+            map_bytes(&m) < 16 << 10,
+            "{live} live lines hold {} B of map",
+            map_bytes(&m)
         );
-        // Growth keeps the load at or under one half, whatever arrives.
+        // The map grows with the live set, whatever arrives: its capacity
+        // stays within twice the live lines and twice the window.
         let mut scan = SampledMattson::new(8192, 1, 5);
         for &l in &scan_stream(5000, 12_000) {
             scan.record(l);
-            assert!(2 * scan.table.len <= scan.table.slots.len());
-            assert_eq!(scan.table.len as u64, scan.live);
+            let (live, capacity) = (scan.last_seen.len(), scan.last_seen.capacity());
+            assert!(
+                live <= capacity && capacity <= 2 * live.max(2),
+                "{live} in {capacity}"
+            );
         }
-        assert!(scan.table.slots.len() <= 2 * scan.window);
+        assert!(scan.last_seen.capacity() <= 2 * scan.window);
     }
 
     #[test]
@@ -752,16 +938,103 @@ mod tests {
         for &l in &scan_stream(100, 5000) {
             m.record(l);
         }
-        assert!(
-            m.table.entries().iter().all(|&(key, _)| key != lost.0),
-            "compaction dropped it"
-        );
+        assert!(!m.last_seen.contains_key(&lost), "compaction dropped it");
         let (cold, far) = (m.cold, m.far);
         m.record(lost);
         assert_eq!((m.cold, m.far), (cold + 1, far));
         // A line still tracked at a distance beyond the cap is far.
         m.record(LineAddr(0));
         assert_eq!((m.cold, m.far), (cold + 1, far + 1));
+    }
+
+    #[test]
+    fn map_monitor_equals_the_old_last_seen_monitor() {
+        use super::old_sampled::OldSampled;
+        use std::collections::BTreeMap;
+        // (ratio, cap, span of the stream's working sets). The map holds
+        // up to ≈ 7 × span / ratio lines: past `scap` = cap / ratio in
+        // the odd cases, so compaction drops lines; inside it in the even
+        // ones, so compaction keeps every line.
+        let cases = [
+            (1, 48, 100),
+            (1, 3000, 300),
+            (4, 2048, 1024),
+            (8, 8192, 800),
+            (16, 4096, 1000),
+            (16, 16384, 1500),
+            (8, 1000, 2000),
+        ];
+        let (mut kept_all, mut dropped) = (0, 0);
+        for (seed, (ratio, cap, span)) in cases.into_iter().enumerate() {
+            let seed = seed as u64;
+            let mut rng = Rng(seed + 1);
+            let mut new = SampledMattson::new(cap, ratio, seed);
+            let mut old = OldSampled::new(cap, ratio, seed);
+            let mut compactions = 0;
+            while compactions < 12 {
+                let stream = interval(&mut rng, span);
+                let before = new.now;
+                if rng.below(2) == 0 {
+                    for &l in &stream {
+                        if new.is_sampled(l) && new.now >= new.window {
+                            compactions += 1;
+                            if new.last_seen.len() > new.scap {
+                                dropped += 1;
+                            } else {
+                                kept_all += 1;
+                            }
+                        }
+                        new.record(l);
+                        old.record(l);
+                    }
+                } else {
+                    let mut rest = &stream[..];
+                    while !rest.is_empty() {
+                        let take = (1 + rng.below(1500) as usize).min(rest.len());
+                        let now = new.now;
+                        new.record_block(&rest[..take]);
+                        old.record_block(&rest[..take]);
+                        compactions += usize::from(new.now < now);
+                        rest = &rest[take..];
+                    }
+                }
+                let at = format!("seed {seed}, ratio {ratio}, cap {cap}, interval from {before}");
+                assert_eq!(new.hist.bins, old.hist.bins, "{at}");
+                assert_eq!(
+                    (new.far, new.cold, new.sampled, new.observed),
+                    (old.far, old.cold, old.sampled, old.observed),
+                    "{at}"
+                );
+                assert_eq!(
+                    (new.last_seen.len() as u64, new.now),
+                    (old.live, old.now),
+                    "{at}"
+                );
+                let entries: BTreeMap<u64, usize> =
+                    new.last_seen.iter().map(|(l, &t)| (l.0, t)).collect();
+                let old_entries: BTreeMap<u64, usize> = old
+                    .table
+                    .entries()
+                    .into_iter()
+                    .map(|(l, t)| (l, t as usize))
+                    .collect();
+                assert_eq!(entries, old_entries, "{at}");
+                let (a, b) = (new.curve(), old.curve());
+                assert_eq!(a.len(), b.len(), "{at}");
+                for (p, q) in a.iter().zip(b.iter()) {
+                    assert_eq!(p.size.to_bits(), q.size.to_bits(), "{at}");
+                    assert_eq!(p.misses.to_bits(), q.misses.to_bits(), "{at}");
+                }
+                if rng.below(3) == 0 {
+                    new.reset();
+                    old.reset();
+                }
+            }
+        }
+        assert!(
+            kept_all >= 12 && dropped >= 12,
+            "{kept_all} compactions kept every line, {dropped} dropped some"
+        );
     }
 
     #[test]
