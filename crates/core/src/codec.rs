@@ -10,7 +10,7 @@
 //!
 //! Framing (length prefixes, versions, opcodes and tags, checksums)
 //! belongs to each format and a curve's bytes to
-//! [`MissCurve`](crate::MissCurve)'s codecs. Each format converts a
+//! [`MissCurve`](crate::MissCurve)'s values codec. Each format converts a
 //! [`DecodeError`] into its own error type, variant for variant.
 
 use crate::limits::WIRE_MAX_TENANTS;

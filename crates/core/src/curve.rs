@@ -59,11 +59,9 @@ impl From<(f64, f64)> for CurvePoint {
 /// A curve is its miss values beside a size grid it shares: immutable, so
 /// a clone, [`scaled`](Self::scaled) and
 /// [`monotone_envelope`](Self::monotone_envelope) keep the grid they were
-/// made from, [`decode_points`](Self::decode_points) hands every curve
-/// on the sizes it decoded last that same grid, and
-/// [`decode_values`](Self::decode_values) the grid it is given. A
-/// 65-point curve is then 520 bytes of its own plus its share of one
-/// 520-byte grid.
+/// made from, and [`decode_values`](Self::decode_values) hands every
+/// curve the [`Grid`] it is decoded on. A 65-point curve is then 520
+/// bytes of its own plus its share of one 520-byte grid.
 ///
 /// # Examples
 ///
@@ -90,28 +88,20 @@ pub struct MissCurve {
     misses: Box<[f64]>,
 }
 
-/// What [`MissCurve::decode_points`] remembers between curves: the size
-/// grid of the last curve it decoded, so that a next curve whose size
-/// bytes equal it bit for bit shares it instead of allocating and
-/// validating its own. Keep one per stream — it holds one grid alive, no
-/// more.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-/// use talus_core::{GridCache, MissCurve};
-/// let mut bytes = Vec::new();
-/// MissCurve::from_samples(&[0.0, 4.0], &[8.0, 0.5])?.encode_points(&mut bytes);
-/// let mut grids = GridCache::default();
-/// let a = MissCurve::decode_points(&bytes, &mut grids)?;
-/// let b = MissCurve::decode_points(&bytes, &mut grids)?;
-/// assert!(Arc::ptr_eq(a.grid(), b.grid()));
-/// # Ok::<(), talus_core::CurveError>(())
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct GridCache {
-    last: Option<Arc<[f64]>>,
+/// A size grid [`MissCurve::decode_grid`] validated: at least one size,
+/// every size finite and non-negative, strictly increasing. Decoding is
+/// the only way to make one, so [`MissCurve::decode_values`] checks a
+/// curve's miss values alone, for the wire and the journal alike. It
+/// dereferences to the `Arc<[f64]>` every curve decoded on it shares.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Grid(Arc<[f64]>);
+
+impl std::ops::Deref for Grid {
+    type Target = Arc<[f64]>;
+
+    fn deref(&self) -> &Arc<[f64]> {
+        &self.0
+    }
 }
 
 /// The little-endian `u64` in the first eight bytes of `raw`.
@@ -198,98 +188,6 @@ impl MissCurve {
         Ok(MissCurve { sizes, misses })
     }
 
-    /// Bytes one point occupies in the encoded form.
-    pub const POINT_BYTES: usize = 16;
-
-    /// Appends the curve's points to `out` in their one byte form: per
-    /// point `size` then `misses`, each the little-endian IEEE-754 bit
-    /// pattern, [`POINT_BYTES`](Self::POINT_BYTES) a point, no count and no
-    /// padding. The journal carries exactly these bytes behind a count
-    /// prefix of its own; the wire sends a curve's values alone
-    /// ([`encode_values`](Self::encode_values)).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use talus_core::{GridCache, MissCurve};
-    /// let curve = MissCurve::from_samples(&[0.0, 4.0], &[8.0, 0.5])?;
-    /// let mut bytes = vec![0xAA]; // appended to, never cleared
-    /// curve.encode_points(&mut bytes);
-    /// assert_eq!(bytes.len(), 1 + 2 * MissCurve::POINT_BYTES);
-    /// assert_eq!(MissCurve::decode_points(&bytes[1..], &mut GridCache::default())?, curve);
-    /// # Ok::<(), talus_core::CurveError>(())
-    /// ```
-    pub fn encode_points(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.resize(start + Self::POINT_BYTES * self.len(), 0);
-        let chunks = out[start..].chunks_exact_mut(Self::POINT_BYTES);
-        for (chunk, p) in chunks.zip(self.iter()) {
-            let (size, misses) = chunk.split_at_mut(8);
-            size.copy_from_slice(&p.size.to_bits().to_le_bytes());
-            misses.copy_from_slice(&p.misses.to_bits().to_le_bytes());
-        }
-    }
-
-    /// Decodes what [`encode_points`](Self::encode_points) wrote — the
-    /// journal's curve decoder. A decoded curve upholds every invariant a
-    /// locally built one does and round-trips bit for bit.
-    ///
-    /// If the size bytes equal, bit for bit, those of the grid `grids`
-    /// remembers, the curve shares that grid: its sizes are neither
-    /// allocated nor validated again (they were, when the grid was first
-    /// decoded), and only its miss values are. Otherwise the curve gets a
-    /// grid of its own, fully validated, which `grids` then remembers.
-    ///
-    /// # Errors
-    ///
-    /// Every error of [`MissCurve::new`], for the same inputs, whatever
-    /// `grids` holds; [`CurveError::LengthMismatch`] if `bytes` ends inside
-    /// a point (readers slice exactly `count × POINT_BYTES`, so they never
-    /// see it).
-    pub fn decode_points(bytes: &[u8], grids: &mut GridCache) -> Result<Self, CurveError> {
-        let chunks = bytes.chunks_exact(Self::POINT_BYTES);
-        if !chunks.remainder().is_empty() {
-            return Err(CurveError::LengthMismatch {
-                sizes: chunks.len() + 1,
-                misses: chunks.len(),
-            });
-        }
-        if let Some(grid) = grids
-            .last
-            .as_ref()
-            .filter(|grid| grid.len() == chunks.len())
-        {
-            // One pass over the points: their miss values, whether every
-            // size's bytes are the grid's, and whether every miss value is
-            // plainly valid — the grid is a valid curve's, so only a miss
-            // value can be wrong (`plainly_valid`'s test, on its own).
-            const INFINITY: u64 = f64::INFINITY.to_bits();
-            let (mut same, mut plain) = (true, true);
-            let mut misses = Vec::with_capacity(grid.len());
-            for (size, point) in grid.iter().zip(chunks.clone()) {
-                let value = word(&point[8..]);
-                same &= size.to_bits() == word(point);
-                plain &= value < INFINITY;
-                misses.push(f64::from_bits(value));
-            }
-            if same {
-                let (sizes, misses) = (Arc::clone(grid), misses.into_boxed_slice());
-                if !plain {
-                    if let Some(violation) = first_violation(&sizes, &misses) {
-                        return Err(violation);
-                    }
-                }
-                return Ok(MissCurve { sizes, misses });
-            }
-        }
-        let field = |raw: &[u8]| f64::from_bits(word(raw));
-        let sizes: Arc<[f64]> = chunks.clone().map(field).collect();
-        let misses: Box<[f64]> = chunks.map(|point| field(&point[8..])).collect();
-        let curve = Self::validated(sizes, misses)?;
-        grids.last = Some(Arc::clone(&curve.sizes));
-        Ok(curve)
-    }
-
     /// Bytes one value — a size or a miss value — occupies in the
     /// values-only form.
     pub const VALUE_BYTES: usize = 8;
@@ -299,9 +197,10 @@ impl MissCurve {
     /// a value, no count and no padding. A size grid
     /// ([`sizes`](Self::sizes)) written this way is read back by
     /// [`decode_grid`](Self::decode_grid), a curve's
-    /// [`misses`](Self::misses) by [`decode_values`](Self::decode_values):
-    /// the wire protocol sends each grid of a frame once and every curve
-    /// on it as its values alone.
+    /// [`misses`](Self::misses) by [`decode_values`](Self::decode_values).
+    /// The wire sends each grid of a frame once and every curve on it as
+    /// its values alone; a journal record holds a curve's sizes, then its
+    /// values.
     ///
     /// # Examples
     ///
@@ -330,8 +229,8 @@ impl MissCurve {
 
     /// Decodes a size grid [`encode_values`](Self::encode_values) wrote,
     /// validated as a curve's sizes are: the grid is valid exactly when
-    /// [`decode_points`](Self::decode_points) would accept these sizes
-    /// under valid miss values, and fails with the error it would give.
+    /// [`MissCurve::from_samples`] would accept these sizes under valid
+    /// miss values, and fails with the error it would give.
     ///
     /// # Errors
     ///
@@ -339,7 +238,7 @@ impl MissCurve {
     /// [`CurveError::NonIncreasingSizes`] as [`MissCurve::new`] reports
     /// them; [`CurveError::LengthMismatch`] if `bytes` ends inside a value
     /// (readers slice exactly `count × VALUE_BYTES`, so they never see it).
-    pub fn decode_grid(bytes: &[u8]) -> Result<Arc<[f64]>, CurveError> {
+    pub fn decode_grid(bytes: &[u8]) -> Result<Grid, CurveError> {
         let chunks = bytes.chunks_exact(Self::VALUE_BYTES);
         if !chunks.remainder().is_empty() {
             return Err(CurveError::LengthMismatch {
@@ -359,33 +258,48 @@ impl MissCurve {
                 return Err(violation);
             }
         }
-        Ok(sizes)
+        Ok(Grid(sizes))
     }
 
     /// Decodes a curve's miss values [`encode_values`](Self::encode_values)
     /// wrote, on `grid` — which the curve then shares, so every curve
-    /// decoded on one grid holds one allocation. The curve upholds every
-    /// invariant a locally built one does, whatever `grid` holds, and
-    /// fails as [`MissCurve::from_samples`] over `grid` and the values
-    /// would.
+    /// decoded on one grid holds one allocation. The grid was validated
+    /// when it was decoded, so only the miss values are checked: the
+    /// curve upholds every invariant a locally built one does, and fails
+    /// as [`MissCurve::from_samples`] over the grid and the values would.
     ///
     /// # Errors
     ///
-    /// Every error of [`MissCurve::from_samples`] for `grid` and the
-    /// decoded values; [`CurveError::LengthMismatch`] unless `bytes` holds
-    /// exactly one value a size (a partial value counts as one).
-    pub fn decode_values(grid: &Arc<[f64]>, bytes: &[u8]) -> Result<Self, CurveError> {
+    /// [`CurveError::InvalidMissValue`] for the first negative or
+    /// non-finite value; [`CurveError::LengthMismatch`] unless `bytes`
+    /// holds exactly one value a size (a partial value counts as one).
+    pub fn decode_values(grid: &Grid, bytes: &[u8]) -> Result<Self, CurveError> {
         if bytes.len() != grid.len() * Self::VALUE_BYTES {
             return Err(CurveError::LengthMismatch {
                 sizes: grid.len(),
                 misses: bytes.len().div_ceil(Self::VALUE_BYTES),
             });
         }
-        let misses: Box<[f64]> = bytes
-            .chunks_exact(Self::VALUE_BYTES)
-            .map(|raw| f64::from_bits(word(raw)))
-            .collect();
-        Self::validated(Arc::clone(grid), misses)
+        // `plainly_valid`'s test on a miss value, in the decoding pass:
+        // only a `-0.0` or an invalid value takes the loop that says which.
+        const INFINITY: u64 = f64::INFINITY.to_bits();
+        let mut plain = true;
+        let mut misses = Vec::with_capacity(grid.len());
+        for raw in bytes.chunks_exact(Self::VALUE_BYTES) {
+            let bits = word(raw);
+            plain &= bits < INFINITY;
+            misses.push(f64::from_bits(bits));
+        }
+        let misses = misses.into_boxed_slice();
+        if !plain {
+            if let Some(violation) = first_violation(&grid.0, &misses) {
+                return Err(violation);
+            }
+        }
+        Ok(MissCurve {
+            sizes: Arc::clone(&grid.0),
+            misses,
+        })
     }
 
     /// The sizes the curve is sampled at, strictly increasing.
@@ -399,7 +313,7 @@ impl MissCurve {
     }
 
     /// The size grid as the curve holds it: one allocation shared by its
-    /// clones and by the curves decoded on the same sizes after it, so
+    /// clones and by every curve decoded on the same [`Grid`], so
     /// `Arc::ptr_eq` tells whether two curves share it.
     pub fn grid(&self) -> &Arc<[f64]> {
         &self.sizes
@@ -545,7 +459,7 @@ impl MissCurve {
             .chain(other.sizes.iter())
             .copied()
             .collect();
-        sizes.sort_by(|a, b| a.partial_cmp(b).expect("sizes are finite"));
+        sizes.sort_by(|a, b| a.partial_cmp(b).expect("sizes are finite")); // audited: both grids are valid curves', so no size is NaN
         sizes.dedup();
         let misses = sizes
             .iter()
@@ -615,7 +529,7 @@ impl MissCurve {
         // Integrate the piecewise-linear function by visiting each knot.
         let mut knots: Vec<f64> = vec![lo, hi];
         knots.extend(self.sizes.iter().filter(|&&s| s > lo && s < hi));
-        knots.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        knots.sort_by(|a, b| a.partial_cmp(b).expect("finite")); // audited: `lo <= hi` held, so neither is NaN, and sizes never are
         knots
             .windows(2)
             .map(|w| (self.value_at(w[0]) + self.value_at(w[1])) * 0.5 * (w[1] - w[0]))

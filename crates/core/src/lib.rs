@@ -78,7 +78,7 @@ pub use config::{
     apply_margin, plan, plan_with_hull, shadow_miss_rate, talus_curve, ShadowConfig, TalusOptions,
     TalusPlan,
 };
-pub use curve::{CurvePoint, GridCache, MissCurve, Points};
+pub use curve::{CurvePoint, Grid, MissCurve, Points};
 pub use error::{CurveError, PlanError};
 pub use fault::{FaultAction, FaultDirective, FaultScript};
 pub use hash::{keyed_mix64, mix64, shard_of, ShardTopology, SHARD_SEED};

@@ -1,38 +1,70 @@
 //! The curve codec against its old self.
 //!
-//! Before `MissCurve::encode_points`/`decode_points` existed, the wire
-//! protocol and the journal each wrote a curve one `f64` at a time and
-//! read it back into two `Vec<f64>`s handed to `MissCurve::from_samples`,
-//! whose validation was one loop with three early returns. These
-//! properties keep that path alive as the oracle: the constructor behind
-//! its branch-free fast check reports what the loop reported, the decoder
-//! returns what `from_samples` over separately parsed `f64`s returns, and
-//! the encoder writes the bytes the per-`f64` writer wrote.
+//! Before the values codec (`MissCurve::encode_values`, `decode_grid`,
+//! `decode_values`) existed, the wire protocol and the journal each wrote
+//! a curve one `f64` at a time and read it back into two `Vec<f64>`s
+//! handed to `MissCurve::from_samples`, whose validation was one loop
+//! with three early returns. These properties keep that path alive as
+//! the oracle: the constructor behind its branch-free fast check reports
+//! what the loop reported, the decoders return what `from_samples` over
+//! separately parsed `f64`s returns, and the encoder writes the bytes the
+//! per-`f64` writer wrote.
 //!
-//! A curve keeps its miss values beside a size grid it shares, and a
-//! decoder hands the next curve on the same sizes the grid it decoded
-//! last ([`GridCache`]). The second half of this file pins that sharing
-//! down: a decode that reuses a grid is a fresh decode bit for bit, a grid
-//! is reused exactly when the size bytes are the same, and `==` is still
-//! the point-wise comparison of two `Vec<CurvePoint>`s.
-//!
-//! The wire sends a grid once and each curve on it as its miss values
-//! alone (`encode_values`, `decode_grid`, `decode_values`). The last part
-//! holds that codec to `decode_points` over the same points: a grid fails
-//! as its sizes fail there, and a curve on a grid is the point decode bit
-//! for bit, error for error.
+//! A curve's bytes are a size grid and its miss values. The grid is
+//! decoded and validated once, into a `Grid`, and every curve on it is
+//! decoded from its miss values alone and shares it: the wire sends each
+//! grid of a frame once, and the journal's reader keeps the last record's
+//! grid while the size bytes repeat (pinned in talus-store's
+//! `tests/curve_codec.rs`). So a body whose sizes fail, fails as
+//! `from_samples` fails on those sizes under valid miss values; on a valid
+//! grid, it fails or decodes as `from_samples` over the points, bit for
+//! bit and error for error. `==` is still the point-wise comparison of two
+//! `Vec<CurvePoint>`s.
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use talus_core::{CurveError, CurvePoint, GridCache, MissCurve};
+use talus_core::{CurveError, CurvePoint, MissCurve};
 
-/// A decode through a cache of its own: what a curve decodes to alone.
-fn fresh(bytes: &[u8]) -> Result<MissCurve, CurveError> {
-    MissCurve::decode_points(bytes, &mut GridCache::default())
+/// A body as a journal record holds one: its sizes, then its miss values.
+fn body_of(points: &[CurvePoint]) -> Vec<u8> {
+    let sizes: Vec<f64> = points.iter().map(|p| p.size).collect();
+    let misses: Vec<f64> = points.iter().map(|p| p.misses).collect();
+    let mut bytes = reference_values(&sizes);
+    bytes.extend_from_slice(&reference_values(&misses));
+    bytes
+}
+
+/// A body's grid decoded, then its miss values on it.
+fn fresh(body: &[u8]) -> Result<MissCurve, CurveError> {
+    let (sizes, values) = body.split_at(body.len() / 2);
+    MissCurve::decode_values(&MissCurve::decode_grid(sizes)?, values)
 }
 
 fn points_of(curve: &MissCurve) -> Vec<CurvePoint> {
     curve.iter().collect()
+}
+
+/// `values` as the per-`f64` writer wrote each one.
+fn reference_values(values: &[f64]) -> Vec<u8> {
+    values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect()
+}
+
+/// The per-`f64` reader, over a body of a whole number of points: sizes
+/// checked under valid miss values first, then the points.
+fn reference_decode(body: &[u8]) -> Result<MissCurve, CurveError> {
+    assert_eq!(body.len() % 16, 0);
+    let f64_at = |at: usize| {
+        let word: [u8; 8] = body[at..at + 8].try_into().unwrap();
+        f64::from_bits(u64::from_le_bytes(word))
+    };
+    let n = body.len() / 16;
+    let sizes: Vec<f64> = (0..n).map(|i| f64_at(8 * i)).collect();
+    let misses: Vec<f64> = (0..n).map(|i| f64_at(8 * (n + i))).collect();
+    MissCurve::from_samples(&sizes, &vec![1.0; n])?;
+    MissCurve::from_samples(&sizes, &misses)
 }
 
 /// `MissCurve::new`'s validation as it was before the fast check.
@@ -58,30 +90,6 @@ fn reference_violation(points: &[CurvePoint]) -> Option<CurveError> {
         }
     }
     None
-}
-
-/// The per-`f64` writer both codecs used.
-fn reference_encode(points: &[CurvePoint], out: &mut Vec<u8>) {
-    for p in points {
-        out.extend_from_slice(&p.size.to_bits().to_le_bytes());
-        out.extend_from_slice(&p.misses.to_bits().to_le_bytes());
-    }
-}
-
-/// The per-`f64` reader both codecs used, over a whole number of points.
-fn reference_decode(bytes: &[u8]) -> Result<MissCurve, CurveError> {
-    assert_eq!(bytes.len() % 16, 0);
-    let f64_at = |at: usize| {
-        let word: [u8; 8] = bytes[at..at + 8].try_into().unwrap();
-        f64::from_bits(u64::from_le_bytes(word))
-    };
-    let mut sizes = Vec::new();
-    let mut misses = Vec::new();
-    for point in 0..bytes.len() / 16 {
-        sizes.push(f64_at(16 * point));
-        misses.push(f64_at(16 * point + 8));
-    }
-    MissCurve::from_samples(&sizes, &misses)
 }
 
 /// Bit-exact equality: `CurveError`'s `PartialEq` calls a NaN `value`
@@ -211,33 +219,40 @@ proptest! {
         }
     }
 
-    /// The decoder returns the curve, or the error, that `from_samples`
+    /// The decoders return the curve, or the error, that `from_samples`
     /// over separately parsed `f64`s returns — bit for bit, index for
     /// index.
     #[test]
     fn decode_returns_what_from_samples_returned(
         n in 0usize..80, kind in 0usize..5, seed in any::<u64>(),
     ) {
-        let mut bytes = Vec::new();
-        reference_encode(&arbitrary_points(n, kind, seed), &mut bytes);
-        prop_assert!(same(&fresh(&bytes), &reference_decode(&bytes)));
+        let body = body_of(&arbitrary_points(n, kind, seed));
+        prop_assert!(same(&fresh(&body), &reference_decode(&body)));
     }
 
-    /// A body cut between points decodes as the shorter body does; one
-    /// cut inside a point is an error of its own, never a shorter curve.
+    /// A body cut between points decodes as the shorter body does; a grid
+    /// or values cut inside a value are errors of their own, never a
+    /// shorter curve.
     #[test]
     fn a_body_cut_at_every_byte(n in 1usize..12, kind in 0usize..5, seed in any::<u64>()) {
-        let mut bytes = Vec::new();
-        reference_encode(&arbitrary_points(n, kind, seed), &mut bytes);
-        for cut in 0..bytes.len() {
-            let got = fresh(&bytes[..cut]);
-            if cut % 16 == 0 {
-                prop_assert!(same(&got, &reference_decode(&bytes[..cut])));
-            } else {
-                let whole = cut / 16;
+        let points = arbitrary_points(n, kind, seed);
+        let body = body_of(&points);
+        let (sizes, values) = body.split_at(body.len() / 2);
+        for cut in 0..sizes.len() {
+            let whole = cut / 8;
+            if cut % 8 == 0 {
+                let shorter = body_of(&points[..whole]);
+                prop_assert!(same(&fresh(&shorter), &reference_decode(&shorter)));
+                continue;
+            }
+            prop_assert_eq!(
+                MissCurve::decode_grid(&sizes[..cut]),
+                Err(CurveError::LengthMismatch { sizes: whole + 1, misses: whole })
+            );
+            if let Ok(grid) = MissCurve::decode_grid(&sizes[..8 * whole]) {
                 prop_assert_eq!(
-                    got,
-                    Err(CurveError::LengthMismatch { sizes: whole + 1, misses: whole })
+                    MissCurve::decode_values(&grid, &values[..cut]),
+                    Err(CurveError::LengthMismatch { sizes: whole, misses: whole + 1 })
                 );
             }
         }
@@ -254,9 +269,10 @@ proptest! {
         let curve = MissCurve::new(valid_points(n, &mut XorShift(seed | 1))).expect("valid");
         let mut want = vec![0xA5; 7];
         let mut got = want.clone();
-        reference_encode(&points_of(&curve), &mut want);
-        curve.encode_points(&mut got);
-        prop_assert_eq!(got.len(), 7 + n * MissCurve::POINT_BYTES);
+        want.extend_from_slice(&body_of(&points_of(&curve)));
+        MissCurve::encode_values(curve.sizes(), &mut got);
+        MissCurve::encode_values(curve.misses(), &mut got);
+        prop_assert_eq!(got.len(), 7 + 2 * n * MissCurve::VALUE_BYTES);
         prop_assert!(got == want);
         prop_assert_eq!(fresh(&got[7..]), Ok(curve));
     }
@@ -265,9 +281,7 @@ proptest! {
 #[test]
 fn negative_zero_and_subnormals_survive_the_round_trip_bit_for_bit() {
     let curve = MissCurve::from_samples(&[-0.0, 5e-324, 1.0], &[5e-324, -0.0, 0.0]).unwrap();
-    let mut bytes = Vec::new();
-    curve.encode_points(&mut bytes);
-    let back = fresh(&bytes).unwrap();
+    let back = fresh(&body_of(&points_of(&curve))).unwrap();
     assert_eq!(bits(&points_of(&back)), bits(&points_of(&curve)));
     assert_eq!(back.sizes()[0].to_bits(), (-0.0f64).to_bits());
 }
@@ -277,99 +291,8 @@ fn an_empty_body_is_an_empty_curve() {
     assert_eq!(fresh(&[]), Err(CurveError::Empty));
 }
 
-// ---------------------------------------------------------------------
-// Shared grids
-// ---------------------------------------------------------------------
-
-fn encoded(sizes: &[f64], misses: &[f64]) -> Vec<u8> {
-    let points: Vec<CurvePoint> = sizes
-        .iter()
-        .zip(misses)
-        .map(|(&s, &m)| CurvePoint::new(s, m))
-        .collect();
-    let mut bytes = Vec::new();
-    reference_encode(&points, &mut bytes);
-    bytes
-}
-
-/// The size bytes of an encoded body, as the cache compares them.
-fn size_bits(bytes: &[u8]) -> Vec<u64> {
-    bytes
-        .chunks_exact(16)
-        .map(|c| u64::from_le_bytes(c[..8].try_into().unwrap()))
-        .collect()
-}
-
-/// A next body for a stream whose last body was `prev`: on the same sizes
-/// with new miss values (valid or not), on sizes one ulp, a `-0.0` or one
-/// point away from them, or anything at all.
-fn next_body(prev: &[CurvePoint], rng: &mut XorShift) -> Vec<CurvePoint> {
-    let mut next: Vec<CurvePoint> = prev
-        .iter()
-        .map(|p| CurvePoint::new(p.size, (rng.next() % 64) as f64 / 4.0))
-        .collect();
-    if next.is_empty() {
-        return arbitrary_points(1 + rng.below(20), rng.below(5), rng.next());
-    }
-    let at = rng.below(next.len());
-    match rng.below(9) {
-        0..=2 => {} // the same sizes
-        3 => next[at].misses = SPECIALS[rng.below(SPECIALS.len())],
-        4 => next[at].size = f64::from_bits(next[at].size.to_bits() + 1),
-        5 => next[at].size = f64::from_bits(next[at].size.to_bits().saturating_sub(1)),
-        6 => {
-            next[at].size = if next[at].size == 0.0 {
-                -0.0
-            } else {
-                SPECIALS[rng.below(10)]
-            }
-        }
-        7 => {
-            if rng.next() & 1 == 0 {
-                next.pop();
-            } else {
-                let last = next[next.len() - 1].size;
-                next.push(CurvePoint::new(last + 1.0, 1.0));
-            }
-        }
-        _ => return arbitrary_points(1 + rng.below(20), rng.below(5), rng.next()),
-    }
-    next
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
-
-    /// A stream of bodies through one cache, as a frame's or a journal's
-    /// curves go: every decode is the fresh decode bit for bit (curve or
-    /// error), a curve shares the last decoded grid exactly when its size
-    /// bytes are that grid's, and every decoded curve re-encodes to its
-    /// body.
-    #[test]
-    fn decoding_with_a_reused_grid_is_a_fresh_decode(seed in any::<u64>(), len in 1usize..12) {
-        let mut rng = XorShift(seed | 1);
-        let mut grids = GridCache::default();
-        let mut last: Option<MissCurve> = None;
-        let mut body = arbitrary_points(1 + rng.below(40), rng.below(2), rng.next());
-        for step in 0..len {
-            let mut bytes = Vec::new();
-            reference_encode(&body, &mut bytes);
-            let got = MissCurve::decode_points(&bytes, &mut grids);
-            prop_assert!(same(&got, &fresh(&bytes)), "step {}", step);
-            if let Ok(curve) = got {
-                let on_last = last.as_ref().is_some_and(|last| {
-                    last.sizes().iter().map(|s| s.to_bits()).eq(size_bits(&bytes))
-                });
-                let shared = last.as_ref().is_some_and(|l| Arc::ptr_eq(l.grid(), curve.grid()));
-                prop_assert_eq!(shared, on_last, "step {}", step);
-                let mut again = Vec::new();
-                curve.encode_points(&mut again);
-                prop_assert!(again == bytes, "step {}", step);
-                last = Some(curve);
-            }
-            body = next_body(&body, &mut rng);
-        }
-    }
 
     /// `==` on curves is `==` on their points as `Vec<CurvePoint>`s were
     /// compared — `-0.0` equal to `0.0` — whether the two grids are one
@@ -378,15 +301,15 @@ proptest! {
     fn equality_is_point_wise(seed in any::<u64>()) {
         let mut rng = XorShift(seed | 1);
         let grids: [&[f64]; 4] = [&[0.0, 1.0, 2.0], &[-0.0, 1.0, 2.0], &[0.0, 1.0, 3.0], &[0.0, 1.0]];
+        let decoded = grids.map(|sizes| MissCurve::decode_grid(&reference_values(sizes)).unwrap());
         let values = [0.0, -0.0, 1.0, 2.5];
-        let mut shared = GridCache::default();
-        let mut curve = |rng: &mut XorShift| {
-            let sizes = grids[rng.below(grids.len())];
-            let misses: Vec<f64> = sizes.iter().map(|_| values[rng.below(values.len())]).collect();
+        let curve = |rng: &mut XorShift| {
+            let at = rng.below(grids.len());
+            let misses: Vec<f64> = grids[at].iter().map(|_| values[rng.below(values.len())]).collect();
             if rng.next() & 1 == 0 {
-                MissCurve::from_samples(sizes, &misses).unwrap()
+                MissCurve::from_samples(grids[at], &misses).unwrap()
             } else {
-                MissCurve::decode_points(&encoded(sizes, &misses), &mut shared).unwrap()
+                MissCurve::decode_values(&decoded[at], &reference_values(&misses)).unwrap()
             }
         };
         let (a, b) = (curve(&mut rng), curve(&mut rng));
@@ -396,134 +319,17 @@ proptest! {
     }
 }
 
-#[test]
-fn a_grid_is_shared_only_by_sizes_with_the_same_bytes() {
-    let base = [0.0, 64.0, 128.0];
-    let mut grids = GridCache::default();
-    let first = MissCurve::decode_points(&encoded(&base, &[9.0, 5.0, 1.0]), &mut grids).unwrap();
-    let same = MissCurve::decode_points(&encoded(&base, &[8.0, 4.0, 2.0]), &mut grids).unwrap();
-    assert!(Arc::ptr_eq(first.grid(), same.grid()));
-    assert_eq!(
-        Arc::strong_count(first.grid()),
-        3,
-        "two curves and the cache"
-    );
-
-    // One ulp, a -0.0, a point more or less: a grid of its own, equal
-    // curves or not as `==` says, and the new grid is the one remembered.
-    let ulp = [0.0, 64.0, f64::from_bits(128f64.to_bits() + 1)];
-    for sizes in [
-        &ulp[..],
-        &[-0.0, 64.0, 128.0],
-        &[0.0, 64.0],
-        &[0.0, 64.0, 128.0, 192.0],
-    ] {
-        let misses = vec![1.0; sizes.len()];
-        let mut grids = GridCache::default();
-        let first = MissCurve::decode_points(&encoded(&base, &[1.0; 3]), &mut grids).unwrap();
-        let next = MissCurve::decode_points(&encoded(sizes, &misses), &mut grids).unwrap();
-        assert!(!Arc::ptr_eq(first.grid(), next.grid()), "{sizes:?}");
-        assert_eq!(next.sizes().len(), sizes.len());
-        assert!(next
-            .sizes()
-            .iter()
-            .zip(sizes)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-        let third = MissCurve::decode_points(&encoded(sizes, &misses), &mut grids).unwrap();
-        assert!(Arc::ptr_eq(next.grid(), third.grid()), "{sizes:?}");
-    }
-    // A -0.0 grid and a 0.0 grid hold equal curves all the same.
-    let neg = MissCurve::from_samples(&[-0.0, 64.0, 128.0], &[9.0, 5.0, 1.0]).unwrap();
-    assert_eq!(neg, first);
-}
-
-#[test]
-fn a_curve_on_a_remembered_grid_is_still_validated() {
-    let base = [0.0, 64.0, 128.0];
-    let prime = |grids: &mut GridCache| {
-        MissCurve::decode_points(&encoded(&base, &[3.0, 2.0, 1.0]), grids).unwrap()
-    };
-    // Sizes that break the grid are decoded and refused in full.
-    for (sizes, want) in [
-        (
-            [0.0, 64.0, f64::NAN],
-            CurveError::InvalidSize {
-                index: 2,
-                value: f64::NAN,
-            },
-        ),
-        (
-            [0.0, 128.0, 64.0],
-            CurveError::NonIncreasingSizes { index: 2 },
-        ),
-        (
-            [-1.0, 64.0, 128.0],
-            CurveError::InvalidSize {
-                index: 0,
-                value: -1.0,
-            },
-        ),
-    ] {
-        let mut grids = GridCache::default();
-        let kept = prime(&mut grids);
-        let bytes = encoded(&sizes, &[3.0, 2.0, 1.0]);
-        let got = MissCurve::decode_points(&bytes, &mut grids);
-        assert!(same(&got, &Err(want)), "{got:?}");
-        assert!(same(&got, &fresh(&bytes)));
-        // The refused curve did not replace the remembered grid.
-        let again = prime(&mut grids);
-        assert!(Arc::ptr_eq(kept.grid(), again.grid()));
-    }
-    // On the remembered grid only a miss value can be wrong — and is
-    // reported as a fresh decode reports it; -0.0 stays valid.
-    for (misses, want) in [
-        (
-            [3.0, -1.0, f64::NAN],
-            Some(CurveError::InvalidMissValue {
-                index: 1,
-                value: -1.0,
-            }),
-        ),
-        (
-            [3.0, 2.0, f64::INFINITY],
-            Some(CurveError::InvalidMissValue {
-                index: 2,
-                value: f64::INFINITY,
-            }),
-        ),
-        ([-0.0, 2.0, 5e-324], None),
-    ] {
-        let mut grids = GridCache::default();
-        let kept = prime(&mut grids);
-        let bytes = encoded(&base, &misses);
-        let got = MissCurve::decode_points(&bytes, &mut grids);
-        assert!(same(&got, &fresh(&bytes)), "{got:?}");
-        match want {
-            Some(want) => assert!(same(&got, &Err(want)), "{got:?}"),
-            None => assert!(Arc::ptr_eq(kept.grid(), got.unwrap().grid())),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Values-only curves on a decoded grid
 // ---------------------------------------------------------------------
 
-/// `values` as the per-`f64` writer wrote each one.
-fn reference_values(values: &[f64]) -> Vec<u8> {
-    values
-        .iter()
-        .flat_map(|v| v.to_bits().to_le_bytes())
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// A grid decodes, or fails, as `decode_points` decodes its sizes
-    /// under valid miss values; a curve's values on a decoded grid decode,
-    /// or fail, as `decode_points` decodes the points — bit for bit — and
-    /// the curve holds the very grid it was decoded on.
+    /// A grid decodes, or fails, as `from_samples` takes its sizes under
+    /// valid miss values; a curve's values on a decoded grid decode, or
+    /// fail, as `from_samples` takes the points — bit for bit — and the
+    /// curve holds the very grid it was decoded on.
     #[test]
     fn values_on_a_grid_decode_as_their_points_do(
         n in 0usize..80, kind in 0usize..5, seed in any::<u64>(),
@@ -537,18 +343,16 @@ proptest! {
         prop_assert!(grid_bytes[3..] == reference_values(&sizes)[..]);
         prop_assert!(value_bytes == reference_values(&misses));
 
-        let mut whole = Vec::new();
-        reference_encode(&points, &mut whole);
         match MissCurve::decode_grid(&grid_bytes[3..]) {
             Err(e) => {
-                let ones = vec![1.0; n];
-                let want = fresh(&encoded(&sizes, &ones)).expect_err("the sizes fail");
+                let want = MissCurve::from_samples(&sizes, &vec![1.0; n])
+                    .expect_err("the sizes fail");
                 prop_assert!(same_error(&e, &want), "{:?} against {:?}", e, want);
             }
             Ok(grid) => {
                 prop_assert_eq!(bits_of(&grid), bits_of(&sizes));
                 let got = MissCurve::decode_values(&grid, &value_bytes);
-                prop_assert!(same(&got, &fresh(&whole)));
+                prop_assert!(same(&got, &MissCurve::from_samples(&sizes, &misses)));
                 if let Ok(curve) = got {
                     prop_assert!(Arc::ptr_eq(curve.grid(), &grid));
                     let mut again = Vec::new();
@@ -596,11 +400,11 @@ fn an_empty_grid_is_an_empty_curve() {
     assert_eq!(MissCurve::decode_grid(&[]), Err(CurveError::Empty));
 }
 
-/// A grid handed in by hand, not decoded, is validated with the values:
-/// no curve breaks its invariants whatever grid it is decoded on.
+/// No values are decoded on an invalid grid: only `decode_grid` makes a
+/// `Grid`, and it refuses one as `from_samples` refuses its sizes, so no
+/// curve breaks its invariants whatever bytes it was decoded from.
 #[test]
 fn values_on_an_invalid_grid_are_refused() {
-    let values = reference_values(&[3.0, 2.0]);
     for (sizes, want) in [
         ([64.0, 0.0], CurveError::NonIncreasingSizes { index: 1 }),
         (
@@ -611,8 +415,10 @@ fn values_on_an_invalid_grid_are_refused() {
             },
         ),
     ] {
-        let grid: Arc<[f64]> = sizes.into();
-        assert_eq!(MissCurve::decode_values(&grid, &values), Err(want));
+        let mut body = reference_values(&sizes);
+        body.extend_from_slice(&reference_values(&[3.0, 2.0]));
+        assert_eq!(fresh(&body), Err(want.clone()));
+        assert_eq!(MissCurve::from_samples(&sizes, &[3.0, 2.0]), Err(want));
     }
 }
 

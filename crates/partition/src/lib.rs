@@ -333,7 +333,7 @@ pub fn lookahead<C: Borrow<MissCurve>>(curves: &[C], capacity: u64, grain: u64) 
 ///
 /// # Panics
 ///
-/// Panics if `curves_or_n` is zero or `grain` is zero.
+/// Panics if `n` is zero or `grain` is zero.
 pub fn fair(n: usize, capacity: u64, grain: u64) -> Vec<u64> {
     assert!(n > 0, "need at least one partition");
     assert!(grain > 0, "allocation grain must be positive");

@@ -116,7 +116,7 @@ fn main() {
     let analytic_plane = ShardedReconfigService::new(1);
 
     // The third twin sits behind a real loopback socket; everything it
-    // ingests crosses the v1 wire protocol.
+    // ingests crosses the wire protocol (`talus_serve::wire`).
     let remote = std::sync::Arc::new(ShardedReconfigService::new(SHARDS));
     let rpc = RpcServer::bind("127.0.0.1:0", std::sync::Arc::clone(&remote))
         .expect("bind loopback")

@@ -13,7 +13,7 @@ use talus_core::limits::{
     WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_FRAME_LEN, WIRE_MAX_SHARDS, WIRE_MAX_TENANTS,
 };
 use talus_core::{
-    CurveError, GridCache, MissCurve, PlanError, PlaneHealth, ShardHealth, ShardState, StoreHealth,
+    CurveError, MissCurve, PlanError, PlaneHealth, ShardHealth, ShardState, StoreHealth,
 };
 use talus_serve::wire::{
     decode_request, decode_response, encode_request, encode_response, read_frame, ClusterInfo,
@@ -615,17 +615,11 @@ fn submit(grids: &[&[f64]], rows: &[(u32, &[f64])]) -> Vec<u8> {
 
 #[test]
 fn invalid_curves_are_rejected_with_curve_errors() {
-    // A grid fails as `decode_points` fails on its sizes under valid miss
+    // A grid fails as `from_samples` fails on its sizes under valid miss
     // values; a curve's values fail as they fail on a valid grid — the
     // decoder builds every curve through the same validation as a
     // locally built one.
-    let points = |sizes: &[f64], misses: &[f64]| {
-        let mut bytes = Vec::new();
-        for (size, misses) in sizes.iter().zip(misses) {
-            MissCurve::encode_values(&[*size, *misses], &mut bytes);
-        }
-        MissCurve::decode_points(&bytes, &mut GridCache::default())
-    };
+    let points = MissCurve::from_samples;
     let bad_grids: [&[f64]; 6] = [
         &[64.0, 64.0],
         &[0.0, 64.0, 32.0],

@@ -11,10 +11,11 @@
 //! ## Shape
 //!
 //! - [`Record`] / [`encode_record`] / [`decode_record`] / [`records`] /
-//!   [`scan`]: the v2 on-disk format — length-prefixed, checksummed
+//!   [`scan`]: the v3 on-disk format — length-prefixed, checksummed
 //!   ([`checksum64`]), little-endian records with a *total*
-//!   (never-panicking) decoder. See the [`record`] module docs for the
-//!   byte layout and recovery rules.
+//!   (never-panicking) decoder; a curve is its sizes and then its miss
+//!   values, decoded by the wire's decoders. See the [`record`] module
+//!   docs for the byte layout and recovery rules.
 //! - [`RecordStream`] / [`records_from`]: the same decoder over any
 //!   reader, through one fixed window ([`STREAM_WINDOW_LEN`]) — the only
 //!   way a shard file is read ([`Store::stream_shard`]). [`records`] and

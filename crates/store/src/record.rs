@@ -1,4 +1,4 @@
-//! The v2 journal record format: length-prefixed, checksummed,
+//! The v3 journal record format: length-prefixed, checksummed,
 //! little-endian binary records.
 //!
 //! Every record on disk is
@@ -7,7 +7,7 @@
 //! offset  size  field
 //! 0       4     payload length N (LE u32), 2 ≤ N ≤ STORE_MAX_RECORD_LEN
 //! 4       8     checksum64 of the payload (LE u64)
-//! 12      N     payload = [format version (STORE_VERSION = 2)][tag][body]
+//! 12      N     payload = [format version (STORE_VERSION = 3)][tag][body]
 //! ```
 //!
 //! The length prefix counts the payload only (version + tag + body).
@@ -15,8 +15,9 @@
 //! bounds-checked `Reader` and `put_*` appends `talus-serve`'s wire
 //! protocol uses too — so integers are little-endian and `f64`s IEEE-754
 //! bit patterns (LE), and curves and plans round-trip bit-exactly. A miss
-//! curve encodes as a point count followed by the curve's one byte form
-//! ([`MissCurve::encode_points`]); id lists encode as a `u32` count
+//! curve encodes as a `u32` point count, then its sizes, then its miss
+//! values, each run in the values form the wire protocol sends
+//! ([`MissCurve::encode_values`]); id lists encode as a `u32` count
 //! followed by elements, with the same caps from [`talus_core::limits`].
 //!
 //! ## Decoding is total
@@ -29,11 +30,12 @@
 //! - every element count is checked by the shared `Reader` against its
 //!   cap (`WIRE_MAX_*`, `STORE_MAX_*`) **and** the bytes actually
 //!   remaining in the payload *before* any `Vec` is reserved;
-//! - curve payloads are re-validated by [`MissCurve::decode_points`],
-//!   so a decoded curve upholds every invariant a locally built one
-//!   does (a stream's curves on the same size bytes — [`records`],
-//!   [`scan`], [`RecordStream`](crate::RecordStream) — share one grid,
-//!   validated when its first curve was decoded);
+//! - curve payloads are re-validated by [`MissCurve::decode_grid`] and
+//!   [`MissCurve::decode_values`], the wire's decoders, so a decoded
+//!   curve upholds every invariant a locally built one does (a stream's
+//!   curves on the same size bytes — [`records`], [`scan`],
+//!   [`RecordStream`](crate::RecordStream) — share one grid, validated
+//!   when its first curve was decoded);
 //! - trailing bytes after a well-formed body are an error (the shared
 //!   `Reader`'s `end`), so every byte of an accepted record is accounted
 //!   for.
@@ -68,10 +70,10 @@
 //! Every payload starts with the format version byte. Any change to the
 //! record layout, the checksum, a tag's body, or the limits it relies on
 //! bumps [`STORE_VERSION`]; the golden-bytes fixtures in
-//! `tests/journal.rs` pin the v2 encoding so accidental format drift
-//! fails CI. v2 differs from v1 in the checksum function (and so in the
-//! checksum field and the version byte of every record) and in nothing
-//! else.
+//! `tests/journal.rs` pin the v3 encoding so accidental format drift
+//! fails CI. v2 changed the checksum function and nothing else; v3
+//! writes a curve's sizes and then its miss values, where v1 and v2
+//! interleaved them point by point, in as many bytes.
 //!
 //! The version byte is read **before** the checksum is verified: the
 //! version is what says how to verify. A record of any other version is
@@ -86,11 +88,11 @@ use talus_core::codec::{
 use talus_core::limits::{
     STORE_MAX_CUT_IDS, STORE_MAX_RECORD_LEN, WIRE_MAX_CURVE_POINTS, WIRE_MAX_TENANTS,
 };
-use talus_core::{CurveError, GridCache, MissCurve, ShadowConfig, TalusOptions, TalusPlan};
+use talus_core::{CurveError, Grid, MissCurve, ShadowConfig, TalusOptions, TalusPlan};
 use talus_partition::{AllocPolicy, CachePlan, Planner, TenantPlan};
 
 /// On-disk format version carried in every record payload.
-pub const STORE_VERSION: u8 = 2;
+pub const STORE_VERSION: u8 = 3;
 
 /// Bytes of framing before a record's payload (length prefix + checksum).
 pub const RECORD_HEADER_LEN: usize = 12;
@@ -451,7 +453,8 @@ fn put_count(out: &mut Vec<u8>, count: usize, max: u32) -> Result<(), DecodeErro
 
 fn put_curve(out: &mut Vec<u8>, curve: &MissCurve) -> Result<(), StoreError> {
     put_count(out, curve.len(), WIRE_MAX_CURVE_POINTS)?;
-    curve.encode_points(out);
+    MissCurve::encode_values(curve.sizes(), out);
+    MissCurve::encode_values(curve.misses(), out);
     Ok(())
 }
 
@@ -650,11 +653,41 @@ pub(crate) fn encode_plan(
 // Decoding
 // ---------------------------------------------------------------------
 
-fn read_curve(r: &mut Reader, grids: &mut GridCache) -> Result<MissCurve, DecodeError> {
-    let points = r.count(WIRE_MAX_CURVE_POINTS, MissCurve::POINT_BYTES)?;
-    // `count` checked the payload holds that many points.
-    let body = r.take(points * MissCurve::POINT_BYTES)?;
-    MissCurve::decode_points(body, grids).map_err(DecodeError::Curve)
+/// What a stream's reader remembers between curve records: the grid of
+/// the last one and the bytes it was decoded from. A next curve whose
+/// size bytes are these, bit for bit, shares the grid — neither
+/// allocated nor validated again — so the curves a restore replays hold
+/// one grid between them, not one each.
+#[derive(Debug, Default)]
+pub(crate) struct LastGrid {
+    sizes: Vec<u8>,
+    grid: Option<Grid>,
+}
+
+impl LastGrid {
+    /// The grid `sizes` encode: the remembered one if they are its bytes,
+    /// else a newly decoded one, remembered from then on.
+    fn of(&mut self, sizes: &[u8]) -> Result<&Grid, CurveError> {
+        let grid = match self.grid.take() {
+            Some(grid) if self.sizes == sizes => grid,
+            _ => {
+                let grid = MissCurve::decode_grid(sizes)?;
+                self.sizes.clear();
+                self.sizes.extend_from_slice(sizes);
+                grid
+            }
+        };
+        Ok(self.grid.insert(grid))
+    }
+}
+
+fn read_curve(r: &mut Reader, last: &mut LastGrid) -> Result<MissCurve, DecodeError> {
+    // A point is a size and a miss value; `count` checked they are there.
+    let points = r.count(WIRE_MAX_CURVE_POINTS, 2 * MissCurve::VALUE_BYTES)?;
+    let sizes = r.take(points * MissCurve::VALUE_BYTES)?;
+    let values = r.take(points * MissCurve::VALUE_BYTES)?;
+    let grid = last.of(sizes).map_err(DecodeError::Curve)?;
+    MissCurve::decode_values(grid, values).map_err(DecodeError::Curve)
 }
 
 fn read_policy(r: &mut Reader) -> Result<AllocPolicy, DecodeError> {
@@ -723,16 +756,14 @@ pub(crate) fn framed_len(buf: &[u8]) -> Result<usize, StoreError> {
 /// error on any input, [`StoreError::Truncated`] when `buf` ends before
 /// the record does.
 pub fn decode_record(buf: &[u8]) -> Result<(Record, usize), StoreError> {
-    decode_record_in(buf, &mut GridCache::default())
+    decode_record_in(buf, &mut LastGrid::default())
 }
 
-/// [`decode_record`] for a reader that decodes a stream of records: a
-/// curve record's curve shares the grid of the last curve decoded through
-/// `grids` when its sizes are that grid's, bit for bit — so the curves a
-/// restore replays hold one grid between them, not one each.
+/// [`decode_record`] for a reader of a stream of records, which shares
+/// grids through `last`.
 pub(crate) fn decode_record_in(
     buf: &[u8],
-    grids: &mut GridCache,
+    last: &mut LastGrid,
 ) -> Result<(Record, usize), StoreError> {
     let total = framed_len(buf)?;
     let expected = u64::from_le_bytes(buf[4..12].try_into().expect("8")); // audited: framed_len saw the header
@@ -751,11 +782,11 @@ pub(crate) fn decode_record_in(
     if got != expected {
         return Err(StoreError::Checksum { expected, got });
     }
-    Ok((decode_payload(payload, grids)?, total))
+    Ok((decode_payload(payload, last)?, total))
 }
 
 /// Decodes one payload (version and checksum already verified).
-fn decode_payload(payload: &[u8], grids: &mut GridCache) -> Result<Record, StoreError> {
+fn decode_payload(payload: &[u8], last: &mut LastGrid) -> Result<Record, StoreError> {
     // `decode_record` guarantees at least the version byte and tag.
     let tag = payload[1];
     let mut r = Reader::new(&payload[2..]);
@@ -807,7 +838,7 @@ fn decode_payload(payload: &[u8], grids: &mut GridCache) -> Result<Record, Store
                 seq,
                 id,
                 tenant,
-                curve: read_curve(&mut r, grids)?,
+                curve: read_curve(&mut r, last)?,
             }
         }
         TAG_EPOCH_CUT => {
@@ -862,7 +893,7 @@ pub struct Records<'a> {
     consumed: usize,
     tail: Option<StoreError>,
     /// The stream's curves share a grid while their sizes do.
-    grids: GridCache,
+    grids: LastGrid,
 }
 
 /// Iterates the records of a journal byte stream; see [`Records`].
@@ -871,7 +902,7 @@ pub fn records(buf: &[u8]) -> Records<'_> {
         buf,
         consumed: 0,
         tail: None,
-        grids: GridCache::default(),
+        grids: LastGrid::default(),
     }
 }
 

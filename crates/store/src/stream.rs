@@ -5,9 +5,9 @@ use std::io::{ErrorKind, Read};
 
 use talus_core::limits::STORE_MAX_RECORD_LEN;
 
-use talus_core::GridCache;
-
-use crate::record::{decode_record_in, framed_len, Record, Scan, StoreError, RECORD_HEADER_LEN};
+use crate::record::{
+    decode_record_in, framed_len, LastGrid, Record, Scan, StoreError, RECORD_HEADER_LEN,
+};
 
 /// Bytes of the one buffer a [`RecordStream`] reads through: what
 /// opening, restoring, dumping or querying a journal holds of each file
@@ -76,7 +76,7 @@ pub struct RecordStream<R> {
     /// A read failed (and was yielded): the stream is over.
     failed: bool,
     /// The stream's curves share a grid while their sizes do.
-    grids: GridCache,
+    grids: LastGrid,
 }
 
 /// Streams the records `reader` yields; see [`RecordStream`].
@@ -90,7 +90,7 @@ pub fn records_from<R: Read>(reader: R) -> RecordStream<R> {
         consumed: 0,
         tail: None,
         failed: false,
-        grids: GridCache::default(),
+        grids: LastGrid::default(),
     }
 }
 

@@ -343,7 +343,7 @@ fn hostile_counts_fail_before_allocation() {
 
 #[test]
 fn wrong_version_is_rejected_on_every_tag() {
-    for version in [0u8, 1, 3, 9, 0xFF] {
+    for version in [0u8, 1, 2, 9, 0xFF] {
         for tag in 0..=0x10u8 {
             let mut bytes = framed(&[version, tag]);
             assert_eq!(
@@ -444,16 +444,21 @@ fn trailing_bytes_are_malformed() {
 }
 
 // ---------------------------------------------------------------------
-// Golden bytes: the v2 on-disk format, pinned byte for byte. If any of
+// Golden bytes: the v3 on-disk format, pinned byte for byte. If any of
 // these fail, the format changed — bump STORE_VERSION and make the
 // change deliberate.
 //
-// The payload literals are the v1 fixtures, kept exactly as v1 wrote
-// them (version byte 1). v2 changed the checksum function and nothing
-// else, so a v2 record is its v1 fixture with the version byte set to 2
-// and the pinned `checksum64` in the header; the `golden_v2_*` tests pin
-// that, the `golden_v1_*` tests that a v1 record is refused as a foreign
-// version and never mistaken for a torn tail.
+// The `V1_*` payload literals are the v1 fixtures, kept exactly as v1
+// wrote them (version byte 1). v2 changed the checksum function and
+// nothing else, so a v2 record is its v1 fixture with the version byte
+// set to 2 and the pinned `checksum64` in the header. v3 changed a
+// curve's body — its sizes, then its miss values, where v1 and v2
+// interleaved them point by point — and nothing else, so a v3 record of
+// any other kind is its v1 fixture with the version byte set to 3. The
+// `golden_v3_*` tests pin the v3 bytes (checksums computed by an
+// independent implementation of `checksum64`'s definition); the
+// `golden_v1_*` and `golden_v2_*` tests pin that a v1 or v2 record is
+// refused as a foreign version and never mistaken for a torn tail.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -468,7 +473,19 @@ fn golden_v1_constants() {
 
 #[test]
 fn golden_v2_constants() {
-    assert_eq!(STORE_VERSION, 2);
+    // v3 kept v2's framing and limits; version 2 is foreign.
+    assert_eq!(RECORD_HEADER_LEN, 12);
+    assert_eq!(STORE_MAX_RECORD_LEN, 1 << 18);
+    assert_eq!(STORE_MAX_CUT_IDS, 1 << 14);
+    assert_eq!(
+        decode_record(&framed(&[2, 0x02])),
+        Err(StoreError::BadVersion { got: 2 })
+    );
+}
+
+#[test]
+fn golden_v3_constants() {
+    assert_eq!(STORE_VERSION, 3);
     assert_eq!(RECORD_HEADER_LEN, 12);
     // The limits are part of the format contract (decoders reject by
     // them), so drifting them silently is a format change too.
@@ -496,19 +513,54 @@ fn golden_v2_checksum_vectors() {
     // The length is folded in: zero padding is not a collision.
     assert_ne!(checksum64(b"ab"), checksum64(b"ab\0"));
 
-    // A 65-point curve record — the payload the plane journals most.
+    // A 65-point v2 curve record — the payload the plane journaled most
+    // — interleaved point by point, and refused.
+    let mut payload = vec![2, 0x03];
+    for field in [1u64, 2] {
+        payload.extend_from_slice(&field.to_le_bytes()); // seq, id
+    }
+    payload.extend_from_slice(&3u32.to_le_bytes()); // tenant
+    payload.extend_from_slice(&65u32.to_le_bytes());
+    for (size, misses) in production_curve().iter().map(|p| (p.size, p.misses)) {
+        payload.extend_from_slice(&size.to_bits().to_le_bytes());
+        payload.extend_from_slice(&misses.to_bits().to_le_bytes());
+    }
+    assert_eq!(payload.len(), 1066);
+    assert_eq!(checksum64(&payload), 0x2A26_C575_EB71_7D84);
+    assert_eq!(
+        decode_record(&framed(&payload)),
+        Err(StoreError::BadVersion { got: 2 })
+    );
+}
+
+/// A 65-point curve — the size a production monitor reports.
+fn production_curve() -> MissCurve {
     let sizes: Vec<f64> = (0..65).map(|i| 64.0 * i as f64).collect();
     let misses: Vec<f64> = (0..65).map(|i| 130.0 - 2.0 * i as f64).collect();
+    MissCurve::from_samples(&sizes, &misses).unwrap()
+}
+
+/// A 65-point curve record is as long in v3 as it was in v2: the same
+/// count, sizes and miss values, in another order.
+#[test]
+fn golden_v3_production_curve_record() {
     let bytes = encode_record(&Record::Curve {
         seq: 1,
         id: 2,
         tenant: 3,
-        curve: MissCurve::from_samples(&sizes, &misses).unwrap(),
+        curve: production_curve(),
     });
     let payload = &bytes[RECORD_HEADER_LEN..];
     assert_eq!(payload.len(), 1066);
-    assert_eq!(checksum64(payload), 0x2A26_C575_EB71_7D84);
-    assert_eq!(bytes[4..12], 0x2A26_C575_EB71_7D84_u64.to_le_bytes());
+    assert_eq!(payload[..2], [3, 0x03]);
+    assert_eq!(payload[22..26], 65u32.to_le_bytes());
+    let curve = production_curve();
+    let values = curve.sizes().iter().chain(curve.misses());
+    for (raw, value) in payload[26..].chunks_exact(8).zip(values) {
+        assert_eq!(raw, value.to_bits().to_le_bytes());
+    }
+    assert_eq!(checksum64(payload), 0x1A68_7C2E_F2B9_151C);
+    assert_eq!(bytes[4..12], 0x1A68_7C2E_F2B9_151C_u64.to_le_bytes());
 }
 
 /// A v1 record as v1 wrote it: framed under FNV-1a.
@@ -517,27 +569,42 @@ fn framed_v1(payload: &[u8]) -> Vec<u8> {
     framed_by(fnv1a64, payload)
 }
 
-/// Pins `rec`'s v2 encoding: the v1 fixture with version byte 2 and
-/// `checksum` in the header — so v2 differs from v1 in exactly those
-/// nine bytes — and checks it decodes back.
-fn assert_golden_v2(rec: &Record, v1_payload: &[u8], checksum: u64) {
-    let mut want = (v1_payload.len() as u32).to_le_bytes().to_vec();
+/// `payload` with its version byte set to `version`, framed under
+/// `checksum` — which must be what `checksum64` gives, as it was in v2.
+/// A v2 record is a v1 fixture framed so: it differs from v1 in exactly
+/// the version byte and the checksum.
+fn framed_as(version: u8, payload: &[u8], checksum: u64) -> Vec<u8> {
+    let mut want = (payload.len() as u32).to_le_bytes().to_vec();
     want.extend_from_slice(&checksum.to_le_bytes());
-    want.push(2);
-    want.extend_from_slice(&v1_payload[1..]);
+    want.push(version);
+    want.extend_from_slice(&payload[1..]);
+    assert_eq!(checksum64(&want[RECORD_HEADER_LEN..]), checksum);
+    want
+}
+
+/// Pins `rec`'s v3 encoding — `payload` with version byte 3 and
+/// `checksum` in the header — and checks it decodes back.
+fn assert_golden_v3(rec: &Record, payload: &[u8], checksum: u64) {
     let bytes = encode_record(rec);
-    assert_eq!(bytes, want);
+    assert_eq!(bytes, framed_as(3, payload, checksum));
     assert_eq!(decode_record(&bytes), Ok((rec.clone(), bytes.len())));
 }
 
-/// A v1 record is refused as a foreign version — by the decoder and by
-/// the scanner, which consumes none of it.
-fn assert_v1_refused(v1_payload: &[u8]) {
-    let bytes = framed_v1(v1_payload);
-    let refused = StoreError::BadVersion { got: 1 };
-    assert_eq!(decode_record(&bytes), Err(refused.clone()));
-    let scanned = scan(&bytes);
+/// A record of a foreign version is refused as that — by the decoder
+/// and by the scanner, which consumes none of it.
+fn assert_refused(bytes: &[u8], version: u8) {
+    let refused = StoreError::BadVersion { got: version };
+    assert_eq!(decode_record(bytes), Err(refused.clone()));
+    let scanned = scan(bytes);
     assert_eq!((scanned.consumed, scanned.tail), (0, Some(refused)));
+}
+
+fn assert_v1_refused(v1_payload: &[u8]) {
+    assert_refused(&framed_v1(v1_payload), 1);
+}
+
+fn assert_v2_refused(v1_payload: &[u8], checksum: u64) {
+    assert_refused(&framed_as(2, v1_payload, checksum), 2);
 }
 
 fn deregister_fixture() -> Record {
@@ -558,7 +625,12 @@ fn golden_v1_deregister_record() {
 
 #[test]
 fn golden_v2_deregister_record() {
-    assert_golden_v2(&deregister_fixture(), V1_DEREGISTER, 0xD531_AB24_DA08_6A82);
+    assert_v2_refused(V1_DEREGISTER, 0xD531_AB24_DA08_6A82);
+}
+
+#[test]
+fn golden_v3_deregister_record() {
+    assert_golden_v3(&deregister_fixture(), V1_DEREGISTER, 0xF85E_2479_83F4_F219);
 }
 
 fn register_fixture() -> Record {
@@ -591,7 +663,12 @@ fn golden_v1_register_record() {
 
 #[test]
 fn golden_v2_register_record() {
-    assert_golden_v2(&register_fixture(), V1_REGISTER, 0xF588_7369_914B_7C42);
+    assert_v2_refused(V1_REGISTER, 0xF588_7369_914B_7C42);
+}
+
+#[test]
+fn golden_v3_register_record() {
+    assert_golden_v3(&register_fixture(), V1_REGISTER, 0xE8F4_C71E_FA91_A3E8);
 }
 
 fn curve_fixture() -> Record {
@@ -622,7 +699,25 @@ fn golden_v1_curve_record() {
 
 #[test]
 fn golden_v2_curve_record() {
-    assert_golden_v2(&curve_fixture(), V1_CURVE, 0x08F6_03C1_35E1_D100);
+    assert_v2_refused(V1_CURVE, 0x08F6_03C1_35E1_D100);
+}
+
+const V3_CURVE: &[u8] = &[
+    3, 0x03, // version, tag
+    9, 0, 0, 0, 0, 0, 0, 0, // seq
+    7, 0, 0, 0, 0, 0, 0, 0, // id
+    1, 0, 0, 0, // tenant
+    2, 0, 0, 0, // point count
+    0, 0, 0, 0, 0, 0, 0, 0, // size 0.0
+    0, 0, 0, 0, 0, 0, 0x50, 0x40, // size 64.0
+    0, 0, 0, 0, 0, 0, 0x20, 0x40, // misses 8.0
+    0, 0, 0, 0, 0, 0, 0x00, 0x40, // misses 2.0
+];
+
+#[test]
+fn golden_v3_curve_record() {
+    assert_eq!(V3_CURVE.len(), V1_CURVE.len());
+    assert_golden_v3(&curve_fixture(), V3_CURVE, 0xED1B_4311_D398_959E);
 }
 
 fn epoch_cut_fixture() -> Record {
@@ -651,7 +746,12 @@ fn golden_v1_epoch_cut_record() {
 
 #[test]
 fn golden_v2_epoch_cut_record() {
-    assert_golden_v2(&epoch_cut_fixture(), V1_EPOCH_CUT, 0xBB3C_B6AD_BC31_9BD7);
+    assert_v2_refused(V1_EPOCH_CUT, 0xBB3C_B6AD_BC31_9BD7);
+}
+
+#[test]
+fn golden_v3_epoch_cut_record() {
+    assert_golden_v3(&epoch_cut_fixture(), V1_EPOCH_CUT, 0x9833_FD6E_B0BD_5F22);
 }
 
 fn plan_fixture() -> Record {
@@ -721,26 +821,43 @@ fn golden_v1_plan_record() {
 
 #[test]
 fn golden_v2_plan_record() {
-    assert_golden_v2(&plan_fixture(), V1_PLAN, 0x3B2F_2C30_9550_4896);
+    assert_v2_refused(V1_PLAN, 0x3B2F_2C30_9550_4896);
+}
+
+#[test]
+fn golden_v3_plan_record() {
+    assert_golden_v3(&plan_fixture(), V1_PLAN, 0xD33E_C1C4_BF09_0F90);
 }
 
 /// A version bump must never eat a journal: a shard file written by v1
-/// (the five fixtures above, framed as v1 framed them) makes `open`
-/// fail with the typed version error and is left byte-for-byte as it
-/// was. The same holds for a file whose *later* records are foreign
-/// (here: newer), however many intact v2 records precede them.
+/// or v2 (the five fixtures above, framed as each version framed them)
+/// makes `open` fail with the typed version error and is left
+/// byte-for-byte as it was. The same holds for a file whose *later*
+/// records are foreign (here: newer), however many intact v3 records
+/// precede them.
 #[test]
 fn foreign_version_files_are_refused_and_left_untouched() {
     let v1_file: Vec<u8> = [V1_REGISTER, V1_CURVE, V1_EPOCH_CUT, V1_PLAN, V1_DEREGISTER]
         .iter()
         .flat_map(|payload| framed_v1(payload))
         .collect();
+    let v2_file: Vec<u8> = [
+        (V1_REGISTER, 0xF588_7369_914B_7C42),
+        (V1_CURVE, 0x08F6_03C1_35E1_D100),
+        (V1_EPOCH_CUT, 0xBB3C_B6AD_BC31_9BD7),
+        (V1_PLAN, 0x3B2F_2C30_9550_4896),
+        (V1_DEREGISTER, 0xD531_AB24_DA08_6A82),
+    ]
+    .iter()
+    .flat_map(|&(payload, checksum)| framed_as(2, payload, checksum))
+    .collect();
     let mut newer_tail = encode_record(&register_fixture());
     newer_tail.extend_from_slice(&framed(&[STORE_VERSION + 1, 0x02]));
     newer_tail.extend_from_slice(&[0xAB; 5]); // and a torn tail after it
 
     for (tag, file, got) in [
         ("v1-file", v1_file, 1),
+        ("v2-file", v2_file, 2),
         ("newer-tail", newer_tail, STORE_VERSION + 1),
     ] {
         let dir = temp_dir(tag);

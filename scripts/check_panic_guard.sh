@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Panic guard for the serving plane, its journal and the codec both read
-# through.
+# Panic guard for the serving plane, its journal and the codecs both
+# read through.
 #
 # The partial-failure contract (see ARCHITECTURE.md, "Failure model")
 # says the plane degrades — quarantine, typed errors, poison recovery —
 # instead of panicking. This guard keeps that true going forward: it
 # fails if any non-test production source in crates/serve/src,
-# crates/store/src or crates/core/src/codec.rs (the bounds-checked reader
-# both decoders use) calls `.unwrap()` or `.expect(` without an explicit
-# audit marker.
+# crates/store/src, crates/core/src/codec.rs (the bounds-checked reader
+# both decoders use) or crates/core/src/curve.rs (the curve decoders
+# every curve from the wire or the journal goes through) calls
+# `.unwrap()` or `.expect(` without an explicit audit marker.
 #
 # Exclusions:
 #   - main.rs            the operator binary (`cluster-server`,
@@ -24,7 +25,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 status=0
-for f in crates/serve/src/*.rs crates/store/src/*.rs crates/core/src/codec.rs; do
+for f in crates/serve/src/*.rs crates/store/src/*.rs crates/core/src/codec.rs crates/core/src/curve.rs; do
     [ "$(basename "$f")" = "main.rs" ] && continue
     hits=$(awk '
         /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
@@ -46,4 +47,4 @@ if [ "$status" -ne 0 ]; then
     echo "typed degraded error, or append '// audited: <why a panic is correct here>'." >&2
     exit 1
 fi
-echo "panic guard: crates/serve/src, crates/store/src and crates/core/src/codec.rs production code is clean."
+echo "panic guard: crates/serve/src, crates/store/src, crates/core/src/codec.rs and crates/core/src/curve.rs production code is clean."
