@@ -11,7 +11,9 @@
 //! transport crates.
 //!
 //! These are protocol constants: changing any of them is a wire-format
-//! change and must bump the transport's version byte.
+//! change and must bump the transport's version byte — all but
+//! [`EPOCH_WORKSPACE_POINTS`], a bound on memory a plane keeps, which
+//! changes no format.
 
 /// Largest frame payload a decoder will accept, in bytes (1 MiB). A
 /// length prefix above this is rejected *before* any buffer is
@@ -53,6 +55,17 @@ pub const WIRE_MAX_EPOCH_IDS: u32 = 1 << 14;
 
 const _: () =
     assert!(WIRE_MAX_EPOCH_IDS <= WIRE_MAX_IDS && WIRE_MAX_EPOCH_IDS <= STORE_MAX_CUT_IDS);
+
+/// Most curve points a shard's kept epoch workspace is sized for (4 096:
+/// one maximum-length curve, or 16 tenants of 256 points). A shard plans
+/// in a workspace it keeps for life — the planner's scratch and the
+/// epoch's drain, job and ready lists — so a steady epoch allocates only
+/// its report. The scratch holds a hull per tenant slot, each with room
+/// for the longest curve it has hulled, so its size is the widest cache
+/// times the longest curve the workspace has planned: an epoch that takes
+/// that product past this bound drops the workspace when it ends, and one
+/// oversized cache pins nothing. The lists hold one batch.
+pub const EPOCH_WORKSPACE_POINTS: usize = 1 << 12;
 
 /// Most per-shard entries in one encoded health report. Shard counts are
 /// a deployment knob (roughly core counts), so this is generous; with

@@ -255,6 +255,7 @@ impl Planner {
             hulls,
             alloc,
             offers,
+            ..
         } = scratch;
         let hulls = &hulls[..tenants];
         match self.policy {
@@ -316,7 +317,8 @@ impl Planner {
     /// before — an earlier plan of any shape, one that failed, one that
     /// panicked half-way. With the default policy, once the scratch has
     /// served a call this wide and this long, the returned plan's tenant
-    /// list is the only allocation.
+    /// list is the only allocation — and not even that when a plan was
+    /// given back with [`PlanScratch::recycle`]: its list is refilled.
     ///
     /// `curves` is any iterator of curve references that can be walked
     /// twice, so a caller holding `Option<MissCurve>` slots or `Arc`s
@@ -361,27 +363,31 @@ impl Planner {
         } else {
             self.allocate_on_raw(scratch, curves, capacity, round);
         }
-        let tenants = scratch.hulls[..tenants]
-            .iter()
-            .zip(&scratch.alloc)
-            .map(|(hull, &size)| {
-                Ok(TenantPlan {
-                    capacity: size,
-                    plan: plan_with_hull(hull, size as f64, self.options)?,
-                })
-            })
-            .collect::<Result<Vec<_>, PlanError>>()?;
-        Ok(CachePlan { round, tenants })
+        let mut plans = scratch.spare.pop().unwrap_or_default();
+        plans.reserve_exact(tenants);
+        for (hull, &size) in scratch.hulls[..tenants].iter().zip(&scratch.alloc) {
+            plans.push(TenantPlan {
+                capacity: size,
+                plan: plan_with_hull(hull, size as f64, self.options)?,
+            });
+        }
+        Ok(CachePlan {
+            round,
+            tenants: plans,
+        })
     }
 }
 
 /// The working memory of a planning call, owned by whoever plans
-/// repeatedly — a shard for the length of an epoch, a simulated LLC for
+/// repeatedly — a shard for its lifetime (while it stays within
+/// `talus_core::limits::EPOCH_WORKSPACE_POINTS`), a simulated LLC for
 /// its lifetime — so that [`Planner::plan_in`], [`Planner::allocate_in`]
 /// and [`hill_climb_hulls_into`](crate::hill_climb_hulls_into) allocate
 /// nothing after their first calls. Holds one hull per tenant (vertex
-/// buffers re-assigned in place), the allocation, and the hill climb's
-/// offers: at most a few kilobytes.
+/// buffers re-assigned in place), the allocation, the hill climb's
+/// offers, and the tenant lists of plans given back with
+/// [`recycle`](PlanScratch::recycle), which `plan_in` fills before it
+/// allocates one.
 ///
 /// A scratch carries no state from one call to the next — every call
 /// overwrites whatever it reads — so one scratch may serve planners,
@@ -394,9 +400,37 @@ pub struct PlanScratch {
     pub(crate) hulls: Vec<ConvexHull>,
     pub(crate) alloc: Vec<u64>,
     pub(crate) offers: Vec<Offer>,
+    /// Emptied tenant lists of recycled plans, the latest last.
+    spare: Vec<Vec<TenantPlan>>,
 }
 
 impl PlanScratch {
+    /// Gives a plan the caller is done with back to the scratch: the next
+    /// [`Planner::plan_in`] fills its tenant list instead of allocating
+    /// one (growing it if the plan is wider). The scratch keeps every
+    /// list it is given until a plan takes it, so a caller recycles what
+    /// it planned, no more.
+    ///
+    /// ```
+    /// use talus_core::MissCurve;
+    /// use talus_partition::{PlanScratch, Planner};
+    /// let decay = MissCurve::from_samples(&[0.0, 128.0, 256.0], &[6.0, 3.0, 2.0])?;
+    /// let planner = Planner::new(32);
+    /// let mut scratch = PlanScratch::default();
+    /// let first = planner.plan_in(&mut scratch, [&decay, &decay], 256, 0)?;
+    /// let list = first.tenants.as_ptr();
+    /// scratch.recycle(first);
+    /// let second = planner.plan_in(&mut scratch, [&decay, &decay], 256, 1)?;
+    /// assert_eq!(second.tenants.as_ptr(), list);
+    /// assert_eq!(second, planner.plan(&[&decay, &decay], 256, 1)?);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn recycle(&mut self, plan: CachePlan) {
+        let mut tenants = plan.tenants;
+        tenants.clear();
+        self.spare.push(tenants);
+    }
+
     /// Step 1: each tenant's lower convex hull, into the leading hulls.
     /// Returns how many curves there were.
     fn assign_hulls<'c>(&mut self, curves: impl Iterator<Item = &'c MissCurve>) -> usize {

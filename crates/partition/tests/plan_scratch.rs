@@ -6,7 +6,8 @@
 //! yields; what they compute is pinned to the manual pipeline and to
 //! `hill_climb` in `hull_kernel.rs`. This file pins the other half: that a
 //! scratch which has already served other tenants counts, curve lengths,
-//! policies — and calls that failed — yields the same bits.
+//! policies — and calls that failed, and been given back plans of any
+//! width to refill — yields the same bits.
 
 mod common;
 
@@ -99,6 +100,12 @@ proptest! {
             let fresh = planner.plan(curves, *capacity, round);
             let reused = planner.plan_in(&mut scratch, curves, *capacity, round);
             prop_assert_eq!(bits(&reused), bits(&fresh), "step {}: {:?} {:?}", step, planner, case);
+            // Plans given back are refilled by later calls of any width.
+            for plan in [reused, fresh.clone()].into_iter().flatten() {
+                if rng.below(3) > 0 {
+                    scratch.recycle(plan);
+                }
+            }
 
             let sizes = planner.allocate_in(&mut scratch, curves, *capacity, round).to_vec();
             prop_assert_eq!(&sizes, &planner.allocate(curves, *capacity, round), "step {}", step);

@@ -17,8 +17,9 @@ use std::sync::{Arc, Mutex, RwLock};
 use crate::idmap::IdMap;
 use crate::service::{CacheSpec, EpochReport, ServeError};
 use crate::snapshot::{CacheId, PlanSnapshot};
+use talus_core::limits::EPOCH_WORKSPACE_POINTS;
 use talus_core::{FaultScript, MissCurve};
-use talus_partition::{PlanScratch, Planner};
+use talus_partition::{CachePlan, PlanScratch, Planner};
 use talus_store::StoreSink;
 
 /// Per-cache mutable state, guarded by the shard's registry lock.
@@ -63,6 +64,76 @@ struct Registry {
     /// FIFO of dirty cache ids; an id appears at most once (the `dirty`
     /// flag dedups).
     dirty_queue: VecDeque<u64>,
+}
+
+/// A drained cache whose every tenant has a curve: what phase 2 plans.
+#[derive(Debug)]
+struct Job {
+    id: CacheId,
+    planner: Planner,
+    capacity: u64,
+    /// Every tenant's curve is `Some` (checked at the drain).
+    curves: Arc<[Option<MissCurve>]>,
+    round: u64,
+    updates: u64,
+}
+
+/// The working memory of an epoch, which its shard keeps for life (see
+/// [`Shard::run_epoch`]). An epoch leaves the three lists empty — no
+/// curve or plan outlives it here — and keeps their buffers; the scratch
+/// keeps its hulls and the tenant lists phase 3 copied into snapshots.
+#[derive(Debug, Default)]
+struct Workspace {
+    /// Phase 1's pops, in queue order (the epoch-cut record).
+    drained: Vec<u64>,
+    /// Phase 1's ready caches; phase 2 empties it.
+    jobs: Vec<Job>,
+    /// Phase 2's plans with the update count they cover; phase 3 empties
+    /// it.
+    ready: Vec<(CacheId, u64, CachePlan)>,
+    scratch: PlanScratch,
+    /// The most tenants of one cache, and the most points of one curve,
+    /// this workspace has planned: its scratch holds a hull per tenant
+    /// slot with room for the longest curve.
+    tenants: usize,
+    longest: usize,
+}
+
+impl Workspace {
+    /// The curve points the scratch is sized for, which
+    /// [`EPOCH_WORKSPACE_POINTS`] bounds.
+    fn points(&self) -> usize {
+        self.tenants * self.longest
+    }
+}
+
+/// Puts `snap` in `slot`: the one publish path, of a live epoch and of a
+/// replayed plan record. When no reader holds the snapshot it replaces,
+/// `snap` is written into that one — the same `Arc`, the same tenant list
+/// — and its plan is handed back for the caller to recycle. Otherwise, and
+/// for a cache's first plan, it goes into a fresh `Arc`. A held snapshot
+/// is never written: `Arc::get_mut` is `None` while a reader has a clone,
+/// and the caller's write lock keeps anyone from taking one.
+fn publish(slot: Entry<'_, u64, Arc<PlanSnapshot>>, snap: PlanSnapshot) -> Option<CachePlan> {
+    match slot {
+        Entry::Occupied(mut slot) => {
+            if let Some(kept) = Arc::get_mut(slot.get_mut()) {
+                kept.epoch = snap.epoch;
+                kept.version = snap.version;
+                kept.updates = snap.updates;
+                kept.plan.round = snap.plan.round;
+                kept.plan.tenants.clone_from(&snap.plan.tenants);
+                return Some(snap.plan);
+            }
+            // The displaced `Arc` is a reader's now: this only drops a
+            // count, and the reader frees it.
+            slot.insert(Arc::new(snap));
+        }
+        Entry::Vacant(slot) => {
+            slot.insert(Arc::new(snap));
+        }
+    }
+    None
 }
 
 /// One hold of a shard's registry lock, and the journal's lock scope with
@@ -122,6 +193,9 @@ pub(crate) struct Shard {
     registry: Mutex<Registry>,
     /// Reader-facing snapshot map: the only state readers touch.
     published: RwLock<IdMap<Arc<PlanSnapshot>>>,
+    /// The epoch workspace, kept from epoch to epoch while it stays
+    /// within [`EPOCH_WORKSPACE_POINTS`].
+    workspace: Mutex<Workspace>,
 }
 
 impl Shard {
@@ -135,6 +209,7 @@ impl Shard {
             fault: None,
             registry: Mutex::new(Registry::default()),
             published: RwLock::new(IdMap::default()),
+            workspace: Mutex::new(Workspace::default()),
         }
     }
 
@@ -178,6 +253,10 @@ impl Shard {
 
     fn write_published(&self) -> std::sync::RwLockWriteGuard<'_, IdMap<Arc<PlanSnapshot>>> {
         self.published.write().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn lock_workspace(&self) -> std::sync::MutexGuard<'_, Workspace> {
+        self.workspace.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Inserts a cache under an id the caller chose, never over a live
@@ -340,27 +419,43 @@ impl Shard {
     /// swap. `epoch` is the caller-scoped epoch number stamped onto the
     /// report and the published snapshots.
     ///
+    /// The epoch works in the shard's [`Workspace`], taken out for its
+    /// length and put back after, so a steady epoch allocates only its
+    /// report. A second epoch on this shard at the same time — a worker
+    /// past its deadline while the leader plans its shard — finds an
+    /// empty workspace and works in that: neither waits for the other.
+    /// A workspace whose scratch has grown past [`EPOCH_WORKSPACE_POINTS`]
+    /// is dropped instead of put back.
+    ///
     /// The report lists caches in ascending [`CacheId`] order — never in
     /// drain (queue) order — so reports are deterministic regardless of
     /// how submissions interleaved or how caches landed on shards.
     pub(crate) fn run_epoch(&self, epoch: u64) -> EpochReport {
+        let mut workspace = std::mem::take(&mut *self.lock_workspace());
+        let report = self.run_epoch_in(&mut workspace, epoch);
+        if workspace.points() <= EPOCH_WORKSPACE_POINTS {
+            *self.lock_workspace() = workspace;
+        }
+        report
+    }
+
+    /// The epoch itself, in `workspace`, whose lists are empty.
+    fn run_epoch_in(&self, workspace: &mut Workspace, epoch: u64) -> EpochReport {
+        let Workspace {
+            drained,
+            jobs,
+            ready,
+            scratch,
+            tenants,
+            longest,
+        } = workspace;
+
         // Phase 1 — drain (brief registry lock): pop up to `max_batch`
         // queue entries and take a handle on the curves of the ready
         // caches among them. Every pop counts, not only the ones that
         // plan: each is an id in the cut record and at most one line of
         // the report, and both have to fit what carries them.
-        struct Job {
-            id: CacheId,
-            planner: Planner,
-            capacity: u64,
-            /// Every tenant's curve is `Some` (checked at the drain).
-            curves: Arc<[Option<MissCurve>]>,
-            round: u64,
-            updates: u64,
-        }
-        let mut jobs: Vec<Job> = Vec::new();
         let mut deferred = Vec::new();
-        let mut drained: Vec<u64> = Vec::new();
         let remaining_dirty;
         {
             let mut reg = self.lock_registry();
@@ -403,9 +498,10 @@ impl Shard {
             // across them is how a restore recovers the plane-wide epoch
             // counter exactly — including trailing idle epochs.
             if let Some(sink) = &self.sink {
-                sink.epoch_cut(self.index, epoch, &drained);
+                sink.epoch_cut(self.index, epoch, drained);
             }
         }
+        drained.clear();
 
         // Phase 2 — plan (no locks): the expensive part. Each planner
         // invocation runs inside `catch_unwind`, so a panic — a planner
@@ -413,23 +509,28 @@ impl Shard {
         // contained to its cache: the cache is quarantined (last-good
         // snapshot keeps serving) and every sibling plans normally.
         //
-        // One scratch serves the whole batch (hulls, allocation, climb
-        // state: a plan allocates only what it returns). A plan that
-        // unwinds leaves it half-written, which is harmless: every call
-        // overwrites all it reads.
-        let mut planned = Vec::new();
+        // The workspace's scratch serves every batch (hulls, allocation,
+        // climb state, and the tenant lists phase 3 recycles: a steady
+        // plan allocates nothing). A plan that unwinds leaves it
+        // half-written, which is harmless: every call overwrites all it
+        // reads.
         let mut failed = Vec::new();
         let mut quarantined = Vec::new();
-        let mut ready = Vec::new();
-        let mut scratch = PlanScratch::default();
-        for job in jobs {
+        for job in jobs.drain(..) {
+            *tenants = (*tenants).max(job.curves.len());
+            *longest = job
+                .curves
+                .iter()
+                .flatten()
+                .map(MissCurve::len)
+                .fold(*longest, usize::max);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 if let Some(fault) = &self.fault {
                     let _ = fault.check("shard.plan", job.id.0);
                 }
                 let curves = job.curves.iter().flatten();
                 job.planner
-                    .plan_in(&mut scratch, curves, job.capacity, job.round)
+                    .plan_in(scratch, curves, job.capacity, job.round)
             }));
             match outcome {
                 Ok(Ok(plan)) => ready.push((job.id, job.updates, plan)),
@@ -463,36 +564,50 @@ impl Shard {
         // (older) result. Lock order registry → published is never
         // inverted elsewhere (remove takes them sequentially).
         //
+        // Each plan is written into the snapshot it replaces when no
+        // reader holds that one (see [`publish`]), and every plan not
+        // published as it is goes back to the scratch. In a steady epoch
+        // the write lock therefore neither allocates nor frees: the
+        // report's list is sized before it is taken.
+        //
         // The epoch's plan records are one journal scope: they are written
         // when `reg` drops, which is made to happen before `published`
         // unlocks, so no reader sees a snapshot whose record is unwritten.
+        let mut planned = Vec::with_capacity(ready.len());
         if !ready.is_empty() {
             let mut reg = self.lock_registry();
             let mut published = self.write_published();
-            for (id, updates, plan) in ready {
+            for (id, updates, plan) in ready.drain(..) {
                 let Some(entry) = reg.caches.get_mut(&id.0) else {
-                    continue; // deregistered mid-plan: drop the result
+                    // Deregistered mid-plan: drop the result.
+                    scratch.recycle(plan);
+                    continue;
                 };
                 let slot = match published.entry(id.0) {
                     // A fresher plan already landed: keep it.
-                    Entry::Occupied(current) if current.get().updates > updates => continue,
+                    Entry::Occupied(current) if current.get().updates > updates => {
+                        scratch.recycle(plan);
+                        continue;
+                    }
                     slot => slot,
                 };
                 entry.version += 1;
-                let snap = Arc::new(PlanSnapshot {
+                // Only *published* plans are journaled (after the
+                // deregistered/stale guards above), so replaying plan
+                // records is exactly replaying publications.
+                if let Some(sink) = &self.sink {
+                    sink.plan(id.0, epoch, entry.version, updates, &plan);
+                }
+                let snap = PlanSnapshot {
                     cache: id,
                     epoch,
                     version: entry.version,
                     updates,
                     plan,
-                });
-                // Only *published* plans are journaled (after the
-                // deregistered/stale guards above), so replaying plan
-                // records is exactly replaying publications.
-                if let Some(sink) = &self.sink {
-                    sink.plan(id.0, epoch, entry.version, updates, &snap.plan);
+                };
+                if let Some(copied) = publish(slot, snap) {
+                    scratch.recycle(copied);
                 }
-                slot.insert_entry(snap);
                 planned.push(id);
             }
             drop(reg);
@@ -512,6 +627,12 @@ impl Shard {
             quarantined,
             remaining_dirty,
         }
+    }
+
+    /// The curve points this shard's kept workspace is sized for.
+    #[cfg(test)]
+    fn kept_points(&self) -> usize {
+        self.lock_workspace().points()
     }
 
     /// Ids of quarantined caches on this shard, ascending.
@@ -555,17 +676,146 @@ impl Shard {
         true
     }
 
-    /// Replays a plan record: republishes the snapshot and fast-forwards
-    /// the cache's version counter to it. `false` if the cache is
-    /// unknown (live publication is guarded against deregistered caches,
-    /// so a faithful journal never hits this).
+    /// Replays a plan record: republishes the snapshot through the live
+    /// publish path ([`publish`]: in place when nobody holds the one it
+    /// replaces) and fast-forwards the cache's version counter to it.
+    /// `false` if the cache is unknown (live publication is guarded
+    /// against deregistered caches, so a faithful journal never hits
+    /// this).
     pub(crate) fn restore_plan(&self, snap: PlanSnapshot) -> bool {
         let mut reg = self.lock_registry();
         let Some(entry) = reg.caches.get_mut(&snap.cache.0) else {
             return false;
         };
         entry.version = snap.version;
-        self.write_published().insert(snap.cache.0, Arc::new(snap));
+        publish(self.write_published().entry(snap.cache.0), snap);
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The kept workspace under the two things an epoch can meet: another
+    //! epoch of the same shard, and a cache too big to keep it for.
+
+    use super::*;
+    use std::time::Duration;
+    use talus_core::FaultAction;
+
+    /// A falling curve of `points` sizes spread evenly over `[0, capacity]`,
+    /// its cliff at a point `seed` chooses.
+    fn curve(points: usize, capacity: u64, seed: u64) -> MissCurve {
+        let last = (points - 1) as f64;
+        let cliff = (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % points as u64;
+        let sizes: Vec<f64> = (0..points)
+            .map(|i| i as f64 * capacity as f64 / last)
+            .collect();
+        let misses: Vec<f64> = (0..points)
+            .map(|i| {
+                let above = if (i as u64) < cliff { 30.0 } else { 0.0 };
+                1.0 + above + (seed % 7) as f64 * (last - i as f64) / last
+            })
+            .collect();
+        MissCurve::from_samples(&sizes, &misses).unwrap()
+    }
+
+    /// Submits `curves` for cache `id` and returns them.
+    fn feed(shard: &Shard, id: u64, curves: Vec<MissCurve>) -> Vec<MissCurve> {
+        for (tenant, curve) in curves.iter().enumerate() {
+            shard.submit(CacheId(id), tenant, curve.clone()).unwrap();
+        }
+        curves
+    }
+
+    /// The published plan for `id` is the offline plan of `curves`.
+    fn assert_offline(shard: &Shard, id: u64, spec: CacheSpec, curves: &[MissCurve]) {
+        let snap = shard.snapshot(CacheId(id)).expect("a published plan");
+        let offline = spec.planner.plan(curves, spec.capacity, snap.plan.round);
+        assert_eq!(Ok(&snap.plan), offline.as_ref(), "cache {id}");
+    }
+
+    #[test]
+    fn workspace_two_epochs_on_one_shard_neither_deadlock_nor_publish_stale() {
+        let script = Arc::new(FaultScript::new());
+        let mut shard = Shard::new(64);
+        shard.set_fault_script(Arc::clone(&script));
+        let spec = CacheSpec::new(4096, 2);
+        shard.insert(7, spec).unwrap();
+        shard.insert(8, spec).unwrap();
+        feed(&shard, 7, (0..2).map(|t| curve(17, 4096, t)).collect());
+        let sibling = feed(&shard, 8, (2..4).map(|t| curve(33, 4096, t)).collect());
+        // Epoch 1 stalls in cache 7's plan, holding its old curves and the
+        // shard's workspace; newer curves land and epoch 2 runs beside it.
+        // What is asserted holds whichever epoch publishes first.
+        script.inject("shard.plan", Some(7), 0, 1, FaultAction::DelayMs(200));
+        let fresh = std::thread::scope(|s| {
+            let first = s.spawn(|| shard.run_epoch(1));
+            while script.fired("shard.plan") == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let fresh = feed(&shard, 7, (4..6).map(|t| curve(65, 4096, t)).collect());
+            assert_eq!(shard.run_epoch(2).planned, [CacheId(7)]);
+            let first = first.join().unwrap();
+            assert!(first.planned.contains(&CacheId(8)), "{first:?}");
+            fresh
+        });
+        // Whichever epoch published last, cache 7 serves the newer plan.
+        assert_eq!(shard.snapshot(CacheId(7)).unwrap().updates, 4);
+        assert_offline(&shard, 7, spec, &fresh);
+        assert_offline(&shard, 8, spec, &sibling);
+        // One of the two workspaces was put back, and the next epoch
+        // plans in it.
+        assert!(shard.kept_points() > 0);
+        let newer = feed(&shard, 8, (6..8).map(|t| curve(9, 4096, t)).collect());
+        assert_eq!(shard.run_epoch(3).planned, [CacheId(8)]);
+        assert_offline(&shard, 8, spec, &newer);
+    }
+
+    #[test]
+    fn workspace_keeps_at_most_the_cap_between_epochs() {
+        let shard = Shard::new(64);
+        // 4 × 65 points, 1 × 4 096 (exactly the cap), 2 × 4 096 (past it).
+        let small = CacheSpec::new(65_536, 4);
+        let one = CacheSpec::new(65_536, 1);
+        let two = CacheSpec::new(65_536, 2);
+        shard.insert(1, small).unwrap();
+        shard.insert(2, one).unwrap();
+        shard.insert(3, two).unwrap();
+        let small_curves = |round: u64| (0..4).map(|t| curve(65, 65_536, round << 8 | t)).collect();
+        let long_curves = |round: u64, n: u64| {
+            (0..n)
+                .map(|t| curve(4096, 65_536, round << 8 | 16 | t))
+                .collect()
+        };
+        assert_eq!(shard.kept_points(), 0);
+
+        let curves = feed(&shard, 1, small_curves(0));
+        shard.run_epoch(1);
+        assert_offline(&shard, 1, small, &curves);
+        assert_eq!(shard.kept_points(), 4 * 65);
+
+        let curves = feed(&shard, 2, long_curves(1, 1));
+        shard.run_epoch(2);
+        assert_offline(&shard, 2, one, &curves);
+        // Four tenants of 65 points, then one of 4 096: the scratch has
+        // four slots and room for 4 096 points in each, past the cap.
+        assert_eq!(shard.kept_points(), 0);
+
+        let curves = feed(&shard, 2, long_curves(2, 1));
+        shard.run_epoch(3);
+        assert_offline(&shard, 2, one, &curves);
+        assert_eq!(shard.kept_points(), EPOCH_WORKSPACE_POINTS);
+
+        let smalls = feed(&shard, 1, small_curves(3));
+        let twos = feed(&shard, 3, long_curves(3, 2));
+        shard.run_epoch(4);
+        assert_offline(&shard, 1, small, &smalls);
+        assert_offline(&shard, 3, two, &twos);
+        assert_eq!(shard.kept_points(), 0);
+
+        let curves = feed(&shard, 1, small_curves(4));
+        shard.run_epoch(5);
+        assert_offline(&shard, 1, small, &curves);
+        assert_eq!(shard.kept_points(), 4 * 65);
     }
 }

@@ -29,10 +29,11 @@ impl fmt::Display for CacheId {
 
 /// One published plan for one logical cache — the unit readers consume.
 ///
-/// Snapshots are immutable and shared via `Arc`: the planner never mutates
-/// a published snapshot, it swaps in a new one. A configuration applier
-/// can therefore hold a snapshot across an arbitrary window without
-/// locking the service.
+/// Snapshots are immutable to their readers and shared via `Arc`: the
+/// planner rewrites a published snapshot in place only while the service
+/// holds the one reference to it, and swaps in a new one while anyone
+/// else does. A configuration applier can therefore hold a snapshot
+/// across an arbitrary window without locking the service.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanSnapshot {
     /// The cache this plan configures.
