@@ -49,7 +49,10 @@
 //! worker threads: on the repo benchmark's plane (8192 caches × 4 tenants
 //! × 65-point pool curves, four shards) K caches get fresh curves and one
 //! epoch replans them, sequentially or on the per-shard workers, the two
-//! modes interleaved in [`ROTATIONS`] rounds like the rows above. A plan
+//! modes interleaved in [`ROTATIONS`] rounds like the rows above. A row
+//! times the epoch alone: the K × 4 resubmissions are each iteration's
+//! untimed set-up (`iter_batched`); the rows up to `BENCH_42.json`, the
+//! figures below among them, timed both. A plan
 //! is ≈ 3 µs and the hand-off to three workers costs about as much as
 //! sixty of them: at K = 64 — the benchmark's epoch — the two modes are a
 //! wash (208 against 221 µs in `BENCH_23.json`), at K = 1024 the
@@ -67,7 +70,7 @@
 //! probe misses in cache the way a reader's does; the repo benchmark's
 //! `plane_local` does 1088 of these a cycle.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use std::sync::Arc;
 use talus_core::MissCurve;
 use talus_serve::{CacheId, CacheSpec, RpcClient, RpcServer, ShardedReconfigService};
@@ -326,17 +329,20 @@ impl EpochPlane {
         assert_eq!(drain(&plane), SNAPSHOT_CACHES);
         EpochPlane { plane, dirty }
     }
+}
 
-    /// Hands the first `k` dirty caches the curve set they do not hold,
-    /// then runs the one epoch that replans them.
-    fn cycle(&mut self, k: usize) -> usize {
-        for (id, sets, second) in &mut self.dirty[..k] {
-            *second = !*second;
-            for (t, curve) in sets[*second as usize].iter().enumerate() {
-                submit(&self.plane, *id, t, curve.clone());
-            }
+/// Hands the first `k` dirty caches the curve set they do not hold: what
+/// the next epoch replans.
+fn resubmit(
+    plane: &ShardedReconfigService,
+    dirty: &mut [(CacheId, [Vec<MissCurve>; 2], bool)],
+    k: usize,
+) {
+    for (id, sets, second) in &mut dirty[..k] {
+        *second = !*second;
+        for (t, curve) in sets[*second as usize].iter().enumerate() {
+            submit(plane, *id, t, curve.clone());
         }
-        self.plane.run_epoch().planned.len()
     }
 }
 
@@ -347,10 +353,19 @@ fn bench_serve_epoch(c: &mut Criterion) {
     ];
     for _ in 0..ROTATIONS {
         for k in DIRTY {
-            for (mode, plane) in &mut planes {
-                assert_eq!(plane.cycle(k), k, "one epoch replans all {k}");
+            for (mode, EpochPlane { plane, dirty }) in &mut planes {
+                resubmit(plane, dirty, k);
+                assert_eq!(
+                    plane.run_epoch().planned.len(),
+                    k,
+                    "one epoch replans all {k}"
+                );
                 c.bench_function(format!("serve_epoch/dirty_{k}_{mode}"), |b| {
-                    b.iter(|| black_box(plane.cycle(k)))
+                    b.iter_batched(
+                        || resubmit(plane, dirty, k),
+                        |()| black_box(plane.run_epoch().planned.len()),
+                        BatchSize::PerIteration,
+                    )
                 });
             }
         }

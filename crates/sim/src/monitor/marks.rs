@@ -10,17 +10,51 @@
 //! [`MattsonMonitor`](super::MattsonMonitor), whose windows span hundreds
 //! of blocks, keeps a Fenwick tree over the block counts beside it.
 //!
-//! Both monitors keep their lines' latest timestamps in a `HashMap`, and
-//! when the window fills both compact it in place through
-//! [`Marks::compact`]: the newest `keep` lines move to timestamps `0..k`,
-//! in order, and the rest are dropped. The oldest kept timestamp is the
-//! `live − keep`-th mark, `retain` drops the lines below it and renumbers
-//! each kept one to its rank among the kept marks (counted from block
-//! prefix sums taken once per compaction), and the marks reset to `0..k`.
-//! No entry is copied or sorted.
+//! Both monitors keep their lines' latest timestamps in a `HashMap` of
+//! 12-byte slots, [`LineKey`] → `u32` (each constructor asserts through
+//! [`window`] that its timestamps fit), and when the window fills both
+//! compact it in place through [`Marks::compact`]: the newest `keep`
+//! lines move to timestamps `0..k`, in order, and the rest are dropped.
+//! The oldest kept timestamp is the `live − keep`-th mark, `retain` drops
+//! the lines below it and renumbers each kept one to its rank among the
+//! kept marks (counted from block prefix sums taken once per compaction),
+//! and the marks reset to `0..k`. No entry is copied or sorted.
 
 use crate::addr::LineAddr;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+
+/// A line as the `last_seen` maps key it: two `u32` halves, so a
+/// `(LineKey, u32)` slot is 12 bytes. It hashes as the `u64` a `LineAddr`
+/// hashes as, so every map probes the buckets it probed when so keyed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct LineKey([u32; 2]);
+
+impl LineKey {
+    pub(super) fn line(self) -> LineAddr {
+        LineAddr(u64::from(self.0[0]) | u64::from(self.0[1]) << 32)
+    }
+}
+
+impl From<LineAddr> for LineKey {
+    fn from(line: LineAddr) -> Self {
+        LineKey([line.0 as u32, (line.0 >> 32) as u32])
+    }
+}
+
+impl Hash for LineKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.line().hash(state);
+    }
+}
+
+/// The timestamp window of a monitor tracking `lines` (sampled) lines,
+/// 4 × `lines` and at least 4096: no timestamp given out passes it.
+/// Panics if it does not fit the `u32` of a `last_seen` slot.
+pub(super) fn window(lines: u64) -> usize {
+    let window = u32::try_from(lines.saturating_mul(4).max(1 << 12));
+    window.expect("the window's timestamps overflow a u32") as usize
+}
 
 /// Words per popcount block: 8 × 64 = 512 timestamps summarised per entry.
 pub(super) const BLOCK_WORDS: usize = 8;
@@ -157,7 +191,7 @@ impl Marks {
     /// exactly `0..k`. Returns `k`, the window's next timestamp.
     pub(super) fn compact<S>(
         &mut self,
-        last_seen: &mut HashMap<LineAddr, usize, S>,
+        last_seen: &mut HashMap<LineKey, u32, S>,
         keep: usize,
     ) -> usize {
         let live = last_seen.len();
@@ -166,10 +200,10 @@ impl Marks {
         let oldest = if dropped == 0 { 0 } else { self.nth(dropped) };
         let prefixes = self.block_prefixes();
         last_seen.retain(|_, t| {
-            let kept = *t >= oldest;
+            let kept = *t as usize >= oldest;
             if kept {
-                // Its rank among the kept marks.
-                *t = self.rank(&prefixes, *t) - dropped;
+                // Its rank among the kept marks, below the old timestamp.
+                *t = (self.rank(&prefixes, *t as usize) - dropped) as u32;
             }
             kept
         });

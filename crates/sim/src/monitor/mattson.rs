@@ -13,6 +13,7 @@
 //! marks after the line's previous access. A Fenwick tree over the
 //! bitmap's 512-timestamp block counts keeps that count O(log) in the
 //! window — it sums whole blocks and scans only inside the last one.
+//! The lines' timestamps sit in a map of 12-byte slots sized for `cap`.
 //! When the window fills, it is compacted in place, by the routine the
 //! sampled monitor runs too ([`Marks::compact`]): the newest `cap` live
 //! lines keep their order on timestamps `0..k` and the rest are dropped,
@@ -25,7 +26,7 @@
 //! [`curve`](Monitor::curve) answers each grid point with a block-skipping
 //! prefix query instead of re-scanning all `cap` histogram bins per call.
 
-use super::marks::{Marks, BLOCK_BITS};
+use super::marks::{window, LineKey, Marks, BLOCK_BITS};
 use super::{default_grid, Monitor};
 use crate::addr::LineAddr;
 use crate::hasher::LineHashBuilder;
@@ -113,7 +114,7 @@ impl LiveMarks {
     /// counts.
     fn compact(
         &mut self,
-        last_seen: &mut HashMap<LineAddr, usize, LineHashBuilder>,
+        last_seen: &mut HashMap<LineKey, u32, LineHashBuilder>,
         keep: usize,
     ) -> usize {
         let kept = self.marks.compact(last_seen, keep);
@@ -198,7 +199,7 @@ pub struct MattsonMonitor {
     cold: u64,
     accesses: u64,
     /// Line → timestamp of most recent access.
-    last_seen: HashMap<LineAddr, usize, LineHashBuilder>,
+    last_seen: HashMap<LineKey, u32, LineHashBuilder>,
     /// One mark per entry of `last_seen`, on its timestamp.
     marks: LiveMarks,
     now: usize,
@@ -212,11 +213,12 @@ impl MattsonMonitor {
     ///
     /// # Panics
     ///
-    /// Panics if `max_lines` is zero.
+    /// Panics if `max_lines` is zero, or so large that its window's
+    /// timestamps overflow a `u32` (past 2³⁰ − 1 lines).
     pub fn new(max_lines: u64) -> Self {
         assert!(max_lines > 0, "tracked capacity must be positive");
+        let window = window(max_lines);
         let cap = max_lines as usize;
-        let window = (4 * cap).max(1 << 12);
         MattsonMonitor {
             cap,
             hist: CumHist::new(cap),
@@ -269,13 +271,13 @@ impl MattsonMonitor {
     #[inline]
     fn record_one(&mut self, line: LineAddr) {
         self.accesses += 1;
-        match self.last_seen.insert(line, self.now) {
+        match self.last_seen.insert(line.into(), self.now as u32) {
             Some(prev) => {
                 // Distinct lines touched in (prev, now): each has its latest
                 // access marked after prev. The total mark count is just the
                 // live-line count (every mark sits below `now`), so only one
                 // prefix query is needed.
-                let upto_prev = self.marks.upto(prev);
+                let upto_prev = self.marks.upto(prev as usize);
                 let upto_now = self.last_seen.len() as u64;
                 let distance = (upto_now - upto_prev) as usize + 1; // include the line itself
                 if distance <= self.cap {
@@ -283,7 +285,7 @@ impl MattsonMonitor {
                 } else {
                     self.far += 1;
                 }
-                self.marks.unset(prev);
+                self.marks.unset(prev as usize);
             }
             None => {
                 self.cold += 1;
@@ -680,7 +682,10 @@ mod tests {
         for &l in &scan_stream(100, 5000) {
             m.record(l);
         }
-        assert!(!m.last_seen.contains_key(&lost), "compaction dropped it");
+        assert!(
+            !m.last_seen.contains_key(&lost.into()),
+            "compaction dropped it"
+        );
         let (cold, far) = (m.cold, m.far);
         m.record(lost);
         assert_eq!((m.cold, m.far), (cold + 1, far));
@@ -728,7 +733,12 @@ mod tests {
                     (old.far, old.cold, old.accesses, old.now),
                     "{at}"
                 );
-                assert_eq!(new.last_seen, old.last_seen, "{at}");
+                let entries: HashMap<LineAddr, usize, LineHashBuilder> = new
+                    .last_seen
+                    .iter()
+                    .map(|(l, &t)| (l.line(), t as usize))
+                    .collect();
+                assert_eq!(entries, old.last_seen, "{at}");
                 let (a, b) = (new.curve_on_grid(&grid), old.curve_on_grid(&grid));
                 for (p, q) in a.iter().zip(b.iter()) {
                     assert_eq!(p.size.to_bits(), q.size.to_bits(), "{at}");
@@ -744,6 +754,14 @@ mod tests {
                 "seed {seed}: {straddles} blocks straddled the window edge"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "timestamps overflow a u32")]
+    fn a_cap_whose_timestamps_overflow_u32_is_refused() {
+        // 2³⁰ lines: a 2³²-timestamp window. The assertion comes before
+        // the histogram, the bitmap or the map is allocated.
+        MattsonMonitor::new(1 << 30);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! state sized by the sampled stream:
 //!
 //! - a `last_seen` map from sampled line → timestamp, the exact
-//!   monitor's map type but grown with the live set (a few hundred lines,
-//!   typically) rather than sized by the window that bounds it;
+//!   monitor's map of 12-byte slots ([`LineKey`] → `u32`) but grown with
+//!   the live set (a few hundred lines, typically) rather than sized by
+//!   the window that bounds it;
 //! - the timestamp occupancy bitmap the exact monitor also counts on
 //!   ([`Marks`], in `marks.rs`) — distance queries count the live bits
 //!   between two timestamps, skipping whole 512-timestamp blocks at a
@@ -27,7 +28,8 @@
 //!   is needed;
 //! - a log-bucketed distance histogram: exact bins up to 256, then 32
 //!   bins per octave, so curve extraction touches a few hundred buckets
-//!   regardless of capacity.
+//!   regardless of capacity — in one walk over the buckets and the grid
+//!   together, with no memo kept between calls.
 //!
 //! When the window fills, it compacts in place through the routine the
 //! exact monitor runs too ([`Marks::compact`]).
@@ -37,11 +39,10 @@
 //! small fraction of the record cost — the software analogue of the
 //! paper's "address-based sampling reduces monitoring overheads" [11, 42].
 
-use super::marks::Marks;
+use super::marks::{window, LineKey, Marks};
 use super::{default_grid, Monitor};
 use crate::addr::LineAddr;
 use crate::hasher::{mix64, SeededLineHash};
-use std::cell::RefCell;
 use std::collections::HashMap;
 use talus_core::MissCurve;
 
@@ -82,6 +83,12 @@ impl LogHist {
         }
     }
 
+    /// The size, in lines, from which bucket `i`'s accesses hit: its
+    /// representative, capped at `scap`, times `scale`.
+    fn reach(&self, i: usize, scale: f64) -> f64 {
+        Self::representative(i).min(self.scap as u64) as f64 * scale
+    }
+
     /// Representative distance (bin midpoint) for bucket `i`.
     fn representative(i: usize) -> u64 {
         if i < LINEAR {
@@ -103,37 +110,6 @@ impl LogHist {
     fn clear(&mut self) {
         self.bins.fill(0);
     }
-
-    /// `(scaled representative distance, cumulative count)` per bucket, in
-    /// ascending distance order; `scale` maps sampled distances back to
-    /// lines.
-    fn cumulative(&self, scale: f64) -> (Vec<f64>, Vec<u64>) {
-        let mut reps = Vec::with_capacity(self.bins.len());
-        let mut cums = Vec::with_capacity(self.bins.len());
-        let mut cum = 0u64;
-        for (i, &n) in self.bins.iter().enumerate() {
-            cum += n;
-            reps.push(Self::representative(i).min(self.scap as u64) as f64 * scale);
-            cums.push(cum);
-        }
-        (reps, cums)
-    }
-}
-
-/// Memoized [`LogHist::cumulative`] expansion, tagged with the recording
-/// generation it was computed at. Curve extraction is read-only but every
-/// query rebuilt this few-hundred-entry scan from scratch; planners ask
-/// for curves far more often than histograms change (several `curve()`
-/// calls per epoch against one batch of records), so the rebuild dominated
-/// `monitor_curve/sampled_mattson_curve`. The cache holds the *exact*
-/// `(reps, cums)` vectors the rebuild would produce — the query path reads
-/// the same f64s either way, keeping cached curves bit-identical.
-#[derive(Debug, Clone)]
-struct CurveCache {
-    /// Value of [`SampledMattson::generation`] when this was computed.
-    generation: u64,
-    reps: Vec<f64>,
-    cums: Vec<u64>,
 }
 
 /// A sampled stack-distance monitor: a spatial hash filter in front of a
@@ -186,16 +162,11 @@ pub struct SampledMattson {
     /// filter hash (`LineHashBuilder`'s, for seed 0) is at most
     /// `threshold`: the top bits the map tags buckets with would not tell
     /// keys apart.
-    last_seen: HashMap<LineAddr, usize, SeededLineHash>,
+    last_seen: HashMap<LineKey, u32, SeededLineHash>,
     /// One mark per entry of `last_seen`, on its timestamp.
     marks: Marks,
     now: usize,
     window: usize,
-    /// Bumped on every mutation that can change the curve (records and
-    /// resets); stamps [`CurveCache`] entries.
-    generation: u64,
-    /// Lazily rebuilt histogram expansion for the curve query path.
-    cumulative: RefCell<Option<CurveCache>>,
 }
 
 impl SampledMattson {
@@ -207,12 +178,14 @@ impl SampledMattson {
     ///
     /// # Panics
     ///
-    /// Panics if `max_lines` or `ratio` is zero.
+    /// Panics if `max_lines` or `ratio` is zero, or if the sampled
+    /// capacity is so large that its window's timestamps overflow a `u32`
+    /// (past 2³⁰ − 1 sampled lines).
     pub fn new(max_lines: u64, ratio: u64, seed: u64) -> Self {
         assert!(max_lines > 0, "tracked capacity must be positive");
         assert!(ratio > 0, "sampling ratio must be positive");
         let scap = (max_lines.div_ceil(ratio) as usize).max(1);
-        let window = (4 * scap).max(1 << 12);
+        let window = window(scap as u64);
         SampledMattson {
             cap: max_lines,
             ratio,
@@ -229,8 +202,6 @@ impl SampledMattson {
             marks: Marks::new(window),
             now: 0,
             window,
-            generation: 0,
-            cumulative: RefCell::new(None),
         }
     }
 
@@ -278,28 +249,21 @@ impl SampledMattson {
     /// realized inverse sampling rate) fits in `g` lines.
     pub fn curve_on_grid(&self, grid: &[u64]) -> MissCurve {
         let total = self.sampled.max(1) as f64;
-        let mut slot = self.cumulative.borrow_mut();
-        if slot
-            .as_ref()
-            .is_none_or(|c| c.generation != self.generation)
-        {
-            let (reps, cums) = self.hist.cumulative(self.scale());
-            *slot = Some(CurveCache {
-                generation: self.generation,
-                reps,
-                cums,
-            });
-        }
-        let cache = slot.as_ref().expect("cache populated above");
+        let scale = self.scale();
         let mut sizes = Vec::with_capacity(grid.len() + 1);
         let mut misses = Vec::with_capacity(grid.len() + 1);
         if grid.first().copied() != Some(0) {
             sizes.push(0.0);
             misses.push(1.0);
         }
+        // One walk over the buckets and the ascending grid together (a
+        // bucket's reach never falls as its index rises).
+        let (mut bucket, mut hits) = (0, 0u64);
         for &g in grid {
-            let idx = cache.reps.partition_point(|&r| r <= g as f64);
-            let hits = if idx == 0 { 0 } else { cache.cums[idx - 1] };
+            while bucket < self.hist.bins.len() && self.hist.reach(bucket, scale) <= g as f64 {
+                hits += self.hist.bins[bucket];
+                bucket += 1;
+            }
             sizes.push(g as f64);
             misses.push((self.sampled - hits) as f64 / total);
         }
@@ -314,8 +278,9 @@ impl SampledMattson {
         }
         self.sampled += 1;
         let now = self.now;
-        match self.last_seen.insert(line, now) {
+        match self.last_seen.insert(line.into(), now as u32) {
             Some(prev) => {
+                let prev = prev as usize;
                 // Distinct sampled lines in (prev, now), plus the line
                 // itself — the sampled-space stack distance. Every live
                 // mark sits below `now`, so the count on either side of
@@ -365,9 +330,6 @@ const FILTER_CHUNK: usize = 64;
 
 impl Monitor for SampledMattson {
     fn record(&mut self, line: LineAddr) {
-        // Even a filtered-out access moves `observed`, and with it the
-        // rescale factor — so every record invalidates the curve cache.
-        self.generation += 1;
         self.observed += 1;
         if self.is_sampled(line) {
             self.record_sampled(line);
@@ -381,7 +343,6 @@ impl Monitor for SampledMattson {
         // record loop it stalls the map and bitmap work behind it), then
         // the survivors are recorded in stream order — the same records
         // in the same order as the scalar path.
-        self.generation += 1;
         self.observed += lines.len() as u64;
         let mut survivors = [LineAddr(0); FILTER_CHUNK];
         for chunk in lines.chunks(FILTER_CHUNK) {
@@ -405,7 +366,6 @@ impl Monitor for SampledMattson {
     }
 
     fn reset(&mut self) {
-        self.generation += 1;
         self.hist.clear();
         self.far = 0;
         self.cold = 0;
@@ -418,15 +378,41 @@ impl Monitor for SampledMattson {
 /// The monitor this file held before its last-seen timestamps moved to a
 /// `HashMap`: an open-addressing table and a collect-and-sort compaction,
 /// copied verbatim (but for names, visibility and comments) as the
-/// reference the map monitor is held to.
+/// reference the map monitor is held to. Its curves come from the
+/// memoized expansion and `partition_point` search the merged walk
+/// replaced.
 #[cfg(test)]
 mod old_sampled {
-    use super::{CurveCache, LogHist, FILTER_CHUNK};
+    use super::{LogHist, FILTER_CHUNK};
     use crate::addr::LineAddr;
     use crate::hasher::mix64;
     use crate::monitor::{default_grid, Monitor};
     use std::cell::RefCell;
     use talus_core::MissCurve;
+
+    /// `(scaled representative distance, cumulative count)` per bucket, in
+    /// ascending distance order; `scale` maps sampled distances back to
+    /// lines.
+    fn cumulative(hist: &LogHist, scale: f64) -> (Vec<f64>, Vec<u64>) {
+        let mut reps = Vec::with_capacity(hist.bins.len());
+        let mut cums = Vec::with_capacity(hist.bins.len());
+        let mut cum = 0u64;
+        for (i, &n) in hist.bins.iter().enumerate() {
+            cum += n;
+            reps.push(LogHist::representative(i).min(hist.scap as u64) as f64 * scale);
+            cums.push(cum);
+        }
+        (reps, cums)
+    }
+
+    /// Memoized [`cumulative`] expansion, tagged with the recording
+    /// generation it was computed at.
+    #[derive(Debug, Clone)]
+    struct CurveCache {
+        generation: u64,
+        reps: Vec<f64>,
+        cums: Vec<u64>,
+    }
 
     /// Empty-slot sentinel in the open-addressing table.
     const EMPTY: u32 = u32::MAX;
@@ -569,14 +555,14 @@ mod old_sampled {
             }
         }
 
-        fn curve_on_grid(&self, grid: &[u64]) -> MissCurve {
+        pub(super) fn curve_on_grid(&self, grid: &[u64]) -> MissCurve {
             let total = self.sampled.max(1) as f64;
             let mut slot = self.cumulative.borrow_mut();
             if slot
                 .as_ref()
                 .is_none_or(|c| c.generation != self.generation)
             {
-                let (reps, cums) = self.hist.cumulative(self.scale());
+                let (reps, cums) = cumulative(&self.hist, self.scale());
                 *slot = Some(CurveCache {
                     generation: self.generation,
                     reps,
@@ -727,7 +713,7 @@ mod tests {
     /// of its capacity past 8) of one entry and one control byte each.
     fn map_bytes(m: &SampledMattson) -> usize {
         let buckets = (m.last_seen.capacity() * 8 / 7).next_power_of_two();
-        buckets * (std::mem::size_of::<(LineAddr, usize)>() + 1)
+        buckets * (std::mem::size_of::<(LineKey, u32)>() + 1)
     }
 
     #[test]
@@ -759,6 +745,41 @@ mod tests {
             );
         }
         assert!(scan.last_seen.capacity() <= 2 * scan.window);
+    }
+
+    #[test]
+    fn resident_bytes_of_a_producer_tenant() {
+        use crate::monitor::MonitorSource;
+        use talus_core::CurveSource;
+        use talus_workloads::{multi_tenant, AccessGenerator};
+        // One `producer_fed` tenant: a `multi_tenant(4)` generator scaled
+        // to a 4096-line cache, into an 8192-line monitor at 1-in-8,
+        // warmed up and run through 20 intervals of 10 000 accesses. Its
+        // ≈ 580 live lines fill 1024 buckets: 13 KiB at 12-byte slots,
+        // 17 KiB at 16-byte ones before the bins are counted.
+        assert_eq!(std::mem::size_of::<(LineKey, u32)>(), 12);
+        let mut gen = multi_tenant(4).scaled(1.0 / 32.0).tenant_generator(1, 7);
+        let monitor = SampledMattson::new(8192, 8, 0xCAFE);
+        let mut src = MonitorSource::new(monitor, 10_000, move || LineAddr(gen.next_line().0));
+        src.warm_up(5_000);
+        for _ in 0..20 {
+            src.next_curve();
+        }
+        let m = src.monitor();
+        let (map, bins) = (map_bytes(m), 8 * m.hist.bins.len());
+        assert!(
+            map + bins < 16 << 10,
+            "{} live lines hold {map} B of map beside {bins} B of bins",
+            m.last_seen.len()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "timestamps overflow a u32")]
+    fn a_cap_whose_timestamps_overflow_u32_is_refused() {
+        // 2³⁰ sampled lines: a 2³²-timestamp window. The assertion comes
+        // before the histogram, the bitmap or the map is allocated.
+        SampledMattson::new(1 << 33, 8, 1);
     }
 
     #[test]
@@ -938,7 +959,10 @@ mod tests {
         for &l in &scan_stream(100, 5000) {
             m.record(l);
         }
-        assert!(!m.last_seen.contains_key(&lost), "compaction dropped it");
+        assert!(
+            !m.last_seen.contains_key(&lost.into()),
+            "compaction dropped it"
+        );
         let (cold, far) = (m.cold, m.far);
         m.record(lost);
         assert_eq!((m.cold, m.far), (cold + 1, far));
@@ -1010,8 +1034,11 @@ mod tests {
                     (old.live, old.now),
                     "{at}"
                 );
-                let entries: BTreeMap<u64, usize> =
-                    new.last_seen.iter().map(|(l, &t)| (l.0, t)).collect();
+                let entries: BTreeMap<u64, usize> = new
+                    .last_seen
+                    .iter()
+                    .map(|(l, &t)| (l.line().0, t as usize))
+                    .collect();
                 let old_entries: BTreeMap<u64, usize> = old
                     .table
                     .entries()
@@ -1019,11 +1046,24 @@ mod tests {
                     .map(|(l, t)| (l, t as usize))
                     .collect();
                 assert_eq!(entries, old_entries, "{at}");
-                let (a, b) = (new.curve(), old.curve());
-                assert_eq!(a.len(), b.len(), "{at}");
-                for (p, q) in a.iter().zip(b.iter()) {
-                    assert_eq!(p.size.to_bits(), q.size.to_bits(), "{at}");
-                    assert_eq!(p.misses.to_bits(), q.misses.to_bits(), "{at}");
+                // The default grid, then three off its shape: one not
+                // starting at 0, one running past `scap` (every bucket's
+                // reach) to four times the cap, and a single point.
+                let grids: [Vec<u64>; 3] = [
+                    (1..=cap).step_by(1 + cap as usize / 50).collect(),
+                    (0..=4 * cap + 5).step_by(1 + cap as usize / 10).collect(),
+                    vec![cap / 2],
+                ];
+                let curves = [new.curve(), old.curve()];
+                let customs = grids
+                    .iter()
+                    .map(|g| [new.curve_on_grid(g), old.curve_on_grid(g)]);
+                for [a, b] in std::iter::once(curves).chain(customs) {
+                    assert_eq!(a.len(), b.len(), "{at}");
+                    for (p, q) in a.iter().zip(b.iter()) {
+                        assert_eq!(p.size.to_bits(), q.size.to_bits(), "{at}");
+                        assert_eq!(p.misses.to_bits(), q.misses.to_bits(), "{at}");
+                    }
                 }
                 if rng.below(3) == 0 {
                     new.reset();
@@ -1038,13 +1078,11 @@ mod tests {
     }
 
     #[test]
-    fn curve_cache_is_bit_equivalent_and_invalidates() {
+    fn warm_curves_equal_a_fresh_replay_bit_for_bit() {
         // Interleave records and curve queries. At each checkpoint the
-        // warm monitor's curve (served through the memoized expansion,
-        // possibly stale-then-refreshed) must be bit-identical to a fresh
-        // replay's *first* query — which is exactly the uncached
-        // computation. Repeated queries at the same state must also be
-        // bit-identical to each other, and `reset` must invalidate.
+        // warm monitor's curve must be bit-identical to a fresh replay's
+        // first query, and repeated queries at the same state to each
+        // other; after `reset` the curve reads the cleared counters.
         let stream = uniform_stream(3000, 50_000, 41);
         let grid: Vec<u64> = (0..=4096).step_by(13).collect();
         let mut warm = SampledMattson::new(4096, 4, 9);
@@ -1055,14 +1093,14 @@ mod tests {
                 for &r in &stream[..=i] {
                     fresh.record(r);
                 }
-                let uncached = fresh.curve_on_grid(&grid);
+                let replayed = fresh.curve_on_grid(&grid);
                 let first = warm.curve_on_grid(&grid);
                 let repeat = warm.curve_on_grid(&grid);
-                for ((u, a), b) in uncached.iter().zip(first.iter()).zip(repeat.iter()) {
+                for ((u, a), b) in replayed.iter().zip(first.iter()).zip(repeat.iter()) {
                     assert!(
                         u.size.to_bits() == a.size.to_bits()
                             && u.misses.to_bits() == a.misses.to_bits(),
-                        "cached path diverged from fresh computation at access {i}"
+                        "warm curve diverged from a fresh replay at access {i}"
                     );
                     assert!(
                         a.misses.to_bits() == b.misses.to_bits(),
@@ -1071,9 +1109,7 @@ mod tests {
                 }
             }
         }
-        // Reset must invalidate: a stale expansion would pair the old
-        // nonzero cumulative hits with the cleared `sampled == 0` counter
-        // (underflowing `sampled - hits`); the refreshed one reads 0.
+        // After a reset every bin and counter is 0: the curve reads 0.
         warm.reset();
         let after_reset = warm.curve_on_grid(&grid);
         assert_eq!(after_reset.value_at(2048.0), 0.0);

@@ -20,8 +20,9 @@ use talus_core::{CurveSource, MissCurve};
 /// generator, a recorded trace iterator, or a hand-rolled closure all fit
 /// without this crate knowing about them.
 ///
-/// Ingest is batched: the source buffers 256 addresses at a time
-/// and feeds them through [`Monitor::record_block`], so block-aware
+/// Ingest is batched: the source fills a 256-address block on the stack
+/// (the source holds no buffer of its own) and feeds it through
+/// [`Monitor::record_block`], so block-aware
 /// monitors ([`SampledMattson`](crate::monitor::SampledMattson),
 /// [`MattsonMonitor`](crate::monitor::MattsonMonitor)) get their
 /// amortized path on every layer built on this source — the experiment
@@ -32,8 +33,6 @@ pub struct MonitorSource<M, F> {
     next_line: F,
     interval: u64,
     reset_each: bool,
-    /// Reused ingest buffer for the block path.
-    buf: Vec<LineAddr>,
 }
 
 /// Addresses buffered per [`Monitor::record_block`] call.
@@ -54,7 +53,6 @@ impl<M: Monitor, F: FnMut() -> LineAddr> MonitorSource<M, F> {
             next_line,
             interval,
             reset_each: false,
-            buf: Vec::with_capacity(BLOCK),
         }
     }
 
@@ -69,12 +67,12 @@ impl<M: Monitor, F: FnMut() -> LineAddr> MonitorSource<M, F> {
     /// consumers that read the monitor directly (e.g. evaluating on an
     /// exact grid), this skips the curve construction `next_curve` pays.
     pub fn advance(&mut self, accesses: u64) {
+        let mut block = [LineAddr(0); BLOCK];
         let mut left = accesses;
         while left > 0 {
             let n = left.min(BLOCK as u64) as usize;
-            self.buf.clear();
-            self.buf.extend((0..n).map(|_| (self.next_line)()));
-            self.monitor.record_block(&self.buf);
+            block[..n].fill_with(&mut self.next_line);
+            self.monitor.record_block(&block[..n]);
             left -= n as u64;
         }
     }
