@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use talus_bench::synthetic_stream;
-use talus_core::MissCurve;
+use talus_core::{MissCurve, TalusOptions};
 use talus_sim::part::{
     FutilityScaled, IdealPartitioned, PartitionedCacheModel, SetPartitioned, VantageLike,
     WayPartitioned,
@@ -192,9 +192,9 @@ fn bench_organisations(c: &mut Criterion) {
             &[1.0, 0.8, 0.8, 0.8, 0.2, 0.2],
         )
         .expect("static bench curve");
-        talus
-            .reconfigure(&[CACHE_LINES], &[curve])
-            .expect("reconfigure succeeds");
+        let plan = talus_core::plan(&curve, CACHE_LINES as f64, TalusOptions::new())
+            .expect("the cache size is in the curve's domain");
+        talus.apply(&[CACHE_LINES], &[plan]);
         b.iter(|| {
             for &l in &stream {
                 black_box(talus.access(PartitionId(0), LineAddr(l), &ctx));

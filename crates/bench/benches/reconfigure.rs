@@ -3,9 +3,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use talus_bench::synthetic_curve;
-use talus_core::MissCurve;
-use talus_partition::hill_climb;
-use talus_sim::part::VantageLike;
+use talus_core::{plan_with_hull, ConvexHull, MissCurve, TalusOptions, TalusPlan};
+use talus_partition::{PlanScratch, Planner};
+use talus_sim::part::{PartitionedCacheModel, VantageLike};
 use talus_sim::{TalusCache, TalusCacheConfig};
 
 const LLC_LINES: u64 = 131_072; // 8 MB
@@ -16,22 +16,43 @@ fn bench_full_interval_software(c: &mut Criterion) {
     let curves: Vec<MissCurve> = (0..8).map(|i| synthetic_curve(64, 77 + i)).collect();
     c.bench_function("interval_software_8apps", |b| {
         let cache = VantageLike::new(LLC_LINES, 16, 16, 3);
-        let mut talus = TalusCache::new(cache, 8, TalusCacheConfig::for_vantage());
+        let mut talus = TalusCache::new(cache, 8, TalusCacheConfig::new());
+        let planner = Planner::new(LLC_LINES / 64);
+        let fraction = talus.inner().managed_fraction();
+        let mut scratch = PlanScratch::default();
         b.iter(|| {
-            let hulls: Vec<MissCurve> = curves.iter().map(|c| c.convex_hull().to_curve()).collect();
-            let sizes = hill_climb(&hulls, LLC_LINES, LLC_LINES / 64);
-            black_box(talus.reconfigure(&sizes, &curves).expect("valid plan"));
+            let planned = planner
+                .plan_managed_in(&mut scratch, &curves, LLC_LINES, 0, fraction)
+                .expect("valid plan");
+            let plans: Vec<TalusPlan> = planned.tenants.iter().map(|t| t.plan).collect();
+            talus.apply(&planned.allocations(), black_box(&plans));
+            scratch.recycle(planned);
         })
     });
 }
 
 fn bench_talus_reconfigure_only(c: &mut Criterion) {
-    let curves: Vec<MissCurve> = (0..8).map(|i| synthetic_curve(64, 77 + i)).collect();
+    // Post-processing at fixed sizes: shadow planning on the hulls the
+    // allocator built, then the hardware grant and sampler rates.
+    let hulls: Vec<ConvexHull> = (0..8)
+        .map(|i| synthetic_curve(64, 77 + i).convex_hull())
+        .collect();
     let sizes = vec![LLC_LINES / 8; 8];
     c.bench_function("talus_reconfigure_8apps", |b| {
         let cache = VantageLike::new(LLC_LINES, 16, 16, 3);
-        let mut talus = TalusCache::new(cache, 8, TalusCacheConfig::for_vantage());
-        b.iter(|| black_box(talus.reconfigure(&sizes, &curves).expect("valid plan")))
+        let mut talus = TalusCache::new(cache, 8, TalusCacheConfig::new());
+        let fraction = talus.inner().managed_fraction();
+        b.iter(|| {
+            let plans: Vec<TalusPlan> = hulls
+                .iter()
+                .zip(&sizes)
+                .map(|(hull, &size)| {
+                    let managed = (size as f64 * fraction).floor();
+                    plan_with_hull(hull, managed, TalusOptions::new()).expect("valid plan")
+                })
+                .collect();
+            talus.apply(&sizes, black_box(&plans));
+        })
     });
 }
 

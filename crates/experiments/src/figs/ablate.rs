@@ -52,8 +52,8 @@ fn safety_margin(scale: &Scale) {
     let interval = (scale.accesses / 6).clamp(20_000, 500_000);
     let mut rows = Vec::new();
     for margin in [0.0, 0.02, 0.05, 0.10, 0.15] {
-        let config = TalusCacheConfig::for_vantage()
-            .with_options(TalusOptions::new().with_safety_margin(margin));
+        let config =
+            TalusCacheConfig::new().with_options(TalusOptions::new().with_safety_margin(margin));
         let mpki = measure_talus_vantage(&app, 16.0, scale, config, 0.10, interval);
         println!("  margin {margin:>5.2}: {mpki:6.2} MPKI (hull ≈ 16.5)");
         rows.push(vec![format!("{margin}"), format!("{mpki:.3}")]);
@@ -108,9 +108,8 @@ fn unmanaged_fraction(scale: &Scale) {
     let interval = (scale.accesses / 6).clamp(20_000, 500_000);
     let mut rows = Vec::new();
     for unmanaged in [0.0, 0.05, 0.10, 0.20] {
-        // Planning scale must match what the scheme can guarantee.
-        let mut config = TalusCacheConfig::for_vantage();
-        config.planning_scale = 1.0 - unmanaged;
+        // Talus plans over what the scheme guarantees: 1 − unmanaged.
+        let config = TalusCacheConfig::new();
         let mpki = measure_talus_vantage(&app, 16.0, scale, config, unmanaged, interval);
         println!("  unmanaged {unmanaged:>5.2}: {mpki:6.2} MPKI");
         rows.push(vec![format!("{unmanaged}"), format!("{mpki:.3}")]);
@@ -298,7 +297,7 @@ fn futility_vs_vantage(scale: &Scale) {
             &app,
             paper_mb,
             scale,
-            TalusCacheConfig::for_vantage(),
+            TalusCacheConfig::new(),
             0.10,
             interval,
         );

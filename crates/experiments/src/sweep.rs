@@ -174,7 +174,7 @@ pub fn talus_curve(
                         cache,
                         mon,
                         interval,
-                        TalusCacheConfig::for_vantage(),
+                        TalusCacheConfig::new(),
                         &scaled,
                         scale,
                         seed,
@@ -184,7 +184,7 @@ pub fn talus_curve(
                     let lines = round_to(scale.mb_to_lines(mb), 16);
                     let cache = FutilityScaled::new(lines, 16, 2, seed ^ 0x888);
                     let mon = UmonPair::new(lines, seed ^ 0x999);
-                    // Full planning scale: the whole cache is managed.
+                    // The whole cache is managed: Talus plans over all of it.
                     run_talus_point(
                         cache,
                         mon,

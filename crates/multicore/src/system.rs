@@ -5,7 +5,7 @@
 //! runner: one [`access`](LlcSystem::access) per LLC reference and one
 //! [`reconfigure`](LlcSystem::reconfigure) per interval.
 
-use talus_core::MissCurve;
+use talus_core::{MissCurve, TalusPlan};
 use talus_partition::{fair, PlanScratch, Planner};
 use talus_sim::monitor::{Monitor, UmonPair};
 use talus_sim::part::{PartitionedCacheModel, VantageLike};
@@ -239,10 +239,18 @@ impl TalusLlc {
     /// Builds the system.
     pub fn new(llc_lines: u64, apps: usize, algo: AllocAlgo, seed: u64) -> Self {
         let cache = VantageLike::new(llc_lines, 16, 2 * apps, seed);
-        let config = TalusCacheConfig::for_vantage().with_seed(seed);
-        let mut talus = TalusCache::new(cache, apps, config);
-        // Fair, unpartitioned start until the first interval's curves land.
-        talus.set_unpartitioned(&fair(apps, llc_lines, 1));
+        let mut talus = TalusCache::new(cache, apps, TalusCacheConfig::new().with_seed(seed));
+        // Fair, unpartitioned start until the first interval's curves land
+        // (a cold cache: every access expected to miss).
+        let shares = fair(apps, llc_lines, 1);
+        let cold: Vec<TalusPlan> = shares
+            .iter()
+            .map(|&size| TalusPlan::Unpartitioned {
+                size: size as f64,
+                expected_misses: 1.0,
+            })
+            .collect();
+        talus.apply(&shares, &cold);
         TalusLlc {
             talus,
             monitors: (0..apps)
@@ -271,17 +279,23 @@ impl LlcSystem for TalusLlc {
 
     fn reconfigure(&mut self, interval_accesses: &[u64]) {
         let raw = weighted_curves(&self.monitors, interval_accesses);
-        // Pre-processing (§VI-A) + allocation via the shared planner (the
-        // allocator sees convex hulls only).
-        let sizes = self.planner.allocate_in(
+        // Software (§VI-A), on the shared planner: hulls, allocation on
+        // them, and each app's shadow plan on its hull at the share of its
+        // allocation Vantage manages. A plan that fails is not written.
+        let planned = self.planner.plan_managed_in(
             &mut self.scratch,
             &raw,
             self.talus.capacity_lines(),
             self.rounds,
+            self.talus.inner().managed_fraction(),
         );
         self.rounds += 1;
-        // Post-processing: shadow partition sizes and sampling rates.
-        let _ = self.talus.reconfigure(sizes, &raw);
+        // Hardware (§VI-B): shadow partition sizes and sampling rates.
+        if let Ok(planned) = planned {
+            let plans: Vec<TalusPlan> = planned.tenants.iter().map(|t| t.plan).collect();
+            self.talus.apply(&planned.allocations(), &plans);
+            self.scratch.recycle(planned);
+        }
         for m in &mut self.monitors {
             m.reset();
         }

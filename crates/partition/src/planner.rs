@@ -10,7 +10,9 @@
 //!    [`AllocPolicy`] (on convex curves the trivial hill climb is optimal);
 //! 3. **Post-process**: for each tenant, turn its allocation into a
 //!    Talus shadow-partition configuration with
-//!    [`talus_core::plan_with_hull`].
+//!    [`talus_core::plan_with_hull`], on the hull step 1 built — at the
+//!    whole allocation, or at the share of it the cache's scheme manages
+//!    ([`Planner::plan_managed_in`]).
 //!
 //! [`Planner`] packages those steps behind one call so all layers share
 //! one code path — a plan computed online is bit-for-bit the plan the
@@ -187,8 +189,8 @@ impl Planner {
     /// first unless [`raw_curves`](Planner::raw_curves) was set. Returns
     /// per-tenant sizes in lines (multiples of the grain).
     ///
-    /// Used by systems whose hardware layer re-derives shadow
-    /// configurations itself (e.g. `TalusCache` in `talus-sim`). A caller
+    /// Used by partitioned systems without Talus, which need sizes and
+    /// no shadow plans (the "X/LRU" baselines). A caller
     /// that reconfigures every interval keeps a [`PlanScratch`] and calls
     /// [`allocate_in`](Planner::allocate_in); this is that call on a
     /// scratch of its own.
@@ -356,6 +358,41 @@ impl Planner {
         I: IntoIterator<Item = &'c MissCurve>,
         I::IntoIter: Clone,
     {
+        self.plan_managed_in(scratch, curves, capacity, round, 1.0)
+    }
+
+    /// [`plan_in`](Planner::plan_in) for a cache whose scheme guarantees
+    /// only `managed_fraction` of each allocation (a Vantage-like
+    /// unmanaged region, paper §VI-B): every tenant keeps its allocation
+    /// as its `capacity`, and is shadow-planned at
+    /// `floor(capacity × managed_fraction)` lines, on the hull its
+    /// allocation was made on. A fraction of 1.0 is `plan_in`, bit for
+    /// bit.
+    ///
+    /// # Errors
+    ///
+    /// As [`plan`](Planner::plan).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `curves` is empty, the grain is zero, or
+    /// `managed_fraction` is not in `(0, 1]`.
+    pub fn plan_managed_in<'c, I>(
+        &self,
+        scratch: &mut PlanScratch,
+        curves: I,
+        capacity: u64,
+        round: u64,
+        managed_fraction: f64,
+    ) -> Result<CachePlan, PlanError>
+    where
+        I: IntoIterator<Item = &'c MissCurve>,
+        I::IntoIter: Clone,
+    {
+        assert!(
+            managed_fraction > 0.0 && managed_fraction <= 1.0,
+            "managed fraction must be in (0, 1]"
+        );
         let curves = curves.into_iter();
         let tenants = scratch.assign_hulls(curves.clone());
         if self.convexify {
@@ -366,9 +403,10 @@ impl Planner {
         let mut plans = scratch.spare.pop().unwrap_or_default();
         plans.reserve_exact(tenants);
         for (hull, &size) in scratch.hulls[..tenants].iter().zip(&scratch.alloc) {
+            let managed = (size as f64 * managed_fraction).floor();
             plans.push(TenantPlan {
                 capacity: size,
-                plan: plan_with_hull(hull, size as f64, self.options)?,
+                plan: plan_with_hull(hull, managed, self.options)?,
             });
         }
         Ok(CachePlan {
@@ -488,6 +526,40 @@ mod tests {
             .unwrap();
             assert_eq!(t.plan, expect, "tenant {i}");
         }
+    }
+
+    #[test]
+    fn managed_plans_keep_the_allocation_and_plan_on_its_managed_share() {
+        let curves = vec![
+            cliff(512.0, 12.0, 1.0),
+            convex(300.0, 0.5),
+            cliff(320.0, 9.0, 2.0),
+        ];
+        let planner = Planner::new(64);
+        let mut scratch = PlanScratch::default();
+        let whole = planner.plan(&curves, 1024, 3).unwrap();
+        let same = planner
+            .plan_managed_in(&mut scratch, &curves, 1024, 3, 1.0)
+            .unwrap();
+        assert_eq!(same, whole);
+        let managed = planner
+            .plan_managed_in(&mut scratch, &curves, 1024, 3, 0.9)
+            .unwrap();
+        assert_eq!(managed.allocations(), whole.allocations());
+        assert_ne!(managed, whole, "some tenant plans differently on 90 %");
+        assert_eq!(managed.round, 3);
+        for (i, t) in managed.tenants.iter().enumerate() {
+            let at = (t.capacity as f64 * 0.9).floor();
+            let expect = plan_with_hull(&curves[i].convex_hull(), at, TalusOptions::new()).unwrap();
+            assert_eq!(t.plan, expect, "tenant {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "managed fraction")]
+    fn a_managed_fraction_above_one_is_refused() {
+        let curves = vec![convex(100.0, 1.0)];
+        let _ = Planner::new(64).plan_managed_in(&mut PlanScratch::default(), &curves, 512, 0, 1.5);
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! over-occupying partitions get larger λ (their lines look more futile
 //! and are evicted first), under-occupying ones get smaller λ. Unlike
 //! Vantage, enforcement covers **the whole cache** — there is no
-//! unmanaged region, so Talus can plan over the full allocation
-//! (`planning_scale = 1.0`).
+//! unmanaged region, so the scheme reports a managed fraction of 1.0
+//! ([`PartitionedCacheModel::managed_fraction`](super::PartitionedCacheModel::managed_fraction)'s
+//! default) and software plans Talus over the full allocation, which the
+//! cache then applies as planned.
 //!
 //! It runs on the skew-associative engine it shares with
 //! [`VantageLike`](super::VantageLike) (each way indexes through its own

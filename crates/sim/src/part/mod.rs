@@ -112,6 +112,15 @@ pub trait PartitionedCacheModel {
 
     /// Short scheme name for reports ("way", "set", "vantage", "ideal").
     fn scheme_name(&self) -> &'static str;
+
+    /// The fraction of each granted allocation the scheme guarantees
+    /// (paper §VI-B): Talus shadow-plans a partition at this share of its
+    /// allocation and converts grants back through it. 1.0 for schemes
+    /// that enforce over the whole cache; a Vantage-like scheme manages
+    /// `1.0 − unmanaged_fraction`.
+    fn managed_fraction(&self) -> f64 {
+        1.0
+    }
 }
 
 /// Exact line-granularity grants: the requests themselves when they fit
@@ -339,5 +348,25 @@ mod tests {
         let got = apportion(&[(2 * mb) / 3, (10 * mb) / 3], mb, 4);
         assert_eq!(got.iter().sum::<u64>(), 4);
         assert_eq!(got, vec![1, 3]);
+    }
+
+    #[test]
+    fn each_scheme_reports_the_fraction_talus_plans_over() {
+        // The fractions Talus plans over: Vantage's managed 90 % (§VI-B),
+        // the whole allocation everywhere else. Compared bit for bit.
+        use crate::policy::Lru;
+        let bits = |cache: &dyn PartitionedCacheModel| cache.managed_fraction().to_bits();
+        assert_eq!(bits(&VantageLike::new(1024, 16, 2, 1)), 0.9f64.to_bits());
+        assert_eq!(0.9f64.to_bits(), (1.0f64 - 0.10).to_bits());
+        for u in [0.0, 0.05, 0.10, 0.20, 0.9] {
+            let cache = VantageLike::with_unmanaged_fraction(1024, 16, 2, 1, u);
+            assert_eq!(bits(&cache), (1.0 - u).to_bits(), "unmanaged {u}");
+        }
+        assert_eq!(bits(&FutilityScaled::new(1024, 16, 2, 1)), 1.0f64.to_bits());
+        let way = WayPartitioned::new(1024, 16, 2, Lru::new(), 1);
+        assert_eq!(bits(&way), 1.0f64.to_bits());
+        let set = SetPartitioned::new(1024, 16, 2, Lru::new(), 1);
+        assert_eq!(bits(&set), 1.0f64.to_bits());
+        assert_eq!(bits(&IdealPartitioned::new(1024, 2)), 1.0f64.to_bits());
     }
 }

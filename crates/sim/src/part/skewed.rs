@@ -32,6 +32,12 @@ pub trait Enforcement {
     /// Way `w`'s hash is seeded `seed + SEED_STRIDE · (w + 1)`.
     const SEED_STRIDE: u64;
 
+    /// The share of a grant the rule guarantees
+    /// ([`PartitionedCacheModel::managed_fraction`]).
+    fn managed_fraction(&self) -> f64 {
+        1.0
+    }
+
     /// Takes new grants; `occupancy` is each partition's resident lines.
     fn retarget(&mut self, granted: &[u64], occupancy: &[u64]);
 
@@ -230,5 +236,9 @@ impl<E: Enforcement> PartitionedCacheModel for Skewed<E> {
 
     fn scheme_name(&self) -> &'static str {
         E::NAME
+    }
+
+    fn managed_fraction(&self) -> f64 {
+        self.rule.managed_fraction()
     }
 }

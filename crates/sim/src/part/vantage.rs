@@ -118,10 +118,14 @@ impl Enforcement for Vantage {
     const NAME: &'static str = "vantage";
     const SEED_STRIDE: u64 = 0x1234_5678;
 
+    fn managed_fraction(&self) -> f64 {
+        1.0 - self.unmanaged_fraction
+    }
+
     fn retarget(&mut self, granted: &[u64], occupancy: &[u64]) {
         // Vantage can only guarantee the managed region: effective targets
         // are scaled down, and the slack floats between partitions.
-        let scale = 1.0 - self.unmanaged_fraction;
+        let scale = self.managed_fraction();
         self.targets = granted.iter().map(|&g| (g as f64 * scale) as u64).collect();
         for (p, &lines) in occupancy.iter().enumerate() {
             self.occupancy_changed(p, lines);

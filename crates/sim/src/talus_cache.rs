@@ -3,14 +3,19 @@
 //! [`TalusCache`] implements the paper's Fig. 7 datapath. Each *logical*
 //! (software-visible) partition is backed by two hidden *shadow*
 //! partitions (α and β) plus an 8-bit hash + limit-register sampler that
-//! steers a ρ fraction of accesses to α. The software side — planning from
-//! miss curves, the §VI-B safety margin, the way-partitioning coarsening
-//! correction, and Vantage's managed-region scaling — lives in
-//! [`TalusCache::reconfigure`].
+//! steers a ρ fraction of accesses to α. Software plans (§VI-A: the
+//! convex hulls, the allocation and each partition's α/β/ρ come from
+//! `talus_core::plan` or `talus_partition::Planner`); the cache applies:
+//! [`TalusCache::apply`] sizes the shadow partitions, takes the scheme's
+//! grant, corrects ρ for its coarsening and re-applies the safety margin
+//! (§VI-B), and sets the samplers. The share of an allocation a plan may
+//! count on is the scheme's own,
+//! [`PartitionedCacheModel::managed_fraction`]: the planner plans at it
+//! and `apply` converts between planned and hardware sizes through it.
 //!
 //! [`TalusSingleCache`] packages the single-application configuration used
 //! by the paper's Figs. 1 and 8–10: one logical partition spanning the
-//! whole LLC, reconfigured from an attached monitor at a fixed interval.
+//! whole LLC, re-planned from an attached monitor at a fixed interval.
 
 use crate::addr::{LineAddr, PartitionId};
 use crate::hasher::ShadowSampler;
@@ -18,38 +23,30 @@ use crate::monitor::Monitor;
 use crate::part::PartitionedCacheModel;
 use crate::policy::AccessCtx;
 use crate::stats::{AccessResult, CacheStats};
-use talus_core::{plan, MissCurve, PlanError, TalusOptions, TalusPlan};
+use talus_core::{TalusOptions, TalusPlan};
 
 /// Configuration for a [`TalusCache`].
 #[derive(Debug, Clone, Copy)]
 pub struct TalusCacheConfig {
     /// Planner options (safety margin etc.).
     pub options: TalusOptions,
-    /// Fraction of each logical allocation Talus plans over. 1.0 for
-    /// schemes with hard guarantees (way/set/ideal); 0.9 for Vantage-like
-    /// schemes, whose unmanaged region cannot be guaranteed (paper §VI-B).
-    pub planning_scale: f64,
     /// Seed for the per-partition sampling hashes.
     pub seed: u64,
 }
 
 impl TalusCacheConfig {
-    /// Default configuration: 5% safety margin, full planning scale.
+    /// Default configuration: 5% safety margin.
     pub fn new() -> Self {
         TalusCacheConfig {
             options: TalusOptions::new(),
-            planning_scale: 1.0,
             seed: 0xD1CE,
         }
     }
 
-    /// Configuration for Vantage-like schemes (plans over 90% of each
-    /// allocation).
+    /// The same as [`new`](TalusCacheConfig::new): a Vantage-like cache
+    /// reports its managed fraction itself.
     pub fn for_vantage() -> Self {
-        TalusCacheConfig {
-            planning_scale: 0.9,
-            ..Self::new()
-        }
+        Self::new()
     }
 
     /// Replaces the planner options.
@@ -97,14 +94,10 @@ impl<C: PartitionedCacheModel> TalusCache<C> {
             2 * logical_partitions,
             "need two shadow partitions per logical partition"
         );
-        assert!(
-            config.planning_scale > 0.0 && config.planning_scale <= 1.0,
-            "planning scale must be in (0, 1]"
-        );
         let samplers = (0..logical_partitions)
             .map(|i| {
                 let mut s = ShadowSampler::new(config.seed.wrapping_add(i as u64 * 0x9E37));
-                s.set_rate(1.0); // everything to α until first reconfigure
+                s.set_rate(1.0); // everything to α until the first plan
                 s
             })
             .collect();
@@ -136,67 +129,54 @@ impl<C: PartitionedCacheModel> TalusCache<C> {
         self.samplers[logical.index()].rate()
     }
 
-    /// Re-plans every logical partition: `targets[p]` lines allocated to
-    /// logical partition `p`, whose observed miss curve is `curves[p]`
-    /// (sizes in lines, misses per access or any linear unit).
+    /// Puts plans in force: logical partition `p` gets `targets[p]` lines
+    /// of hardware, configured by `plans[p]`, which software planned at
+    /// the scheme's managed share of that target
+    /// (`floor(targets[p] × managed_fraction)`; see
+    /// `talus_partition::Planner::plan_managed_in`). A
+    /// [`TalusPlan::Unpartitioned`] plan — the start before any curve is
+    /// observed — runs the partition as one α partition of its whole
+    /// target.
     ///
-    /// This performs the paper's post-processing step: Theorem-6 planning
-    /// at `planning_scale × target`, hardware grant, coarsening correction
-    /// (`ρ = s1/α`), and sampler update.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`PlanError`] encountered; partitions planned
-    /// before the error keep their new configuration.
+    /// This is the paper's hardware step: shadow-partition requests in
+    /// hardware units, the scheme's grant, the §VI-B coarsening correction
+    /// (`ρ = s1/α`, then the safety margin again), and the sampler rates.
     ///
     /// # Panics
     ///
-    /// Panics if `targets` or `curves` length differs from the number of
+    /// Panics if `targets` or `plans` length differs from the number of
     /// logical partitions.
-    pub fn reconfigure(
-        &mut self,
-        targets: &[u64],
-        curves: &[MissCurve],
-    ) -> Result<Vec<TalusPlan>, PlanError> {
+    pub fn apply(&mut self, targets: &[u64], plans: &[TalusPlan]) {
         assert_eq!(
             targets.len(),
             self.logical_partitions(),
             "one target per partition"
         );
         assert_eq!(
-            curves.len(),
+            plans.len(),
             self.logical_partitions(),
-            "one curve per partition"
+            "one plan per partition"
         );
-        let scale = self.config.planning_scale;
+        let scale = self.cache.managed_fraction();
         let mut requests = vec![0u64; 2 * targets.len()];
-        let mut plans = Vec::with_capacity(targets.len());
-        for (p, (&target, curve)) in targets.iter().zip(curves).enumerate() {
-            let effective = (target as f64 * scale).floor();
-            let plan = plan(curve, effective, self.config.options)?;
-            match &plan {
-                TalusPlan::Unpartitioned { .. } => {
-                    requests[2 * p] = target;
-                    requests[2 * p + 1] = 0;
-                }
-                TalusPlan::Shadow(cfg) => {
-                    // Requests are in hardware units; the scheme's managed
-                    // fraction (planning_scale) cancels out.
-                    let r1 = (cfg.s1 / scale).round() as u64;
-                    requests[2 * p] = r1.min(target);
-                    requests[2 * p + 1] = target - requests[2 * p];
-                }
+        for (p, (&target, plan)) in targets.iter().zip(plans).enumerate() {
+            if let TalusPlan::Shadow(cfg) = plan {
+                // Requests are in hardware units; the managed fraction
+                // cancels out.
+                requests[2 * p] = ((cfg.s1 / scale).round() as u64).min(target);
+                requests[2 * p + 1] = target - requests[2 * p];
+            } else {
+                requests[2 * p] = target;
             }
-            plans.push(plan);
         }
         let granted = self.cache.set_partition_sizes(&requests);
-        for (p, plan) in plans.iter_mut().enumerate() {
+        let margin = self.config.options.safety_margin;
+        for (p, plan) in plans.iter().enumerate() {
             let rate = match plan {
                 TalusPlan::Unpartitioned { .. } => 1.0,
                 TalusPlan::Shadow(cfg) => {
                     let g1 = granted[2 * p] as f64 * scale;
                     let g2 = granted[2 * p + 1] as f64 * scale;
-                    let margin = self.config.options.safety_margin;
                     if g2 <= 0.0 {
                         1.0
                     } else if cfg.alpha > 0.0 {
@@ -221,32 +201,6 @@ impl<C: PartitionedCacheModel> TalusCache<C> {
             };
             self.samplers[p].set_rate(rate.clamp(0.0, 1.0));
             self.plans[p] = Some(*plan);
-        }
-        Ok(plans)
-    }
-
-    /// Applies plain (non-shadow) partitioning: each logical partition
-    /// gets a single active shadow partition of its full target size with
-    /// all accesses routed to it. Used at startup, before any miss curve
-    /// has been observed.
-    pub fn set_unpartitioned(&mut self, targets: &[u64]) {
-        assert_eq!(
-            targets.len(),
-            self.logical_partitions(),
-            "one target per partition"
-        );
-        let mut requests = vec![0u64; 2 * targets.len()];
-        for (p, &t) in targets.iter().enumerate() {
-            requests[2 * p] = t;
-        }
-        self.cache.set_partition_sizes(&requests);
-        for (p, sampler) in self.samplers.iter_mut().enumerate() {
-            sampler.set_rate(1.0);
-            // Before any curve is observed, assume the cold-cache rate.
-            self.plans[p] = Some(TalusPlan::Unpartitioned {
-                size: targets[p] as f64,
-                expected_misses: 1.0,
-            });
         }
     }
 
@@ -286,7 +240,7 @@ impl<C: PartitionedCacheModel> TalusCache<C> {
 }
 
 /// Single-application Talus: one logical partition spanning the LLC, driven
-/// by an attached monitor and reconfigured every `interval` accesses.
+/// by an attached monitor and re-planned every `interval` accesses.
 ///
 /// This is the configuration behind the paper's single-program results
 /// (Figs. 1, 8, 9, 10): software reads the monitor, convexifies, and
@@ -356,15 +310,18 @@ impl<C: PartitionedCacheModel, M: Monitor> TalusSingleCache<C, M> {
         }
     }
 
-    /// Interval boundary: re-plan from the monitor's curve and reset it.
+    /// Interval boundary: plan the whole cache from the monitor's curve at
+    /// the scheme's managed size, apply, and reset the monitor.
     fn reconfigure_now(&mut self) {
         self.since_reconfigure = 0;
-        let curve = self.monitor.curve();
         let capacity = self.talus.capacity_lines();
+        let managed = (capacity as f64 * self.talus.cache.managed_fraction()).floor();
         // Planning failures (e.g. an empty monitor) leave the previous
         // configuration in force — matching hardware, where a bad
         // reconfiguration simply isn't written.
-        if self.talus.reconfigure(&[capacity], &[curve]).is_ok() {
+        let options = self.talus.config.options;
+        if let Ok(plan) = talus_core::plan(&self.monitor.curve(), managed, options) {
+            self.talus.apply(&[capacity], &[plan]);
             self.reconfigurations += 1;
         }
         self.monitor.reset();
@@ -397,9 +354,27 @@ mod tests {
     use crate::monitor::{MattsonMonitor, SampledMattson};
     use crate::part::IdealPartitioned;
     use crate::policy::AccessCtx;
+    use talus_core::{plan, MissCurve, PlanError};
 
     fn ctx() -> AccessCtx {
         AccessCtx::new()
+    }
+
+    /// Software's half, as `TalusSingleCache` does it: plan each partition
+    /// at the scheme's managed share of its target, then apply.
+    fn plan_and_apply<C: PartitionedCacheModel>(
+        t: &mut TalusCache<C>,
+        targets: &[u64],
+        curves: &[MissCurve],
+    ) -> Result<Vec<TalusPlan>, PlanError> {
+        let fraction = t.inner().managed_fraction();
+        let plans = targets
+            .iter()
+            .zip(curves)
+            .map(|(&target, c)| plan(c, (target as f64 * fraction).floor(), t.config.options))
+            .collect::<Result<Vec<_>, _>>()?;
+        t.apply(targets, &plans);
+        Ok(plans)
     }
 
     /// The §III example workload at line scale: ~2k lines random + 3k scan.
@@ -433,7 +408,7 @@ mod tests {
             &[1.0, 0.75, 0.5, 0.5, 0.5, 0.125, 0.125],
         )
         .unwrap();
-        let plans = t.reconfigure(&[4096], &[curve]).unwrap();
+        let plans = plan_and_apply(&mut t, &[4096], &[curve]).unwrap();
         let cfg = plans[0].shadow().expect("4096 is on the plateau");
         assert_eq!(cfg.alpha, 2048.0);
         assert_eq!(cfg.beta, 5120.0);
@@ -449,7 +424,7 @@ mod tests {
         let mut t = TalusCache::new(cache, 1, TalusCacheConfig::new());
         // Convex curve: no cliff, plan is unpartitioned at every size.
         let curve = MissCurve::from_samples(&[0.0, 500.0, 1000.0], &[1.0, 0.4, 0.1]).unwrap();
-        t.reconfigure(&[1000], &[curve]).unwrap();
+        plan_and_apply(&mut t, &[1000], &[curve]).unwrap();
         assert_eq!(t.sampling_rate(PartitionId(0)), 1.0);
         for i in 0..100u64 {
             t.access(PartitionId(0), LineAddr(i), &ctx());
@@ -457,6 +432,28 @@ mod tests {
         // All traffic went to shadow 0.
         assert_eq!(t.inner().partition_stats(PartitionId(0)).accesses(), 100);
         assert_eq!(t.inner().partition_stats(PartitionId(1)).accesses(), 0);
+    }
+
+    #[test]
+    fn an_unpartitioned_start_is_one_alpha_partition_per_target() {
+        let mut t = TalusCache::new(IdealPartitioned::new(1000, 4), 2, TalusCacheConfig::new());
+        let cold = |size: u64| TalusPlan::Unpartitioned {
+            size: size as f64,
+            expected_misses: 1.0,
+        };
+        t.apply(&[600, 400], &[cold(600), cold(400)]);
+        for p in 0..2u32 {
+            assert_eq!(t.sampling_rate(PartitionId(p)), 1.0);
+            assert!(t.plan(PartitionId(p)).unwrap().shadow().is_none());
+        }
+        for i in 0..100u64 {
+            t.access(PartitionId((i % 2) as u32), LineAddr(i), &ctx());
+        }
+        let accesses = |p: u32| t.inner().partition_stats(PartitionId(p)).accesses();
+        assert_eq!(
+            [accesses(0), accesses(1), accesses(2), accesses(3)],
+            [50, 0, 50, 0]
+        );
     }
 
     #[test]
@@ -469,7 +466,7 @@ mod tests {
             &[1.0, 0.5, 0.5, 0.5, 0.125, 0.125],
         )
         .unwrap();
-        t.reconfigure(&[4096], &[curve]).unwrap();
+        plan_and_apply(&mut t, &[4096], &[curve]).unwrap();
         let rho = t.sampling_rate(PartitionId(0));
         for i in 0..40_000u64 {
             t.access(PartitionId(0), LineAddr(i), &ctx());
@@ -495,7 +492,7 @@ mod tests {
         )
         .unwrap();
         let convex = MissCurve::from_samples(&[0.0, 2048.0, 4096.0], &[1.0, 0.3, 0.1]).unwrap();
-        t.reconfigure(&[4096, 4096], &[cliff, convex]).unwrap();
+        plan_and_apply(&mut t, &[4096, 4096], &[cliff, convex]).unwrap();
         assert!(t.plan(PartitionId(0)).unwrap().shadow().is_some());
         assert!(t.plan(PartitionId(1)).unwrap().shadow().is_none());
         // Partition 1 unpartitioned: rate 1.

@@ -57,8 +57,7 @@ fn main() {
         // Talus on a Vantage-like array.
         let cache = VantageLike::new(lines, 16, 2, 2);
         let monitor = UmonPair::new(lines, 3);
-        let mut talus =
-            TalusSingleCache::new(cache, monitor, 50_000, TalusCacheConfig::for_vantage());
+        let mut talus = TalusSingleCache::new(cache, monitor, 50_000, TalusCacheConfig::new());
         let mut gen = app.generator(1, 0);
         for _ in 0..WARMUP {
             talus.access(gen.next_line(), &ctx);

@@ -39,7 +39,7 @@ fn talus_is_agnostic_to_partitioning_scheme() {
         VantageLike::new(cache_lines, 16, 2, 3),
         &app,
         ACCESSES,
-        TalusCacheConfig::for_vantage(),
+        TalusCacheConfig::new(),
         7,
     );
     // Hull value at half the scan: ~0.5 misses per access.

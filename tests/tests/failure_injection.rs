@@ -94,9 +94,8 @@ fn beyond_curve_targets_run_unpartitioned() {
     let mut talus = TalusCache::new(cache, 1, TalusCacheConfig::new());
     let curve =
         MissCurve::from_samples(&[0.0, 1024.0, 2048.0], &[1.0, 0.6, 0.1]).expect("valid curve");
-    let plans = talus
-        .reconfigure(&[4096], &[curve])
-        .expect("beyond-domain target degrades");
+    let plans = [plan(&curve, 4096.0, TalusOptions::new()).expect("beyond-domain target degrades")];
+    talus.apply(&[4096], &plans);
     assert!(
         plans[0].shadow().is_none(),
         "no shadow bridge past the curve"
@@ -154,7 +153,8 @@ proptest! {
         let cache = IdealPartitioned::new(capacity, 2);
         let mut talus = TalusCache::new(cache, 1, TalusCacheConfig::new());
         let target = capacity * target_pct / 100;
-        let plans = talus.reconfigure(&[target], &[curve]).expect("target is in-domain");
+        let plans = [plan(&curve, target as f64, TalusOptions::new()).expect("target is in-domain")];
+        talus.apply(&[target], &plans);
         let rate = talus.sampling_rate(PartitionId(0));
         prop_assert!((0.0..=1.0).contains(&rate), "rate {rate}");
         prop_assert_eq!(plans.len(), 1);
