@@ -1,4 +1,5 @@
-//! The field-level byte rules both encoded formats of these types share.
+//! The byte rules both encoded formats of these types share, and the one
+//! error their decoders return.
 //!
 //! `talus-serve`'s wire protocol and `talus-store`'s journal append
 //! fields through the `put_*` functions and read them back through one
@@ -8,19 +9,45 @@
 //! ([`check_shape`]). Integers are little-endian and an `f64` is its
 //! IEEE-754 bit pattern, so every value round-trips bit for bit.
 //!
-//! Framing (length prefixes, versions, opcodes and tags, checksums)
-//! belongs to each format and a curve's bytes to
-//! [`MissCurve`](crate::MissCurve)'s values codec. Each format converts a
-//! [`DecodeError`] into its own error type, variant for variant.
+//! Both formats frame a payload alike — a `u32` length prefix, then
+//! `[version][opcode or tag][body]` — so [`check_len`] (the prefix) and
+//! [`payload_parts`] (the version) are here too, and every decoder of
+//! either fails with a [`DecodeError`] carrying its own format's `max`
+//! and `want`. Layouts, caps, tags and the journal's checksum stay with
+//! each format; a curve's bytes are [`MissCurve`](crate::MissCurve)'s.
 
 use crate::limits::WIRE_MAX_TENANTS;
 use crate::CurveError;
 
-/// Why a body failed to decode, or a value failed a decoder's check.
+/// Why a frame or a record failed to decode, or a value failed a
+/// decoder's check. Decoders return these; they never panic on any
+/// input.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DecodeError {
-    /// The bytes ended before the field did.
+    /// The bytes (or the stream) ended before the field or the declared
+    /// length did.
     Truncated,
+    /// The length prefix exceeds the format's cap; refused before any
+    /// allocation.
+    Oversized {
+        /// The declared payload length.
+        len: u32,
+        /// The format's cap.
+        max: u32,
+    },
+    /// The payload's version byte is not the format's.
+    BadVersion {
+        /// The version byte read.
+        got: u8,
+        /// The format's version.
+        want: u8,
+    },
+    /// The opcode (wire) or record tag (journal) is not one the decoder
+    /// knows.
+    BadTag {
+        /// The byte read.
+        got: u8,
+    },
     /// A count exceeds its cap.
     BadCount {
         /// The declared count.
@@ -33,6 +60,79 @@ pub enum DecodeError {
     /// A structurally invalid body: a bad tag, a zero field that must be
     /// positive, or trailing bytes.
     Malformed(&'static str),
+    /// The underlying stream or file failed.
+    Io(std::io::ErrorKind),
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::Truncated => write!(f, "input truncated"),
+            DecodeError::Oversized { len, max } => write!(f, "length {len} exceeds {max}"),
+            DecodeError::BadVersion { got, want } => {
+                write!(f, "unsupported format version {got} (expected {want})")
+            }
+            DecodeError::BadTag { got } => write!(f, "unknown opcode or tag {got:#04x}"),
+            DecodeError::BadCount { count, max } => {
+                write!(f, "element count {count} exceeds bound {max}")
+            }
+            DecodeError::Curve(e) => write!(f, "invalid curve payload: {e}"),
+            DecodeError::Malformed(what) => write!(f, "malformed payload: {what}"),
+            DecodeError::Io(kind) => write!(f, "io error: {kind}"),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            DecodeError::Curve(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+/// An unexpected end of input is a truncation.
+impl From<std::io::Error> for DecodeError {
+    fn from(e: std::io::Error) -> Self {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            DecodeError::Truncated
+        } else {
+            DecodeError::Io(e.kind())
+        }
+    }
+}
+
+/// Checks a payload length prefix, before anything is sized for it:
+/// refused over the format's cap `max`, or under the two header bytes
+/// (version, then opcode or tag) every payload starts with. Writers check
+/// what they frame with it too. Returns the length.
+#[inline]
+pub fn check_len(len: u32, max: u32) -> Result<usize, DecodeError> {
+    if len > max {
+        return Err(DecodeError::Oversized { len, max });
+    }
+    if len < 2 {
+        return Err(DecodeError::Malformed("frame shorter than its header"));
+    }
+    Ok(len as usize)
+}
+
+/// Splits a payload into its opcode or tag and its body, refusing a
+/// version byte other than `version` — a payload too short to hold both
+/// header bytes is [`DecodeError::Truncated`].
+#[inline]
+pub fn payload_parts(payload: &[u8], version: u8) -> Result<(u8, &[u8]), DecodeError> {
+    let [got, tag, body @ ..] = payload else {
+        return Err(DecodeError::Truncated);
+    };
+    if *got != version {
+        return Err(DecodeError::BadVersion {
+            got: *got,
+            want: version,
+        });
+    }
+    Ok((*tag, body))
 }
 
 /// Appends one byte.
@@ -218,5 +318,54 @@ mod tests {
         };
         assert_eq!(check_count(usize::MAX, 4), Err(over));
         assert_eq!(check_count(4, 4), Ok(4));
+    }
+
+    #[test]
+    fn a_frame_header_is_checked_against_the_formats_own_bounds() {
+        assert_eq!(check_len(9, 9), Ok(9));
+        assert_eq!(
+            check_len(10, 9),
+            Err(DecodeError::Oversized { len: 10, max: 9 })
+        );
+        assert!(matches!(check_len(1, 9), Err(DecodeError::Malformed(_))));
+        assert_eq!(payload_parts(&[4, 7, 1, 2], 4), Ok((7, &[1u8, 2][..])));
+        assert_eq!(payload_parts(&[4, 7], 4), Ok((7, &[][..])));
+        assert_eq!(
+            payload_parts(&[3, 7], 4),
+            Err(DecodeError::BadVersion { got: 3, want: 4 })
+        );
+        // Too short for both header bytes, whatever the first one says.
+        assert_eq!(payload_parts(&[3], 4), Err(DecodeError::Truncated));
+        assert_eq!(payload_parts(&[], 4), Err(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn decode_errors_display_and_source() {
+        use std::error::Error;
+        let e = DecodeError::Curve(CurveError::Empty);
+        assert!(e.source().is_some());
+        for e in [
+            e,
+            DecodeError::Truncated,
+            DecodeError::Oversized {
+                len: 1 << 30,
+                max: 1 << 20,
+            },
+            DecodeError::BadVersion { got: 9, want: 4 },
+            DecodeError::BadTag { got: 0x7F },
+            DecodeError::BadCount { count: 5, max: 4 },
+            DecodeError::Malformed("x"),
+            DecodeError::Io(std::io::ErrorKind::ConnectionReset),
+        ] {
+            let msg = e.to_string();
+            assert!(msg.starts_with(char::is_lowercase), "{msg}");
+        }
+        let eof = std::io::Error::from(std::io::ErrorKind::UnexpectedEof);
+        assert_eq!(DecodeError::from(eof), DecodeError::Truncated);
+        let reset = std::io::Error::from(std::io::ErrorKind::ConnectionReset);
+        assert_eq!(
+            DecodeError::from(reset),
+            DecodeError::Io(std::io::ErrorKind::ConnectionReset)
+        );
     }
 }

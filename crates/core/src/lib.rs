@@ -27,7 +27,8 @@
 //! - [`limits`]: interchange bounds (frame/curve/batch sizes) every
 //!   serialization of these types — `talus-serve`'s wire protocol and
 //!   `talus-store`'s journal — must agree on, and [`codec`]: the one
-//!   bounds-checked cursor and field writers both formats use.
+//!   bounds-checked cursor and field writers both formats use, and the
+//!   one error both formats' decoders fail with.
 //!
 //! ## Quickstart
 //!

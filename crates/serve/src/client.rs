@@ -34,17 +34,18 @@ use crate::service::{EpochReport, ServeError};
 use crate::snapshot::CacheId;
 use crate::wire::{
     self, check_register_at, read_frame_into, submit_entry_bytes, GridTable, Request, Response,
-    SnapshotSummary, SubmitEntry, WireError,
+    SnapshotSummary, SubmitEntry,
 };
-use talus_core::codec::{check_count, check_shape};
+use talus_core::codec::{check_count, check_len, check_shape, DecodeError};
 use talus_core::limits::{WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_FRAME_LEN};
 use talus_core::{CurveSource, MissCurve, PlaneHealth};
 
 /// Errors surfaced by the RPC client.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RpcError {
-    /// The transport or codec failed (connection lost, malformed reply).
-    Wire(WireError),
+    /// The transport or codec failed (connection lost, malformed reply),
+    /// or a request the server's decoder would refuse was refused here.
+    Wire(DecodeError),
     /// The server processed the request and rejected it — the same
     /// [`ServeError`] the local service would have returned.
     Serve(ServeError),
@@ -94,7 +95,7 @@ impl std::fmt::Display for RpcError {
 pub(crate) fn is_transport(e: &RpcError) -> bool {
     match e {
         RpcError::Deadline | RpcError::Busy => true,
-        RpcError::Wire(WireError::Io(_) | WireError::Truncated) => true,
+        RpcError::Wire(DecodeError::Io(_) | DecodeError::Truncated) => true,
         RpcError::Exhausted { last, .. } => is_transport(last),
         _ => false,
     }
@@ -189,9 +190,15 @@ impl Default for RetryPolicy {
     }
 }
 
-impl From<WireError> for RpcError {
-    fn from(e: WireError) -> Self {
+impl From<DecodeError> for RpcError {
+    fn from(e: DecodeError) -> Self {
         RpcError::Wire(e)
+    }
+}
+
+impl From<std::io::Error> for RpcError {
+    fn from(e: std::io::Error) -> Self {
+        RpcError::Wire(e.into())
     }
 }
 
@@ -242,10 +249,10 @@ impl RpcClient {
     ///
     /// [`RpcError::Wire`] with the underlying I/O error kind.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, RpcError> {
-        let stream = TcpStream::connect(addr).map_err(WireError::from)?;
-        stream.set_nodelay(true).map_err(WireError::from)?;
-        let peer = stream.peer_addr().map_err(WireError::from)?;
-        let reader = BufReader::new(stream.try_clone().map_err(WireError::from)?);
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        let peer = stream.peer_addr()?;
+        let reader = BufReader::new(stream.try_clone()?);
         Ok(RpcClient {
             reader,
             writer: stream,
@@ -290,22 +297,17 @@ impl RpcClient {
     }
 
     fn apply_deadline(&self) -> Result<(), RpcError> {
-        let stream = &self.writer;
-        stream
-            .set_read_timeout(self.deadline)
-            .map_err(WireError::from)?;
-        stream
-            .set_write_timeout(self.deadline)
-            .map_err(WireError::from)?;
+        self.writer.set_read_timeout(self.deadline)?;
+        self.writer.set_write_timeout(self.deadline)?;
         Ok(())
     }
 
     /// Drops the current stream and dials the peer again (staged entries
     /// are client-side state and survive untouched).
     fn reconnect(&mut self) -> Result<(), RpcError> {
-        let stream = TcpStream::connect(self.peer).map_err(WireError::from)?;
-        stream.set_nodelay(true).map_err(WireError::from)?;
-        self.reader = BufReader::new(stream.try_clone().map_err(WireError::from)?);
+        let stream = TcpStream::connect(self.peer)?;
+        stream.set_nodelay(true)?;
+        self.reader = BufReader::new(stream.try_clone()?);
         self.writer = stream;
         self.apply_deadline()
     }
@@ -313,7 +315,7 @@ impl RpcClient {
     /// Rewrites socket-timeout I/O errors as [`RpcError::Deadline`].
     fn map_deadline(e: RpcError) -> RpcError {
         match e {
-            RpcError::Wire(WireError::Io(kind))
+            RpcError::Wire(DecodeError::Io(kind))
                 if kind == std::io::ErrorKind::TimedOut
                     || kind == std::io::ErrorKind::WouldBlock =>
             {
@@ -332,26 +334,22 @@ impl RpcClient {
     /// One request/response round trip. A typed `Busy` reply surfaces as
     /// [`RpcError::Busy`]; a timed-out read or write as
     /// [`RpcError::Deadline`]. A request that encodes to more than the
-    /// wire frame cap is refused here, [`WireError::Oversized`], before
+    /// wire frame cap is refused here, [`DecodeError::Oversized`], before
     /// any byte of it is written: the server could only drop the
     /// connection on it, so the connection stays usable instead.
     fn call(&mut self, req: &Request) -> Result<Response, RpcError> {
         self.encoded.clear();
         wire::encode_request_into(req, &mut self.encoded);
-        let len = self.encoded.len() - 4;
-        if len > WIRE_MAX_FRAME_LEN as usize {
+        let len = u32::try_from(self.encoded.len() - 4).unwrap_or(u32::MAX);
+        if let Err(e) = check_len(len, WIRE_MAX_FRAME_LEN) {
             // Free what outgrew the bound a retained buffer keeps.
             self.encoded = Vec::new();
-            return Err(RpcError::Wire(WireError::Oversized {
-                len: u32::try_from(len).unwrap_or(u32::MAX),
-            }));
+            return Err(e.into());
         }
         let round_trip = |this: &mut Self| -> Result<Response, RpcError> {
-            this.writer
-                .write_all(&this.encoded)
-                .map_err(WireError::from)?;
+            this.writer.write_all(&this.encoded)?;
             if !read_frame_into(&mut this.reader, &mut this.frame)? {
-                return Err(WireError::Truncated.into());
+                return Err(DecodeError::Truncated.into());
             }
             Ok(wire::decode_response(&this.frame)?)
         };
@@ -409,10 +407,10 @@ impl RpcClient {
     /// [`RpcError::Wire`] on transport failure. Arguments the server's
     /// decoder would refuse — a zero `capacity`, or `tenants` outside
     /// `1..=` the wire tenant cap — are refused here with its error
-    /// ([`WireError::Malformed`] or [`WireError::BadCount`]): nothing is
+    /// ([`DecodeError::Malformed`] or [`DecodeError::BadCount`]): nothing is
     /// sent and the connection stays usable.
     pub fn register(&mut self, capacity: u64, tenants: u32) -> Result<CacheId, RpcError> {
-        check_shape(capacity, tenants).map_err(WireError::from)?;
+        check_shape(capacity, tenants)?;
         match self.call(&Request::Register { capacity, tenants })? {
             Response::Registered { id } => Ok(CacheId(id)),
             other => Err(Self::reject(other, "register")),
@@ -509,8 +507,8 @@ impl RpcClient {
     /// data, not errors: they come back in the result vector. A batch
     /// the server's decoder would refuse — more than the wire batch cap
     /// of entries, a curve over the point cap
-    /// ([`WireError::BadCount`]), or a frame over the byte cap
-    /// ([`WireError::Oversized`]) — is refused here with that error:
+    /// ([`DecodeError::BadCount`]), or a frame over the byte cap
+    /// ([`DecodeError::Oversized`]) — is refused here with that error:
     /// nothing is written, nothing is retried, and the connection stays
     /// usable. [`stage`](RpcClient::stage) keeps a batch within all three
     /// bounds automatically.
@@ -523,9 +521,9 @@ impl RpcClient {
         entries: Vec<SubmitEntry>,
     ) -> Result<Vec<Result<(), ServeError>>, RpcError> {
         assert!(!entries.is_empty(), "empty batch");
-        check_count(entries.len(), WIRE_MAX_BATCH).map_err(WireError::from)?;
+        check_count(entries.len(), WIRE_MAX_BATCH)?;
         for entry in &entries {
-            check_count(entry.curve.len(), WIRE_MAX_CURVE_POINTS).map_err(WireError::from)?;
+            check_count(entry.curve.len(), WIRE_MAX_CURVE_POINTS)?;
         }
         match self.call_retrying(&Request::Submit { entries })? {
             Response::SubmitReply { results } => Ok(results),
@@ -541,7 +539,7 @@ impl RpcClient {
     ///
     /// # Errors
     ///
-    /// Transport errors from an auto-flush; [`WireError::BadCount`] for a
+    /// Transport errors from an auto-flush; [`DecodeError::BadCount`] for a
     /// curve over the wire point cap, which is not staged.
     #[allow(clippy::type_complexity)]
     pub fn stage(
@@ -551,7 +549,7 @@ impl RpcClient {
         curve: MissCurve,
     ) -> Result<Option<Vec<Result<(), ServeError>>>, RpcError> {
         // Within the point cap, any one curve fits the byte budget.
-        check_count(curve.len(), WIRE_MAX_CURVE_POINTS).map_err(WireError::from)?;
+        check_count(curve.len(), WIRE_MAX_CURVE_POINTS)?;
         let mut new_grid = self.staged_grids.position(curve.grid()).is_none();
         let mut bytes = submit_entry_bytes(curve.len(), new_grid);
         let mut flushed = None;
@@ -701,7 +699,7 @@ impl RpcClient {
     /// from docs; not part of the client contract.
     #[doc(hidden)]
     pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), RpcError> {
-        self.writer.write_all(bytes).map_err(WireError::from)?;
+        self.writer.write_all(bytes)?;
         Ok(())
     }
 

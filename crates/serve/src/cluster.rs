@@ -64,7 +64,8 @@ use crate::client::{is_transport, RetryPolicy, RpcClient, RpcError};
 use crate::router::merge_reports;
 use crate::service::{EpochReport, ServeError};
 use crate::snapshot::CacheId;
-use crate::wire::{ClusterInfo, SnapshotSummary, WireError};
+use crate::wire::{ClusterInfo, SnapshotSummary};
+use talus_core::codec::DecodeError;
 use talus_core::{shard_of, MissCurve, PlaneHealth};
 
 /// Fast-failures between probes while a member's breaker is open: the
@@ -682,9 +683,9 @@ impl ClusterClient {
 /// Resolves one address (first result wins, like `TcpStream::connect`).
 fn resolve<A: ToSocketAddrs>(addr: &A) -> Result<SocketAddr, RpcError> {
     addr.to_socket_addrs()
-        .map_err(|e| RpcError::Wire(WireError::Io(e.kind())))?
+        .map_err(|e| RpcError::Wire(DecodeError::Io(e.kind())))?
         .next()
-        .ok_or(RpcError::Wire(WireError::Io(
+        .ok_or(RpcError::Wire(DecodeError::Io(
             std::io::ErrorKind::AddrNotAvailable,
         )))
 }

@@ -14,11 +14,11 @@
 //! that do get through are absorbed by the service's dirty-queue dedup:
 //! resubmitting a cache between epochs coalesces to one replan.
 //!
-//! Any [`WireError`](crate::wire::WireError) — truncation, a hostile
-//! length prefix, garbage bytes — closes that connection and nothing
-//! else: frames are fully received before they are decoded and decoded
-//! before they are applied, so a batch from a client that dies
-//! mid-frame is dropped atomically and the plane stays consistent.
+//! Any [`DecodeError`] — truncation, a hostile length prefix, garbage
+//! bytes — closes that connection and nothing else: frames are fully
+//! received before they are decoded and decoded before they are applied,
+//! so a batch from a client that dies mid-frame is dropped atomically
+//! and the plane stays consistent.
 //!
 //! # Overload shedding
 //!
@@ -34,6 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use talus_core::codec::DecodeError;
 use talus_core::{FaultDirective, FaultScript, PlaneHealth};
 
 use crate::router::ShardedReconfigService;
@@ -285,9 +286,9 @@ fn serve_connection(
     service: &ShardedReconfigService,
     stats: &ConnStats,
     fault: Option<&FaultScript>,
-) -> Result<(), wire::WireError> {
+) -> Result<(), DecodeError> {
     stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone().map_err(wire::WireError::from)?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let (mut frame, mut reply) = (Vec::new(), Vec::new());
     // One frame in flight per connection: read, apply, reply, repeat.
@@ -310,7 +311,7 @@ fn serve_connection(
             FaultDirective::Fail => {
                 // Shed mid-stream: typed Busy, then close.
                 wire::encode_response_into(&Response::Busy, &mut reply);
-                writer.write_all(&reply).map_err(wire::WireError::from)?;
+                writer.write_all(&reply)?;
                 return Ok(());
             }
             FaultDirective::TruncateFrame => {
@@ -318,15 +319,13 @@ fn serve_connection(
                 // frame and must treat the request outcome as unknown —
                 // exactly the ambiguity idempotent retries resolve.
                 wire::encode_response_into(&handle_request(request, service, stats), &mut reply);
-                writer
-                    .write_all(&reply[..reply.len() / 2])
-                    .map_err(wire::WireError::from)?;
+                writer.write_all(&reply[..reply.len() / 2])?;
                 return Ok(());
             }
             FaultDirective::None => {}
         }
         wire::encode_response_into(&handle_request(request, service, stats), &mut reply);
-        writer.write_all(&reply).map_err(wire::WireError::from)?;
+        writer.write_all(&reply)?;
     }
     Ok(())
 }

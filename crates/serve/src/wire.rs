@@ -46,7 +46,8 @@
 //!
 //! - the length prefix is bounded by
 //!   [`talus_core::limits::WIRE_MAX_FRAME_LEN`] *before* the payload
-//!   buffer is allocated;
+//!   buffer is allocated, and the version byte checked, by the codec
+//!   checks the journal makes too ([`check_len`], [`payload_parts`]);
 //! - every field is read through [`talus_core::codec::Reader`], the
 //!   bounds-checked cursor the journal reads with too: every element
 //!   count is checked against both its protocol cap (`WIRE_MAX_*`) and
@@ -63,10 +64,11 @@
 //!   the check `RpcClient` makes before sending one and the journal
 //!   makes on its own `Register` records.
 //!
-//! All failures surface as the typed [`WireError`]; the adversarial
-//! suite in `tests/wire.rs` drives truncations, oversized prefixes,
-//! wrong versions, garbage opcodes, and random byte soup through the
-//! decoder and asserts typed errors throughout.
+//! All failures surface as a [`DecodeError`], the journal's error too;
+//! the adversarial suite in `tests/wire.rs` drives truncations,
+//! oversized prefixes, wrong versions, garbage opcodes, and random byte
+//! soup through the decoder, asserts typed errors throughout, and holds
+//! each to the one a journal record gives.
 //!
 //! ## Versioning rules
 //!
@@ -99,15 +101,14 @@ use std::sync::Arc;
 use crate::service::{EpochReport, ServeError};
 use crate::snapshot::{CacheId, PlanSnapshot, RESERVED_ID};
 use talus_core::codec::{
-    check_count, check_shape, put_f64, put_u32, put_u64, put_u8, DecodeError, Reader,
+    check_count, check_len, check_shape, payload_parts, put_f64, put_u32, put_u64, put_u8,
+    DecodeError, Reader,
 };
 use talus_core::limits::{
     WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_FRAME_LEN, WIRE_MAX_IDS, WIRE_MAX_SHARDS,
     WIRE_MAX_TENANTS,
 };
-use talus_core::{
-    CurveError, MissCurve, PlanError, PlaneHealth, ShardHealth, ShardState, StoreHealth,
-};
+use talus_core::{MissCurve, PlanError, PlaneHealth, ShardHealth, ShardState, StoreHealth};
 
 /// Protocol version carried in every frame header.
 pub const WIRE_VERSION: u8 = 4;
@@ -126,11 +127,11 @@ pub(crate) fn submit_entry_bytes(points: usize, new_grid: bool) -> usize {
 
 /// The checks a `RegisterAt` decode makes, so a client can make them
 /// before sending one.
-pub(crate) fn check_register_at(id: u64, capacity: u64, tenants: u32) -> Result<(), WireError> {
+pub(crate) fn check_register_at(id: u64, capacity: u64, tenants: u32) -> Result<(), DecodeError> {
     if id == RESERVED_ID {
-        return Err(WireError::Malformed("reserved cache id"));
+        return Err(DecodeError::Malformed("reserved cache id"));
     }
-    Ok(check_shape(capacity, tenants)?)
+    check_shape(capacity, tenants)
 }
 
 // Request opcodes (client → server). Crate-visible so the server can
@@ -156,100 +157,6 @@ const OP_HEALTH_REPLY: u8 = 0x87;
 const OP_HELLO_REPLY: u8 = 0x88;
 const OP_BUSY: u8 = 0x8E;
 const OP_ERROR: u8 = 0x8F;
-
-/// Everything that can go wrong reading or decoding a frame. Decode
-/// functions return these; they never panic on any input.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireError {
-    /// The stream ended (or the frame ran out of bytes) before the
-    /// declared length was satisfied.
-    Truncated,
-    /// The length prefix exceeds [`WIRE_MAX_FRAME_LEN`]; rejected before
-    /// any allocation.
-    Oversized {
-        /// The declared payload length.
-        len: u32,
-    },
-    /// The frame's version byte is not [`WIRE_VERSION`].
-    BadVersion {
-        /// The version byte received.
-        got: u8,
-    },
-    /// The opcode is not one this decoder knows.
-    BadOpcode {
-        /// The opcode byte received.
-        got: u8,
-    },
-    /// An element count exceeds its protocol cap (or the bytes remaining
-    /// in the frame could not possibly hold that many elements).
-    BadCount {
-        /// The declared count.
-        count: u32,
-        /// The cap it violated.
-        max: u32,
-    },
-    /// A curve payload violates [`MissCurve`]'s invariants.
-    Curve(CurveError),
-    /// A structurally invalid body: bad enum tag, zero field that must be
-    /// positive, or trailing bytes after the message.
-    Malformed(&'static str),
-    /// The underlying stream failed.
-    Io(std::io::ErrorKind),
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "frame truncated"),
-            WireError::Oversized { len } => {
-                write!(f, "frame length {len} exceeds {WIRE_MAX_FRAME_LEN}")
-            }
-            WireError::BadVersion { got } => {
-                write!(
-                    f,
-                    "unsupported wire version {got} (expected {WIRE_VERSION})"
-                )
-            }
-            WireError::BadOpcode { got } => write!(f, "unknown opcode {got:#04x}"),
-            WireError::BadCount { count, max } => {
-                write!(f, "element count {count} exceeds bound {max}")
-            }
-            WireError::Curve(e) => write!(f, "invalid curve payload: {e}"),
-            WireError::Malformed(what) => write!(f, "malformed frame: {what}"),
-            WireError::Io(kind) => write!(f, "stream error: {kind}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            WireError::Curve(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for WireError {
-    fn from(e: std::io::Error) -> Self {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            WireError::Truncated
-        } else {
-            WireError::Io(e.kind())
-        }
-    }
-}
-
-impl From<DecodeError> for WireError {
-    fn from(e: DecodeError) -> Self {
-        match e {
-            DecodeError::Truncated => WireError::Truncated,
-            DecodeError::BadCount { count, max } => WireError::BadCount { count, max },
-            DecodeError::Curve(e) => WireError::Curve(e),
-            DecodeError::Malformed(what) => WireError::Malformed(what),
-        }
-    }
-}
 
 /// One (cache, tenant, curve) element of a submission batch.
 #[derive(Debug, Clone, PartialEq)]
@@ -825,21 +732,10 @@ fn read_plane_health(r: &mut Reader) -> Result<PlaneHealth, DecodeError> {
     })
 }
 
-/// Splits a frame payload into `(opcode, body)`, validating the version.
-fn frame_parts(payload: &[u8]) -> Result<(u8, &[u8]), WireError> {
-    if payload.len() < 2 {
-        return Err(WireError::Truncated);
-    }
-    if payload[0] != WIRE_VERSION {
-        return Err(WireError::BadVersion { got: payload[0] });
-    }
-    Ok((payload[1], &payload[2..]))
-}
-
 /// Decodes a request from a frame payload (version byte onward, without
 /// the length prefix). Total: returns a typed error on any input.
-pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    let (opcode, body) = frame_parts(payload)?;
+pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
+    let (opcode, body) = payload_parts(payload, WIRE_VERSION)?;
     let mut r = Reader::new(body);
     let req = match opcode {
         OP_REGISTER => {
@@ -853,7 +749,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
             // Each entry is at least id + tenant + grid index + one value.
             let count = r.count(WIRE_MAX_BATCH, submit_entry_bytes(1, false))?;
             if count == 0 {
-                return Err(WireError::Malformed("empty submit batch"));
+                return Err(DecodeError::Malformed("empty submit batch"));
             }
             // Every grid is some entry's, a new grid's entry is at least
             // its grid's point count and one size more, and the grids come
@@ -863,14 +759,14 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
             let least = grid_count * submit_entry_bytes(1, true)
                 + (count - grid_count) * submit_entry_bytes(1, false);
             if least > r.remaining() {
-                return Err(WireError::Truncated);
+                return Err(DecodeError::Truncated);
             }
             let mut grids = Vec::with_capacity(grid_count);
             for _ in 0..grid_count {
                 let points = r.count(WIRE_MAX_CURVE_POINTS, MissCurve::VALUE_BYTES)?;
                 // `count` checked the frame holds that many sizes.
                 let sizes = r.take(points * MissCurve::VALUE_BYTES)?;
-                grids.push(MissCurve::decode_grid(sizes).map_err(WireError::Curve)?);
+                grids.push(MissCurve::decode_grid(sizes).map_err(DecodeError::Curve)?);
             }
             let mut entries = Vec::with_capacity(count);
             // Grids are listed in order of first use, so the encoding is
@@ -882,20 +778,20 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
                 let index = r.u32()? as usize;
                 let grid = grids
                     .get(index)
-                    .ok_or(WireError::Malformed("grid index out of range"))?;
+                    .ok_or(DecodeError::Malformed("grid index out of range"))?;
                 if index > used {
-                    return Err(WireError::Malformed("grid used before an earlier one"));
+                    return Err(DecodeError::Malformed("grid used before an earlier one"));
                 }
                 used += usize::from(index == used);
                 let values = r.take(grid.len() * MissCurve::VALUE_BYTES)?;
                 entries.push(SubmitEntry {
                     id,
                     tenant,
-                    curve: MissCurve::decode_values(grid, values).map_err(WireError::Curve)?,
+                    curve: MissCurve::decode_values(grid, values).map_err(DecodeError::Curve)?,
                 });
             }
             if used < grids.len() {
-                return Err(WireError::Malformed("unreferenced grid"));
+                return Err(DecodeError::Malformed("unreferenced grid"));
             }
             Request::Submit { entries }
         }
@@ -915,7 +811,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
                 tenants,
             }
         }
-        got => return Err(WireError::BadOpcode { got }),
+        got => return Err(DecodeError::BadTag { got }),
     };
     r.end()?;
     Ok(req)
@@ -923,8 +819,8 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
 
 /// Decodes a response from a frame payload (version byte onward, without
 /// the length prefix). Total: returns a typed error on any input.
-pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
-    let (opcode, body) = frame_parts(payload)?;
+pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
+    let (opcode, body) = payload_parts(payload, WIRE_VERSION)?;
     let mut r = Reader::new(body);
     let resp = match opcode {
         OP_REGISTERED => Response::Registered { id: r.u64()? },
@@ -936,7 +832,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
                 results.push(match r.u8()? {
                     0 => Ok(()),
                     1 => Err(read_serve_error(&mut r)?),
-                    _ => return Err(WireError::Malformed("unknown submit-result tag")),
+                    _ => return Err(DecodeError::Malformed("unknown submit-result tag")),
                 });
             }
             Response::SubmitReply { results }
@@ -981,7 +877,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
                             beta: r.f64()?,
                             rho: r.f64()?,
                         }),
-                        _ => return Err(WireError::Malformed("unknown shadow tag")),
+                        _ => return Err(DecodeError::Malformed("unknown shadow tag")),
                     };
                     tenants.push(TenantSummary {
                         capacity,
@@ -998,7 +894,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
                     tenants,
                 }))
             }
-            _ => return Err(WireError::Malformed("unknown snapshot tag")),
+            _ => return Err(DecodeError::Malformed("unknown snapshot tag")),
         },
         OP_PONG => Response::Pong,
         OP_HEALTH_REPLY => Response::Health(read_plane_health(&mut r)?),
@@ -1007,19 +903,19 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             let first_shard = r.u32()?;
             let shard_count = r.u32()?;
             if total_shards == 0 || total_shards > WIRE_MAX_SHARDS {
-                return Err(WireError::BadCount {
+                return Err(DecodeError::BadCount {
                     count: total_shards,
                     max: WIRE_MAX_SHARDS,
                 });
             }
             if shard_count == 0 {
-                return Err(WireError::Malformed("empty shard range"));
+                return Err(DecodeError::Malformed("empty shard range"));
             }
             let end = first_shard
                 .checked_add(shard_count)
-                .ok_or(WireError::Malformed("shard range overflows"))?;
+                .ok_or(DecodeError::Malformed("shard range overflows"))?;
             if end > total_shards {
-                return Err(WireError::Malformed("shard range exceeds total"));
+                return Err(DecodeError::Malformed("shard range exceeds total"));
             }
             let epoch = r.u64()?;
             let next_id = r.u64()?;
@@ -1035,7 +931,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
         }
         OP_BUSY => Response::Busy,
         OP_ERROR => Response::Error(read_serve_error(&mut r)?),
-        got => return Err(WireError::BadOpcode { got }),
+        got => return Err(DecodeError::BadTag { got }),
     };
     r.end()?;
     Ok(resp)
@@ -1049,7 +945,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
 ///
 /// Returns `Ok(None)` on a clean end-of-stream at a frame boundary;
 /// otherwise [`read_frame_into`] with a buffer of its own.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
+pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, DecodeError> {
     let mut payload = Vec::new();
     Ok(read_frame_into(r, &mut payload)?.then_some(payload))
 }
@@ -1063,8 +959,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
 /// Returns `Ok(false)` on a clean end-of-stream at a frame boundary. The
 /// length prefix is validated against [`WIRE_MAX_FRAME_LEN`] *before*
 /// the buffer is sized for it, so a hostile length field costs nothing;
-/// end-of-stream mid-frame surfaces as [`WireError::Truncated`].
-pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<bool, WireError> {
+/// end-of-stream mid-frame surfaces as [`DecodeError::Truncated`].
+pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<bool, DecodeError> {
     let mut len_bytes = [0u8; 4];
     // A clean EOF before any length byte means the peer closed between
     // frames; EOF after at least one byte is a truncated frame.
@@ -1072,22 +968,16 @@ pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<bool,
     while filled < 4 {
         match r.read(&mut len_bytes[filled..]) {
             Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => return Err(WireError::Truncated),
+            Ok(0) => return Err(DecodeError::Truncated),
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
         }
     }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > WIRE_MAX_FRAME_LEN {
-        return Err(WireError::Oversized { len });
-    }
-    if len < 2 {
-        return Err(WireError::Malformed("frame shorter than its header"));
-    }
+    let len = check_len(u32::from_le_bytes(len_bytes), WIRE_MAX_FRAME_LEN)?;
     // Only bytes the buffer has not held before are zeroed; every byte
     // kept is overwritten by the read.
-    payload.resize(len as usize, 0);
+    payload.resize(len, 0);
     r.read_exact(payload)?;
     Ok(true)
 }
@@ -1200,8 +1090,9 @@ mod tests {
         let mut r = &bytes[..];
         assert_eq!(
             read_frame(&mut r),
-            Err(WireError::Oversized {
-                len: WIRE_MAX_FRAME_LEN + 1
+            Err(DecodeError::Oversized {
+                len: WIRE_MAX_FRAME_LEN + 1,
+                max: WIRE_MAX_FRAME_LEN
             })
         );
     }
@@ -1214,7 +1105,7 @@ mod tests {
         frame(&mut bytes, OP_SUBMIT, |b| put_u32(b, u32::MAX));
         assert_eq!(
             decode_request(&bytes[4..]),
-            Err(WireError::BadCount {
+            Err(DecodeError::BadCount {
                 count: u32::MAX,
                 max: WIRE_MAX_BATCH
             })
@@ -1222,7 +1113,7 @@ mod tests {
         // Within the cap but beyond the body: truncation, pre-allocation.
         let mut bytes = Vec::new();
         frame(&mut bytes, OP_SUBMIT, |b| put_u32(b, WIRE_MAX_BATCH));
-        assert_eq!(decode_request(&bytes[4..]), Err(WireError::Truncated));
+        assert_eq!(decode_request(&bytes[4..]), Err(DecodeError::Truncated));
     }
 
     #[test]
@@ -1307,7 +1198,7 @@ mod tests {
         let bad_bytes = encode_response(&bad);
         assert_eq!(
             decode_response(&bad_bytes[4..]),
-            Err(WireError::Malformed("shard range exceeds total"))
+            Err(DecodeError::Malformed("shard range exceeds total"))
         );
     }
 
@@ -1373,7 +1264,7 @@ mod tests {
         };
         assert_eq!(
             decode_request(&encode_request(&zero_cap)[4..]),
-            Err(WireError::Malformed("zero capacity"))
+            Err(DecodeError::Malformed("zero capacity"))
         );
         let too_many = Request::RegisterAt {
             id: 42,
@@ -1382,28 +1273,10 @@ mod tests {
         };
         assert_eq!(
             decode_request(&encode_request(&too_many)[4..]),
-            Err(WireError::BadCount {
+            Err(DecodeError::BadCount {
                 count: WIRE_MAX_TENANTS + 1,
                 max: WIRE_MAX_TENANTS
             })
         );
-    }
-
-    #[test]
-    fn wire_errors_display_and_source() {
-        let e = WireError::Curve(CurveError::Empty);
-        assert!(!e.to_string().is_empty());
-        assert!(std::error::Error::source(&e).is_some());
-        for e in [
-            WireError::Truncated,
-            WireError::Oversized { len: 1 << 30 },
-            WireError::BadVersion { got: 9 },
-            WireError::BadOpcode { got: 0x7F },
-            WireError::BadCount { count: 5, max: 4 },
-            WireError::Malformed("x"),
-            WireError::Io(std::io::ErrorKind::ConnectionReset),
-        ] {
-            assert!(!e.to_string().is_empty());
-        }
     }
 }

@@ -34,9 +34,10 @@ use std::time::Duration;
 
 use common::{arb_op, curve_from_seed, temp_dir, Op};
 use proptest::prelude::*;
+use talus_core::codec::DecodeError;
 use talus_core::limits::WIRE_MAX_TENANTS;
 use talus_core::{FaultAction, FaultScript, ShardTopology};
-use talus_serve::wire::{SnapshotSummary, WireError};
+use talus_serve::wire::SnapshotSummary;
 use talus_serve::{
     CacheId, CacheSpec, ClusterClient, ClusterConfig, ClusterError, EpochReport, HandshakeError,
     RetryPolicy, RpcClient, RpcError, RpcServer, ServeError, ServerHandle, ShardedReconfigService,
@@ -514,8 +515,8 @@ fn cluster_members_refuse_server_side_minting() {
 /// failing the valid register after it too.
 #[test]
 fn a_register_the_decoder_refuses_is_refused_unsent() {
-    let zero = RpcError::Wire(WireError::Malformed("zero tenants"));
-    let over = RpcError::Wire(WireError::BadCount {
+    let zero = RpcError::Wire(DecodeError::Malformed("zero tenants"));
+    let over = RpcError::Wire(DecodeError::BadCount {
         count: WIRE_MAX_TENANTS + 1,
         max: WIRE_MAX_TENANTS,
     });
@@ -527,7 +528,7 @@ fn a_register_the_decoder_refuses_is_refused_unsent() {
         .spawn()
         .expect("spawn accept loop");
     let mut direct = RpcClient::connect(plane.local_addr()).expect("connect");
-    let malformed = RpcError::Wire(WireError::Malformed("zero capacity"));
+    let malformed = RpcError::Wire(DecodeError::Malformed("zero capacity"));
     assert_eq!(direct.register(0, 1), Err(malformed));
     assert_eq!(direct.register(64, 0), Err(zero.clone()));
     assert_eq!(direct.register(64, WIRE_MAX_TENANTS + 1), Err(over.clone()));

@@ -5,12 +5,13 @@
 //! `read_frame` returns — same errors, same clean end-of-stream, and no
 //! stale tail when a short frame follows a long one.
 
+use talus_core::codec::DecodeError;
 use talus_core::limits::WIRE_MAX_FRAME_LEN;
 use talus_core::{MissCurve, PlanError, PlaneHealth, ShardHealth, ShardState, StoreHealth};
 use talus_serve::wire::{
     decode_request, decode_response, encode_request, encode_request_into, encode_response,
     encode_response_into, read_frame, read_frame_into, ClusterInfo, Request, Response,
-    ShadowSummary, SnapshotSummary, SubmitEntry, TenantSummary, WireError,
+    ShadowSummary, SnapshotSummary, SubmitEntry, TenantSummary,
 };
 use talus_serve::{CacheId, CacheSpec, EpochReport, ServeError, ShardedReconfigService};
 
@@ -264,26 +265,35 @@ fn read_frame_into_fails_exactly_as_read_frame_does() {
     let oversized = |len: u32| {
         (
             len.to_le_bytes().to_vec(),
-            Err(WireError::Oversized { len }),
+            Err(DecodeError::Oversized {
+                len,
+                max: WIRE_MAX_FRAME_LEN,
+            }),
         )
     };
-    let cases: Vec<(Vec<u8>, Result<bool, WireError>)> = vec![
-        (Vec::new(), Ok(false)),                          // clean end-of-stream
-        (frame[..1].to_vec(), Err(WireError::Truncated)), // EOF mid-length
-        (frame[..3].to_vec(), Err(WireError::Truncated)),
-        (frame[..4].to_vec(), Err(WireError::Truncated)), // EOF before the payload
-        (frame[..frame.len() / 2].to_vec(), Err(WireError::Truncated)), // mid-payload
-        (frame[..frame.len() - 1].to_vec(), Err(WireError::Truncated)),
+    let cases: Vec<(Vec<u8>, Result<bool, DecodeError>)> = vec![
+        (Vec::new(), Ok(false)),                            // clean end-of-stream
+        (frame[..1].to_vec(), Err(DecodeError::Truncated)), // EOF mid-length
+        (frame[..3].to_vec(), Err(DecodeError::Truncated)),
+        (frame[..4].to_vec(), Err(DecodeError::Truncated)), // EOF before the payload
+        (
+            frame[..frame.len() / 2].to_vec(),
+            Err(DecodeError::Truncated),
+        ), // mid-payload
+        (
+            frame[..frame.len() - 1].to_vec(),
+            Err(DecodeError::Truncated),
+        ),
         oversized(WIRE_MAX_FRAME_LEN + 1),
         oversized(u32::MAX),
         (
             [&1u32.to_le_bytes()[..], &[3]].concat(),
-            Err(WireError::Malformed("frame shorter than its header")),
+            Err(DecodeError::Malformed("frame shorter than its header")),
         ),
         (
             // A frame of exactly the cap is allowed — and absent here.
             [&WIRE_MAX_FRAME_LEN.to_le_bytes()[..], &[3, 6]].concat(),
-            Err(WireError::Truncated),
+            Err(DecodeError::Truncated),
         ),
         (frame.clone(), Ok(true)),
     ];

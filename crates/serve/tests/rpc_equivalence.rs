@@ -12,12 +12,13 @@ use std::sync::Arc;
 
 use common::{arb_op, curve_from_seed, Op};
 use proptest::prelude::*;
+use talus_core::codec::DecodeError;
 use talus_core::limits::{
     WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_EPOCH_IDS, WIRE_MAX_FRAME_LEN, WIRE_MAX_TENANTS,
 };
 use talus_core::{MissCurve, ReplaySource};
 use talus_partition::Planner;
-use talus_serve::wire::{decode_request, encode_request, Request, SubmitEntry, WireError};
+use talus_serve::wire::{decode_request, encode_request, Request, SubmitEntry};
 use talus_serve::{
     CacheId, CacheSpec, EpochReport, RetryPolicy, RpcClient, RpcError, RpcServer, ServeError,
     ShardedReconfigService,
@@ -351,7 +352,10 @@ fn a_batch_over_the_frame_cap_is_refused_before_the_socket_is_touched() {
     let frame_len = 2 + 4 + 4 + (4 + 8 * 1024) + 130 * (8 + 4 + 4 + 8 * 1024);
     assert_eq!(
         client.submit_batch(entries),
-        Err(RpcError::Wire(WireError::Oversized { len: frame_len }))
+        Err(RpcError::Wire(DecodeError::Oversized {
+            len: frame_len,
+            max: WIRE_MAX_FRAME_LEN
+        }))
     );
 
     // Same client, same connection: nothing was written, nothing broke.
@@ -371,7 +375,7 @@ fn counts_over_the_wire_caps_are_refused_at_the_client() {
     let (_remote, mut client, handle) = loopback_plane(1);
     let id = client.register(1 << 20, 1).expect("register");
     let over = WIRE_MAX_CURVE_POINTS as usize + 1;
-    let refused = Err(RpcError::Wire(WireError::BadCount {
+    let refused = Err(RpcError::Wire(DecodeError::BadCount {
         count: over as u32,
         max: WIRE_MAX_CURVE_POINTS,
     }));
@@ -387,7 +391,7 @@ fn counts_over_the_wire_caps_are_refused_at_the_client() {
     };
     assert_eq!(
         client.submit_batch(vec![entry.clone(); WIRE_MAX_BATCH as usize + 1]),
-        Err(RpcError::Wire(WireError::BadCount {
+        Err(RpcError::Wire(DecodeError::BadCount {
             count: WIRE_MAX_BATCH + 1,
             max: WIRE_MAX_BATCH,
         }))
@@ -464,21 +468,17 @@ fn a_batch_staged_to_the_byte_budget_fits_one_frame() {
 }
 
 /// What a decoder or the client said of a cache's shape: accepted, or
-/// the one refusal every format shares.
-#[derive(Debug, PartialEq)]
-enum Verdict {
-    Accepted,
-    BadCount { count: u32, max: u32 },
-    Malformed(&'static str),
-}
-
-fn wire_verdict<T>(result: Result<T, WireError>) -> Verdict {
-    match result {
-        Ok(_) => Verdict::Accepted,
-        Err(WireError::BadCount { count, max }) => Verdict::BadCount { count, max },
-        Err(WireError::Malformed(what)) => Verdict::Malformed(what),
-        Err(e) => panic!("not a shape refusal: {e:?}"),
-    }
+/// the refusal — one error, whichever format refused it.
+fn verdict<T>(result: Result<T, DecodeError>) -> Result<(), DecodeError> {
+    let verdict = result.map(drop);
+    assert!(
+        matches!(
+            verdict,
+            Ok(()) | Err(DecodeError::BadCount { .. } | DecodeError::Malformed(_))
+        ),
+        "not a shape refusal: {verdict:?}"
+    );
+    verdict
 }
 
 /// The wire's `Register` and `RegisterAt` decoders, the journal's
@@ -492,13 +492,13 @@ fn the_wire_the_journal_and_the_client_agree_on_a_caches_shape() {
     for capacity in [0, 1, u64::MAX] {
         for tenants in [0, 1, WIRE_MAX_TENANTS, WIRE_MAX_TENANTS + 1] {
             let decode = |req| decode_request(&encode_request(&req)[4..]);
-            let verdict = wire_verdict(decode(Request::Register { capacity, tenants }));
+            let wire = verdict(decode(Request::Register { capacity, tenants }));
             let at = Request::RegisterAt {
                 id: 7,
                 capacity,
                 tenants,
             };
-            assert_eq!(wire_verdict(decode(at)), verdict, "RegisterAt");
+            assert_eq!(verdict(decode(at)), wire, "RegisterAt");
 
             // A journal Register record, its shape patched in by hand
             // (payload: version, tag, seq, id, then capacity and tenants).
@@ -515,26 +515,25 @@ fn the_wire_the_journal_and_the_client_agree_on_a_caches_shape() {
             let sum = checksum64(&record[RECORD_HEADER_LEN..]);
             record[4..12].copy_from_slice(&sum.to_le_bytes());
             let journal = match decode_record(&record) {
-                Ok(_) => Verdict::Accepted,
-                Err(StoreError::BadCount { count, max }) => Verdict::BadCount { count, max },
-                Err(StoreError::Malformed(what)) => Verdict::Malformed(what),
+                Ok(_) => Ok(()),
+                Err(StoreError::Decode(e)) => verdict::<()>(Err(e)),
                 Err(e) => panic!("not a shape refusal: {e:?}"),
             };
-            assert_eq!(journal, verdict, "journal Register");
+            assert_eq!(journal, wire, "journal Register");
 
             // The client sends what it accepts; the server's decoder
             // takes it (a `RegisterAt` of the anchor's id is then a
             // typed duplicate, which only a decoded frame can be).
             let client_verdict = |result| match result {
-                Ok(_) | Err(RpcError::Serve(ServeError::DuplicateCache(_))) => Verdict::Accepted,
-                Err(RpcError::Wire(e)) => wire_verdict::<()>(Err(e)),
+                Ok(_) | Err(RpcError::Serve(ServeError::DuplicateCache(_))) => Ok(()),
+                Err(RpcError::Wire(e)) => verdict::<()>(Err(e)),
                 Err(e) => panic!("{e:?}"),
             };
             let sent = client.register(capacity, tenants);
-            assert_eq!(client_verdict(sent), verdict, "RpcClient::register");
+            assert_eq!(client_verdict(sent), wire, "RpcClient::register");
             let sent = client.register_at(anchor, capacity, tenants);
-            assert_eq!(client_verdict(sent), verdict, "RpcClient::register_at");
-            accepted += usize::from(verdict == Verdict::Accepted);
+            assert_eq!(client_verdict(sent), wire, "RpcClient::register_at");
+            accepted += usize::from(wire.is_ok());
         }
     }
     assert_eq!(accepted, 4, "a positive capacity and 1..=cap tenants");

@@ -6,21 +6,27 @@
 //! dangling or unreferenced grids, wrong versions, garbage opcodes, and
 //! random byte soup all come back as typed errors, never panics, and
 //! never cost allocation proportional to an attacker-controlled length.
+//! The same faults in a journal record come back as the same error.
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use talus_core::codec::DecodeError;
 use talus_core::limits::{
-    WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_FRAME_LEN, WIRE_MAX_SHARDS, WIRE_MAX_TENANTS,
+    STORE_MAX_CUT_IDS, STORE_MAX_RECORD_LEN, WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS,
+    WIRE_MAX_FRAME_LEN, WIRE_MAX_SHARDS, WIRE_MAX_TENANTS,
 };
 use talus_core::{
     CurveError, MissCurve, PlanError, PlaneHealth, ShardHealth, ShardState, StoreHealth,
 };
 use talus_serve::wire::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, ClusterInfo,
-    Request, Response, ShadowSummary, SnapshotSummary, SubmitEntry, TenantSummary, WireError,
+    decode_request, decode_response, encode_request, encode_response, read_frame, read_frame_into,
+    ClusterInfo, Request, Response, ShadowSummary, SnapshotSummary, SubmitEntry, TenantSummary,
     WIRE_VERSION,
 };
 use talus_serve::{CacheId, CacheSpec, EpochReport, ServeError, ShardedReconfigService};
+use talus_store::{
+    checksum64, decode_record, encode_record, Record, StoreError, RECORD_HEADER_LEN, STORE_VERSION,
+};
 
 /// Real `CacheId`s from a throwaway service: the handle type is opaque
 /// by design (only the plane mints ids), so tests that need ids in
@@ -310,7 +316,7 @@ proptest! {
         let bytes = encode_request(&req);
         for cut in 1..bytes.len() {
             let result = read_frame(&mut &bytes[..cut]);
-            prop_assert_eq!(result, Err(WireError::Truncated), "cut at {}", cut);
+            prop_assert_eq!(result, Err(DecodeError::Truncated), "cut at {}", cut);
         }
         let payload = &bytes[4..];
         for cut in 0..payload.len() {
@@ -457,7 +463,13 @@ fn oversized_length_prefix_is_rejected_before_any_payload_read() {
             header: len.to_le_bytes().to_vec(),
             pos: 0,
         };
-        assert_eq!(read_frame(&mut reader), Err(WireError::Oversized { len }));
+        assert_eq!(
+            read_frame(&mut reader),
+            Err(DecodeError::Oversized {
+                len,
+                max: WIRE_MAX_FRAME_LEN
+            })
+        );
     }
 }
 
@@ -468,7 +480,7 @@ fn undersized_length_prefix_is_malformed() {
         bytes.push(WIRE_VERSION);
         assert!(matches!(
             read_frame(&mut &bytes[..]),
-            Err(WireError::Malformed(_))
+            Err(DecodeError::Malformed(_))
         ));
     }
 }
@@ -480,11 +492,17 @@ fn wrong_version_is_rejected_on_every_opcode() {
             let payload = [version, opcode];
             assert_eq!(
                 decode_request(&payload),
-                Err(WireError::BadVersion { got: version })
+                Err(DecodeError::BadVersion {
+                    got: version,
+                    want: WIRE_VERSION
+                })
             );
             assert_eq!(
                 decode_response(&payload),
-                Err(WireError::BadVersion { got: version })
+                Err(DecodeError::BadVersion {
+                    got: version,
+                    want: WIRE_VERSION
+                })
             );
         }
     }
@@ -499,9 +517,9 @@ fn garbage_opcodes_are_typed_errors() {
         if !request_ops.contains(&opcode) {
             match decode_request(&payload) {
                 // Known opcode, body missing: truncation is the right error.
-                Err(WireError::Truncated) => assert!(request_ops.contains(&opcode)),
-                Err(WireError::BadOpcode { got }) => assert_eq!(got, opcode),
-                Err(WireError::Malformed(_)) | Err(WireError::BadCount { .. }) => {
+                Err(DecodeError::Truncated) => assert!(request_ops.contains(&opcode)),
+                Err(DecodeError::BadTag { got }) => assert_eq!(got, opcode),
+                Err(DecodeError::Malformed(_)) | Err(DecodeError::BadCount { .. }) => {
                     panic!("empty body cannot produce counts")
                 }
                 other => panic!("opcode {opcode:#04x}: unexpected {other:?}"),
@@ -510,7 +528,7 @@ fn garbage_opcodes_are_typed_errors() {
         if !response_ops.contains(&opcode) {
             assert_eq!(
                 decode_response(&payload),
-                Err(WireError::BadOpcode { got: opcode }),
+                Err(DecodeError::BadTag { got: opcode }),
                 "opcode {opcode:#04x}"
             );
         }
@@ -525,7 +543,7 @@ fn hostile_counts_fail_before_allocation() {
     payload.extend_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(
         decode_request(&payload),
-        Err(WireError::BadCount {
+        Err(DecodeError::BadCount {
             count: u32::MAX,
             max: WIRE_MAX_BATCH
         })
@@ -533,14 +551,14 @@ fn hostile_counts_fail_before_allocation() {
     // In-cap counts the frame can't hold fail the remaining-bytes check.
     let mut payload = vec![WIRE_VERSION, 0x03];
     payload.extend_from_slice(&WIRE_MAX_BATCH.to_le_bytes());
-    assert_eq!(decode_request(&payload), Err(WireError::Truncated));
+    assert_eq!(decode_request(&payload), Err(DecodeError::Truncated));
     // Same for id lists inside an epoch report.
     let mut payload = vec![WIRE_VERSION, 0x84];
     payload.extend_from_slice(&7u64.to_le_bytes());
     payload.extend_from_slice(&u32::MAX.to_le_bytes());
     assert!(matches!(
         decode_response(&payload),
-        Err(WireError::BadCount { .. })
+        Err(DecodeError::BadCount { .. })
     ));
 }
 
@@ -556,15 +574,15 @@ fn register_bounds_are_enforced_at_decode_time() {
     };
     assert!(matches!(
         decode_request(&encode(0, 1)),
-        Err(WireError::Malformed(_))
+        Err(DecodeError::Malformed(_))
     ));
     assert!(matches!(
         decode_request(&encode(64, 0)),
-        Err(WireError::Malformed(_))
+        Err(DecodeError::Malformed(_))
     ));
     assert_eq!(
         decode_request(&encode(64, WIRE_MAX_TENANTS + 1)),
-        Err(WireError::BadCount {
+        Err(DecodeError::BadCount {
             count: WIRE_MAX_TENANTS + 1,
             max: WIRE_MAX_TENANTS
         })
@@ -583,7 +601,7 @@ fn register_bounds_are_enforced_at_decode_time() {
     };
     assert_eq!(
         register_at(u64::MAX),
-        Err(WireError::Malformed("reserved cache id"))
+        Err(DecodeError::Malformed("reserved cache id"))
     );
     assert!(register_at(u64::MAX - 1).is_ok());
 }
@@ -634,24 +652,24 @@ fn invalid_curves_are_rejected_with_curve_errors() {
         // Debug-formatted: a NaN in an error is not `==` itself.
         assert_eq!(
             format!("{:?}", decode_request(&submit(&[grid], &[(0, &ones)]))),
-            format!("{:?}", Err::<Request, _>(WireError::Curve(want))),
+            format!("{:?}", Err::<Request, _>(DecodeError::Curve(want))),
         );
     }
     // An empty grid is too short for the frame's lower bound; padded
     // past it, the grid itself is refused.
     let mut empty = submit(&[&[]], &[(0, &[])]);
-    assert_eq!(decode_request(&empty), Err(WireError::Truncated));
+    assert_eq!(decode_request(&empty), Err(DecodeError::Truncated));
     empty.extend_from_slice(&[0; 16]);
     assert_eq!(
         decode_request(&empty),
-        Err(WireError::Curve(CurveError::Empty))
+        Err(DecodeError::Curve(CurveError::Empty))
     );
     let grid = [0.0, 64.0];
     for values in [[4.0, -1.0], [f64::NAN, 2.0], [4.0, f64::INFINITY]] {
         let want = points(&grid, &values).expect_err("invalid values");
         assert_eq!(
             format!("{:?}", decode_request(&submit(&[&grid], &[(0, &values)]))),
-            format!("{:?}", Err::<Request, _>(WireError::Curve(want))),
+            format!("{:?}", Err::<Request, _>(DecodeError::Curve(want))),
         );
     }
     // -0.0 is a valid size and a valid miss value, as it is locally.
@@ -662,7 +680,7 @@ fn invalid_curves_are_rejected_with_curve_errors() {
 #[test]
 fn a_grid_index_out_of_range_is_malformed() {
     let grid: &[f64] = &[0.0, 64.0];
-    let out = Err(WireError::Malformed("grid index out of range"));
+    let out = Err(DecodeError::Malformed("grid index out of range"));
     for index in [1, 2, u32::MAX] {
         assert_eq!(
             decode_request(&submit(&[grid], &[(index, &[4.0, 2.0])])),
@@ -682,12 +700,12 @@ fn grids_are_unreferenced_or_out_of_order_only_in_a_malformed_frame() {
     let two = [4.0, 2.0];
     assert_eq!(
         decode_request(&submit(&[a, b], &[(0, &two), (0, &two)])),
-        Err(WireError::Malformed("unreferenced grid"))
+        Err(DecodeError::Malformed("unreferenced grid"))
     );
     // The table lists grids in order of first use: one encoding a batch.
     assert_eq!(
         decode_request(&submit(&[a, b], &[(1, &two), (0, &two)])),
-        Err(WireError::Malformed("grid used before an earlier one"))
+        Err(DecodeError::Malformed("grid used before an earlier one"))
     );
     assert!(decode_request(&submit(&[a, b], &[(0, &two), (1, &two), (0, &two)])).is_ok());
 }
@@ -699,14 +717,14 @@ fn hostile_grid_counts_fail_before_allocation() {
     let mut payload = submit(&[grid, grid], &[(0, &[4.0, 2.0])]);
     assert_eq!(
         decode_request(&payload),
-        Err(WireError::BadCount { count: 2, max: 1 })
+        Err(DecodeError::BadCount { count: 2, max: 1 })
     );
     // [version, opcode, entry count, grid count, first point count, …]
     payload[2..6].copy_from_slice(&u32::MAX.to_le_bytes());
     payload[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(
         decode_request(&payload),
-        Err(WireError::BadCount {
+        Err(DecodeError::BadCount {
             count: u32::MAX,
             max: WIRE_MAX_BATCH
         })
@@ -717,24 +735,24 @@ fn hostile_grid_counts_fail_before_allocation() {
     payload.extend_from_slice(&1u32.to_le_bytes());
     payload.extend_from_slice(&1u32.to_le_bytes());
     payload.extend_from_slice(&[0; 24]);
-    assert_eq!(decode_request(&payload), Err(WireError::Truncated));
+    assert_eq!(decode_request(&payload), Err(DecodeError::Truncated));
     let mut payload = vec![WIRE_VERSION, 0x03];
     payload.extend_from_slice(&WIRE_MAX_BATCH.to_le_bytes());
     payload.extend_from_slice(&WIRE_MAX_BATCH.to_le_bytes());
     payload.extend_from_slice(&vec![0; 24 * WIRE_MAX_BATCH as usize]);
-    assert_eq!(decode_request(&payload), Err(WireError::Truncated));
+    assert_eq!(decode_request(&payload), Err(DecodeError::Truncated));
     // A grid's point count over the cap, then over the bytes left.
     let mut payload = submit(&[grid], &[(0, &[4.0, 2.0])]);
     payload[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(
         decode_request(&payload),
-        Err(WireError::BadCount {
+        Err(DecodeError::BadCount {
             count: u32::MAX,
             max: WIRE_MAX_CURVE_POINTS
         })
     );
     payload[10..14].copy_from_slice(&WIRE_MAX_CURVE_POINTS.to_le_bytes());
-    assert_eq!(decode_request(&payload), Err(WireError::Truncated));
+    assert_eq!(decode_request(&payload), Err(DecodeError::Truncated));
 }
 
 /// The two-grid golden batch below: three entries, the middle one on a
@@ -757,7 +775,7 @@ fn every_truncation_of_a_two_grid_frame_is_truncated() {
     for cut in 0..payload.len() {
         assert_eq!(
             decode_request(&payload[..cut]),
-            Err(WireError::Truncated),
+            Err(DecodeError::Truncated),
             "cut at {cut}"
         );
     }
@@ -773,10 +791,148 @@ fn trailing_bytes_are_malformed() {
         let mut bytes = encode_request(&req);
         bytes.push(0x00);
         assert!(
-            matches!(decode_request(&bytes[4..]), Err(WireError::Malformed(_))),
+            matches!(decode_request(&bytes[4..]), Err(DecodeError::Malformed(_))),
             "{req:?} must not tolerate trailing bytes"
         );
     }
+}
+
+/// A frame read off a stream and decoded, as a server reads a request.
+fn read_request(frame: &[u8]) -> Result<Request, DecodeError> {
+    let mut payload = Vec::new();
+    assert!(read_frame_into(&mut &frame[..], &mut payload)?, "a frame");
+    decode_request(&payload)
+}
+
+/// A journal record decoded, its decode failure unwrapped: every failure
+/// below is one a wire frame can have too.
+fn read_record(record: &[u8]) -> Result<Record, DecodeError> {
+    match decode_record(record) {
+        Ok((rec, _)) => Ok(rec),
+        Err(StoreError::Decode(e)) => Err(e),
+        Err(e) => panic!("a failure of the journal alone: {e:?}"),
+    }
+}
+
+/// `payload` behind a wire length prefix.
+fn wire_framed(payload: &[u8]) -> Vec<u8> {
+    [&(payload.len() as u32).to_le_bytes()[..], payload].concat()
+}
+
+/// `payload` behind a journal record header: length and checksum.
+fn journal_framed(payload: &[u8]) -> Vec<u8> {
+    let len = (payload.len() as u32).to_le_bytes();
+    [&len[..], &checksum64(payload).to_le_bytes(), payload].concat()
+}
+
+/// The wire and the journal fail the same way on the same fault: one
+/// `DecodeError` variant from both decoders, each carrying its own
+/// format's cap (`max`) and version (`want`).
+#[test]
+fn the_wire_and_the_journal_fail_with_one_error() {
+    use std::mem::discriminant;
+    let register = encode_request(&Request::Register {
+        capacity: 64,
+        tenants: 1,
+    });
+    let deregister = encode_record(&Record::Deregister { seq: 1, id: 2 });
+    let (wire_body, journal_body) = (&register[4..], &deregister[RECORD_HEADER_LEN..]);
+    let cut = |bytes: &[u8]| bytes[..bytes.len() - 1].to_vec();
+    let over = |len: u32, header: usize| [&len.to_le_bytes()[..], &vec![0; header - 4]].concat();
+    let short = |header: usize, version: u8| {
+        [&1u32.to_le_bytes()[..], &vec![0; header - 4], &[version]].concat()
+    };
+    // A Submit of one entry over the batch cap; an epoch cut (tag 4: seq,
+    // shard, epoch, then its ids) of one id over the cut cap.
+    let submit = [
+        &[WIRE_VERSION, 0x03][..],
+        &(WIRE_MAX_BATCH + 1).to_le_bytes(),
+    ]
+    .concat();
+    let epoch_cut = [
+        &[STORE_VERSION, 0x04][..],
+        &[0; 8 + 4 + 8],
+        &(STORE_MAX_CUT_IDS + 1).to_le_bytes(),
+    ]
+    .concat();
+    let cases = [
+        (
+            "a length prefix over the cap",
+            over(WIRE_MAX_FRAME_LEN + 1, 4),
+            over(STORE_MAX_RECORD_LEN + 1, RECORD_HEADER_LEN),
+            DecodeError::Oversized {
+                len: WIRE_MAX_FRAME_LEN + 1,
+                max: WIRE_MAX_FRAME_LEN,
+            },
+            DecodeError::Oversized {
+                len: STORE_MAX_RECORD_LEN + 1,
+                max: STORE_MAX_RECORD_LEN,
+            },
+        ),
+        (
+            "a length under the two header bytes",
+            short(4, WIRE_VERSION),
+            short(RECORD_HEADER_LEN, STORE_VERSION),
+            DecodeError::Malformed("frame shorter than its header"),
+            DecodeError::Malformed("frame shorter than its header"),
+        ),
+        (
+            "another version",
+            wire_framed(&[WIRE_VERSION + 1, 0x06]),
+            journal_framed(&[STORE_VERSION + 1, 0x02]),
+            DecodeError::BadVersion {
+                got: WIRE_VERSION + 1,
+                want: WIRE_VERSION,
+            },
+            DecodeError::BadVersion {
+                got: STORE_VERSION + 1,
+                want: STORE_VERSION,
+            },
+        ),
+        (
+            "an unknown opcode or tag",
+            wire_framed(&[WIRE_VERSION, 0x7F]),
+            journal_framed(&[STORE_VERSION, 0x7F]),
+            DecodeError::BadTag { got: 0x7F },
+            DecodeError::BadTag { got: 0x7F },
+        ),
+        (
+            "a count over its cap",
+            wire_framed(&submit),
+            journal_framed(&epoch_cut),
+            DecodeError::BadCount {
+                count: WIRE_MAX_BATCH + 1,
+                max: WIRE_MAX_BATCH,
+            },
+            DecodeError::BadCount {
+                count: STORE_MAX_CUT_IDS + 1,
+                max: STORE_MAX_CUT_IDS,
+            },
+        ),
+        (
+            "a body cut short under an honest length",
+            wire_framed(&cut(wire_body)),
+            journal_framed(&cut(journal_body)),
+            DecodeError::Truncated,
+            DecodeError::Truncated,
+        ),
+        (
+            "bytes cut mid-body",
+            cut(&register),
+            cut(&deregister),
+            DecodeError::Truncated,
+            DecodeError::Truncated,
+        ),
+    ];
+    for (what, frame, record, wire_error, journal_error) in cases {
+        let (wire, journal) = (read_request(&frame), read_record(&record));
+        assert_eq!(wire, Err(wire_error), "wire: {what}");
+        assert_eq!(journal, Err(journal_error), "journal: {what}");
+        let (wire, journal) = (wire.unwrap_err(), journal.unwrap_err());
+        assert_eq!(discriminant(&wire), discriminant(&journal), "{what}");
+    }
+    // The untouched frame and record decode.
+    assert!(read_request(&register).is_ok() && read_record(&deregister).is_ok());
 }
 
 // ---------------------------------------------------------------------
@@ -797,7 +953,10 @@ fn v3_frame_is(encoded: &[u8], v3: &[u8]) {
     assert_eq!(v3[4], 3, "a v3 fixture");
     assert_eq!(encoded[4], WIRE_VERSION);
     assert_eq!((&encoded[..4], &encoded[5..]), (&v3[..4], &v3[5..]));
-    let refused = Err(WireError::BadVersion { got: 3 });
+    let refused = Err(DecodeError::BadVersion {
+        got: 3,
+        want: WIRE_VERSION,
+    });
     assert_eq!(decode_request(&v3[4..]).map(|_| ()), refused);
     assert_eq!(decode_response(&v3[4..]).map(|_| ()), refused);
 }
@@ -808,7 +967,10 @@ fn golden_v3_constants() {
     for opcode in [0x03, 0x06, 0x86] {
         assert_eq!(
             decode_request(&[3, opcode]),
-            Err(WireError::BadVersion { got: 3 })
+            Err(DecodeError::BadVersion {
+                got: 3,
+                want: WIRE_VERSION
+            })
         );
     }
     // The limits are part of the format contract (decoders reject by
@@ -867,7 +1029,10 @@ fn golden_v3_submit_frame() {
         0, 0, 0, 0, 0, 0, 0x50, 0x40, // size 64.0
         0, 0, 0, 0, 0, 0, 0x00, 0x40, // misses 2.0
     ];
-    let refused = Err(WireError::BadVersion { got: 3 });
+    let refused = Err(DecodeError::BadVersion {
+        got: 3,
+        want: WIRE_VERSION,
+    });
     assert_eq!(decode_request(&v3[4..]), refused);
     // Relabelled v4, its body is no v4 Submit: the id's low word reads
     // as a grid count over the entry count.
@@ -875,7 +1040,7 @@ fn golden_v3_submit_frame() {
     relabelled[4] = WIRE_VERSION;
     assert_eq!(
         decode_request(&relabelled[4..]),
-        Err(WireError::BadCount { count: 7, max: 1 })
+        Err(DecodeError::BadCount { count: 7, max: 1 })
     );
 }
 
@@ -1080,7 +1245,7 @@ fn hostile_health_shard_count_fails_before_allocation() {
     payload.extend_from_slice(&u32::MAX.to_le_bytes()); // hostile shards
     assert!(matches!(
         decode_response(&payload),
-        Err(WireError::BadCount { .. })
+        Err(DecodeError::BadCount { .. })
     ));
 }
 

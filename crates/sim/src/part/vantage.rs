@@ -143,7 +143,10 @@ impl Enforcement for Vantage {
 
     /// Source capacity from the partition(s) with the highest
     /// occupancy-to-target ratio (Vantage's demote-from-over-budget rule),
-    /// breaking ties by LRU.
+    /// breaking ties (within `1e-9`) by LRU — except among candidates of
+    /// zero-target partitions, whose ratio is `∞`: there the first in
+    /// candidate (way) order wins, not the oldest, because neither
+    /// `∞ > ∞ + 1e-9` nor `|∞ − ∞| ≤ 1e-9` holds.
     #[inline]
     fn victim(&self, cands: &[usize], owner: &[u32], stamp: &[u64], clock: u64) -> usize {
         let mut best_slot = cands[0];
@@ -287,6 +290,29 @@ mod tests {
     #[should_panic(expected = "unmanaged fraction")]
     fn rejects_bad_unmanaged_fraction() {
         VantageLike::with_unmanaged_fraction(256, 16, 1, 1, 0.95);
+    }
+
+    /// Pins the rule as it runs (changing it would move every V/LRU
+    /// digest): a zero-target partition's candidates are not taken
+    /// oldest first.
+    #[test]
+    fn zero_target_candidates_fall_in_way_order_not_lru_order() {
+        // One row of 16 ways: every slot is a candidate for every line,
+        // and an empty cache fills way `w` with the `w`-th line.
+        let mut c = VantageLike::new(16, 16, 2, 1);
+        c.set_partition_sizes(&[0, 16]);
+        for i in 0..16 {
+            assert!(c.access(PartitionId(1), LineAddr(i), &ctx()).is_miss());
+        }
+        // Line 0 (way 0) becomes the youngest; line 1 (way 1) the oldest.
+        assert!(c.access(PartitionId(1), LineAddr(0), &ctx()).is_hit());
+        c.set_partition_sizes(&[16, 0]);
+        assert!(c.access(PartitionId(0), LineAddr(100), &ctx()).is_miss());
+        assert_eq!(c.occupancy(PartitionId(1)), 15);
+        // A zero-size partition inserts nothing, so these probes only look.
+        let probe = |c: &mut VantageLike, line| c.access(PartitionId(1), LineAddr(line), &ctx());
+        assert!(probe(&mut c, 0).is_miss(), "the youngest, in way 0, went");
+        assert!(probe(&mut c, 1).is_hit(), "the oldest, in way 1, stayed");
     }
 
     #[test]

@@ -19,6 +19,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
+use talus_core::codec::DecodeError;
+
 use crate::record::StoreError;
 use crate::stream::records_from;
 
@@ -50,8 +52,8 @@ pub(crate) struct ShardJournal {
 /// to the end of the valid prefix.
 ///
 /// Nothing is written unless the whole file was read and decoded to a
-/// verdict: a failed read is [`StoreError::Io`] and a record of another
-/// format version is [`StoreError::BadVersion`], and either leaves the
+/// verdict: a failed read is [`DecodeError::Io`] and a record of another
+/// format version is [`DecodeError::BadVersion`], and either leaves the
 /// file exactly as it was.
 fn recover(mut file: &File, reader: impl Read) -> Result<ShardRecovery, StoreError> {
     let len = file.metadata()?.len();
@@ -62,7 +64,7 @@ fn recover(mut file: &File, reader: impl Read) -> Result<ShardRecovery, StoreErr
         recovery.records += 1;
         recovery.max_seq = recovery.max_seq.max(Some(rec.seq()));
     }
-    if let Some(foreign @ StoreError::BadVersion { .. }) = stream.tail() {
+    if let Some(foreign @ StoreError::Decode(DecodeError::BadVersion { .. })) = stream.tail() {
         return Err(foreign.clone());
     }
     // The stream ended without a read error, so `valid` is a verdict on
@@ -124,7 +126,7 @@ impl ShardJournal {
     /// its error is returned and the buffer stays as it was.
     pub(crate) fn append(
         &mut self,
-        encode: impl FnOnce(&mut Vec<u8>) -> Result<(), StoreError>,
+        encode: impl FnOnce(&mut Vec<u8>) -> Result<(), DecodeError>,
     ) -> Result<(), StoreError> {
         encode(&mut self.pending)?;
         if self.scoped {
@@ -215,7 +217,9 @@ mod tests {
             let failing = FailsMidFile { file: &file, good };
             assert_eq!(
                 recover(&file, failing),
-                Err(StoreError::Io(std::io::ErrorKind::Other)),
+                Err(StoreError::Decode(DecodeError::Io(
+                    std::io::ErrorKind::Other
+                ))),
                 "failing after {good} bytes"
             );
             assert_eq!(contents(&file), bytes, "after {good} bytes");

@@ -14,8 +14,12 @@
 //!   [`scan`]: the v3 on-disk format — length-prefixed, checksummed
 //!   ([`checksum64`]), little-endian records with a *total*
 //!   (never-panicking) decoder; a curve is its sizes and then its miss
-//!   values, decoded by the wire's decoders. See the [`record`] module
-//!   docs for the byte layout and recovery rules.
+//!   values, decoded by the wire's decoders. A record that fails to
+//!   decode fails with the wire's error,
+//!   [`talus_core::codec::DecodeError`], inside [`StoreError::Decode`];
+//!   a checksum mismatch and a shard layout that does not match are the
+//!   journal's own ([`StoreError`]). See the [`record`] module docs for
+//!   the byte layout and recovery rules.
 //! - [`RecordStream`] / [`records_from`]: the same decoder over any
 //!   reader, through one fixed window ([`STREAM_WINDOW_LEN`]) — the only
 //!   way a shard file is read ([`Store::stream_shard`]). [`records`] and
@@ -25,7 +29,9 @@
 //!   placement the serve router uses, so restore never moves records
 //!   across shards. Opening recovers each file (torn tails truncated,
 //!   reported via [`Store::recovery`]; a file of another format version
-//!   is refused with [`StoreError::BadVersion`] and left untouched).
+//!   is refused with a [`StoreError::Decode`] of
+//!   [`DecodeError::BadVersion`](talus_core::codec::DecodeError::BadVersion)
+//!   and left untouched).
 //! - [`StoreSink`]: the seam `talus-serve` journals through, called
 //!   under the owning shard's lock in exact event order, each lock hold
 //!   bracketed by `begin`/`commit` so its records cost one write.

@@ -26,7 +26,9 @@
 //! proportionally to untrusted fields:
 //!
 //! - the length prefix is bounded by [`STORE_MAX_RECORD_LEN`]
-//!   *before* anything is read past the header;
+//!   *before* anything is read past the header, and the version byte
+//!   checked, by the codec checks the wire makes too (`check_len`,
+//!   `payload_parts`);
 //! - every element count is checked by the shared `Reader` against its
 //!   cap (`WIRE_MAX_*`, `STORE_MAX_*`) **and** the bytes actually
 //!   remaining in the payload *before* any `Vec` is reserved;
@@ -40,14 +42,20 @@
 //!   `Reader`'s `end`), so every byte of an accepted record is accounted
 //!   for.
 //!
+//! A record that fails to decode is a [`StoreError::Decode`] holding the
+//! [`DecodeError`] a wire frame fails with too, with the journal's caps
+//! (`max`) and version (`want`) in it; only a checksum mismatch
+//! ([`StoreError::Checksum`]) is the journal's own.
+//!
 //! ## The writer refuses what the reader refuses
 //!
 //! A record the decoder would refuse must never reach a file: recovery
 //! would take it for a torn tail and truncate it *and everything after
 //! it*. So the encoders check the same bounds, with the same functions
-//! (`codec::check_count`, `codec::check_shape`) — the point, tenant and
-//! cut-id caps, the zero fields, [`STORE_MAX_RECORD_LEN`] — and return
-//! the error the decoder would have, leaving the buffer as it was.
+//! (`codec::check_count`, `codec::check_shape`, `codec::check_len`) — the
+//! point, tenant and cut-id caps, the zero fields,
+//! [`STORE_MAX_RECORD_LEN`] — and return the [`DecodeError`] the decoder
+//! would have, leaving the buffer as it was.
 //! [`crate::Store`] treats a refusal like a failed write: nothing is
 //! appended and the store faults.
 //!
@@ -77,13 +85,14 @@
 //!
 //! The version byte is read **before** the checksum is verified: the
 //! version is what says how to verify. A record of any other version is
-//! [`StoreError::BadVersion`], never a checksum failure, and it is not a
+//! [`DecodeError::BadVersion`], never a checksum failure, and it is not a
 //! torn tail — [`crate::Store::open`] refuses the file and leaves it
 //! byte-for-byte untouched, so upgrading the binary can never truncate a
 //! journal written by another version.
 
 use talus_core::codec::{
-    check_count, check_shape, put_f64, put_u32, put_u64, put_u8, DecodeError, Reader,
+    check_count, check_len, check_shape, payload_parts, put_f64, put_u32, put_u64, put_u8,
+    DecodeError, Reader,
 };
 use talus_core::limits::{
     STORE_MAX_CUT_IDS, STORE_MAX_RECORD_LEN, WIRE_MAX_CURVE_POINTS, WIRE_MAX_TENANTS,
@@ -114,38 +123,18 @@ const POLICY_IMBALANCED: u8 = 3;
 const PLAN_UNPARTITIONED: u8 = 0;
 const PLAN_SHADOW: u8 = 1;
 
-/// Everything that can go wrong reading or decoding a journal record (or
-/// a whole journal). Decode functions return these; they never panic on
-/// any input.
+/// Everything that can go wrong reading or writing a journal. A record
+/// that fails to decode, and a file operation that fails, is the
+/// [`DecodeError`] the wire's decoder fails with too, with the journal's
+/// caps and version in it; the other two failures are the journal's
+/// alone. Decode functions return these; they never panic on any input.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoreError {
-    /// The buffer (or file) ended before the declared record length was
-    /// satisfied — the signature of a torn tail.
-    Truncated,
-    /// The length prefix exceeds [`STORE_MAX_RECORD_LEN`]; rejected
-    /// before any allocation.
-    Oversized {
-        /// The declared payload length.
-        len: u32,
-    },
-    /// The payload's format version is not [`STORE_VERSION`].
-    BadVersion {
-        /// The version byte read.
-        got: u8,
-    },
-    /// The record tag is not one this decoder knows.
-    BadTag {
-        /// The tag byte read.
-        got: u8,
-    },
-    /// An element count exceeds its cap (or the bytes remaining in the
-    /// payload could not possibly hold that many elements).
-    BadCount {
-        /// The declared count.
-        count: u32,
-        /// The cap it violated.
-        max: u32,
-    },
+    /// A record failed to decode — [`DecodeError::Truncated`] is the
+    /// signature of a torn tail, [`DecodeError::BadVersion`] a file of
+    /// another format version — or a read or write failed
+    /// ([`DecodeError::Io`]).
+    Decode(DecodeError),
     /// The payload does not hash to the stored checksum — bit rot or a
     /// torn write inside a pre-existing record.
     Checksum {
@@ -154,13 +143,6 @@ pub enum StoreError {
         /// Checksum of the bytes actually read.
         got: u64,
     },
-    /// A curve payload violates [`MissCurve`]'s invariants.
-    Curve(CurveError),
-    /// A structurally invalid body: bad enum tag, zero field that must
-    /// be positive, or trailing bytes after the message.
-    Malformed(&'static str),
-    /// The underlying file operation failed.
-    Io(std::io::ErrorKind),
     /// The on-disk journal directory holds a different number of shard
     /// files than the opener expects.
     ShardLayout {
@@ -174,29 +156,13 @@ pub enum StoreError {
 impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StoreError::Truncated => write!(f, "record truncated"),
-            StoreError::Oversized { len } => {
-                write!(f, "record length {len} exceeds {STORE_MAX_RECORD_LEN}")
-            }
-            StoreError::BadVersion { got } => {
-                write!(
-                    f,
-                    "unsupported store version {got} (expected {STORE_VERSION})"
-                )
-            }
-            StoreError::BadTag { got } => write!(f, "unknown record tag {got:#04x}"),
-            StoreError::BadCount { count, max } => {
-                write!(f, "element count {count} exceeds bound {max}")
-            }
+            StoreError::Decode(e) => write!(f, "journal: {e}"),
             StoreError::Checksum { expected, got } => {
                 write!(
                     f,
                     "checksum mismatch: stored {expected:#018x}, computed {got:#018x}"
                 )
             }
-            StoreError::Curve(e) => write!(f, "invalid curve payload: {e}"),
-            StoreError::Malformed(what) => write!(f, "malformed record: {what}"),
-            StoreError::Io(kind) => write!(f, "journal io error: {kind}"),
             StoreError::ShardLayout { found, expected } => {
                 write!(f, "journal has {found} shard files, expected {expected}")
             }
@@ -207,30 +173,21 @@ impl std::fmt::Display for StoreError {
 impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            StoreError::Curve(e) => Some(e),
+            StoreError::Decode(e) => Some(e),
             _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for StoreError {
-    fn from(e: std::io::Error) -> Self {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            StoreError::Truncated
-        } else {
-            StoreError::Io(e.kind())
         }
     }
 }
 
 impl From<DecodeError> for StoreError {
     fn from(e: DecodeError) -> Self {
-        match e {
-            DecodeError::Truncated => StoreError::Truncated,
-            DecodeError::BadCount { count, max } => StoreError::BadCount { count, max },
-            DecodeError::Curve(e) => StoreError::Curve(e),
-            DecodeError::Malformed(what) => StoreError::Malformed(what),
-        }
+        StoreError::Decode(e)
+    }
+}
+
+impl From<std::io::Error> for StoreError {
+    fn from(e: std::io::Error) -> Self {
+        StoreError::Decode(e.into())
     }
 }
 
@@ -413,8 +370,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 fn framed(
     out: &mut Vec<u8>,
     tag: u8,
-    body: impl FnOnce(&mut Vec<u8>) -> Result<(), StoreError>,
-) -> Result<(), StoreError> {
+    body: impl FnOnce(&mut Vec<u8>) -> Result<(), DecodeError>,
+) -> Result<(), DecodeError> {
     let start = out.len();
     out.extend_from_slice(&[0; RECORD_HEADER_LEN]);
     out.extend_from_slice(&[STORE_VERSION, tag]);
@@ -428,12 +385,10 @@ fn framed(
 /// Frames the payload in place: fills `[len][checksum64]` into the header
 /// reserved in front of it. Refuses a payload over
 /// [`STORE_MAX_RECORD_LEN`], as the reader would.
-fn fill_header(record: &mut [u8]) -> Result<(), StoreError> {
+fn fill_header(record: &mut [u8]) -> Result<(), DecodeError> {
     let (header, payload) = record.split_at_mut(RECORD_HEADER_LEN);
     let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-    if len > STORE_MAX_RECORD_LEN {
-        return Err(StoreError::Oversized { len });
-    }
+    check_len(len, STORE_MAX_RECORD_LEN)?;
     header[..4].copy_from_slice(&len.to_le_bytes());
     header[4..].copy_from_slice(&checksum64(payload).to_le_bytes());
     Ok(())
@@ -451,7 +406,7 @@ fn put_count(out: &mut Vec<u8>, count: usize, max: u32) -> Result<(), DecodeErro
     Ok(())
 }
 
-fn put_curve(out: &mut Vec<u8>, curve: &MissCurve) -> Result<(), StoreError> {
+fn put_curve(out: &mut Vec<u8>, curve: &MissCurve) -> Result<(), DecodeError> {
     put_count(out, curve.len(), WIRE_MAX_CURVE_POINTS)?;
     MissCurve::encode_values(curve.sizes(), out);
     MissCurve::encode_values(curve.misses(), out);
@@ -468,10 +423,10 @@ fn put_policy(out: &mut Vec<u8>, policy: AllocPolicy) {
     put_u8(out, tag);
 }
 
-fn put_plan(out: &mut Vec<u8>, plan: &CachePlan) -> Result<(), StoreError> {
+fn put_plan(out: &mut Vec<u8>, plan: &CachePlan) -> Result<(), DecodeError> {
     put_u64(out, plan.round);
     if plan.tenants.is_empty() {
-        return Err(StoreError::Malformed("plan with zero tenants"));
+        return Err(DecodeError::Malformed("plan with zero tenants"));
     }
     put_count(out, plan.tenants.len(), WIRE_MAX_TENANTS)?;
     for t in &plan.tenants {
@@ -518,11 +473,11 @@ pub fn encode_record(rec: &Record) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// The error [`decode_record`] would give for the encoded record — a
-/// count over its cap, a zero field, a payload over
+/// The [`DecodeError`] [`decode_record`] would give for the encoded
+/// record — a count over its cap, a zero field, a payload over
 /// [`STORE_MAX_RECORD_LEN`] — with `out` left exactly as it was: the
 /// writer refuses what the reader refuses.
-pub fn encode_record_into(rec: &Record, out: &mut Vec<u8>) -> Result<(), StoreError> {
+pub fn encode_record_into(rec: &Record, out: &mut Vec<u8>) -> Result<(), DecodeError> {
     match rec {
         Record::Register {
             seq,
@@ -568,11 +523,11 @@ pub(crate) fn encode_register(
     capacity: u64,
     tenants: u32,
     planner: &Planner,
-) -> Result<(), StoreError> {
+) -> Result<(), DecodeError> {
     framed(out, TAG_REGISTER, |buf| {
         check_shape(capacity, tenants)?;
         if planner.grain == 0 {
-            return Err(StoreError::Malformed("zero planner grain"));
+            return Err(DecodeError::Malformed("zero planner grain"));
         }
         put_u64(buf, seq);
         put_u64(buf, id);
@@ -587,7 +542,7 @@ pub(crate) fn encode_register(
     })
 }
 
-pub(crate) fn encode_deregister(out: &mut Vec<u8>, seq: u64, id: u64) -> Result<(), StoreError> {
+pub(crate) fn encode_deregister(out: &mut Vec<u8>, seq: u64, id: u64) -> Result<(), DecodeError> {
     framed(out, TAG_DEREGISTER, |buf| {
         put_u64(buf, seq);
         put_u64(buf, id);
@@ -601,7 +556,7 @@ pub(crate) fn encode_curve(
     id: u64,
     tenant: u32,
     curve: &MissCurve,
-) -> Result<(), StoreError> {
+) -> Result<(), DecodeError> {
     framed(out, TAG_CURVE, |buf| {
         check_tenant(tenant)?;
         put_u64(buf, seq);
@@ -617,7 +572,7 @@ pub(crate) fn encode_epoch_cut(
     shard: u32,
     epoch: u64,
     drained: &[u64],
-) -> Result<(), StoreError> {
+) -> Result<(), DecodeError> {
     framed(out, TAG_EPOCH_CUT, |buf| {
         put_u64(buf, seq);
         put_u32(buf, shard);
@@ -638,7 +593,7 @@ pub(crate) fn encode_plan(
     version: u64,
     updates: u64,
     plan: &CachePlan,
-) -> Result<(), StoreError> {
+) -> Result<(), DecodeError> {
     framed(out, TAG_PLAN, |buf| {
         put_u64(buf, seq);
         put_u64(buf, id);
@@ -735,26 +690,20 @@ fn read_plan(r: &mut Reader) -> Result<CachePlan, DecodeError> {
 /// Bytes (header + payload) the record framed at the head of `buf`
 /// declares, once its header is there and its length prefix is one the
 /// format allows — so at most `RECORD_HEADER_LEN + STORE_MAX_RECORD_LEN`.
-/// [`StoreError::Truncated`] means only that the header is not all there
+/// [`DecodeError::Truncated`] means only that the header is not all there
 /// yet; the other errors are final whatever follows.
-pub(crate) fn framed_len(buf: &[u8]) -> Result<usize, StoreError> {
+pub(crate) fn framed_len(buf: &[u8]) -> Result<usize, DecodeError> {
     if buf.len() < RECORD_HEADER_LEN {
-        return Err(StoreError::Truncated);
+        return Err(DecodeError::Truncated);
     }
     let len = u32::from_le_bytes(buf[0..4].try_into().expect("4")); // audited: header present
-    if len > STORE_MAX_RECORD_LEN {
-        return Err(StoreError::Oversized { len });
-    }
-    if len < 2 {
-        return Err(StoreError::Malformed("record shorter than its header"));
-    }
-    Ok(RECORD_HEADER_LEN + len as usize)
+    Ok(RECORD_HEADER_LEN + check_len(len, STORE_MAX_RECORD_LEN)?)
 }
 
 /// Decodes the record framed at the head of `buf`; returns it and the
 /// total bytes it occupied (header + payload). Total: returns a typed
-/// error on any input, [`StoreError::Truncated`] when `buf` ends before
-/// the record does.
+/// error on any input, a [`StoreError::Decode`] of
+/// [`DecodeError::Truncated`] when `buf` ends before the record does.
 pub fn decode_record(buf: &[u8]) -> Result<(Record, usize), StoreError> {
     decode_record_in(buf, &mut LastGrid::default())
 }
@@ -767,29 +716,24 @@ pub(crate) fn decode_record_in(
 ) -> Result<(Record, usize), StoreError> {
     let total = framed_len(buf)?;
     let expected = u64::from_le_bytes(buf[4..12].try_into().expect("8")); // audited: framed_len saw the header
-    if buf.len() < total {
-        return Err(StoreError::Truncated);
-    }
-    let payload = &buf[RECORD_HEADER_LEN..total];
+    let payload = buf
+        .get(RECORD_HEADER_LEN..total)
+        .ok_or(DecodeError::Truncated)?;
     // The version says how the rest is verified, so it is read before
     // the checksum: a record of another version is reported as that,
     // never as a checksum failure (which recovery would take for a torn
-    // tail and truncate). `len >= 2` put the byte there.
-    if payload[0] != STORE_VERSION {
-        return Err(StoreError::BadVersion { got: payload[0] });
-    }
+    // tail and truncate).
+    let (tag, body) = payload_parts(payload, STORE_VERSION)?;
     let got = checksum64(payload);
     if got != expected {
         return Err(StoreError::Checksum { expected, got });
     }
-    Ok((decode_payload(payload, last)?, total))
+    Ok((decode_body(tag, body, last)?, total))
 }
 
-/// Decodes one payload (version and checksum already verified).
-fn decode_payload(payload: &[u8], last: &mut LastGrid) -> Result<Record, StoreError> {
-    // `decode_record` guarantees at least the version byte and tag.
-    let tag = payload[1];
-    let mut r = Reader::new(&payload[2..]);
+/// Decodes one record body (version and checksum already verified).
+fn decode_body(tag: u8, body: &[u8], last: &mut LastGrid) -> Result<Record, DecodeError> {
+    let mut r = Reader::new(body);
     let rec = match tag {
         TAG_REGISTER => {
             let seq = r.u64()?;
@@ -799,7 +743,7 @@ fn decode_payload(payload: &[u8], last: &mut LastGrid) -> Result<Record, StoreEr
             check_shape(capacity, tenants)?;
             let grain = r.u64()?;
             if grain == 0 {
-                return Err(StoreError::Malformed("zero planner grain"));
+                return Err(DecodeError::Malformed("zero planner grain"));
             }
             let options = TalusOptions {
                 safety_margin: r.f64()?,
@@ -809,7 +753,7 @@ fn decode_payload(payload: &[u8], last: &mut LastGrid) -> Result<Record, StoreEr
             let convexify = match r.u8()? {
                 0 => false,
                 1 => true,
-                _ => return Err(StoreError::Malformed("convexify flag not 0/1")),
+                _ => return Err(DecodeError::Malformed("convexify flag not 0/1")),
             };
             let mut planner = Planner::new(grain)
                 .with_policy(policy)
@@ -861,7 +805,7 @@ fn decode_payload(payload: &[u8], last: &mut LastGrid) -> Result<Record, StoreEr
             updates: r.u64()?,
             plan: read_plan(&mut r)?,
         },
-        got => return Err(StoreError::BadTag { got }),
+        got => return Err(DecodeError::BadTag { got }),
     };
     r.end()?;
     Ok(rec)

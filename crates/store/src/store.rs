@@ -17,6 +17,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use talus_core::codec::DecodeError;
 use talus_core::{MissCurve, ShardTopology};
 use talus_partition::{CachePlan, Planner};
 
@@ -187,13 +188,13 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] on filesystem failure — including a read that
+    /// [`StoreError::Decode`] ([`DecodeError::Io`]) on filesystem failure — including a read that
     /// fails part-way through a file, which is never mistaken for a torn
     /// tail: nothing is truncated;
     /// [`StoreError::ShardLayout`] if the directory already holds shard
     /// files laid out for a different shard count (records do not move
     /// between files; re-sharding requires an explicit migration);
-    /// [`StoreError::BadVersion`] if a file holds a record of another
+    /// [`StoreError::Decode`] ([`DecodeError::BadVersion`]) if a file holds a record of another
     /// format version — that file is left byte-for-byte untouched (only
     /// short or checksum-failing *tails* are ever truncated), so a
     /// journal survives being opened by the wrong binary.
@@ -294,7 +295,7 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// The first [`StoreError::Io`] hit; remaining shards are still
+    /// The first [`StoreError::Decode`] ([`DecodeError::Io`]) hit; remaining shards are still
     /// attempted.
     pub fn sync(&self) -> Result<(), StoreError> {
         let mut first = None;
@@ -324,7 +325,7 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] if the file cannot be opened or sized; a read
+    /// [`StoreError::Decode`] ([`DecodeError::Io`]) if the file cannot be opened or sized; a read
     /// that fails later is the stream's one `Err` item.
     ///
     /// # Panics
@@ -345,7 +346,7 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] if the shard file cannot be read.
+    /// [`StoreError::Decode`] ([`DecodeError::Io`]) if the shard file cannot be read.
     ///
     /// # Panics
     ///
@@ -363,7 +364,7 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] if the shard file cannot be read — never a
+    /// [`StoreError::Decode`] ([`DecodeError::Io`]) if the shard file cannot be read — never a
     /// history cut short.
     pub fn history(&self, id: u64) -> Result<Vec<CurveUpdate>, StoreError> {
         let Some(local) = self.topology.local_shard(id) else {
@@ -396,7 +397,7 @@ impl Store {
     fn append_with(
         &self,
         shard: usize,
-        encode: impl FnOnce(&mut Vec<u8>, u64) -> Result<(), StoreError>,
+        encode: impl FnOnce(&mut Vec<u8>, u64) -> Result<(), DecodeError>,
     ) {
         if self.faulted.load(Ordering::Acquire) {
             return;
@@ -404,7 +405,7 @@ impl Store {
         if let Some(script) = &self.script {
             if script.check("store.append", shard as u64) == talus_core::FaultDirective::Fail {
                 // Trip the fault exactly as a real write error would.
-                self.trip(StoreError::Malformed("injected append fault"));
+                self.trip(DecodeError::Malformed("injected append fault"));
                 return;
             }
         }
@@ -422,19 +423,19 @@ impl Store {
     fn append_for_id(
         &self,
         id: u64,
-        encode: impl FnOnce(&mut Vec<u8>, u64) -> Result<(), StoreError>,
+        encode: impl FnOnce(&mut Vec<u8>, u64) -> Result<(), DecodeError>,
     ) {
         match self.topology.local_shard(id) {
             Some(shard) => self.append_with(shard, encode),
-            None => self.trip(StoreError::Malformed("record for an unowned shard")),
+            None => self.trip(DecodeError::Malformed("record for an unowned shard")),
         }
     }
 
     /// Trips the store-global fault flag; the first error is the one
     /// kept for [`last_error`](Store::last_error).
-    fn trip(&self, error: StoreError) {
+    fn trip(&self, error: impl Into<StoreError>) {
         self.faulted.store(true, Ordering::Release);
-        lock(&self.fault).get_or_insert(error);
+        lock(&self.fault).get_or_insert(error.into());
     }
 }
 
@@ -468,7 +469,7 @@ impl StoreSink for Store {
 
     fn epoch_cut(&self, shard: usize, epoch: u64, drained: &[u64]) {
         if shard >= self.shards() {
-            self.trip(StoreError::Malformed("epoch cut for unknown shard"));
+            self.trip(DecodeError::Malformed("epoch cut for unknown shard"));
             return;
         }
         self.append_with(shard, |buf, seq| {
@@ -521,7 +522,7 @@ fn shard_path(dir: &Path, shard: usize) -> PathBuf {
 ///
 /// # Errors
 ///
-/// [`StoreError::Io`] if `dir` cannot be listed.
+/// [`StoreError::Decode`] ([`DecodeError::Io`]) if `dir` cannot be listed.
 pub fn shard_files(dir: impl AsRef<Path>) -> Result<Vec<PathBuf>, StoreError> {
     let dir = dir.as_ref();
     let mut found = 0;

@@ -3,6 +3,7 @@
 
 use std::io::{ErrorKind, Read};
 
+use talus_core::codec::DecodeError;
 use talus_core::limits::STORE_MAX_RECORD_LEN;
 
 use crate::record::{
@@ -120,7 +121,7 @@ impl<R: Read> RecordStream<R> {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] if a read fails.
+    /// [`StoreError::Decode`] ([`DecodeError::Io`]) if a read fails.
     pub fn into_scan(mut self) -> Result<Scan, StoreError> {
         let records = self.by_ref().collect::<Result<_, _>>()?;
         Ok(Scan {
@@ -138,7 +139,7 @@ impl<R: Read> RecordStream<R> {
             let have = self.end - self.start;
             let need = match framed_len(&self.window[self.start..self.end]) {
                 Ok(total) => total,
-                Err(StoreError::Truncated) => RECORD_HEADER_LEN,
+                Err(DecodeError::Truncated) => RECORD_HEADER_LEN,
                 // The header alone already refuses the record.
                 Err(_) => return Ok(()),
             };
@@ -175,7 +176,7 @@ impl<R: Read> Iterator for RecordStream<R> {
             self.failed = true;
             // Not `StoreError::from`: that reads an unexpected EOF as a
             // truncated record, and no read failure may pass for a tail.
-            return Some(Err(StoreError::Io(e.kind())));
+            return Some(Err(StoreError::Decode(DecodeError::Io(e.kind()))));
         }
         if self.start == self.end {
             return None; // the input ended at a record boundary

@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use talus_core::codec::DecodeError;
 use talus_core::{CurveError, CurvePoint, MissCurve};
 use talus_store::{
     checksum64, decode_record, encode_record, records, Record, StoreError, STORE_VERSION,
@@ -51,7 +52,7 @@ fn on(sizes: &[f64], misses: &[f64]) -> Vec<CurvePoint> {
 fn curve_or_error(got: Result<Record, StoreError>) -> Result<MissCurve, CurveError> {
     match got {
         Ok(Record::Curve { curve, .. }) => Ok(curve),
-        Err(StoreError::Curve(e)) => Err(e),
+        Err(StoreError::Decode(DecodeError::Curve(e))) => Err(e),
         other => panic!("not a curve or a curve error: {other:?}"),
     }
 }

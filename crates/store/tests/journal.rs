@@ -18,6 +18,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use proptest::prelude::*;
+use talus_core::codec::DecodeError;
 use talus_core::limits::{
     STORE_MAX_CUT_IDS, STORE_MAX_RECORD_LEN, WIRE_MAX_CURVE_POINTS, WIRE_MAX_TENANTS,
 };
@@ -274,7 +275,13 @@ fn oversized_length_prefix_is_rejected_before_anything_else() {
     for len in [STORE_MAX_RECORD_LEN + 1, u32::MAX, 0xDEAD_BEEF] {
         let mut header = len.to_le_bytes().to_vec();
         header.extend_from_slice(&[0u8; 8]); // checksum field
-        assert_eq!(decode_record(&header), Err(StoreError::Oversized { len }));
+        assert_eq!(
+            decode_record(&header),
+            Err(StoreError::Decode(DecodeError::Oversized {
+                len,
+                max: STORE_MAX_RECORD_LEN
+            }))
+        );
     }
 }
 
@@ -285,7 +292,7 @@ fn undersized_length_prefix_is_malformed() {
         bytes.extend_from_slice(&[0u8; 9]);
         assert!(matches!(
             decode_record(&bytes),
-            Err(StoreError::Malformed(_))
+            Err(StoreError::Decode(DecodeError::Malformed(_)))
         ));
     }
 }
@@ -303,17 +310,20 @@ fn hostile_counts_fail_before_allocation() {
     payload.extend_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(
         decode_record(&framed(&payload)),
-        Err(StoreError::BadCount {
+        Err(StoreError::Decode(DecodeError::BadCount {
             count: u32::MAX,
             max: WIRE_MAX_CURVE_POINTS
-        })
+        }))
     );
     // In-cap counts the record can't hold fail the remaining-bytes check.
     let mut payload = vec![STORE_VERSION, 0x03];
     payload.extend_from_slice(&[0u8; 16]);
     payload.extend_from_slice(&0u32.to_le_bytes());
     payload.extend_from_slice(&WIRE_MAX_CURVE_POINTS.to_le_bytes());
-    assert_eq!(decode_record(&framed(&payload)), Err(StoreError::Truncated));
+    assert_eq!(
+        decode_record(&framed(&payload)),
+        Err(StoreError::Decode(DecodeError::Truncated))
+    );
     // Epoch-cut id lists have their own cap.
     let mut payload = vec![STORE_VERSION, 0x04];
     payload.extend_from_slice(&[0u8; 8]); // seq
@@ -322,10 +332,10 @@ fn hostile_counts_fail_before_allocation() {
     payload.extend_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(
         decode_record(&framed(&payload)),
-        Err(StoreError::BadCount {
+        Err(StoreError::Decode(DecodeError::BadCount {
             count: u32::MAX,
             max: STORE_MAX_CUT_IDS
-        })
+        }))
     );
     // Plan tenant counts too.
     let mut payload = vec![STORE_VERSION, 0x05];
@@ -334,10 +344,10 @@ fn hostile_counts_fail_before_allocation() {
     payload.extend_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(
         decode_record(&framed(&payload)),
-        Err(StoreError::BadCount {
+        Err(StoreError::Decode(DecodeError::BadCount {
             count: u32::MAX,
             max: WIRE_MAX_TENANTS
-        })
+        }))
     );
 }
 
@@ -348,7 +358,10 @@ fn wrong_version_is_rejected_on_every_tag() {
             let mut bytes = framed(&[version, tag]);
             assert_eq!(
                 decode_record(&bytes),
-                Err(StoreError::BadVersion { got: version }),
+                Err(StoreError::Decode(DecodeError::BadVersion {
+                    got: version,
+                    want: STORE_VERSION
+                })),
                 "version {version} tag {tag:#04x}"
             );
             // The version is read before the checksum is verified: a
@@ -357,7 +370,10 @@ fn wrong_version_is_rejected_on_every_tag() {
             bytes[4] ^= 0xFF;
             assert_eq!(
                 decode_record(&bytes),
-                Err(StoreError::BadVersion { got: version }),
+                Err(StoreError::Decode(DecodeError::BadVersion {
+                    got: version,
+                    want: STORE_VERSION
+                })),
                 "version {version} tag {tag:#04x}, foreign checksum"
             );
         }
@@ -371,8 +387,10 @@ fn garbage_tags_are_typed_errors() {
         let bytes = framed(&[STORE_VERSION, tag]);
         match decode_record(&bytes) {
             // Known tag with an empty body: truncation is right.
-            Err(StoreError::Truncated) => assert!(known.contains(&tag), "tag {tag:#04x}"),
-            Err(StoreError::BadTag { got }) => {
+            Err(StoreError::Decode(DecodeError::Truncated)) => {
+                assert!(known.contains(&tag), "tag {tag:#04x}")
+            }
+            Err(StoreError::Decode(DecodeError::BadTag { got })) => {
                 assert_eq!(got, tag);
                 assert!(!known.contains(&tag), "tag {tag:#04x}");
             }
@@ -406,22 +424,22 @@ fn register_bounds_are_enforced_at_decode_time() {
     };
     assert!(matches!(
         decode_record(&rec(0, 1, 8)),
-        Err(StoreError::Malformed(_))
+        Err(StoreError::Decode(DecodeError::Malformed(_)))
     ));
     assert!(matches!(
         decode_record(&rec(64, 0, 8)),
-        Err(StoreError::Malformed(_))
+        Err(StoreError::Decode(DecodeError::Malformed(_)))
     ));
     assert!(matches!(
         decode_record(&rec(64, 1, 0)),
-        Err(StoreError::Malformed(_))
+        Err(StoreError::Decode(DecodeError::Malformed(_)))
     ));
     assert_eq!(
         decode_record(&rec(64, WIRE_MAX_TENANTS + 1, 8)),
-        Err(StoreError::BadCount {
+        Err(StoreError::Decode(DecodeError::BadCount {
             count: WIRE_MAX_TENANTS + 1,
             max: WIRE_MAX_TENANTS
-        })
+        }))
     );
     assert!(decode_record(&rec(64, WIRE_MAX_TENANTS, 8)).is_ok());
 }
@@ -439,7 +457,7 @@ fn trailing_bytes_are_malformed() {
     bytes[4..12].copy_from_slice(&sum.to_le_bytes());
     assert!(matches!(
         decode_record(&bytes),
-        Err(StoreError::Malformed(_))
+        Err(StoreError::Decode(DecodeError::Malformed(_)))
     ));
 }
 
@@ -479,7 +497,10 @@ fn golden_v2_constants() {
     assert_eq!(STORE_MAX_CUT_IDS, 1 << 14);
     assert_eq!(
         decode_record(&framed(&[2, 0x02])),
-        Err(StoreError::BadVersion { got: 2 })
+        Err(StoreError::Decode(DecodeError::BadVersion {
+            got: 2,
+            want: STORE_VERSION
+        }))
     );
 }
 
@@ -529,7 +550,10 @@ fn golden_v2_checksum_vectors() {
     assert_eq!(checksum64(&payload), 0x2A26_C575_EB71_7D84);
     assert_eq!(
         decode_record(&framed(&payload)),
-        Err(StoreError::BadVersion { got: 2 })
+        Err(StoreError::Decode(DecodeError::BadVersion {
+            got: 2,
+            want: STORE_VERSION
+        }))
     );
 }
 
@@ -593,7 +617,10 @@ fn assert_golden_v3(rec: &Record, payload: &[u8], checksum: u64) {
 /// A record of a foreign version is refused as that — by the decoder
 /// and by the scanner, which consumes none of it.
 fn assert_refused(bytes: &[u8], version: u8) {
-    let refused = StoreError::BadVersion { got: version };
+    let refused = StoreError::Decode(DecodeError::BadVersion {
+        got: version,
+        want: STORE_VERSION,
+    });
     assert_eq!(decode_record(bytes), Err(refused.clone()));
     let scanned = scan(bytes);
     assert_eq!((scanned.consumed, scanned.tail), (0, Some(refused)));
@@ -865,7 +892,10 @@ fn foreign_version_files_are_refused_and_left_untouched() {
         std::fs::write(&path, &file).unwrap();
         assert_eq!(
             Store::open(&dir, 1).err(),
-            Some(StoreError::BadVersion { got }),
+            Some(StoreError::Decode(DecodeError::BadVersion {
+                got,
+                want: STORE_VERSION
+            })),
             "{tag}"
         );
         assert_eq!(std::fs::read(&path).unwrap(), file, "{tag}: file touched");
@@ -1249,10 +1279,10 @@ fn a_curve_over_the_point_cap_faults_the_store_and_is_not_written() {
     assert!(store.is_faulted(), "a refused record is a failed write");
     assert_eq!(
         store.last_error(),
-        Some(StoreError::BadCount {
+        Some(StoreError::Decode(DecodeError::BadCount {
             count: WIRE_MAX_CURVE_POINTS + 1,
             max: WIRE_MAX_CURVE_POINTS
-        })
+        }))
     );
     // Faulted: later events are dropped, as after any failed write.
     store.submit(1, 0, &curve_of(3));
@@ -1279,34 +1309,34 @@ fn reopen_after_a_refused_record_loses_nothing_written_before_it() {
         (
             "tenants",
             |s| s.register(9, 1 << 20, WIRE_MAX_TENANTS + 1, &Planner::new(64)),
-            StoreError::BadCount {
+            StoreError::Decode(DecodeError::BadCount {
                 count: WIRE_MAX_TENANTS + 1,
                 max: WIRE_MAX_TENANTS,
-            },
+            }),
         ),
         (
             "plan-tenants",
             |s| s.plan(1, 1, 1, 1, &plan_of(WIRE_MAX_TENANTS as usize + 1)),
-            StoreError::BadCount {
+            StoreError::Decode(DecodeError::BadCount {
                 count: WIRE_MAX_TENANTS + 1,
                 max: WIRE_MAX_TENANTS,
-            },
+            }),
         ),
         (
             "cut-ids",
             |s| s.epoch_cut(0, 1, &vec![1; STORE_MAX_CUT_IDS as usize + 1]),
-            StoreError::BadCount {
+            StoreError::Decode(DecodeError::BadCount {
                 count: STORE_MAX_CUT_IDS + 1,
                 max: STORE_MAX_CUT_IDS,
-            },
+            }),
         ),
         (
             "curve-tenant",
             |s| s.submit(1, WIRE_MAX_TENANTS, &curve_of(2)),
-            StoreError::BadCount {
+            StoreError::Decode(DecodeError::BadCount {
                 count: WIRE_MAX_TENANTS,
                 max: WIRE_MAX_TENANTS - 1,
-            },
+            }),
         ),
     ];
     for (tag, offend, error) in offenders {
@@ -1433,7 +1463,7 @@ proptest! {
             }
             Err(e) => {
                 let (count, max) = refused.expect("refused within the caps");
-                prop_assert_eq!(e, StoreError::BadCount { count, max });
+                prop_assert_eq!(e, DecodeError::BadCount { count, max });
                 prop_assert_eq!(&journal, &before);
             }
         }
@@ -1462,7 +1492,7 @@ fn zero_fields_are_refused_by_the_encoder() {
         let mut out = vec![7];
         assert!(matches!(
             encode_record_into(&rec, &mut out),
-            Err(StoreError::Malformed(_))
+            Err(DecodeError::Malformed(_))
         ));
         assert_eq!(out, [7]);
     }
@@ -1614,7 +1644,10 @@ fn a_record_straddling_the_window_edge_is_carried_over() {
     let scanned = records_from(torn).into_scan().unwrap();
     assert_eq!(scanned, scan(torn));
     assert_eq!(scanned.records.len(), STREAM_WINDOW_LEN / record_len);
-    assert_eq!(scanned.tail, Some(StoreError::Truncated));
+    assert_eq!(
+        scanned.tail,
+        Some(StoreError::Decode(DecodeError::Truncated))
+    );
 }
 
 /// The largest records the format allows fit the window wherever they
@@ -1637,7 +1670,7 @@ fn maximum_length_records_fit_the_window() {
     let longest = framed(&longest);
     assert_eq!(
         decode_record(&longest),
-        Err(StoreError::BadTag { got: 0x7F }),
+        Err(StoreError::Decode(DecodeError::BadTag { got: 0x7F })),
         "checksum verified over the whole payload, then the tag refused"
     );
     // Filler moves the cut and the long frame about the window (about a
@@ -1653,7 +1686,10 @@ fn maximum_length_records_fit_the_window() {
         assert_eq!(scanned, scan(&bytes), "{filler} filler records");
         assert_eq!(scanned.consumed, valid);
         assert_eq!(scanned.records.last(), Some(&cut));
-        assert_eq!(scanned.tail, Some(StoreError::BadTag { got: 0x7F }));
+        assert_eq!(
+            scanned.tail,
+            Some(StoreError::Decode(DecodeError::BadTag { got: 0x7F }))
+        );
         assert_stream_matches_scan(&bytes, 300_000, filler);
     }
 }
@@ -1679,7 +1715,10 @@ fn a_read_error_is_yielded_as_an_error_and_never_as_a_tail() {
                 stream.next(),
                 Some(Ok(Record::Curve { seq: 0, .. }))
             ));
-            assert_eq!(stream.next(), Some(Err(StoreError::Io(kind))));
+            assert_eq!(
+                stream.next(),
+                Some(Err(StoreError::Decode(DecodeError::Io(kind))))
+            );
             assert_eq!(stream.next(), None);
             assert_eq!(stream.tail(), None, "{kind:?} read as a torn tail");
             assert_eq!(stream.consumed(), (bytes.len() / 3) as u64);
@@ -1689,7 +1728,7 @@ fn a_read_error_is_yielded_as_an_error_and_never_as_a_tail() {
                     kind,
                 })
                 .into_scan(),
-                Err(StoreError::Io(kind))
+                Err(StoreError::Decode(DecodeError::Io(kind)))
             );
         }
     }
@@ -1762,9 +1801,10 @@ fn recovery_verdicts_hold_beyond_the_first_window() {
     std::fs::write(&path, &file).unwrap();
     assert_eq!(
         Store::open(&dir, 1).err(),
-        Some(StoreError::BadVersion {
-            got: STORE_VERSION + 1
-        })
+        Some(StoreError::Decode(DecodeError::BadVersion {
+            got: STORE_VERSION + 1,
+            want: STORE_VERSION
+        }))
     );
     assert_eq!(std::fs::read(&path).unwrap(), file, "file touched");
     std::fs::remove_dir_all(&dir).ok();
@@ -1777,7 +1817,10 @@ fn recovery_verdicts_hold_beyond_the_first_window() {
     let store = Store::open(&dir, 1).unwrap();
     assert_eq!(store.recovery().records(), 1100);
     assert_eq!(store.recovery().torn_bytes(), 700);
-    assert_eq!(store.recovery().shards[0].tail, Some(StoreError::Truncated));
+    assert_eq!(
+        store.recovery().shards[0].tail,
+        Some(StoreError::Decode(DecodeError::Truncated))
+    );
     drop(store);
     assert_eq!(std::fs::read(&path).unwrap(), intact);
     std::fs::remove_dir_all(&dir).ok();
@@ -1837,10 +1880,19 @@ fn an_unreadable_shard_file_is_an_error_not_a_short_history() {
     std::fs::remove_file(&path).unwrap();
     std::fs::create_dir(&path).unwrap();
 
-    assert!(matches!(store.history(1), Err(StoreError::Io(_))));
-    assert!(matches!(store.replay_shard(0), Err(StoreError::Io(_))));
+    assert!(matches!(
+        store.history(1),
+        Err(StoreError::Decode(DecodeError::Io(_)))
+    ));
+    assert!(matches!(
+        store.replay_shard(0),
+        Err(StoreError::Decode(DecodeError::Io(_)))
+    ));
     let mut stream = store.stream_shard(0).unwrap();
-    assert!(matches!(stream.next(), Some(Err(StoreError::Io(_)))));
+    assert!(matches!(
+        stream.next(),
+        Some(Err(StoreError::Decode(DecodeError::Io(_))))
+    ));
     assert_eq!((stream.next(), stream.tail()), (None, None));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -386,6 +386,7 @@ mod store {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
+    use talus_core::codec::DecodeError;
     use talus_core::{MissCurve, StoreHealth};
     use talus_partition::{CachePlan, Planner};
     use talus_serve::{CacheSpec, ShardedReconfigService};
@@ -629,7 +630,10 @@ mod store {
         // ...and the failed write is loud, exactly like a failed append.
         assert!(store.faulted());
         assert!(
-            matches!(store.last_error(), Some(StoreError::Io(_))),
+            matches!(
+                store.last_error(),
+                Some(StoreError::Decode(DecodeError::Io(_)))
+            ),
             "{:?}",
             store.last_error()
         );
@@ -764,7 +768,7 @@ mod store {
         let fresh = ShardedReconfigService::new(1);
         assert!(matches!(
             fresh.restore(&store),
-            Err(RestoreError::Store(StoreError::Io(_)))
+            Err(RestoreError::Store(StoreError::Decode(DecodeError::Io(_))))
         ));
         std::fs::remove_dir_all(&dir).ok();
     }
