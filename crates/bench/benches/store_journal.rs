@@ -128,9 +128,9 @@ fn bench_append(c: &mut Criterion) {
     // checksum, length-prefix, write_all, no plane in front.
     let dir = bench_dir("append-curve");
     let store = Store::open(&dir, SHARDS).expect("open store");
-    let planner = Planner::new(64);
+    let spec = CacheSpec::new(4096, 1).with_planner(Planner::new(64));
     for id in 0..CACHES {
-        store.register(id, 4096, 1, &planner);
+        store.register(id, &spec);
     }
     let curves: Vec<MissCurve> = (0..CACHES).map(curve).collect();
     let mut round = 0u64;
@@ -247,9 +247,9 @@ fn bench_large_journal(c: &mut Criterion) {
     let mut group = c.benchmark_group("store_journal");
     let dir = bench_dir("large");
     let store = Store::open(&dir, SHARDS).expect("open store");
-    let planner = Planner::new(64);
+    let spec = CacheSpec::new(4096, 1).with_planner(Planner::new(64));
     for id in 0..CACHES {
-        store.register(id, 4096, 1, &planner);
+        store.register(id, &spec);
     }
     let curves: Vec<MissCurve> = (0..CACHES).map(curve).collect();
     let record_len = encode_record(&Record::Curve {

@@ -5,9 +5,11 @@
 //! fields through the `put_*` functions and read them back through one
 //! [`Reader`], so the rule their decoders' safety rests on — a count is
 //! checked against its cap *and* the bytes left before anything is
-//! reserved — is written once, as are the bounds on a cache's shape
-//! ([`check_shape`]). Integers are little-endian and an `f64` is its
-//! IEEE-754 bit pattern, so every value round-trips bit for bit.
+//! reserved — is written once. A cache's spec, the one body both
+//! formats register a cache with, is read, written and checked through
+//! these by `talus_partition::spec`. Integers are little-endian and an
+//! `f64` is its IEEE-754 bit pattern, so every value round-trips bit
+//! for bit.
 //!
 //! Both formats frame a payload alike — a `u32` length prefix, then
 //! `[version][opcode or tag][body]` — so [`check_len`] (the prefix) and
@@ -16,7 +18,6 @@
 //! and `want`. Layouts, caps, tags and the journal's checksum stay with
 //! each format; a curve's bytes are [`MissCurve`](crate::MissCurve)'s.
 
-use crate::limits::WIRE_MAX_TENANTS;
 use crate::CurveError;
 
 /// Why a frame or a record failed to decode, or a value failed a
@@ -170,19 +171,6 @@ pub fn check_count(count: usize, max: u32) -> Result<u32, DecodeError> {
         return Err(DecodeError::BadCount { count, max });
     }
     Ok(count)
-}
-
-/// The bounds on a cache's shape — a positive capacity and
-/// `1..=`[`WIRE_MAX_TENANTS`] tenants — that every register decoder
-/// checks, and every writer and client checks before sending one.
-pub fn check_shape(capacity: u64, tenants: u32) -> Result<(), DecodeError> {
-    if capacity == 0 {
-        return Err(DecodeError::Malformed("zero capacity"));
-    }
-    if tenants == 0 {
-        return Err(DecodeError::Malformed("zero tenants"));
-    }
-    check_count(tenants as usize, WIRE_MAX_TENANTS).map(drop)
 }
 
 /// A bounds-checked cursor over one body. Every read fails with

@@ -22,6 +22,9 @@
 //! convexify → allocate → shadow-plan pipeline that the simulated 8-core
 //! system (`talus-multicore`) and the online reconfiguration service
 //! (`talus-serve`) both run, so online plans provably match offline ones.
+//! The [`spec`] module holds [`CacheSpec`] — a cache's capacity, tenant
+//! count and planner — and the one byte layout the wire and the journal
+//! both register a cache with.
 //!
 //! All functions take curves in arbitrary (but mutually comparable) linear
 //! miss units — MPKI or misses-per-access × access weight — with sizes in
@@ -44,8 +47,10 @@
 #![forbid(unsafe_code)]
 
 pub mod planner;
+pub mod spec;
 
 pub use planner::{AllocPolicy, CachePlan, PlanScratch, Planner, TenantPlan};
+pub use spec::{check_spec, put_spec, read_spec, CacheSpec};
 
 use std::borrow::Borrow;
 use talus_core::{ConvexHull, MissCurve};

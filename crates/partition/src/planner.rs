@@ -50,18 +50,19 @@ use talus_core::{plan_with_hull, ConvexHull, MissCurve, PlanError, TalusOptions,
 ///
 /// These are the policies of the paper's §VII-D scheme roster; the
 /// variants dispatch to the crate's free functions ([`hill_climb`],
-/// [`lookahead`], [`fair`], [`imbalanced`]).
+/// [`lookahead`], [`fair`], [`imbalanced`]). A variant's value is the
+/// tag a spec's bytes carry ([`put_spec`](crate::put_spec)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllocPolicy {
     /// Greedy marginal-utility hill climbing (optimal on convex curves).
-    Hill,
+    Hill = 0,
     /// UCP Lookahead.
-    Lookahead,
+    Lookahead = 1,
     /// Equal allocations.
-    Fair,
+    Fair = 2,
     /// Imbalanced partitioning (Pan & Pai): fund one favored partition's
     /// cliff and rotate the favored slot across rounds.
-    Imbalanced,
+    Imbalanced = 3,
 }
 
 impl AllocPolicy {
@@ -164,6 +165,14 @@ impl Planner {
             policy: AllocPolicy::Hill,
             convexify: true,
         }
+    }
+
+    /// The default planner for a cache of `capacity` lines: [`new`]
+    /// at a capacity/64 grain (one line below 64).
+    ///
+    /// [`new`]: Planner::new
+    pub fn for_capacity(capacity: u64) -> Self {
+        Planner::new((capacity / 64).max(1))
     }
 
     /// Replaces the allocation policy.

@@ -232,7 +232,7 @@ fn main() {
                     .get_mut(&(id.value(), t))
                     .expect("registered");
                 analytic_plane
-                    .submit_from(*id, t, analytic_source)
+                    .submit_latest(*id, t, analytic_source, 1)
                     .expect("cache is registered and tenant in range");
                 curves.push(curve);
             }

@@ -33,12 +33,13 @@ use std::time::Duration;
 use crate::service::{EpochReport, ServeError};
 use crate::snapshot::CacheId;
 use crate::wire::{
-    self, check_register_at, read_frame_into, submit_entry_bytes, GridTable, Request, Response,
+    self, check_register, read_frame_into, submit_entry_bytes, GridTable, Request, Response,
     SnapshotSummary, SubmitEntry,
 };
-use talus_core::codec::{check_count, check_len, check_shape, DecodeError};
+use talus_core::codec::{check_count, check_len, DecodeError};
 use talus_core::limits::{WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_FRAME_LEN};
 use talus_core::{CurveSource, MissCurve, PlaneHealth};
+use talus_partition::{CacheSpec, Planner};
 
 /// Errors surfaced by the RPC client.
 #[derive(Debug, Clone, PartialEq)]
@@ -399,49 +400,55 @@ impl RpcClient {
         }
     }
 
-    /// Registers a cache with the default planner (capacity/64 grain),
-    /// mirroring `CacheSpec::new`. Returns the plane-minted id.
+    /// [`register_spec`](RpcClient::register_spec) with the default
+    /// planner (capacity/64 grain), as `CacheSpec::new` builds it — but a
+    /// zero `capacity`, or `tenants` outside `1..=` the wire tenant cap,
+    /// is refused unsent ([`DecodeError::Malformed`] or
+    /// [`DecodeError::BadCount`]), not a panic.
+    pub fn register(&mut self, capacity: u64, tenants: u32) -> Result<CacheId, RpcError> {
+        self.register_spec(CacheSpec {
+            capacity,
+            tenants: tenants as usize,
+            planner: Planner::for_capacity(capacity),
+        })
+    }
+
+    /// Registers a cache with `spec`. Returns the plane-minted id.
     ///
     /// # Errors
     ///
-    /// [`RpcError::Wire`] on transport failure. Arguments the server's
-    /// decoder would refuse — a zero `capacity`, or `tenants` outside
-    /// `1..=` the wire tenant cap — are refused here with its error
-    /// ([`DecodeError::Malformed`] or [`DecodeError::BadCount`]): nothing is
-    /// sent and the connection stays usable.
-    pub fn register(&mut self, capacity: u64, tenants: u32) -> Result<CacheId, RpcError> {
-        check_shape(capacity, tenants)?;
-        match self.call(&Request::Register { capacity, tenants })? {
+    /// [`RpcError::Wire`] on transport failure. A spec the server's
+    /// decoder would refuse — one `talus_partition::check_spec` refuses,
+    /// a negative, NaN or infinite margin or tolerance, or more than
+    /// `WIRE_MAX_GRAINS` grains — is refused here
+    /// with its error: nothing is sent and the connection stays usable.
+    pub fn register_spec(&mut self, spec: CacheSpec) -> Result<CacheId, RpcError> {
+        check_register(None, &spec)?;
+        match self.call(&Request::Register { spec })? {
             Response::Registered { id } => Ok(CacheId(id)),
             other => Err(Self::reject(other, "register")),
         }
     }
 
-    /// Registers a cache under a caller-minted id with the default
-    /// planner (capacity/64 grain) — the cluster registration path.
-    /// Retried under the retry policy: the server treats an identical
-    /// re-registration as an idempotent no-op, so a retried request
-    /// whose first reply was lost converges instead of erroring.
+    /// Registers a cache under a caller-minted id with `spec` — the
+    /// cluster registration path. Retried under the retry policy: the
+    /// server treats an identical re-registration as an idempotent
+    /// no-op, so a retried request whose first reply was lost converges
+    /// instead of erroring.
     ///
     /// # Errors
     ///
     /// [`RpcError::Serve`] with [`ServeError::Misrouted`] if this
     /// server does not own the id's shard, or
     /// [`ServeError::DuplicateCache`] if the id exists with a different
-    /// spec. Arguments the server's decoder would refuse (those
-    /// [`register`](RpcClient::register) refuses, and the reserved top
-    /// id) are refused here with its error, unsent.
-    pub fn register_at(
-        &mut self,
-        id: CacheId,
-        capacity: u64,
-        tenants: u32,
-    ) -> Result<CacheId, RpcError> {
-        check_register_at(id.value(), capacity, tenants)?;
+    /// spec. What the server's decoder would refuse (the specs
+    /// [`register_spec`](RpcClient::register_spec) refuses, and the
+    /// reserved top id) is refused here with its error, unsent.
+    pub fn register_at(&mut self, id: CacheId, spec: CacheSpec) -> Result<CacheId, RpcError> {
+        check_register(Some(id.value()), &spec)?;
         let req = Request::RegisterAt {
             id: id.value(),
-            capacity,
-            tenants,
+            spec,
         };
         match self.call_retrying(&req)? {
             Response::Registered { id } => Ok(CacheId(id)),

@@ -67,6 +67,7 @@ use crate::snapshot::CacheId;
 use crate::wire::{ClusterInfo, SnapshotSummary};
 use talus_core::codec::DecodeError;
 use talus_core::{shard_of, MissCurve, PlaneHealth};
+use talus_partition::CacheSpec;
 
 /// Fast-failures between probes while a member's breaker is open: the
 /// default lets most callers fail fast while every fourth attempt pays
@@ -432,21 +433,19 @@ impl ClusterClient {
     }
 
     /// Mints the next cache id and registers it on the owning member
-    /// with the default planner (capacity/64 grain). The id is minted
-    /// deterministically client-side; the mint is committed only when
-    /// the owning member confirms, so a failed registration re-mints
-    /// the same id (safe: `RegisterAt` is idempotent for an identical
-    /// spec).
+    /// with `spec`. The id is minted deterministically client-side; the
+    /// mint is committed only when the owning member confirms, so a
+    /// failed registration re-mints the same id (safe: `RegisterAt` is
+    /// idempotent for an identical spec).
     ///
     /// # Errors
     ///
     /// [`ClusterError::ShardDown`] if the owning member's breaker is
     /// open, or the member's typed rejection.
-    pub fn register(&mut self, capacity: u64, tenants: u32) -> Result<CacheId, ClusterError> {
+    pub fn register(&mut self, spec: CacheSpec) -> Result<CacheId, ClusterError> {
         let id = CacheId(self.next_id);
         let member = self.member_for(id);
-        let registered =
-            self.call_member(member, |client| client.register_at(id, capacity, tenants))?;
+        let registered = self.call_member(member, |client| client.register_at(id, spec))?;
         self.next_id = registered.value() + 1;
         Ok(registered)
     }

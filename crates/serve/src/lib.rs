@@ -1,8 +1,8 @@
 //! # talus-serve — the online reconfiguration service (L5)
 //!
 //! A long-running, single-node service that owns many **logical caches**.
-//! Callers register a cache with a capacity budget and a tenant count,
-//! then stream per-tenant miss-curve updates (from `talus-sim` monitors,
+//! Callers register a cache with a [`CacheSpec`] — a capacity budget, a
+//! tenant count and the planner — then stream per-tenant miss-curve updates (from `talus-sim` monitors,
 //! real-hardware counters, or synthetic `talus-workloads` replays — any
 //! [`CurveSource`](talus_core::CurveSource)). The service batches dirty
 //! caches per **epoch**, re-plans each one through the shared
@@ -66,8 +66,10 @@
 //! feeds a shared [`ShardedReconfigService`]. The equivalence discipline
 //! extends across the wire: a plane fed via RPC produces bit-identical
 //! `EpochReport`s and snapshots to one fed locally
-//! (`tests/rpc_equivalence.rs`), and the decoder is total — hostile
-//! bytes produce typed errors, never panics (`tests/wire.rs`).
+//! (`tests/rpc_equivalence.rs`), whatever planner each cache's spec
+//! names — a register frame carries the whole spec, in the bytes the
+//! journal records it in — and the decoder is total: hostile bytes
+//! produce typed errors, never panics (`tests/wire.rs`).
 //!
 //! ## Surviving restarts: the journal sink and warm restart
 //!
@@ -195,5 +197,6 @@ pub use cluster::{
 };
 pub use router::{RestoreError, RestoreSummary, ShardedReconfigService};
 pub use rpc_server::{RpcServer, ServerHandle, DEFAULT_MAX_CONNECTIONS};
-pub use service::{CacheSpec, EpochReport, ServeError};
+pub use service::{EpochReport, ServeError};
 pub use snapshot::{CacheId, PlanSnapshot};
+pub use talus_partition::CacheSpec;

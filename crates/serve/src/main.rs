@@ -185,12 +185,10 @@ fn run_store_dump(dir: &Path, json: bool) -> io::Result<()> {
 /// One record as a line of text.
 fn record_text(rec: &Record) -> String {
     match rec {
-        Record::Register {
-            id,
-            capacity,
-            tenants,
-            ..
-        } => format!("cache {id}: capacity {capacity}, {tenants} tenant(s)"),
+        Record::Register { id, spec, .. } => format!(
+            "cache {id}: capacity {}, {} tenant(s)",
+            spec.capacity, spec.tenants
+        ),
         Record::Deregister { id, .. } => format!("cache {id}"),
         Record::Curve {
             id, tenant, curve, ..
@@ -219,14 +217,9 @@ fn json_u64s(values: &[u64]) -> String {
 /// an integer or an integer array, so no escaping is ever needed.
 fn record_json(file_shard: usize, rec: &Record) -> String {
     match rec {
-        Record::Register {
-            seq,
-            id,
-            capacity,
-            tenants,
-            ..
-        } => format!(
-            r#"{{"shard":{file_shard},"seq":{seq},"type":"register","id":{id},"capacity":{capacity},"tenants":{tenants}}}"#
+        Record::Register { seq, id, spec } => format!(
+            r#"{{"shard":{file_shard},"seq":{seq},"type":"register","id":{id},"capacity":{},"tenants":{}}}"#,
+            spec.capacity, spec.tenants
         ),
         Record::Deregister { seq, id } => {
             format!(r#"{{"shard":{file_shard},"seq":{seq},"type":"deregister","id":{id}}}"#)

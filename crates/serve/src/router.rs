@@ -1,7 +1,7 @@
 //! The reconfiguration plane: N [`Shard`]s behind a hash router.
 //!
 //! [`ShardedReconfigService`] is the one in-process plane — `register`,
-//! `deregister`, `submit`, `submit_from`, `submit_latest`, `snapshot`,
+//! `deregister`, `submit`, `submit_latest`, `snapshot`,
 //! `run_epoch`, `run_until_clean` — with per-cache state spread across N
 //! independent shards selected by `mix64(cache_id) % N` (`new(1)` is the
 //! single-lock configuration). Caches never share state, so
@@ -24,7 +24,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::service::{CacheSpec, EpochReport, ServeError};
+use crate::service::{EpochReport, ServeError};
 use crate::shard::Shard;
 use crate::snapshot::{CacheId, PlanSnapshot, RESERVED_ID};
 use talus_core::limits::WIRE_MAX_EPOCH_IDS;
@@ -32,6 +32,7 @@ use talus_core::{
     CurveSource, FaultScript, MissCurve, PlaneHealth, ShardHealth, ShardState, ShardTopology,
     StoreHealth,
 };
+use talus_partition::CacheSpec;
 use talus_store::{Record, Store, StoreError, StoreSink};
 
 /// A shard's epoch batch when none is configured.
@@ -612,25 +613,6 @@ impl ShardedReconfigService {
         results
     }
 
-    /// Pulls one update from a [`CurveSource`] and submits it. Returns
-    /// `Ok(false)` (without marking anything dirty) once the source is
-    /// exhausted.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`submit`](ShardedReconfigService::submit).
-    pub fn submit_from(
-        &self,
-        id: CacheId,
-        tenant: usize,
-        source: &mut dyn CurveSource,
-    ) -> Result<bool, ServeError> {
-        match source.next_curve() {
-            Some(curve) => self.submit(id, tenant, curve).map(|_| true),
-            None => Ok(false),
-        }
-    }
-
     /// Drains up to `max` pending updates from a [`CurveSource`] and
     /// submits only the newest — the backlog-coalescing ingest path
     /// (`CurveSource::next_curves` is the batching seam). A tenant that
@@ -644,9 +626,8 @@ impl ShardedReconfigService {
     /// This is for *finite* backlogs (replays, queues). An infinite
     /// source such as a live `MonitorSource` always produces exactly
     /// `max` curves — each a full monitoring interval of work — so
-    /// draining it here would burn `max − 1` intervals to discard them;
-    /// use [`submit_from`](ShardedReconfigService::submit_from) for live
-    /// monitors.
+    /// draining it here would burn `max − 1` intervals to discard them:
+    /// call it with `max = 1` for live monitors, one curve a call.
     ///
     /// # Errors
     ///
@@ -864,13 +845,7 @@ impl ShardedReconfigService {
                     what,
                 };
                 match rec {
-                    Record::Register {
-                        id,
-                        capacity,
-                        tenants,
-                        planner,
-                        ..
-                    } => {
+                    Record::Register { id, spec, .. } => {
                         if self.topology.local_shard(id) != Some(i) {
                             return Err(corrupt("register routed to the wrong shard"));
                         }
@@ -878,7 +853,6 @@ impl ShardedReconfigService {
                             return Err(corrupt("register of the reserved id"));
                         }
                         max_id = max_id.max(Some(id));
-                        let spec = CacheSpec::new(capacity, tenants as usize).with_planner(planner);
                         if shard.insert(id, spec).is_err() {
                             return Err(corrupt("register of an already-registered id"));
                         }

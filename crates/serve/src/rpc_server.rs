@@ -38,7 +38,7 @@ use talus_core::codec::DecodeError;
 use talus_core::{FaultDirective, FaultScript, PlaneHealth};
 
 use crate::router::ShardedReconfigService;
-use crate::service::{CacheSpec, ServeError};
+use crate::service::ServeError;
 use crate::snapshot::CacheId;
 use crate::wire::{self, read_frame_into, Request, Response, SnapshotSummary};
 
@@ -355,28 +355,19 @@ fn handle_request(
     stats: &ConnStats,
 ) -> Response {
     match request {
-        Request::Register { capacity, tenants } => {
+        Request::Register { spec } => {
             if !service.topology().is_solo() {
                 // Server-side minting would race across members; cluster
                 // clients mint deterministically and use RegisterAt.
                 return Response::Error(ServeError::ClusterMint);
             }
-            // Decode guarantees capacity > 0 and 0 < tenants <= cap, the
-            // exact preconditions of `CacheSpec::new`.
-            let id = service.register(CacheSpec::new(capacity, tenants as usize));
+            let id = service.register(spec);
             Response::Registered { id: id.value() }
         }
-        Request::RegisterAt {
-            id,
-            capacity,
-            tenants,
-        } => {
-            match service.register_with_id(CacheId(id), CacheSpec::new(capacity, tenants as usize))
-            {
-                Ok(id) => Response::Registered { id: id.value() },
-                Err(e) => Response::Error(e),
-            }
-        }
+        Request::RegisterAt { id, spec } => match service.register_with_id(CacheId(id), spec) {
+            Ok(id) => Response::Registered { id: id.value() },
+            Err(e) => Response::Error(e),
+        },
         Request::Deregister { id } => match service.deregister(CacheId(id)) {
             Ok(()) => Response::Deregistered,
             Err(e) => Response::Error(e),

@@ -1,4 +1,4 @@
-//! The plane's API types: cache specs, errors, epoch reports — what
+//! The plane's API types: errors and epoch reports — what
 //! [`ShardedReconfigService`](crate::ShardedReconfigService) takes and
 //! returns, and what crosses the wire for it. The tests here pin what
 //! those types promise (when a cache is `deferred`, `failed`, left in
@@ -10,43 +10,6 @@ use std::fmt;
 
 use crate::snapshot::CacheId;
 use talus_core::PlanError;
-use talus_partition::Planner;
-
-/// How a logical cache is planned: its capacity budget, how many tenants
-/// share it, and the planner configuration (grain, policy, safety margin).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheSpec {
-    /// Total capacity budget in lines.
-    pub capacity: u64,
-    /// Number of tenants (logical partitions) sharing the budget.
-    pub tenants: usize,
-    /// The planning pipeline (defaults to Talus: hill climbing on hulls,
-    /// 5% safety margin, capacity/64 grain).
-    pub planner: Planner,
-}
-
-impl CacheSpec {
-    /// A spec with the default Talus planner at a capacity/64 grain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` or `tenants` is zero.
-    pub fn new(capacity: u64, tenants: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        assert!(tenants > 0, "need at least one tenant");
-        CacheSpec {
-            capacity,
-            tenants,
-            planner: Planner::new((capacity / 64).max(1)),
-        }
-    }
-
-    /// Replaces the planner configuration.
-    pub fn with_planner(mut self, planner: Planner) -> Self {
-        self.planner = planner;
-        self
-    }
-}
 
 /// Errors surfaced by the service API.
 #[derive(Debug, Clone, PartialEq)]
@@ -181,6 +144,7 @@ mod tests {
     use super::*;
     use crate::router::ShardedReconfigService;
     use talus_core::MissCurve;
+    use talus_partition::CacheSpec;
 
     fn curve(cliff_at: f64, cap: f64) -> MissCurve {
         MissCurve::from_samples(
@@ -315,14 +279,14 @@ mod tests {
     }
 
     #[test]
-    fn submit_from_drains_sources() {
+    fn submit_latest_one_at_a_time_drains_sources() {
         use talus_core::ReplaySource;
         let s = ShardedReconfigService::new(1);
         let id = s.register(CacheSpec::new(1024, 1));
         let mut src = ReplaySource::new(vec![curve(512.0, 1024.0), curve(256.0, 1024.0)]);
-        assert!(s.submit_from(id, 0, &mut src).unwrap());
-        assert!(s.submit_from(id, 0, &mut src).unwrap());
-        assert!(!s.submit_from(id, 0, &mut src).unwrap(), "exhausted");
+        assert_eq!(s.submit_latest(id, 0, &mut src, 1), Ok(1));
+        assert_eq!(s.submit_latest(id, 0, &mut src, 1), Ok(1));
+        assert_eq!(s.submit_latest(id, 0, &mut src, 1), Ok(0), "exhausted");
         let reports = s.run_until_clean();
         assert_eq!(reports.len(), 1);
         assert_eq!(s.snapshot(id).unwrap().updates, 2);

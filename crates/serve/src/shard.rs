@@ -15,11 +15,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, RwLock};
 
 use crate::idmap::IdMap;
-use crate::service::{CacheSpec, EpochReport, ServeError};
+use crate::service::{EpochReport, ServeError};
 use crate::snapshot::{CacheId, PlanSnapshot};
 use talus_core::limits::EPOCH_WORKSPACE_POINTS;
 use talus_core::{FaultScript, MissCurve};
-use talus_partition::{CachePlan, PlanScratch, Planner};
+use talus_partition::{CachePlan, CacheSpec, PlanScratch, Planner};
 use talus_store::StoreSink;
 
 /// Per-cache mutable state, guarded by the shard's registry lock.
@@ -271,7 +271,7 @@ impl Shard {
             Entry::Occupied(live) => Err(live.get().spec),
             Entry::Vacant(slot) => {
                 if let Some(sink) = &self.sink {
-                    sink.register(id, spec.capacity, spec.tenants as u32, &spec.planner);
+                    sink.register(id, &spec);
                 }
                 slot.insert(CacheEntry::new(spec));
                 Ok(())

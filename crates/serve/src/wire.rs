@@ -1,4 +1,4 @@
-//! The v4 wire protocol: length-prefixed, little-endian binary frames
+//! The v5 wire protocol: length-prefixed, little-endian binary frames
 //! for curve ingest, epoch control, plane health, and cluster topology.
 //!
 //! Every frame is
@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     payload length N (LE u32), 2 ≤ N ≤ WIRE_MAX_FRAME_LEN
-//! 4       1     protocol version (WIRE_VERSION = 4)
+//! 4       1     protocol version (WIRE_VERSION = 5)
 //! 5       1     opcode
 //! 6       N−2   body (message-specific, see Request/Response)
 //! ```
@@ -60,9 +60,11 @@
 //! - trailing bytes after a well-formed body are an error (the
 //!   `Reader`'s `end`), so every byte of an accepted frame is accounted
 //!   for;
-//! - a register's shape is checked by [`talus_core::codec::check_shape`],
-//!   the check `RpcClient` makes before sending one and the journal
-//!   makes on its own `Register` records.
+//! - a register's [`CacheSpec`] is read by [`read_spec`] and checked by
+//!   [`check_spec`], as the journal's decoder does; the wire adds the
+//!   margins (finite, not negative), the reserved id and
+//!   [`WIRE_MAX_GRAINS`], and `RpcClient` makes every one of these checks
+//!   before it sends a register.
 //!
 //! All failures surface as a [`DecodeError`], the journal's error too;
 //! the adversarial suite in `tests/wire.rs` drives truncations,
@@ -90,10 +92,15 @@
 //! tags for cluster routing faults — `Misrouted`, `DuplicateCache`, and
 //! `ClusterMint`.
 //!
-//! v4 (this version) over v3: the Submit body above — a grid table and
-//! values-only curves, where v3 sent every curve as a point count and
-//! `(size, misses)` pairs. Every other frame is v3's but for its version
-//! byte.
+//! v4 over v3: the Submit body above — a grid table and values-only
+//! curves, where v3 sent every curve as a point count and
+//! `(size, misses)` pairs.
+//!
+//! v5 (this version) over v4: `Register` and `RegisterAt` carry a whole
+//! [`CacheSpec`] as [`put_spec`] writes it, the journal's `Register`
+//! body, where v4 sent capacity and tenants alone; and the margin rule
+//! and the [`WIRE_MAX_GRAINS`] bound on it. Every other frame is v4's
+//! but for its version byte.
 
 use std::io::Read;
 use std::sync::Arc;
@@ -101,17 +108,17 @@ use std::sync::Arc;
 use crate::service::{EpochReport, ServeError};
 use crate::snapshot::{CacheId, PlanSnapshot, RESERVED_ID};
 use talus_core::codec::{
-    check_count, check_len, check_shape, payload_parts, put_f64, put_u32, put_u64, put_u8,
-    DecodeError, Reader,
+    check_count, check_len, payload_parts, put_f64, put_u32, put_u64, put_u8, DecodeError, Reader,
 };
 use talus_core::limits::{
-    WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_FRAME_LEN, WIRE_MAX_IDS, WIRE_MAX_SHARDS,
-    WIRE_MAX_TENANTS,
+    WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_FRAME_LEN, WIRE_MAX_GRAINS, WIRE_MAX_IDS,
+    WIRE_MAX_SHARDS, WIRE_MAX_TENANTS,
 };
 use talus_core::{MissCurve, PlanError, PlaneHealth, ShardHealth, ShardState, StoreHealth};
+use talus_partition::{check_spec, put_spec, read_spec, CacheSpec};
 
 /// Protocol version carried in every frame header.
-pub const WIRE_VERSION: u8 = 4;
+pub const WIRE_VERSION: u8 = 5;
 
 /// Bytes of a Submit frame ahead of its grid table: length prefix,
 /// version, opcode, entry count and grid count.
@@ -125,13 +132,26 @@ pub(crate) fn submit_entry_bytes(points: usize, new_grid: bool) -> usize {
     8 + 4 + 4 + values + if new_grid { 4 + values } else { 0 }
 }
 
-/// The checks a `RegisterAt` decode makes, so a client can make them
-/// before sending one.
-pub(crate) fn check_register_at(id: u64, capacity: u64, tenants: u32) -> Result<(), DecodeError> {
-    if id == RESERVED_ID {
+/// Every check a `Register` (`id` is `None`) or `RegisterAt` decode
+/// makes, so a client can make them before sending one: [`check_spec`],
+/// a safety margin and vertex tolerance that are finite and not
+/// negative (every plan fails on any other), an id that is not the
+/// reserved one, and at most [`WIRE_MAX_GRAINS`] grains, since a plan
+/// climbs them.
+pub(crate) fn check_register(id: Option<u64>, spec: &CacheSpec) -> Result<(), DecodeError> {
+    check_spec(spec)?;
+    let options = &spec.planner.options;
+    if ![options.safety_margin, options.vertex_tolerance]
+        .iter()
+        .all(|v| v.is_finite() && *v >= 0.0)
+    {
+        return Err(DecodeError::Malformed("margin negative or not finite"));
+    }
+    if id == Some(RESERVED_ID) {
         return Err(DecodeError::Malformed("reserved cache id"));
     }
-    check_shape(capacity, tenants)
+    let grains = usize::try_from(spec.capacity / spec.planner.grain).unwrap_or(usize::MAX);
+    check_count(grains, WIRE_MAX_GRAINS).map(drop)
 }
 
 // Request opcodes (client → server). Crate-visible so the server can
@@ -172,12 +192,10 @@ pub struct SubmitEntry {
 /// A client → server message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Register a logical cache (default planner at `capacity/64` grain).
+    /// Register a logical cache.
     Register {
-        /// Capacity budget in lines (positive).
-        capacity: u64,
-        /// Tenant count (1..=[`WIRE_MAX_TENANTS`]).
-        tenants: u32,
+        /// Its capacity, tenants and planner.
+        spec: CacheSpec,
     },
     /// Remove a cache and its published snapshot.
     Deregister {
@@ -212,10 +230,8 @@ pub enum Request {
     RegisterAt {
         /// Client-minted raw cache id.
         id: u64,
-        /// Capacity budget in lines (positive).
-        capacity: u64,
-        /// Tenant count (1..=[`WIRE_MAX_TENANTS`]).
-        tenants: u32,
+        /// Its capacity, tenants and planner.
+        spec: CacheSpec,
     },
 }
 
@@ -522,10 +538,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// per message, so steady-state encoding allocates nothing.
 pub fn encode_request_into(req: &Request, out: &mut Vec<u8>) {
     match req {
-        Request::Register { capacity, tenants } => frame(out, OP_REGISTER, |b| {
-            put_u64(b, *capacity);
-            put_u32(b, *tenants);
-        }),
+        Request::Register { spec } => frame(out, OP_REGISTER, |b| put_spec(b, spec)),
         Request::Deregister { id } => frame(out, OP_DEREGISTER, |b| put_u64(b, *id)),
         Request::Submit { entries } => {
             // The one message that can be large: its grid table is built
@@ -563,14 +576,9 @@ pub fn encode_request_into(req: &Request, out: &mut Vec<u8>) {
         Request::Ping => frame(out, OP_PING, |_| {}),
         Request::Health => frame(out, OP_HEALTH, |_| {}),
         Request::Hello => frame(out, OP_HELLO, |_| {}),
-        Request::RegisterAt {
-            id,
-            capacity,
-            tenants,
-        } => frame(out, OP_REGISTER_AT, |b| {
+        Request::RegisterAt { id, spec } => frame(out, OP_REGISTER_AT, |b| {
             put_u64(b, *id);
-            put_u64(b, *capacity);
-            put_u32(b, *tenants);
+            put_spec(b, spec);
         }),
     }
 }
@@ -739,10 +747,9 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
     let mut r = Reader::new(body);
     let req = match opcode {
         OP_REGISTER => {
-            let capacity = r.u64()?;
-            let tenants = r.u32()?;
-            check_shape(capacity, tenants)?;
-            Request::Register { capacity, tenants }
+            let spec = read_spec(&mut r)?;
+            check_register(None, &spec)?;
+            Request::Register { spec }
         }
         OP_DEREGISTER => Request::Deregister { id: r.u64()? },
         OP_SUBMIT => {
@@ -802,14 +809,9 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
         OP_HELLO => Request::Hello,
         OP_REGISTER_AT => {
             let id = r.u64()?;
-            let capacity = r.u64()?;
-            let tenants = r.u32()?;
-            check_register_at(id, capacity, tenants)?;
-            Request::RegisterAt {
-                id,
-                capacity,
-                tenants,
-            }
+            let spec = read_spec(&mut r)?;
+            check_register(Some(id), &spec)?;
+            Request::RegisterAt { id, spec }
         }
         got => return Err(DecodeError::BadTag { got }),
     };
@@ -1058,8 +1060,7 @@ mod tests {
     fn stream_roundtrip_preserves_messages() {
         let reqs = [
             Request::Register {
-                capacity: 1024,
-                tenants: 3,
+                spec: CacheSpec::new(1024, 3),
             },
             Request::Submit {
                 entries: vec![SubmitEntry {
@@ -1249,18 +1250,17 @@ mod tests {
 
     #[test]
     fn register_at_roundtrips_and_validates_like_register() {
-        let req = Request::RegisterAt {
-            id: 42,
-            capacity: 4096,
-            tenants: 3,
-        };
+        let spec = CacheSpec::new(4096, 3);
+        let req = Request::RegisterAt { id: 42, spec };
         let bytes = encode_request(&req);
         assert_eq!(decode_request(&bytes[4..]).unwrap(), req);
 
         let zero_cap = Request::RegisterAt {
             id: 42,
-            capacity: 0,
-            tenants: 3,
+            spec: CacheSpec {
+                capacity: 0,
+                ..spec
+            },
         };
         assert_eq!(
             decode_request(&encode_request(&zero_cap)[4..]),
@@ -1268,8 +1268,10 @@ mod tests {
         );
         let too_many = Request::RegisterAt {
             id: 42,
-            capacity: 64,
-            tenants: WIRE_MAX_TENANTS + 1,
+            spec: CacheSpec {
+                tenants: WIRE_MAX_TENANTS as usize + 1,
+                ..spec
+            },
         };
         assert_eq!(
             decode_request(&encode_request(&too_many)[4..]),

@@ -17,12 +17,15 @@ use std::time::{Duration, Instant};
 
 use common::temp_dir;
 use proptest::prelude::*;
-use talus_core::{FaultAction, FaultScript, MissCurve, ShardState, StoreHealth};
+use talus_core::{
+    FaultAction, FaultScript, MissCurve, PlanError, ShardState, ShardTopology, StoreHealth,
+    TalusOptions,
+};
 use talus_serve::{
     CacheId, CacheSpec, PlanSnapshot, RetryPolicy, RpcClient, RpcError, RpcServer, ServeError,
     ServerHandle, ShardedReconfigService,
 };
-use talus_store::{Store, StoreSink};
+use talus_store::{Store, StoreError, StoreSink};
 
 /// Wire opcodes faults key on at the `server.handle` site (pinned by
 /// the golden bytes in `tests/wire.rs`).
@@ -500,6 +503,103 @@ fn store_fault_surfaces_in_health() {
     );
     handle.shutdown();
     drop(service);
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+}
+/// The three faults the journal's writer raises itself — an injected
+/// append fault, a record for a shard the store does not own, an epoch
+/// cut for a shard it does not have — keep `StoreError::Fault` in
+/// `last_error`, not a decode failure, and the plane's health reports
+/// each as a faulted store, as it reports a failed write.
+#[test]
+fn writer_faults_are_store_faults_not_decode_failures() {
+    let topology = ShardTopology::range(2, 0, 1);
+    let owned = (0..).find(|&id| topology.owns(id)).expect("an owned id");
+    let unowned = (0..).find(|&id| !topology.owns(id)).expect("an unowned id");
+    type Trigger = fn(&Store, u64, u64);
+    let faults: [(&str, Trigger); 3] = [
+        ("injected append fault", |store, owned, _| {
+            store.deregister(owned)
+        }),
+        ("record for an unowned shard", |store, _, unowned| {
+            store.deregister(unowned)
+        }),
+        ("epoch cut for unknown shard", |store, _, _| {
+            store.epoch_cut(1, 1, &[])
+        }),
+    ];
+    for (i, (what, trigger)) in faults.into_iter().enumerate() {
+        let dir = temp_dir("writer-fault");
+        let script = Arc::new(FaultScript::new());
+        if i == 0 {
+            script.inject("store.append", None, 0, 1, FaultAction::Fail);
+        }
+        let store = Arc::new(
+            Store::open(&dir, 1)
+                .expect("open")
+                .with_topology(topology)
+                .with_fault_script(script),
+        );
+        let plane = ShardedReconfigService::new(1)
+            .with_topology(topology)
+            .with_sink(Arc::clone(&store) as Arc<dyn StoreSink>);
+        assert_eq!(plane.health().store, StoreHealth::Ok);
+        trigger(&store, owned, unowned);
+        assert_eq!(store.last_error(), Some(StoreError::Fault(what)));
+        assert_eq!(plane.health().store, StoreHealth::Faulted, "{what}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A local caller may register a spec the wire refuses, here a negative
+/// safety margin. The plane takes it and the journal records it as it
+/// is: the store stays healthy, only that cache's plans fail, and the
+/// reopened journal restores the cache under the spec it was given.
+#[test]
+fn a_local_spec_the_wire_refuses_is_journaled_and_costs_only_its_plans() {
+    let dir = temp_dir("local-margin");
+    let store = Arc::new(Store::open(&dir, 1).expect("open"));
+    let service =
+        ShardedReconfigService::new(1).with_sink(Arc::clone(&store) as Arc<dyn StoreSink>);
+    let base = CacheSpec::new(512, 1);
+    let bad_spec = base.with_planner(base.planner.with_options(TalusOptions {
+        safety_margin: -0.5,
+        ..TalusOptions::new()
+    }));
+    let good = service.register(base);
+    let bad = service.register(bad_spec);
+    for id in [good, bad] {
+        service
+            .submit(id, 0, curve_from_seed(5))
+            .expect("registered");
+    }
+    let reports = service.run_until_clean();
+    assert!(service.snapshot(good).is_some());
+    assert!(service.snapshot(bad).is_none());
+    assert!(reports
+        .iter()
+        .any(|r| r.failed.iter().any(|(id, e)| *id == bad
+            && matches!(
+                e,
+                ServeError::Plan {
+                    source: PlanError::InvalidMargin { .. },
+                    ..
+                }
+            ))));
+    assert_eq!(store.last_error(), None);
+    assert_eq!(service.health().store, StoreHealth::Ok);
+    drop(service);
+    drop(store);
+
+    let store = Store::open(&dir, 1).expect("reopen");
+    assert_eq!(store.recovery().torn_bytes(), 0);
+    let restored = ShardedReconfigService::new(1);
+    restored.restore(&store).expect("restore");
+    assert_eq!(restored.register_with_id(bad, bad_spec), Ok(bad));
+    assert_eq!(
+        restored.register_with_id(bad, base),
+        Err(ServeError::DuplicateCache(bad))
+    );
     drop(store);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -32,11 +32,11 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{arb_op, curve_from_seed, temp_dir, Op};
+use common::{apply_both, arb_op, curve_from_seed, temp_dir, Front};
 use proptest::prelude::*;
 use talus_core::codec::DecodeError;
 use talus_core::limits::WIRE_MAX_TENANTS;
-use talus_core::{FaultAction, FaultScript, ShardTopology};
+use talus_core::{FaultAction, FaultScript, MissCurve, ShardTopology};
 use talus_serve::wire::SnapshotSummary;
 use talus_serve::{
     CacheId, CacheSpec, ClusterClient, ClusterConfig, ClusterError, EpochReport, HandshakeError,
@@ -134,6 +134,23 @@ fn as_serve_result(result: Result<(), ClusterError>) -> Result<(), ServeError> {
     }
 }
 
+impl Front for ClusterClient {
+    fn register(&mut self, spec: CacheSpec) -> CacheId {
+        ClusterClient::register(self, spec).expect("register routes")
+    }
+    fn submit(&mut self, id: CacheId, tenant: usize, curve: MissCurve) -> Result<(), ServeError> {
+        as_serve_result(ClusterClient::submit(self, id, tenant, curve))
+    }
+    fn deregister(&mut self, id: CacheId) -> Result<(), ServeError> {
+        as_serve_result(ClusterClient::deregister(self, id))
+    }
+    fn run_epoch(&mut self) -> EpochReport {
+        let epoch = ClusterClient::run_epoch(self).expect("epoch routes");
+        assert!(epoch.unreachable.is_empty(), "no member is down");
+        epoch.report
+    }
+}
+
 /// Asserts the cluster's published state for `id` is bit-identical to
 /// the twin plane's: the wire summary a cluster reader sees, and the
 /// owning member's server-side snapshot.
@@ -187,46 +204,7 @@ proptest! {
         let (members, mut cluster) = spawn_cluster(total, &slices);
         let twin = ShardedReconfigService::new(total);
 
-        let mut slots: Vec<(CacheId, usize)> = Vec::new();
-        for op in &ops {
-            match op {
-                Op::Register { capacity_grains, tenants } => {
-                    let capacity = capacity_grains * 64;
-                    let id = twin.register(CacheSpec::new(capacity, *tenants));
-                    let ours = cluster
-                        .register(capacity, *tenants as u32)
-                        .expect("register routes");
-                    prop_assert_eq!(id, ours, "id minting must coincide");
-                    slots.push((id, *tenants));
-                }
-                Op::Submit { slot, tenant, curve_seed } => {
-                    if slots.is_empty() {
-                        continue;
-                    }
-                    let (id, tenants) = slots[slot % slots.len()];
-                    let tenant = tenant % tenants;
-                    let curve = curve_from_seed(*curve_seed);
-                    let a = twin.submit(id, tenant, curve.clone());
-                    let b = as_serve_result(cluster.submit(id, tenant, curve));
-                    prop_assert_eq!(a, b, "submit outcomes diverge");
-                }
-                Op::Deregister { slot } => {
-                    if slots.is_empty() {
-                        continue;
-                    }
-                    let (id, _) = slots[slot % slots.len()];
-                    let a = twin.deregister(id);
-                    let b = as_serve_result(cluster.deregister(id));
-                    prop_assert_eq!(a, b, "deregister outcomes diverge");
-                }
-                Op::RunEpoch => {
-                    let a = twin.run_epoch();
-                    let b = cluster.run_epoch().expect("epoch routes");
-                    prop_assert!(b.unreachable.is_empty(), "no member is down");
-                    prop_assert_eq!(a, b.report, "epoch reports diverge");
-                }
-            }
-        }
+        let slots = apply_both(&twin, &mut cluster, &ops);
 
         // Drain both planes the same way, comparing the drain reports.
         while twin.pending() > 0 {
@@ -234,7 +212,7 @@ proptest! {
             let b = cluster.run_epoch().expect("drain epoch routes");
             prop_assert_eq!(a, b.report, "drain reports diverge");
         }
-        for (id, _) in slots {
+        for (id, _, _) in slots {
             assert_snapshot_matches(&mut cluster, &members, &twin, id);
         }
     }
@@ -250,8 +228,9 @@ fn register_both(
 ) -> Vec<CacheId> {
     (0..caches)
         .map(|_| {
-            let id = twin.register(CacheSpec::new(1024, tenants));
-            let ours = cluster.register(1024, tenants as u32).expect("register");
+            let spec = CacheSpec::new(1024, tenants);
+            let id = twin.register(spec);
+            let ours = cluster.register(spec).expect("register");
             assert_eq!(id, ours, "id minting must coincide");
             id
         })
@@ -537,15 +516,17 @@ fn a_register_the_decoder_refuses_is_refused_unsent() {
     assert_eq!(plane.connections(), 1, "never reconnected");
 
     let (_members, mut cluster) = spawn_cluster(4, &[(0, 2), (2, 2)]);
-    assert_eq!(cluster.register(64, 0), Err(ClusterError::Rpc(zero)));
+    let spec = CacheSpec::new(64, 1);
+    let tenants = |tenants| CacheSpec { tenants, ..spec };
+    assert_eq!(cluster.register(tenants(0)), Err(ClusterError::Rpc(zero)));
     assert_eq!(
-        cluster.register(64, WIRE_MAX_TENANTS + 1),
+        cluster.register(tenants(WIRE_MAX_TENANTS as usize + 1)),
         Err(ClusterError::Rpc(over))
     );
     let health = cluster.health();
     assert!(health.unreachable_shards().is_empty(), "{health:?}");
     assert!(health.members.iter().all(|m| m.outages == 0));
-    assert_eq!(cluster.register(64, 1), Ok(first), "the same id is minted");
+    assert_eq!(cluster.register(spec), Ok(first), "the same id is minted");
 }
 
 /// `talus-serve cluster-server` processes, killed and reaped on drop so

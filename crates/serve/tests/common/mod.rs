@@ -8,9 +8,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use proptest::prelude::*;
-use talus_core::MissCurve;
-use talus_partition::Planner;
-use talus_serve::{CacheId, CacheSpec, EpochReport, ShardedReconfigService};
+use talus_core::{MissCurve, TalusOptions};
+use talus_partition::{AllocPolicy, Planner};
+use talus_serve::{CacheId, CacheSpec, EpochReport, ServeError, ShardedReconfigService};
 
 /// A fresh, empty directory unique to this process, tag and call.
 pub fn temp_dir(tag: &str) -> PathBuf {
@@ -31,8 +31,7 @@ pub fn temp_dir(tag: &str) -> PathBuf {
 #[derive(Debug, Clone)]
 pub enum Op {
     Register {
-        capacity_grains: u64,
-        tenants: usize,
+        spec: CacheSpec,
     },
     Submit {
         slot: usize,
@@ -75,16 +74,38 @@ pub fn curve_from_seed(seed: u64) -> MissCurve {
     curve_on_grid(seed, 16)
 }
 
+/// A spec drawn from `seed`, as the journal's tests draw a planner: 1–3
+/// tenants, a capacity of 256–960 lines (inside the curves' 1 024-line
+/// domain), every policy, hulls or raw curves, a 0–0.1 safety margin, and
+/// 1–16 grains, so planning stays fast.
+pub fn spec_from_seed(seed: u64) -> CacheSpec {
+    let capacity = 64 * (4 + seed % 12);
+    let grains = 1 + (seed >> 4) % 16;
+    let policy = match (seed >> 8) % 4 {
+        0 => AllocPolicy::Hill,
+        1 => AllocPolicy::Lookahead,
+        2 => AllocPolicy::Fair,
+        _ => AllocPolicy::Imbalanced,
+    };
+    let mut planner = Planner::new(capacity / grains)
+        .with_policy(policy)
+        .with_options(TalusOptions {
+            safety_margin: ((seed >> 12) % 11) as f64 * 0.01,
+            ..TalusOptions::new()
+        });
+    if seed & (1 << 16) != 0 {
+        planner = planner.raw_curves();
+    }
+    CacheSpec::new(capacity, 1 + ((seed >> 20) % 3) as usize).with_planner(planner)
+}
+
 pub fn arb_op() -> impl Strategy<Value = Op> {
     // Weighted mix by discriminant: 2/11 register, 6/11 submit,
-    // 1/11 deregister, 2/11 run-epoch. Capacities stay small: RPC
-    // registration always uses the default planner (capacity/64 grain),
-    // and a coarse grain keeps planning fast.
+    // 1/11 deregister, 2/11 run-epoch.
     (any::<u64>(), any::<u64>(), any::<usize>(), any::<u64>()).prop_map(
         |(kind, shape, slot, curve_seed)| match kind % 11 {
             0 | 1 => Op::Register {
-                capacity_grains: 4 + shape % 12,
-                tenants: 1 + (shape % 3) as usize,
+                spec: spec_from_seed(shape),
             },
             2..=7 => Op::Submit {
                 slot,
@@ -108,14 +129,7 @@ pub fn apply(plane: &ShardedReconfigService, slots: &mut Slots, ops: &[Op]) -> V
     let mut reports = Vec::new();
     for op in ops {
         match op {
-            Op::Register {
-                capacity_grains,
-                tenants,
-            } => {
-                let spec =
-                    CacheSpec::new(capacity_grains * 64, *tenants).with_planner(Planner::new(64));
-                slots.push((plane.register(spec), true, *tenants));
-            }
+            Op::Register { spec } => slots.push((plane.register(*spec), true, spec.tenants)),
             Op::Submit {
                 slot,
                 tenant,
@@ -143,4 +157,61 @@ pub fn apply(plane: &ShardedReconfigService, slots: &mut Slots, ops: &[Op]) -> V
         }
     }
     reports
+}
+
+/// A front-end the equivalence suites drive beside a local plane, op for
+/// op: an `RpcClient`, a `ClusterClient`. A transport failure is a bug,
+/// so an implementation panics on one.
+pub trait Front {
+    fn register(&mut self, spec: CacheSpec) -> CacheId;
+    fn submit(&mut self, id: CacheId, tenant: usize, curve: MissCurve) -> Result<(), ServeError>;
+    fn deregister(&mut self, id: CacheId) -> Result<(), ServeError>;
+    fn run_epoch(&mut self) -> EpochReport;
+}
+
+/// Replays `ops` on `local`, as [`apply`] does, and through `front`,
+/// asserting the two agree on every minted id, per-op outcome and epoch
+/// report. Returns the slot table.
+pub fn apply_both(local: &ShardedReconfigService, front: &mut impl Front, ops: &[Op]) -> Slots {
+    let mut slots = Slots::new();
+    for op in ops {
+        match op {
+            Op::Register { spec } => {
+                let id = local.register(*spec);
+                assert_eq!(front.register(*spec), id, "id minting must coincide");
+                slots.push((id, true, spec.tenants));
+            }
+            Op::Submit {
+                slot,
+                tenant,
+                curve_seed,
+            } => {
+                if slots.is_empty() {
+                    continue;
+                }
+                let (id, live, tenants) = slots[slot % slots.len()];
+                let curve = curve_from_seed(*curve_seed);
+                let result = local.submit(id, tenant % tenants, curve.clone());
+                assert_eq!(result.is_err(), !live);
+                let theirs = front.submit(id, tenant % tenants, curve);
+                assert_eq!(theirs, result, "submit outcomes diverge");
+            }
+            Op::Deregister { slot } => {
+                if slots.is_empty() {
+                    continue;
+                }
+                let index = slot % slots.len();
+                let (id, live, _) = slots[index];
+                slots[index].1 = false;
+                let result = local.deregister(id);
+                assert_eq!(result.is_ok(), live);
+                assert_eq!(front.deregister(id), result, "deregister outcomes diverge");
+            }
+            Op::RunEpoch => {
+                let report = local.run_epoch();
+                assert_eq!(front.run_epoch(), report, "epoch reports diverge");
+            }
+        }
+    }
+    slots
 }

@@ -67,8 +67,7 @@ fn every_request() -> Vec<Request> {
     };
     vec![
         Request::Register {
-            capacity: 1 << 20,
-            tenants: 4,
+            spec: CacheSpec::new(1 << 20, 4),
         },
         Request::Deregister { id: 7 },
         submit(1, 1),
@@ -81,8 +80,7 @@ fn every_request() -> Vec<Request> {
         Request::Hello,
         Request::RegisterAt {
             id: 42,
-            capacity: 4096,
-            tenants: 3,
+            spec: CacheSpec::new(4096, 3),
         },
     ]
 }

@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use common::{apply, arb_op, curve_from_seed, temp_dir, Op, Slots};
+use common::{apply, arb_op, curve_from_seed, spec_from_seed, temp_dir, Op, Slots};
 use proptest::prelude::*;
 use talus_core::{FaultAction, FaultScript, MissCurve, PlanError, ShardTopology, StoreHealth};
 use talus_partition::Planner;
@@ -398,9 +398,7 @@ fn assert_planted_register_is_corrupt(shards: usize, id: u64, expect: &str) {
     let record = encode_record(&Record::Register {
         seq: 1,
         id,
-        capacity: 1024,
-        tenants: 1,
-        planner: Planner::new(64),
+        spec: CacheSpec::new(1024, 1).with_planner(Planner::new(64)),
     });
     std::fs::write(dir.join("shard-000.talus"), &record).unwrap();
 
@@ -469,8 +467,7 @@ fn the_top_id_from_the_wire_cannot_break_the_id_allocator() {
     let mut raw = std::net::TcpStream::connect(handle.local_addr()).expect("connect raw");
     raw.write_all(&encode_request(&Request::RegisterAt {
         id: u64::MAX,
-        capacity: 1024,
-        tenants: 1,
+        spec: CacheSpec::new(1024, 1),
     }))
     .expect("send frame");
     // Half-close, so the read below ends whether or not the server
@@ -577,7 +574,7 @@ fn restore_refuses_a_plane_with_a_sink() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Registrations of 1–3 tenants, epochs, and submissions drawn from a
+/// Registrations of 1–3 tenants on seeded specs, epochs, and submissions drawn from a
 /// pool of at most two curves: most submissions resend a curve the
 /// tenant already holds, to caches that are queued, planned, or
 /// deferred on a tenant yet to report.
@@ -591,8 +588,10 @@ fn arb_resending_op(pool: u64) -> impl Strategy<Value = Op> {
     )
         .prop_map(move |(kind, tenants, slot, tenant, pick)| match kind {
             0 | 1 => Op::Register {
-                capacity_grains: 4 + pick % 12,
-                tenants,
+                spec: CacheSpec {
+                    tenants,
+                    ..spec_from_seed(pick)
+                },
             },
             2..=5 => Op::Submit {
                 slot,

@@ -10,22 +10,21 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{arb_op, curve_from_seed, Op};
+use common::{apply_both, arb_op, curve_from_seed, Front, Slots};
 use proptest::prelude::*;
 use talus_core::codec::DecodeError;
 use talus_core::limits::{
-    WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_EPOCH_IDS, WIRE_MAX_FRAME_LEN, WIRE_MAX_TENANTS,
+    WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_EPOCH_IDS, WIRE_MAX_FRAME_LEN, WIRE_MAX_GRAINS,
+    WIRE_MAX_TENANTS,
 };
-use talus_core::{MissCurve, ReplaySource};
-use talus_partition::Planner;
-use talus_serve::wire::{decode_request, encode_request, Request, SubmitEntry};
+use talus_core::{MissCurve, ReplaySource, TalusOptions};
+use talus_partition::{put_spec, AllocPolicy, Planner};
+use talus_serve::wire::{decode_request, encode_request, Request, SubmitEntry, WIRE_VERSION};
 use talus_serve::{
     CacheId, CacheSpec, EpochReport, RetryPolicy, RpcClient, RpcError, RpcServer, ServeError,
     ShardedReconfigService,
 };
-use talus_store::{
-    checksum64, decode_record, encode_record, Record, StoreError, RECORD_HEADER_LEN,
-};
+use talus_store::{checksum64, decode_record, StoreError, STORE_VERSION};
 
 /// Flattens a client result into the local `submit`/`deregister` shape
 /// so per-op outcomes compare directly; transport errors are bugs.
@@ -37,68 +36,19 @@ fn as_serve_result(result: Result<(), RpcError>) -> Result<(), ServeError> {
     }
 }
 
-/// What [`apply_both`] returns.
-type Replayed = (Vec<(CacheId, bool)>, Vec<(EpochReport, EpochReport)>);
-
-/// Replays `ops` against the local plane and, via `client`, the remote
-/// one — asserting every per-op outcome matches along the way. Returns
-/// the ids ever registered (with liveness) and every explicit epoch's
-/// paired reports.
-fn apply_both(local: &ShardedReconfigService, client: &mut RpcClient, ops: &[Op]) -> Replayed {
-    let mut slots: Vec<(CacheId, bool, usize)> = Vec::new();
-    let mut reports = Vec::new();
-    for op in ops {
-        match op {
-            Op::Register {
-                capacity_grains,
-                tenants,
-            } => {
-                let capacity = capacity_grains * 64;
-                let id = local.register(CacheSpec::new(capacity, *tenants));
-                let remote_id = client
-                    .register(capacity, *tenants as u32)
-                    .expect("register over rpc");
-                assert_eq!(id, remote_id, "id minting must coincide");
-                slots.push((id, true, *tenants));
-            }
-            Op::Submit {
-                slot,
-                tenant,
-                curve_seed,
-            } => {
-                if slots.is_empty() {
-                    continue;
-                }
-                let (id, _, tenants) = slots[slot % slots.len()];
-                let tenant = tenant % tenants;
-                let curve = curve_from_seed(*curve_seed);
-                let local_result = local.submit(id, tenant, curve.clone());
-                let rpc_result = as_serve_result(client.submit(id, tenant, curve));
-                assert_eq!(local_result, rpc_result, "submit outcomes diverge");
-            }
-            Op::Deregister { slot } => {
-                if slots.is_empty() {
-                    continue;
-                }
-                let index = slot % slots.len();
-                let (id, live, _) = slots[index];
-                slots[index].1 = false;
-                let local_result = local.deregister(id);
-                let rpc_result = as_serve_result(client.deregister(id));
-                assert_eq!(local_result, rpc_result, "deregister outcomes diverge");
-                assert_eq!(local_result.is_ok(), live);
-            }
-            Op::RunEpoch => {
-                let local_report = local.run_epoch();
-                let rpc_report = client.run_epoch().expect("epoch over rpc");
-                reports.push((local_report, rpc_report));
-            }
-        }
+impl Front for RpcClient {
+    fn register(&mut self, spec: CacheSpec) -> CacheId {
+        self.register_spec(spec).expect("register over rpc")
     }
-    (
-        slots.into_iter().map(|(id, live, _)| (id, live)).collect(),
-        reports,
-    )
+    fn submit(&mut self, id: CacheId, tenant: usize, curve: MissCurve) -> Result<(), ServeError> {
+        as_serve_result(RpcClient::submit(self, id, tenant, curve))
+    }
+    fn deregister(&mut self, id: CacheId) -> Result<(), ServeError> {
+        as_serve_result(RpcClient::deregister(self, id))
+    }
+    fn run_epoch(&mut self) -> EpochReport {
+        RpcClient::run_epoch(self).expect("epoch over rpc")
+    }
 }
 
 /// Compares final published state: the remote plane's server-side
@@ -108,10 +58,10 @@ fn assert_same_final_state(
     local: &ShardedReconfigService,
     remote: &ShardedReconfigService,
     client: &mut RpcClient,
-    ids: &[(CacheId, bool)],
+    slots: &Slots,
 ) {
     assert_eq!(local.registered(), remote.registered());
-    for &(id, live) in ids {
+    for &(id, live, _) in slots {
         let a = local.snapshot(id);
         let b = remote.snapshot(id);
         let summary = client.report(id).expect("report over rpc");
@@ -211,10 +161,7 @@ proptest! {
         let local = ShardedReconfigService::new(shards);
         let (remote, mut client, handle) = loopback_plane(shards);
 
-        let (ids, reports) = apply_both(&local, &mut client, &ops);
-        for (local_report, rpc_report) in reports {
-            prop_assert_eq!(local_report, rpc_report, "epoch reports diverge");
-        }
+        let slots = apply_both(&local, &mut client, &ops);
 
         // Drain both planes the same way, comparing the drain reports.
         while local.pending() > 0 || remote.pending() > 0 {
@@ -222,7 +169,7 @@ proptest! {
             let rpc_report = client.run_epoch().expect("epoch over rpc");
             prop_assert_eq!(local_report, rpc_report, "drain reports diverge");
         }
-        assert_same_final_state(&local, &remote, &mut client, &ids);
+        assert_same_final_state(&local, &remote, &mut client, &slots);
         handle.shutdown();
     }
 }
@@ -483,60 +430,123 @@ fn verdict<T>(result: Result<T, DecodeError>) -> Result<(), DecodeError> {
 
 /// The wire's `Register` and `RegisterAt` decoders, the journal's
 /// `Register` record decoder and the client's check before it sends
-/// accept a cache's shape together, or refuse it with the same error.
+/// accept a cache's spec together, or refuse it with the same error. The
+/// exceptions are the grain bound and the margin rule (a negative, NaN or
+/// infinite safety margin or vertex tolerance), which only the wire
+/// applies: the journal holds what trusted local callers registered, and
+/// reads back every v3 record it ever wrote. A row with a
+/// policy tag or convexify flag no `CacheSpec` can hold is one the client
+/// cannot send at all; the three decoders still agree on it.
 #[test]
 fn the_wire_the_journal_and_the_client_agree_on_a_caches_shape() {
     let (_remote, mut client, handle) = loopback_plane(2);
     let anchor = client.register(64, 1).expect("register");
-    let mut accepted = 0;
+    let base = CacheSpec::new(64, 1);
+    let with = |planner: Planner| base.with_planner(planner);
+    let margin = |m| {
+        with(Planner::new(8).with_options(TalusOptions {
+            safety_margin: m,
+            ..TalusOptions::new()
+        }))
+    };
+    // A spec, a byte of its body overwritten, and whether the wire alone
+    // refuses it.
+    type Row = (CacheSpec, Option<(usize, u8)>, bool);
+    let mut rows: Vec<Row> = Vec::new();
     for capacity in [0, 1, u64::MAX] {
         for tenants in [0, 1, WIRE_MAX_TENANTS, WIRE_MAX_TENANTS + 1] {
-            let decode = |req| decode_request(&encode_request(&req)[4..]);
-            let wire = verdict(decode(Request::Register { capacity, tenants }));
-            let at = Request::RegisterAt {
-                id: 7,
+            let spec = CacheSpec {
                 capacity,
-                tenants,
+                tenants: tenants as usize,
+                planner: Planner::for_capacity(capacity),
             };
-            assert_eq!(verdict(decode(at)), wire, "RegisterAt");
+            rows.push((spec, None, false));
+        }
+    }
+    let raw = Planner::new(8)
+        .with_policy(AllocPolicy::Imbalanced)
+        .raw_curves();
+    let grains = u64::from(WIRE_MAX_GRAINS);
+    rows.extend([
+        (with(raw), None, false),
+        (with(Planner::new(0)), None, false),
+        (margin(-0.01), None, true),
+        (margin(f64::NAN), None, true),
+        (margin(f64::INFINITY), None, true),
+        (
+            with(Planner::new(8).with_options(TalusOptions {
+                vertex_tolerance: f64::NAN,
+                ..TalusOptions::new()
+            })),
+            None,
+            true,
+        ),
+        (base, Some((36, 4)), false), // policy tag 4
+        (base, Some((37, 2)), false), // convexify 2
+        (
+            CacheSpec::new(64 * grains, 1).with_planner(Planner::new(64)),
+            None,
+            false,
+        ),
+        (
+            CacheSpec::new(64 * (grains + 1), 1).with_planner(Planner::new(64)),
+            None,
+            true,
+        ),
+    ]);
 
-            // A journal Register record, its shape patched in by hand
-            // (payload: version, tag, seq, id, then capacity and tenants).
-            let mut record = encode_record(&Record::Register {
-                seq: 1,
-                id: 2,
-                capacity: 64,
-                tenants: 1,
-                planner: Planner::new(8),
-            });
-            let at = RECORD_HEADER_LEN + 2 + 16;
-            record[at..at + 8].copy_from_slice(&capacity.to_le_bytes());
-            record[at + 8..at + 12].copy_from_slice(&tenants.to_le_bytes());
-            let sum = checksum64(&record[RECORD_HEADER_LEN..]);
-            record[4..12].copy_from_slice(&sum.to_le_bytes());
-            let journal = match decode_record(&record) {
-                Ok(_) => Ok(()),
-                Err(StoreError::Decode(e)) => verdict::<()>(Err(e)),
-                Err(e) => panic!("not a shape refusal: {e:?}"),
-            };
-            assert_eq!(journal, wire, "journal Register");
+    let mut accepted = 0;
+    for (spec, patch, wire_only) in rows {
+        let mut body = Vec::new();
+        put_spec(&mut body, &spec);
+        if let Some((at, byte)) = patch {
+            body[at] = byte;
+        }
+        let wire = verdict(decode_request(&[&[WIRE_VERSION, 0x01], &body[..]].concat()));
+        let at = [&[WIRE_VERSION, 0x09], &7u64.to_le_bytes()[..], &body].concat();
+        assert_eq!(verdict(decode_request(&at)), wire, "RegisterAt: {spec:?}");
 
-            // The client sends what it accepts; the server's decoder
-            // takes it (a `RegisterAt` of the anchor's id is then a
-            // typed duplicate, which only a decoded frame can be).
+        let payload = [&[STORE_VERSION, 0x01], &[0; 16][..], &body].concat();
+        let mut record = (payload.len() as u32).to_le_bytes().to_vec();
+        record.extend_from_slice(&checksum64(&payload).to_le_bytes());
+        record.extend_from_slice(&payload);
+        let journal = match decode_record(&record) {
+            Ok(_) => Ok(()),
+            Err(StoreError::Decode(e)) => verdict::<()>(Err(e)),
+            Err(e) => panic!("not a shape refusal: {e:?}"),
+        };
+        if wire_only {
+            assert!(
+                wire.is_err() && journal.is_ok(),
+                "a wire-only rule: {spec:?}"
+            );
+        } else {
+            assert_eq!(journal, wire, "journal Register: {spec:?}");
+        }
+
+        // The client sends what it accepts; the server's decoder
+        // takes it (a `RegisterAt` of the anchor's id is then a
+        // typed duplicate, which only a decoded frame can be).
+        if patch.is_none() {
             let client_verdict = |result| match result {
                 Ok(_) | Err(RpcError::Serve(ServeError::DuplicateCache(_))) => Ok(()),
                 Err(RpcError::Wire(e)) => verdict::<()>(Err(e)),
                 Err(e) => panic!("{e:?}"),
             };
-            let sent = client.register(capacity, tenants);
-            assert_eq!(client_verdict(sent), wire, "RpcClient::register");
-            let sent = client.register_at(anchor, capacity, tenants);
+            if spec.planner == Planner::for_capacity(spec.capacity) {
+                let sent = client.register(spec.capacity, spec.tenants as u32);
+                assert_eq!(client_verdict(sent), wire, "RpcClient::register");
+            }
+            let sent = client.register_spec(spec);
+            assert_eq!(client_verdict(sent), wire, "RpcClient::register_spec");
+            let sent = client.register_at(anchor, spec);
             assert_eq!(client_verdict(sent), wire, "RpcClient::register_at");
-            accepted += usize::from(wire.is_ok());
         }
+        accepted += usize::from(wire.is_ok());
     }
-    assert_eq!(accepted, 4, "a positive capacity and 1..=cap tenants");
+    // A positive capacity and 1..=cap tenants, the raw Imbalanced spec
+    // and the spec at the grain bound.
+    assert_eq!(accepted, 6);
     assert_eq!(handle.connections(), 1, "nothing refused was sent");
     handle.shutdown();
 }
@@ -575,7 +585,7 @@ fn a_capped_plane_sends_only_replies_that_fit_and_converges_to_the_uncapped_one(
             local.deregister(id).unwrap();
             client.deregister(id).unwrap();
         }
-        ids.push((id, live));
+        ids.push((id, live, tenants));
     }
 
     let uncapped = local.run_epoch();

@@ -1,6 +1,6 @@
 //! The wire-protocol battery: round-trip properties for every message
-//! type, golden-bytes fixtures pinning the v4 format (and the v3 frames
-//! it replaced, which a v4 decoder refuses), the Submit grid table's
+//! type, golden-bytes fixtures pinning the v5 format (and the v3 and v4
+//! frames it replaced, which a v5 decoder refuses), the Submit grid table's
 //! canonical encoding and grid sharing, and an adversarial suite proving
 //! the decoder is total — truncations, hostile length fields and counts,
 //! dangling or unreferenced grids, wrong versions, garbage opcodes, and
@@ -13,11 +13,13 @@ use std::sync::Arc;
 use talus_core::codec::DecodeError;
 use talus_core::limits::{
     STORE_MAX_CUT_IDS, STORE_MAX_RECORD_LEN, WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS,
-    WIRE_MAX_FRAME_LEN, WIRE_MAX_SHARDS, WIRE_MAX_TENANTS,
+    WIRE_MAX_FRAME_LEN, WIRE_MAX_GRAINS, WIRE_MAX_SHARDS, WIRE_MAX_TENANTS,
 };
 use talus_core::{
     CurveError, MissCurve, PlanError, PlaneHealth, ShardHealth, ShardState, StoreHealth,
+    TalusOptions,
 };
+use talus_partition::{AllocPolicy, Planner};
 use talus_serve::wire::{
     decode_request, decode_response, encode_request, encode_response, read_frame, read_frame_into,
     ClusterInfo, Request, Response, ShadowSummary, SnapshotSummary, SubmitEntry, TenantSummary,
@@ -101,14 +103,37 @@ fn serve_error_from_seed(seed: u64, ids: &[CacheId]) -> ServeError {
     }
 }
 
+/// A spec the wire accepts, in every planner configuration, picked by
+/// seed: up to [`WIRE_MAX_GRAINS`] grains of 1 line to 16 Mi lines.
+fn spec_from_seed(seed: u64) -> CacheSpec {
+    let policy = match seed % 4 {
+        0 => AllocPolicy::Hill,
+        1 => AllocPolicy::Lookahead,
+        2 => AllocPolicy::Fair,
+        _ => AllocPolicy::Imbalanced,
+    };
+    let grain = 1 + (seed >> 2) % (1 << 24);
+    let grains = (seed >> 26) % (u64::from(WIRE_MAX_GRAINS) + 1);
+    let mut planner = Planner::new(grain)
+        .with_policy(policy)
+        .with_options(TalusOptions {
+            safety_margin: ((seed >> 36) % 11) as f64 * 0.01,
+            vertex_tolerance: 1e-9 * (1 + (seed >> 40) % 5) as f64,
+        });
+    if seed & (1 << 50) != 0 {
+        planner = planner.raw_curves();
+    }
+    let tenants = 1 + ((seed >> 44) % u64::from(WIRE_MAX_TENANTS)) as usize;
+    CacheSpec::new((grain * grains).max(1), tenants).with_planner(planner)
+}
+
 /// Every request variant, picked by discriminant (the shim has no
 /// `prop_oneof`, so weighting rides a modulus, as in `sharding.rs`).
 fn arb_request() -> impl Strategy<Value = Request> {
     (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(kind, a, b, seed)| {
         match kind % 9 {
             0 => Request::Register {
-                capacity: 1 + a % (1 << 32),
-                tenants: 1 + (b % WIRE_MAX_TENANTS as u64) as u32,
+                spec: spec_from_seed(a),
             },
             1 => Request::Deregister { id: a },
             2 => {
@@ -128,8 +153,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
             7 => Request::RegisterAt {
                 // Any id but the reserved top one, which decode refuses.
                 id: a.min(u64::MAX - 1),
-                capacity: 1 + b % (1 << 32),
-                tenants: 1 + (seed % WIRE_MAX_TENANTS as u64) as u32,
+                spec: spec_from_seed(seed),
             },
             _ => Request::Health,
         }
@@ -564,13 +588,16 @@ fn hostile_counts_fail_before_allocation() {
 
 #[test]
 fn register_bounds_are_enforced_at_decode_time() {
-    // The server builds a CacheSpec (which panics on zero) from decoded
-    // fields, so the decoder must reject them first.
+    // The server plans the decoded spec as it is, so the decoder must
+    // reject what `CacheSpec::new` would, and a spec whose plan would
+    // climb past the wire's grain bound.
     let encode = |capacity: u64, tenants: u32| {
-        let mut payload = vec![WIRE_VERSION, 0x01];
-        payload.extend_from_slice(&capacity.to_le_bytes());
-        payload.extend_from_slice(&tenants.to_le_bytes());
-        payload
+        let spec = CacheSpec {
+            capacity,
+            tenants: tenants as usize,
+            planner: Planner::new(1),
+        };
+        encode_request(&Request::Register { spec })[4..].to_vec()
     };
     assert!(matches!(
         decode_request(&encode(0, 1)),
@@ -588,14 +615,22 @@ fn register_bounds_are_enforced_at_decode_time() {
         })
     );
     assert!(decode_request(&encode(64, WIRE_MAX_TENANTS)).is_ok());
+    let grains = u64::from(WIRE_MAX_GRAINS);
+    assert!(decode_request(&encode(grains, 1)).is_ok());
+    assert_eq!(
+        decode_request(&encode(grains + 1, 1)),
+        Err(DecodeError::BadCount {
+            count: WIRE_MAX_GRAINS + 1,
+            max: WIRE_MAX_GRAINS
+        })
+    );
 
     // The top id is reserved (the plane's id allocator resumes at
     // "largest id seen, plus one"): refused where it enters.
     let register_at = |id: u64| {
         let frame = encode_request(&Request::RegisterAt {
             id,
-            capacity: 64,
-            tenants: 1,
+            spec: CacheSpec::new(64, 1),
         });
         decode_request(&frame[4..])
     };
@@ -832,8 +867,7 @@ fn journal_framed(payload: &[u8]) -> Vec<u8> {
 fn the_wire_and_the_journal_fail_with_one_error() {
     use std::mem::discriminant;
     let register = encode_request(&Request::Register {
-        capacity: 64,
-        tenants: 1,
+        spec: CacheSpec::new(64, 1),
     });
     let deregister = encode_record(&Record::Deregister { seq: 1, id: 2 });
     let (wire_body, journal_body) = (&register[4..], &deregister[RECORD_HEADER_LEN..]);
@@ -936,29 +970,33 @@ fn the_wire_and_the_journal_fail_with_one_error() {
 }
 
 // ---------------------------------------------------------------------
-// Golden bytes: the v4 format, pinned byte for byte. If any of these
+// Golden bytes: the v5 format, pinned byte for byte. If any of these
 // fail, the wire format changed — bump WIRE_VERSION and make the change
-// deliberate. v4 replaced the Submit body (a grid table and values-only
-// curves, pinned by the `golden_v4_submit_*` frames); every other frame
-// is pinned by its v3 fixture, which v4 sends unchanged but for the
-// version byte and refuses to decode. (v3 over v2: Hello handshake
-// opcodes 0x08/0x88 carrying ClusterInfo, RegisterAt opcode 0x09 for
+// deliberate. v5 replaced the Register and RegisterAt bodies (a whole
+// cache spec, pinned by the `golden_v5_register_*` frames); v4 the
+// Submit body (a grid table and values-only curves, pinned by the
+// `golden_v4_submit_*` frames); every other frame is pinned by its v3
+// fixture. An older fixture is what v5 sends but for the version byte,
+// and v5 refuses to decode it. (v3 over v2: Hello handshake opcodes
+// 0x08/0x88 carrying ClusterInfo, RegisterAt opcode 0x09 for
 // client-minted ids, and serve-error tags 5/6/7 for cluster routing
 // faults.)
 // ---------------------------------------------------------------------
 
-/// `encoded` is the v3 fixture `v3` but for its version byte, and a v4
-/// decoder refuses the fixture itself as a foreign version.
-fn v3_frame_is(encoded: &[u8], v3: &[u8]) {
-    assert_eq!(v3[4], 3, "a v3 fixture");
+/// `encoded` is the fixture `old`, of an earlier version, but for its
+/// version byte, and this decoder refuses the fixture itself as a
+/// foreign version.
+fn older_frame_is(encoded: &[u8], old: &[u8]) {
+    let got = old[4];
+    assert!(got < WIRE_VERSION, "an older fixture");
     assert_eq!(encoded[4], WIRE_VERSION);
-    assert_eq!((&encoded[..4], &encoded[5..]), (&v3[..4], &v3[5..]));
+    assert_eq!((&encoded[..4], &encoded[5..]), (&old[..4], &old[5..]));
     let refused = Err(DecodeError::BadVersion {
-        got: 3,
+        got,
         want: WIRE_VERSION,
     });
-    assert_eq!(decode_request(&v3[4..]).map(|_| ()), refused);
-    assert_eq!(decode_response(&v3[4..]).map(|_| ()), refused);
+    assert_eq!(decode_request(&old[4..]).map(|_| ()), refused);
+    assert_eq!(decode_response(&old[4..]).map(|_| ()), refused);
 }
 
 #[test]
@@ -985,12 +1023,12 @@ fn golden_v3_constants() {
 #[test]
 fn golden_v3_fixed_frames() {
     // [len=2 LE] [version=3] [opcode]
-    v3_frame_is(&encode_request(&Request::Ping), &[2, 0, 0, 0, 3, 0x06]);
-    v3_frame_is(&encode_request(&Request::RunEpoch), &[2, 0, 0, 0, 3, 0x04]);
-    v3_frame_is(&encode_request(&Request::Health), &[2, 0, 0, 0, 3, 0x07]);
-    v3_frame_is(&encode_response(&Response::Pong), &[2, 0, 0, 0, 3, 0x86]);
-    v3_frame_is(&encode_response(&Response::Busy), &[2, 0, 0, 0, 3, 0x8E]);
-    v3_frame_is(
+    older_frame_is(&encode_request(&Request::Ping), &[2, 0, 0, 0, 3, 0x06]);
+    older_frame_is(&encode_request(&Request::RunEpoch), &[2, 0, 0, 0, 3, 0x04]);
+    older_frame_is(&encode_request(&Request::Health), &[2, 0, 0, 0, 3, 0x07]);
+    older_frame_is(&encode_response(&Response::Pong), &[2, 0, 0, 0, 3, 0x86]);
+    older_frame_is(&encode_response(&Response::Busy), &[2, 0, 0, 0, 3, 0x8E]);
+    older_frame_is(
         &encode_response(&Response::Deregistered),
         &[2, 0, 0, 0, 3, 0x82],
     );
@@ -999,19 +1037,51 @@ fn golden_v3_fixed_frames() {
 #[test]
 fn golden_v3_register_frame() {
     // len=14: version + opcode + capacity u64 LE + tenants u32 LE.
-    let bytes = encode_request(&Request::Register {
-        capacity: 4096,
-        tenants: 3,
+    let v3 = [
+        14, 0, 0, 0, // length
+        3, 0x01, // version, opcode
+        0x00, 0x10, 0, 0, 0, 0, 0, 0, // capacity = 4096
+        3, 0, 0, 0, // tenants
+    ];
+    let refused = Err(DecodeError::BadVersion {
+        got: 3,
+        want: WIRE_VERSION,
     });
-    v3_frame_is(
-        &bytes,
-        &[
-            14, 0, 0, 0, // length
-            3, 0x01, // version, opcode
+    assert_eq!(decode_request(&v3[4..]), refused);
+    // Relabelled v5, its body ends where a spec's grain begins.
+    let mut relabelled = v3;
+    relabelled[4] = WIRE_VERSION;
+    assert_eq!(
+        decode_request(&relabelled[4..]),
+        Err(DecodeError::Truncated)
+    );
+}
+
+#[test]
+fn golden_v5_register_frame() {
+    assert_eq!(WIRE_VERSION, 5);
+    assert_eq!(WIRE_MAX_GRAINS, 256);
+    // len=40: version + opcode + the spec body the journal's Register
+    // record holds — the default planner at a capacity/64 grain.
+    let request = Request::Register {
+        spec: CacheSpec::new(4096, 3),
+    };
+    let bytes = encode_request(&request);
+    assert_eq!(
+        bytes,
+        [
+            40, 0, 0, 0, // length
+            5, 0x01, // version, opcode
             0x00, 0x10, 0, 0, 0, 0, 0, 0, // capacity = 4096
             3, 0, 0, 0, // tenants
-        ],
+            64, 0, 0, 0, 0, 0, 0, 0, // grain
+            0x9A, 0x99, 0x99, 0x99, 0x99, 0x99, 0xA9, 0x3F, // margin 0.05
+            0x95, 0xD6, 0x26, 0xE8, 0x0B, 0x2E, 0x11, 0x3E, // tol 1e-9
+            0,    // policy: Hill
+            1,    // convexify: true
+        ]
     );
+    assert_eq!(decode_request(&bytes[4..]), Ok(request));
 }
 
 #[test]
@@ -1046,7 +1116,6 @@ fn golden_v3_submit_frame() {
 
 #[test]
 fn golden_v4_submit_one_grid_frame() {
-    assert_eq!(WIRE_VERSION, 4);
     // The batch `golden_v3_submit_frame` pinned: its one grid is declared
     // once, and the curve is its miss values on it.
     let curve = MissCurve::from_samples(&[0.0, 64.0], &[8.0, 2.0]).unwrap();
@@ -1058,9 +1127,9 @@ fn golden_v4_submit_one_grid_frame() {
         }],
     };
     let bytes = encode_request(&request);
-    assert_eq!(
-        bytes,
-        [
+    older_frame_is(
+        &bytes,
+        &[
             62, 0, 0, 0, // length = 2 + 4 + 4 + (4 + 2*8) + (8 + 4 + 4 + 2*8)
             4, 0x03, // version, opcode
             1, 0, 0, 0, // entry count
@@ -1073,7 +1142,7 @@ fn golden_v4_submit_one_grid_frame() {
             0, 0, 0, 0, // grid index
             0, 0, 0, 0, 0, 0, 0x20, 0x40, // misses 8.0
             0, 0, 0, 0, 0, 0, 0x00, 0x40, // misses 2.0
-        ]
+        ],
     );
     assert_eq!(decode_request(&bytes[4..]), Ok(request));
 }
@@ -1084,9 +1153,9 @@ fn golden_v4_submit_two_grid_frame() {
     // again instead of repeating it.
     let request = two_grid_batch();
     let bytes = encode_request(&request);
-    assert_eq!(
-        bytes,
-        [
+    older_frame_is(
+        &bytes,
+        &[
             162, 0, 0, 0, // length
             4, 0x03, // version, opcode
             3, 0, 0, 0, // entry count
@@ -1114,7 +1183,7 @@ fn golden_v4_submit_two_grid_frame() {
             0, 0, 0, 0, // grid index
             0, 0, 0, 0, 0, 0, 0x18, 0x40, // misses 6.0
             0, 0, 0, 0, 0, 0, 0x08, 0x40, // misses 3.0
-        ]
+        ],
     );
     let Ok(Request::Submit { entries }) = decode_request(&bytes[4..]) else {
         panic!("not a submit");
@@ -1146,7 +1215,7 @@ fn golden_v3_epoch_report_frame() {
         quarantined: vec![],
         remaining_dirty: 2,
     }));
-    v3_frame_is(
+    older_frame_is(
         &bytes,
         &[
             59, 0, 0, 0, // length
@@ -1170,7 +1239,7 @@ fn golden_v3_quarantined_error_frame() {
     // Serve-error tag 4 (v2): a submission rejected by quarantine.
     let ids = cache_ids(1);
     let bytes = encode_response(&Response::Error(ServeError::Quarantined(ids[0])));
-    v3_frame_is(
+    older_frame_is(
         &bytes,
         &[
             11, 0, 0, 0, // length
@@ -1206,7 +1275,7 @@ fn golden_v3_health_frame() {
         connections: 4,
         rejected: 7,
     }));
-    v3_frame_is(
+    older_frame_is(
         &bytes,
         &[
             109, 0, 0, 0, // length
@@ -1267,7 +1336,7 @@ fn golden_v3_snapshot_frame() {
             }),
         }],
     })));
-    v3_frame_is(
+    older_frame_is(
         &bytes,
         &[
             88, 0, 0, 0, // length
@@ -1288,7 +1357,7 @@ fn golden_v3_snapshot_frame() {
         ],
     );
     // Absent snapshot: just the tag.
-    v3_frame_is(
+    older_frame_is(
         &encode_response(&Response::Snapshot(None)),
         &[3, 0, 0, 0, 3, 0x85, 0],
     );
@@ -1297,7 +1366,7 @@ fn golden_v3_snapshot_frame() {
 #[test]
 fn golden_v3_hello_frames() {
     // The handshake request carries no body.
-    v3_frame_is(&encode_request(&Request::Hello), &[2, 0, 0, 0, 3, 0x08]);
+    older_frame_is(&encode_request(&Request::Hello), &[2, 0, 0, 0, 3, 0x08]);
 
     // The reply: topology slice, epoch, next-id hint, then the full
     // plane-health block in its usual layout.
@@ -1323,7 +1392,7 @@ fn golden_v3_hello_frames() {
             rejected: 0,
         },
     }));
-    v3_frame_is(
+    older_frame_is(
         &bytes,
         &[
             104, 0, 0, 0, // length
@@ -1352,21 +1421,54 @@ fn golden_v3_hello_frames() {
 #[test]
 fn golden_v3_register_at_frame() {
     // Client-minted registration: id + capacity + tenants.
-    let bytes = encode_request(&Request::RegisterAt {
-        id: 5,
-        capacity: 4096,
-        tenants: 3,
+    let v3 = [
+        22, 0, 0, 0, // length
+        3, 0x09, // version, opcode
+        5, 0, 0, 0, 0, 0, 0, 0, // cache id
+        0x00, 0x10, 0, 0, 0, 0, 0, 0, // capacity = 4096
+        3, 0, 0, 0, // tenants
+    ];
+    let refused = Err(DecodeError::BadVersion {
+        got: 3,
+        want: WIRE_VERSION,
     });
-    v3_frame_is(
-        &bytes,
-        &[
-            22, 0, 0, 0, // length
-            3, 0x09, // version, opcode
+    assert_eq!(decode_request(&v3[4..]), refused);
+    let mut relabelled = v3;
+    relabelled[4] = WIRE_VERSION;
+    assert_eq!(
+        decode_request(&relabelled[4..]),
+        Err(DecodeError::Truncated)
+    );
+}
+
+#[test]
+fn golden_v5_register_at_frame() {
+    // Client-minted registration: the id, then the spec body — here a
+    // raw-curve Lookahead planner.
+    let planner = Planner::new(64)
+        .with_policy(AllocPolicy::Lookahead)
+        .raw_curves();
+    let request = Request::RegisterAt {
+        id: 5,
+        spec: CacheSpec::new(4096, 3).with_planner(planner),
+    };
+    let bytes = encode_request(&request);
+    assert_eq!(
+        bytes,
+        [
+            48, 0, 0, 0, // length
+            5, 0x09, // version, opcode
             5, 0, 0, 0, 0, 0, 0, 0, // cache id
             0x00, 0x10, 0, 0, 0, 0, 0, 0, // capacity = 4096
             3, 0, 0, 0, // tenants
-        ],
+            64, 0, 0, 0, 0, 0, 0, 0, // grain
+            0x9A, 0x99, 0x99, 0x99, 0x99, 0x99, 0xA9, 0x3F, // margin 0.05
+            0x95, 0xD6, 0x26, 0xE8, 0x0B, 0x2E, 0x11, 0x3E, // tol 1e-9
+            1,    // policy: Lookahead
+            0,    // convexify: false
+        ]
     );
+    assert_eq!(decode_request(&bytes[4..]), Ok(request));
 }
 
 #[test]
@@ -1378,7 +1480,7 @@ fn golden_v3_cluster_error_frames() {
         cache: ids[0],
         shard: 3,
     }));
-    v3_frame_is(
+    older_frame_is(
         &bytes,
         &[
             15, 0, 0, 0, // length
@@ -1391,7 +1493,7 @@ fn golden_v3_cluster_error_frames() {
 
     // Tag 6: RegisterAt collided with a different live spec.
     let bytes = encode_response(&Response::Error(ServeError::DuplicateCache(ids[0])));
-    v3_frame_is(
+    older_frame_is(
         &bytes,
         &[
             11, 0, 0, 0, // length
@@ -1402,7 +1504,7 @@ fn golden_v3_cluster_error_frames() {
     );
 
     // Tag 7: server-side minting rejected on a cluster topology.
-    v3_frame_is(
+    older_frame_is(
         &encode_response(&Response::Error(ServeError::ClusterMint)),
         &[3, 0, 0, 0, 3, 0x8F, 7],
     );

@@ -143,10 +143,9 @@ impl Enforcement for Vantage {
 
     /// Source capacity from the partition(s) with the highest
     /// occupancy-to-target ratio (Vantage's demote-from-over-budget rule),
-    /// breaking ties (within `1e-9`) by LRU — except among candidates of
-    /// zero-target partitions, whose ratio is `∞`: there the first in
-    /// candidate (way) order wins, not the oldest, because neither
-    /// `∞ > ∞ + 1e-9` nor `|∞ − ∞| ≤ 1e-9` holds.
+    /// breaking ties by LRU. Equal ratios tie before the `1e-9` test, so
+    /// candidates of zero-target partitions (ratio `∞`, where
+    /// `|∞ − ∞| ≤ 1e-9` does not hold) tie too and the oldest goes.
     #[inline]
     fn victim(&self, cands: &[usize], owner: &[u32], stamp: &[u64], clock: u64) -> usize {
         let mut best_slot = cands[0];
@@ -155,8 +154,8 @@ impl Enforcement for Vantage {
             let ratio = self.pressure[owner[s] as usize];
             // Older (smaller stamp) is a better victim: compare age.
             let age = clock - stamp[s];
-            if ratio > best_key.0 + 1e-9 || ((ratio - best_key.0).abs() <= 1e-9 && age > best_key.1)
-            {
+            let tie = ratio == best_key.0 || (ratio - best_key.0).abs() <= 1e-9;
+            if ratio > best_key.0 + 1e-9 || (tie && age > best_key.1) {
                 best_key = (ratio, age);
                 best_slot = s;
             }
@@ -296,7 +295,7 @@ mod tests {
     /// digest): a zero-target partition's candidates are not taken
     /// oldest first.
     #[test]
-    fn zero_target_candidates_fall_in_way_order_not_lru_order() {
+    fn zero_target_candidates_fall_in_lru_order() {
         // One row of 16 ways: every slot is a candidate for every line,
         // and an empty cache fills way `w` with the `w`-th line.
         let mut c = VantageLike::new(16, 16, 2, 1);
@@ -311,8 +310,8 @@ mod tests {
         assert_eq!(c.occupancy(PartitionId(1)), 15);
         // A zero-size partition inserts nothing, so these probes only look.
         let probe = |c: &mut VantageLike, line| c.access(PartitionId(1), LineAddr(line), &ctx());
-        assert!(probe(&mut c, 0).is_miss(), "the youngest, in way 0, went");
-        assert!(probe(&mut c, 1).is_hit(), "the oldest, in way 1, stayed");
+        assert!(probe(&mut c, 1).is_miss(), "the oldest, in way 1, went");
+        assert!(probe(&mut c, 0).is_hit(), "the youngest, in way 0, stayed");
     }
 
     #[test]

@@ -215,10 +215,12 @@ fn talus_single() -> Vec<u64> {
 /// is the one pin.
 const FUTILITY_OPTIMISED: u64 = 0xA1A46652900E741B;
 
-/// Pinned on the parent of the `H3Bank`/`FastMod32` change.
+/// Pinned on the parent of the `H3Bank`/`FastMod32` change, but for
+/// `vantage_16`, re-pinned (was `0x3386071130084AB2`) when Vantage's
+/// victim search began to break ties among zero-target candidates by age.
 const GOLDEN: &[(&str, u64)] = &[
     ("vantage_2", 0x64B8DA2BE8731B01),
-    ("vantage_16", 0x3386071130084AB2),
+    ("vantage_16", 0x425980B309A63BC3),
     ("futility", FUTILITY_OPTIMISED),
     ("way_srrip", 0x5D083D152531857D),
     ("set_partitioned", 0x3E2A923B7985497A),

@@ -17,8 +17,10 @@
 //!   values, decoded by the wire's decoders. A record that fails to
 //!   decode fails with the wire's error,
 //!   [`talus_core::codec::DecodeError`], inside [`StoreError::Decode`];
-//!   a checksum mismatch and a shard layout that does not match are the
-//!   journal's own ([`StoreError`]). See the [`record`] module docs for
+//!   a checksum mismatch, a shard layout that does not match and a
+//!   fault the writer raises itself are the journal's own
+//!   ([`StoreError`]). A `Register` record's body is a cache's
+//!   [`CacheSpec`](talus_partition::CacheSpec), as the wire registers it. See the [`record`] module docs for
 //!   the byte layout and recovery rules.
 //! - [`RecordStream`] / [`records_from`]: the same decoder over any
 //!   reader, through one fixed window ([`STREAM_WINDOW_LEN`]) — the only
@@ -76,14 +78,14 @@
 //! ```
 //! use talus_core::MissCurve;
 //! use talus_store::{Store, StoreSink};
-//! use talus_partition::Planner;
+//! use talus_partition::{CacheSpec, Planner};
 //!
 //! let dir = std::env::temp_dir().join(format!("talus-store-doc-{}", std::process::id()));
 //! let store = Store::open(&dir, 2)?;
 //!
 //! // Journal a registration and a curve submission (talus-serve does
 //! // this automatically once the store is attached as its sink).
-//! store.register(7, 1024, 1, &Planner::new(64));
+//! store.register(7, &CacheSpec::new(1024, 1).with_planner(Planner::new(64)));
 //! let curve = MissCurve::from_samples(&[0.0, 512.0, 1024.0], &[10.0, 4.0, 1.0])?;
 //! store.submit(7, 0, &curve);
 //! assert_eq!(store.last_error(), None);

@@ -52,9 +52,9 @@
 //! A record the decoder would refuse must never reach a file: recovery
 //! would take it for a torn tail and truncate it *and everything after
 //! it*. So the encoders check the same bounds, with the same functions
-//! (`codec::check_count`, `codec::check_shape`, `codec::check_len`) — the
-//! point, tenant and cut-id caps, the zero fields,
-//! [`STORE_MAX_RECORD_LEN`] — and return the [`DecodeError`] the decoder
+//! (`codec::check_count`, `codec::check_len`, and for a spec
+//! `talus_partition::check_spec`) — the point, tenant and cut-id caps, the
+//! zero fields, [`STORE_MAX_RECORD_LEN`] — and return the [`DecodeError`] the decoder
 //! would have, leaving the buffer as it was.
 //! [`crate::Store`] treats a refusal like a failed write: nothing is
 //! appended and the store faults.
@@ -91,14 +91,13 @@
 //! journal written by another version.
 
 use talus_core::codec::{
-    check_count, check_len, check_shape, payload_parts, put_f64, put_u32, put_u64, put_u8,
-    DecodeError, Reader,
+    check_count, check_len, payload_parts, put_f64, put_u32, put_u64, put_u8, DecodeError, Reader,
 };
 use talus_core::limits::{
     STORE_MAX_CUT_IDS, STORE_MAX_RECORD_LEN, WIRE_MAX_CURVE_POINTS, WIRE_MAX_TENANTS,
 };
-use talus_core::{CurveError, Grid, MissCurve, ShadowConfig, TalusOptions, TalusPlan};
-use talus_partition::{AllocPolicy, CachePlan, Planner, TenantPlan};
+use talus_core::{CurveError, Grid, MissCurve, ShadowConfig, TalusPlan};
+use talus_partition::{check_spec, put_spec, read_spec, CachePlan, CacheSpec, TenantPlan};
 
 /// On-disk format version carried in every record payload.
 pub const STORE_VERSION: u8 = 3;
@@ -113,12 +112,6 @@ const TAG_CURVE: u8 = 0x03;
 const TAG_EPOCH_CUT: u8 = 0x04;
 const TAG_PLAN: u8 = 0x05;
 
-// AllocPolicy tags (Plan/Register bodies).
-const POLICY_HILL: u8 = 0;
-const POLICY_LOOKAHEAD: u8 = 1;
-const POLICY_FAIR: u8 = 2;
-const POLICY_IMBALANCED: u8 = 3;
-
 // TalusPlan tags (Plan bodies).
 const PLAN_UNPARTITIONED: u8 = 0;
 const PLAN_SHADOW: u8 = 1;
@@ -126,8 +119,8 @@ const PLAN_SHADOW: u8 = 1;
 /// Everything that can go wrong reading or writing a journal. A record
 /// that fails to decode, and a file operation that fails, is the
 /// [`DecodeError`] the wire's decoder fails with too, with the journal's
-/// caps and version in it; the other two failures are the journal's
-/// alone. Decode functions return these; they never panic on any input.
+/// caps and version in it; the other failures are the journal's alone.
+/// Decode functions return these; they never panic on any input.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoreError {
     /// A record failed to decode — [`DecodeError::Truncated`] is the
@@ -151,6 +144,10 @@ pub enum StoreError {
         /// Shard count the opener asked for.
         expected: usize,
     },
+    /// The writer refused an append that no record caused: an injected
+    /// fault, a record for a shard this store does not own, or an epoch
+    /// cut for a shard it does not have.
+    Fault(&'static str),
 }
 
 impl std::fmt::Display for StoreError {
@@ -166,6 +163,7 @@ impl std::fmt::Display for StoreError {
             StoreError::ShardLayout { found, expected } => {
                 write!(f, "journal has {found} shard files, expected {expected}")
             }
+            StoreError::Fault(what) => write!(f, "journal writer fault: {what}"),
         }
     }
 }
@@ -198,18 +196,16 @@ impl From<std::io::Error> for StoreError {
 /// plane-wide order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
-    /// A cache was registered under `id` with the given shape.
+    /// A cache was registered under `id` with the given spec.
     Register {
         /// Store-global append sequence number.
         seq: u64,
         /// Raw cache id.
         id: u64,
-        /// Capacity budget in lines (positive).
-        capacity: u64,
-        /// Tenant count (1..=[`WIRE_MAX_TENANTS`]).
-        tenants: u32,
-        /// The planner configuration the cache was registered with.
-        planner: Planner,
+        /// The cache's capacity, tenants and planner, as
+        /// [`check_spec`] bounds them: any margin a local caller gave
+        /// is recorded and read back as it was.
+        spec: CacheSpec,
     },
     /// A cache was deregistered.
     Deregister {
@@ -413,16 +409,6 @@ fn put_curve(out: &mut Vec<u8>, curve: &MissCurve) -> Result<(), DecodeError> {
     Ok(())
 }
 
-fn put_policy(out: &mut Vec<u8>, policy: AllocPolicy) {
-    let tag = match policy {
-        AllocPolicy::Hill => POLICY_HILL,
-        AllocPolicy::Lookahead => POLICY_LOOKAHEAD,
-        AllocPolicy::Fair => POLICY_FAIR,
-        AllocPolicy::Imbalanced => POLICY_IMBALANCED,
-    };
-    put_u8(out, tag);
-}
-
 fn put_plan(out: &mut Vec<u8>, plan: &CachePlan) -> Result<(), DecodeError> {
     put_u64(out, plan.round);
     if plan.tenants.is_empty() {
@@ -479,13 +465,7 @@ pub fn encode_record(rec: &Record) -> Vec<u8> {
 /// writer refuses what the reader refuses.
 pub fn encode_record_into(rec: &Record, out: &mut Vec<u8>) -> Result<(), DecodeError> {
     match rec {
-        Record::Register {
-            seq,
-            id,
-            capacity,
-            tenants,
-            planner,
-        } => encode_register(out, *seq, *id, *capacity, *tenants, planner),
+        Record::Register { seq, id, spec } => encode_register(out, *seq, *id, spec),
         Record::Deregister { seq, id } => encode_deregister(out, *seq, *id),
         Record::Curve {
             seq,
@@ -520,24 +500,13 @@ pub(crate) fn encode_register(
     out: &mut Vec<u8>,
     seq: u64,
     id: u64,
-    capacity: u64,
-    tenants: u32,
-    planner: &Planner,
+    spec: &CacheSpec,
 ) -> Result<(), DecodeError> {
     framed(out, TAG_REGISTER, |buf| {
-        check_shape(capacity, tenants)?;
-        if planner.grain == 0 {
-            return Err(DecodeError::Malformed("zero planner grain"));
-        }
+        check_spec(spec)?;
         put_u64(buf, seq);
         put_u64(buf, id);
-        put_u64(buf, capacity);
-        put_u32(buf, tenants);
-        put_u64(buf, planner.grain);
-        put_f64(buf, planner.options.safety_margin);
-        put_f64(buf, planner.options.vertex_tolerance);
-        put_policy(buf, planner.policy);
-        put_u8(buf, planner.convexify as u8);
+        put_spec(buf, spec);
         Ok(())
     })
 }
@@ -645,16 +614,6 @@ fn read_curve(r: &mut Reader, last: &mut LastGrid) -> Result<MissCurve, DecodeEr
     MissCurve::decode_values(grid, values).map_err(DecodeError::Curve)
 }
 
-fn read_policy(r: &mut Reader) -> Result<AllocPolicy, DecodeError> {
-    match r.u8()? {
-        POLICY_HILL => Ok(AllocPolicy::Hill),
-        POLICY_LOOKAHEAD => Ok(AllocPolicy::Lookahead),
-        POLICY_FAIR => Ok(AllocPolicy::Fair),
-        POLICY_IMBALANCED => Ok(AllocPolicy::Imbalanced),
-        _ => Err(DecodeError::Malformed("unknown policy tag")),
-    }
-}
-
 fn read_plan(r: &mut Reader) -> Result<CachePlan, DecodeError> {
     let round = r.u64()?;
     // Each tenant is at least capacity + tag + two f64 fields.
@@ -736,38 +695,9 @@ fn decode_body(tag: u8, body: &[u8], last: &mut LastGrid) -> Result<Record, Deco
     let mut r = Reader::new(body);
     let rec = match tag {
         TAG_REGISTER => {
-            let seq = r.u64()?;
-            let id = r.u64()?;
-            let capacity = r.u64()?;
-            let tenants = r.u32()?;
-            check_shape(capacity, tenants)?;
-            let grain = r.u64()?;
-            if grain == 0 {
-                return Err(DecodeError::Malformed("zero planner grain"));
-            }
-            let options = TalusOptions {
-                safety_margin: r.f64()?,
-                vertex_tolerance: r.f64()?,
-            };
-            let policy = read_policy(&mut r)?;
-            let convexify = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(DecodeError::Malformed("convexify flag not 0/1")),
-            };
-            let mut planner = Planner::new(grain)
-                .with_policy(policy)
-                .with_options(options);
-            if !convexify {
-                planner = planner.raw_curves();
-            }
-            Record::Register {
-                seq,
-                id,
-                capacity,
-                tenants,
-                planner,
-            }
+            let (seq, id, spec) = (r.u64()?, r.u64()?, read_spec(&mut r)?);
+            check_spec(&spec)?;
+            Record::Register { seq, id, spec }
         }
         TAG_DEREGISTER => Record::Deregister {
             seq: r.u64()?,

@@ -19,7 +19,7 @@ use std::sync::Mutex;
 
 use talus_core::codec::DecodeError;
 use talus_core::{MissCurve, ShardTopology};
-use talus_partition::{CachePlan, Planner};
+use talus_partition::{CachePlan, CacheSpec};
 
 use crate::journal::{ShardJournal, ShardRecovery};
 use crate::record::{
@@ -55,8 +55,8 @@ pub trait StoreSink: Send + Sync + fmt::Debug {
     /// onto a journal shard.
     fn shards(&self) -> usize;
 
-    /// A cache was registered.
-    fn register(&self, id: u64, capacity: u64, tenants: u32, planner: &Planner);
+    /// A cache was registered with `spec`.
+    fn register(&self, id: u64, spec: &CacheSpec);
 
     /// A cache was deregistered.
     fn deregister(&self, id: u64);
@@ -405,7 +405,7 @@ impl Store {
         if let Some(script) = &self.script {
             if script.check("store.append", shard as u64) == talus_core::FaultDirective::Fail {
                 // Trip the fault exactly as a real write error would.
-                self.trip(DecodeError::Malformed("injected append fault"));
+                self.trip(StoreError::Fault("injected append fault"));
                 return;
             }
         }
@@ -427,7 +427,7 @@ impl Store {
     ) {
         match self.topology.local_shard(id) {
             Some(shard) => self.append_with(shard, encode),
-            None => self.trip(DecodeError::Malformed("record for an unowned shard")),
+            None => self.trip(StoreError::Fault("record for an unowned shard")),
         }
     }
 
@@ -453,10 +453,8 @@ impl StoreSink for Store {
         self.journals.len()
     }
 
-    fn register(&self, id: u64, capacity: u64, tenants: u32, planner: &Planner) {
-        self.append_for_id(id, |buf, seq| {
-            encode_register(buf, seq, id, capacity, tenants, planner)
-        });
+    fn register(&self, id: u64, spec: &CacheSpec) {
+        self.append_for_id(id, |buf, seq| encode_register(buf, seq, id, spec));
     }
 
     fn deregister(&self, id: u64) {
@@ -469,7 +467,7 @@ impl StoreSink for Store {
 
     fn epoch_cut(&self, shard: usize, epoch: u64, drained: &[u64]) {
         if shard >= self.shards() {
-            self.trip(DecodeError::Malformed("epoch cut for unknown shard"));
+            self.trip(StoreError::Fault("epoch cut for unknown shard"));
             return;
         }
         self.append_with(shard, |buf, seq| {

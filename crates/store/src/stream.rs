@@ -200,7 +200,7 @@ mod tests {
     use std::sync::Arc;
 
     use talus_core::MissCurve;
-    use talus_partition::Planner;
+    use talus_partition::{CacheSpec, Planner};
 
     use super::*;
     use crate::record::{encode_record, records, scan};
@@ -275,7 +275,10 @@ mod tests {
         let sizes: Vec<f64> = (0..65).map(|i| i as f64 * 1024.0).collect();
         {
             let store = Store::open(&dir, 1).unwrap();
-            store.register(7, 65_536, 4, &Planner::new(1024));
+            store.register(
+                7,
+                &CacheSpec::new(65_536, 4).with_planner(Planner::new(1024)),
+            );
             for k in 0..64 {
                 // Each curve built with a grid of its own.
                 store.submit(7, k % 4, &curve(&sizes, 10.0 + f64::from(k)));

@@ -23,7 +23,7 @@ use talus_core::limits::{
     STORE_MAX_CUT_IDS, STORE_MAX_RECORD_LEN, WIRE_MAX_CURVE_POINTS, WIRE_MAX_TENANTS,
 };
 use talus_core::{FaultAction, FaultScript, MissCurve, ShadowConfig, TalusOptions, TalusPlan};
-use talus_partition::{AllocPolicy, CachePlan, Planner, TenantPlan};
+use talus_partition::{AllocPolicy, CachePlan, CacheSpec, Planner, TenantPlan};
 use talus_store::{
     checksum64, decode_record, encode_record, encode_record_into, fnv1a64, records, records_from,
     scan, Record, Store, StoreError, StoreSink, RECORD_HEADER_LEN, STORE_VERSION,
@@ -79,6 +79,16 @@ fn curve_from_seed(seed: u64) -> MissCurve {
         })
         .collect();
     MissCurve::from_samples(&sizes, &misses).expect("valid curve")
+}
+
+/// A spec of any fields, zeros included (`CacheSpec::new` refuses
+/// those).
+fn spec(capacity: u64, tenants: u32, planner: Planner) -> CacheSpec {
+    CacheSpec {
+        capacity,
+        tenants: tenants as usize,
+        planner,
+    }
 }
 
 /// A planner in every configuration, picked by seed.
@@ -145,9 +155,11 @@ fn arb_record() -> impl Strategy<Value = Record> {
             0 => Record::Register {
                 seq: a,
                 id: b,
-                capacity: 1 + seed % (1 << 32),
-                tenants: 1 + (seed % u64::from(WIRE_MAX_TENANTS)) as u32,
-                planner: planner_from_seed(seed),
+                spec: spec(
+                    1 + seed % (1 << 32),
+                    1 + (seed % u64::from(WIRE_MAX_TENANTS)) as u32,
+                    planner_from_seed(seed),
+                ),
             },
             1 => Record::Deregister { seq: a, id: b },
             2 => Record::Curve {
@@ -401,15 +413,13 @@ fn garbage_tags_are_typed_errors() {
 
 #[test]
 fn register_bounds_are_enforced_at_decode_time() {
-    // `restore` builds a CacheSpec (which panics on zero) from decoded
-    // fields, so the decoder must reject them first.
+    // `restore` plans the decoded spec as it is, so the decoder must
+    // reject what `CacheSpec::new` would.
     let rec = |capacity: u64, tenants: u32, grain: u64| {
         let mut bytes = encode_record(&Record::Register {
             seq: 1,
             id: 2,
-            capacity: 64,
-            tenants: 1,
-            planner: Planner::new(8),
+            spec: spec(64, 1, Planner::new(8)),
         });
         // Patch the fields in place (offsets: payload starts at 12;
         // version+tag = 2; seq, id = 16; then capacity, tenants, grain).
@@ -664,9 +674,7 @@ fn register_fixture() -> Record {
     Record::Register {
         seq: 1,
         id: 5,
-        capacity: 4096,
-        tenants: 2,
-        planner: Planner::new(64), // Hill, convexify, 5% margin, 1e-9 tol
+        spec: spec(4096, 2, Planner::new(64)), // Hill, convexify, 5% margin, 1e-9 tol
     }
 }
 
@@ -915,7 +923,7 @@ fn reopened_store_resumes_history_and_sequence() {
     let c1 = curve_from_seed(2);
     {
         let store = Store::open(&dir, 2).unwrap();
-        store.register(7, 1024, 1, &planner);
+        store.register(7, &spec(1024, 1, planner));
         store.submit(7, 0, &c0);
         assert_eq!(store.last_error(), None);
     }
@@ -942,7 +950,7 @@ fn torn_tail_is_truncated_on_open_and_intact_records_survive() {
     let planner = Planner::new(64);
     {
         let store = Store::open(&dir, 1).unwrap();
-        store.register(1, 512, 1, &planner);
+        store.register(1, &spec(512, 1, planner));
         store.submit(1, 0, &curve_from_seed(3));
     }
     // Simulate a crash mid-append: a partial record at the end of the
@@ -966,13 +974,52 @@ fn torn_tail_is_truncated_on_open_and_intact_records_survive() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A v3 `Register` record holds whatever margin a local caller gave,
+/// as v3 always wrote it; the wire's margin rule is not the journal's.
+/// Each such record, laid out byte for byte as `V1_REGISTER` with
+/// version 3 and another margin or tolerance, reads back bit for bit,
+/// and a journal holding one ahead of later records reopens with
+/// nothing cut off.
+#[test]
+fn a_v3_register_of_any_margin_reads_back_and_reopening_cuts_nothing() {
+    const MARGIN_AT: usize = 2 + 8 + 8 + 8 + 4 + 8;
+    let dir = temp_dir("any-margin");
+    drop(Store::open(&dir, 1).unwrap());
+    let mut journal = Vec::new();
+    for (at, value) in [
+        (MARGIN_AT, -0.5),
+        (MARGIN_AT, f64::NAN),
+        (MARGIN_AT, f64::INFINITY),
+        (MARGIN_AT + 8, f64::NAN),
+        (MARGIN_AT + 8, -1e-9),
+    ] {
+        let mut payload = V1_REGISTER.to_vec();
+        payload[0] = STORE_VERSION;
+        payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        let bytes = framed(&payload);
+        let (rec, len) = decode_record(&bytes).expect("a v3 register reads back");
+        assert_eq!((encode_record(&rec), len), (bytes.clone(), bytes.len()));
+        journal.extend_from_slice(&bytes);
+    }
+    journal.extend_from_slice(&encode_record(&Record::Deregister { seq: 9, id: 5 }));
+    let path = dir.join("shard-000.talus");
+    std::fs::write(&path, &journal).unwrap();
+
+    let store = Store::open(&dir, 1).unwrap();
+    assert_eq!(store.recovery().records(), 6);
+    assert_eq!(store.recovery().torn_bytes(), 0);
+    drop(store);
+    assert_eq!(std::fs::read(&path).unwrap(), journal, "nothing truncated");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn appends_after_recovery_continue_the_journal() {
     let dir = temp_dir("resume");
     let planner = Planner::new(64);
     {
         let store = Store::open(&dir, 1).unwrap();
-        store.register(1, 512, 1, &planner);
+        store.register(1, &spec(512, 1, planner));
     }
     // Tear the file mid-record, reopen, and keep appending.
     let path = dir.join("shard-000.talus");
@@ -1017,7 +1064,7 @@ fn records_route_to_the_canonical_shard_file() {
     let shards = 4;
     let store = Store::open(&dir, shards).unwrap();
     for id in 0..32u64 {
-        store.register(id, 1024, 1, &planner);
+        store.register(id, &spec(1024, 1, planner));
     }
     assert_eq!(store.last_error(), None);
     for shard in 0..shards {
@@ -1058,13 +1105,11 @@ fn appends_outside_a_scope_are_on_disk_when_the_call_returns() {
     let plan = plan_from_seed(6);
     let calls: [(&dyn Fn(), Record); 5] = [
         (
-            &|| store.register(1, 512, 1, &planner),
+            &|| store.register(1, &spec(512, 1, planner)),
             Record::Register {
                 seq: 0,
                 id: 1,
-                capacity: 512,
-                tenants: 1,
-                planner,
+                spec: spec(512, 1, planner),
             },
         ),
         (
@@ -1128,8 +1173,8 @@ fn a_scope_buffers_its_records_and_commit_writes_them_in_order() {
             .unwrap()
     };
     let (a, b) = (on(0), on(1));
-    store.register(a, 512, 1, &planner);
-    store.register(b, 512, 1, &planner);
+    store.register(a, &spec(512, 1, planner));
+    store.register(b, &spec(512, 1, planner));
     let before = [shard_len(&dir, 0), shard_len(&dir, 1)];
 
     store.begin(0);
@@ -1183,7 +1228,7 @@ fn sync_inside_a_scope_writes_the_pending_records_first() {
     let dir = temp_dir("scope-sync");
     let store = Store::open(&dir, 1).unwrap();
     store.begin(0);
-    store.register(1, 512, 1, &Planner::new(64));
+    store.register(1, &spec(512, 1, Planner::new(64)));
     store.submit(1, 0, &curve_from_seed(1));
     assert_eq!(shard_len(&dir, 0), 0);
     store.sync().expect("sync");
@@ -1211,7 +1256,7 @@ fn the_append_fault_site_fires_per_record_at_the_same_ordinal_in_a_scope() {
         let store = Store::open(&dir, 1)
             .unwrap()
             .with_fault_script(std::sync::Arc::clone(&script));
-        store.register(1, 512, 1, &Planner::new(64));
+        store.register(1, &spec(512, 1, Planner::new(64)));
         if scoped {
             store.begin(0);
         }
@@ -1270,7 +1315,7 @@ fn a_curve_over_the_point_cap_faults_the_store_and_is_not_written() {
     let path = dir.join("shard-000.talus");
     let cap = WIRE_MAX_CURVE_POINTS as usize;
     let store = Store::open(&dir, 1).unwrap();
-    store.register(1, 1 << 20, 1, &Planner::new(64));
+    store.register(1, &spec(1 << 20, 1, Planner::new(64)));
     store.submit(1, 0, &curve_of(cap));
     assert_eq!(store.last_error(), None, "the cap itself is legal");
     let before = std::fs::read(&path).unwrap();
@@ -1308,7 +1353,7 @@ fn reopen_after_a_refused_record_loses_nothing_written_before_it() {
     let offenders: [(&str, Offender, StoreError); 4] = [
         (
             "tenants",
-            |s| s.register(9, 1 << 20, WIRE_MAX_TENANTS + 1, &Planner::new(64)),
+            |s| s.register(9, &spec(1 << 20, WIRE_MAX_TENANTS + 1, Planner::new(64))),
             StoreError::Decode(DecodeError::BadCount {
                 count: WIRE_MAX_TENANTS + 1,
                 max: WIRE_MAX_TENANTS,
@@ -1342,7 +1387,7 @@ fn reopen_after_a_refused_record_loses_nothing_written_before_it() {
     for (tag, offend, error) in offenders {
         let dir = temp_dir(tag);
         let store = Store::open(&dir, 1).unwrap();
-        store.register(1, 1 << 20, 2, &Planner::new(64));
+        store.register(1, &spec(1 << 20, 2, Planner::new(64)));
         store.begin(0);
         store.submit(1, 0, &curve_of(5));
         store.submit(1, 1, &curve_of(6));
@@ -1376,9 +1421,7 @@ fn arb_record_near_a_cap() -> impl Strategy<Value = (Record, Option<(u32, u32)>)
                 let rec = Record::Register {
                     seq: seed,
                     id: 3,
-                    capacity: 64,
-                    tenants,
-                    planner,
+                    spec: spec(64, tenants, planner),
                 };
                 (rec, refused)
             }
@@ -1476,9 +1519,7 @@ fn zero_fields_are_refused_by_the_encoder() {
     let register = |capacity, tenants| Record::Register {
         seq: 1,
         id: 2,
-        capacity,
-        tenants,
-        planner: Planner::new(8),
+        spec: spec(capacity, tenants, Planner::new(8)),
     };
     let plan = Record::Plan {
         seq: 1,
@@ -1835,7 +1876,7 @@ fn recovery_verdicts_hold_beyond_the_first_window() {
 fn a_stream_sees_what_was_written_when_it_opened_and_blocks_no_append() {
     let dir = temp_dir("live-stream");
     let store = Store::open(&dir, 1).unwrap();
-    store.register(1, 1 << 20, 1, &Planner::new(64));
+    store.register(1, &spec(1 << 20, 1, Planner::new(64)));
     for seed in 0..9 {
         store.submit(1, 0, &curve_from_seed(seed));
     }
@@ -1875,7 +1916,7 @@ fn an_unreadable_shard_file_is_an_error_not_a_short_history() {
     let dir = temp_dir("unreadable");
     let path = dir.join("shard-000.talus");
     let store = Store::open(&dir, 1).unwrap();
-    store.register(1, 512, 1, &Planner::new(64));
+    store.register(1, &spec(512, 1, Planner::new(64)));
     store.submit(1, 0, &curve_from_seed(1));
     std::fs::remove_file(&path).unwrap();
     std::fs::create_dir(&path).unwrap();

@@ -7,9 +7,11 @@
 # instead of panicking. This guard keeps that true going forward: it
 # fails if any non-test production source in crates/serve/src,
 # crates/store/src, crates/core/src/codec.rs (the bounds-checked reader
-# both decoders use) or crates/core/src/curve.rs (the curve decoders
-# every curve from the wire or the journal goes through) calls
-# `.unwrap()` or `.expect(` without an explicit audit marker.
+# both decoders use), crates/core/src/curve.rs (the curve decoders
+# every curve from the wire or the journal goes through) or
+# crates/partition/src/spec.rs (the spec decoder every register from the
+# wire or the journal goes through) calls `.unwrap()` or `.expect(`
+# without an explicit audit marker.
 #
 # Exclusions:
 #   - main.rs            the operator binary (`cluster-server`,
@@ -25,7 +27,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 status=0
-for f in crates/serve/src/*.rs crates/store/src/*.rs crates/core/src/codec.rs crates/core/src/curve.rs; do
+for f in crates/serve/src/*.rs crates/store/src/*.rs crates/core/src/codec.rs crates/core/src/curve.rs crates/partition/src/spec.rs; do
     [ "$(basename "$f")" = "main.rs" ] && continue
     hits=$(awk '
         /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
@@ -47,4 +49,4 @@ if [ "$status" -ne 0 ]; then
     echo "typed degraded error, or append '// audited: <why a panic is correct here>'." >&2
     exit 1
 fi
-echo "panic guard: crates/serve/src, crates/store/src, crates/core/src/codec.rs and crates/core/src/curve.rs production code is clean."
+echo "panic guard: crates/serve/src, crates/store/src, crates/core/src/codec.rs, crates/core/src/curve.rs and crates/partition/src/spec.rs production code is clean."

@@ -432,8 +432,8 @@ mod store {
         fn shards(&self) -> usize {
             self.inner.shards()
         }
-        fn register(&self, id: u64, capacity: u64, tenants: u32, planner: &Planner) {
-            self.inner.register(id, capacity, tenants, planner);
+        fn register(&self, id: u64, spec: &CacheSpec) {
+            self.inner.register(id, spec);
         }
         fn deregister(&self, id: u64) {
             self.inner.deregister(id);
