@@ -9,9 +9,7 @@
 //! Variants:
 //! - `sharded_1`: [`ShardedReconfigService`] with one shard — one
 //!   registry lock behind the router;
-//! - `sharded_4`: four shards, epochs on the calling thread;
-//! - `sharded_4_threaded`: four shards, each planning on its own worker —
-//!   against `sharded_4`, the price of the hand-off to the workers;
+//! - `sharded_4`: four shards;
 //! - `rpc`: the same cycle through the network layer — each producer is
 //!   a persistent `RpcClient` staging its round into one framed batch
 //!   over a loopback socket, and epochs are driven by a remote
@@ -36,31 +34,21 @@
 //! instead of one window at a fixed place in it. A difference between
 //! two rows is therefore a difference between the planes on an
 //! *uncontended* stream: `sharded_4` against `sharded_1` is the extra
-//! shards, `sharded_4_threaded` against `sharded_4` the worker hand-off
-//! at 32 dirty caches (the one row with other threads in it, so the one
-//! that still moves with the scheduler), `rpc` and `analytic` against
-//! `sharded_4` the wire and the synthesis. What
+//! shards, `rpc` and `analytic` against `sharded_4` the wire and the
+//! synthesis. What
 //! they cannot rank: the scale-out claim behind sharding — relief of
 //! registry-lock contention between concurrent producers — which needs
 //! as many cores as producers and a contended load; nothing here
 //! contends.
 //!
-//! `serve_epoch/dirty_{64,1024}_{seq,threaded}` is what defends the
-//! worker threads: on the repo benchmark's plane (8192 caches × 4 tenants
-//! × 65-point pool curves, four shards) K caches get fresh curves and one
-//! epoch replans them, sequentially or on the per-shard workers, the two
-//! modes interleaved in [`ROTATIONS`] rounds like the rows above. A row
-//! times the epoch alone: the K × 4 resubmissions are each iteration's
-//! untimed set-up (`iter_batched`); the rows up to `BENCH_42.json`, the
-//! figures below among them, timed both. A plan
-//! is ≈ 3 µs and the hand-off to three workers costs about as much as
-//! sixty of them: at K = 64 — the benchmark's epoch — the two modes are a
-//! wash (208 against 221 µs in `BENCH_23.json`), at K = 1024 the
-//! threaded cycle wins (4.25 against 2.91 ms; 1.2–1.5× run to run on a
-//! two-core box, the resubmissions in it being sequential either way),
-//! which is why `with_threads()` stays. The rows are outside
-//! `HOT_PREFIXES`: the threaded ones move with the scheduler, so they
-//! rank the modes against each other within one run, not across PRs.
+//! `serve_epoch/dirty_{64,1024}_seq` price one epoch on the repo
+//! benchmark's plane (8192 caches × 4 tenants × 65-point pool curves,
+//! four shards): K caches get fresh curves and one epoch replans them,
+//! in [`ROTATIONS`] rounds like the rows above. A row times the epoch
+//! alone: the K × 4 resubmissions are each iteration's untimed set-up
+//! (`iter_batched`); the rows up to `BENCH_42.json` timed both. K = 64
+//! is the benchmark's epoch. The rows keep their `_seq` names so their
+//! records compare across PRs; they are outside `HOT_PREFIXES`.
 //!
 //! `serve_snapshot/random_8192` is the reader's side of the same plane:
 //! one `snapshot` of a random id among 8192 registered and planned caches
@@ -235,10 +223,6 @@ fn bench_serve_ingest(c: &mut Criterion) {
     let planes = [
         ("serve_ingest/sharded_1", ShardedReconfigService::new(1)),
         ("serve_ingest/sharded_4", ShardedReconfigService::new(4)),
-        (
-            "serve_ingest/sharded_4_threaded",
-            ShardedReconfigService::new(4).with_threads(),
-        ),
     ];
     let mut rows: Vec<(&str, Cycle<'_>)> = Vec::new();
     for (name, plane) in &planes {
@@ -293,7 +277,7 @@ const SNAPSHOT_CACHES: usize = 8192;
 /// Dirty caches an epoch row replans per iteration.
 const DIRTY: [usize; 2] = [64, 1024];
 
-/// One plane of the epoch rows: the repo benchmark's shape, every cache
+/// The plane of the epoch rows: the repo benchmark's shape, every cache
 /// planned once, and for the caches the rows dirty the two curve sets
 /// their resubmissions alternate between (a bit-identical resubmission
 /// is a no-op, so each must differ from the last).
@@ -305,15 +289,10 @@ struct EpochPlane {
 }
 
 impl EpochPlane {
-    fn build(threaded: bool) -> Self {
+    fn build() -> Self {
         let most = DIRTY[1];
         // One epoch drains whatever a row dirtied, whichever shard it is on.
         let plane = ShardedReconfigService::new(4).with_max_batch(most);
-        let plane = if threaded {
-            plane.with_threads()
-        } else {
-            plane
-        };
         let mut dirty = Vec::with_capacity(most);
         for i in 0..SNAPSHOT_CACHES {
             let id = plane.register(CacheSpec::new(65_536, TENANTS));
@@ -347,27 +326,22 @@ fn resubmit(
 }
 
 fn bench_serve_epoch(c: &mut Criterion) {
-    let mut planes = [
-        ("seq", EpochPlane::build(false)),
-        ("threaded", EpochPlane::build(true)),
-    ];
+    let EpochPlane { plane, mut dirty } = EpochPlane::build();
     for _ in 0..ROTATIONS {
         for k in DIRTY {
-            for (mode, EpochPlane { plane, dirty }) in &mut planes {
-                resubmit(plane, dirty, k);
-                assert_eq!(
-                    plane.run_epoch().planned.len(),
-                    k,
-                    "one epoch replans all {k}"
-                );
-                c.bench_function(format!("serve_epoch/dirty_{k}_{mode}"), |b| {
-                    b.iter_batched(
-                        || resubmit(plane, dirty, k),
-                        |()| black_box(plane.run_epoch().planned.len()),
-                        BatchSize::PerIteration,
-                    )
-                });
-            }
+            resubmit(&plane, &mut dirty, k);
+            assert_eq!(
+                plane.run_epoch().planned.len(),
+                k,
+                "one epoch replans all {k}"
+            );
+            c.bench_function(format!("serve_epoch/dirty_{k}_seq"), |b| {
+                b.iter_batched(
+                    || resubmit(&plane, &mut dirty, k),
+                    |()| black_box(plane.run_epoch().planned.len()),
+                    BatchSize::PerIteration,
+                )
+            });
         }
     }
 }

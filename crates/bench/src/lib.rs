@@ -4,6 +4,7 @@
 #![forbid(unsafe_code)]
 
 pub mod compare;
+pub mod pairs;
 
 use talus_core::{CurvePoint, MissCurve};
 

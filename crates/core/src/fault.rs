@@ -21,7 +21,6 @@
 //! | site            | key            | honoured actions              |
 //! |-----------------|----------------|-------------------------------|
 //! | `shard.plan`    | cache id       | `Panic`, `DelayMs`            |
-//! | `worker.epoch`  | shard index    | `Panic`, `DelayMs`            |
 //! | `server.handle` | request opcode | `DelayMs`, `KillConnection`, `TruncateFrame`, `Fail` (→ busy-shed) |
 //! | `store.append`  | shard index    | `Fail`                        |
 

@@ -2,24 +2,12 @@
 //!
 //! The partial-failure contract of the serving layer is that every
 //! degradation is a *bounded, observable event*: a planner panic
-//! quarantines one cache, a dead or stuck epoch worker degrades one
-//! shard, a journal write error trips the store fault flag — and all of
-//! it is visible in one [`PlaneHealth`] snapshot, served locally by the
+//! quarantines one cache, a journal write error trips the store fault
+//! flag — and all of it is visible in one [`PlaneHealth`] snapshot, served locally by the
 //! plane and remotely via the wire protocol's `Health` request. The
 //! types live here (not in the serving crate) because they cross the
 //! process boundary: client, server, and any future multi-process
 //! topology must agree on them, exactly like the [`limits`](crate::limits).
-
-/// Planning state of one shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardState {
-    /// The shard plans normally (on its worker thread, if threaded).
-    Ok,
-    /// The shard's epoch worker died or missed an epoch deadline; epochs
-    /// fall back to leader-planning the shard. Plans still publish —
-    /// degraded means slower, never wrong.
-    Degraded,
-}
 
 /// Health of one shard of the plane.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,8 +19,6 @@ pub struct ShardHealth {
     /// Caches quarantined on the shard (planner panicked on them; their
     /// last-good snapshots keep serving).
     pub quarantined: u64,
-    /// Whether the shard's epochs run normally or on the degraded path.
-    pub state: ShardState,
 }
 
 /// State of the plane's journal sink, if one is attached.
@@ -77,18 +63,10 @@ pub struct PlaneHealth {
 }
 
 impl PlaneHealth {
-    /// Shards on the degraded planning path.
-    pub fn degraded(&self) -> u64 {
-        self.shards
-            .iter()
-            .filter(|s| s.state == ShardState::Degraded)
-            .count() as u64
-    }
-
-    /// Whether nothing has failed: no degraded shard, no quarantined
-    /// cache, and the journal (if any) is not faulted.
+    /// Whether nothing has failed: no quarantined cache, and the journal
+    /// (if any) is not faulted.
     pub fn is_healthy(&self) -> bool {
-        self.degraded() == 0 && self.quarantined.is_empty() && self.store != StoreHealth::Faulted
+        self.quarantined.is_empty() && self.store != StoreHealth::Faulted
     }
 }
 
@@ -96,12 +74,11 @@ impl PlaneHealth {
 mod tests {
     use super::*;
 
-    fn shard(state: ShardState, quarantined: u64) -> ShardHealth {
+    fn shard(quarantined: u64) -> ShardHealth {
         ShardHealth {
             caches: 4,
             pending: 0,
             quarantined,
-            state,
         }
     }
 
@@ -112,13 +89,12 @@ mod tests {
             caches: 8,
             pending: 0,
             quarantined: vec![],
-            shards: vec![shard(ShardState::Ok, 0), shard(ShardState::Ok, 0)],
+            shards: vec![shard(0), shard(0)],
             store: StoreHealth::None,
             connections: 0,
             rejected: 0,
         };
         assert!(h.is_healthy());
-        assert_eq!(h.degraded(), 0);
     }
 
     #[test]
@@ -128,7 +104,7 @@ mod tests {
             caches: 0,
             pending: 0,
             quarantined: vec![],
-            shards: vec![shard(ShardState::Ok, 0)],
+            shards: vec![shard(0)],
             store: StoreHealth::Ok,
             connections: 1,
             rejected: 9,
@@ -137,9 +113,6 @@ mod tests {
             base.is_healthy(),
             "rejected connections alone are not ill health"
         );
-        let mut degraded = base.clone();
-        degraded.shards[0].state = ShardState::Degraded;
-        assert!(!degraded.is_healthy());
         let mut quarantined = base.clone();
         quarantined.quarantined = vec![7];
         assert!(!quarantined.is_healthy());

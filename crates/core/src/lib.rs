@@ -83,6 +83,6 @@ pub use curve::{CurvePoint, Grid, MissCurve, Points};
 pub use error::{CurveError, PlanError};
 pub use fault::{FaultAction, FaultDirective, FaultScript};
 pub use hash::{keyed_mix64, mix64, shard_of, ShardTopology, SHARD_SEED};
-pub use health::{PlaneHealth, ShardHealth, ShardState, StoreHealth};
+pub use health::{PlaneHealth, ShardHealth, StoreHealth};
 pub use hull::ConvexHull;
 pub use source::{CurveSource, ReplaySource};

@@ -78,8 +78,8 @@ const _: () =
 pub const EPOCH_WORKSPACE_POINTS: usize = 1 << 12;
 
 /// Most per-shard entries in one encoded health report. Shard counts are
-/// a deployment knob (roughly core counts), so this is generous; with
-/// ~25 bytes per shard a maximum health report stays ~100 KiB.
+/// a deployment knob, so this is generous; with 24 bytes per shard a
+/// maximum health report stays under 100 KiB.
 pub const WIRE_MAX_SHARDS: u32 = 4096;
 
 /// Largest journal-record payload `talus-store` will read back, in bytes.

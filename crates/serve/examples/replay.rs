@@ -3,7 +3,7 @@
 //!
 //! Two logical caches — one shared by three SPEC-shaped tenants, one by
 //! two — stream monitor-measured miss curves into a one-shard
-//! `ShardedReconfigService`, a 2-shard, threaded one,
+//! `ShardedReconfigService`, a 2-shard one,
 //! **and** a third sharded plane reached only through `RpcClient` →
 //! `RpcServer` over a real loopback TCP socket, over several monitoring
 //! intervals. After each interval all three run one epoch, and we check
@@ -109,7 +109,7 @@ fn assert_matches_offline(
 
 fn main() {
     let service = ShardedReconfigService::new(1);
-    let sharded = ShardedReconfigService::new(SHARDS).with_threads();
+    let sharded = ShardedReconfigService::new(SHARDS);
 
     // The fifth plane never sees a measurement: its curves are
     // synthesised from the profile specs alone.
@@ -239,8 +239,8 @@ fn main() {
             latest.insert(id.value(), curves);
         }
 
-        // The planner: one epoch batches every dirty cache (per shard, on
-        // worker threads, in the sharded twin).
+        // The planner: one epoch batches every dirty cache (per shard, in
+        // the sharded twin).
         let report = service.run_epoch();
         let sharded_report = sharded.run_epoch();
         // run_epoch flushes the staged batch first, so every curve above
@@ -431,7 +431,7 @@ fn main() {
     );
     println!(
         "OK: {published_epochs} plan epochs published for {} caches; every snapshot matches the \
-         offline planner, and the {SHARDS}-shard threaded plane, the rpc-fed loopback plane, and \
+         offline planner, and the {SHARDS}-shard plane, the rpc-fed loopback plane, and \
          the journaled plane killed and warm-restarted after interval 0 all match the \
          one-shard plane bit for bit.",
         caches.len()

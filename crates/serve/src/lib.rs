@@ -43,15 +43,14 @@
 //! ## Scaling out: sharding by cache id
 //!
 //! One registry lock over all per-cache state — `new(1)` — bounds ingest
-//! throughput by that lock and plans epochs on one thread. Shard count is
-//! the capacity knob that lifts both bounds: per-cache state lives on one
-//! of N independent shards selected by `mix64(cache_id) % N`, submissions
-//! for caches on different shards never contend, each shard batches its
-//! own epochs, and an optional thread-pool mode re-plans shards
-//! concurrently (workers for shards 1..N, the epoch caller planning
-//! shard 0). Because caches never share state, the published plans are
-//! identical for every shard count and threading mode (property-tested
-//! in `tests/sharding.rs`): the count changes capacity, never semantics.
+//! throughput by that lock. Shard count is the capacity knob that lifts
+//! the bound: per-cache state lives on one of N independent shards
+//! selected by `mix64(cache_id) % N`, submissions for caches on
+//! different shards never contend, and each shard batches its own
+//! epochs, all run on the epoch caller's thread. Because caches never
+//! share state, the published plans are identical for every shard count
+//! (property-tested in `tests/sharding.rs`): the count changes capacity,
+//! never semantics. A host's cores are used by running cluster members.
 //!
 //! ## Going remote: the RPC front-end
 //!
@@ -113,15 +112,11 @@
 //!   with [`ServeError::Quarantined`], and the id is listed in every
 //!   [`EpochReport`] and health report until it deregisters or the
 //!   plane restores.
-//! - **A dead epoch worker degrades its shard, not the epoch.** The
-//!   threaded router hands work to workers over bounded channels with a
-//!   deadline; a worker that dies or misses the deadline marks its
-//!   shard degraded and the leader plans it thereafter.
 //! - **Overload is typed.** Over-cap connections receive
 //!   [`wire::Response::Busy`] before close instead of a silent drop.
 //! - **Health is a first-class RPC.** [`RpcClient::health`] returns a
 //!   [`talus_core::PlaneHealth`]: per-shard cache/pending/quarantine
-//!   counts and degraded flags, epoch counter, journal fault state, and
+//!   counts, epoch counter, journal fault state, and
 //!   the server's connection accounting (the same report
 //!   [`ServerHandle::health`] gives in-process).
 //!

@@ -7,30 +7,24 @@
 //! single-lock configuration). Caches never share state, so
 //! sharding needs no cross-shard coordination: a submission touches one
 //! shard's lock, producers for caches on different shards never contend,
-//! and each shard plans its own epoch batch. With
-//! [`with_threads`](ShardedReconfigService::with_threads), shards 1..N
-//! run their epochs on dedicated worker threads while the epoch-driving
-//! thread plans shard 0 itself (leader participates), so independent
-//! caches re-plan in parallel.
+//! and each shard plans its own epoch batch. An epoch runs every shard's
+//! batch on the calling thread, in shard order; a host's cores are used
+//! by running cluster members, not by threads inside one plane.
 //!
 //! Plan equivalence is the contract: for any submission sequence, the
 //! plan published for a cache is the offline planner's
-//! (`tests/plan_equivalence.rs`) and identical for every shard count and
-//! threading mode (`tests/sharding.rs`) — the router adds *placement*,
-//! never *policy*.
+//! (`tests/plan_equivalence.rs`) and identical for every shard count
+//! (`tests/sharding.rs`) — the router adds *placement*, never *policy*.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::service::{EpochReport, ServeError};
 use crate::shard::Shard;
 use crate::snapshot::{CacheId, PlanSnapshot, RESERVED_ID};
 use talus_core::limits::WIRE_MAX_EPOCH_IDS;
 use talus_core::{
-    CurveSource, FaultScript, MissCurve, PlaneHealth, ShardHealth, ShardState, ShardTopology,
-    StoreHealth,
+    CurveSource, FaultScript, MissCurve, PlaneHealth, ShardHealth, ShardTopology, StoreHealth,
 };
 use talus_partition::CacheSpec;
 use talus_store::{Record, Store, StoreError, StoreSink};
@@ -45,183 +39,6 @@ const DEFAULT_MAX_BATCH: usize = 64;
 /// 1: [`ShardedReconfigService::new`] refuses more shards than that.
 fn epoch_batch_cap(shards: usize) -> usize {
     WIRE_MAX_EPOCH_IDS as usize / shards
-}
-
-/// How long one epoch waits for its worker handoffs before declaring the
-/// stragglers degraded and moving on.
-const EPOCH_DEADLINE: Duration = Duration::from_secs(5);
-
-/// One "run an epoch" request handed to a shard's worker thread. The
-/// reply carries the worker's shard index so the epoch driver knows who
-/// answered (and therefore who didn't).
-struct EpochJob {
-    epoch: u64,
-    reply: mpsc::Sender<(usize, EpochReport)>,
-}
-
-/// One dedicated worker thread per shard, parked on a job channel.
-///
-/// A worker that dies (its thread panicked, or never spawned) or misses
-/// the epoch deadline is *degraded*, not fatal: its sender slot is
-/// dropped, the shard is marked in [`degraded`](WorkerPool::degraded),
-/// and from then on the epoch-driving thread leader-plans that shard —
-/// slower, never wrong. `run_until_clean` still terminates because a
-/// degraded shard's queue drains on the leader path the very next epoch.
-#[derive(Debug)]
-struct WorkerPool {
-    /// Job channels; slot `i` drives shard `i + 1` (shard 0 has no
-    /// worker — the leader plans it). `None` = the worker is gone and
-    /// the slot is permanently on the leader-planned path. Behind a
-    /// mutex so the service stays `Sync` independent of
-    /// `mpsc::Sender`'s (toolchain-dependent) auto-traits.
-    senders: Mutex<Vec<Option<mpsc::Sender<EpochJob>>>>,
-    /// Slot `i` ↔ shard `i + 1`: set once the worker is declared dead or
-    /// a deadline expired on it. Never cleared — degradation is sticky
-    /// (the worker, even if merely slow, no longer has a job channel).
-    degraded: Vec<AtomicBool>,
-    handles: Vec<thread::JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Spawns one worker per shard in `shards[1..]`. Shard 0 has no
-    /// worker: the epoch-driving thread plans it itself (leader
-    /// participates), so an epoch costs N−1 thread handoffs, not N. A
-    /// shard whose worker fails to spawn starts degraded (leader-planned)
-    /// instead of failing the build.
-    fn spawn(shards: &[Arc<Shard>], fault: Option<Arc<FaultScript>>) -> Self {
-        let mut senders = Vec::with_capacity(shards.len() - 1);
-        let mut degraded = Vec::with_capacity(shards.len() - 1);
-        let mut handles = Vec::with_capacity(shards.len() - 1);
-        for (i, shard) in shards.iter().enumerate().skip(1) {
-            let (tx, rx) = mpsc::channel::<EpochJob>();
-            let shard = Arc::clone(shard);
-            let fault = fault.clone();
-            let spawned = thread::Builder::new()
-                .name(format!("talus-serve-shard-{i}"))
-                .spawn(move || {
-                    // Exits when the pool drops its sender.
-                    while let Ok(job) = rx.recv() {
-                        // Scripted worker faults: a `Panic` here kills
-                        // this thread exactly like a worker bug would;
-                        // the epoch driver detects it and degrades the
-                        // shard to leader-planned.
-                        if let Some(fault) = &fault {
-                            let _ = fault.check("worker.epoch", i as u64);
-                        }
-                        // A dropped reply receiver just means the caller
-                        // gave up on the epoch; keep serving.
-                        let _ = job.reply.send((i, shard.run_epoch(job.epoch)));
-                    }
-                });
-            match spawned {
-                Ok(handle) => {
-                    senders.push(Some(tx));
-                    degraded.push(AtomicBool::new(false));
-                    handles.push(handle);
-                }
-                Err(_) => {
-                    senders.push(None);
-                    degraded.push(AtomicBool::new(true));
-                }
-            }
-        }
-        WorkerPool {
-            senders: Mutex::new(senders),
-            degraded,
-            handles,
-        }
-    }
-
-    fn lock_senders(&self) -> std::sync::MutexGuard<'_, Vec<Option<mpsc::Sender<EpochJob>>>> {
-        self.senders.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn mark_degraded(&self, slot: usize) {
-        self.degraded[slot].store(true, Ordering::Relaxed);
-    }
-
-    /// Whether shard `index` (≥ 1) is on the degraded, leader-planned
-    /// path.
-    fn is_degraded(&self, index: usize) -> bool {
-        self.degraded[index - 1].load(Ordering::Relaxed)
-    }
-
-    /// Runs `epoch` on every shard concurrently; returns the per-shard
-    /// reports (in completion order — the caller sorts after merging).
-    ///
-    /// Leader participates: the calling thread plans shard 0 itself while
-    /// the workers handle shards 1..N. Degraded shards (dead worker, or
-    /// handoff refused) are leader-planned in the same call; workers that
-    /// miss [`EPOCH_DEADLINE`] are degraded for the next epoch and this
-    /// epoch returns without their report (their queued work drains on
-    /// the leader path next epoch).
-    fn run_epoch(&self, shards: &[Arc<Shard>], epoch: u64) -> Vec<EpochReport> {
-        let (reply, results) = mpsc::channel();
-        let mut outstanding: Vec<usize> = Vec::new();
-        let mut fallback: Vec<usize> = Vec::new();
-        {
-            let mut senders = self.lock_senders();
-            for (slot, tx) in senders.iter_mut().enumerate() {
-                let shard_index = slot + 1;
-                let sent = tx.as_ref().is_some_and(|t| {
-                    t.send(EpochJob {
-                        epoch,
-                        reply: reply.clone(),
-                    })
-                    .is_ok()
-                });
-                if sent {
-                    outstanding.push(shard_index);
-                } else {
-                    // The worker is gone (hung-up channel or never
-                    // spawned): drop the slot and leader-plan its shard
-                    // from now on.
-                    *tx = None;
-                    self.mark_degraded(slot);
-                    fallback.push(shard_index);
-                }
-            }
-        }
-        drop(reply);
-        let mut reports = vec![shards[0].run_epoch(epoch)];
-        for index in fallback {
-            reports.push(shards[index].run_epoch(epoch));
-        }
-        // Bounded handoff: wait out the deadline, not forever. A report
-        // arriving after its deadline is dropped with its channel.
-        let deadline = Instant::now() + EPOCH_DEADLINE;
-        while !outstanding.is_empty() {
-            let wait = deadline.saturating_duration_since(Instant::now());
-            match results.recv_timeout(wait) {
-                Ok((index, report)) => {
-                    outstanding.retain(|&i| i != index);
-                    reports.push(report);
-                }
-                // Timeout, or every remaining worker dropped its reply
-                // sender (died mid-epoch): degrade the stragglers below.
-                Err(_) => break,
-            }
-        }
-        if !outstanding.is_empty() {
-            let mut senders = self.lock_senders();
-            for index in outstanding {
-                senders[index - 1] = None;
-                self.mark_degraded(index - 1);
-            }
-        }
-        reports
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing the job channels lets every worker's `recv` fail and the
-        // thread exit; then reap them.
-        self.lock_senders().clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
 }
 
 /// The online reconfiguration service: N independent single-lock shards
@@ -252,32 +69,27 @@ impl Drop for WorkerPool {
 /// ```
 #[derive(Debug)]
 pub struct ShardedReconfigService {
-    shards: Vec<Arc<Shard>>,
+    shards: Vec<Shard>,
     /// Which slice of the global shard layout these local shards are.
     /// [`ShardTopology::solo`] (the default) makes local == global; a
     /// cluster member owns a sub-range and bounces misrouted ids.
     topology: ShardTopology,
     next_id: AtomicU64,
     epochs: AtomicU64,
-    /// `Some` in thread-pool mode: one worker per shard.
-    pool: Option<WorkerPool>,
     /// The journal sink shared by every shard, retained for health
     /// reporting (`None` = ephemeral plane).
     sink: Option<Arc<dyn StoreSink>>,
-    /// The fault-injection script shared with shards and workers.
-    fault: Option<Arc<FaultScript>>,
 }
 
 impl ShardedReconfigService {
     /// A plane of `shards` shards, each draining at most 64 dirty caches
     /// per epoch (see [`with_max_batch`](Self::with_max_batch) — fewer
     /// above 256 shards, where 64 is more than a shard's share of
-    /// [`WIRE_MAX_EPOCH_IDS`]), with epochs run sequentially on the
-    /// calling thread.
+    /// [`WIRE_MAX_EPOCH_IDS`]), with epochs run on the calling thread.
     ///
     /// Shard count is a capacity knob, not a semantic one: plans are
-    /// identical for every value. Pick roughly the number of cores you
-    /// want planning to spread over (see ARCHITECTURE.md §L5); `new(1)`
+    /// identical for every value. More shards mean less registry-lock
+    /// contention between producers (see ARCHITECTURE.md §L5); `new(1)`
     /// keeps all per-cache state behind one registry lock.
     ///
     /// # Panics
@@ -293,13 +105,11 @@ impl ShardedReconfigService {
         );
         let batch = DEFAULT_MAX_BATCH.min(epoch_batch_cap(shards));
         ShardedReconfigService {
-            shards: (0..shards).map(|_| Arc::new(Shard::new(batch))).collect(),
+            shards: (0..shards).map(|_| Shard::new(batch)).collect(),
             topology: ShardTopology::solo(shards),
             next_id: AtomicU64::new(0),
             epochs: AtomicU64::new(0),
-            pool: None,
             sink: None,
-            fault: None,
         }
     }
 
@@ -310,17 +120,15 @@ impl ShardedReconfigService {
     /// bounced with [`ServeError::Misrouted`]. The default is
     /// [`ShardTopology::solo`] — every shard local, nothing bounced.
     ///
-    /// Configure first (before sinks, fault scripts, restore, and
-    /// threads): the topology changes placement, so everything journaled
-    /// or registered must already live under it.
+    /// Configure first (before sinks, fault scripts and restore): the
+    /// topology changes placement, so everything journaled or registered
+    /// must already live under it.
     ///
     /// # Panics
     ///
     /// Panics if `topology.count()` differs from the plane's shard
-    /// count, if the plane already has state, or if thread-pool mode is
-    /// already enabled.
+    /// count, if the plane already has state, or if a sink is attached.
     pub fn with_topology(mut self, topology: ShardTopology) -> Self {
-        assert!(self.pool.is_none(), "set the topology before threads");
         assert!(self.sink.is_none(), "set the topology before the sink");
         assert_eq!(
             topology.count(),
@@ -350,17 +158,11 @@ impl ShardedReconfigService {
     ///
     /// # Panics
     ///
-    /// Panics if `max_batch` is zero, or if thread-pool mode is already
-    /// enabled (configure batching before [`with_threads`]).
-    ///
-    /// [`with_threads`]: ShardedReconfigService::with_threads
+    /// Panics if `max_batch` is zero.
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        assert!(self.pool.is_none(), "set max_batch before enabling threads");
         let max_batch = max_batch.min(epoch_batch_cap(self.shards.len()));
         for shard in &mut self.shards {
-            Arc::get_mut(shard)
-                .expect("shards unshared before threads start") // audited: builder-time invariant
-                .set_max_batch(max_batch);
+            shard.set_max_batch(max_batch);
         }
         self
     }
@@ -379,14 +181,9 @@ impl ShardedReconfigService {
     ///
     /// # Panics
     ///
-    /// Panics if `sink.shards()` differs from the plane's shard count, or
-    /// if thread-pool mode is already enabled (attach before
-    /// [`with_threads`](ShardedReconfigService::with_threads)).
+    /// Panics if `sink.shards()` or `sink.topology()` differs from the
+    /// plane's.
     pub fn with_sink(mut self, sink: Arc<dyn StoreSink>) -> Self {
-        assert!(
-            self.pool.is_none(),
-            "attach the sink before enabling threads"
-        );
         assert_eq!(
             sink.shards(),
             self.shards.len(),
@@ -398,9 +195,7 @@ impl ShardedReconfigService {
             "sink topology slice must match the plane"
         );
         for (i, shard) in self.shards.iter_mut().enumerate() {
-            Arc::get_mut(shard)
-                .expect("shards unshared before threads start") // audited: builder-time invariant
-                .set_sink(i, Arc::clone(&sink));
+            shard.set_sink(i, Arc::clone(&sink));
         }
         self.sink = Some(sink);
         self
@@ -408,40 +203,10 @@ impl ShardedReconfigService {
 
     /// Attaches a deterministic [`FaultScript`]: shards consult it at
     /// `"shard.plan"` (key = raw cache id) inside their planner panic
-    /// containment, and epoch workers consult it at `"worker.epoch"`
-    /// (key = shard index) before each handoff. Test-substrate plumbing;
-    /// configure before [`with_threads`](ShardedReconfigService::with_threads).
-    ///
-    /// # Panics
-    ///
-    /// Panics if thread-pool mode is already enabled.
+    /// containment. Test-substrate plumbing.
     pub fn with_fault_script(mut self, script: Arc<FaultScript>) -> Self {
-        assert!(
-            self.pool.is_none(),
-            "attach the fault script before enabling threads"
-        );
         for shard in &mut self.shards {
-            Arc::get_mut(shard)
-                .expect("shards unshared before threads start") // audited: builder-time invariant
-                .set_fault_script(Arc::clone(&script));
-        }
-        self.fault = Some(script);
-        self
-    }
-
-    /// Enables thread-pool mode: shards 1..N each get a dedicated worker
-    /// thread (`talus-serve-shard-<i>`), and
-    /// [`run_epoch`](ShardedReconfigService::run_epoch) dispatches to all
-    /// of them concurrently while planning shard 0 on the calling thread
-    /// (leader participates — N−1 thread handoffs per epoch, and a
-    /// 1-shard plane spawns no workers at all). Independent caches then
-    /// re-plan in parallel; reports (and plans) are bit-identical to
-    /// sequential mode.
-    ///
-    /// Workers are joined when the service drops.
-    pub fn with_threads(mut self) -> Self {
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::spawn(&self.shards, self.fault.clone()));
+            shard.set_fault_script(Arc::clone(&script));
         }
         self
     }
@@ -681,27 +446,19 @@ impl ShardedReconfigService {
         ids
     }
 
-    /// The plane's health snapshot: per-shard status (a shard whose
-    /// epoch worker died or missed a deadline reports
-    /// [`ShardState::Degraded`]), quarantined caches, epoch progress,
-    /// and the journal fault state. `connections`/`rejected` are zero
+    /// The plane's health snapshot: per-shard counts, quarantined
+    /// caches, epoch progress, and the journal fault state. `connections`/`rejected` are zero
     /// here — they are filled in by an RPC front-end, if one is serving
     /// this plane.
     pub fn health(&self) -> PlaneHealth {
         let mut quarantined: Vec<u64> = Vec::new();
         let mut shard_reports = Vec::with_capacity(self.shards.len());
-        for (i, shard) in self.shards.iter().enumerate() {
+        for shard in &self.shards {
             let ids = shard.quarantined();
-            let state = if i > 0 && self.pool.as_ref().is_some_and(|p| p.is_degraded(i)) {
-                ShardState::Degraded
-            } else {
-                ShardState::Ok
-            };
             shard_reports.push(ShardHealth {
                 caches: shard.registered() as u64,
                 pending: shard.pending() as u64,
                 quarantined: ids.len() as u64,
-                state,
             });
             quarantined.extend(ids.iter().map(|id| id.value()));
         }
@@ -738,18 +495,14 @@ impl ShardedReconfigService {
         ids
     }
 
-    /// Runs one planning epoch on **every** shard — sequentially on this
-    /// thread, or concurrently on the per-shard workers in thread-pool
-    /// mode — and merges the per-shard results into one report. Each
-    /// shard drains up to its own `max_batch` (per-shard epoch batching),
-    /// and the merged report lists caches in ascending [`CacheId`] order
-    /// regardless of shard layout or completion order.
+    /// Runs one planning epoch on **every** shard, in shard order on
+    /// this thread, and merges the per-shard results into one report.
+    /// Each shard drains up to its own `max_batch` (per-shard epoch
+    /// batching), and the merged report lists caches in ascending
+    /// [`CacheId`] order regardless of shard layout.
     pub fn run_epoch(&self) -> EpochReport {
         let epoch = self.epochs.fetch_add(1, Ordering::Relaxed) + 1;
-        let reports = match &self.pool {
-            Some(pool) => pool.run_epoch(&self.shards, epoch),
-            None => self.shards.iter().map(|s| s.run_epoch(epoch)).collect(),
-        };
+        let reports = self.shards.iter().map(|s| s.run_epoch(epoch)).collect();
         merge_reports(epoch, reports)
     }
 
@@ -773,8 +526,7 @@ impl ShardedReconfigService {
     /// bit-for-bit (property-tested in `tests/restore_equivalence.rs`).
     ///
     /// Call on a **fresh** plane whose shard count matches the store's,
-    /// *before* [`with_sink`](ShardedReconfigService::with_sink) /
-    /// [`with_threads`](ShardedReconfigService::with_threads); then
+    /// *before* [`with_sink`](ShardedReconfigService::with_sink); then
     /// attach the same store as the sink so new events append after the
     /// recovered history:
     ///
@@ -787,7 +539,7 @@ impl ShardedReconfigService {
     /// let plane = ShardedReconfigService::new(4);
     /// let summary = plane.restore(&store)?;
     /// println!("restored {} caches, {} snapshots", summary.caches, summary.snapshots);
-    /// let plane = plane.with_sink(store).with_threads();
+    /// let plane = plane.with_sink(store);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     ///
@@ -987,8 +739,8 @@ impl std::error::Error for RestoreError {
 }
 
 /// Folds per-shard epoch reports into one plane-wide report, re-sorting
-/// into CacheId order (shard reports arrive in arbitrary completion
-/// order in thread-pool mode). Crate-visible: the cluster client merges
+/// into CacheId order (each shard's report is sorted, but ids from
+/// different shards interleave). Crate-visible: the cluster client merges
 /// per-member reports through the same fold so a cluster epoch report
 /// is bit-identical to a single-process one.
 pub(crate) fn merge_reports(epoch: u64, reports: Vec<EpochReport>) -> EpochReport {
@@ -1074,35 +826,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_mode_publishes_identical_reports() {
-        let seq = ShardedReconfigService::new(4);
-        let par = ShardedReconfigService::new(4).with_threads();
-        for _ in 0..10 {
-            let a = seq.register(CacheSpec::new(2048, 2));
-            let b = par.register(CacheSpec::new(2048, 2));
-            assert_eq!(a, b, "same id allocation order");
-            for t in 0..2 {
-                seq.submit(a, t, curve(512.0 + 64.0 * t as f64, 2048.0))
-                    .unwrap();
-                par.submit(b, t, curve(512.0 + 64.0 * t as f64, 2048.0))
-                    .unwrap();
-            }
-        }
-        let r_seq = seq.run_epoch();
-        let r_par = par.run_epoch();
-        assert_eq!(r_seq, r_par);
-        for id in r_seq.planned {
-            let a = seq.snapshot(id).unwrap();
-            let b = par.snapshot(id).unwrap();
-            assert_eq!(a.plan, b.plan);
-            assert_eq!(
-                (a.version, a.updates, a.epoch),
-                (b.version, b.updates, b.epoch)
-            );
-        }
-    }
-
-    #[test]
     fn deferred_and_failed_merge_in_id_order() {
         let s = ShardedReconfigService::new(2);
         // Mix of: complete single-tenant caches (plan), a two-tenant cache
@@ -1148,7 +871,7 @@ mod tests {
 
     #[test]
     fn deregister_on_the_right_shard() {
-        let s = ShardedReconfigService::new(4).with_threads();
+        let s = ShardedReconfigService::new(4);
         let id = s.register(CacheSpec::new(1024, 1));
         s.submit(id, 0, curve(512.0, 1024.0)).unwrap();
         s.run_epoch();

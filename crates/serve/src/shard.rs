@@ -421,9 +421,9 @@ impl Shard {
     ///
     /// The epoch works in the shard's [`Workspace`], taken out for its
     /// length and put back after, so a steady epoch allocates only its
-    /// report. A second epoch on this shard at the same time — a worker
-    /// past its deadline while the leader plans its shard — finds an
-    /// empty workspace and works in that: neither waits for the other.
+    /// report. A second epoch on this shard at the same time — two
+    /// callers running plane epochs at once — finds an empty workspace
+    /// and works in that: neither waits for the other.
     /// A workspace whose scratch has grown past [`EPOCH_WORKSPACE_POINTS`]
     /// is dropped instead of put back.
     ///

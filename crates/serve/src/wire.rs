@@ -1,4 +1,4 @@
-//! The v5 wire protocol: length-prefixed, little-endian binary frames
+//! The v6 wire protocol: length-prefixed, little-endian binary frames
 //! for curve ingest, epoch control, plane health, and cluster topology.
 //!
 //! Every frame is
@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     payload length N (LE u32), 2 ≤ N ≤ WIRE_MAX_FRAME_LEN
-//! 4       1     protocol version (WIRE_VERSION = 5)
+//! 4       1     protocol version (WIRE_VERSION = 6)
 //! 5       1     opcode
 //! 6       N−2   body (message-specific, see Request/Response)
 //! ```
@@ -96,11 +96,16 @@
 //! curves, where v3 sent every curve as a point count and
 //! `(size, misses)` pairs.
 //!
-//! v5 (this version) over v4: `Register` and `RegisterAt` carry a whole
-//! [`CacheSpec`] as [`put_spec`] writes it, the journal's `Register`
-//! body, where v4 sent capacity and tenants alone; and the margin rule
-//! and the [`WIRE_MAX_GRAINS`] bound on it. Every other frame is v4's
-//! but for its version byte.
+//! v5 over v4: `Register` and `RegisterAt` carry a whole [`CacheSpec`]
+//! as [`put_spec`] writes it, the journal's `Register` body, where v4
+//! sent capacity and tenants alone; and the margin rule and the
+//! [`WIRE_MAX_GRAINS`] bound on it.
+//!
+//! v6 (this version) over v5: a shard's entry in the plane-health block
+//! (the `Health` reply and the `Hello` reply's health) is its three
+//! counts, without the state byte v2 added: epochs run on the caller's
+//! thread, so no shard can be degraded. Every other frame is v5's but
+//! for its version byte.
 
 use std::io::Read;
 use std::sync::Arc;
@@ -114,11 +119,11 @@ use talus_core::limits::{
     WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_FRAME_LEN, WIRE_MAX_GRAINS, WIRE_MAX_IDS,
     WIRE_MAX_SHARDS, WIRE_MAX_TENANTS,
 };
-use talus_core::{MissCurve, PlanError, PlaneHealth, ShardHealth, ShardState, StoreHealth};
+use talus_core::{MissCurve, PlanError, PlaneHealth, ShardHealth, StoreHealth};
 use talus_partition::{check_spec, put_spec, read_spec, CacheSpec};
 
 /// Protocol version carried in every frame header.
-pub const WIRE_VERSION: u8 = 5;
+pub const WIRE_VERSION: u8 = 6;
 
 /// Bytes of a Submit frame ahead of its grid table: length prefix,
 /// version, opcode, entry count and grid count.
@@ -507,11 +512,6 @@ fn put_plane_health(out: &mut Vec<u8>, h: &PlaneHealth) {
         put_u64(out, s.caches);
         put_u64(out, s.pending);
         put_u64(out, s.quarantined);
-        let state = match s.state {
-            ShardState::Ok => 0,
-            ShardState::Degraded => 1,
-        };
-        put_u8(out, state);
     }
 }
 
@@ -710,22 +710,13 @@ fn read_plane_health(r: &mut Reader) -> Result<PlaneHealth, DecodeError> {
         _ => return Err(DecodeError::Malformed("unknown store-health tag")),
     };
     let quarantined = r.u64s(WIRE_MAX_IDS)?;
-    let shard_count = r.count(WIRE_MAX_SHARDS, 8 + 8 + 8 + 1)?;
+    let shard_count = r.count(WIRE_MAX_SHARDS, 8 + 8 + 8)?;
     let mut shards = Vec::with_capacity(shard_count);
     for _ in 0..shard_count {
-        let caches = r.u64()?;
-        let pending = r.u64()?;
-        let quarantined = r.u64()?;
-        let state = match r.u8()? {
-            0 => ShardState::Ok,
-            1 => ShardState::Degraded,
-            _ => return Err(DecodeError::Malformed("unknown shard-state tag")),
-        };
         shards.push(ShardHealth {
-            caches,
-            pending,
-            quarantined,
-            state,
+            caches: r.u64()?,
+            pending: r.u64()?,
+            quarantined: r.u64()?,
         });
     }
     Ok(PlaneHealth {
@@ -1168,13 +1159,11 @@ mod tests {
                         caches: 3,
                         pending: 1,
                         quarantined: 1,
-                        state: ShardState::Ok,
                     },
                     ShardHealth {
                         caches: 2,
                         pending: 0,
                         quarantined: 0,
-                        state: ShardState::Degraded,
                     },
                 ],
                 store: StoreHealth::Ok,
@@ -1211,7 +1200,6 @@ mod tests {
             caches: ids.len() as u64,
             pending: 0,
             quarantined,
-            state: ShardState::Ok,
         };
         let health = PlaneHealth {
             epochs: 9,

@@ -7,7 +7,7 @@
 
 use talus_core::codec::DecodeError;
 use talus_core::limits::WIRE_MAX_FRAME_LEN;
-use talus_core::{MissCurve, PlanError, PlaneHealth, ShardHealth, ShardState, StoreHealth};
+use talus_core::{MissCurve, PlanError, PlaneHealth, ShardHealth, StoreHealth};
 use talus_serve::wire::{
     decode_request, decode_response, encode_request, encode_request_into, encode_response,
     encode_response_into, read_frame, read_frame_into, ClusterInfo, Request, Response,
@@ -38,13 +38,11 @@ fn health() -> PlaneHealth {
                 caches: 3,
                 pending: 1,
                 quarantined: 1,
-                state: ShardState::Ok,
             },
             ShardHealth {
                 caches: 2,
                 pending: 0,
                 quarantined: 0,
-                state: ShardState::Degraded,
             },
         ],
         store: StoreHealth::Faulted,

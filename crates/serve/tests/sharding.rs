@@ -1,6 +1,6 @@
 //! The sharded plane's defining invariant: for any submission sequence,
 //! a [`ShardedReconfigService`] publishes exactly the same plans — per
-//! cache, bit for bit — for every shard count and in thread-pool mode.
+//! cache, bit for bit — for every shard count.
 //! The reference is `new(1)`, the single-lock configuration (itself held
 //! to the offline planner in `tests/plan_equivalence.rs`). The router
 //! adds *placement*, never *policy*: shard count is capacity.
@@ -85,20 +85,19 @@ proptest! {
         assert_matches_one_shard(&ShardedReconfigService::new(shards), &ops);
     }
 
-    /// The same invariant with every shard planning on its own worker
-    /// thread: thread-pool mode changes where plans are computed, never
-    /// what is published.
+    /// The same invariant on planes of at least two shards only, where
+    /// every epoch merges reports from several shards.
     #[test]
     fn threaded_sharded_plans_equal_single_service_plans(
         ops in proptest::collection::vec(arb_op(), 1..40),
         shards in 2usize..5,
     ) {
-        assert_matches_one_shard(&ShardedReconfigService::new(shards).with_threads(), &ops);
+        assert_matches_one_shard(&ShardedReconfigService::new(shards), &ops);
     }
 }
 
-/// Concurrent producers hammering a threaded 4-shard plane while it runs
-/// epochs: after the dust settles, the final plans equal a one-shard
+/// Concurrent producers hammering a 4-shard plane while another thread
+/// runs its epochs: after the dust settles, the final plans equal a one-shard
 /// plane's plans for the same final curves.
 #[test]
 fn concurrent_producers_on_threaded_shards_converge_to_single_service_plans() {
@@ -107,7 +106,7 @@ fn concurrent_producers_on_threaded_shards_converge_to_single_service_plans() {
     let tenants = 2usize;
     let rounds = 5u64;
 
-    let sharded = Arc::new(ShardedReconfigService::new(shards).with_threads());
+    let sharded = Arc::new(ShardedReconfigService::new(shards));
     let ids: Vec<CacheId> = (0..caches)
         .map(|_| sharded.register(CacheSpec::new(1024, tenants).with_planner(Planner::new(64))))
         .collect();

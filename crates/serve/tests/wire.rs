@@ -1,6 +1,6 @@
 //! The wire-protocol battery: round-trip properties for every message
-//! type, golden-bytes fixtures pinning the v5 format (and the v3 and v4
-//! frames it replaced, which a v5 decoder refuses), the Submit grid table's
+//! type, golden-bytes fixtures pinning the v6 format (and the v3, v4 and
+//! v5 frames it replaced, which a v6 decoder refuses), the Submit grid table's
 //! canonical encoding and grid sharing, and an adversarial suite proving
 //! the decoder is total — truncations, hostile length fields and counts,
 //! dangling or unreferenced grids, wrong versions, garbage opcodes, and
@@ -16,8 +16,7 @@ use talus_core::limits::{
     WIRE_MAX_FRAME_LEN, WIRE_MAX_GRAINS, WIRE_MAX_SHARDS, WIRE_MAX_TENANTS,
 };
 use talus_core::{
-    CurveError, MissCurve, PlanError, PlaneHealth, ShardHealth, ShardState, StoreHealth,
-    TalusOptions,
+    CurveError, MissCurve, PlanError, PlaneHealth, ShardHealth, StoreHealth, TalusOptions,
 };
 use talus_partition::{AllocPolicy, Planner};
 use talus_serve::wire::{
@@ -188,7 +187,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
                                 caches: (b >> i) % 50,
                                 pending: 0,
                                 quarantined: 0,
-                                state: ShardState::Ok,
                             })
                             .collect(),
                         store: StoreHealth::Ok,
@@ -264,11 +262,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
                         caches: (b >> i) % 100,
                         pending: (seed >> i) % 100,
                         quarantined: (a >> i) % 4,
-                        state: if (seed >> (16 + i)) & 1 == 0 {
-                            ShardState::Ok
-                        } else {
-                            ShardState::Degraded
-                        },
                     })
                     .collect(),
                 store: match seed % 3 {
@@ -970,14 +963,16 @@ fn the_wire_and_the_journal_fail_with_one_error() {
 }
 
 // ---------------------------------------------------------------------
-// Golden bytes: the v5 format, pinned byte for byte. If any of these
+// Golden bytes: the v6 format, pinned byte for byte. If any of these
 // fail, the wire format changed — bump WIRE_VERSION and make the change
-// deliberate. v5 replaced the Register and RegisterAt bodies (a whole
+// deliberate. v6 dropped the per-shard state byte from the plane-health
+// block (the Health and Hello replies, pinned by the `golden_v6_*`
+// frames); v5 replaced the Register and RegisterAt bodies (a whole
 // cache spec, pinned by the `golden_v5_register_*` frames); v4 the
 // Submit body (a grid table and values-only curves, pinned by the
 // `golden_v4_submit_*` frames); every other frame is pinned by its v3
-// fixture. An older fixture is what v5 sends but for the version byte,
-// and v5 refuses to decode it. (v3 over v2: Hello handshake opcodes
+// fixture. An older fixture is what v6 sends but for the version byte,
+// and v6 refuses to decode it. (v3 over v2: Hello handshake opcodes
 // 0x08/0x88 carrying ClusterInfo, RegisterAt opcode 0x09 for
 // client-minted ids, and serve-error tags 5/6/7 for cluster routing
 // faults.)
@@ -1059,7 +1054,6 @@ fn golden_v3_register_frame() {
 
 #[test]
 fn golden_v5_register_frame() {
-    assert_eq!(WIRE_VERSION, 5);
     assert_eq!(WIRE_MAX_GRAINS, 256);
     // len=40: version + opcode + the spec body the journal's Register
     // record holds — the default planner at a capacity/64 grain.
@@ -1067,9 +1061,9 @@ fn golden_v5_register_frame() {
         spec: CacheSpec::new(4096, 3),
     };
     let bytes = encode_request(&request);
-    assert_eq!(
-        bytes,
-        [
+    older_frame_is(
+        &bytes,
+        &[
             40, 0, 0, 0, // length
             5, 0x01, // version, opcode
             0x00, 0x10, 0, 0, 0, 0, 0, 0, // capacity = 4096
@@ -1079,7 +1073,7 @@ fn golden_v5_register_frame() {
             0x95, 0xD6, 0x26, 0xE8, 0x0B, 0x2E, 0x11, 0x3E, // tol 1e-9
             0,    // policy: Hill
             1,    // convexify: true
-        ]
+        ],
     );
     assert_eq!(decode_request(&bytes[4..]), Ok(request));
 }
@@ -1250,36 +1244,81 @@ fn golden_v3_quarantined_error_frame() {
     );
 }
 
+/// `fixture` is an older frame whose layout this version changed: it is
+/// refused on its version byte, and relabelled as this version it fails
+/// with `relabelled_error`.
+fn older_layout_is_refused(fixture: &[u8], relabelled_error: DecodeError) {
+    assert_eq!(
+        decode_response(&fixture[4..]),
+        Err(DecodeError::BadVersion {
+            got: fixture[4],
+            want: WIRE_VERSION,
+        })
+    );
+    let mut relabelled = fixture.to_vec();
+    relabelled[4] = WIRE_VERSION;
+    assert_eq!(decode_response(&relabelled[4..]), Err(relabelled_error));
+}
+
 #[test]
 fn golden_v3_health_frame() {
-    let bytes = encode_response(&Response::Health(PlaneHealth {
+    // v3–v5 sent a state byte after each shard's counts.
+    let v3 = [
+        109, 0, 0, 0, // length
+        3, 0x87, // version, opcode
+        5, 0, 0, 0, 0, 0, 0, 0, // epochs
+        3, 0, 0, 0, 0, 0, 0, 0, // caches
+        1, 0, 0, 0, 0, 0, 0, 0, // pending
+        4, 0, 0, 0, 0, 0, 0, 0, // connections
+        7, 0, 0, 0, 0, 0, 0, 0, // rejected
+        2, // store: Faulted
+        1, 0, 0, 0, // quarantined count
+        9, 0, 0, 0, 0, 0, 0, 0, // quarantined[0]
+        2, 0, 0, 0, // shard count
+        2, 0, 0, 0, 0, 0, 0, 0, // shard 0 caches
+        1, 0, 0, 0, 0, 0, 0, 0, // shard 0 pending
+        0, 0, 0, 0, 0, 0, 0, 0, // shard 0 quarantined
+        0, // shard 0 state: Ok
+        1, 0, 0, 0, 0, 0, 0, 0, // shard 1 caches
+        0, 0, 0, 0, 0, 0, 0, 0, // shard 1 pending
+        1, 0, 0, 0, 0, 0, 0, 0, // shard 1 quarantined
+        1, // shard 1 state: Degraded
+    ];
+    // Relabelled v6, its two state bytes are left over.
+    older_layout_is_refused(&v3, DecodeError::Malformed("trailing bytes after the body"));
+    // A v5 frame is refused the same way.
+    let mut v5 = v3;
+    v5[4] = 5;
+    assert_eq!(
+        decode_response(&v5[4..]),
+        Err(DecodeError::BadVersion { got: 5, want: 6 })
+    );
+}
+
+#[test]
+fn golden_v6_health_frame() {
+    assert_eq!(WIRE_VERSION, 6);
+    let shard = |caches, pending, quarantined| ShardHealth {
+        caches,
+        pending,
+        quarantined,
+    };
+    let response = Response::Health(PlaneHealth {
         epochs: 5,
         caches: 3,
         pending: 1,
         quarantined: vec![9],
-        shards: vec![
-            ShardHealth {
-                caches: 2,
-                pending: 1,
-                quarantined: 0,
-                state: ShardState::Ok,
-            },
-            ShardHealth {
-                caches: 1,
-                pending: 0,
-                quarantined: 1,
-                state: ShardState::Degraded,
-            },
-        ],
+        shards: vec![shard(2, 1, 0), shard(1, 0, 1)],
         store: StoreHealth::Faulted,
         connections: 4,
         rejected: 7,
-    }));
-    older_frame_is(
-        &bytes,
-        &[
-            109, 0, 0, 0, // length
-            3, 0x87, // version, opcode
+    });
+    let bytes = encode_response(&response);
+    assert_eq!(
+        bytes,
+        [
+            107, 0, 0, 0, // length
+            6, 0x87, // version, opcode
             5, 0, 0, 0, 0, 0, 0, 0, // epochs
             3, 0, 0, 0, 0, 0, 0, 0, // caches
             1, 0, 0, 0, 0, 0, 0, 0, // pending
@@ -1292,13 +1331,12 @@ fn golden_v3_health_frame() {
             2, 0, 0, 0, 0, 0, 0, 0, // shard 0 caches
             1, 0, 0, 0, 0, 0, 0, 0, // shard 0 pending
             0, 0, 0, 0, 0, 0, 0, 0, // shard 0 quarantined
-            0, // shard 0 state: Ok
             1, 0, 0, 0, 0, 0, 0, 0, // shard 1 caches
             0, 0, 0, 0, 0, 0, 0, 0, // shard 1 pending
             1, 0, 0, 0, 0, 0, 0, 0, // shard 1 quarantined
-            1, // shard 1 state: Degraded
-        ],
+        ]
     );
+    assert_eq!(decode_response(&bytes[4..]), Ok(response));
 }
 
 #[test]
@@ -1369,8 +1407,34 @@ fn golden_v3_hello_frames() {
     older_frame_is(&encode_request(&Request::Hello), &[2, 0, 0, 0, 3, 0x08]);
 
     // The reply: topology slice, epoch, next-id hint, then the full
-    // plane-health block in its usual layout.
-    let bytes = encode_response(&Response::Hello(ClusterInfo {
+    // plane-health block, whose shard entries v6 changed.
+    let v3 = [
+        104, 0, 0, 0, // length
+        3, 0x88, // version, opcode
+        6, 0, 0, 0, // total_shards
+        2, 0, 0, 0, // first_shard
+        2, 0, 0, 0, // shard_count
+        5, 0, 0, 0, 0, 0, 0, 0, // epoch
+        9, 0, 0, 0, 0, 0, 0, 0, // next_id
+        5, 0, 0, 0, 0, 0, 0, 0, // health: epochs
+        1, 0, 0, 0, 0, 0, 0, 0, // health: caches
+        0, 0, 0, 0, 0, 0, 0, 0, // health: pending
+        0, 0, 0, 0, 0, 0, 0, 0, // health: connections
+        0, 0, 0, 0, 0, 0, 0, 0, // health: rejected
+        1, // store: Ok
+        0, 0, 0, 0, // quarantined count
+        1, 0, 0, 0, // shard count
+        1, 0, 0, 0, 0, 0, 0, 0, // shard 0 caches
+        0, 0, 0, 0, 0, 0, 0, 0, // shard 0 pending
+        0, 0, 0, 0, 0, 0, 0, 0, // shard 0 quarantined
+        0, // shard 0 state: Ok
+    ];
+    older_layout_is_refused(&v3, DecodeError::Malformed("trailing bytes after the body"));
+}
+
+#[test]
+fn golden_v6_hello_reply_frame() {
+    let response = Response::Hello(ClusterInfo {
         total_shards: 6,
         first_shard: 2,
         shard_count: 2,
@@ -1385,18 +1449,18 @@ fn golden_v3_hello_frames() {
                 caches: 1,
                 pending: 0,
                 quarantined: 0,
-                state: ShardState::Ok,
             }],
             store: StoreHealth::Ok,
             connections: 0,
             rejected: 0,
         },
-    }));
-    older_frame_is(
-        &bytes,
-        &[
-            104, 0, 0, 0, // length
-            3, 0x88, // version, opcode
+    });
+    let bytes = encode_response(&response);
+    assert_eq!(
+        bytes,
+        [
+            103, 0, 0, 0, // length
+            6, 0x88, // version, opcode
             6, 0, 0, 0, // total_shards
             2, 0, 0, 0, // first_shard
             2, 0, 0, 0, // shard_count
@@ -1413,9 +1477,9 @@ fn golden_v3_hello_frames() {
             1, 0, 0, 0, 0, 0, 0, 0, // shard 0 caches
             0, 0, 0, 0, 0, 0, 0, 0, // shard 0 pending
             0, 0, 0, 0, 0, 0, 0, 0, // shard 0 quarantined
-            0, // shard 0 state: Ok
-        ],
+        ]
     );
+    assert_eq!(decode_response(&bytes[4..]), Ok(response));
 }
 
 #[test]
@@ -1453,9 +1517,9 @@ fn golden_v5_register_at_frame() {
         spec: CacheSpec::new(4096, 3).with_planner(planner),
     };
     let bytes = encode_request(&request);
-    assert_eq!(
-        bytes,
-        [
+    older_frame_is(
+        &bytes,
+        &[
             48, 0, 0, 0, // length
             5, 0x09, // version, opcode
             5, 0, 0, 0, 0, 0, 0, 0, // cache id
@@ -1466,7 +1530,7 @@ fn golden_v5_register_at_frame() {
             0x95, 0xD6, 0x26, 0xE8, 0x0B, 0x2E, 0x11, 0x3E, // tol 1e-9
             1,    // policy: Lookahead
             0,    // convexify: false
-        ]
+        ],
     );
     assert_eq!(decode_request(&bytes[4..]), Ok(request));
 }
