@@ -48,7 +48,7 @@
 //! alone: the K × 4 resubmissions are each iteration's untimed set-up
 //! (`iter_batched`); the rows up to `BENCH_42.json` timed both. K = 64
 //! is the benchmark's epoch. The rows keep their `_seq` names so their
-//! records compare across PRs; they are outside `HOT_PREFIXES`.
+//! records compare across PRs.
 //!
 //! `serve_snapshot/random_8192` is the reader's side of the same plane:
 //! one `snapshot` of a random id among 8192 registered and planned caches

@@ -98,7 +98,8 @@ fn bench_wire_codec(c: &mut Criterion) {
             black_box(buf.len())
         })
     });
-    assert_eq!(buf, frame);
+    // Each reused buffer is empty only if a filter skipped its row.
+    assert!(buf.is_empty() || buf == frame);
 
     group.bench_function("decode_submit_272x65", |b| {
         b.iter(|| black_box(decode_request(black_box(&frame[4..])).expect("well-formed")))
@@ -134,14 +135,15 @@ fn bench_wire_codec(c: &mut Criterion) {
         })
     });
 
+    let mut read = Vec::new();
     group.bench_function("read_frame_into_146k", |b| {
         b.iter(|| {
             let mut stream = black_box(&frame[..]);
-            assert!(read_frame_into(&mut stream, &mut buf).expect("whole frame"));
-            black_box(buf.len())
+            assert!(read_frame_into(&mut stream, &mut read).expect("whole frame"));
+            black_box(read.len())
         })
     });
-    assert_eq!(buf, frame[4..]);
+    assert!(read.is_empty() || read == frame[4..]);
     group.finish();
 }
 

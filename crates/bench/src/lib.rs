@@ -1,9 +1,9 @@
-//! Shared fixtures for the Criterion benches.
+//! Shared fixtures for the Criterion benches, and the paired-run verdict
+//! behind `scripts/pairs.sh` ([`pairs`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod compare;
 pub mod pairs;
 
 use talus_core::{CurvePoint, MissCurve};

@@ -1,19 +1,21 @@
-//! Paired runs of the repo benchmark: the verdict a change gets against
-//! its base.
+//! Paired runs: the verdict a change gets against its base.
 //!
-//! `scripts/pairs.sh` runs `benchmark/run.sh` on a base tree and on the
-//! checkout in alternating order and collects each run's last line, the
-//! one-line JSON result; the `bench_pairs` binary hands the collection
-//! and `BENCHMARK.json` to [`table`], which writes one row per workload
-//! and end-to-end metric: both medians, their ratio, how many pairs the
-//! change won, the base's interquartile range and the [`verdict`].
+//! `scripts/pairs.sh` runs a base tree and the checkout in alternating
+//! order and the `bench_pairs` binary tabulates the runs: [`table`] the
+//! repo benchmark's one-line JSON results, one row per workload and
+//! end-to-end metric of `BENCHMARK.json`; [`criterion_table`] the
+//! `scripts/bench_baseline.sh` records of its `--criterion` mode, one
+//! [`NS_PER_ITER`] row per bench. A row gives both medians, their ratio,
+//! how many pairs the change won, the base's interquartile range and the
+//! [`verdict`].
 //!
 //! The rule is the one the benchmark's gate applies. A **gain** needs
 //! at least [`GAIN_PAIRS`] pairs, the change to win at least nine in ten
 //! of them and its median to beat the base's by more than the base's
 //! interquartile range. A
 //! **regression** is a median worse than the base's by more than the
-//! metric's `bound` in `BENCHMARK.json` (relative to the base median).
+//! metric's bound (relative to the base median): its `bound` in
+//! `BENCHMARK.json`, or [`CRITERION_BOUND`] for a bench.
 //! Anything else is **unresolved** where either side's interquartile
 //! range is wider than that bound — unless every run of the change beat
 //! every run of the base — and the **same** otherwise. The share of failed operations (`failed / attempted` of each run)
@@ -29,6 +31,13 @@ pub const GAIN_PAIRS: usize = 10;
 
 /// The row name of a run's `failed / attempted` share.
 pub const FAILED_SHARE: &str = "failed_share";
+
+/// The metric name of a criterion bench's time per iteration.
+pub const NS_PER_ITER: &str = "ns_per_iter";
+
+/// Largest relative slowdown of a criterion bench's median that is no
+/// regression.
+pub const CRITERION_BOUND: f64 = 0.10;
 
 /// One end-to-end metric of the benchmark, with its regression bound.
 #[derive(Debug, Clone, PartialEq)]
@@ -205,41 +214,72 @@ fn result_values(line: &str) -> Result<BTreeMap<String, f64>, String> {
     Ok(values)
 }
 
-/// The comparison table of a pairs run, as Markdown. `samples` holds one
-/// run a line, `workload<TAB>pair<TAB>side<TAB>result line`, where side
-/// is `base` or `head`; a pair is counted for a workload only when both
-/// its sides ran. A metric no pair measured gets no row.
+/// Parses a `scripts/bench_baseline.sh` record into a name → ns/iter map:
+/// the `"name": number` lines of its `"benches"` object.
 ///
 /// # Errors
 ///
-/// A message if the manifest or a line does not parse, or a side is
-/// neither `base` nor `head`.
-pub fn table(manifest: &str, samples: &str) -> Result<String, String> {
-    let metrics = end_to_end(manifest)?;
-    // workload → pair → [base, head] result values.
-    type Sides = [Option<BTreeMap<String, f64>>; 2];
-    let mut runs: BTreeMap<&str, BTreeMap<&str, Sides>> = BTreeMap::new();
-    for line in samples.lines().filter(|l| !l.trim().is_empty()) {
-        let mut fields = line.splitn(4, '\t');
-        let (Some(workload), Some(pair), Some(side), Some(result)) =
-            (fields.next(), fields.next(), fields.next(), fields.next())
-        else {
-            return Err(format!("bad sample line {line:?}"));
-        };
-        let slot = match side {
-            "base" => 0,
-            "head" => 1,
-            _ => return Err(format!("bad side {side:?} in {line:?}")),
-        };
-        runs.entry(workload).or_default().entry(pair).or_default()[slot] =
-            Some(result_values(result)?);
+/// A message if the record has no benches or a line of them does not
+/// parse.
+fn parse_baseline(text: &str) -> Result<BTreeMap<String, f64>, String> {
+    let at = text.find("\"benches\"").ok_or("no \"benches\" object")?;
+    let mut map = BTreeMap::new();
+    for line in text[at..].lines().skip(1).map(str::trim) {
+        if line.is_empty() || line.starts_with('}') {
+            break;
+        }
+        let (name, value) = line
+            .trim_end_matches(',')
+            .split_once(':')
+            .ok_or_else(|| format!("expected \"name\": value, got {line:?}"))?;
+        let name = name.trim().trim_matches('"');
+        let ns = value
+            .trim()
+            .parse()
+            .map_err(|e| format!("bad number for {name}: {e}"))?;
+        map.insert(name.to_string(), ns);
     }
-    let mut out = String::from(
-        "| workload | metric | base median | head median | head/base | wins | base IQR | verdict |\n\
+    if map.is_empty() {
+        return Err("no benches found (is this a bench_baseline.json?)".into());
+    }
+    Ok(map)
+}
+
+/// Per row group (a workload or a bench), per pair, the values of the
+/// pair's two runs: `[base, head]`.
+type Runs = BTreeMap<String, BTreeMap<String, [Option<BTreeMap<String, f64>>; 2]>>;
+
+/// The non-blank lines of `samples`, each split at its first `N - 1` tabs;
+/// a line with fewer than `N` fields is an error.
+fn sample_lines<const N: usize>(samples: &str) -> Result<Vec<[&str; N]>, String> {
+    samples
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|line| {
+            let fields: Vec<&str> = line.splitn(N, '\t').collect();
+            fields
+                .try_into()
+                .map_err(|_| format!("bad sample line {line:?}"))
+        })
+        .collect()
+}
+
+/// Which of a pair's runs `side` is: `base` 0, `head` 1.
+fn slot(side: &str) -> Result<usize, String> {
+    let at = ["base", "head"].iter().position(|s| *s == side);
+    at.ok_or(format!("bad side {side:?}"))
+}
+
+/// The Markdown table of `runs`, one row per group and metric; `first`
+/// heads the group column. A pair is counted only when both its sides
+/// ran, and a metric no pair measured gets no row.
+fn rows(first: &str, metrics: &[Metric], runs: &Runs) -> String {
+    let mut out = format!(
+        "| {first} | metric | base median | head median | head/base | wins | base IQR | verdict |\n\
          |---|---|---|---|---|---|---|---|\n",
     );
-    for (workload, pairs) in &runs {
-        for metric in &metrics {
+    for (group, pairs) in runs {
+        for metric in metrics {
             let (base, head): (Vec<f64>, Vec<f64>) = pairs
                 .values()
                 .filter_map(|[b, h]| {
@@ -260,7 +300,7 @@ pub fn table(manifest: &str, samples: &str) -> Result<String, String> {
             };
             let _ = writeln!(
                 out,
-                "| {workload} | {} | {b:.6} | {h:.6} | {ratio} | {}/{} | {:.6} | {} |",
+                "| {group} | {} | {b:.6} | {h:.6} | {ratio} | {}/{} | {:.6} | {} |",
                 metric.name,
                 wins(metric, &base, &head),
                 base.len(),
@@ -269,7 +309,62 @@ pub fn table(manifest: &str, samples: &str) -> Result<String, String> {
             );
         }
     }
-    Ok(out)
+    out
+}
+
+/// The comparison table of a benchmark pairs run, as Markdown. `samples`
+/// holds one run a line, `workload<TAB>pair<TAB>side<TAB>result line`,
+/// where side is `base` or `head`; a pair is counted for a workload only
+/// when both its sides ran. A metric no pair measured gets no row.
+///
+/// # Errors
+///
+/// A message if the manifest or a line does not parse, or a side is
+/// neither `base` nor `head`.
+pub fn table(manifest: &str, samples: &str) -> Result<String, String> {
+    let metrics = end_to_end(manifest)?;
+    let mut runs = Runs::new();
+    for [workload, pair, side, result] in sample_lines(samples)? {
+        runs.entry(workload.to_string())
+            .or_default()
+            .entry(pair.to_string())
+            .or_default()[slot(side)?] = Some(result_values(result)?);
+    }
+    Ok(rows("workload", &metrics, &runs))
+}
+
+/// The comparison table of a criterion pairs run, as Markdown: one
+/// [`NS_PER_ITER`] row per bench, lower better, bound [`CRITERION_BOUND`].
+/// `samples` holds one run a line, `pair<TAB>side<TAB>record`, where side
+/// is `base` or `head` and `read` gives the `scripts/bench_baseline.sh`
+/// record the run wrote. A pair is counted for a bench only when both its
+/// sides measured it.
+///
+/// # Errors
+///
+/// A message if a line, or a record it reads, does not
+/// parse, a side is neither `base` nor `head`, or `read` fails.
+pub fn criterion_table(
+    samples: &str,
+    read: impl Fn(&str) -> Result<String, String>,
+) -> Result<String, String> {
+    let metric = Metric {
+        name: NS_PER_ITER.to_string(),
+        lower_is_better: true,
+        bound: CRITERION_BOUND,
+    };
+    let mut runs = Runs::new();
+    for [pair, side, record] in sample_lines(samples)? {
+        let slot = slot(side)?;
+        let benches = parse_baseline(&read(record)?).map_err(|e| format!("{record}: {e}"))?;
+        for (bench, ns) in benches {
+            runs.entry(bench)
+                .or_default()
+                .entry(pair.to_string())
+                .or_default()[slot] = Some(BTreeMap::from([(NS_PER_ITER.to_string(), ns)]));
+        }
+    }
+    Ok(rows("bench", &[metric], &runs))
 }
 
 #[cfg(test)]
@@ -423,5 +518,76 @@ mod tests {
         assert!(rows[1].contains("peak_rss_mb") && rows[1].ends_with("| same |"));
         assert!(rows[2].contains(FAILED_SHARE) && rows[2].contains("| - |"));
         assert!(table(MANIFEST, "w\t1\tother\t{}").is_err());
+    }
+
+    fn baseline(entries: &[(&str, f64)]) -> String {
+        let mut s =
+            String::from("{\n  \"_note\": \"median ns/iter per bench\",\n  \"benches\": {\n");
+        for (i, (name, ns)) in entries.iter().enumerate() {
+            s.push_str(&format!(
+                "    \"{name}\": {ns}{}\n",
+                if i + 1 < entries.len() { "," } else { "" }
+            ));
+        }
+        s.push_str("  }\n}\n");
+        s
+    }
+
+    #[test]
+    fn parses_the_generated_format() {
+        let text = baseline(&[("plan/hull_only", 22.47), ("convex_hull/256", 745.05)]);
+        let map = parse_baseline(&text).unwrap();
+        assert_eq!(map.len(), 2);
+        assert_eq!(map["plan/hull_only"], 22.47);
+    }
+
+    #[test]
+    fn rejects_garbage_and_empty() {
+        assert!(parse_baseline("{}").is_err());
+        let bad = "{\n\"benches\": {\n\"x\": notanumber\n}\n}";
+        assert!(parse_baseline(bad).unwrap_err().contains("bad number"));
+    }
+
+    /// The criterion table of `pairs` pairs, each side's record named
+    /// `<pair>.<side>`: `fast` reads 100 ns a pair in both sides, `slow`
+    /// reads 100 + pair in the base and `head` in the change, and `gone`
+    /// is in the base records only.
+    fn criterion(pairs: usize, head: f64) -> String {
+        let mut samples = String::new();
+        let mut records = BTreeMap::new();
+        for pair in 1..=pairs {
+            let base = 100.0 + pair as f64;
+            for (side, slow) in [("base", base), ("head", head)] {
+                let mut entries = vec![("fast/a", 100.0), ("slow/b", slow)];
+                if side == "base" {
+                    entries.push(("gone/c", 1.0));
+                }
+                let name = format!("{pair}.{side}");
+                samples += &format!("{pair}\t{side}\t{name}\n");
+                records.insert(name, baseline(&entries));
+            }
+        }
+        let read = |name: &str| records.get(name).cloned().ok_or(format!("no {name}"));
+        criterion_table(&samples, read).unwrap()
+    }
+
+    #[test]
+    fn the_criterion_table_has_an_ns_per_iter_row_per_bench() {
+        let text = criterion(10, 90.0);
+        let rows: Vec<&str> = text.lines().skip(2).collect();
+        assert!(text.starts_with("| bench | metric |"), "{text}");
+        assert_eq!(rows.len(), 2, "one row per bench both sides ran: {text}");
+        assert!(rows[0].starts_with("| fast/a | ns_per_iter |") && rows[0].ends_with("| same |"));
+        assert!(rows[1].starts_with("| slow/b | ns_per_iter |"), "{text}");
+        // Ten wins past the base's IQR gain; nine pairs of them do not.
+        assert!(rows[1].contains("| 10/10 |") && rows[1].ends_with("| gain |"));
+        assert!(criterion(9, 90.0).ends_with("| same |\n"));
+        // Lower is better and the bound is 10 %: the base median is 105.5.
+        assert!(criterion(10, 116.0).ends_with("| same |\n"));
+        assert!(criterion(10, 116.1).ends_with("| regression |\n"));
+        assert!(criterion(3, 150.0).ends_with("| regression |\n"));
+        let bad_side = criterion_table("1\tother\tr", |_| Ok(baseline(&[("a", 1.0)])));
+        assert!(bad_side.is_err());
+        assert!(criterion_table("1\tbase\tr", |_| Ok("{}".into())).is_err());
     }
 }

@@ -4,10 +4,7 @@
 //! `std::net::TcpStream`, one request/response pair at a time, and
 //! mirrors the local
 //! [`ShardedReconfigService`](crate::ShardedReconfigService) API so a
-//! curve producer can point at a remote plane unchanged. The batching
-//! seam is the same one the local service uses:
-//! [`submit_latest`](RpcClient::submit_latest) drains
-//! `CurveSource::next_curves` and sends only the newest curve, and
+//! curve producer can point at a remote plane unchanged. It batches:
 //! [`stage`](RpcClient::stage)/[`flush`](RpcClient::flush) coalesce many
 //! tenants' updates into one framed batch, bounded by both the entry cap
 //! and the frame byte budget.
@@ -38,7 +35,7 @@ use crate::wire::{
 };
 use talus_core::codec::{check_count, check_len, DecodeError};
 use talus_core::limits::{WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_FRAME_LEN};
-use talus_core::{CurveSource, MissCurve, PlaneHealth};
+use talus_core::{MissCurve, PlaneHealth};
 use talus_partition::{CacheSpec, Planner};
 
 /// Errors surfaced by the RPC client.
@@ -608,30 +605,6 @@ impl RpcClient {
     /// Entries currently staged and not yet sent.
     pub fn staged_len(&self) -> usize {
         self.staged.len()
-    }
-
-    /// Drains up to `max` pending updates from a [`CurveSource`] and
-    /// submits only the newest — the same backlog-coalescing contract as
-    /// the local [`submit_latest`](crate::ShardedReconfigService::submit_latest),
-    /// with the coalescing happening client-side so the stale backlog
-    /// never crosses the wire. Returns how many updates were drained.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`submit`](RpcClient::submit).
-    pub fn submit_latest(
-        &mut self,
-        id: CacheId,
-        tenant: usize,
-        source: &mut dyn CurveSource,
-        max: usize,
-    ) -> Result<usize, RpcError> {
-        let mut curves = source.next_curves(max);
-        let drained = curves.len();
-        if let Some(curve) = curves.pop() {
-            self.submit(id, tenant, curve)?;
-        }
-        Ok(drained)
     }
 
     /// Runs one planning epoch on the remote plane; staged entries are

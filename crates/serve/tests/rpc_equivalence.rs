@@ -17,7 +17,7 @@ use talus_core::limits::{
     WIRE_MAX_BATCH, WIRE_MAX_CURVE_POINTS, WIRE_MAX_EPOCH_IDS, WIRE_MAX_FRAME_LEN, WIRE_MAX_GRAINS,
     WIRE_MAX_TENANTS,
 };
-use talus_core::{MissCurve, ReplaySource, TalusOptions};
+use talus_core::{MissCurve, TalusOptions};
 use talus_partition::{put_spec, AllocPolicy, Planner};
 use talus_serve::wire::{decode_request, encode_request, Request, SubmitEntry, WIRE_VERSION};
 use talus_serve::{
@@ -218,53 +218,6 @@ fn staged_batches_equal_individual_submissions() {
         assert_eq!(a.version, b.version);
         assert_eq!(a.updates, b.updates);
     }
-    handle.shutdown();
-}
-
-/// The client-side `submit_latest` mirrors the local backlog-coalescing
-/// contract: same drained counts, same published plans, and the stale
-/// backlog never crosses the wire.
-#[test]
-fn submit_latest_coalesces_identically_across_the_wire() {
-    let local = ShardedReconfigService::new(1);
-    let (remote, mut client, handle) = loopback_plane(1);
-
-    let id = local.register(CacheSpec::new(512, 1));
-    assert_eq!(client.register(512, 1).expect("register"), id);
-
-    let backlog: Vec<MissCurve> = (0..5).map(|i| curve_from_seed(100 + i)).collect();
-    let mut local_source = ReplaySource::new(backlog.clone());
-    let mut rpc_source = ReplaySource::new(backlog);
-
-    let local_drained = local
-        .submit_latest(id, 0, &mut local_source, 8)
-        .expect("submit");
-    let rpc_drained = client
-        .submit_latest(id, 0, &mut rpc_source, 8)
-        .expect("submit over rpc");
-    assert_eq!(local_drained, rpc_drained);
-    assert_eq!(local_drained, 5);
-
-    assert_eq!(local.run_epoch(), client.run_epoch().expect("epoch"));
-    let a = local.snapshot(id).expect("published");
-    let b = remote.snapshot(id).expect("published");
-    assert_eq!(a.plan, b.plan);
-    assert_eq!(a.updates, 1, "backlog coalesced to one update");
-    assert_eq!(b.updates, 1, "backlog coalesced to one update over rpc");
-
-    // Exhausted source: nothing drained, nothing queued, on both planes.
-    assert_eq!(
-        local
-            .submit_latest(id, 0, &mut local_source, 8)
-            .expect("ok"),
-        0
-    );
-    assert_eq!(
-        client.submit_latest(id, 0, &mut rpc_source, 8).expect("ok"),
-        0
-    );
-    assert_eq!(local.pending(), 0);
-    assert_eq!(remote.pending(), 0);
     handle.shutdown();
 }
 

@@ -3,23 +3,23 @@
 #
 # The vendored criterion shim prints one `<name>  time: <value> <unit>`
 # line per benchmark; this script normalises every entry to nanoseconds
-# and emits a sorted, diff-stable JSON map. Perf PRs rerun it (on the
-# same machine class!) and diff the committed baseline with
-# scripts/bench_compare.sh to claim measured wins.
+# and emits a sorted, diff-stable JSON map.
 #
 # One shim run is a single short sample per bench, and a shared box
 # swings tens of percent between runs — always upwards: interference
 # only ever adds time. So the script runs the suite N times and keeps
-# each bench's *minimum*, which is what repeats from day to day.
+# each bench's *minimum*. A record is a trajectory point: to judge a
+# change, `scripts/pairs.sh --base <rev> --criterion FILTER` runs this
+# script with --runs 1 in both trees, alternating.
 #
 # Usage: scripts/bench_baseline.sh [--runs N] [output.json] [filter]
 #
 # --runs N (default 3) is the number of `cargo bench` runs; CI's
 # bench-smoke passes --runs 1 (it checks that benches run and parse, not
 # what they read). A filter substring restricts the runs to matching
-# bench names (the shim's criterion-style filtering), e.g. a fast
-# hot-path-only subset:
-#   scripts/bench_baseline.sh /tmp/hot.json monitor_
+# bench names (the shim's criterion-style filtering), e.g. the monitor
+# rows only:
+#   scripts/bench_baseline.sh /tmp/monitor.json monitor_
 set -euo pipefail
 cd "$(dirname "$0")/.."
 runs=3

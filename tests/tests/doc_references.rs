@@ -12,13 +12,19 @@
 //!   way the guides name crate-relative files (`tests/wire.rs`);
 //! - a citation `file.rs::[module::]name` names a `fn` or `mod` in that
 //!   file, every module before the name included; a trailing `*` makes
-//!   the name a prefix, and `file.rs::{a, b}` cites each of `a` and `b`.
+//!   the name a prefix, and `file.rs::{a, b}` cites each of `a` and `b`;
+//! - a span that starts `[module::]Type::item`, where the workspace
+//!   defines `Type` (a struct, enum, union, trait or type alias), names a
+//!   `fn` or `const` of an impl of `Type` or of a trait it implements, a
+//!   field, a variant or a trait item — an alias has its target's.
+//!   Types the workspace does not define (`Arc::get_mut`) are std's or a
+//!   dependency's and are not checked.
 //!
 //! Brace lists in paths expand (`src/{record,journal}.rs`). Paths under
 //! the directories runs write into (`results/`, `benchmark/out/`,
 //! `target/`) are outputs, not sources, and are not checked.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -199,6 +205,309 @@ fn citations(span: &str) -> Vec<(String, String)> {
         .collect()
 }
 
+/// `source` with its comments and the insides of its string and char
+/// literals blanked, so that braces and words in them do not count.
+fn code_only(source: &str) -> String {
+    let chars: Vec<char> = source.chars().collect();
+    let at = |i: usize| chars.get(i).copied().unwrap_or('\0');
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut out = String::with_capacity(source.len());
+    let mut i = 0;
+    while i < chars.len() {
+        let c = chars[i];
+        if c == '/' && at(i + 1) == '/' {
+            while i < chars.len() && chars[i] != '\n' {
+                i += 1;
+            }
+        } else if c == '/' && at(i + 1) == '*' {
+            let mut depth = 0;
+            while i < chars.len() {
+                if chars[i] == '/' && at(i + 1) == '*' {
+                    (depth, i) = (depth + 1, i + 2);
+                } else if chars[i] == '*' && at(i + 1) == '/' {
+                    (depth, i) = (depth - 1, i + 2);
+                    if depth == 0 {
+                        break;
+                    }
+                } else {
+                    i += 1;
+                }
+            }
+            out.push(' ');
+        } else if c == 'r' && !ident(at(i.wrapping_sub(1))) && matches!(at(i + 1), '"' | '#') {
+            // A raw string: `r"…"` or `r#"…"#`, any number of `#`s.
+            let hashes = (i + 1..chars.len())
+                .take_while(|&j| chars[j] == '#')
+                .count();
+            if at(i + 1 + hashes) != '"' {
+                out.push(c);
+                i += 1;
+                continue;
+            }
+            i += hashes + 2;
+            while i < chars.len() && !(chars[i] == '"' && (1..=hashes).all(|h| at(i + h) == '#')) {
+                i += 1;
+            }
+            i += hashes + 1;
+            out.push_str("\"\"");
+        } else if c == '"' {
+            i += 1;
+            while i < chars.len() && chars[i] != '"' {
+                i += if chars[i] == '\\' { 2 } else { 1 };
+            }
+            i += 1;
+            out.push_str("\"\"");
+        } else if c == '\'' && (at(i + 1) == '\\' || at(i + 2) == '\'') {
+            // A char literal; a lifetime has no closing quote.
+            i += if at(i + 1) == '\\' { 3 } else { 2 };
+            while i < chars.len() && chars[i] != '\'' {
+                i += 1;
+            }
+            i += 1;
+            out.push_str("' '");
+        } else {
+            out.push(c);
+            i += 1;
+        }
+    }
+    out
+}
+
+/// The tokens of blanked code: words, `::`, and single other characters.
+fn tokens(code: &str) -> Vec<&str> {
+    let mut tokens = Vec::new();
+    let mut rest = code.trim_start();
+    while let Some(c) = rest.chars().next() {
+        let len = if c.is_alphanumeric() || c == '_' {
+            rest.find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len())
+        } else if rest.starts_with("::") {
+            2
+        } else {
+            c.len_utf8()
+        };
+        tokens.push(&rest[..len]);
+        rest = rest[len..].trim_start();
+    }
+    tokens
+}
+
+fn is_word(token: &str) -> bool {
+    token.starts_with(|c: char| c.is_alphabetic() || c == '_')
+}
+
+/// The index of the token that closes the bracket opened at `open`.
+fn closing(tokens: &[&str], open: usize) -> usize {
+    let mut depth = 0i32;
+    for (i, token) in tokens.iter().enumerate().skip(open) {
+        match *token {
+            "{" | "(" | "[" => depth += 1,
+            "}" | ")" | "]" => depth -= 1,
+            _ => {}
+        }
+        if depth == 0 {
+            return i;
+        }
+    }
+    tokens.len()
+}
+
+/// The tokens of `body` at its own bracket depth, each with the token
+/// before it (`""` first): nested blocks, argument lists and attributes
+/// are skipped.
+fn top_level<'a>(body: &[&'a str]) -> Vec<(&'a str, &'a str)> {
+    let mut out = Vec::new();
+    let (mut i, mut previous) = (0, "");
+    while i < body.len() {
+        let token = body[i];
+        out.push((previous, token));
+        previous = token;
+        i = if matches!(token, "{" | "(" | "[") {
+            closing(body, i) + 1
+        } else {
+            i + 1
+        };
+    }
+    out
+}
+
+/// The name of the type a type expression starts with: past generics,
+/// `&`, `mut`, `dyn` and lifetimes, the last segment of its path.
+fn type_name(tokens: &[&str]) -> Option<String> {
+    let mut i = 0;
+    if tokens.first() == Some(&"<") {
+        let mut depth = 0;
+        while i < tokens.len() {
+            match (tokens[i], i.checked_sub(1).map(|p| tokens[p])) {
+                ("<", _) => depth += 1,
+                (">", Some(previous)) if previous != "-" => depth -= 1,
+                _ => {}
+            }
+            i += 1;
+            if depth == 0 {
+                break;
+            }
+        }
+    }
+    let mut name = None;
+    while i < tokens.len() {
+        match tokens[i] {
+            "&" | "mut" | "dyn" | "'" => {}
+            token if is_word(token) => {
+                name = Some(token.to_string());
+                if tokens.get(i + 1) != Some(&"::") {
+                    return name;
+                }
+                i += 1;
+            }
+            _ => return name,
+        }
+        i += 1;
+    }
+    name
+}
+
+/// What the workspace's sources say of its types.
+#[derive(Default)]
+struct Types {
+    /// The structs, enums, unions, traits and aliases defined.
+    defined: BTreeSet<String>,
+    /// Each type's own members, from its definition and its impls.
+    members: BTreeMap<String, BTreeSet<String>>,
+    /// The types whose members a type also has: the traits it
+    /// implements, an alias's target.
+    inherits: BTreeMap<String, BTreeSet<String>>,
+}
+
+impl Types {
+    /// Reads one source file's definitions and impls.
+    fn read(&mut self, source: &str) {
+        let code = code_only(source);
+        let t = tokens(&code);
+        let at = |i: usize| t.get(i).copied().unwrap_or("");
+        // The end of the last impl or trait body begun: a `type` before
+        // it is an associated type, not an alias.
+        let mut body_end = 0;
+        for i in 0..t.len() {
+            let item_start = matches!(
+                i.checked_sub(1).map(|p| t[p]),
+                None | Some("}" | ";" | "{" | "]" | ")" | "pub" | "unsafe")
+            );
+            match t[i] {
+                kind @ ("struct" | "enum" | "union" | "trait") if is_word(at(i + 1)) => {
+                    let name = at(i + 1).to_string();
+                    self.defined.insert(name.clone());
+                    let open = (i + 2..t.len())
+                        .find(|&j| matches!(t[j], "{" | ";" | "("))
+                        .unwrap_or(t.len());
+                    if at(open) != "{" {
+                        continue;
+                    }
+                    let close = closing(&t, open).min(t.len());
+                    if kind == "trait" {
+                        body_end = body_end.max(close);
+                    }
+                    let level = top_level(&t[open + 1..close]);
+                    let members = self.members.entry(name).or_default();
+                    for (k, &(previous, token)) in level.iter().enumerate() {
+                        let member = match kind {
+                            "trait" => matches!(previous, "fn" | "const" | "type"),
+                            // A variant starts the body, follows a comma
+                            // or follows an attribute's brackets.
+                            "enum" => matches!(previous, "" | "," | "[") && is_word(token),
+                            // A field is the word before a colon.
+                            _ => is_word(token) && level.get(k + 1).map(|n| n.1) == Some(":"),
+                        };
+                        if member {
+                            members.insert(token.to_string());
+                        }
+                    }
+                }
+                "type" if item_start && i > body_end && is_word(at(i + 1)) => {
+                    let end = (i..t.len()).find(|&j| t[j] == ";").unwrap_or(t.len());
+                    let Some(eq) = (i..end).find(|&j| t[j] == "=") else {
+                        continue;
+                    };
+                    if let Some(target) = type_name(&t[eq + 1..end]) {
+                        self.defined.insert(at(i + 1).to_string());
+                        self.inherits
+                            .entry(at(i + 1).to_string())
+                            .or_default()
+                            .insert(target);
+                    }
+                }
+                "impl" if item_start => {
+                    let Some(open) = (i + 1..t.len()).find(|&j| t[j] == "{") else {
+                        continue;
+                    };
+                    let header = &t[i + 1..open];
+                    let split = header
+                        .iter()
+                        .position(|&token| token == "for")
+                        .filter(|&f| header.get(f + 1) != Some(&"<"));
+                    let (implemented, self_ty) = match split {
+                        Some(f) => (type_name(&header[..f]), type_name(&header[f + 1..])),
+                        None => (None, type_name(header)),
+                    };
+                    let Some(self_ty) = self_ty else {
+                        continue;
+                    };
+                    let close = closing(&t, open).min(t.len());
+                    body_end = body_end.max(close);
+                    let members = top_level(&t[open + 1..close])
+                        .into_iter()
+                        .filter(|(previous, _)| matches!(*previous, "fn" | "const" | "type"))
+                        .map(|(_, name)| name.to_string());
+                    self.members
+                        .entry(self_ty.clone())
+                        .or_default()
+                        .extend(members);
+                    self.inherits
+                        .entry(self_ty)
+                        .or_default()
+                        .extend(implemented);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Whether `item` is a member of `ty`, its traits' or its target's.
+    fn has(&self, ty: &str, item: &str) -> bool {
+        let mut seen = BTreeSet::new();
+        let mut todo = vec![ty];
+        while let Some(ty) = todo.pop() {
+            if !seen.insert(ty) {
+                continue;
+            }
+            if self.members.get(ty).is_some_and(|m| m.contains(item)) {
+                return true;
+            }
+            todo.extend(
+                self.inherits
+                    .get(ty)
+                    .into_iter()
+                    .flatten()
+                    .map(String::as_str),
+            );
+        }
+        false
+    }
+}
+
+/// `(Type, item)` if `span` starts `[module::]Type::item`: lower-case
+/// module names, a capitalised type name, then the item's name.
+fn type_item(span: &str) -> Option<(&str, &str)> {
+    let word = |s: &str| !s.is_empty() && s.chars().all(|c| c.is_alphanumeric() || c == '_');
+    let mut segments = span.split("::");
+    let ty = segments.find(|&s| !(word(s) && s.starts_with(|c: char| c.is_lowercase())))?;
+    let item = segments.next()?;
+    let item = &item[..item
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(item.len())];
+    (word(ty) && ty.starts_with(char::is_uppercase) && word(item)).then_some((ty, item))
+}
+
 /// Every dangling name in the four documents, as `document: span`.
 fn dangling_references(root: &Path) -> Vec<String> {
     let files = workspace_files(root);
@@ -206,6 +515,10 @@ fn dangling_references(root: &Path) -> Vec<String> {
         .iter()
         .filter_map(|f| f.split_once('/').map(|(top, _)| top.to_string()))
         .collect();
+    let mut types = Types::default();
+    for file in files.iter().filter(|f| f.ends_with(".rs")) {
+        types.read(&fs::read_to_string(root.join(file)).expect("readable source"));
+    }
     let mut dangling = Vec::new();
     for document in DOCUMENTS {
         let text = fs::read_to_string(root.join(document)).expect("the document exists");
@@ -217,6 +530,11 @@ fn dangling_references(root: &Path) -> Vec<String> {
                     if !output && !path_exists(root, &files, &path) {
                         dangling.push(format!("{document}: path `{path}`"));
                     }
+                }
+            }
+            if let Some((ty, item)) = type_item(span).filter(|_| !span.contains(".rs::")) {
+                if types.defined.contains(ty) && !types.has(ty, item) {
+                    dangling.push(format!("{document}: member `{ty}::{item}`"));
                 }
             }
             for (file, item) in citations(span) {
@@ -280,4 +598,60 @@ fn the_checker_reads_paths_and_citations_the_way_the_guides_write_them() {
         resolve(&files, "s/wire.rs").is_empty(),
         "whole components only"
     );
+}
+
+#[test]
+fn the_checker_reads_type_members_the_way_rust_declares_them() {
+    let source = r##"
+        pub struct Plane<T: Clone> { pub(crate) shards: Vec<T>, depth: u8 }
+        enum Verdict { #[default] Same, Gain = 2, Lost { why: u8 } }
+        /// `fn not_a_member` in a comment /* and { an unclosed brace
+        impl<T: Clone> Plane<T> where T: Send {
+            pub const CAP: usize = 1;
+            pub fn run(&self) -> &str { fn nested() {} "}" }
+            const RAW: &str = r#"{ fn fake() "#;
+        }
+        trait Sink { fn begin(&self); fn end(&self) {} type Out; }
+        impl<T: Clone> Sink for Plane<T> { fn begin(&self) { let _ = ('{', '\'', 'a'); } type Out = u8; }
+        pub type Local = Plane<u8>;
+        fn make() -> impl Sink { todo!() }
+    "##;
+    let mut types = Types::default();
+    types.read(source);
+    for member in [
+        "Plane::shards",
+        "Plane::depth",
+        "Plane::CAP",
+        "Plane::run",
+        "Plane::RAW",
+        "Plane::begin",
+        "Plane::end",
+        "Verdict::Same",
+        "Verdict::Gain",
+        "Verdict::Lost",
+        "Local::run",
+        "Local::end",
+        "Sink::Out",
+    ] {
+        let (ty, item) = type_item(member).expect("a member span");
+        assert!(types.has(ty, item), "{member}");
+    }
+    for stray in [
+        "Plane::nested",
+        "Plane::not_a_member",
+        "Plane::fake",
+        "Verdict::why",
+        "Local::make",
+    ] {
+        let (ty, item) = type_item(stray).expect("a member span");
+        assert!(!types.has(ty, item), "{stray}");
+    }
+    assert!(types.defined.contains("Local") && !types.defined.contains("Out"));
+    assert_eq!(
+        type_item("talus_partition::Planner::plan_managed_in(&curves)"),
+        Some(("Planner", "plan_managed_in"))
+    );
+    assert_eq!(type_item("Arc::get_mut"), Some(("Arc", "get_mut")));
+    assert_eq!(type_item("wire::encode_request"), None);
+    assert_eq!(type_item("SetAssoc<L, P>::probe"), None);
 }
