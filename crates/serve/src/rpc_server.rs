@@ -150,13 +150,6 @@ impl RpcServer {
         self.addr
     }
 
-    /// The plane this server fronts. Tests use this to inspect
-    /// snapshots server-side and compare them bit-for-bit with a local
-    /// plane's.
-    pub fn service(&self) -> &Arc<ShardedReconfigService> {
-        &self.service
-    }
-
     /// Starts the accept loop on a background thread and returns a
     /// handle that stops it (and is also stopped on drop).
     ///

@@ -6,6 +6,19 @@
 //! to steer accesses between the α and β shadow partitions. H3 computes
 //! each output bit as the parity of the input ANDed with a random mask,
 //! which in software reduces to XOR-folding `mask & input`.
+//!
+//! Two rules keep every per-access kernel in the crate cheap, and
+//! [`H3Hasher::hash_reference`] — the mask-and-parity network gate for
+//! gate — is the oracle every faster form is tested against:
+//!
+//! 1. *Hash once per line.* A structure that hashes one address with more
+//!    than one H3 function takes them all from one [`H3Bank`], whose
+//!    lanes share one walk over the address's bytes. A lone hash stays an
+//!    [`H3Hasher`].
+//! 2. *No per-access `%` or `/` by a value fixed at construction.* Set,
+//!    row and sampling-ratio remainders go through [`FastMod32`], so set,
+//!    row and monitor-set counts are checked to fit 32 bits when the
+//!    structure is built.
 
 use crate::addr::LineAddr;
 

@@ -10,8 +10,8 @@
 //!
 //! ## Shape
 //!
-//! - [`Record`] / [`encode_record`] / [`decode_record`] / [`records`] /
-//!   [`scan`]: the v3 on-disk format — length-prefixed, checksummed
+//! - [`Record`] / [`encode_record`] / [`decode_record`] / [`scan`]: the
+//!   v3 on-disk format — length-prefixed, checksummed
 //!   ([`checksum64`]), little-endian records with a *total*
 //!   (never-panicking) decoder; a curve is its sizes and then its miss
 //!   values, decoded by the wire's decoders. A record that fails to
@@ -24,8 +24,8 @@
 //!   the byte layout and recovery rules.
 //! - [`RecordStream`] / [`records_from`]: the same decoder over any
 //!   reader, through one fixed window ([`STREAM_WINDOW_LEN`]) — the only
-//!   way a shard file is read ([`Store::stream_shard`]). [`records`] and
-//!   [`scan`] stay for callers that already hold the bytes.
+//!   way a shard file is read ([`Store::stream_shard`]). [`scan`] stays
+//!   for callers that already hold the bytes.
 //! - [`Store`]: N journal files (`shard-NNN.talus`, listed by
 //!   [`shard_files`]) in one directory, cache `id` in file [`talus_core::shard_of`]`(id, N)` — the same
 //!   placement the serve router uses, so restore never moves records
@@ -111,8 +111,8 @@ mod stream;
 
 pub use journal::ShardRecovery;
 pub use record::{
-    checksum64, decode_record, encode_record, encode_record_into, fnv1a64, records, scan, Record,
-    Records, Scan, StoreError, RECORD_HEADER_LEN, STORE_VERSION,
+    checksum64, decode_record, encode_record, encode_record_into, fnv1a64, scan, Record, Scan,
+    StoreError, RECORD_HEADER_LEN, STORE_VERSION,
 };
 pub use store::{shard_files, CurveUpdate, RecoveryReport, Store, StoreSink};
 pub use stream::{records_from, RecordStream, STREAM_WINDOW_LEN};

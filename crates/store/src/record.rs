@@ -35,7 +35,7 @@
 //! - curve payloads are re-validated by [`MissCurve::decode_grid`] and
 //!   [`MissCurve::decode_values`], the wire's decoders, so a decoded
 //!   curve upholds every invariant a locally built one does (a stream's
-//!   curves on the same size bytes — [`records`], [`scan`],
+//!   curves on the same size bytes — [`scan`],
 //!   [`RecordStream`](crate::RecordStream) — share one grid, validated
 //!   when its first curve was decoded);
 //! - trailing bytes after a well-formed body are an error (the shared
@@ -65,12 +65,11 @@
 //! record, or of every record one registry-lock hold produced (see
 //! [`crate::StoreSink::begin`]) — so a crash leaves whole records and
 //! then at most one *prefix* of a record at the end of a journal file.
-//! [`records`] (and [`scan`], which collects it) stops at the first
-//! record that fails to decode (truncated header, short payload,
-//! checksum mismatch, …) and reports the valid prefix length; so does
-//! [`crate::RecordStream`], which runs the same decoder over a file
-//! without holding it in memory, and [`crate::Store::open`] truncates
-//! the file there. Torn tails are therefore detected and cleanly
+//! [`scan`] stops at the first record that fails to decode (truncated
+//! header, short payload, checksum mismatch, …) and reports the valid
+//! prefix length; so does [`crate::RecordStream`], which runs the same
+//! decoder over a file without holding it in memory, and
+//! [`crate::Store::open`] truncates the file there. Torn tails are therefore detected and cleanly
 //! ignored, never replayed.
 //!
 //! ## Versioning rules
@@ -753,79 +752,31 @@ pub struct Scan {
     pub tail: Option<StoreError>,
 }
 
-/// A borrowing iterator over the records of a journal byte stream: it
-/// decodes one record per `next` and stops for good at the first
-/// undecodable byte. Once it has returned `None`,
-/// [`consumed`](Records::consumed) is the length of the valid prefix and
-/// [`tail`](Records::tail) says why the stream ended there. Never
-/// panics; nothing is held but the record being decoded. For bytes that
-/// are still in a file, [`crate::RecordStream`] does the same without
-/// reading the file whole.
-#[derive(Debug)]
-pub struct Records<'a> {
-    buf: &'a [u8],
-    consumed: usize,
-    tail: Option<StoreError>,
-    /// The stream's curves share a grid while their sizes do.
-    grids: LastGrid,
-}
-
-/// Iterates the records of a journal byte stream; see [`Records`].
-pub fn records(buf: &[u8]) -> Records<'_> {
-    Records {
-        buf,
-        consumed: 0,
-        tail: None,
-        grids: LastGrid::default(),
-    }
-}
-
-impl Records<'_> {
-    /// Bytes of the records returned so far — the whole valid prefix
-    /// once the iterator is exhausted.
-    pub fn consumed(&self) -> usize {
-        self.consumed
-    }
-
-    /// Why iteration stopped before the end of the stream, if it did
-    /// (`None` = still going, or the stream ended exactly at a record
-    /// boundary).
-    pub fn tail(&self) -> Option<&StoreError> {
-        self.tail.as_ref()
-    }
-}
-
-impl Iterator for Records<'_> {
-    type Item = Record;
-
-    fn next(&mut self) -> Option<Record> {
-        if self.tail.is_some() || self.consumed == self.buf.len() {
-            return None;
-        }
-        match decode_record_in(&self.buf[self.consumed..], &mut self.grids) {
-            Ok((rec, used)) => {
-                self.consumed += used;
-                Some(rec)
-            }
-            Err(e) => {
-                self.tail = Some(e);
-                None
-            }
-        }
-    }
-}
-
 /// Scans a journal byte stream record by record, stopping at the first
 /// undecodable byte. Never panics; the valid prefix plus the tail
 /// diagnosis is the recovery contract — everything before `consumed` is
-/// intact, everything after is a torn tail to drop. This is [`records`]
-/// collected.
+/// intact, everything after is a torn tail to drop. The stream's curves
+/// share a grid while their sizes do, as [`crate::RecordStream`]'s do;
+/// that stream gives the same records, prefix and tail for bytes that are
+/// still in a file.
 pub fn scan(buf: &[u8]) -> Scan {
-    let mut iter = records(buf);
-    let records = iter.by_ref().collect();
+    let mut grids = LastGrid::default();
+    let (mut records, mut consumed, mut tail) = (Vec::new(), 0, None);
+    while consumed < buf.len() {
+        match decode_record_in(&buf[consumed..], &mut grids) {
+            Ok((rec, used)) => {
+                records.push(rec);
+                consumed += used;
+            }
+            Err(e) => {
+                tail = Some(e);
+                break;
+            }
+        }
+    }
     Scan {
         records,
-        consumed: iter.consumed,
-        tail: iter.tail,
+        consumed,
+        tail,
     }
 }

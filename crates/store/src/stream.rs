@@ -22,7 +22,7 @@ const _: () = assert!(STREAM_WINDOW_LEN >= RECORD_HEADER_LEN + STORE_MAX_RECORD_
 /// A streaming iterator over the records a reader yields, read through
 /// one fixed window.
 ///
-/// [`records`](crate::records) decodes a journal that is already in
+/// [`scan`](crate::scan) decodes a journal that is already in
 /// memory. A shard file is not: it grows for as long as the plane runs,
 /// and a restart that read it whole would cost memory in proportion to
 /// the journal's history, not to the state it rebuilds. `RecordStream`
@@ -30,7 +30,7 @@ const _: () = assert!(STREAM_WINDOW_LEN >= RECORD_HEADER_LEN + STORE_MAX_RECORD_
 /// [`STREAM_WINDOW_LEN`] bytes, runs the same
 /// [`decode_record`](crate::decode_record) over it, and gives the same
 /// records, the same [`consumed`](RecordStream::consumed) and the same
-/// [`tail`](RecordStream::tail) as `records` over the whole file would.
+/// [`tail`](RecordStream::tail) as `scan` over the whole file would.
 /// The window is allocated once and never grows: it is sized at compile
 /// time to hold the largest record the format allows, so there is
 /// nothing to tune and no input that makes it bigger.
@@ -203,7 +203,7 @@ mod tests {
     use talus_partition::{CacheSpec, Planner};
 
     use super::*;
-    use crate::record::{encode_record, records, scan};
+    use crate::record::{encode_record, scan};
     use crate::{Store, StoreSink};
 
     fn curve(sizes: &[f64], top: f64) -> MissCurve {
@@ -243,11 +243,7 @@ mod tests {
             written.push(rec);
         }
         let streamed: Vec<Record> = records_from(&journal[..]).map(Result::unwrap).collect();
-        for got in [
-            streamed,
-            records(&journal).collect(),
-            scan(&journal).records,
-        ] {
+        for got in [streamed, scan(&journal).records] {
             let got_curves: Vec<&Record> = got
                 .iter()
                 .filter(|r| matches!(r, Record::Curve { .. }))

@@ -1,10 +1,10 @@
 //! The journal's curve reader and the grid it remembers.
 //!
 //! A curve record holds its sizes, then its miss values, in the values
-//! form the wire sends. A stream's reader ([`records`], [`scan`],
-//! `RecordStream`) keeps the grid of the last curve it decoded and the
-//! bytes it came from: a next curve on the same size bytes shares that
-//! grid and has its miss values checked alone. These properties pin that
+//! form the wire sends. A stream's reader ([`scan`], `RecordStream`)
+//! keeps the grid of the last curve it decoded and the bytes it came
+//! from: a next curve on the same size bytes shares that grid and has
+//! its miss values checked alone. These properties pin that
 //! memory down: a curve read through it is the curve, or the error, of a
 //! record decoded alone, bit for bit; a grid is shared exactly when the
 //! size bytes are the same (one ulp, a `-0.0` or a point apart gets its
@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use talus_core::codec::DecodeError;
 use talus_core::{CurveError, CurvePoint, MissCurve};
 use talus_store::{
-    checksum64, decode_record, encode_record, records, Record, StoreError, STORE_VERSION,
+    checksum64, decode_record, encode_record, records_from, scan, Record, StoreError, STORE_VERSION,
 };
 
 /// A curve record over any points, valid or not, framed as the store
@@ -64,12 +64,13 @@ fn fresh(record: &[u8]) -> Result<MissCurve, CurveError> {
 
 /// Every curve of `journal` as one stream reads it, and how it ended.
 fn streamed(journal: &[u8]) -> (Vec<MissCurve>, Option<StoreError>) {
-    let mut stream = records(journal);
-    let curves = stream
-        .by_ref()
+    let scanned = scan(journal);
+    let curves = scanned
+        .records
+        .into_iter()
         .map(|rec| curve_or_error(Ok(rec)).unwrap())
         .collect();
-    (curves, stream.tail().cloned())
+    (curves, scanned.tail)
 }
 
 fn points_of(curve: &MissCurve) -> Vec<CurvePoint> {
@@ -230,9 +231,9 @@ fn a_grid_is_shared_only_by_sizes_with_the_same_bytes() {
     let base = [0.0, 64.0, 128.0];
     let mut journal = curve_record(0, &on(&base, &[9.0, 5.0, 1.0]));
     journal.extend_from_slice(&curve_record(1, &on(&base, &[8.0, 4.0, 2.0])));
-    let mut stream = records(&journal);
-    let first = curve_or_error(Ok(stream.next().unwrap())).unwrap();
-    let same = curve_or_error(Ok(stream.next().unwrap())).unwrap();
+    let mut stream = records_from(&journal[..]);
+    let first = curve_or_error(stream.next().unwrap()).unwrap();
+    let same = curve_or_error(stream.next().unwrap()).unwrap();
     assert!(Arc::ptr_eq(first.grid(), same.grid()));
     assert_eq!(
         Arc::strong_count(first.grid()),
@@ -302,10 +303,10 @@ fn a_curve_on_a_remembered_grid_is_still_validated() {
     ] {
         let bad = curve_record(1, &on(&sizes, &[3.0, 2.0, 1.0]));
         let journal = [&prime[..], &bad[..]].concat();
-        let mut stream = records(&journal);
-        assert_eq!(stream.by_ref().count(), 1);
-        assert_eq!(stream.consumed(), prime.len());
-        let got = curve_or_error(Err(stream.tail().cloned().unwrap()));
+        let scanned = scan(&journal);
+        assert_eq!(scanned.records.len(), 1);
+        assert_eq!(scanned.consumed, prime.len());
+        let got = curve_or_error(Err(scanned.tail.unwrap()));
         assert!(same(&got, &Err(want)), "{got:?}");
         assert!(same(&got, &fresh(&bad)));
     }

@@ -25,9 +25,8 @@ use talus_core::limits::{
 use talus_core::{FaultAction, FaultScript, MissCurve, ShadowConfig, TalusOptions, TalusPlan};
 use talus_partition::{AllocPolicy, CachePlan, CacheSpec, Planner, TenantPlan};
 use talus_store::{
-    checksum64, decode_record, encode_record, encode_record_into, fnv1a64, records, records_from,
-    scan, Record, Store, StoreError, StoreSink, RECORD_HEADER_LEN, STORE_VERSION,
-    STREAM_WINDOW_LEN,
+    checksum64, decode_record, encode_record, encode_record_into, fnv1a64, records_from, scan,
+    Record, Store, StoreError, StoreSink, RECORD_HEADER_LEN, STORE_VERSION, STREAM_WINDOW_LEN,
 };
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
@@ -1233,7 +1232,11 @@ fn sync_inside_a_scope_writes_the_pending_records_first() {
     assert_eq!(shard_len(&dir, 0), 0);
     store.sync().expect("sync");
     let bytes = std::fs::read(dir.join("shard-000.talus")).unwrap();
-    assert_eq!(records(&bytes).count(), 2, "sync wrote what the scope held");
+    assert_eq!(
+        scan(&bytes).records.len(),
+        2,
+        "sync wrote what the scope held"
+    );
     // The scope is still open, and still commits what comes after.
     store.deregister(1);
     assert_eq!(shard_len(&dir, 0), bytes.len() as u64);
@@ -1621,7 +1624,7 @@ fn curve_journal(first_seq: u64, count: u64) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `records_from(reader)` ≡ `records(&bytes)` on random journals —
+    /// `records_from(reader)` ≡ `scan(&bytes)` on random journals —
     /// clean, torn at a random byte, or followed by soup — whatever the
     /// sizes of the reads that deliver them.
     #[test]

@@ -1,5 +1,6 @@
 //! The prose names real things: every repo path and every test citation
-//! in the project's guides points at something that exists.
+//! in the project's guides points at something that exists, and every
+//! test filter of the CI file selects a test.
 //!
 //! Four documents are read — `ARCHITECTURE.md`, `README.md`,
 //! `docs/PAPER_MAP.md` and `.claude/skills/verify/SKILL.md` — and every
@@ -23,6 +24,14 @@
 //! Brace lists in paths expand (`src/{record,journal}.rs`). Paths under
 //! the directories runs write into (`results/`, `benchmark/out/`,
 //! `target/`) are outputs, not sources, and are not checked.
+//!
+//! Every `cargo test … -p PKG` line of `.github/workflows/ci.yml` is read
+//! too, from the sources alone: each `--test T` names an integration test
+//! of `PKG`, `--lib` is given only to a crate with a library, and each
+//! name filter matches the path of at least one `#[test]` fn in the
+//! targets the line selects — a filter that matches nothing passes with
+//! "0 passed", so a rename would silently empty the step. And
+//! `ARCHITECTURE.md` keeps to its line budget.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -37,6 +46,12 @@ const DOCUMENTS: [&str; 4] = [
 
 /// Extensions that make a span a file path.
 const EXTENSIONS: [&str; 6] = ["rs", "md", "sh", "toml", "json", "yml"];
+
+/// The CI file whose `cargo test` lines are checked.
+const CI: &str = ".github/workflows/ci.yml";
+
+/// The most lines `ARCHITECTURE.md` may have.
+const ARCHITECTURE_BUDGET: usize = 450;
 
 /// Where runs write: paths under these are outputs.
 const OUTPUTS: [&str; 4] = ["results/", "benchmark/out/", "target/", "benchmark/target/"];
@@ -549,6 +564,303 @@ fn dangling_references(root: &Path) -> Vec<String> {
         }
     }
     dangling
+}
+
+/// One `cargo test` command of the CI file that names a package.
+#[derive(Debug, Default, PartialEq)]
+struct CiTest {
+    /// The command's line in the CI file, from 1.
+    line: usize,
+    package: String,
+    lib: bool,
+    /// The `--test` targets.
+    tests: Vec<String>,
+    /// The test-name filters.
+    filters: Vec<String>,
+}
+
+/// Every `cargo test` command of `yml` that names a package (`-p`); the
+/// arguments after `--` go to the test binaries and are not read.
+fn ci_tests(yml: &str) -> Vec<CiTest> {
+    let mut commands = Vec::new();
+    for (at, line) in yml.lines().enumerate() {
+        let Some((_, args)) = line
+            .split_once("cargo test")
+            .filter(|_| !line.trim_start().starts_with('#'))
+        else {
+            continue;
+        };
+        let mut command = CiTest {
+            line: at + 1,
+            ..CiTest::default()
+        };
+        let mut words = args.split_whitespace();
+        while let Some(word) = words.next() {
+            match word {
+                "--" | "&&" | "||" | ";" | "|" => break,
+                "-p" | "--package" => command.package = words.next().unwrap_or("").to_string(),
+                "--test" => command.tests.extend(words.next().map(str::to_string)),
+                "--lib" => command.lib = true,
+                "--manifest-path" | "--features" | "--bin" | "--example" => {
+                    words.next();
+                }
+                flag if flag.starts_with('-') => {}
+                filter => command.filters.push(filter.to_string()),
+            }
+        }
+        if !command.package.is_empty() {
+            commands.push(command);
+        }
+    }
+    commands
+}
+
+/// Each package's directory from the root, by the name its `Cargo.toml`
+/// gives it.
+fn packages(root: &Path, files: &[String]) -> BTreeMap<String, String> {
+    let mut packages = BTreeMap::new();
+    for manifest in files
+        .iter()
+        .filter(|f| f.rsplit('/').next() == Some("Cargo.toml"))
+    {
+        let text = fs::read_to_string(root.join(manifest)).expect("readable manifest");
+        let Some((_, package)) = text.split_once("[package]") else {
+            continue;
+        };
+        let name = package
+            .lines()
+            .take_while(|line| !line.starts_with('['))
+            .find_map(|line| {
+                let (key, value) = line.split_once('=')?;
+                (key.trim() == "name").then(|| value.trim().trim_matches('"').to_string())
+            });
+        if let Some(name) = name {
+            let dir = manifest
+                .trim_end_matches("Cargo.toml")
+                .trim_end_matches('/');
+            packages.insert(name, dir.to_string());
+        }
+    }
+    packages
+}
+
+/// The path of every `#[test]` fn in `source`, as libtest names it: under
+/// `module` (the file's own module path, `""` at a crate root) and the
+/// inline modules around the fn.
+fn test_paths(source: &str, module: &str) -> Vec<String> {
+    let code = code_only(source);
+    let t = tokens(&code);
+    let mut paths = Vec::new();
+    // The inline modules open here, each with the depth of its body.
+    let mut modules: Vec<(&str, usize)> = Vec::new();
+    let (mut depth, mut test_next) = (0, false);
+    for (i, &token) in t.iter().enumerate() {
+        match token {
+            "{" => depth += 1,
+            "}" => {
+                depth -= 1;
+                if modules.last().is_some_and(|&(_, body)| body > depth) {
+                    modules.pop();
+                }
+            }
+            "mod" if t.get(i + 2) == Some(&"{") => modules.push((t[i + 1], depth + 1)),
+            "test" if i >= 2 && t[i - 2..i] == ["#", "["] && t.get(i + 1) == Some(&"]") => {
+                test_next = true;
+            }
+            "fn" if test_next => {
+                test_next = false;
+                let name = t.get(i + 1).copied().unwrap_or("");
+                let segments = std::iter::once(module)
+                    .filter(|m| !m.is_empty())
+                    .chain(modules.iter().map(|&(m, _)| m))
+                    .chain([name]);
+                paths.push(segments.collect::<Vec<_>>().join("::"));
+            }
+            _ => {}
+        }
+    }
+    paths
+}
+
+/// The module path of a crate source file: `src/monitor/mattson.rs` is
+/// `monitor::mattson`, `src/monitor/mod.rs` is `monitor`, a crate root
+/// is `""`.
+fn module_of(source: &str) -> String {
+    let path = source.trim_end_matches(".rs");
+    let path = path.strip_suffix("/mod").unwrap_or(path);
+    if matches!(path, "lib" | "main") {
+        String::new()
+    } else {
+        path.replace('/', "::")
+    }
+}
+
+/// Every way a `cargo test -p` line of the CI file can select less than
+/// it says, as `ci.yml:line: problem — the line`.
+fn ci_test_problems(root: &Path) -> Vec<String> {
+    let files = workspace_files(root);
+    let packages = packages(root, &files);
+    let yml = fs::read_to_string(root.join(CI)).expect("the CI file exists");
+    let lines: Vec<&str> = yml.lines().collect();
+    let mut problems = Vec::new();
+    for command in ci_tests(&yml) {
+        let mut problem = |what: String| {
+            problems.push(format!(
+                "{CI}:{}: {what} — `{}`",
+                command.line,
+                lines[command.line - 1].trim()
+            ))
+        };
+        let Some(dir) = packages.get(&command.package) else {
+            problem(format!("no package `{}`", command.package));
+            continue;
+        };
+        let (src, tests) = (format!("{dir}/src/"), format!("{dir}/tests/"));
+        // The integration tests, by target name, and their root files.
+        let targets: BTreeMap<&str, &String> = files
+            .iter()
+            .filter_map(|f| {
+                let rest = f.strip_prefix(&tests)?;
+                let name = rest
+                    .strip_suffix("/main.rs")
+                    .or_else(|| rest.strip_suffix(".rs"))?;
+                (!name.contains('/')).then_some((name, f))
+            })
+            .collect();
+        if command.lib && !files.contains(&format!("{src}lib.rs")) {
+            problem(format!(
+                "`--lib` on `{}`, which has no library",
+                command.package
+            ));
+        }
+        for test in &command.tests {
+            if !targets.contains_key(test.as_str()) {
+                problem(format!(
+                    "`--test {test}` names no integration test of `{}`",
+                    command.package
+                ));
+            }
+        }
+        if command.filters.is_empty() {
+            continue;
+        }
+        // The targets the line selects: those it names, or every one.
+        let every = !command.lib && command.tests.is_empty();
+        let mut selected = Vec::new();
+        if command.lib || every {
+            for file in files
+                .iter()
+                .filter(|f| f.ends_with(".rs") && f.starts_with(&src))
+            {
+                let relative = &file[src.len()..];
+                let bin = relative == "main.rs" || relative.starts_with("bin/");
+                if every || !bin {
+                    selected.push((file, module_of(relative)));
+                }
+            }
+        }
+        for (name, file) in &targets {
+            if every || command.tests.iter().any(|t| t == name) {
+                selected.push((file, String::new()));
+            }
+        }
+        let paths: Vec<String> = selected
+            .iter()
+            .flat_map(|(file, module)| {
+                let source = fs::read_to_string(root.join(file)).expect("readable source");
+                test_paths(&source, module)
+            })
+            .collect();
+        for filter in &command.filters {
+            if !paths.iter().any(|path| path.contains(filter.as_str())) {
+                problem(format!("the filter `{filter}` matches no test it selects"));
+            }
+        }
+    }
+    problems
+}
+
+#[test]
+fn every_ci_test_filter_selects_a_test() {
+    let yml = fs::read_to_string(root().join(CI)).expect("the CI file exists");
+    assert!(
+        ci_tests(&yml)
+            .iter()
+            .any(|command| !command.filters.is_empty()),
+        "no `cargo test -p` line with a name filter read from {CI}"
+    );
+    let problems = ci_test_problems(&root());
+    assert!(
+        problems.is_empty(),
+        "{} CI test line(s) that select less than they say:\n{}",
+        problems.len(),
+        problems.join("\n")
+    );
+}
+
+#[test]
+fn architecture_md_keeps_to_its_line_budget() {
+    let text = fs::read_to_string(root().join("ARCHITECTURE.md")).expect("the document exists");
+    let lines = text.lines().count();
+    assert!(
+        lines <= ARCHITECTURE_BUDGET,
+        "ARCHITECTURE.md is {lines} lines, over its budget of {ARCHITECTURE_BUDGET}: it states \
+         the layer contracts, the equivalence chain, the byte layouts and the failure table. \
+         Measured numbers go to CHANGES.md and BENCH_<n>.json, history to CHANGES.md, and \
+         mechanism to the `//!` docs of the module that has it."
+    );
+}
+
+#[test]
+fn the_ci_checker_reads_commands_and_tests_the_way_they_are_written() {
+    let yml = "      # cargo test -p commented --lib\n        run: |\n          \
+               cargo test -q --release -p talus-serve --lib idmap\n          \
+               cargo test -q -p talus-core --test a --test b -- --ignored x\n          \
+               cargo test --manifest-path benchmark/Cargo.toml\n";
+    assert_eq!(
+        ci_tests(yml),
+        [
+            CiTest {
+                line: 3,
+                package: "talus-serve".to_string(),
+                lib: true,
+                tests: vec![],
+                filters: vec!["idmap".to_string()],
+            },
+            CiTest {
+                line: 4,
+                package: "talus-core".to_string(),
+                lib: false,
+                tests: vec!["a".to_string(), "b".to_string()],
+                filters: vec![],
+            },
+        ]
+    );
+    let source = r##"
+        #[cfg(test)]
+        mod tests {
+            #[test]
+            fn one() { let _ = "#[test] fn fake() {}"; }
+            mod inner { #[test] #[should_panic] fn two() {} }
+            fn helper() {}
+            proptest! { #[test] fn three(x in 0..1u8) {} }
+        }
+        #[test]
+        fn four() {}
+    "##;
+    assert_eq!(
+        test_paths(source, "shard"),
+        [
+            "shard::tests::one",
+            "shard::tests::inner::two",
+            "shard::tests::three",
+            "shard::four"
+        ]
+    );
+    assert_eq!(test_paths(source, "")[3], "four");
+    assert_eq!(module_of("monitor/mattson.rs"), "monitor::mattson");
+    assert_eq!(module_of("monitor/mod.rs"), "monitor");
+    assert_eq!(module_of("lib.rs"), "");
 }
 
 #[test]
