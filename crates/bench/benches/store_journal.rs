@@ -81,6 +81,13 @@ fn curve(seed: u64) -> MissCurve {
     MissCurve::from_samples(&sizes, &misses).expect("valid curve")
 }
 
+/// How many records shard `shard`'s journal holds, streamed and
+/// collected into a `Scan`.
+fn scanned_records(store: &Store, shard: usize) -> usize {
+    let stream = store.stream_shard(shard).expect("open the shard");
+    stream.into_scan().expect("scan").records.len()
+}
+
 /// Journals `rounds` curve rounds for CACHES caches through a sinked
 /// plane (including one epoch per round), leaving a realistic mixed
 /// journal on disk. Returns the store.
@@ -184,9 +191,7 @@ fn bench_append(c: &mut Criterion) {
         });
         // Guard against measuring a no-op: every iteration must have
         // appended a curve and a plan per cache and an epoch cut per shard.
-        let records: u64 = (0..SHARDS)
-            .map(|s| store.replay_shard(s).expect("scan").records.len() as u64)
-            .sum();
+        let records: u64 = (0..SHARDS).map(|s| scanned_records(&store, s) as u64).sum();
         assert_eq!(
             records,
             CACHES + iterations * (2 * CACHES + SHARDS as u64),
@@ -206,16 +211,14 @@ fn bench_replay(c: &mut Criterion) {
     for rounds in [4u64, 16] {
         let dir = bench_dir(&format!("replay-{rounds}"));
         let store = populate(&dir, rounds);
-        let records: usize = (0..SHARDS)
-            .map(|s| store.replay_shard(s).expect("scan").records.len())
-            .sum();
+        let records: usize = (0..SHARDS).map(|s| scanned_records(&store, s)).sum();
 
         // Decode half only: scan every shard file back into Records.
         group.bench_function(format!("replay_scan_{records}_records"), |b| {
             b.iter(|| {
                 let mut total = 0usize;
                 for shard in 0..SHARDS {
-                    total += store.replay_shard(shard).expect("scan").records.len();
+                    total += scanned_records(&store, shard);
                 }
                 black_box(total)
             })

@@ -149,28 +149,6 @@ impl MissCurve {
         Self::validated(sizes.into(), misses.into())
     }
 
-    /// Creates a curve on a uniform grid `0, step, 2*step, …` from miss values.
-    ///
-    /// This is the natural constructor for monitor output (e.g. a UMON with
-    /// one counter per way).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CurveError`] if `misses` is empty, `step` is not positive,
-    /// or any value is invalid.
-    // `!(step > 0.0)` refuses a NaN step, which `step <= 0.0` would pass.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    pub fn from_uniform(step: f64, misses: &[f64]) -> Result<Self, CurveError> {
-        if !(step > 0.0) || !step.is_finite() {
-            return Err(CurveError::InvalidSize {
-                index: 0,
-                value: step,
-            });
-        }
-        let sizes = (0..misses.len()).map(|i| i as f64 * step).collect();
-        Self::validated(sizes, misses.into())
-    }
-
     /// The curve over `sizes` and `misses` (of equal length), if it upholds
     /// the invariants. Nearly every curve passes the branch-free check;
     /// only one that does not pays for the loop that says what, if
@@ -346,14 +324,6 @@ impl MissCurve {
         Points(self.sizes.iter().zip(self.misses.iter()))
     }
 
-    /// The curve's points, by value, in increasing size order: the same
-    /// iterator as [`iter`](Self::iter). A curve stores no points — they
-    /// are paired from [`sizes`](Self::sizes) and [`misses`](Self::misses)
-    /// as they are read.
-    pub fn points(&self) -> Points<'_> {
-        self.iter()
-    }
-
     /// Evaluates the curve at `size` by piecewise-linear interpolation.
     ///
     /// Sizes outside the curve's domain are clamped to the nearest endpoint,
@@ -404,20 +374,6 @@ impl MissCurve {
             sizes: self.sizes.iter().map(|s| s * rho).collect(),
             misses: self.misses.iter().map(|m| m * rho).collect(),
         }
-    }
-
-    /// Evaluates the Theorem-4 transform at a single partition size:
-    /// `rho * m(s'/rho)`, with the inner size clamped to the curve's domain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rho` is not in `(0, 1]`.
-    pub fn sampled_value_at(&self, rho: f64, size: f64) -> f64 {
-        assert!(
-            rho > 0.0 && rho <= 1.0 && rho.is_finite(),
-            "sampling rate must be in (0, 1], got {rho}"
-        );
-        rho * self.value_at(size / rho)
     }
 
     /// Computes the lower convex hull of this curve.
@@ -520,20 +476,6 @@ impl MissCurve {
     /// increasing.
     pub fn resampled(&self, grid: &[f64]) -> Result<MissCurve, CurveError> {
         MissCurve::new(grid.iter().map(|&s| CurvePoint::new(s, self.value_at(s))))
-    }
-
-    /// Area under the curve between `lo` and `hi` (trapezoidal), a scalar
-    /// summary used by tests and ablations to compare curve quality.
-    pub fn area(&self, lo: f64, hi: f64) -> f64 {
-        assert!(lo <= hi, "area bounds must be ordered");
-        // Integrate the piecewise-linear function by visiting each knot.
-        let mut knots: Vec<f64> = vec![lo, hi];
-        knots.extend(self.sizes.iter().filter(|&&s| s > lo && s < hi));
-        knots.sort_by(|a, b| a.partial_cmp(b).expect("finite")); // audited: `lo <= hi` held, so neither is NaN, and sizes never are
-        knots
-            .windows(2)
-            .map(|w| (self.value_at(w[0]) + self.value_at(w[1])) * 0.5 * (w[1] - w[0]))
-            .sum()
     }
 
     /// The `i`th point.
@@ -805,19 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn from_uniform_builds_grid() {
-        let c = MissCurve::from_uniform(2.0, &[10.0, 5.0, 1.0]).unwrap();
-        assert_eq!(c.sizes()[2], 4.0);
-        assert_eq!(c.value_at(1.0), 7.5);
-    }
-
-    #[test]
-    fn from_uniform_rejects_bad_step() {
-        assert!(MissCurve::from_uniform(0.0, &[1.0]).is_err());
-        assert!(MissCurve::from_uniform(-1.0, &[1.0]).is_err());
-    }
-
-    #[test]
     fn value_at_interpolates_and_clamps() {
         let c = fig3_curve();
         assert_eq!(c.value_at(0.0), 24.0);
@@ -848,9 +777,11 @@ mod tests {
     #[test]
     fn sampled_value_at_agrees_with_sampled_curve() {
         let c = fig3_curve();
+        // m'(s') = rho·m(s'/rho) everywhere, clamped where s'/rho leaves
+        // the curve's domain.
         for &rho in &[0.1, 0.25, 0.5, 0.9, 1.0] {
             for &s in &[0.0, 0.5, 1.0, 2.5, 4.0] {
-                let a = c.sampled_value_at(rho, s);
+                let a = rho * c.value_at(s / rho);
                 let b = c.sampled(rho).value_at(s);
                 assert!((a - b).abs() < 1e-12, "rho={rho} s={s}: {a} vs {b}");
             }
@@ -914,13 +845,6 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert_eq!(r.value_at(3.0), 12.0);
         assert_eq!(r.value_at(7.0), 3.0);
-    }
-
-    #[test]
-    fn area_of_linear_segment() {
-        let c = MissCurve::from_samples(&[0.0, 2.0], &[4.0, 0.0]).unwrap();
-        assert!((c.area(0.0, 2.0) - 4.0).abs() < 1e-12);
-        assert!((c.area(0.0, 1.0) - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl Scale {
     pub fn mb_to_lines(&self, paper_mb: f64) -> u64 {
         talus_sim::mb_to_lines(paper_mb * self.footprint).max(16)
     }
-
-    /// Converts simulated lines back to paper-scale megabytes for axes.
-    pub fn lines_to_paper_mb(&self, lines: u64) -> f64 {
-        talus_sim::lines_to_mb(lines) / self.footprint
-    }
 }
 
 /// Where result CSVs are written.
@@ -111,7 +106,7 @@ mod tests {
     fn quick_scale_roundtrips_sizes() {
         let s = Scale::quick();
         let lines = s.mb_to_lines(32.0);
-        assert!((s.lines_to_paper_mb(lines) - 32.0).abs() < 0.01);
+        assert!((talus_sim::lines_to_mb(lines) / s.footprint - 32.0).abs() < 0.01);
         // 32 MB at 1/16 scale = 2 MB = 32768 lines.
         assert_eq!(lines, 32768);
     }

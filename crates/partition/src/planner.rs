@@ -127,13 +127,6 @@ impl CachePlan {
     pub fn allocations(&self) -> Vec<u64> {
         self.tenants.iter().map(|t| t.capacity).collect()
     }
-
-    /// Total miss metric the plan expects (sum of hull values at the
-    /// allocated sizes) — comparable across candidate plans for the same
-    /// curves.
-    pub fn expected_total_misses(&self) -> f64 {
-        self.tenants.iter().map(|t| t.plan.expected_misses()).sum()
-    }
 }
 
 /// The shared convexify → allocate → shadow-plan pipeline.
@@ -590,7 +583,8 @@ mod tests {
             .zip(&curves)
             .map(|(t, c)| c.convex_hull().value_at(t.capacity as f64))
             .sum();
-        assert!((talus.expected_total_misses() - manual).abs() < 1e-9);
+        let expected: f64 = talus.tenants.iter().map(|t| t.plan.expected_misses()).sum();
+        assert!((expected - manual).abs() < 1e-9);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! `std::net::TcpStream`, one request/response pair at a time, and
 //! mirrors the local
 //! [`ShardedReconfigService`](crate::ShardedReconfigService) API so a
-//! curve producer can point at a remote plane unchanged. It batches:
-//! [`stage`](RpcClient::stage)/[`flush`](RpcClient::flush) coalesce many
-//! tenants' updates into one framed batch, bounded by both the entry cap
-//! and the frame byte budget.
+//! curve producer can point at a remote plane unchanged. Curves go out
+//! one way: [`stage`](RpcClient::stage)/[`flush`](RpcClient::flush)
+//! coalesce many tenants' updates into one framed batch, bounded by the
+//! wire's point and entry caps and the frame byte budget, and
+//! [`submit`](RpcClient::submit) is one `stage` and one `flush`.
 //!
 //! ## Partial-failure posture
 //!
@@ -198,6 +199,14 @@ impl From<std::io::Error> for RpcError {
     fn from(e: std::io::Error) -> Self {
         RpcError::Wire(e.into())
     }
+}
+
+/// The first rejection among a flush's per-entry results.
+fn first_rejection(results: Vec<Result<(), ServeError>>) -> Result<(), RpcError> {
+    results
+        .into_iter()
+        .collect::<Result<(), _>>()
+        .map_err(RpcError::Serve)
 }
 
 /// Byte budget for a staged batch: a maximum frame minus generous
@@ -479,60 +488,21 @@ impl RpcClient {
         }
     }
 
-    /// Submits one curve immediately (a one-entry batch). Any staged
-    /// entries are flushed first so ordering is preserved.
+    /// Submits one curve now: [`stage`](RpcClient::stage)s it behind any
+    /// staged entries, then [`flush`](RpcClient::flush)es, so everything
+    /// staged goes out with it, in order.
     ///
     /// # Errors
     ///
-    /// [`RpcError::Serve`] mirroring the local `submit` errors, or a
-    /// transport error.
+    /// The first rejection among every entry it sent, as
+    /// [`RpcError::Serve`] mirroring the local `submit` errors — the rule
+    /// [`run_epoch`](RpcClient::run_epoch)'s implicit flush follows — or a
+    /// transport error. A curve over the wire point cap is refused
+    /// ([`DecodeError::BadCount`]) before anything is staged or sent.
     pub fn submit(&mut self, id: CacheId, tenant: usize, curve: MissCurve) -> Result<(), RpcError> {
-        self.flush()?;
-        let results = self.submit_batch(vec![SubmitEntry {
-            id: id.value(),
-            tenant: tenant as u32,
-            curve,
-        }])?;
-        match results.into_iter().next() {
-            Some(Ok(())) => Ok(()),
-            Some(Err(e)) => Err(RpcError::Serve(e)),
-            None => Err(RpcError::Unexpected {
-                got: "empty submit",
-            }),
-        }
-    }
-
-    /// Sends a batch of entries in one frame; returns one result per
-    /// entry, in order — exactly what local `submit` calls would return.
-    ///
-    /// # Errors
-    ///
-    /// [`RpcError::Wire`] on transport failure. Per-entry rejections are
-    /// data, not errors: they come back in the result vector. A batch
-    /// the server's decoder would refuse — more than the wire batch cap
-    /// of entries, a curve over the point cap
-    /// ([`DecodeError::BadCount`]), or a frame over the byte cap
-    /// ([`DecodeError::Oversized`]) — is refused here with that error:
-    /// nothing is written, nothing is retried, and the connection stays
-    /// usable. [`stage`](RpcClient::stage) keeps a batch within all three
-    /// bounds automatically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty.
-    pub fn submit_batch(
-        &mut self,
-        entries: Vec<SubmitEntry>,
-    ) -> Result<Vec<Result<(), ServeError>>, RpcError> {
-        assert!(!entries.is_empty(), "empty batch");
-        check_count(entries.len(), WIRE_MAX_BATCH)?;
-        for entry in &entries {
-            check_count(entry.curve.len(), WIRE_MAX_CURVE_POINTS)?;
-        }
-        match self.call_retrying(&Request::Submit { entries })? {
-            Response::SubmitReply { results } => Ok(results),
-            other => Err(Self::reject(other, "submit")),
-        }
+        let mut results = self.stage(id, tenant, curve)?.unwrap_or_default();
+        results.extend(self.flush()?);
+        first_rejection(results)
     }
 
     /// Stages one curve update for a later [`flush`](RpcClient::flush),
@@ -595,16 +565,23 @@ impl RpcClient {
         self.flush_staged()
     }
 
+    /// Sends the staged entries as one batch and empties the stage.
+    /// [`stage`](RpcClient::stage) keeps a batch within the wire's point,
+    /// entry and byte caps, and [`call`](RpcClient::call) checks the frame
+    /// cap. A reply that does not hold one result per entry is
+    /// [`RpcError::Unexpected`].
     fn flush_staged(&mut self) -> Result<Vec<Result<(), ServeError>>, RpcError> {
         let entries = std::mem::take(&mut self.staged);
         self.staged_grids.clear();
         self.staged_bytes = 0;
-        self.submit_batch(entries)
-    }
-
-    /// Entries currently staged and not yet sent.
-    pub fn staged_len(&self) -> usize {
-        self.staged.len()
+        let sent = entries.len();
+        match self.call_retrying(&Request::Submit { entries })? {
+            Response::SubmitReply { results } if results.len() == sent => Ok(results),
+            Response::SubmitReply { .. } => Err(RpcError::Unexpected {
+                got: "miscounted submit",
+            }),
+            other => Err(Self::reject(other, "submit")),
+        }
     }
 
     /// Runs one planning epoch on the remote plane; staged entries are
@@ -617,9 +594,7 @@ impl RpcClient {
     /// Transport errors, or per-entry rejections from the implicit
     /// flush surfacing as [`RpcError::Serve`] on the first rejection.
     pub fn run_epoch(&mut self) -> Result<EpochReport, RpcError> {
-        for result in self.flush()? {
-            result.map_err(RpcError::Serve)?;
-        }
+        first_rejection(self.flush()?)?;
         match self.call_retrying(&Request::RunEpoch)? {
             Response::Epoch(report) => Ok(report),
             other => Err(Self::reject(other, "epoch")),
@@ -766,6 +741,74 @@ mod tests {
         let mut state = policy.seed_state();
         assert_eq!(policy.backoff(&mut state, 0), Duration::ZERO);
         assert_eq!(policy.backoff(&mut state, 31), Duration::ZERO);
+    }
+
+    /// A request over the frame cap is refused, typed, before a byte of
+    /// it reaches the socket: it is not retried, and the same connection
+    /// goes on serving. Sent, the server could only drop the connection.
+    #[test]
+    fn a_request_over_the_frame_cap_is_refused_before_the_socket_is_touched() {
+        let service = Arc::new(crate::ShardedReconfigService::new(2));
+        let handle = crate::RpcServer::bind("127.0.0.1:0", Arc::clone(&service))
+            .expect("bind loopback")
+            .spawn()
+            .expect("spawn accept loop");
+        let mut client = RpcClient::connect(handle.local_addr())
+            .expect("connect")
+            .with_retry(RetryPolicy {
+                attempts: 3,
+                ..RetryPolicy::default()
+            });
+        let id = client.register(4096, 1).expect("register");
+        let curve = MissCurve::new((0..1024).map(|i| (i as f64, 1.0))).expect("valid");
+        let entry = SubmitEntry {
+            id: id.value(),
+            tenant: 0,
+            curve: curve.clone(),
+        };
+        // Header, entry and grid counts, the one grid, then values-only
+        // entries: within the entry cap, over the byte cap.
+        let frame_len = 2 + 4 + 4 + (4 + 8 * 1024) + 130 * (8 + 4 + 4 + 8 * 1024);
+        let entries = vec![entry; 130];
+        assert_eq!(
+            client.call_retrying(&Request::Submit { entries }),
+            Err(RpcError::Wire(DecodeError::Oversized {
+                len: frame_len,
+                max: WIRE_MAX_FRAME_LEN
+            }))
+        );
+
+        // Same client, same connection: nothing was written, nothing broke.
+        assert_eq!(client.report(id), Ok(None));
+        client.submit(id, 0, curve).expect("a legal frame");
+        assert_eq!(client.run_epoch().expect("epoch").planned, vec![id]);
+        assert_eq!(service.snapshot(id).expect("published").updates, 1);
+        assert_eq!(handle.connections(), 1, "never reconnected");
+        handle.shutdown();
+    }
+
+    /// A submit reply that does not answer every entry sent is refused,
+    /// not read as a shorter batch.
+    #[test]
+    fn a_submit_reply_short_of_results_is_unexpected() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut frame = Vec::new();
+            assert!(read_frame_into(&mut stream, &mut frame).expect("a request"));
+            let reply = wire::encode_response(&Response::SubmitReply { results: vec![] });
+            stream.write_all(&reply).expect("reply");
+        });
+        let mut client = RpcClient::connect(addr).expect("connect");
+        let curve = MissCurve::new([(0.0, 1.0), (1.0, 0.0)]).expect("valid");
+        assert_eq!(
+            client.submit(CacheId(0), 0, curve),
+            Err(RpcError::Unexpected {
+                got: "miscounted submit"
+            })
+        );
+        server.join().expect("the fake server ran");
     }
 
     #[test]

@@ -40,9 +40,8 @@
 //!
 //! ## Decoding is total
 //!
-//! `decode_request` / `decode_response` and [`read_frame`] /
-//! [`read_frame_into`] never panic and never allocate proportionally to
-//! attacker-controlled fields:
+//! `decode_request` / `decode_response` and [`read_frame_into`] never
+//! panic and never allocate proportionally to attacker-controlled fields:
 //!
 //! - the length prefix is bounded by
 //!   [`talus_core::limits::WIRE_MAX_FRAME_LEN`] *before* the payload
@@ -934,15 +933,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
 // Framed stream I/O
 // ---------------------------------------------------------------------
 
-/// Reads one frame payload (version byte onward) from a stream.
-///
-/// Returns `Ok(None)` on a clean end-of-stream at a frame boundary;
-/// otherwise [`read_frame_into`] with a buffer of its own.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, DecodeError> {
-    let mut payload = Vec::new();
-    Ok(read_frame_into(r, &mut payload)?.then_some(payload))
-}
-
 /// Reads one frame payload (version byte onward) from a stream into
 /// `payload`, replacing whatever it held: on `Ok(true)` the buffer is
 /// exactly the frame. A connection keeps one buffer for its lifetime, so
@@ -1067,11 +1057,15 @@ mod tests {
             stream.extend_from_slice(&encode_request(req));
         }
         let mut r = &stream[..];
+        let mut payload = Vec::new();
         for req in &reqs {
-            let payload = read_frame(&mut r).unwrap().expect("frame present");
+            assert!(
+                read_frame_into(&mut r, &mut payload).unwrap(),
+                "frame present"
+            );
             assert_eq!(&decode_request(&payload).unwrap(), req);
         }
-        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+        assert!(!read_frame_into(&mut r, &mut payload).unwrap(), "clean EOF");
     }
 
     #[test]
@@ -1081,7 +1075,7 @@ mod tests {
         bytes.extend_from_slice(&[0u8; 8]);
         let mut r = &bytes[..];
         assert_eq!(
-            read_frame(&mut r),
+            read_frame_into(&mut r, &mut Vec::new()),
             Err(DecodeError::Oversized {
                 len: WIRE_MAX_FRAME_LEN + 1,
                 max: WIRE_MAX_FRAME_LEN

@@ -1,17 +1,17 @@
-//! The buffer-reusing codec entry points against the allocating ones
-//! they now sit under: `encode_*_into` appends exactly the frame
-//! `encode_*` returns, whatever the buffer held before, and
-//! `read_frame_into` leaves in a reused buffer exactly the payload
-//! `read_frame` returns — same errors, same clean end-of-stream, and no
-//! stale tail when a short frame follows a long one.
+//! The buffer-reusing codec entry points against fresh buffers:
+//! `encode_*_into` appends exactly the frame `encode_*` returns, whatever
+//! the buffer held before, and `read_frame_into` leaves in a reused,
+//! dirty buffer exactly the payload it reads into a fresh one — same
+//! errors, same clean end-of-stream, and no stale tail when a short frame
+//! follows a long one.
 
 use talus_core::codec::DecodeError;
 use talus_core::limits::WIRE_MAX_FRAME_LEN;
 use talus_core::{MissCurve, PlanError, PlaneHealth, ShardHealth, StoreHealth};
 use talus_serve::wire::{
     decode_request, decode_response, encode_request, encode_request_into, encode_response,
-    encode_response_into, read_frame, read_frame_into, ClusterInfo, Request, Response,
-    ShadowSummary, SnapshotSummary, SubmitEntry, TenantSummary,
+    encode_response_into, read_frame_into, ClusterInfo, Request, Response, ShadowSummary,
+    SnapshotSummary, SubmitEntry, TenantSummary,
 };
 use talus_serve::{CacheId, CacheSpec, EpochReport, ServeError, ShardedReconfigService};
 
@@ -222,9 +222,9 @@ fn a_submit_frame_reserves_its_exact_size() {
     }
 }
 
-/// `read_frame_into` a reused, dirty buffer ≡ `read_frame`, frame after
-/// frame down one stream, to the clean end-of-stream — including a
-/// short frame straight after the longest one.
+/// `read_frame_into` a reused, dirty buffer ≡ `read_frame_into` a fresh
+/// one, frame after frame down one stream, to the clean end-of-stream —
+/// including a short frame straight after the longest one.
 #[test]
 fn read_frame_into_a_reused_buffer_equals_read_frame() {
     let mut stream = Vec::new();
@@ -237,7 +237,11 @@ fn read_frame_into_a_reused_buffer_equals_read_frame() {
     let (mut fresh, mut reused) = (&stream[..], &stream[..]);
     let mut buf = vec![0xEE; 100];
     let mut longest = 0;
-    while let Some(want) = read_frame(&mut fresh).expect("well-formed stream") {
+    loop {
+        let mut want = Vec::new();
+        if !read_frame_into(&mut fresh, &mut want).expect("well-formed stream") {
+            break;
+        }
         assert_eq!(read_frame_into(&mut reused, &mut buf), Ok(true));
         assert_eq!(buf, want, "stale bytes after a {longest}-byte frame");
         longest = longest.max(want.len());
@@ -254,7 +258,7 @@ fn read_frame_into_a_reused_buffer_equals_read_frame() {
     );
 }
 
-/// Every way a stream can end or lie, through both entry points.
+/// Every way a stream can end or lie, into a dirty buffer and a fresh one.
 #[test]
 fn read_frame_into_fails_exactly_as_read_frame_does() {
     let frame = encode_request(&every_request().swap_remove(3));
@@ -300,13 +304,10 @@ fn read_frame_into_fails_exactly_as_read_frame_does() {
             want,
             "{bytes:?}"
         );
-        let fresh = read_frame(&mut &bytes[..]);
-        assert_eq!(
-            fresh.as_ref().map(Option::is_some),
-            want.as_ref().map(|&b| b)
-        );
+        let mut fresh = Vec::new();
+        assert_eq!(read_frame_into(&mut &bytes[..], &mut fresh), want);
         if want == Ok(true) {
-            assert_eq!(Some(buf), fresh.expect("read"), "the same payload");
+            assert_eq!(buf, fresh, "the same payload");
         }
     }
 }

@@ -243,7 +243,10 @@ fn assert_batches_equivalent(
     });
     for shard in 0..topology.count() {
         let [single, many] = stores.each_ref().map(|store| {
-            let scanned = store.replay_shard(shard).expect("journal reads");
+            let scanned = store
+                .stream_shard(shard)
+                .and_then(|s| s.into_scan())
+                .expect("journal reads");
             assert_eq!(scanned.tail, None);
             let seqs: Vec<u64> = scanned.records.iter().map(Record::seq).collect();
             assert!(

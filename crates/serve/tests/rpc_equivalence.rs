@@ -21,7 +21,7 @@ use talus_core::{MissCurve, TalusOptions};
 use talus_partition::{put_spec, AllocPolicy, Planner};
 use talus_serve::wire::{decode_request, encode_request, Request, SubmitEntry, WIRE_VERSION};
 use talus_serve::{
-    CacheId, CacheSpec, EpochReport, RetryPolicy, RpcClient, RpcError, RpcServer, ServeError,
+    CacheId, CacheSpec, EpochReport, RpcClient, RpcError, RpcServer, ServeError,
     ShardedReconfigService,
 };
 use talus_store::{checksum64, decode_record, StoreError, STORE_VERSION};
@@ -202,7 +202,7 @@ fn staged_batches_equal_individual_submissions() {
                 client.stage(*id, t, curve).expect("staged");
             }
         }
-        assert!(client.staged_len() > 0, "stage defers the wire round trip");
+        assert_eq!(remote.pending(), 0, "stage defers the wire round trip");
         let results = client.flush().expect("flush");
         assert_eq!(results.len(), caches * tenants);
         assert!(results.iter().all(Result::is_ok));
@@ -226,81 +226,76 @@ fn curve_of(points: usize) -> MissCurve {
     MissCurve::new((0..points).map(|i| (i as f64, 1.0))).expect("valid")
 }
 
-/// A batch within the entry cap but over the frame byte cap is refused
-/// by the client, typed, before a byte of it reaches the socket: it is
-/// not retried, and the same connection goes on serving. (Sent, the
-/// server could only drop the connection — `ConnectionReset` here,
-/// `BrokenPipe` on the next call, once per attempt under a retry policy.)
-#[test]
-fn a_batch_over_the_frame_cap_is_refused_before_the_socket_is_touched() {
-    let (remote, client, handle) = loopback_plane(2);
-    let mut client = client.with_retry(RetryPolicy {
-        attempts: 3,
-        ..RetryPolicy::default()
-    });
-    let id = client.register(4096, 1).expect("register");
-
-    let entries: Vec<SubmitEntry> = (0..130)
-        .map(|_| SubmitEntry {
-            id: id.value(),
-            tenant: 0,
-            curve: curve_of(1024),
-        })
-        .collect();
-    // Header, entry and grid counts, the one grid, then values-only
-    // entries.
-    let frame_len = 2 + 4 + 4 + (4 + 8 * 1024) + 130 * (8 + 4 + 4 + 8 * 1024);
-    assert_eq!(
-        client.submit_batch(entries),
-        Err(RpcError::Wire(DecodeError::Oversized {
-            len: frame_len,
-            max: WIRE_MAX_FRAME_LEN
-        }))
-    );
-
-    // Same client, same connection: nothing was written, nothing broke.
-    assert_eq!(client.report(id), Ok(None));
-    client.submit(id, 0, curve_of(1024)).expect("a legal frame");
-    assert_eq!(client.run_epoch().expect("epoch").planned, vec![id]);
-    assert_eq!(remote.snapshot(id).expect("published").updates, 1);
-    assert_eq!(handle.connections(), 1, "never reconnected");
-    handle.shutdown();
-}
-
-/// Counts the server's decoder caps are refused the same way: a curve
-/// over the point cap is neither staged nor sent, a batch over the entry
-/// cap is an error, not a frame — and the caps themselves go through.
+/// Counts the server's decoder caps are kept at the client: a curve over
+/// the point cap is neither staged nor sent and leaves the stage as it
+/// was, staging past the entry cap flushes at the cap with every result
+/// in staging order, and the caps themselves go through.
 #[test]
 fn counts_over_the_wire_caps_are_refused_at_the_client() {
-    let (_remote, mut client, handle) = loopback_plane(1);
+    let (remote, mut client, handle) = loopback_plane(1);
     let id = client.register(1 << 20, 1).expect("register");
     let over = WIRE_MAX_CURVE_POINTS as usize + 1;
     let refused = Err(RpcError::Wire(DecodeError::BadCount {
         count: over as u32,
         max: WIRE_MAX_CURVE_POINTS,
     }));
+    // Tenant 1 is past the cache's one tenant: its result is a rejection.
+    assert_eq!(client.stage(id, 0, curve_of(2)), Ok(None));
+    assert_eq!(client.stage(id, 1, curve_of(2)), Ok(None));
     assert_eq!(client.submit(id, 0, curve_of(over)), refused);
     assert_eq!(client.stage(id, 0, curve_of(over)).map(|_| ()), refused);
-    assert_eq!(client.staged_len(), 0, "a refused curve is not staged");
+    assert_eq!(remote.pending(), 0, "nothing was sent");
+    let staged = client.flush().expect("the stage as it was");
+    assert_eq!(staged.len(), 2);
+    assert_eq!(staged[0], Ok(()));
+    assert!(matches!(
+        staged[1],
+        Err(ServeError::TenantOutOfRange { .. })
+    ));
     assert_eq!(client.submit(id, 0, curve_of(over - 1)), Ok(()));
 
-    let entry = SubmitEntry {
-        id: id.value(),
-        tenant: 0,
-        curve: curve_of(2),
-    };
-    assert_eq!(
-        client.submit_batch(vec![entry.clone(); WIRE_MAX_BATCH as usize + 1]),
-        Err(RpcError::Wire(DecodeError::BadCount {
-            count: WIRE_MAX_BATCH + 1,
-            max: WIRE_MAX_BATCH,
-        }))
-    );
-    let results = client
-        .submit_batch(vec![entry; WIRE_MAX_BATCH as usize])
-        .expect("a batch at the cap is legal");
-    assert_eq!(results.len(), WIRE_MAX_BATCH as usize);
+    // Even entries go to tenant 0, odd ones to the missing tenant 1, so
+    // each result says which entry it answers.
+    let cap = WIRE_MAX_BATCH as usize;
+    for i in 0..cap - 1 {
+        assert_eq!(
+            client.stage(id, i % 2, curve_of(2)),
+            Ok(None),
+            "flushed early"
+        );
+    }
+    let flushed = client
+        .stage(id, (cap - 1) % 2, curve_of(2))
+        .expect("auto-flush")
+        .expect("flushed at the entry cap");
+    assert_eq!(flushed.len(), cap);
+    for (i, result) in flushed.iter().enumerate() {
+        assert_eq!(result.is_ok(), i % 2 == 0, "result {i} out of order");
+    }
+    assert_eq!(client.stage(id, 0, curve_of(2)), Ok(None), "a new batch");
+    assert_eq!(client.flush(), Ok(vec![Ok(())]));
     assert_eq!(client.ping(), Ok(()));
+    handle.shutdown();
+}
+
+/// `submit` sends what was staged before it in its own frame and reports
+/// the first rejection among all of it: a staged entry the plane refuses
+/// is not dropped in silence, and the curves it accepted still land.
+#[test]
+fn submit_reports_a_staged_rejection() {
+    let (remote, mut client, handle) = loopback_plane(2);
+    let id = client.register(512, 2).expect("register");
+    assert_eq!(client.stage(id, 2, curve_from_seed(1)), Ok(None));
+    let result = client.submit(id, 0, curve_from_seed(2));
+    assert!(
+        matches!(
+            result,
+            Err(RpcError::Serve(ServeError::TenantOutOfRange { .. }))
+        ),
+        "{result:?}"
+    );
+    assert_eq!(remote.pending(), 1, "the valid curve landed");
+    assert_eq!(client.flush(), Ok(vec![]), "the stage went out");
     handle.shutdown();
 }
 
@@ -354,14 +349,12 @@ fn a_batch_staged_to_the_byte_budget_fits_one_frame() {
         for curve in curves {
             assert_eq!(client.stage(id, 0, curve), Ok(None), "flushed early");
         }
-        assert_eq!(client.staged_len(), staged);
         let flushed = client
             .stage(id, 0, next)
             .expect("auto-flush")
             .expect("the budget is full");
         assert_eq!(flushed.len(), staged);
         assert!(flushed.iter().all(Result::is_ok));
-        assert_eq!(client.staged_len(), 1);
         assert_eq!(client.flush().map(|r| r.len()), Ok(1));
     }
     handle.shutdown();

@@ -20,9 +20,8 @@ use talus_core::{
 };
 use talus_partition::{AllocPolicy, Planner};
 use talus_serve::wire::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, read_frame_into,
-    ClusterInfo, Request, Response, ShadowSummary, SnapshotSummary, SubmitEntry, TenantSummary,
-    WIRE_VERSION,
+    decode_request, decode_response, encode_request, encode_response, read_frame_into, ClusterInfo,
+    Request, Response, ShadowSummary, SnapshotSummary, SubmitEntry, TenantSummary, WIRE_VERSION,
 };
 use talus_serve::{CacheId, CacheSpec, EpochReport, ServeError, ShardedReconfigService};
 use talus_store::{
@@ -285,9 +284,8 @@ proptest! {
     #[test]
     fn requests_roundtrip(req in arb_request()) {
         let bytes = encode_request(&req);
-        let payload = read_frame(&mut &bytes[..])
-            .expect("valid frame")
-            .expect("frame present");
+        let mut payload = Vec::new();
+        prop_assert!(read_frame_into(&mut &bytes[..], &mut payload).expect("valid frame"));
         prop_assert_eq!(decode_request(&payload).expect("decodes"), req);
     }
 
@@ -296,9 +294,8 @@ proptest! {
     #[test]
     fn responses_roundtrip(resp in arb_response()) {
         let bytes = encode_response(&resp);
-        let payload = read_frame(&mut &bytes[..])
-            .expect("valid frame")
-            .expect("frame present");
+        let mut payload = Vec::new();
+        prop_assert!(read_frame_into(&mut &bytes[..], &mut payload).expect("valid frame"));
         prop_assert_eq!(decode_response(&payload).expect("decodes"), resp);
     }
 
@@ -313,13 +310,14 @@ proptest! {
         let _ = decode_response(&soup);
         // Stream framing: drain until error or EOF, bounded.
         let mut reader = &soup[..];
+        let mut payload = Vec::new();
         for _ in 0..soup.len() + 1 {
-            match read_frame(&mut reader) {
-                Ok(Some(payload)) => {
+            match read_frame_into(&mut reader, &mut payload) {
+                Ok(true) => {
                     let _ = decode_request(&payload);
                     let _ = decode_response(&payload);
                 }
-                Ok(None) | Err(_) => break,
+                Ok(false) | Err(_) => break,
             }
         }
     }
@@ -332,7 +330,7 @@ proptest! {
     fn every_truncation_is_a_typed_error(req in arb_request()) {
         let bytes = encode_request(&req);
         for cut in 1..bytes.len() {
-            let result = read_frame(&mut &bytes[..cut]);
+            let result = read_frame_into(&mut &bytes[..cut], &mut Vec::new());
             prop_assert_eq!(result, Err(DecodeError::Truncated), "cut at {}", cut);
         }
         let payload = &bytes[4..];
@@ -481,7 +479,7 @@ fn oversized_length_prefix_is_rejected_before_any_payload_read() {
             pos: 0,
         };
         assert_eq!(
-            read_frame(&mut reader),
+            read_frame_into(&mut reader, &mut Vec::new()),
             Err(DecodeError::Oversized {
                 len,
                 max: WIRE_MAX_FRAME_LEN
@@ -496,7 +494,7 @@ fn undersized_length_prefix_is_malformed() {
         let mut bytes = len.to_le_bytes().to_vec();
         bytes.push(WIRE_VERSION);
         assert!(matches!(
-            read_frame(&mut &bytes[..]),
+            read_frame_into(&mut &bytes[..], &mut Vec::new()),
             Err(DecodeError::Malformed(_))
         ));
     }

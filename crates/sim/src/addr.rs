@@ -1,8 +1,8 @@
 //! Addressing: cache lines and capacity arithmetic.
 //!
 //! The simulator operates at cache-line granularity, as last-level caches
-//! do. Byte addresses from workload generators are converted to
-//! [`LineAddr`]s once at the edge; everything downstream works in lines.
+//! do: workload generators emit [`LineAddr`]s, and everything downstream
+//! works in lines.
 
 use std::fmt;
 
@@ -18,20 +18,14 @@ pub const LINE_BYTES: u64 = 64;
 ///
 /// ```
 /// use talus_sim::LineAddr;
-/// let a = LineAddr::from_byte_addr(0x1040);
-/// let b = LineAddr::from_byte_addr(0x107F);
-/// assert_eq!(a, b); // same 64-byte line
-/// assert_ne!(a, LineAddr::from_byte_addr(0x1080));
+/// let a = LineAddr::from(0x41);
+/// assert_eq!(a, LineAddr(0x41)); // a line number, not a byte address
+/// assert_eq!(a.value(), 0x41);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct LineAddr(pub u64);
 
 impl LineAddr {
-    /// Converts a byte address to its line address.
-    pub fn from_byte_addr(byte_addr: u64) -> Self {
-        LineAddr(byte_addr / LINE_BYTES)
-    }
-
     /// The raw line number.
     pub fn value(self) -> u64 {
         self.0
@@ -132,14 +126,6 @@ impl From<u16> for ThreadId {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn line_addr_strips_offset_bits() {
-        assert_eq!(LineAddr::from_byte_addr(0), LineAddr(0));
-        assert_eq!(LineAddr::from_byte_addr(63), LineAddr(0));
-        assert_eq!(LineAddr::from_byte_addr(64), LineAddr(1));
-        assert_eq!(LineAddr::from_byte_addr(65), LineAddr(1));
-    }
 
     #[test]
     fn capacity_round_trips() {

@@ -189,12 +189,6 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         &self.array.policy
     }
 
-    /// Set index for a line (H3-hashed).
-    #[inline]
-    pub fn set_of(&self, line: LineAddr) -> usize {
-        self.array.set_index.rem(self.array.hash(line)) as usize
-    }
-
     /// The access path without the stats update, for a line whose set
     /// hash is `hash`: a probe of its set that may fill any way.
     #[inline]

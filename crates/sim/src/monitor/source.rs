@@ -11,10 +11,8 @@ use talus_core::{CurveSource, MissCurve};
 /// This is the producer the online layers consume: each call to
 /// [`next_curve`](CurveSource::next_curve) records `interval` accesses
 /// (pulled from the stream closure) into the monitor and returns its
-/// updated curve. By default estimates are *cumulative* — the monitor
-/// keeps accumulating, as the paper's utility monitors do between resets;
-/// [`per_interval`](MonitorSource::per_interval) resets the monitor after
-/// every sample instead, yielding independent interval curves.
+/// updated curve. Estimates are *cumulative* — the monitor keeps
+/// accumulating, as the paper's utility monitors do between resets.
 ///
 /// The stream is any `FnMut() -> LineAddr`, so a `talus-workloads`
 /// generator, a recorded trace iterator, or a hand-rolled closure all fit
@@ -32,7 +30,6 @@ pub struct MonitorSource<M, F> {
     monitor: M,
     next_line: F,
     interval: u64,
-    reset_each: bool,
 }
 
 /// Addresses buffered per [`Monitor::record_block`] call.
@@ -52,15 +49,7 @@ impl<M: Monitor, F: FnMut() -> LineAddr> MonitorSource<M, F> {
             monitor,
             next_line,
             interval,
-            reset_each: false,
         }
-    }
-
-    /// Resets the monitor after each sample, so every curve reflects one
-    /// interval in isolation (the reconfiguration-loop convention).
-    pub fn per_interval(mut self) -> Self {
-        self.reset_each = true;
-        self
     }
 
     /// Records `accesses` stream lines without building a curve. For
@@ -88,21 +77,12 @@ impl<M: Monitor, F: FnMut() -> LineAddr> MonitorSource<M, F> {
     pub fn monitor(&self) -> &M {
         &self.monitor
     }
-
-    /// Consumes the source, returning the monitor.
-    pub fn into_monitor(self) -> M {
-        self.monitor
-    }
 }
 
 impl<M: Monitor, F: FnMut() -> LineAddr> CurveSource for MonitorSource<M, F> {
     fn next_curve(&mut self) -> Option<MissCurve> {
         self.advance(self.interval);
-        let curve = self.monitor.curve();
-        if self.reset_each {
-            self.monitor.reset();
-        }
-        Some(curve)
+        Some(self.monitor.curve())
     }
 }
 
@@ -130,16 +110,6 @@ mod tests {
         assert!(curve.value_at(128.0) > 0.9, "below the scan size");
         assert!(curve.value_at(300.0) < 0.1, "above the scan size");
         assert_eq!(src.monitor().sampled_accesses(), 4096);
-    }
-
-    #[test]
-    fn per_interval_resets_between_samples() {
-        let mut src = scan_source(64, 1024).per_interval();
-        src.next_curve();
-        assert_eq!(src.monitor().sampled_accesses(), 0, "reset after sample");
-        src.next_curve();
-        let m = src.into_monitor();
-        assert_eq!(m.sampled_accesses(), 0);
     }
 
     #[test]

@@ -87,11 +87,6 @@ impl ThreePointMonitor {
             sampled: 0,
         }
     }
-
-    /// The larger of the two modeled sizes (`k·C`), in LLC lines.
-    pub fn modeled_full_lines(&self) -> u64 {
-        self.modeled_full
-    }
 }
 
 impl Monitor for ThreePointMonitor {
@@ -181,7 +176,7 @@ mod tests {
     #[test]
     fn coverage_extends_the_modeled_range() {
         let m = ThreePointMonitor::with_coverage(4096, 2.0, 1);
-        assert_eq!(m.modeled_full_lines(), 8192);
+        assert_eq!(m.modeled_full, 8192);
         let c = m.curve();
         assert_eq!(c.sizes()[2], 8192.0);
     }

@@ -247,11 +247,6 @@ impl UmonPair {
             hashes: H3Bank::new(&[near_filter, near_set, far_filter, far_set]),
         }
     }
-
-    /// The largest capacity the pair can report on (4× the LLC).
-    pub fn coverage_lines(&self) -> u64 {
-        self.far.modeled_lines()
-    }
 }
 
 impl Monitor for UmonPair {
@@ -455,7 +450,7 @@ mod tests {
     #[test]
     fn pair_extends_coverage_past_llc() {
         let p = UmonPair::new(16384, 1);
-        assert!(p.coverage_lines() >= 4 * 16384);
+        assert!(p.curve().max_size() >= 4.0 * 16384.0);
     }
 
     #[test]

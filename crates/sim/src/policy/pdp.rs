@@ -55,11 +55,6 @@ impl Pdp {
         }
     }
 
-    /// The protecting distance currently in force (test/report hook).
-    pub fn protecting_distance(&self) -> u64 {
-        self.pd
-    }
-
     fn tick(&mut self, set: usize) -> u64 {
         self.set_clock[set] += 1;
         self.set_clock[set]
@@ -272,10 +267,6 @@ mod tests {
             p.on_insert(set, 0, &ctx());
             p.on_hit(set, 0, &ctx());
         }
-        assert!(
-            p.protecting_distance() <= 2,
-            "pd should collapse to ~1, got {}",
-            p.protecting_distance()
-        );
+        assert!(p.pd <= 2, "pd should collapse to ~1, got {}", p.pd);
     }
 }

@@ -87,12 +87,6 @@ impl Ship {
         let region = line.value() >> REGION_SHIFT;
         (self.hasher.hash(region) % SHCT_SIZE as u64) as u16
     }
-
-    /// The SHCT's current reuse counter for a line's signature (for tests
-    /// and introspection).
-    pub fn predicted_reuse(&self, line: crate::LineAddr) -> u8 {
-        self.shct[self.signature_of(line) as usize]
-    }
 }
 
 impl ReplacementPolicy for Ship {
@@ -158,18 +152,23 @@ mod tests {
         AccessCtx::new().with_line(LineAddr(line))
     }
 
+    /// The SHCT's reuse counter for a line's signature.
+    fn predicted_reuse(p: &Ship, line: LineAddr) -> u8 {
+        p.shct[p.signature_of(line) as usize]
+    }
+
     #[test]
     fn trains_down_on_dead_lines() {
         let mut p = Ship::new(1);
         p.attach(1, 2);
         let scan_line = LineAddr(0); // region 0
-        let before = p.predicted_reuse(scan_line);
+        let before = predicted_reuse(&p, scan_line);
         // Insert two same-region lines, then evict both without reuse.
         p.on_insert(0, 0, &ctx_for(0));
         p.on_insert(0, 1, &ctx_for(1));
         let v = p.choose_victim(0, 0..2);
         let _ = v;
-        let after = p.predicted_reuse(scan_line);
+        let after = predicted_reuse(&p, scan_line);
         assert!(
             after < before,
             "dead eviction must train SHCT down: {before} -> {after}"
@@ -181,12 +180,12 @@ mod tests {
         let mut p = Ship::new(1);
         p.attach(1, 2);
         p.on_insert(0, 0, &ctx_for(0));
-        let before = p.predicted_reuse(LineAddr(0));
+        let before = predicted_reuse(&p, LineAddr(0));
         p.on_hit(0, 0, &ctx_for(0));
-        assert_eq!(p.predicted_reuse(LineAddr(0)), before + 1);
+        assert_eq!(predicted_reuse(&p, LineAddr(0)), before + 1);
         // Further hits on the same line do not double-count.
         p.on_hit(0, 0, &ctx_for(0));
-        assert_eq!(p.predicted_reuse(LineAddr(0)), before + 1);
+        assert_eq!(predicted_reuse(&p, LineAddr(0)), before + 1);
     }
 
     #[test]
@@ -198,7 +197,7 @@ mod tests {
             p.on_insert(0, 0, &ctx_for(i));
             p.choose_victim(0, 0..1);
         }
-        assert_eq!(p.predicted_reuse(LineAddr(0)), 0);
+        assert_eq!(predicted_reuse(&p, LineAddr(0)), 0);
         // The next insert from that region lands at distant RRPV.
         p.on_insert(0, 2, &ctx_for(3));
         assert_eq!(p.table.rrpv[2], RRPV_MAX);

@@ -153,7 +153,7 @@ fn set_assoc(kind: PolicyKind) -> Vec<u64> {
 
 fn curve_words(monitor: &impl Monitor) -> Vec<u64> {
     let mut words = vec![monitor.sampled_accesses()];
-    for p in monitor.curve().points() {
+    for p in monitor.curve().iter() {
         words.extend([p.size.to_bits(), p.misses.to_bits()]);
     }
     words

@@ -4,8 +4,9 @@
 //!
 //! Reading goes one way: [`Store::stream_shard`] hands out a
 //! [`RecordStream`] over the bytes a shard's file held when it was
-//! called, and `open`, `restore` (in `talus-serve`), [`Store::history`]
-//! and [`Store::replay_shard`] all pull from one; `talus-serve
+//! called, and `open`, `restore` (in `talus-serve`) and
+//! [`Store::history`] all pull from one; a caller that wants every record
+//! at once collects one with [`RecordStream::into_scan`]. `talus-serve
 //! store-dump` streams each file of [`shard_files`] through its own,
 //! read-only. No reader ever holds a shard file in memory, or a journal
 //! lock while it reads.
@@ -23,7 +24,7 @@ use talus_partition::{CachePlan, CacheSpec};
 
 use crate::journal::{ShardJournal, ShardRecovery};
 use crate::record::{
-    encode_curve, encode_deregister, encode_epoch_cut, encode_plan, encode_register, Record, Scan,
+    encode_curve, encode_deregister, encode_epoch_cut, encode_plan, encode_register, Record,
     StoreError,
 };
 use crate::stream::{records_from, RecordStream};
@@ -336,23 +337,6 @@ impl Store {
         let len = lock(&self.journals[shard]).committed_len()?;
         let file = File::open(shard_path(&self.dir, shard))?;
         Ok(records_from(file.take(len)))
-    }
-
-    /// Streams shard `shard`'s file from disk and collects it. The valid
-    /// prefix comes back as records; a torn tail (possible only after a
-    /// failed write, or if the file was modified outside this store) is
-    /// diagnosed in the scan, not an error. Holds every record at once: prefer
-    /// [`stream_shard`](Store::stream_shard) for a journal of any size.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Decode`] ([`DecodeError::Io`]) if the shard file cannot be read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn replay_shard(&self, shard: usize) -> Result<Scan, StoreError> {
-        self.stream_shard(shard)?.into_scan()
     }
 
     /// Every curve ever journaled for cache `id`, in submission order

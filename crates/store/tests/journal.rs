@@ -1067,7 +1067,7 @@ fn records_route_to_the_canonical_shard_file() {
     }
     assert_eq!(store.last_error(), None);
     for shard in 0..shards {
-        let scanned = store.replay_shard(shard).unwrap();
+        let scanned = store.stream_shard(shard).unwrap().into_scan().unwrap();
         for rec in &scanned.records {
             let Record::Register { id, .. } = rec else {
                 panic!("only registers were journaled");
@@ -1199,7 +1199,7 @@ fn a_scope_buffers_its_records_and_commit_writes_them_in_order() {
     assert!(shard_len(&dir, 0) > committed);
     assert_eq!(store.last_error(), None);
 
-    let scanned = store.replay_shard(0).unwrap();
+    let scanned = store.stream_shard(0).unwrap().into_scan().unwrap();
     assert_eq!(scanned.tail, None);
     let labels: Vec<_> = scanned.records.iter().map(Record::label).collect();
     assert_eq!(
@@ -1241,7 +1241,16 @@ fn sync_inside_a_scope_writes_the_pending_records_first() {
     store.deregister(1);
     assert_eq!(shard_len(&dir, 0), bytes.len() as u64);
     store.commit(0);
-    assert_eq!(store.replay_shard(0).unwrap().records.len(), 3);
+    assert_eq!(
+        store
+            .stream_shard(0)
+            .unwrap()
+            .into_scan()
+            .unwrap()
+            .records
+            .len(),
+        3
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1274,7 +1283,7 @@ fn the_append_fault_site_fires_per_record_at_the_same_ordinal_in_a_scope() {
         assert_eq!(script.seen("store.append"), 4, "scoped: {scoped}");
         assert_eq!(script.fired("store.append"), 1, "scoped: {scoped}");
         assert!(store.faulted());
-        let scanned = store.replay_shard(0).unwrap();
+        let scanned = store.stream_shard(0).unwrap().into_scan().unwrap();
         assert_eq!(scanned.tail, None);
         assert_eq!(scanned.records.len(), 3, "scoped: {scoped}");
         journals.push(scanned.records);
@@ -1904,13 +1913,22 @@ fn a_stream_sees_what_was_written_when_it_opened_and_blocks_no_append() {
     );
     assert_eq!((stream.consumed(), stream.tail()), (at_open, None));
     // A stream opened now sees them all.
-    assert_eq!(store.replay_shard(0).unwrap().records.len(), 13);
+    assert_eq!(
+        store
+            .stream_shard(0)
+            .unwrap()
+            .into_scan()
+            .unwrap()
+            .records
+            .len(),
+        13
+    );
     assert_eq!(store.history(1).unwrap().len(), 11);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A shard file that cannot be read is an error from every reader —
-/// `history`, `replay_shard`, a stream — never an empty or short
+/// `history`, a stream, its `into_scan` — never an empty or short
 /// history. (Swapping the file for a directory makes `read` fail on a
 /// path that still opens.)
 #[cfg(unix)]
@@ -1929,7 +1947,7 @@ fn an_unreadable_shard_file_is_an_error_not_a_short_history() {
         Err(StoreError::Decode(DecodeError::Io(_)))
     ));
     assert!(matches!(
-        store.replay_shard(0),
+        store.stream_shard(0).unwrap().into_scan(),
         Err(StoreError::Decode(DecodeError::Io(_)))
     ));
     let mut stream = store.stream_shard(0).unwrap();

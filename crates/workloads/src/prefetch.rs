@@ -10,8 +10,8 @@
 //!
 //! [`StreamPrefetcher`] wraps any [`AccessGenerator`]. It watches the
 //! demand stream with a small table of stream trackers; once a tracker
-//! sees a run of sequential lines it issues prefetches up to a
-//! configurable distance ahead. Issued prefetches are emitted into the
+//! sees a run of sequential lines it issues prefetches up to a fixed
+//! distance ahead. Issued prefetches are emitted into the
 //! LLC access stream *before* the demand accesses they cover, so a timely
 //! prefetch converts a demand miss into a demand hit (and carries the
 //! memory traffic itself, as a prefetch miss).
@@ -103,17 +103,6 @@ impl<G: AccessGenerator> StreamPrefetcher<G> {
             issued: 0,
             demands: 0,
         }
-    }
-
-    /// Sets how far ahead of the demand stream the prefetcher may run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `distance` is zero.
-    pub fn with_distance(mut self, distance: u64) -> Self {
-        assert!(distance > 0, "prefetch distance must be positive");
-        self.distance = distance;
-        self
     }
 
     /// Sets the fraction of detected opportunities issued in time.
@@ -378,8 +367,8 @@ mod tests {
 
     #[test]
     fn footprint_includes_overshoot() {
-        let pf = StreamPrefetcher::new(Scan::new(0, 100), 1).with_distance(8);
-        assert_eq!(pf.footprint_lines(), 108);
+        let pf = StreamPrefetcher::new(Scan::new(0, 100), 1);
+        assert_eq!(pf.footprint_lines(), 104, "the distance is 4");
     }
 
     #[test]

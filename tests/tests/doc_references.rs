@@ -1,25 +1,34 @@
 //! The prose names real things: every repo path and every test citation
-//! in the project's guides points at something that exists, and every
-//! test filter of the CI file selects a test.
+//! in the project's guides and the CI file's comments points at something
+//! that exists, every test filter of the CI file selects a test, and
+//! every public fn of a crate is called.
 //!
 //! Four documents are read — `ARCHITECTURE.md`, `README.md`,
-//! `docs/PAPER_MAP.md` and `.claude/skills/verify/SKILL.md` — and every
-//! inline code span in them (fenced blocks are commands, not names) is
-//! checked two ways:
+//! `docs/PAPER_MAP.md` and `.claude/skills/verify/SKILL.md` — and the
+//! comments of `.github/workflows/ci.yml`, and every inline code span in
+//! them (fenced blocks are commands, not names) is checked four ways:
 //!
 //! - a span that is a repo path (a file with a source or document
 //!   extension, or a directory under a top-level entry) exists, either
 //!   from the repo root or as the path-suffix of a workspace file, the
 //!   way the guides name crate-relative files (`tests/wire.rs`);
-//! - a citation `file.rs::[module::]name` names a `fn` or `mod` in that
-//!   file, every module before the name included; a trailing `*` makes
-//!   the name a prefix, and `file.rs::{a, b}` cites each of `a` and `b`;
+//! - a citation `file.rs::[module::]name` names an item in that file,
+//!   every module before the name included; a `*` at either end of the
+//!   name stands for any run of characters, and `file.rs::{a, b}` cites
+//!   each of `a` and `b`;
 //! - a span that starts `[module::]Type::item`, where the workspace
 //!   defines `Type` (a struct, enum, union, trait or type alias), names a
 //!   `fn` or `const` of an impl of `Type` or of a trait it implements, a
 //!   field, a variant or a trait item — an alias has its target's.
 //!   Types the workspace does not define (`Arc::get_mut`) are std's or a
-//!   dependency's and are not checked.
+//!   dependency's and are not checked;
+//! - a span `module::…::item` of lower-case modules (`wire::check_register`,
+//!   `talus_partition::spec`, a test path such as
+//!   `part::tests::each_scheme_reports_the_fraction_talus_plans_over`)
+//!   resolves: its first module is a workspace crate or a module file of
+//!   that name, each next one a submodule's file or an inline `mod`, and
+//!   the last holds the item. Paths from std, a primitive type or a
+//!   vendored dependency are not checked.
 //!
 //! Brace lists in paths expand (`src/{record,journal}.rs`). Paths under
 //! the directories runs write into (`results/`, `benchmark/out/`,
@@ -32,6 +41,11 @@
 //! targets the line selects — a filter that matches nothing passes with
 //! "0 passed", so a rename would silently empty the step. And
 //! `ARCHITECTURE.md` keeps to its line budget.
+//!
+//! Every `pub fn` of a crate's `src/`, before its file's first
+//! `#[cfg(test)]`, is named by code in `crates/`, `tests/`, `examples/`
+//! or `benchmark/src/` other than its definition and its own file's
+//! tests: a public fn nothing calls is deleted, not kept.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -162,39 +176,57 @@ fn path_exists(root: &Path, files: &[String], path: &str) -> bool {
     }
 }
 
-/// The `fn` and `mod` names declared in `source`.
+/// The item names declared in `source` (each `fn`, type, trait, `const`,
+/// `static` and `mod`, and each word a `pub use` re-exports), and its
+/// `mod` names.
 fn items(source: &str) -> (BTreeSet<String>, BTreeSet<String>) {
-    let (mut fns, mut mods) = (BTreeSet::new(), BTreeSet::new());
-    let words: Vec<&str> = source
-        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
-        .filter(|w| !w.is_empty())
-        .collect();
-    for pair in words.windows(2) {
-        match pair[0] {
-            "fn" => fns.insert(pair[1].to_string()),
-            "mod" => mods.insert(pair[1].to_string()),
-            _ => false,
-        };
+    let code = code_only(source);
+    let t = tokens(&code);
+    let (mut names, mut mods) = (BTreeSet::new(), BTreeSet::new());
+    for (i, pair) in t.windows(2).enumerate() {
+        match pair {
+            ["mod", name] => {
+                mods.insert(name.to_string());
+                names.insert(name.to_string());
+            }
+            ["fn" | "struct" | "enum" | "union" | "trait" | "type" | "const" | "static", name]
+                if is_word(name) =>
+            {
+                names.insert(name.to_string());
+            }
+            ["pub", "use"] => names.extend(
+                t[i + 2..]
+                    .iter()
+                    .take_while(|&&token| token != ";")
+                    .filter(|token| is_word(token))
+                    .map(|token| token.to_string()),
+            ),
+            _ => {}
+        }
     }
-    (fns, mods)
+    (names, mods)
 }
 
-/// Whether `path` (`module::…::name`, the name perhaps a `*` prefix)
+/// Whether `name` fits `pattern`: equal, or with a `*` at either end
+/// standing for any run of characters.
+fn fits(pattern: &str, name: &str) -> bool {
+    match (pattern.strip_prefix('*'), pattern.strip_suffix('*')) {
+        (Some(rest), _) if rest.ends_with('*') => name.contains(rest.trim_end_matches('*')),
+        (Some(suffix), None) => name.ends_with(suffix),
+        (None, Some(prefix)) => name.starts_with(prefix),
+        _ => name == pattern,
+    }
+}
+
+/// Whether `path` (`module::…::name`, the name perhaps a `*` pattern)
 /// names items of `source`.
 fn cites(source: &str, path: &str) -> bool {
-    let (fns, mods) = items(source);
+    let (names, mods) = items(source);
     let mut parts: Vec<&str> = path.split("::").collect();
     let Some(name) = parts.pop() else {
         return false;
     };
-    if !parts.iter().all(|m| mods.contains(*m)) {
-        return false;
-    }
-    let mut names = fns.iter().chain(&mods);
-    match name.strip_suffix('*') {
-        Some(prefix) => names.any(|n| n.starts_with(prefix)),
-        None => names.any(|n| n == name),
-    }
+    parts.iter().all(|m| mods.contains(*m)) && names.iter().any(|n| fits(name, n))
 }
 
 /// `(file, item path)` for every citation in `span`.
@@ -523,7 +555,121 @@ fn type_item(span: &str) -> Option<(&str, &str)> {
     (word(ty) && ty.starts_with(char::is_uppercase) && word(item)).then_some((ty, item))
 }
 
-/// Every dangling name in the four documents, as `document: span`.
+/// `(modules, item)` if `span` is `module::…::item`: lower-case module
+/// names, then an item's name or `*` pattern (generics and arguments
+/// after it dropped).
+fn module_item(span: &str) -> Option<(Vec<&str>, &str)> {
+    let word = |s: &str| !s.is_empty() && s.chars().all(|c| c.is_alphanumeric() || c == '_');
+    let mut modules: Vec<&str> = span.split("::").collect();
+    let last = modules.pop()?;
+    let item = &last[..last
+        .find(|c: char| !(c.is_alphanumeric() || c == '_' || c == '*'))
+        .unwrap_or(last.len())];
+    let module = |m: &&str| word(m) && m.starts_with(|c: char| c.is_lowercase());
+    (!modules.is_empty() && modules.iter().all(module) && !item.trim_matches('*').is_empty())
+        .then_some((modules, item))
+}
+
+/// Roots a module path may start with that are not the workspace's: the
+/// standard library and the primitive types.
+const FOREIGN_ROOTS: [&str; 17] = [
+    "std", "core", "alloc", "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64",
+    "i128", "isize", "f32", "f64",
+];
+
+/// The workspace's Rust sources and crates, for resolving module paths.
+struct Modules<'a> {
+    /// Every `.rs` file outside `vendor/`.
+    sources: Vec<&'a String>,
+    /// Each workspace crate's root file, by the name code imports it as.
+    crates: BTreeMap<String, String>,
+    /// The vendored dependencies, by the name code imports them as.
+    vendored: BTreeSet<String>,
+}
+
+impl<'a> Modules<'a> {
+    fn new(root: &Path, files: &'a [String]) -> Self {
+        let mut crates = BTreeMap::new();
+        let mut vendored = BTreeSet::new();
+        for (name, dir) in packages(root, files) {
+            let name = name.replace('-', "_");
+            if dir.starts_with("vendor/") {
+                vendored.insert(name);
+            } else if let Some(lib) = ["lib", "main"]
+                .map(|root| format!("{dir}/src/{root}.rs"))
+                .into_iter()
+                .find(|f| files.contains(f))
+            {
+                crates.insert(name, lib);
+            }
+        }
+        let sources = files
+            .iter()
+            .filter(|f| f.ends_with(".rs") && !f.starts_with("vendor/"))
+            .collect();
+        Modules {
+            sources,
+            crates,
+            vendored,
+        }
+    }
+
+    /// The source file of submodule `name` of the module in `file`.
+    fn child(&self, file: &str, name: &str) -> Option<&'a String> {
+        let stem = file.trim_end_matches(".rs");
+        let dir = match stem.rsplit_once('/') {
+            Some((dir, "lib" | "main" | "mod")) => dir,
+            _ => stem,
+        };
+        let (flat, nested) = (format!("{dir}/{name}.rs"), format!("{dir}/{name}/mod.rs"));
+        self.sources
+            .iter()
+            .copied()
+            .find(|f| **f == flat || **f == nested)
+    }
+
+    /// Whether the module path `modules` resolves and holds `item`:
+    /// `None` when it starts outside the workspace, where nothing is
+    /// checked. The first module is a crate, or any module file of that
+    /// name; each next one a submodule's file, or else an inline `mod`.
+    fn holds(&self, root: &Path, modules: &[&str], item: &str) -> Option<bool> {
+        let first = modules[0];
+        if FOREIGN_ROOTS.contains(&first) || self.vendored.contains(first) {
+            return None;
+        }
+        let starts: Vec<&str> = match self.crates.get(first) {
+            Some(lib) => vec![lib.as_str()],
+            None => self
+                .sources
+                .iter()
+                .filter(|f| {
+                    f.ends_with(&format!("/{first}.rs")) || f.ends_with(&format!("/{first}/mod.rs"))
+                })
+                .map(|f| f.as_str())
+                .collect(),
+        };
+        Some(starts.into_iter().any(|start| {
+            let mut file = start;
+            let mut rest = &modules[1..];
+            while let Some(next) = rest.first().and_then(|m| self.child(file, m)) {
+                (file, rest) = (next, &rest[1..]);
+            }
+            let path: Vec<&str> = rest.iter().copied().chain([item]).collect();
+            fs::read_to_string(root.join(file)).is_ok_and(|source| cites(&source, &path.join("::")))
+        }))
+    }
+}
+
+/// The text of the comments of `yml`, each line's past its `#`.
+fn yml_comments(yml: &str) -> String {
+    yml.lines()
+        .filter_map(|line| line.trim_start().strip_prefix('#'))
+        .map(|comment| format!("{comment}\n"))
+        .collect()
+}
+
+/// Every dangling name in the four documents and the CI file's
+/// comments, as `document: span`.
 fn dangling_references(root: &Path) -> Vec<String> {
     let files = workspace_files(root);
     let top_level: BTreeSet<String> = files
@@ -534,9 +680,14 @@ fn dangling_references(root: &Path) -> Vec<String> {
     for file in files.iter().filter(|f| f.ends_with(".rs")) {
         types.read(&fs::read_to_string(root.join(file)).expect("readable source"));
     }
+    let modules = Modules::new(root, &files);
+    let read = |path: &str| fs::read_to_string(root.join(path)).expect("the document exists");
+    let texts = DOCUMENTS
+        .map(|document| (document, read(document)))
+        .into_iter()
+        .chain([(CI, yml_comments(&read(CI)))]);
     let mut dangling = Vec::new();
-    for document in DOCUMENTS {
-        let text = fs::read_to_string(root.join(document)).expect("the document exists");
+    for (document, text) in texts {
         for span in code_spans(&text) {
             let span = span.trim_end_matches(|c: char| ",.;".contains(c));
             if is_path(span, &top_level) {
@@ -550,6 +701,14 @@ fn dangling_references(root: &Path) -> Vec<String> {
             if let Some((ty, item)) = type_item(span).filter(|_| !span.contains(".rs::")) {
                 if types.defined.contains(ty) && !types.has(ty, item) {
                     dangling.push(format!("{document}: member `{ty}::{item}`"));
+                }
+            }
+            for path in expand_braces(span) {
+                let Some((parts, item)) = module_item(&path) else {
+                    continue;
+                };
+                if modules.holds(root, &parts, item) == Some(false) {
+                    dangling.push(format!("{document}: item `{path}`"));
                 }
             }
             for (file, item) in citations(span) {
@@ -780,6 +939,63 @@ fn ci_test_problems(root: &Path) -> Vec<String> {
     problems
 }
 
+/// Where the code that may call a public fn lives.
+const CALLERS: [&str; 4] = ["crates/", "tests/", "examples/", "benchmark/src/"];
+
+/// The words of the tokens `t` that name something: every word but one
+/// right after `fn`, which defines it.
+fn namings<'a>(t: &'a [&'a str]) -> impl Iterator<Item = &'a str> + 'a {
+    t.iter()
+        .enumerate()
+        .filter(move |&(i, w)| is_word(w) && (i == 0 || t[i - 1] != "fn"))
+        .map(|(_, w)| *w)
+}
+
+/// Every `pub fn` of a crate's `src/` (before the file's first
+/// `#[cfg(test)]`) whose name no code names but its own definition and
+/// its file's tests, as `file: name`. Comments and literals are blanked,
+/// so neither a doc example nor a string counts.
+fn uncalled_public_fns(root: &Path) -> Vec<String> {
+    let mut named: BTreeMap<String, usize> = BTreeMap::new();
+    let mut defined = Vec::new();
+    for file in workspace_files(root)
+        .into_iter()
+        .filter(|f| f.ends_with(".rs") && CALLERS.iter().any(|d| f.starts_with(d)))
+    {
+        let code = code_only(&fs::read_to_string(root.join(&file)).expect("readable source"));
+        for word in namings(&tokens(&code)) {
+            *named.entry(word.to_string()).or_default() += 1;
+        }
+        if file.split('/').nth(2) != Some("src") || !file.starts_with("crates/") {
+            continue;
+        }
+        let (head, tests) = code.split_at(code.find("#[cfg(test)]").unwrap_or(code.len()));
+        let tests = tokens(tests);
+        for w in tokens(head).windows(3) {
+            if let ["pub", "fn", name] = w {
+                let own = namings(&tests).filter(|n| n == name).count();
+                defined.push((file.clone(), name.to_string(), own));
+            }
+        }
+    }
+    defined
+        .into_iter()
+        .filter(|(_, name, in_own_tests)| named.get(name).copied().unwrap_or(0) <= *in_own_tests)
+        .map(|(file, name, _)| format!("{file}: {name}"))
+        .collect()
+}
+
+#[test]
+fn every_public_fn_is_named_outside_its_definition() {
+    let uncalled = uncalled_public_fns(&root());
+    assert!(
+        uncalled.is_empty(),
+        "{} public fn(s) that nothing calls — delete them, or call them:\n{}",
+        uncalled.len(),
+        uncalled.join("\n")
+    );
+}
+
 #[test]
 fn every_ci_test_filter_selects_a_test() {
     let yml = fs::read_to_string(root().join(CI)).expect("the CI file exists");
@@ -966,4 +1182,53 @@ fn the_checker_reads_type_members_the_way_rust_declares_them() {
     assert_eq!(type_item("Arc::get_mut"), Some(("Arc", "get_mut")));
     assert_eq!(type_item("wire::encode_request"), None);
     assert_eq!(type_item("SetAssoc<L, P>::probe"), None);
+}
+
+#[test]
+fn the_checker_resolves_module_paths_the_way_rust_does() {
+    assert_eq!(
+        module_item("wire::encode_request_into(req, &mut buf)"),
+        Some((vec!["wire"], "encode_request_into"))
+    );
+    assert_eq!(
+        module_item("part::setassoc::SetAssoc<L, P>"),
+        Some((vec!["part", "setassoc"], "SetAssoc"))
+    );
+    assert_eq!(
+        module_item("shard::tests::workspace_*").map(|m| m.1),
+        Some("workspace_*")
+    );
+    assert_eq!(module_item("Store::open"), None);
+    assert_eq!(module_item("cargo test -p x::y"), None);
+    assert!(fits("workspace_*", "workspace_kept") && fits("*zipf*", "share_one_zipf_table"));
+    assert!(!fits("workspace_*", "a_workspace") && !fits("a", "ab"));
+    assert_eq!(
+        yml_comments("  # `a::b`\n  run: x # not\n#c\n"),
+        " `a::b`\nc\n"
+    );
+
+    let root = root();
+    let files = workspace_files(&root);
+    let modules = Modules::new(&root, &files);
+    let holds = |path: &str, item: &str| {
+        let parts: Vec<&str> = path.split("::").collect();
+        modules.holds(&root, &parts, item)
+    };
+    assert_eq!(holds("wire", "check_register"), Some(true));
+    assert_eq!(holds("wire", "check_registration"), Some(false));
+    assert_eq!(holds("talus_partition", "spec"), Some(true), "a module");
+    assert_eq!(
+        holds("talus_partition", "put_spec"),
+        Some(true),
+        "a re-export"
+    );
+    assert_eq!(
+        holds("part::tests", "each_scheme_*"),
+        Some(true),
+        "an inline mod"
+    );
+    assert_eq!(holds("monitor::mattson::tests", "bitmap_*"), Some(true));
+    assert_eq!(holds("no_such_module", "x"), Some(false));
+    assert_eq!(holds("std::mem", "take"), None);
+    assert_eq!(holds("rand", "Rng"), None, "vendored");
 }
