@@ -50,27 +50,6 @@ fn bench_policies(c: &mut Criterion) {
     }
     g.finish();
 
-    // The old construction — `Box<dyn ReplacementPolicy>` virtual dispatch
-    // — kept as the reference the enum-dispatch win is measured against.
-    let mut g = c.benchmark_group("set_assoc_access_boxed");
-    g.throughput(Throughput::Elements(STREAM as u64));
-    for kind in [PolicyKind::Lru, PolicyKind::Srrip] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(kind.label()),
-            &kind,
-            |b, &kind| {
-                let mut cache = SetAssocCache::new(CACHE_LINES, 16, kind.build(1), 2);
-                let ctx = AccessCtx::new();
-                b.iter(|| {
-                    for &l in &stream {
-                        black_box(cache.access(LineAddr(l), &ctx));
-                    }
-                })
-            },
-        );
-    }
-    g.finish();
-
     // Block-at-a-time ingest through `CacheModel::access_block`.
     let lines: Vec<LineAddr> = stream.iter().map(|&l| LineAddr(l)).collect();
     let mut g = c.benchmark_group("set_assoc_access_block");

@@ -115,13 +115,14 @@ fn bench_record(c: &mut Criterion) {
         b.iter(|| m.record_block(black_box(&lines)))
     });
 
-    // The `Custom` escape hatch (boxed dispatch inside the same
-    // single-hash bank): what user-defined policies pay.
+    // The same bank with SRRIP passed in as `AnyPolicy::Custom`, the
+    // dynamically dispatched way in for a policy from outside the crate:
+    // what user-defined policies pay.
     g.bench_function("curve_sampler_srrip_16pt_custom", |b| {
-        use talus_sim::policy::{ReplacementPolicy, Srrip};
+        use talus_sim::policy::{AnyPolicy, Srrip};
         let sizes: Vec<u64> = (1..=16).map(|i| i * 4096).collect();
         let mut m = CurveSampler::with_policy(
-            |_s| Box::new(Srrip::new()) as Box<dyn ReplacementPolicy>,
+            |_s| AnyPolicy::Custom(Box::new(Srrip::new())),
             &sizes,
             1024,
             16,

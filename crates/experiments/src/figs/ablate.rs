@@ -265,8 +265,7 @@ fn adaptive_monitor(scale: &Scale) {
             cost,
         ));
     }
-    let adaptive =
-        AdaptiveCurveSampler::from_kind(PolicyKind::Srrip, 8, span, 1024.min(lines), 16, 5);
+    let adaptive = AdaptiveCurveSampler::new(PolicyKind::Srrip, 8, span, 1024.min(lines), 16, 5);
     let cost = adaptive.monitor_lines_total();
     rows.push(measure("adaptive 8-monitor bank", Box::new(adaptive), cost));
     write_csv(

@@ -67,8 +67,8 @@ pub fn lru_curve(
 
 /// Miss curve of an arbitrary policy, simulating one 16-way cache per grid
 /// size. The cache runs the statically dispatched `AnyPolicy` form of
-/// `kind` and ingests the stream block-at-a-time (`access_block`), both
-/// bit-for-bit identical to the boxed per-access loop.
+/// `kind` and ingests the stream block-at-a-time (`access_block`), bit for
+/// bit the per-access loop.
 pub fn policy_curve(
     profile: &AppProfile,
     kind: PolicyKind,

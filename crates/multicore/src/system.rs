@@ -9,7 +9,7 @@ use talus_core::{MissCurve, TalusPlan};
 use talus_partition::{fair, PlanScratch, Planner};
 use talus_sim::monitor::{Monitor, UmonPair};
 use talus_sim::part::{PartitionedCacheModel, VantageLike};
-use talus_sim::policy::{Lru, PolicyKind, ReplacementPolicy, TaDrrip};
+use talus_sim::policy::{Lru, ReplacementPolicy, TaDrrip};
 use talus_sim::{
     AccessCtx, AccessResult, CacheModel, CacheStats, LineAddr, PartitionId, SetAssocCache,
     TalusCache, TalusCacheConfig, ThreadId,
@@ -29,11 +29,6 @@ pub enum SchemeKind {
     SharedLru,
     /// Unpartitioned thread-aware DRRIP.
     TaDrrip,
-    /// Unpartitioned shared cache running any built-in policy, selected
-    /// at runtime but statically dispatched on the access path
-    /// (`SharedLlc<AnyPolicy>`) — the roster hook for policy ablations
-    /// beyond the paper's two shared baselines.
-    Shared(PolicyKind),
     /// Partitioned LRU (no Talus) with the given algorithm on raw curves.
     PartitionedLru(AllocAlgo),
     /// Talus on Vantage-like partitioning over LRU, with the given
@@ -47,7 +42,6 @@ impl SchemeKind {
         match self {
             SchemeKind::SharedLru => "LRU".into(),
             SchemeKind::TaDrrip => "TA-DRRIP".into(),
-            SchemeKind::Shared(kind) => kind.label().into(),
             SchemeKind::PartitionedLru(a) => format!("{}/LRU", a.label()),
             SchemeKind::TalusLru(a) => format!("Talus+V/LRU ({})", a.label()),
         }
@@ -59,9 +53,6 @@ impl SchemeKind {
             SchemeKind::SharedLru => Box::new(SharedLlc::new(llc_lines, apps, Lru::new(), seed)),
             SchemeKind::TaDrrip => {
                 Box::new(SharedLlc::new(llc_lines, apps, TaDrrip::new(seed), seed))
-            }
-            SchemeKind::Shared(kind) => {
-                Box::new(SharedLlc::new(llc_lines, apps, kind.build_any(seed), seed))
             }
             SchemeKind::PartitionedLru(algo) => {
                 Box::new(PartitionedLlc::new(llc_lines, apps, algo, seed))
@@ -355,32 +346,6 @@ mod tests {
             assert!(!sys.name().is_empty());
             sys.reset_stats();
             assert_eq!(sys.app_stats(0).accesses(), 0);
-        }
-    }
-
-    #[test]
-    fn shared_any_policy_matches_concrete_baselines() {
-        // `Shared(kind)` must reproduce the dedicated SharedLru/TaDrrip
-        // schemes access for access: AnyPolicy changes dispatch, never
-        // behaviour.
-        for (concrete, any) in [
-            (SchemeKind::SharedLru, SchemeKind::Shared(PolicyKind::Lru)),
-            (SchemeKind::TaDrrip, SchemeKind::Shared(PolicyKind::TaDrrip)),
-        ] {
-            let mut a = concrete.build(8192, 4, 42);
-            let mut b = any.build(8192, 4, 42);
-            drive(a.as_mut(), 4, 60_000, 9);
-            drive(b.as_mut(), 4, 60_000, 9);
-            for app in 0..4 {
-                assert_eq!(
-                    a.app_stats(app).misses(),
-                    b.app_stats(app).misses(),
-                    "{} vs {} app {app}",
-                    concrete.label(),
-                    any.label()
-                );
-            }
-            assert_eq!(a.name(), b.name());
         }
     }
 

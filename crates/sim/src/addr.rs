@@ -45,23 +45,6 @@ impl From<u64> for LineAddr {
     }
 }
 
-/// Converts a capacity in bytes to whole cache lines (rounding down).
-///
-/// # Examples
-///
-/// ```
-/// use talus_sim::{bytes_to_lines, LINE_BYTES};
-/// assert_eq!(bytes_to_lines(1 << 20), (1 << 20) / LINE_BYTES); // 1 MB
-/// ```
-pub fn bytes_to_lines(bytes: u64) -> u64 {
-    bytes / LINE_BYTES
-}
-
-/// Converts a capacity in cache lines to bytes.
-pub fn lines_to_bytes(lines: u64) -> u64 {
-    lines * LINE_BYTES
-}
-
 /// Converts a capacity in cache lines to megabytes (floating point), the
 /// unit the paper's figures use on their x-axes.
 pub fn lines_to_mb(lines: u64) -> f64 {
@@ -129,7 +112,6 @@ mod tests {
 
     #[test]
     fn capacity_round_trips() {
-        assert_eq!(bytes_to_lines(lines_to_bytes(12345)), 12345);
         assert_eq!(mb_to_lines(1.0), 16384);
         assert!((lines_to_mb(16384) - 1.0).abs() < 1e-12);
         assert_eq!(mb_to_lines(lines_to_mb(524288)), 524288); // 32 MB

@@ -110,8 +110,8 @@ pub trait CacheModel {
 ///
 /// Addresses are spread across sets with an H3 hash (the paper's caches are
 /// hashed; Assumption 3 relies on it). The policy is a type parameter so
-/// hot loops monomorphise, but `Box<dyn ReplacementPolicy>` also implements
-/// [`ReplacementPolicy`] for runtime selection.
+/// hot loops monomorphise; a policy picked at runtime is an
+/// [`AnyPolicy`](crate::policy::AnyPolicy).
 ///
 /// # Examples
 ///

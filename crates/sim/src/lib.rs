@@ -52,10 +52,7 @@ pub mod policy;
 mod stats;
 mod talus_cache;
 
-pub use addr::{
-    bytes_to_lines, lines_to_bytes, lines_to_mb, mb_to_lines, LineAddr, PartitionId, ThreadId,
-    LINE_BYTES,
-};
+pub use addr::{lines_to_mb, mb_to_lines, LineAddr, PartitionId, ThreadId, LINE_BYTES};
 pub use array::{CacheModel, FullyAssocLru, SetAssocCache};
 pub use hasher::{
     mix64, FastMod32, H3Bank, H3Hasher, LineHashBuilder, LineHasher, SampleFilter, ShadowSampler,

@@ -28,13 +28,8 @@
 
 use super::{CurveSampler, Monitor};
 use crate::addr::LineAddr;
-use crate::policy::{AnyPolicy, PolicyKind, ReplacementPolicy};
+use crate::policy::PolicyKind;
 use talus_core::MissCurve;
-
-/// Builds fresh policy instances for the bank's monitors. Built-in kinds
-/// ([`AdaptiveCurveSampler::from_kind`]) produce statically dispatched
-/// variants; custom factories wrap their boxes in [`AnyPolicy::Custom`].
-type PolicyFactory = Box<dyn Fn(u64) -> AnyPolicy>;
 
 /// A self-re-aiming bank of sampled monitors.
 ///
@@ -42,10 +37,10 @@ type PolicyFactory = Box<dyn Fn(u64) -> AnyPolicy>;
 ///
 /// ```
 /// use talus_sim::monitor::{AdaptiveCurveSampler, Monitor};
-/// use talus_sim::policy::{ReplacementPolicy, Srrip};
+/// use talus_sim::policy::PolicyKind;
 /// use talus_sim::LineAddr;
 /// let mut bank = AdaptiveCurveSampler::new(
-///     |_seed| Box::new(Srrip::new()) as Box<dyn ReplacementPolicy>,
+///     PolicyKind::Srrip,
 ///     8,     // monitors
 ///     8192,  // span (lines)
 ///     512,   // lines per monitor
@@ -58,68 +53,27 @@ type PolicyFactory = Box<dyn Fn(u64) -> AnyPolicy>;
 /// bank.reset(); // interval boundary: the bank re-aims itself
 /// assert_eq!(bank.modeled_sizes().last(), Some(&8192));
 /// ```
+#[derive(Debug)]
 pub struct AdaptiveCurveSampler {
-    factory: PolicyFactory,
+    kind: PolicyKind,
     bank: CurveSampler,
     num_monitors: usize,
     span_lines: u64,
     monitor_lines: u64,
     ways: usize,
     seed: u64,
-    intervals: u64,
-}
-
-impl std::fmt::Debug for AdaptiveCurveSampler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdaptiveCurveSampler")
-            .field("num_monitors", &self.num_monitors)
-            .field("span_lines", &self.span_lines)
-            .field("intervals", &self.intervals)
-            .finish_non_exhaustive()
-    }
 }
 
 impl AdaptiveCurveSampler {
-    /// Creates a bank of `num_monitors` monitors covering sizes up to
-    /// `span_lines` (use ≥ 2× the cache so cliffs past the LLC stay
-    /// visible, as with the paper's sampled UMON).
-    ///
-    /// `factory` is called with a distinct seed per monitor and must
-    /// return a fresh replacement-policy instance.
+    /// Creates a bank of `num_monitors` monitors running `kind`, covering
+    /// sizes up to `span_lines` (use ≥ 2× the cache so cliffs past the
+    /// LLC stay visible, as with the paper's sampled UMON).
     ///
     /// # Panics
     ///
     /// Panics if `num_monitors < 4` (the backbone needs endpoints plus at
     /// least two interior points) or geometry is invalid.
-    pub fn new<F>(
-        factory: F,
-        num_monitors: usize,
-        span_lines: u64,
-        monitor_lines: u64,
-        ways: usize,
-        seed: u64,
-    ) -> Self
-    where
-        F: Fn(u64) -> Box<dyn ReplacementPolicy> + 'static,
-    {
-        Self::with_any_policy(
-            move |s| AnyPolicy::Custom(factory(s)),
-            num_monitors,
-            span_lines,
-            monitor_lines,
-            ways,
-            seed,
-        )
-    }
-
-    /// Like [`new`](Self::new) for a built-in [`PolicyKind`]: the bank's
-    /// monitors run statically dispatched policy code (no virtual calls
-    /// on the record path).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`new`](Self::new).
-    pub fn from_kind(
+    pub fn new(
         kind: PolicyKind,
         num_monitors: usize,
         span_lines: u64,
@@ -127,27 +81,6 @@ impl AdaptiveCurveSampler {
         ways: usize,
         seed: u64,
     ) -> Self {
-        Self::with_any_policy(
-            move |s| kind.build_any(s),
-            num_monitors,
-            span_lines,
-            monitor_lines,
-            ways,
-            seed,
-        )
-    }
-
-    fn with_any_policy<F>(
-        factory: F,
-        num_monitors: usize,
-        span_lines: u64,
-        monitor_lines: u64,
-        ways: usize,
-        seed: u64,
-    ) -> Self
-    where
-        F: Fn(u64) -> AnyPolicy + 'static,
-    {
         assert!(
             num_monitors >= 4,
             "need at least 4 monitors (2 endpoints + 2 interior)"
@@ -156,18 +89,16 @@ impl AdaptiveCurveSampler {
             span_lines >= num_monitors as u64,
             "span too small for the bank"
         );
-        let factory: PolicyFactory = Box::new(factory);
         let sizes = geometric_ladder(span_lines, num_monitors, ways as u64);
-        let bank = CurveSampler::with_any_policy(&factory, &sizes, monitor_lines, ways, seed);
+        let bank = CurveSampler::new(kind, &sizes, monitor_lines, ways, seed);
         AdaptiveCurveSampler {
-            factory,
+            kind,
             bank,
             num_monitors,
             span_lines,
             monitor_lines,
             ways,
             seed,
-            intervals: 0,
         }
     }
 
@@ -234,8 +165,8 @@ impl AdaptiveCurveSampler {
         rounded.sort_unstable();
         rounded.dedup();
         self.seed = self.seed.wrapping_add(0x9E37_79B9);
-        self.bank = CurveSampler::with_any_policy(
-            &self.factory,
+        self.bank = CurveSampler::new(
+            self.kind,
             &rounded,
             self.monitor_lines,
             self.ways,
@@ -280,7 +211,6 @@ impl Monitor for AdaptiveCurveSampler {
     fn reset(&mut self) {
         // Interval boundary: adapt before forgetting. The first interval
         // keeps the backbone (nothing learned yet).
-        self.intervals += 1;
         let curve = self.bank.curve();
         if self.bank.sampled_accesses() > 0 {
             self.retarget(&curve);
@@ -294,15 +224,10 @@ impl Monitor for AdaptiveCurveSampler {
 mod tests {
     use super::*;
     use crate::monitor::test_support::scan_stream;
-    use crate::policy::{ReplacementPolicy, Srrip};
-
-    fn srrip_factory() -> impl Fn(u64) -> Box<dyn ReplacementPolicy> + 'static {
-        |_s| Box::new(Srrip::new()) as Box<dyn ReplacementPolicy>
-    }
 
     #[test]
     fn starts_on_a_geometric_backbone() {
-        let a = AdaptiveCurveSampler::new(srrip_factory(), 8, 8192, 512, 16, 1);
+        let a = AdaptiveCurveSampler::new(PolicyKind::Srrip, 8, 8192, 512, 16, 1);
         let sizes = a.modeled_sizes();
         assert_eq!(*sizes.last().unwrap(), 8192);
         assert!(sizes.windows(2).all(|w| w[0] < w[1]));
@@ -313,7 +238,7 @@ mod tests {
         // A scan over 3000 lines: the cliff (hull vertex) sits at 3000,
         // between backbone rungs 2048 and 4096. After one interval the
         // bank should have moved a monitor near it.
-        let mut a = AdaptiveCurveSampler::new(srrip_factory(), 8, 8192, 512, 16, 1);
+        let mut a = AdaptiveCurveSampler::new(PolicyKind::Srrip, 8, 8192, 512, 16, 1);
         for l in scan_stream(3000, 400_000) {
             a.record(l);
         }
@@ -337,15 +262,9 @@ mod tests {
         // Planning quality: the hull value at a plateau size from an
         // 8-monitor adaptive bank vs a 64-monitor fixed bank.
         let stream: Vec<_> = scan_stream(3000, 600_000);
-        let mut adaptive = AdaptiveCurveSampler::new(srrip_factory(), 8, 8192, 512, 16, 1);
+        let mut adaptive = AdaptiveCurveSampler::new(PolicyKind::Srrip, 8, 8192, 512, 16, 1);
         let sizes: Vec<u64> = (1..=64).map(|i| i * 8192 / 64).collect();
-        let mut fixed = CurveSampler::with_policy(
-            |_s| Box::new(Srrip::new()) as Box<dyn ReplacementPolicy>,
-            &sizes,
-            512,
-            16,
-            1,
-        );
+        let mut fixed = CurveSampler::new(PolicyKind::Srrip, &sizes, 512, 16, 1);
         // Two intervals: the adaptive bank re-aims after the first.
         for &l in &stream {
             adaptive.record(l);
@@ -374,7 +293,7 @@ mod tests {
 
     #[test]
     fn first_reset_without_traffic_is_safe() {
-        let mut a = AdaptiveCurveSampler::new(srrip_factory(), 8, 8192, 512, 16, 1);
+        let mut a = AdaptiveCurveSampler::new(PolicyKind::Srrip, 8, 8192, 512, 16, 1);
         a.reset();
         assert_eq!(a.sampled_accesses(), 0);
     }
@@ -382,6 +301,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 4 monitors")]
     fn rejects_tiny_banks() {
-        AdaptiveCurveSampler::new(srrip_factory(), 2, 8192, 512, 16, 1);
+        AdaptiveCurveSampler::new(PolicyKind::Srrip, 2, 8192, 512, 16, 1);
     }
 }

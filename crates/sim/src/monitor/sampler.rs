@@ -12,7 +12,7 @@ use super::Monitor;
 use crate::addr::LineAddr;
 use crate::array::{CacheModel, SetAssocCache};
 use crate::hasher::{mix64, H3Bank};
-use crate::policy::{AccessCtx, AnyPolicy, PolicyKind, ReplacementPolicy};
+use crate::policy::{AccessCtx, AnyPolicy, PolicyKind};
 use talus_core::MissCurve;
 
 /// One sampled shadow monitor: a small cache modelling a larger one.
@@ -40,10 +40,10 @@ struct Point {
 /// per point per access — 16 hashes per line for the paper's §VI-C SRRIP
 /// bank.) The monitors' *set-index* hashes are the lanes of one
 /// [`H3Bank`]: a sampled line is hashed for every monitor in one walk and
-/// each monitor is handed its set hash. Built-in policies run statically
-/// dispatched ([`AnyPolicy`]);
-/// [`with_policy`](CurveSampler::with_policy) keeps the dynamic escape
-/// hatch for custom policies.
+/// each monitor is handed its set hash. Every monitor runs an
+/// [`AnyPolicy`]: [`new`](CurveSampler::new) builds a built-in kind, and
+/// [`with_policy`](CurveSampler::with_policy) takes any factory, including
+/// one that returns [`AnyPolicy::Custom`].
 ///
 /// # Examples
 ///
@@ -94,7 +94,7 @@ impl CurveSampler {
         ways: usize,
         seed: u64,
     ) -> Self {
-        Self::with_any_policy(
+        Self::with_policy(
             |s| policy.build_any(s),
             modeled_sizes,
             monitor_lines,
@@ -103,54 +103,23 @@ impl CurveSampler {
         )
     }
 
-    /// Like [`new`](Self::new), but for *custom* policies: `factory` is
-    /// called once per monitor with a distinct seed and returns a fresh
-    /// policy instance. This is the hook downstream code uses to measure
-    /// miss curves — and therefore run Talus — on policies this crate has
-    /// never heard of (see the `custom_policy` example). Dispatch goes
-    /// through [`AnyPolicy::Custom`], i.e. exactly the old boxed path.
+    /// Like [`new`](Self::new), but `factory` is called once per monitor
+    /// with a distinct seed and returns a fresh policy instance. This is
+    /// the hook downstream code uses to measure miss curves — and
+    /// therefore run Talus — on policies this crate has never heard of,
+    /// through [`AnyPolicy::Custom`] (see the `custom_policy` example).
     ///
     /// # Panics
     ///
     /// Panics if `modeled_sizes` is empty or unsorted, or if geometry is
     /// invalid.
-    pub fn with_policy<F>(
-        factory: F,
+    pub fn with_policy(
+        factory: impl Fn(u64) -> AnyPolicy,
         modeled_sizes: &[u64],
         monitor_lines: u64,
         ways: usize,
         seed: u64,
-    ) -> Self
-    where
-        F: Fn(u64) -> Box<dyn ReplacementPolicy>,
-    {
-        Self::with_any_policy(
-            |s| AnyPolicy::Custom(factory(s)),
-            modeled_sizes,
-            monitor_lines,
-            ways,
-            seed,
-        )
-    }
-
-    /// The generic core behind [`new`](Self::new) and
-    /// [`with_policy`](Self::with_policy): `factory` produces one
-    /// [`AnyPolicy`] per monitor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `modeled_sizes` is empty or unsorted, or if geometry is
-    /// invalid.
-    pub fn with_any_policy<F>(
-        factory: F,
-        modeled_sizes: &[u64],
-        monitor_lines: u64,
-        ways: usize,
-        seed: u64,
-    ) -> Self
-    where
-        F: Fn(u64) -> AnyPolicy,
-    {
+    ) -> Self {
         assert!(!modeled_sizes.is_empty(), "need at least one modelled size");
         assert!(
             modeled_sizes.windows(2).all(|w| w[0] < w[1]),
@@ -425,6 +394,44 @@ mod tests {
         let est = s.curve().value_at(2048.0);
         let act = real.stats().miss_rate();
         assert!((est - act).abs() < 0.08, "estimated {est} vs actual {act}");
+    }
+
+    /// The one boxed path that remains, `AnyPolicy::Custom`, is the
+    /// statically dispatched bank bit for bit, per access and per block.
+    #[test]
+    fn custom_policy_bank_equals_the_built_in_kind() {
+        use crate::policy::Srrip;
+        let stream = uniform_stream(3000, 200_000, 41);
+        let sizes: Vec<u64> = (1..=8).map(|i| i * 512).collect();
+        let custom = || {
+            CurveSampler::with_policy(
+                |_| AnyPolicy::Custom(Box::new(Srrip::new())),
+                &sizes,
+                512,
+                16,
+                6,
+            )
+        };
+        let built_in = || CurveSampler::new(PolicyKind::Srrip, &sizes, 512, 16, 6);
+        let (mut custom_single, mut built_in_single) = (custom(), built_in());
+        for &l in &stream {
+            custom_single.record(l);
+            built_in_single.record(l);
+        }
+        let (mut custom_block, mut built_in_block) = (custom(), built_in());
+        for chunk in stream.chunks(1000) {
+            custom_block.record_block(chunk);
+            built_in_block.record_block(chunk);
+        }
+        let bits = |s: &CurveSampler| {
+            let c = s.curve();
+            let sizes: Vec<u64> = c.sizes().iter().map(|x| x.to_bits()).collect();
+            let misses: Vec<u64> = c.misses().iter().map(|x| x.to_bits()).collect();
+            (sizes, misses, s.sampled_accesses())
+        };
+        assert_eq!(bits(&custom_single), bits(&built_in_single));
+        assert_eq!(bits(&custom_block), bits(&built_in_block));
+        assert_eq!(custom_single.sampled_accesses(), stream.len() as u64);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!
 //! Policies own their per-line metadata (allocated in [`attach`]) and are
 //! driven by the cache array through three callbacks: [`on_hit`],
-//! [`choose_victim`], and [`on_insert`]. This keeps the trait object-safe
-//! so caches can be configured with `Box<dyn ReplacementPolicy>` at
-//! runtime, while the per-policy state layout stays private.
+//! [`choose_victim`], and [`on_insert`]. A cache names its policy as a
+//! concrete type parameter, or as [`AnyPolicy`] when the policy is picked
+//! at runtime; the trait stays object-safe so that
+//! [`AnyPolicy::Custom`] can carry a policy from outside this crate.
 //!
 //! [`attach`]: ReplacementPolicy::attach
 //! [`on_hit`]: ReplacementPolicy::on_hit
@@ -128,43 +129,14 @@ pub trait ReplacementPolicy: std::fmt::Debug {
     fn name(&self) -> &'static str;
 }
 
-impl ReplacementPolicy for Box<dyn ReplacementPolicy> {
-    fn attach(&mut self, sets: usize, ways: usize) {
-        (**self).attach(sets, ways)
-    }
-
-    fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
-        (**self).on_hit(set, way, ctx)
-    }
-
-    fn choose_victim(&mut self, set: usize, candidates: Range<usize>) -> usize {
-        (**self).choose_victim(set, candidates)
-    }
-
-    fn on_insert(&mut self, set: usize, way: usize, ctx: &AccessCtx) {
-        (**self).on_insert(set, way, ctx)
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-}
-
 /// A runtime-selectable policy with *static* per-variant dispatch.
 ///
-/// `Box<dyn ReplacementPolicy>` keeps cache construction flexible but
-/// costs an indirect call per policy callback — three per access on the
-/// hot simulation loop, none of them inlinable. `AnyPolicy` carries one
-/// enum variant per built-in [`PolicyKind`] instead, so a
+/// `AnyPolicy` carries one enum variant per built-in [`PolicyKind`], so a
 /// `SetAssocCache<AnyPolicy>` is a concrete type whose policy callbacks
-/// compile to a jump table over inlined monomorphic bodies. Policies this
-/// crate has never heard of still fit through the
-/// [`Custom`](AnyPolicy::Custom) escape hatch, which preserves exactly
-/// the old boxed behaviour.
-///
-/// Built-in variants behave bit-for-bit identically to the boxed policies
-/// [`PolicyKind::build`] returns (property-tested in
-/// `tests/properties.rs`).
+/// compile to a jump table over inlined monomorphic bodies. A policy this
+/// crate has never heard of comes in through
+/// [`Custom`](AnyPolicy::Custom), the one dynamically dispatched variant
+/// (see the `custom_policy` example).
 ///
 /// # Examples
 ///
@@ -197,8 +169,8 @@ pub enum AnyPolicy {
     Random(RandomRepl),
     /// Offline Belady MIN (oracle-annotated traces only).
     Belady(Belady),
-    /// Escape hatch for user-defined policies: dynamic dispatch, same as
-    /// passing the box straight to the cache.
+    /// A user-defined policy, dynamically dispatched: the one way in for
+    /// a policy from outside this crate.
     Custom(Box<dyn ReplacementPolicy>),
 }
 
@@ -248,12 +220,6 @@ impl ReplacementPolicy for AnyPolicy {
     }
 }
 
-impl From<Box<dyn ReplacementPolicy>> for AnyPolicy {
-    fn from(boxed: Box<dyn ReplacementPolicy>) -> Self {
-        AnyPolicy::Custom(boxed)
-    }
-}
-
 /// Runtime-selectable policy kinds, mirroring the paper's evaluation
 /// (§VII-A). Construction helper for experiment drivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -279,24 +245,8 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Instantiates the policy with a deterministic seed.
-    pub fn build(self, seed: u64) -> Box<dyn ReplacementPolicy> {
-        match self {
-            PolicyKind::Lru => Box::new(Lru::new()),
-            PolicyKind::Srrip => Box::new(Srrip::new()),
-            PolicyKind::Brrip => Box::new(Brrip::new(seed)),
-            PolicyKind::Drrip => Box::new(Drrip::new(seed)),
-            PolicyKind::TaDrrip => Box::new(TaDrrip::new(seed)),
-            PolicyKind::Dip => Box::new(Dip::new(seed)),
-            PolicyKind::Pdp => Box::new(Pdp::new(seed)),
-            PolicyKind::Ship => Box::new(Ship::new(seed)),
-            PolicyKind::Random => Box::new(RandomRepl::new(seed)),
-        }
-    }
-
     /// Instantiates the policy as a statically dispatched [`AnyPolicy`]
-    /// (same seeding, bit-for-bit identical behaviour to
-    /// [`build`](Self::build), no virtual calls on the access path).
+    /// with a deterministic seed (no virtual calls on the access path).
     pub fn build_any(self, seed: u64) -> AnyPolicy {
         match self {
             PolicyKind::Lru => AnyPolicy::Lru(Lru::new()),
@@ -355,11 +305,10 @@ mod tests {
             PolicyKind::Random,
         ];
         for k in kinds {
-            let mut p = k.build(1);
+            let mut p = k.build_any(1);
             p.attach(4, 2);
             assert!(!p.name().is_empty());
             assert!(!k.label().is_empty());
-            // Basic exercise through the boxed impl.
             let ctx = AccessCtx::new();
             p.on_insert(0, 0, &ctx);
             p.on_insert(0, 1, &ctx);

@@ -145,7 +145,7 @@ impl ReplacementPolicy for Ship {
 mod tests {
     use super::*;
     use crate::array::{CacheModel, SetAssocCache};
-    use crate::policy::Srrip;
+    use crate::policy::{AnyPolicy, Srrip};
     use crate::LineAddr;
 
     fn ctx_for(line: u64) -> AccessCtx {
@@ -219,7 +219,8 @@ mod tests {
     /// single PC of the scanning load.
     #[test]
     fn ship_beats_srrip_on_scan_plus_reuse() {
-        let run = |mut cache: SetAssocCache<Box<dyn ReplacementPolicy>>| {
+        let run = |policy: AnyPolicy| {
+            let mut cache = SetAssocCache::new(2048, 16, policy, 9);
             let working = 1024u64; // fits comfortably in cache
             let scan_len = 32_768u64; // 16x the cache: pure thrash
             let mut scan = 0u64;
@@ -240,8 +241,8 @@ mod tests {
             }
             misses_after_warmup
         };
-        let ship = run(SetAssocCache::new(2048, 16, Box::new(Ship::new(3)), 9));
-        let srrip = run(SetAssocCache::new(2048, 16, Box::new(Srrip::new()), 9));
+        let ship = run(AnyPolicy::Ship(Ship::new(3)));
+        let srrip = run(AnyPolicy::Srrip(Srrip::new()));
         assert!(
             ship < srrip / 2,
             "SHiP should protect the reused working set: SHiP {ship} vs SRRIP {srrip} misses"

@@ -175,7 +175,7 @@ proptest! {
     fn policies_honor_contract_on_random_streams(stream in arb_stream(), seed in any::<u64>()) {
         let ctx = AccessCtx::new();
         for kind in online_policies() {
-            let mut cache = SetAssocCache::new(512, 8, kind.build(seed), seed);
+            let mut cache = SetAssocCache::new(512, 8, kind.build_any(seed), seed);
             for &l in &stream {
                 cache.access(LineAddr(l), &ctx);
             }
@@ -276,7 +276,7 @@ proptest! {
         for kind in [PolicyKind::Drrip, PolicyKind::Pdp, PolicyKind::Ship, PolicyKind::Random] {
             let run = || {
                 let ctx = AccessCtx::new();
-                let mut cache = SetAssocCache::new(256, 8, kind.build(seed), seed);
+                let mut cache = SetAssocCache::new(256, 8, kind.build_any(seed), seed);
                 for &l in &stream {
                     cache.access(LineAddr(l), &ctx);
                 }
@@ -408,37 +408,11 @@ fn irregular_chunks(lines: &[LineAddr]) -> Vec<&[LineAddr]> {
     chunks
 }
 
-/// Per-access vs enum-dispatch and per-access vs block equivalence: the
-/// fast paths this PR introduced must be *bit-for-bit* identical to the
-/// original `Box<dyn ReplacementPolicy>` / one-access-at-a-time code, not
-/// just statistically close.
+/// Per-access vs block equivalence: each block fast path must be
+/// *bit-for-bit* identical to the one-access-at-a-time code, not just
+/// statistically close.
 mod fast_path_equivalence {
     use super::*;
-
-    /// Every built-in `PolicyKind` produces the identical hit/miss
-    /// *sequence* through `AnyPolicy` as through its old boxed
-    /// construction, on uniform, scan, and phase-change streams.
-    #[test]
-    fn any_policy_matches_boxed_dispatch() {
-        for kind in online_policies() {
-            for (label, stream) in equivalence_streams(30_000, 0xA11F ^ kind.label().len() as u64) {
-                let mut boxed = SetAssocCache::new(2048, 16, kind.build(7), 11);
-                let mut enumd = SetAssocCache::new(2048, 16, kind.build_any(7), 11);
-                for (i, &line) in stream.iter().enumerate() {
-                    // Rotate issuing threads so thread-aware policies
-                    // (TA-DRRIP) exercise per-thread state too.
-                    let ctx = AccessCtx::from_thread(talus_sim::ThreadId((i % 3) as u16));
-                    assert_eq!(
-                        boxed.access(line, &ctx),
-                        enumd.access(line, &ctx),
-                        "{} diverged on {label} at access {i}",
-                        kind.label()
-                    );
-                }
-                assert_eq!(boxed.stats(), enumd.stats(), "{} on {label}", kind.label());
-            }
-        }
-    }
 
     /// `SetAssocCache::access_block` is the per-access loop, bit for bit,
     /// for every built-in policy.
@@ -540,8 +514,7 @@ mod fast_path_equivalence {
     }
 
     /// `CurveSampler::record_block` produces the identical curve (every
-    /// point, exactly) as per-access `record`, for static and custom
-    /// dispatch alike.
+    /// point, exactly) as per-access `record`.
     #[test]
     fn curve_sampler_block_matches_per_access() {
         let sizes: Vec<u64> = (1..=16).map(|i| i * 1024).collect();
@@ -564,8 +537,8 @@ mod fast_path_equivalence {
     #[test]
     fn adaptive_sampler_block_matches_per_access() {
         let (_, stream) = equivalence_streams(60_000, 0xADA9).swap_remove(1);
-        let mut single = AdaptiveCurveSampler::from_kind(PolicyKind::Srrip, 8, 8192, 512, 16, 3);
-        let mut block = AdaptiveCurveSampler::from_kind(PolicyKind::Srrip, 8, 8192, 512, 16, 3);
+        let mut single = AdaptiveCurveSampler::new(PolicyKind::Srrip, 8, 8192, 512, 16, 3);
+        let mut block = AdaptiveCurveSampler::new(PolicyKind::Srrip, 8, 8192, 512, 16, 3);
         for round in 0..2 {
             for &line in &stream {
                 single.record(line);

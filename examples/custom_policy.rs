@@ -9,16 +9,16 @@
 //! policy (§IV works for *any* miss curve; §VII-B demonstrates it on
 //! SRRIP with multi-monitor sampling). This example shows the downstream
 //! workflow: implement [`ReplacementPolicy`] for a policy of your own —
-//! here, FIFO, which thrashes on cyclic scans just like LRU — attach a
-//! [`CurveSampler`] bank to measure its miss curve (FIFO does not obey
-//! the stack property, so a single UMON will not do), and let Talus trace
-//! its convex hull.
+//! here, FIFO, which thrashes on cyclic scans just like LRU — pass it to a
+//! [`CurveSampler`] bank as [`AnyPolicy::Custom`] to measure its miss
+//! curve (FIFO does not obey the stack property, so a single UMON will not
+//! do), and let Talus trace its convex hull.
 
 use std::ops::Range;
 use talus_examples::{banner, row};
 use talus_sim::monitor::{CurveSampler, Monitor};
 use talus_sim::part::WayPartitioned;
-use talus_sim::policy::{AccessCtx, ReplacementPolicy};
+use talus_sim::policy::{AccessCtx, AnyPolicy, ReplacementPolicy};
 use talus_sim::{CacheModel, LineAddr, SetAssocCache, TalusCacheConfig, TalusSingleCache};
 
 /// First-in, first-out replacement: evict the oldest *inserted* line,
@@ -91,7 +91,7 @@ fn main() {
     // cache; each monitor runs FIFO at a different sampled scale).
     let sizes: Vec<u64> = (1..=16).map(|i| i * cache_lines * 2 / 16).collect();
     let mut sampler = CurveSampler::with_policy(
-        |_seed| Box::new(Fifo::default()) as Box<dyn ReplacementPolicy>,
+        |_seed| AnyPolicy::Custom(Box::new(Fifo::default())),
         &sizes,
         1024,
         16,
@@ -120,7 +120,7 @@ fn main() {
     // planner reads the sampled curve every 50k accesses.
     let cache = WayPartitioned::new(cache_lines, 32, 2, Fifo::default(), 11);
     let monitor = CurveSampler::with_policy(
-        |_seed| Box::new(Fifo::default()) as Box<dyn ReplacementPolicy>,
+        |_seed| AnyPolicy::Custom(Box::new(Fifo::default())),
         &sizes,
         1024,
         16,

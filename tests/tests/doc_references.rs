@@ -943,12 +943,14 @@ fn ci_test_problems(root: &Path) -> Vec<String> {
 const CALLERS: [&str; 4] = ["crates/", "tests/", "examples/", "benchmark/src/"];
 
 /// The words of the tokens `t` that name something: every word but one
-/// right after `fn`, which defines it.
+/// right after `fn`, which defines it, and those of a `use` item (from
+/// `use` to its `;`), which bring a name into scope without calling it.
 fn namings<'a>(t: &'a [&'a str]) -> impl Iterator<Item = &'a str> + 'a {
-    t.iter()
-        .enumerate()
-        .filter(move |&(i, w)| is_word(w) && (i == 0 || t[i - 1] != "fn"))
-        .map(|(_, w)| *w)
+    let mut in_use = false;
+    t.iter().enumerate().filter_map(move |(i, &w)| {
+        in_use = if in_use { w != ";" } else { w == "use" };
+        (!in_use && is_word(w) && (i == 0 || t[i - 1] != "fn")).then_some(w)
+    })
 }
 
 /// Every `pub fn` of a crate's `src/` (before the file's first
@@ -1126,6 +1128,14 @@ fn the_checker_reads_paths_and_citations_the_way_the_guides_write_them() {
         resolve(&files, "s/wire.rs").is_empty(),
         "whole components only"
     );
+}
+
+#[test]
+fn a_use_item_is_not_a_caller() {
+    let names_f = |code: &str| namings(&tokens(code)).any(|w| w == "f");
+    assert!(!names_f("pub use a::f;") && !names_f("use a::{b, f as g};"));
+    assert!(names_f("f();") && names_f("use a::b; f();"));
+    assert!(!names_f("fn f() {}"));
 }
 
 #[test]
